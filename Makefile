@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short cover check
+.PHONY: build test vet race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short cover loc check
 
 build:
 	$(GO) build ./...
@@ -71,18 +71,21 @@ metrics-bench:
 # Allocation gate: the pooled training step — single-executor and replica
 # group alike — must stay within ALLOC_BUDGET allocs/op at steady state
 # (currently 0; the budget leaves headroom for runtime-internal noise).
-# Catches any regression that puts an allocation back on a pooled hot path.
+# Runs at GOMAXPROCS 1 and 4 and gates every reported row, so the result
+# does not depend on how many cores the host has: decode futures launch on
+# their own goroutines at every worker count. Catches any regression that
+# puts an allocation back on a pooled hot path.
 ALLOC_BUDGET ?= 4
 allocs:
-	@out=$$($(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-(pooled|replicas)$$' -benchtime 50x -benchmem . | tee /dev/stderr); \
+	@out=$$($(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-(pooled|replicas)$$' -benchtime 50x -benchmem -cpu 1,4 . | tee /dev/stderr); \
 	allocs=$$(printf '%s\n' "$$out" | awk '/gist-(pooled|replicas)/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}'); \
-	if [ -z "$$allocs" ]; then echo "allocs: no gist-pooled/gist-replicas benchmark output"; exit 1; fi; \
+	if [ "$$(echo $$allocs | wc -w)" -ne 4 ]; then echo "allocs: want 4 gist-pooled/gist-replicas rows (-cpu 1,4), got [$$(echo $$allocs)]"; exit 1; fi; \
 	for a in $$allocs; do \
 		if [ "$$a" -gt "$(ALLOC_BUDGET)" ]; then \
 			echo "allocs: pooled train step allocates $$a/op, budget $(ALLOC_BUDGET)"; exit 1; \
 		fi; \
 	done; \
-	echo "allocs: [$$(echo $$allocs | tr '\n' ' ')] /op within budget $(ALLOC_BUDGET)"
+	echo "allocs: [$$(echo $$allocs)] /op within budget $(ALLOC_BUDGET)"
 
 # Kernel throughput gate: runs the Kernel benchmarks (word-parallel kernels
 # next to their frozen scalar references) and checks the word/scalar ratios
@@ -123,4 +126,11 @@ cover:
 	done; \
 	[ "$$fail" -eq 0 ] && echo "cover: all floors met" || exit 1
 
-check: build vet test race race-hot allocs bench-gate-short cover
+# Non-test Go lines per package, benchmark/ excluded — the code-diet
+# trajectory (ROADMAP item 4). Printed at the end of `make check`.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \
+		END {for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t}' | sort -k2
+
+check: build vet test race race-hot allocs bench-gate-short cover loc

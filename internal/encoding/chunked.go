@@ -86,9 +86,10 @@ func SetDefaultCodec(c Codec) {
 func (cdc Codec) Workers() int { return cdc.pool().Workers() }
 
 // WorkerPool returns the parallel pool the codec runs chunk work on (the
-// shared pool when none is configured). The executor schedules its async
-// decode futures on this pool, so decode work and chunk kernels share one
-// worker budget instead of reaching through a package singleton.
+// shared pool when none is configured). The executor's decode futures each
+// hold one of this pool's slots while they run, so decode work and chunk
+// kernels share one worker budget instead of reaching through a package
+// singleton.
 func (cdc Codec) WorkerPool() *parallel.Pool { return cdc.pool() }
 
 func (cdc Codec) pool() *parallel.Pool {
@@ -233,8 +234,8 @@ func (cdc Codec) EncodeDense(f floatenc.Format, t *tensor.Tensor) *EncodedStash 
 }
 
 // EncodeDenseInto is EncodeDense building into a caller-owned container,
-// reusing its packed backing array when capacity allows (the in-place
-// counterpart the pooled executor and the adaptive fallback use).
+// reusing its packed backing array when capacity allows (what the executor
+// and the adaptive fallback use).
 func (cdc Codec) EncodeDenseInto(e *EncodedStash, f floatenc.Format, t *tensor.Tensor) {
 	var start time.Time
 	if cdc.Tel != nil {
@@ -407,8 +408,8 @@ func (cdc Codec) Decode(e *EncodedStash) (*tensor.Tensor, error) {
 }
 
 // DecodeInto is Decode writing into a caller-provided destination tensor of
-// the stash's shape — the pooled executor pre-allocates the decode target
-// from its buffer pool and owns it through the async-decode handoff. Every
+// the stash's shape — the executor allocates the decode target when it arms
+// the stash's future and takes it back when the future resolves. Every
 // element of dst is overwritten (decode kernels fully cover the payload),
 // so a recycled buffer needs no pre-clearing. On error dst's contents are
 // unspecified. Output is identical to Decode.

@@ -53,11 +53,7 @@ func spillRun(s SpillScale, budget int64) ([]train.Record, time.Duration, stashs
 		Minibatch: s.Minibatch, Steps: s.Steps, LR: s.LR, ProbeEvery: 5,
 	})
 	elapsed := time.Since(start)
-	var st stashstore.Stats
-	if store := e.StashStore(); store != nil {
-		st = store.Stats()
-	}
-	return recs, elapsed, st
+	return recs, elapsed, e.StashStore().Stats()
 }
 
 // sameRecords reports bitwise equality of two probe trajectories.

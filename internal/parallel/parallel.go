@@ -23,15 +23,15 @@ import (
 )
 
 // poolMetrics caches the pool instruments so the hot path pays one atomic
-// pointer load and nil check per ForEach/Go call, never a name lookup.
+// pointer load and nil check per ForEach/Run call, never a name lookup.
 type poolMetrics struct {
 	forEach   *telemetry.Counter   // ForEach invocations
 	tasks     *telemetry.Counter   // individual fn(i) executions
 	helpers   *telemetry.Counter   // helper goroutines actually spawned
 	saturated *telemetry.Counter   // ForEach calls that found the pool full
 	busyNS    *telemetry.Histogram // per-participant busy time inside ForEach
-	goQueued  *telemetry.Gauge     // Go tasks waiting on a pool slot
-	goActive  *telemetry.Gauge     // Go tasks currently running
+	goQueued  *telemetry.Gauge     // Run calls waiting on a pool slot
+	goActive  *telemetry.Gauge     // Run bodies currently executing
 }
 
 // metrics is the process-wide pool telemetry; nil (the default) is the
@@ -181,13 +181,15 @@ spawn:
 	}
 }
 
-// Go runs fn asynchronously on its own goroutine, gated by the pool's
-// worker budget: at most Workers() submitted tasks execute at once, the
-// rest queue on the semaphore. Unlike ForEach, Go returns immediately; the
-// training executor uses it to overlap backward-pass stash decodes with
-// layer compute. fn must not panic (decode futures convert failures to
-// errors). A nil pool runs fn synchronously.
-func (p *Pool) Go(fn func()) {
+// Run runs fn on the calling goroutine while holding one of the pool's
+// worker slots, blocking until a slot is free: at most Workers() Run bodies
+// execute at once, the rest queue on the semaphore. The training executor
+// starts each stash-decode future as `go f.run()` with run bound once to a
+// method that calls Run, so launching a future allocates nothing and decode
+// work overlaps backward compute inside the codec's worker budget. fn must
+// not panic (decode futures convert failures to errors). A nil pool runs fn
+// unbounded.
+func (p *Pool) Run(fn func()) {
 	if p == nil {
 		fn()
 		return
@@ -196,16 +198,14 @@ func (p *Pool) Go(fn func()) {
 	if pm != nil {
 		pm.goQueued.Add(1)
 	}
-	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		if pm != nil {
-			pm.goQueued.Add(-1)
-			pm.goActive.Add(1)
-			defer pm.goActive.Add(-1)
-		}
-		fn()
-	}()
+	p.sem <- struct{}{}
+	defer func() { <-p.sem }()
+	if pm != nil {
+		pm.goQueued.Add(-1)
+		pm.goActive.Add(1)
+		defer pm.goActive.Add(-1)
+	}
+	fn()
 }
 
 // shared is the process-wide pool every codec call sites default to.
@@ -228,7 +228,7 @@ func Shared() *Pool {
 
 // SetSharedWorkers replaces the shared pool with one of the given size
 // (0 = GOMAXPROCS, 1 = serial). The -parallel CLI flag and benchmarks use
-// this; in-flight ForEach/Go calls on the previous pool finish unaffected.
+// this; in-flight ForEach/Run calls on the previous pool finish unaffected.
 func SetSharedWorkers(n int) {
 	shared.Store(NewPool(n))
 }

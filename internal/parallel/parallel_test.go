@@ -39,9 +39,9 @@ func TestNilPoolRunsSerially(t *testing.T) {
 		t.Fatalf("sum = %d, want 45", sum)
 	}
 	ran := false
-	p.Go(func() { ran = true }) // nil pool runs synchronously
+	p.Run(func() { ran = true }) // nil pool runs synchronously
 	if !ran {
-		t.Fatal("nil pool Go did not run synchronously")
+		t.Fatal("nil pool Run did not run synchronously")
 	}
 }
 
@@ -52,7 +52,7 @@ func TestZeroWorkersMeansGOMAXPROCS(t *testing.T) {
 }
 
 // TestNestedForEachDoesNotDeadlock pins the deadlock-proofing: tasks already
-// occupying every pool slot via Go fan out again with ForEach, which must
+// occupying every pool slot via Run fan out again with ForEach, which must
 // degrade to caller-only execution rather than wait for slots the callers
 // transitively hold.
 func TestNestedForEachDoesNotDeadlock(t *testing.T) {
@@ -61,7 +61,7 @@ func TestNestedForEachDoesNotDeadlock(t *testing.T) {
 	var total atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		p.Go(func() {
+		go p.Run(func() {
 			defer wg.Done()
 			p.ForEach(64, func(i int) { total.Add(1) })
 		})
@@ -72,7 +72,7 @@ func TestNestedForEachDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestGoBoundsConcurrency checks Go admits at most Workers() tasks at once.
+// TestGoBoundsConcurrency checks go+Run admits at most Workers() tasks at once.
 func TestGoBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	p := NewPool(workers)
@@ -81,7 +81,7 @@ func TestGoBoundsConcurrency(t *testing.T) {
 	gate := make(chan struct{})
 	for g := 0; g < 4*workers; g++ {
 		wg.Add(1)
-		p.Go(func() {
+		go p.Run(func() {
 			defer wg.Done()
 			cur := running.Add(1)
 			for {
@@ -97,7 +97,7 @@ func TestGoBoundsConcurrency(t *testing.T) {
 	close(gate)
 	wg.Wait()
 	if got := peak.Load(); got > workers {
-		t.Fatalf("peak concurrent Go tasks = %d, want <= %d", got, workers)
+		t.Fatalf("peak concurrent Run tasks = %d, want <= %d", got, workers)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestPoolTelemetry(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Go(func() { wg.Done() })
+	go p.Run(func() { wg.Done() })
 	wg.Wait()
 
 	v := s.Values()
@@ -41,7 +41,7 @@ func TestPoolTelemetry(t *testing.T) {
 	if s.Histogram("pool.busy.ns").Count() == 0 {
 		t.Fatal("no busy-time observations")
 	}
-	// Go's gauges must return to zero once the task drained.
+	// Run's gauges must return to zero once the task drained.
 	if v["pool.go.queued"] != 0 {
 		t.Fatalf("go.queued %d, want 0", v["pool.go.queued"])
 	}

@@ -454,15 +454,13 @@ func (s *Server) train(ctx context.Context, j *job) (State, string) {
 		analysis = encoding.Analyze(g, cfg)
 	}
 	opts := train.Options{
-		Seed:      spec.Seed,
-		Encodings: analysis,
-		Telemetry: j.tel,
-		Codec:     &encoding.Codec{Pool: s.workers, Tel: j.tel},
-		Pool:      s.pool,
-	}
-	if spec.StashBudget > 0 {
-		opts.StashBudget = spec.StashBudget
-		opts.SpillDir = s.cfg.SpillDir
+		Seed:        spec.Seed,
+		Encodings:   analysis,
+		Telemetry:   j.tel,
+		Codec:       &encoding.Codec{Pool: s.workers, Tel: j.tel},
+		Pool:        s.pool,
+		StashBudget: spec.StashBudget,
+		SpillDir:    s.cfg.SpillDir,
 	}
 	if spec.Faults != nil {
 		opts.Faults = faults.New(*spec.Faults)

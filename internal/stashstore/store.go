@@ -37,9 +37,9 @@ import (
 
 // Config configures a Store.
 type Config struct {
-	// Budget caps the hot tier in bytes. Zero or negative means unlimited
-	// (nothing ever spills); the executor only builds a store for positive
-	// budgets.
+	// Budget caps the hot tier in bytes. Zero or negative means unlimited:
+	// nothing ever spills and no file is created — the store an executor
+	// without a stash budget runs on.
 	Budget int64
 	// Dir is where the spill scratch file lives; "" means os.TempDir().
 	// The file is created lazily on first spill and removed by Close.

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -25,7 +26,6 @@ import (
 	"gist/internal/floatenc"
 	"gist/internal/graph"
 	"gist/internal/layers"
-	"gist/internal/parallel"
 	"gist/internal/stashstore"
 	"gist/internal/telemetry"
 	"gist/internal/tensor"
@@ -87,29 +87,28 @@ type Options struct {
 	Telemetry *telemetry.Sink
 	// Codec, when non-nil, is the codec this executor encodes, seals and
 	// decodes stashes through — its own worker pool, chunk size, telemetry
-	// and scratch pool, isolated from every other executor. The nil
-	// default preserves the historical behavior of reading
-	// encoding.DefaultCodec() at each step, so executors share codec state
-	// only when both leave this unset.
+	// and scratch pool, isolated from every other executor. Nil selects the
+	// process-wide default codec as it stands when NewExecutor runs; either
+	// way the codec is fixed for the executor's lifetime.
 	Codec *encoding.Codec
-	// Pool, when non-nil, turns on liveness-driven buffer pooling: every
-	// per-step tensor (activation, gradient, decode target, quantized
-	// stash copy) is drawn from the pool and recycled at its last use —
-	// encoded feature maps right after their stash is built, decoded
+	// Pool, when non-nil, is where every per-step tensor (activation,
+	// gradient, decode target) is drawn from and recycled to at its last
+	// use — encoded feature maps right after their stash is built, decoded
 	// stashes and stashed activations after their final backward reader,
-	// gradients once merged downstream. Encode containers are rebuilt in
-	// place. Steady-state training then allocates almost nothing. Results
-	// are byte-identical to the unpooled path. Under pooling, Output()
-	// and live ReLU sparsity probing are unavailable (see those methods).
+	// gradients once merged downstream — so steady-state training
+	// allocates nothing. Nil means heap allocation: recycling is a no-op
+	// and every node's Output stays valid after the step. The step path
+	// and its results are the same either way.
 	Pool *bufpool.Pool
-	// StashBudget, when positive, caps the bytes of encoded stashes held in
-	// RAM across the forward→backward gap: stashes live in a tiered
-	// stashstore.Store and the ones whose backward use is furthest away
-	// spill to disk as sealed GSTP pages, to be fetched (and decoded) back
-	// just before their backward reader needs them. Placement is a pure
-	// function of the liveness analysis and the spill round-trip is
-	// bit-exact, so results are identical to the unlimited-RAM run at any
-	// budget. Zero (the default) keeps every stash in RAM.
+	// StashBudget, when positive, caps the bytes the executor's
+	// stashstore.Store holds in RAM across the forward→backward gap: the
+	// stashes whose backward use is furthest away spill to disk as sealed
+	// GSTP pages and are read back by their fetch-then-decode futures.
+	// Under a cap every stash is encoded (unassigned ones into an exact
+	// FP32 dense container) so the cap covers every byte held. Placement
+	// is a pure function of the liveness analysis and the spill round
+	// trip is bit-exact, so results are identical at any budget. Zero (the
+	// default) means no cap and no spill file.
 	StashBudget int64
 	// SpillDir is where the stash store's spill file lives; "" means the
 	// OS temp dir. Only consulted when StashBudget is positive.
@@ -124,7 +123,7 @@ type execMetrics struct {
 	stepFailures *telemetry.Counter   // attempts that returned an error
 	stepNS       *telemetry.Histogram // whole-step latency
 	forwardNS    *telemetry.Histogram
-	encodeNS     *telemetry.Histogram // prepareStashes (encode + seal + sync decode)
+	encodeNS     *telemetry.Histogram // prepareStashes (encode + seal + put + arm)
 	backwardNS   *telemetry.Histogram
 	sgdNS        *telemetry.Histogram
 	stashHeld    *telemetry.Histogram // per-step held stash bytes
@@ -203,30 +202,28 @@ type Executor struct {
 
 	// Per-step state, indexed by node ID (graph.Validate guarantees IDs
 	// are dense). outs holds each node's forward output for the current
-	// step; stash holds the (possibly reduced) view backward readers see.
-	// When async decode is active, encoded stashes live in futures until
-	// the backward pass resolves them (stash then caches the decoded
-	// tensor). All slices are allocated once and reused every step.
-	outs    []*tensor.Tensor
-	stash   []*tensor.Tensor
-	futures []*stashFuture
-	aux     []map[string]any
+	// step; stash holds the view backward readers see — the output itself
+	// for an aliased stash, else the decoded tensor once the node's future
+	// has been resolved. All slices are allocated once and reused every
+	// step.
+	outs  []*tensor.Tensor
+	stash []*tensor.Tensor
+	aux   []map[string]any
 
-	// futSlots backs futures: one persistent slot per node, re-armed each
-	// step, so the async-decode machinery allocates nothing per step.
-	futSlots []stashFuture
+	// futures holds one persistent fetch-then-decode slot per node, re-armed
+	// each step, and encSlots one persistent encode container per node,
+	// rebuilt in place each step — so the stash lifecycle allocates nothing
+	// per step. nFutures counts the slots currently armed.
+	futures  []stashFuture
 	nFutures int
-
-	// encSlots holds, under pooling, one persistent encode container per
-	// stashing node; EncodeStashInto rebuilds it in place every step.
-	encSlots []*encoding.EncodedStash
+	encSlots []encoding.EncodedStash
 
 	// Pooling state. pool is nil on the allocate-always path. checkedOut
 	// is the executor-side ledger of pooled tensors currently held; every
-	// alloc registers here and every recycle point goes through recycle(),
-	// which ignores tensors not in the ledger — so an aliased stash
-	// (stash == out) is returned exactly once, and anything a failed step
-	// leaves behind is swept at the next Forward.
+	// pooled alloc registers here and every recycle point goes through
+	// recycle(), which ignores tensors not in the ledger — so an aliased
+	// stash (stash == out) is returned exactly once, and anything a failed
+	// step leaves behind is swept at the next Forward.
 	pool       *bufpool.Pool
 	checkedOut map[*tensor.Tensor]struct{}
 
@@ -248,23 +245,27 @@ type Executor struct {
 	fwdCtx  layers.FwdCtx
 	bwdCtx  layers.BwdCtx
 
-	// probeSparsity arms per-step ReLU sparsity capture under pooling (set
-	// by the trainer when RunConfig.ProbeSparsity asks for the Figure 14
-	// probe); sparsities holds the last captured values.
+	// probeSparsity arms per-step ReLU sparsity capture (set by the run
+	// loops when RunConfig.ProbeSparsity asks for the Figure 14 probe);
+	// sparsities holds the last captured values.
 	probeSparsity bool
 	sparsities    map[string]float64
 
 	// StashBytes records, per step, the total bytes of the stashed
-	// representations the backward pass actually read (encoded when
-	// encodings are active) — a runtime cross-check of the planner.
+	// representations held across the forward→backward gap — the sum of
+	// the encoded containers' Bytes() plus the aliased outputs — a runtime
+	// cross-check of the planner.
 	StashBytes int64
 
 	// Robust accumulates degradation and corruption counters over the
 	// executor's lifetime.
 	Robust RobustnessStats
 
-	// store is the tiered stash home, built only when Options.StashBudget
-	// is positive; nil keeps the historical all-in-RAM path byte-for-byte.
+	// cdc is the codec every stash is encoded, sealed and decoded through,
+	// resolved once at construction. store is the home of every encoded
+	// stash between encode and fetch: RAM only, with no cap and no file,
+	// unless Options.StashBudget is positive.
+	cdc   encoding.Codec
 	store *stashstore.Store
 
 	tel       *telemetry.Sink
@@ -302,46 +303,48 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	}
 	opts.Faults.SetTelemetry(opts.Telemetry)
 
-	if opts.StashBudget > 0 {
-		// Eviction priorities are a pure function of the liveness analysis:
-		// the stash whose first backward use lies furthest in the future
-		// spills first, so placement never depends on timing.
-		tl := graph.BuildTimeline(g)
-		pri := make([]int, len(g.Nodes))
-		names := make([]string, len(g.Nodes))
-		for _, n := range g.Nodes {
-			pri[n.ID] = graph.FirstBackwardUse(tl, n)
-			names[n.ID] = n.Name
-		}
-		e.store = stashstore.New(stashstore.Config{
-			Budget:   opts.StashBudget,
-			Dir:      opts.SpillDir,
-			Priority: pri,
-			Names:    names,
-			Tel:      opts.Telemetry,
-			Faults:   opts.Faults,
-		})
+	e.cdc = encoding.DefaultCodec()
+	if opts.Codec != nil {
+		e.cdc = *opts.Codec
+	}
+	if e.cdc.Buf == nil {
+		e.cdc.Buf = e.pool // codec scratch comes from the executor's pool
 	}
 
+	// Eviction priorities are a pure function of the liveness analysis: the
+	// stash whose first backward use lies furthest in the future spills
+	// first, so placement under a budget never depends on timing.
 	nn := len(g.Nodes)
+	tl := graph.BuildTimeline(g)
+	pri := make([]int, nn)
+	names := make([]string, nn)
+	for _, n := range g.Nodes {
+		pri[n.ID] = graph.FirstBackwardUse(tl, n)
+		names[n.ID] = n.Name
+	}
+	e.store = stashstore.New(stashstore.Config{
+		Budget:   opts.StashBudget,
+		Dir:      opts.SpillDir,
+		Priority: pri,
+		Names:    names,
+		Tel:      opts.Telemetry,
+		Faults:   opts.Faults,
+	})
+
 	e.outs = make([]*tensor.Tensor, nn)
 	e.stash = make([]*tensor.Tensor, nn)
-	e.futures = make([]*stashFuture, nn)
-	e.futSlots = make([]stashFuture, nn)
-	e.encSlots = make([]*encoding.EncodedStash, nn)
+	e.futures = make([]stashFuture, nn)
+	e.encSlots = make([]encoding.EncodedStash, nn)
 	e.aux = make([]map[string]any, nn)
 	e.bwdReads = make([]int, nn)
 	e.bwdLeft = make([]int, nn)
 	e.gradOf = make([]*tensor.Tensor, nn)
 	e.sparsities = map[string]float64{}
-	if e.pool != nil {
-		e.checkedOut = make(map[*tensor.Tensor]struct{}, 2*nn)
-	}
-	for i := range e.futSlots {
-		f := &e.futSlots[i]
-		f.run = f.decode // bind the worker closure once, not per step
-	}
+	e.checkedOut = make(map[*tensor.Tensor]struct{}, 2*nn)
 	for _, n := range g.Nodes {
+		f := &e.futures[n.ID]
+		f.store, f.cdc, f.tel, f.sid, f.node = e.store, e.cdc, e.tel, n.ID, n.Name
+		f.run = f.launch // bound once, so `go f.run()` allocates nothing per step
 		e.aux[n.ID] = map[string]any{}
 		// Count the backward pass's reads of this node's stashed output
 		// from raw operator needs; recycle points drain these counts.
@@ -384,23 +387,6 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	return e
 }
 
-// codec resolves the codec for the current operation: the injected
-// Options.Codec when set, the process-wide default otherwise, with the
-// executor's buffer pool threaded in as the codec's scratch source when the
-// codec does not bring its own.
-func (e *Executor) codec() encoding.Codec {
-	var c encoding.Codec
-	if e.opts.Codec != nil {
-		c = *e.opts.Codec
-	} else {
-		c = encoding.DefaultCodec()
-	}
-	if c.Buf == nil {
-		c.Buf = e.pool
-	}
-	return c
-}
-
 // alloc returns a zeroed tensor of the given shape — from the pool (and the
 // checked-out ledger) when pooling is on, from the heap otherwise.
 func (e *Executor) alloc(shape tensor.Shape) *tensor.Tensor {
@@ -413,13 +399,10 @@ func (e *Executor) alloc(shape tensor.Shape) *tensor.Tensor {
 }
 
 // recycle returns a pooled tensor at its last use. Tensors the ledger does
-// not hold — unpooled tensors, aliases already recycled, parameters — are
-// ignored, so recycle points can be written against logical lifetimes
-// without tracking aliasing.
+// not hold — heap tensors (the ledger stays empty without a pool), aliases
+// already recycled, parameters, nil — are ignored, so recycle points can be
+// written against logical lifetimes without tracking aliasing.
 func (e *Executor) recycle(t *tensor.Tensor) {
-	if e.pool == nil || t == nil {
-		return
-	}
 	if _, ok := e.checkedOut[t]; !ok {
 		return
 	}
@@ -432,9 +415,6 @@ func (e *Executor) recycle(t *tensor.Tensor) {
 // stranded). Runs at the start of each Forward, when nothing from the
 // previous step can be referenced anymore.
 func (e *Executor) sweep() {
-	if e.pool == nil || len(e.checkedOut) == 0 {
-		return
-	}
 	for t := range e.checkedOut {
 		e.pool.Recycle(t)
 	}
@@ -485,16 +465,14 @@ func (e *Executor) ReleaseBuffers() {
 	clear(e.gradOf)
 	e.insBuf = e.insBuf[:0]
 	e.dInsBuf = e.dInsBuf[:0]
-	if e.store != nil {
-		// Drop both tiers and delete the spill file. The store stays usable
-		// (a later step lazily recreates the file), preserving this method's
-		// safe-to-call-repeatedly contract.
-		_ = e.store.Close()
-	}
+	// Drop the store's contents and delete its spill file, if any. The store
+	// stays usable (a later step lazily recreates the file), preserving this
+	// method's safe-to-call-repeatedly contract.
+	_ = e.store.Close()
 }
 
-// StashStore returns the executor's tiered stash store, or nil when no
-// stash budget is configured. Tests and the trainer's stats accessor read
+// StashStore returns the store every encoded stash waits in between encode
+// and fetch (never nil). Tests and the trainer's stats accessor read
 // residency counters through it.
 func (e *Executor) StashStore() *stashstore.Store { return e.store }
 
@@ -554,64 +532,59 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	}
 }
 
-// integrity reports whether stashes are CRC-sealed and verified this run:
-// explicitly requested, or forced on by active fault injection so every
-// injected bit flip is detectable.
-func (e *Executor) integrity() bool {
-	return e.opts.Integrity || e.opts.Faults.Enabled()
-}
-
-// stashFuture is an in-flight asynchronous decode of one encoded stash —
-// generalized, when a stash store is active, to a fetch-then-decode future
-// that first pulls the stash back from the tiered store (a pointer hand-off
-// on a hot hit, a page read + CRC-verified parse on a spilled miss). The
+// stashFuture is the fetch-then-decode of one encoded stash: it pulls the
+// stash back from the store (a pointer hand-off on a hot hit, a page read +
+// CRC-verified parse on a spilled miss) and decodes it into dst. The
 // backward pass starts a future one layer ahead of its consumer, so layer
-// l-1's fetch+decode overlaps layer l's backward kernels on the shared
-// worker pool. Start is lazy and idempotent: a consumer that arrives before
-// its prefetch simply starts the work itself and waits.
+// l-1's fetch+decode overlaps layer l's backward kernels inside the codec's
+// worker budget. Start is lazy and idempotent: a consumer that arrives
+// before its prefetch simply starts the work itself and waits.
 //
 // Slots are persistent (one per node) and re-armed each step. Ownership of
-// the pooled decode target dst transfers explicitly: the executor allocates
-// it serially at arm time, exactly one worker goroutine writes it, and it
-// returns to the executor at wait() — so the pool ledger is never touched
-// off the executor's goroutine.
+// the decode target dst transfers explicitly: the executor allocates it
+// serially at arm time, exactly one goroutine writes it, and it returns to
+// the executor when the future is resolved — so the pool ledger is never
+// touched off the executor's goroutine.
 type stashFuture struct {
-	enc     *encoding.EncodedStash
-	store   *stashstore.Store // when set, decode fetches sid from here first
-	sid     int               // node ID keying the store entry
-	node    string
-	tel     *telemetry.Sink
-	cdc     encoding.Codec
-	dst     *tensor.Tensor // pooled decode target; nil → decode allocates
-	run     func()         // bound once at executor construction
+	// Bound once at executor construction.
+	store *stashstore.Store
+	cdc   encoding.Codec
+	tel   *telemetry.Sink
+	sid   int // node ID keying the store entry
+	node  string
+	run   func() // f.launch
+
+	// Per-step state, reset by arm.
+	armed   bool
+	dst     *tensor.Tensor
 	started atomic.Bool
 	settled atomic.Bool // decode finished (overlap accounting)
 	wg      sync.WaitGroup
-	out     *tensor.Tensor
 	err     error
 }
 
-// arm readies the slot for this step's decode. The WaitGroup count is taken
-// here, on the executor's goroutine, before the future is visible to any
-// concurrent start — drainFutures balances it even if the decode never
-// launches.
-func (f *stashFuture) arm(enc *encoding.EncodedStash, store *stashstore.Store, sid int, node string, tel *telemetry.Sink, cdc encoding.Codec, dst *tensor.Tensor) {
-	f.enc, f.store, f.sid = enc, store, sid
-	f.node, f.tel, f.cdc, f.dst = node, tel, cdc, dst
-	f.out, f.err = nil, nil
+// arm readies the slot for this step's decode into dst. The WaitGroup count
+// is taken here, on the executor's goroutine, before any start —
+// drainFutures balances it even if the decode never launches.
+func (f *stashFuture) arm(dst *tensor.Tensor) {
+	f.armed, f.dst, f.err = true, dst, nil
 	f.started.Store(false)
 	f.settled.Store(false)
 	f.wg.Add(1)
 }
 
-// start launches the decode on the pool; only the first call fires.
-func (f *stashFuture) start(p *parallel.Pool) {
+// start launches the decode on its own goroutine; only the first call fires.
+func (f *stashFuture) start() {
 	if f.started.CompareAndSwap(false, true) {
-		p.Go(f.run)
+		go f.run()
 	}
 }
 
-// decode is the worker body (bound to f.run once at construction).
+// launch is the goroutine body: decode while holding a codec worker slot.
+func (f *stashFuture) launch() { f.cdc.WorkerPool().Run(f.decode) }
+
+// decode is the one resolution path: fetch the stash from its home, decode
+// it into dst.
 func (f *stashFuture) decode() {
 	defer f.wg.Done()
 	defer f.settled.Store(true)
@@ -623,76 +596,27 @@ func (f *stashFuture) decode() {
 			f.err = fmt.Errorf("stash decode panicked: %v", r)
 		}
 	}()
-	// Root span on its own track: concurrent futures land on
-	// separate tracks, so the trace shows the decode overlap.
-	sp := f.tel.Begin("train", "async-decode", telemetry.Str("stash", f.node))
-	defer sp.End()
-	enc := f.enc
-	if f.store != nil {
-		if enc, f.err = f.store.Fetch(f.sid); f.err != nil {
-			return
-		}
+	if f.tel != nil {
+		// Root span on its own track: concurrent futures land on
+		// separate tracks, so the trace shows the decode overlap.
+		sp := f.tel.Begin("train", "async-decode", telemetry.Str("stash", f.node))
+		defer sp.End()
 	}
-	if f.dst != nil {
-		if f.err = f.cdc.DecodeInto(f.dst, enc); f.err == nil {
-			f.out = f.dst
-		}
-	} else {
-		f.out, f.err = f.cdc.Decode(enc)
+	enc, err := f.store.Fetch(f.sid)
+	if err == nil {
+		err = f.cdc.DecodeInto(f.dst, enc)
 	}
-}
-
-// wait starts the decode if needed and blocks for its result.
-func (f *stashFuture) wait(p *parallel.Pool) (*tensor.Tensor, error) {
-	f.start(p)
-	f.wg.Wait()
-	return f.out, f.err
-}
-
-// asyncDecode reports whether stashes resolve asynchronously on the worker
-// pool. Fault-injected runs keep the synchronous path: the injector's
-// corrupt-then-decode and spill-tamper sequencing attributes each detection
-// to its injection site, which deferred work would smear across layers.
-// With a stash store active, futures run at every worker count (even a
-// 1-worker pool spawns the fetch goroutine) so spilled-page reads overlap
-// backward compute.
-func (e *Executor) asyncDecode() bool {
-	if e.opts.Faults.Enabled() {
-		return false
-	}
-	if e.store != nil {
-		return true
-	}
-	return e.opts.Encodings != nil && e.codec().WorkerPool().Workers() > 1
+	f.err = err
 }
 
 // prepareStashes builds the backward-pass view of every feature map after
 // the forward pass completes — the executor's equivalent of Gist inserting
 // encode functions after each stash's last forward use.
-//
-// This is where the robustness layer lives: injected encode/decode/alloc
-// failures surface here as typed errors, corruption of a sealed stash is
-// caught by the CRC check inside Decode, and an SSDC stash whose runtime
-// sparsity fell below break-even degrades to the dense DPR encoding. With
-// no injector and integrity off, every added path is a nil/bool check.
-//
-// It is also the first recycle point: once a node's stash exists in a form
-// distinct from its forward output (encoded, or a quantized copy), the
-// output itself is dead — no backward reader touches it — and returns to
-// the pool here, closing the forward→backward lifetime gap the planner's
-// liveness analysis identifies.
 func (e *Executor) prepareStashes() error {
 	e.StashBytes = 0
-	inj := e.opts.Faults
-	cdc := e.codec()
-	if e.store != nil {
-		// Every page from the previous step is dead: rewind the spill file.
-		e.store.BeginStep()
-	}
-	async := e.asyncDecode()
-	pooled := e.pool != nil
-	probe := pooled && e.probeSparsity
-	if probe {
+	// Every page from the previous step is dead: rewind the spill file.
+	e.store.BeginStep()
+	if e.probeSparsity {
 		clear(e.sparsities)
 	}
 	var mem *memAccum
@@ -700,179 +624,125 @@ func (e *Executor) prepareStashes() error {
 		mem = &memAccum{byTech: map[string]*telemetry.TechBytes{}}
 	}
 	for _, n := range e.G.Nodes {
-		out := e.outs[n.ID]
-		if probe && n.Kind() == layers.ReLU {
+		if e.probeSparsity && n.Kind() == layers.ReLU {
 			// Capture the Figure 14 probe before the output can recycle.
-			e.sparsities[n.Name] = out.Sparsity()
+			e.sparsities[n.Name] = e.outs[n.ID].Sparsity()
 		}
-		if e.opts.Encodings != nil {
-			if as := e.opts.Encodings.ByNode[n.ID]; as != nil {
-				if err := inj.FailEncode(n.Name); err != nil {
-					e.Robust.EncodeFailures++
-					e.met.injEncode.Inc()
-					return err
-				}
-				var enc *encoding.EncodedStash
-				var fellBack bool
-				var err error
-				if pooled {
-					// Rebuild into the node's persistent container.
-					enc = e.encSlots[n.ID]
-					if enc == nil {
-						enc = &encoding.EncodedStash{}
-						e.encSlots[n.ID] = enc
-					}
-					fellBack, err = cdc.EncodeStashAdaptiveInto(enc, as, out)
-				} else {
-					enc, fellBack, err = cdc.EncodeStashAdaptive(as, out)
-				}
-				if err != nil {
-					return fmt.Errorf("train: stash %q: %w", n.Name, err)
-				}
-				if fellBack {
-					e.Robust.SSDCFallbacks++
-					e.met.ssdcFallbacks.Inc()
-				}
-				if err := inj.Alloc(n.Name, enc.Bytes()); err != nil {
-					e.Robust.AllocFailures++
-					e.met.injAlloc.Inc()
-					return err
-				}
-				if err := inj.FailDecode(n.Name); err != nil {
-					e.Robust.DecodeFailures++
-					e.met.injDecode.Inc()
-					return err
-				}
-				if e.integrity() {
-					enc.Seal()
-				}
-				inj.CorruptStash(n.Name, enc)
-				e.StashBytes += enc.Bytes()
-				mem.add(enc.Tech.String(), out.Bytes(), enc.Bytes())
-				// The encoded form now carries the forward→backward gap;
-				// the raw output is dead.
-				e.recycle(out)
-				if e.store != nil {
-					if err := e.storePut(n.ID, n.Name, enc); err != nil {
-						return err
-					}
-				}
-				if async {
-					// Defer the (fetch-then-)decode: the backward pass starts
-					// it one layer before the consumer needs it. Under pooling
-					// the decode target is allocated here, serially, and
-					// ownership transfers to the future until wait().
-					var dst *tensor.Tensor
-					if pooled {
-						dst = e.alloc(enc.Shape)
-					}
-					f := &e.futSlots[n.ID]
-					f.arm(enc, e.store, n.ID, n.Name, e.tel, cdc, dst)
-					e.futures[n.ID] = f
-					e.nFutures++
-					continue
-				}
-				if e.store != nil {
-					// Synchronous (fault-injected) path: fetch straight back
-					// so read-side spill faults surface here, attributed to
-					// this node, before the decode that would detect in-RAM
-					// corruption.
-					if enc, err = e.storeFetch(n.ID, n.Name); err != nil {
-						return err
-					}
-				}
-				var dec *tensor.Tensor
-				if pooled {
-					dec = e.alloc(enc.Shape)
-					err = cdc.DecodeInto(dec, enc)
-				} else {
-					dec, err = cdc.Decode(enc)
-				}
-				if err != nil {
-					e.noteStashErr(err)
-					return fmt.Errorf("train: stash %q: %w", n.Name, err)
-				}
-				e.stash[n.ID] = dec
-				continue
-			}
+		if err := e.stashNode(n, mem); err != nil {
+			return err
 		}
-		if e.opts.Mode == DelayedReduced && stashedForBackward(e, n) {
-			q := e.alloc(out.Shape)
-			copy(q.Data, out.Data)
-			floatenc.QuantizeSlice(e.opts.Format, q.Data)
-			held := e.opts.Format.PackedBytes(len(q.Data))
-			e.StashBytes += held
-			mem.add("DPR", out.Bytes(), held)
-			e.stash[n.ID] = q
-			// Backward reads the quantized copy; the exact output is dead.
-			e.recycle(out)
-			continue
-		}
-		if e.store != nil && stashedForBackward(e, n) {
-			// A stash with no encoding assignment (plain-FP32 run, or an
-			// analysis gap) still lives in the tiered store when a budget is
-			// set: dense-pack it at FP32 — an exact container — so it can
-			// spill as a GSTP page like any encoded stash and the budget
-			// covers every byte held across the forward→backward gap.
-			var enc *encoding.EncodedStash
-			if pooled {
-				enc = e.encSlots[n.ID]
-				if enc == nil {
-					enc = &encoding.EncodedStash{}
-					e.encSlots[n.ID] = enc
-				}
-				cdc.EncodeDenseInto(enc, floatenc.FP32, out)
-			} else {
-				enc = cdc.EncodeDense(floatenc.FP32, out)
-			}
-			if e.integrity() {
-				enc.Seal()
-			}
-			inj.CorruptStash(n.Name, enc)
-			e.StashBytes += enc.Bytes()
-			mem.add("FP32", out.Bytes(), enc.Bytes())
-			e.recycle(out)
-			if err := e.storePut(n.ID, n.Name, enc); err != nil {
-				return err
-			}
-			if async {
-				var dst *tensor.Tensor
-				if pooled {
-					dst = e.alloc(enc.Shape)
-				}
-				f := &e.futSlots[n.ID]
-				f.arm(enc, e.store, n.ID, n.Name, e.tel, cdc, dst)
-				e.futures[n.ID] = f
-				e.nFutures++
-				continue
-			}
-			enc, err := e.storeFetch(n.ID, n.Name)
-			if err != nil {
-				return err
-			}
-			var dec *tensor.Tensor
-			if pooled {
-				dec = e.alloc(enc.Shape)
-				err = cdc.DecodeInto(dec, enc)
-			} else {
-				dec, err = cdc.Decode(enc)
-			}
-			if err != nil {
-				e.noteStashErr(err)
-				return fmt.Errorf("train: stash %q: %w", n.Name, err)
-			}
-			e.stash[n.ID] = dec
-			continue
-		}
-		if stashedForBackward(e, n) {
-			e.StashBytes += out.Bytes()
-			mem.add("FP32", out.Bytes(), out.Bytes())
-		}
-		e.stash[n.ID] = out
 	}
 	if mem != nil {
 		e.tel.RecordMemSample(mem.sample(e.stepCount))
 		e.met.stashHeld.Observe(mem.held)
+	}
+	return nil
+}
+
+// stashNode carries node n's output across the forward→backward gap — the
+// one lifecycle of a stashed feature map: encode into the node's container,
+// seal, hand the container to the store, arm the future that will fetch and
+// decode it, and release the raw output.
+//
+// The container is the analysis' assignment when there is one; else a dense
+// packing at Options.Format under DelayedReduced (decode∘encode is exactly
+// the format's quantization); else an exact FP32 dense packing when the
+// store is capped, so the cap covers every byte held. Otherwise nothing is
+// encoded: the backward view aliases the forward output and neither codec
+// nor store is touched.
+//
+// This is also where the robustness layer lives: injected encode/decode/
+// alloc failures surface here as typed errors, and an assigned stash whose
+// runtime sparsity fell below break-even degrades to the dense encoding.
+// With no injector and integrity off, every added path is a nil/bool check.
+func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
+	out := e.outs[n.ID]
+	inj := e.opts.Faults
+	var as *encoding.Assignment
+	if e.opts.Encodings != nil {
+		as = e.opts.Encodings.ByNode[n.ID]
+	}
+	stashed := as != nil || stashedForBackward(e, n)
+	dense, tech := floatenc.FP32, "FP32"
+	switch {
+	case as != nil: // the analysis' assignment
+	case stashed && e.opts.Mode == DelayedReduced:
+		dense, tech = e.opts.Format, "DPR"
+	case stashed && e.opts.StashBudget > 0: // exact dense, so the cap covers it
+	default: // alias
+		if stashed {
+			e.StashBytes += out.Bytes()
+			mem.add(tech, out.Bytes(), out.Bytes())
+		}
+		e.stash[n.ID] = out
+		return nil
+	}
+
+	enc := &e.encSlots[n.ID]
+	if as != nil {
+		if err := inj.FailEncode(n.Name); err != nil {
+			e.Robust.EncodeFailures++
+			e.met.injEncode.Inc()
+			return err
+		}
+		fellBack, err := e.cdc.EncodeStashAdaptiveInto(enc, as, out)
+		if err != nil {
+			return fmt.Errorf("train: stash %q: %w", n.Name, err)
+		}
+		if fellBack {
+			e.Robust.SSDCFallbacks++
+			e.met.ssdcFallbacks.Inc()
+		}
+		if err := inj.Alloc(n.Name, enc.Bytes()); err != nil {
+			e.Robust.AllocFailures++
+			e.met.injAlloc.Inc()
+			return err
+		}
+		if err := inj.FailDecode(n.Name); err != nil {
+			e.Robust.DecodeFailures++
+			e.met.injDecode.Inc()
+			return err
+		}
+		tech = enc.Tech.String()
+	} else {
+		e.cdc.EncodeDenseInto(enc, dense, out)
+	}
+	if e.opts.Integrity || inj.Enabled() {
+		// Sealed on request, and always under fault injection so every
+		// injected bit flip is detectable.
+		e.cdc.Seal(enc)
+	}
+	inj.CorruptStash(n.Name, enc)
+	e.StashBytes += enc.Bytes()
+	mem.add(tech, out.Bytes(), enc.Bytes())
+	// The encoded form now carries the forward→backward gap; the raw output
+	// is dead — no backward reader touches it — and returns to the pool,
+	// closing the lifetime gap the planner's liveness analysis identifies.
+	e.recycle(out)
+	if err := e.store.Put(n.ID, enc); err != nil {
+		if errors.Is(err, faults.ErrInjected) { // the ENOSPC transient
+			e.Robust.SpillWriteFailures++
+			e.met.spillWriteErr.Inc()
+		}
+		return fmt.Errorf("train: stash %q: %w", n.Name, err)
+	}
+	// The backward pass starts the future one layer before its consumer. The
+	// decode target is allocated here, serially; the future owns it until
+	// stashOf takes it back.
+	f := &e.futures[n.ID]
+	f.arm(e.alloc(enc.Shape))
+	e.nFutures++
+	if inj.Enabled() {
+		// Fault-injected runs resolve the future right here, on this
+		// goroutine: the injector's corrupt-then-decode and spill-tamper
+		// draws stay in node order, and every detection is attributed to its
+		// injection site and surfaces before any gradient accumulates.
+		f.started.Store(true)
+		f.decode()
+		if _, err := e.stashOf(n.ID); err != nil {
+			e.noteStashErr(err)
+			return err
+		}
 	}
 	return nil
 }
@@ -914,31 +784,6 @@ func (m *memAccum) sample(step int) telemetry.MemSample {
 	return sm
 }
 
-// storePut hands one encoded stash to the tiered store, folding injected
-// spill-write failures (the ENOSPC transient) into the robustness counters.
-func (e *Executor) storePut(id int, name string, enc *encoding.EncodedStash) error {
-	err := e.store.Put(id, enc)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, faults.ErrInjected) {
-		e.Robust.SpillWriteFailures++
-		e.met.spillWriteErr.Inc()
-	}
-	return fmt.Errorf("train: stash %q: %w", name, err)
-}
-
-// storeFetch pulls one stash back from the tiered store on the synchronous
-// (fault-injected) path, classifying detected page corruption.
-func (e *Executor) storeFetch(id int, name string) (*encoding.EncodedStash, error) {
-	enc, err := e.store.Fetch(id)
-	if err != nil {
-		e.noteStashErr(err)
-		return nil, fmt.Errorf("train: stash %q: %w", name, err)
-	}
-	return enc, nil
-}
-
 // noteStashErr folds a stash-pipeline failure into the robustness counters:
 // CRC-detected in-RAM corruption, or a corrupt/torn spill page caught by
 // the GSTP page CRC and bounded parser.
@@ -946,20 +791,14 @@ func (e *Executor) noteStashErr(err error) {
 	switch {
 	case errors.Is(err, encoding.ErrCorruptStash):
 		e.Robust.CRCFailures++
-		e.noteCorrupt(err)
+		e.met.crcDetected.Inc()
+		if chunk, ok := encoding.CorruptedChunk(err); ok {
+			e.met.chunkLocated.Inc()
+			e.tel.Instant("train", "crc-chunk-located", telemetry.Int("chunk", int64(chunk)))
+		}
 	case errors.Is(err, stashstore.ErrCorruptPage):
 		e.Robust.SpillReadFailures++
 		e.met.spillReadErr.Inc()
-	}
-}
-
-// noteCorrupt mirrors one CRC detection into the sink, recording whether
-// the error localized the corruption to a chunk.
-func (e *Executor) noteCorrupt(err error) {
-	e.met.crcDetected.Inc()
-	if chunk, ok := encoding.CorruptedChunk(err); ok {
-		e.met.chunkLocated.Inc()
-		e.tel.Instant("train", "crc-chunk-located", telemetry.Int("chunk", int64(chunk)))
 	}
 }
 
@@ -972,11 +811,12 @@ func stashedForBackward(e *Executor, n *graph.Node) bool {
 	return graph.OutputStashed(n)
 }
 
-// releaseStash recycles node id's backward view once its last reader is
-// done. The ledger makes the stash-aliases-output case safe: the shared
-// tensor is returned exactly once.
-func (e *Executor) releaseStash(id int) {
-	if t := e.stash[id]; t != nil {
+// doneReading drains one backward read of node id's stash and recycles the
+// view once its last reader is done. The ledger makes the
+// stash-aliases-output case safe: the shared tensor is returned exactly once.
+func (e *Executor) doneReading(id int) {
+	e.bwdLeft[id]--
+	if t := e.stash[id]; e.bwdLeft[id] == 0 && t != nil {
 		e.stash[id] = nil
 		e.recycle(t)
 	}
@@ -987,12 +827,11 @@ func (e *Executor) releaseStash(id int) {
 // corruption); without an injector and with well-formed encodings it
 // always returns nil.
 //
-// With async decode active, each layer's backward kernels overlap the
-// decode of the next layer's stashes: the loop prefetches layer l-1's
-// futures onto the worker pool before running layer l's compute, then
-// blocks only when a consumer actually needs a tensor still in flight.
-// Gradients are identical to the synchronous pass — decode is bit-exact
-// regardless of scheduling — which the parallel executor tests pin.
+// Each layer's backward kernels overlap the decode of the next layer's
+// stashes: the loop starts layer l-1's futures before running layer l's
+// compute, then blocks only when a consumer actually needs a tensor still
+// in flight. Decode is bit-exact regardless of scheduling, so gradients do
+// not depend on the worker count — which the parallel executor tests pin.
 //
 // Under pooling this is also where the planner's liveness plays out at
 // runtime: each stashed tensor recycles when its read count (bwdReads,
@@ -1014,7 +853,6 @@ func (e *Executor) Backward() error {
 	if err != nil {
 		return err
 	}
-	pool := e.codec().WorkerPool()
 	copy(e.bwdLeft, e.bwdReads)
 	clear(e.gradOf)
 	nodes := e.G.Nodes
@@ -1034,7 +872,7 @@ func (e *Executor) Backward() error {
 			}
 		}
 		if i > 0 {
-			e.prefetch(pool, nodes[i-1])
+			e.prefetch(nodes[i-1])
 		}
 		needs := n.Op.Needs()
 		ins := e.insBuf[:0]
@@ -1043,7 +881,7 @@ func (e *Executor) Backward() error {
 			dIns = append(dIns, e.alloc(in.OutShape))
 			var t *tensor.Tensor
 			if needs.X {
-				t, err = e.stashOf(pool, in.ID)
+				t, err = e.stashOf(in.ID)
 				if err != nil {
 					return e.failBackward(err)
 				}
@@ -1059,7 +897,7 @@ func (e *Executor) Backward() error {
 			e.bwdCtx.In = ins
 		}
 		if needs.Y {
-			t, err := e.stashOf(pool, n.ID)
+			t, err := e.stashOf(n.ID)
 			if err != nil {
 				return e.failBackward(err)
 			}
@@ -1077,17 +915,11 @@ func (e *Executor) Backward() error {
 		// Drain this node's stash reads and release what went dead.
 		if needs.X {
 			for _, in := range n.Inputs {
-				e.bwdLeft[in.ID]--
-				if e.bwdLeft[in.ID] == 0 {
-					e.releaseStash(in.ID)
-				}
+				e.doneReading(in.ID)
 			}
 		}
 		if needs.Y {
-			e.bwdLeft[n.ID]--
-			if e.bwdLeft[n.ID] == 0 {
-				e.releaseStash(n.ID)
-			}
+			e.doneReading(n.ID)
 		}
 		// The incoming gradient was fully consumed by this node's kernels.
 		e.gradOf[n.ID] = nil
@@ -1096,51 +928,53 @@ func (e *Executor) Backward() error {
 	return nil
 }
 
-// prefetch starts the async decodes node n's backward will need, without
-// waiting on them.
-func (e *Executor) prefetch(p *parallel.Pool, n *graph.Node) {
+// prefetch starts the futures node n's backward will need, without waiting
+// on them.
+func (e *Executor) prefetch(n *graph.Node) {
 	if n.Kind() == layers.Input || e.nFutures == 0 {
 		return
 	}
 	needs := n.Op.Needs()
 	if needs.X {
 		for _, in := range n.Inputs {
-			if f := e.futures[in.ID]; f != nil {
-				f.start(p)
+			if f := &e.futures[in.ID]; f.armed {
+				f.start()
 			}
 		}
 	}
 	if needs.Y {
-		if f := e.futures[n.ID]; f != nil {
-			f.start(p)
+		if f := &e.futures[n.ID]; f.armed {
+			f.start()
 		}
 	}
 }
 
-// stashOf resolves the backward view of a node's output, waiting on (and
-// caching) the async decode when one is in flight.
-func (e *Executor) stashOf(p *parallel.Pool, id int) (*tensor.Tensor, error) {
-	if f := e.futures[id]; f != nil {
-		if e.tel != nil {
-			// Overlap accounting: a hit means the prefetched decode already
-			// resolved when its consumer arrived; a miss means the consumer
-			// had to wait on (or itself start) the decode.
-			if f.started.Load() && f.settled.Load() {
-				e.met.overlapHits.Inc()
-			} else {
-				e.met.overlapMiss.Inc()
-			}
-		}
-		out, err := f.wait(p)
-		e.futures[id] = nil
-		e.nFutures--
-		if err != nil {
-			return nil, fmt.Errorf("train: stash %q: %w", f.node, err)
-		}
-		e.stash[id] = out
-		return out, nil
+// stashOf resolves the backward view of a node's output, waiting on its
+// future (and caching the decoded tensor) when one is armed.
+func (e *Executor) stashOf(id int) (*tensor.Tensor, error) {
+	f := &e.futures[id]
+	if !f.armed {
+		return e.stash[id], nil
 	}
-	return e.stash[id], nil
+	if e.tel != nil {
+		// Overlap accounting: a hit means the decode had already resolved
+		// when its consumer arrived; a miss means the consumer had to wait
+		// on (or itself start) the decode.
+		if f.settled.Load() {
+			e.met.overlapHits.Inc()
+		} else {
+			e.met.overlapMiss.Inc()
+		}
+	}
+	f.start()
+	f.wg.Wait()
+	f.armed = false
+	e.nFutures--
+	if f.err != nil {
+		return nil, fmt.Errorf("train: stash %q: %w", f.node, f.err)
+	}
+	e.stash[id] = f.dst
+	return f.dst, nil
 }
 
 // failBackward preserves TryStep's no-partial-update contract when a stash
@@ -1151,12 +985,17 @@ func (e *Executor) failBackward(err error) error {
 	e.noteStashErr(err)
 	e.met.gradZero.Inc()
 	e.tel.Instant("train", "grad-zeroing", telemetry.Str("cause", err.Error()))
+	e.zeroGrads()
+	return err
+}
+
+// zeroGrads discards every accumulated parameter gradient.
+func (e *Executor) zeroGrads() {
 	for _, gs := range e.grads {
 		for _, g := range gs {
 			g.Zero()
 		}
 	}
-	return err
 }
 
 // drainFutures settles every armed future: started decodes are waited for
@@ -1168,16 +1007,17 @@ func (e *Executor) drainFutures() {
 	if e.nFutures == 0 {
 		return
 	}
-	for i, f := range e.futures {
-		if f == nil {
+	for i := range e.futures {
+		f := &e.futures[i]
+		if !f.armed {
 			continue
 		}
 		if f.started.Load() {
 			f.wg.Wait()
 		} else {
-			f.wg.Done() // balance arm(); the decode never launched
+			f.wg.Done() // balance arm's Add; the decode never launched
 		}
-		e.futures[i] = nil
+		f.armed = false
 	}
 	e.nFutures = 0
 }
@@ -1241,8 +1081,9 @@ func (e *Executor) lossNode() *graph.Node {
 // TryStep runs forward, backward and an SGD update on one minibatch,
 // returning the minibatch loss, top-1 error count and any stash-pipeline
 // error. On error no parameter update has been applied: failures surface in
-// stash preparation (before gradients accumulate) or, under async decode,
-// mid-backward — where every partially accumulated gradient is zeroed
+// stash preparation (before gradients accumulate; every fault-injected
+// failure does) or mid-backward, when a future reports a corrupt or
+// unreadable stash — where every partially accumulated gradient is zeroed
 // before the error returns. Batch-norm running statistics and the dropout
 // RNG have still advanced — restore a Snapshot before retrying for a
 // bit-exact replay. Fault-injected runs must use TryStep
@@ -1303,11 +1144,7 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 		// Aborting between backward and SGD: gradients have accumulated
 		// but the parameters are untouched — zero the gradients so the
 		// no-partial-update contract holds for a later retry or resume.
-		for _, gs := range e.grads {
-			for _, g := range gs {
-				g.Zero()
-			}
-		}
+		e.zeroGrads()
 		return loss, errs, fmt.Errorf("train: step canceled after backward: %w", cerr)
 	}
 
@@ -1333,11 +1170,10 @@ func (e *Executor) Telemetry() *telemetry.Sink { return e.tel }
 func (e *Executor) BufferPool() *bufpool.Pool { return e.pool }
 
 // SetSparsityProbe arms (or disarms) per-step capture of ReLU output
-// sparsities during stash preparation — required for ReLUSparsities to
-// work under pooling, where outputs recycle before a post-step probe could
-// read them. The trainer arms it when RunConfig.ProbeSparsity is set. The
-// capture costs one pass over each ReLU output per step, so it is off by
-// default.
+// sparsities during stash preparation, before the outputs can recycle —
+// what ReLUSparsities reports. The run loops arm it when
+// RunConfig.ProbeSparsity is set. The capture costs one pass over each ReLU
+// output per step, so it is off by default.
 func (e *Executor) SetSparsityProbe(on bool) { e.probeSparsity = on }
 
 // Step runs forward, backward and an SGD update on one minibatch and
@@ -1352,26 +1188,9 @@ func (e *Executor) Step(input *tensor.Tensor, labels []int, lr float32) (loss fl
 	return loss, errors
 }
 
-// ReLUSparsities returns the zero fraction of every ReLU output from the
-// latest forward pass, keyed by node name — the Figure 14 probe. Under
-// pooling the outputs recycle during the step, so the values come from the
-// capture armed by SetSparsityProbe (taken during the latest training
-// step's stash preparation); with the probe off, the pooled result is
-// empty.
+// ReLUSparsities returns the zero fraction of every ReLU output, keyed by
+// node name — the Figure 14 probe — as captured during the latest training
+// step's stash preparation. Empty unless SetSparsityProbe armed the capture.
 func (e *Executor) ReLUSparsities() map[string]float64 {
-	m := map[string]float64{}
-	if e.pool != nil {
-		for k, v := range e.sparsities {
-			m[k] = v
-		}
-		return m
-	}
-	for _, n := range e.G.Nodes {
-		if n.Kind() == layers.ReLU {
-			if out := e.outs[n.ID]; out != nil {
-				m[n.Name] = out.Sparsity()
-			}
-		}
-	}
-	return m
+	return maps.Clone(e.sparsities)
 }

@@ -1,15 +1,18 @@
 package train
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"gist/internal/encoding"
 	"gist/internal/faults"
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
+	"gist/internal/telemetry"
 )
 
 // withCodec installs a default codec for the duration of a test.
@@ -109,29 +112,99 @@ func TestConcurrentExecutorsShareOnePool(t *testing.T) {
 	}
 }
 
-// TestAsyncDecodeGating pins when the overlap path may engage: never with
-// fault injection active (the injector's corrupt-then-decode attribution
-// needs the synchronous order), never without encodings, never on a
-// one-worker codec.
-func TestAsyncDecodeGating(t *testing.T) {
-	g := smallNet(2)
-	a := encoding.Analyze(g, encoding.Lossless())
+// TestStashLifecycleAccounting pins the one stash lifecycle at every corner
+// that used to select a different step path — 1 and 4 codec workers, with
+// and without a stash budget, with and without fault injection. Fault-free,
+// every encoded stash is put in the store once and resolved through its
+// future once, so overlap hits + misses and the store's Puts both equal
+// steps × decodable stashes. Under faults the future resolves inline during
+// stash preparation: every detection surfaces before any gradient
+// accumulates (no gradient zeroing) and the counters equal the injector's
+// own log.
+func TestStashLifecycleAccounting(t *testing.T) {
+	const mb, steps = 4, 5
+	flips := faults.Config{Seed: 21, BitFlipRate: 0.1, EncodeFailRate: 0.05, DecodeFailRate: 0.05}
+	spills := faults.Config{Seed: 22, SpillWriteFailRate: 0.05, SpillReadCorruptRate: 0.05, SpillShortReadRate: 0.05}
+	cases := []struct {
+		name   string
+		budget int64
+		faults *faults.Config
+	}{
+		{"ram", 0, nil},
+		{"spill", 1, nil},
+		{"ram-flips", 0, &flips},
+		{"spill-flips", 1, &flips},
+		{"spill-diskfaults", 1, &spills},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
+				g := smallNet(mb)
+				// Lossless leaves the conv/FC inputs unassigned: aliased
+				// without a budget, exact dense containers under one.
+				a := encoding.Analyze(g, encoding.Lossless())
+				decodable := 0
+				for _, n := range g.Nodes {
+					if a.ByNode[n.ID] != nil || (c.budget > 0 && a.OutputStashed(n)) {
+						decodable++
+					}
+				}
+				sink := telemetry.New()
+				opts := Options{
+					Seed: 1, Encodings: a, Telemetry: sink,
+					StashBudget: c.budget, SpillDir: t.TempDir(),
+					Codec: &encoding.Codec{Pool: parallel.NewPool(workers), ChunkElems: 768, Tel: sink},
+				}
+				var inj *faults.Injector
+				if c.faults != nil {
+					inj = faults.New(*c.faults)
+					opts.Faults = inj
+				}
+				e := NewExecutor(g, opts)
+				defer e.ReleaseBuffers()
+				d := NewDataset(4, 2, 8, 0.3, 7)
+				_, report, err := RunRecoverable(context.Background(), e, d,
+					RunConfig{Minibatch: mb, Steps: steps, LR: 0.05},
+					RecoveryConfig{MaxRetries: 50, Sleep: func(time.Duration) {}})
+				if err != nil {
+					t.Fatalf("run did not survive: %v", err)
+				}
 
-	withCodec(t, encoding.Codec{Pool: parallel.NewPool(4)})
-	if e := NewExecutor(g, Options{Seed: 1, Encodings: a}); !e.asyncDecode() {
-		t.Fatal("async decode off with encodings and a 4-worker codec")
-	}
-	if e := NewExecutor(g, Options{Seed: 1}); e.asyncDecode() {
-		t.Fatal("async decode on without encodings")
-	}
-	inj := faults.New(faults.Config{Seed: 2, BitFlipRate: 0.5})
-	if e := NewExecutor(g, Options{Seed: 1, Encodings: a, Faults: inj}); e.asyncDecode() {
-		t.Fatal("async decode on under fault injection")
-	}
-
-	encoding.SetDefaultCodec(encoding.Codec{Pool: parallel.NewPool(1)})
-	if e := NewExecutor(g, Options{Seed: 1, Encodings: a}); e.asyncDecode() {
-		t.Fatal("async decode on with a serial codec")
+				v := sink.Values()
+				if got := v["train.grad_zeroing"]; got != 0 {
+					t.Errorf("train.grad_zeroing = %d: a failure surfaced after gradients accumulated", got)
+				}
+				if inj == nil {
+					want := int64(steps * decodable)
+					if got := v["train.overlap.hits"] + v["train.overlap.misses"]; got != want {
+						t.Errorf("overlap hits+misses = %d, want %d (%d steps × %d stashes)", got, want, steps, decodable)
+					}
+					if got := e.StashStore().Stats().Puts; got != want {
+						t.Errorf("store puts = %d, want %d", got, want)
+					}
+					return
+				}
+				counts := inj.Counts()
+				if len(inj.Events()) == 0 || report.Retries == 0 {
+					t.Fatal("injector fired nothing; the cross-check proved nothing")
+				}
+				for _, chk := range []struct {
+					metric string
+					want   int
+				}{
+					{"train.crc_detected", counts[faults.BitFlip]},
+					{"codec.crc.failures", counts[faults.BitFlip]},
+					{"train.injected.encode_failures", counts[faults.EncodeFail]},
+					{"train.injected.decode_failures", counts[faults.DecodeFail]},
+					{"train.spill.write_failures", counts[faults.SpillWriteFail]},
+					{"train.spill.read_failures", counts[faults.SpillReadCorrupt] + counts[faults.SpillShortRead]},
+				} {
+					if got := v[chk.metric]; got != int64(chk.want) {
+						t.Errorf("%s = %d, injector log says %d", chk.metric, got, chk.want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -63,10 +63,11 @@ func runParity(t *testing.T, net func(int) *graph.Graph, mkOpts func(*graph.Grap
 }
 
 // TestPooledMatchesUnpooled is the tentpole's correctness property: for
-// every network shape, precision scheme and codec worker count, training
-// through the buffer pool is byte-identical to allocate-always execution —
-// same loss at every step, same error counts, same stashed-byte
-// accounting, and bit-identical final parameters.
+// every network shape and precision scheme, training is byte-identical at
+// every corner of {heap, buffer pool} × {1, 4 codec workers} — same loss at
+// every step, same error counts, same stashed-byte accounting, and
+// bit-identical final parameters. Every corner is compared to one
+// reference (heap, serial codec) per network × scheme.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	const steps, mb = 6, 8
 	nets := []struct {
@@ -82,10 +83,10 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		workers []int
 		mk      func(*graph.Graph) Options
 	}{
-		{"baseline-fp32", []int{1}, func(g *graph.Graph) Options {
+		{"baseline-fp32", []int{1, 4}, func(g *graph.Graph) Options {
 			return Options{Seed: 33}
 		}},
-		{"dpr-fp16", []int{1}, func(g *graph.Graph) Options {
+		{"dpr-fp16", []int{1, 4}, func(g *graph.Graph) Options {
 			return Options{Seed: 33, Mode: DelayedReduced, Format: floatenc.FP16}
 		}},
 		{"encoded-lossless", []int{1, 2, 4}, func(g *graph.Graph) Options {
@@ -96,25 +97,31 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		}},
 	}
 	t.Cleanup(func() { encoding.SetDefaultCodec(encoding.Codec{}) })
+	// Small chunks so feature maps really split across workers.
+	setWorkers := func(w int) {
+		encoding.SetDefaultCodec(encoding.Codec{Pool: parallel.NewPool(w), ChunkElems: 768})
+	}
 	for _, n := range nets {
 		for _, s := range schemes {
+			setWorkers(1)
+			ref, refExec := runParity(t, n.net, s.mk, nil, steps, mb)
 			for _, w := range s.workers {
 				t.Run(fmt.Sprintf("%s/%s/w%d", n.name, s.name, w), func(t *testing.T) {
-					// Small chunks so feature maps really split across workers.
-					encoding.SetDefaultCodec(encoding.Codec{Pool: parallel.NewPool(w), ChunkElems: 768})
-					ref, refExec := runParity(t, n.net, s.mk, nil, steps, mb)
+					setWorkers(w)
 					pool := bufpool.New()
-					got, gotExec := runParity(t, n.net, s.mk, pool, steps, mb)
-					for i := range ref {
-						if got[i] != ref[i] {
-							t.Fatalf("step %d: pooled %+v, unpooled %+v", i, got[i], ref[i])
+					for _, p := range []*bufpool.Pool{nil, pool} {
+						got, gotExec := runParity(t, n.net, s.mk, p, steps, mb)
+						for i := range ref {
+							if got[i] != ref[i] {
+								t.Fatalf("pooled=%t step %d: %+v, reference %+v", p != nil, i, got[i], ref[i])
+							}
 						}
-					}
-					for _, node := range refExec.G.Nodes {
-						ps, qs := refExec.params[node.ID], gotExec.params[node.ID]
-						for j := range ps {
-							if !ps[j].Equal(qs[j]) {
-								t.Fatalf("%s param %d diverged between pooled and unpooled", node.Name, j)
+						for _, node := range refExec.G.Nodes {
+							ps, qs := refExec.params[node.ID], gotExec.params[node.ID]
+							for j := range ps {
+								if !ps[j].Equal(qs[j]) {
+									t.Fatalf("pooled=%t: %s param %d diverged from the reference", p != nil, node.Name, j)
+								}
 							}
 						}
 					}

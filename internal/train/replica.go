@@ -201,7 +201,7 @@ func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGr
 	}
 	// The merge runs on the executor's codec worker pool — the same budget
 	// the encode/decode chunks share.
-	rg.merger = reduce.NewMerger(rg.execs[0].codec().WorkerPool(), 0)
+	rg.merger = reduce.NewMerger(rg.execs[0].cdc.WorkerPool(), 0)
 
 	rg.shardLoss = make([]float64, cfg.Shards)
 	rg.shardErrs = make([]int, cfg.Shards)

@@ -80,8 +80,9 @@ func trainSpill(t *testing.T, build func(mb, classes int) *graph.Graph,
 	}
 	var st stashstore.Stats
 	for _, e := range rg.Executors() {
-		if store := e.StashStore(); store != nil {
-			st.Accumulate(store.Stats())
+		st.Accumulate(e.StashStore().Stats())
+		if path := e.StashStore().SpillPath(); budget <= 0 && path != "" {
+			t.Fatalf("uncapped store created spill file %s", path)
 		}
 	}
 	return flatParams(rg.Executor()), losses, st
@@ -116,11 +117,16 @@ func TestSpillDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	for _, tech := range spillTechniques() {
 		t.Run(tech.name, func(t *testing.T) {
-			// Reference: no store at all — today's in-RAM path, untouched.
-			ref, refLosses, _ := trainSpill(t, networks.TinyCNN,
+			// Reference: no budget — the same lifecycle through an uncapped,
+			// file-less store. Encoded stashes all pass through it; the plain
+			// run aliases its outputs and never touches it.
+			ref, refLosses, refSt := trainSpill(t, networks.TinyCNN,
 				shardBatch, shards, 1, 1, steps, tech.cfg, 0, dir)
 			if last := refLosses[len(refLosses)-1]; last != last || last > 10 {
 				t.Fatalf("reference run diverged: loss %g", last)
+			}
+			if encoded := tech.name != "plain"; refSt.Evictions != 0 || (refSt.Puts > 0) != encoded {
+				t.Fatalf("budget-0 reference store stats %+v (encoded=%t)", refSt, encoded)
 			}
 			// Probe: store armed but effectively unlimited — measures the
 			// peak stash bytes the budgets below are fractions of, and is

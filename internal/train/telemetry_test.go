@@ -136,6 +136,40 @@ func TestTelemetryOverlapCounters(t *testing.T) {
 	}
 }
 
+// TestExecutorCodecOwnsAllCodecWork pins codec isolation: an executor built
+// with its own Options.Codec does every codec operation — encode, the
+// chunked CRC seal, verify, decode — through it. Here that codec is serial,
+// so any helper goroutine a pool recruits means chunk work ran on the
+// process-wide default codec's 4-worker pool instead, and the default
+// codec's sink must see nothing at all.
+func TestExecutorCodecOwnsAllCodecWork(t *testing.T) {
+	global, job, pools := telemetry.New(), telemetry.New(), telemetry.New()
+	withCodec(t, encoding.Codec{Pool: parallel.NewPool(4), ChunkElems: 768, Tel: global})
+	parallel.SetTelemetry(pools)
+	t.Cleanup(func() { parallel.SetTelemetry(nil) })
+
+	g := smallNet(4) // 1024-element maps: two 768-element chunks each
+	a := encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
+	e := NewExecutor(g, Options{
+		Seed: 3, Encodings: a, Integrity: true,
+		Codec: &encoding.Codec{Pool: parallel.NewPool(1), ChunkElems: 768, Tel: job},
+	})
+	x, labels := NewDataset(4, 2, 8, 0.3, 7).Batch(4)
+	e.Step(x, labels, 0.01)
+
+	if job.Values()["codec.chunks"] == 0 {
+		t.Fatal("the executor's codec recorded no chunk work")
+	}
+	if n := pools.Values()["pool.helpers_spawned"]; n != 0 {
+		t.Errorf("%d helper goroutines recruited: chunk work ran outside the executor's serial codec", n)
+	}
+	for name, v := range global.Values() {
+		if strings.HasPrefix(name, "codec.") && v != 0 {
+			t.Errorf("default codec's sink saw %s = %d", name, v)
+		}
+	}
+}
+
 // TestTelemetryNilSinkUntouched guards the zero-overhead default: an
 // uninstrumented executor must never create a sink or record anything.
 func TestTelemetryNilSinkUntouched(t *testing.T) {

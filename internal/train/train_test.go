@@ -9,6 +9,7 @@ import (
 	"gist/internal/graph"
 	"gist/internal/layers"
 	"gist/internal/networks"
+	"gist/internal/telemetry"
 	"gist/internal/tensor"
 )
 
@@ -48,9 +49,22 @@ func TestDPRMatchesFP32Closely(t *testing.T) {
 	cfg := RunConfig{Minibatch: 8, Steps: 150, LR: 0.05, ProbeEvery: 30}
 
 	base := Run(NewExecutor(smallNet(8), Options{Seed: 3}), d(), cfg)
-	dpr := Run(NewExecutor(smallNet(8), Options{
-		Seed: 3, Mode: DelayedReduced, Format: floatenc.FP8,
-	}), d(), cfg)
+	sink := telemetry.New()
+	e := NewExecutor(smallNet(8), Options{
+		Seed: 3, Mode: DelayedReduced, Format: floatenc.FP8, Telemetry: sink,
+	})
+	dpr := Run(e, d(), cfg)
+
+	// Held bytes mean held bytes: what the step reports is the sum over
+	// the packed containers it actually held, not a size formula.
+	var held int64
+	for i := range e.encSlots {
+		held += e.encSlots[i].Bytes()
+	}
+	sm, _ := sink.LastMemSample()
+	if held == 0 || e.StashBytes != held || sm.HeldBytes != held {
+		t.Fatalf("StashBytes %d, MemSample.HeldBytes %d, containers hold %d", e.StashBytes, sm.HeldBytes, held)
+	}
 
 	bl, dl := FinalAccuracyLoss(base), FinalAccuracyLoss(dpr)
 	if math.Abs(bl-dl) > 0.15 {

@@ -137,9 +137,9 @@ func WithIntegrity() TrainerOption {
 }
 
 // WithParallelism gives the trainer its own codec worker pool of the given
-// size: encode/decode kernels run chunk-parallel, and the backward pass
-// overlaps each layer's kernels with the async decode of the next layer's
-// stashes. The trainer's codec is private — it does not touch the
+// size: encode/decode kernels run chunk-parallel, and the decode futures
+// the backward pass overlaps with each layer's kernels draw on the same
+// budget. The trainer's codec is private — it does not touch the
 // process-wide default codec, so concurrently constructed trainers cannot
 // race on shared codec state. workers <= 0 draws from the process-shared
 // worker pool instead of a private one.
@@ -196,10 +196,10 @@ func WithShardRetries(n int) TrainerOption {
 }
 
 // WithStashBudget caps the bytes of stashed feature maps held in RAM
-// across the forward→backward gap. Stashes then live in a tiered store:
-// the ones whose backward use is furthest away spill to disk as sealed
-// encoded pages and are prefetched (fetch-then-decode futures) just before
-// their backward reader needs them. Placement is a pure function of the
+// across the forward→backward gap: the stash store's hot tier is capped,
+// the stashes whose backward use is furthest away spill to disk as sealed
+// encoded pages, and their fetch-then-decode futures read them back just
+// before their backward reader needs them. Placement is a pure function of the
 // liveness analysis and the spill round-trip is bit-exact, so trained
 // weights are identical to the unlimited-RAM run at any budget. Under
 // WithReplicas the budget is split evenly across the replicas' stores.
@@ -400,9 +400,12 @@ func (t *Trainer) PoolStats() PoolStats {
 type StashStoreStats = stashstore.Stats
 
 // StashStats returns the trainer's stash-store counters, summed across
-// replicas under WithReplicas; the zero Stats when no WithStashBudget is
-// set. Summed peaks are an upper bound on simultaneous hot-tier residency,
-// so HotPeakBytes <= the configured budget certifies the cap held.
+// replicas under WithReplicas. Every encoded stash waits in the store
+// between encode and decode, so Puts, Hits and HotPeakBytes are populated
+// on every encoded run; Evictions, Misses and the spill byte counts stay 0
+// without WithStashBudget. Summed peaks are an upper bound on simultaneous
+// hot-tier residency, so HotPeakBytes <= the configured budget certifies
+// the cap held.
 func (t *Trainer) StashStats() StashStoreStats {
 	var sum StashStoreStats
 	execs := []*train.Executor{t.exec}
@@ -410,10 +413,7 @@ func (t *Trainer) StashStats() StashStoreStats {
 		execs = t.group.Executors()
 	}
 	for _, e := range execs {
-		if st := e.StashStore(); st != nil {
-			s := st.Stats()
-			sum.Accumulate(s)
-		}
+		sum.Accumulate(e.StashStore().Stats())
 	}
 	return sum
 }
