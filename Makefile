@@ -39,7 +39,8 @@ soak-short:
 # Short fuzz passes over the checkpoint parser, the gradient reduce, the
 # codec kernels (format round-trip fixed point; mask word kernels vs
 # their scalar references; the ZVC pipeline and the entropy coder's
-# round-trip), and the GSTP spill-page parser.
+# round-trip), the GSTP spill-page parser, and the direct convolution
+# kernels against their per-element reference (bit for bit).
 fuzz:
 	$(GO) test ./internal/train/ -run FuzzReadCheckpoint -fuzz FuzzReadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/reduce/ -run FuzzReduceGrads -fuzz FuzzReduceGrads -fuzztime 20s
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
 	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
+	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s
 
 # Short fuzz pass over the serialized-stash decode path.
 fuzz-stash:

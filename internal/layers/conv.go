@@ -15,9 +15,12 @@ type Conv2D struct {
 	KH, KW int
 	Stride int
 	Pad    int
-	// Algo selects the implementation: AlgoDirect (memory-optimal, no
-	// workspace — the paper's baseline choice) or AlgoIm2col
-	// (performance-optimal GEMM lowering with a column-matrix workspace).
+	// Algo selects the implementation. The zero value, AlgoDirect, is what
+	// every network builder leaves it at and so what training runs: the
+	// workspace-free row-sweep kernels of conv_direct.go (the paper's
+	// memory-optimal baseline choice). AlgoIm2col is the GEMM lowering
+	// with a column-matrix workspace, kept for the workspace experiments
+	// and the cost model's memory-vs-performance relation.
 	Algo ConvAlgo
 }
 
@@ -71,36 +74,7 @@ func (c *Conv2D) Forward(ctx *FwdCtx) {
 		c.forwardIm2col(ctx)
 		return
 	}
-	x, w, b, y := ctx.In[0], ctx.Params[0], ctx.Params[1], ctx.Out
-	n, inC, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := y.Shape[2], y.Shape[3]
-	for ni := 0; ni < n; ni++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := b.Data[oc]
-			for yh := 0; yh < oh; yh++ {
-				for yw := 0; yw < ow; yw++ {
-					sum := bias
-					h0, w0 := yh*c.Stride-c.Pad, yw*c.Stride-c.Pad
-					for ic := 0; ic < inC; ic++ {
-						for kh := 0; kh < c.KH; kh++ {
-							xh := h0 + kh
-							if xh < 0 || xh >= ih {
-								continue
-							}
-							for kw := 0; kw < c.KW; kw++ {
-								xw := w0 + kw
-								if xw < 0 || xw >= iw {
-									continue
-								}
-								sum += x.At(ni, ic, xh, xw) * w.At(oc, ic, kh, kw)
-							}
-						}
-					}
-					y.Set(ni, oc, yh, yw, sum)
-				}
-			}
-		}
-	}
+	c.forwardDirect(ctx)
 }
 
 // Backward computes dX, dW and dB from the stashed X and incoming dY.
@@ -109,42 +83,5 @@ func (c *Conv2D) Backward(ctx *BwdCtx) {
 		c.backwardIm2col(ctx)
 		return
 	}
-	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
-	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
-	n, inC, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := dy.Shape[2], dy.Shape[3]
-
-	dx.Zero()
-	dw.Zero()
-	db.Zero()
-	for ni := 0; ni < n; ni++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			for yh := 0; yh < oh; yh++ {
-				for yw := 0; yw < ow; yw++ {
-					g := dy.At(ni, oc, yh, yw)
-					if g == 0 {
-						continue
-					}
-					db.Data[oc] += g
-					h0, w0 := yh*c.Stride-c.Pad, yw*c.Stride-c.Pad
-					for ic := 0; ic < inC; ic++ {
-						for kh := 0; kh < c.KH; kh++ {
-							xh := h0 + kh
-							if xh < 0 || xh >= ih {
-								continue
-							}
-							for kw := 0; kw < c.KW; kw++ {
-								xw := w0 + kw
-								if xw < 0 || xw >= iw {
-									continue
-								}
-								dw.Data[((oc*inC+ic)*c.KH+kh)*c.KW+kw] += g * x.At(ni, ic, xh, xw)
-								dx.Data[((ni*inC+ic)*ih+xh)*iw+xw] += g * w.At(oc, ic, kh, kw)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	c.backwardDirect(ctx)
 }

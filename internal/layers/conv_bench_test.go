@@ -12,22 +12,25 @@ import (
 // their ratio against bench_gate.json.
 
 func benchConvSetup() (*Conv2D, *FwdCtx, *BwdCtx) {
-	op := &Conv2D{OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1, Algo: AlgoIm2col}
-	x := randTensor(1, 4, 8, 32, 32)
-	w := randTensor(2, op.OutC, 8, op.KH, op.KW)
-	b := randTensor(3, op.OutC)
+	op, fwd, bwd := benchConvCase(convCase{16, 3, 3, 1, 1, 4, 8, 32, 32})
+	op.Algo = AlgoIm2col
+	return op, fwd, bwd
+}
+
+// benchConvCase builds seeded forward and backward contexts for one shape.
+func benchConvCase(cc convCase) (*Conv2D, *FwdCtx, *BwdCtx) {
+	op := &Conv2D{OutC: cc.outC, KH: cc.kh, KW: cc.kw, Stride: cc.stride, Pad: cc.pad}
+	x := randTensor(1, cc.n, cc.inC, cc.h, cc.w)
+	params := []*tensor.Tensor{randTensor(2, cc.outC, cc.inC, cc.kh, cc.kw), randTensor(3, cc.outC)}
 	outShape, err := op.OutShape([]tensor.Shape{x.Shape})
 	if err != nil {
 		panic(err)
 	}
-	y := tensor.New(outShape...)
-	dy := randTensor(4, outShape...)
-	fwd := &FwdCtx{In: []*tensor.Tensor{x}, Params: []*tensor.Tensor{w, b}, Out: y}
-	bwd := &BwdCtx{In: []*tensor.Tensor{x},
-		Params:  []*tensor.Tensor{w, b},
-		DOut:    dy,
+	fwd := &FwdCtx{In: []*tensor.Tensor{x}, Params: params, Out: tensor.New(outShape...)}
+	bwd := &BwdCtx{In: []*tensor.Tensor{x}, Params: params,
+		DOut:    randTensor(4, outShape...),
 		DIn:     []*tensor.Tensor{tensor.New(x.Shape...)},
-		DParams: []*tensor.Tensor{tensor.New(w.Shape...), tensor.New(b.Shape...)}}
+		DParams: []*tensor.Tensor{tensor.New(params[0].Shape...), tensor.New(params[1].Shape...)}}
 	return op, fwd, bwd
 }
 
@@ -57,4 +60,50 @@ func BenchmarkKernelConvBwd(b *testing.B) {
 	}
 	b.Run("word", func(b *testing.B) { run(b, op.backwardIm2col) })
 	b.Run("scalar", func(b *testing.B) { run(b, op.backwardIm2colScalar) })
+}
+
+// Direct-convolution kernel benchmarks: the row-sweep kernels (`word`)
+// against the frozen per-element reference (`scalar`) at the two shapes the
+// benchmark's workloads spend their steps in — TinyVGG conv2 through the
+// three-tap row kernel and StashNet's convolutions through the pointwise
+// one. The ungated `im2col` leg runs the GEMM lowering on the same tensors
+// (EXPERIMENTS.md prints the three side by side). MMAC/s counts forward
+// multiply-accumulates in both directions (the backward pass does twice
+// that work), matching layers.conv_fwd_mmac_per_s.
+
+var directBenchShapes = []struct {
+	name string
+	cc   convCase
+}{
+	{"vgg3x3", convCase{8, 3, 3, 1, 1, 2, 8, 32, 32}},
+	{"stash1x1", convCase{8, 1, 1, 1, 0, 4, 8, 64, 64}},
+}
+
+// benchDirectLeg times f and reports MMAC/s beside B/s over the input.
+func benchDirectLeg(b *testing.B, op *Conv2D, in *tensor.Tensor, f func()) {
+	macs := float64(op.FLOPs([]tensor.Shape{in.Shape})) / 2
+	b.SetBytes(in.Bytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+	b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e6, "MMAC/s")
+}
+
+func BenchmarkKernelConvDirectFwd(b *testing.B) {
+	for _, s := range directBenchShapes {
+		op, fwd, _ := benchConvCase(s.cc)
+		b.Run(s.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirect(fwd) }) })
+		b.Run(s.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirectRef(fwd) }) })
+		b.Run(s.name+"/im2col", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardIm2col(fwd) }) })
+	}
+}
+
+func BenchmarkKernelConvDirectBwd(b *testing.B) {
+	for _, s := range directBenchShapes {
+		op, _, bwd := benchConvCase(s.cc)
+		b.Run(s.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirect(bwd) }) })
+		b.Run(s.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirectRef(bwd) }) })
+		b.Run(s.name+"/im2col", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardIm2col(bwd) }) })
+	}
 }

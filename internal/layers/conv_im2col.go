@@ -11,15 +11,23 @@ import (
 // the paper discusses in Section II: the workspace a convolution needs is
 // a function of the algorithm, and the paper's baseline deliberately picks
 // the memory-optimal one.
+//
+// "Performance-optimal" is a statement about the GPU libraries the cost
+// model describes (costmodel, core/algoselect, the workspace experiment),
+// not about the CPU kernels in this package: here the direct kernels run
+// as fast as the lowering (EXPERIMENTS.md, kernel table) and are the ones
+// every training step executes. Nothing on the training path selects
+// AlgoIm2col.
 type ConvAlgo int
 
 const (
 	// AlgoDirect is the memory-optimal direct convolution: no workspace.
+	// It is the default and what training runs (conv_direct.go).
 	AlgoDirect ConvAlgo = iota
-	// AlgoIm2col is the performance-optimal lowering to a GEMM: it
-	// materializes the column matrix of each image as workspace
-	// (inC*kh*kw x oh*ow FP32 values) but runs as a dense matrix
-	// multiply, which real libraries execute far faster.
+	// AlgoIm2col is the lowering to a GEMM: it materializes the column
+	// matrix of each image as workspace (inC*kh*kw x oh*ow FP32 values)
+	// and runs as a dense matrix multiply — the form GPU libraries
+	// execute fastest, which is what the cost model prices.
 	AlgoIm2col
 )
 

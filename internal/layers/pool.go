@@ -81,35 +81,34 @@ func (p *MaxPoolOp) Forward(ctx *FwdCtx) {
 	} else {
 		argmax.Reset(y.NumElements())
 	}
+	// The in-bounds taps of each window are scanned in ascending (kh, kw)
+	// with a strict >, so ties go to the first occurrence and outputs and
+	// the argmax map are byte-identical to the per-element reference in
+	// pool_diff_test.go.
 	idx := 0
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			for yh := 0; yh < oh; yh++ {
-				for yw := 0; yw < ow; yw++ {
-					h0, w0 := yh*p.Stride-p.Pad, yw*p.Stride-p.Pad
-					best := float32(0)
-					bestSlot := -1
-					for kh := 0; kh < p.K; kh++ {
-						xh := h0 + kh
-						if xh < 0 || xh >= ih {
-							continue
-						}
-						for kw := 0; kw < p.K; kw++ {
-							xw := w0 + kw
-							if xw < 0 || xw >= iw {
-								continue
-							}
-							v := x.At(ni, ci, xh, xw)
-							if bestSlot < 0 || v > best {
-								best = v
-								bestSlot = kh*p.K + kw
-							}
+	for pl := 0; pl < n*c; pl++ {
+		xp := x.Data[pl*ih*iw:][:ih*iw]
+		yp := y.Data[pl*oh*ow:][:oh*ow]
+		for yh := 0; yh < oh; yh++ {
+			h0 := yh*p.Stride - p.Pad
+			hlo, hhi := max(0, -h0), min(p.K, ih-h0)
+			for yw := 0; yw < ow; yw++ {
+				w0 := yw*p.Stride - p.Pad
+				wlo, whi := max(0, -w0), min(p.K, iw-w0)
+				best := float32(0)
+				bestSlot := -1
+				for kh := hlo; kh < hhi; kh++ {
+					xr := xp[(h0+kh)*iw:][:iw]
+					for kw := wlo; kw < whi; kw++ {
+						if v := xr[w0+kw]; bestSlot < 0 || v > best {
+							best = v
+							bestSlot = kh*p.K + kw
 						}
 					}
-					y.Set(ni, ci, yh, yw, best)
-					argmax.Set(idx, uint8(bestSlot))
-					idx++
 				}
+				yp[yh*ow+yw] = best
+				argmax.Set(idx, uint8(bestSlot))
+				idx++
 			}
 		}
 	}
@@ -126,18 +125,17 @@ func (p *MaxPoolOp) Backward(ctx *BwdCtx) {
 	oh, ow := dy.Shape[2], dy.Shape[3]
 	dx.Zero()
 	idx := 0
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			for yh := 0; yh < oh; yh++ {
-				for yw := 0; yw < ow; yw++ {
-					slot := int(argmax.Get(idx))
-					xh := yh*p.Stride - p.Pad + slot/p.K
-					xw := yw*p.Stride - p.Pad + slot%p.K
-					if xh >= 0 && xh < ih && xw >= 0 && xw < iw {
-						dx.Data[((ni*c+ci)*ih+xh)*iw+xw] += dy.At(ni, ci, yh, yw)
-					}
-					idx++
+	for pl := 0; pl < n*c; pl++ {
+		dxp := dx.Data[pl*ih*iw:][:ih*iw]
+		for yh := 0; yh < oh; yh++ {
+			for yw, g := range dy.Data[(pl*oh+yh)*ow:][:ow] {
+				slot := int(argmax.Get(idx))
+				xh := yh*p.Stride - p.Pad + slot/p.K
+				xw := yw*p.Stride - p.Pad + slot%p.K
+				if xh >= 0 && xh < ih && xw >= 0 && xw < iw {
+					dxp[xh*iw+xw] += g
 				}
+				idx++
 			}
 		}
 	}

@@ -77,17 +77,7 @@ func EncodeCSRChunkedInto(c *CSR, xs []float32, p *parallel.Pool, chunkRows int)
 	for r := 0; r < rows; r++ {
 		c.RowPtr[r+1] += c.RowPtr[r]
 	}
-	nnz := int(c.RowPtr[rows])
-	if cap(c.ColIdx) < nnz {
-		c.ColIdx = make([]uint8, nnz)
-	} else {
-		c.ColIdx = c.ColIdx[:nnz]
-	}
-	if cap(c.Values) < nnz {
-		c.Values = make([]float32, nnz)
-	} else {
-		c.Values = c.Values[:nnz]
-	}
+	c.resizeNNZ(int(c.RowPtr[rows]))
 	p.ForEach(nChunks, func(ci int) {
 		r0 := ci * chunkRows
 		r1 := min(r0+chunkRows, rows)

@@ -75,23 +75,33 @@ func EncodeCSRInto(c *CSR, xs []float32) {
 		c.RowPtr = c.RowPtr[:rows+1]
 		c.RowPtr[0] = 0
 	}
-	nnz := countNonzeros(xs)
-	if cap(c.ColIdx) < nnz {
-		c.ColIdx = make([]uint8, nnz)
-	} else {
-		c.ColIdx = c.ColIdx[:nnz]
-	}
-	if cap(c.Values) < nnz {
-		c.Values = make([]float32, nnz)
-	} else {
-		c.Values = c.Values[:nnz]
-	}
+	c.resizeNNZ(countNonzeros(xs))
 	k := 0
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		end := min(base+cols, len(xs))
 		k = gatherRow(c.ColIdx, c.Values, k, xs, base, end)
 		c.RowPtr[r+1] = int32(k)
+	}
+}
+
+// resizeNNZ sets ColIdx and Values to length nnz for the in-place encoders,
+// reusing their backing arrays when capacity allows. A short array is
+// regrown with a quarter of slack (never past c.N, which bounds nnz): ReLU
+// sparsity drifts by a few elements per step, and growing to exactly nnz
+// re-allocated both arrays at every new maximum. Lengths — and with them
+// Bytes() and the wire form — stay exactly what EncodeCSR produces.
+func (c *CSR) resizeNNZ(nnz int) {
+	grown := min(c.N, nnz+nnz/4)
+	if cap(c.ColIdx) < nnz {
+		c.ColIdx = make([]uint8, nnz, grown)
+	} else {
+		c.ColIdx = c.ColIdx[:nnz]
+	}
+	if cap(c.Values) < nnz {
+		c.Values = make([]float32, nnz, grown)
+	} else {
+		c.Values = c.Values[:nnz]
 	}
 }
 

@@ -3,7 +3,10 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"gist/internal/parallel"
 )
 
 // Differential tests: the popcount-driven gather kernels against the
@@ -198,5 +201,66 @@ func TestDiffNonzeroBitExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 1_000_000; i++ {
 		check(r.Uint32())
+	}
+}
+
+// TestEncodeCSRIntoAmortisedGrowth feeds the in-place encoders 200 inputs
+// whose non-zero count rises by about half a percent each — ReLU sparsity
+// drifting across training steps — into one persistent container. Growing
+// ColIdx/Values to exactly nnz re-allocated both on every step (~400
+// mallocs); with a quarter of slack a handful of regrowths cover the whole
+// climb, and the output still equals a fresh EncodeCSR every time.
+func TestEncodeCSRIntoAmortisedGrowth(t *testing.T) {
+	const n, steps = 16384, 200
+	inputs := make([][]float32, steps)
+	wants := make([]*CSR, steps)
+	nnz := 4000.0
+	for i := range inputs {
+		xs := make([]float32, n)
+		for j := 0; j < int(nnz); j++ {
+			xs[(j*7919)%n] = float32(j + 1) // 7919 is coprime to n: distinct slots
+		}
+		inputs[i], wants[i] = xs, EncodeCSR(xs)
+		nnz *= 1.005
+	}
+	if first, last := wants[0].NNZ(), wants[steps-1].NNZ(); last < 2*first || last > n {
+		t.Fatalf("nnz climbed %d -> %d, want a climb past 2x inside the buffer", first, last)
+	}
+
+	var c CSR
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, xs := range inputs {
+		EncodeCSRInto(&c, xs)
+	}
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 20 {
+		t.Fatalf("%d allocations over %d growing encodes, want <= 20", mallocs, steps)
+	}
+
+	pool := parallel.NewPool(2)
+	for name, into := range map[string]func(*CSR, []float32){
+		"serial":  EncodeCSRInto,
+		"chunked": func(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, pool, 8) },
+	} {
+		var c CSR
+		regrowths := 0
+		for i, xs := range inputs {
+			was := cap(c.Values)
+			into(&c, xs)
+			if cap(c.Values) != was {
+				regrowths++
+			}
+			sameCSR(t, name, &c, wants[i])
+			if c.Bytes() != wants[i].Bytes() {
+				t.Fatalf("%s step %d: Bytes() = %d, EncodeCSR %d", name, i, c.Bytes(), wants[i].Bytes())
+			}
+			if cap(c.Values) > n || cap(c.ColIdx) > n {
+				t.Fatalf("%s step %d: capacity %d/%d past the dense size %d", name, i, cap(c.ColIdx), cap(c.Values), n)
+			}
+		}
+		if regrowths > 8 {
+			t.Fatalf("%s: %d regrowths over %d growing encodes, want <= 8", name, regrowths, steps)
+		}
 	}
 }
