@@ -38,8 +38,9 @@ soak-short:
 
 # Short fuzz passes over the checkpoint parser, the gradient reduce, the
 # codec kernels (format round-trip fixed point; mask word kernels vs
-# their scalar references; the ZVC pipeline and the entropy coder's
-# round-trip), the GSTP spill-page parser, and the direct convolution
+# their scalar references; the ZVC pipeline; the entropy coder's round-trip
+# and its table-driven decoder against the bit-serial reference on
+# arbitrary blocks), the GSTP spill-page parser, and the direct convolution
 # kernels against their per-element reference (bit for bit).
 fuzz:
 	$(GO) test ./internal/train/ -run FuzzReadCheckpoint -fuzz FuzzReadCheckpoint -fuzztime 20s
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/floatenc/ -run FuzzFormatRoundTrip -fuzz FuzzFormatRoundTrip -fuzztime 20s
 	$(GO) test ./internal/bitpack/ -run FuzzMaskWords -fuzz FuzzMaskWords -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s
+	$(GO) test ./internal/entropy/ -run FuzzEntropyDecodeDiff -fuzz FuzzEntropyDecodeDiff -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
 	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
 	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s
@@ -97,7 +99,7 @@ allocs:
 # into `make check`; the default 1s benchtime is for deliberate measurement.
 BENCH_GATE_TIME ?= 1s
 BENCH_GATE_COUNT ?= 2
-BENCH_GATE_PKGS = ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/layers/
+BENCH_GATE_PKGS = ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/layers/ ./internal/entropy/
 bench-gate:
 	@$(GO) test -run TestXXX -bench Kernel -benchtime $(BENCH_GATE_TIME) -count $(BENCH_GATE_COUNT) $(BENCH_GATE_PKGS) \
 		| $(GO) run ./cmd/benchgate -thresholds bench_gate.json

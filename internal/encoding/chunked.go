@@ -3,7 +3,9 @@ package encoding
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -130,6 +132,15 @@ func (cdc Codec) serialChunks(n int) (ce int, serial bool) {
 	return ce, true
 }
 
+// inlineChunks reports whether nc chunks of a stash should run as a plain
+// loop on the caller's goroutine instead of through ForEach — nothing to
+// share them with — which keeps a serial codec's stash path free of the
+// closure a dispatch allocates. Unlike serialChunks it takes the chunk
+// count, so it also serves stashes laid out under another codec's size.
+func (cdc Codec) inlineChunks(nc int) bool {
+	return nc < 2 || cdc.pool().Workers() < 2
+}
+
 // forChunks partitions [0, n) into aligned chunks and runs fn over them on
 // the pool (inline when a single chunk suffices).
 func (cdc Codec) forChunks(n int, fn func(lo, hi int)) {
@@ -221,7 +232,7 @@ func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment,
 	e.Tech = tech
 	e.Shape = append(e.Shape[:0], t.Shape...)
 	e.ChunkElems = cdc.chunkElems()
-	e.Checksum, e.ChunkCRCs, e.sealed = 0, nil, false
+	e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
 	return impl.encodeInto(cdc, e, as, t)
 }
 
@@ -244,7 +255,7 @@ func (cdc Codec) EncodeDenseInto(e *EncodedStash, f floatenc.Format, t *tensor.T
 	e.Tech = DPR
 	e.Shape = append(e.Shape[:0], t.Shape...)
 	e.ChunkElems = cdc.chunkElems()
-	e.Checksum, e.ChunkCRCs, e.sealed = 0, nil, false
+	e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
 	e.Packed = cdc.encodePackedInto(e.Packed, f, t.Data)
 	if cdc.Tel != nil {
 		cdc.observe("encode", DPR, start, e.Bytes(), nil)
@@ -492,7 +503,7 @@ func (cdc Codec) Seal(e *EncodedStash) {
 	if e.ChunkElems <= 0 {
 		e.ChunkElems = cdc.chunkElems()
 	}
-	full, chunks, ok := cdc.chunkChecksums(e)
+	full, chunks, ok := cdc.chunkChecksumsInto(e.ChunkCRCs, e)
 	if !ok {
 		e.Checksum = e.checksum()
 		e.ChunkCRCs = nil
@@ -529,7 +540,12 @@ func (cdc Codec) verify(e *EncodedStash) error {
 	if !e.sealed {
 		return nil
 	}
-	full, chunks, ok := cdc.chunkChecksums(e)
+	scratch := verifyCRCs.Get().(*[]uint32)
+	defer verifyCRCs.Put(scratch)
+	full, chunks, ok := cdc.chunkChecksumsInto(*scratch, e)
+	if ok {
+		*scratch = chunks
+	}
 	if !ok || len(chunks) != len(e.ChunkCRCs) {
 		if got := e.checksum(); got != e.Checksum {
 			return fmt.Errorf("%w: %v stash of shape %v: crc %#x, sealed %#x",
@@ -666,15 +682,26 @@ func spanBounds(c, length, nc int) (lo, hi int) {
 	return length * c / nc, length * (c + 1) / nc
 }
 
-// chunkChecksums hashes every chunk's payload pieces on the pool and
-// returns the per-chunk CRCs plus their roll-up (which equals the serial
-// checksum()). ok = false means the payload's structure does not fit the
-// chunk layout — wrong backing-array lengths for the element count — and
-// the caller must fall back to the serial whole-payload checksum.
-func (cdc Codec) chunkChecksums(e *EncodedStash) (full uint32, chunks []uint32, ok bool) {
+// resized returns a slice of length n with unspecified contents, in s's
+// backing array when that has the capacity.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// verifyCRCs recycles the per-chunk CRC buffers Verify re-hashes into, so
+// verifying leaves the stash untouched and the heap alone.
+var verifyCRCs = sync.Pool{New: func() any { return new([]uint32) }}
+
+// chunkChecksumsInto hashes every chunk's payload pieces on the pool and
+// returns the per-chunk CRCs — in dst's backing array when that has the
+// capacity — plus their roll-up (which equals the serial checksum()).
+// ok = false means the payload's structure does not fit the chunk layout —
+// wrong backing-array lengths for the element count — and the caller must
+// fall back to the serial whole-payload checksum.
+func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32, chunks []uint32, ok bool) {
 	impl, okT := techImpl(e.Tech)
 	if !okT {
 		return 0, nil, false
 	}
-	return impl.chunkChecksums(cdc, e, normalizeChunkElems(e.ChunkElems), e.headerCRC())
+	return impl.chunkChecksums(cdc, e, normalizeChunkElems(e.ChunkElems), e.headerCRC(), dst)
 }

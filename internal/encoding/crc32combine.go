@@ -1,11 +1,12 @@
 package encoding
 
 // crc32Combine computes the CRC32-C of the concatenation A||B given only
-// crc(A), crc(B) and len(B) — the classic zlib crc32_combine construction
-// over the reflected Castagnoli polynomial. CRC is linear over GF(2), so
-// appending len2 zero bytes to A transforms crc(A) by a fixed 32x32 bit
-// matrix per zero byte; squaring that matrix log2(len2) times applies all
-// of them, and xoring crc(B) accounts for B's actual bytes.
+// crc(A), crc(B) and len(B). A CRC is a remainder modulo the generator
+// polynomial P over GF(2), so appending len(B) zero bytes to A multiplies
+// crc(A) by x^(8·len(B)) mod P, and xoring crc(B) accounts for B's actual
+// bytes. The power is assembled from a table of x^(2^k) mod P by the binary
+// decomposition of the length — a few dozen shift-and-xor steps per set bit
+// (the form zlib's crc32_combine has taken since 1.2.12).
 //
 // This is what lets the chunked codec hash chunks independently (and in
 // parallel) yet roll the pieces up into the exact checksum the serial
@@ -13,27 +14,42 @@ package encoding
 // checksum(), which the property tests pin.
 
 // castagnoliReflected is the reflected form of the Castagnoli polynomial,
-// matching crc32.MakeTable(crc32.Castagnoli)'s bit order.
+// matching crc32.MakeTable(crc32.Castagnoli)'s bit order: bit 31 is the
+// coefficient of x^0.
 const castagnoliReflected = 0x82f63b78
 
-// gf2MatrixTimes multiplies the 32x32 GF(2) matrix by the bit vector vec.
-func gf2MatrixTimes(mat *[32]uint32, vec uint32) uint32 {
-	var sum uint32
-	for i := 0; vec != 0; i++ {
-		if vec&1 != 0 {
-			sum ^= mat[i]
+// multModP returns a·b mod P in the reflected representation.
+func multModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0 && a&(m|(m-1)) != 0; m >>= 1 { // until a's remaining bits are all zero
+		if a&m != 0 {
+			p ^= b
 		}
-		vec >>= 1
+		if b&1 != 0 {
+			b = b>>1 ^ castagnoliReflected
+		} else {
+			b >>= 1
+		}
 	}
-	return sum
+	return p
 }
 
-// gf2MatrixSquare sets square = mat * mat.
-func gf2MatrixSquare(square, mat *[32]uint32) {
-	for n := 0; n < 32; n++ {
-		square[n] = gf2MatrixTimes(mat, mat[n])
+// xPow8 holds x^(8·2^k) mod P — the factor that appends 2^k zero bytes —
+// for every k an int64 length can set. (zlib keeps 32 entries and wraps the
+// index, which relies on x^(2^32) = x mod its polynomial; the Castagnoli
+// polynomial is (x+1) times a degree-31 factor, so here the squares repeat
+// with period 31 and a wrapped index would be wrong.)
+var xPow8 = func() (t [63]uint32) {
+	p := uint32(1) << 30 // x^1
+	for i := 0; i < 3; i++ {
+		p = multModP(p, p) // x^2, x^4, x^8
 	}
-}
+	for k := range t {
+		t[k] = p
+		p = multModP(p, p)
+	}
+	return t
+}()
 
 // crc32Combine returns the CRC of A||B from crc1 = CRC(A), crc2 = CRC(B)
 // and len2 = len(B). Combining with an empty B (or an empty A via crc1 = 0)
@@ -42,35 +58,9 @@ func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
 	if len2 <= 0 {
 		return crc1
 	}
-	var even, odd [32]uint32
-
-	// odd = the matrix for one zero bit.
-	odd[0] = castagnoliReflected
-	row := uint32(1)
-	for n := 1; n < 32; n++ {
-		odd[n] = row
-		row <<= 1
-	}
-	gf2MatrixSquare(&even, &odd) // two zero bits
-	gf2MatrixSquare(&odd, &even) // four zero bits (one nibble short of a byte^2)
-
-	// Apply len2 zero bytes by binary decomposition, squaring as we go.
-	for {
-		gf2MatrixSquare(&even, &odd)
+	for k := 0; len2 != 0; k, len2 = k+1, len2>>1 {
 		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&even, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-		gf2MatrixSquare(&odd, &even)
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&odd, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
+			crc1 = multModP(xPow8[k], crc1)
 		}
 	}
 	return crc1 ^ crc2

@@ -63,8 +63,9 @@ type techniqueImpl interface {
 	// pool and returns the per-chunk CRCs plus the roll-up (== the serial
 	// checksum). ok = false means the payload's structure does not fit
 	// the chunk layout and the caller must fall back to the serial
-	// whole-payload checksum.
-	chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (full uint32, chunks []uint32, ok bool)
+	// whole-payload checksum. chunks reuses dst's backing array when that
+	// has the capacity.
+	chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool)
 
 	// marshalPayload appends the wire payload to out; unmarshalPayload
 	// parses it back through the bounds-checked reader.

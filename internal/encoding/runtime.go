@@ -7,6 +7,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
@@ -172,62 +173,73 @@ func (e *EncodedStash) checksum() uint32 {
 // headerCRC hashes the header prefix of checksum() — technique, shape rank,
 // dims — as the leading piece of the chunked roll-up.
 func (e *EncodedStash) headerCRC() uint32 {
-	var buf [4]byte
-	crc := uint32(0)
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		crc = crc32.Update(crc, crcTable, buf[:])
-	}
-	put(uint32(e.Tech))
-	put(uint32(len(e.Shape)))
+	crc := crcU32(0, uint32(e.Tech))
+	crc = crcU32(crc, uint32(len(e.Shape)))
 	for _, d := range e.Shape {
-		put(uint32(d))
+		crc = crcU32(crc, uint32(d))
 	}
 	return crc
+}
+
+// crcU32 continues crc over v's four little-endian bytes, straight from the
+// table: header fields are a few words, and a slice handed to crc32.Update
+// always escapes (it is called through a function variable), which would
+// put a heap object behind every Seal and Verify.
+func crcU32(crc, v uint32) uint32 {
+	crc = ^crc
+	for i := 0; i < 4; i++ {
+		crc = crcTable[byte(crc)^byte(v)] ^ crc>>8
+		v >>= 8
+	}
+	return ^crc
 }
 
 // Piece hashers for the chunked checksum: each serializes its array segment
 // exactly as checksum() does (little-endian words), so combining piece CRCs
-// reproduces the serial whole-payload value.
+// reproduces the serial whole-payload value. They serialise a batch at a
+// time and hash each batch with one (hardware) crc32.Update; the batch
+// buffers are recycled because that call's argument escapes.
+
+const crcBatchBytes = 4096
+
+var crcBatches = sync.Pool{New: func() any { return new([crcBatchBytes]byte) }}
+
+// crcBatched hashes n elements of size bytes each; fill serialises elements
+// [lo, lo+k) into the front of buf.
+func crcBatched(n, size int, fill func(buf []byte, lo, k int)) uint32 {
+	buf := crcBatches.Get().(*[crcBatchBytes]byte)
+	crc := uint32(0)
+	for lo := 0; lo < n; lo += crcBatchBytes / size {
+		k := min(n-lo, crcBatchBytes/size)
+		fill(buf[:], lo, k)
+		crc = crc32.Update(crc, crcTable, buf[:k*size])
+	}
+	crcBatches.Put(buf)
+	return crc
+}
 
 func crcUint64s(ws []uint64) uint32 {
-	var buf [8]byte
-	crc := uint32(0)
-	for _, w := range ws {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		crc = crc32.Update(crc, crcTable, buf[:])
-	}
-	return crc
+	return crcBatched(len(ws), 8, func(buf []byte, lo, k int) {
+		for i, w := range ws[lo : lo+k] {
+			binary.LittleEndian.PutUint64(buf[8*i:], w)
+		}
+	})
 }
 
-func crcUint32s(ws []uint32) uint32 {
-	var buf [4]byte
-	crc := uint32(0)
-	for _, w := range ws {
-		binary.LittleEndian.PutUint32(buf[:], w)
-		crc = crc32.Update(crc, crcTable, buf[:])
-	}
-	return crc
-}
-
-func crcInt32s(ps []int32) uint32 {
-	var buf [4]byte
-	crc := uint32(0)
-	for _, p := range ps {
-		binary.LittleEndian.PutUint32(buf[:], uint32(p))
-		crc = crc32.Update(crc, crcTable, buf[:])
-	}
-	return crc
+func crcWords32[T uint32 | int32](ws []T) uint32 {
+	return crcBatched(len(ws), 4, func(buf []byte, lo, k int) {
+		for i, w := range ws[lo : lo+k] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(w))
+		}
+	})
 }
 
 func crcFloat32s(vs []float32) uint32 {
-	var buf [4]byte
-	crc := uint32(0)
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		crc = crc32.Update(crc, crcTable, buf[:])
-	}
-	return crc
+	return crcBatched(len(vs), 4, func(buf []byte, lo, k int) {
+		for i, v := range vs[lo : lo+k] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+	})
 }
 
 func crcBytes(bs []byte) uint32 {

@@ -76,7 +76,7 @@ func (binarizeTech) checksumPayload(e *EncodedStash, w *crcWriter) {
 	}
 }
 
-func (binarizeTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (full uint32, chunks []uint32, ok bool) {
+func (binarizeTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
 	if e.Mask == nil {
 		return 0, nil, false
 	}
@@ -89,7 +89,7 @@ func (binarizeTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint
 		return hcrc, nil, true
 	}
 	nc := (n + ce - 1) / ce
-	crcs := make([]uint32, nc)
+	crcs := resized(dst, nc)
 	lens := make([]int64, nc)
 	cdc.pool().ForEach(nc, func(c int) {
 		w0 := c * ce / 64

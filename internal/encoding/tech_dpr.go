@@ -89,7 +89,7 @@ func (dprTech) checksumPayload(e *EncodedStash, w *crcWriter) {
 	}
 }
 
-func (dprTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (full uint32, chunks []uint32, ok bool) {
+func (dprTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
 	p := e.Packed
 	if p == nil {
 		return 0, nil, false
@@ -106,12 +106,12 @@ func (dprTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (
 		return hcrc, nil, true
 	}
 	nc := (n + ce - 1) / ce
-	crcs := make([]uint32, nc)
+	crcs := resized(dst, nc)
 	lens := make([]int64, nc)
 	cdc.pool().ForEach(nc, func(c int) {
 		w0 := c * ce / vpw
 		w1 := (min((c+1)*ce, n) + vpw - 1) / vpw
-		crcs[c] = crcUint32s(p.Words[w0:w1])
+		crcs[c] = crcWords32(p.Words[w0:w1])
 		lens[c] = int64(w1-w0) * 4
 	})
 	full = hcrc

@@ -3,7 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"slices"
 
 	"gist/internal/entropy"
 	"gist/internal/floatenc"
@@ -59,32 +59,108 @@ func (entropyTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *ten
 	p.Format = as.Format
 	p.N = n
 	p.scratch = cdc.encodePackedInto(p.scratch, as.Format, t.Data)
-	words := p.scratch.Words
 	ce := cdc.chunkElems()
-	nc := 0
-	if n > 0 {
-		nc = (n + ce - 1) / ce
-	}
 	vpw := as.Format.ValuesPerWord()
-	blocks := make([][]byte, nc)
+	nc := (n + ce - 1) / ce
 	cdc.Tel.Counter("codec.chunks").Add(int64(nc))
-	cdc.pool().ForEach(nc, func(c int) {
-		lo, hi := c*ce, min((c+1)*ce, n)
-		w0, w1 := lo/vpw, (hi+vpw-1)/vpw
-		src := make([]byte, (w1-w0)*4)
-		for i := w0; i < w1; i++ {
-			binary.LittleEndian.PutUint32(src[(i-w0)*4:], words[i])
+	serial := cdc.inlineChunks(nc)
+
+	// Phase 1, per chunk: histogram and code lengths, which fix the block's
+	// exact size. The code tables are staged at the head of Stream.
+	const tb = entropy.TableBytes
+	p.Lens = resized(p.Lens, nc)
+	p.Stream = resized(p.Stream, nc*tb)
+	if serial {
+		for c := 0; c < nc; c++ {
+			p.planChunk(c, ce, vpw)
 		}
-		blocks[c] = entropy.Encode(nil, src)
-	})
-	p.Lens = p.Lens[:0]
-	p.Stream = p.Stream[:0]
-	for _, b := range blocks {
-		p.Lens = append(p.Lens, uint32(len(b)))
-		p.Stream = append(p.Stream, b...)
+	} else {
+		cdc.pool().ForEach(nc, func(c int) { p.planChunk(c, ce, vpw) })
 	}
-	if dense := as.Format.PackedBytes(n); p.Bytes() >= dense {
-		return errEntropyLargerThanDense
+	total := p.blockOff(nc)
+	if dense := as.Format.PackedBytes(n); int64(total)+int64(nc)*4 >= dense {
+		return errEntropyLargerThanDense // known before a single code is written
+	}
+
+	// Phase 2: every block has its final place. Move each staged table to
+	// the head of its block, then emit the bodies behind them. A block is
+	// longer than a table, so block c starts beyond staging slot c: moving
+	// the last chunk's table first, no move lands on a slot still waiting.
+	p.Stream = slices.Grow(p.Stream, total-len(p.Stream))[:total]
+	for c, off := nc-1, total; c > 0; c-- {
+		off -= int(p.Lens[c])
+		copy(p.Stream[off:off+tb], p.Stream[c*tb:(c+1)*tb])
+	}
+	if serial {
+		for c := 0; c < nc; c++ {
+			p.emitChunk(c, ce, vpw)
+		}
+	} else {
+		cdc.pool().ForEach(nc, func(c int) { p.emitChunk(c, ce, vpw) })
+	}
+	return nil
+}
+
+// chunkWords returns the range of packed words chunk c covers. Chunk
+// boundaries are multiples of every values-per-word packing, so chunks own
+// whole words.
+func (p *EntropyPayload) chunkWords(c, ce, vpw int) (w0, w1 int) {
+	return c * ce / vpw, (min((c+1)*ce, p.N) + vpw - 1) / vpw
+}
+
+// blockOff is the offset of chunk c's block in Stream (the stream's length
+// at c = len(Lens)). Summed on demand: a stash has a handful of chunks, each
+// worth a hundred thousand elements of work.
+func (p *EntropyPayload) blockOff(c int) int {
+	off := 0
+	for _, l := range p.Lens[:c] {
+		off += int(l)
+	}
+	return off
+}
+
+func (p *EntropyPayload) planChunk(c, ce, vpw int) {
+	w0, w1 := p.chunkWords(c, ce, vpw)
+	p.Lens[c] = uint32(entropy.Plan(p.Stream[c*entropy.TableBytes:], p.scratch.Words[w0:w1]))
+}
+
+func (p *EntropyPayload) emitChunk(c, ce, vpw int) {
+	w0, w1 := p.chunkWords(c, ce, vpw)
+	off := p.blockOff(c)
+	entropy.Emit(p.Stream[off:off+int(p.Lens[c])], p.scratch.Words[w0:w1])
+}
+
+// decodeWindow is how many packed words decodeChunk stages at a time: the
+// entropy block is drained through two stack buffers of this many words, so
+// decode holds no staging memory, allocates nothing and never writes to the
+// payload — any number of goroutines may decode one stash at once.
+const decodeWindow = 1024
+
+// decodeChunk decompresses chunk c's block window by window and unpacks
+// each window into out. Windows start on word boundaries, so every element
+// decodes exactly as a whole-range DecodeRange would decode it.
+func (p *EntropyPayload) decodeChunk(out []float32, c, ce, vpw int) error {
+	w0, w1 := p.chunkWords(c, ce, vpw)
+	hi := min((c+1)*ce, p.N)
+	off := p.blockOff(c)
+	var d entropy.Decoder
+	if err := d.Init(p.Stream[off:off+int(p.Lens[c])], (w1-w0)*4); err != nil {
+		return err
+	}
+	var raw [4 * decodeWindow]byte
+	var words [decodeWindow]uint32
+	for w := w0; w < w1; w += decodeWindow {
+		k := min(decodeWindow, w1-w)
+		if err := d.Read(raw[:4*k]); err != nil {
+			return err
+		}
+		for i := 0; i < k; i++ {
+			words[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
+		lo := w * vpw
+		elems := min(k*vpw, hi-lo)
+		win := floatenc.Packed{Format: p.Format, N: elems, Words: words[:k]}
+		win.DecodeRange(out[lo:lo+elems], 0, elems)
 	}
 	return nil
 }
@@ -102,36 +178,24 @@ func (entropyTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) er
 	// The block layout is fixed by the stash's encode-time chunk size,
 	// not the decoding codec's.
 	ce := normalizeChunkElems(e.ChunkElems)
-	nc := 0
-	if n > 0 {
-		nc = (n + ce - 1) / ce
-	}
+	nc := (n + ce - 1) / ce
 	if len(p.Lens) != nc {
 		return fmt.Errorf("%w: %d entropy blocks for %d chunks", ErrCorruptStash, len(p.Lens), nc)
 	}
-	offs := make([]int, nc+1)
-	for c, l := range p.Lens {
-		offs[c+1] = offs[c] + int(l)
+	if total := p.blockOff(nc); total != len(p.Stream) {
+		return fmt.Errorf("%w: entropy blocks total %d bytes, stream has %d", ErrCorruptStash, total, len(p.Stream))
 	}
-	if offs[nc] != len(p.Stream) {
-		return fmt.Errorf("%w: entropy blocks total %d bytes, stream has %d", ErrCorruptStash, offs[nc], len(p.Stream))
-	}
-	pk := &floatenc.Packed{Format: p.Format, N: n, Words: make([]uint32, (n+vpw-1)/vpw)}
-	errs := make([]error, nc)
 	cdc.Tel.Counter("codec.chunks").Add(int64(nc))
-	cdc.pool().ForEach(nc, func(c int) {
-		lo, hi := c*ce, min((c+1)*ce, n)
-		w0, w1 := lo/vpw, (hi+vpw-1)/vpw
-		raw := make([]byte, (w1-w0)*4)
-		if err := entropy.Decode(raw, p.Stream[offs[c]:offs[c+1]]); err != nil {
-			errs[c] = err
-			return
+	if cdc.inlineChunks(nc) {
+		for c := 0; c < nc; c++ {
+			if err := p.decodeChunk(out.Data, c, ce, vpw); err != nil {
+				return fmt.Errorf("%w: %v", ErrCorruptStash, err)
+			}
 		}
-		for i := w0; i < w1; i++ {
-			pk.Words[i] = binary.LittleEndian.Uint32(raw[(i-w0)*4:])
-		}
-		pk.DecodeRange(out.Data, lo, hi)
-	})
+		return nil
+	}
+	errs := make([]error, nc)
+	cdc.pool().ForEach(nc, func(c int) { errs[c] = p.decodeChunk(out.Data, c, ce, vpw) })
 	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorruptStash, err)
@@ -205,53 +269,42 @@ func (entropyTech) checksumPayload(e *EncodedStash, w *crcWriter) {
 // of PayloadBits means fault injection only ever lands in Stream, so the
 // chunk layout survives every flip and attribution stays exact.
 func entMetaCRC(crc uint32, p *EntropyPayload) uint32 {
-	var buf [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		crc = crc32.Update(crc, crcTable, buf[:])
-	}
-	put(uint32(p.Format))
-	put(uint32(p.N))
-	put(uint32(len(p.Lens)))
+	crc = crcU32(crc, uint32(p.Format))
+	crc = crcU32(crc, uint32(p.N))
+	crc = crcU32(crc, uint32(len(p.Lens)))
 	for _, l := range p.Lens {
-		put(l)
+		crc = crcU32(crc, l)
 	}
 	return crc
 }
 
-func (entropyTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (full uint32, chunks []uint32, ok bool) {
+func (entropyTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
 	p := e.Ent
 	if p == nil {
 		return 0, nil, false
 	}
-	n := p.N
-	if n == 0 {
-		if len(p.Lens) != 0 || len(p.Stream) != 0 {
-			return 0, nil, false
+	nc := (p.N + ce - 1) / ce
+	if len(p.Lens) != nc || p.blockOff(nc) != len(p.Stream) {
+		return 0, nil, false
+	}
+	// One piece per chunk: its block. The block table already holds the
+	// piece lengths the roll-up needs.
+	crcs := resized(dst, nc)
+	if cdc.inlineChunks(nc) {
+		off := 0
+		for c, l := range p.Lens {
+			crcs[c] = crcBytes(p.Stream[off : off+int(l)])
+			off += int(l)
 		}
-		return entMetaCRC(hcrc, p), nil, true
+	} else {
+		cdc.pool().ForEach(nc, func(c int) {
+			off := p.blockOff(c)
+			crcs[c] = crcBytes(p.Stream[off : off+int(p.Lens[c])])
+		})
 	}
-	nc := (n + ce - 1) / ce
-	if len(p.Lens) != nc {
-		return 0, nil, false
-	}
-	offs := make([]int, nc+1)
-	for c, l := range p.Lens {
-		offs[c+1] = offs[c] + int(l)
-	}
-	if offs[nc] != len(p.Stream) {
-		return 0, nil, false
-	}
-	crcs := make([]uint32, nc)
-	lens := make([]int64, nc)
-	cdc.pool().ForEach(nc, func(c int) {
-		blk := p.Stream[offs[c]:offs[c+1]]
-		crcs[c] = crcBytes(blk)
-		lens[c] = int64(len(blk))
-	})
 	full = entMetaCRC(hcrc, p)
-	for c := range crcs {
-		full = crc32Combine(full, crcs[c], lens[c])
+	for c, crc := range crcs {
+		full = crc32Combine(full, crc, int64(p.Lens[c]))
 	}
 	return full, crcs, true
 }

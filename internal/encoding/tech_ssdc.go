@@ -136,7 +136,7 @@ func (ssdcTech) checksumPayload(e *EncodedStash, w *crcWriter) {
 	}
 }
 
-func (ssdcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (full uint32, chunks []uint32, ok bool) {
+func (ssdcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
 	csr := e.CSR
 	if csr == nil {
 		return 0, nil, false
@@ -170,7 +170,7 @@ func (ssdcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) 
 			if c == 0 {
 				lo = 0
 			}
-			rp[c] = crcInt32s(csr.RowPtr[lo : r1+1])
+			rp[c] = crcWords32(csr.RowPtr[lo : r1+1])
 			rpLen[c] = int64(r1+1-lo) * 4
 		case 1:
 			lo, hi := spanBounds(c, len(csr.ColIdx), nc)
@@ -192,7 +192,7 @@ func (ssdcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) 
 	for c := 0; c < nc; c++ {
 		full = crc32Combine(full, va[c], vaLen[c])
 	}
-	chunks = make([]uint32, nc)
+	chunks = resized(dst, nc)
 	for c := 0; c < nc; c++ {
 		crc := crc32Combine(rp[c], ci[c], ciLen[c])
 		chunks[c] = crc32Combine(crc, va[c], vaLen[c])

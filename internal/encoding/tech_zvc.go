@@ -197,7 +197,7 @@ func (zvcTech) checksumPayload(e *EncodedStash, w *crcWriter) {
 	}
 }
 
-func (zvcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (full uint32, chunks []uint32, ok bool) {
+func (zvcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
 	z := e.ZVC
 	if z == nil || z.Mask == nil {
 		return 0, nil, false
@@ -242,7 +242,7 @@ func (zvcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32) (
 	for c := 0; c < nc; c++ {
 		full = crc32Combine(full, va[c], vaLen[c])
 	}
-	chunks = make([]uint32, nc)
+	chunks = resized(dst, nc)
 	for c := 0; c < nc; c++ {
 		chunks[c] = crc32Combine(mk[c], va[c], vaLen[c])
 	}

@@ -118,29 +118,8 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		return
 	}
 
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	if pm != nil {
-		inner := work
-		work = func() {
-			start := time.Now()
-			inner()
-			pm.busyNS.Observe(time.Since(start).Nanoseconds())
-		}
-	}
+	s := forEachStates.Get().(*forEachState)
+	s.n, s.fn, s.pm, s.sem = n, fn, pm, p.sem
 	helpers := p.workers - 1
 	if helpers > n-1 {
 		helpers = n - 1
@@ -152,21 +131,8 @@ spawn:
 			if pm != nil {
 				pm.helpers.Inc()
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						panicMu.Lock()
-						if panicked == nil {
-							panicked = r
-						}
-						panicMu.Unlock()
-					}
-				}()
-				work()
-			}()
+			s.wg.Add(1)
+			go s.help()
 		default:
 			if pm != nil {
 				pm.saturated.Inc()
@@ -174,11 +140,75 @@ spawn:
 			break spawn // pool saturated: the caller works alone
 		}
 	}
-	work()
-	wg.Wait()
+	s.work()
+	s.wg.Wait()
+	panicked := s.panicked
+	s.next.Store(0)
+	s.panicked, s.fn = nil, nil
+	forEachStates.Put(s)
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// forEachState is everything one parallel ForEach call shares with its
+// helpers, gathered into a single recycled object: the call itself puts
+// nothing on the heap. A state goes back to the pool only once every helper
+// has finished with it; a call that unwinds early (fn panicked on the
+// caller's own goroutine) leaves its state to the garbage collector.
+type forEachState struct {
+	next     atomic.Int64 // next index to hand out
+	wg       sync.WaitGroup
+	panicMu  sync.Mutex
+	panicked any // first panic recovered from a helper
+
+	n   int
+	fn  func(i int)
+	pm  *poolMetrics
+	sem chan struct{}
+
+	// help is the helper goroutine's body, bound to this state once so that
+	// `go s.help()` starts a goroutine without building a closure.
+	help func()
+}
+
+var forEachStates = sync.Pool{New: func() any {
+	s := new(forEachState)
+	s.help = s.helper
+	return s
+}}
+
+// work claims indices until none are left.
+func (s *forEachState) work() {
+	var start time.Time
+	if s.pm != nil {
+		start = time.Now()
+	}
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= s.n {
+			break
+		}
+		s.fn(i)
+	}
+	if s.pm != nil {
+		s.pm.busyNS.Observe(time.Since(start).Nanoseconds())
+	}
+}
+
+func (s *forEachState) helper() {
+	defer s.wg.Done()
+	defer func() { <-s.sem }()
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicMu.Lock()
+			if s.panicked == nil {
+				s.panicked = r
+			}
+			s.panicMu.Unlock()
+		}
+	}()
+	s.work()
 }
 
 // Run runs fn on the calling goroutine while holding one of the pool's

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"gist/internal/race"
 )
 
 // TestForEachCoversEveryIndexOnce checks the core contract across worker
@@ -98,6 +100,53 @@ func TestGoBoundsConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := peak.Load(); got > workers {
 		t.Fatalf("peak concurrent Run tasks = %d, want <= %d", got, workers)
+	}
+}
+
+// TestForEachAllocs pins what a parallel ForEach call costs the heap: its
+// shared state is one recycled object and helpers start without a closure,
+// so at steady state a call allocates nothing; the budget of two leaves
+// room for a garbage collection emptying the state pool mid-measurement.
+func TestForEachAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	p := NewPool(2)
+	var hits [64]atomic.Int32
+	fn := func(i int) { hits[i].Add(1) }
+	p.ForEach(len(hits), fn) // warm: the state pool and the goroutine free list
+	if a := testing.AllocsPerRun(100, func() { p.ForEach(len(hits), fn) }); a > 2 {
+		t.Fatalf("parallel ForEach allocates %v objects per call, want at most 2", a)
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 102 {
+			t.Fatalf("index %d ran %d times in 102 calls", i, got)
+		}
+	}
+}
+
+// TestForEachStateReuseAfterPanic checks a recycled state carries nothing
+// over from a call whose helper panicked.
+func TestForEachStateReuseAfterPanic(t *testing.T) {
+	p := NewPool(4)
+	for round := 0; round < 20; round++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("panic in fn was swallowed")
+				}
+			}()
+			p.ForEach(64, func(i int) {
+				if i == 13 {
+					panic("boom")
+				}
+			})
+		}()
+		var sum atomic.Int64
+		p.ForEach(64, func(i int) { sum.Add(int64(i)) })
+		if got := sum.Load(); got != 64*63/2 {
+			t.Fatalf("round %d: sum after a panicked call = %d, want %d", round, got, 64*63/2)
+		}
 	}
 }
 
