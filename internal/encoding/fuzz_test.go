@@ -11,7 +11,9 @@ import (
 
 // fuzzSeeds marshals one sealed and one unsealed stash of every technique —
 // the corpus the mutator grows from, guaranteeing the fuzzer starts from
-// deep, structurally valid inputs rather than rejected magic bytes.
+// deep, structurally valid inputs rather than rejected magic bytes — plus
+// the sealed layout edge cases (empty payloads, arrays that do not fit the
+// chunk layout), which parse but mostly fail later, in Verify or Decode.
 func fuzzSeeds(t testing.TB) [][]byte {
 	c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
 	rng := tensor.NewRNG(3)
@@ -33,6 +35,14 @@ func fuzzSeeds(t testing.TB) [][]byte {
 			}
 			seeds = append(seeds, b)
 		}
+	}
+	for _, tc := range layoutEdgeCases() {
+		c.Seal(tc.e)
+		b, err := tc.e.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: seed marshal: %v", tc.name, err)
+		}
+		seeds = append(seeds, b)
 	}
 	return seeds
 }

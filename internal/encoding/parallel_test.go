@@ -270,17 +270,30 @@ func checkRoundTrip(t *testing.T, as *Assignment, enc *EncodedStash, in, got []f
 	}
 }
 
-// TestChunkErrorLocalizesEveryPayloadBit sweeps probe bits across every
-// payload segment of a multi-chunk stash: flipping bit i must make Verify
-// report exactly the chunk ChunkOfBit(i), and restoring it must verify
-// clean again.
+// TestChunkErrorLocalizesEveryPayloadBit sweeps payload bits across every
+// segment of a multi-chunk stash: flipping bit i must make Verify report
+// exactly the chunk ChunkOfBit(i), and restoring it must verify clean
+// again. A sparse two-chunk stash is swept exhaustively — every bit of
+// every segment, padding included, for every technique but dense DPR — and
+// a six-chunk one at seven probes.
 func TestChunkErrorLocalizesEveryPayloadBit(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	c := Codec{Pool: parallel.NewPool(2), ChunkElems: 768}
+	type stash struct {
+		as       *Assignment
+		n        int
+		sparsity float64
+	}
+	var stashes []stash
 	for _, as := range propAssignments() {
-		n := 4096 // 6 chunks of 768
+		// 6 chunks of 768; then one chunk and a 32-element tail, sparse
+		// enough that its few thousand payload bits can be flipped one by one.
+		stashes = append(stashes, stash{as, 4096, 0.8}, stash{as, 800, 0.95})
+	}
+	for _, st := range stashes {
+		as, n := st.as, st.n
 		tt := tensor.New(n)
-		copy(tt.Data, randStash(rng, n, 0.8))
+		copy(tt.Data, randStash(rng, n, st.sparsity))
 		enc, _, err := c.EncodeStashAdaptive(as, tt)
 		if err != nil {
 			t.Fatalf("%v/%s: encode: %v", as.Tech, as.Format, err)
@@ -293,6 +306,15 @@ func TestChunkErrorLocalizesEveryPayloadBit(t *testing.T) {
 		// Probe first/last bits plus a spread through the middle, which for
 		// SSDC crosses the RowPtr/ColIdx/Values segment boundaries.
 		probes := []int{0, 1, bits / 3, bits / 2, 2 * bits / 3, bits - 2, bits - 1}
+		if n == 800 && bits > 4000 && as.Tech != DPR {
+			t.Fatalf("%v/%s: %d payload bits, too many for the exhaustive sweep", as.Tech, as.Format, bits)
+		}
+		if bits <= 4000 {
+			probes = probes[:0]
+			for bit := 0; bit < bits; bit++ {
+				probes = append(probes, bit)
+			}
+		}
 		for _, bit := range probes {
 			enc.FlipBit(bit)
 			err := c.Verify(enc)

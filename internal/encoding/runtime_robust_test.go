@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"gist/internal/bitpack"
 	"gist/internal/floatenc"
 	"gist/internal/sparse"
 	"gist/internal/tensor"
@@ -114,6 +115,41 @@ func TestFallbackThresholdMatchesModel(t *testing.T) {
 	}
 }
 
+// layoutEdgeCase is a hand-built stash at an edge of the chunk layout.
+type layoutEdgeCase struct {
+	name string
+	e    *EncodedStash
+	// chunkable: the stash seals through the chunk roll-up (of zero chunks
+	// here) rather than the serial whole-payload checksum.
+	chunkable bool
+	// sum is the sealed checksum, captured at the commit before the layout
+	// engine replaced the per-technique checksum code.
+	sum uint32
+}
+
+// layoutEdgeCases builds payloads no encoder produces but a deserializer or
+// a test can: empty stashes of every technique (SSDC's must stay on the
+// serial checksum, which covers RowPtr's leading zero; the others roll up to
+// the bare header CRC), an empty ZVC mask that still carries values, a DPR
+// stash with a garbage format, and an entropy block table that does not
+// add up to the stream.
+func layoutEdgeCases() []layoutEdgeCase {
+	empty := tensor.Shape{0}
+	return []layoutEdgeCase{
+		{"binarize-empty", &EncodedStash{Tech: Binarize, Shape: empty, Mask: bitpack.NewBitMask(0)}, true, 0x532d1c4a},
+		{"ssdc-empty", &EncodedStash{Tech: SSDC, Shape: empty, CSR: sparse.EncodeCSR(nil)}, false, 0x92f523d7},
+		{"dpr-empty", &EncodedStash{Tech: DPR, Shape: empty, Packed: floatenc.NewPacked(floatenc.FP16, 0)}, true, 0x31ceb42a},
+		{"zvc-empty", &EncodedStash{Tech: ZVC, Shape: empty, ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0)}}, true, 0xa79b98ba},
+		{"entropy-empty", &EncodedStash{Tech: Entropy, Shape: empty, Ent: &EntropyPayload{Format: floatenc.FP16}}, true, 0xda61ea37},
+		{"zvc-empty-mask-with-values", &EncodedStash{Tech: ZVC, Shape: empty,
+			ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0), Values: []float32{1.5, -2}}}, false, 0xbbdc9e9c},
+		{"dpr-garbage-format", &EncodedStash{Tech: DPR, Shape: tensor.Shape{4},
+			Packed: &floatenc.Packed{Format: floatenc.Format(77), N: 4, Words: []uint32{1, 2}}}, false, 0x24914d61},
+		{"entropy-lens-short-of-stream", &EncodedStash{Tech: Entropy, Shape: tensor.Shape{4},
+			Ent: &EntropyPayload{Format: floatenc.FP16, N: 4, Lens: []uint32{3}, Stream: []byte{1, 2, 3, 4, 5}}}, false, 0xab4cfc78},
+	}
+}
+
 // TestSealVerifyDetectsFlipsInEverySegment flips a bit in each payload
 // segment of each technique and checks the CRC catches all of them.
 func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
@@ -176,6 +212,38 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 				if err := e.Verify(); err != nil {
 					t.Fatalf("%v: flip-back of bit %d must verify: %v", tech, bit, err)
 				}
+			}
+		}
+	})
+
+	t.Run("layout-edge-cases", func(t *testing.T) {
+		for _, tc := range layoutEdgeCases() {
+			e := tc.e
+			if _, _, ok := DefaultCodec().chunkChecksums(e); ok != tc.chunkable {
+				t.Fatalf("%s: chunkable = %v, want %v", tc.name, ok, tc.chunkable)
+			}
+			e.Seal()
+			if e.Checksum != tc.sum || e.checksum() != tc.sum || len(e.ChunkCRCs) != 0 {
+				t.Fatalf("%s: sealed %#08x (serial oracle %#08x, %d chunk CRCs), want %#08x and none",
+					tc.name, e.Checksum, e.checksum(), len(e.ChunkCRCs), tc.sum)
+			}
+			if err := e.Verify(); err != nil {
+				t.Fatalf("%s: clean Verify: %v", tc.name, err)
+			}
+			for bit := 0; bit < e.PayloadBits(); bit++ {
+				e.FlipBit(bit)
+				err := e.Verify()
+				if !errors.Is(err, ErrCorruptStash) {
+					t.Fatalf("%s: flip of bit %d not detected: %v", tc.name, bit, err)
+				}
+				if _, ok := CorruptedChunk(err); ok {
+					t.Fatalf("%s: flip of bit %d names a chunk in a stash without chunk CRCs: %v", tc.name, bit, err)
+				}
+				e.FlipBit(bit)
+			}
+			e.Shape = tensor.Shape{1} // the header is under the seal too
+			if err := e.Verify(); !errors.Is(err, ErrCorruptStash) {
+				t.Fatalf("%s: shape change not detected: %v", tc.name, err)
 			}
 		}
 	})
