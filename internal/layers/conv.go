@@ -15,12 +15,9 @@ type Conv2D struct {
 	KH, KW int
 	Stride int
 	Pad    int
-	// Algo selects the implementation. The zero value, AlgoDirect, is what
-	// every network builder leaves it at and so what training runs: the
-	// workspace-free row-sweep kernels of conv_direct.go (the paper's
-	// memory-optimal baseline choice). AlgoIm2col is the GEMM lowering
-	// with a column-matrix workspace, kept for the workspace experiments
-	// and the cost model's memory-vs-performance relation.
+	// Algo is the algorithm the analytical models (WorkspaceBytes,
+	// costmodel, core/algoselect) price this convolution at; it selects no
+	// code path. See ConvAlgo.
 	Algo ConvAlgo
 }
 
@@ -68,20 +65,8 @@ func (c *Conv2D) FLOPs(in []tensor.Shape) int64 {
 	return 2 * int64(out.NumElements()) * taps
 }
 
-// Forward computes the convolution with the configured algorithm.
-func (c *Conv2D) Forward(ctx *FwdCtx) {
-	if c.Algo == AlgoIm2col {
-		c.forwardIm2col(ctx)
-		return
-	}
-	c.forwardDirect(ctx)
-}
+// Forward computes the convolution with the direct kernels.
+func (c *Conv2D) Forward(ctx *FwdCtx) { c.forwardDirect(ctx) }
 
 // Backward computes dX, dW and dB from the stashed X and incoming dY.
-func (c *Conv2D) Backward(ctx *BwdCtx) {
-	if c.Algo == AlgoIm2col {
-		c.backwardIm2col(ctx)
-		return
-	}
-	c.backwardDirect(ctx)
-}
+func (c *Conv2D) Backward(ctx *BwdCtx) { c.backwardDirect(ctx) }

@@ -6,17 +6,6 @@ import (
 	"gist/internal/tensor"
 )
 
-// Kernel benchmarks: the register-blocked im2col convolution against the
-// retained scalar reference. B/s is reported over the input activations so
-// word and scalar legs are directly comparable; `make bench-gate` checks
-// their ratio against bench_gate.json.
-
-func benchConvSetup() (*Conv2D, *FwdCtx, *BwdCtx) {
-	op, fwd, bwd := benchConvCase(convCase{16, 3, 3, 1, 1, 4, 8, 32, 32})
-	op.Algo = AlgoIm2col
-	return op, fwd, bwd
-}
-
 // benchConvCase builds seeded forward and backward contexts for one shape.
 func benchConvCase(cc convCase) (*Conv2D, *FwdCtx, *BwdCtx) {
 	op := &Conv2D{OutC: cc.outC, KH: cc.kh, KW: cc.kw, Stride: cc.stride, Pad: cc.pad}
@@ -34,42 +23,13 @@ func benchConvCase(cc convCase) (*Conv2D, *FwdCtx, *BwdCtx) {
 	return op, fwd, bwd
 }
 
-func BenchmarkKernelConvFwd(b *testing.B) {
-	op, fwd, _ := benchConvSetup()
-	bytes := int64(len(fwd.In[0].Data)) * 4
-	run := func(b *testing.B, f func(*FwdCtx)) {
-		b.SetBytes(bytes)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f(fwd)
-		}
-	}
-	b.Run("word", func(b *testing.B) { run(b, op.forwardIm2col) })
-	b.Run("scalar", func(b *testing.B) { run(b, op.forwardIm2colScalar) })
-}
-
-func BenchmarkKernelConvBwd(b *testing.B) {
-	op, _, bwd := benchConvSetup()
-	bytes := int64(len(bwd.In[0].Data)) * 4
-	run := func(b *testing.B, f func(*BwdCtx)) {
-		b.SetBytes(bytes)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f(bwd)
-		}
-	}
-	b.Run("word", func(b *testing.B) { run(b, op.backwardIm2col) })
-	b.Run("scalar", func(b *testing.B) { run(b, op.backwardIm2colScalar) })
-}
-
 // Direct-convolution kernel benchmarks: the row-sweep kernels (`word`)
 // against the frozen per-element reference (`scalar`) at the two shapes the
 // benchmark's workloads spend their steps in — TinyVGG conv2 through the
 // three-tap row kernel and StashNet's convolutions through the pointwise
-// one. The ungated `im2col` leg runs the GEMM lowering on the same tensors
-// (EXPERIMENTS.md prints the three side by side). MMAC/s counts forward
-// multiply-accumulates in both directions (the backward pass does twice
-// that work), matching layers.conv_fwd_mmac_per_s.
+// one. MMAC/s counts forward multiply-accumulates in both directions (the
+// backward pass does twice that work), matching layers.conv_fwd_mmac_per_s.
+// `make bench-gate` checks the word/scalar ratios against bench_gate.json.
 
 var directBenchShapes = []struct {
 	name string
@@ -95,7 +55,6 @@ func BenchmarkKernelConvDirectFwd(b *testing.B) {
 		op, fwd, _ := benchConvCase(s.cc)
 		b.Run(s.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirect(fwd) }) })
 		b.Run(s.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirectRef(fwd) }) })
-		b.Run(s.name+"/im2col", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardIm2col(fwd) }) })
 	}
 }
 
@@ -104,6 +63,5 @@ func BenchmarkKernelConvDirectBwd(b *testing.B) {
 		op, _, bwd := benchConvCase(s.cc)
 		b.Run(s.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirect(bwd) }) })
 		b.Run(s.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirectRef(bwd) }) })
-		b.Run(s.name+"/im2col", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardIm2col(bwd) }) })
 	}
 }

@@ -197,10 +197,33 @@ func diffDirect(t testing.TB, cc convCase, seed uint64) {
 	}
 }
 
+// convCase is one convolution shape; diffConvCases the corner cases every
+// kernel is held to: 5x5, strides, pad 0, pad wider than the kernel, a 2x2
+// input, non-square kernels, tap counts around four.
+type convCase struct {
+	outC, kh, kw, stride, pad int
+	n, inC, h, w              int
+}
+
+func diffConvCases() []convCase {
+	return []convCase{
+		{4, 3, 3, 1, 1, 2, 3, 8, 8},   // classic 3x3 same-pad
+		{2, 5, 5, 2, 2, 1, 2, 11, 11}, // strided 5x5
+		{3, 1, 1, 1, 0, 2, 4, 5, 5},   // 1x1 (kdim=4, exactly one block)
+		{2, 3, 3, 2, 0, 1, 1, 7, 9},   // stride 2, no pad, kdim=9 (ragged)
+		{2, 3, 1, 1, 0, 1, 2, 6, 6},   // non-square kernel, kdim=6
+		{1, 2, 2, 1, 0, 1, 1, 3, 3},   // kdim=4 exactly
+		{2, 2, 2, 1, 0, 1, 1, 4, 4},   // tiny
+		{1, 3, 3, 1, 2, 1, 1, 3, 3},   // pad wider than half the kernel
+		{2, 5, 5, 1, 4, 1, 1, 2, 2},   // degenerate: pad 4 on a 2x2 input
+		{2, 3, 3, 3, 1, 1, 2, 10, 10}, // stride 3
+		{4, 3, 3, 1, 1, 1, 8, 16, 16}, // kdim=72: many full blocks
+	}
+}
+
 // TestDiffDirectNamedShapes covers the shapes training and the benchmark
 // run — 3x3/s1/p1 at the three TinyVGG sizes, StashNet's 1x1, TinyCNN's
-// first layer — plus the im2col wall's corner cases (5x5, strides, pad 0,
-// pad wider than the kernel, a 2x2 input, non-square kernels).
+// first layer — plus the diffConvCases corner cases.
 func TestDiffDirectNamedShapes(t *testing.T) {
 	cases := append(diffConvCases(),
 		convCase{8, 3, 3, 1, 1, 2, 8, 32, 32},   // TinyVGG conv2

@@ -97,17 +97,6 @@ func TestExecutorGradCheckConcatBranches(t *testing.T) {
 	graphGradCheck(t, g, 13)
 }
 
-func TestExecutorGradCheckIm2colGraph(t *testing.T) {
-	// The GEMM convolution path, end to end.
-	g := graph.New()
-	in := g.MustAdd("input", layers.NewInput(2, 2, 6, 6))
-	c1 := g.MustAdd("conv1", layers.NewConv2D(3, 3, 1, 1).SetAlgo(layers.AlgoIm2col), in)
-	r1 := g.MustAdd("relu1", layers.NewReLU(), c1)
-	fc := g.MustAdd("fc", layers.NewFC(3), r1)
-	g.MustAdd("loss", layers.NewSoftmaxXent(), fc)
-	graphGradCheck(t, g, 17)
-}
-
 func TestExecutorDeadBranchSkipped(t *testing.T) {
 	// A node whose output never reaches the loss gets no gradient and
 	// must not crash the backward pass.
