@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -540,8 +538,8 @@ func (cdc Codec) verify(e *EncodedStash) error {
 	if !e.sealed {
 		return nil
 	}
-	scratch := verifyCRCs.Get().(*[]uint32)
-	defer verifyCRCs.Put(scratch)
+	scratch := crcScratch.Get().(*[]uint32)
+	defer crcScratch.Put(scratch)
 	full, chunks, ok := cdc.chunkChecksumsInto(*scratch, e)
 	if ok {
 		*scratch = chunks
@@ -585,8 +583,8 @@ type ChunkError struct {
 	// ElemLo/ElemHi is the payload element range the chunk covers, and
 	// ByteLo/ByteHi its byte offsets within the payload word array — the
 	// self-describing location trace and metric labels carry. Byte
-	// offsets are -1 for SSDC, whose chunks span three backing arrays
-	// (see ChunkSpan).
+	// offsets are -1 for SSDC and ZVC, whose chunks span several backing
+	// arrays (see ChunkSpan).
 	ElemLo, ElemHi int
 	ByteLo, ByteHi int64
 }
@@ -617,41 +615,29 @@ func CorruptedChunk(err error) (chunk int, ok bool) {
 	return 0, false
 }
 
-// payloadElems returns the element count the chunk layout spans for each
-// technique (mask bits, CSR logical elements, packed values).
-func (e *EncodedStash) payloadElems() int {
-	if impl, ok := techImpl(e.Tech); ok {
-		return impl.payloadElems(e)
-	}
-	return 0
-}
-
 // NumChunks returns how many chunks the stash's payload layout has.
 func (e *EncodedStash) NumChunks() int {
-	ce := normalizeChunkElems(e.ChunkElems)
-	n := e.payloadElems()
-	return (n + ce - 1) / ce
+	return e.layout().nc
 }
 
 // ChunkSpan returns the payload element range [elemLo, elemHi) chunk c
-// covers and, when the technique keeps its payload in a single byte-
-// addressable array (Binarize mask words, DPR packed words, entropy
-// streams), the byte offsets [byteLo, byteHi) of that range within the
-// array — the region whose CRC the chunk seals. Techniques whose chunks
-// span several backing arrays (SSDC, ZVC) report byte offsets of -1.
+// covers and, when the technique keeps its bit-addressable payload in a
+// single array (Binarize mask words, DPR packed words, entropy streams),
+// the byte offsets [byteLo, byteHi) of that range within the array — the
+// region whose CRC the chunk seals. Techniques whose chunks span several
+// backing arrays (SSDC, ZVC), and payloads that do not fit the chunk
+// layout, report byte offsets of -1.
 func (e *EncodedStash) ChunkSpan(c int) (elemLo, elemHi int, byteLo, byteHi int64) {
-	ce := normalizeChunkElems(e.ChunkElems)
-	n := e.payloadElems()
-	elemLo = min(c*ce, n)
-	elemHi = min(elemLo+ce, n)
-	byteLo, byteHi = -1, -1
-	if elemHi <= elemLo {
-		return elemLo, elemHi, byteLo, byteHi
+	l := e.layout()
+	elemLo = min(c*l.ce, l.n)
+	elemHi = min(elemLo+l.ce, l.n)
+	if elemHi <= elemLo || !l.chunkable || l.nseg != 1 {
+		return elemLo, elemHi, -1, -1
 	}
-	if impl, ok := techImpl(e.Tech); ok {
-		byteLo, byteHi = impl.chunkSpanBytes(e, elemLo, elemHi)
-	}
-	return elemLo, elemHi, byteLo, byteHi
+	s := &l.segs[0]
+	_, size := s.shape()
+	lo, hi := l.chunkItems(s, c)
+	return elemLo, elemHi, int64(lo) * int64(size), int64(hi) * int64(size)
 }
 
 // ChunkOfBit maps a payload bit index (as addressed by FlipBit, in
@@ -659,49 +645,17 @@ func (e *EncodedStash) ChunkSpan(c int) (elemLo, elemHi int, byteLo, byteHi int6
 // The mapping is pinned by regression tests: fault injection flips a bit,
 // and Verify must report exactly this chunk.
 func (e *EncodedStash) ChunkOfBit(i int) int {
-	if i < 0 || i >= e.PayloadBits() {
-		panic(fmt.Sprintf("encoding: ChunkOfBit index %d out of range [0,%d)", i, e.PayloadBits()))
+	l := e.layout()
+	if bits := l.bits(); i < 0 || i >= bits {
+		panic(fmt.Sprintf("encoding: ChunkOfBit index %d out of range [0,%d)", i, bits))
 	}
-	ce := normalizeChunkElems(e.ChunkElems)
-	nc := e.NumChunks()
-	impl, _ := techImpl(e.Tech) // PayloadBits > 0 implies a registered technique
-	return impl.chunkOfBit(e, i, ce, nc)
-}
-
-// spanOf inverts the proportional span partition spanBounds: the chunk c
-// with spanBounds(c).lo <= k < spanBounds(c).hi.
-func spanOf(k, length, nc int) int {
-	return sort.Search(nc, func(c int) bool { return k < length*(c+1)/nc })
-}
-
-// spanBounds splits an array of the given length into nc contiguous,
-// near-equal spans; span c is [lo, hi). The SSDC ColIdx/Values arrays are
-// chunked this way — by index, not by row — so the chunk layout never
-// depends on (possibly corrupted) RowPtr values.
-func spanBounds(c, length, nc int) (lo, hi int) {
-	return length * c / nc, length * (c + 1) / nc
+	s, i := l.locate(i)
+	_, size := s.shape()
+	return l.chunkOf(s, i/(8*size))
 }
 
 // resized returns a slice of length n with unspecified contents, in s's
 // backing array when that has the capacity.
 func resized[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
-}
-
-// verifyCRCs recycles the per-chunk CRC buffers Verify re-hashes into, so
-// verifying leaves the stash untouched and the heap alone.
-var verifyCRCs = sync.Pool{New: func() any { return new([]uint32) }}
-
-// chunkChecksumsInto hashes every chunk's payload pieces on the pool and
-// returns the per-chunk CRCs — in dst's backing array when that has the
-// capacity — plus their roll-up (which equals the serial checksum()).
-// ok = false means the payload's structure does not fit the chunk layout —
-// wrong backing-array lengths for the element count — and the caller must
-// fall back to the serial whole-payload checksum.
-func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32, chunks []uint32, ok bool) {
-	impl, okT := techImpl(e.Tech)
-	if !okT {
-		return 0, nil, false
-	}
-	return impl.chunkChecksums(cdc, e, normalizeChunkElems(e.ChunkElems), e.headerCRC(), dst)
 }

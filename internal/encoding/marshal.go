@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"gist/internal/tensor"
 )
@@ -44,7 +45,9 @@ func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
 	}
-	var out []byte
+	// One allocation: the fixed fields are at most 44 bytes (20 of header,
+	// 16 of Entropy's payload header, 8 of seal) and the layout knows the rest.
+	out := make([]byte, 0, 44+4*len(e.Shape)+int(e.Bytes())+4*len(e.ChunkCRCs))
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
 	magic := stashMagic
 	if impl.wireVersion() >= 2 {
@@ -69,9 +72,7 @@ func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 	if e.sealed {
 		u32(e.Checksum)
 		u32(uint32(len(e.ChunkCRCs)))
-		for _, c := range e.ChunkCRCs {
-			u32(c)
-		}
+		out = appendSegment(out, segment{u32: e.ChunkCRCs})
 	}
 	return out, nil
 }
@@ -111,11 +112,43 @@ func (r *stashReader) u32() uint32 {
 	return 0
 }
 
-func (r *stashReader) u64() uint64 {
-	if b := r.bytes(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
+// u64s, words32 and f32s read n little-endian items into a fresh array,
+// bounds-checked as one block before anything is allocated.
+
+func (r *stashReader) u64s(n int) []uint64 {
+	b := r.bytes(8 * n)
+	if r.err != nil {
+		return nil
 	}
-	return 0
+	ws := make([]uint64, n)
+	for i := range ws {
+		ws[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return ws
+}
+
+func words32[T uint32 | int32](r *stashReader, n int) []T {
+	b := r.bytes(4 * n)
+	if r.err != nil {
+		return nil
+	}
+	ws := make([]T, n)
+	for i := range ws {
+		ws[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return ws
+}
+
+func (r *stashReader) f32s(n int) []float32 {
+	b := r.bytes(4 * n)
+	if r.err != nil {
+		return nil
+	}
+	vs := make([]float32, n)
+	for i := range vs {
+		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return vs
 }
 
 // count reads a u32 element count and validates it against the cap and the
@@ -189,10 +222,7 @@ func UnmarshalStash(data []byte) (*EncodedStash, error) {
 	}
 	if sealed != 0 && r.err == nil {
 		e.Checksum = r.u32()
-		nCRCs := r.count("chunk crc", maxStashElems, 4)
-		for i := 0; i < nCRCs; i++ {
-			e.ChunkCRCs = append(e.ChunkCRCs, r.u32())
-		}
+		e.ChunkCRCs = words32[uint32](r, r.count("chunk crc", maxStashElems, 4))
 		e.sealed = true
 	}
 	if r.err != nil {

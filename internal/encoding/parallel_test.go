@@ -421,11 +421,11 @@ func TestChunkOfBitRegression(t *testing.T) {
 		bit  int
 		want int
 	}{
-		{"RowPtr[0]", 0, 0},                  // leading constant zero → chunk 0
-		{"RowPtr[3]", 3 * 32, 0},             // row 2, element 512 → chunk 0
-		{"RowPtr[4]", 4 * 32, 1},             // row 3, element 768 → chunk 1
-		{"RowPtr[7]", 7 * 32, 2},             // row 6 → chunk 2
-		{"ColIdx[0]", rpBits, 0},             // first index span
+		{"RowPtr[0]", 0, 0},      // leading constant zero → chunk 0
+		{"RowPtr[3]", 3 * 32, 0}, // row 2, element 512 → chunk 0
+		{"RowPtr[4]", 4 * 32, 1}, // row 3, element 768 → chunk 1
+		{"RowPtr[7]", 7 * 32, 2}, // row 6 → chunk 2
+		{"ColIdx[0]", rpBits, 0}, // first index span
 		{"ColIdx[last]", rpBits + ciBits - 1, 2},
 		{"Values[0]", rpBits + ciBits, 0},
 		{"Values[mid]", rpBits + ciBits + (nnz/2)*32, spanOf(nnz/2, nnz, 3)},

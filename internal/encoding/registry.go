@@ -11,7 +11,7 @@ import (
 
 // The technique registry. Every Technique value is backed by one
 // techniqueImpl that plugs the chunked codec's generic machinery — encode,
-// decode, seal, chunk attribution, wire format, cost models — so a new
+// decode, payload layout, wire format, cost models — so a new
 // codec registers here instead of patching switch statements across
 // chunked.go / runtime.go / marshal.go. The Binarize/SSDC/DPR
 // implementations in tech_*.go are byte-for-byte migrations of the
@@ -40,32 +40,13 @@ type techniqueImpl interface {
 	// typed errors — never panic — on damaged input.
 	decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error
 
-	// payloadElems is the element count the chunk layout spans.
-	payloadElems(e *EncodedStash) int
-	// bytes is the held representation's storage footprint.
-	bytes(e *EncodedStash) int64
-	// payloadBits is the fault injector's corruption surface.
-	payloadBits(e *EncodedStash) int
-	// flipBit inverts payload bit i (bounds pre-checked by FlipBit).
-	flipBit(e *EncodedStash, i int)
-	// chunkOfBit maps payload bit i to the chunk whose CRC detects its
-	// flip, under chunk size ce and chunk count nc.
-	chunkOfBit(e *EncodedStash, i, ce, nc int) int
-	// chunkSpanBytes returns the byte offsets of elements [elemLo,
-	// elemHi) within the payload's backing array, or -1, -1 when the
-	// payload spans multiple arrays.
-	chunkSpanBytes(e *EncodedStash, elemLo, elemHi int) (byteLo, byteHi int64)
-
-	// checksumPayload streams the payload into the serial whole-payload
-	// checksum exactly as the chunked roll-up reproduces it.
-	checksumPayload(e *EncodedStash, w *crcWriter)
-	// chunkChecksums hashes every chunk's payload pieces on the codec's
-	// pool and returns the per-chunk CRCs plus the roll-up (== the serial
-	// checksum). ok = false means the payload's structure does not fit
-	// the chunk layout and the caller must fall back to the serial
-	// whole-payload checksum. chunks reuses dst's backing array when that
-	// has the capacity.
-	chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool)
+	// layout states the held payload — the backing arrays in hash order,
+	// how each is cut into chunks of ce elements, and whether their
+	// lengths fit that chunk layout — from which layout.go derives the
+	// footprint, the corruption surface, attribution and both checksums.
+	// It must tolerate any stash the unmarshaller or a test can build
+	// (nil payloads, garbage formats, mismatched lengths) without panic.
+	layout(e *EncodedStash, ce int) payloadLayout
 
 	// marshalPayload appends the wire payload to out; unmarshalPayload
 	// parses it back through the bounds-checked reader.
@@ -151,15 +132,4 @@ func AddOverheadTime(t Technique, acc float64, stream func(int64) float64, dense
 		return impl.overheadTime(acc, stream, dense, enc)
 	}
 	return acc
-}
-
-// clampChunk clamps a computed chunk index into [0, nc).
-func clampChunk(c, nc int) int {
-	if c >= nc {
-		return nc - 1
-	}
-	if c < 0 {
-		return 0
-	}
-	return c
 }

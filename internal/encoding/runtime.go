@@ -1,13 +1,9 @@
 package encoding
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
-	"math"
-	"sync"
 
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
@@ -136,51 +132,6 @@ func (e *EncodedStash) Verify() error {
 // modern CPUs, the conventional choice for storage integrity).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// crcWriter streams payload words into a CRC exactly as the wire layout
-// orders them (little-endian), the adapter techniques hash through in
-// checksumPayload.
-type crcWriter struct {
-	h   hash.Hash32
-	buf [8]byte
-}
-
-func (w *crcWriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.h.Write(w.buf[:4])
-}
-
-func (w *crcWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.h.Write(w.buf[:8])
-}
-
-func (w *crcWriter) raw(b []byte) { w.h.Write(b) }
-
-// checksum hashes the technique, shape and payload arrays.
-func (e *EncodedStash) checksum() uint32 {
-	w := &crcWriter{h: crc32.New(crcTable)}
-	w.u32(uint32(e.Tech))
-	w.u32(uint32(len(e.Shape)))
-	for _, d := range e.Shape {
-		w.u32(uint32(d))
-	}
-	if impl, ok := techImpl(e.Tech); ok {
-		impl.checksumPayload(e, w)
-	}
-	return w.h.Sum32()
-}
-
-// headerCRC hashes the header prefix of checksum() — technique, shape rank,
-// dims — as the leading piece of the chunked roll-up.
-func (e *EncodedStash) headerCRC() uint32 {
-	crc := crcU32(0, uint32(e.Tech))
-	crc = crcU32(crc, uint32(len(e.Shape)))
-	for _, d := range e.Shape {
-		crc = crcU32(crc, uint32(d))
-	}
-	return crc
-}
-
 // crcU32 continues crc over v's four little-endian bytes, straight from the
 // table: header fields are a few words, and a slice handed to crc32.Update
 // always escapes (it is called through a function variable), which would
@@ -194,76 +145,23 @@ func crcU32(crc, v uint32) uint32 {
 	return ^crc
 }
 
-// Piece hashers for the chunked checksum: each serializes its array segment
-// exactly as checksum() does (little-endian words), so combining piece CRCs
-// reproduces the serial whole-payload value. They serialise a batch at a
-// time and hash each batch with one (hardware) crc32.Update; the batch
-// buffers are recycled because that call's argument escapes.
-
-const crcBatchBytes = 4096
-
-var crcBatches = sync.Pool{New: func() any { return new([crcBatchBytes]byte) }}
-
-// crcBatched hashes n elements of size bytes each; fill serialises elements
-// [lo, lo+k) into the front of buf.
-func crcBatched(n, size int, fill func(buf []byte, lo, k int)) uint32 {
-	buf := crcBatches.Get().(*[crcBatchBytes]byte)
-	crc := uint32(0)
-	for lo := 0; lo < n; lo += crcBatchBytes / size {
-		k := min(n-lo, crcBatchBytes/size)
-		fill(buf[:], lo, k)
-		crc = crc32.Update(crc, crcTable, buf[:k*size])
-	}
-	crcBatches.Put(buf)
-	return crc
-}
-
-func crcUint64s(ws []uint64) uint32 {
-	return crcBatched(len(ws), 8, func(buf []byte, lo, k int) {
-		for i, w := range ws[lo : lo+k] {
-			binary.LittleEndian.PutUint64(buf[8*i:], w)
-		}
-	})
-}
-
-func crcWords32[T uint32 | int32](ws []T) uint32 {
-	return crcBatched(len(ws), 4, func(buf []byte, lo, k int) {
-		for i, w := range ws[lo : lo+k] {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(w))
-		}
-	})
-}
-
-func crcFloat32s(vs []float32) uint32 {
-	return crcBatched(len(vs), 4, func(buf []byte, lo, k int) {
-		for i, v := range vs[lo : lo+k] {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-	})
-}
-
-func crcBytes(bs []byte) uint32 {
-	return crc32.Update(0, crcTable, bs)
-}
-
 // PayloadBits returns the number of addressable payload bits — the fault
 // injector's corruption surface (mask words, CSR meta and value arrays,
 // packed DPR words, ZVC mask+value arrays, entropy streams).
 func (e *EncodedStash) PayloadBits() int {
-	if impl, ok := techImpl(e.Tech); ok {
-		return impl.payloadBits(e)
-	}
-	return 0
+	l := e.layout()
+	return l.bits()
 }
 
 // FlipBit inverts payload bit i (0 <= i < PayloadBits), the primitive the
 // fault injector uses to simulate in-memory corruption of a held stash.
 func (e *EncodedStash) FlipBit(i int) {
-	if i < 0 || i >= e.PayloadBits() {
-		panic(fmt.Sprintf("encoding: FlipBit index %d out of range [0,%d)", i, e.PayloadBits()))
+	l := e.layout()
+	if bits := l.bits(); i < 0 || i >= bits {
+		panic(fmt.Sprintf("encoding: FlipBit index %d out of range [0,%d)", i, bits))
 	}
-	impl, _ := techImpl(e.Tech) // PayloadBits > 0 implies a registered technique
-	impl.flipBit(e, i)
+	s, i := l.locate(i)
+	s.flip(i)
 }
 
 // Decode materializes the FP32 staging tensor for the backward use. For
@@ -285,8 +183,6 @@ func (e *EncodedStash) Decode() (*tensor.Tensor, error) {
 
 // Bytes returns the encoded representation's storage footprint.
 func (e *EncodedStash) Bytes() int64 {
-	if impl, ok := techImpl(e.Tech); ok {
-		return impl.bytes(e)
-	}
-	return 0
+	l := e.layout()
+	return int64(l.bits()/8) + int64(len(l.meta))*4
 }

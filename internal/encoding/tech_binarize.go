@@ -42,66 +42,15 @@ func (binarizeTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) e
 	return nil
 }
 
-func (binarizeTech) payloadElems(e *EncodedStash) int {
-	if e.Mask != nil {
-		return e.Mask.Len()
-	}
-	return 0
-}
-
-func (binarizeTech) bytes(e *EncodedStash) int64 { return e.Mask.Bytes() }
-
-func (binarizeTech) payloadBits(e *EncodedStash) int { return len(e.Mask.Words()) * 64 }
-
-func (binarizeTech) flipBit(e *EncodedStash, i int) {
-	e.Mask.Words()[i/64] ^= 1 << (uint(i) % 64)
-}
-
-func (binarizeTech) chunkOfBit(e *EncodedStash, i, ce, nc int) int {
-	// Bit i is element i; padding bits of the last word clamp into the
-	// final chunk.
-	n := e.Mask.Len()
-	return clampChunk(min(i, n-1)/ce, nc)
-}
-
-func (binarizeTech) chunkSpanBytes(e *EncodedStash, elemLo, elemHi int) (int64, int64) {
-	w0 := elemLo / 64
-	w1 := (elemHi + 63) / 64
-	return int64(w0) * 8, int64(w1) * 8
-}
-
-func (binarizeTech) checksumPayload(e *EncodedStash, w *crcWriter) {
-	for _, word := range e.Mask.Words() {
-		w.u64(word)
-	}
-}
-
-func (binarizeTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
+func (binarizeTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	if e.Mask == nil {
-		return 0, nil, false
+		return l
 	}
-	n := e.Mask.Len()
+	l.n = e.Mask.Len()
 	words := e.Mask.Words()
-	if len(words) != (n+63)/64 {
-		return 0, nil, false
-	}
-	if n == 0 {
-		return hcrc, nil, true
-	}
-	nc := (n + ce - 1) / ce
-	crcs := resized(dst, nc)
-	lens := make([]int64, nc)
-	cdc.pool().ForEach(nc, func(c int) {
-		w0 := c * ce / 64
-		w1 := (min((c+1)*ce, n) + 63) / 64
-		crcs[c] = crcUint64s(words[w0:w1])
-		lens[c] = int64(w1-w0) * 8
-	})
-	full = hcrc
-	for c := range crcs {
-		full = crc32Combine(full, crcs[c], lens[c])
-	}
-	return full, crcs, true
+	l.add(segment{u64: words, cut: cutAligned, per: 64})
+	l.chunkable = len(words) == (l.n+63)/64
+	return l
 }
 
 func (binarizeTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
@@ -109,18 +58,12 @@ func (binarizeTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) 
 		return nil, fmt.Errorf("encoding: marshal: Binarize stash without mask")
 	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(e.Mask.Len()))
-	for _, w := range e.Mask.Words() {
-		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	return out, nil
+	return appendSegment(out, segment{u64: e.Mask.Words()}), nil
 }
 
 func (binarizeTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
 	n := r.count("mask bit", maxStashElems, 0)
-	words := make([]uint64, 0, (n+63)/64)
-	for i := 0; i < (n+63)/64; i++ {
-		words = append(words, r.u64())
-	}
+	words := r.u64s((n + 63) / 64)
 	if r.err == nil {
 		e.Mask = bitpack.MaskFromWords(n, words)
 	}

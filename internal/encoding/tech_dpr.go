@@ -51,74 +51,16 @@ func (dprTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error 
 	return nil
 }
 
-func (dprTech) payloadElems(e *EncodedStash) int {
-	if e.Packed != nil {
-		return e.Packed.N
-	}
-	return 0
-}
-
-func (dprTech) bytes(e *EncodedStash) int64 { return e.Packed.Bytes() }
-
-func (dprTech) payloadBits(e *EncodedStash) int { return len(e.Packed.Words) * 32 }
-
-func (dprTech) flipBit(e *EncodedStash, i int) {
-	e.Packed.Words[i/32] ^= 1 << (uint(i) % 32)
-}
-
-func (dprTech) chunkOfBit(e *EncodedStash, i, ce, nc int) int {
-	vpw := e.Packed.Format.ValuesPerWord()
-	elem := (i / 32) * vpw
-	n := e.Packed.N
-	return clampChunk(min(elem, n-1)/ce, nc)
-}
-
-func (dprTech) chunkSpanBytes(e *EncodedStash, elemLo, elemHi int) (int64, int64) {
-	vpw, ok := packedValuesPerWord(e.Packed.Format)
-	if !ok {
-		return -1, -1
-	}
-	w0 := elemLo / vpw
-	w1 := (elemHi + vpw - 1) / vpw
-	return int64(w0) * 4, int64(w1) * 4
-}
-
-func (dprTech) checksumPayload(e *EncodedStash, w *crcWriter) {
-	for _, word := range e.Packed.Words {
-		w.u32(word)
-	}
-}
-
-func (dprTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
+func (dprTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	p := e.Packed
 	if p == nil {
-		return 0, nil, false
+		return l
 	}
-	vpw, okFmt := packedValuesPerWord(p.Format)
-	if !okFmt {
-		return 0, nil, false
-	}
-	n := p.N
-	if len(p.Words) != (n+vpw-1)/vpw {
-		return 0, nil, false
-	}
-	if n == 0 {
-		return hcrc, nil, true
-	}
-	nc := (n + ce - 1) / ce
-	crcs := resized(dst, nc)
-	lens := make([]int64, nc)
-	cdc.pool().ForEach(nc, func(c int) {
-		w0 := c * ce / vpw
-		w1 := (min((c+1)*ce, n) + vpw - 1) / vpw
-		crcs[c] = crcWords32(p.Words[w0:w1])
-		lens[c] = int64(w1-w0) * 4
-	})
-	full = hcrc
-	for c := range crcs {
-		full = crc32Combine(full, crcs[c], lens[c])
-	}
-	return full, crcs, true
+	l.n = p.N
+	vpw, ok := packedValuesPerWord(p.Format)
+	l.add(segment{u32: p.Words, cut: cutAligned, per: vpw})
+	l.chunkable = ok && len(p.Words) == (p.N+vpw-1)/vpw
+	return l
 }
 
 func (dprTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
@@ -127,10 +69,7 @@ func (dprTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(e.Packed.Format))
 	out = binary.LittleEndian.AppendUint32(out, uint32(e.Packed.N))
-	for _, w := range e.Packed.Words {
-		out = binary.LittleEndian.AppendUint32(out, w)
-	}
-	return out, nil
+	return appendSegment(out, segment{u32: e.Packed.Words}), nil
 }
 
 func (dprTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
@@ -145,9 +84,7 @@ func (dprTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
 		if nw := (n + vpw - 1) / vpw; nw*4 > len(r.data)-r.off {
 			r.fail("%d packed words exceed remaining bytes", nw)
 		} else {
-			for i := 0; i < nw; i++ {
-				p.Words = append(p.Words, r.u32())
-			}
+			p.Words = words32[uint32](r, nw)
 		}
 	}
 	if r.err == nil {

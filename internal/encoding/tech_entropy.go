@@ -38,11 +38,6 @@ type EntropyPayload struct {
 	scratch *floatenc.Packed
 }
 
-// Bytes is the payload's storage footprint (stream plus block table).
-func (p *EntropyPayload) Bytes() int64 {
-	return int64(len(p.Stream)) + int64(len(p.Lens))*4
-}
-
 type entropyTech struct{}
 
 func init() { registerTechnique(Entropy, entropyTech{}) }
@@ -212,101 +207,22 @@ func entN(p *EntropyPayload) int {
 	return p.N
 }
 
-func (entropyTech) payloadElems(e *EncodedStash) int {
-	if e.Ent != nil {
-		return e.Ent.N
-	}
-	return 0
-}
-
-func (entropyTech) bytes(e *EncodedStash) int64 { return e.Ent.Bytes() }
-
-func (entropyTech) payloadBits(e *EncodedStash) int { return len(e.Ent.Stream) * 8 }
-
-func (entropyTech) flipBit(e *EncodedStash, i int) {
-	e.Ent.Stream[i/8] ^= 1 << (uint(i) % 8)
-}
-
-func (entropyTech) chunkOfBit(e *EncodedStash, i, ce, nc int) int {
-	b := i / 8
-	off := 0
-	for c, l := range e.Ent.Lens {
-		off += int(l)
-		if b < off {
-			return c
-		}
-	}
-	return clampChunk(nc-1, nc)
-}
-
-func (entropyTech) chunkSpanBytes(e *EncodedStash, elemLo, elemHi int) (int64, int64) {
-	ce := normalizeChunkElems(e.ChunkElems)
-	c := elemLo / ce
-	if c >= len(e.Ent.Lens) {
-		return -1, -1
-	}
-	off := int64(0)
-	for i := 0; i < c; i++ {
-		off += int64(e.Ent.Lens[i])
-	}
-	return off, off + int64(e.Ent.Lens[c])
-}
-
-func (entropyTech) checksumPayload(e *EncodedStash, w *crcWriter) {
-	p := e.Ent
-	w.u32(uint32(p.Format))
-	w.u32(uint32(p.N))
-	w.u32(uint32(len(p.Lens)))
-	for _, l := range p.Lens {
-		w.u32(l)
-	}
-	w.raw(p.Stream)
-}
-
-// entMetaCRC continues a running CRC over the payload metadata exactly as
-// checksumPayload orders it (format, element count, block table) — the
-// extended header piece of the chunked roll-up. Keeping the metadata out
-// of PayloadBits means fault injection only ever lands in Stream, so the
-// chunk layout survives every flip and attribution stays exact.
-func entMetaCRC(crc uint32, p *EntropyPayload) uint32 {
-	crc = crcU32(crc, uint32(p.Format))
-	crc = crcU32(crc, uint32(p.N))
-	crc = crcU32(crc, uint32(len(p.Lens)))
-	for _, l := range p.Lens {
-		crc = crcU32(crc, l)
-	}
-	return crc
-}
-
-func (entropyTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
+// layout: the stream, one block per chunk. Format, element count and the
+// block table are metadata hashed into the header piece and kept out of
+// PayloadBits: fault injection only ever lands in Stream, so the chunk
+// layout survives every flip and attribution stays exact.
+func (entropyTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	p := e.Ent
 	if p == nil {
-		return 0, nil, false
+		return l
 	}
+	l.n = p.N
+	l.ext, l.nExt = [3]uint32{uint32(p.Format), uint32(p.N), uint32(len(p.Lens))}, 3
+	l.meta = p.Lens
+	l.add(segment{u8: p.Stream, cut: cutBlocks})
 	nc := (p.N + ce - 1) / ce
-	if len(p.Lens) != nc || p.blockOff(nc) != len(p.Stream) {
-		return 0, nil, false
-	}
-	// One piece per chunk: its block. The block table already holds the
-	// piece lengths the roll-up needs.
-	crcs := resized(dst, nc)
-	if cdc.inlineChunks(nc) {
-		off := 0
-		for c, l := range p.Lens {
-			crcs[c] = crcBytes(p.Stream[off : off+int(l)])
-			off += int(l)
-		}
-	} else {
-		cdc.pool().ForEach(nc, func(c int) {
-			off := p.blockOff(c)
-			crcs[c] = crcBytes(p.Stream[off : off+int(p.Lens[c])])
-		})
-	}
-	full = entMetaCRC(hcrc, p)
-	for c, crc := range crcs {
-		full = crc32Combine(full, crc, int64(p.Lens[c]))
-	}
-	return full, crcs, true
+	l.chunkable = len(p.Lens) == nc && p.blockOff(nc) == len(p.Stream)
+	return l
 }
 
 func (entropyTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
@@ -318,9 +234,7 @@ func (entropyTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	u32(uint32(p.Format))
 	u32(uint32(p.N))
 	u32(uint32(len(p.Lens)))
-	for _, l := range p.Lens {
-		u32(l)
-	}
+	out = appendSegment(out, segment{u32: p.Lens})
 	u32(uint32(len(p.Stream)))
 	out = append(out, p.Stream...)
 	return out, nil
@@ -333,10 +247,7 @@ func (entropyTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
 	}
 	n := r.count("entropy element", maxStashElems, 0)
 	nLens := r.count("entropy block", maxStashElems, 4)
-	lens := make([]uint32, 0, nLens)
-	for i := 0; i < nLens && r.err == nil; i++ {
-		lens = append(lens, r.u32())
-	}
+	lens := words32[uint32](r, nLens)
 	sLen := r.count("entropy stream byte", maxStashElems*8, 1)
 	stream := append([]byte(nil), r.bytes(sLen)...)
 	if r.err == nil {

@@ -3,7 +3,6 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"gist/internal/floatenc"
 	"gist/internal/sparse"
@@ -70,134 +69,26 @@ func (ssdcTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error
 	return nil
 }
 
-func (ssdcTech) payloadElems(e *EncodedStash) int {
-	if e.CSR != nil {
-		return e.CSR.N
-	}
-	return 0
-}
-
-func (ssdcTech) bytes(e *EncodedStash) int64 { return e.CSR.Bytes() }
-
-func (ssdcTech) payloadBits(e *EncodedStash) int {
-	return len(e.CSR.RowPtr)*32 + len(e.CSR.ColIdx)*8 + len(e.CSR.Values)*32
-}
-
-func (ssdcTech) flipBit(e *EncodedStash, i int) {
-	if n := len(e.CSR.RowPtr) * 32; i < n {
-		e.CSR.RowPtr[i/32] ^= 1 << (uint(i) % 32)
-		return
-	} else {
-		i -= n
-	}
-	if n := len(e.CSR.ColIdx) * 8; i < n {
-		e.CSR.ColIdx[i/8] ^= 1 << (uint(i) % 8)
-		return
-	} else {
-		i -= n
-	}
-	bits := math.Float32bits(e.CSR.Values[i/32]) ^ 1<<(uint(i)%32)
-	e.CSR.Values[i/32] = math.Float32frombits(bits)
-}
-
-func (ssdcTech) chunkOfBit(e *EncodedStash, i, ce, nc int) int {
-	if n := len(e.CSR.RowPtr) * 32; i < n {
-		// RowPtr[p] is written when row p-1 is encoded; entry 0 is the
-		// constant leading zero owned by chunk 0.
-		r := i/32 - 1
-		if r < 0 {
-			r = 0
-		}
-		return clampChunk(r*e.CSR.Cols/ce, nc)
-	} else {
-		i -= n
-	}
-	if n := len(e.CSR.ColIdx) * 8; i < n {
-		return spanOf(i/8, len(e.CSR.ColIdx), nc)
-	} else {
-		i -= n
-	}
-	return spanOf(i/32, len(e.CSR.Values), nc)
-}
-
-func (ssdcTech) chunkSpanBytes(e *EncodedStash, elemLo, elemHi int) (int64, int64) {
-	// SSDC chunks span three backing arrays (RowPtr, ColIdx, Values); no
-	// single byte range describes them.
-	return -1, -1
-}
-
-func (ssdcTech) checksumPayload(e *EncodedStash, w *crcWriter) {
-	for _, p := range e.CSR.RowPtr {
-		w.u32(uint32(p))
-	}
-	w.raw(e.CSR.ColIdx)
-	for _, v := range e.CSR.Values {
-		w.u32(math.Float32bits(v))
-	}
-}
-
-func (ssdcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
+// layout: RowPtr by row range (chunk 0 owning the constant leading zero),
+// ColIdx and Values by proportional index spans. An empty CSR is not
+// chunkable: its RowPtr still holds the leading zero, which no chunk of a
+// zero-chunk layout would hash.
+func (ssdcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	csr := e.CSR
 	if csr == nil {
-		return 0, nil, false
+		return l
 	}
 	cols, n := csr.Cols, csr.N
+	l.n = n
+	l.add(segment{i32: csr.RowPtr, cut: cutRows, per: cols})
+	l.add(segment{u8: csr.ColIdx, cut: cutSpan})
+	l.add(segment{f32: csr.Values, cut: cutSpan})
 	if cols <= 0 || ce%cols != 0 || n <= 0 {
-		return 0, nil, false
+		return l
 	}
 	rows := (n + cols - 1) / cols
-	if csr.Rows != rows || len(csr.RowPtr) != rows+1 || len(csr.ColIdx) != len(csr.Values) {
-		return 0, nil, false
-	}
-	nc := (n + ce - 1) / ce
-	rowsPer := ce / cols
-	// Three piece arrays per chunk: its RowPtr slice (by row range, chunk 0
-	// owning the constant leading zero), and proportional index spans of
-	// ColIdx and Values.
-	rp := make([]uint32, nc)
-	rpLen := make([]int64, nc)
-	ci := make([]uint32, nc)
-	ciLen := make([]int64, nc)
-	va := make([]uint32, nc)
-	vaLen := make([]int64, nc)
-	cdc.pool().ForEach(3*nc, func(t int) {
-		c := t % nc
-		switch t / nc {
-		case 0:
-			r0 := c * rowsPer
-			r1 := min(r0+rowsPer, rows)
-			lo := r0 + 1
-			if c == 0 {
-				lo = 0
-			}
-			rp[c] = crcWords32(csr.RowPtr[lo : r1+1])
-			rpLen[c] = int64(r1+1-lo) * 4
-		case 1:
-			lo, hi := spanBounds(c, len(csr.ColIdx), nc)
-			ci[c] = crcBytes(csr.ColIdx[lo:hi])
-			ciLen[c] = int64(hi - lo)
-		case 2:
-			lo, hi := spanBounds(c, len(csr.Values), nc)
-			va[c] = crcFloat32s(csr.Values[lo:hi])
-			vaLen[c] = int64(hi-lo) * 4
-		}
-	})
-	full = hcrc
-	for c := 0; c < nc; c++ {
-		full = crc32Combine(full, rp[c], rpLen[c])
-	}
-	for c := 0; c < nc; c++ {
-		full = crc32Combine(full, ci[c], ciLen[c])
-	}
-	for c := 0; c < nc; c++ {
-		full = crc32Combine(full, va[c], vaLen[c])
-	}
-	chunks = resized(dst, nc)
-	for c := 0; c < nc; c++ {
-		crc := crc32Combine(rp[c], ci[c], ciLen[c])
-		chunks[c] = crc32Combine(crc, va[c], vaLen[c])
-	}
-	return full, chunks, true
+	l.chunkable = csr.Rows == rows && len(csr.RowPtr) == rows+1 && len(csr.ColIdx) == len(csr.Values)
+	return l
 }
 
 func (ssdcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
@@ -208,14 +99,9 @@ func (ssdcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	u32(uint32(e.CSR.N))
 	u32(uint32(e.CSR.Cols))
 	u32(uint32(len(e.CSR.Values)))
-	for _, p := range e.CSR.RowPtr {
-		u32(uint32(p))
-	}
+	out = appendSegment(out, segment{i32: e.CSR.RowPtr})
 	out = append(out, e.CSR.ColIdx...)
-	for _, v := range e.CSR.Values {
-		u32(math.Float32bits(v))
-	}
-	return out, nil
+	return appendSegment(out, segment{f32: e.CSR.Values}), nil
 }
 
 func (ssdcTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
@@ -233,13 +119,9 @@ func (ssdcTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
 		}
 	}
 	csr := &sparse.CSR{Rows: rows, Cols: cols, N: n}
-	for i := 0; i < rows+1 && r.err == nil; i++ {
-		csr.RowPtr = append(csr.RowPtr, int32(r.u32()))
-	}
+	csr.RowPtr = words32[int32](r, rows+1)
 	csr.ColIdx = append([]uint8(nil), r.bytes(nnz)...)
-	for i := 0; i < nnz && r.err == nil; i++ {
-		csr.Values = append(csr.Values, math.Float32frombits(r.u32()))
-	}
+	csr.Values = r.f32s(nnz)
 	if r.err == nil {
 		e.CSR = csr
 	}

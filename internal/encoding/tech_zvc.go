@@ -3,7 +3,6 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
@@ -146,107 +145,20 @@ func zvcBits(z *ZVCPayload) int {
 	return z.Mask.Len()
 }
 
-func (zvcTech) payloadElems(e *EncodedStash) int {
-	if e.ZVC != nil && e.ZVC.Mask != nil {
-		return e.ZVC.Mask.Len()
-	}
-	return 0
-}
-
-func (zvcTech) bytes(e *EncodedStash) int64 { return e.ZVC.Bytes() }
-
-func (zvcTech) payloadBits(e *EncodedStash) int {
-	return len(e.ZVC.Mask.Words())*64 + len(e.ZVC.Values)*32
-}
-
-func (zvcTech) flipBit(e *EncodedStash, i int) {
-	z := e.ZVC
-	if n := len(z.Mask.Words()) * 64; i < n {
-		z.Mask.Words()[i/64] ^= 1 << (uint(i) % 64)
-		return
-	} else {
-		i -= n
-	}
-	bits := math.Float32bits(z.Values[i/32]) ^ 1<<(uint(i)%32)
-	z.Values[i/32] = math.Float32frombits(bits)
-}
-
-func (zvcTech) chunkOfBit(e *EncodedStash, i, ce, nc int) int {
-	z := e.ZVC
-	if n := len(z.Mask.Words()) * 64; i < n {
-		// Mask bit i is element i; padding bits clamp into the final chunk.
-		return clampChunk(min(i, z.Mask.Len()-1)/ce, nc)
-	} else {
-		i -= n
-	}
-	return spanOf(i/32, len(z.Values), nc)
-}
-
-func (zvcTech) chunkSpanBytes(e *EncodedStash, elemLo, elemHi int) (int64, int64) {
-	// ZVC chunks span two backing arrays (mask words and values); no
-	// single byte range describes them.
-	return -1, -1
-}
-
-func (zvcTech) checksumPayload(e *EncodedStash, w *crcWriter) {
-	for _, word := range e.ZVC.Mask.Words() {
-		w.u64(word)
-	}
-	for _, v := range e.ZVC.Values {
-		w.u32(math.Float32bits(v))
-	}
-}
-
-func (zvcTech) chunkChecksums(cdc Codec, e *EncodedStash, ce int, hcrc uint32, dst []uint32) (full uint32, chunks []uint32, ok bool) {
+// layout: mask words by 64-bit word ranges, Values by proportional index
+// spans (content-independent, so a flipped mask bit never moves the chunk
+// layout out from under attribution).
+func (zvcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	z := e.ZVC
 	if z == nil || z.Mask == nil {
-		return 0, nil, false
+		return l
 	}
-	n := z.Mask.Len()
+	l.n = z.Mask.Len()
 	words := z.Mask.Words()
-	if len(words) != (n+63)/64 {
-		return 0, nil, false
-	}
-	if n == 0 {
-		if len(z.Values) != 0 {
-			return 0, nil, false
-		}
-		return hcrc, nil, true
-	}
-	nc := (n + ce - 1) / ce
-	// Two piece arrays per chunk: its mask word range and a proportional
-	// index span of Values (content-independent, so a flipped mask bit
-	// never moves the chunk layout out from under attribution).
-	mk := make([]uint32, nc)
-	mkLen := make([]int64, nc)
-	va := make([]uint32, nc)
-	vaLen := make([]int64, nc)
-	cdc.pool().ForEach(2*nc, func(t int) {
-		c := t % nc
-		switch t / nc {
-		case 0:
-			w0 := c * ce / 64
-			w1 := (min((c+1)*ce, n) + 63) / 64
-			mk[c] = crcUint64s(words[w0:w1])
-			mkLen[c] = int64(w1-w0) * 8
-		case 1:
-			lo, hi := spanBounds(c, len(z.Values), nc)
-			va[c] = crcFloat32s(z.Values[lo:hi])
-			vaLen[c] = int64(hi-lo) * 4
-		}
-	})
-	full = hcrc
-	for c := 0; c < nc; c++ {
-		full = crc32Combine(full, mk[c], mkLen[c])
-	}
-	for c := 0; c < nc; c++ {
-		full = crc32Combine(full, va[c], vaLen[c])
-	}
-	chunks = resized(dst, nc)
-	for c := 0; c < nc; c++ {
-		chunks[c] = crc32Combine(mk[c], va[c], vaLen[c])
-	}
-	return full, chunks, true
+	l.add(segment{u64: words, cut: cutAligned, per: 64})
+	l.add(segment{f32: z.Values, cut: cutSpan})
+	l.chunkable = len(words) == (l.n+63)/64 && (l.n > 0 || len(z.Values) == 0)
+	return l
 }
 
 func (zvcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
@@ -257,26 +169,15 @@ func (zvcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
 	u32(uint32(z.Mask.Len()))
 	u32(uint32(len(z.Values)))
-	for _, w := range z.Mask.Words() {
-		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	for _, v := range z.Values {
-		u32(math.Float32bits(v))
-	}
-	return out, nil
+	out = appendSegment(out, segment{u64: z.Mask.Words()})
+	return appendSegment(out, segment{f32: z.Values}), nil
 }
 
 func (zvcTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
 	n := r.count("ZVC mask bit", maxStashElems, 0)
 	nnz := r.count("ZVC value", maxStashElems, 4)
-	words := make([]uint64, 0, (n+63)/64)
-	for i := 0; i < (n+63)/64; i++ {
-		words = append(words, r.u64())
-	}
-	vals := make([]float32, 0, nnz)
-	for i := 0; i < nnz && r.err == nil; i++ {
-		vals = append(vals, math.Float32frombits(r.u32()))
-	}
+	words := r.u64s((n + 63) / 64)
+	vals := r.f32s(nnz)
 	if r.err == nil {
 		e.ZVC = &ZVCPayload{Mask: bitpack.MaskFromWords(n, words), Values: vals}
 	}
