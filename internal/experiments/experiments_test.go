@@ -279,6 +279,32 @@ func TestFig14CompressionOverTime(t *testing.T) {
 	}
 }
 
+// TestRatioTallyDeterministic pins the best-technique tally of the ratio
+// shootout: every layer is won by exactly one technique, and an exact tie
+// (ZVC against ZVC+FP16 on a layer quantization does not change) goes to the
+// technique listed first, so two runs print the same report.
+func TestRatioTallyDeterministic(t *testing.T) {
+	skipIfRace(t)
+	s := DefaultRatioScale()
+	s.Steps, s.Pool = 5, nil
+	a, b := ExtRatio(s), ExtRatio(s)
+	if a.String() != b.String() {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", a, b)
+	}
+	layers, wins := 0, 0.0
+	for k, v := range a.Values {
+		switch {
+		case strings.HasPrefix(k, "wins/"):
+			wins += v
+		case strings.HasSuffix(k, "/DPR-"+s.Format.String()): // dense DPR never refuses a layer
+			layers++
+		}
+	}
+	if layers == 0 || wins != float64(layers) {
+		t.Fatalf("%v wins over %d layers", wins, layers)
+	}
+}
+
 func TestLookupAndIDs(t *testing.T) {
 	for _, id := range IDs() {
 		if Lookup(id) == nil {

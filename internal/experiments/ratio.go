@@ -75,6 +75,7 @@ func ExtRatio(s RatioScale) *Result {
 	}
 
 	cdc := encoding.DefaultCodec()
+	wins := map[string]int{} // layers each technique wins outright
 	for _, net := range nets {
 		g := net.build(s.Minibatch, s.Classes)
 		e := train.NewExecutor(g, train.Options{Seed: s.Seed, Pool: s.Pool})
@@ -108,6 +109,7 @@ func ExtRatio(s RatioScale) *Result {
 			sparsity := float64(zeros) / float64(len(t.Data))
 			dense := float64(len(t.Data) * 4)
 			line := fmt.Sprintf("%-22s %7.1f%%", n.Name, 100*sparsity)
+			best, bestRatio := "", 0.0
 			for _, ts := range techs {
 				as := &encoding.Assignment{Node: n, Tech: ts.tech, Format: ts.f}
 				enc, err := cdc.EncodeStash(as, t)
@@ -122,34 +124,18 @@ func ExtRatio(s RatioScale) *Result {
 				ratio := dense / float64(enc.Bytes())
 				line += fmt.Sprintf(" %8.2fx", ratio)
 				r.set(fmt.Sprintf("%s/%s/%s", net.name, n.Name, ts.label), ratio)
+				if ratio > bestRatio { // strict: the first technique listed wins a tie
+					best, bestRatio = ts.label, ratio
+				}
 			}
+			wins[best]++
 			r.add("%s", line)
 		}
 		e.ReleaseBuffers()
 	}
 
-	// Per-network summary: how often each technique wins outright.
+	// Summary: how often each technique wins outright.
 	r.add("")
-	wins := map[string]int{}
-	type cell struct {
-		net, layer, tech string
-		ratio            float64
-	}
-	best := map[string]cell{}
-	for k, v := range r.Values {
-		parts := splitRatioKey(k)
-		if parts == nil {
-			continue
-		}
-		netName, layer, tech := parts[0], parts[1], parts[2]
-		key := netName + "/" + layer
-		if b, ok := best[key]; !ok || v > b.ratio {
-			best[key] = cell{netName, layer, tech, v}
-		}
-	}
-	for _, b := range best {
-		wins[b.tech]++
-	}
 	var labels []string
 	for _, ts := range techs {
 		labels = append(labels, ts.label)
@@ -162,21 +148,4 @@ func ExtRatio(s RatioScale) *Result {
 	r.add("(ratios are measured on real activations; the adaptive planner's")
 	r.add(" per-layer predictions are judged against this table)")
 	return r
-}
-
-// splitRatioKey splits "net/layer/tech" (layer names contain no slashes).
-func splitRatioKey(k string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i < len(k); i++ {
-		if k[i] == '/' {
-			parts = append(parts, k[start:i])
-			start = i + 1
-		}
-	}
-	parts = append(parts, k[start:])
-	if len(parts) != 3 {
-		return nil
-	}
-	return parts
 }
