@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short cover loc check
+.PHONY: build test vet fmt race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short cover loc check
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would change any file of ours
+# (.bench_build/ is the benchmark's build directory, not source).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi; \
+	echo "fmt: clean"
 
 # Race-detector run: benchmarks skip themselves via internal/race.
 race:
@@ -131,10 +138,10 @@ cover:
 	[ "$$fail" -eq 0 ] && echo "cover: all floors met" || exit 1
 
 # Non-test Go lines per package, benchmark/ excluded — the code-diet
-# trajectory (ROADMAP item 4). Printed at the end of `make check`.
+# trajectory (ROADMAP item 7). Printed at the end of `make check`.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \
 		END {for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t}' | sort -k2
 
-check: build vet test race race-hot allocs bench-gate-short cover loc
+check: build vet fmt test race race-hot allocs bench-gate-short cover loc

@@ -92,7 +92,7 @@ func TestDiffEncodeExponentSweep(t *testing.T) {
 			0, 0x7fffff,
 			half - 1, half, half + 1,
 			1 << shift, 1<<shift - 1, // slot LSB boundary
-			half | 1<<shift, // midpoint with odd kept mantissa
+			half | 1<<shift,                    // midpoint with odd kept mantissa
 			0x7fffff & ^(uint32(1)<<shift - 1), // kept all-ones, dropped zero
 		}
 		for sign := uint32(0); sign <= 1; sign++ {

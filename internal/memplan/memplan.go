@@ -201,8 +201,8 @@ func (p *Plan) RecordTelemetry(s *telemetry.Sink, prefix string) {
 	if p == nil || s == nil {
 		return
 	}
-	s.Gauge("plan."+prefix+".total_bytes").Set(p.TotalBytes)
-	s.Gauge("plan."+prefix+".groups").Set(int64(len(p.Groups)))
+	s.Gauge("plan." + prefix + ".total_bytes").Set(p.TotalBytes)
+	s.Gauge("plan." + prefix + ".groups").Set(int64(len(p.Groups)))
 	for cls, b := range p.ByClass {
 		name := strings.ReplaceAll(cls.String(), " ", "_")
 		s.Gauge("plan." + prefix + "." + name + "_bytes").Set(b)
