@@ -6,6 +6,7 @@ import (
 
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
+	"gist/internal/race"
 	"gist/internal/tensor"
 )
 
@@ -64,6 +65,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 		b, err := enc.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The layout knows the blob's size: one allocation, no re-growth.
+		if a := testing.AllocsPerRun(10, func() { enc.MarshalBinary() }); a != 1 && !race.Enabled {
+			t.Errorf("%v/%s: MarshalBinary allocs %v per run, want 1", as.Tech, as.Format, a)
 		}
 		back, err := UnmarshalStash(b)
 		if err != nil {

@@ -324,7 +324,6 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 	}
 	full = l.headerCRC(e)
 	chunks = resized(dst, l.nc)
-	clear(chunks)
 	for k := range l.segs[:l.nseg] {
 		s := &l.segs[k]
 		_, size := s.shape()
@@ -338,7 +337,11 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 			}
 			bytes := int64(hi-lo) * int64(size)
 			full = crc32Combine(full, piece, bytes)
-			chunks[c] = crc32Combine(chunks[c], piece, bytes)
+			if k == 0 {
+				chunks[c] = piece // a combine costs more than hashing a small piece: skip the no-op one
+			} else {
+				chunks[c] = crc32Combine(chunks[c], piece, bytes)
+			}
 		}
 	}
 	return full, chunks, true
