@@ -138,10 +138,14 @@ cover:
 	[ "$$fail" -eq 0 ] && echo "cover: all floors met" || exit 1
 
 # Non-test Go lines per package, benchmark/ excluded — the code-diet
-# trajectory (ROADMAP item 7). Printed at the end of `make check`.
+# trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
+# when the total exceeds LOC_CEILING: a PR that needs more lines raises the
+# number in its own diff, where a reviewer sees it.
+LOC_CEILING ?= 22400
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \
-		END {for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t}' | sort -k2
+		END {for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t; \
+		if (t > $(LOC_CEILING)) {printf "loc: %d non-test lines exceed LOC_CEILING $(LOC_CEILING)\n", t; exit 1}}'
 
 check: build vet fmt test race race-hot allocs bench-gate-short cover loc

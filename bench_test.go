@@ -398,7 +398,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		}, train.ReplicaConfig{Replicas: 2, Shards: 2})
 		defer rg.Close()
 		d := train.NewDataset(4, 3, 16, 0.4, 2)
-		x, labels := d.Batch(rg.GroupBatch())
+		x, labels := d.Batch(rg.Batch())
 		for i := 0; i < 3; i++ {
 			rg.Step(x, labels, 0.01)
 		}
@@ -497,10 +497,11 @@ func BenchmarkSSDCEncodeCSRParallel(b *testing.B) {
 	for _, w := range benchWorkers() {
 		b.Run(wName(w), func(b *testing.B) {
 			p := parallel.NewPool(w)
+			var c sparse.CSR
 			b.SetBytes(kernelElems * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = sparse.EncodeCSRChunked(xs, p, chunkRows)
+				sparse.EncodeCSRChunkedInto(&c, xs, p, chunkRows)
 			}
 		})
 	}
@@ -520,23 +521,6 @@ func BenchmarkSSDCDecodeCSRParallel(b *testing.B) {
 				c.DecodeChunked(dst, p, chunkRows)
 			}
 		})
-	}
-}
-
-func BenchmarkDPRQuantizeParallel(b *testing.B) {
-	skipIfRace(b)
-	for _, f := range []floatenc.Format{floatenc.FP16, floatenc.FP10, floatenc.FP8} {
-		for _, w := range benchWorkers() {
-			b.Run(f.String()+"/"+wName(w), func(b *testing.B) {
-				p := parallel.NewPool(w)
-				xs := sparseInput(0)
-				b.SetBytes(kernelElems * 4)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					floatenc.QuantizeSliceChunked(f, xs, p, encoding.DefaultChunkElems)
-				}
-			})
-		}
 	}
 }
 

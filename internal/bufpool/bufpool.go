@@ -287,14 +287,6 @@ func (p *Pool) RecycleSlice(s []float32) {
 	p.Recycle(match)
 }
 
-// Alloc implements tensor.Allocator: pooled backing storage for
-// tensor.NewIn, so construction sites that take an allocator compose with
-// the pool without knowing its concrete type.
-func (p *Pool) Alloc(n int) []float32 { return p.GetSlice(n) }
-
-// Free implements tensor.Allocator.
-func (p *Pool) Free(s []float32) { p.RecycleSlice(s) }
-
 // Prewarm populates the free lists with one buffer per element count, so a
 // training loop whose working set the planner already knows starts at a
 // ~100% hit rate instead of missing through its first step. The executor

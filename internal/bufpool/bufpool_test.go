@@ -105,19 +105,6 @@ func TestRecycleSliceFindsBuffer(t *testing.T) {
 	}
 }
 
-func TestAllocatorInterface(t *testing.T) {
-	p := New()
-	var a tensor.Allocator = p
-	tt := tensor.NewIn(a, 3, 5)
-	if tt.Shape.NumElements() != 15 || len(tt.Data) != 15 {
-		t.Fatalf("NewIn shape/data mismatch: %v / %d", tt.Shape, len(tt.Data))
-	}
-	a.Free(tt.Data)
-	if got := p.Stats().Recycles; got != 1 {
-		t.Fatalf("recycles = %d, want 1", got)
-	}
-}
-
 func TestPrewarmHitsFirstGet(t *testing.T) {
 	p := New()
 	p.Prewarm([]int{100, 200, 100})

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"gist/internal/entropy"
 	"gist/internal/floatenc"
@@ -121,6 +122,24 @@ func (c Config) WithTechnique(t Technique) Config {
 		c.Inplace = false
 	}
 	return c
+}
+
+// WithTechniqueName applies a technique named by a flag or a job spec: ""
+// changes nothing, "adaptive" (any case) selects AdaptiveAll's per-layer
+// choice, and any other name must parse and narrows to that technique.
+func (c Config) WithTechniqueName(name string) (Config, error) {
+	if name == "" {
+		return c, nil
+	}
+	if strings.EqualFold(name, "adaptive") {
+		c.AdaptiveSet = AdaptiveAll()
+		return c, nil
+	}
+	t, err := ParseTechnique(name)
+	if err != nil {
+		return c, err
+	}
+	return c.WithTechnique(t), nil
 }
 
 // Enabled reports whether the configuration selects any encoding, rewrite

@@ -98,7 +98,7 @@ func trainDistributed(net distNet, shardBatch, shards, replicas, classes, steps 
 	d := train.NewDataset(classes, 3, net.size, 0.3, 7)
 	var loss float64
 	for step := 0; step < steps; step++ {
-		x, labels := d.Batch(rg.GroupBatch())
+		x, labels := d.Batch(rg.Batch())
 		loss, _ = rg.Step(x, labels, 0.05)
 	}
 	var params []float32

@@ -8,7 +8,6 @@ package experiments
 import (
 	"gist/internal/costmodel"
 	"gist/internal/encoding"
-	"gist/internal/graph"
 )
 
 // ExtEnergy reports per-minibatch data-movement energy (millijoules) for
@@ -39,15 +38,4 @@ func ExtEnergy(mb int) *Result {
 	r.add("(swapping pays PCIe + far-side DRAM for every stash, every minibatch;")
 	r.add(" Gist's conversions are in-device DRAM passes — the paper's energy point)")
 	return r
-}
-
-// stashedBytesFor is a small helper kept close to the energy accounting.
-func stashedBytesFor(g *graph.Graph) int64 {
-	var b int64
-	for _, n := range g.Nodes {
-		if graph.OutputStashed(n) {
-			b += n.OutShape.Bytes()
-		}
-	}
-	return b
 }

@@ -114,24 +114,6 @@ func lossyCfg(network string) encoding.Config {
 	return encoding.LossyLossless(PaperDPRFormat(network))
 }
 
-// All runs every non-training experiment (the training figures have their
-// own entry points with scale knobs) at the default minibatch.
-func All() []*Result {
-	return []*Result{
-		Fig1(DefaultMinibatch),
-		Fig3(DefaultMinibatch),
-		Table1(),
-		Fig8(DefaultMinibatch),
-		Fig9(DefaultMinibatch),
-		Fig10(DefaultMinibatch),
-		Fig11(DefaultMinibatch),
-		Fig13(DefaultMinibatch),
-		Fig15(DefaultMinibatch),
-		Fig16(),
-		Fig17(DefaultMinibatch),
-	}
-}
-
 // Lookup returns the experiment runner for an ID, or nil. Training
 // experiments (fig12, fig14) accept a scale argument via their own
 // functions and run at default scale here.

@@ -341,14 +341,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestStashedBytesHelper(t *testing.T) {
-	nets := suite(2)
-	if stashedBytesOf(nets[0].G) <= 0 {
-		t.Fatal("stashed bytes must be positive")
-	}
-	_ = reluKind
-}
-
 func TestWriteCSV(t *testing.T) {
 	r := &Result{ID: "figX"}
 	r.set("VGG16/lossless", 1.5)

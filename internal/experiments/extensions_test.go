@@ -67,9 +67,6 @@ func TestExtEnergyGistWins(t *testing.T) {
 			t.Errorf("%s: gist energy must be positive", net)
 		}
 	}
-	if stashedBytesFor(suite(2)[0].G) <= 0 {
-		t.Error("stashed bytes helper broken")
-	}
 }
 
 func TestSummaryAllWithinBand(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"gist/internal/encoding"
 	"gist/internal/floatenc"
 	"gist/internal/graph"
-	"gist/internal/layers"
 )
 
 // Fig1 reproduces the memory breakdown across data-structure classes. The
@@ -211,17 +210,3 @@ func Fig17(mb int) *Result {
 	r.add("(paper: dynamic avg 1.2x; Gist lossless 1.7x; lossy 2.6x; optimized avg 2.9x, up to 4.1x)")
 	return r
 }
-
-// stashedBytesOf sums baseline-stashed feature map bytes, used by tests.
-func stashedBytesOf(g *graph.Graph) int64 {
-	var b int64
-	for _, n := range g.Nodes {
-		if graph.OutputStashed(n) {
-			b += n.OutShape.Bytes()
-		}
-	}
-	return b
-}
-
-// reluKind is re-exported for the fig3 test's sanity checks.
-var reluKind = layers.ReLU

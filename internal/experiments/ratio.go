@@ -131,7 +131,7 @@ func ExtRatio(s RatioScale) *Result {
 			wins[best]++
 			r.add("%s", line)
 		}
-		e.ReleaseBuffers()
+		e.Close()
 	}
 
 	// Summary: how often each technique wins outright.

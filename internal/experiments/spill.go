@@ -46,7 +46,7 @@ func spillRun(s SpillScale, budget int64) ([]train.Record, time.Duration, stashs
 		Seed: s.Seed, Encodings: a,
 		StashBudget: budget, SpillDir: trainingSpillDir,
 	})
-	defer e.ReleaseBuffers()
+	defer e.Close()
 	d := train.NewDataset(s.Classes, 3, 16, 0.4, s.Seed+1)
 	start := time.Now()
 	recs := train.Run(e, d, train.RunConfig{

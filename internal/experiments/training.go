@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gist/internal/bufpool"
 	"gist/internal/encoding"
@@ -51,10 +50,8 @@ var trainingTechnique string
 // SetTrainingTechnique names the technique the encoded training runners
 // use; an unknown name is rejected before any experiment runs.
 func SetTrainingTechnique(name string) error {
-	if name != "" && !strings.EqualFold(name, "adaptive") {
-		if _, err := encoding.ParseTechnique(name); err != nil {
-			return err
-		}
+	if _, err := (encoding.Config{}).WithTechniqueName(name); err != nil {
+		return err
 	}
 	trainingTechnique = name
 	return nil
@@ -78,44 +75,29 @@ func SetTrainingStash(budget int64, dir string) {
 
 // trainingConfig applies the technique knob to a base configuration.
 func trainingConfig(cfg encoding.Config) encoding.Config {
-	if trainingTechnique == "" {
-		return cfg
-	}
-	if strings.EqualFold(trainingTechnique, "adaptive") {
-		cfg.AdaptiveSet = encoding.AdaptiveAll()
-		return cfg
-	}
-	t, _ := encoding.ParseTechnique(trainingTechnique)
-	return cfg.WithTechnique(t)
+	cfg, _ = cfg.WithTechniqueName(trainingTechnique) // validated by SetTrainingTechnique
+	return cfg
 }
 
 // newTrainEngine builds the training engine for a run: a plain executor
 // when replicas and shards are unset, otherwise a replica group whose
 // micro-shards divide the requested minibatch (so the per-step sample
-// count is unchanged). It returns the engine, the per-step minibatch to
-// drive it with, and a release function for the group's workers.
+// count is unchanged). Drive it with its Batch() and Close it after.
 func newTrainEngine(build func(mb, classes int) *graph.Graph, mb, classes int,
-	opts train.Options, replicas, shards int) (train.Stepper, int, func()) {
+	opts train.Options, replicas, shards int) train.Engine {
 	if trainingStashBudget > 0 && opts.StashBudget == 0 {
 		opts.StashBudget = trainingStashBudget
 		opts.SpillDir = trainingSpillDir
 	}
-	if replicas <= 1 && shards <= 0 {
-		e := train.NewExecutor(build(mb, classes), opts)
-		// ReleaseBuffers also closes the stash store (removing its spill
-		// file) when a budget is set.
-		return e, mb, e.ReleaseBuffers
+	// The graph's batch is one shard's rows: the minibatch over the shard
+	// count the engine will run at (one per replica unless pinned, one for
+	// a single executor).
+	perStep := shards
+	if perStep <= 0 {
+		perStep = max(replicas, 1)
 	}
-	if shards <= 0 {
-		shards = replicas
-	}
-	shardBatch := mb / shards
-	if shardBatch < 1 {
-		shardBatch = 1
-	}
-	rg := train.NewReplicaGroup(build(shardBatch, classes), opts,
+	return train.NewEngine(build(max(mb/perStep, 1), classes), opts,
 		train.ReplicaConfig{Replicas: replicas, Shards: shards})
-	return rg, rg.GroupBatch(), rg.Close
 }
 
 // TrainScale sizes the Figure 12 runs.
@@ -192,14 +174,14 @@ func Fig12(s TrainScale) *Result {
 				opts.Mode = c.mode
 				opts.Format = c.format
 			}
-			e, stepMB, done := newTrainEngine(networks.TinyCNN,
+			en := newTrainEngine(networks.TinyCNN,
 				s.Minibatch, s.Classes, opts, s.Replicas, s.Shards)
 			d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, seed+1)
-			recs := train.Run(e, d, train.RunConfig{
-				Minibatch: stepMB, Steps: s.Steps, LR: s.LR,
+			recs := train.Run(en, d, train.RunConfig{
+				Minibatch: en.Batch(), Steps: s.Steps, LR: s.LR,
 				ProbeEvery: s.Steps / 10,
 			})
-			done()
+			en.Close()
 			sum += train.FinalAccuracyLoss(recs)
 			diverged = diverged || train.Diverged(recs, s.Classes)
 		}
@@ -342,14 +324,14 @@ func DefaultSparsityScale() SparsityScale {
 // as training sharpens the features.
 func Fig14(s SparsityScale) *Result {
 	r := &Result{ID: "fig14", Title: "SSDC compression ratio per ReLU layer over training (TinyVGG)"}
-	e, stepMB, done := newTrainEngine(networks.TinyVGG, s.Minibatch, s.Classes,
+	en := newTrainEngine(networks.TinyVGG, s.Minibatch, s.Classes,
 		train.Options{Seed: s.Seed, Pool: s.Pool}, s.Replicas, s.Shards)
 	d := train.NewDataset(s.Classes, 3, 32, 0.3, s.Seed+1)
-	recs := train.Run(e, d, train.RunConfig{
-		Minibatch: stepMB, Steps: s.Steps, LR: s.LR,
+	recs := train.Run(en, d, train.RunConfig{
+		Minibatch: en.Batch(), Steps: s.Steps, LR: s.LR,
 		ProbeEvery: s.ProbeEvery, ProbeSparsity: true,
 	})
-	done()
+	en.Close()
 	if len(recs) == 0 {
 		r.add("(no probes)")
 		return r

@@ -3,8 +3,6 @@ package floatenc
 import (
 	"fmt"
 	"math"
-
-	"gist/internal/parallel"
 )
 
 // Packed is a reduced-precision encoding of a float32 slice, stored as
@@ -255,24 +253,5 @@ func QuantizeSlice(f Format, xs []float32) []float32 {
 			xs[i] = f.Quantize(v)
 		}
 	}
-	return xs
-}
-
-// QuantizeSliceChunked rounds xs through the format in place, splitting the
-// slice into chunkElems-sized chunks run on the pool. Quantization is
-// elementwise, so any chunking yields output identical to QuantizeSlice.
-func QuantizeSliceChunked(f Format, xs []float32, p *parallel.Pool, chunkElems int) []float32 {
-	if f == FP32 {
-		return xs
-	}
-	if chunkElems <= 0 || p.Workers() <= 1 || len(xs) <= chunkElems {
-		return QuantizeSlice(f, xs)
-	}
-	nc := (len(xs) + chunkElems - 1) / chunkElems
-	p.ForEach(nc, func(c int) {
-		lo := c * chunkElems
-		hi := min(lo+chunkElems, len(xs))
-		QuantizeSlice(f, xs[lo:hi])
-	})
 	return xs
 }

@@ -15,7 +15,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"gist/internal/core"
 	"gist/internal/encoding"
@@ -56,16 +55,6 @@ func encodingConfig(name string) (encoding.Config, error) {
 	return encoding.Config{}, fmt.Errorf("server: unknown encoding %q (want none|lossless|fp16|fp10|fp8)", name)
 }
 
-// isTechniqueName reports whether the name resolves as a codec technique
-// (or the "adaptive" pseudo-technique), for the legacy Encoding-field shim.
-func isTechniqueName(name string) bool {
-	if strings.EqualFold(name, "adaptive") {
-		return true
-	}
-	_, err := encoding.ParseTechnique(name)
-	return err == nil
-}
-
 // jobConfig builds the job's effective encoding configuration: the ladder
 // rung supplies the base (DPR format included), then the spec's Technique
 // narrows it to one codec technique or the adaptive per-layer selection.
@@ -74,18 +63,10 @@ func jobConfig(spec JobSpec, encName string) (encoding.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	if spec.Technique == "" {
-		return cfg, nil
-	}
-	if strings.EqualFold(spec.Technique, "adaptive") {
-		cfg.AdaptiveSet = encoding.AdaptiveAll()
-		return cfg, nil
-	}
-	t, err := encoding.ParseTechnique(spec.Technique)
-	if err != nil {
+	if cfg, err = cfg.WithTechniqueName(spec.Technique); err != nil {
 		return cfg, fmt.Errorf("server: %v", err)
 	}
-	return cfg.WithTechnique(t), nil
+	return cfg, nil
 }
 
 // buildNet constructs the spec's graph at its per-executor batch size.

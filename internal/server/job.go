@@ -90,8 +90,7 @@ type JobSpec struct {
 	// ("binarize", "ssdc", "dpr", "zvc", "entropy"), or "adaptive" for
 	// per-layer minimum-bytes selection across the lossless tier. Layered
 	// over Encoding: the rung still supplies the DPR format and the
-	// degradation ladder. As a compatibility shim, a technique name sent
-	// in the legacy Encoding field is accepted and treated as Technique.
+	// degradation ladder.
 	Technique string `json:"technique,omitempty"`
 	// Shards > 1 runs the job as a data-parallel replica group of that
 	// many micro-shards (and replicas), multiplying both the per-step
@@ -139,11 +138,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	}
 	if s.LR <= 0 {
 		s.LR = 0.05
-	}
-	if s.Technique == "" && s.Encoding != "" && ladderIndex(s.Encoding) < 0 && isTechniqueName(s.Encoding) {
-		// Legacy shim: a technique name in the Encoding field moves to
-		// Technique, with the rung itself defaulting.
-		s.Technique, s.Encoding = s.Encoding, "none"
 	}
 	if s.Encoding == "" {
 		s.Encoding = "none"
@@ -209,8 +203,8 @@ type job struct {
 
 	// rec taps tel's span/instant/mem stream when flight recording is on.
 	rec *flightrec.Recorder
-	// report is the last recovery report the training loop produced
-	// (single-executor runs only); guarded by mu.
+	// report is the last recovery report the training loop produced;
+	// guarded by mu.
 	report *train.RecoveryReport
 
 	// Live streaming: subscribers receive one StreamEvent per completed

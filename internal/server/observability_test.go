@@ -304,6 +304,31 @@ func TestFlightRecorderQuarantineDump(t *testing.T) {
 	if got := sink.Counter("server.flightrec.dumps").Value(); got < 2 {
 		t.Errorf("flightrec dump counter = %d, want >= 2", got)
 	}
+
+	// A sharded job runs the same recoverable loop, so its dump carries a
+	// recovery report too (it used to carry none).
+	st, err = s.Submit(JobSpec{Name: "doomed-sharded", Batch: 4, Classes: 2, Steps: 1 << 20, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(filepath.Join(dir, st.ID+".flightrec.json"))
+	if err != nil {
+		t.Fatalf("sharded job's flight record missing: %v", err)
+	}
+	var sharded struct {
+		Meta struct {
+			Recovery *struct{ Steps int }
+		}
+	}
+	if err := json.Unmarshal(raw, &sharded); err != nil {
+		t.Fatal(err)
+	}
+	if rec := sharded.Meta.Recovery; rec == nil || rec.Steps != 3 {
+		t.Errorf("sharded meta.recovery = %+v, want a report of the 3 steps before the stall", rec)
+	}
 }
 
 func TestNoFlightRecorderWithoutDir(t *testing.T) {

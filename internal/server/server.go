@@ -476,8 +476,23 @@ func (s *Server) train(ctx context.Context, j *job) (State, string) {
 	}
 	ckptPath := filepath.Join(s.cfg.CheckpointDir, j.id+".ckpt")
 
+	var rcfg train.ReplicaConfig
+	if spec.Shards > 1 {
+		rcfg = train.ReplicaConfig{Replicas: spec.Shards, Shards: spec.Shards, MaxRetries: spec.MaxRetries}
+	}
+	en := train.NewEngine(g, opts, rcfg)
+	defer en.Close()
+	lead := en.Executors()[0] // checkpoints are written from, and resume at, replica 0
+	if resumeFrom != "" {
+		if err := train.LoadCheckpointFile(en, resumeFrom); err != nil {
+			return StateFailed, fmt.Sprintf("resume: %v", err)
+		}
+		d.Skip(en.Batch(), lead.ResumeStep())
+		j.step.Store(int64(lead.ResumeStep()))
+	}
+
 	runCfg := train.RunConfig{
-		Minibatch:    spec.Batch,
+		Minibatch:    en.Batch(),
 		Steps:        spec.Steps,
 		LR:           float32(spec.LR),
 		MetricsEvery: s.cfg.MetricsEvery,
@@ -492,62 +507,14 @@ func (s *Server) train(ctx context.Context, j *job) (State, string) {
 			}
 		},
 	}
-
-	var runErr error
-	var saveCkpt func() error
-
-	if spec.Shards > 1 {
-		group := train.NewReplicaGroup(g, opts, train.ReplicaConfig{
-			Replicas:   spec.Shards,
-			Shards:     spec.Shards,
-			MaxRetries: spec.MaxRetries,
-		})
-		defer group.Close()
-		if resumeFrom != "" {
-			for _, e := range group.Executors() {
-				if err := e.LoadCheckpointFile(resumeFrom); err != nil {
-					return StateFailed, fmt.Sprintf("resume: %v", err)
-				}
-			}
-			group.SetResumeStep(group.Executor().ResumeStep())
-			d.Skip(group.GroupBatch(), group.ResumeStep())
-			j.step.Store(int64(group.ResumeStep()))
-		}
-		runCfg.Minibatch = group.GroupBatch()
-		saveCkpt = func() error { return group.Executor().SaveCheckpointFile(ckptPath) }
-		// Periodic group checkpoints ride the step callback.
-		base := runCfg.OnStep
-		runCfg.OnStep = func(step int, loss float64) {
-			base(step, loss)
-			if ckptEvery > 0 && step%ckptEvery == 0 {
-				if saveCkpt() == nil {
-					j.setCkpt(ckptPath)
-				}
-			}
-		}
-		_, runErr = train.RunContext(ctx, group, d, runCfg)
-	} else {
-		e := train.NewExecutor(g, opts)
-		defer e.ReleaseBuffers()
-		if resumeFrom != "" {
-			if err := e.LoadCheckpointFile(resumeFrom); err != nil {
-				return StateFailed, fmt.Sprintf("resume: %v", err)
-			}
-			d.Skip(spec.Batch, e.ResumeStep())
-			j.step.Store(int64(e.ResumeStep()))
-		}
-		saveCkpt = func() error { return e.SaveCheckpointFile(ckptPath) }
-		rcfg := train.RecoveryConfig{
-			MaxRetries:      spec.MaxRetries,
-			CheckpointPath:  ckptPath,
-			CheckpointEvery: ckptEvery,
-		}
-		var report *train.RecoveryReport
-		_, report, runErr = train.RunRecoverable(ctx, e, d, runCfg, rcfg)
-		j.setReport(report)
-		if report != nil && report.CheckpointSaves > 0 {
-			j.setCkpt(ckptPath)
-		}
+	_, report, runErr := train.RunRecoverable(ctx, en, d, runCfg, train.RecoveryConfig{
+		MaxRetries:      spec.MaxRetries,
+		CheckpointPath:  ckptPath,
+		CheckpointEvery: ckptEvery,
+	})
+	j.setReport(report)
+	if report.CheckpointSaves > 0 {
+		j.setCkpt(ckptPath)
 	}
 
 	cause := context.Cause(ctx)
@@ -555,7 +522,7 @@ func (s *Server) train(ctx context.Context, j *job) (State, string) {
 	case runErr == nil:
 		return StateCompleted, ""
 	case errors.Is(cause, errPaused):
-		if err := saveCkpt(); err != nil {
+		if err := lead.SaveCheckpointFile(ckptPath); err != nil {
 			return StateFailed, fmt.Sprintf("pause checkpoint: %v", err)
 		}
 		j.setCkpt(ckptPath)
@@ -563,7 +530,7 @@ func (s *Server) train(ctx context.Context, j *job) (State, string) {
 	case errors.Is(cause, errStalled):
 		// Best-effort post-mortem checkpoint; the engine state was rolled
 		// back to the last completed step.
-		if saveCkpt() == nil {
+		if lead.SaveCheckpointFile(ckptPath) == nil {
 			j.setCkpt(ckptPath)
 		}
 		return StateQuarantined, cause.Error()

@@ -2,51 +2,14 @@ package sparse
 
 import "gist/internal/parallel"
 
-// EncodeCSRChunked builds exactly the CSR that EncodeCSR would — same
-// RowPtr, ColIdx and Values, byte for byte — but row-chunk-parallel on the
-// pool. Rows are independent under the narrow reshape, so the builder runs
-// a count pass (per-row non-zero counts across chunks), a cheap serial
-// prefix sum over the row pointers (rows = n/256, tiny next to n), and a
-// fill pass in which each chunk writes its precomputed ColIdx/Values
-// segment. chunkRows is the number of matrix rows per chunk.
-func EncodeCSRChunked(xs []float32, p *parallel.Pool, chunkRows int) *CSR {
-	cols := NarrowCols
-	rows := (len(xs) + cols - 1) / cols
-	if chunkRows <= 0 {
-		chunkRows = rows
-	}
-	nChunks := 0
-	if rows > 0 {
-		nChunks = (rows + chunkRows - 1) / chunkRows
-	}
-	if p.Workers() <= 1 || nChunks <= 1 {
-		return EncodeCSR(xs)
-	}
-
-	c := &CSR{Rows: rows, Cols: cols, N: len(xs), RowPtr: make([]int32, rows+1)}
-	p.ForEach(nChunks, func(ci int) {
-		r0 := ci * chunkRows
-		r1 := min(r0+chunkRows, rows)
-		CountRowNNZ(xs, cols, r0, r1, c.RowPtr[r0+1:r1+1])
-	})
-	for r := 0; r < rows; r++ {
-		c.RowPtr[r+1] += c.RowPtr[r]
-	}
-	nnz := int(c.RowPtr[rows])
-	c.ColIdx = make([]uint8, nnz)
-	c.Values = make([]float32, nnz)
-	p.ForEach(nChunks, func(ci int) {
-		r0 := ci * chunkRows
-		r1 := min(r0+chunkRows, rows)
-		c.FillRows(xs, r0, r1)
-	})
-	return c
-}
-
-// EncodeCSRChunkedInto is the in-place form of EncodeCSRChunked: it builds
-// the identical CSR into c, reusing c's backing arrays when capacity
-// allows. Same three-pass structure (parallel count, serial prefix sum,
-// parallel fill); same serial fallback.
+// EncodeCSRChunkedInto builds exactly the CSR that EncodeCSRInto would —
+// same RowPtr, ColIdx and Values, byte for byte, c's backing arrays reused
+// when capacity allows — but row-chunk-parallel on the pool. Rows are
+// independent under the narrow reshape, so the builder runs a count pass
+// (per-row non-zero counts across chunks), a cheap serial prefix sum over
+// the row pointers (rows = n/256, tiny next to n), and a fill pass in which
+// each chunk writes its precomputed ColIdx/Values segment. chunkRows is the
+// number of matrix rows per chunk.
 func EncodeCSRChunkedInto(c *CSR, xs []float32, p *parallel.Pool, chunkRows int) {
 	cols := NarrowCols
 	rows := (len(xs) + cols - 1) / cols

@@ -131,35 +131,3 @@ func TestCDMADenseDataNoBenefit(t *testing.T) {
 		t.Error("dense CDMA must equal vDNN")
 	}
 }
-
-func TestAllReduceTime(t *testing.T) {
-	d := costmodel.TitanX()
-	g := networks.VGG16(4)
-	if AllReduceTime(d, g, 1) != 0 {
-		t.Error("single worker needs no all-reduce")
-	}
-	t2 := AllReduceTime(d, g, 2)
-	t8 := AllReduceTime(d, g, 8)
-	if t2 <= 0 || t8 <= t2 {
-		t.Errorf("ring all-reduce volume grows with workers: %v vs %v", t2, t8)
-	}
-	// Ring volume approaches 2x the gradient bytes.
-	limit := 2 * float64(g.WeightBytes()) / float64(d.PCIeBandwidth)
-	if t8 >= limit {
-		t.Errorf("t8 %v should be below the 2x limit %v", t8, limit)
-	}
-}
-
-func TestDistributedStepHiding(t *testing.T) {
-	d := costmodel.TitanX()
-	g := networks.AlexNet(16)
-	// A tiny all-reduce hides entirely behind the backward pass.
-	if got := DistributedStepTime(d, g, 2, 1.0, 0); got != 1.0 {
-		t.Errorf("hidden all-reduce should not extend the step: %v", got)
-	}
-	// A busy link pushes the exchange into the open.
-	busy := DistributedStepTime(d, g, 2, 1.0, 10.0)
-	if busy <= 1.0 {
-		t.Errorf("saturated link must extend the step: %v", busy)
-	}
-}

@@ -80,27 +80,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: make([]float32, s.NumElements())}
 }
 
-// Allocator is an optional source of tensor backing storage. The buffer
-// pool (internal/bufpool) implements it, so construction sites that accept
-// an Allocator compose with pooled memory without importing the pool.
-// Alloc must return a zero-filled slice of length n; Free returns a slice
-// previously obtained from Alloc.
-type Allocator interface {
-	Alloc(n int) []float32
-	Free(s []float32)
-}
-
-// NewIn allocates a zero-filled tensor with backing storage from a. A nil
-// allocator falls back to New's plain make — callers can thread an optional
-// allocator through without branching.
-func NewIn(a Allocator, shape ...int) *Tensor {
-	if a == nil {
-		return New(shape...)
-	}
-	s := Shape(shape).Clone()
-	return &Tensor{Shape: s, Data: a.Alloc(s.NumElements())}
-}
-
 // FromSlice wraps the given backing slice in a tensor of the given shape.
 // The slice is used directly, not copied. It panics if the element count
 // does not match the shape.

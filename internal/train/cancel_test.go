@@ -100,7 +100,7 @@ func TestReplicaGroupCloseIdempotentConcurrent(t *testing.T) {
 	pool := bufpool.New()
 	rg := NewReplicaGroup(smallNet(8), Options{Seed: 3, Pool: pool}, ReplicaConfig{Replicas: 2, Shards: 4})
 	d := NewDataset(4, 2, 8, 0.3, 2)
-	x, labels := d.Batch(rg.GroupBatch())
+	x, labels := d.Batch(rg.Batch())
 	rg.Step(x, labels, 0.05)
 
 	var wg sync.WaitGroup
@@ -126,8 +126,8 @@ func TestExecutorReleaseBuffersIdempotent(t *testing.T) {
 	d := NewDataset(4, 2, 8, 0.3, 2)
 	x, labels := d.Batch(8)
 	e.Step(x, labels, 0.05)
-	e.ReleaseBuffers()
-	e.ReleaseBuffers()
+	e.Close()
+	e.Close()
 	if got := pool.Stats().InUseBytes; got != 0 {
 		t.Fatalf("pool still holds %d bytes after release", got)
 	}

@@ -6,17 +6,18 @@ package train
 //
 // The format is crash-safe: a little-endian stream of magic, format
 // version, the payload (node count, then per parameterized node its name,
-// parameter tensors and any batch-norm running statistics), and a CRC32
-// trailer over everything before it. Version 3 inserts a resume section
-// between the node entries and the trailer — per-node momentum tensors,
-// the RNG state (u64) and the completed-step count (u32) — so a paused
-// job resumes byte-identically to a run that was never interrupted.
-// Loading parses and validates the entire checkpoint against the graph
-// before touching any executor state, so a corrupt or mismatched
-// checkpoint never leaves the executor half-restored. SaveCheckpointFile
-// writes atomically (temp file + fsync + verify + rename): a crash
-// mid-write leaves the previous checkpoint intact. Legacy v1 streams (no
-// version, no trailer) and v2 streams (no resume section) still load.
+// parameter tensors and any batch-norm running statistics), a resume
+// section — per-node momentum tensors, the RNG state (u64) and the
+// completed-step count (u32), so a paused job resumes byte-identically to
+// a run that was never interrupted — and a CRC32 trailer over everything
+// before it. Loading verifies the trailer, then parses and validates the
+// entire checkpoint against the graph before touching any executor state,
+// so a corrupt or mismatched checkpoint never leaves the executor
+// half-restored. SaveCheckpointFile writes atomically (temp file + fsync +
+// verify + rename): a crash mid-write leaves the previous checkpoint
+// intact. Version 3 is the only format read or written: the unversioned,
+// unchecksummed v1 stream is rejected as a bad magic and the resume-less
+// v2 as an unsupported version.
 
 import (
 	"bufio"
@@ -34,18 +35,11 @@ import (
 )
 
 const (
-	// checkpointMagicV1 is the legacy unversioned format ("gIST").
-	checkpointMagicV1 = uint32(0x67495354)
-	// checkpointMagicV2 marks the versioned, CRC-trailed format ("gISU").
-	checkpointMagicV2 = uint32(0x67495355)
-	// checkpointVersion is the current format version. Version 3 appends a
-	// resume section after the node entries: per-node momentum tensors, the
-	// executor's RNG state and the completed-step count, which together make
-	// a resumed run byte-identical to an uninterrupted one. Version 2
-	// streams (no resume section) still load; their momenta stay zero.
+	// checkpointMagic marks the versioned, CRC-trailed format ("gISU").
+	checkpointMagic = uint32(0x67495355)
+	// checkpointVersion is the one format version this build reads and
+	// writes.
 	checkpointVersion = uint32(3)
-	// checkpointVersionV2 is the previous, still-loadable format version.
-	checkpointVersionV2 = uint32(2)
 	// maxCheckpointString bounds any length-prefixed string in the stream.
 	maxCheckpointString = 1 << 20
 )
@@ -57,8 +51,8 @@ var (
 	// checkpoint: bad magic, failed CRC, truncation, or any field that
 	// contradicts the bytes that remain.
 	ErrCorruptCheckpoint = errors.New("train: corrupt checkpoint")
-	// ErrCheckpointVersion reports a well-formed v2 header with a version
-	// this build does not understand.
+	// ErrCheckpointVersion reports a well-formed header with a version this
+	// build does not understand.
 	ErrCheckpointVersion = errors.New("train: unsupported checkpoint version")
 	// ErrCheckpointMismatch reports a valid checkpoint that does not match
 	// the executor's graph (unknown node, wrong arity or shape).
@@ -201,7 +195,7 @@ func (e *Executor) SaveCheckpoint(w io.Writer) error {
 	h := crc32.NewIEEE()
 	mw := io.MultiWriter(bw, h)
 
-	if err := binary.Write(mw, binary.LittleEndian, checkpointMagicV2); err != nil {
+	if err := binary.Write(mw, binary.LittleEndian, checkpointMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(mw, binary.LittleEndian, checkpointVersion); err != nil {
@@ -249,8 +243,8 @@ func (e *Executor) SaveCheckpoint(w io.Writer) error {
 			}
 		}
 	}
-	// v3 resume section: momentum tensors in the same node order, then the
-	// RNG state and the completed-step count.
+	// Resume section: momentum tensors in the same node order, then the RNG
+	// state and the completed-step count.
 	if err := binary.Write(mw, binary.LittleEndian, count); err != nil {
 		return err
 	}
@@ -345,91 +339,67 @@ func parseCheckpointBody(r *cpReader) ([]ckptNode, error) {
 	return nodes, nil
 }
 
-// LoadCheckpoint restores parameters saved by SaveCheckpoint into this
+// LoadCheckpoint restores the parameters, batch-norm statistics, momenta,
+// RNG state and completed-step count saved by SaveCheckpoint into this
 // executor. The graph must contain the same parameterized node names with
-// the same shapes. The whole stream is parsed and validated before any
-// executor state changes, so a failed load leaves the executor untouched.
-// The v3 (resume section), v2 (versioned, CRC-trailed) and legacy v1
-// formats are all accepted; only v3 restores momenta, the RNG state and
-// the completed-step count.
+// the same shapes. The whole stream is verified, parsed and validated
+// before any executor state changes, so a failed load leaves the executor
+// untouched.
 func (e *Executor) LoadCheckpoint(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return err
 	}
-	if len(data) < 4 {
-		return fmt.Errorf("%w: %d-byte stream", ErrCorruptCheckpoint, len(data))
+	if err := VerifyCheckpoint(data); err != nil {
+		return err
 	}
-	var body *cpReader
-	version := uint32(0) // 0 marks a legacy v1 stream
-	switch magic := binary.LittleEndian.Uint32(data); magic {
-	case checkpointMagicV1:
-		body = &cpReader{data: data, off: 4}
-	case checkpointMagicV2:
-		if len(data) < 12 {
-			return fmt.Errorf("%w: v2 stream of %d bytes", ErrCorruptCheckpoint, len(data))
-		}
-		version = binary.LittleEndian.Uint32(data[4:])
-		if version != checkpointVersion && version != checkpointVersionV2 {
-			return fmt.Errorf("%w: version %d (supported: %d, %d)",
-				ErrCheckpointVersion, version, checkpointVersionV2, checkpointVersion)
-		}
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
-			return fmt.Errorf("%w: CRC %#x, trailer %#x", ErrCorruptCheckpoint, got, want)
-		}
-		body = &cpReader{data: data[:len(data)-4], off: 8}
-	default:
-		return fmt.Errorf("%w: not a gist checkpoint (magic %#x)", ErrCorruptCheckpoint, magic)
-	}
+	body := &cpReader{data: data[:len(data)-4], off: 8}
 
 	nodes, err := parseCheckpointBody(body)
 	if err != nil {
 		return err
 	}
 
-	// v3 resume section: momenta (same entry layout, no batch-norm stats),
-	// RNG state and completed-step count.
+	// Resume section: momenta (same entry layout, no batch-norm stats), RNG
+	// state and completed-step count.
+	count, err := body.u32()
+	if err != nil {
+		return err
+	}
+	if int64(count) > int64(body.remaining()/8)+1 {
+		return fmt.Errorf("%w: momentum node count %d with %d bytes remaining",
+			ErrCorruptCheckpoint, count, body.remaining())
+	}
 	var moms []ckptNode
-	var rngState uint64
-	var resumeStep uint32
-	if version == checkpointVersion {
-		count, err := body.u32()
+	for i := uint32(0); i < count; i++ {
+		var cn ckptNode
+		if cn.name, err = readString(body); err != nil {
+			return err
+		}
+		nMoms, err := body.u32()
 		if err != nil {
 			return err
 		}
-		if int64(count) > int64(body.remaining()/8)+1 {
-			return fmt.Errorf("%w: momentum node count %d with %d bytes remaining",
-				ErrCorruptCheckpoint, count, body.remaining())
+		if int64(nMoms) > int64(body.remaining()/4)+1 {
+			return fmt.Errorf("%w: node %q claims %d momenta with %d bytes remaining",
+				ErrCorruptCheckpoint, cn.name, nMoms, body.remaining())
 		}
-		for i := uint32(0); i < count; i++ {
-			var cn ckptNode
-			if cn.name, err = readString(body); err != nil {
-				return err
-			}
-			nMoms, err := body.u32()
+		for j := uint32(0); j < nMoms; j++ {
+			t, err := readTensor(body)
 			if err != nil {
 				return err
 			}
-			if int64(nMoms) > int64(body.remaining()/4)+1 {
-				return fmt.Errorf("%w: node %q claims %d momenta with %d bytes remaining",
-					ErrCorruptCheckpoint, cn.name, nMoms, body.remaining())
-			}
-			for j := uint32(0); j < nMoms; j++ {
-				t, err := readTensor(body)
-				if err != nil {
-					return err
-				}
-				cn.params = append(cn.params, t)
-			}
-			moms = append(moms, cn)
+			cn.params = append(cn.params, t)
 		}
-		if rngState, err = body.u64(); err != nil {
-			return err
-		}
-		if resumeStep, err = body.u32(); err != nil {
-			return err
-		}
+		moms = append(moms, cn)
+	}
+	rngState, err := body.u64()
+	if err != nil {
+		return err
+	}
+	resumeStep, err := body.u32()
+	if err != nil {
+		return err
 	}
 
 	// Validate everything against the graph before mutating anything.
@@ -487,39 +457,32 @@ func (e *Executor) LoadCheckpoint(r io.Reader) error {
 			copy(e.moms[node.ID][j].Data, t.Data)
 		}
 	}
-	if version == checkpointVersion {
-		e.rng.SetState(rngState)
-		e.resumeStep = int(resumeStep)
-	}
+	e.rng.SetState(rngState)
+	e.resumeStep = int(resumeStep)
 	return nil
 }
 
 // VerifyCheckpoint checks that a byte stream is a structurally sound
-// checkpoint: correct magic, supported version and matching CRC trailer
-// (v1 streams only get the magic check — they carry no checksum). It does
-// not compare against any graph.
+// checkpoint: correct magic, the supported version and a matching CRC
+// trailer. It does not compare against any graph.
 func VerifyCheckpoint(data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("%w: %d-byte stream", ErrCorruptCheckpoint, len(data))
 	}
-	switch magic := binary.LittleEndian.Uint32(data); magic {
-	case checkpointMagicV1:
-		return nil
-	case checkpointMagicV2:
-		if len(data) < 12 {
-			return fmt.Errorf("%w: v2 stream of %d bytes", ErrCorruptCheckpoint, len(data))
-		}
-		if v := binary.LittleEndian.Uint32(data[4:]); v != checkpointVersion && v != checkpointVersionV2 {
-			return fmt.Errorf("%w: version %d", ErrCheckpointVersion, v)
-		}
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
-			return fmt.Errorf("%w: CRC %#x, trailer %#x", ErrCorruptCheckpoint, got, want)
-		}
-		return nil
-	default:
+	if magic := binary.LittleEndian.Uint32(data); magic != checkpointMagic {
 		return fmt.Errorf("%w: not a gist checkpoint (magic %#x)", ErrCorruptCheckpoint, magic)
 	}
+	if len(data) < 12 {
+		return fmt.Errorf("%w: stream of %d bytes", ErrCorruptCheckpoint, len(data))
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != checkpointVersion {
+		return fmt.Errorf("%w: version %d (supported: %d)", ErrCheckpointVersion, v, checkpointVersion)
+	}
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
+		return fmt.Errorf("%w: CRC %#x, trailer %#x", ErrCorruptCheckpoint, got, want)
+	}
+	return nil
 }
 
 // SaveCheckpointFile atomically writes the executor's checkpoint to path:
@@ -593,4 +556,18 @@ func (e *Executor) LoadCheckpointFile(path string) error {
 	}
 	defer f.Close()
 	return e.LoadCheckpoint(f)
+}
+
+// LoadCheckpointFile restores a checkpoint into every executor of the
+// engine, so the replicas of a group stay bit-equal, then aligns the
+// engine's step clock to the checkpoint's completed-step count.
+func LoadCheckpointFile(en Engine, path string) error {
+	execs := en.Executors()
+	for _, e := range execs {
+		if err := e.LoadCheckpointFile(path); err != nil {
+			return err
+		}
+	}
+	en.SetResumeStep(execs[0].ResumeStep())
+	return nil
 }

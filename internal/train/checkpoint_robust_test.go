@@ -135,7 +135,7 @@ func equalParams(a, b map[string][][]float32) bool {
 	return true
 }
 
-// fixCRC rewrites the v2 trailer to match the (possibly modified) body.
+// fixCRC rewrites the CRC trailer to match the (possibly modified) body.
 func fixCRC(data []byte) {
 	crc := crc32.ChecksumIEEE(data[:len(data)-4])
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc)
@@ -210,7 +210,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte{0x54, 0x53, 0x49, 0x67}) // v1 magic, empty body
+	f.Add([]byte{0x54, 0x53, 0x49, 0x67}) // retired v1 magic: rejected as corrupt
 	f.Add([]byte{0x55, 0x53, 0x49, 0x67, 2, 0, 0, 0})
 	f.Add(valid[:len(valid)/2])
 	mangled := append([]byte(nil), valid...)

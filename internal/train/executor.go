@@ -443,21 +443,21 @@ func (e *Executor) ctxErr() error {
 func (e *Executor) SetResumeStep(n int) { e.resumeStep = n }
 
 // ResumeStep returns the completed-step count of the last checkpoint loaded
-// into (or recorded on) this executor — 0 for a fresh executor or a legacy
-// v1/v2 checkpoint. A resumed training loop continues from step
-// ResumeStep()+1 after fast-forwarding its dataset by ResumeStep() batches.
+// into (or recorded on) this executor — 0 for a fresh executor. A resumed
+// training loop continues from step ResumeStep()+1 after fast-forwarding
+// its dataset by ResumeStep() batches.
 func (e *Executor) ResumeStep() int { return e.resumeStep }
 
-// ReleaseBuffers promptly returns every pooled buffer the executor still
-// holds — in-flight decode futures are drained first, then the checked-out
-// ledger is swept — and drops the per-step output and stash references.
-// This is the deterministic release point a job server needs when a job is
-// cancelled, paused or quarantined: after ReleaseBuffers the shared pool
-// owns every buffer again (Stats().InUseBytes from this executor is zero)
-// without waiting for a next Forward's sweep. Must run on the executor's
-// goroutine (not concurrent with a step); safe to call repeatedly and on
-// an unpooled executor (where it only drops references).
-func (e *Executor) ReleaseBuffers() {
+// Close promptly returns every pooled buffer the executor still holds —
+// in-flight decode futures are drained first, then the checked-out ledger
+// is swept — and drops the per-step output and stash references. This is
+// the deterministic release point a job server needs when a job is
+// cancelled, paused or quarantined: after Close the shared pool owns every
+// buffer again (Stats().InUseBytes from this executor is zero) without
+// waiting for a next Forward's sweep. Must run on the executor's goroutine
+// (not concurrent with a step); safe to call repeatedly and on an unpooled
+// executor (where it only drops references).
+func (e *Executor) Close() {
 	e.drainFutures()
 	e.sweep()
 	clear(e.outs)
@@ -470,6 +470,12 @@ func (e *Executor) ReleaseBuffers() {
 	// method's safe-to-call-repeatedly contract.
 	_ = e.store.Close()
 }
+
+// Batch returns the rows one step consumes: the graph input's batch size.
+func (e *Executor) Batch() int { return e.G.InputNodes()[0].OutShape[0] }
+
+// Executors returns the executor itself, as the one-replica Engine.
+func (e *Executor) Executors() []*Executor { return []*Executor{e} }
 
 // StashStore returns the store every encoded stash waits in between encode
 // and fetch (never nil). Tests and the trainer's stats accessor read
@@ -1123,8 +1129,7 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 	if cerr := e.ctxErr(); cerr != nil {
 		// Aborting between forward and backward: no gradient has
 		// accumulated and no update has been applied. Pooled tensors the
-		// forward checked out are swept at the next Forward or by
-		// ReleaseBuffers.
+		// forward checked out are swept at the next Forward or by Close.
 		return loss, errs, fmt.Errorf("train: step canceled after forward: %w", cerr)
 	}
 

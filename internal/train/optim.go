@@ -1,111 +1,9 @@
 package train
 
 import (
-	"fmt"
-	"math"
-
 	"gist/internal/layers"
 	"gist/internal/tensor"
 )
-
-// Optimizer updates parameters from accumulated gradients. The executor's
-// built-in momentum SGD remains the default; Adam is provided for the
-// extension experiments and example applications.
-type Optimizer interface {
-	// Update applies one step to params given grads (same shapes), then
-	// the caller zeroes the gradients.
-	Update(params, grads []*tensor.Tensor)
-}
-
-// SGDOpt is momentum SGD with weight decay, equivalent to Executor.SGD.
-type SGDOpt struct {
-	LR, Momentum, WeightDecay float32
-	velocity                  map[*tensor.Tensor]*tensor.Tensor
-}
-
-// NewSGD returns a momentum-SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float32) *SGDOpt {
-	return &SGDOpt{LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: map[*tensor.Tensor]*tensor.Tensor{}}
-}
-
-// Update applies one momentum-SGD step.
-func (o *SGDOpt) Update(params, grads []*tensor.Tensor) {
-	for i, p := range params {
-		g := grads[i]
-		v := o.velocity[p]
-		if v == nil {
-			v = tensor.New(p.Shape...)
-			o.velocity[p] = v
-		}
-		for k := range p.Data {
-			grad := g.Data[k] + o.WeightDecay*p.Data[k]
-			v.Data[k] = o.Momentum*v.Data[k] + grad
-			p.Data[k] -= o.LR * v.Data[k]
-		}
-	}
-}
-
-// AdamOpt is the Adam optimizer (Kingma & Ba) with bias correction.
-type AdamOpt struct {
-	LR, Beta1, Beta2, Eps float32
-	step                  int
-	m, v                  map[*tensor.Tensor]*tensor.Tensor
-}
-
-// NewAdam returns an Adam optimizer with the standard defaults for the
-// unset fields.
-func NewAdam(lr float32) *AdamOpt {
-	return &AdamOpt{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[*tensor.Tensor]*tensor.Tensor{},
-		v: map[*tensor.Tensor]*tensor.Tensor{},
-	}
-}
-
-// Update applies one Adam step.
-func (o *AdamOpt) Update(params, grads []*tensor.Tensor) {
-	o.step++
-	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(o.step)))
-	bc2 := 1 - float32(math.Pow(float64(o.Beta2), float64(o.step)))
-	for i, p := range params {
-		g := grads[i]
-		m, v := o.m[p], o.v[p]
-		if m == nil {
-			m = tensor.New(p.Shape...)
-			v = tensor.New(p.Shape...)
-			o.m[p], o.v[p] = m, v
-		}
-		for k := range p.Data {
-			gk := g.Data[k]
-			m.Data[k] = o.Beta1*m.Data[k] + (1-o.Beta1)*gk
-			v.Data[k] = o.Beta2*v.Data[k] + (1-o.Beta2)*gk*gk
-			mHat := m.Data[k] / bc1
-			vHat := v.Data[k] / bc2
-			p.Data[k] -= o.LR * mHat / (float32(math.Sqrt(float64(vHat))) + o.Eps)
-		}
-	}
-}
-
-// StepWith runs forward, backward and an update with the given optimizer
-// (gradient clipping included), returning loss and top-1 errors. Like
-// Step, it panics on stash-pipeline errors, which only fault-injected runs
-// can produce.
-func (e *Executor) StepWith(input *tensor.Tensor, labels []int, opt Optimizer) (loss float64, errors int) {
-	e.Forward(input, labels, true)
-	loss, errors = e.lossOf(labels)
-	if err := e.Backward(); err != nil {
-		panic(fmt.Sprintf("train: StepWith under fault injection: %v", err))
-	}
-	e.ClipGradNorm(5)
-	for id, ps := range e.params {
-		opt.Update(ps, e.grads[id])
-		for _, g := range e.grads[id] {
-			g.Zero()
-		}
-	}
-	return loss, errors
-}
 
 // Eval runs an inference-mode forward pass (dropout off, batch-norm
 // running statistics) and returns the loss and top-1 error count on the
@@ -120,18 +18,4 @@ func (e *Executor) lossOf(labels []int) (float64, int) {
 	lossNode := e.lossNode()
 	sm := lossNode.Op.(*layers.SoftmaxXentOp)
 	return sm.Loss(e.outs[lossNode.ID], labels)
-}
-
-// EvalAccuracy evaluates the executor over n minibatches from the dataset
-// and returns the error rate — a held-out validation measurement for the
-// example applications.
-func (e *Executor) EvalAccuracy(d *Dataset, minibatch, n int) float64 {
-	errs, total := 0, 0
-	for i := 0; i < n; i++ {
-		x, labels := d.Batch(minibatch)
-		_, batchErrs := e.Eval(x, labels)
-		errs += batchErrs
-		total += minibatch
-	}
-	return float64(errs) / float64(total)
 }

@@ -161,7 +161,7 @@ func TestStashLifecycleAccounting(t *testing.T) {
 					opts.Faults = inj
 				}
 				e := NewExecutor(g, opts)
-				defer e.ReleaseBuffers()
+				defer e.Close()
 				d := NewDataset(4, 2, 8, 0.3, 7)
 				_, report, err := RunRecoverable(context.Background(), e, d,
 					RunConfig{Minibatch: mb, Steps: steps, LR: 0.05},

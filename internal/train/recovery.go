@@ -9,7 +9,6 @@ package train
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -35,28 +34,38 @@ func (e *Executor) Snapshot() *Snapshot {
 		moms:   map[int][][]float32{},
 		bnMean: map[int][]float32{},
 		bnVar:  map[int][]float32{},
-		rng:    e.rng.State(),
 	}
-	for id, ps := range e.params {
-		s.params[id] = copyTensors(ps)
-		s.moms[id] = copyTensors(e.moms[id])
-	}
-	for _, n := range e.G.Nodes {
-		if bn, ok := n.Op.(*layers.BatchNormOp); ok {
-			s.bnMean[n.ID] = append([]float32(nil), bn.RunningMean...)
-			s.bnVar[n.ID] = append([]float32(nil), bn.RunningVar...)
-		}
-	}
+	e.snapshotInto(s)
 	return s
 }
 
-// copyTensors deep-copies the data arrays of a tensor list.
-func copyTensors(ts []*tensor.Tensor) [][]float32 {
-	out := make([][]float32, len(ts))
-	for i, t := range ts {
-		out[i] = append([]float32(nil), t.Data...)
+// snapshotInto refreshes s, a snapshot of this executor, in place: shapes
+// never change, so every array is reused and the run loop's per-step
+// refresh allocates nothing.
+func (e *Executor) snapshotInto(s *Snapshot) {
+	for id, ps := range e.params {
+		s.params[id] = copyTensors(s.params[id], ps)
+		s.moms[id] = copyTensors(s.moms[id], e.moms[id])
 	}
-	return out
+	for _, n := range e.G.Nodes {
+		if bn, ok := n.Op.(*layers.BatchNormOp); ok {
+			s.bnMean[n.ID] = append(s.bnMean[n.ID][:0], bn.RunningMean...)
+			s.bnVar[n.ID] = append(s.bnVar[n.ID][:0], bn.RunningVar...)
+		}
+	}
+	s.rng = e.rng.State()
+}
+
+// copyTensors deep-copies the data arrays of a tensor list into dst,
+// reusing its arrays (a nil dst allocates them).
+func copyTensors(dst [][]float32, ts []*tensor.Tensor) [][]float32 {
+	if dst == nil {
+		dst = make([][]float32, len(ts))
+	}
+	for i, t := range ts {
+		dst[i] = append(dst[i][:0], t.Data...)
+	}
+	return dst
 }
 
 // restoreTensors writes saved data arrays back into the tensor list.
@@ -165,11 +174,23 @@ type RecoveryReport struct {
 	// checkpoint writes.
 	CheckpointSaves    int
 	CheckpointFailures int
-	// Robust is the executor's counter block at run end.
+	// Robust is the executors' counter blocks at run end, summed over the
+	// engine's replicas.
 	Robust RobustnessStats
 	// FaultCounts aggregates the injector's event log by kind (nil when no
 	// injector was attached).
 	FaultCounts map[faults.Kind]int
+}
+
+// add accumulates another executor's counters into r.
+func (r *RobustnessStats) add(o RobustnessStats) {
+	r.SSDCFallbacks += o.SSDCFallbacks
+	r.CRCFailures += o.CRCFailures
+	r.EncodeFailures += o.EncodeFailures
+	r.DecodeFailures += o.DecodeFailures
+	r.AllocFailures += o.AllocFailures
+	r.SpillWriteFailures += o.SpillWriteFailures
+	r.SpillReadFailures += o.SpillReadFailures
 }
 
 // String renders the report as a compact multi-line summary.
@@ -195,147 +216,20 @@ func (r *RecoveryReport) String() string {
 // state is rolled back, the loop backs off (exponential, capped), and the
 // step is re-executed. A step that exhausts MaxRetries aborts the run with
 // an error; the records and report accumulated so far are still returned.
+// A ReplicaGroup spends its own per-shard retry budget first; the loop
+// retries only the steps the group abandoned.
 //
 // The context is threaded through the whole loop: it is bound to the
-// executor (polled at step phase boundaries), checked before every step,
+// engine (polled at step phase boundaries), checked before every step,
 // and it interrupts the backoff wait immediately — a cancelled or
 // deadline-expired run returns within one step's latency with the state
 // rolled back to the last good snapshot, records and report intact, and an
 // error wrapping ctx.Err() (plus the last failure cause when the
 // cancellation landed mid-retry).
 //
-// With no fault injector attached the loop's overhead is one state
-// snapshot per step; with nothing to roll back it behaves exactly like Run.
-func RunRecoverable(ctx context.Context, e *Executor, d *Dataset, cfg RunConfig, rcfg RecoveryConfig) ([]Record, *RecoveryReport, error) {
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 10
-	}
-	if cfg.ProbeSparsity {
-		e.SetSparsityProbe(true)
-	}
-	e.SetContext(ctx)
-	defer e.SetContext(nil)
-	rc := rcfg.withDefaults(cfg.ProbeEvery)
-	report := &RecoveryReport{}
-	inj := e.opts.Faults
-
-	// Recovery-loop instruments (nil, hence free, when the executor carries
-	// no sink). They mirror the report's counters one-for-one, which the
-	// telemetry cross-check test pins.
-	retriesC := e.tel.Counter("train.retries")
-	recoveredC := e.tel.Counter("train.recovered_steps")
-	ckptSaves := e.tel.Counter("train.checkpoint.saves")
-	ckptFails := e.tel.Counter("train.checkpoint.failures")
-
-	var records []Record
-	windowErrs, windowN := 0, 0
-	var lastLoss float64
-
-	abort := func(cause error) ([]Record, *RecoveryReport, error) {
-		report.Robust = e.Robust
-		report.FaultCounts = countsOrNil(inj)
-		return records, report, cause
-	}
-
-	startStep := e.ResumeStep()
-	good := e.Snapshot()
-	for step := startStep + 1; step <= cfg.Steps; step++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return abort(fmt.Errorf("train: run stopped before step %d: %w", step, cerr))
-		}
-		x, labels := d.Batch(cfg.Minibatch)
-		inj.BeginStep(step)
-
-		var loss float64
-		var errs int
-		backoff := rc.BackoffBase
-		recovered := false
-		for attempt := 0; ; attempt++ {
-			var err error
-			loss, errs, err = e.TryStep(x, labels, cfg.LR)
-			if err == nil {
-				break
-			}
-			e.Restore(good)
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// Cancellation, not a fault: the state is rolled back to
-				// the last good snapshot; don't burn retries on it.
-				return abort(fmt.Errorf("train: step %d canceled: %w", step, err))
-			}
-			if attempt >= rc.MaxRetries {
-				report.GaveUpStep = step
-				e.tel.Gauge("train.gave_up_step").Set(int64(step))
-				return abort(fmt.Errorf("train: step %d failed after %d retries: %w",
-					step, rc.MaxRetries, err))
-			}
-			if rc.Sleep != nil {
-				rc.Sleep(backoff)
-			} else if werr := sleepCtx(ctx, backoff); werr != nil {
-				return abort(fmt.Errorf(
-					"train: step %d canceled during retry backoff: %w (last cause: %w)",
-					step, werr, err))
-			}
-			report.BackoffTotal += backoff
-			if cerr := ctx.Err(); cerr != nil {
-				return abort(fmt.Errorf(
-					"train: step %d canceled during retry backoff: %w (last cause: %w)",
-					step, cerr, err))
-			}
-			if backoff *= 2; backoff > rc.BackoffMax {
-				backoff = rc.BackoffMax
-			}
-			report.Retries++
-			retriesC.Inc()
-			recovered = true
-		}
-		if recovered {
-			report.RecoveredSteps++
-			recoveredC.Inc()
-		}
-		report.Steps = step
-		e.SetResumeStep(step)
-		good = e.Snapshot()
-		if cfg.OnStep != nil {
-			cfg.OnStep(step, loss)
-		}
-
-		windowErrs += errs
-		windowN += cfg.Minibatch
-		lastLoss = loss
-		if step%cfg.ProbeEvery == 0 {
-			rec := Record{
-				Minibatch:    step,
-				Loss:         lastLoss,
-				AccuracyLoss: float64(windowErrs) / float64(windowN),
-			}
-			if cfg.ProbeSparsity {
-				rec.ReLUSparsity = e.ReLUSparsities()
-			}
-			records = append(records, rec)
-			windowErrs, windowN = 0, 0
-		}
-		if rc.CheckpointPath != "" && step%rc.CheckpointEvery == 0 {
-			// Writes go through the injector's wrapper (a no-op when no
-			// checkpoint fault is configured) so torn/corrupt streams are
-			// exercised; the atomic save catches them before promotion.
-			if err := e.SaveCheckpointFileVia(rc.CheckpointPath, inj.WrapWriter); err != nil {
-				report.CheckpointFailures++
-				ckptFails.Inc()
-			} else {
-				report.CheckpointSaves++
-				ckptSaves.Inc()
-			}
-		}
-		maybeSnapshot(e, cfg, step)
-	}
-	report.Robust = e.Robust
-	report.FaultCounts = countsOrNil(inj)
-	return records, report, nil
-}
-
-func countsOrNil(inj *faults.Injector) map[faults.Kind]int {
-	if inj == nil {
-		return nil
-	}
-	return inj.Counts()
+// With no fault injector attached the loop's overhead is one in-place state
+// snapshot per executor per step; with nothing to roll back it behaves
+// exactly like Run.
+func RunRecoverable(ctx context.Context, en Engine, d *Dataset, cfg RunConfig, rcfg RecoveryConfig) ([]Record, *RecoveryReport, error) {
+	return run(ctx, en, d, cfg, &rcfg)
 }

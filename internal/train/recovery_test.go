@@ -164,6 +164,51 @@ func TestRunRecoverableSurvivesInjectedFaults(t *testing.T) {
 	}
 }
 
+// TestRunRecoverableGroupReplaysBitIdentically drives a replica group with
+// no shard retry budget through the recoverable loop: every injected fault
+// abandons the step, the loop restores each replica's snapshot (batch-norm
+// running statistics differ per replica, so one shared snapshot would not
+// do), rewinds the group's dropout clock and replays — ending bit-equal to
+// the fault-free run of the same group.
+func TestRunRecoverableGroupReplaysBitIdentically(t *testing.T) {
+	cfg := RunConfig{Minibatch: 8, Steps: 40, LR: 0.05, ProbeEvery: 10}
+	run := func(inj *faults.Injector) (*ReplicaGroup, *RecoveryReport) {
+		g := bnNet(4)
+		rg := NewReplicaGroup(g, Options{Seed: 9, Integrity: true, Faults: inj,
+			Encodings: encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))},
+			ReplicaConfig{Replicas: 2, Shards: 2})
+		t.Cleanup(rg.Close)
+		_, report, err := RunRecoverable(context.Background(), rg, NewDataset(4, 2, 8, 0.3, 13), cfg,
+			RecoveryConfig{MaxRetries: 25, Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatalf("run did not survive: %v\nreport:\n%s", err, report)
+		}
+		return rg, report
+	}
+	clean, _ := run(nil)
+	inj := faults.New(faults.Config{Seed: 99, BitFlipRate: 0.06, EncodeFailRate: 0.03, DecodeFailRate: 0.03})
+	faulty, report := run(inj)
+
+	if report.Retries == 0 || report.RecoveredSteps == 0 {
+		t.Fatalf("no step was replayed; raise the rates or change the seed: %+v", report)
+	}
+	counts := inj.Counts()
+	if got, want := report.Robust.CRCFailures, int64(counts[faults.BitFlip]); got != want {
+		t.Fatalf("CRC detections summed over replicas %d != injected bit flips %d", got, want)
+	}
+	for _, ev := range inj.Events() {
+		if ev.Step == 0 {
+			t.Fatalf("event %+v logged outside any step", ev)
+		}
+	}
+	for r, e := range faulty.Executors() {
+		if !reflect.DeepEqual(paramsOf(e), paramsOf(clean.Executors()[r])) {
+			t.Fatalf("replica %d: parameters or batch-norm statistics differ from the fault-free run", r)
+		}
+		paramsBitsEqual(t, flatParams(e), flatParams(faulty.Executor()), "replica vs replica 0")
+	}
+}
+
 func TestRunRecoverableAllocPressureClears(t *testing.T) {
 	g := smallNet(4)
 	a := encoding.Analyze(g, encoding.Lossless())
@@ -257,6 +302,48 @@ func TestRunRecoverablePeriodicCheckpoints(t *testing.T) {
 			if !p1[j].Equal(p2[j]) {
 				t.Fatalf("%s param %d not restored", n.Name, j)
 			}
+		}
+	}
+}
+
+// TestRunClocksInjector pins that the loop stamps every step on the
+// injector whatever drives it: the first logged event carries the step that
+// failed. (RunContext used to leave a single executor's clock at 0, so
+// AllocBudgetBytes — a per-step budget — also accumulated over the run.)
+func TestRunClocksInjector(t *testing.T) {
+	for _, recoverable := range []bool{false, true} {
+		g := smallNet(4)
+		inj := faults.New(faults.Config{Seed: 3, EncodeFailRate: 0.02})
+		e := NewExecutor(g, Options{Seed: 9, Encodings: encoding.Analyze(g, encoding.Lossless()), Faults: inj})
+		d := NewDataset(4, 2, 8, 0.3, 13)
+		completed, firstFailed := 0, 0
+		cfg := RunConfig{Minibatch: 4, Steps: 60, LR: 0.05,
+			OnStep: func(step int, _ float64) { completed = step }}
+		if recoverable {
+			_, _, err := RunRecoverable(context.Background(), e, d, cfg,
+				RecoveryConfig{MaxRetries: 25, Sleep: func(time.Duration) {
+					if firstFailed == 0 {
+						firstFailed = completed + 1
+					}
+				}})
+			if err != nil {
+				t.Fatalf("RunRecoverable: %v", err)
+			}
+		} else {
+			_, err := RunContext(context.Background(), e, d, cfg)
+			if !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("RunContext must end at the first failed step, got %v", err)
+			}
+			firstFailed = completed + 1
+		}
+		evs := inj.Events()
+		if len(evs) == 0 || firstFailed < 2 {
+			t.Fatalf("recoverable=%v: %d events, first failure at step %d; want one after step 1",
+				recoverable, len(evs), firstFailed)
+		}
+		if evs[0].Step != firstFailed {
+			t.Fatalf("recoverable=%v: first event logged at step %d, step %d failed",
+				recoverable, evs[0].Step, firstFailed)
 		}
 	}
 }

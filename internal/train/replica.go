@@ -375,9 +375,9 @@ func (rg *ReplicaGroup) ctxErr() error {
 	return rg.ctx.Err()
 }
 
-// GroupBatch returns the rows one group step consumes: Shards x the
-// graph's batch size. Step inputs must carry exactly this many rows.
-func (rg *ReplicaGroup) GroupBatch() int { return rg.groupBatch }
+// Batch returns the rows one group step consumes: Shards x the graph's
+// batch size. Step inputs must carry exactly this many rows.
+func (rg *ReplicaGroup) Batch() int { return rg.groupBatch }
 
 // Replicas returns the executor replica count after clamping.
 func (rg *ReplicaGroup) Replicas() int { return len(rg.execs) }
@@ -406,11 +406,8 @@ func (rg *ReplicaGroup) SetResumeStep(n int) {
 }
 
 // ResumeStep returns the completed-step count (set by SetResumeStep or a
-// v3 checkpoint load on replica 0).
+// checkpoint load on replica 0).
 func (rg *ReplicaGroup) ResumeStep() int { return rg.execs[0].ResumeStep() }
-
-// Telemetry returns the sink the group reports to (nil when none).
-func (rg *ReplicaGroup) Telemetry() *telemetry.Sink { return rg.tel }
 
 // SetSparsityProbe arms per-step ReLU sparsity capture on every replica
 // (ReLUSparsities reports replica 0's view — every replica sees the same
@@ -575,7 +572,7 @@ func (rg *ReplicaGroup) Close() {
 		// loop stops they are parked (or exiting) and each executor's
 		// ledger is safe to sweep from here.
 		for _, e := range rg.execs {
-			e.ReleaseBuffers()
+			e.Close()
 		}
 	})
 }

@@ -51,7 +51,7 @@ func TestReplicaGroupsSharedPoolRace(t *testing.T) {
 			defer rg.Close()
 			d := NewDataset(4, 3, 16, 0.3, uint64(100+i))
 			for step := 0; step < steps; step++ {
-				x, labels := d.Batch(rg.GroupBatch())
+				x, labels := d.Batch(rg.Batch())
 				_, _, err := rg.TryStep(x, labels, 0.05)
 				if err != nil && !errors.Is(err, ErrStepAbandoned) {
 					t.Errorf("group %d step %d: unexpected error %v", i, step, err)

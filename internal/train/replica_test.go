@@ -72,7 +72,7 @@ func trainReplicaGroup(t *testing.T, build func(mb, classes int) *graph.Graph,
 	d := NewDataset(classes, in[1], in[2], 0.3, 7)
 	var loss float64
 	for step := 0; step < steps; step++ {
-		x, labels := d.Batch(rg.GroupBatch())
+		x, labels := d.Batch(rg.Batch())
 		loss, _ = rg.Step(x, labels, 0.05)
 	}
 	return flatParams(rg.Executor()), loss
@@ -161,7 +161,7 @@ func TestReplicaEval(t *testing.T) {
 	rg := NewReplicaGroup(g, Options{Seed: 1}, ReplicaConfig{Replicas: 2, Shards: 4})
 	defer rg.Close()
 	d := NewDataset(classes, 3, 16, 0.3, 3)
-	x, labels := d.Batch(rg.GroupBatch())
+	x, labels := d.Batch(rg.Batch())
 	for i := 0; i < 5; i++ {
 		rg.Step(x, labels, 0.05)
 	}
@@ -169,8 +169,8 @@ func TestReplicaEval(t *testing.T) {
 	if loss != loss || loss < 0 {
 		t.Fatalf("eval loss %g", loss)
 	}
-	if errs < 0 || errs > rg.GroupBatch() {
-		t.Fatalf("eval errors %d out of range [0,%d]", errs, rg.GroupBatch())
+	if errs < 0 || errs > rg.Batch() {
+		t.Fatalf("eval errors %d out of range [0,%d]", errs, rg.Batch())
 	}
 }
 
@@ -188,6 +188,42 @@ func TestReplicaClamp(t *testing.T) {
 	defer rg2.Close()
 	if rg2.Replicas() != 1 || rg2.Shards() != 1 {
 		t.Fatalf("zero config: got %d/%d, want 1/1", rg2.Replicas(), rg2.Shards())
+	}
+}
+
+// TestNewEngineChoosesOnce pins the one executor-or-group predicate: only a
+// config that asks for neither a second replica nor a shard count is a
+// single Executor; one pinned shard is already a group (per-shard dropout
+// seeding), and replicas default their shard count.
+func TestNewEngineChoosesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		cfg              ReplicaConfig
+		group            bool
+		replicas, shards int
+	}{
+		{cfg: ReplicaConfig{}},
+		{cfg: ReplicaConfig{Replicas: 1, MaxRetries: 3}},
+		{cfg: ReplicaConfig{Shards: 1}, group: true, replicas: 1, shards: 1},
+		{cfg: ReplicaConfig{Replicas: 2}, group: true, replicas: 2, shards: 2},
+	} {
+		en := NewEngine(networks.TinyCNN(2, 4), Options{Seed: 1}, tc.cfg)
+		rg, isGroup := en.(*ReplicaGroup)
+		if isGroup != tc.group {
+			t.Fatalf("%+v: built %T", tc.cfg, en)
+		}
+		wantBatch := 2
+		if isGroup {
+			if rg.Replicas() != tc.replicas || rg.Shards() != tc.shards {
+				t.Fatalf("%+v: %d replicas / %d shards, want %d/%d",
+					tc.cfg, rg.Replicas(), rg.Shards(), tc.replicas, tc.shards)
+			}
+			wantBatch = 2 * tc.shards
+		}
+		if en.Batch() != wantBatch || len(en.Executors()) != max(tc.replicas, 1) {
+			t.Fatalf("%+v: batch %d over %d executors, want %d over %d",
+				tc.cfg, en.Batch(), len(en.Executors()), wantBatch, max(tc.replicas, 1))
+		}
+		en.Close()
 	}
 }
 
@@ -216,7 +252,7 @@ func TestReplicaFaultRetry(t *testing.T) {
 
 	d := NewDataset(4, 3, 16, 0.3, 7)
 	for step := 0; step < 10; step++ {
-		x, labels := d.Batch(rg.GroupBatch())
+		x, labels := d.Batch(rg.Batch())
 		if _, _, err := rg.TryStep(x, labels, 0.05); err != nil {
 			t.Fatalf("step %d abandoned inside a generous retry budget: %v", step, err)
 		}
@@ -244,7 +280,7 @@ func TestReplicaRetryDeterminism(t *testing.T) {
 		defer rg.Close()
 		d := NewDataset(4, 3, 16, 0.3, 7)
 		for step := 0; step < 15; step++ {
-			x, labels := d.Batch(rg.GroupBatch())
+			x, labels := d.Batch(rg.Batch())
 			if _, _, err := rg.TryStep(x, labels, 0.05); err != nil {
 				t.Fatalf("step abandoned: %v", err)
 			}
@@ -268,7 +304,7 @@ func TestReplicaStepAbandoned(t *testing.T) {
 
 	before := flatParams(rg.Executor())
 	d := NewDataset(4, 3, 16, 0.3, 7)
-	x, labels := d.Batch(rg.GroupBatch())
+	x, labels := d.Batch(rg.Batch())
 	_, _, err := rg.TryStep(x, labels, 0.05)
 	if !errors.Is(err, ErrStepAbandoned) {
 		t.Fatalf("got %v, want ErrStepAbandoned", err)
@@ -299,7 +335,7 @@ func TestReplicaTelemetry(t *testing.T) {
 	rg := NewReplicaGroup(g, Options{Seed: 1, Telemetry: tel}, ReplicaConfig{Replicas: 2, Shards: 4})
 	defer rg.Close()
 	d := NewDataset(4, 3, 16, 0.3, 3)
-	x, labels := d.Batch(rg.GroupBatch())
+	x, labels := d.Batch(rg.Batch())
 	rg.Step(x, labels, 0.05)
 	if tel.Histogram("replica.reduce.ns").Count() == 0 {
 		t.Fatal("reduce latency histogram is empty")
@@ -310,13 +346,13 @@ func TestReplicaTelemetry(t *testing.T) {
 }
 
 // TestRunWithReplicaGroup drives the shared training loop through the
-// Stepper interface with a group engine.
+// Engine interface with a group engine.
 func TestRunWithReplicaGroup(t *testing.T) {
 	g := networks.TinyCNN(2, 4)
 	rg := NewReplicaGroup(g, Options{Seed: 42}, ReplicaConfig{Replicas: 2, Shards: 4})
 	defer rg.Close()
 	d := NewDataset(4, 3, 16, 0.3, 7)
-	recs := Run(rg, d, RunConfig{Minibatch: rg.GroupBatch(), Steps: 20, LR: 0.05, ProbeEvery: 5})
+	recs := Run(rg, d, RunConfig{Minibatch: rg.Batch(), Steps: 20, LR: 0.05, ProbeEvery: 5})
 	if len(recs) != 4 {
 		t.Fatalf("got %d probe records, want 4", len(recs))
 	}
@@ -344,7 +380,7 @@ func TestReplicaSparsityProbe(t *testing.T) {
 		rg.SetSparsityProbe(true)
 		d := NewDataset(4, 3, 16, 0.3, 7)
 		for step := 0; step < 5; step++ {
-			x, labels := d.Batch(rg.GroupBatch())
+			x, labels := d.Batch(rg.Batch())
 			rg.Step(x, labels, 0.05)
 		}
 		return rg.ReLUSparsities()

@@ -168,12 +168,12 @@ func TestPauseResumeReplicaGroupMidReduce(t *testing.T) {
 		g1.Close()
 
 		g2 := newGroup()
-		for _, e := range g2.Executors() {
-			if err := e.LoadCheckpointFile(path); err != nil {
-				t.Fatalf("cut=%d: load: %v", cut, err)
-			}
+		if err := LoadCheckpointFile(g2, path); err != nil {
+			t.Fatalf("cut=%d: load: %v", cut, err)
 		}
-		g2.SetResumeStep(g2.Executor().ResumeStep())
+		if g2.step != done {
+			t.Fatalf("cut=%d: group step clock %d after load, want %d", cut, g2.step, done)
+		}
 		d2 := NewDataset(4, 2, 8, 0.3, 2)
 		d2.Skip(mb, done)
 		if _, err := RunContext(context.Background(), g2, d2, cfg); err != nil {

@@ -74,7 +74,7 @@ func trainSpill(t *testing.T, build func(mb, classes int) *graph.Graph,
 	d := NewDataset(classes, in[1], in[2], 0.3, 7)
 	losses := make([]float64, 0, steps)
 	for step := 0; step < steps; step++ {
-		x, labels := d.Batch(rg.GroupBatch())
+		x, labels := d.Batch(rg.Batch())
 		loss, _ := rg.Step(x, labels, 0.05)
 		losses = append(losses, loss)
 	}
@@ -223,7 +223,7 @@ func TestSpillFaultRecovery(t *testing.T) {
 			opts.Integrity = true
 		}
 		e := NewExecutor(g, opts)
-		defer e.ReleaseBuffers()
+		defer e.Close()
 		d := NewDataset(classes, 3, 16, 0.3, 7)
 		_, report, err := RunRecoverable(context.Background(), e, d,
 			RunConfig{Minibatch: mb, Steps: steps, LR: 0.05},
@@ -292,7 +292,7 @@ func TestSpillErrorsWithoutRetryFailTheStep(t *testing.T) {
 				Seed: 42, Encodings: a, StashBudget: 1, SpillDir: dir,
 				Faults: faults.New(c.cfg), Integrity: true,
 			})
-			defer e.ReleaseBuffers()
+			defer e.Close()
 			before := flatParams(e)
 			d := NewDataset(classes, 3, 16, 0.3, 7)
 			x, labels := d.Batch(mb)
@@ -305,7 +305,7 @@ func TestSpillErrorsWithoutRetryFailTheStep(t *testing.T) {
 	}
 }
 
-// TestSpillFileLifecycle: ReleaseBuffers removes the spill file and the
+// TestSpillFileLifecycle: Close removes the spill file and the
 // executor keeps working afterwards (the store recreates it lazily).
 func TestSpillFileLifecycle(t *testing.T) {
 	const mb, classes = 8, 4
@@ -319,14 +319,14 @@ func TestSpillFileLifecycle(t *testing.T) {
 		t.Fatal("budgeted step should have spilled")
 	}
 	path := e.StashStore().SpillPath()
-	e.ReleaseBuffers()
+	e.Close()
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("spill file %s survived ReleaseBuffers (err=%v)", path, err)
+		t.Fatalf("spill file %s survived Close (err=%v)", path, err)
 	}
 	// Still trainable after release.
 	x, labels = d.Batch(mb)
 	e.Step(x, labels, 0.05)
-	e.ReleaseBuffers()
+	e.Close()
 	leaked, _ := filepath.Glob(filepath.Join(dir, "gist-spill-*"))
 	if len(leaked) != 0 {
 		t.Fatalf("leaked spill files: %v", leaked)

@@ -6,42 +6,46 @@ package train
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
 	"gist/internal/graph"
-	"gist/internal/telemetry"
 	"gist/internal/tensor"
 )
 
-// Stepper is what Run needs from a training engine: one optimizer step per
-// minibatch plus the probe hooks. Both a single Executor and a
-// data-parallel ReplicaGroup satisfy it, so the same training loop drives
-// either. TryStep is the fallible form Step wraps: it surfaces
-// stash-pipeline failures and context cancellation as errors instead of
-// panicking, and RunContext drives engines through it.
-type Stepper interface {
-	Step(x *tensor.Tensor, labels []int, lr float32) (loss float64, errors int)
+// Engine is a training engine the run loop can drive: a single Executor or
+// a data-parallel ReplicaGroup. TryStep runs one optimizer step over a
+// Batch()-row minibatch and surfaces stash-pipeline failures and context
+// cancellation as errors; the rest is what the loop needs around it — the
+// context binding, the completed-step clock a resumed run realigns, the
+// Figure 14 probe, and the executors whose state it snapshots, restores
+// and checkpoints.
+type Engine interface {
 	TryStep(x *tensor.Tensor, labels []int, lr float32) (loss float64, errors int, err error)
+	Eval(x *tensor.Tensor, labels []int) (loss float64, errors int)
+	// Batch is the number of rows one step consumes.
+	Batch() int
+	// Executors lists the engine's executors in replica order; element 0
+	// owns the caller's graph.
+	Executors() []*Executor
+	SetContext(ctx context.Context)
+	SetResumeStep(n int)
 	SetSparsityProbe(on bool)
 	ReLUSparsities() map[string]float64
-	Telemetry() *telemetry.Sink
+	Close()
 }
 
-// contextual is the optional engine surface RunContext binds a context
-// through; both Executor and ReplicaGroup implement it.
-type contextual interface {
-	SetContext(ctx context.Context)
-}
-
-// resumable is the optional engine surface RunContext resumes through:
-// after a v3 checkpoint load, ResumeStep reports the completed-step count
-// and the loop continues from the next step, keeping the engine's counter
-// aligned so RNG streams replay exactly. Both Executor and ReplicaGroup
-// implement it.
-type resumable interface {
-	ResumeStep() int
-	SetResumeStep(n int)
+// NewEngine builds the engine a ReplicaConfig asks for, and is the one
+// place that decides: a config that names neither a second replica nor a
+// shard count (the zero value) is a single Executor over g, anything else
+// a ReplicaGroup — so Shards: 1 is a one-shard group with the group's
+// per-shard dropout seeding, not an Executor.
+func NewEngine(g *graph.Graph, opts Options, cfg ReplicaConfig) Engine {
+	if cfg.Replicas <= 1 && cfg.Shards <= 0 {
+		return NewExecutor(g, opts)
+	}
+	return NewReplicaGroup(g, opts, cfg)
 }
 
 // Record is one probe point of a training run.
@@ -80,24 +84,14 @@ type RunConfig struct {
 	OnStep func(step int, loss float64)
 }
 
-// maybeSnapshot writes the engine's telemetry snapshot when the config's
-// periodic dump is due at this step.
-func maybeSnapshot(e Stepper, cfg RunConfig, step int) {
-	if cfg.MetricsEvery > 0 && cfg.MetricsOut != nil && step%cfg.MetricsEvery == 0 {
-		if tel := e.Telemetry(); tel != nil {
-			_ = tel.WriteSnapshot(cfg.MetricsOut)
-		}
-	}
-}
-
 // Run trains the engine's graph on the dataset and returns the probe
 // records. The accuracy-loss at each probe is the error rate accumulated
 // since the previous probe, matching how the paper tracks training
-// accuracy over time. For a ReplicaGroup, cfg.Minibatch must equal its
-// GroupBatch. Run is RunContext with the background context; it panics on
-// stash-pipeline failures exactly as Step does.
-func Run(e Stepper, d *Dataset, cfg RunConfig) []Record {
-	records, err := RunContext(context.Background(), e, d, cfg)
+// accuracy over time. cfg.Minibatch must equal the engine's Batch. Run is
+// RunContext with the background context; it panics on stash-pipeline
+// failures exactly as Step does.
+func Run(en Engine, d *Dataset, cfg RunConfig) []Record {
+	records, err := RunContext(context.Background(), en, d, cfg)
 	if err != nil {
 		panic(fmt.Sprintf("train: Run under fault injection must use RunContext: %v", err))
 	}
@@ -105,67 +99,177 @@ func Run(e Stepper, d *Dataset, cfg RunConfig) []Record {
 }
 
 // RunContext trains like Run under a context: the loop checks ctx before
-// every step and the bound engine (Executor or ReplicaGroup) additionally
-// polls it at phase boundaries inside the step, so a cancelled or expired
-// context stops the run within one step's latency. The records accumulated
-// so far are always returned; err is nil on a completed run, wraps the
-// context error on cancellation/deadline (errors.Is-matchable), and wraps
-// the engine's error on a stash-pipeline failure.
-func RunContext(ctx context.Context, e Stepper, d *Dataset, cfg RunConfig) ([]Record, error) {
+// every step and the bound engine additionally polls it at phase boundaries
+// inside the step, so a cancelled or expired context stops the run within
+// one step's latency. The records accumulated so far are always returned;
+// err is nil on a completed run, wraps the context error on
+// cancellation/deadline (errors.Is-matchable), and wraps the engine's error
+// on a stash-pipeline failure — the first failed step ends the run.
+func RunContext(ctx context.Context, en Engine, d *Dataset, cfg RunConfig) ([]Record, error) {
+	records, _, err := run(ctx, en, d, cfg, nil)
+	return records, err
+}
+
+// run is the training loop behind Run, RunContext and RunRecoverable. It
+// resumes after the completed-step count executor 0 carries (a checkpoint
+// load sets it), realigning the engine's step clock so RNG streams replay
+// exactly, and clocks the fault injector once per step.
+//
+// With a recovery config the loop keeps one snapshot per executor,
+// refreshed in place after every good step: a failed step restores each
+// executor, rewinds the engine's clock and is retried under capped
+// exponential backoff, and a periodic checkpoint is written from executor
+// 0. A ReplicaGroup retries failed shards itself, so the loop only sees the
+// steps a group had to abandon. With rcfg nil there is no snapshot, no
+// checkpoint, and the first failed step ends the run.
+func run(ctx context.Context, en Engine, d *Dataset, cfg RunConfig, rcfg *RecoveryConfig) ([]Record, *RecoveryReport, error) {
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 10
 	}
 	if cfg.ProbeSparsity {
 		// Under pooling, ReLU outputs recycle mid-step; arm the in-step
 		// capture so ReLUSparsities has values to report.
-		e.SetSparsityProbe(true)
+		en.SetSparsityProbe(true)
 	}
-	if c, ok := e.(contextual); ok {
-		c.SetContext(ctx)
-		defer c.SetContext(nil)
+	en.SetContext(ctx)
+	defer en.SetContext(nil)
+
+	execs := en.Executors()
+	lead := execs[0]
+	tel, inj := lead.tel, lead.opts.Faults
+	report := &RecoveryReport{}
+	var rc RecoveryConfig
+	var good []*Snapshot
+	if rcfg != nil {
+		rc = rcfg.withDefaults(cfg.ProbeEvery)
+		good = make([]*Snapshot, len(execs))
+		for i, e := range execs {
+			good[i] = e.Snapshot()
+		}
 	}
-	start := 0
-	rs, canResume := e.(resumable)
-	if canResume {
-		start = rs.ResumeStep()
-		rs.SetResumeStep(start)
-	}
+
+	// Recovery-loop instruments (nil, hence free, when the engine carries
+	// no sink). They mirror the report's counters one-for-one, which the
+	// telemetry cross-check test pins.
+	retriesC := tel.Counter("train.retries")
+	recoveredC := tel.Counter("train.recovered_steps")
+	ckptSaves := tel.Counter("train.checkpoint.saves")
+	ckptFails := tel.Counter("train.checkpoint.failures")
+
 	var records []Record
 	windowErrs, windowN := 0, 0
-	var lastLoss float64
+
+	finish := func(err error) ([]Record, *RecoveryReport, error) {
+		for _, e := range execs {
+			report.Robust.add(e.Robust)
+		}
+		if inj != nil {
+			report.FaultCounts = inj.Counts()
+		}
+		return records, report, err
+	}
+
+	start := lead.ResumeStep()
+	en.SetResumeStep(start)
 	for step := start + 1; step <= cfg.Steps; step++ {
-		if err := ctx.Err(); err != nil {
-			return records, fmt.Errorf("train: run stopped before step %d: %w", step, err)
+		if cerr := ctx.Err(); cerr != nil {
+			return finish(fmt.Errorf("train: run stopped before step %d: %w", step, cerr))
 		}
 		x, labels := d.Batch(cfg.Minibatch)
-		loss, errs, err := e.TryStep(x, labels, cfg.LR)
-		if err != nil {
-			return records, fmt.Errorf("train: run stopped at step %d: %w", step, err)
-		}
-		if canResume {
-			rs.SetResumeStep(step)
-		}
-		windowErrs += errs
-		windowN += cfg.Minibatch
-		lastLoss = loss
-		if step%cfg.ProbeEvery == 0 {
-			rec := Record{
-				Minibatch:    step,
-				Loss:         lastLoss,
-				AccuracyLoss: float64(windowErrs) / float64(windowN),
+		inj.BeginStep(step)
+
+		var loss float64
+		var errs int
+		backoff := rc.BackoffBase
+		recovered := false
+		for attempt := 0; ; attempt++ {
+			var err error
+			loss, errs, err = en.TryStep(x, labels, cfg.LR)
+			if err == nil {
+				break
 			}
-			if cfg.ProbeSparsity {
-				rec.ReLUSparsity = e.ReLUSparsities()
+			if rcfg == nil {
+				return finish(fmt.Errorf("train: run stopped at step %d: %w", step, err))
 			}
-			records = append(records, rec)
-			windowErrs, windowN = 0, 0
+			for i, e := range execs {
+				e.Restore(good[i])
+			}
+			en.SetResumeStep(step - 1)
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				// Cancellation, not a fault: the state is rolled back to
+				// the last good snapshot; don't burn retries on it.
+				return finish(fmt.Errorf("train: step %d canceled: %w", step, err))
+			}
+			if attempt >= rc.MaxRetries {
+				report.GaveUpStep = step
+				tel.Gauge("train.gave_up_step").Set(int64(step))
+				return finish(fmt.Errorf("train: step %d failed after %d retries: %w",
+					step, rc.MaxRetries, err))
+			}
+			if rc.Sleep != nil {
+				rc.Sleep(backoff)
+			} else if werr := sleepCtx(ctx, backoff); werr != nil {
+				return finish(fmt.Errorf(
+					"train: step %d canceled during retry backoff: %w (last cause: %w)",
+					step, werr, err))
+			}
+			report.BackoffTotal += backoff
+			if cerr := ctx.Err(); cerr != nil {
+				return finish(fmt.Errorf(
+					"train: step %d canceled during retry backoff: %w (last cause: %w)",
+					step, cerr, err))
+			}
+			if backoff *= 2; backoff > rc.BackoffMax {
+				backoff = rc.BackoffMax
+			}
+			report.Retries++
+			retriesC.Inc()
+			recovered = true
+		}
+		if recovered {
+			report.RecoveredSteps++
+			recoveredC.Inc()
+		}
+		report.Steps = step
+		en.SetResumeStep(step)
+		for i, s := range good {
+			execs[i].snapshotInto(s)
 		}
 		if cfg.OnStep != nil {
 			cfg.OnStep(step, loss)
 		}
-		maybeSnapshot(e, cfg, step)
+
+		windowErrs += errs
+		windowN += cfg.Minibatch
+		if step%cfg.ProbeEvery == 0 {
+			rec := Record{
+				Minibatch:    step,
+				Loss:         loss,
+				AccuracyLoss: float64(windowErrs) / float64(windowN),
+			}
+			if cfg.ProbeSparsity {
+				rec.ReLUSparsity = en.ReLUSparsities()
+			}
+			records = append(records, rec)
+			windowErrs, windowN = 0, 0
+		}
+		if rc.CheckpointPath != "" && step%rc.CheckpointEvery == 0 {
+			// Writes go through the injector's wrapper (a no-op when no
+			// checkpoint fault is configured) so torn/corrupt streams are
+			// exercised; the atomic save catches them before promotion.
+			if err := lead.SaveCheckpointFileVia(rc.CheckpointPath, inj.WrapWriter); err != nil {
+				report.CheckpointFailures++
+				ckptFails.Inc()
+			} else {
+				report.CheckpointSaves++
+				ckptSaves.Inc()
+			}
+		}
+		if cfg.MetricsEvery > 0 && cfg.MetricsOut != nil && tel != nil && step%cfg.MetricsEvery == 0 {
+			_ = tel.WriteSnapshot(cfg.MetricsOut)
+		}
 	}
-	return records, nil
+	return finish(nil)
 }
 
 // FinalAccuracyLoss returns the accuracy loss of the last probe window, or
@@ -214,12 +318,4 @@ func AverageSparsity(rec Record) float64 {
 		sum += s
 	}
 	return sum / float64(len(rec.ReLUSparsity))
-}
-
-// Ones is a convenience constructor for an all-ones input of the given
-// shape, used by examples and micro-benchmarks.
-func Ones(shape ...int) *tensor.Tensor {
-	t := tensor.New(shape...)
-	t.Fill(1)
-	return t
 }

@@ -226,9 +226,7 @@ func WithFaults(cfg FaultConfig) TrainerOption {
 // Trainer trains one graph. Construct with NewTrainer; drive with Step or
 // Run.
 type Trainer struct {
-	g         *Graph
-	exec      *train.Executor
-	group     *train.ReplicaGroup // non-nil under WithReplicas/WithShards
+	en        train.Engine // a replica group under WithReplicas/WithShards
 	codec     *encoding.Codec
 	pool      *bufpool.Pool
 	closeOnce sync.Once
@@ -260,7 +258,7 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 		analysis = encoding.Analyze(g, enc)
 	}
 
-	t := &Trainer{g: g, pool: cfg.pool}
+	t := &Trainer{pool: cfg.pool}
 	// A trainer with its own worker budget or sink gets a private codec —
 	// the injected-codec path, isolated from the process-wide default.
 	if cfg.hasWorkers || cfg.tel != nil {
@@ -300,16 +298,11 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 		StashBudget: cfg.stashBudget,
 		SpillDir:    cfg.spillDir,
 	}
-	if cfg.replicas > 1 || cfg.shards > 0 {
-		t.group = train.NewReplicaGroup(g, opts, train.ReplicaConfig{
-			Replicas:   cfg.replicas,
-			Shards:     cfg.shards,
-			MaxRetries: cfg.maxRetries,
-		})
-		t.exec = t.group.Executor()
-	} else {
-		t.exec = train.NewExecutor(g, opts)
-	}
+	t.en = train.NewEngine(g, opts, train.ReplicaConfig{
+		Replicas:   cfg.replicas,
+		Shards:     cfg.shards,
+		MaxRetries: cfg.maxRetries,
+	})
 	return t
 }
 
@@ -318,28 +311,19 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 // only for stash-pipeline failures (injected faults, detected corruption);
 // on error no parameter update has been applied.
 func (t *Trainer) Step(x *Tensor, labels []int, lr float32) (loss float64, errs int, err error) {
-	if t.group != nil {
-		return t.group.TryStep(x, labels, lr)
-	}
-	return t.exec.TryStep(x, labels, lr)
+	return t.en.TryStep(x, labels, lr)
 }
 
 // Eval runs an inference-mode forward pass and returns the minibatch loss
 // and top-1 error count without updating parameters.
 func (t *Trainer) Eval(x *Tensor, labels []int) (loss float64, errs int) {
-	if t.group != nil {
-		return t.group.Eval(x, labels)
-	}
-	return t.exec.Eval(x, labels)
+	return t.en.Eval(x, labels)
 }
 
 // Run trains on the dataset per the config and returns the probe records.
-// Under WithReplicas, cfg.Minibatch must equal Minibatch().
+// cfg.Minibatch must equal Minibatch().
 func (t *Trainer) Run(d *Dataset, cfg RunConfig) []Record {
-	if t.group != nil {
-		return train.Run(t.group, d, cfg)
-	}
-	return train.Run(t.exec, d, cfg)
+	return train.Run(t.en, d, cfg)
 }
 
 // RunContext trains like Run under a context: cancellation or an expired
@@ -347,43 +331,28 @@ func (t *Trainer) Run(d *Dataset, cfg RunConfig) []Record {
 // accumulated so far and an error wrapping ctx.Err(). Job servers drive
 // trainers through it so cancelled jobs release their slots promptly.
 func (t *Trainer) RunContext(ctx context.Context, d *Dataset, cfg RunConfig) ([]Record, error) {
-	if t.group != nil {
-		return train.RunContext(ctx, t.group, d, cfg)
-	}
-	return train.RunContext(ctx, t.exec, d, cfg)
+	return train.RunContext(ctx, t.en, d, cfg)
 }
 
 // Minibatch returns the rows one Step consumes: the graph's batch size,
 // scaled by the shard count under WithReplicas/WithShards.
-func (t *Trainer) Minibatch() int {
-	if t.group != nil {
-		return t.group.GroupBatch()
-	}
-	return t.g.InputNodes()[0].OutShape[0]
-}
+func (t *Trainer) Minibatch() int { return t.en.Batch() }
 
 // Close releases the trainer's resources: replica workers shut down and
 // every pooled buffer the engine holds is recycled back to its pool.
 // Close is idempotent and safe to call from multiple goroutines
 // concurrently — pooled buffers are released exactly once, so a double
 // Close can never double-recycle (which the pool would reject by panic).
-func (t *Trainer) Close() {
-	t.closeOnce.Do(func() {
-		if t.group != nil {
-			t.group.Close()
-			return
-		}
-		t.exec.ReleaseBuffers()
-	})
-}
+func (t *Trainer) Close() { t.closeOnce.Do(t.en.Close) }
 
-// Executor exposes the underlying executor for advanced use (checkpoints,
-// custom optimizers, recovery loops).
-func (t *Trainer) Executor() *train.Executor { return t.exec }
+// Executor exposes the underlying executor (replica 0's under
+// WithReplicas) for advanced use: checkpoints, parameter inspection,
+// recovery loops.
+func (t *Trainer) Executor() *train.Executor { return t.en.Executors()[0] }
 
 // Telemetry returns the sink the trainer reports to (nil when none was
 // configured).
-func (t *Trainer) Telemetry() *Telemetry { return t.exec.Telemetry() }
+func (t *Trainer) Telemetry() *Telemetry { return t.Executor().Telemetry() }
 
 // PoolStats returns a snapshot of the trainer's buffer pool counters; the
 // zero Stats when pooling is off. With the shared pool, counts aggregate
@@ -408,11 +377,7 @@ type StashStoreStats = stashstore.Stats
 // the cap held.
 func (t *Trainer) StashStats() StashStoreStats {
 	var sum StashStoreStats
-	execs := []*train.Executor{t.exec}
-	if t.group != nil {
-		execs = t.group.Executors()
-	}
-	for _, e := range execs {
+	for _, e := range t.en.Executors() {
 		sum.Accumulate(e.StashStore().Stats())
 	}
 	return sum
