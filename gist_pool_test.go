@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gist"
+	"gist/internal/race"
 )
 
 // TestConcurrentPooledTrainers runs two pooled trainers concurrently on the
@@ -60,5 +61,50 @@ func TestConcurrentPooledTrainers(t *testing.T) {
 	}
 	if s := gist.SharedBufferPool().Stats(); s.Hits == 0 {
 		t.Fatalf("shared pool saw no hits: %+v", s)
+	}
+}
+
+// TestPooledStepAllocsWithSink pins what a pooled step allocates once a
+// telemetry sink is attached — the job server's configuration — and that an
+// inference forward allocates nothing at all. The step's stash-memory
+// accumulator is executor-owned storage: held behind a per-step pointer it
+// escapes and costs three allocations a step (6 and 77 here), which showed
+// as +3..4 % allocs_per_step on the benchmark's serve_mix workload. What
+// remains is the memory sample's technique rows, the codec's telemetry and
+// the decode goroutines.
+func TestPooledStepAllocsWithSink(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, c := range []struct {
+		name    string
+		encoded bool
+		step    float64
+	}{
+		{"plain", false, 4},
+		{"encoded", true, 73},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := []gist.TrainerOption{
+				gist.WithSeed(3), gist.WithPooling(gist.NewBufferPool()), gist.WithTelemetry(gist.NewTelemetry()),
+			}
+			if c.encoded {
+				opts = append(opts, gist.WithEncodings(gist.LossyLossless(gist.FP16)))
+			}
+			tr := gist.NewTrainer(gist.TinyCNN(8, 4), opts...)
+			defer tr.Close()
+			x, labels := gist.NewDataset(4, 3, 16, 0.4, 5).Batch(8)
+			for i := 0; i < 5; i++ { // fill the pool and the codec's scratch
+				if _, _, err := tr.Step(x, labels, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := testing.AllocsPerRun(50, func() { tr.Step(x, labels, 0.05) }); got > c.step {
+				t.Errorf("a step allocates %.2f times, budget %.0f", got, c.step)
+			}
+			if got := testing.AllocsPerRun(50, func() { tr.Eval(x, labels) }); got != 0 {
+				t.Errorf("an inference forward allocates %.2f times, want 0", got)
+			}
+		})
 	}
 }

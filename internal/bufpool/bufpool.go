@@ -4,11 +4,14 @@
 // gradient and decode target dies; this pool is the runtime half of that
 // story: instead of allocating a fresh []float32 per tensor per step and
 // leaving the garbage collector to discover the liveness the planner already
-// knew, the executor returns each buffer at its last use and the next step
-// re-serves it from a free list. Steady-state training then runs with a
-// fixed working set and a near-zero allocation rate — the property cDMA
-// (Rhu et al.) identifies as the difference between compression on paper
-// and compression in the allocator.
+// knew, the executor returns each buffer at its last use — a feature map
+// right after its last forward consumer, a decode target after its last
+// backward reader — and the next layer, or the next step, re-serves it from
+// a free list. Steady-state training then runs with a fixed working set and
+// a near-zero allocation rate — the property cDMA (Rhu et al.) identifies as
+// the difference between compression on paper and compression in the
+// allocator — and Stats.PeakLiveBytes, the high-water mark of bytes
+// requested, is what memplan.PlanDynamic predicts for the same graph.
 //
 // Buffers are grouped into power-of-two element-count size classes. A Get
 // rounds the request up to its class, pops a free buffer (hit) or allocates
@@ -80,6 +83,11 @@ type Stats struct {
 	// HeldBytes is the capacity currently sitting in free lists.
 	// InUseBytes is the capacity handed out and not yet recycled.
 	HeldBytes, InUseBytes int64
+	// LiveBytes is the bytes callers asked for and still hold — 4 per
+	// requested element, before the round-up to class capacity — and
+	// PeakLiveBytes its high-water mark: the runtime counterpart of
+	// memplan.PlanDynamic over the pooled buffer classes.
+	LiveBytes, PeakLiveBytes int64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before the first Get.
@@ -109,10 +117,12 @@ type Pool struct {
 	// without the pool's lock.
 	byBase map[*float32]*tensor.Tensor
 
-	hits, misses, recycles atomic.Int64
-	heldBytes, inUseBytes  atomic.Int64
+	hits, misses, recycles   atomic.Int64
+	heldBytes, inUseBytes    atomic.Int64
+	liveBytes, peakLiveBytes atomic.Int64 // written under mu, so the peak never lags
 
-	tel atomic.Pointer[telemetry.Sink]
+	tel      atomic.Pointer[telemetry.Sink]
+	peakLive *telemetry.Gauge // bufpool.peak_live_bytes; guarded by mu
 }
 
 // New returns an empty pool.
@@ -143,12 +153,14 @@ func Shared() *Pool {
 
 // SetTelemetry wires the pool's per-class hit/miss counters and held-bytes
 // gauges (bufpool.c<elems>.{hits,misses,held_bytes}) plus the aggregate
-// bufpool.{hits,misses,held_bytes,in_use_bytes} instruments into the sink.
-// Passing nil disconnects. Safe to call concurrently with Get/Recycle.
+// bufpool.peak_live_bytes gauge into the sink. Passing nil disconnects.
+// Safe to call concurrently with Get/Recycle.
 func (p *Pool) SetTelemetry(s *telemetry.Sink) {
 	p.tel.Store(s)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.peakLive = s.Gauge("bufpool.peak_live_bytes")
+	p.peakLive.SetMax(p.peakLiveBytes.Load())
 	for c := range p.classes {
 		p.classes[c].wired = false // re-resolved lazily against the new sink
 		p.classes[c].hits = nil
@@ -206,6 +218,10 @@ func (p *Pool) Get(shape ...int) *tensor.Tensor {
 		p.misses.Add(1)
 	}
 	p.inUseBytes.Add(int64(cap) * 4)
+	if live := p.liveBytes.Add(int64(n) * 4); live > p.peakLiveBytes.Load() {
+		p.peakLiveBytes.Store(live)
+		p.peakLive.SetMax(live)
+	}
 	p.mu.Unlock()
 
 	if t == nil {
@@ -250,6 +266,7 @@ func (p *Pool) Recycle(t *tensor.Tensor) {
 	if inPool {
 		panic("bufpool: double recycle")
 	}
+	p.liveBytes.Add(int64(-len(t.Data)) * 4)
 	t.Data = t.Data[:cap]
 	if race.Enabled {
 		// Poison while still exclusively held (under the lock), so the
@@ -308,6 +325,9 @@ func (p *Pool) Stats() Stats {
 		Recycles:   p.recycles.Load(),
 		HeldBytes:  p.heldBytes.Load(),
 		InUseBytes: p.inUseBytes.Load(),
+
+		LiveBytes:     p.liveBytes.Load(),
+		PeakLiveBytes: p.peakLiveBytes.Load(),
 	}
 }
 

@@ -143,6 +143,35 @@ func TestTelemetryInstruments(t *testing.T) {
 	}
 }
 
+// TestLiveBytesCountRequestsNotCapacity pins the pool's planner-facing
+// counter: LiveBytes is what callers asked for and still hold (not the class
+// capacity InUseBytes charges), PeakLiveBytes its high-water mark, mirrored
+// into one gauge when a sink is attached.
+func TestLiveBytesCountRequestsNotCapacity(t *testing.T) {
+	p := New()
+	sink := telemetry.New()
+	p.SetTelemetry(sink)
+	a := p.Get(100)      // 400 B asked, 512 B class
+	b := p.GetSlice(300) // 1200 B asked, 2048 B class
+	if st := p.Stats(); st.LiveBytes != 1600 || st.PeakLiveBytes != 1600 || st.InUseBytes != 2560 {
+		t.Fatalf("two buffers out: %+v, want live 1600, peak 1600, in use 2560", st)
+	}
+	p.Recycle(a)
+	c := p.Get(10, 10) // the recycled buffer, 400 B asked again
+	if st := p.Stats(); st.LiveBytes != 1600 || st.PeakLiveBytes != 1600 {
+		t.Fatalf("after a same-class swap: %+v, want live and peak 1600", st)
+	}
+	p.RecycleSlice(b[:7]) // resliced by its holder: still 1200 B coming back
+	p.Recycle(c)
+	st := p.Stats()
+	if st.LiveBytes != 0 || st.PeakLiveBytes != 1600 {
+		t.Fatalf("all recycled: %+v, want live 0, peak 1600", st)
+	}
+	if got := sink.Values()["bufpool.peak_live_bytes"]; got != st.PeakLiveBytes {
+		t.Fatalf("bufpool.peak_live_bytes gauge %d, Stats %d", got, st.PeakLiveBytes)
+	}
+}
+
 // TestConcurrentHammer drives Get/Recycle from many goroutines; under
 // -race this also exercises the poison fill/check paths.
 func TestConcurrentHammer(t *testing.T) {
@@ -175,8 +204,8 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 	st := p.Stats()
-	if st.InUseBytes != 0 {
-		t.Fatalf("in-use bytes after hammer = %d, want 0", st.InUseBytes)
+	if st.InUseBytes != 0 || st.LiveBytes != 0 {
+		t.Fatalf("after hammer: in-use %d B, live %d B, want 0 and 0", st.InUseBytes, st.LiveBytes)
 	}
 	if st.Hits+st.Misses != 8*200 {
 		t.Fatalf("gets = %d, want %d", st.Hits+st.Misses, 8*200)

@@ -165,6 +165,8 @@ func Lookup(id string) func() *Result {
 		// Real training at shrinking stash budgets, so it runs at training
 		// scale like fig12/fig14.
 		return func() *Result { return ExtSpill(DefaultSpillScale()) }
+	case "realized":
+		return ExtRealized
 	case "distributed":
 		// Real replica training, so it runs at training scale (shard batch
 		// mb/4), not the planning suite's 64-row minibatch.
@@ -181,5 +183,5 @@ func IDs() []string {
 	return []string{"fig1", "fig3", "table1", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"recompute", "workspace", "cdma", "energy", "mbsweep",
-		"sparsitysweep", "algoselect", "ratio", "spill", "distributed", "summary"}
+		"sparsitysweep", "algoselect", "ratio", "spill", "realized", "distributed", "summary"}
 }

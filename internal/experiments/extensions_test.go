@@ -144,3 +144,20 @@ func TestExtDistributedDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestExtRealizedMatchesPlan pins the realised-footprint table's two claims:
+// without encodings the observed FP32 peak is the planner's, to the byte, and
+// on the one network deep enough for encodings to pay at this scale the
+// measured footprint ratio is above one.
+func TestExtRealizedMatchesPlan(t *testing.T) {
+	skipIfRace(t)
+	r := ExtRealized()
+	for _, net := range []string{"TinyCNN", "TinyVGG", "ResNetCIFAR-20"} {
+		if got, want := r.Values[net+"/none/observed-peak"], r.Values[net+"/none/planned-peak"]; got != want || want == 0 {
+			t.Errorf("%s: observed FP32 peak %v, planned %v", net, got, want)
+		}
+	}
+	if mfr := r.Values["ResNetCIFAR-20/lossy-fp16/mfr"]; mfr <= 1.2 {
+		t.Errorf("ResNetCIFAR-20 lossy-fp16: realised MFR %v, want above 1.2", mfr)
+	}
+}

@@ -2,7 +2,8 @@ package experiments
 
 // Spill experiment: reconcile the vDNN/CDMA swap *simulations* with the
 // repository's *real* tiered stash store. Both schedule transfers the same
-// way — offload at a stash's last forward use, prefetch in earliest-
+// way — offload at a stash's last forward use (the executor's Forward puts
+// each container in the store as it retires the map), prefetch in earliest-
 // backward-use-first order (= reverse forward order) ahead of the backward
 // consumer — so the sim's predicted stall structure should describe the
 // measured runs. The experiment runs real training at shrinking hot-tier

@@ -242,23 +242,34 @@ func MFR(baseline, encoded int64) float64 {
 	return float64(baseline) / float64(encoded)
 }
 
-// PoolWarmSet maps the liveness analysis onto the runtime buffer pool: it
-// returns the element count of every float32 tensor the pooled executor
-// will draw during one training step — immediate and stashed feature maps,
-// decoded staging buffers and gradient maps. Feeding the result to
-// bufpool's Prewarm puts one buffer of each size class on its free list
-// ahead of the first step, so steady-state recycling starts at step one
-// instead of after a warm-up of allocation misses. Encoded payloads are
-// excluded: they live in bit-packed word arrays, not pooled tensors.
-func PoolWarmSet(bufs []*liveness.Buffer) []int {
-	var elems []int
+// PooledBuffers selects the buffers that are float32 tensors drawn from the
+// runtime buffer pool — immediate and stashed feature maps, decoded staging
+// buffers and gradient maps. Encoded payloads are excluded: they live in
+// bit-packed word arrays, not pooled tensors. PlanDynamic over the result is
+// what bufpool's PeakLiveBytes measures.
+func PooledBuffers(bufs []*liveness.Buffer) []*liveness.Buffer {
+	var pooled []*liveness.Buffer
 	for _, b := range bufs {
 		switch b.Class {
 		case graph.ClassImmediateFmap, graph.ClassStashedFmap,
 			graph.ClassDecoded, graph.ClassGradientMap:
-			if b.Bytes > 0 {
-				elems = append(elems, int(b.Bytes/4))
-			}
+			pooled = append(pooled, b)
+		}
+	}
+	return pooled
+}
+
+// PoolWarmSet maps the liveness analysis onto the runtime buffer pool: it
+// returns the element count of every float32 tensor the pooled executor
+// will draw during one training step (PooledBuffers). Feeding the result to
+// bufpool's Prewarm puts one buffer of each size class on its free list
+// ahead of the first step, so steady-state recycling starts at step one
+// instead of after a warm-up of allocation misses.
+func PoolWarmSet(bufs []*liveness.Buffer) []int {
+	var elems []int
+	for _, b := range PooledBuffers(bufs) {
+		if b.Bytes > 0 {
+			elems = append(elems, int(b.Bytes/4))
 		}
 	}
 	return elems

@@ -16,6 +16,8 @@ import (
 	"gist/internal/bufpool"
 	"gist/internal/encoding"
 	"gist/internal/faults"
+	"gist/internal/floatenc"
+	"gist/internal/parallel"
 )
 
 // TestBackoffAbortsOnCancel pins satellite: with every encode failing,
@@ -131,4 +133,66 @@ func TestExecutorReleaseBuffersIdempotent(t *testing.T) {
 	if got := pool.Stats().InUseBytes; got != 0 {
 		t.Fatalf("pool still holds %d bytes after release", got)
 	}
+}
+
+// TestCancelBetweenForwardAndBackward pins the window the forward-time
+// schedule opens: when a step is cancelled after Forward, every retired map
+// already sits encoded in the store with its future armed, and Backward
+// never runs to drain them. The futures own no decode target yet (that is
+// taken when a fetch starts), so Close returns every pooled byte, disarms
+// them and empties the store — and the executor's next step is bit-identical
+// to that of one which was never interrupted.
+func TestCancelBetweenForwardAndBackward(t *testing.T) {
+	withCodec(t, encoding.Codec{Pool: parallel.NewPool(2), ChunkElems: 768})
+	mk := func() (*Executor, *bufpool.Pool) {
+		g := richNet(8)
+		pool := bufpool.New()
+		return NewExecutor(g, Options{
+			Seed: 17, Pool: pool, Integrity: true,
+			Encodings: encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16)),
+		}), pool
+	}
+	e, pool := mk()
+	ref, _ := mk()
+	defer ref.Close()
+	d := NewDataset(4, 2, 8, 0.3, 18)
+	x0, l0 := d.Batch(8)
+	x1, l1 := d.Batch(8)
+	e.Step(x0, l0, 0.05)
+	ref.Step(x0, l0, 0.05)
+	snap := e.Snapshot() // dropout RNG and batch-norm statistics advance in Forward
+
+	// TryStep polls at step entry, after Forward and after Backward: one
+	// clean poll cancels exactly between Forward and Backward.
+	e.SetContext(&countdownCtx{Context: context.Background(), n: 1})
+	_, _, err := e.TryStep(x1, l1, 0.05)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "after forward") {
+		t.Fatalf("err = %v, want a cancellation after forward", err)
+	}
+	if e.nFutures == 0 || e.StashStore().Stats().HotBytes == 0 {
+		t.Fatal("Forward retired nothing; the window under test never opened")
+	}
+	for i := range e.futures {
+		if f := &e.futures[i]; f.armed && f.dst != nil {
+			t.Fatalf("armed future of %q owns a decode target before any fetch started", f.node)
+		}
+	}
+	e.Close()
+	if got := pool.Stats().InUseBytes; got != 0 {
+		t.Fatalf("pool still holds %d bytes after Close", got)
+	}
+	noFutureArmed(t, e)
+	if got := e.StashStore().Stats().HotBytes; got != 0 {
+		t.Fatalf("store still holds %d bytes after Close", got)
+	}
+
+	e.SetContext(nil)
+	e.Restore(snap)
+	loss, errs := e.Step(x1, l1, 0.05)
+	refLoss, refErrs := ref.Step(x1, l1, 0.05)
+	if loss != refLoss || errs != refErrs {
+		t.Fatalf("step after the cancelled one: loss %v errs %d, uninterrupted %v %d", loss, errs, refLoss, refErrs)
+	}
+	paramsBitsEqual(t, flatParams(e), flatParams(ref), "step after the cancelled one vs an uninterrupted run")
+	e.Close()
 }

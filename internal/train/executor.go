@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,12 +94,14 @@ type Options struct {
 	Codec *encoding.Codec
 	// Pool, when non-nil, is where every per-step tensor (activation,
 	// gradient, decode target) is drawn from and recycled to at its last
-	// use — encoded feature maps right after their stash is built, decoded
-	// stashes and stashed activations after their final backward reader,
-	// gradients once merged downstream — so steady-state training
-	// allocates nothing. Nil means heap allocation: recycling is a no-op
-	// and every node's Output stays valid after the step. The step path
-	// and its results are the same either way.
+	// use — a feature map no backward kernel reads, and the FP32 form of an
+	// encoded one, right after its last forward consumer ran; a decode
+	// target from the start of its fetch to its final backward reader;
+	// stashed activations after that reader; gradients once merged
+	// downstream — so steady-state training allocates nothing and a buffer
+	// freed at one layer serves the next. Nil means heap allocation:
+	// recycling is a no-op and every node's Output stays valid after the
+	// step. The step path and its results are the same either way.
 	Pool *bufpool.Pool
 	// StashBudget, when positive, caps the bytes the executor's
 	// stashstore.Store holds in RAM across the forward→backward gap: the
@@ -123,7 +126,7 @@ type execMetrics struct {
 	stepFailures *telemetry.Counter   // attempts that returned an error
 	stepNS       *telemetry.Histogram // whole-step latency
 	forwardNS    *telemetry.Histogram
-	encodeNS     *telemetry.Histogram // prepareStashes (encode + seal + put + arm)
+	encodeNS     *telemetry.Histogram // the step's retirements, summed (encode + seal + put + arm)
 	backwardNS   *telemetry.Histogram
 	sgdNS        *telemetry.Histogram
 	stashHeld    *telemetry.Histogram // per-step held stash bytes
@@ -218,6 +221,17 @@ type Executor struct {
 	nFutures int
 	encSlots []encoding.EncodedStash
 
+	// retireAt[i] lists, in node order, the nodes whose output's last
+	// forward reader is forward step i (graph.LastForwardUse) — Gist's
+	// "right after its last forward use". A training Forward retires them
+	// there through stashNode; sink outputs are absent (the loss is read
+	// after Forward) and are stashed when Backward opens. fwdRetired says
+	// whether the latest Forward did so; stashErr holds the failure that
+	// stopped it, for Backward to return.
+	retireAt   [][]*graph.Node
+	fwdRetired bool
+	stashErr   error
+
 	// Pooling state. pool is nil on the allocate-always path. checkedOut
 	// is the executor-side ledger of pooled tensors currently held; every
 	// pooled alloc registers here and every recycle point goes through
@@ -233,7 +247,9 @@ type Executor struct {
 	// liveness the recycler drains. Raw needs, not the encoding analysis's
 	// effective needs: a MaxPool above a Binarize-encoded ReLU still reads
 	// its decoded X and Y stashes at runtime. bwdLeft is the per-pass
-	// remaining count; gradOf accumulates downstream gradients.
+	// remaining count; gradOf accumulates downstream gradients. An output
+	// with no backward read at all is the paper's "immediately consumed"
+	// class: it recycles at retirement.
 	bwdReads []int
 	bwdLeft  []int
 	gradOf   []*tensor.Tensor
@@ -272,6 +288,8 @@ type Executor struct {
 	met       execMetrics
 	stepCount int             // steps attempted, numbers spans and memory samples
 	stepSpan  *telemetry.Span // root span of the in-flight TryStep (nil otherwise)
+	mem       memAccum        // the step's stash-memory sample, building (sink only)
+	encodeNS  int64           // the step's summed retirement time (sink only)
 
 	// ctx, when non-nil, is polled at step phase boundaries (step entry,
 	// post-forward, post-backward) so a cancelled or deadline-expired
@@ -318,9 +336,14 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	tl := graph.BuildTimeline(g)
 	pri := make([]int, nn)
 	names := make([]string, nn)
+	e.retireAt = make([][]*graph.Node, nn)
 	for _, n := range g.Nodes {
 		pri[n.ID] = graph.FirstBackwardUse(tl, n)
 		names[n.ID] = n.Name
+		if len(n.Consumers()) > 0 {
+			at := graph.LastForwardUse(tl, n)
+			e.retireAt[at] = append(e.retireAt[at], n)
+		}
 	}
 	e.store = stashstore.New(stashstore.Config{
 		Budget:   opts.StashBudget,
@@ -340,10 +363,13 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e.bwdLeft = make([]int, nn)
 	e.gradOf = make([]*tensor.Tensor, nn)
 	e.sparsities = map[string]float64{}
+	if e.tel != nil {
+		e.mem.byTech = map[string]telemetry.TechBytes{}
+	}
 	e.checkedOut = make(map[*tensor.Tensor]struct{}, 2*nn)
 	for _, n := range g.Nodes {
 		f := &e.futures[n.ID]
-		f.store, f.cdc, f.tel, f.sid, f.node = e.store, e.cdc, e.tel, n.ID, n.Name
+		f.store, f.cdc, f.tel, f.sid, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, n.Name, n.OutShape
 		f.run = f.launch // bound once, so `go f.run()` allocates nothing per step
 		e.aux[n.ID] = map[string]any{}
 		// Count the backward pass's reads of this node's stashed output
@@ -485,19 +511,35 @@ func (e *Executor) StashStore() *stashstore.Store { return e.store }
 // Params returns the parameter tensors of a node (nil if none).
 func (e *Executor) Params(n *graph.Node) []*tensor.Tensor { return e.params[n.ID] }
 
-// Output returns node n's forward output from the latest step. Under
-// pooling the executor recycles outputs at their last use, so Output is
-// only meaningful on an unpooled executor (the experiment harnesses that
-// compare per-layer activations run unpooled).
+// Output returns node n's forward output from the latest step. Retirement
+// recycles an output, it never drops the reference: on an unpooled executor
+// (where recycling is a no-op) Output is valid for every node after a step,
+// which the experiment harnesses that compare per-layer activations rely
+// on. Under pooling only the sink outputs and the outputs a backward kernel
+// reads unencoded outlive a training Forward.
 func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 
 // Forward runs the forward pass on the given minibatch. Labels are needed
 // only when the graph ends in a loss node and Backward will run.
+//
+// A training Forward executes Gist's schedule as it goes: once node i's
+// kernel has run, every output whose last forward reader was node i is
+// retired (retireAt) — encoded, sealed and handed to the store, or simply
+// recycled when no backward kernel reads it — so the pool's forward peak is
+// the planner's, not the sum of every map. An inference Forward retires
+// nothing, and neither does one under an enabled fault injector: Backward
+// then stashes every node in node order, which is the order the injector's
+// sequential draws are pinned to.
 func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	e.drainFutures() // settle anything a failed previous step left in flight
 	e.sweep()
 	clear(e.stash)
-	for _, n := range e.G.Nodes {
+	e.stashErr = nil
+	e.fwdRetired = training && !e.opts.Faults.Enabled()
+	if e.fwdRetired {
+		e.beginStashes()
+	}
+	for i, n := range e.G.Nodes {
 		out := e.alloc(n.OutShape)
 		aux := e.aux[n.ID]
 		if n.Kind() == layers.Input {
@@ -535,6 +577,13 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 			floatenc.QuantizeSlice(e.opts.Format, out.Data)
 		}
 		e.outs[n.ID] = out
+		if e.fwdRetired && e.stashErr == nil {
+			for _, r := range e.retireAt[i] {
+				if e.stashErr = e.retire(r); e.stashErr != nil {
+					break // Backward returns it; what is left unretired is swept
+				}
+			}
+		}
 	}
 }
 
@@ -547,10 +596,11 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // before its prefetch simply starts the work itself and waits.
 //
 // Slots are persistent (one per node) and re-armed each step. Ownership of
-// the decode target dst transfers explicitly: the executor allocates it
-// serially at arm time, exactly one goroutine writes it, and it returns to
-// the executor when the future is resolved — so the pool ledger is never
-// touched off the executor's goroutine.
+// the decode target dst transfers explicitly: the executor takes it from the
+// pool serially when it starts the future (startFuture) — not at arm time,
+// so an armed stash holds no FP32 bytes while it waits — exactly one
+// goroutine writes it, and it returns to the executor when the future is
+// resolved. The pool ledger is never touched off the executor's goroutine.
 type stashFuture struct {
 	// Bound once at executor construction.
 	store *stashstore.Store
@@ -558,7 +608,8 @@ type stashFuture struct {
 	tel   *telemetry.Sink
 	sid   int // node ID keying the store entry
 	node  string
-	run   func() // f.launch
+	shape tensor.Shape // of the decode target: the node's output shape
+	run   func()       // f.launch
 
 	// Per-step state, reset by arm.
 	armed   bool
@@ -569,19 +620,26 @@ type stashFuture struct {
 	err     error
 }
 
-// arm readies the slot for this step's decode into dst. The WaitGroup count
-// is taken here, on the executor's goroutine, before any start —
-// drainFutures balances it even if the decode never launches.
-func (f *stashFuture) arm(dst *tensor.Tensor) {
-	f.armed, f.dst, f.err = true, dst, nil
+// arm readies the slot for this step's decode. It owns no target yet: a
+// decode that somehow launched without one would fail on the nil dst instead
+// of scribbling on last step's recycled buffer. The WaitGroup count is taken
+// here, on the executor's goroutine, before any start — drainFutures
+// balances it even if the decode never launches.
+func (f *stashFuture) arm() {
+	f.armed, f.dst, f.err = true, nil, nil
 	f.started.Store(false)
 	f.settled.Store(false)
 	f.wg.Add(1)
 }
 
-// start launches the decode on its own goroutine; only the first call fires.
-func (f *stashFuture) start() {
+// startFuture launches f's fetch-then-decode on its own goroutine, first
+// taking the decode target from the pool; only the first call fires. Every
+// start goes through here, on the executor's goroutine, so the pool ledger
+// stays serial and the target is live from one node ahead of its consumer
+// (prefetch) rather than across the whole forward→backward gap.
+func (e *Executor) startFuture(f *stashFuture) {
 	if f.started.CompareAndSwap(false, true) {
+		f.dst = e.alloc(f.shape)
 		go f.run()
 	}
 }
@@ -615,53 +673,87 @@ func (f *stashFuture) decode() {
 	f.err = err
 }
 
-// prepareStashes builds the backward-pass view of every feature map after
-// the forward pass completes — the executor's equivalent of Gist inserting
-// encode functions after each stash's last forward use.
-func (e *Executor) prepareStashes() error {
+// beginStashes opens a step's stash set: the previous step's containers,
+// pages and accounting are dead. Forward calls it when it is about to
+// retire, Backward when Forward left every node to it.
+func (e *Executor) beginStashes() {
 	e.StashBytes = 0
 	// Every page from the previous step is dead: rewind the spill file.
 	e.store.BeginStep()
 	if e.probeSparsity {
 		clear(e.sparsities)
 	}
-	var mem *memAccum
-	if e.tel != nil {
-		mem = &memAccum{byTech: map[string]*telemetry.TechBytes{}}
+	e.mem.reset()
+	e.encodeNS = 0
+}
+
+// retire runs node n's output through stashNode at the end of its forward
+// life — the executor's equivalent of Gist inserting an encode function
+// after each stash's last forward use. An instrumented run times it into
+// the step's train.encode.ns observation and, inside TryStep, gives it a
+// span on the step's track.
+func (e *Executor) retire(n *graph.Node) error {
+	if e.probeSparsity && n.Kind() == layers.ReLU {
+		// Capture the Figure 14 probe before the output can recycle.
+		e.sparsities[n.Name] = e.outs[n.ID].Sparsity()
+	}
+	if e.tel == nil {
+		return e.stashNode(n)
+	}
+	var sp *telemetry.Span
+	if e.stepSpan != nil { // the variadic args would allocate even for a nil span
+		sp = e.stepSpan.Begin("train", "retire", telemetry.Str("stash", n.Name))
+	}
+	t0 := time.Now()
+	err := e.stashNode(n)
+	e.encodeNS += time.Since(t0).Nanoseconds()
+	sp.End()
+	return err
+}
+
+// stashRest opens Backward: it stashes, in node order, whatever Forward did
+// not retire — the sink outputs always; every node after an inference
+// Forward or under an enabled fault injector — and closes the step's stash
+// accounting. A failure, Forward's or its own, is returned before any
+// gradient accumulates; only a complete stash set records a memory sample.
+func (e *Executor) stashRest() error {
+	err := e.stashErr
+	if !e.fwdRetired {
+		e.beginStashes()
 	}
 	for _, n := range e.G.Nodes {
-		if e.probeSparsity && n.Kind() == layers.ReLU {
-			// Capture the Figure 14 probe before the output can recycle.
-			e.sparsities[n.Name] = e.outs[n.ID].Sparsity()
-		}
-		if err := e.stashNode(n, mem); err != nil {
-			return err
+		if err == nil && (!e.fwdRetired || len(n.Consumers()) == 0) {
+			err = e.retire(n)
 		}
 	}
-	if mem != nil {
-		e.tel.RecordMemSample(mem.sample(e.stepCount))
-		e.met.stashHeld.Observe(mem.held)
+	if e.tel != nil {
+		e.met.encodeNS.Observe(e.encodeNS)
+		if err == nil {
+			e.tel.RecordMemSample(e.mem.sample(e.stepCount))
+			e.met.stashHeld.Observe(e.mem.held)
+		}
 	}
-	return nil
+	return err
 }
 
 // stashNode carries node n's output across the forward→backward gap — the
 // one lifecycle of a stashed feature map: encode into the node's container,
-// seal, hand the container to the store, arm the future that will fetch and
-// decode it, and release the raw output.
+// seal, release the raw output, hand the container to the store, and arm
+// the future that will fetch and decode it.
 //
 // The container is the analysis' assignment when there is one; else a dense
 // packing at Options.Format under DelayedReduced (decode∘encode is exactly
 // the format's quantization); else an exact FP32 dense packing when the
 // store is capped, so the cap covers every byte held. Otherwise nothing is
-// encoded: the backward view aliases the forward output and neither codec
-// nor store is touched.
+// encoded and neither codec nor store is touched: the backward view aliases
+// the forward output — or, when no backward kernel reads the output and a
+// forward consumer has (the "immediately consumed" class), it recycles here.
 //
 // This is also where the robustness layer lives: injected encode/decode/
 // alloc failures surface here as typed errors, and an assigned stash whose
 // runtime sparsity fell below break-even degrades to the dense encoding.
 // With no injector and integrity off, every added path is a nil/bool check.
-func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
+func (e *Executor) stashNode(n *graph.Node) error {
 	out := e.outs[n.ID]
 	inj := e.opts.Faults
 	var as *encoding.Assignment
@@ -678,9 +770,13 @@ func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
 	default: // alias
 		if stashed {
 			e.StashBytes += out.Bytes()
-			mem.add(tech, out.Bytes(), out.Bytes())
+			e.mem.add(tech, out.Bytes(), out.Bytes())
 		}
-		e.stash[n.ID] = out
+		if e.bwdReads[n.ID] == 0 && len(n.Consumers()) > 0 {
+			e.recycle(out)
+		} else {
+			e.stash[n.ID] = out
+		}
 		return nil
 	}
 
@@ -720,7 +816,7 @@ func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
 	}
 	inj.CorruptStash(n.Name, enc)
 	e.StashBytes += enc.Bytes()
-	mem.add(tech, out.Bytes(), enc.Bytes())
+	e.mem.add(tech, out.Bytes(), enc.Bytes())
 	// The encoded form now carries the forward→backward gap; the raw output
 	// is dead — no backward reader touches it — and returns to the pool,
 	// closing the lifetime gap the planner's liveness analysis identifies.
@@ -732,11 +828,11 @@ func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
 		}
 		return fmt.Errorf("train: stash %q: %w", n.Name, err)
 	}
-	// The backward pass starts the future one layer before its consumer. The
-	// decode target is allocated here, serially; the future owns it until
-	// stashOf takes it back.
+	// The backward pass starts the future one layer before its consumer, and
+	// only then does it take a decode target: until that start the stash
+	// holds its container and nothing else.
 	f := &e.futures[n.ID]
-	f.arm(e.alloc(enc.Shape))
+	f.arm()
 	e.nFutures++
 	if inj.Enabled() {
 		// Fault-injected runs resolve the future right here, on this
@@ -744,6 +840,7 @@ func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
 		// draws stay in node order, and every detection is attributed to its
 		// injection site and surfaces before any gradient accumulates.
 		f.started.Store(true)
+		f.dst = e.alloc(f.shape)
 		f.decode()
 		if _, err := e.stashOf(n.ID); err != nil {
 			e.noteStashErr(err)
@@ -754,39 +851,42 @@ func (e *Executor) stashNode(n *graph.Node, mem *memAccum) error {
 }
 
 // memAccum accumulates one step's stash-memory sample while stashes build.
-// The nil accumulator (uninstrumented run) discards everything.
+// It is executor-owned storage, reset per step, so a step with a sink
+// allocates no accumulator; without a sink byTech is nil and add discards.
 type memAccum struct {
 	raw, held int64
-	byTech    map[string]*telemetry.TechBytes
+	byTech    map[string]telemetry.TechBytes
+}
+
+func (m *memAccum) reset() {
+	m.raw, m.held = 0, 0
+	clear(m.byTech)
 }
 
 func (m *memAccum) add(tech string, raw, held int64) {
-	if m == nil {
+	if m.byTech == nil {
 		return
 	}
 	m.raw += raw
 	m.held += held
 	tb := m.byTech[tech]
-	if tb == nil {
-		tb = &telemetry.TechBytes{Tech: tech}
-		m.byTech[tech] = tb
-	}
+	tb.Tech = tech
 	tb.RawBytes += raw
 	tb.HeldBytes += held
+	m.byTech[tech] = tb
 }
 
 // sample freezes the accumulator into a MemSample with deterministically
 // ordered technique rows.
 func (m *memAccum) sample(step int) telemetry.MemSample {
 	sm := telemetry.MemSample{Step: step, RawBytes: m.raw, HeldBytes: m.held}
-	techs := make([]string, 0, len(m.byTech))
-	for t := range m.byTech {
-		techs = append(techs, t)
+	if len(m.byTech) > 0 {
+		sm.ByTech = make([]telemetry.TechBytes, 0, len(m.byTech))
 	}
-	sort.Strings(techs)
-	for _, t := range techs {
-		sm.ByTech = append(sm.ByTech, *m.byTech[t])
+	for _, tb := range m.byTech {
+		sm.ByTech = append(sm.ByTech, tb)
 	}
+	slices.SortFunc(sm.ByTech, func(a, b telemetry.TechBytes) int { return strings.Compare(a.Tech, b.Tech) })
 	return sm
 }
 
@@ -830,8 +930,9 @@ func (e *Executor) doneReading(id int) {
 
 // Backward runs the backward pass, accumulating parameter gradients. The
 // only failures are stash-pipeline ones (injected faults, detected
-// corruption); without an injector and with well-formed encodings it
-// always returns nil.
+// corruption, spill I/O — including one that stopped Forward's retirement,
+// which is returned first); without an injector or a budget and with
+// well-formed encodings it always returns nil.
 //
 // Each layer's backward kernels overlap the decode of the next layer's
 // stashes: the loop starts layer l-1's futures before running layer l's
@@ -846,16 +947,7 @@ func (e *Executor) doneReading(id int) {
 // incoming gradient recycles after that node's kernels consume it.
 func (e *Executor) Backward() error {
 	defer e.drainFutures()
-	encSpan := e.stepSpan.Begin("train", "encode-stashes")
-	var t0 time.Time
-	if e.tel != nil {
-		t0 = time.Now()
-	}
-	err := e.prepareStashes()
-	if e.tel != nil {
-		e.met.encodeNS.Observe(time.Since(t0).Nanoseconds())
-	}
-	encSpan.End()
+	err := e.stashRest()
 	if err != nil {
 		return err
 	}
@@ -944,13 +1036,13 @@ func (e *Executor) prefetch(n *graph.Node) {
 	if needs.X {
 		for _, in := range n.Inputs {
 			if f := &e.futures[in.ID]; f.armed {
-				f.start()
+				e.startFuture(f)
 			}
 		}
 	}
 	if needs.Y {
 		if f := &e.futures[n.ID]; f.armed {
-			f.start()
+			e.startFuture(f)
 		}
 	}
 }
@@ -972,7 +1064,7 @@ func (e *Executor) stashOf(id int) (*tensor.Tensor, error) {
 			e.met.overlapMiss.Inc()
 		}
 	}
-	f.start()
+	e.startFuture(f)
 	f.wg.Wait()
 	f.armed = false
 	e.nFutures--
@@ -1007,8 +1099,9 @@ func (e *Executor) zeroGrads() {
 // drainFutures settles every armed future: started decodes are waited for
 // (so no goroutine from this pass outlives Backward), and futures that
 // never launched have their WaitGroup count balanced. Runs on the
-// executor's goroutine only; idempotent, and re-run at Forward in case a
-// failed step returned before Backward's deferred drain was registered.
+// executor's goroutine only; idempotent, and re-run at Forward and Close for
+// the futures a training Forward armed when its Backward never ran (a step
+// cancelled in between). A future that never launched owns no decode target.
 func (e *Executor) drainFutures() {
 	if e.nFutures == 0 {
 		return
@@ -1086,9 +1179,10 @@ func (e *Executor) lossNode() *graph.Node {
 
 // TryStep runs forward, backward and an SGD update on one minibatch,
 // returning the minibatch loss, top-1 error count and any stash-pipeline
-// error. On error no parameter update has been applied: failures surface in
-// stash preparation (before gradients accumulate; every fault-injected
-// failure does) or mid-backward, when a future reports a corrupt or
+// error. On error no parameter update has been applied: failures surface
+// when Backward opens (a retirement that failed in Forward, or the stashing
+// Backward does itself — every fault-injected failure — before gradients
+// accumulate) or mid-backward, when a future reports a corrupt or
 // unreadable stash — where every partially accumulated gradient is zeroed
 // before the error returns. Batch-norm running statistics and the dropout
 // RNG have still advanced — restore a Snapshot before retrying for a
@@ -1128,8 +1222,9 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 	loss, errs = e.lossOf(labels)
 	if cerr := e.ctxErr(); cerr != nil {
 		// Aborting between forward and backward: no gradient has
-		// accumulated and no update has been applied. Pooled tensors the
-		// forward checked out are swept at the next Forward or by Close.
+		// accumulated and no update has been applied. The futures Forward's
+		// retirements armed and the pooled tensors it left checked out are
+		// drained and swept at the next Forward or by Close.
 		return loss, errs, fmt.Errorf("train: step canceled after forward: %w", cerr)
 	}
 
@@ -1175,8 +1270,8 @@ func (e *Executor) Telemetry() *telemetry.Sink { return e.tel }
 func (e *Executor) BufferPool() *bufpool.Pool { return e.pool }
 
 // SetSparsityProbe arms (or disarms) per-step capture of ReLU output
-// sparsities during stash preparation, before the outputs can recycle —
-// what ReLUSparsities reports. The run loops arm it when
+// sparsities at retirement, before the outputs can recycle — what
+// ReLUSparsities reports. The run loops arm it when
 // RunConfig.ProbeSparsity is set. The capture costs one pass over each ReLU
 // output per step, so it is off by default.
 func (e *Executor) SetSparsityProbe(on bool) { e.probeSparsity = on }
@@ -1194,8 +1289,8 @@ func (e *Executor) Step(input *tensor.Tensor, labels []int, lr float32) (loss fl
 }
 
 // ReLUSparsities returns the zero fraction of every ReLU output, keyed by
-// node name — the Figure 14 probe — as captured during the latest training
-// step's stash preparation. Empty unless SetSparsityProbe armed the capture.
+// node name — the Figure 14 probe — as captured when the latest training
+// step retired them. Empty unless SetSparsityProbe armed the capture.
 func (e *Executor) ReLUSparsities() map[string]float64 {
 	return maps.Clone(e.sparsities)
 }
