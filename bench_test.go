@@ -3,7 +3,7 @@ package gist_test
 // Benchmarks, one per paper table/figure (the harnesses that regenerate
 // them) plus micro-benchmarks of the encoding kernels, the allocator and
 // the training step, and ablation benches for the design choices DESIGN.md
-// calls out (narrow vs wide CSR indices, CSR vs ELL vs COO, static vs
+// calls out (narrow vs wide CSR indices, CSR conversion cost, static vs
 // dynamic allocation).
 
 import (
@@ -226,8 +226,8 @@ func BenchmarkDPRPackUnpack(b *testing.B) {
 
 // --- ablation benches ---
 
-// BenchmarkAblationCSRFormats compares the conversion cost of the three
-// sparse formats the paper evaluated before choosing CSR.
+// BenchmarkAblationCSRFormats measures the conversion cost of CSR, the
+// sparse format the paper chose over ELL and COO.
 func BenchmarkAblationCSRFormats(b *testing.B) {
 	skipIfRace(b)
 	xs := sparseInput(0.7)
@@ -235,18 +235,6 @@ func BenchmarkAblationCSRFormats(b *testing.B) {
 		b.SetBytes(kernelElems * 4)
 		for i := 0; i < b.N; i++ {
 			sparse.EncodeCSR(xs).Decode(nil)
-		}
-	})
-	b.Run("ELL", func(b *testing.B) {
-		b.SetBytes(kernelElems * 4)
-		for i := 0; i < b.N; i++ {
-			sparse.EncodeELL(xs).Decode(nil)
-		}
-	})
-	b.Run("COO", func(b *testing.B) {
-		b.SetBytes(kernelElems * 4)
-		for i := 0; i < b.N; i++ {
-			sparse.EncodeCOO(xs).Decode(nil)
 		}
 	})
 }
@@ -479,10 +467,11 @@ func BenchmarkBinarizeEncodeParallel(b *testing.B) {
 	for _, w := range benchWorkers() {
 		b.Run(wName(w), func(b *testing.B) {
 			c := encoding.Codec{Pool: parallel.NewPool(w)}
+			enc := &encoding.EncodedStash{}
 			b.SetBytes(kernelElems * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.EncodeStash(as, t); err != nil {
+				if err := c.EncodeStashInto(enc, as, t); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -567,8 +556,8 @@ func BenchmarkSealVerifyParallel(b *testing.B) {
 	for _, w := range benchWorkers() {
 		b.Run(wName(w), func(b *testing.B) {
 			c := encoding.Codec{Pool: parallel.NewPool(w)}
-			enc, err := c.EncodeStash(as, t)
-			if err != nil {
+			enc := &encoding.EncodedStash{}
+			if err := c.EncodeStashInto(enc, as, t); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(kernelElems * 2) // FP16 payload bytes hashed twice

@@ -238,7 +238,7 @@ func TestAdaptiveFallbackChain(t *testing.T) {
 		t.Fatalf("fallback chain landed on %v, want the terminal dense DPR", e.Tech)
 	}
 	c.Seal(e)
-	dec, err := c.Decode(e)
+	dec, err := decodeFresh(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}

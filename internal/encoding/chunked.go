@@ -65,9 +65,10 @@ type Codec struct {
 // defaultCodec holds the process-wide codec override set by SetDefaultCodec.
 var defaultCodec atomic.Pointer[Codec]
 
-// DefaultCodec returns the codec used by the package-level EncodeStash /
-// Decode / Seal entry points: the zero Codec (shared pool, default chunk
-// size) unless SetDefaultCodec installed an override.
+// DefaultCodec returns the codec a caller without one of its own uses — an
+// executor built with no Options.Codec, the ratio experiment: the zero
+// Codec (shared pool, default chunk size) unless SetDefaultCodec installed
+// an override.
 func DefaultCodec() Codec {
 	if p := defaultCodec.Load(); p != nil {
 		return *p
@@ -75,7 +76,8 @@ func DefaultCodec() Codec {
 	return Codec{}
 }
 
-// SetDefaultCodec installs the codec behind the package-level entry points.
+// SetDefaultCodec installs the codec DefaultCodec returns — how a CLI
+// attaches its telemetry sink to every codec it does not build itself.
 // Safe to call concurrently; in-flight operations keep the codec they
 // started with.
 func SetDefaultCodec(c Codec) {
@@ -168,83 +170,61 @@ func (cdc Codec) forChunks(n int, fn func(lo, hi int)) {
 	})
 }
 
-// EncodeStash encodes a feature map per the assignment, chunk-parallel on
-// the codec's pool. Output is byte-identical to the serial path for every
-// worker count. See the package-level EncodeStash for semantics.
-func (cdc Codec) EncodeStash(as *Assignment, t *tensor.Tensor) (*EncodedStash, error) {
-	if cdc.Tel == nil {
-		return cdc.encodeStash(as, t)
-	}
-	start := time.Now()
-	e, err := cdc.encodeStash(as, t)
-	var held int64
-	if e != nil {
-		held = e.Bytes()
-	}
-	cdc.observe("encode", as.Tech, start, held, err)
-	return e, err
-}
-
-func (cdc Codec) encodeStash(as *Assignment, t *tensor.Tensor) (*EncodedStash, error) {
-	e := &EncodedStash{}
-	if err := cdc.encodeStashInto(e, as, t); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// EncodeStashInto is EncodeStash building into a caller-owned container:
-// the stash's mask / CSR / packed payloads are rebuilt in place, reusing
-// their backing arrays when capacity allows, and any seal state is cleared.
-// The pooled executor keeps one container per stashing node and re-encodes
-// into it every step, so the encode path stops allocating entirely once the
-// containers reach steady-state size. Output is byte-identical to
-// EncodeStash. On error the container's contents are unspecified; reusing
-// it for the next encode remains valid.
+// EncodeStashInto encodes a feature map per the assignment into a
+// caller-owned container, chunk-parallel on the codec's pool; the output is
+// byte-identical to a serial encode at every worker count. The input tensor
+// is not modified; callers relinquish it after encoding, which is exactly
+// the memory-sharing opportunity Gist creates. The stash's payloads are
+// rebuilt in place, reusing their backing arrays when capacity allows, and
+// any seal state is cleared: the pooled executor keeps one container per
+// stashing node and re-encodes into it every step, so the encode path stops
+// allocating once the containers reach steady-state size.
+//
+// For SSDC, ZVC and Entropy the runtime data decides the footprint: when
+// the encoded form would not beat the dense DPR stash it competes with,
+// EncodeStashInto returns ErrStashTooLarge. Callers that prefer graceful
+// degradation over a hard error use EncodeStashAdaptiveInto. On error the
+// container's contents are unspecified; reusing it for the next encode
+// remains valid.
 func (cdc Codec) EncodeStashInto(e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
-	if cdc.Tel == nil {
-		return cdc.encodeStashInto(e, as, t)
-	}
-	start := time.Now()
-	err := cdc.encodeStashInto(e, as, t)
-	var held int64
-	if err == nil {
-		held = e.Bytes()
-	}
-	cdc.observe("encode", as.Tech, start, held, err)
-	return err
-}
-
-func (cdc Codec) encodeStashInto(e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	return cdc.encodeTechInto(e, as.Tech, as, t)
 }
 
 // encodeTechInto encodes with an explicit technique, which may differ from
 // as.Tech: the adaptive fallback chain re-encodes the same assignment at
 // each of its fallback techniques without mutating the shared Assignment.
+// Telemetry is keyed by the technique attempted, so each fallback step
+// shows up under its own name.
 func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment, t *tensor.Tensor) error {
-	impl, ok := techImpl(tech)
-	if !ok {
-		return fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
+	var start time.Time
+	if cdc.Tel != nil {
+		start = time.Now()
 	}
-	e.Tech = tech
-	e.Shape = append(e.Shape[:0], t.Shape...)
-	e.ChunkElems = cdc.chunkElems()
-	e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
-	return impl.encodeInto(cdc, e, as, t)
+	var err error
+	if impl, ok := techImpl(tech); ok {
+		e.Tech = tech
+		e.Shape = append(e.Shape[:0], t.Shape...)
+		e.ChunkElems = cdc.chunkElems()
+		e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
+		err = impl.encodeInto(cdc, e, as, t)
+	} else {
+		err = fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
+	}
+	if cdc.Tel != nil {
+		var held int64
+		if err == nil {
+			held = e.Bytes()
+		}
+		cdc.observe("encode", tech, start, held, err)
+	}
+	return err
 }
 
-// EncodeDense builds the dense fallback stash chunk-parallel; see the
-// package-level EncodeDense.
-func (cdc Codec) EncodeDense(f floatenc.Format, t *tensor.Tensor) *EncodedStash {
-	e := &EncodedStash{}
-	cdc.EncodeDenseInto(e, f, t)
-	return e
-}
-
-// EncodeDenseInto is EncodeDense building into a caller-owned container,
-// reusing its packed backing array when capacity allows (what the executor
-// and the adaptive fallback use).
+// EncodeDenseInto builds the dense fallback stash into a caller-owned
+// container: the feature map packed at the DPR format f (raw FP32 words
+// when f is FP32), reusing the packed backing array when capacity allows.
+// This is the representation the adaptive path degrades to when the
+// runtime data defeats every planned encoding.
 func (cdc Codec) EncodeDenseInto(e *EncodedStash, f floatenc.Format, t *tensor.Tensor) {
 	var start time.Time
 	if cdc.Tel != nil {
@@ -276,42 +256,14 @@ func (cdc Codec) observe(op string, tech Technique, start time.Time, bytes int64
 	cdc.Tel.Complete("codec", name, start)
 }
 
-// encodeTechObserved is encodeTechInto wrapped with the same telemetry
-// EncodeStashInto records, keyed by the technique actually attempted — the
-// adaptive chain uses it so each fallback step shows up under its own name.
-func (cdc Codec) encodeTechObserved(e *EncodedStash, tech Technique, as *Assignment, t *tensor.Tensor) error {
-	if cdc.Tel == nil {
-		return cdc.encodeTechInto(e, tech, as, t)
-	}
-	start := time.Now()
-	err := cdc.encodeTechInto(e, tech, as, t)
-	var held int64
-	if err == nil {
-		held = e.Bytes()
-	}
-	cdc.observe("encode", tech, start, held, err)
-	return err
-}
-
-// EncodeStashAdaptive encodes per the assignment, walking the assignment's
-// fallback chain when the runtime data defeats the planned encoding; see
-// the package-level variant.
-func (cdc Codec) EncodeStashAdaptive(as *Assignment, t *tensor.Tensor) (e *EncodedStash, fellBack bool, err error) {
-	e = &EncodedStash{}
-	fellBack, err = cdc.EncodeStashAdaptiveInto(e, as, t)
-	if err != nil {
-		return nil, fellBack, err
-	}
-	return e, fellBack, nil
-}
-
-// EncodeStashAdaptiveInto is EncodeStashAdaptive building into a
-// caller-owned container. The planned technique is tried first; each
-// ErrStashTooLarge steps to the next entry of as.Fallbacks (cheaper
-// predicted encodings the planner ranked behind the primary), and when the
-// chain is exhausted the stash is rebuilt in the same container as the
-// dense DPR encoding, which cannot fail. Every step is counted on
-// codec.encode.fallbacks.
+// EncodeStashAdaptiveInto encodes per the assignment, walking its fallback
+// chain when the runtime data defeats the planned encoding, and reports
+// whether a fallback fired so the executor can count degradations. The
+// planned technique is tried first; each ErrStashTooLarge steps to the next
+// entry of as.Fallbacks (cheaper predicted encodings the planner ranked
+// behind the primary), and when the chain is exhausted the stash is rebuilt
+// in the same container as the dense DPR encoding, which cannot fail. Every
+// step is counted on codec.encode.fallbacks.
 func (cdc Codec) EncodeStashAdaptiveInto(e *EncodedStash, as *Assignment, t *tensor.Tensor) (fellBack bool, err error) {
 	err = cdc.EncodeStashInto(e, as, t)
 	for _, tech := range as.Fallbacks {
@@ -320,7 +272,7 @@ func (cdc Codec) EncodeStashAdaptiveInto(e *EncodedStash, as *Assignment, t *ten
 		}
 		cdc.Tel.Counter("codec.encode.fallbacks").Inc()
 		fellBack = true
-		err = cdc.encodeTechObserved(e, tech, as, t)
+		err = cdc.encodeTechInto(e, tech, as, t)
 	}
 	if errors.Is(err, ErrStashTooLarge) {
 		cdc.Tel.Counter("codec.encode.fallbacks").Inc()
@@ -397,65 +349,48 @@ func (cdc Codec) encodePackedInto(p *floatenc.Packed, f floatenc.Format, xs []fl
 	return p
 }
 
-// Decode materializes the FP32 staging tensor chunk-parallel; see the
-// package-level EncodedStash.Decode for semantics. A sealed stash is
-// verified (per chunk) first, and structurally damaged payloads surface as
-// typed errors rather than index panics, so Decode never panics on
-// corrupted or deserialized input.
-func (cdc Codec) Decode(e *EncodedStash) (*tensor.Tensor, error) {
-	if cdc.Tel == nil {
-		return cdc.decode(e)
-	}
-	start := time.Now()
-	out, err := cdc.decode(e)
-	var raw int64
-	if out != nil {
-		raw = out.Bytes()
-	}
-	cdc.observe("decode", e.Tech, start, raw, err)
-	return out, err
-}
-
-// DecodeInto is Decode writing into a caller-provided destination tensor of
-// the stash's shape — the executor allocates the decode target when it arms
-// the stash's future and takes it back when the future resolves. Every
-// element of dst is overwritten (decode kernels fully cover the payload),
-// so a recycled buffer needs no pre-clearing. On error dst's contents are
-// unspecified. Output is identical to Decode.
+// DecodeInto materializes the FP32 staging tensor for the backward use into
+// dst, a caller-provided tensor of the stash's shape, chunk-parallel on the
+// codec's pool with output identical to a serial decode. The executor takes
+// the decode target when the stash's fetch starts and hands it to the
+// backward kernel when the future resolves. Every element of dst is
+// overwritten (decode kernels fully cover the payload), so a recycled
+// buffer needs no pre-clearing. For Binarize the mask itself is the
+// backward representation, but DecodeInto still reconstructs a 0/1 tensor
+// so that generic backward code can run unchanged (ReLU backward only tests
+// Y > 0, and the pool argmax map carries the rest).
+//
+// A sealed stash is verified (per chunk) first; corruption surfaces as
+// ErrCorruptStash before any decoding touches the damaged payload. A dst
+// whose shape differs from the stash's, and payload/shape disagreements
+// (possible on unsealed stashes), surface as ErrShapeMismatch, and
+// structurally damaged payloads (possible after deserialization) as
+// ErrCorruptStash, so DecodeInto never panics on corrupted or deserialized
+// input. On error dst's contents are unspecified.
 func (cdc Codec) DecodeInto(dst *tensor.Tensor, e *EncodedStash) error {
-	if cdc.Tel == nil {
-		return cdc.decodeInto(dst, e)
+	var start time.Time
+	if cdc.Tel != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	err := cdc.decodeInto(dst, e)
-	var raw int64
-	if err == nil {
-		raw = dst.Bytes()
-	}
-	cdc.observe("decode", e.Tech, start, raw, err)
-	return err
-}
-
-func (cdc Codec) decode(e *EncodedStash) (*tensor.Tensor, error) {
-	out := tensor.New(e.Shape...)
-	if err := cdc.decodeInto(out, e); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (cdc Codec) decodeInto(out *tensor.Tensor, e *EncodedStash) error {
-	if err := cdc.Verify(e); err != nil {
-		return err
-	}
-	if !out.Shape.Equal(e.Shape) {
-		return fmt.Errorf("%w: destination shape %v, stash shape %v", ErrShapeMismatch, out.Shape, e.Shape)
-	}
+	err := cdc.Verify(e)
 	impl, ok := techImpl(e.Tech)
-	if !ok {
-		return fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
+	switch {
+	case err != nil:
+	case !dst.Shape.Equal(e.Shape):
+		err = fmt.Errorf("%w: destination shape %v, stash shape %v", ErrShapeMismatch, dst.Shape, e.Shape)
+	case !ok:
+		err = fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
+	default:
+		err = impl.decodeInto(cdc, dst, e)
 	}
-	return impl.decodeInto(cdc, out, e)
+	if cdc.Tel != nil {
+		var raw int64
+		if err == nil {
+			raw = dst.Bytes()
+		}
+		cdc.observe("decode", e.Tech, start, raw, err)
+	}
+	return err
 }
 
 // nil-tolerant accessors for error messages on malformed stashes.
@@ -605,7 +540,7 @@ func (c *ChunkError) Error() string {
 // Unwrap makes errors.Is(err, ErrCorruptStash) hold for chunk errors.
 func (c *ChunkError) Unwrap() error { return ErrCorruptStash }
 
-// CorruptedChunk extracts the failing chunk index from a Verify or Decode
+// CorruptedChunk extracts the failing chunk index from a Verify or DecodeInto
 // error, reporting ok = false when the error carries no chunk localization.
 func CorruptedChunk(err error) (chunk int, ok bool) {
 	var ce *ChunkError

@@ -212,13 +212,13 @@ func TestRuntimeBinarizeRoundTrip(t *testing.T) {
 		}
 		return v
 	})
-	e, err := EncodeStash(as, x)
+	e, err := encodeFresh(Codec{}, as, x)
 	if err != nil {
-		t.Fatalf("EncodeStash: %v", err)
+		t.Fatalf("EncodeStashInto: %v", err)
 	}
-	dec, err := e.Decode()
+	dec, err := decodeFresh(Codec{}, e)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	for i, v := range x.Data {
 		want := float32(0)
@@ -249,13 +249,13 @@ func TestRuntimeSSDCRoundTripLossless(t *testing.T) {
 			x.Data[i] = r.Float32()
 		}
 	}
-	e, err := EncodeStash(as, x)
+	e, err := encodeFresh(Codec{}, as, x)
 	if err != nil {
-		t.Fatalf("EncodeStash: %v", err)
+		t.Fatalf("EncodeStashInto: %v", err)
 	}
-	dec, err := e.Decode()
+	dec, err := decodeFresh(Codec{}, e)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	if !dec.Equal(x) {
 		t.Fatal("SSDC must be bit-exact")
@@ -274,13 +274,13 @@ func TestRuntimeSSDCWithDPRQuantizesValues(t *testing.T) {
 			x.Data[i] = r.Float32() + 0.1
 		}
 	}
-	e, err := EncodeStash(as, x)
+	e, err := encodeFresh(Codec{}, as, x)
 	if err != nil {
-		t.Fatalf("EncodeStash: %v", err)
+		t.Fatalf("EncodeStashInto: %v", err)
 	}
-	dec, err := e.Decode()
+	dec, err := decodeFresh(Codec{}, e)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	for i, v := range x.Data {
 		if dec.Data[i] != floatenc.FP16.Quantize(v) {
@@ -305,13 +305,13 @@ func TestRuntimeDPRRoundTrip(t *testing.T) {
 	}
 	x := tensor.New(inN.OutShape...)
 	x.FillNormal(tensor.NewRNG(5), 0, 1)
-	e, err := EncodeStash(as, x)
+	e, err := encodeFresh(Codec{}, as, x)
 	if err != nil {
-		t.Fatalf("EncodeStash: %v", err)
+		t.Fatalf("EncodeStashInto: %v", err)
 	}
-	dec, err := e.Decode()
+	dec, err := decodeFresh(Codec{}, e)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	for i, v := range x.Data {
 		if dec.Data[i] != floatenc.FP10.Quantize(v) {
@@ -324,7 +324,7 @@ func TestRuntimeDPRRoundTrip(t *testing.T) {
 }
 
 func TestEncodeStashNoTechniqueErrors(t *testing.T) {
-	if _, err := EncodeStash(&Assignment{Tech: None}, tensor.New(1)); !errors.Is(err, ErrNoTechnique) {
+	if _, err := encodeFresh(Codec{}, &Assignment{Tech: None}, tensor.New(1)); !errors.Is(err, ErrNoTechnique) {
 		t.Fatalf("err = %v, want ErrNoTechnique", err)
 	}
 }

@@ -79,12 +79,12 @@ func TestEntropyConcurrentDecodeOfOneStash(t *testing.T) {
 	tt := tensor.New(n)
 	copy(tt.Data, randStash(rng, n, 0.7))
 	c := Codec{Pool: parallel.NewPool(3), ChunkElems: 768}
-	e, err := c.EncodeStash(&Assignment{Tech: Entropy, Format: floatenc.FP16}, tt)
+	e, err := encodeFresh(c, &Assignment{Tech: Entropy, Format: floatenc.FP16}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Seal(e)
-	want, err := c.Decode(e)
+	want, err := decodeFresh(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package encoding
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"gist/internal/floatenc"
@@ -23,7 +25,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		tt := tensor.New(5, 400) // 2000 elements, 3 chunks of 768
 		copy(tt.Data, randStash(rng, len(tt.Data), 0.8))
 		for _, seal := range []bool{false, true} {
-			enc, _, err := c.EncodeStashAdaptive(as, tt)
+			enc, _, err := adaptiveFresh(c, as, tt)
 			if err != nil {
 				t.Fatalf("%v/%s: seed encode: %v", as.Tech, as.Format, err)
 			}
@@ -57,7 +59,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	for _, as := range propAssignments() {
 		tt := tensor.New(2000)
 		copy(tt.Data, randStash(rng, 2000, 0.8))
-		enc, _, err := c.EncodeStashAdaptive(as, tt)
+		enc, _, err := adaptiveFresh(c, as, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +83,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err := c.Verify(back); err != nil {
 			t.Fatalf("%v/%s: restored stash fails verify: %v", as.Tech, as.Format, err)
 		}
-		want, err := c.Decode(enc)
+		want, err := decodeFresh(c, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Decode(back)
+		got, err := decodeFresh(c, back)
 		if err != nil {
 			t.Fatalf("%v/%s: restored stash fails decode: %v", as.Tech, as.Format, err)
 		}
@@ -99,7 +101,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 // FuzzDecodeEncodedStash feeds arbitrary bytes through the full untrusted
 // path — unmarshal, verify, decode — and requires typed errors, never a
-// panic or unbounded allocation. Seeds are valid serialized stashes (sealed
+// panic or unbounded allocation, and that every accepted blob re-marshals
+// to exactly its input bytes. Seeds are valid serialized stashes (sealed
 // and unsealed, every technique) so mutations explore deep payload and
 // checksum handling, not just header rejection.
 func FuzzDecodeEncodedStash(f *testing.F) {
@@ -115,13 +118,19 @@ func FuzzDecodeEncodedStash(f *testing.F) {
 			}
 			return
 		}
+		// The wire is canonical: an accepted blob re-marshals to itself.
+		if b, err := e.MarshalBinary(); err != nil {
+			t.Fatalf("re-marshal of accepted stash failed: %v", err)
+		} else if !bytes.Equal(b, data) {
+			t.Fatalf("accepted %d bytes re-marshal to %d different bytes", len(data), len(b))
+		}
 		if err := codec.Verify(e); err != nil {
 			if !errors.Is(err, ErrCorruptStash) {
 				t.Fatalf("verify error %v does not wrap ErrCorruptStash", err)
 			}
 			return
 		}
-		dec, err := codec.Decode(e)
+		dec, err := decodeFresh(codec, e)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptStash) && !errors.Is(err, ErrShapeMismatch) && !errors.Is(err, ErrNoTechnique) {
 				t.Fatalf("decode error %v is not a typed stash error", err)
@@ -130,14 +139,6 @@ func FuzzDecodeEncodedStash(f *testing.F) {
 		}
 		if want := e.Shape.NumElements(); len(dec.Data) != want {
 			t.Fatalf("decode returned %d elements for shape %v", len(dec.Data), e.Shape)
-		}
-		// A successfully decoded stash must survive re-marshal → decode.
-		b, err := e.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of decodable stash failed: %v", err)
-		}
-		if _, err := UnmarshalStash(b); err != nil {
-			t.Fatalf("re-unmarshal of decodable stash failed: %v", err)
 		}
 	})
 }
@@ -156,28 +157,44 @@ func TestDecodeNeverPanicsOnTruncations(t *testing.T) {
 			if err := codec.Verify(e); err != nil {
 				continue
 			}
-			_, _ = codec.Decode(e)
+			_, _ = decodeFresh(codec, e)
 		}
 	}
 }
 
-// TestUnmarshalRejectsOversizedClaims checks the allocation caps: headers
-// claiming huge shapes or counts are rejected before any large allocation.
+// TestUnmarshalRejectsOversizedClaims checks that headers no writer produces
+// are rejected: a count claim past the allocation caps (before any large
+// allocation), a seal word other than 0 or 1, and the magic of the retired
+// first container, whose header layout matched the current one.
 func TestUnmarshalRejectsOversizedClaims(t *testing.T) {
 	c := Codec{Pool: parallel.NewPool(1)}
 	tt := tensor.New(64)
-	enc, err := c.EncodeStash(&Assignment{Tech: DPR, Format: floatenc.FP16}, tt)
+	enc, err := encodeFresh(c, &Assignment{Tech: DPR, Format: floatenc.FP16}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := enc.MarshalBinary()
+	c.Seal(enc)
+	blob, err := enc.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the packed value count (offset: magic 4 + tech/seal/chunk 12 +
-	// rank 4 + one dim 4 + format 4 = 28) to claim 2^31 values.
-	b[28], b[29], b[30], b[31] = 0, 0, 0, 0x80
-	if _, err := UnmarshalStash(b); !errors.Is(err, ErrCorruptStash) {
-		t.Fatalf("oversized claim error = %v, want ErrCorruptStash", err)
+	if _, err := UnmarshalStash(blob); err != nil {
+		t.Fatalf("unmodified blob rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		// The packed value count sits at offset 28: magic 4 + tech/seal/chunk
+		// 12 + rank 4 + one dim 4 + format 4.
+		{"packed count 2^31", func(b []byte) { b[28], b[29], b[30], b[31] = 0, 0, 0, 0x80 }},
+		{"seal word 2", func(b []byte) { b[8] = 2 }},
+		{"GSTS magic", func(b []byte) { copy(b, "GSTS") }},
+	} {
+		b := slices.Clone(blob)
+		tc.mutate(b)
+		if _, err := UnmarshalStash(b); !errors.Is(err, ErrCorruptStash) {
+			t.Errorf("%s: error = %v, want ErrCorruptStash", tc.name, err)
+		}
 	}
 }

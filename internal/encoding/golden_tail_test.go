@@ -97,7 +97,7 @@ func tailAssignment(name string) *Assignment {
 func TestGoldenChunkTails(t *testing.T) {
 	cdc := Codec{ChunkElems: 768}
 	for _, g := range goldenTails {
-		e, err := cdc.EncodeStash(tailAssignment(g.name), tailInput(g.n))
+		e, err := encodeFresh(cdc, tailAssignment(g.name), tailInput(g.n))
 		if err != nil {
 			t.Fatalf("n=%d %s: %v", g.n, g.name, err)
 		}
@@ -126,12 +126,12 @@ func TestGoldenChunkTailsRoundTrip(t *testing.T) {
 	for _, g := range goldenTails {
 		in := tailInput(g.n)
 		as := tailAssignment(g.name)
-		e, err := cdc.EncodeStash(as, in)
+		e, err := encodeFresh(cdc, as, in)
 		if err != nil {
 			t.Fatalf("n=%d %s: %v", g.n, g.name, err)
 		}
 		cdc.Seal(e)
-		out, err := cdc.Decode(e)
+		out, err := decodeFresh(cdc, e)
 		if err != nil {
 			t.Fatalf("n=%d %s: decode: %v", g.n, g.name, err)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // Golden wire-format fixtures for sealed EncodedStash blobs. The frozen
-// hex pins the "GSTS" marshaled layout end to end — header fields, CSR
+// hex pins the "GST2" marshaled layout end to end — header fields, CSR
 // index/pointer arrays, DPR word stream, chunk-CRC trailer and the rolled-
 // up checksum — so a change anywhere in encode, seal or marshal that moves
 // a byte fails here by name instead of surfacing as a checkpoint
@@ -41,9 +41,8 @@ const (
 	goldenDPRChecksum = 0x62294918
 	goldenDPRBlobHex  = "4753545303000000010000000080010004000000020000000300000004000000040000000200000060000000c8800300de000000f0c0020e00840300000000000000800ec700500ee060a30de66c930e0000200d000000000000000fd900c00eeea4f30d0000c00ed384030000a4830ba900400ece00400d00280300ec0000000000000000000000008403000000600e0000930e0088230ec200100e9d00b00deb000000f000f00ee300000018492962010000001b0471fc"
 
-	// The "GST2" fixtures pin the v2 container introduced with the ZVC and
-	// entropy techniques: same header layout, new magic, technique-owned
-	// payload sections.
+	// The ZVC and entropy fixtures pin the payload sections of the two
+	// techniques added after the paper's three, in the same container.
 	goldenZVCChecksum = 0x13d4c501
 	goldenZVCBlobHex  = "4753543204000000010000000080010004000000020000000300000004000000040000006000000030000000cb05f627d8736e1540b4db3400000000d8bf423e749d013fccbdf13e16de7f3fe00c823dacbb003f9e36083f1eeb403fc846373e46dd263f88c5013f3082bd3ea48fce3e60cd2d3f4c08d73e82c44b3f4407903ec6ef7d3f2435c73e04f9613faa41723f0840493f7c3cf73ee08e613f84cc973e24cf0a3f9478483fd085c23da0f94a3da6741f3f08a26f3ed4cc9c3e78414e3eac38623ff46d073f1ac32e3f6026023e5456483f56130e3f1c2c0e3ff8fc133ec2b4083fc09fe63c905cdb3e88b85a3f8ea07f3fda34783f0cf4163f01c5d41301000000ec2826ae"
 
@@ -80,6 +79,7 @@ func mustHex(t *testing.T, s string) []byte {
 // sealed, marshaled result to be byte-identical to the frozen blob — the
 // encode direction of wire compatibility.
 func TestGoldenStashMarshal(t *testing.T) {
+	var cdc Codec
 	cases := []struct {
 		name     string
 		blobHex  string
@@ -89,19 +89,21 @@ func TestGoldenStashMarshal(t *testing.T) {
 		{"ssdc-fp16", goldenSSDCBlobHex, goldenSSDCChecksum,
 			func(x *tensor.Tensor) (*EncodedStash, error) {
 				as := &Assignment{Tech: SSDC, Format: floatenc.FP16, NeedsDecode: true}
-				return EncodeStash(as, x)
+				return encodeFresh(cdc, as, x)
 			}},
 		{"dpr-fp10", goldenDPRBlobHex, goldenDPRChecksum,
 			func(x *tensor.Tensor) (*EncodedStash, error) {
-				return EncodeDense(floatenc.FP10, x), nil
+				e := &EncodedStash{}
+				cdc.EncodeDenseInto(e, floatenc.FP10, x)
+				return e, nil
 			}},
 		{"zvc-fp32", goldenZVCBlobHex, goldenZVCChecksum,
 			func(x *tensor.Tensor) (*EncodedStash, error) {
-				return EncodeStash(&Assignment{Tech: ZVC, Format: floatenc.FP32}, x)
+				return encodeFresh(cdc, &Assignment{Tech: ZVC, Format: floatenc.FP32}, x)
 			}},
 		{"entropy-fp16", goldenEntropyBlobHex, goldenEntropyChecksum,
 			func(*tensor.Tensor) (*EncodedStash, error) {
-				return EncodeStash(&Assignment{Tech: Entropy, Format: floatenc.FP16}, goldenEntropyInput())
+				return encodeFresh(cdc, &Assignment{Tech: Entropy, Format: floatenc.FP16}, goldenEntropyInput())
 			}},
 	}
 	for _, c := range cases {
@@ -110,7 +112,7 @@ func TestGoldenStashMarshal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.Seal()
+			cdc.Seal(e)
 			if e.Checksum != c.checksum {
 				t.Errorf("checksum %#08x, want %#08x", e.Checksum, c.checksum)
 			}
@@ -135,6 +137,7 @@ func TestGoldenStashMarshal(t *testing.T) {
 // unmarshal, pass integrity verification, and decode to the fixture map's
 // FP16-quantized values.
 func TestGoldenStashUnmarshal(t *testing.T) {
+	var c Codec
 	e, err := UnmarshalStash(mustHex(t, goldenSSDCBlobHex))
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +145,10 @@ func TestGoldenStashUnmarshal(t *testing.T) {
 	if !e.Sealed() {
 		t.Fatal("unmarshaled stash lost its seal")
 	}
-	if err := e.Verify(); err != nil {
+	if err := c.Verify(e); err != nil {
 		t.Fatalf("frozen blob fails integrity verification: %v", err)
 	}
-	dec, err := e.Decode()
+	dec, err := decodeFresh(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,16 +179,16 @@ func TestGoldenStashUnmarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.FlipBit(e2.PayloadBits() / 2)
-	if err := e2.Verify(); err == nil {
+	if err := c.Verify(e2); err == nil {
 		t.Fatal("corrupted frozen blob passed verification")
 	}
 }
 
-// TestGoldenV2StashUnmarshal is the decode direction for the "GST2"
-// container: the frozen ZVC and entropy blobs must unmarshal, verify and
-// decode to the fixture maps exactly (bit-exact for ZVC at FP32, the FP16
-// quantization for the entropy fixture), and a flipped payload bit must
-// break the seal.
+// TestGoldenV2StashUnmarshal is the decode direction for the ZVC and
+// entropy fixtures: the frozen blobs must carry the "GST2" magic, unmarshal,
+// verify and decode to the fixture maps exactly (bit-exact for ZVC at FP32,
+// the FP16 quantization for the entropy fixture), and a flipped payload bit
+// must break the seal.
 func TestGoldenV2StashUnmarshal(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -196,6 +199,7 @@ func TestGoldenV2StashUnmarshal(t *testing.T) {
 		{"zvc-fp32", goldenZVCBlobHex, goldenStashInput(), func(v float32) float32 { return v }},
 		{"entropy-fp16", goldenEntropyBlobHex, goldenEntropyInput(), floatenc.FP16.Quantize},
 	}
+	var cdc Codec
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			blob := mustHex(t, c.blobHex)
@@ -209,10 +213,10 @@ func TestGoldenV2StashUnmarshal(t *testing.T) {
 			if !e.Sealed() {
 				t.Fatal("unmarshaled stash lost its seal")
 			}
-			if err := e.Verify(); err != nil {
+			if err := cdc.Verify(e); err != nil {
 				t.Fatalf("frozen blob fails integrity verification: %v", err)
 			}
-			dec, err := e.Decode()
+			dec, err := decodeFresh(cdc, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +234,7 @@ func TestGoldenV2StashUnmarshal(t *testing.T) {
 				t.Fatal(err)
 			}
 			e2.FlipBit(e2.PayloadBits() / 2)
-			if err := e2.Verify(); err == nil {
+			if err := cdc.Verify(e2); err == nil {
 				t.Fatal("corrupted frozen blob passed verification")
 			}
 		})

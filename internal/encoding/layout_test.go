@@ -36,8 +36,8 @@ func layoutFingerprint(t *testing.T) uint64 {
 				for _, n := range layoutPinSizes {
 					tt := tensor.New(n)
 					copy(tt.Data, randStash(rng, n, 0.8))
-					e, _, err := c.EncodeStashAdaptive(as, tt)
-					if err != nil {
+					e := &EncodedStash{}
+					if _, err := c.EncodeStashAdaptiveInto(e, as, tt); err != nil {
 						t.Fatalf("%v/%s n=%d: encode: %v", as.Tech, as.Format, n, err)
 					}
 					c.Seal(e)

@@ -8,38 +8,28 @@ import (
 	"gist/internal/tensor"
 )
 
-// Binary serialization of an EncodedStash — the wire format the crash-safe
-// recovery path and the decode fuzzer exercise. The format is little-endian
-// throughout and self-describing enough that UnmarshalStash can rebuild the
-// exact in-memory structures (including the seal) or reject the bytes with
-// a typed error; it never panics, whatever the input.
-//
-// Two container versions exist. "GSTS" (v1) is the original format whose
-// byte layout is frozen — every v1 blob ever written (Binarize, SSDC, DPR)
-// still parses byte-identically. "GST2" (v2) has the identical header and
-// seal layout but admits the payload techniques added after the freeze
-// (ZVC, Entropy); a v2-only technique inside a v1 container is rejected as
-// corrupt rather than misparsed.
+// Binary serialization of an EncodedStash — the payload of a spill page and
+// the input of the decode fuzzer. The format is little-endian throughout and
+// self-describing enough that UnmarshalStash can rebuild the exact in-memory
+// structures (including the seal) or reject the bytes with a typed error; it
+// never panics, whatever the input. It is canonical: every blob
+// UnmarshalStash accepts re-marshals to the same bytes.
 
-// stashMagic leads every v1 serialized stash; stashMagicV2 the v2 ones.
-var (
-	stashMagic   = [4]byte{'G', 'S', 'T', 'S'}
-	stashMagicV2 = [4]byte{'G', 'S', 'T', '2'}
-)
+// stashMagic leads every serialized stash, whatever its technique.
+var stashMagic = [4]byte{'G', 'S', 'T', '2'}
 
 const (
 	// maxStashDims bounds the serialized shape rank.
 	maxStashDims = 8
 	// maxStashElems bounds the element count a deserialized stash may claim,
-	// capping what Decode would allocate for hostile inputs (16Mi elements
+	// capping the decode target a hostile input can demand (16Mi elements
 	// = 64 MiB of FP32, comfortably above any benchmark shape).
 	maxStashElems = 1 << 24
 )
 
-// MarshalBinary serializes the stash: magic (picked by the technique's
-// wire version), technique, seal state, chunk layout, shape,
-// technique-specific payload, and (when sealed) the checksum plus
-// per-chunk CRCs.
+// MarshalBinary serializes the stash: magic, technique, seal word (0 or 1),
+// chunk layout, shape, technique-specific payload, and (when sealed) the
+// checksum plus per-chunk CRCs.
 func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 	impl, ok := techImpl(e.Tech)
 	if !ok {
@@ -49,11 +39,7 @@ func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 	// 16 of Entropy's payload header, 8 of seal) and the layout knows the rest.
 	out := make([]byte, 0, 44+4*len(e.Shape)+int(e.Bytes())+4*len(e.ChunkCRCs))
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
-	magic := stashMagic
-	if impl.wireVersion() >= 2 {
-		magic = stashMagicV2
-	}
-	out = append(out, magic[:]...)
+	out = append(out, stashMagic[:]...)
 	u32(uint32(e.Tech))
 	sealed := uint32(0)
 	if e.sealed {
@@ -172,24 +158,21 @@ func (r *stashReader) count(what string, cap, elemBytes int) int {
 
 // UnmarshalStash parses a serialized stash. Malformed or truncated input
 // returns an error wrapping ErrCorruptStash (ErrNoTechnique for an unknown
-// technique tag); the function never panics. A successfully parsed stash is
-// structurally safe to Verify and Decode — those may still reject it with
-// their own typed errors (bad checksum, shape mismatch, invalid CSR).
+// technique tag); the function never panics. A seal word other than 0 or 1
+// is malformed, so an accepted blob re-marshals to the same bytes. A
+// successfully parsed stash is structurally safe to Verify and DecodeInto —
+// those may still reject it with their own typed errors (bad checksum, shape
+// mismatch, invalid CSR).
 func UnmarshalStash(data []byte) (*EncodedStash, error) {
 	r := &stashReader{data: data}
-	version := 0
-	if m := r.bytes(4); r.err == nil {
-		switch [4]byte(m) {
-		case stashMagic:
-			version = 1
-		case stashMagicV2:
-			version = 2
-		default:
-			r.fail("bad magic %q", m)
-		}
+	if m := r.bytes(4); r.err == nil && [4]byte(m) != stashMagic {
+		r.fail("bad magic %q", m)
 	}
 	tech := Technique(r.u32())
 	sealed := r.u32()
+	if r.err == nil && sealed > 1 {
+		r.fail("seal word %d, want 0 or 1", sealed)
+	}
 	chunkElems := int(r.u32())
 	if r.err == nil && (chunkElems < 0 || chunkElems > maxStashElems) {
 		r.fail("chunk size %d outside [0,%d]", chunkElems, maxStashElems)
@@ -211,16 +194,11 @@ func UnmarshalStash(data []byte) (*EncodedStash, error) {
 	}
 	e := &EncodedStash{Tech: tech, Shape: shape, ChunkElems: chunkElems}
 	if impl, okT := techImpl(tech); okT {
-		if r.err == nil && impl.wireVersion() > version {
-			// A v2-only technique tag inside a v1 container: the bytes
-			// cannot be a stash any v1 writer produced.
-			r.fail("technique %v not valid in a v%d stash", tech, version)
-		}
 		impl.unmarshalPayload(e, r)
 	} else if r.err == nil {
 		return nil, fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
 	}
-	if sealed != 0 && r.err == nil {
+	if sealed == 1 && r.err == nil {
 		e.Checksum = r.u32()
 		e.ChunkCRCs = words32[uint32](r, r.count("chunk crc", maxStashElems, 4))
 		e.sealed = true

@@ -30,6 +30,24 @@ func randStash(rng *tensor.RNG, n int, sparsity float64) []float32 {
 	return xs
 }
 
+// encodeFresh, adaptiveFresh and decodeFresh run one codec operation into a
+// fresh container or tensor, the one-shot shape most tests want.
+func encodeFresh(c Codec, as *Assignment, x *tensor.Tensor) (*EncodedStash, error) {
+	e := &EncodedStash{}
+	return e, c.EncodeStashInto(e, as, x)
+}
+
+func adaptiveFresh(c Codec, as *Assignment, x *tensor.Tensor) (*EncodedStash, bool, error) {
+	e := &EncodedStash{}
+	fellBack, err := c.EncodeStashAdaptiveInto(e, as, x)
+	return e, fellBack, err
+}
+
+func decodeFresh(c Codec, e *EncodedStash) (*tensor.Tensor, error) {
+	out := tensor.New(e.Shape...)
+	return out, c.DecodeInto(out, e)
+}
+
 // propAssignments are the technique/format combinations the property tests
 // sweep: every codec, including DPR layered on SSDC/ZVC and the entropy
 // stage over both raw and DPR-packed words.
@@ -192,19 +210,19 @@ func TestParallelEncodeMatchesSerialByteForByte(t *testing.T) {
 			for _, ce := range propChunkElems {
 				label := fmt.Sprintf("%v/%s n=%d ce=%d", as.Tech, as.Format, n, ce)
 				serial := Codec{Pool: parallel.NewPool(1), ChunkElems: ce}
-				se, sFell, err := serial.EncodeStashAdaptive(as, tt)
+				se, sFell, err := adaptiveFresh(serial, as, tt)
 				if err != nil {
 					t.Fatalf("%s: serial encode: %v", label, err)
 				}
 				serial.Seal(se)
-				sd, err := serial.Decode(se)
+				sd, err := decodeFresh(serial, se)
 				if err != nil {
 					t.Fatalf("%s: serial decode: %v", label, err)
 				}
 				checkRoundTrip(t, as, se, in, sd.Data, label)
 				for _, w := range workers {
 					c := Codec{Pool: parallel.NewPool(w), ChunkElems: ce}
-					pe, pFell, err := c.EncodeStashAdaptive(as, tt)
+					pe, pFell, err := adaptiveFresh(c, as, tt)
 					if err != nil {
 						t.Fatalf("%s w=%d: encode: %v", label, w, err)
 					}
@@ -216,7 +234,7 @@ func TestParallelEncodeMatchesSerialByteForByte(t *testing.T) {
 					if oracle := pe.checksum(); pe.Checksum != oracle {
 						t.Fatalf("%s w=%d: rolled-up checksum %#x, serial oracle %#x", label, w, pe.Checksum, oracle)
 					}
-					pd, err := c.Decode(pe)
+					pd, err := decodeFresh(c, pe)
 					if err != nil {
 						t.Fatalf("%s w=%d: decode: %v", label, w, err)
 					}
@@ -294,7 +312,7 @@ func TestChunkErrorLocalizesEveryPayloadBit(t *testing.T) {
 		as, n := st.as, st.n
 		tt := tensor.New(n)
 		copy(tt.Data, randStash(rng, n, st.sparsity))
-		enc, _, err := c.EncodeStashAdaptive(as, tt)
+		enc, _, err := adaptiveFresh(c, as, tt)
 		if err != nil {
 			t.Fatalf("%v/%s: encode: %v", as.Tech, as.Format, err)
 		}
@@ -367,7 +385,7 @@ func TestChunkOfBitRegression(t *testing.T) {
 	for i := range mask.Data {
 		mask.Data[i] = 1
 	}
-	be, err := c.EncodeStash(&Assignment{Tech: Binarize}, mask)
+	be, err := encodeFresh(c, &Assignment{Tech: Binarize}, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +402,7 @@ func TestChunkOfBitRegression(t *testing.T) {
 	// DPR FP10 packs 3 values per 32-bit word, so word w holds elements
 	// [3w, 3w+3). Bit 32*256 starts word 256 = element 768 → chunk 1.
 	dt := tensor.New(2000)
-	de, err := c.EncodeStash(&Assignment{Tech: DPR, Format: floatenc.FP10}, dt)
+	de, err := encodeFresh(c, &Assignment{Tech: DPR, Format: floatenc.FP10}, dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +424,7 @@ func TestChunkOfBitRegression(t *testing.T) {
 			st.Data[i] = 1
 		}
 	}
-	se, err := c.EncodeStash(&Assignment{Tech: SSDC, Format: floatenc.FP32}, st)
+	se, err := encodeFresh(c, &Assignment{Tech: SSDC, Format: floatenc.FP32}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +464,7 @@ func TestFlipBitAgreesWithPayloadBits(t *testing.T) {
 	for _, as := range propAssignments() {
 		tt := tensor.New(1600)
 		copy(tt.Data, randStash(rng, 1600, 0.8))
-		enc, _, err := c.EncodeStashAdaptive(as, tt)
+		enc, _, err := adaptiveFresh(c, as, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,24 +499,25 @@ func TestFlipBitAgreesWithPayloadBits(t *testing.T) {
 	}
 }
 
-// TestDefaultCodecRouting checks the package-level entry points honour
-// SetDefaultCodec, and that stashes encoded under one codec verify under
-// another (the layout travels with the stash).
+// TestDefaultCodecRouting checks DefaultCodec returns the codec
+// SetDefaultCodec installed, and that stashes encoded under one codec verify
+// under another (the layout travels with the stash).
 func TestDefaultCodecRouting(t *testing.T) {
 	defer SetDefaultCodec(Codec{})
 	SetDefaultCodec(Codec{Pool: parallel.NewPool(2), ChunkElems: 768})
+	c := DefaultCodec()
 	tt := tensor.New(4096)
 	for i := range tt.Data {
 		tt.Data[i] = float32(i%3) - 1
 	}
-	enc, err := EncodeStash(&Assignment{Tech: Binarize}, tt)
+	enc, err := encodeFresh(c, &Assignment{Tech: Binarize}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if enc.ChunkElems != 768 {
 		t.Fatalf("stash chunk size %d, want the default codec's 768", enc.ChunkElems)
 	}
-	enc.Seal()
+	c.Seal(enc)
 	if len(enc.ChunkCRCs) != 6 {
 		t.Fatalf("%d chunk CRCs, want 6", len(enc.ChunkCRCs))
 	}
@@ -507,7 +526,7 @@ func TestDefaultCodecRouting(t *testing.T) {
 	if err := other.Verify(enc); err != nil {
 		t.Fatalf("cross-codec verify: %v", err)
 	}
-	dec, err := other.Decode(enc)
+	dec, err := decodeFresh(other, enc)
 	if err != nil {
 		t.Fatalf("cross-codec decode: %v", err)
 	}
@@ -540,7 +559,7 @@ func TestConcurrentCodecsOnSharedPool(t *testing.T) {
 				as := propAssignments()[iter%len(propAssignments())]
 				tt := tensor.New(3000 + int(seed))
 				copy(tt.Data, randStash(rng, len(tt.Data), 0.8))
-				enc, _, err := c.EncodeStashAdaptive(as, tt)
+				enc, _, err := adaptiveFresh(c, as, tt)
 				if err != nil {
 					errs <- err
 					return
@@ -550,7 +569,7 @@ func TestConcurrentCodecsOnSharedPool(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d: checksum mismatch vs serial oracle", seed)
 					return
 				}
-				if _, err := c.Decode(enc); err != nil {
+				if _, err := decodeFresh(c, enc); err != nil {
 					errs <- err
 					return
 				}

@@ -24,10 +24,6 @@ import (
 type techniqueImpl interface {
 	// name is the paper's name for the technique (Technique.String).
 	name() string
-	// wireVersion is the lowest serialized-stash container version that
-	// can carry this technique's payload: 1 for the original "GSTS"
-	// format (whose byte layout is frozen), 2 for "GST2" additions.
-	wireVersion() int
 
 	// encodeInto builds the technique payload into e from t, reusing e's
 	// backing arrays when capacity allows. The caller has already reset

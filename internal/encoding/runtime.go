@@ -16,8 +16,8 @@ import (
 // anomaly surfaces as a structured error the executor can recover from
 // instead of a panic.
 var (
-	// ErrNoTechnique reports an EncodeStash call whose assignment carries
-	// no encoding technique.
+	// ErrNoTechnique reports an encode whose assignment carries no
+	// encoding technique.
 	ErrNoTechnique = errors.New("encoding: stash has no technique")
 	// ErrCorruptStash reports a checksum mismatch between seal and decode:
 	// the encoded payload was altered while it was held.
@@ -57,8 +57,8 @@ type EncodedStash struct {
 	ZVC    *ZVCPayload      // ZVC (values possibly DPR-quantized)
 	Ent    *EntropyPayload  // Entropy (ZRL+Huffman over packed bytes)
 
-	// Checksum is the CRC32-C of the payload, valid only after Seal. For
-	// stashes sealed with chunk CRCs it is their crc32Combine roll-up —
+	// Checksum is the CRC32-C of the payload, valid only after Codec.Seal.
+	// For stashes sealed with chunk CRCs it is their crc32Combine roll-up —
 	// bit-identical to the serial whole-payload hash.
 	Checksum uint32
 	// ChunkElems is the chunk size (in elements) of the parallel codec
@@ -73,60 +73,8 @@ type EncodedStash struct {
 	sealed    bool
 }
 
-// EncodeStash encodes a feature map per the assignment. The input tensor is
-// not modified; callers relinquish it after encoding, which is exactly the
-// memory-sharing opportunity Gist creates.
-//
-// For SSDC the runtime zero pattern decides the footprint: when the actual
-// sparsity is below the narrow-CSR break-even point the CSR form can exceed
-// the dense DPR stash it competes with, and EncodeStash returns
-// ErrStashTooLarge. Callers that prefer graceful degradation over a hard
-// error use EncodeStashAdaptive.
-//
-// Encoding runs through DefaultCodec(): chunk-parallel on the shared
-// worker pool, with output byte-identical to a serial encode.
-func EncodeStash(as *Assignment, t *tensor.Tensor) (*EncodedStash, error) {
-	return DefaultCodec().EncodeStash(as, t)
-}
-
-// EncodeDense builds the dense fallback stash: the feature map packed at
-// the assignment's DPR format (raw FP32 words when the format is FP32).
-// This is the representation the executor degrades to when SSDC's runtime
-// sparsity makes CSR uncompetitive.
-func EncodeDense(f floatenc.Format, t *tensor.Tensor) *EncodedStash {
-	return DefaultCodec().EncodeDense(f, t)
-}
-
-// EncodeStashAdaptive encodes per the assignment but degrades an SSDC
-// stash whose runtime CSR form is larger than its dense DPR alternative to
-// the dense encoding instead of failing. It reports whether the fallback
-// fired so the executor can count degradations.
-func EncodeStashAdaptive(as *Assignment, t *tensor.Tensor) (e *EncodedStash, fellBack bool, err error) {
-	return DefaultCodec().EncodeStashAdaptive(as, t)
-}
-
-// Seal computes and records the payload checksum, arming Verify and Decode
-// to detect any later corruption of the held representation. Integrity is
-// opt-in: unsealed stashes skip all checksum work (the zero-overhead path).
-//
-// Sealing runs through DefaultCodec(): per-chunk CRCs are computed in
-// parallel and rolled up (via crc32Combine) into Checksum — the identical
-// value the serial whole-payload hash produces — while ChunkCRCs records
-// the pieces so Verify can localize corruption to a single chunk.
-func (e *EncodedStash) Seal() {
-	DefaultCodec().Seal(e)
-}
-
 // Sealed reports whether the stash carries a checksum.
 func (e *EncodedStash) Sealed() bool { return e.sealed }
-
-// Verify re-hashes the payload of a sealed stash and returns an error
-// wrapping ErrCorruptStash on mismatch — a *ChunkError naming the corrupted
-// chunk when the stash carries chunk CRCs. Unsealed stashes verify
-// trivially.
-func (e *EncodedStash) Verify() error {
-	return DefaultCodec().Verify(e)
-}
 
 // crcTable is the Castagnoli polynomial table (hardware-accelerated on
 // modern CPUs, the conventional choice for storage integrity).
@@ -162,23 +110,6 @@ func (e *EncodedStash) FlipBit(i int) {
 	}
 	s, i := l.locate(i)
 	s.flip(i)
-}
-
-// Decode materializes the FP32 staging tensor for the backward use. For
-// Binarize the mask itself is the backward representation, but Decode still
-// reconstructs a 0/1 tensor so that generic backward code can run unchanged
-// (ReLU backward only tests Y > 0, and the pool argmax map carries the rest).
-//
-// A sealed stash is verified first; corruption surfaces as ErrCorruptStash
-// before any decoding touches the damaged payload. Payload/shape
-// disagreements (possible on unsealed stashes) surface as ErrShapeMismatch,
-// and structurally damaged payloads (possible after deserialization) as
-// ErrCorruptStash, rather than an index panic.
-//
-// Decoding runs through DefaultCodec(): chunk-parallel on the shared
-// worker pool, with output identical to a serial decode.
-func (e *EncodedStash) Decode() (*tensor.Tensor, error) {
-	return DefaultCodec().Decode(e)
 }
 
 // Bytes returns the encoded representation's storage footprint.

@@ -49,19 +49,20 @@ func TestSSDCFallbackAroundBreakEven(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var c Codec
 			as := &Assignment{Tech: SSDC, Format: tc.format}
 			x := denseWithNNZ(n, tc.nnz)
-			e, fellBack, err := EncodeStashAdaptive(as, x)
+			e, fellBack, err := adaptiveFresh(c, as, x)
 			if err != nil {
-				t.Fatalf("EncodeStashAdaptive: %v", err)
+				t.Fatalf("EncodeStashAdaptiveInto: %v", err)
 			}
 			if fellBack != tc.wantFallback {
 				t.Fatalf("nnz %d: fellBack = %v, want %v", tc.nnz, fellBack, tc.wantFallback)
 			}
 			// The strict encoder must agree with the adaptive one.
-			_, strictErr := EncodeStash(as, x)
+			_, strictErr := encodeFresh(c, as, x)
 			if gotErr := errors.Is(strictErr, ErrStashTooLarge); gotErr != tc.wantFallback {
-				t.Fatalf("EncodeStash err = %v, want ErrStashTooLarge: %v", strictErr, tc.wantFallback)
+				t.Fatalf("EncodeStashInto err = %v, want ErrStashTooLarge: %v", strictErr, tc.wantFallback)
 			}
 			if tc.wantFallback {
 				if e.Tech != DPR {
@@ -74,9 +75,9 @@ func TestSSDCFallbackAroundBreakEven(t *testing.T) {
 				t.Fatalf("kept stash tech = %v, want SSDC", e.Tech)
 			}
 			// Either way the stash must decode to the format-quantized input.
-			dec, err := e.Decode()
+			dec, err := decodeFresh(c, e)
 			if err != nil {
-				t.Fatalf("Decode: %v", err)
+				t.Fatalf("DecodeInto: %v", err)
 			}
 			for i, v := range x.Data {
 				if dec.Data[i] != tc.format.Quantize(v) {
@@ -91,6 +92,7 @@ func TestSSDCFallbackAroundBreakEven(t *testing.T) {
 // against the planner's byte model on randomized zero patterns.
 func TestFallbackThresholdMatchesModel(t *testing.T) {
 	const n = 2048
+	var c Codec
 	as := &Assignment{Tech: SSDC, Format: floatenc.FP32}
 	for _, sparsity := range []float64{0, 0.1, 0.19, 0.21, 0.3, 0.6, 0.95} {
 		x := tensor.New(n)
@@ -102,7 +104,7 @@ func TestFallbackThresholdMatchesModel(t *testing.T) {
 				nnz++
 			}
 		}
-		_, fellBack, err := EncodeStashAdaptive(as, x)
+		_, fellBack, err := adaptiveFresh(c, as, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,6 +155,7 @@ func layoutEdgeCases() []layoutEdgeCase {
 // TestSealVerifyDetectsFlipsInEverySegment flips a bit in each payload
 // segment of each technique and checks the CRC catches all of them.
 func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
+	var c Codec
 	mk := func(tech Technique, f floatenc.Format) *EncodedStash {
 		x := tensor.New(1000)
 		r := tensor.NewRNG(9)
@@ -161,20 +164,20 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 				x.Data[i] = r.Float32() + 0.5
 			}
 		}
-		e, err := EncodeStash(&Assignment{Tech: tech, Format: f}, x)
+		e, err := encodeFresh(c, &Assignment{Tech: tech, Format: f}, x)
 		if err != nil {
-			t.Fatalf("EncodeStash(%v): %v", tech, err)
+			t.Fatalf("encode %v: %v", tech, err)
 		}
-		e.Seal()
+		c.Seal(e)
 		return e
 	}
 
 	t.Run("unsealed-verifies-trivially", func(t *testing.T) {
-		e, _ := EncodeStash(&Assignment{Tech: DPR, Format: floatenc.FP16}, tensor.New(8))
+		e, _ := encodeFresh(c, &Assignment{Tech: DPR, Format: floatenc.FP16}, tensor.New(8))
 		if e.Sealed() {
 			t.Fatal("fresh stash must not be sealed")
 		}
-		if err := e.Verify(); err != nil {
+		if err := c.Verify(e); err != nil {
 			t.Fatalf("unsealed Verify: %v", err)
 		}
 	})
@@ -182,10 +185,10 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 	t.Run("sealed-clean-verifies", func(t *testing.T) {
 		for _, tech := range []Technique{Binarize, SSDC, DPR} {
 			e := mk(tech, floatenc.FP16)
-			if err := e.Verify(); err != nil {
+			if err := c.Verify(e); err != nil {
 				t.Fatalf("%v: clean Verify: %v", tech, err)
 			}
-			if _, err := e.Decode(); err != nil {
+			if _, err := decodeFresh(c, e); err != nil {
 				t.Fatalf("%v: clean Decode: %v", tech, err)
 			}
 		}
@@ -202,14 +205,14 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 			// this crosses the RowPtr, ColIdx and Values segments.
 			for _, bit := range []int{0, 1, bits / 4, bits / 2, 3 * bits / 4, bits - 1} {
 				e.FlipBit(bit)
-				if err := e.Verify(); !errors.Is(err, ErrCorruptStash) {
+				if err := c.Verify(e); !errors.Is(err, ErrCorruptStash) {
 					t.Fatalf("%v: flip of bit %d/%d not detected: %v", tech, bit, bits, err)
 				}
-				if _, err := e.Decode(); !errors.Is(err, ErrCorruptStash) {
+				if _, err := decodeFresh(c, e); !errors.Is(err, ErrCorruptStash) {
 					t.Fatalf("%v: Decode after flip: %v", tech, err)
 				}
 				e.FlipBit(bit) // restore
-				if err := e.Verify(); err != nil {
+				if err := c.Verify(e); err != nil {
 					t.Fatalf("%v: flip-back of bit %d must verify: %v", tech, bit, err)
 				}
 			}
@@ -219,20 +222,20 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 	t.Run("layout-edge-cases", func(t *testing.T) {
 		for _, tc := range layoutEdgeCases() {
 			e := tc.e
-			if _, _, ok := DefaultCodec().chunkChecksums(e); ok != tc.chunkable {
+			if _, _, ok := c.chunkChecksums(e); ok != tc.chunkable {
 				t.Fatalf("%s: chunkable = %v, want %v", tc.name, ok, tc.chunkable)
 			}
-			e.Seal()
+			c.Seal(e)
 			if e.Checksum != tc.sum || e.checksum() != tc.sum || len(e.ChunkCRCs) != 0 {
 				t.Fatalf("%s: sealed %#08x (serial oracle %#08x, %d chunk CRCs), want %#08x and none",
 					tc.name, e.Checksum, e.checksum(), len(e.ChunkCRCs), tc.sum)
 			}
-			if err := e.Verify(); err != nil {
+			if err := c.Verify(e); err != nil {
 				t.Fatalf("%s: clean Verify: %v", tc.name, err)
 			}
 			for bit := 0; bit < e.PayloadBits(); bit++ {
 				e.FlipBit(bit)
-				err := e.Verify()
+				err := c.Verify(e)
 				if !errors.Is(err, ErrCorruptStash) {
 					t.Fatalf("%s: flip of bit %d not detected: %v", tc.name, bit, err)
 				}
@@ -242,7 +245,7 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 				e.FlipBit(bit)
 			}
 			e.Shape = tensor.Shape{1} // the header is under the seal too
-			if err := e.Verify(); !errors.Is(err, ErrCorruptStash) {
+			if err := c.Verify(e); !errors.Is(err, ErrCorruptStash) {
 				t.Fatalf("%s: shape change not detected: %v", tc.name, err)
 			}
 		}
@@ -252,30 +255,31 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 // TestDecodeShapeMismatch exercises the payload/shape guards that replace
 // the old index panics on unsealed stashes.
 func TestDecodeShapeMismatch(t *testing.T) {
-	e, err := EncodeStash(&Assignment{Tech: DPR, Format: floatenc.FP16}, tensor.New(16))
+	var c Codec
+	e, err := encodeFresh(c, &Assignment{Tech: DPR, Format: floatenc.FP16}, tensor.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Shape = tensor.Shape{32}
-	if _, err := e.Decode(); !errors.Is(err, ErrShapeMismatch) {
+	if _, err := decodeFresh(c, e); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("DPR shape mismatch: %v", err)
 	}
 
-	e2, err := EncodeStash(&Assignment{Tech: SSDC, Format: floatenc.FP32}, denseWithNNZ(64, 4))
+	e2, err := encodeFresh(c, &Assignment{Tech: SSDC, Format: floatenc.FP32}, denseWithNNZ(64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2.Shape = tensor.Shape{8, 4}
-	if _, err := e2.Decode(); !errors.Is(err, ErrShapeMismatch) {
+	if _, err := decodeFresh(c, e2); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("SSDC shape mismatch: %v", err)
 	}
 
-	e3, err := EncodeStash(&Assignment{Tech: Binarize}, tensor.New(64))
+	e3, err := encodeFresh(c, &Assignment{Tech: Binarize}, tensor.New(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e3.Shape = tensor.Shape{65}
-	if _, err := e3.Decode(); !errors.Is(err, ErrShapeMismatch) {
+	if _, err := decodeFresh(c, e3); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("Binarize shape mismatch: %v", err)
 	}
 }

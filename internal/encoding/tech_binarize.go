@@ -18,8 +18,7 @@ type binarizeTech struct{}
 
 func init() { registerTechnique(Binarize, binarizeTech{}) }
 
-func (binarizeTech) name() string     { return "Binarize" }
-func (binarizeTech) wireVersion() int { return 1 }
+func (binarizeTech) name() string { return "Binarize" }
 
 func (binarizeTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	e.Mask = cdc.fromPositiveInto(e.Mask, t.Data)

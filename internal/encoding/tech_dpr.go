@@ -19,8 +19,7 @@ type dprTech struct{}
 
 func init() { registerTechnique(DPR, dprTech{}) }
 
-func (dprTech) name() string     { return "DPR" }
-func (dprTech) wireVersion() int { return 1 }
+func (dprTech) name() string { return "DPR" }
 
 func (dprTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	e.Packed = cdc.encodePackedInto(e.Packed, as.Format, t.Data)

@@ -42,8 +42,7 @@ type entropyTech struct{}
 
 func init() { registerTechnique(Entropy, entropyTech{}) }
 
-func (entropyTech) name() string     { return "Entropy" }
-func (entropyTech) wireVersion() int { return 2 }
+func (entropyTech) name() string { return "Entropy" }
 
 func (entropyTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	if e.Ent == nil {

@@ -19,8 +19,7 @@ type ssdcTech struct{}
 
 func init() { registerTechnique(SSDC, ssdcTech{}) }
 
-func (ssdcTech) name() string     { return "SSDC" }
-func (ssdcTech) wireVersion() int { return 1 }
+func (ssdcTech) name() string { return "SSDC" }
 
 func (ssdcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	// Sparse storage; DPR layered on the value array when configured.

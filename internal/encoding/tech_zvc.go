@@ -42,8 +42,7 @@ type zvcTech struct{}
 
 func init() { registerTechnique(ZVC, zvcTech{}) }
 
-func (zvcTech) name() string     { return "ZVC" }
-func (zvcTech) wireVersion() int { return 2 }
+func (zvcTech) name() string { return "ZVC" }
 
 func (zvcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	// Quantize first when DPR is layered on, exactly as SSDC does: the

@@ -24,11 +24,11 @@ func TestCodecTelemetry(t *testing.T) {
 	tt := tensor.New(4096)
 	copy(tt.Data, randStash(rng, 4096, 0.5))
 	as := &Assignment{Tech: DPR, Format: floatenc.FP16}
-	enc, err := c.EncodeStash(as, tt)
+	enc, err := encodeFresh(c, as, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decode(enc); err != nil {
+	if _, err := decodeFresh(c, enc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +70,7 @@ func TestCodecCRCFailureTelemetry(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	tt := tensor.New(4096)
 	copy(tt.Data, randStash(rng, 4096, 0.5))
-	enc, err := c.EncodeStash(&Assignment{Tech: Binarize, Format: floatenc.FP32}, tt)
+	enc, err := encodeFresh(c, &Assignment{Tech: Binarize, Format: floatenc.FP32}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestChunkErrorOffsets(t *testing.T) {
 		t.Helper()
 		tt := tensor.New(n)
 		copy(tt.Data, randStash(rng, n, 0.8))
-		enc, _, err := c.EncodeStashAdaptive(as, tt)
+		enc, _, err := adaptiveFresh(c, as, tt)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", as.Tech, err)
 		}

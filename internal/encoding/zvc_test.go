@@ -60,7 +60,7 @@ func TestZVCDecodeDetectsMaskValueMismatch(t *testing.T) {
 	c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
 	tt := tensor.New(2000)
 	copy(tt.Data, randStash(rng, 2000, 0.8))
-	enc, err := c.EncodeStash(&Assignment{Tech: ZVC, Format: floatenc.FP32}, tt)
+	enc, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP32}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +73,16 @@ func TestZVCDecodeDetectsMaskValueMismatch(t *testing.T) {
 			break
 		}
 	}
-	if _, err := c.Decode(enc); !errors.Is(err, ErrCorruptStash) {
+	if _, err := decodeFresh(c, enc); !errors.Is(err, ErrCorruptStash) {
 		t.Fatalf("mask/value mismatch decode error = %v, want ErrCorruptStash", err)
 	}
 	// Truncated value array: popcount exceeds payload the other way.
-	enc2, err := c.EncodeStash(&Assignment{Tech: ZVC, Format: floatenc.FP32}, tt)
+	enc2, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP32}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc2.ZVC.Values = enc2.ZVC.Values[:len(enc2.ZVC.Values)-1]
-	if _, err := c.Decode(enc2); !errors.Is(err, ErrCorruptStash) {
+	if _, err := decodeFresh(c, enc2); !errors.Is(err, ErrCorruptStash) {
 		t.Fatalf("truncated values decode error = %v, want ErrCorruptStash", err)
 	}
 }
@@ -102,14 +102,14 @@ func TestZVCQuantizeFlushWidensMask(t *testing.T) {
 			tt.Data[i] = 0.5
 		}
 	}
-	enc, err := c.EncodeStash(&Assignment{Tech: ZVC, Format: floatenc.FP8}, tt)
+	enc, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP8}, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nnz := enc.ZVC.Mask.PopCount(); nnz != 256 {
 		t.Fatalf("mask popcount %d after FP8 flush, want only the 256 representable nonzeros", nnz)
 	}
-	dec, err := c.Decode(enc)
+	dec, err := decodeFresh(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func FuzzZVCRoundTrip(f *testing.F) {
 		}
 		c := Codec{Pool: parallel.NewPool(2), ChunkElems: 768}
 		as := &Assignment{Tech: ZVC, Format: format}
-		enc, err := c.EncodeStash(as, tt)
+		enc, err := encodeFresh(c, as, tt)
 		if err != nil {
 			if !errors.Is(err, ErrStashTooLarge) {
 				t.Fatalf("encode error %v is not ErrStashTooLarge", err)
@@ -157,7 +157,7 @@ func FuzzZVCRoundTrip(f *testing.F) {
 		if err := c.Verify(enc); err != nil {
 			t.Fatalf("fresh stash fails verify: %v", err)
 		}
-		dec, err := c.Decode(enc)
+		dec, err := decodeFresh(c, enc)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

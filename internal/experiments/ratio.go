@@ -75,6 +75,8 @@ func ExtRatio(s RatioScale) *Result {
 	}
 
 	cdc := encoding.DefaultCodec()
+	enc := &encoding.EncodedStash{} // one container, re-encoded per cell
+
 	wins := map[string]int{} // layers each technique wins outright
 	for _, net := range nets {
 		g := net.build(s.Minibatch, s.Classes)
@@ -112,8 +114,7 @@ func ExtRatio(s RatioScale) *Result {
 			best, bestRatio := "", 0.0
 			for _, ts := range techs {
 				as := &encoding.Assignment{Node: n, Tech: ts.tech, Format: ts.f}
-				enc, err := cdc.EncodeStash(as, t)
-				if err != nil {
+				if err := cdc.EncodeStashInto(enc, as, t); err != nil {
 					if errors.Is(err, encoding.ErrStashTooLarge) {
 						line += fmt.Sprintf(" %9s", "-")
 						continue

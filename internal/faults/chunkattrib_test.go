@@ -35,8 +35,8 @@ func TestInjectedFaultTripsExactlyItsChunk(t *testing.T) {
 				tt.Data[i] = rng.Float32()*2 - 1
 			}
 		}
-		enc, _, err := c.EncodeStashAdaptive(as, tt)
-		if err != nil {
+		enc := &encoding.EncodedStash{}
+		if _, err := c.EncodeStashAdaptiveInto(enc, as, tt); err != nil {
 			t.Fatalf("%v/%s: encode: %v", as.Tech, as.Format, err)
 		}
 		c.Seal(enc)
@@ -55,7 +55,7 @@ func TestInjectedFaultTripsExactlyItsChunk(t *testing.T) {
 		if bits != enc.PayloadBits() {
 			t.Fatalf("%v/%s: event says %d payload bits, stash has %d", as.Tech, as.Format, bits, enc.PayloadBits())
 		}
-		err = c.Verify(enc)
+		err := c.Verify(enc)
 		if err == nil {
 			t.Fatalf("%v/%s: injected flip of bit %d undetected", as.Tech, as.Format, bit)
 		}

@@ -97,12 +97,12 @@ func sealedStash(tech encoding.Technique, f floatenc.Format, n int, zeroFrac flo
 			x.Data[i] = r.Float32() + 0.25
 		}
 	}
-	as := &encoding.Assignment{Tech: tech, Format: f}
-	e, err := encoding.EncodeStash(as, x)
-	if err != nil {
+	var c encoding.Codec
+	e := &encoding.EncodedStash{}
+	if err := c.EncodeStashInto(e, &encoding.Assignment{Tech: tech, Format: f}, x); err != nil {
 		panic(err)
 	}
-	e.Seal()
+	c.Seal(e)
 	return e
 }
 
@@ -130,7 +130,8 @@ func TestEveryCorruptionIsDetectedByCRC(t *testing.T) {
 				if !in.CorruptStash("n", s) {
 					t.Fatal("rate-1 injector did not corrupt")
 				}
-				if _, err := s.Decode(); !errors.Is(err, encoding.ErrCorruptStash) {
+				var c encoding.Codec
+				if err := c.DecodeInto(tensor.New(s.Shape...), s); !errors.Is(err, encoding.ErrCorruptStash) {
 					t.Fatalf("trial %d: corrupted stash decoded without ErrCorruptStash: %v", trial, err)
 				}
 			}

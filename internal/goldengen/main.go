@@ -1,7 +1,7 @@
 // Command goldengen regenerates the frozen byte fixtures embedded in
 // internal/floatenc/golden_test.go and internal/encoding/golden_test.go:
 // the packed FP16/FP10/FP8 word streams and the sealed EncodedStash
-// "GSTS" wire blobs. Run it only when intentionally breaking the encoder
+// "GST2" wire blobs. Run it only when intentionally breaking the encoder
 // bit layout or the stash wire format, and paste the printed values into
 // those tests — the fixtures exist precisely so such breaks are explicit.
 package main
@@ -64,14 +64,10 @@ func main() {
 		}
 	}
 	fmt.Printf("tensor nonzeros: %d/%d\n", nz, len(t.Data))
-	as := &encoding.Assignment{
+	var cdc encoding.Codec
+	e := sealed(cdc, &encoding.Assignment{
 		Tech: encoding.SSDC, Format: floatenc.FP16, NeedsDecode: true,
-	}
-	e, err := encoding.EncodeStash(as, t)
-	if err != nil {
-		panic(err)
-	}
-	e.Seal()
+	}, t)
 	blob, err := e.MarshalBinary()
 	if err != nil {
 		panic(err)
@@ -79,8 +75,7 @@ func main() {
 	fmt.Printf("ssdc checksum: 0x%08x len %d\n", e.Checksum, len(blob))
 	fmt.Printf("ssdc blob: %x\n", blob)
 
-	d := encoding.EncodeDense(floatenc.FP10, t)
-	d.Seal()
+	d := sealedDense(cdc, floatenc.FP10, t)
 	blob2, err := d.MarshalBinary()
 	if err != nil {
 		panic(err)
@@ -88,8 +83,8 @@ func main() {
 	fmt.Printf("dpr checksum: 0x%08x len %d\n", d.Checksum, len(blob2))
 	fmt.Printf("dpr blob: %x\n", blob2)
 
-	dec, err := e.Decode()
-	if err != nil {
+	dec := tensor.New(e.Shape...)
+	if err := cdc.DecodeInto(dec, e); err != nil {
 		panic(err)
 	}
 	fmt.Print("ssdc decoded spots [0 7 19 95]: ")
@@ -98,15 +93,10 @@ func main() {
 	}
 	fmt.Println()
 
-	// "GST2" wire blobs for the v2 techniques: ZVC on the same 96-element
-	// feature map, Entropy (which needs multiple chunks of data to beat its
-	// per-chunk table overhead) on a 1536-element map of the same shape
-	// family.
-	z, err := encoding.EncodeStash(&encoding.Assignment{Tech: encoding.ZVC, Format: floatenc.FP32}, t)
-	if err != nil {
-		panic(err)
-	}
-	z.Seal()
+	// ZVC on the same 96-element feature map, Entropy (which needs multiple
+	// chunks of data to beat its per-chunk table overhead) on a 1536-element
+	// map of the same shape family.
+	z := sealed(cdc, &encoding.Assignment{Tech: encoding.ZVC, Format: floatenc.FP32}, t)
 	zblob, err := z.MarshalBinary()
 	if err != nil {
 		panic(err)
@@ -123,11 +113,7 @@ func main() {
 		}
 		t2.Data[i] = v
 	}
-	en, err := encoding.EncodeStash(&encoding.Assignment{Tech: encoding.Entropy, Format: floatenc.FP16}, t2)
-	if err != nil {
-		panic(err)
-	}
-	en.Seal()
+	en := sealed(cdc, &encoding.Assignment{Tech: encoding.Entropy, Format: floatenc.FP16}, t2)
 	eblob, err := en.MarshalBinary()
 	if err != nil {
 		panic(err)
@@ -160,21 +146,15 @@ func spillPages() {
 		{"ssdc-fp16", &encoding.Assignment{Tech: encoding.SSDC, Format: floatenc.FP16, NeedsDecode: true}},
 		{"zvc-fp32", &encoding.Assignment{Tech: encoding.ZVC, Format: floatenc.FP32}},
 	}
+	var cdc encoding.Codec
 	for i, c := range cases {
-		e, err := encoding.EncodeStash(c.as, t)
-		if err != nil {
-			panic(err)
-		}
-		e.Seal()
-		page, err := stashstore.AppendPage(nil, uint32(i+1), e)
+		page, err := stashstore.AppendPage(nil, uint32(i+1), sealed(cdc, c.as, t))
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%s page len %d: %x\n", c.name, len(page), page)
 	}
-	d := encoding.EncodeDense(floatenc.FP32, t)
-	d.Seal()
-	page, err := stashstore.AppendPage(nil, 7, d)
+	page, err := stashstore.AppendPage(nil, 7, sealedDense(cdc, floatenc.FP32, t))
 	if err != nil {
 		panic(err)
 	}
@@ -214,11 +194,7 @@ func tailFixtures() {
 			{"entropy-fp16", &encoding.Assignment{Tech: encoding.Entropy, Format: floatenc.FP16}},
 		}
 		for _, c := range cases {
-			e, err := cdc.EncodeStash(c.as, t)
-			if err != nil {
-				panic(fmt.Sprintf("n=%d %s: %v", n, c.name, err))
-			}
-			cdc.Seal(e)
+			e := sealed(cdc, c.as, t)
 			fmt.Printf("{%d, %q, 0x%08x, []uint32{", n, c.name, e.Checksum)
 			for _, crc := range e.ChunkCRCs {
 				fmt.Printf("0x%08x, ", crc)
@@ -226,4 +202,22 @@ func tailFixtures() {
 			fmt.Println("}},")
 		}
 	}
+}
+
+// sealed encodes t per as into a fresh container and seals it.
+func sealed(cdc encoding.Codec, as *encoding.Assignment, t *tensor.Tensor) *encoding.EncodedStash {
+	e := &encoding.EncodedStash{}
+	if err := cdc.EncodeStashInto(e, as, t); err != nil {
+		panic(fmt.Sprintf("%v/%s over %v: %v", as.Tech, as.Format, t.Shape, err))
+	}
+	cdc.Seal(e)
+	return e
+}
+
+// sealedDense packs t densely at format f into a fresh container and seals it.
+func sealedDense(cdc encoding.Codec, f floatenc.Format, t *tensor.Tensor) *encoding.EncodedStash {
+	e := &encoding.EncodedStash{}
+	cdc.EncodeDenseInto(e, f, t)
+	cdc.Seal(e)
+	return e
 }

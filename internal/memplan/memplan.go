@@ -46,67 +46,24 @@ type Plan struct {
 }
 
 // PlanStatic runs the CNTK memory-sharing strategy: sort buffers by size
-// descending, then place each buffer into the first existing group none of
-// whose members' lifetimes overlap it (large buffers thereby share regions
-// with other large buffers). Buffers marked NoShare each get a dedicated
-// region and accept no tenants — the paper's investigation baseline uses
-// this for stashed feature maps.
+// descending, then group them greedily. Section IV-C: the allocator "first
+// sorts the data structures on the basis of size... so that large data
+// structures can share the same memory space" — without the sort, a large
+// buffer arriving late opens a new full-size region instead of reusing one.
 func PlanStatic(bufs []*liveness.Buffer) *Plan {
 	sorted := make([]*liveness.Buffer, len(bufs))
 	copy(sorted, bufs)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].Bytes > sorted[j].Bytes
 	})
-
-	var groups []*Group
-	for _, b := range sorted {
-		if b.Bytes == 0 {
-			continue
-		}
-		placed := false
-		if !b.NoShare {
-			for _, g := range groups {
-				if g.Buffers[0].NoShare {
-					continue
-				}
-				ok := true
-				for _, m := range g.Buffers {
-					if m.Overlaps(b) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					g.Buffers = append(g.Buffers, b)
-					if b.Bytes > g.Bytes {
-						g.Bytes = b.Bytes
-					}
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			groups = append(groups, &Group{Buffers: []*liveness.Buffer{b}, Bytes: b.Bytes})
-		}
-	}
-
-	p := &Plan{Groups: groups, ByClass: map[graph.BufferClass]int64{}}
-	for _, g := range groups {
-		p.TotalBytes += g.Bytes
-		p.ByClass[g.dominantClass()] += g.Bytes
-	}
-	return p
+	return group(sorted)
 }
 
-// PlanStaticUnsorted is the ablation of the CNTK allocator's size-sorting
-// heuristic (Section IV-C: it "first sorts the data structures on the
-// basis of size... so that large data structures can share the same memory
-// space"): the same greedy grouping, but in buffer insertion order.
-// Without the sort, a large buffer arriving late opens a new full-size
-// region instead of reusing one, so this plan is never smaller and usually
-// larger.
-func PlanStaticUnsorted(bufs []*liveness.Buffer) *Plan {
+// group places each buffer, in order, into the first existing group none of
+// whose members' lifetimes overlap it. Buffers marked NoShare each get a
+// dedicated region and accept no tenants — the paper's investigation
+// baseline uses this for stashed feature maps.
+func group(bufs []*liveness.Buffer) *Plan {
 	var groups []*Group
 	for _, b := range bufs {
 		if b.Bytes == 0 {
@@ -139,6 +96,7 @@ func PlanStaticUnsorted(bufs []*liveness.Buffer) *Plan {
 			groups = append(groups, &Group{Buffers: []*liveness.Buffer{b}, Bytes: b.Bytes})
 		}
 	}
+
 	p := &Plan{Groups: groups, ByClass: map[graph.BufferClass]int64{}}
 	for _, g := range groups {
 		p.TotalBytes += g.Bytes

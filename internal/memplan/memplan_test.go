@@ -215,7 +215,7 @@ func TestSortingHeuristicWinsOnAverage(t *testing.T) {
 			bufs[i] = buf("b", int64(1+r.Intn(1000)), s, e)
 		}
 		sorted := PlanStatic(bufs)
-		unsorted := PlanStaticUnsorted(bufs)
+		unsorted := group(bufs)
 		if _, _, ok := unsorted.Validate(); !ok {
 			t.Fatal("unsorted plan invalid")
 		}
@@ -254,7 +254,7 @@ func TestSizeSortingMattersOnRealNetwork(t *testing.T) {
 	tl := graph.BuildTimeline(g)
 	bufs := liveness.Analyze(g, tl, liveness.Options{})
 	sorted := PlanStatic(bufs)
-	unsorted := PlanStaticUnsorted(bufs)
+	unsorted := group(bufs)
 	if sorted.TotalBytes > unsorted.TotalBytes {
 		t.Fatalf("sorted %d should not exceed unsorted %d", sorted.TotalBytes, unsorted.TotalBytes)
 	}

@@ -4,12 +4,11 @@
 // uses and decodes it back to dense FP32 just before the backward-pass
 // convolution needs it, so compute stays dense while storage is sparse.
 //
-// The primary format is CSR with the paper's narrow value optimization: the
+// The format is CSR with the paper's narrow value optimization: the
 // flattened 2-D matrix is reshaped so it has at most 256 columns, which lets
 // every column index fit in a single byte instead of the 4 bytes a generic
 // cuSPARSE CSR uses. That moves the break-even sparsity for compression from
-// 50% down to ~20%. ELL and COO are provided for the format-comparison
-// ablation the paper ran before choosing CSR.
+// 50% down to ~20%.
 package sparse
 
 import "fmt"

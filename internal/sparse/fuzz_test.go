@@ -45,17 +45,3 @@ func FuzzCSRRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-func FuzzELLAndCOORoundTrip(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 0, 0, 0, 0, 9, 9, 9, 9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		xs := bytesToFloats(data)
-		gotE := EncodeELL(xs).Decode(nil)
-		gotC := EncodeCOO(xs).Decode(nil)
-		for i := range xs {
-			if !sameF32(gotE[i], xs[i]) || !sameF32(gotC[i], xs[i]) {
-				t.Fatalf("element %d mismatch", i)
-			}
-		}
-	})
-}

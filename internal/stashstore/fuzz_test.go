@@ -15,17 +15,18 @@ import (
 func FuzzReadSpillPage(f *testing.F) {
 	// Seed with real pages across the stash techniques (the same shapes
 	// internal/goldengen freezes), plus a few structured near-misses.
+	var c encoding.Codec
 	ten := testTensor(12345)
 	for _, as := range []*encoding.Assignment{
 		{Tech: encoding.SSDC, Format: floatenc.FP16, NeedsDecode: true},
 		{Tech: encoding.ZVC, Format: floatenc.FP32},
 		{Tech: encoding.Binarize},
 	} {
-		e, err := encoding.EncodeStash(as, ten)
-		if err != nil {
+		e := &encoding.EncodedStash{}
+		if err := c.EncodeStashInto(e, as, ten); err != nil {
 			f.Fatal(err)
 		}
-		e.Seal()
+		c.Seal(e)
 		page, err := AppendPage(nil, 3, e)
 		if err != nil {
 			f.Fatal(err)
@@ -35,8 +36,9 @@ func FuzzReadSpillPage(f *testing.F) {
 		f.Add(page[:pageHeader])     // header only
 		f.Add(append(page, page...)) // two concatenated pages
 	}
-	d := encoding.EncodeDense(floatenc.FP32, ten)
-	d.Seal()
+	d := &encoding.EncodedStash{}
+	c.EncodeDenseInto(d, floatenc.FP32, ten)
+	c.Seal(d)
 	densePage, err := AppendPage(nil, 7, d)
 	if err != nil {
 		f.Fatal(err)

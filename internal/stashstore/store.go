@@ -325,7 +325,7 @@ func (s *Store) SpillPath() string {
 
 // Close drops all tiers and removes the spill scratch file. Idempotent, and
 // the store remains usable afterwards (a later spill recreates the file) so
-// repeated ReleaseBuffers/step cycles keep working.
+// repeated Executor.Close/step cycles keep working.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -18,15 +18,21 @@ import (
 // ReLU-like feature map (~50% sparsity).
 func testStash(t *testing.T, seed uint64) *encoding.EncodedStash {
 	t.Helper()
-	ten := testTensor(seed)
-	e, err := encoding.EncodeStash(&encoding.Assignment{
+	var c encoding.Codec
+	e := &encoding.EncodedStash{}
+	if err := c.EncodeStashInto(e, &encoding.Assignment{
 		Tech: encoding.SSDC, Format: floatenc.FP16, NeedsDecode: true,
-	}, ten)
-	if err != nil {
+	}, testTensor(seed)); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	e.Seal()
+	c.Seal(e)
 	return e
+}
+
+// decode decodes e into a fresh tensor of its shape.
+func decode(e *encoding.EncodedStash) (*tensor.Tensor, error) {
+	out := tensor.New(e.Shape...)
+	return out, encoding.Codec{}.DecodeInto(out, e)
 }
 
 func testTensor(seed uint64) *tensor.Tensor {
@@ -43,6 +49,7 @@ func testTensor(seed uint64) *tensor.Tensor {
 }
 
 func TestPageRoundTrip(t *testing.T) {
+	var c encoding.Codec
 	ten := testTensor(12345)
 	cases := []struct {
 		name string
@@ -50,15 +57,16 @@ func TestPageRoundTrip(t *testing.T) {
 	}{
 		{"ssdc-fp16", func() *encoding.EncodedStash { return testStash(t, 12345) }},
 		{"dense-fp32", func() *encoding.EncodedStash {
-			e := encoding.EncodeDense(floatenc.FP32, ten)
-			e.Seal()
+			e := &encoding.EncodedStash{}
+			c.EncodeDenseInto(e, floatenc.FP32, ten)
+			c.Seal(e)
 			return e
 		}},
 		{"zvc-unsealed", func() *encoding.EncodedStash {
-			e, err := encoding.EncodeStash(&encoding.Assignment{
+			e := &encoding.EncodedStash{}
+			if err := c.EncodeStashInto(e, &encoding.Assignment{
 				Tech: encoding.ZVC, Format: floatenc.FP32,
-			}, ten)
-			if err != nil {
+			}, ten); err != nil {
 				t.Fatalf("encode: %v", err)
 			}
 			return e
@@ -79,11 +87,11 @@ func TestPageRoundTrip(t *testing.T) {
 			if p.Node != 42 || p.Size != len(page) {
 				t.Fatalf("node %d size %d, want 42 %d", p.Node, p.Size, len(page))
 			}
-			dec, err := p.Stash.Decode()
+			dec, err := decode(p.Stash)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			ref, err := enc.Decode()
+			ref, err := decode(enc)
 			if err != nil {
 				t.Fatalf("decode ref: %v", err)
 			}
@@ -121,7 +129,7 @@ func TestGoldenPage(t *testing.T) {
 	if p.Node != 1 || p.Size != len(raw) {
 		t.Fatalf("node %d size %d, want 1 %d", p.Node, p.Size, len(raw))
 	}
-	dec, err := p.Stash.Decode()
+	dec, err := decode(p.Stash)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -360,7 +368,7 @@ func TestConcurrentFetchHammer(t *testing.T) {
 		pri[i] = nodes - i // node 0's backward use is furthest: spills first
 		stashes[i] = testStash(t, uint64(i+1))
 		bytes += stashes[i].Bytes()
-		ref, err := stashes[i].Decode()
+		ref, err := decode(stashes[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +397,7 @@ func TestConcurrentFetchHammer(t *testing.T) {
 					errs[id] = err
 					return
 				}
-				dec, err := enc.Decode()
+				dec, err := decode(enc)
 				if err != nil {
 					errs[id] = err
 					return
@@ -430,7 +438,7 @@ func TestNilSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := enc.Decode(); err != nil {
+	if _, err := decode(enc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Fetch(99); err == nil {
