@@ -36,10 +36,10 @@ func goldenStashInput() *tensor.Tensor {
 
 const (
 	goldenSSDCChecksum = 0x2bd41d16
-	goldenSSDCBlobHex  = "47535453020000000100000000800100040000000200000003000000040000000400000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d00c0423e00a0013f00c0f13e00e07f3f0000823d00c0003f0040083f00e0403f0040373e00e0263f00c0013f0080bd3e0080ce3e00c02d3f0000d73e00c04b3f0000903e00e07d3f0040c73e0000623f0040723f0040493f0040f73e0080613f00c0973e00c00a3f0080483f0080c23d00004b3d00801f3f00a06f3e00c09c3e00404e3e0040623f0060073f00c02e3f0020023e0060483f00200e3f00200e3f0000143e00c0083f00a0e63c0060db3e00c05a3f00a07f3f0040783f0000173f161dd42b010000000f8b1f1f"
+	goldenSSDCBlobHex  = "47535432020000000100000000800100040000000200000003000000040000000400000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d00c0423e00a0013f00c0f13e00e07f3f0000823d00c0003f0040083f00e0403f0040373e00e0263f00c0013f0080bd3e0080ce3e00c02d3f0000d73e00c04b3f0000903e00e07d3f0040c73e0000623f0040723f0040493f0040f73e0080613f00c0973e00c00a3f0080483f0080c23d00004b3d00801f3f00a06f3e00c09c3e00404e3e0040623f0060073f00c02e3f0020023e0060483f00200e3f00200e3f0000143e00c0083f00a0e63c0060db3e00c05a3f00a07f3f0040783f0000173f161dd42b010000000f8b1f1f"
 
 	goldenDPRChecksum = 0x62294918
-	goldenDPRBlobHex  = "4753545303000000010000000080010004000000020000000300000004000000040000000200000060000000c8800300de000000f0c0020e00840300000000000000800ec700500ee060a30de66c930e0000200d000000000000000fd900c00eeea4f30d0000c00ed384030000a4830ba900400ece00400d00280300ec0000000000000000000000008403000000600e0000930e0088230ec200100e9d00b00deb000000f000f00ee300000018492962010000001b0471fc"
+	goldenDPRBlobHex  = "4753543203000000010000000080010004000000020000000300000004000000040000000200000060000000c8800300de000000f0c0020e00840300000000000000800ec700500ee060a30de66c930e0000200d000000000000000fd900c00eeea4f30d0000c00ed384030000a4830ba900400ece00400d00280300ec0000000000000000000000008403000000600e0000930e0088230ec200100e9d00b00deb000000f000f00ee300000018492962010000001b0471fc"
 
 	// The ZVC and entropy fixtures pin the payload sections of the two
 	// techniques added after the paper's three, in the same container.

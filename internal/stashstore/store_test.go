@@ -108,7 +108,7 @@ func TestPageRoundTrip(t *testing.T) {
 // internal/goldengen and must only change with an intentional, versioned
 // format break.
 func TestGoldenPage(t *testing.T) {
-	const golden = "4753545001000000010000003401000047535453020000000100000000800100040000000200000003000000040000000400000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d00c0423e00a0013f00c0f13e00e07f3f0000823d00c0003f0040083f00e0403f0040373e00e0263f00c0013f0080bd3e0080ce3e00c02d3f0000d73e00c04b3f0000903e00e07d3f0040c73e0000623f0040723f0040493f0040f73e0080613f00c0973e00c00a3f0080483f0080c23d00004b3d00801f3f00a06f3e00c09c3e00404e3e0040623f0060073f00c02e3f0020023e0060483f00200e3f00200e3f0000143e00c0083f00a0e63c0060db3e00c05a3f00a07f3f0040783f0000173f161dd42b010000000f8b1f1f6e64460d"
+	const golden = "4753545001000000010000003401000047535432020000000100000000800100040000000200000003000000040000000400000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d00c0423e00a0013f00c0f13e00e07f3f0000823d00c0003f0040083f00e0403f0040373e00e0263f00c0013f0080bd3e0080ce3e00c02d3f0000d73e00c04b3f0000903e00e07d3f0040c73e0000623f0040723f0040493f0040f73e0080613f00c0973e00c00a3f0080483f0080c23d00004b3d00801f3f00a06f3e00c09c3e00404e3e0040623f0060073f00c02e3f0020023e0060483f00200e3f00200e3f0000143e00c0083f00a0e63c0060db3e00c05a3f00a07f3f0040783f0000173f161dd42b010000000f8b1f1f123959c5"
 	raw := make([]byte, len(golden)/2)
 	if _, err := fmt.Sscanf(golden, "%x", &raw); err != nil {
 		t.Fatalf("decode fixture: %v", err)
