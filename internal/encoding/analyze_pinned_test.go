@@ -1,0 +1,119 @@
+package encoding
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"gist/internal/floatenc"
+	"gist/internal/graph"
+	"gist/internal/networks"
+)
+
+// analysisFingerprint hashes everything Analyze decides for one graph, in
+// node order: every Assignment field (the sparsity by its bits, Fallbacks
+// in order), the PoolMaps entry and the effective backward needs.
+func analysisFingerprint(a *Analysis) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	flag := func(b bool) {
+		if b {
+			u64(1)
+		} else {
+			u64(0)
+		}
+	}
+	for _, n := range a.Graph.Nodes {
+		buf = buf[:0]
+		u64(uint64(n.ID))
+		if as, ok := a.ByNode[n.ID]; ok {
+			u64(uint64(as.Node.ID))
+			u64(uint64(as.Tech))
+			u64(uint64(as.Format))
+			u64(math.Float64bits(as.Sparsity))
+			u64(uint64(as.EncodedBytes))
+			flag(as.NeedsDecode)
+			u64(uint64(len(as.Fallbacks)))
+			for _, fb := range as.Fallbacks {
+				u64(uint64(fb))
+			}
+		} else {
+			u64(math.MaxUint64)
+		}
+		if b, ok := a.PoolMaps[n.ID]; ok {
+			u64(uint64(b))
+		} else {
+			u64(math.MaxUint64)
+		}
+		needs := a.EffectiveNeeds(n)
+		flag(needs.X)
+		flag(needs.Y)
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
+// TestAnalyzeAssignmentsPinned pins Analyze's output — technique, format,
+// sparsity, predicted bytes, fallback chain, pool maps and effective needs
+// of every node — over the training nets and the paper's suite, for every
+// configuration the repo analyzes with. The hashes were captured before
+// the selection passes were folded into one walk; a refactor of Analyze
+// must leave every one of them unchanged.
+func TestAnalyzeAssignmentsPinned(t *testing.T) {
+	graphs := []*graph.Graph{
+		networks.TinyCNN(8, 4),
+		networks.TinyVGG(8, 4),
+		networks.ResNetCIFAR(2, 20),
+	}
+	for _, s := range networks.Suite() {
+		graphs = append(graphs, s.Build(2))
+	}
+	fp16 := LossyLossless(floatenc.FP16)
+	withAdaptive := func(c Config, set ...Technique) Config {
+		c.AdaptiveSet = set
+		return c
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"lossless", Lossless(), 0x2373550e6ab749a5},
+		{"lossy-fp16", fp16, 0x72c5dca2769e2d4e},
+		{"lossy-fp10", LossyLossless(floatenc.FP10), 0xca16a90a26097476},
+		{"lossy-fp8", LossyLossless(floatenc.FP8), 0x9eb64ea3140d7243},
+		{"technique-none", fp16.WithTechnique(None), 0x21fae37e6760e143},
+		{"technique-binarize", fp16.WithTechnique(Binarize), 0x0844407b5764196d},
+		{"technique-ssdc", fp16.WithTechnique(SSDC), 0xfad9d69c8bbef19c},
+		{"technique-dpr", fp16.WithTechnique(DPR), 0x26913017de58f94e},
+		{"technique-zvc", fp16.WithTechnique(ZVC), 0xbeeed543b8219ce9},
+		{"technique-entropy", fp16.WithTechnique(Entropy), 0x3d580361b0fc5d00},
+		{"technique-zvc-fp32", Lossless().WithTechnique(ZVC), 0x99966c8aed14354c},
+		{"technique-entropy-fp32", Lossless().WithTechnique(Entropy), 0x3c8c840d0ada88e4},
+		{"technique-dpr-fp32", Lossless().WithTechnique(DPR), 0x26913017de58f94e},
+		{"dpr-fp16", Config{DPR: floatenc.FP16}, 0x26913017de58f94e},
+		{"dpr-fp10", Config{DPR: floatenc.FP10}, 0x92acc55491eceb76},
+		{"dpr-fp8", Config{DPR: floatenc.FP8}, 0xfbe5b256e007e561},
+		{"ssdc-fc-conv-like", Config{SSDC: true, FCIsConvLike: true}, 0xad6972499560d4c7},
+		{"lossless-fc-conv-like-dense", Config{Binarize: true, SSDC: true, FCIsConvLike: true,
+			Sparsity: func(*graph.Node) float64 { return 1 }}, 0x989c2231123ffc9d},
+		{"adaptive-fp16", withAdaptive(fp16, AdaptiveAll()...), 0xeb0fd251407346d3},
+		{"adaptive-fp32", withAdaptive(Lossless(), AdaptiveAll()...), 0x8c5409664a68227b},
+		{"adaptive-only", Config{AdaptiveSet: AdaptiveAll()}, 0x5c750ecfff567670},
+		{"adaptive-zvc-over-ssdc", withAdaptive(Lossless(), ZVC), 0x9a6d8cc7f62d43f6},
+		{"adaptive-zvc-over-ssdc-fp16", withAdaptive(fp16, ZVC), 0x909a8743d285b074},
+		{"adaptive-ssdc-over-zvc-entropy", Config{ZVC: true, Entropy: true, DPR: floatenc.FP16,
+			AdaptiveSet: []Technique{SSDC}}, 0x94639ef6b6748c6b},
+	}
+	for _, c := range cases {
+		h := fnv.New64a()
+		for _, g := range graphs {
+			binary.Write(h, binary.LittleEndian, analysisFingerprint(Analyze(g, c.cfg)))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: analysis fingerprint %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
