@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "", "experiment ID (fig1, fig3, table1, fig8..fig17, recompute, workspace, cdma, ratio); empty runs all")
+	experiment := flag.String("experiment", "", "experiment ID ("+strings.Join(experiments.IDs(), ", ")+"); empty runs all")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	par := flag.Int("parallel", 0, "encode/decode worker count (0 = GOMAXPROCS, 1 = serial)")

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 
+	"gist/internal/encoding"
 	"gist/internal/experiments"
 	"gist/internal/floatenc"
 	"gist/internal/networks"
@@ -15,9 +16,12 @@ import (
 )
 
 func main() {
-	run := func(name string, opts train.Options) []train.Record {
+	// forward quantizes every layer output (All-*); dpr packs only the
+	// stashed copies (Gist-DPR), so the forward pass stays exact.
+	run := func(name string, forward, dpr floatenc.Format) []train.Record {
 		g := networks.TinyCNN(8, 4)
-		e := train.NewExecutor(g, opts)
+		e := train.NewExecutor(g, train.Options{Seed: 7, ForwardFormat: forward,
+			Encodings: encoding.Analyze(g, encoding.Config{DPR: dpr})})
 		d := train.NewDataset(4, 3, 16, 0.4, 100)
 		recs := train.Run(e, d, train.RunConfig{
 			Minibatch: 8, Steps: 200, LR: 0.05, ProbeEvery: 40,
@@ -31,9 +35,9 @@ func main() {
 	}
 
 	fmt.Println("training accuracy loss at minibatch 40/80/120/160/200:")
-	run("FP32", train.Options{Seed: 7})
-	run("Gist-DPR-FP8", train.Options{Seed: 7, Mode: train.DelayedReduced, Format: floatenc.FP8})
-	run("All-FP8", train.Options{Seed: 7, Mode: train.AllReduced, Format: floatenc.FP8})
+	run("FP32", floatenc.FP32, floatenc.FP32)
+	run("Gist-DPR-FP8", floatenc.FP32, floatenc.FP8)
+	run("All-FP8", floatenc.FP8, floatenc.FP32)
 
 	fmt.Println("\nwhy immediate reduction fails at scale — forward error by depth:")
 	fmt.Printf("%-8s %10s %10s %10s %10s\n", "depth", "All-FP16", "All-FP10", "All-FP8", "Gist-DPR")

@@ -220,26 +220,6 @@ func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment,
 	return err
 }
 
-// EncodeDenseInto builds the dense fallback stash into a caller-owned
-// container: the feature map packed at the DPR format f (raw FP32 words
-// when f is FP32), reusing the packed backing array when capacity allows.
-// This is the representation the adaptive path degrades to when the
-// runtime data defeats every planned encoding.
-func (cdc Codec) EncodeDenseInto(e *EncodedStash, f floatenc.Format, t *tensor.Tensor) {
-	var start time.Time
-	if cdc.Tel != nil {
-		start = time.Now()
-	}
-	e.Tech = DPR
-	e.Shape = append(e.Shape[:0], t.Shape...)
-	e.ChunkElems = cdc.chunkElems()
-	e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
-	e.Packed = cdc.encodePackedInto(e.Packed, f, t.Data)
-	if cdc.Tel != nil {
-		cdc.observe("encode", DPR, start, e.Bytes(), nil)
-	}
-}
-
 // observe records one codec operation: latency histogram, call and byte
 // counters (all keyed by technique), an error counter, and — when the
 // sink has tracing armed — a complete trace event covering the call.
@@ -276,8 +256,7 @@ func (cdc Codec) EncodeStashAdaptiveInto(e *EncodedStash, as *Assignment, t *ten
 	}
 	if errors.Is(err, ErrStashTooLarge) {
 		cdc.Tel.Counter("codec.encode.fallbacks").Inc()
-		cdc.EncodeDenseInto(e, as.Format, t)
-		return true, nil
+		return true, cdc.encodeTechInto(e, DPR, as, t)
 	}
 	return fellBack, err
 }

@@ -76,10 +76,11 @@ type Config struct {
 	// Entropy enables the generic ZRL+Huffman stage over packed stash
 	// bytes — the expensive, highest-ratio lossless tier.
 	Entropy bool
-	// AdaptiveSet, when non-empty, replaces the fixed SSDC/ZVC/Entropy
-	// priority passes with per-layer minimum-predicted-bytes selection
-	// among the listed techniques; the runner-up techniques become the
-	// assignment's runtime fallback chain. Binarize still runs first (it
+	// AdaptiveSet, when non-empty, takes precedence over the fixed
+	// SSDC/ZVC/Entropy order with per-layer minimum-predicted-bytes
+	// selection among the listed techniques (a layer none of them serves
+	// falls through to the fixed order); the runner-up techniques become
+	// the assignment's runtime fallback chain. Binarize still runs first (it
 	// rewrites backward needs, which runtime selection cannot), and DPR in
 	// the set means "dense packed" as a selectable terminal.
 	AdaptiveSet []Technique
@@ -307,6 +308,70 @@ func runtimeFallback(t Technique) bool {
 	return t == SSDC || t == ZVC || t == Entropy
 }
 
+// choose picks the container of node n's stash, or nil to leave it raw.
+// An adaptive set, when configured, offers the minimum-predicted-bytes
+// eligible candidate, with the beaten runtime-retryable candidates as its
+// fallback chain, ordered by predicted size, so the encoder degrades along
+// the planner's own ranking. Without one, or when no candidate beats the
+// raw FP32 stash, the first enabled fixed technique — SSDC, ZVC, Entropy —
+// that is eligible and beats its bound wins: the raw FP32 stash for SSDC
+// (tiny stashes lose to CSR's row pointers), the dense stash at the DPR
+// format for ZVC and Entropy. Whatever is left is DPR-packed when
+// precision reduction is on.
+func choose(cfg Config, n *graph.Node) *Assignment {
+	s := cfg.Sparsity(n)
+	elems := n.OutShape.NumElements()
+	raw, dense := n.OutShape.Bytes(), cfg.DPR.PackedBytes(elems)
+	assign := func(tech Technique, bytes int64) *Assignment {
+		return &Assignment{Node: n, Tech: tech, Format: cfg.DPR, Sparsity: s,
+			EncodedBytes: bytes, NeedsDecode: true}
+	}
+
+	type candidate struct {
+		tech  Technique
+		bytes int64
+	}
+	var cands []candidate
+	for _, tech := range cfg.AdaptiveSet {
+		if !adaptiveEligible(cfg, n, tech, s) {
+			continue
+		}
+		if b := PlanBytes(tech, elems, s, cfg.DPR); b < raw {
+			cands = append(cands, candidate{tech, b})
+		}
+	}
+	if len(cands) > 0 {
+		sort.SliceStable(cands, func(i, j int) bool { return cands[i].bytes < cands[j].bytes })
+		as := assign(cands[0].tech, cands[0].bytes)
+		for _, c := range cands[1:] {
+			if runtimeFallback(c.tech) {
+				as.Fallbacks = append(as.Fallbacks, c.tech)
+			}
+		}
+		return as
+	}
+
+	for _, f := range []struct {
+		on    bool
+		tech  Technique
+		bound int64
+	}{{cfg.SSDC, SSDC, raw}, {cfg.ZVC, ZVC, dense}, {cfg.Entropy, Entropy, dense}} {
+		if !f.on || !adaptiveEligible(cfg, n, f.tech, s) {
+			continue
+		}
+		if b := PlanBytes(f.tech, elems, s, cfg.DPR); b < f.bound {
+			return assign(f.tech, b)
+		}
+	}
+
+	if cfg.DPR == floatenc.FP32 {
+		return nil
+	}
+	as := assign(DPR, dense)
+	as.Sparsity = 0 // the packed stash is dense: no zero pattern sizes it
+	return as
+}
+
 // Analyze runs the Gist pattern analysis over the graph and assigns an
 // encoding to every stashed feature map permitted by the configuration.
 func Analyze(g *graph.Graph, cfg Config) *Analysis {
@@ -366,181 +431,16 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 		}
 	}
 
-	// Pass 3a — adaptive selection: when an adaptive set is configured it
-	// replaces the fixed SSDC/ZVC/Entropy priority passes below. Each
-	// stashed node gets the minimum-predicted-bytes eligible technique;
-	// the beaten runtime-retryable candidates become the fallback chain,
-	// ordered by predicted size, so the encoder degrades along the
-	// planner's own ranking when the runtime zero pattern disappoints.
-	if len(cfg.AdaptiveSet) > 0 {
-		for _, n := range g.Nodes {
-			if _, done := a.ByNode[n.ID]; done {
-				continue
-			}
-			if !a.OutputStashed(n) {
-				continue
-			}
-			s := cfg.Sparsity(n)
-			elems := n.OutShape.NumElements()
-			type candidate struct {
-				tech  Technique
-				bytes int64
-			}
-			var cands []candidate
-			for _, tech := range cfg.AdaptiveSet {
-				if !adaptiveEligible(cfg, n, tech, s) {
-					continue
-				}
-				b := PlanBytes(tech, elems, s, cfg.DPR)
-				if b >= n.OutShape.Bytes() {
-					continue // would not beat the raw FP32 stash
-				}
-				cands = append(cands, candidate{tech, b})
-			}
-			if len(cands) == 0 {
-				continue // pass 4 may still DPR it
-			}
-			sort.SliceStable(cands, func(i, j int) bool { return cands[i].bytes < cands[j].bytes })
-			var fbs []Technique
-			for _, c := range cands[1:] {
-				if runtimeFallback(c.tech) {
-					fbs = append(fbs, c.tech)
-				}
-			}
-			a.ByNode[n.ID] = &Assignment{
-				Node:         n,
-				Tech:         cands[0].tech,
-				Format:       cfg.DPR,
-				Sparsity:     s,
-				EncodedBytes: cands[0].bytes,
-				NeedsDecode:  true,
-				Fallbacks:    fbs,
-			}
+	// Pass 3 — one selection walk: every stashed node the rewrites left
+	// unassigned gets its container from choose. Passes 1–2 fixed every
+	// effective need and choose reads only its own node, so visiting node
+	// by node gives what sweeping technique by technique would.
+	for _, n := range g.Nodes {
+		if _, done := a.ByNode[n.ID]; done || !a.OutputStashed(n) {
+			continue
 		}
-	}
-
-	// Pass 3 — SSDC: ReLU or (ReLU-fed) MaxPool outputs whose backward
-	// readers include a convolution and whose predicted sparsity clears
-	// the narrow-CSR break-even point.
-	if cfg.SSDC {
-		for _, n := range g.Nodes {
-			if _, done := a.ByNode[n.ID]; done {
-				continue
-			}
-			isReLU := n.Kind() == layers.ReLU
-			isPoolAfterReLU := n.Kind() == layers.MaxPool &&
-				len(n.Inputs) == 1 && n.Inputs[0].Kind() == layers.ReLU
-			if !isReLU && !isPoolAfterReLU {
-				continue
-			}
-			if !a.OutputStashed(n) {
-				continue
-			}
-			feedsConv := false
-			for _, c := range n.Consumers() {
-				if convLike(cfg, c.Kind()) && c.Op.Needs().X {
-					feedsConv = true
-				}
-			}
-			if !feedsConv {
-				continue
-			}
-			s := cfg.Sparsity(n)
-			if s < sparse.BreakEvenSparsity(1) {
-				continue // narrow CSR would not compress
-			}
-			elems := n.OutShape.NumElements()
-			enc := ssdcBytes(elems, s, cfg.DPR)
-			if enc >= n.OutShape.Bytes() {
-				// Tiny stashes lose to CSR's fixed row-pointer overhead;
-				// leave them for DPR.
-				continue
-			}
-			a.ByNode[n.ID] = &Assignment{
-				Node:         n,
-				Tech:         SSDC,
-				Format:       cfg.DPR,
-				Sparsity:     s,
-				EncodedBytes: enc,
-				NeedsDecode:  true,
-			}
-		}
-	}
-
-	// Pass 3b — ZVC: sparse stashes SSDC did not claim (any backward
-	// reader qualifies — ZVC decodes to dense for whoever reads it) whose
-	// predicted footprint beats the dense alternative at the same format.
-	if cfg.ZVC {
-		for _, n := range g.Nodes {
-			if _, done := a.ByNode[n.ID]; done {
-				continue
-			}
-			if !sparseStash(n) || !a.OutputStashed(n) {
-				continue
-			}
-			s := cfg.Sparsity(n)
-			elems := n.OutShape.NumElements()
-			enc := zvcBytes(elems, s, cfg.DPR)
-			if enc >= cfg.DPR.PackedBytes(elems) {
-				continue // the dense (possibly DPR-packed) stash is smaller
-			}
-			a.ByNode[n.ID] = &Assignment{
-				Node:         n,
-				Tech:         ZVC,
-				Format:       cfg.DPR,
-				Sparsity:     s,
-				EncodedBytes: enc,
-				NeedsDecode:  true,
-			}
-		}
-	}
-
-	// Pass 3c — Entropy: any remaining stash whose predicted ZRL+Huffman
-	// stream beats the dense alternative. Nothing structural rules the
-	// generic stage out; the cost model's heavy compute charge is what
-	// keeps it from being picked when speed matters.
-	if cfg.Entropy {
-		for _, n := range g.Nodes {
-			if _, done := a.ByNode[n.ID]; done {
-				continue
-			}
-			if !a.OutputStashed(n) {
-				continue
-			}
-			s := cfg.Sparsity(n)
-			elems := n.OutShape.NumElements()
-			enc := entropyBytes(elems, s, cfg.DPR)
-			if enc >= cfg.DPR.PackedBytes(elems) {
-				continue
-			}
-			a.ByNode[n.ID] = &Assignment{
-				Node:         n,
-				Tech:         Entropy,
-				Format:       cfg.DPR,
-				Sparsity:     s,
-				EncodedBytes: enc,
-				NeedsDecode:  true,
-			}
-		}
-	}
-
-	// Pass 4 — DPR: every remaining stashed feature map.
-	if cfg.DPR != floatenc.FP32 {
-		for _, n := range g.Nodes {
-			if _, done := a.ByNode[n.ID]; done {
-				continue
-			}
-			if !a.OutputStashed(n) {
-				continue
-			}
-			elems := n.OutShape.NumElements()
-			a.ByNode[n.ID] = &Assignment{
-				Node:         n,
-				Tech:         DPR,
-				Format:       cfg.DPR,
-				EncodedBytes: cfg.DPR.PackedBytes(elems),
-				NeedsDecode:  true,
-			}
+		if as := choose(cfg, n); as != nil {
+			a.ByNode[n.ID] = as
 		}
 	}
 	return a

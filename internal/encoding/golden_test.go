@@ -93,9 +93,7 @@ func TestGoldenStashMarshal(t *testing.T) {
 			}},
 		{"dpr-fp10", goldenDPRBlobHex, goldenDPRChecksum,
 			func(x *tensor.Tensor) (*EncodedStash, error) {
-				e := &EncodedStash{}
-				cdc.EncodeDenseInto(e, floatenc.FP10, x)
-				return e, nil
+				return encodeFresh(cdc, &Assignment{Tech: DPR, Format: floatenc.FP10}, x)
 			}},
 		{"zvc-fp32", goldenZVCBlobHex, goldenZVCChecksum,
 			func(x *tensor.Tensor) (*EncodedStash, error) {

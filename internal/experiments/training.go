@@ -82,9 +82,10 @@ func trainingConfig(cfg encoding.Config) encoding.Config {
 // newTrainEngine builds the training engine for a run: a plain executor
 // when replicas and shards are unset, otherwise a replica group whose
 // micro-shards divide the requested minibatch (so the per-step sample
-// count is unchanged). Drive it with its Batch() and Close it after.
+// count is unchanged), carrying out the analysis of the graph it builds
+// under enc. Drive it with its Batch() and Close it after.
 func newTrainEngine(build func(mb, classes int) *graph.Graph, mb, classes int,
-	opts train.Options, replicas, shards int) train.Engine {
+	opts train.Options, enc encoding.Config, replicas, shards int) train.Engine {
 	if trainingStashBudget > 0 && opts.StashBudget == 0 {
 		opts.StashBudget = trainingStashBudget
 		opts.SpillDir = trainingSpillDir
@@ -96,8 +97,9 @@ func newTrainEngine(build func(mb, classes int) *graph.Graph, mb, classes int,
 	if perStep <= 0 {
 		perStep = max(replicas, 1)
 	}
-	return train.NewEngine(build(max(mb/perStep, 1), classes), opts,
-		train.ReplicaConfig{Replicas: replicas, Shards: shards})
+	g := build(max(mb/perStep, 1), classes)
+	opts.Encodings = encoding.Analyze(g, enc)
+	return train.NewEngine(g, opts, train.ReplicaConfig{Replicas: replicas, Shards: shards})
 }
 
 // TrainScale sizes the Figure 12 runs.
@@ -129,23 +131,25 @@ func DefaultTrainScale() TrainScale {
 	}
 }
 
-// fig12Configs lists the precision configurations Figure 12 compares.
+// fig12Configs lists the precision configurations Figure 12 compares: the
+// All-* rows quantize the forward pass, the Gist-* rows DPR-pack only the
+// stashes (an analysis, untouched by the -technique knob).
 func fig12Configs() []struct {
-	name   string
-	mode   train.PrecisionMode
-	format floatenc.Format
+	name    string
+	forward floatenc.Format
+	dpr     floatenc.Format
 } {
 	return []struct {
-		name   string
-		mode   train.PrecisionMode
-		format floatenc.Format
+		name    string
+		forward floatenc.Format
+		dpr     floatenc.Format
 	}{
-		{"Baseline-FP32", train.FullPrecision, floatenc.FP32},
-		{"All-FP16", train.AllReduced, floatenc.FP16},
-		{"All-FP8", train.AllReduced, floatenc.FP8},
-		{"Gist-FP16", train.DelayedReduced, floatenc.FP16},
-		{"Gist-FP10", train.DelayedReduced, floatenc.FP10},
-		{"Gist-FP8", train.DelayedReduced, floatenc.FP8},
+		{"Baseline-FP32", floatenc.FP32, floatenc.FP32},
+		{"All-FP16", floatenc.FP16, floatenc.FP32},
+		{"All-FP8", floatenc.FP8, floatenc.FP32},
+		{"Gist-FP16", floatenc.FP32, floatenc.FP16},
+		{"Gist-FP10", floatenc.FP32, floatenc.FP10},
+		{"Gist-FP8", floatenc.FP32, floatenc.FP8},
 	}
 }
 
@@ -169,13 +173,9 @@ func Fig12(s TrainScale) *Result {
 		var sum float64
 		diverged := false
 		for _, seed := range s.Seeds {
-			opts := train.Options{Seed: seed, Pool: s.Pool}
-			if c.mode != train.FullPrecision {
-				opts.Mode = c.mode
-				opts.Format = c.format
-			}
-			en := newTrainEngine(networks.TinyCNN,
-				s.Minibatch, s.Classes, opts, s.Replicas, s.Shards)
+			opts := train.Options{Seed: seed, Pool: s.Pool, ForwardFormat: c.forward}
+			en := newTrainEngine(networks.TinyCNN, s.Minibatch, s.Classes, opts,
+				encoding.Config{DPR: c.dpr}, s.Replicas, s.Shards)
 			d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, seed+1)
 			recs := train.Run(en, d, train.RunConfig{
 				Minibatch: en.Batch(), Steps: s.Steps, LR: s.LR,
@@ -255,7 +255,7 @@ func ForwardErrorByDepth(depth int, seed uint64) []DepthError {
 	for i, f := range formats {
 		stacks[i] = newDeepStack(4, 4, depth)
 		execs[i] = train.NewExecutor(stacks[i].g, train.Options{
-			Seed: seed, Mode: train.AllReduced, Format: f,
+			Seed: seed, ForwardFormat: f,
 		})
 		execs[i].Forward(x, labels, false)
 	}
@@ -325,7 +325,7 @@ func DefaultSparsityScale() SparsityScale {
 func Fig14(s SparsityScale) *Result {
 	r := &Result{ID: "fig14", Title: "SSDC compression ratio per ReLU layer over training (TinyVGG)"}
 	en := newTrainEngine(networks.TinyVGG, s.Minibatch, s.Classes,
-		train.Options{Seed: s.Seed, Pool: s.Pool}, s.Replicas, s.Shards)
+		train.Options{Seed: s.Seed, Pool: s.Pool}, encoding.Config{}, s.Replicas, s.Shards)
 	d := train.NewDataset(s.Classes, 3, 32, 0.3, s.Seed+1)
 	recs := train.Run(en, d, train.RunConfig{
 		Minibatch: en.Batch(), Steps: s.Steps, LR: s.LR,

@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("ssdc checksum: 0x%08x len %d\n", e.Checksum, len(blob))
 	fmt.Printf("ssdc blob: %x\n", blob)
 
-	d := sealedDense(cdc, floatenc.FP10, t)
+	d := sealed(cdc, &encoding.Assignment{Tech: encoding.DPR, Format: floatenc.FP10}, t)
 	blob2, err := d.MarshalBinary()
 	if err != nil {
 		panic(err)
@@ -154,7 +154,8 @@ func spillPages() {
 		}
 		fmt.Printf("%s page len %d: %x\n", c.name, len(page), page)
 	}
-	page, err := stashstore.AppendPage(nil, 7, sealedDense(cdc, floatenc.FP32, t))
+	exact := &encoding.Assignment{Tech: encoding.DPR, Format: floatenc.FP32}
+	page, err := stashstore.AppendPage(nil, 7, sealed(cdc, exact, t))
 	if err != nil {
 		panic(err)
 	}
@@ -210,14 +211,6 @@ func sealed(cdc encoding.Codec, as *encoding.Assignment, t *tensor.Tensor) *enco
 	if err := cdc.EncodeStashInto(e, as, t); err != nil {
 		panic(fmt.Sprintf("%v/%s over %v: %v", as.Tech, as.Format, t.Shape, err))
 	}
-	cdc.Seal(e)
-	return e
-}
-
-// sealedDense packs t densely at format f into a fresh container and seals it.
-func sealedDense(cdc encoding.Codec, f floatenc.Format, t *tensor.Tensor) *encoding.EncodedStash {
-	e := &encoding.EncodedStash{}
-	cdc.EncodeDenseInto(e, f, t)
 	cdc.Seal(e)
 	return e
 }

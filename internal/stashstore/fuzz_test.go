@@ -37,7 +37,9 @@ func FuzzReadSpillPage(f *testing.F) {
 		f.Add(append(page, page...)) // two concatenated pages
 	}
 	d := &encoding.EncodedStash{}
-	c.EncodeDenseInto(d, floatenc.FP32, ten)
+	if err := c.EncodeStashInto(d, &encoding.Assignment{Tech: encoding.DPR, Format: floatenc.FP32}, ten); err != nil {
+		f.Fatal(err)
+	}
 	c.Seal(d)
 	densePage, err := AppendPage(nil, 7, d)
 	if err != nil {

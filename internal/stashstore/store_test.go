@@ -58,7 +58,11 @@ func TestPageRoundTrip(t *testing.T) {
 		{"ssdc-fp16", func() *encoding.EncodedStash { return testStash(t, 12345) }},
 		{"dense-fp32", func() *encoding.EncodedStash {
 			e := &encoding.EncodedStash{}
-			c.EncodeDenseInto(e, floatenc.FP32, ten)
+			if err := c.EncodeStashInto(e, &encoding.Assignment{
+				Tech: encoding.DPR, Format: floatenc.FP32,
+			}, ten); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
 			c.Seal(e)
 			return e
 		}},

@@ -3,10 +3,12 @@
 // numerical behaviour of Gist's encodings inside the training loop. The
 // paper's accuracy experiment (Figure 12) is this package's reason to
 // exist: the executor can quantize activations immediately after each layer
-// (the conventional "All-FP16" scheme whose forward error compounds) or
-// delay the reduction to the stashed copy only (DPR, forward stays exact),
-// and it can round-trip stashes through the real Binarize/SSDC/DPR
-// encoders.
+// (Options.ForwardFormat, the conventional "All-FP16" scheme whose forward
+// error compounds), or carry out an encoding analysis (Options.Encodings)
+// by round-tripping each assigned stash through the real encoders. Gist's
+// delayed reduction is such an analysis — encoding.Analyze with a DPR
+// format — so its forward pass stays exact. A stash is encoded iff it has
+// an assignment; every other stash aliases its forward output.
 package train
 
 import (
@@ -32,41 +34,19 @@ import (
 	"gist/internal/tensor"
 )
 
-// PrecisionMode selects how activations are reduced during training.
-type PrecisionMode int
-
-const (
-	// FullPrecision is the FP32 baseline.
-	FullPrecision PrecisionMode = iota
-	// AllReduced quantizes every layer output immediately after it is
-	// computed, so the error is injected into the forward pass and
-	// propagates — the conventional scheme the paper shows failing.
-	AllReduced
-	// DelayedReduced quantizes only the stashed copy used by the backward
-	// pass; forward consumers see full FP32 values (Gist's DPR).
-	DelayedReduced
-)
-
-// String names the mode as the paper's figures do.
-func (m PrecisionMode) String() string {
-	switch m {
-	case FullPrecision:
-		return "Baseline-FP32"
-	case AllReduced:
-		return "All-Reduced"
-	case DelayedReduced:
-		return "Gist-DPR"
-	}
-	return fmt.Sprintf("PrecisionMode(%d)", int(m))
-}
-
 // Options configures an executor.
 type Options struct {
-	Mode   PrecisionMode
-	Format floatenc.Format
-	// Encodings, when non-nil, round-trips every assigned stash through
-	// the real encoder kernels (Binarize mask, narrow CSR, packed DPR)
-	// instead of in-place quantization, verifying the full machinery.
+	// ForwardFormat, when not FP32 (the zero value, an exact forward pass),
+	// quantizes every layer output but the loss to this format right after
+	// it is computed: the conventional All-Reduced scheme (the paper's
+	// "All-FP16"), whose forward error compounds with depth. Gist's delayed
+	// reduction is not an option here but an analysis — Encodings from
+	// encoding.Analyze with a DPR format — that packs only stashed copies.
+	ForwardFormat floatenc.Format
+	// Encodings, when non-nil, is the analysis the executor carries out:
+	// every stash it assigns round-trips through the real encoder kernels
+	// (Binarize mask, narrow CSR, ZVC, Entropy, packed DPR); every other
+	// stash aliases its forward output.
 	Encodings *encoding.Analysis
 	// Seed drives weight initialization and dropout.
 	Seed uint64
@@ -107,11 +87,11 @@ type Options struct {
 	// stashstore.Store holds in RAM across the forward→backward gap: the
 	// stashes whose backward use is furthest away spill to disk as sealed
 	// GSTP pages and are read back by their fetch-then-decode futures.
-	// Under a cap every stash is encoded (unassigned ones into an exact
-	// FP32 dense container) so the cap covers every byte held. Placement
-	// is a pure function of the liveness analysis and the spill round
-	// trip is bit-exact, so results are identical at any budget. Zero (the
-	// default) means no cap and no spill file.
+	// Under a cap every stash is encoded (one the analysis left unassigned
+	// is DPR-packed at FP32, exactly) so the cap covers every byte held.
+	// Placement is a pure function of the liveness analysis and the spill
+	// round trip is bit-exact, so results are identical at any budget.
+	// Zero (the default) means no cap and no spill file.
 	StashBudget int64
 	// SpillDir is where the stash store's spill file lives; "" means the
 	// OS temp dir. Only consulted when StashBudget is positive.
@@ -213,10 +193,13 @@ type Executor struct {
 	stash []*tensor.Tensor
 	aux   []map[string]any
 
-	// futures holds one persistent fetch-then-decode slot per node, re-armed
-	// each step, and encSlots one persistent encode container per node,
-	// rebuilt in place each step — so the stash lifecycle allocates nothing
-	// per step. nFutures counts the slots currently armed.
+	// assign holds, per node, the assignment its stash is encoded by — nil
+	// for a stash that aliases its forward output. futures holds one
+	// persistent fetch-then-decode slot per node, re-armed each step, and
+	// encSlots one persistent encode container per node, rebuilt in place
+	// each step — so the stash lifecycle allocates nothing per step.
+	// nFutures counts the slots currently armed.
+	assign   []*encoding.Assignment
 	futures  []stashFuture
 	nFutures int
 	encSlots []encoding.EncodedStash
@@ -306,9 +289,6 @@ type Executor struct {
 // NewExecutor initializes parameters (He init for conv/FC weights, ones and
 // zeros for batch-norm scale/shift, zero biases).
 func NewExecutor(g *graph.Graph, opts Options) *Executor {
-	if opts.Format == floatenc.FP32 && opts.Mode != FullPrecision {
-		panic("train: reduced mode requires a reduced format")
-	}
 	e := &Executor{
 		G: g, opts: opts,
 		params: map[int][]*tensor.Tensor{},
@@ -356,6 +336,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 
 	e.outs = make([]*tensor.Tensor, nn)
 	e.stash = make([]*tensor.Tensor, nn)
+	e.assign = make([]*encoding.Assignment, nn)
 	e.futures = make([]stashFuture, nn)
 	e.encSlots = make([]encoding.EncodedStash, nn)
 	e.aux = make([]map[string]any, nn)
@@ -372,6 +353,15 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		f.store, f.cdc, f.tel, f.sid, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, n.Name, n.OutShape
 		f.run = f.launch // bound once, so `go f.run()` allocates nothing per step
 		e.aux[n.ID] = map[string]any{}
+		if opts.Encodings != nil {
+			e.assign[n.ID] = opts.Encodings.ByNode[n.ID]
+		}
+		if e.assign[n.ID] == nil && opts.StashBudget > 0 && stashedForBackward(e, n) {
+			// Under a cap every stash is held in the store, so the cap
+			// covers every byte: an unassigned one is packed exactly.
+			e.assign[n.ID] = &encoding.Assignment{Node: n, Tech: encoding.DPR,
+				Format: floatenc.FP32, EncodedBytes: n.OutShape.Bytes(), NeedsDecode: true}
+		}
 		// Count the backward pass's reads of this node's stashed output
 		// from raw operator needs; recycle points drain these counts.
 		needs := n.Op.Needs()
@@ -569,12 +559,12 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 			}
 			n.Op.Forward(&e.fwdCtx)
 		}
-		if e.opts.Mode == AllReduced && n.Kind() != layers.SoftmaxXent {
+		if e.opts.ForwardFormat != floatenc.FP32 && n.Kind() != layers.SoftmaxXent {
 			// Conventional scheme: inject quantization error immediately,
 			// so every downstream layer consumes reduced values. The loss
 			// layer itself stays exact (prior-work schemes quantize layer
 			// activations, not the loss).
-			floatenc.QuantizeSlice(e.opts.Format, out.Data)
+			floatenc.QuantizeSlice(e.opts.ForwardFormat, out.Data)
 		}
 		e.outs[n.ID] = out
 		if e.fwdRetired && e.stashErr == nil {
@@ -741,13 +731,11 @@ func (e *Executor) stashRest() error {
 // seal, release the raw output, hand the container to the store, and arm
 // the future that will fetch and decode it.
 //
-// The container is the analysis' assignment when there is one; else a dense
-// packing at Options.Format under DelayedReduced (decode∘encode is exactly
-// the format's quantization); else an exact FP32 dense packing when the
-// store is capped, so the cap covers every byte held. Otherwise nothing is
-// encoded and neither codec nor store is touched: the backward view aliases
-// the forward output — or, when no backward kernel reads the output and a
-// forward consumer has (the "immediately consumed" class), it recycles here.
+// The container is the node's assignment (NewExecutor resolved it from
+// the analysis and the stash budget). A node without one touches neither
+// codec nor store: the backward view aliases the forward output — or, when
+// no backward kernel reads the output and a forward consumer has (the
+// "immediately consumed" class), it recycles here.
 //
 // This is also where the robustness layer lives: injected encode/decode/
 // alloc failures surface here as typed errors, and an assigned stash whose
@@ -755,22 +743,11 @@ func (e *Executor) stashRest() error {
 // With no injector and integrity off, every added path is a nil/bool check.
 func (e *Executor) stashNode(n *graph.Node) error {
 	out := e.outs[n.ID]
-	inj := e.opts.Faults
-	var as *encoding.Assignment
-	if e.opts.Encodings != nil {
-		as = e.opts.Encodings.ByNode[n.ID]
-	}
-	stashed := as != nil || stashedForBackward(e, n)
-	dense, tech := floatenc.FP32, "FP32"
-	switch {
-	case as != nil: // the analysis' assignment
-	case stashed && e.opts.Mode == DelayedReduced:
-		dense, tech = e.opts.Format, "DPR"
-	case stashed && e.opts.StashBudget > 0: // exact dense, so the cap covers it
-	default: // alias
-		if stashed {
+	as := e.assign[n.ID]
+	if as == nil {
+		if stashedForBackward(e, n) {
 			e.StashBytes += out.Bytes()
-			e.mem.add(tech, out.Bytes(), out.Bytes())
+			e.mem.add("FP32", out.Bytes(), out.Bytes())
 		}
 		if e.bwdReads[n.ID] == 0 && len(n.Consumers()) > 0 {
 			e.recycle(out)
@@ -781,33 +758,29 @@ func (e *Executor) stashNode(n *graph.Node) error {
 	}
 
 	enc := &e.encSlots[n.ID]
-	if as != nil {
-		if err := inj.FailEncode(n.Name); err != nil {
-			e.Robust.EncodeFailures++
-			e.met.injEncode.Inc()
-			return err
-		}
-		fellBack, err := e.cdc.EncodeStashAdaptiveInto(enc, as, out)
-		if err != nil {
-			return fmt.Errorf("train: stash %q: %w", n.Name, err)
-		}
-		if fellBack {
-			e.Robust.SSDCFallbacks++
-			e.met.ssdcFallbacks.Inc()
-		}
-		if err := inj.Alloc(n.Name, enc.Bytes()); err != nil {
-			e.Robust.AllocFailures++
-			e.met.injAlloc.Inc()
-			return err
-		}
-		if err := inj.FailDecode(n.Name); err != nil {
-			e.Robust.DecodeFailures++
-			e.met.injDecode.Inc()
-			return err
-		}
-		tech = enc.Tech.String()
-	} else {
-		e.cdc.EncodeDenseInto(enc, dense, out)
+	inj := e.opts.Faults
+	if err := inj.FailEncode(n.Name); err != nil {
+		e.Robust.EncodeFailures++
+		e.met.injEncode.Inc()
+		return err
+	}
+	fellBack, err := e.cdc.EncodeStashAdaptiveInto(enc, as, out)
+	if err != nil {
+		return fmt.Errorf("train: stash %q: %w", n.Name, err)
+	}
+	if fellBack {
+		e.Robust.SSDCFallbacks++
+		e.met.ssdcFallbacks.Inc()
+	}
+	if err := inj.Alloc(n.Name, enc.Bytes()); err != nil {
+		e.Robust.AllocFailures++
+		e.met.injAlloc.Inc()
+		return err
+	}
+	if err := inj.FailDecode(n.Name); err != nil {
+		e.Robust.DecodeFailures++
+		e.met.injDecode.Inc()
+		return err
 	}
 	if e.opts.Integrity || inj.Enabled() {
 		// Sealed on request, and always under fault injection so every
@@ -816,7 +789,7 @@ func (e *Executor) stashNode(n *graph.Node) error {
 	}
 	inj.CorruptStash(n.Name, enc)
 	e.StashBytes += enc.Bytes()
-	e.mem.add(tech, out.Bytes(), enc.Bytes())
+	e.mem.add(enc.Tech.String(), out.Bytes(), enc.Bytes())
 	// The encoded form now carries the forward→backward gap; the raw output
 	// is dead — no backward reader touches it — and returns to the pool,
 	// closing the lifetime gap the planner's liveness analysis identifies.

@@ -87,7 +87,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 			return Options{Seed: 33}
 		}},
 		{"dpr-fp16", []int{1, 4}, func(g *graph.Graph) Options {
-			return Options{Seed: 33, Mode: DelayedReduced, Format: floatenc.FP16}
+			return Options{Seed: 33, Encodings: encoding.Analyze(g, encoding.Config{DPR: floatenc.FP16})}
 		}},
 		{"encoded-lossless", []int{1, 2, 4}, func(g *graph.Graph) Options {
 			return Options{Seed: 33, Encodings: encoding.Analyze(g, encoding.Lossless()), Integrity: true}

@@ -51,8 +51,9 @@ func TestDPRMatchesFP32Closely(t *testing.T) {
 
 	base := Run(NewExecutor(smallNet(8), Options{Seed: 3}), d(), cfg)
 	sink := telemetry.New()
-	e := NewExecutor(smallNet(8), Options{
-		Seed: 3, Mode: DelayedReduced, Format: floatenc.FP8, Telemetry: sink,
+	g := smallNet(8)
+	e := NewExecutor(g, Options{
+		Seed: 3, Encodings: encoding.Analyze(g, encoding.Config{DPR: floatenc.FP8}), Telemetry: sink,
 	})
 	dpr := Run(e, d(), cfg)
 
@@ -84,24 +85,20 @@ func TestDelayedForwardIsExactAllReducedIsNot(t *testing.T) {
 	d := NewDataset(4, 2, 8, 0.3, 11)
 	x, labels := d.Batch(8)
 
-	logits := func(mode PrecisionMode) *tensor.Tensor {
-		opt := Options{Seed: 5}
-		if mode != FullPrecision {
-			opt.Mode = mode
-			opt.Format = floatenc.FP8
-		}
+	logits := func(forward, dpr floatenc.Format) *tensor.Tensor {
 		g := smallNet(8)
-		e := NewExecutor(g, opt)
+		e := NewExecutor(g, Options{Seed: 5, ForwardFormat: forward,
+			Encodings: encoding.Analyze(g, encoding.Config{DPR: dpr})})
 		e.Forward(x, labels, false)
 		return e.Output(g.Lookup("fc")).Clone()
 	}
 
-	base := logits(FullPrecision)
-	delayed := logits(DelayedReduced)
-	all := logits(AllReduced)
+	base := logits(floatenc.FP32, floatenc.FP32)
+	delayed := logits(floatenc.FP32, floatenc.FP8)
+	all := logits(floatenc.FP8, floatenc.FP32)
 
 	if !delayed.Equal(base) {
-		t.Fatal("DelayedReduced forward must be bit-identical to FP32")
+		t.Fatal("Gist-DPR forward must be bit-identical to FP32")
 	}
 	var maxErr float64
 	for i := range base.Data {
@@ -110,7 +107,7 @@ func TestDelayedForwardIsExactAllReducedIsNot(t *testing.T) {
 		}
 	}
 	if maxErr == 0 {
-		t.Fatal("AllReduced forward should deviate from FP32")
+		t.Fatal("All-Reduced forward should deviate from FP32")
 	}
 }
 
@@ -119,7 +116,7 @@ func TestAllReducedErrorCompoundsWithDepth(t *testing.T) {
 	// relative to FP32 — the reason conventional schemes lose accuracy.
 	g1, g2 := networks.TinyVGG(4, 4), networks.TinyVGG(4, 4)
 	e1 := NewExecutor(g1, Options{Seed: 7})
-	e2 := NewExecutor(g2, Options{Seed: 7, Mode: AllReduced, Format: floatenc.FP8})
+	e2 := NewExecutor(g2, Options{Seed: 7, ForwardFormat: floatenc.FP8})
 	d := NewDataset(4, 3, 32, 0.3, 8)
 	x, labels := d.Batch(4)
 	e1.Forward(x, labels, false)
@@ -282,15 +279,6 @@ func TestDatasetBalanceAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestExecutorPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reduced mode without format must panic")
-		}
-	}()
-	NewExecutor(smallNet(2), Options{Mode: DelayedReduced})
-}
-
 func TestExecutorPanicsOnWrongInputShape(t *testing.T) {
 	e := NewExecutor(smallNet(2), Options{})
 	defer func() {
@@ -299,14 +287,6 @@ func TestExecutorPanicsOnWrongInputShape(t *testing.T) {
 		}
 	}()
 	e.Forward(tensor.New(2, 3, 8, 8), nil, true)
-}
-
-func TestPrecisionModeNames(t *testing.T) {
-	if FullPrecision.String() != "Baseline-FP32" ||
-		AllReduced.String() != "All-Reduced" ||
-		DelayedReduced.String() != "Gist-DPR" {
-		t.Error("mode names wrong")
-	}
 }
 
 func TestBatchNormResidualNetworkTrains(t *testing.T) {
