@@ -81,18 +81,20 @@ metrics-bench:
 	$(GO) test ./internal/telemetry/ -bench BenchmarkTelemetry -benchtime 2s -run TestXXX
 	$(GO) test -bench BenchmarkTrainStep -benchtime 2s -run TestXXX .
 
-# Allocation gate: the pooled training step — single-executor and replica
-# group alike — must stay within ALLOC_BUDGET allocs/op at steady state
-# (currently 0; the budget leaves headroom for runtime-internal noise).
-# Runs at GOMAXPROCS 1 and 4 and gates every reported row, so the result
-# does not depend on how many cores the host has: decode futures launch on
-# their own goroutines at every worker count. Catches any regression that
-# puts an allocation back on a pooled hot path.
+# Allocation gate: the pooled training step — single-executor, replica
+# group, and the multi-chunk spilling StashNet chain whose maps reach the
+# codec's parallel chunk dispatch (gist-stashchain) — must stay within
+# ALLOC_BUDGET allocs/op at steady state (currently 0; the budget leaves
+# headroom for runtime-internal noise). Runs at GOMAXPROCS 1 and 4 and
+# gates every reported row, so the result does not depend on how many cores
+# the host has: decode futures launch on their own goroutines at every
+# worker count. Catches any regression that puts an allocation back on a
+# pooled hot path.
 ALLOC_BUDGET ?= 4
 allocs:
-	@out=$$($(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-(pooled|replicas)$$' -benchtime 50x -benchmem -cpu 1,4 . | tee /dev/stderr); \
-	allocs=$$(printf '%s\n' "$$out" | awk '/gist-(pooled|replicas)/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}'); \
-	if [ "$$(echo $$allocs | wc -w)" -ne 4 ]; then echo "allocs: want 4 gist-pooled/gist-replicas rows (-cpu 1,4), got [$$(echo $$allocs)]"; exit 1; fi; \
+	@out=$$($(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-(pooled|replicas|stashchain)$$' -benchtime 50x -benchmem -cpu 1,4 . | tee /dev/stderr); \
+	allocs=$$(printf '%s\n' "$$out" | awk '/gist-(pooled|replicas|stashchain)/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}'); \
+	if [ "$$(echo $$allocs | wc -w)" -ne 6 ]; then echo "allocs: want 6 gist-pooled/gist-replicas/gist-stashchain rows (-cpu 1,4), got [$$(echo $$allocs)]"; exit 1; fi; \
 	for a in $$allocs; do \
 		if [ "$$a" -gt "$(ALLOC_BUDGET)" ]; then \
 			echo "allocs: pooled train step allocates $$a/op, budget $(ALLOC_BUDGET)"; exit 1; \
@@ -143,7 +145,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 21800
+LOC_CEILING ?= 22100
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

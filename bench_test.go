@@ -19,6 +19,7 @@ import (
 	"gist/internal/experiments"
 	"gist/internal/floatenc"
 	gGraph "gist/internal/graph"
+	"gist/internal/layers"
 	"gist/internal/liveness"
 	"gist/internal/memplan"
 	"gist/internal/networks"
@@ -398,6 +399,41 @@ func BenchmarkTrainStep(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(pool.Stats().HitRate(), "pool-hit-rate")
 	})
+	// gist-stashchain is the pooled step on a graph whose maps span several
+	// codec chunks — the StashNet-shaped 1x1-conv chain — with a 2-worker
+	// codec, integrity, the adaptive set and a stash budget that spills, so
+	// every chunk kernel, the parallel seal/verify roll-up and the spill page
+	// round trip run on the measured path (TinyCNN's maps fit one chunk).
+	// Steady state stays inside the same allocs/op budget.
+	b.Run("gist-stashchain", func(b *testing.B) {
+		g := stashChain(4)
+		cfg := encoding.LossyLossless(floatenc.FP16)
+		cfg.AdaptiveSet = encoding.AdaptiveAll()
+		e := train.NewExecutor(g, train.Options{
+			Seed:        1,
+			Encodings:   encoding.Analyze(g, cfg),
+			Pool:        bufpool.New(),
+			Integrity:   true,
+			Codec:       &encoding.Codec{Pool: parallel.NewPool(2)},
+			StashBudget: 64 << 10,
+			SpillDir:    b.TempDir(),
+		})
+		defer e.Close()
+		x, labels := train.NewDataset(4, 4, 64, 0.4, 2).Batch(4)
+		// A longer warm-up than the TinyCNN rows: the containers, spill
+		// page buffers and per-P task pools settle over a few dozen steps.
+		for i := 0; i < 30; i++ {
+			e.Step(x, labels, 0.005)
+		}
+		before := e.StashStore().Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step(x, labels, 0.005)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(e.StashStore().Stats().Misses-before.Misses)/float64(b.N), "spill-reads/op")
+	})
 	// gist-telemetry runs the same encoded step with a live sink attached and
 	// reports the memory story alongside ns/op: stash bytes held per step and
 	// the compression ratio, both pulled from the sink's own counters. The
@@ -433,6 +469,31 @@ func BenchmarkTrainStep(b *testing.B) {
 			b.ReportMetric(float64(raw)/float64(held), "ratio")
 		}
 	})
+}
+
+// stashChain is the StashNet shape of the stash workloads (and of the train
+// package's schedule tests): wide maps over 1x1 convolutions, so at minibatch
+// 4 the largest maps span two default-size codec chunks.
+func stashChain(mb int) *gGraph.Graph {
+	g := gGraph.New()
+	last := g.MustAdd("input", layers.NewInput(mb, 4, 64, 64))
+	seq := 0
+	add := func(prefix string, op layers.Op) {
+		seq++
+		last = g.MustAdd(fmt.Sprintf("%s%d", prefix, seq), op, last)
+	}
+	for _, pool := range []int{0, 2, 2, 4} {
+		add("conv", layers.NewConv2D(8, 1, 1, 0))
+		add("relu", layers.NewReLU())
+		if pool > 0 {
+			add("pool", layers.NewMaxPool(pool, pool, 0))
+		}
+	}
+	add("fc", layers.NewFC(32))
+	add("relu", layers.NewReLU())
+	add("fc", layers.NewFC(4))
+	g.MustAdd("loss", layers.NewSoftmaxXent(), last)
+	return g
 }
 
 // --- parallel codec benchmarks ---
@@ -533,14 +594,14 @@ func BenchmarkDPRPackUnpackParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pk := floatenc.NewPacked(floatenc.FP8, kernelElems)
-				p.ForEach(nChunks, func(c int) {
+				p.ForEach(nChunks, parallel.Func(func(c int) {
 					lo, hi := span(c)
 					pk.EncodeRange(xs, lo, hi)
-				})
-				p.ForEach(nChunks, func(c int) {
+				}))
+				p.ForEach(nChunks, parallel.Func(func(c int) {
 					lo, hi := span(c)
 					pk.DecodeRange(xs, lo, hi)
-				})
+				}))
 			}
 		})
 	}

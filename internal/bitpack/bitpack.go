@@ -32,16 +32,6 @@ func FromPositive(xs []float32) *BitMask {
 	return m
 }
 
-// MaskFromWords wraps packed backing words as a mask of n bits; words must
-// be exactly the (n+63)/64 words NewBitMask would allocate. The stash
-// deserializer uses this to rebuild a mask without re-packing.
-func MaskFromWords(n int, words []uint64) *BitMask {
-	if len(words) != (n+63)/64 {
-		panic(fmt.Sprintf("bitpack: %d words for %d bits, want %d", len(words), n, (n+63)/64))
-	}
-	return &BitMask{n: n, words: words}
-}
-
 // Reset resizes the mask to n bits, all false, reusing the backing words
 // when their capacity allows. It restores exactly the state NewBitMask
 // returns, so pooled encode paths can rebuild a mask in place instead of

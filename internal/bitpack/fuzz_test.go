@@ -34,7 +34,7 @@ func FuzzMaskWords(f *testing.F) {
 		if n&63 != 0 && nw > 0 {
 			words[nw-1] &= 1<<(uint(n)&63) - 1
 		}
-		m := MaskFromWords(n, words)
+		m := maskFromWords(n, words)
 
 		if got, want := m.PopCount(), m.popCountScalar(); got != want {
 			t.Fatalf("PopCount = %d, scalar %d", got, want)
@@ -70,4 +70,13 @@ func FuzzMaskWords(f *testing.F) {
 			}
 		}
 	})
+}
+
+// maskFromWords wraps packed backing words as a mask of n bits; words must
+// be exactly the (n+63)/64 words NewBitMask would allocate.
+func maskFromWords(n int, words []uint64) *BitMask {
+	if len(words) != (n+63)/64 {
+		panic("bitpack: word count does not match the bit count")
+	}
+	return &BitMask{n: n, words: words}
 }

@@ -114,62 +114,6 @@ func normalizeChunkElems(ce int) int {
 
 func (cdc Codec) chunkElems() int { return normalizeChunkElems(cdc.ChunkElems) }
 
-// serialChunks reports whether an n-element kernel should iterate its
-// chunks inline on the caller's goroutine — a serial codec, or a payload
-// that fits one chunk — and, when so, accounts them to the codec.chunks
-// counter on behalf of the caller's loop. The inline loop exists for the
-// pooled zero-alloc step: dispatching through forChunks costs one closure
-// allocation per kernel, which the hot path cannot afford; per-chunk trace
-// spans force the forChunks path so the trace still shows every chunk.
-func (cdc Codec) serialChunks(n int) (ce int, serial bool) {
-	ce = cdc.chunkElems()
-	if n > ce && (cdc.pool().Workers() > 1 || cdc.Tel.TracingEnabled()) {
-		return ce, false
-	}
-	if n > 0 {
-		cdc.Tel.Counter("codec.chunks").Add(int64((n + ce - 1) / ce))
-	}
-	return ce, true
-}
-
-// inlineChunks reports whether nc chunks of a stash should run as a plain
-// loop on the caller's goroutine instead of through ForEach — nothing to
-// share them with — which keeps a serial codec's stash path free of the
-// closure a dispatch allocates. Unlike serialChunks it takes the chunk
-// count, so it also serves stashes laid out under another codec's size.
-func (cdc Codec) inlineChunks(nc int) bool {
-	return nc < 2 || cdc.pool().Workers() < 2
-}
-
-// forChunks partitions [0, n) into aligned chunks and runs fn over them on
-// the pool (inline when a single chunk suffices).
-func (cdc Codec) forChunks(n int, fn func(lo, hi int)) {
-	ce := cdc.chunkElems()
-	if n <= ce {
-		if n > 0 {
-			cdc.Tel.Counter("codec.chunks").Inc()
-			fn(0, n)
-		}
-		return
-	}
-	nc := (n + ce - 1) / ce
-	cdc.Tel.Counter("codec.chunks").Add(int64(nc))
-	if cdc.Tel.TracingEnabled() {
-		// Per-chunk worker spans: each lands on its own track exactly
-		// while chunks overlap, so the trace shows pool utilization.
-		inner := fn
-		fn = func(lo, hi int) {
-			sp := cdc.Tel.Begin("codec", "chunk",
-				telemetry.Int("lo", int64(lo)), telemetry.Int("hi", int64(hi)))
-			inner(lo, hi)
-			sp.End()
-		}
-	}
-	cdc.pool().ForEach(nc, func(c int) {
-		fn(c*ce, min((c+1)*ce, n))
-	})
-}
-
 // EncodeStashInto encodes a feature map per the assignment into a
 // caller-owned container, chunk-parallel on the codec's pool; the output is
 // byte-identical to a serial encode at every worker count. The input tensor
@@ -215,25 +159,9 @@ func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment,
 		if err == nil {
 			held = e.Bytes()
 		}
-		cdc.observe("encode", tech, start, held, err)
+		cdc.observe(opEncode, tech, start, held, err)
 	}
 	return err
-}
-
-// observe records one codec operation: latency histogram, call and byte
-// counters (all keyed by technique), an error counter, and — when the
-// sink has tracing armed — a complete trace event covering the call.
-func (cdc Codec) observe(op string, tech Technique, start time.Time, bytes int64, err error) {
-	name := op + "." + tech.String()
-	cdc.Tel.Histogram("codec." + name + ".ns").Observe(time.Since(start).Nanoseconds())
-	cdc.Tel.Counter("codec." + name + ".calls").Inc()
-	if bytes > 0 {
-		cdc.Tel.Counter("codec." + name + ".bytes").Add(bytes)
-	}
-	if err != nil {
-		cdc.Tel.Counter("codec." + op + ".errors").Inc()
-	}
-	cdc.Tel.Complete("codec", name, start)
 }
 
 // EncodeStashAdaptiveInto encodes per the assignment, walking its fallback
@@ -250,12 +178,12 @@ func (cdc Codec) EncodeStashAdaptiveInto(e *EncodedStash, as *Assignment, t *ten
 		if !errors.Is(err, ErrStashTooLarge) {
 			break
 		}
-		cdc.Tel.Counter("codec.encode.fallbacks").Inc()
+		cdc.metrics().add(cFallbacks, 1)
 		fellBack = true
 		err = cdc.encodeTechInto(e, tech, as, t)
 	}
 	if errors.Is(err, ErrStashTooLarge) {
-		cdc.Tel.Counter("codec.encode.fallbacks").Inc()
+		cdc.metrics().add(cFallbacks, 1)
 		return true, cdc.encodeTechInto(e, DPR, as, t)
 	}
 	return fellBack, err
@@ -265,20 +193,19 @@ func (cdc Codec) EncodeStashAdaptiveInto(e *EncodedStash, as *Assignment, t *ten
 // allocates a fresh one): each chunk owns whole 64-bit words (chunk
 // boundaries are 768-aligned).
 func (cdc Codec) fromPositiveInto(m *bitpack.BitMask, xs []float32) *bitpack.BitMask {
+	m = resetMask(m, len(xs))
+	t := cdc.elemTask(fillPositive, len(xs))
+	t.mask, t.src = m, xs
+	cdc.forChunks(t)
+	return m
+}
+
+// resetMask returns m reset to n clear bits, or a new mask when m is nil.
+func resetMask(m *bitpack.BitMask, n int) *bitpack.BitMask {
 	if m == nil {
-		m = bitpack.NewBitMask(len(xs))
-	} else {
-		m.Reset(len(xs))
+		return bitpack.NewBitMask(n)
 	}
-	if ce, serial := cdc.serialChunks(len(xs)); serial {
-		for lo := 0; lo < len(xs); lo += ce {
-			m.FillPositiveRange(xs, lo, min(lo+ce, len(xs)))
-		}
-	} else {
-		cdc.forChunks(len(xs), func(lo, hi int) {
-			m.FillPositiveRange(xs, lo, hi)
-		})
-	}
+	m.Reset(n)
 	return m
 }
 
@@ -292,18 +219,9 @@ func (cdc Codec) quantizedCopy(f floatenc.Format, xs []float32) []float32 {
 	} else {
 		dst = make([]float32, len(xs))
 	}
-	if ce, serial := cdc.serialChunks(len(xs)); serial {
-		for lo := 0; lo < len(xs); lo += ce {
-			hi := min(lo+ce, len(xs))
-			copy(dst[lo:hi], xs[lo:hi])
-			floatenc.QuantizeSlice(f, dst[lo:hi])
-		}
-	} else {
-		cdc.forChunks(len(xs), func(lo, hi int) {
-			copy(dst[lo:hi], xs[lo:hi])
-			floatenc.QuantizeSlice(f, dst[lo:hi])
-		})
-	}
+	t := cdc.elemTask(quantizeCopy, len(xs))
+	t.src, t.dst, t.format = xs, dst, f
+	cdc.forChunks(t)
 	return dst
 }
 
@@ -316,15 +234,9 @@ func (cdc Codec) encodePackedInto(p *floatenc.Packed, f floatenc.Format, xs []fl
 	} else {
 		p.Reset(f, len(xs))
 	}
-	if ce, serial := cdc.serialChunks(len(xs)); serial {
-		for lo := 0; lo < len(xs); lo += ce {
-			p.EncodeRange(xs, lo, min(lo+ce, len(xs)))
-		}
-	} else {
-		cdc.forChunks(len(xs), func(lo, hi int) {
-			p.EncodeRange(xs, lo, hi)
-		})
-	}
+	t := cdc.elemTask(packRange, len(xs))
+	t.packed, t.src = p, xs
+	cdc.forChunks(t)
 	return p
 }
 
@@ -367,7 +279,7 @@ func (cdc Codec) DecodeInto(dst *tensor.Tensor, e *EncodedStash) error {
 		if err == nil {
 			raw = dst.Bytes()
 		}
-		cdc.observe("decode", e.Tech, start, raw, err)
+		cdc.observe(opDecode, e.Tech, start, raw, err)
 	}
 	return err
 }
@@ -434,7 +346,7 @@ func (cdc Codec) Seal(e *EncodedStash) {
 func (cdc Codec) Verify(e *EncodedStash) error {
 	err := cdc.verify(e)
 	if err != nil && cdc.Tel != nil {
-		cdc.Tel.Counter("codec.crc.failures").Inc()
+		cdc.metrics().add(cCRCFailures, 1)
 		args := []telemetry.Arg{telemetry.Str("tech", e.Tech.String())}
 		var ce *ChunkError
 		if errors.As(err, &ce) {

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -102,27 +103,45 @@ func TestMarshalRoundTrip(t *testing.T) {
 // FuzzDecodeEncodedStash feeds arbitrary bytes through the full untrusted
 // path — unmarshal, verify, decode — and requires typed errors, never a
 // panic or unbounded allocation, and that every accepted blob re-marshals
-// to exactly its input bytes. Seeds are valid serialized stashes (sealed
-// and unsealed, every technique) so mutations explore deep payload and
-// checksum handling, not just header rejection.
+// to exactly its input bytes. The in-place forms must agree with the
+// allocating ones: parsing into a dirty container that last held another
+// technique accepts and rejects exactly what a fresh parse does and yields
+// the same stash, and AppendBinary(prefix) is prefix + MarshalBinary().
+// Seeds are valid serialized stashes (sealed and unsealed, every technique)
+// so mutations explore deep payload and checksum handling, not just header
+// rejection.
 func FuzzDecodeEncodedStash(f *testing.F) {
-	for _, seed := range fuzzSeeds(f) {
+	seeds := fuzzSeeds(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	codec := Codec{Pool: parallel.NewPool(2), ChunkElems: 768}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := UnmarshalStash(data)
+		dirty := dirtyContainer(t, seeds, data)
+		if errInto := UnmarshalStashInto(dirty, data); (errInto == nil) != (err == nil) {
+			t.Fatalf("fresh parse error %v, parse into a dirty container %v", err, errInto)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptStash) && !errors.Is(err, ErrNoTechnique) {
 				t.Fatalf("unmarshal error %v is not a typed stash error", err)
 			}
 			return
 		}
+		assertStashesIdentical(t, e, dirty, "parse into a dirty container")
+		if e.Sealed() != dirty.Sealed() || e.Bytes() != dirty.Bytes() {
+			t.Fatalf("dirty-container parse: sealed %v bytes %d, fresh %v %d",
+				dirty.Sealed(), dirty.Bytes(), e.Sealed(), e.Bytes())
+		}
 		// The wire is canonical: an accepted blob re-marshals to itself.
 		if b, err := e.MarshalBinary(); err != nil {
 			t.Fatalf("re-marshal of accepted stash failed: %v", err)
 		} else if !bytes.Equal(b, data) {
 			t.Fatalf("accepted %d bytes re-marshal to %d different bytes", len(data), len(b))
+		}
+		prefix := append(make([]byte, 0, 8), "pfx"...)
+		if b, err := dirty.AppendBinary(prefix); err != nil || !bytes.Equal(b, append([]byte("pfx"), data...)) {
+			t.Fatalf("AppendBinary(prefix) = %d bytes, %v; want the prefix and the %d input bytes", len(b), err, len(data))
 		}
 		if err := codec.Verify(e); err != nil {
 			if !errors.Is(err, ErrCorruptStash) {
@@ -141,6 +160,27 @@ func FuzzDecodeEncodedStash(f *testing.F) {
 			t.Fatalf("decode returned %d elements for shape %v", len(dec.Data), e.Shape)
 		}
 	})
+}
+
+// dirtyContainer parses the first seed of another technique than data's
+// into a fresh container: what UnmarshalStashInto must overwrite.
+func dirtyContainer(t *testing.T, seeds [][]byte, data []byte) *EncodedStash {
+	t.Helper()
+	var tech uint32 = 1 << 31 // unknown tag: any seed will do
+	if len(data) >= 8 {
+		tech = binary.LittleEndian.Uint32(data[4:8])
+	}
+	for _, seed := range seeds {
+		if binary.LittleEndian.Uint32(seed[4:8]) != tech {
+			e, err := UnmarshalStash(seed)
+			if err != nil {
+				t.Fatalf("seed does not parse: %v", err)
+			}
+			return e
+		}
+	}
+	t.Fatal("every seed has the input's technique")
+	return nil
 }
 
 // TestDecodeNeverPanicsOnTruncations runs every truncation prefix of every

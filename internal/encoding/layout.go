@@ -94,6 +94,31 @@ func (s *segment) put(buf []byte, lo, hi int) {
 	}
 }
 
+// loadSegment fills the segment's items from buf, little-endian — the
+// inverse of put. The caller sized the arrays to buf.
+func loadSegment(s segment, buf []byte) {
+	switch {
+	case s.u64 != nil:
+		for i := range s.u64 {
+			s.u64[i] = binary.LittleEndian.Uint64(buf[8*i:])
+		}
+	case s.u32 != nil:
+		for i := range s.u32 {
+			s.u32[i] = binary.LittleEndian.Uint32(buf[4*i:])
+		}
+	case s.i32 != nil:
+		for i := range s.i32 {
+			s.i32[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+	case s.f32 != nil:
+		for i := range s.f32 {
+			s.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+	default:
+		copy(s.u8, buf)
+	}
+}
+
 // flip inverts bit i of the segment's serialised form.
 func (s *segment) flip(i int) {
 	switch {
@@ -314,14 +339,14 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 	if !l.chunkable {
 		return 0, nil, false
 	}
-	var pieces []uint32 // nil: each piece is hashed inline by the roll-up loop
-	if !cdc.inlineChunks(l.nc) {
-		buf := crcScratch.Get().(*[]uint32)
-		defer crcScratch.Put(buf)
-		*buf = resized(*buf, l.nseg*l.nc)
-		pieces = *buf
-		cdc.hashPieces(l, pieces)
-	}
+	buf := crcScratch.Get().(*[]uint32)
+	defer crcScratch.Put(buf)
+	*buf = resized(*buf, l.nseg*l.nc)
+	pieces := *buf
+	t := newChunkTask(hashChunk, l.n, l.ce)
+	t.layout, t.pieces = l, pieces
+	cdc.run(l.nc, t)
+
 	full = l.headerCRC(e)
 	chunks = resized(dst, l.nc)
 	for k := range l.segs[:l.nseg] {
@@ -329,12 +354,7 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 		_, size := s.shape()
 		for c := range chunks {
 			lo, hi := l.chunkItems(s, c)
-			var piece uint32
-			if pieces != nil {
-				piece = pieces[k*l.nc+c]
-			} else {
-				piece = s.crc(0, lo, hi)
-			}
+			piece := pieces[k*l.nc+c]
 			bytes := int64(hi-lo) * int64(size)
 			full = crc32Combine(full, piece, bytes)
 			if k == 0 {
@@ -347,14 +367,13 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 	return full, chunks, true
 }
 
-// hashPieces fills pieces[k·nc+c] with the CRC of segment k's share of
-// chunk c, on the pool. It is its own function, taking the layout by
-// value, so that the closure's capture does not make the caller's layout
-// escape on the inline path as well.
-func (cdc Codec) hashPieces(l payloadLayout, pieces []uint32) {
-	cdc.pool().ForEach(len(pieces), func(t int) {
-		s := &l.segs[t/l.nc]
-		lo, hi := l.chunkItems(s, t%l.nc)
-		pieces[t] = s.crc(0, lo, hi)
-	})
+// hashChunk is the seal/verify kernel: it hashes chunk c's piece of every
+// segment into pieces[k·nc+c].
+func hashChunk(t *chunkTask, c int) {
+	l := &t.layout
+	for k := range l.segs[:l.nseg] {
+		s := &l.segs[k]
+		lo, hi := l.chunkItems(s, c)
+		t.pieces[k*l.nc+c] = s.crc(0, lo, hi)
+	}
 }

@@ -3,17 +3,15 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-
-	"gist/internal/tensor"
+	"slices"
 )
 
 // Binary serialization of an EncodedStash — the payload of a spill page and
 // the input of the decode fuzzer. The format is little-endian throughout and
-// self-describing enough that UnmarshalStash can rebuild the exact in-memory
-// structures (including the seal) or reject the bytes with a typed error; it
-// never panics, whatever the input. It is canonical: every blob
-// UnmarshalStash accepts re-marshals to the same bytes.
+// self-describing enough that UnmarshalStashInto can rebuild the exact
+// in-memory structures (including the seal) or reject the bytes with a typed
+// error; it never panics, whatever the input. It is canonical: every blob
+// UnmarshalStashInto accepts re-marshals to the same bytes.
 
 // stashMagic leads every serialized stash, whatever its technique.
 var stashMagic = [4]byte{'G', 'S', 'T', '2'}
@@ -29,15 +27,27 @@ const (
 
 // MarshalBinary serializes the stash: magic, technique, seal word (0 or 1),
 // chunk layout, shape, technique-specific payload, and (when sealed) the
-// checksum plus per-chunk CRCs.
+// checksum plus per-chunk CRCs. It is AppendBinary(nil).
 func (e *EncodedStash) MarshalBinary() ([]byte, error) {
+	b, err := e.AppendBinary(nil)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// AppendBinary appends the stash's serialized form (see MarshalBinary) to
+// dst and returns the extended slice, growing it at most once: a caller that
+// keeps its buffer — the spill store's page buffer — serializes without
+// allocating. On error dst is returned unchanged.
+func (e *EncodedStash) AppendBinary(dst []byte) ([]byte, error) {
 	impl, ok := techImpl(e.Tech)
 	if !ok {
-		return nil, fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
+		return dst, fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
 	}
-	// One allocation: the fixed fields are at most 44 bytes (20 of header,
-	// 16 of Entropy's payload header, 8 of seal) and the layout knows the rest.
-	out := make([]byte, 0, 44+4*len(e.Shape)+int(e.Bytes())+4*len(e.ChunkCRCs))
+	// One growth: the fixed fields are at most 44 bytes (20 of header, 16 of
+	// Entropy's payload header, 8 of seal) and the layout knows the rest.
+	out := slices.Grow(dst, 44+4*len(e.Shape)+int(e.Bytes())+4*len(e.ChunkCRCs))
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
 	out = append(out, stashMagic[:]...)
 	u32(uint32(e.Tech))
@@ -53,7 +63,7 @@ func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 	}
 	out, err := impl.marshalPayload(e, out)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if e.sealed {
 		u32(e.Checksum)
@@ -65,7 +75,8 @@ func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 
 // stashReader is a bounds-checked little-endian cursor over serialized
 // bytes; every read either succeeds or records an ErrCorruptStash-wrapped
-// error, so parsing code never indexes past the buffer.
+// error, so parsing code never indexes past the buffer. It travels by value
+// through the technique plug point, which keeps a parse off the heap.
 type stashReader struct {
 	data []byte
 	off  int
@@ -78,6 +89,9 @@ func (r *stashReader) fail(format string, args ...any) {
 	}
 }
 
+// bytes returns the next n bytes, or nil once the input is short. A
+// payload array is sized only after its bytes are known to be there, so a
+// hostile count never drives an allocation.
 func (r *stashReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -96,45 +110,6 @@ func (r *stashReader) u32() uint32 {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
-}
-
-// u64s, words32 and f32s read n little-endian items into a fresh array,
-// bounds-checked as one block before anything is allocated.
-
-func (r *stashReader) u64s(n int) []uint64 {
-	b := r.bytes(8 * n)
-	if r.err != nil {
-		return nil
-	}
-	ws := make([]uint64, n)
-	for i := range ws {
-		ws[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return ws
-}
-
-func words32[T uint32 | int32](r *stashReader, n int) []T {
-	b := r.bytes(4 * n)
-	if r.err != nil {
-		return nil
-	}
-	ws := make([]T, n)
-	for i := range ws {
-		ws[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return ws
-}
-
-func (r *stashReader) f32s(n int) []float32 {
-	b := r.bytes(4 * n)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]float32, n)
-	for i := range vs {
-		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return vs
 }
 
 // count reads a u32 element count and validates it against the cap and the
@@ -156,15 +131,30 @@ func (r *stashReader) count(what string, cap, elemBytes int) int {
 	return n
 }
 
-// UnmarshalStash parses a serialized stash. Malformed or truncated input
-// returns an error wrapping ErrCorruptStash (ErrNoTechnique for an unknown
-// technique tag); the function never panics. A seal word other than 0 or 1
-// is malformed, so an accepted blob re-marshals to the same bytes. A
-// successfully parsed stash is structurally safe to Verify and DecodeInto —
-// those may still reject it with their own typed errors (bad checksum, shape
-// mismatch, invalid CSR).
+// UnmarshalStash parses a serialized stash into a new container: the
+// allocating form of UnmarshalStashInto.
 func UnmarshalStash(data []byte) (*EncodedStash, error) {
-	r := &stashReader{data: data}
+	e := &EncodedStash{}
+	if err := UnmarshalStashInto(e, data); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// UnmarshalStashInto parses a serialized stash into e, reusing e's backing
+// arrays when their capacity allows — a spilled stash is read back into the
+// container it was spilled from, so a steady-state spill round trip
+// allocates nothing. Malformed or truncated input returns an error wrapping
+// ErrCorruptStash (ErrNoTechnique for an unknown technique tag); the
+// function never panics. A seal word other than 0 or 1 is malformed, so an
+// accepted blob re-marshals to the same bytes. A successfully parsed stash
+// is structurally safe to Verify and DecodeInto — those may still reject it
+// with their own typed errors (bad checksum, shape mismatch, invalid CSR).
+// Payloads of other techniques e held are left in place for its next
+// encode, as the encode path leaves them. On error e's contents are
+// unspecified; reusing it remains valid.
+func UnmarshalStashInto(e *EncodedStash, data []byte) error {
+	r := stashReader{data: data}
 	if m := r.bytes(4); r.err == nil && [4]byte(m) != stashMagic {
 		r.fail("bad magic %q", m)
 	}
@@ -178,7 +168,7 @@ func UnmarshalStash(data []byte) (*EncodedStash, error) {
 		r.fail("chunk size %d outside [0,%d]", chunkElems, maxStashElems)
 	}
 	rank := r.count("shape dim", maxStashDims, 4)
-	shape := make(tensor.Shape, 0, rank)
+	e.Shape = e.Shape[:0]
 	elems := 1
 	for i := 0; i < rank; i++ {
 		d := int(r.u32())
@@ -190,24 +180,29 @@ func UnmarshalStash(data []byte) (*EncodedStash, error) {
 			break
 		}
 		elems *= max(d, 1)
-		shape = append(shape, d)
+		e.Shape = append(e.Shape, d)
 	}
-	e := &EncodedStash{Tech: tech, Shape: shape, ChunkElems: chunkElems}
+	e.Tech, e.ChunkElems = tech, chunkElems
+	e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
 	if impl, okT := techImpl(tech); okT {
-		impl.unmarshalPayload(e, r)
+		r = impl.unmarshalPayload(e, r)
 	} else if r.err == nil {
-		return nil, fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
+		return fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
 	}
 	if sealed == 1 && r.err == nil {
 		e.Checksum = r.u32()
-		e.ChunkCRCs = words32[uint32](r, r.count("chunk crc", maxStashElems, 4))
-		e.sealed = true
+		nc := r.count("chunk crc", maxStashElems, 4)
+		if b := r.bytes(4 * nc); r.err == nil {
+			e.ChunkCRCs = resized(e.ChunkCRCs, nc)
+			loadSegment(segment{u32: e.ChunkCRCs}, b)
+			e.sealed = true
+		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(r.data) {
-		return nil, fmt.Errorf("%w: unmarshal: %d trailing bytes", ErrCorruptStash, len(r.data)-r.off)
+		return fmt.Errorf("%w: unmarshal: %d trailing bytes", ErrCorruptStash, len(r.data)-r.off)
 	}
-	return e, nil
+	return nil
 }

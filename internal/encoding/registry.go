@@ -45,9 +45,10 @@ type techniqueImpl interface {
 	layout(e *EncodedStash, ce int) payloadLayout
 
 	// marshalPayload appends the wire payload to out; unmarshalPayload
-	// parses it back through the bounds-checked reader.
+	// parses it back into e's payload, reusing its arrays, through the
+	// bounds-checked reader, and returns the advanced reader.
 	marshalPayload(e *EncodedStash, out []byte) ([]byte, error)
-	unmarshalPayload(e *EncodedStash, r *stashReader)
+	unmarshalPayload(e *EncodedStash, r stashReader) stashReader
 
 	// planBytes is the planning-time footprint model: the predicted
 	// encoded bytes of an n-element stash at the given sparsity and DPR

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"gist/internal/bitpack"
 	"gist/internal/floatenc"
 	"gist/internal/tensor"
 )
@@ -29,15 +28,9 @@ func (binarizeTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) e
 	if e.Mask == nil || e.Mask.Len() != len(out.Data) {
 		return fmt.Errorf("%w: mask %d bits, shape %v", ErrShapeMismatch, maskBits(e.Mask), e.Shape)
 	}
-	if ce, serial := cdc.serialChunks(len(out.Data)); serial {
-		for lo := 0; lo < len(out.Data); lo += ce {
-			e.Mask.ExpandRange(out.Data, lo, min(lo+ce, len(out.Data)))
-		}
-	} else {
-		cdc.forChunks(len(out.Data), func(lo, hi int) {
-			e.Mask.ExpandRange(out.Data, lo, hi)
-		})
-	}
+	task := cdc.elemTask(expandMask, len(out.Data))
+	task.mask, task.dst = e.Mask, out.Data
+	cdc.forChunks(task)
 	return nil
 }
 
@@ -60,12 +53,13 @@ func (binarizeTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) 
 	return appendSegment(out, segment{u64: e.Mask.Words()}), nil
 }
 
-func (binarizeTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
+func (binarizeTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
 	n := r.count("mask bit", maxStashElems, 0)
-	words := r.u64s((n + 63) / 64)
-	if r.err == nil {
-		e.Mask = bitpack.MaskFromWords(n, words)
+	if words := r.bytes(8 * ((n + 63) / 64)); r.err == nil {
+		e.Mask = resetMask(e.Mask, n)
+		loadSegment(segment{u64: e.Mask.Words()}, words)
 	}
+	return r
 }
 
 func (binarizeTech) planBytes(elems int, sparsity float64, f floatenc.Format) int64 {

@@ -38,15 +38,9 @@ func (dprTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error 
 		return fmt.Errorf("%w: %d packed words for %d %s values",
 			ErrCorruptStash, len(e.Packed.Words), e.Packed.N, e.Packed.Format)
 	}
-	if ce, serial := cdc.serialChunks(len(out.Data)); serial {
-		for lo := 0; lo < len(out.Data); lo += ce {
-			e.Packed.DecodeRange(out.Data, lo, min(lo+ce, len(out.Data)))
-		}
-	} else {
-		cdc.forChunks(len(out.Data), func(lo, hi int) {
-			e.Packed.DecodeRange(out.Data, lo, hi)
-		})
-	}
+	task := cdc.elemTask(unpackRange, len(out.Data))
+	task.packed, task.dst = e.Packed, out.Data
+	cdc.forChunks(task)
 	return nil
 }
 
@@ -71,24 +65,26 @@ func (dprTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	return appendSegment(out, segment{u32: e.Packed.Words}), nil
 }
 
-func (dprTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
+func (dprTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
 	f := floatenc.Format(r.u32())
 	vpw, okFmt := packedValuesPerWord(f)
 	if r.err == nil && !okFmt {
 		r.fail("unknown packed format %d", int(f))
 	}
 	n := r.count("packed value", maxStashElems, 0)
-	p := &floatenc.Packed{Format: f, N: n}
+	nw := 0
 	if r.err == nil {
-		if nw := (n + vpw - 1) / vpw; nw*4 > len(r.data)-r.off {
-			r.fail("%d packed words exceed remaining bytes", nw)
-		} else {
-			p.Words = words32[uint32](r, nw)
+		nw = (n + vpw - 1) / vpw
+	}
+	if words := r.bytes(4 * nw); r.err == nil {
+		if e.Packed == nil {
+			e.Packed = &floatenc.Packed{}
 		}
+		p := e.Packed
+		p.Format, p.N, p.Words = f, n, resized(p.Words, nw)
+		loadSegment(segment{u32: p.Words}, words)
 	}
-	if r.err == nil {
-		e.Packed = p
-	}
+	return r
 }
 
 func (dprTech) planBytes(elems int, sparsity float64, f floatenc.Format) int64 {

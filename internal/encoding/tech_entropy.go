@@ -56,21 +56,16 @@ func (entropyTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *ten
 	ce := cdc.chunkElems()
 	vpw := as.Format.ValuesPerWord()
 	nc := (n + ce - 1) / ce
-	cdc.Tel.Counter("codec.chunks").Add(int64(nc))
-	serial := cdc.inlineChunks(nc)
+	cdc.metrics().add(cChunks, int64(nc))
 
 	// Phase 1, per chunk: histogram and code lengths, which fix the block's
 	// exact size. The code tables are staged at the head of Stream.
 	const tb = entropy.TableBytes
 	p.Lens = resized(p.Lens, nc)
 	p.Stream = resized(p.Stream, nc*tb)
-	if serial {
-		for c := 0; c < nc; c++ {
-			p.planChunk(c, ce, vpw)
-		}
-	} else {
-		cdc.pool().ForEach(nc, func(c int) { p.planChunk(c, ce, vpw) })
-	}
+	task := newChunkTask(planChunk, n, ce)
+	task.ent, task.vpw = p, vpw
+	cdc.run(nc, task)
 	total := p.blockOff(nc)
 	if dense := as.Format.PackedBytes(n); int64(total)+int64(nc)*4 >= dense {
 		return errEntropyLargerThanDense // known before a single code is written
@@ -85,13 +80,9 @@ func (entropyTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *ten
 		off -= int(p.Lens[c])
 		copy(p.Stream[off:off+tb], p.Stream[c*tb:(c+1)*tb])
 	}
-	if serial {
-		for c := 0; c < nc; c++ {
-			p.emitChunk(c, ce, vpw)
-		}
-	} else {
-		cdc.pool().ForEach(nc, func(c int) { p.emitChunk(c, ce, vpw) })
-	}
+	task = newChunkTask(emitChunk, n, ce)
+	task.ent, task.vpw = p, vpw
+	cdc.run(nc, task)
 	return nil
 }
 
@@ -113,15 +104,24 @@ func (p *EntropyPayload) blockOff(c int) int {
 	return off
 }
 
-func (p *EntropyPayload) planChunk(c, ce, vpw int) {
-	w0, w1 := p.chunkWords(c, ce, vpw)
+// planChunk and emitChunk are the two encode phases of chunk c, and
+// decodeBlock the decode of chunk c, as chunk kernels.
+
+func planChunk(t *chunkTask, c int) {
+	p := t.ent
+	w0, w1 := p.chunkWords(c, t.ce, t.vpw)
 	p.Lens[c] = uint32(entropy.Plan(p.Stream[c*entropy.TableBytes:], p.scratch.Words[w0:w1]))
 }
 
-func (p *EntropyPayload) emitChunk(c, ce, vpw int) {
-	w0, w1 := p.chunkWords(c, ce, vpw)
+func emitChunk(t *chunkTask, c int) {
+	p := t.ent
+	w0, w1 := p.chunkWords(c, t.ce, t.vpw)
 	off := p.blockOff(c)
 	entropy.Emit(p.Stream[off:off+int(p.Lens[c])], p.scratch.Words[w0:w1])
+}
+
+func decodeBlock(t *chunkTask, c int) {
+	t.errs[c] = t.ent.decodeChunk(t.dst, c, t.ce, t.vpw)
 }
 
 // decodeWindow is how many packed words decodeChunk stages at a time: the
@@ -179,21 +179,12 @@ func (entropyTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) er
 	if total := p.blockOff(nc); total != len(p.Stream) {
 		return fmt.Errorf("%w: entropy blocks total %d bytes, stream has %d", ErrCorruptStash, total, len(p.Stream))
 	}
-	cdc.Tel.Counter("codec.chunks").Add(int64(nc))
-	if cdc.inlineChunks(nc) {
-		for c := 0; c < nc; c++ {
-			if err := p.decodeChunk(out.Data, c, ce, vpw); err != nil {
-				return fmt.Errorf("%w: %v", ErrCorruptStash, err)
-			}
-		}
-		return nil
-	}
-	errs := make([]error, nc)
-	cdc.pool().ForEach(nc, func(c int) { errs[c] = p.decodeChunk(out.Data, c, ce, vpw) })
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorruptStash, err)
-		}
+	cdc.metrics().add(cChunks, int64(nc))
+	task := newChunkTask(decodeBlock, n, ce)
+	task.ent, task.vpw, task.dst = p, vpw, out.Data
+	task.errs = resized(task.errs, nc)
+	if err := cdc.run(nc, task); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorruptStash, err)
 	}
 	return nil
 }
@@ -239,19 +230,26 @@ func (entropyTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	return out, nil
 }
 
-func (entropyTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
+func (entropyTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
 	f := floatenc.Format(r.u32())
 	if _, okFmt := packedValuesPerWord(f); r.err == nil && !okFmt {
 		r.fail("unknown packed format %d", int(f))
 	}
 	n := r.count("entropy element", maxStashElems, 0)
 	nLens := r.count("entropy block", maxStashElems, 4)
-	lens := words32[uint32](r, nLens)
+	lens := r.bytes(4 * nLens)
 	sLen := r.count("entropy stream byte", maxStashElems*8, 1)
-	stream := append([]byte(nil), r.bytes(sLen)...)
-	if r.err == nil {
-		e.Ent = &EntropyPayload{Format: f, N: n, Lens: lens, Stream: stream}
+	if stream := r.bytes(sLen); r.err == nil {
+		if e.Ent == nil {
+			e.Ent = &EntropyPayload{}
+		}
+		p := e.Ent
+		p.Format, p.N = f, n
+		p.Lens = resized(p.Lens, nLens)
+		loadSegment(segment{u32: p.Lens}, lens)
+		p.Stream = append(p.Stream[:0], stream...)
 	}
+	return r
 }
 
 func (entropyTech) planBytes(elems int, sparsity float64, f floatenc.Format) int64 {

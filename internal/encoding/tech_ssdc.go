@@ -103,7 +103,7 @@ func (ssdcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	return appendSegment(out, segment{f32: e.CSR.Values}), nil
 }
 
-func (ssdcTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
+func (ssdcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
 	n := r.count("element", maxStashElems, 0)
 	cols := int(r.u32())
 	if r.err == nil && (cols <= 0 || cols > 256) {
@@ -113,17 +113,22 @@ func (ssdcTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
 	rows := 0
 	if r.err == nil {
 		rows = (n + cols - 1) / cols
-		if (rows+1)*4 > len(r.data)-r.off {
-			r.fail("row pointers for %d rows exceed remaining bytes", rows)
+	}
+	rowPtr := r.bytes(4 * (rows + 1))
+	colIdx := r.bytes(nnz)
+	if vals := r.bytes(4 * nnz); r.err == nil {
+		if e.CSR == nil {
+			e.CSR = &sparse.CSR{}
 		}
+		c := e.CSR
+		c.Rows, c.Cols, c.N = rows, cols, n
+		c.RowPtr = resized(c.RowPtr, rows+1)
+		loadSegment(segment{i32: c.RowPtr}, rowPtr)
+		c.ColIdx = append(c.ColIdx[:0], colIdx...)
+		c.Values = resized(c.Values, nnz)
+		loadSegment(segment{f32: c.Values}, vals)
 	}
-	csr := &sparse.CSR{Rows: rows, Cols: cols, N: n}
-	csr.RowPtr = words32[int32](r, rows+1)
-	csr.ColIdx = append([]uint8(nil), r.bytes(nnz)...)
-	csr.Values = r.f32s(nnz)
-	if r.err == nil {
-		e.CSR = csr
-	}
+	return r
 }
 
 func (ssdcTech) planBytes(elems int, sparsity float64, f floatenc.Format) int64 {

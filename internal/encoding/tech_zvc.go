@@ -59,21 +59,11 @@ func (zvcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.
 	}
 	z := e.ZVC
 	n := len(data)
-	if z.Mask == nil {
-		z.Mask = bitpack.NewBitMask(n)
-	} else {
-		z.Mask.Reset(n)
-	}
+	z.Mask = resetMask(z.Mask, n)
 	// Pass 1: the nonzero mask, chunk-parallel (chunks own whole words).
-	if ce, serial := cdc.serialChunks(n); serial {
-		for lo := 0; lo < n; lo += ce {
-			z.Mask.FillNonzeroRange(data, lo, min(lo+ce, n))
-		}
-	} else {
-		cdc.forChunks(n, func(lo, hi int) {
-			z.Mask.FillNonzeroRange(data, lo, hi)
-		})
-	}
+	task := cdc.elemTask(fillNonzero, n)
+	task.mask, task.src = z.Mask, data
+	cdc.forChunks(task)
 	nnz := z.Mask.PopCount()
 	if cap(z.Values) >= nnz {
 		z.Values = z.Values[:nnz]
@@ -82,19 +72,10 @@ func (zvcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.
 	}
 	// Pass 2: compact the nonzeros. Each chunk's output offset is the
 	// mask popcount before it, a pure function of the mask, so the value
-	// layout is byte-identical at every worker count. The serial loop
-	// carries the offset instead of rescanning.
-	if ce, serial := cdc.serialChunks(n); serial {
-		off := 0
-		for lo := 0; lo < n; lo += ce {
-			off += z.Mask.GatherNonzero(data, lo, min(lo+ce, n), z.Values[off:])
-		}
-	} else {
-		cdc.forChunks(n, func(lo, hi int) {
-			start := z.Mask.PopCountRange(0, lo)
-			z.Mask.GatherNonzero(data, lo, hi, z.Values[start:])
-		})
-	}
+	// layout is byte-identical at every worker count.
+	task = cdc.elemTask(gatherNonzero, n)
+	task.mask, task.src, task.vals = z.Mask, data, z.Values
+	cdc.forChunks(task)
 	if pooledScratch {
 		cdc.Buf.RecycleSlice(data)
 	}
@@ -122,18 +103,28 @@ func (zvcTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error 
 	if nnz := z.Mask.PopCount(); len(z.Values) != nnz {
 		return fmt.Errorf("%w: ZVC mask selects %d values, payload has %d", ErrCorruptStash, nnz, len(z.Values))
 	}
-	if ce, serial := cdc.serialChunks(n); serial {
-		off := 0
-		for lo := 0; lo < n; lo += ce {
-			off += z.Mask.ScatterNonzero(out.Data, lo, min(lo+ce, n), z.Values[off:])
-		}
-	} else {
-		cdc.forChunks(n, func(lo, hi int) {
-			start := z.Mask.PopCountRange(0, lo)
-			z.Mask.ScatterNonzero(out.Data, lo, hi, z.Values[start:])
-		})
-	}
+	task := cdc.elemTask(scatterNonzero, n)
+	task.mask, task.dst, task.vals = z.Mask, out.Data, z.Values
+	cdc.forChunks(task)
 	return nil
+}
+
+// The ZVC chunk kernels. A chunk's offset into the value array is the mask
+// popcount before it.
+
+func fillNonzero(t *chunkTask, c int) {
+	lo, hi := t.span(c)
+	t.mask.FillNonzeroRange(t.src, lo, hi)
+}
+
+func gatherNonzero(t *chunkTask, c int) {
+	lo, hi := t.span(c)
+	t.mask.GatherNonzero(t.src, lo, hi, t.vals[t.mask.PopCountRange(0, lo):])
+}
+
+func scatterNonzero(t *chunkTask, c int) {
+	lo, hi := t.span(c)
+	t.mask.ScatterNonzero(t.dst, lo, hi, t.vals[t.mask.PopCountRange(0, lo):])
 }
 
 // zvcBits is the nil-tolerant mask length for error messages.
@@ -172,14 +163,21 @@ func (zvcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 	return appendSegment(out, segment{f32: z.Values}), nil
 }
 
-func (zvcTech) unmarshalPayload(e *EncodedStash, r *stashReader) {
+func (zvcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
 	n := r.count("ZVC mask bit", maxStashElems, 0)
 	nnz := r.count("ZVC value", maxStashElems, 4)
-	words := r.u64s((n + 63) / 64)
-	vals := r.f32s(nnz)
-	if r.err == nil {
-		e.ZVC = &ZVCPayload{Mask: bitpack.MaskFromWords(n, words), Values: vals}
+	words := r.bytes(8 * ((n + 63) / 64))
+	if vals := r.bytes(4 * nnz); r.err == nil {
+		if e.ZVC == nil {
+			e.ZVC = &ZVCPayload{}
+		}
+		z := e.ZVC
+		z.Mask = resetMask(z.Mask, n)
+		loadSegment(segment{u64: z.Mask.Words()}, words)
+		z.Values = resized(z.Values, nnz)
+		loadSegment(segment{f32: z.Values}, vals)
 	}
+	return r
 }
 
 func (zvcTech) planBytes(elems int, sparsity float64, f floatenc.Format) int64 {

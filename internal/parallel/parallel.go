@@ -11,6 +11,13 @@
 // slots are free, so a task already running on the pool can fan out again
 // without waiting on slots it transitively occupies. A nil *Pool is valid
 // and runs everything serially.
+//
+// ForEach never allocates. Its body is a Task, which the hot callers pass
+// as a pointer to a recycled task object carrying the call's arguments,
+// and everything one parallel call shares with its helpers is itself one
+// recycled object. So a kernel has exactly one path — it dispatches
+// through ForEach at every worker count and chunk count, one worker and
+// one chunk included — and that path puts nothing on the heap.
 package parallel
 
 import (
@@ -26,7 +33,7 @@ import (
 // pointer load and nil check per ForEach/Run call, never a name lookup.
 type poolMetrics struct {
 	forEach   *telemetry.Counter   // ForEach invocations
-	tasks     *telemetry.Counter   // individual fn(i) executions
+	tasks     *telemetry.Counter   // individual Task.Do(i) executions
 	helpers   *telemetry.Counter   // helper goroutines actually spawned
 	saturated *telemetry.Counter   // ForEach calls that found the pool full
 	busyNS    *telemetry.Histogram // per-participant busy time inside ForEach
@@ -86,15 +93,32 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// ForEach runs fn(i) for every i in [0, n) and returns when all calls have
+// Task is the body of a ForEach call: Do(i) runs index i. Holding a Task
+// does not allocate when it is a pointer, so a caller that keeps its
+// per-call arguments in a recycled task object dispatches for free.
+type Task interface {
+	Do(i int)
+}
+
+// Func adapts a plain function to a Task. The conversion itself is free,
+// but a func literal that captures variables is a heap closure once ForEach
+// holds it: pass a func value bound once (a method value stored at
+// construction) or a recycled task object on a path that must not allocate.
+type Func func(i int)
+
+// Do runs f(i).
+func (f Func) Do(i int) { f(i) }
+
+// ForEach runs t.Do(i) for every i in [0, n) and returns when all calls have
 // completed. The calling goroutine always participates, and up to
 // Workers()-1 helper goroutines join while pool slots are free — slot
 // acquisition never blocks, so nested ForEach calls from tasks already on
 // the pool degrade to serial instead of deadlocking. Iteration order across
-// goroutines is unspecified; callers must make fn(i) touch disjoint state
-// (the chunked kernels write disjoint word/row ranges). A panic in fn is
-// re-raised on the caller after the remaining work drains.
-func (p *Pool) ForEach(n int, fn func(i int)) {
+// goroutines is unspecified; callers must make t.Do(i) touch disjoint state
+// (the chunked kernels write disjoint word/row ranges). A panic in t.Do is
+// re-raised on the caller after the remaining work drains. ForEach itself
+// allocates nothing (TestForEachAllocs).
+func (p *Pool) ForEach(n int, t Task) {
 	if n <= 0 {
 		return
 	}
@@ -104,22 +128,21 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		pm.tasks.Add(int64(n))
 	}
 	if p == nil || p.workers <= 1 || n == 1 {
+		var start time.Time
 		if pm != nil {
-			start := time.Now()
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-			pm.busyNS.Observe(time.Since(start).Nanoseconds())
-			return
+			start = time.Now()
 		}
 		for i := 0; i < n; i++ {
-			fn(i)
+			t.Do(i)
+		}
+		if pm != nil {
+			pm.busyNS.Observe(time.Since(start).Nanoseconds())
 		}
 		return
 	}
 
 	s := forEachStates.Get().(*forEachState)
-	s.n, s.fn, s.pm, s.sem = n, fn, pm, p.sem
+	s.n, s.t, s.pm, s.sem = n, t, pm, p.sem
 	helpers := p.workers - 1
 	if helpers > n-1 {
 		helpers = n - 1
@@ -144,7 +167,7 @@ spawn:
 	s.wg.Wait()
 	panicked := s.panicked
 	s.next.Store(0)
-	s.panicked, s.fn = nil, nil
+	s.panicked, s.t = nil, nil
 	forEachStates.Put(s)
 	if panicked != nil {
 		panic(panicked)
@@ -154,7 +177,7 @@ spawn:
 // forEachState is everything one parallel ForEach call shares with its
 // helpers, gathered into a single recycled object: the call itself puts
 // nothing on the heap. A state goes back to the pool only once every helper
-// has finished with it; a call that unwinds early (fn panicked on the
+// has finished with it; a call that unwinds early (Do panicked on the
 // caller's own goroutine) leaves its state to the garbage collector.
 type forEachState struct {
 	next     atomic.Int64 // next index to hand out
@@ -163,7 +186,7 @@ type forEachState struct {
 	panicked any // first panic recovered from a helper
 
 	n   int
-	fn  func(i int)
+	t   Task
 	pm  *poolMetrics
 	sem chan struct{}
 
@@ -189,7 +212,7 @@ func (s *forEachState) work() {
 		if i >= s.n {
 			break
 		}
-		s.fn(i)
+		s.t.Do(i)
 	}
 	if s.pm != nil {
 		s.pm.busyNS.Observe(time.Since(start).Nanoseconds())

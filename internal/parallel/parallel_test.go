@@ -20,7 +20,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 			}
 			p := NewPool(workers)
 			counts := make([]atomic.Int32, n)
-			p.ForEach(n, func(i int) { counts[i].Add(1) })
+			p.ForEach(n, Func(func(i int) { counts[i].Add(1) }))
 			for i := range counts {
 				if c := counts[i].Load(); c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, c)
@@ -36,7 +36,7 @@ func TestNilPoolRunsSerially(t *testing.T) {
 		t.Fatalf("nil pool workers = %d, want 1", w)
 	}
 	sum := 0
-	p.ForEach(10, func(i int) { sum += i }) // would race if not serial
+	p.ForEach(10, Func(func(i int) { sum += i })) // would race if not serial
 	if sum != 45 {
 		t.Fatalf("sum = %d, want 45", sum)
 	}
@@ -65,7 +65,7 @@ func TestNestedForEachDoesNotDeadlock(t *testing.T) {
 		wg.Add(1)
 		go p.Run(func() {
 			defer wg.Done()
-			p.ForEach(64, func(i int) { total.Add(1) })
+			p.ForEach(64, Func(func(i int) { total.Add(1) }))
 		})
 	}
 	wg.Wait() // deadlock here = failure (test times out)
@@ -113,7 +113,7 @@ func TestForEachAllocs(t *testing.T) {
 	}
 	p := NewPool(2)
 	var hits [64]atomic.Int32
-	fn := func(i int) { hits[i].Add(1) }
+	fn := Func(func(i int) { hits[i].Add(1) })
 	p.ForEach(len(hits), fn) // warm: the state pool and the goroutine free list
 	if a := testing.AllocsPerRun(100, func() { p.ForEach(len(hits), fn) }); a > 2 {
 		t.Fatalf("parallel ForEach allocates %v objects per call, want at most 2", a)
@@ -136,14 +136,14 @@ func TestForEachStateReuseAfterPanic(t *testing.T) {
 					t.Fatal("panic in fn was swallowed")
 				}
 			}()
-			p.ForEach(64, func(i int) {
+			p.ForEach(64, Func(func(i int) {
 				if i == 13 {
 					panic("boom")
 				}
-			})
+			}))
 		}()
 		var sum atomic.Int64
-		p.ForEach(64, func(i int) { sum.Add(int64(i)) })
+		p.ForEach(64, Func(func(i int) { sum.Add(int64(i)) }))
 		if got := sum.Load(); got != 64*63/2 {
 			t.Fatalf("round %d: sum after a panicked call = %d, want %d", round, got, 64*63/2)
 		}
@@ -157,11 +157,11 @@ func TestForEachPropagatesPanic(t *testing.T) {
 			t.Fatal("panic in fn was swallowed")
 		}
 	}()
-	p.ForEach(100, func(i int) {
+	p.ForEach(100, Func(func(i int) {
 		if i == 37 {
 			panic("boom")
 		}
-	})
+	}))
 }
 
 // TestSharedPoolHammer drives one shared pool from many goroutines at once,
@@ -174,7 +174,7 @@ func TestSharedPoolHammer(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			out := make([]int, 512)
-			p.ForEach(len(out), func(i int) { out[i] = seed + i })
+			p.ForEach(len(out), Func(func(i int) { out[i] = seed + i }))
 			for i := range out {
 				if out[i] != seed+i {
 					t.Errorf("goroutine %d: out[%d] = %d", seed, i, out[i])

@@ -14,7 +14,7 @@ func TestPoolTelemetry(t *testing.T) {
 
 	p := NewPool(4)
 	var hits [64]int
-	p.ForEach(len(hits), func(i int) { hits[i]++ })
+	p.ForEach(len(hits), Func(func(i int) { hits[i]++ }))
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d ran %d times", i, h)
@@ -52,7 +52,7 @@ func TestPoolTelemetryDisabled(t *testing.T) {
 	p := NewPool(1)
 	n := 0
 	// Serial path with telemetry off must still run everything.
-	p.ForEach(8, func(i int) { n++ })
+	p.ForEach(8, Func(func(i int) { n++ }))
 	if n != 8 {
 		t.Fatalf("ran %d of 8", n)
 	}

@@ -28,7 +28,7 @@ var ErrNoShards = errors.New("reduce: no shards to merge")
 
 // Merger merges shard gradient vectors in a fixed pairwise tree order.
 // Construct one per replica group and reuse it every step: the chunk
-// worker closures are bound once, so the steady-state merge allocates
+// bodies are method values bound once, so the steady-state merge allocates
 // nothing. A Merger is not safe for concurrent Merge calls; each group
 // owns one.
 type Merger struct {
@@ -41,8 +41,8 @@ type Merger struct {
 	nChunks int
 	scale   float32
 
-	pairFn  func(i int)
-	scaleFn func(i int)
+	pairFn  parallel.Func
+	scaleFn parallel.Func
 }
 
 // NewMerger returns a merger that runs its chunked adds on the given pool

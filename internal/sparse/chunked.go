@@ -1,30 +1,66 @@
 package sparse
 
-import "gist/internal/parallel"
+import (
+	"sync"
 
-// EncodeCSRChunkedInto builds exactly the CSR that EncodeCSRInto would —
-// same RowPtr, ColIdx and Values, byte for byte, c's backing arrays reused
-// when capacity allows — but row-chunk-parallel on the pool. Rows are
-// independent under the narrow reshape, so the builder runs a count pass
-// (per-row non-zero counts across chunks), a cheap serial prefix sum over
-// the row pointers (rows = n/256, tiny next to n), and a fill pass in which
-// each chunk writes its precomputed ColIdx/Values segment. chunkRows is the
-// number of matrix rows per chunk.
+	"gist/internal/parallel"
+)
+
+// rowTask is one row-chunked CSR pass: the pass and every operand it reads,
+// in one recycled object, so a dispatch through the pool puts nothing on the
+// heap at any worker count.
+type rowTask struct {
+	pass      func(t *rowTask, r0, r1 int)
+	c         *CSR
+	xs, dst   []float32
+	rows      int
+	chunkRows int
+}
+
+var rowTasks = sync.Pool{New: func() any { return new(rowTask) }}
+
+// Do runs the pass over row chunk ci.
+func (t *rowTask) Do(ci int) {
+	r0 := ci * t.chunkRows
+	t.pass(t, r0, min(r0+t.chunkRows, t.rows))
+}
+
+// forRowChunks runs task's pass over every chunk of its rows on the pool,
+// through a recycled copy of task.
+func forRowChunks(p *parallel.Pool, task rowTask) {
+	if task.rows <= 0 {
+		return
+	}
+	if task.chunkRows <= 0 {
+		task.chunkRows = task.rows
+	}
+	t := rowTasks.Get().(*rowTask)
+	*t = task
+	p.ForEach((t.rows+t.chunkRows-1)/t.chunkRows, t)
+	*t = rowTask{}
+	rowTasks.Put(t)
+}
+
+func countPass(t *rowTask, r0, r1 int) {
+	CountRowNNZ(t.xs, t.c.Cols, r0, r1, t.c.RowPtr[r0+1:r1+1])
+}
+
+func fillPass(t *rowTask, r0, r1 int) { t.c.FillRows(t.xs, r0, r1) }
+
+func decodePass(t *rowTask, r0, r1 int) { t.c.DecodeRows(t.dst, r0, r1) }
+
+// EncodeCSRChunkedInto builds exactly the CSR that EncodeCSR would — same
+// RowPtr, ColIdx and Values, byte for byte, c's backing arrays reused when
+// capacity allows — row-chunk-parallel on the pool (nil or one worker runs
+// the same passes serially). Rows are independent under the narrow reshape,
+// so the builder runs a count pass (per-row non-zero counts across chunks),
+// a cheap serial prefix sum over the row pointers (rows = n/256, tiny next
+// to n), and a fill pass in which each chunk writes its precomputed
+// ColIdx/Values segment. chunkRows is the number of matrix rows per chunk
+// (<= 0: one chunk).
 func EncodeCSRChunkedInto(c *CSR, xs []float32, p *parallel.Pool, chunkRows int) {
 	cols := NarrowCols
 	rows := (len(xs) + cols - 1) / cols
-	if chunkRows <= 0 {
-		chunkRows = rows
-	}
-	nChunks := 0
-	if rows > 0 {
-		nChunks = (rows + chunkRows - 1) / chunkRows
-	}
-	if p.Workers() <= 1 || nChunks <= 1 {
-		EncodeCSRInto(c, xs)
-		return
-	}
-
 	c.Rows, c.Cols, c.N = rows, cols, len(xs)
 	if cap(c.RowPtr) < rows+1 {
 		c.RowPtr = make([]int32, rows+1)
@@ -32,20 +68,12 @@ func EncodeCSRChunkedInto(c *CSR, xs []float32, p *parallel.Pool, chunkRows int)
 		c.RowPtr = c.RowPtr[:rows+1]
 		c.RowPtr[0] = 0
 	}
-	p.ForEach(nChunks, func(ci int) {
-		r0 := ci * chunkRows
-		r1 := min(r0+chunkRows, rows)
-		CountRowNNZ(xs, cols, r0, r1, c.RowPtr[r0+1:r1+1])
-	})
+	forRowChunks(p, rowTask{pass: countPass, c: c, xs: xs, rows: rows, chunkRows: chunkRows})
 	for r := 0; r < rows; r++ {
 		c.RowPtr[r+1] += c.RowPtr[r]
 	}
 	c.resizeNNZ(int(c.RowPtr[rows]))
-	p.ForEach(nChunks, func(ci int) {
-		r0 := ci * chunkRows
-		r1 := min(r0+chunkRows, rows)
-		c.FillRows(xs, r0, r1)
-	})
+	forRowChunks(p, rowTask{pass: fillPass, c: c, xs: xs, rows: rows, chunkRows: chunkRows})
 }
 
 // DecodeChunked expands the CSR to dense form like Decode, row-chunk-
@@ -59,20 +87,6 @@ func (c *CSR) DecodeChunked(dst []float32, p *parallel.Pool, chunkRows int) []fl
 	if len(dst) != c.N {
 		panic("sparse: Decode length mismatch")
 	}
-	if chunkRows <= 0 {
-		chunkRows = c.Rows
-	}
-	nChunks := 0
-	if c.Rows > 0 {
-		nChunks = (c.Rows + chunkRows - 1) / chunkRows
-	}
-	if p.Workers() <= 1 || nChunks <= 1 {
-		return c.Decode(dst)
-	}
-	p.ForEach(nChunks, func(ci int) {
-		r0 := ci * chunkRows
-		r1 := min(r0+chunkRows, c.Rows)
-		c.DecodeRows(dst, r0, r1)
-	})
+	forRowChunks(p, rowTask{pass: decodePass, c: c, dst: dst, rows: c.Rows, chunkRows: chunkRows})
 	return dst
 }

@@ -63,26 +63,9 @@ func EncodeCSRCols(xs []float32, cols int) *CSR {
 // EncodeCSRInto builds exactly the CSR EncodeCSR would, in place, reusing
 // c's RowPtr/ColIdx/Values backing arrays when their capacity allows — the
 // pooled encode path rebuilds each layer's stash into a persistent
-// container instead of allocating three arrays per step.
-func EncodeCSRInto(c *CSR, xs []float32) {
-	cols := NarrowCols
-	rows := (len(xs) + cols - 1) / cols
-	c.Rows, c.Cols, c.N = rows, cols, len(xs)
-	if cap(c.RowPtr) < rows+1 {
-		c.RowPtr = make([]int32, rows+1)
-	} else {
-		c.RowPtr = c.RowPtr[:rows+1]
-		c.RowPtr[0] = 0
-	}
-	c.resizeNNZ(countNonzeros(xs))
-	k := 0
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		end := min(base+cols, len(xs))
-		k = gatherRow(c.ColIdx, c.Values, k, xs, base, end)
-		c.RowPtr[r+1] = int32(k)
-	}
-}
+// container instead of allocating three arrays per step. It is the
+// chunked builder run serially, as one chunk.
+func EncodeCSRInto(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, nil, 0) }
 
 // resizeNNZ sets ColIdx and Values to length nnz for the in-place encoders,
 // reusing their backing arrays when capacity allows. A short array is
@@ -193,23 +176,9 @@ func (c *CSR) DecodeRows(dst []float32, r0, r1 int) {
 }
 
 // Decode expands the CSR back to its dense form. dst must have length N; if
-// nil, a new slice is allocated. Decoding is exact: SSDC is lossless.
-func (c *CSR) Decode(dst []float32) []float32 {
-	if dst == nil {
-		dst = make([]float32, c.N)
-	}
-	if len(dst) != c.N {
-		panic("sparse: Decode length mismatch")
-	}
-	clear(dst)
-	for r := 0; r < c.Rows; r++ {
-		base := r * c.Cols
-		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-			dst[base+int(c.ColIdx[k])] = c.Values[k]
-		}
-	}
-	return dst
-}
+// nil, a new slice is allocated. Decoding is exact: SSDC is lossless. It is
+// the chunked decoder run serially, as one chunk.
+func (c *CSR) Decode(dst []float32) []float32 { return c.DecodeChunked(dst, nil, 0) }
 
 // Bytes returns the storage footprint: 4 bytes per value, 1 byte per column
 // index, 4 bytes per row pointer.

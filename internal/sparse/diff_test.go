@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gist/internal/parallel"
+	"gist/internal/race"
 )
 
 // Differential tests: the popcount-driven gather kernels against the
@@ -234,7 +235,9 @@ func TestEncodeCSRIntoAmortisedGrowth(t *testing.T) {
 		EncodeCSRInto(&c, xs)
 	}
 	runtime.ReadMemStats(&after)
-	if mallocs := after.Mallocs - before.Mallocs; mallocs > 20 {
+	// Under the race detector sync.Pool drops the recycled row tasks at
+	// random; the regrowth counts below still hold.
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 20 && !race.Enabled {
 		t.Fatalf("%d allocations over %d growing encodes, want <= 20", mallocs, steps)
 	}
 

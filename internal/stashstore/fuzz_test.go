@@ -1,6 +1,7 @@
 package stashstore
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -50,7 +51,7 @@ func FuzzReadSpillPage(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadPage(data)
+		p, err := readPage(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("non-ErrCorruptPage failure: %v", err)
@@ -64,17 +65,29 @@ func FuzzReadSpillPage(f *testing.F) {
 			t.Fatalf("accepted page with impossible size %d (input %d)", p.Size, len(data))
 		}
 		// An accepted page round-trips: re-appending its stash yields a
-		// page the parser accepts again with the same node.
+		// page the parser accepts again with the same node — the accepted
+		// page's own bytes, since the stash wire is canonical.
 		out, err := AppendPage(nil, uint32(p.Node), p.Stash)
 		if err != nil {
 			t.Fatalf("re-append accepted stash: %v", err)
 		}
-		p2, err := ReadPage(out)
+		if !bytes.Equal(out, data[:p.Size]) {
+			t.Fatalf("accepted %d-byte page re-appends to %d different bytes", p.Size, len(out))
+		}
+		p2, err := readPage(out)
 		if err != nil {
 			t.Fatalf("re-read re-appended page: %v", err)
 		}
 		if p2.Node != p.Node {
 			t.Fatalf("node changed across round trip: %d -> %d", p.Node, p2.Node)
+		}
+		// Reading into a container the fetch path reuses gives the same page.
+		node, size, err := ReadPage(p2.Stash, data)
+		if err != nil || node != p.Node || size != p.Size {
+			t.Fatalf("read into a used container: node %d size %d err %v, want %d %d", node, size, err, p.Node, p.Size)
+		}
+		if again, _ := AppendPage(nil, uint32(node), p2.Stash); !bytes.Equal(again, out) {
+			t.Fatal("read into a used container changed the stash")
 		}
 	})
 }

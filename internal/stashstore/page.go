@@ -41,70 +41,61 @@ const (
 // robustness accounting.
 var ErrCorruptPage = errors.New("stashstore: corrupt spill page")
 
-// Page is one parsed spill page.
-type Page struct {
-	// Node is the graph node ID the stash belongs to.
-	Node int
-	// Stash is the decoded-from-wire encoded stash, bit-identical to the
-	// one that was spilled (including its seal state and chunk CRCs).
-	Stash *encoding.EncodedStash
-	// Size is the number of input bytes the page occupied, so a reader can
-	// walk a file of concatenated pages.
-	Size int
-}
-
 // AppendPage appends one sealed spill page for enc (owned by graph node
-// `node`) to dst and returns the extended slice. The only error source is
-// stash marshalling itself.
+// `node`) to dst and returns the extended slice; the stash serializes
+// straight into dst (EncodedStash.AppendBinary), so a reused buffer makes a
+// page without allocating. The only error source is stash marshalling
+// itself, which leaves dst unchanged.
 func AppendPage(dst []byte, node uint32, enc *encoding.EncodedStash) ([]byte, error) {
-	payload, err := enc.MarshalBinary()
+	start := len(dst)
+	page := append(dst, pageMagic...)
+	page = binary.LittleEndian.AppendUint32(page, pageVersion)
+	page = binary.LittleEndian.AppendUint32(page, node)
+	page = binary.LittleEndian.AppendUint32(page, 0) // payload length, below
+	page, err := enc.AppendBinary(page)
 	if err != nil {
 		return dst, fmt.Errorf("stashstore: marshal stash for page: %w", err)
 	}
-	start := len(dst)
-	dst = append(dst, pageMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, pageVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, node)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	return dst, nil
+	binary.LittleEndian.PutUint32(page[start+12:], uint32(len(page)-start-pageHeader))
+	crc := crc32.ChecksumIEEE(page[start:])
+	return binary.LittleEndian.AppendUint32(page, crc), nil
 }
 
-// ReadPage parses one spill page from the front of data. Trailing bytes
-// (subsequent pages) are allowed; Page.Size says how many bytes this page
-// consumed. Every malformed input returns an error wrapping ErrCorruptPage;
-// the parser is bounded and never panics, which FuzzReadSpillPage enforces.
-func ReadPage(data []byte) (*Page, error) {
+// ReadPage parses one spill page from the front of data into stash,
+// reusing its arrays (encoding.UnmarshalStashInto), and returns the node
+// the page belongs to and the number of bytes it occupied — trailing bytes
+// (subsequent pages) are allowed, so a reader can walk a file of
+// concatenated pages. Every malformed input returns an error wrapping
+// ErrCorruptPage, after which the stash's contents are unspecified; the
+// parser is bounded and never panics, which FuzzReadSpillPage enforces.
+func ReadPage(stash *encoding.EncodedStash, data []byte) (node, size int, err error) {
 	if len(data) < pageHeader+pageTrailer {
-		return nil, fmt.Errorf("%w: %d bytes, need at least %d",
+		return 0, 0, fmt.Errorf("%w: %d bytes, need at least %d",
 			ErrCorruptPage, len(data), pageHeader+pageTrailer)
 	}
 	if string(data[:4]) != pageMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptPage, data[:4])
+		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorruptPage, data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != pageVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptPage, v)
+		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorruptPage, v)
 	}
-	node := binary.LittleEndian.Uint32(data[8:12])
+	node = int(binary.LittleEndian.Uint32(data[8:12]))
 	n := binary.LittleEndian.Uint32(data[12:16])
 	if n > maxPagePayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorruptPage, n)
+		return 0, 0, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorruptPage, n)
 	}
-	size := pageHeader + int(n) + pageTrailer
+	size = pageHeader + int(n) + pageTrailer
 	if len(data) < size {
-		return nil, fmt.Errorf("%w: short page, %d bytes of %d", ErrCorruptPage, len(data), size)
+		return 0, 0, fmt.Errorf("%w: short page, %d bytes of %d", ErrCorruptPage, len(data), size)
 	}
 	want := binary.LittleEndian.Uint32(data[size-pageTrailer : size])
 	if got := crc32.ChecksumIEEE(data[:size-pageTrailer]); got != want {
-		return nil, fmt.Errorf("%w: CRC 0x%08x, want 0x%08x", ErrCorruptPage, got, want)
+		return 0, 0, fmt.Errorf("%w: CRC 0x%08x, want 0x%08x", ErrCorruptPage, got, want)
 	}
-	stash, err := encoding.UnmarshalStash(data[pageHeader : pageHeader+int(n)])
-	if err != nil {
+	if err := encoding.UnmarshalStashInto(stash, data[pageHeader:pageHeader+int(n)]); err != nil {
 		// The CRC matched, so these bytes are what was written — the page
 		// was sealed around an already-bad payload (or a CRC collision).
-		return nil, fmt.Errorf("%w: stash payload: %v", ErrCorruptPage, err)
+		return 0, 0, fmt.Errorf("%w: stash payload: %v", ErrCorruptPage, err)
 	}
-	return &Page{Node: int(node), Stash: stash, Size: size}, nil
+	return node, size, nil
 }

@@ -6,6 +6,13 @@
 // leverage cDMA gets from compressing DMA traffic — so a model whose stash
 // working set exceeds RAM can still train.
 //
+// A spilled stash comes back into the container that was Put: Fetch parses
+// its page into that same EncodedStash (encoding.UnmarshalStashInto), so
+// Put lends the container to the store until Fetch returns it, and a
+// steady-state spill round trip allocates nothing. (The container itself
+// stays in memory while its page is on disk, so the budget bounds what the
+// hot tier accounts for, not the process's RAM.)
+//
 // Determinism is the design constraint. Eviction is a pure function of the
 // liveness analysis: when the hot tier overflows, the resident stash whose
 // first backward use lies furthest in the future is spilled (ties broken by
@@ -27,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -85,10 +93,12 @@ func (s *Stats) Accumulate(o Stats) {
 	s.SpillRead += o.SpillRead
 }
 
-// coldRef locates one spilled page in the scratch file.
+// coldRef locates one spilled page in the scratch file and the container
+// the page is read back into.
 type coldRef struct {
 	off int64
 	n   int
+	enc *encoding.EncodedStash
 }
 
 // Store is one tiered stash home. See the package comment for the
@@ -113,8 +123,11 @@ type Store struct {
 	coldBytes int64
 	f         *os.File
 	wOff      int64
-	page      []byte // reused page-assembly scratch (write path is serial)
-	st        Stats
+	// bufs are the spare page buffers spill writes and reads take and give
+	// back; they number the most page I/Os ever in flight at once — one
+	// write, or as many reads as decode futures run (the codec's workers).
+	bufs [][]byte
+	st   Stats
 }
 
 // New builds a store. It never fails: the spill file is created lazily on
@@ -219,11 +232,11 @@ func (s *Store) spillVictimLocked() error {
 		return fmt.Errorf("stashstore: spill %q: %w", name, err)
 	}
 	start := time.Now()
-	page, err := AppendPage(s.page[:0], uint32(victim), enc)
+	page, err := AppendPage(s.takeBufLocked(), uint32(victim), enc)
+	defer s.giveBufLocked(page) // the grown capacity serves the next page
 	if err != nil {
 		return fmt.Errorf("stashstore: spill %q: %w", name, err)
 	}
-	s.page = page // keep the grown capacity for the next spill
 	if s.f == nil {
 		f, err := os.CreateTemp(s.dir, "gist-spill-*.gstp")
 		if err != nil {
@@ -234,7 +247,7 @@ func (s *Store) spillVictimLocked() error {
 	if _, err := s.f.WriteAt(page, s.wOff); err != nil {
 		return fmt.Errorf("stashstore: spill %q: %w", name, err)
 	}
-	s.cold[victim] = coldRef{off: s.wOff, n: len(page)}
+	s.cold[victim] = coldRef{off: s.wOff, n: len(page), enc: enc}
 	s.wOff += int64(len(page))
 	s.coldBytes += int64(len(page))
 	delete(s.hot, victim)
@@ -245,15 +258,41 @@ func (s *Store) spillVictimLocked() error {
 	s.cWBytes.Add(int64(len(page)))
 	s.hWriteNS.Observe(time.Since(start).Nanoseconds())
 	s.gCold.Set(s.coldBytes)
-	s.tel.Complete("stashstore", "spill-write", start,
-		telemetry.Str("node", name), telemetry.Int("bytes", int64(len(page))))
+	s.span("spill-write", start, name, len(page))
 	return nil
 }
 
-// Fetch removes and returns node id's stash: straight from the hot tier on
-// a hit, or read back and re-parsed from its spill page on a miss. Safe to
-// call concurrently from decode futures. Fetched stashes do not re-enter
-// the hot tier, so the budget is enforced entirely at Put time.
+// takeBufLocked takes a spare page buffer, empty, or nil when none is spare.
+func (s *Store) takeBufLocked() []byte {
+	if len(s.bufs) == 0 {
+		return nil
+	}
+	b := s.bufs[len(s.bufs)-1]
+	s.bufs = s.bufs[:len(s.bufs)-1]
+	return b[:0]
+}
+
+func (s *Store) giveBufLocked(b []byte) { s.bufs = append(s.bufs, b) }
+
+// span records one page I/O on the trace. The node and size arguments are
+// built only when the sink traces — they outlive the call in its buffer —
+// so an untraced store allocates nothing here; an observer gets the span
+// either way.
+func (s *Store) span(name string, start time.Time, node string, bytes int) {
+	if !s.tel.TracingEnabled() {
+		s.tel.Complete("stashstore", name, start)
+		return
+	}
+	args := []telemetry.Arg{telemetry.Str("node", node), telemetry.Int("bytes", int64(bytes))}
+	s.tel.Complete("stashstore", name, start, args...)
+}
+
+// Fetch removes and returns node id's stash — the container that was Put:
+// straight from the hot tier on a hit, or with its spill page read back and
+// parsed into it on a miss. Safe to call concurrently from decode futures.
+// Fetched stashes do not re-enter the hot tier, so the budget is enforced
+// entirely at Put time. On a miss that fails, the container's contents are
+// unspecified (the next encode rebuilds it).
 func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	s.mu.Lock()
 	if enc, ok := s.hot[id]; ok {
@@ -275,32 +314,44 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	s.st.Misses++
 	s.gCold.Set(s.coldBytes)
 	f := s.f
+	buf := s.takeBufLocked()
 	s.mu.Unlock()
 
 	name := s.nameOf(id)
 	start := time.Now()
-	buf := make([]byte, ref.n)
-	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return nil, fmt.Errorf("stashstore: read page for %q at offset %d: %w", name, ref.off, err)
-	}
-	buf = s.inj.TamperSpillPage(name, buf)
-	p, err := ReadPage(buf)
-	if err != nil {
-		return nil, fmt.Errorf("stashstore: page for %q at offset %d: %w", name, ref.off, err)
-	}
-	if p.Node != id {
-		return nil, fmt.Errorf("stashstore: page for %q at offset %d: %w: holds node %d",
-			name, ref.off, ErrCorruptPage, p.Node)
-	}
+	buf = slices.Grow(buf, ref.n)[:ref.n]
+	err := s.readCold(f, buf, ref, id, name)
 	s.mu.Lock()
-	s.st.SpillRead += int64(ref.n)
+	s.giveBufLocked(buf)
+	if err == nil {
+		s.st.SpillRead += int64(ref.n)
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	s.cMiss.Inc()
 	s.cRBytes.Add(int64(ref.n))
 	s.hReadNS.Observe(time.Since(start).Nanoseconds())
-	s.tel.Complete("stashstore", "spill-read", start,
-		telemetry.Str("node", name), telemetry.Int("bytes", int64(ref.n)))
-	return p.Stash, nil
+	s.span("spill-read", start, name, ref.n)
+	return ref.enc, nil
+}
+
+// readCold reads node id's page into buf and parses it into the container
+// it was spilled from.
+func (s *Store) readCold(f *os.File, buf []byte, ref coldRef, id int, name string) error {
+	if _, err := f.ReadAt(buf, ref.off); err != nil {
+		return fmt.Errorf("stashstore: read page for %q at offset %d: %w", name, ref.off, err)
+	}
+	node, _, err := ReadPage(ref.enc, s.inj.TamperSpillPage(name, buf))
+	if err != nil {
+		return fmt.Errorf("stashstore: page for %q at offset %d: %w", name, ref.off, err)
+	}
+	if node != id {
+		return fmt.Errorf("stashstore: page for %q at offset %d: %w: holds node %d",
+			name, ref.off, ErrCorruptPage, node)
+	}
+	return nil
 }
 
 // Stats returns a copy of the store's counters.

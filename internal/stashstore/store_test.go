@@ -10,6 +10,7 @@ import (
 	"gist/internal/encoding"
 	"gist/internal/faults"
 	"gist/internal/floatenc"
+	"gist/internal/race"
 	"gist/internal/telemetry"
 	"gist/internal/tensor"
 )
@@ -27,6 +28,22 @@ func testStash(t *testing.T, seed uint64) *encoding.EncodedStash {
 	}
 	c.Seal(e)
 	return e
+}
+
+// parsedPage is one spill page read by readPage.
+type parsedPage struct {
+	Node, Size int
+	Stash      *encoding.EncodedStash
+}
+
+// readPage parses one spill page into a fresh stash.
+func readPage(data []byte) (*parsedPage, error) {
+	p := &parsedPage{Stash: &encoding.EncodedStash{}}
+	var err error
+	if p.Node, p.Size, err = ReadPage(p.Stash, data); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // decode decodes e into a fresh tensor of its shape.
@@ -84,7 +101,7 @@ func TestPageRoundTrip(t *testing.T) {
 				t.Fatalf("AppendPage: %v", err)
 			}
 			// Trailing bytes are allowed; Size reports the page's extent.
-			p, err := ReadPage(append(page, 0xde, 0xad))
+			p, err := readPage(append(page, 0xde, 0xad))
 			if err != nil {
 				t.Fatalf("ReadPage: %v", err)
 			}
@@ -126,7 +143,7 @@ func TestGoldenPage(t *testing.T) {
 		t.Fatalf("AppendPage no longer reproduces the golden page (len %d vs %d); regenerate with internal/goldengen only on an intentional format break", len(page), len(raw))
 	}
 	// ...and the parser accepts them and recovers the exact feature map.
-	p, err := ReadPage(raw)
+	p, err := readPage(raw)
 	if err != nil {
 		t.Fatalf("ReadPage: %v", err)
 	}
@@ -153,7 +170,7 @@ func TestReadPageRejectsCorruption(t *testing.T) {
 	}
 	// Every truncation fails cleanly.
 	for n := 0; n < len(page); n++ {
-		if _, err := ReadPage(page[:n]); !errors.Is(err, ErrCorruptPage) {
+		if _, err := readPage(page[:n]); !errors.Is(err, ErrCorruptPage) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrCorruptPage", n, err)
 		}
 	}
@@ -162,14 +179,14 @@ func TestReadPageRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(page); i++ {
 		bad := append([]byte(nil), page...)
 		bad[i] ^= 0x01
-		if _, err := ReadPage(bad); !errors.Is(err, ErrCorruptPage) {
+		if _, err := readPage(bad); !errors.Is(err, ErrCorruptPage) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrCorruptPage", i, err)
 		}
 	}
 	// A huge declared payload is rejected before any allocation.
 	bad := append([]byte(nil), page...)
 	bad[12], bad[13], bad[14], bad[15] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := ReadPage(bad); !errors.Is(err, ErrCorruptPage) {
+	if _, err := readPage(bad); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("huge payload: err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -427,6 +444,59 @@ func TestConcurrentFetchHammer(t *testing.T) {
 	}
 	if st.HotPeakBytes > bytes/10 {
 		t.Fatalf("hot peak %d exceeded budget %d", st.HotPeakBytes, bytes/10)
+	}
+}
+
+// TestSpillRoundTripAllocs pins the spill round trip's allocation budget:
+// once warm, a step that puts two stashes under a budget that holds one —
+// so one spills — and fetches both back allocates nothing. The page is
+// written straight from the container into a recycled page buffer and read
+// back, through the same buffer, into the container that was put; with no
+// two page I/Os in flight at once the store keeps exactly one such buffer.
+func TestSpillRoundTripAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	a, b := testStash(t, 1), testStash(t, 2)
+	s := New(Config{Budget: a.Bytes(), Dir: t.TempDir(), Priority: []int{1, 2}, Names: []string{"a", "b"}})
+	t.Cleanup(func() { _ = s.Close() })
+	step := func() {
+		s.BeginStep()
+		for id, enc := range []*encoding.EncodedStash{a, b} {
+			if err := s.Put(id, enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id, want := range []*encoding.EncodedStash{a, b} {
+			if got, err := s.Fetch(id); err != nil || got != want {
+				t.Fatalf("fetch %d: %p, %v; want the container that was put", id, got, err)
+			}
+		}
+	}
+	step() // warm: creates the spill file and sizes the page buffer
+	if got := testing.AllocsPerRun(20, step); got != 0 {
+		t.Errorf("a spilling put/fetch step allocates %v times, want 0", got)
+	}
+	// One spill read per step: the warm step, AllocsPerRun's own warm-up
+	// run and its 20 measured runs.
+	if st := s.Stats(); st.Misses != 22 {
+		t.Fatalf("%d spill reads in 22 steps, want 22", st.Misses)
+	}
+	if len(s.bufs) != 1 {
+		t.Fatalf("the store keeps %d page buffers, want 1", len(s.bufs))
+	}
+	ref, err := decode(testStash(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decode(b)
+	if err != nil {
+		t.Fatalf("decode the container read back from its page: %v", err)
+	}
+	for i := range ref.Data {
+		if dec.Data[i] != ref.Data[i] {
+			t.Fatalf("element %d differs after 22 spill round trips", i)
+		}
 	}
 }
 

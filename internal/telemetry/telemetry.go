@@ -186,6 +186,10 @@ type Sink struct {
 
 	trace atomic.Pointer[traceBuf]
 	obs   atomic.Pointer[observerRef]
+	// memo is Memo's table, replaced whole (copy on write) under memoMu:
+	// it holds an entry per caching package, a handful at most.
+	memoMu sync.Mutex
+	memo   atomic.Pointer[[]memoEntry]
 
 	memMu   sync.Mutex
 	lastMem MemSample
@@ -256,6 +260,47 @@ func (s *Sink) Counter(name string) *Counter {
 		s.counters[name] = c
 	}
 	return c
+}
+
+// Memo returns the value memoised on the sink under key, storing mk(s)
+// there on first use: how a package caches what it resolves from a sink —
+// instrument pointers, above all — for exactly as long as the sink lives,
+// so its hot path pays one lock-free load instead of a name build and a
+// registry lookup. Key with the address of a package-level variable, so
+// packages never collide. Returns nil on a nil sink.
+func (s *Sink) Memo(key any, mk func(*Sink) any) any {
+	if s == nil {
+		return nil
+	}
+	if v, ok := s.memoized(key); ok {
+		return v
+	}
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if v, ok := s.memoized(key); ok {
+		return v
+	}
+	v := mk(s)
+	var next []memoEntry
+	if cur := s.memo.Load(); cur != nil {
+		next = append(next, *cur...)
+	}
+	next = append(next, memoEntry{key, v})
+	s.memo.Store(&next)
+	return v
+}
+
+type memoEntry struct{ key, val any }
+
+func (s *Sink) memoized(key any) (any, bool) {
+	if cur := s.memo.Load(); cur != nil {
+		for _, e := range *cur {
+			if e.key == key {
+				return e.val, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // Gauge returns the named gauge, creating it on first use (nil on a nil

@@ -652,8 +652,15 @@ func (f *stashFuture) decode() {
 	}()
 	if f.tel != nil {
 		// Root span on its own track: concurrent futures land on
-		// separate tracks, so the trace shows the decode overlap.
-		sp := f.tel.Begin("train", "async-decode", telemetry.Str("stash", f.node))
+		// separate tracks, so the trace shows the decode overlap. Its
+		// argument is built only under tracing — an observer takes spans
+		// without arguments, and a variadic argument allocates per call.
+		var sp *telemetry.Span
+		if f.tel.TracingEnabled() {
+			sp = f.tel.Begin("train", "async-decode", telemetry.Str("stash", f.node))
+		} else {
+			sp = f.tel.Begin("train", "async-decode")
+		}
 		defer sp.End()
 	}
 	enc, err := f.store.Fetch(f.sid)
