@@ -48,8 +48,9 @@ soak-short:
 # their scalar references; the ZVC pipeline; the entropy coder's round-trip
 # and its table-driven decoder against the bit-serial reference on
 # arbitrary blocks), the GSTP spill-page parser, the direct convolution
-# kernels against their per-element reference (bit for bit), and the strict
-# Prometheus exposition parser gisttop runs on remote endpoints.
+# kernels and the branch-free ReLU/MaxPool gate kernels against their
+# per-element references (bit for bit), and the strict Prometheus exposition
+# parser gisttop runs on remote endpoints.
 fuzz:
 	$(GO) test ./internal/train/ -run FuzzReadCheckpoint -fuzz FuzzReadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/reduce/ -run FuzzReduceGrads -fuzz FuzzReduceGrads -fuzztime 20s
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
 	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
 	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s
+	$(GO) test ./internal/layers/ -run FuzzGateKernels -fuzz FuzzGateKernels -fuzztime 20s
 	$(GO) test ./internal/telemetry/promexport/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
 
 # Short fuzz pass over the serialized-stash decode path.
@@ -145,7 +147,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22100
+LOC_CEILING ?= 21950
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

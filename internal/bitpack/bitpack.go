@@ -47,14 +47,22 @@ func (m *BitMask) Reset(n int) {
 	m.n = n
 }
 
-// positiveBit returns 1 when the float32 with the given bit pattern is
-// strictly positive and 0 otherwise, branch-free. v > 0 holds exactly for
-// bit patterns in [1, 0x7f800000] (positive denormals through +Inf; +0,
-// every negative and every NaN fall outside), so after the wrapping
-// decrement the predicate is a single unsigned compare whose borrow bit is
-// the answer.
-func positiveBit(b uint32) uint64 {
-	return (uint64(b-1) - 0x7f800000) >> 63
+// PositiveMask returns all ones when the float32 with bit pattern b is
+// strictly positive and zero otherwise, branch-free. It is the one sign
+// predicate of the repository: the bit Binarize stores (FillPositiveRange)
+// and the gate the ReLU kernels apply are both this function. v > 0 holds
+// exactly for bit patterns in [1, 0x7f800000] (positive denormals through
+// +Inf; +0, every negative and every NaN fall outside), so after the
+// wrapping decrement the predicate is a single 64-bit subtraction whose
+// borrow fills the high word.
+func PositiveMask(b uint32) uint32 {
+	return uint32((uint64(b-1) - 0x7f800000) >> 32)
+}
+
+// positiveBit is PositiveMask as one bit in the low position of a word.
+// Widening before the shift lets the compiler fuse both shifts into one.
+func positiveBit(v float32) uint64 {
+	return uint64(PositiveMask(math.Float32bits(v))) >> 31
 }
 
 // FillPositiveRange is the chunk-range Binarize kernel: it sets bit i for
@@ -64,16 +72,15 @@ func positiveBit(b uint32) uint64 {
 // each chunk owns whole words and racing writers never share one.
 //
 // Word-parallel: the aligned interior accumulates 64 predicate bits in a
-// register (branch-free sign tests on the float bit patterns) and touches
-// memory once per word; only the ragged head and tail run the scalar
-// read-modify-write. Output is bit-identical to fillPositiveRangeScalar.
+// register and touches memory once per word; only the ragged head and tail
+// read-modify-write one bit at a time. Every element is classified by
+// PositiveMask, without a branch. Output is bit-identical to
+// fillPositiveRangeScalar.
 func (m *BitMask) FillPositiveRange(xs []float32, start, end int) {
 	m.checkRange(start, end)
 	i := start
 	for ; i < end && i&63 != 0; i++ {
-		if xs[i] > 0 {
-			m.words[i>>6] |= 1 << (uint(i) & 63)
-		}
+		m.words[i>>6] |= positiveBit(xs[i]) << (uint(i) & 63)
 	}
 	for ; i+64 <= end; i += 64 {
 		lane := xs[i : i+64 : i+64]
@@ -81,17 +88,15 @@ func (m *BitMask) FillPositiveRange(xs []float32, start, end int) {
 		// dependency chains instead of one 64-deep chain.
 		var w0, w1, w2, w3 uint64
 		for k := 0; k < 64; k += 4 {
-			w0 |= positiveBit(math.Float32bits(lane[k])) << uint(k)
-			w1 |= positiveBit(math.Float32bits(lane[k+1])) << uint(k+1)
-			w2 |= positiveBit(math.Float32bits(lane[k+2])) << uint(k+2)
-			w3 |= positiveBit(math.Float32bits(lane[k+3])) << uint(k+3)
+			w0 |= positiveBit(lane[k]) << uint(k)
+			w1 |= positiveBit(lane[k+1]) << uint(k+1)
+			w2 |= positiveBit(lane[k+2]) << uint(k+2)
+			w3 |= positiveBit(lane[k+3]) << uint(k+3)
 		}
 		m.words[i>>6] |= w0 | w1 | w2 | w3
 	}
 	for ; i < end; i++ {
-		if xs[i] > 0 {
-			m.words[i>>6] |= 1 << (uint(i) & 63)
-		}
+		m.words[i>>6] |= positiveBit(xs[i]) << (uint(i) & 63)
 	}
 }
 
@@ -256,6 +261,11 @@ func (a *NibbleArray) Reset(n int) {
 
 // Len returns the number of nibbles.
 func (a *NibbleArray) Len() int { return a.n }
+
+// Words exposes the packed backing words, nibble i at bits 4·(i mod 8) of
+// word i/8. Kernels that produce whole words of nibbles at once (the tiling
+// MaxPool forward) store through this view; ordinary callers use Get/Set.
+func (a *NibbleArray) Words() []uint32 { return a.words }
 
 // Bytes returns the storage footprint of the packed array.
 func (a *NibbleArray) Bytes() int64 { return int64(len(a.words)) * 4 }

@@ -175,19 +175,22 @@ func TestDiffPopCount(t *testing.T) {
 
 // TestDiffPositiveBitExhaustiveExponents sweeps every float32 exponent with
 // boundary mantissas through the branch-free predicate against v > 0 —
-// the full classification table of positiveBit.
+// the full classification table of PositiveMask and its one-bit form.
 func TestDiffPositiveBitExhaustiveExponents(t *testing.T) {
 	for sign := uint32(0); sign <= 1; sign++ {
 		for exp := uint32(0); exp <= 0xff; exp++ {
-			for _, man := range []uint32{0, 1, 0x400000, 0x7fffff} {
+			for _, man := range []uint32{0, 1, 2, 0x400000, 0x7ffffe, 0x7fffff} {
 				b := sign<<31 | exp<<23 | man
 				v := math.Float32frombits(b)
-				want := uint64(0)
+				want := uint32(0)
 				if v > 0 {
-					want = 1
+					want = ^uint32(0)
 				}
-				if got := positiveBit(b); got != want {
-					t.Fatalf("positiveBit(%#08x) = %d, want %d (v=%g)", b, got, want, v)
+				if got := PositiveMask(b); got != want {
+					t.Fatalf("PositiveMask(%#08x) = %#08x, want %#08x (v=%g)", b, got, want, v)
+				}
+				if got := positiveBit(v); got != uint64(want&1) {
+					t.Fatalf("positiveBit(%#08x) = %d, want %d (v=%g)", b, got, want&1, v)
 				}
 			}
 		}

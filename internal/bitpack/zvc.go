@@ -10,8 +10,8 @@ import (
 // as a 1-bit-per-element nonzero mask plus the nonzero values gathered in
 // element order; decode scatters the values back under the mask. The three
 // kernels here — nonzero mask fill, gather, scatter — are word-parallel
-// with frozen scalar references in scalar.go, exactly like the Binarize
-// kernels above them.
+// with frozen scalar references in scalar_test.go, exactly like the
+// Binarize kernels in bitpack.go.
 
 // nonzeroBit returns 1 when the float32 with the given bit pattern is
 // nonzero under IEEE compare semantics (so -0.0 counts as zero and NaN as

@@ -9,8 +9,9 @@ import "math"
 // `make bench-gate` compares against, and the production slow path for the
 // rare inputs (underflow boundary, Inf/NaN, deep overflow) the branch-free
 // fast path in floatenc.go punts on — so fast and reference agree on those
-// inputs by construction. Do not optimize these: their value is being
-// obviously correct and frozen.
+// inputs by construction. That last job is why they live here and not in a
+// _test.go file like the range references built on them (scalar_test.go).
+// Do not optimize these: their value is being obviously correct and frozen.
 
 // encodeScalar converts an FP32 value to the format's bit pattern — the
 // original Encode, one layout computation and range classification per
@@ -106,40 +107,4 @@ func (f Format) decodeScalar(bits uint32) float32 {
 		val = -val
 	}
 	return float32(val)
-}
-
-// encodeRangeScalar is the original slot-at-a-time EncodeRange: a divide,
-// a modulo and a full Encode per element.
-func (p *Packed) encodeRangeScalar(src []float32, start, end int) {
-	p.checkRange(start, end)
-	vpw := p.Format.ValuesPerWord()
-	bits := uint(p.Format.Bits())
-	for i := start; i < end; i++ {
-		w, slot := i/vpw, uint(i%vpw)
-		p.Words[w] |= p.Format.encodeScalar(src[i]) << (slot * bits)
-	}
-}
-
-// decodeRangeScalar is the original slot-at-a-time DecodeRange.
-func (p *Packed) decodeRangeScalar(dst []float32, start, end int) {
-	p.checkRange(start, end)
-	vpw := p.Format.ValuesPerWord()
-	bits := uint(p.Format.Bits())
-	mask := uint32(1)<<bits - 1
-	for i := start; i < end; i++ {
-		w, slot := i/vpw, uint(i%vpw)
-		dst[i] = p.Format.decodeScalar((p.Words[w] >> (slot * bits)) & mask)
-	}
-}
-
-// quantizeSliceScalar is the original QuantizeSlice: a full scalar
-// encode/decode round trip per element.
-func quantizeSliceScalar(f Format, xs []float32) []float32 {
-	if f == FP32 {
-		return xs
-	}
-	for i, v := range xs {
-		xs[i] = f.decodeScalar(f.encodeScalar(v))
-	}
-	return xs
 }

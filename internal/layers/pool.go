@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"math"
 
 	"gist/internal/bitpack"
 	"gist/internal/tensor"
@@ -47,6 +48,11 @@ func (p *MaxPoolOp) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Pad < K is what gives every window an in-bounds tap to seed its
+	// maximum and argmax from; a window wholly in padding has neither.
+	if p.Pad >= p.K {
+		return nil, fmt.Errorf("layers: MaxPool padding %d leaves windows of %d without an input tap", p.Pad, p.K)
+	}
 	oh := convOut(h, p.K, p.Stride, p.Pad)
 	ow := convOut(w, p.K, p.Stride, p.Pad)
 	if oh <= 0 || ow <= 0 {
@@ -67,24 +73,114 @@ func (p *MaxPoolOp) FLOPs(in []tensor.Shape) int64 {
 	return int64(out.NumElements()) * int64(p.K*p.K)
 }
 
-// Forward computes windowed maxima and records the argmax map.
+// Forward computes windowed maxima and records the argmax map. In both
+// kernels the in-bounds taps of each window are scanned in ascending
+// (kh, kw) from the first one with a strict >, so ties go to the first
+// occurrence, a NaN tap never replaces the running maximum (a NaN first tap
+// is never replaced), and outputs and the argmax map are byte-identical to
+// the per-element reference in pool_diff_test.go.
 func (p *MaxPoolOp) Forward(ctx *FwdCtx) {
 	x, y := ctx.In[0], ctx.Out
-	n, c, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := y.Shape[2], y.Shape[3]
 	// Reuse the previous step's argmax container when the executor keeps
-	// aux maps alive across steps; every nibble is Set below, so Reset only
-	// needs to size it.
+	// aux maps alive across steps; every nibble is written below, so Reset
+	// only needs to size it.
 	argmax, _ := ctx.Aux[auxKeyArgmax].(*bitpack.NibbleArray)
 	if argmax == nil {
 		argmax = bitpack.NewNibbleArray(y.NumElements())
 	} else {
 		argmax.Reset(y.NumElements())
 	}
-	// The in-bounds taps of each window are scanned in ascending (kh, kw)
-	// with a strict >, so ties go to the first occurrence and outputs and
-	// the argmax map are byte-identical to the per-element reference in
-	// pool_diff_test.go.
+	// The windows tile the input when they neither overlap nor pad and the
+	// input holds a whole window each way (a smaller side gets one clipped
+	// window: convOut truncates toward zero).
+	if p.Stride == p.K && p.Pad == 0 && x.Shape[2] >= p.K && x.Shape[3] >= p.K {
+		p.forwardTiling(x, y, argmax)
+	} else {
+		p.forwardWindows(x, y, argmax)
+	}
+	ctx.Aux[auxKeyArgmax] = argmax
+}
+
+// forwardTiling is the kernel for windows that tile the input (Stride == K,
+// Pad == 0 — every pool of TinyCNN, TinyVGG and StashNet). It slices the K
+// input rows once per output row, seeds each window from its first tap and
+// folds the others in with maxTap, so the data decides no branch. The
+// argmax nibbles collect in a register and reach the map a word at a time.
+func (p *MaxPoolOp) forwardTiling(x, y *tensor.Tensor, argmax *bitpack.NibbleArray) {
+	n, c, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := y.Shape[2], y.Shape[3]
+	k := p.K
+	words := argmax.Words()
+	var rows [4][]float32
+	var acc uint32
+	idx := 0
+	for pl := 0; pl < n*c; pl++ {
+		xp := x.Data[pl*ih*iw:][:ih*iw]
+		yp := y.Data[pl*oh*ow:][:oh*ow]
+		for yh := 0; yh < oh; yh++ {
+			for kh := 0; kh < k; kh++ {
+				rows[kh] = xp[(yh*k+kh)*iw:][:ow*k]
+			}
+			r0, r1 := rows[0], rows[1]
+			yr := yp[yh*ow:][:ow]
+			for yw := range yr {
+				x0 := yw * k
+				best, slot := math.Float32bits(r0[x0]), uint32(0)
+				if k == 2 {
+					// The 2×2 window every network pools with, unrolled:
+					// the compiler does not unroll the loops below.
+					best, slot = maxTap(r0[x0+1], 1, best, slot)
+					best, slot = maxTap(r1[x0], 2, best, slot)
+					best, slot = maxTap(r1[x0+1], 3, best, slot)
+				} else {
+					// Re-testing the seed tap is a no-op under strict >.
+					for kh := 0; kh < k; kh++ {
+						for kw, v := range rows[kh][x0 : x0+k] {
+							best, slot = maxTap(v, uint32(kh*k+kw), best, slot)
+						}
+					}
+				}
+				yr[yw] = math.Float32frombits(best)
+				acc |= slot << (uint(idx&7) * 4)
+				if idx&7 == 7 {
+					words[idx>>3] = acc
+					acc = 0
+				}
+				idx++
+			}
+		}
+	}
+	if idx&7 != 0 {
+		words[idx>>3] = acc
+	}
+}
+
+// maxTap folds tap v at window slot s into a window's running maximum,
+// held as a bit pattern: v and s replace best and slot when v > best,
+// strictly, so a tie keeps the earlier tap and a NaN v never wins (nor does
+// any v against a NaN best).
+func maxTap(v float32, s, best, slot uint32) (uint32, uint32) {
+	gt := v > math.Float32frombits(best)
+	return selectU32(gt, math.Float32bits(v), best), selectU32(gt, s, slot)
+}
+
+// selectU32 returns a when sel holds and b otherwise. Its body is a bare
+// two-way choice of integers, which the compiler lowers to a conditional
+// move; written inline in maxTap, the float-to-bits move lands inside the
+// branch and a jump stays.
+func selectU32(sel bool, a, b uint32) uint32 {
+	if sel {
+		return a
+	}
+	return b
+}
+
+// forwardWindows is the general kernel for overlapping, padded and
+// short-sided windows: each window's in-bounds taps are clipped from its
+// offsets.
+func (p *MaxPoolOp) forwardWindows(x, y *tensor.Tensor, argmax *bitpack.NibbleArray) {
+	n, c, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := y.Shape[2], y.Shape[3]
 	idx := 0
 	for pl := 0; pl < n*c; pl++ {
 		xp := x.Data[pl*ih*iw:][:ih*iw]
@@ -112,7 +208,6 @@ func (p *MaxPoolOp) Forward(ctx *FwdCtx) {
 			}
 		}
 	}
-	ctx.Aux[auxKeyArgmax] = argmax
 }
 
 // Backward routes each dY element to the recorded argmax location of its

@@ -2,7 +2,9 @@ package layers
 
 import (
 	"fmt"
+	"math"
 
+	"gist/internal/bitpack"
 	"gist/internal/tensor"
 )
 
@@ -38,26 +40,26 @@ func (r *ReLUOp) FLOPs(in []tensor.Shape) int64 {
 	return int64(in[0].NumElements())
 }
 
-// Forward computes y = max(x, 0).
+// Forward computes y = max(x, 0) without a branch on the data: each bit
+// pattern is ANDed with its own bitpack.PositiveMask, so a positive x
+// passes bit for bit and ±0, negatives and NaN become +0 — what the
+// `x > 0 ? x : 0` loop in relu_diff_test.go gives.
 func (r *ReLUOp) Forward(ctx *FwdCtx) {
-	x, y := ctx.In[0], ctx.Out
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		} else {
-			y.Data[i] = 0
-		}
+	x := ctx.In[0].Data
+	y := ctx.Out.Data[:len(x)]
+	for i, v := range x {
+		b := math.Float32bits(v)
+		y[i] = math.Float32frombits(b & bitpack.PositiveMask(b))
 	}
 }
 
-// Backward gates dY by the sign of the stashed Y.
+// Backward gates dY by the sign of the stashed Y: dY's bit pattern ANDed
+// with PositiveMask of Y's, the same predicate Binarize stores, so NaN
+// payloads and signed zeros of dY pass unchanged where Y > 0.
 func (r *ReLUOp) Backward(ctx *BwdCtx) {
-	y, dy, dx := ctx.Out, ctx.DOut, ctx.DIn[0]
-	for i, g := range dy.Data {
-		if y.Data[i] > 0 {
-			dx.Data[i] = g
-		} else {
-			dx.Data[i] = 0
-		}
+	dy := ctx.DOut.Data
+	y, dx := ctx.Out.Data[:len(dy)], ctx.DIn[0].Data[:len(dy)]
+	for i, g := range dy {
+		dx[i] = math.Float32frombits(math.Float32bits(g) & bitpack.PositiveMask(math.Float32bits(y[i])))
 	}
 }
