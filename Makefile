@@ -45,8 +45,10 @@ soak-short:
 
 # Short fuzz passes over the checkpoint parser, the gradient reduce, the
 # codec kernels (format round-trip fixed point; mask word kernels vs
-# their scalar references; the ZVC pipeline; the entropy coder's round-trip
-# and its table-driven decoder against the bit-serial reference on
+# their scalar references; the ZVC pipeline; the entropy coder's round-trip,
+# its single-pass encoder against the frozen two-phase encoder and the
+# bit-serial reference on arbitrary bytes and FP32 input at every DPR
+# packing, and its table-driven decoder against the bit-serial reference on
 # arbitrary blocks), the GSTP spill-page parser, the direct convolution
 # kernels and the branch-free ReLU/MaxPool gate kernels against their
 # per-element references (bit for bit), and the strict Prometheus exposition
@@ -57,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/floatenc/ -run FuzzFormatRoundTrip -fuzz FuzzFormatRoundTrip -fuzztime 20s
 	$(GO) test ./internal/bitpack/ -run FuzzMaskWords -fuzz FuzzMaskWords -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s
+	$(GO) test ./internal/entropy/ -run FuzzEntropyEncodeDiff -fuzz FuzzEntropyEncodeDiff -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyDecodeDiff -fuzz FuzzEntropyDecodeDiff -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
 	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
@@ -147,7 +150,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 21950
+LOC_CEILING ?= 22090
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

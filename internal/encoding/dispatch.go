@@ -10,7 +10,7 @@ import (
 
 // The codec's one chunk dispatch. Every chunk kernel — mask build and
 // expand, quantize, DPR pack and unpack, the ZVC passes, the Entropy
-// phases, the seal/verify chunk hashes — runs as a chunkTask through
+// passes, the seal/verify chunk hashes — runs as a chunkTask through
 // parallel.Pool.ForEach, at every worker count and chunk count, one worker
 // and one chunk included. A task carries the kernel (a plain function, never
 // a closure) and every operand the kernel reads, and is recycled, so a

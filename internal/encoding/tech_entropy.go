@@ -10,8 +10,8 @@ import (
 	"gist/internal/tensor"
 )
 
-// entropyTech is the generic entropy backend: the stash is DPR-packed
-// (raw FP32 words when the format is FP32) and each chunk's packed bytes
+// entropyTech is the generic entropy backend: each chunk of the stash is
+// DPR-packed (raw FP32 words when the format is FP32) and its packed bytes
 // run through a zero-run-length + canonical-Huffman stage
 // (internal/entropy). It compresses anything with a skewed byte histogram
 // — sparse activations above all — without assuming a zero pattern the
@@ -33,9 +33,9 @@ type EntropyPayload struct {
 	// FlipBit addresses.
 	Stream []byte
 
-	// scratch keeps the encode-side packed container alive across steps
-	// so the pooled re-encode path stops allocating it.
-	scratch *floatenc.Packed
+	// toks holds each chunk's token stream between the encode passes, kept
+	// across steps so the pooled re-encode path stops allocating it.
+	toks [][]byte
 }
 
 type entropyTech struct{}
@@ -52,26 +52,25 @@ func (entropyTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *ten
 	n := len(t.Data)
 	p.Format = as.Format
 	p.N = n
-	p.scratch = cdc.encodePackedInto(p.scratch, as.Format, t.Data)
 	ce := cdc.chunkElems()
-	vpw := as.Format.ValuesPerWord()
 	nc := (n + ce - 1) / ce
-	cdc.metrics().add(cChunks, int64(nc))
 
-	// Phase 1, per chunk: histogram and code lengths, which fix the block's
-	// exact size. The code tables are staged at the head of Stream.
+	// Pass 1, per chunk: pack, tokenise and count the chunk once. The
+	// histogram fixes the block's exact size; the code tables are staged at
+	// the head of Stream and the tokens kept for pass 2.
 	const tb = entropy.TableBytes
 	p.Lens = resized(p.Lens, nc)
+	p.toks = resized(p.toks, nc)
 	p.Stream = resized(p.Stream, nc*tb)
-	task := newChunkTask(planChunk, n, ce)
-	task.ent, task.vpw = p, vpw
-	cdc.run(nc, task)
+	task := cdc.elemTask(planChunk, n)
+	task.ent, task.src = p, t.Data
+	cdc.forChunks(task)
 	total := p.blockOff(nc)
 	if dense := as.Format.PackedBytes(n); int64(total)+int64(nc)*4 >= dense {
 		return errEntropyLargerThanDense // known before a single code is written
 	}
 
-	// Phase 2: every block has its final place. Move each staged table to
+	// Pass 2: every block has its final place. Move each staged table to
 	// the head of its block, then emit the bodies behind them. A block is
 	// longer than a table, so block c starts beyond staging slot c: moving
 	// the last chunk's table first, no move lands on a slot still waiting.
@@ -81,7 +80,7 @@ func (entropyTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *ten
 		copy(p.Stream[off:off+tb], p.Stream[c*tb:(c+1)*tb])
 	}
 	task = newChunkTask(emitChunk, n, ce)
-	task.ent, task.vpw = p, vpw
+	task.ent = p
 	cdc.run(nc, task)
 	return nil
 }
@@ -104,20 +103,20 @@ func (p *EntropyPayload) blockOff(c int) int {
 	return off
 }
 
-// planChunk and emitChunk are the two encode phases of chunk c, and
+// planChunk and emitChunk are the two encode passes of chunk c, and
 // decodeBlock the decode of chunk c, as chunk kernels.
 
 func planChunk(t *chunkTask, c int) {
 	p := t.ent
-	w0, w1 := p.chunkWords(c, t.ce, t.vpw)
-	p.Lens[c] = uint32(entropy.Plan(p.Stream[c*entropy.TableBytes:], p.scratch.Words[w0:w1]))
+	lo, hi := t.span(c)
+	size, toks := entropy.Plan(p.Stream[c*entropy.TableBytes:], p.toks[c], p.Format, t.src[lo:hi])
+	p.Lens[c], p.toks[c] = uint32(size), toks
 }
 
 func emitChunk(t *chunkTask, c int) {
 	p := t.ent
-	w0, w1 := p.chunkWords(c, t.ce, t.vpw)
 	off := p.blockOff(c)
-	entropy.Emit(p.Stream[off:off+int(p.Lens[c])], p.scratch.Words[w0:w1])
+	entropy.Emit(p.Stream[off:off+int(p.Lens[c])], p.toks[c])
 }
 
 func decodeBlock(t *chunkTask, c int) {

@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"gist/internal/floatenc"
 )
 
 // The differential wall between the table-driven kernels and the frozen
-// bit-serial reference in ref_test.go: encode must be byte-equal, decode
+// references — the bit-serial coder in ref_test.go, and for encode also the
+// two-phase encoder in twophase_test.go: encode must be byte-equal, decode
 // must reach the same accept-or-reject verdict and, when it accepts, the
 // same bytes — on valid blocks and on every kind of damaged one.
 
@@ -71,39 +77,139 @@ func longestCode(blk []byte) uint8 {
 	return longest
 }
 
+// windowPayloads places zero runs of 254, 255, 256, 510 and 511 bytes —
+// one short of, at and past the 255-byte run split, once and twice — across
+// the 1024-byte tokenizer windows and at the very end of the input, the
+// chunk tail where the open run is closed, at lengths that are and are not
+// whole words.
+func windowPayloads() [][]byte {
+	r := rand.New(rand.NewSource(24))
+	dense := make([]byte, 3*windowBytes)
+	for i := range dense {
+		dense[i] = byte(1 + r.Intn(255))
+	}
+	var payloads [][]byte
+	for _, l := range []int{254, 255, 256, 510, 511} {
+		for _, at := range []int{windowBytes - l, windowBytes - l/2, windowBytes - 1, windowBytes, 2*windowBytes - l + 1} {
+			p := slices.Clone(dense)
+			clear(p[at : at+l])
+			payloads = append(payloads, p)
+		}
+		for _, n := range []int{2 * windowBytes, 2*windowBytes + 1, 2*windowBytes + 3, windowBytes + l} {
+			p := slices.Clone(dense[:n])
+			clear(p[n-l:])
+			payloads = append(payloads, p)
+		}
+	}
+	return payloads
+}
+
+// diffBytes fails unless Encode and the frozen two-phase encoder both
+// produce the reference's block for src, and returns that block.
+func diffBytes(t testing.TB, label string, src []byte) []byte {
+	t.Helper()
+	want := refEncode(nil, src)
+	if got := Encode(nil, src); !bytes.Equal(got, want) {
+		t.Fatalf("%s (%d bytes): Encode differs from the reference (%d vs %d bytes)", label, len(src), len(got), len(want))
+	}
+	if got := twoPhaseEncode(nil, src); !bytes.Equal(got, want) {
+		t.Fatalf("%s (%d bytes): the two-phase encoder differs from the reference", label, len(src))
+	}
+	return want
+}
+
+// diffPacked fails unless Plan+Emit over FP32 input xs at format f — the
+// codec's entry points, packing included — produce, at the size Plan
+// promises, the block the reference and the frozen two-phase encoder make
+// from the whole-slice DPR packing of xs.
+func diffPacked(t testing.TB, label string, f floatenc.Format, xs []float32) {
+	t.Helper()
+	p := floatenc.EncodeSlice(f, xs)
+	want := refEncode(nil, packedBytes(nil, p))
+	var table [TableBytes]byte
+	n := 4 * len(p.Words)
+	if size := twoPhasePlan(table[:], p.Words, n); size != len(want) {
+		t.Fatalf("%s %v: the two-phase plan says %d bytes, the reference block has %d", label, f, size, len(want))
+	}
+	two := make([]byte, len(want))
+	copy(two, table[:])
+	twoPhaseEmit(two, p.Words, n)
+	if !bytes.Equal(two, want) {
+		t.Fatalf("%s %v: the two-phase encoder differs from the reference", label, f)
+	}
+	size, toks := Plan(table[:], nil, f, xs)
+	if size != len(want) {
+		t.Fatalf("%s %v (%d elements): Plan says %d bytes, the reference block has %d", label, f, len(xs), size, len(want))
+	}
+	blk := make([]byte, size)
+	copy(blk, table[:])
+	Emit(blk, toks)
+	if !bytes.Equal(blk, want) {
+		t.Fatalf("%s %v (%d elements): Plan+Emit differs from the reference", label, f, len(xs))
+	}
+}
+
+// asFloats reads src's whole little-endian words as FP32 bit patterns.
+func asFloats(src []byte) []float32 {
+	xs := make([]float32, len(src)/4)
+	for w := range xs {
+		xs[w] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*w:]))
+	}
+	return xs
+}
+
+var packFormats = []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP10, floatenc.FP8}
+
 func TestDiffEntropyEncode(t *testing.T) {
 	sawLong := false
-	for i, src := range diffPayloads() {
-		want := refEncode(nil, src)
-		if got := Encode(nil, src); !bytes.Equal(got, want) {
-			t.Fatalf("payload %d (%d bytes): Encode differs from the reference (%d vs %d bytes)", i, len(src), len(got), len(want))
-		}
+	for i, src := range append(diffPayloads(), windowPayloads()...) {
+		label := fmt.Sprintf("payload %d", i)
+		want := diffBytes(t, label, src)
 		if len(src) > 0 && longestCode(want) > peekBits {
 			sawLong = true
 		}
-		if len(src)%4 != 0 {
-			continue
-		}
-		// The words entry points the codec calls: exact size, then the same bytes.
-		words := make([]uint32, len(src)/4)
-		for w := range words {
-			words[w] = binary.LittleEndian.Uint32(src[4*w:])
-		}
-		var table [TableBytes]byte
-		size := Plan(table[:], words)
-		if size != len(want) {
-			t.Fatalf("payload %d: Plan says %d bytes, the reference block has %d", i, size, len(want))
-		}
-		blk := make([]byte, size)
-		copy(blk, table[:])
-		Emit(blk, words)
-		if !bytes.Equal(blk, want) {
-			t.Fatalf("payload %d: Plan+Emit differs from the reference", i)
+		// The codec's entry points: the payload's words as FP32 input,
+		// which FP32 packs bit for bit.
+		if len(src)%4 == 0 {
+			diffPacked(t, label, floatenc.FP32, asFloats(src))
 		}
 	}
 	if !sawLong {
 		t.Fatalf("no payload produced a code longer than %d bits: the length limiter went untested", peekBits)
 	}
+	// Every packing, on a ReLU-like map whose zero runs of whole elements
+	// cross the pack windows, and at element counts with a ragged last word.
+	r := rand.New(rand.NewSource(25))
+	xs := make([]float32, 4*windowBytes+5)
+	for i := range xs {
+		if v := float32(r.NormFloat64()); v > 0 && (i/300)%3 != 1 {
+			xs[i] = v
+		}
+	}
+	for _, f := range packFormats {
+		for _, n := range []int{0, 1, 2, 3, 767, 768, 769, 1536, len(xs)} {
+			diffPacked(t, fmt.Sprintf("relu map[:%d]", n), f, xs[:n])
+		}
+	}
+}
+
+// FuzzEntropyEncodeDiff holds the encoder byte-equal to the frozen two-phase
+// encoder and the bit-serial reference on arbitrary bytes (any length, tails
+// that are not whole words included), repeated to reach the tokenizer's
+// window boundaries, and on the same bytes read as FP32 input at every DPR
+// packing.
+func FuzzEntropyEncodeDiff(f *testing.F) {
+	for _, src := range testInputs() {
+		f.Add(src, uint8(0), uint8(1))
+	}
+	for _, src := range windowPayloads()[:6] {
+		f.Add(src, uint8(1), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rep, format uint8) {
+		src := bytes.Repeat(data, 1+int(rep)%16)
+		diffBytes(t, "fuzz", src)
+		diffPacked(t, "fuzz", packFormats[int(format)%len(packFormats)], asFloats(src))
+	})
 }
 
 // TestDiffHuffmanLengths compares the heap-free tree build with the

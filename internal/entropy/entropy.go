@@ -12,14 +12,17 @@
 // bounds-checked and returns typed errors on malformed input; it never
 // panics, whatever the bytes.
 //
-// Encoding is two phases because the histogram fixes a block's size to the
-// byte before a single code is written: Plan builds the code table and
-// returns the exact block length, Emit writes the block into a buffer of
-// exactly that length, so a caller can lay every block of a stream out in
-// its final place and fill them in parallel. Both read their input as the
-// little-endian bytes of 32-bit words, the form the packed stash already
-// has. Decoding resolves one symbol per table lookup and is resumable, so
-// a block can be drained a window at a time into a small buffer.
+// Encoding is two passes because the histogram fixes a block's size to the
+// byte before a single code is written. Plan reads the block's FP32 input
+// once: it DPR-packs it a stack window at a time, turns each window into
+// zero-run-length tokens in a caller-owned buffer and counts them in the
+// same loop, then builds the code table and returns the exact block length.
+// Emit codes those tokens into a buffer of exactly that length, so a caller
+// can lay every block of a stream out in its final place and fill them in
+// parallel; no packed copy of the input exists at any point. Encode runs
+// both passes over arbitrary bytes. Decoding resolves one symbol per table
+// lookup and is resumable, so a block can be drained a window at a time
+// into a small buffer.
 package entropy
 
 import (
@@ -27,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"gist/internal/floatenc"
 )
 
 const (
@@ -69,148 +74,61 @@ func MaxEncodedLen(n int) int {
 // extended slice. The block is self-contained; Decode needs only the block
 // bytes and the original length. Encoding an empty src appends nothing.
 func Encode(dst []byte, src []byte) []byte {
-	words := make([]uint32, (len(src)+3)/4)
-	for i, b := range src {
-		words[i/4] |= uint32(b) << (uint(i%4) * 8)
+	z := tokenizer{toks: []byte{streamHead}}
+	var words [windowBytes / 4]uint32
+	for off := 0; off < len(src); off += windowBytes {
+		win := src[off:min(off+windowBytes, len(src))]
+		clear(words[:])
+		for i, b := range win {
+			words[i/4] |= uint32(b) << (uint(i%4) * 8)
+		}
+		z.add(words[:], len(win))
 	}
 	var table [tableBytes]byte
-	size := plan(table[:], words, len(src))
+	size := z.plan(table[:])
 	base := len(dst)
 	dst = slices.Grow(dst, size)[:base+size]
 	copy(dst[base:], table[:])
-	emit(dst[base:], words, len(src))
+	Emit(dst[base:], z.toks)
 	return dst
 }
 
-// Plan is the first encode phase. It builds the code table for the block
-// that compresses words (read as their little-endian bytes) into
-// table[:TableBytes] and returns the block's exact length in bytes, table
-// included. Planning no words writes nothing and returns 0.
-func Plan(table []byte, words []uint32) int {
-	return plan(table, words, 4*len(words))
+// Plan is the first encode pass over one block. It DPR-packs xs at format f
+// a window at a time — the block's input is the packed words' little-endian
+// bytes, exactly the bytes a whole-slice pack would hold — and tokenises
+// each window into toks's backing array, which it grows when it is short.
+// It writes the code table into table[:TableBytes] and returns the block's
+// exact length in bytes, table included, with the token stream Emit codes.
+// Planning no elements writes no table and returns 0.
+func Plan(table, toks []byte, f floatenc.Format, xs []float32) (int, []byte) {
+	z := tokenizer{toks: append(toks[:0], streamHead)}
+	vpw := f.ValuesPerWord()
+	var words [windowBytes / 4]uint32
+	for len(xs) > 0 {
+		m := min(len(xs), len(words)*vpw)
+		k := (m + vpw - 1) / vpw
+		clear(words[:k])
+		win := floatenc.Packed{Format: f, N: m, Words: words[:k]}
+		win.EncodeRange(xs, 0, m)
+		z.add(words[:k], 4*k)
+		xs = xs[m:]
+	}
+	return z.plan(table), z.toks
 }
 
-// Emit is the second encode phase. block must have exactly the length Plan
-// returned for the same words and hold Plan's table in its first TableBytes
-// bytes; Emit fills in the rest. Blocks of one stream can be emitted
-// concurrently, each into its own range.
-func Emit(block []byte, words []uint32) {
-	emit(block, words, 4*len(words))
-}
-
-// Decode decompresses a block produced by Encode into dst, which must have
-// exactly the original input's length. It returns an error wrapping
-// ErrCorrupt when the block is malformed, truncated, or disagrees with
-// len(dst).
-func Decode(dst []byte, src []byte) error {
-	var d Decoder
-	if err := d.Init(src, len(dst)); err != nil {
-		return err
-	}
-	return d.Read(dst)
-}
-
-// tokenizer is the zero-run-length transform both encode phases consume, so
-// they cannot disagree about the symbol stream. It walks the first n bytes
-// of words' little-endian serialisation a window at a time and yields one
-// token per symbol: a nonzero byte is the literal token of its value; zero
-// bytes accumulate into a run that ends at the next nonzero byte, at maxRun
-// or with the input, and becomes the token symZeroRun+length.
-type tokenizer struct {
-	words []uint32
-	n     int // bytes of words not yet tokenized
-	run   int // length of the zero run open where the last window ended
-	// toks holds one window's tokens. A literal takes a nonzero byte and a
-	// run at least one zero byte, so there is at most one per input byte,
-	// plus one for a run carried in from the window before; the loop writes
-	// one slot ahead of the count, the slot the input's final run ends up in.
-	toks [windowBytes + 2]uint16
-}
-
-// windowBytes is how much input one tokenizer window covers: it sizes the
-// token buffer the encode phases keep on their stack.
-const windowBytes = 1024
-
-// next returns the tokens of the next window, or nil once the input is
-// exhausted. The slice is valid until the following call.
-//
-// Whether one activation is zero and the next is not is close to a coin
-// flip, so the per-byte step does not branch on it: both candidate tokens
-// are stored every time and arithmetic on 0-or-1 flags decides how far the
-// cursor moves. The branches left are predictable ones — a whole zero word
-// (the long runs of sparse maps) and a run reaching maxRun.
-func (z *tokenizer) next() []uint16 {
-	if z.n == 0 {
-		return nil
-	}
-	n := min(z.n, windowBytes)
-	nt, run := 0, z.run
-	for i := 0; 4*i < n; i++ {
-		w, nb := z.words[i], min(4, n-4*i)
-		if w == 0 && run < maxRun-nb {
-			run += nb
-			continue
-		}
-		for ; nb > 0; nb-- {
-			b := int(w & 0xff)
-			w >>= 8
-			literal := (b + 0xff) >> 8   // 1 when b != 0
-			pending := (run + 0xff) >> 8 // 1 when a run is open
-			z.toks[nt] = uint16(symZeroRun + run)
-			nt += literal & pending
-			z.toks[nt] = uint16(b)
-			nt += literal
-			run = (run + 1) & (literal - 1) // 0 after a literal
-			if run == maxRun {
-				z.toks[nt] = symZeroRun + maxRun
-				nt++
-				run = 0
-			}
-		}
-	}
-	z.words, z.n = z.words[(n+3)/4:], z.n-n
-	if z.n == 0 && run > 0 {
-		z.toks[nt] = uint16(symZeroRun + run)
-		nt++
-	}
-	z.run = run
-	return z.toks[:nt]
-}
-
-func plan(table []byte, words []uint32, n int) int {
-	if n == 0 {
-		return 0
-	}
-	// Literals count at their byte value, a run of r at symZeroRun+r.
-	var hist [numSymbols + maxRun]int
-	z := tokenizer{words: words, n: n}
-	for toks := z.next(); toks != nil; toks = z.next() {
-		for _, t := range toks {
-			hist[t]++
-		}
-	}
-	syms := (*[numSymbols]int)(hist[:])
-	for _, c := range hist[symZeroRun+1:] {
-		syms[symZeroRun] += c
-	}
-	lens := codeLengths(syms)
-	bits := 8 * syms[symZeroRun]
-	for s, c := range syms {
-		bits += c * int(lens[s])
-	}
-	clear(table[:tableBytes])
-	for s, l := range lens {
-		table[s/2] |= l << (uint(s%2) * 4)
-	}
-	return tableBytes + (bits+7)/8
-}
-
-func emit(block []byte, words []uint32, n int) {
-	if n == 0 {
+// Emit is the second encode pass. block must have exactly the length Plan
+// returned and hold Plan's table in its first TableBytes bytes, and toks
+// must be the token stream Plan returned with it; Emit fills in the rest of
+// the block. Blocks of one stream can be emitted concurrently, each into
+// its own range.
+func Emit(block, toks []byte) {
+	if len(block) == 0 {
 		return
 	}
 	// codes[token] = bits << 5 | bit count, one load per token: a literal's
 	// canonical code, or the run symbol's code followed by the 8-bit length.
+	// codes[symZeroRun], a run of length 0, is the stream's padding and
+	// codes to nothing.
 	var lens [numSymbols]uint8
 	readLengths(&lens, block)
 	var cc canonical
@@ -226,31 +144,43 @@ func emit(block []byte, words []uint32, n int) {
 	for r := uint32(1); r <= maxRun; r++ {
 		codes[symZeroRun+r] = (runCode|r)<<5 | runLen
 	}
+	codes[symZeroRun] = 0
 
-	// MSB-first through a 64-bit accumulator that is drained to under a
-	// byte after every token, so it never holds more than 7 + 23 bits.
+	// MSB-first through a 64-bit accumulator drained to under a byte after
+	// every store. Every token byte is coded on its own, without a branch and
+	// without waiting for the one before it to be parsed: a byte after a 0x00
+	// is a run length, as run lengths are never 0. A literal's code is at
+	// most maxCodeLen = 15 bits and a run's 23 over two bytes, so three bytes
+	// make at most 15+15+23 bits, which fit beside 7 leftover bits: each
+	// store writes the codes of three bytes.
 	body := block[tableBytes:]
 	var acc uint64
 	nacc, pos := uint(0), 0
-	z := tokenizer{words: words, n: n}
-	for toks := z.next(); toks != nil; toks = z.next() {
-		for _, t := range toks {
-			c := codes[t]
-			acc = acc<<(c&31) | uint64(c>>5)
-			nacc += uint(c & 31)
-			if pos+8 <= len(body) {
-				// Store all of it, keep the whole bytes: no branch on the
-				// bit count. The bytes stored beyond are zeros a later
-				// store overwrites, or the block's final padding.
-				binary.BigEndian.PutUint64(body[pos:], acc<<((64-nacc)&63))
-				pos += int(nacc >> 3)
-				nacc &= 7
-				continue
-			}
-			for ; nacc >= 8; pos++ { // the block's last bytes: no room to overshoot
-				nacc -= 8
-				body[pos] = byte(acc >> nacc)
-			}
+	rest := toks // rest[0] is the byte before the next one to code
+	for len(rest) >= 8 && pos+8 <= len(body) {
+		v := binary.LittleEndian.Uint64(rest)
+		rest = rest[3:]
+		b0, b1, b2, b3 := v>>8&0xff, v>>16&0xff, v>>24&0xff, v>>32&0xff
+		c0 := byteCode(&codes, zeroMask(v&0xff), b0, b1)
+		c1 := byteCode(&codes, zeroMask(b0), b1, b2)
+		c2 := byteCode(&codes, zeroMask(b1), b2, b3)
+		l1, l2 := uint(c1&31), uint(c2&31)
+		l := uint(c0&31) + l1 + l2
+		acc = acc<<(l&63) | (uint64(c0>>5)<<l1|uint64(c1>>5))<<l2 | uint64(c2>>5)
+		nacc += l
+		// Store all of it, keep the whole bytes: no branch on the bit
+		// count. The bytes stored beyond are zeros a later store
+		// overwrites, or the block's final padding.
+		binary.BigEndian.PutUint64(body[pos:], acc<<((64-nacc)&63))
+		pos += int(nacc >> 3)
+		nacc &= 7
+	}
+	for ; len(rest) >= padBytes+2; rest = rest[1:] { // the block's last bytes: no room to overshoot
+		c := byteCode(&codes, zeroMask(uint64(rest[0])), uint64(rest[1]), uint64(rest[2]))
+		acc = acc<<(c&31) | uint64(c>>5)
+		for nacc += uint(c & 31); nacc >= 8; pos++ {
+			nacc -= 8
+			body[pos] = byte(acc >> nacc)
 		}
 	}
 	if nacc > 0 {
@@ -260,6 +190,219 @@ func emit(block []byte, words []uint32, n int) {
 	if pos != len(body) {
 		panic(fmt.Sprintf("entropy: emitted %d body bytes into a block planned for %d", pos, len(body)))
 	}
+}
+
+// byteCode returns the code of token byte b, given the byte after it and
+// the zeroMask of the byte before it: the literal b, the run a 0x00
+// announces, whose length is the byte after, or nothing for that length.
+func byteCode(codes *[numSymbols + maxRun]uint32, prevZero, b, next uint64) uint32 {
+	return codes[(b+(symZeroRun+next)&zeroMask(b))&(numSymbols+maxRun-1)] &^ uint32(prevZero)
+}
+
+// zeroMask is all ones when the byte b is 0 and 0 otherwise.
+func zeroMask(b uint64) uint64 {
+	return (b+0xff)>>8 - 1
+}
+
+// Decode decompresses a block produced by Encode into dst, which must have
+// exactly the original input's length. It returns an error wrapping
+// ErrCorrupt when the block is malformed, truncated, or disagrees with
+// len(dst).
+func Decode(dst []byte, src []byte) error {
+	var d Decoder
+	if err := d.Init(src, len(dst)); err != nil {
+		return err
+	}
+	return d.Read(dst)
+}
+
+// tokenizer is the zero-run-length transform, run once per block: it walks
+// the block's input bytes as they arrive, writes one token per symbol into
+// toks and counts the symbols. A nonzero byte is a literal, one byte holding
+// its value; zero bytes accumulate into a run that ends at the next nonzero
+// byte, at maxRun or with the input, and becomes two bytes, 0x00 and the
+// length. Every nonzero input byte is one literal token and every run is
+// counted as it is written, so the counts are the token stream's; Emit
+// panics if the tokens do not fill the block those counts sized.
+type tokenizer struct {
+	toks []byte
+	run  int // length of the zero run open where the last window ended
+	runs int // zero-run tokens made so far: one symbol, whatever the length
+	// lits[p] counts the input bytes at byte p of a word: the literals, and
+	// in slot 0 the zero bytes, which are never literals. Four tables, so
+	// consecutive bytes never wait on each other's count.
+	lits [4][256]uint32
+}
+
+// A token stream opens with the nonzero streamHead, so every token byte has
+// a byte before it, and closes with padBytes zero bytes, which code to
+// nothing, so Emit can load eight bytes from anywhere in it.
+const (
+	streamHead = 1
+	padBytes   = 8
+)
+
+// windowBytes is how much input one add covers. A window's tokens take at
+// most 1.5 bytes per input byte (a literal after every one-byte run) plus a
+// run carried in and its maxRun splits; add reserves windowToks for them and
+// for the 8-byte stores that run past its count.
+const (
+	windowBytes = 1024
+	windowToks  = 2 * windowBytes
+)
+
+// wordShape is what the zero pattern of one 32-bit word makes of it. The
+// word's first nonzero byte closes the open run, grown by the lead zero
+// bytes; from there on its bytes up to the last nonzero one go out as they
+// are, except that an inner gap of one zero byte becomes the run [0x00 0x01]
+// — the bytes from the gap on move up one — and a gap of two becomes
+// [0x00 0x02]; the trail zero bytes open the next run. A word of zeros
+// makes nothing and keeps the run open.
+type wordShape struct {
+	low, add    uint64 // v&low | (v&^low)<<8 | add rewrites the word from its first nonzero byte
+	lead, trail int    // zero bytes before the first and after the last nonzero byte
+	n, gaps     int    // bytes and runs the rewritten word takes
+	lit, keep   int    // 1, 0 for a word with a nonzero byte; 0, -1 (keep the run) for a zero word
+}
+
+// shapes is indexed by zeroBytes(w).
+var shapes = func() (shapes [16]wordShape) {
+	for m := range shapes {
+		s := &shapes[m]
+		s.low = ^uint64(0)
+		if m == 15 {
+			s.lead, s.trail, s.keep = 4, 4, -1
+			continue
+		}
+		for m>>s.lead&1 == 1 {
+			s.lead++
+		}
+		for m>>(3-s.trail)&1 == 1 {
+			s.trail++
+		}
+		s.lit, s.n = 1, 4-s.lead-s.trail
+		for k := 1; k < s.n; k++ { // k counts from the first nonzero byte
+			if m>>(s.lead+k)&1 == 0 {
+				continue
+			}
+			s.gaps = 1
+			if m>>(s.lead+k+1)&1 == 1 {
+				s.add = 2 << (8 * (k + 1))
+			} else {
+				s.low, s.add = 1<<(8*(k+1))-1, 1<<(8*(k+1))
+				s.n++
+			}
+			break
+		}
+	}
+	return shapes
+}()
+
+// zeroBytes returns the 4-bit mask of w's zero bytes, bit k for byte k.
+func zeroBytes(w uint32) uint32 {
+	nz := (w&0x7f7f7f7f + 0x7f7f7f7f | w) & 0x80808080 // the top bit of each nonzero byte
+	return ((nz ^ 0x80808080) >> 7 * 0x204081) >> 21 & 15
+}
+
+// add tokenises the first n ≤ windowBytes bytes of words' little-endian
+// serialisation. Every window but a block's last covers whole words.
+//
+// Whether one activation is zero and the next is not is close to a coin
+// flip, so a word's tokens are not found by branching on its bytes: its zero
+// pattern selects a shape, the tokens are the word shifted and masked per
+// the shape and stored eight bytes at a time, and arithmetic on a 0-or-1
+// flag moves the cursor past the run the word closes. The branches left are
+// predictable ones: two zero words in a row, common in the long runs of
+// sparse maps and rare in a half-sparse one, which skip the step; a run
+// reaching maxRun, which the open run, at most maxRun-1 long, does at most
+// once a word; and a block's ragged last word.
+func (z *tokenizer) add(words []uint32, n int) {
+	toks := z.toks
+	if cap(toks)-len(toks) < windowToks {
+		// Grow by an eighth, not append's quarter: the buffer is kept for
+		// the next encode, so its slack stays allocated.
+		toks = append(make([]byte, 0, len(toks)+len(toks)/8+windowToks), toks...)
+	}
+	t := toks[len(toks):cap(toks)]
+	nt, run, runs := 0, z.run, z.runs
+	lits := &z.lits
+	ws := words[:n/4]
+	for i := 0; i < len(ws); i++ {
+		w := ws[i]
+		if i+1 < len(ws) && w|ws[i+1] == 0 && run < maxRun-8 {
+			run += 8
+			i++
+			continue
+		}
+		lits[0][w&0xff]++
+		lits[1][w>>8&0xff]++
+		lits[2][w>>16&0xff]++
+		lits[3][w>>24]++
+		s := &shapes[zeroBytes(w)]
+		if run+s.lead >= maxRun { // the run reaches maxRun in the word's lead zeros
+			t[nt], t[nt+1] = 0, maxRun
+			nt, runs, run = nt+2, runs+1, run-maxRun
+		}
+		open := run + s.lead
+		flush := (open + 0xff) >> 8 & s.lit // 1 when the word closes a run
+		v := uint64(w) >> (8 * s.lead & 63)
+		v = v&s.low | (v&^s.low)<<8 | s.add
+		binary.LittleEndian.PutUint64(t[nt:], v<<(16*flush&63)|uint64(open*flush)<<8)
+		nt += 2*flush + s.n
+		runs += flush + s.gaps
+		run = s.trail + run&s.keep
+	}
+	if nb := n % 4; nb > 0 { // a ragged last word, a byte at a time
+		for w := words[n/4]; nb > 0; nb, w = nb-1, w>>8 {
+			b := byte(w)
+			lits[0][b]++
+			if b == 0 {
+				if run++; run == maxRun {
+					t[nt], t[nt+1] = 0, maxRun
+					nt, runs, run = nt+2, runs+1, 0
+				}
+				continue
+			}
+			if run > 0 {
+				t[nt], t[nt+1] = 0, byte(run)
+				nt, runs, run = nt+2, runs+1, 0
+			}
+			t[nt] = b
+			nt++
+		}
+	}
+	z.toks, z.run, z.runs = toks[:len(toks)+nt], run, runs
+}
+
+// plan closes the block: it emits the run still open and the stream's
+// padding, writes the code table into table[:TableBytes] and returns
+// the block's exact length. A block with no input returns 0.
+func (z *tokenizer) plan(table []byte) int {
+	if len(z.toks) == 1 && z.run == 0 {
+		return 0
+	}
+	if z.run > 0 {
+		z.toks = append(z.toks, 0, byte(z.run))
+		z.runs++
+	}
+	z.toks = append(z.toks, make([]byte, padBytes)...)
+	var syms [numSymbols]int
+	for _, lits := range &z.lits {
+		for s, c := range lits[1:] {
+			syms[1+s] += int(c)
+		}
+	}
+	syms[symZeroRun] = z.runs
+	lens := codeLengths(&syms)
+	bits := 8 * syms[symZeroRun]
+	for s, c := range syms {
+		bits += c * int(lens[s])
+	}
+	clear(table[:tableBytes])
+	for s, l := range lens {
+		table[s/2] |= l << (uint(s%2) * 4)
+	}
+	return tableBytes + (bits+7)/8
 }
 
 // codeLengths computes length-limited Huffman code lengths for the
