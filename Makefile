@@ -26,12 +26,13 @@ race:
 
 # Focused race pass over the packages that share the worker pool: the
 # chunked codec, the async-decode executor and replica engine, the
-# deterministic reduce, the pool itself, and the telemetry sink every one
-# of them reports into. Runs with -count=1 so the hammer tests actually
+# deterministic reduce, the pool itself, the telemetry sink every one of
+# them reports into, and the fault injector that decode futures and
+# replicas sharing it reach concurrently. Runs with -count=1 so the hammer tests actually
 # execute every time. The job server rides along via soak-short (its own
 # race pass, sized for CI).
 race-hot: soak-short
-	$(GO) test -race -count=1 ./internal/encoding/ ./internal/train/ ./internal/reduce/ ./internal/parallel/ ./internal/telemetry/ ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/entropy/ ./internal/stashstore/
+	$(GO) test -race -count=1 ./internal/encoding/ ./internal/train/ ./internal/reduce/ ./internal/parallel/ ./internal/telemetry/ ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/entropy/ ./internal/stashstore/ ./internal/faults/
 
 # Full soak/chaos run over the job server: 32 concurrent jobs with fault
 # injection and a seeded cancel/pause/resume chaos goroutine, under the
@@ -150,7 +151,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22090
+LOC_CEILING ?= 22079
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

@@ -18,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"gist/internal/bufpool"
 	"gist/internal/debugz"
 	"gist/internal/encoding"
 	"gist/internal/experiments"
@@ -32,7 +31,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	par := flag.Int("parallel", 0, "encode/decode worker count (0 = GOMAXPROCS, 1 = serial)")
-	usePool := flag.Bool("pool", false, "recycle the training-based experiments' per-step tensors through the shared buffer pool (byte-identical results)")
 	technique := flag.String("technique", "", "narrow the training-based experiments' stash encoding to one technique (binarize|ssdc|dpr|zvc|entropy), or \"adaptive\" for per-layer minimum-bytes selection; empty = experiment defaults")
 	replicas := flag.Int("replicas", 0, "run the training-based experiments on this many data-parallel executor replicas (0/1 = single executor)")
 	nshards := flag.Int("shards", 0, "micro-shards per step for the replica engine (0 = one per replica; pin this when comparing replica counts)")
@@ -55,9 +53,6 @@ func main() {
 	// runs through the shared worker pool; results are bit-identical at
 	// every worker count.
 	parallel.SetSharedWorkers(*par)
-	if *usePool {
-		experiments.SetTrainingPool(bufpool.Shared())
-	}
 	experiments.SetTrainingReplicas(*replicas, *nshards)
 	experiments.SetTrainingStash(*stashBudget, *spillDir)
 	if err := experiments.SetTrainingTechnique(*technique); err != nil {

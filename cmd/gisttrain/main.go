@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 
-	"gist/internal/bufpool"
 	"gist/internal/debugz"
 	"gist/internal/encoding"
 	"gist/internal/experiments"
@@ -35,7 +34,6 @@ func main() {
 	par := flag.Int("parallel", 0, "encode/decode worker count (0 = GOMAXPROCS, 1 = serial)")
 	replicas := flag.Int("replicas", 0, "data-parallel executor replicas (0/1 = single executor; results are bit-identical at every count for a fixed -shards)")
 	nshards := flag.Int("shards", 0, "micro-shards per step for the replica engine (0 = one per replica; pin this when comparing replica counts)")
-	usePool := flag.Bool("pool", false, "recycle per-step tensors through the shared buffer pool (byte-identical results, near-zero steady-state allocation)")
 	technique := flag.String("technique", "", "narrow the training experiments' stash encoding to one technique (binarize|ssdc|dpr|zvc|entropy), or \"adaptive\" for per-layer minimum-bytes selection; empty = experiment defaults")
 	stashBudget := flag.Int64("stash-budget", 0, "cap the in-RAM stash bytes, spilling the excess to encoded pages on disk (0 = all in RAM; results are bit-identical at every budget)")
 	spillDir := flag.String("spill-dir", "", "directory for the stash store's spill file (default: the OS temp dir; only meaningful with -stash-budget)")
@@ -71,9 +69,6 @@ func main() {
 	// backs every codec chunk and the executor's decode overlap. Output is
 	// bit-identical at every worker count.
 	parallel.SetSharedWorkers(*par)
-	if *usePool {
-		experiments.SetTrainingPool(bufpool.Shared())
-	}
 	// The replica engine splits each step's minibatch into fixed
 	// micro-shards and merges gradients with a deterministic tree reduce,
 	// so weights are bit-identical at every -replicas and -parallel value

@@ -13,6 +13,7 @@ package experiments
 import (
 	"math"
 
+	"gist/internal/bufpool"
 	"gist/internal/encoding"
 	"gist/internal/floatenc"
 	"gist/internal/graph"
@@ -88,7 +89,7 @@ func ExtDistributed(mb, workers int) *Result {
 // replica 0's flattened parameters and the final step loss.
 func trainDistributed(net distNet, shardBatch, shards, replicas, classes, steps int) ([]float32, float64) {
 	g := net.build(shardBatch, classes)
-	opts := train.Options{Seed: 42, Pool: trainingPool}
+	opts := train.Options{Seed: 42, Pool: bufpool.Shared()}
 	if net.encoded {
 		opts.Encodings = encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
 	}

@@ -286,7 +286,7 @@ func TestFig14CompressionOverTime(t *testing.T) {
 func TestRatioTallyDeterministic(t *testing.T) {
 	skipIfRace(t)
 	s := DefaultRatioScale()
-	s.Steps, s.Pool = 5, nil
+	s.Steps = 5
 	a, b := ExtRatio(s), ExtRatio(s)
 	if a.String() != b.String() {
 		t.Fatalf("two runs differ:\n%s\n---\n%s", a, b)

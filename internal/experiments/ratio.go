@@ -32,15 +32,13 @@ type RatioScale struct {
 	Seed     uint64
 	// Format is the DPR format layered under the quantized columns.
 	Format floatenc.Format
-	// Pool, when non-nil, pools the training runs' per-step tensors.
-	Pool *bufpool.Pool
 }
 
 // DefaultRatioScale trains each network for a few seconds.
 func DefaultRatioScale() RatioScale {
 	return RatioScale{
 		Classes: 4, Minibatch: 8, Steps: 60, LR: 0.05, NoiseStd: 0.4,
-		Seed: 42, Format: floatenc.FP16, Pool: trainingPool,
+		Seed: 42, Format: floatenc.FP16,
 	}
 }
 
@@ -80,7 +78,7 @@ func ExtRatio(s RatioScale) *Result {
 	wins := map[string]int{} // layers each technique wins outright
 	for _, net := range nets {
 		g := net.build(s.Minibatch, s.Classes)
-		e := train.NewExecutor(g, train.Options{Seed: s.Seed, Pool: s.Pool})
+		e := train.NewExecutor(g, train.Options{Seed: s.Seed, Pool: bufpool.Shared()})
 		d := train.NewDataset(s.Classes, 3, net.imgSize, s.NoiseStd, s.Seed+1)
 		train.Run(e, d, train.RunConfig{Minibatch: s.Minibatch, Steps: s.Steps, LR: s.LR})
 		x, labels := d.Batch(s.Minibatch)

@@ -46,10 +46,6 @@ type RobustScale struct {
 	// planner's predicted footprint (plan.static.* gauges vs the observed
 	// mem.peak_held_bytes).
 	Tel *telemetry.Sink
-	// Pool, when non-nil, pools the run's per-step tensors — the recovery
-	// loop's retries then recycle the failed step's buffers instead of
-	// leaking them to the collector.
-	Pool *bufpool.Pool
 }
 
 // DefaultRobustScale injects a fault roughly every other step and finishes
@@ -64,7 +60,6 @@ func DefaultRobustScale() RobustScale {
 			DecodeFailRate: 0.01,
 		},
 		MaxRetries: 25,
-		Pool:       trainingPool,
 	}
 }
 
@@ -77,7 +72,8 @@ func Robust(s RobustScale) *Result {
 	g := networks.TinyCNN(s.Minibatch, s.Classes)
 	a := encoding.Analyze(g, trainingConfig(encoding.LossyLossless(floatenc.FP16)))
 	inj := faults.New(s.Faults)
-	e := train.NewExecutor(g, train.Options{Seed: s.Seed, Encodings: a, Faults: inj, Telemetry: s.Tel, Pool: s.Pool})
+	pool := bufpool.Shared()
+	e := train.NewExecutor(g, train.Options{Seed: s.Seed, Encodings: a, Faults: inj, Telemetry: s.Tel, Pool: pool})
 	d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, s.Seed+1)
 
 	if s.Tel != nil {
@@ -87,9 +83,7 @@ func Robust(s RobustScale) *Result {
 		plan := memplan.PlanStatic(liveness.Analyze(g, tl, liveness.Options{Analysis: a}))
 		plan.RecordTelemetry(s.Tel, "static")
 		memplan.RecordEncodingTelemetry(s.Tel, "static", a)
-		if s.Pool != nil {
-			s.Pool.SetTelemetry(s.Tel)
-		}
+		pool.SetTelemetry(s.Tel)
 	}
 
 	start := time.Now()
@@ -118,17 +112,20 @@ func Robust(s RobustScale) *Result {
 			injected += c
 		}
 	}
+	// One attempt can take several faults: retries are at most the total.
 	detected := report.Robust.CRCFailures == int64(counts[faults.BitFlip])
 	reconciled := detected &&
 		report.Robust.EncodeFailures == int64(counts[faults.EncodeFail]) &&
 		report.Robust.DecodeFailures == int64(counts[faults.DecodeFail]) &&
 		report.Robust.AllocFailures == int64(counts[faults.AllocFail]) &&
-		(err != nil || report.Retries == injected)
+		report.Retries <= injected
 
 	r.add("cross-check vs injector log:")
 	r.add("  bit flips injected %d, CRC-detected %d  -> %s",
 		counts[faults.BitFlip], report.Robust.CRCFailures, okNot(detected))
-	r.add("  faults injected %d, step retries %d     -> %s", injected, report.Retries, okNot(reconciled))
+	r.add("  encode/decode/alloc failures injected %d/%d/%d, surfaced %d/%d/%d; %d retries for %d faults  -> %s",
+		counts[faults.EncodeFail], counts[faults.DecodeFail], counts[faults.AllocFail], report.Robust.EncodeFailures,
+		report.Robust.DecodeFailures, report.Robust.AllocFailures, report.Retries, injected, okNot(reconciled))
 	if len(recs) > 0 {
 		last := recs[len(recs)-1]
 		r.add("  final accuracy loss %.3f (diverged: %v)", last.AccuracyLoss, train.Diverged(recs, s.Classes))

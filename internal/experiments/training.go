@@ -20,15 +20,6 @@ import (
 	"gist/internal/train"
 )
 
-// trainingPool, when set, is threaded into the default scales so the
-// zero-argument runners behind Lookup train through a buffer pool. The CLIs'
-// -pool flag sets it; results are byte-identical either way.
-var trainingPool *bufpool.Pool
-
-// SetTrainingPool routes the training-based experiments' per-step tensors
-// through the given pool (nil restores allocate-per-step).
-func SetTrainingPool(p *bufpool.Pool) { trainingPool = p }
-
 // trainingReplicas/trainingShards, when set, run the training-based
 // experiments on the data-parallel replica engine. The CLIs' -replicas and
 // -shards flags set them; at a fixed shard count results are byte-identical
@@ -113,9 +104,6 @@ type TrainScale struct {
 	// ErrorDepth is the conv depth of the forward-error study network.
 	ErrorDepth int
 	Seed       uint64 // base seed (kept for the CLI's -seed flag)
-	// Pool, when non-nil, serves every per-step tensor of the training runs
-	// from its free lists instead of fresh allocations.
-	Pool *bufpool.Pool
 	// Replicas/Shards, when set, run the accuracy study on the replica
 	// engine: Minibatch is divided into Shards micro-shards spread over
 	// Replicas concurrent executors.
@@ -127,7 +115,7 @@ func DefaultTrainScale() TrainScale {
 	return TrainScale{
 		Classes: 4, Minibatch: 8, Steps: 200, LR: 0.05, NoiseStd: 0.4,
 		Seeds: []uint64{42, 43}, ErrorDepth: 12, Seed: 42,
-		Pool: trainingPool, Replicas: trainingReplicas, Shards: trainingShards,
+		Replicas: trainingReplicas, Shards: trainingShards,
 	}
 }
 
@@ -173,7 +161,7 @@ func Fig12(s TrainScale) *Result {
 		var sum float64
 		diverged := false
 		for _, seed := range s.Seeds {
-			opts := train.Options{Seed: seed, Pool: s.Pool, ForwardFormat: c.forward}
+			opts := train.Options{Seed: seed, Pool: bufpool.Shared(), ForwardFormat: c.forward}
 			en := newTrainEngine(networks.TinyCNN, s.Minibatch, s.Classes, opts,
 				encoding.Config{DPR: c.dpr}, s.Replicas, s.Shards)
 			d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, seed+1)
@@ -304,8 +292,6 @@ type SparsityScale struct {
 	ProbeEvery int
 	LR         float32
 	Seed       uint64
-	// Pool, when non-nil, pools the run's per-step tensors.
-	Pool *bufpool.Pool
 	// Replicas/Shards, when set, run the study on the replica engine.
 	Replicas, Shards int
 }
@@ -314,7 +300,7 @@ type SparsityScale struct {
 func DefaultSparsityScale() SparsityScale {
 	return SparsityScale{
 		Classes: 4, Minibatch: 8, Steps: 60, ProbeEvery: 10, LR: 0.01, Seed: 7,
-		Pool: trainingPool, Replicas: trainingReplicas, Shards: trainingShards,
+		Replicas: trainingReplicas, Shards: trainingShards,
 	}
 }
 
@@ -325,7 +311,7 @@ func DefaultSparsityScale() SparsityScale {
 func Fig14(s SparsityScale) *Result {
 	r := &Result{ID: "fig14", Title: "SSDC compression ratio per ReLU layer over training (TinyVGG)"}
 	en := newTrainEngine(networks.TinyVGG, s.Minibatch, s.Classes,
-		train.Options{Seed: s.Seed, Pool: s.Pool}, encoding.Config{}, s.Replicas, s.Shards)
+		train.Options{Seed: s.Seed, Pool: bufpool.Shared()}, encoding.Config{}, s.Replicas, s.Shards)
 	d := train.NewDataset(s.Classes, 3, 32, 0.3, s.Seed+1)
 	recs := train.Run(en, d, train.RunConfig{
 		Minibatch: en.Batch(), Steps: s.Steps, LR: s.LR,

@@ -41,7 +41,7 @@ func TestInjectedFaultTripsExactlyItsChunk(t *testing.T) {
 		}
 		c.Seal(enc)
 		before := len(inj.Events())
-		if !inj.CorruptStash("probe", enc) {
+		if !inj.CorruptStash(faults.Key{Step: 1}, "probe", enc) {
 			t.Fatalf("%v/%s: injector did not fire at rate 1", as.Tech, as.Format)
 		}
 		events := inj.Events()

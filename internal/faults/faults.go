@@ -6,8 +6,10 @@
 // corruption, allocation failure and crashes. The injector flips bits in
 // held EncodedStash payloads, fails encode/decode calls, simulates
 // allocation failure against a memory budget, and truncates or corrupts
-// checkpoint streams — all driven by one seeded RNG so every run replays
-// exactly.
+// checkpoint streams. Every draw is a pure function of the seed, the
+// attempt's Key, the stash and the draw site, never of what was drawn
+// before it: a run replays exactly whatever order its stashes are encoded,
+// decoded and spilled in, on any number of goroutines and replicas.
 //
 // Every injected fault is logged as an Event; the trainer's RecoveryReport
 // is cross-checked against this log (every injected stash corruption must
@@ -55,37 +57,29 @@ const (
 	SpillShortRead
 )
 
+var kindNames = [...]string{"bit-flip", "encode-fail", "decode-fail", "alloc-fail",
+	"checkpoint-truncate", "checkpoint-corrupt", "spill-write-fail", "spill-read-corrupt", "spill-short-read"}
+
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case BitFlip:
-		return "bit-flip"
-	case EncodeFail:
-		return "encode-fail"
-	case DecodeFail:
-		return "decode-fail"
-	case AllocFail:
-		return "alloc-fail"
-	case CheckpointTruncate:
-		return "checkpoint-truncate"
-	case CheckpointCorrupt:
-		return "checkpoint-corrupt"
-	case SpillWriteFail:
-		return "spill-write-fail"
-	case SpillReadCorrupt:
-		return "spill-read-corrupt"
-	case SpillShortRead:
-		return "spill-short-read"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Event is one injected fault, recorded in the order faults fired.
+// Key names one attempt at one shard of one training step, so a retry
+// draws afresh. A single executor runs shard 0.
+type Key struct {
+	Step, Shard, Attempt int
+}
+
+// Event is one injected fault.
 type Event struct {
 	Kind Kind
-	// Step is the training step active when the fault fired (0 before the
-	// first BeginStep).
-	Step int
+	// Key is the attempt the fault hit (for a checkpoint fault, only Step
+	// is set: the step the latest BeginStep clocked).
+	Key
 	// Node names the stash the fault targeted, when applicable.
 	Node string
 	// Detail is a human-readable specifics string (bit index, byte offset,
@@ -95,7 +89,7 @@ type Event struct {
 
 // Config selects the fault mix. The zero Config injects nothing.
 type Config struct {
-	// Seed drives the injector's private RNG; runs replay exactly.
+	// Seed keys every draw; runs replay exactly.
 	Seed uint64
 	// BitFlipRate is the per-stash probability of flipping one uniformly
 	// chosen payload bit after the stash is sealed.
@@ -135,13 +129,22 @@ type Config struct {
 	SpillShortReadRate float64
 }
 
+// Draw sites: the dice one stash rolls in one attempt are independent.
+const (
+	siteEncode = iota
+	siteDecode
+	siteFlip
+	siteSpillWrite
+	siteSpillCorrupt
+	siteSpillShort
+)
+
 // Injector injects the configured faults. Methods are safe on a nil
 // receiver (no-ops) and safe for concurrent use.
 type Injector struct {
 	cfg Config
 
 	mu             sync.Mutex
-	rng            *tensor.RNG
 	step           int
 	stepBytes      int64
 	allocFailsLeft int
@@ -166,7 +169,7 @@ func (in *Injector) SetTelemetry(s *telemetry.Sink) {
 // New returns an injector for the config. New(Config{}) and nil both inject
 // nothing.
 func New(cfg Config) *Injector {
-	in := &Injector{cfg: cfg, rng: tensor.NewRNG(cfg.Seed)}
+	in := &Injector{cfg: cfg}
 	in.allocFailsLeft = cfg.AllocFailures
 	if cfg.AllocBudgetBytes > 0 && cfg.AllocFailures == 0 {
 		in.allocFailsLeft = 1
@@ -185,8 +188,8 @@ func (in *Injector) Enabled() bool {
 		c.SpillWriteFailRate > 0 || c.SpillReadCorruptRate > 0 || c.SpillShortReadRate > 0
 }
 
-// BeginStep marks the start of a training step: per-step allocation
-// accounting resets and subsequent events carry the step number.
+// BeginStep clocks the start of a training step: the per-step allocation
+// budget resets, and Step reports the step until the next call.
 func (in *Injector) BeginStep(step int) {
 	if in == nil {
 		return
@@ -197,14 +200,48 @@ func (in *Injector) BeginStep(step int) {
 	in.stepBytes = 0
 }
 
-// record appends an event and mirrors it into the telemetry sink; callers
-// hold the lock.
-func (in *Injector) record(k Kind, node, detail string) {
-	in.events = append(in.events, Event{Kind: k, Step: in.step, Node: node, Detail: detail})
+// Step returns the step the latest BeginStep clocked (0 before the first,
+// and on a nil injector).
+func (in *Injector) Step() int {
+	if in == nil {
+		return 0
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.step
+}
+
+// roll throws the die at site for one stash in the attempt k: hit reports
+// whether it fell under the site's configured rate, and aux is an
+// independent value for the fault's detail (which bit, which byte).
+func (in *Injector) roll(k Key, node string, site int) (hit bool, aux uint64) {
+	if in == nil {
+		return false, 0
+	}
+	c := &in.cfg
+	rate := [...]float64{c.EncodeFailRate, c.DecodeFailRate, c.BitFlipRate,
+		c.SpillWriteFailRate, c.SpillReadCorruptRate, c.SpillShortReadRate}[site]
+	if rate <= 0 {
+		return false, 0
+	}
+	h := uint64(14695981039346656037) // FNV-1a over the node name
+	for i := 0; i < len(node); i++ {
+		h = (h ^ uint64(node[i])) * 1099511628211
+	}
+	z := tensor.Mix(tensor.Mix(c.Seed, uint64(k.Step), uint64(k.Shard)), uint64(k.Attempt), h)
+	u := tensor.Mix(z, uint64(site), 0)
+	return float64(u>>11)/(1<<53) < rate, tensor.Mix(u, 0, 0)
+}
+
+// record appends an event and mirrors it into the telemetry sink.
+func (in *Injector) record(k Kind, key Key, node, detail string) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.events = append(in.events, Event{Kind: k, Key: key, Node: node, Detail: detail})
 	if in.tel != nil {
 		in.tel.Counter("faults.injected." + k.String()).Inc()
 		in.tel.Instant("faults", k.String(),
-			telemetry.Int("step", int64(in.step)),
+			telemetry.Int("step", int64(key.Step)),
 			telemetry.Str("node", node),
 			telemetry.Str("detail", detail))
 	}
@@ -212,88 +249,71 @@ func (in *Injector) record(k Kind, node, detail string) {
 
 // FailEncode rolls the encode-failure die for one stash, returning
 // ErrInjectedEncode (and logging the event) on a hit.
-func (in *Injector) FailEncode(node string) error {
-	if in == nil || in.cfg.EncodeFailRate <= 0 {
+func (in *Injector) FailEncode(k Key, node string) error {
+	if hit, _ := in.roll(k, node, siteEncode); !hit {
 		return nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() >= in.cfg.EncodeFailRate {
-		return nil
-	}
-	in.record(EncodeFail, node, "")
+	in.record(EncodeFail, k, node, "")
 	return fmt.Errorf("%w (stash %q)", ErrInjectedEncode, node)
 }
 
 // FailDecode rolls the decode-failure die for one stash.
-func (in *Injector) FailDecode(node string) error {
-	if in == nil || in.cfg.DecodeFailRate <= 0 {
+func (in *Injector) FailDecode(k Key, node string) error {
+	if hit, _ := in.roll(k, node, siteDecode); !hit {
 		return nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() >= in.cfg.DecodeFailRate {
-		return nil
-	}
-	in.record(DecodeFail, node, "")
+	in.record(DecodeFail, k, node, "")
 	return fmt.Errorf("%w (stash %q)", ErrInjectedDecode, node)
 }
 
 // Alloc charges one stash allocation against the step's memory budget and
-// fails with ErrInjectedAlloc while simulated pressure lasts.
-func (in *Injector) Alloc(node string, bytes int64) error {
+// fails with ErrInjectedAlloc while simulated pressure lasts. The budget is
+// a running total, not a draw: which stash overruns it depends on the order
+// of the step's allocations.
+func (in *Injector) Alloc(k Key, node string, bytes int64) error {
 	if in == nil || in.cfg.AllocBudgetBytes <= 0 {
 		return nil
 	}
 	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.stepBytes += bytes
-	if in.stepBytes <= in.cfg.AllocBudgetBytes || in.allocFailsLeft <= 0 {
+	total, budget := in.stepBytes, in.cfg.AllocBudgetBytes
+	fail := total > budget && in.allocFailsLeft > 0
+	if fail {
+		in.allocFailsLeft--
+	}
+	in.mu.Unlock()
+	if !fail {
 		return nil
 	}
-	in.allocFailsLeft--
-	in.record(AllocFail, node, fmt.Sprintf("step bytes %d > budget %d", in.stepBytes, in.cfg.AllocBudgetBytes))
-	return fmt.Errorf("%w (stash %q, %d bytes over %d budget)",
-		ErrInjectedAlloc, node, in.stepBytes-in.cfg.AllocBudgetBytes, in.cfg.AllocBudgetBytes)
+	in.record(AllocFail, k, node, fmt.Sprintf("step bytes %d > budget %d", total, budget))
+	return fmt.Errorf("%w (stash %q, %d bytes over %d budget)", ErrInjectedAlloc, node, total-budget, budget)
 }
 
 // CorruptStash rolls the bit-flip die for one sealed stash and, on a hit,
 // flips a uniformly chosen payload bit and logs it. It reports whether the
-// stash was corrupted. The caller must decode (and hence CRC-verify) the
-// stash immediately after this call so every logged flip is either detected
-// or proves a checksum gap.
-func (in *Injector) CorruptStash(node string, e *encoding.EncodedStash) bool {
-	if in == nil || in.cfg.BitFlipRate <= 0 || e == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() >= in.cfg.BitFlipRate {
+// stash was corrupted. The caller must verify the stash (decode it) before
+// the attempt ends, so every logged flip is either detected or proves a
+// checksum gap.
+func (in *Injector) CorruptStash(k Key, node string, e *encoding.EncodedStash) bool {
+	hit, aux := in.roll(k, node, siteFlip)
+	if !hit || e == nil || e.PayloadBits() == 0 {
 		return false
 	}
 	bits := e.PayloadBits()
-	if bits == 0 {
-		return false
-	}
-	bit := in.rng.Intn(bits)
+	bit := int(aux % uint64(bits))
 	e.FlipBit(bit)
-	in.record(BitFlip, node, fmt.Sprintf("payload bit %d of %d", bit, bits))
+	in.record(BitFlip, k, node, fmt.Sprintf("payload bit %d of %d", bit, bits))
 	return true
 }
 
 // FailSpillWrite rolls the spill-write-failure die for one page, returning
 // ErrInjectedSpillWrite (and logging the event) on a hit — the disk-full
 // transient the stash store's recovery path must absorb.
-func (in *Injector) FailSpillWrite(node string) error {
-	if in == nil || in.cfg.SpillWriteFailRate <= 0 {
+func (in *Injector) FailSpillWrite(k Key, node string) error {
+	if hit, _ := in.roll(k, node, siteSpillWrite); !hit {
 		return nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() >= in.cfg.SpillWriteFailRate {
-		return nil
-	}
-	in.record(SpillWriteFail, node, "")
+	in.record(SpillWriteFail, k, node, "")
 	return fmt.Errorf("%w (stash %q)", ErrInjectedSpillWrite, node)
 }
 
@@ -305,28 +325,27 @@ func (in *Injector) FailSpillWrite(node string) error {
 // possibly modified in place or shortened. The caller must parse the
 // returned bytes immediately so every logged tamper is either detected by
 // the page CRC/bounded parser or proves a verification gap.
-func (in *Injector) TamperSpillPage(node string, page []byte) []byte {
-	if in == nil || len(page) == 0 ||
-		(in.cfg.SpillReadCorruptRate <= 0 && in.cfg.SpillShortReadRate <= 0) {
+func (in *Injector) TamperSpillPage(k Key, node string, page []byte) []byte {
+	if len(page) == 0 {
 		return page
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.cfg.SpillReadCorruptRate > 0 && in.rng.Float64() < in.cfg.SpillReadCorruptRate {
-		off := in.rng.Intn(len(page))
+	if hit, aux := in.roll(k, node, siteSpillCorrupt); hit {
+		off := int(aux % uint64(len(page)))
 		page[off] ^= 0xff
-		in.record(SpillReadCorrupt, node, fmt.Sprintf("flipped byte at page offset %d", off))
+		in.record(SpillReadCorrupt, k, node, fmt.Sprintf("flipped byte at page offset %d", off))
 		return page
 	}
-	if in.cfg.SpillShortReadRate > 0 && in.rng.Float64() < in.cfg.SpillShortReadRate {
-		n := in.rng.Intn(len(page))
-		in.record(SpillShortRead, node, fmt.Sprintf("truncated page to %d of %d bytes", n, len(page)))
+	if hit, aux := in.roll(k, node, siteSpillShort); hit {
+		n := int(aux % uint64(len(page)))
+		in.record(SpillShortRead, k, node, fmt.Sprintf("truncated page to %d of %d bytes", n, len(page)))
 		page = page[:n]
 	}
 	return page
 }
 
-// Events returns a copy of the fault log in firing order.
+// Events returns a copy of the fault log in firing order. Concurrent
+// attempts (replicas, decode futures) interleave nondeterministically, so
+// compare logs as multisets.
 func (in *Injector) Events() []Event {
 	if in == nil {
 		return nil
@@ -378,16 +397,12 @@ func (fw *faultyWriter) Write(p []byte) (int, error) {
 	if flip > 0 && flip >= start && flip < start+int64(n) {
 		out = append([]byte(nil), p...)
 		out[flip-start] ^= 0xff
-		in.mu.Lock()
-		in.record(CheckpointCorrupt, "", fmt.Sprintf("flipped byte at offset %d", flip))
-		in.mu.Unlock()
+		in.record(CheckpointCorrupt, Key{Step: in.Step()}, "", fmt.Sprintf("flipped byte at offset %d", flip))
 	}
 	if trunc > 0 && start+int64(len(out)) > trunc {
 		if !fw.truncated {
 			fw.truncated = true
-			in.mu.Lock()
-			in.record(CheckpointTruncate, "", fmt.Sprintf("tore stream at offset %d", trunc))
-			in.mu.Unlock()
+			in.record(CheckpointTruncate, Key{Step: in.Step()}, "", fmt.Sprintf("tore stream at offset %d", trunc))
 		}
 		if start >= trunc {
 			return n, nil // entirely past the tear: swallow

@@ -3,7 +3,10 @@ package faults
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"gist/internal/encoding"
@@ -17,16 +20,17 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 		t.Fatal("nil injector must be disabled")
 	}
 	in.BeginStep(1)
-	if err := in.FailEncode("x"); err != nil {
+	var k Key
+	if err := in.FailEncode(k, "x"); err != nil {
 		t.Fatalf("nil FailEncode: %v", err)
 	}
-	if err := in.FailDecode("x"); err != nil {
+	if err := in.FailDecode(k, "x"); err != nil {
 		t.Fatalf("nil FailDecode: %v", err)
 	}
-	if err := in.Alloc("x", 1<<30); err != nil {
+	if err := in.Alloc(k, "x", 1<<30); err != nil {
 		t.Fatalf("nil Alloc: %v", err)
 	}
-	if in.CorruptStash("x", nil) {
+	if in.CorruptStash(k, "x", nil) {
 		t.Fatal("nil CorruptStash must not corrupt")
 	}
 	if got := in.Events(); got != nil {
@@ -44,7 +48,8 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 		t.Fatal("zero config must be disabled")
 	}
 	for i := 0; i < 100; i++ {
-		if in.FailEncode("x") != nil || in.FailDecode("x") != nil || in.Alloc("x", 1<<40) != nil {
+		k := Key{Step: 1, Attempt: i}
+		if in.FailEncode(k, "x") != nil || in.FailDecode(k, "x") != nil || in.Alloc(k, "x", 1<<40) != nil {
 			t.Fatal("zero config injected a failure")
 		}
 	}
@@ -60,10 +65,11 @@ func drive(in *Injector) []Event {
 	for step := 1; step <= 20; step++ {
 		in.BeginStep(step)
 		for i := 0; i < 5; i++ {
-			in.FailEncode("n")
-			in.Alloc("n", 100)
-			in.FailDecode("n")
-			in.CorruptStash("n", s)
+			k := Key{Step: step, Attempt: i}
+			in.FailEncode(k, "n")
+			in.Alloc(k, "n", 100)
+			in.FailDecode(k, "n")
+			in.CorruptStash(k, "n", s)
 		}
 	}
 	return in.Events()
@@ -127,7 +133,7 @@ func TestEveryCorruptionIsDetectedByCRC(t *testing.T) {
 			in.BeginStep(1)
 			for trial := 0; trial < 50; trial++ {
 				s := tc.mk()
-				if !in.CorruptStash("n", s) {
+				if !in.CorruptStash(Key{Step: 1, Attempt: trial}, "n", s) {
 					t.Fatal("rate-1 injector did not corrupt")
 				}
 				var c encoding.Codec
@@ -144,21 +150,22 @@ func TestEveryCorruptionIsDetectedByCRC(t *testing.T) {
 
 func TestAllocBudgetIsTransient(t *testing.T) {
 	in := New(Config{Seed: 1, AllocBudgetBytes: 100, AllocFailures: 2})
+	var k Key
 	in.BeginStep(1)
-	if err := in.Alloc("a", 80); err != nil {
+	if err := in.Alloc(k, "a", 80); err != nil {
 		t.Fatalf("within budget: %v", err)
 	}
-	if err := in.Alloc("b", 80); !errors.Is(err, ErrInjectedAlloc) {
+	if err := in.Alloc(k, "b", 80); !errors.Is(err, ErrInjectedAlloc) {
 		t.Fatalf("over budget: %v, want ErrInjectedAlloc", err)
 	}
 	in.BeginStep(2) // retry: accounting resets, one failure left
-	in.Alloc("a", 80)
-	if err := in.Alloc("b", 80); !errors.Is(err, ErrInjected) {
+	in.Alloc(k, "a", 80)
+	if err := in.Alloc(k, "b", 80); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second failure: %v", err)
 	}
 	in.BeginStep(3) // pressure cleared
-	in.Alloc("a", 80)
-	if err := in.Alloc("b", 80); err != nil {
+	in.Alloc(k, "a", 80)
+	if err := in.Alloc(k, "b", 80); err != nil {
 		t.Fatalf("pressure should have cleared: %v", err)
 	}
 	if got := in.Counts()[AllocFail]; got != 2 {
@@ -220,15 +227,104 @@ func TestWrapWriterFlipsByte(t *testing.T) {
 
 func TestEventsCarryStepAndNode(t *testing.T) {
 	in := New(Config{Seed: 1, EncodeFailRate: 1})
-	in.BeginStep(42)
-	if err := in.FailEncode("relu3"); !errors.Is(err, ErrInjectedEncode) {
+	if err := in.FailEncode(Key{Step: 42, Shard: 3, Attempt: 2}, "relu3"); !errors.Is(err, ErrInjectedEncode) {
 		t.Fatalf("err = %v", err)
 	}
 	evs := in.Events()
-	if len(evs) != 1 || evs[0].Step != 42 || evs[0].Node != "relu3" || evs[0].Kind != EncodeFail {
+	if len(evs) != 1 || evs[0].Step != 42 || evs[0].Shard != 3 || evs[0].Attempt != 2 ||
+		evs[0].Node != "relu3" || evs[0].Kind != EncodeFail {
 		t.Fatalf("event = %+v", evs)
 	}
 	if evs[0].Kind.String() != "encode-fail" {
 		t.Fatalf("kind string = %q", evs[0].Kind)
+	}
+}
+
+// rollAll rolls every keyed die of one stash: encode, decode, a bit flip on
+// a fresh sealed container, a spill write and a read-side page tamper on a
+// fresh page.
+func rollAll(in *Injector, k Key, node string) {
+	in.FailEncode(k, node)
+	in.FailDecode(k, node)
+	in.CorruptStash(k, node, sealedStash(encoding.DPR, floatenc.FP16, 256, 0))
+	in.FailSpillWrite(k, node)
+	in.TamperSpillPage(k, node, make([]byte, 512))
+}
+
+// sortedEvents returns the log as a sorted multiset.
+func sortedEvents(in *Injector) []string {
+	var out []string
+	for _, ev := range in.Events() {
+		out = append(out, fmt.Sprintf("%+v", ev))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestDrawsAreOrderFree pins the keyed-draw contract the executor's
+// production schedule relies on: every die is a pure function of (seed,
+// key, node, site), so the same set of rolls logs the same event multiset
+// in node order, in reverse, and on one goroutine per roll — and a retried
+// attempt draws afresh.
+func TestDrawsAreOrderFree(t *testing.T) {
+	cfg := Config{Seed: 17, BitFlipRate: 0.3, EncodeFailRate: 0.2, DecodeFailRate: 0.2,
+		SpillWriteFailRate: 0.2, SpillReadCorruptRate: 0.2, SpillShortReadRate: 0.2}
+	type roll struct {
+		k    Key
+		node string
+	}
+	var rolls []roll
+	for step := 1; step <= 3; step++ {
+		for shard := 0; shard < 2; shard++ {
+			for n := 0; n < 16; n++ {
+				rolls = append(rolls, roll{Key{Step: step, Shard: shard}, fmt.Sprintf("relu%d", n)})
+			}
+		}
+	}
+
+	inOrder, reversed, concurrent := New(cfg), New(cfg), New(cfg)
+	for _, r := range rolls {
+		rollAll(inOrder, r.k, r.node)
+	}
+	for i := len(rolls) - 1; i >= 0; i-- {
+		rollAll(reversed, rolls[i].k, rolls[i].node)
+	}
+	var wg sync.WaitGroup
+	for _, r := range rolls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rollAll(concurrent, r.k, r.node)
+		}()
+	}
+	wg.Wait()
+
+	want := sortedEvents(inOrder)
+	if len(want) == 0 {
+		t.Fatal("no fault fired; the comparison proved nothing")
+	}
+	if got := sortedEvents(reversed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reverse order logged %d events, node order %d: the draws depend on call order", len(got), len(want))
+	}
+	if got := sortedEvents(concurrent); !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent rolls logged %d events, node order %d: the draws depend on the goroutine", len(got), len(want))
+	}
+
+	// The same rolls at the next attempt hit a different set of stashes.
+	retry := New(cfg)
+	for _, r := range rolls {
+		r.k.Attempt = 1
+		rollAll(retry, r.k, r.node)
+	}
+	hits := func(in *Injector) []string {
+		var out []string
+		for _, ev := range in.Events() {
+			out = append(out, fmt.Sprintf("%v %d/%d %s %s", ev.Kind, ev.Step, ev.Shard, ev.Node, ev.Detail))
+		}
+		slices.Sort(out)
+		return out
+	}
+	if reflect.DeepEqual(hits(retry), hits(inOrder)) {
+		t.Fatal("attempt 1 drew exactly what attempt 0 drew: a retry must draw afresh")
 	}
 }

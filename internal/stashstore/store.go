@@ -24,7 +24,7 @@
 // the spill determinism matrix can demand bit-identical weights at any
 // budget.
 //
-// Concurrency contract: Put, BeginStep and Close are called from the
+// Concurrency contract: Put, BeginAttempt and Close are called from the
 // executor's serial section; Fetch may be called concurrently from decode
 // futures. All state is mutex-guarded and file I/O uses pread/pwrite, so
 // concurrent fetches (and a fetch racing a later put) are safe.
@@ -110,6 +110,7 @@ type Store struct {
 	names  []string
 	inj    *faults.Injector
 	tel    *telemetry.Sink
+	key    faults.Key // the attempt the store's stashes belong to (fault draws)
 
 	gHot, gHotPeak, gCold *telemetry.Gauge
 	cEvict, cHit, cMiss   *telemetry.Counter
@@ -176,13 +177,17 @@ func (s *Store) priorityOf(id int) int {
 	return s.pri[id]
 }
 
-// BeginStep resets the store for a new backward pass: all of the previous
-// step's pages are dead, so the write offset rewinds to zero and the
-// scratch file is reused in place — the file never grows past the peak
-// single-step spill footprint.
-func (s *Store) BeginStep() {
+// BeginStep is BeginAttempt for an unkeyed attempt.
+func (s *Store) BeginStep() { s.BeginAttempt(faults.Key{}) }
+
+// BeginAttempt resets the store for the step attempt k, which keys the
+// injector's spill-fault draws: the previous attempt's pages are dead, so
+// the write offset rewinds to zero and the scratch file is reused in place
+// — it never grows past the peak single-step spill footprint.
+func (s *Store) BeginAttempt(k faults.Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.key = k
 	clear(s.hot)
 	clear(s.cold)
 	s.hotBytes, s.coldBytes, s.wOff = 0, 0, 0
@@ -193,7 +198,7 @@ func (s *Store) BeginStep() {
 // Put stores node id's encoded stash in the hot tier, then restores the
 // budget invariant by spilling the furthest-backward-use residents (possibly
 // including the incoming stash itself). Serial with respect to other Puts
-// and BeginStep; see the package comment.
+// and BeginAttempt; see the package comment.
 func (s *Store) Put(id int, enc *encoding.EncodedStash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -228,7 +233,7 @@ func (s *Store) spillVictimLocked() error {
 	}
 	enc := s.hot[victim]
 	name := s.nameOf(victim)
-	if err := s.inj.FailSpillWrite(name); err != nil {
+	if err := s.inj.FailSpillWrite(s.key, name); err != nil {
 		return fmt.Errorf("stashstore: spill %q: %w", name, err)
 	}
 	start := time.Now()
@@ -313,14 +318,14 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	s.coldBytes -= int64(ref.n)
 	s.st.Misses++
 	s.gCold.Set(s.coldBytes)
-	f := s.f
+	f, key := s.f, s.key
 	buf := s.takeBufLocked()
 	s.mu.Unlock()
 
 	name := s.nameOf(id)
 	start := time.Now()
 	buf = slices.Grow(buf, ref.n)[:ref.n]
-	err := s.readCold(f, buf, ref, id, name)
+	err := s.readCold(f, buf, ref, id, name, key)
 	s.mu.Lock()
 	s.giveBufLocked(buf)
 	if err == nil {
@@ -338,12 +343,12 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 }
 
 // readCold reads node id's page into buf and parses it into the container
-// it was spilled from.
-func (s *Store) readCold(f *os.File, buf []byte, ref coldRef, id int, name string) error {
+// it was spilled from; k keys the injector's read-side page faults.
+func (s *Store) readCold(f *os.File, buf []byte, ref coldRef, id int, name string, k faults.Key) error {
 	if _, err := f.ReadAt(buf, ref.off); err != nil {
 		return fmt.Errorf("stashstore: read page for %q at offset %d: %w", name, ref.off, err)
 	}
-	node, _, err := ReadPage(ref.enc, s.inj.TamperSpillPage(name, buf))
+	node, _, err := ReadPage(ref.enc, s.inj.TamperSpillPage(k, name, buf))
 	if err != nil {
 		return fmt.Errorf("stashstore: page for %q at offset %d: %w", name, ref.off, err)
 	}

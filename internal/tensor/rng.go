@@ -33,6 +33,18 @@ func (r *RNG) SetState(s uint64) {
 	r.state = s
 }
 
+// Mix derives a seed from (seed, a, b) with the splitmix64 finalizer, so
+// randomness keyed by position — a shard of a step, one die of one stash —
+// is the same whatever ran before it, on whichever goroutine.
+func Mix(seed, a, b uint64) uint64 {
+	z := seed + 0x9e3779b97f4a7c15*(a+1) + 0x632be59bd9b4e019*(b+1)
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	x := r.state

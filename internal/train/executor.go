@@ -81,7 +81,9 @@ type Options struct {
 	// downstream — so steady-state training allocates nothing and a buffer
 	// freed at one layer serves the next. Nil means heap allocation:
 	// recycling is a no-op and every node's Output stays valid after the
-	// step. The step path and its results are the same either way.
+	// step, which the benchmark's per-layer probes rely on (a pooled Get
+	// re-shapes the tensor it recycles). The step path and its results are
+	// the same either way.
 	Pool *bufpool.Pool
 	// StashBudget, when positive, caps the bytes the executor's
 	// stashstore.Store holds in RAM across the forward→backward gap: the
@@ -214,6 +216,11 @@ type Executor struct {
 	retireAt   [][]*graph.Node
 	fwdRetired bool
 	stashErr   error
+
+	// fkey keys the injector's draws for the attempt in flight; tries
+	// counts each shard's attempts at fkey.Step (beginAttempt).
+	fkey  faults.Key
+	tries []int
 
 	// Pooling state. pool is nil on the allocate-always path. checkedOut
 	// is the executor-side ledger of pooled tensors currently held; every
@@ -504,9 +511,11 @@ func (e *Executor) Params(n *graph.Node) []*tensor.Tensor { return e.params[n.ID
 // Output returns node n's forward output from the latest step. Retirement
 // recycles an output, it never drops the reference: on an unpooled executor
 // (where recycling is a no-op) Output is valid for every node after a step,
-// which the experiment harnesses that compare per-layer activations rely
-// on. Under pooling only the sink outputs and the outputs a backward kernel
-// reads unencoded outlive a training Forward.
+// which the harnesses that read per-layer activations after training rely
+// on — the reason the heap path exists. Under pooling only the sink outputs
+// and the outputs a backward kernel reads unencoded outlive a training
+// Forward: a recycled output's tensor may be handed out, re-shaped, to the
+// next Get.
 func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 
 // Forward runs the forward pass on the given minibatch. Labels are needed
@@ -517,15 +526,13 @@ func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 // retired (retireAt) — encoded, sealed and handed to the store, or simply
 // recycled when no backward kernel reads it — so the pool's forward peak is
 // the planner's, not the sum of every map. An inference Forward retires
-// nothing, and neither does one under an enabled fault injector: Backward
-// then stashes every node in node order, which is the order the injector's
-// sequential draws are pinned to.
+// nothing: Backward then stashes every node in node order.
 func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	e.drainFutures() // settle anything a failed previous step left in flight
 	e.sweep()
 	clear(e.stash)
 	e.stashErr = nil
-	e.fwdRetired = training && !e.opts.Faults.Enabled()
+	e.fwdRetired = training
 	if e.fwdRetired {
 		e.beginStashes()
 	}
@@ -614,7 +621,7 @@ type stashFuture struct {
 // decode that somehow launched without one would fail on the nil dst instead
 // of scribbling on last step's recycled buffer. The WaitGroup count is taken
 // here, on the executor's goroutine, before any start — drainFutures
-// balances it even if the decode never launches.
+// launches the decode if no consumer did.
 func (f *stashFuture) arm() {
 	f.armed, f.dst, f.err = true, nil, nil
 	f.started.Store(false)
@@ -675,8 +682,8 @@ func (f *stashFuture) decode() {
 // retire, Backward when Forward left every node to it.
 func (e *Executor) beginStashes() {
 	e.StashBytes = 0
-	// Every page from the previous step is dead: rewind the spill file.
-	e.store.BeginStep()
+	// Every page from the previous attempt is dead: rewind the spill file.
+	e.store.BeginAttempt(e.fkey)
 	if e.probeSparsity {
 		clear(e.sparsities)
 	}
@@ -708,10 +715,9 @@ func (e *Executor) retire(n *graph.Node) error {
 	return err
 }
 
-// stashRest opens Backward: it stashes, in node order, whatever Forward did
-// not retire — the sink outputs always; every node after an inference
-// Forward or under an enabled fault injector — and closes the step's stash
-// accounting. A failure, Forward's or its own, is returned before any
+// stashRest opens Backward: it stashes, in node order, what Forward did not
+// retire (the sinks; every node after an inference Forward) and closes the
+// step's stash accounting. Forward's failure or its own returns before any
 // gradient accumulates; only a complete stash set records a memory sample.
 func (e *Executor) stashRest() error {
 	err := e.stashErr
@@ -766,7 +772,7 @@ func (e *Executor) stashNode(n *graph.Node) error {
 
 	enc := &e.encSlots[n.ID]
 	inj := e.opts.Faults
-	if err := inj.FailEncode(n.Name); err != nil {
+	if err := inj.FailEncode(e.fkey, n.Name); err != nil {
 		e.Robust.EncodeFailures++
 		e.met.injEncode.Inc()
 		return err
@@ -779,12 +785,12 @@ func (e *Executor) stashNode(n *graph.Node) error {
 		e.Robust.SSDCFallbacks++
 		e.met.ssdcFallbacks.Inc()
 	}
-	if err := inj.Alloc(n.Name, enc.Bytes()); err != nil {
+	if err := inj.Alloc(e.fkey, n.Name, enc.Bytes()); err != nil {
 		e.Robust.AllocFailures++
 		e.met.injAlloc.Inc()
 		return err
 	}
-	if err := inj.FailDecode(n.Name); err != nil {
+	if err := inj.FailDecode(e.fkey, n.Name); err != nil {
 		e.Robust.DecodeFailures++
 		e.met.injDecode.Inc()
 		return err
@@ -794,38 +800,26 @@ func (e *Executor) stashNode(n *graph.Node) error {
 		// injected bit flip is detectable.
 		e.cdc.Seal(enc)
 	}
-	inj.CorruptStash(n.Name, enc)
+	inj.CorruptStash(e.fkey, n.Name, enc)
 	e.StashBytes += enc.Bytes()
 	e.mem.add(enc.Tech.String(), out.Bytes(), enc.Bytes())
 	// The encoded form now carries the forward→backward gap; the raw output
 	// is dead — no backward reader touches it — and returns to the pool,
 	// closing the lifetime gap the planner's liveness analysis identifies.
 	e.recycle(out)
-	if err := e.store.Put(n.ID, enc); err != nil {
+	err = e.store.Put(n.ID, enc)
+	// The backward pass starts the future one layer before its consumer, and
+	// only then does it take a decode target: until that start the stash
+	// holds its container and nothing else. A failed Put still left the stash
+	// in the store, so it is armed too: drainFutures verifies it.
+	e.futures[n.ID].arm()
+	e.nFutures++
+	if err != nil {
 		if errors.Is(err, faults.ErrInjected) { // the ENOSPC transient
 			e.Robust.SpillWriteFailures++
 			e.met.spillWriteErr.Inc()
 		}
 		return fmt.Errorf("train: stash %q: %w", n.Name, err)
-	}
-	// The backward pass starts the future one layer before its consumer, and
-	// only then does it take a decode target: until that start the stash
-	// holds its container and nothing else.
-	f := &e.futures[n.ID]
-	f.arm()
-	e.nFutures++
-	if inj.Enabled() {
-		// Fault-injected runs resolve the future right here, on this
-		// goroutine: the injector's corrupt-then-decode and spill-tamper
-		// draws stay in node order, and every detection is attributed to its
-		// injection site and surfaces before any gradient accumulates.
-		f.started.Store(true)
-		f.dst = e.alloc(f.shape)
-		f.decode()
-		if _, err := e.stashOf(n.ID); err != nil {
-			e.noteStashErr(err)
-			return err
-		}
 	}
 	return nil
 }
@@ -1076,27 +1070,29 @@ func (e *Executor) zeroGrads() {
 	}
 }
 
-// drainFutures settles every armed future: started decodes are waited for
-// (so no goroutine from this pass outlives Backward), and futures that
-// never launched have their WaitGroup count balanced. Runs on the
-// executor's goroutine only; idempotent, and re-run at Forward and Close for
-// the futures a training Forward armed when its Backward never ran (a step
-// cancelled in between). A future that never launched owns no decode target.
+// drainFutures settles every armed future — a dead branch's, or one a failed
+// attempt's backward pass never reached: it starts each, waits for it (no
+// goroutine from this pass outlives Backward) and counts its failure, so
+// every injected flip or page tamper is detected. Runs on the executor's
+// goroutine only; idempotent, and re-run at Forward and Close for a training
+// Forward whose Backward never ran (a step cancelled in between).
 func (e *Executor) drainFutures() {
 	if e.nFutures == 0 {
 		return
+	}
+	for i := range e.futures {
+		if f := &e.futures[i]; f.armed {
+			e.startFuture(f)
+		}
 	}
 	for i := range e.futures {
 		f := &e.futures[i]
 		if !f.armed {
 			continue
 		}
-		if f.started.Load() {
-			f.wg.Wait()
-		} else {
-			f.wg.Done() // balance arm's Add; the decode never launched
-		}
+		f.wg.Wait()
 		f.armed = false
+		e.noteStashErr(f.err)
 	}
 	e.nFutures = 0
 }
@@ -1160,11 +1156,10 @@ func (e *Executor) lossNode() *graph.Node {
 // TryStep runs forward, backward and an SGD update on one minibatch,
 // returning the minibatch loss, top-1 error count and any stash-pipeline
 // error. On error no parameter update has been applied: failures surface
-// when Backward opens (a retirement that failed in Forward, or the stashing
-// Backward does itself — every fault-injected failure — before gradients
-// accumulate) or mid-backward, when a future reports a corrupt or
-// unreadable stash — where every partially accumulated gradient is zeroed
-// before the error returns. Batch-norm running statistics and the dropout
+// when Backward opens (a retirement that failed in Forward, or one of the
+// sink stashes Backward makes itself, before gradients accumulate) or
+// mid-backward, when a future reports a corrupt or unreadable stash — where
+// every partially accumulated gradient is zeroed before the error returns. Batch-norm running statistics and the dropout
 // RNG have still advanced — restore a Snapshot before retrying for a
 // bit-exact replay. Fault-injected runs must use TryStep
 // (or RunRecoverable, which wraps it with snapshot/retry/backoff).
@@ -1173,6 +1168,7 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 		return 0, 0, fmt.Errorf("train: step not started: %w", cerr)
 	}
 	e.stepCount++
+	e.beginAttempt(e.opts.Faults.Step(), 0)
 	instrumented := e.tel != nil
 	var start time.Time
 	if instrumented {
@@ -1241,13 +1237,22 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 	return loss, errs, nil
 }
 
+// beginAttempt keys the fault draws of the next attempt at shard of step,
+// numbered by the earlier tries of that shard at that step, by any loop.
+func (e *Executor) beginAttempt(step, shard int) {
+	if step != e.fkey.Step {
+		clear(e.tries)
+	}
+	for len(e.tries) <= shard {
+		e.tries = append(e.tries, 0)
+	}
+	e.fkey = faults.Key{Step: step, Shard: shard, Attempt: e.tries[shard]}
+	e.tries[shard]++
+}
+
 // Telemetry returns the sink the executor reports to (nil when
 // uninstrumented).
 func (e *Executor) Telemetry() *telemetry.Sink { return e.tel }
-
-// BufferPool returns the buffer pool this executor recycles through (nil
-// on the allocate-always path).
-func (e *Executor) BufferPool() *bufpool.Pool { return e.pool }
 
 // SetSparsityProbe arms (or disarms) per-step capture of ReLU output
 // sparsities at retirement, before the outputs can recycle — what

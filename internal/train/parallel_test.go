@@ -117,14 +117,16 @@ func TestConcurrentExecutorsShareOnePool(t *testing.T) {
 // and without a stash budget, with and without fault injection. Fault-free,
 // every encoded stash is put in the store once and resolved through its
 // future once, so overlap hits + misses and the store's Puts both equal
-// steps × decodable stashes. Under faults the future resolves inline during
-// stash preparation: every detection surfaces before any gradient
-// accumulates (no gradient zeroing) and the counters equal the injector's
-// own log.
+// steps × decodable stashes. Under faults the step runs the same schedule:
+// a failure may surface mid-backward, after gradients accumulated, but no
+// partial update survives it — the weights equal the fault-free run's — and
+// the counters equal the injector's own log.
 func TestStashLifecycleAccounting(t *testing.T) {
 	const mb, steps = 4, 5
-	flips := faults.Config{Seed: 21, BitFlipRate: 0.1, EncodeFailRate: 0.05, DecodeFailRate: 0.05}
-	spills := faults.Config{Seed: 22, SpillWriteFailRate: 0.05, SpillReadCorruptRate: 0.05, SpillShortReadRate: 0.05}
+	flips := faults.Config{Seed: 21, BitFlipRate: 0.3, EncodeFailRate: 0.15, DecodeFailRate: 0.15}
+	// Under a budget every stash is encoded, so the per-stash rates are lower.
+	flipsWrites := faults.Config{Seed: 23, BitFlipRate: 0.1, EncodeFailRate: 0.05, DecodeFailRate: 0.05, SpillWriteFailRate: 0.05}
+	spills := faults.Config{Seed: 22, SpillWriteFailRate: 0.15, SpillReadCorruptRate: 0.15, SpillShortReadRate: 0.15}
 	cases := []struct {
 		name   string
 		budget int64
@@ -133,48 +135,40 @@ func TestStashLifecycleAccounting(t *testing.T) {
 		{"ram", 0, nil},
 		{"spill", 1, nil},
 		{"ram-flips", 0, &flips},
-		{"spill-flips", 1, &flips},
+		{"spill-flips", 1, &flipsWrites},
 		{"spill-diskfaults", 1, &spills},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
-				g := smallNet(mb)
 				// Lossless leaves the conv/FC inputs unassigned: aliased
 				// without a budget, exact dense containers under one.
-				a := encoding.Analyze(g, encoding.Lossless())
-				decodable := 0
-				for _, n := range g.Nodes {
-					if a.ByNode[n.ID] != nil || (c.budget > 0 && a.OutputStashed(n)) {
-						decodable++
+				train := func(inj *faults.Injector) (*Executor, map[string]int64, *RecoveryReport) {
+					g := smallNet(mb)
+					a := encoding.Analyze(g, encoding.Lossless())
+					sink := telemetry.New()
+					e := NewExecutor(g, Options{
+						Seed: 1, Encodings: a, Telemetry: sink, Faults: inj,
+						StashBudget: c.budget, SpillDir: t.TempDir(),
+						Codec: &encoding.Codec{Pool: parallel.NewPool(workers), ChunkElems: 768, Tel: sink},
+					})
+					t.Cleanup(e.Close)
+					_, report, err := RunRecoverable(context.Background(), e, NewDataset(4, 2, 8, 0.3, 7),
+						RunConfig{Minibatch: mb, Steps: steps, LR: 0.05},
+						RecoveryConfig{MaxRetries: 50, Sleep: func(time.Duration) {}})
+					if err != nil {
+						t.Fatalf("run did not survive: %v", err)
 					}
+					return e, sink.Values(), report
 				}
-				sink := telemetry.New()
-				opts := Options{
-					Seed: 1, Encodings: a, Telemetry: sink,
-					StashBudget: c.budget, SpillDir: t.TempDir(),
-					Codec: &encoding.Codec{Pool: parallel.NewPool(workers), ChunkElems: 768, Tel: sink},
-				}
-				var inj *faults.Injector
-				if c.faults != nil {
-					inj = faults.New(*c.faults)
-					opts.Faults = inj
-				}
-				e := NewExecutor(g, opts)
-				defer e.Close()
-				d := NewDataset(4, 2, 8, 0.3, 7)
-				_, report, err := RunRecoverable(context.Background(), e, d,
-					RunConfig{Minibatch: mb, Steps: steps, LR: 0.05},
-					RecoveryConfig{MaxRetries: 50, Sleep: func(time.Duration) {}})
-				if err != nil {
-					t.Fatalf("run did not survive: %v", err)
-				}
-
-				v := sink.Values()
-				if got := v["train.grad_zeroing"]; got != 0 {
-					t.Errorf("train.grad_zeroing = %d: a failure surfaced after gradients accumulated", got)
-				}
-				if inj == nil {
+				if c.faults == nil {
+					e, v, _ := train(nil)
+					decodable := 0
+					for _, n := range e.G.Nodes {
+						if e.assign[n.ID] != nil {
+							decodable++
+						}
+					}
 					want := int64(steps * decodable)
 					if got := v["train.overlap.hits"] + v["train.overlap.misses"]; got != want {
 						t.Errorf("overlap hits+misses = %d, want %d (%d steps × %d stashes)", got, want, steps, decodable)
@@ -184,10 +178,14 @@ func TestStashLifecycleAccounting(t *testing.T) {
 					}
 					return
 				}
-				counts := inj.Counts()
+				inj := faults.New(*c.faults)
+				e, v, report := train(inj)
 				if len(inj.Events()) == 0 || report.Retries == 0 {
 					t.Fatal("injector fired nothing; the cross-check proved nothing")
 				}
+				ref, _, _ := train(nil)
+				paramsBitsEqual(t, flatParams(e), flatParams(ref), "fault-injected vs fault-free weights")
+				counts := inj.Counts()
 				for _, chk := range []struct {
 					metric string
 					want   int

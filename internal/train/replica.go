@@ -257,20 +257,6 @@ func (rg *ReplicaGroup) runPhase(ph int) {
 	rg.wg.Wait()
 }
 
-// shardSeed mixes (seed, step, shard) into the dropout RNG state for one
-// shard attempt (splitmix64 finalizer). Making the stream a pure function
-// of step and shard — never of which replica ran the shard or what ran
-// before it — keeps stochastic layers bit-identical across replica counts
-// and across retries.
-func shardSeed(seed uint64, step, shard int) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*uint64(step+1) + 0x632be59bd9b4e019*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // computeReplica runs replica r's round-robin share of the step's shards.
 func (rg *ReplicaGroup) computeReplica(r int) {
 	var t0 time.Time
@@ -303,7 +289,8 @@ func (rg *ReplicaGroup) runShard(r, s int) {
 			rg.shardFail[s] = err
 			return
 		}
-		e.rng.SetState(shardSeed(rg.seed, rg.step, s))
+		e.rng.SetState(tensor.Mix(rg.seed, uint64(rg.step), uint64(s)))
+		e.beginAttempt(rg.step, s)
 		e.Forward(rg.shardX[s], lab, true)
 		loss, errs := e.lossOf(lab)
 		rg.shardLoss[s], rg.shardErrs[s] = loss, errs

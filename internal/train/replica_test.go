@@ -1,9 +1,13 @@
 package train
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"gist/internal/bufpool"
 	"gist/internal/encoding"
@@ -398,6 +402,63 @@ func TestReplicaSparsityProbe(t *testing.T) {
 			if got[name] != v {
 				t.Errorf("replicas=%d %s sparsity = %v, want %v", replicas, name, got[name], v)
 			}
+		}
+	}
+}
+
+// TestReplicaSharedInjectorLogIsOrderFree pins that a shared injector's log
+// is a function of the run, not of its timing: a two-shard group whose
+// replicas share one injector — bit flips, encode/decode failures, spill
+// write failures and page tampering — logs the same event multiset and
+// reports the same recovery counters at 1 and 2 replicas and at 1 and 4
+// codec workers, and ends at the fault-free weights every time.
+func TestReplicaSharedInjectorLogIsOrderFree(t *testing.T) {
+	cfg := faults.Config{Seed: 31, BitFlipRate: 0.05, EncodeFailRate: 0.02, DecodeFailRate: 0.02,
+		SpillWriteFailRate: 0.02, SpillReadCorruptRate: 0.02, SpillShortReadRate: 0.02}
+	run := func(inj *faults.Injector, replicas, workers int) ([]float32, RobustnessStats) {
+		g := networks.TinyCNN(2, 4)
+		// A one-byte budget spills every stash, at one replica or two.
+		rg := NewReplicaGroup(g, Options{Seed: 42, Integrity: true, Faults: inj,
+			Encodings:   encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16)),
+			StashBudget: 1, SpillDir: t.TempDir(),
+			Codec: &encoding.Codec{Pool: parallel.NewPool(workers), ChunkElems: 768}},
+			ReplicaConfig{Replicas: replicas, Shards: 2, MaxRetries: 2})
+		defer rg.Close()
+		_, report, err := RunRecoverable(context.Background(), rg, NewDataset(4, 3, 16, 0.3, 7),
+			RunConfig{Minibatch: rg.Batch(), Steps: 12, LR: 0.05},
+			RecoveryConfig{MaxRetries: 50, Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatalf("replicas %d, workers %d: run did not survive: %v", replicas, workers, err)
+		}
+		return flatParams(rg.Executor()), report.Robust
+	}
+	clean, _ := run(nil, 1, 1)
+	var want []string
+	var wantRobust RobustnessStats
+	for _, c := range []struct{ replicas, workers int }{{1, 1}, {2, 1}, {1, 4}, {2, 4}} {
+		inj := faults.New(cfg)
+		params, robust := run(inj, c.replicas, c.workers)
+		what := fmt.Sprintf("replicas %d, workers %d", c.replicas, c.workers)
+		paramsBitsEqual(t, params, clean, what+" vs fault-free")
+		var got []string
+		for _, ev := range inj.Events() {
+			got = append(got, fmt.Sprintf("%+v", ev))
+		}
+		slices.Sort(got)
+		if want == nil {
+			counts := inj.Counts()
+			if counts[faults.BitFlip] == 0 || counts[faults.EncodeFail]+counts[faults.DecodeFail] == 0 ||
+				counts[faults.SpillWriteFail]+counts[faults.SpillReadCorrupt]+counts[faults.SpillShortRead] == 0 {
+				t.Fatalf("fault mix %v leaves a kind unexercised; raise the rates or change the seed", counts)
+			}
+			want, wantRobust = got, robust
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d events, differing from the %d at 1 replica and 1 worker", what, len(got), len(want))
+		}
+		if robust != wantRobust {
+			t.Errorf("%s: recovery counters %+v, at 1 replica and 1 worker %+v", what, robust, wantRobust)
 		}
 	}
 }

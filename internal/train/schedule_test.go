@@ -252,81 +252,57 @@ func richlessNet(mb int) *graph.Graph {
 	return g
 }
 
-// TestInjectorDefersRetirement pins the one predicate of the schedule: under
-// an enabled injector Forward retires nothing — every output is still
-// checked out when it returns — and Backward stashes in node order, so the
-// injector's sequential draws land on the same nodes as ever. The check is a
-// replay: a second injector with the same seed, asked about the assigned
-// nodes in node order until its first hit per attempt, must log the same
-// events. ResNet-20's retire order differs from its node order (a block's
-// input outlives the block's first conv), so a Forward that retired under
-// the injector would attribute the hits to other nodes.
-func TestInjectorDefersRetirement(t *testing.T) {
+// TestInjectorKeepsRetirement pins that a fault injector does not change
+// the schedule: a fault-injected training Forward retires every feature map
+// exactly as the fault-free executor does, so the pool holds the same bytes
+// when it returns. ResNet-20's retire order differs from its node order (a
+// block's input outlives the block's first conv), which order-keyed draws
+// could not have followed. The injector flips bits only, so no failure stops
+// the retirements part-way; the flips it logged are each detected when
+// Backward decodes their stash.
+func TestInjectorKeepsRetirement(t *testing.T) {
 	nets := []struct {
 		name          string
-		g             *graph.Graph
-		rate          float64
-		attempts      int
+		g             func() *graph.Graph
 		skipUnderRace bool
 	}{
-		{"chain", smallNet(4), 0.3, 12, false},
-		{"ResNetCIFAR20", networks.ResNetCIFAR(2, 20), 0.02, 6, true},
+		{"chain", func() *graph.Graph { return smallNet(4) }, false},
+		{"ResNetCIFAR20", func() *graph.Graph { return networks.ResNetCIFAR(2, 20) }, true},
 	}
 	for _, n := range nets {
 		t.Run(n.name, func(t *testing.T) {
 			if n.skipUnderRace && race.Enabled {
 				t.Skip("ResNet-20 steps are too slow under the race detector")
 			}
-			g := n.g
-			a := encoding.Analyze(g, encoding.Lossless())
-			cfg := faults.Config{Seed: 21, EncodeFailRate: n.rate}
-			inj, replay := faults.New(cfg), faults.New(cfg)
-			pool := bufpool.New()
-			e := NewExecutor(g, Options{Seed: 3, Encodings: a, Faults: inj, Pool: pool})
-			defer e.Close()
-			in := g.InputNodes()[0].OutShape
-			d := NewDataset(4, in[1], in[2], 0.3, 4)
-
-			x, labels := d.Batch(in[0])
-			e.Forward(x, labels, true)
-			if got, every := pool.Stats().InUseBytes, pooledBytes(g.Nodes); got != every {
-				t.Fatalf("%d B checked out after Forward under an injector, want every output's %d B", got, every)
+			afterForward := func(inj *faults.Injector) (int64, *Executor) {
+				g := n.g()
+				pool := bufpool.New()
+				e := NewExecutor(g, Options{Seed: 3, Integrity: true, Faults: inj, Pool: pool,
+					Encodings: encoding.Analyze(g, encoding.Lossless())})
+				t.Cleanup(e.Close)
+				in := g.InputNodes()[0].OutShape
+				x, labels := NewDataset(4, in[1], in[2], 0.3, 4).Batch(in[0])
+				e.beginAttempt(1, 0)
+				e.Forward(x, labels, true)
+				return pool.Stats().InUseBytes, e
 			}
-
-			failed := 0
-			for i := 1; i <= n.attempts; i++ {
-				inj.BeginStep(i)
-				replay.BeginStep(i)
-				x, labels := d.Batch(in[0])
-				_, _, err := e.TryStep(x, labels, 0.01)
-				var want error
-				for _, node := range g.Nodes {
-					if a.ByNode[node.ID] == nil {
-						continue
-					}
-					if want = replay.FailEncode(node.Name); want != nil {
-						break
-					}
-				}
-				if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
-					t.Fatalf("attempt %d: TryStep returned %v, the node-order replay %v", i, err, want)
-				}
-				if err != nil {
-					failed++
-				}
+			want, _ := afterForward(nil)
+			inj := faults.New(faults.Config{Seed: 21, BitFlipRate: 1})
+			got, e := afterForward(inj)
+			if got != want {
+				t.Fatalf("%d B checked out after a fault-injected Forward, %d B fault-free: retirement did not run", got, want)
 			}
-			got, want := inj.Events(), replay.Events()
-			if len(got) != len(want) {
-				t.Fatalf("%d injected events, the node-order replay has %d", len(got), len(want))
+			flips := inj.Counts()[faults.BitFlip]
+			if flips == 0 {
+				t.Fatal("no bit flip fired during Forward; the injector was idle")
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("event %d: %+v, the node-order replay has %+v", i, got[i], want[i])
-				}
+			if err := e.Backward(); !errors.Is(err, encoding.ErrCorruptStash) {
+				t.Fatalf("Backward = %v, want a detected corruption", err)
 			}
-			if failed == 0 || failed == n.attempts {
-				t.Fatalf("%d of %d attempts failed; pick a rate that exercises both outcomes", failed, n.attempts)
+			if e.Robust.CRCFailures != int64(flips) {
+				t.Fatalf("%d CRC detections, %d flips injected", e.Robust.CRCFailures, flips)
 			}
+			noFutureArmed(t, e)
 		})
 	}
 }

@@ -271,7 +271,9 @@ func TestSpillFaultRecovery(t *testing.T) {
 // TestSpillErrorsWithoutRetryFailTheStep pins the typed-error surface: an
 // unretried injected spill-write failure aborts TryStep with
 // faults.ErrInjected, and a corrupt page surfaces stashstore.ErrCorruptPage
-// — both leave the weights untouched (no partial update).
+// — both leave the weights untouched (no partial update). Whatever stopped
+// the attempt, every stash it held was verified before it ended: a flipped
+// stash whose spill write failed is still caught by its CRC.
 func TestSpillErrorsWithoutRetryFailTheStep(t *testing.T) {
 	const mb, classes = 8, 4
 	dir := t.TempDir()
@@ -283,14 +285,16 @@ func TestSpillErrorsWithoutRetryFailTheStep(t *testing.T) {
 		{"write", faults.Config{Seed: 5, SpillWriteFailRate: 1}, faults.ErrInjectedSpillWrite},
 		{"corrupt", faults.Config{Seed: 5, SpillReadCorruptRate: 1}, stashstore.ErrCorruptPage},
 		{"short", faults.Config{Seed: 5, SpillShortReadRate: 1}, stashstore.ErrCorruptPage},
+		{"flip-then-write", faults.Config{Seed: 5, BitFlipRate: 1, SpillWriteFailRate: 1}, faults.ErrInjectedSpillWrite},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g := networks.TinyCNN(mb, classes)
 			a := encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
+			inj := faults.New(c.cfg)
 			e := NewExecutor(g, Options{
 				Seed: 42, Encodings: a, StashBudget: 1, SpillDir: dir,
-				Faults: faults.New(c.cfg), Integrity: true,
+				Faults: inj, Integrity: true,
 			})
 			defer e.Close()
 			before := flatParams(e)
@@ -301,6 +305,13 @@ func TestSpillErrorsWithoutRetryFailTheStep(t *testing.T) {
 				t.Fatalf("TryStep err = %v, want %v", err, c.want)
 			}
 			paramsBitsEqual(t, flatParams(e), before, "weights after failed step")
+			counts := inj.Counts()
+			if got, want := e.Robust.CRCFailures, int64(counts[faults.BitFlip]); got != want {
+				t.Errorf("CRC detections %d, injected bit flips %d", got, want)
+			}
+			if got, want := e.Robust.SpillReadFailures, int64(counts[faults.SpillReadCorrupt]+counts[faults.SpillShortRead]); got != want {
+				t.Errorf("spill read failures %d, injected page tampers %d", got, want)
+			}
 		})
 	}
 }

@@ -64,9 +64,9 @@ func TestTelemetryCrossChecksReportAndInjector(t *testing.T) {
 		{"faults.injected.bit-flip", int64(counts[faults.BitFlip])},
 		{"faults.injected.encode-fail", int64(counts[faults.EncodeFail])},
 		{"faults.injected.decode-fail", int64(counts[faults.DecodeFail])},
-		// Sync-path failures all surface inside stash preparation, so only
-		// fully successful steps record a memory sample.
-		{"stash.samples", int64(report.Steps)},
+		// Every attempt whose stash set completed records a memory sample:
+		// the successful steps and the attempts that failed mid-backward.
+		{"stash.samples", int64(report.Steps) + v["train.grad_zeroing"]},
 	}
 	for _, c := range checks {
 		if got := v[c.metric]; got != c.want {
