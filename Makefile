@@ -28,9 +28,9 @@ race:
 # chunked codec, the async-decode executor and replica engine, the
 # deterministic reduce, the pool itself, the telemetry sink every one of
 # them reports into, and the fault injector that decode futures and
-# replicas sharing it reach concurrently. Runs with -count=1 so the hammer tests actually
-# execute every time. The job server rides along via soak-short (its own
-# race pass, sized for CI).
+# replicas sharing it reach concurrently. Runs with -count=1 so the hammer
+# tests actually execute every time. The job server rides along via
+# soak-short (its own race pass, sized for CI).
 race-hot: soak-short
 	$(GO) test -race -count=1 ./internal/encoding/ ./internal/train/ ./internal/reduce/ ./internal/parallel/ ./internal/telemetry/ ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/entropy/ ./internal/stashstore/ ./internal/faults/
 

@@ -1159,10 +1159,10 @@ func (e *Executor) lossNode() *graph.Node {
 // when Backward opens (a retirement that failed in Forward, or one of the
 // sink stashes Backward makes itself, before gradients accumulate) or
 // mid-backward, when a future reports a corrupt or unreadable stash — where
-// every partially accumulated gradient is zeroed before the error returns. Batch-norm running statistics and the dropout
-// RNG have still advanced — restore a Snapshot before retrying for a
-// bit-exact replay. Fault-injected runs must use TryStep
-// (or RunRecoverable, which wraps it with snapshot/retry/backoff).
+// every partially accumulated gradient is zeroed before the error returns.
+// Batch-norm running statistics and the dropout RNG have still advanced —
+// restore a Snapshot before retrying for a bit-exact replay. Fault-injected
+// runs must use TryStep or RunRecoverable (snapshot/retry/backoff around it).
 func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss float64, errs int, err error) {
 	if cerr := e.ctxErr(); cerr != nil {
 		return 0, 0, fmt.Errorf("train: step not started: %w", cerr)
