@@ -74,8 +74,9 @@ type Options struct {
 	Codec *encoding.Codec
 	// Pool, when non-nil, is where every per-step tensor (activation,
 	// gradient, decode target) is drawn from and recycled to at its last
-	// use — a feature map no backward kernel reads, and the FP32 form of an
-	// encoded one, right after its last forward consumer ran; a decode
+	// use — a feature map no backward kernel reads right after its last
+	// forward consumer ran, the FP32 form of an encoded one once its encode
+	// has settled, one retirement later; a decode
 	// target from the start of its fetch to its final backward reader;
 	// stashed activations after that reader; gradients once merged
 	// downstream — so steady-state training allocates nothing and a buffer
@@ -108,14 +109,16 @@ type execMetrics struct {
 	stepFailures *telemetry.Counter   // attempts that returned an error
 	stepNS       *telemetry.Histogram // whole-step latency
 	forwardNS    *telemetry.Histogram
-	encodeNS     *telemetry.Histogram // the step's retirements, summed (encode + seal + put + arm)
+	encodeNS     *telemetry.Histogram // the step's stash work on the executor's goroutine, summed (launch + wait + put + arm)
 	backwardNS   *telemetry.Histogram
 	sgdNS        *telemetry.Histogram
 	stashHeld    *telemetry.Histogram // per-step held stash bytes
 
-	overlapHits *telemetry.Counter // decode future already resolved at use
-	overlapMiss *telemetry.Counter // consumer had to wait on (or start) the decode
-	gradZero    *telemetry.Counter // mid-backward failures that zeroed gradients
+	overlapHits    *telemetry.Counter // decode future already resolved at use
+	overlapMiss    *telemetry.Counter // consumer had to wait on (or start) the decode
+	encOverlapHits *telemetry.Counter // encode future already resolved when settled
+	encOverlapMiss *telemetry.Counter // settling had to wait on the encode
+	gradZero       *telemetry.Counter // mid-backward failures that zeroed gradients
 
 	// Mirrors of RobustnessStats, so the sink and the RecoveryReport
 	// agree by construction.
@@ -131,25 +134,27 @@ type execMetrics struct {
 
 func newExecMetrics(s *telemetry.Sink) execMetrics {
 	return execMetrics{
-		steps:         s.Counter("train.steps"),
-		stepFailures:  s.Counter("train.step.failures"),
-		stepNS:        s.Histogram("train.step.ns"),
-		forwardNS:     s.Histogram("train.forward.ns"),
-		encodeNS:      s.Histogram("train.encode.ns"),
-		backwardNS:    s.Histogram("train.backward.ns"),
-		sgdNS:         s.Histogram("train.sgd.ns"),
-		stashHeld:     s.Histogram("train.stash.held_bytes"),
-		overlapHits:   s.Counter("train.overlap.hits"),
-		overlapMiss:   s.Counter("train.overlap.misses"),
-		gradZero:      s.Counter("train.grad_zeroing"),
-		ssdcFallbacks: s.Counter("train.ssdc_fallbacks"),
-		crcDetected:   s.Counter("train.crc_detected"),
-		chunkLocated:  s.Counter("train.crc.chunk_located"),
-		injEncode:     s.Counter("train.injected.encode_failures"),
-		injDecode:     s.Counter("train.injected.decode_failures"),
-		injAlloc:      s.Counter("train.injected.alloc_failures"),
-		spillWriteErr: s.Counter("train.spill.write_failures"),
-		spillReadErr:  s.Counter("train.spill.read_failures"),
+		steps:          s.Counter("train.steps"),
+		stepFailures:   s.Counter("train.step.failures"),
+		stepNS:         s.Histogram("train.step.ns"),
+		forwardNS:      s.Histogram("train.forward.ns"),
+		encodeNS:       s.Histogram("train.encode.ns"),
+		backwardNS:     s.Histogram("train.backward.ns"),
+		sgdNS:          s.Histogram("train.sgd.ns"),
+		stashHeld:      s.Histogram("train.stash.held_bytes"),
+		overlapHits:    s.Counter("train.overlap.hits"),
+		overlapMiss:    s.Counter("train.overlap.misses"),
+		encOverlapHits: s.Counter("train.encode_overlap.hits"),
+		encOverlapMiss: s.Counter("train.encode_overlap.misses"),
+		gradZero:       s.Counter("train.grad_zeroing"),
+		ssdcFallbacks:  s.Counter("train.ssdc_fallbacks"),
+		crcDetected:    s.Counter("train.crc_detected"),
+		chunkLocated:   s.Counter("train.crc.chunk_located"),
+		injEncode:      s.Counter("train.injected.encode_failures"),
+		injDecode:      s.Counter("train.injected.decode_failures"),
+		injAlloc:       s.Counter("train.injected.alloc_failures"),
+		spillWriteErr:  s.Counter("train.spill.write_failures"),
+		spillReadErr:   s.Counter("train.spill.read_failures"),
 	}
 }
 
@@ -197,22 +202,25 @@ type Executor struct {
 
 	// assign holds, per node, the assignment its stash is encoded by — nil
 	// for a stash that aliases its forward output. futures holds one
-	// persistent fetch-then-decode slot per node, re-armed each step, and
-	// encSlots one persistent encode container per node, rebuilt in place
-	// each step — so the stash lifecycle allocates nothing per step.
-	// nFutures counts the slots currently armed.
+	// persistent slot per node, used each step first for the stash's encode
+	// and then for its fetch-then-decode, and encSlots one persistent encode
+	// container per node, rebuilt in place each step — so the stash
+	// lifecycle allocates nothing per step. nFutures counts the slots
+	// currently armed for decode; inFlight lists, in launch order, the nodes
+	// whose encode has not been settled yet.
 	assign   []*encoding.Assignment
 	futures  []stashFuture
 	nFutures int
 	encSlots []encoding.EncodedStash
+	inFlight []*graph.Node
 
 	// retireAt[i] lists, in node order, the nodes whose output's last
 	// forward reader is forward step i (graph.LastForwardUse) — Gist's
 	// "right after its last forward use". A training Forward retires them
-	// there through stashNode; sink outputs are absent (the loss is read
-	// after Forward) and are stashed when Backward opens. fwdRetired says
-	// whether the latest Forward did so; stashErr holds the failure that
-	// stopped it, for Backward to return.
+	// there; sink outputs are absent (the loss is read after Forward) and
+	// are stashed when Backward opens. fwdRetired says whether the latest
+	// Forward did so; stashErr holds the failure that stopped it, for
+	// Backward to return.
 	retireAt   [][]*graph.Node
 	fwdRetired bool
 	stashErr   error
@@ -358,7 +366,9 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	for _, n := range g.Nodes {
 		f := &e.futures[n.ID]
 		f.store, f.cdc, f.tel, f.sid, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, n.Name, n.OutShape
-		f.run = f.launch // bound once, so `go f.run()` allocates nothing per step
+		f.enc, f.seal = &e.encSlots[n.ID], opts.Integrity || opts.Faults.Enabled()
+		// Bound once, so `go f.runEncode()` allocates nothing per step.
+		f.runEncode, f.runDecode = f.launchEncode, f.launchDecode
 		e.aux[n.ID] = map[string]any{}
 		if opts.Encodings != nil {
 			e.assign[n.ID] = opts.Encodings.ByNode[n.ID]
@@ -523,10 +533,15 @@ func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 //
 // A training Forward executes Gist's schedule as it goes: once node i's
 // kernel has run, every output whose last forward reader was node i is
-// retired (retireAt) — encoded, sealed and handed to the store, or simply
-// recycled when no backward kernel reads it — so the pool's forward peak is
-// the planner's, not the sum of every map. An inference Forward retires
-// nothing: Backward then stashes every node in node order.
+// retired (retireAt) — its encode launched, or the output simply recycled
+// when no backward kernel reads it — so the pool's forward peak is the
+// planner's, not the sum of every map. An encode runs on its own goroutine
+// through the forward kernels up to the next retirement that launches one,
+// and is settled (its sealed container handed to the store, its raw output
+// recycled) as soon as that one has launched, in launch order: one raw map
+// lives past its retirement, and Forward returns with every encode settled.
+// An inference Forward retires nothing: Backward then stashes every node in
+// node order.
 func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	e.drainFutures() // settle anything a failed previous step left in flight
 	e.sweep()
@@ -574,23 +589,40 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 			floatenc.QuantizeSlice(e.opts.ForwardFormat, out.Data)
 		}
 		e.outs[n.ID] = out
-		if e.fwdRetired && e.stashErr == nil {
-			for _, r := range e.retireAt[i] {
-				if e.stashErr = e.retire(r); e.stashErr != nil {
-					break // Backward returns it; what is left unretired is swept
+		if e.fwdRetired {
+			if e.stashErr == nil {
+				for _, r := range e.retireAt[i] {
+					e.retire(r)
 				}
 			}
+			// Every encode but the newest settles: each overlapped the
+			// kernels up to this retirement and the start of the encode it
+			// launched. A failure among them stops retirement: Backward
+			// returns it, and what is left unretired is swept.
+			e.settleEncodes(1)
 		}
 	}
+	e.settleEncodes(0)
 }
 
-// stashFuture is the fetch-then-decode of one encoded stash: it pulls the
-// stash back from the store (a pointer hand-off on a hot hit, a page read +
-// CRC-verified parse on a spilled miss) and decodes it into dst. The
-// backward pass starts a future one layer ahead of its consumer, so layer
-// l-1's fetch+decode overlaps layer l's backward kernels inside the codec's
-// worker budget. Start is lazy and idempotent: a consumer that arrives
-// before its prefetch simply starts the work itself and waits.
+// stashFuture carries one encoded stash's two asynchronous jobs, one after
+// the other in each step.
+//
+// The encode: retirement launches it (launchEncode) on its own goroutine,
+// holding a codec worker slot, to encode the raw forward output src into the
+// node's container enc and seal it, while the executor runs the next forward
+// kernels; settleEncodes waits for it and does everything else on the
+// executor's goroutine, in launch order — the fault draws, the store's Put,
+// recycling src — so what a step stores, evicts and draws never depends on
+// timing. The encode goroutine reads src and writes enc, nothing else.
+//
+// The fetch-then-decode: it pulls the stash back from the store (a pointer
+// hand-off on a hot hit, a page read + CRC-verified parse on a spilled miss)
+// and decodes it into dst. The backward pass starts a future one layer ahead
+// of its consumer, so layer l-1's fetch+decode overlaps layer l's backward
+// kernels inside the codec's worker budget. Start is lazy and idempotent: a
+// consumer that arrives before its prefetch simply starts the work itself
+// and waits.
 //
 // Slots are persistent (one per node) and re-armed each step. Ownership of
 // the decode target dst transfers explicitly: the executor takes it from the
@@ -600,21 +632,70 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // resolved. The pool ledger is never touched off the executor's goroutine.
 type stashFuture struct {
 	// Bound once at executor construction.
-	store *stashstore.Store
-	cdc   encoding.Codec
-	tel   *telemetry.Sink
-	sid   int // node ID keying the store entry
-	node  string
-	shape tensor.Shape // of the decode target: the node's output shape
-	run   func()       // f.launch
+	store     *stashstore.Store
+	cdc       encoding.Codec
+	tel       *telemetry.Sink
+	sid       int // node ID keying the store entry
+	node      string
+	shape     tensor.Shape           // of the decode target: the node's output shape
+	enc       *encoding.EncodedStash // the node's container (Executor.encSlots)
+	seal      bool                   // Options.Integrity, or an enabled injector
+	runEncode func()                 // f.launchEncode
+	runDecode func()                 // f.launchDecode
 
-	// Per-step state, reset by arm.
+	// Per-encode state, set by launch.
+	src      *tensor.Tensor
+	as       *encoding.Assignment
+	fellBack bool
+
+	// Per-step decode state, reset by arm.
 	armed   bool
 	dst     *tensor.Tensor
 	started atomic.Bool
-	settled atomic.Bool // decode finished (overlap accounting)
+	settled atomic.Bool // the job in flight finished (overlap accounting)
 	wg      sync.WaitGroup
 	err     error
+}
+
+// launchEncode is the encode goroutine's body, holding a codec worker slot.
+func (f *stashFuture) launchEncode() { f.cdc.WorkerPool().Run(f.encode) }
+
+// encode builds the sealed container. It touches no executor state and
+// draws no fault: a stash the executor then fails to store is simply never
+// Put.
+func (f *stashFuture) encode() {
+	defer f.wg.Done()
+	defer f.settled.Store(true)
+	defer f.recoverInto()
+	if f.tel != nil {
+		sp := f.asyncSpan("async-encode")
+		defer sp.End()
+	}
+	f.fellBack, f.err = f.cdc.EncodeStashAdaptiveInto(f.enc, f.as, f.src)
+	if f.err == nil && f.seal {
+		// Sealed on request, and always under fault injection so every
+		// injected bit flip is detectable.
+		f.cdc.Seal(f.enc)
+	}
+}
+
+// recoverInto turns a panic on a future's goroutine, which would kill the
+// process, into the future's error.
+func (f *stashFuture) recoverInto() {
+	if r := recover(); r != nil {
+		f.err = fmt.Errorf("stash future panicked: %v", r)
+	}
+}
+
+// asyncSpan opens a root span on its own track, so the trace shows the
+// future beside the step. Its argument is built only under tracing — an
+// observer takes spans without arguments, and a variadic argument allocates
+// per call.
+func (f *stashFuture) asyncSpan(name string) *telemetry.Span {
+	if f.tel.TracingEnabled() {
+		return f.tel.Begin("train", name, telemetry.Str("stash", f.node))
+	}
+	return f.tel.Begin("train", name)
 }
 
 // arm readies the slot for this step's decode. It owns no target yet: a
@@ -637,37 +718,21 @@ func (f *stashFuture) arm() {
 func (e *Executor) startFuture(f *stashFuture) {
 	if f.started.CompareAndSwap(false, true) {
 		f.dst = e.alloc(f.shape)
-		go f.run()
+		go f.runDecode()
 	}
 }
 
-// launch is the goroutine body: decode while holding a codec worker slot.
-func (f *stashFuture) launch() { f.cdc.WorkerPool().Run(f.decode) }
+// launchDecode is the decode goroutine's body, holding a codec worker slot.
+func (f *stashFuture) launchDecode() { f.cdc.WorkerPool().Run(f.decode) }
 
 // decode is the one resolution path: fetch the stash from its home, decode
 // it into dst.
 func (f *stashFuture) decode() {
 	defer f.wg.Done()
 	defer f.settled.Store(true)
-	defer func() {
-		// Decode converts corruption to errors, but a panic on a
-		// pool goroutine would kill the process; surface it as the
-		// future's error instead.
-		if r := recover(); r != nil {
-			f.err = fmt.Errorf("stash decode panicked: %v", r)
-		}
-	}()
+	defer f.recoverInto()
 	if f.tel != nil {
-		// Root span on its own track: concurrent futures land on
-		// separate tracks, so the trace shows the decode overlap. Its
-		// argument is built only under tracing — an observer takes spans
-		// without arguments, and a variadic argument allocates per call.
-		var sp *telemetry.Span
-		if f.tel.TracingEnabled() {
-			sp = f.tel.Begin("train", "async-decode", telemetry.Str("stash", f.node))
-		} else {
-			sp = f.tel.Begin("train", "async-decode")
-		}
+		sp := f.asyncSpan("async-decode")
 		defer sp.End()
 	}
 	enc, err := f.store.Fetch(f.sid)
@@ -691,28 +756,82 @@ func (e *Executor) beginStashes() {
 	e.encodeNS = 0
 }
 
-// retire runs node n's output through stashNode at the end of its forward
-// life — the executor's equivalent of Gist inserting an encode function
-// after each stash's last forward use. An instrumented run times it into
-// the step's train.encode.ns observation and, inside TryStep, gives it a
-// span on the step's track.
-func (e *Executor) retire(n *graph.Node) error {
+// retire ends node n's output's forward life — the executor's equivalent of
+// Gist inserting an encode function after each stash's last forward use.
+//
+// A node with an assignment (NewExecutor resolved it from the analysis and
+// the stash budget) has its encode launched on its own goroutine, to be
+// settled by settleEncodes. A node without one touches neither codec nor
+// store: the backward view aliases the forward output — or, when no
+// backward kernel reads the output and a forward consumer has (the
+// "immediately consumed" class), it recycles here.
+func (e *Executor) retire(n *graph.Node) {
+	out := e.outs[n.ID]
 	if e.probeSparsity && n.Kind() == layers.ReLU {
 		// Capture the Figure 14 probe before the output can recycle.
-		e.sparsities[n.Name] = e.outs[n.ID].Sparsity()
+		e.sparsities[n.Name] = out.Sparsity()
 	}
-	if e.tel == nil {
-		return e.stashNode(n)
+	if as := e.assign[n.ID]; as != nil {
+		f := &e.futures[n.ID]
+		f.src, f.as, f.err = out, as, nil
+		f.settled.Store(false)
+		f.wg.Add(1)
+		go f.runEncode()
+		e.inFlight = append(e.inFlight, n)
+		return
 	}
-	var sp *telemetry.Span
-	if e.stepSpan != nil { // the variadic args would allocate even for a nil span
-		sp = e.stepSpan.Begin("train", "retire", telemetry.Str("stash", n.Name))
+	if stashedForBackward(e, n) {
+		e.StashBytes += out.Bytes()
+		e.mem.add("FP32", out.Bytes(), out.Bytes())
 	}
-	t0 := time.Now()
-	err := e.stashNode(n)
-	e.encodeNS += time.Since(t0).Nanoseconds()
-	sp.End()
-	return err
+	if e.bwdReads[n.ID] == 0 && len(n.Consumers()) > 0 {
+		e.recycle(out)
+	} else {
+		e.stash[n.ID] = out
+	}
+}
+
+// settleEncodes completes, in launch order, the retirement of every stash
+// whose encode is in flight but the newest keep: it waits for the encode,
+// then stores the stash (storeStash) unless a failure already stopped the
+// step's stash set, keeping the first failure in stashErr. A stopped stash
+// set is still waited for, so once settleEncodes(0) returns no goroutine
+// reads a raw output or writes a container. An instrumented run counts
+// whether each encode had finished before it was settled, times the wait and
+// the store into the step's train.encode.ns observation and, inside TryStep,
+// gives each a span on the step's track.
+func (e *Executor) settleEncodes(keep int) {
+	if len(e.inFlight) <= keep {
+		return
+	}
+	settle := len(e.inFlight) - keep
+	for _, n := range e.inFlight[:settle] {
+		f := &e.futures[n.ID]
+		if e.stashErr != nil {
+			f.wg.Wait()
+			continue
+		}
+		if e.tel == nil {
+			f.wg.Wait()
+			e.stashErr = e.storeStash(n)
+			continue
+		}
+		if f.settled.Load() {
+			e.met.encOverlapHits.Inc()
+		} else {
+			e.met.encOverlapMiss.Inc()
+		}
+		var sp *telemetry.Span
+		if e.stepSpan != nil { // the variadic args would allocate even for a nil span
+			sp = e.stepSpan.Begin("train", "retire", telemetry.Str("stash", n.Name))
+		}
+		t0 := time.Now()
+		f.wg.Wait()
+		e.stashErr = e.storeStash(n)
+		e.encodeNS += time.Since(t0).Nanoseconds()
+		sp.End()
+	}
+	e.inFlight = e.inFlight[:copy(e.inFlight, e.inFlight[settle:])]
 }
 
 // stashRest opens Backward: it stashes, in node order, what Forward did not
@@ -720,15 +839,18 @@ func (e *Executor) retire(n *graph.Node) error {
 // step's stash accounting. Forward's failure or its own returns before any
 // gradient accumulates; only a complete stash set records a memory sample.
 func (e *Executor) stashRest() error {
-	err := e.stashErr
 	if !e.fwdRetired {
 		e.beginStashes()
 	}
-	for _, n := range e.G.Nodes {
-		if err == nil && (!e.fwdRetired || len(n.Consumers()) == 0) {
-			err = e.retire(n)
+	if e.stashErr == nil {
+		for _, n := range e.G.Nodes {
+			if !e.fwdRetired || len(n.Consumers()) == 0 {
+				e.retire(n)
+			}
 		}
+		e.settleEncodes(0)
 	}
+	err := e.stashErr
 	if e.tel != nil {
 		e.met.encodeNS.Observe(e.encodeNS)
 		if err == nil {
@@ -739,49 +861,29 @@ func (e *Executor) stashRest() error {
 	return err
 }
 
-// stashNode carries node n's output across the forward→backward gap — the
-// one lifecycle of a stashed feature map: encode into the node's container,
-// seal, release the raw output, hand the container to the store, and arm
-// the future that will fetch and decode it.
-//
-// The container is the node's assignment (NewExecutor resolved it from
-// the analysis and the stash budget). A node without one touches neither
-// codec nor store: the backward view aliases the forward output — or, when
-// no backward kernel reads the output and a forward consumer has (the
-// "immediately consumed" class), it recycles here.
+// storeStash carries node n's encoded output across the forward→backward
+// gap — the rest of the one lifecycle of a stashed feature map, once its
+// encode future has built the sealed container: release the raw output,
+// hand the container to the store, and arm the future that will fetch and
+// decode it.
 //
 // This is also where the robustness layer lives: injected encode/decode/
-// alloc failures surface here as typed errors, and an assigned stash whose
+// alloc failures surface here as typed errors — drawn here, in launch order,
+// exactly as if the encode had run inline — and an assigned stash whose
 // runtime sparsity fell below break-even degrades to the dense encoding.
-// With no injector and integrity off, every added path is a nil/bool check.
-func (e *Executor) stashNode(n *graph.Node) error {
-	out := e.outs[n.ID]
-	as := e.assign[n.ID]
-	if as == nil {
-		if stashedForBackward(e, n) {
-			e.StashBytes += out.Bytes()
-			e.mem.add("FP32", out.Bytes(), out.Bytes())
-		}
-		if e.bwdReads[n.ID] == 0 && len(n.Consumers()) > 0 {
-			e.recycle(out)
-		} else {
-			e.stash[n.ID] = out
-		}
-		return nil
-	}
-
-	enc := &e.encSlots[n.ID]
-	inj := e.opts.Faults
+// With no injector, every added path is a nil check.
+func (e *Executor) storeStash(n *graph.Node) error {
+	f := &e.futures[n.ID]
+	out, enc, inj := f.src, f.enc, e.opts.Faults
 	if err := inj.FailEncode(e.fkey, n.Name); err != nil {
 		e.Robust.EncodeFailures++
 		e.met.injEncode.Inc()
 		return err
 	}
-	fellBack, err := e.cdc.EncodeStashAdaptiveInto(enc, as, out)
-	if err != nil {
-		return fmt.Errorf("train: stash %q: %w", n.Name, err)
+	if f.err != nil {
+		return fmt.Errorf("train: stash %q: %w", n.Name, f.err)
 	}
-	if fellBack {
+	if f.fellBack {
 		e.Robust.SSDCFallbacks++
 		e.met.ssdcFallbacks.Inc()
 	}
@@ -795,11 +897,6 @@ func (e *Executor) stashNode(n *graph.Node) error {
 		e.met.injDecode.Inc()
 		return err
 	}
-	if e.opts.Integrity || inj.Enabled() {
-		// Sealed on request, and always under fault injection so every
-		// injected bit flip is detectable.
-		e.cdc.Seal(enc)
-	}
 	inj.CorruptStash(e.fkey, n.Name, enc)
 	e.StashBytes += enc.Bytes()
 	e.mem.add(enc.Tech.String(), out.Bytes(), enc.Bytes())
@@ -807,12 +904,12 @@ func (e *Executor) stashNode(n *graph.Node) error {
 	// is dead — no backward reader touches it — and returns to the pool,
 	// closing the lifetime gap the planner's liveness analysis identifies.
 	e.recycle(out)
-	err = e.store.Put(n.ID, enc)
+	err := e.store.Put(n.ID, enc)
 	// The backward pass starts the future one layer before its consumer, and
 	// only then does it take a decode target: until that start the stash
 	// holds its container and nothing else. A failed Put still left the stash
 	// in the store, so it is armed too: drainFutures verifies it.
-	e.futures[n.ID].arm()
+	f.arm()
 	e.nFutures++
 	if err != nil {
 		if errors.Is(err, faults.ErrInjected) { // the ENOSPC transient
@@ -1077,6 +1174,12 @@ func (e *Executor) zeroGrads() {
 // goroutine only; idempotent, and re-run at Forward and Close for a training
 // Forward whose Backward never ran (a step cancelled in between).
 func (e *Executor) drainFutures() {
+	// Only a Forward that panicked part-way leaves an encode in flight; its
+	// raw output must not recycle under the goroutine still reading it.
+	for _, n := range e.inFlight {
+		e.futures[n.ID].wg.Wait()
+	}
+	e.inFlight = e.inFlight[:0]
 	if e.nFutures == 0 {
 		return
 	}
