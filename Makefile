@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short cover loc check
+.PHONY: build test vet fmt race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short profile-stash cover loc check
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,20 @@ bench-gate:
 bench-gate-short:
 	@$(MAKE) --no-print-directory bench-gate BENCH_GATE_TIME=100ms
 
+# CPU profile of the stash path: PROFILE_TIME pooled steps of the spilling
+# StashNet chain (gist-stashchain: adaptive set, integrity, a 2-worker
+# codec), then pprof's PROFILE_TOP heaviest leaves. The test binary and the
+# profile go to a fresh directory under $TMPDIR, never into the checkout;
+# the last line names it, for `go tool pprof` views beyond -top.
+PROFILE_TIME ?= 2000x
+PROFILE_TOP ?= 20
+profile-stash:
+	@dir=$$(mktemp -d "$${TMPDIR:-/tmp}/gist-profile.XXXXXX") && \
+	$(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-stashchain$$' -benchtime $(PROFILE_TIME) \
+		-o "$$dir/gist.test" -cpuprofile "$$dir/cpu.prof" . | grep stashchain && \
+	$(GO) tool pprof -top -nodecount $(PROFILE_TOP) "$$dir/gist.test" "$$dir/cpu.prof" && \
+	echo "profile-stash: binary and profile in $$dir"
+
 # Coverage floors on the numerical core: the executor/replica engine, the
 # encode→seal→decode pipeline, and the deterministic reduce. Floors sit
 # well below current coverage (89/87/100 as of the replica PR) so routine
@@ -151,7 +165,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22182
+LOC_CEILING ?= 22346
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

@@ -123,15 +123,15 @@ func decodeBlock(t *chunkTask, c int) {
 	t.errs[c] = t.ent.decodeChunk(t.dst, c, t.ce, t.vpw)
 }
 
-// decodeWindow is how many packed words decodeChunk stages at a time: the
-// entropy block is drained through two stack buffers of this many words, so
+// decodeWindow is how many packed words decodeChunk decodes at a time: the
+// entropy block is drained through one stack buffer of this many words, so
 // decode holds no staging memory, allocates nothing and never writes to the
 // payload — any number of goroutines may decode one stash at once.
 const decodeWindow = 1024
 
 // decodeChunk decompresses chunk c's block window by window and unpacks
-// each window into out. Windows start on word boundaries, so every element
-// decodes exactly as a whole-range DecodeRange would decode it.
+// each window's bytes into out. Windows start on word boundaries, so every
+// element decodes exactly as a whole-range DecodeRange would decode it.
 func (p *EntropyPayload) decodeChunk(out []float32, c, ce, vpw int) error {
 	w0, w1 := p.chunkWords(c, ce, vpw)
 	hi := min((c+1)*ce, p.N)
@@ -141,19 +141,13 @@ func (p *EntropyPayload) decodeChunk(out []float32, c, ce, vpw int) error {
 		return err
 	}
 	var raw [4 * decodeWindow]byte
-	var words [decodeWindow]uint32
 	for w := w0; w < w1; w += decodeWindow {
 		k := min(decodeWindow, w1-w)
 		if err := d.Read(raw[:4*k]); err != nil {
 			return err
 		}
-		for i := 0; i < k; i++ {
-			words[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
 		lo := w * vpw
-		elems := min(k*vpw, hi-lo)
-		win := floatenc.Packed{Format: p.Format, N: elems, Words: words[:k]}
-		win.DecodeRange(out[lo:lo+elems], 0, elems)
+		floatenc.UnpackBytes(p.Format, out[lo:min(lo+k*vpw, hi)], raw[:4*k])
 	}
 	return nil
 }

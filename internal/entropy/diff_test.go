@@ -273,14 +273,7 @@ func diffDecode(t testing.TB, label string, blk []byte, n int, r *rand.Rand) boo
 	if err == nil && !bytes.Equal(got, want) {
 		t.Fatalf("%s: Decode accepted with different bytes than the reference", label)
 	}
-	win := bytes.Repeat([]byte{0x5a}, n)
-	var d Decoder
-	werr := d.Init(blk, n)
-	for off := 0; werr == nil && off < n; {
-		k := min(1+r.Intn(97), n-off)
-		werr = d.Read(win[off : off+k])
-		off += k
-	}
+	win, werr := windowedDecode(blk, n, func() int { return 1 + r.Intn(97) })
 	if (werr == nil) != (refErr == nil) {
 		t.Fatalf("%s: windowed decode says %v, the reference %v", label, werr, refErr)
 	}
@@ -288,6 +281,20 @@ func diffDecode(t testing.TB, label string, blk []byte, n int, r *rand.Rand) boo
 		t.Fatalf("%s: windowed decode accepted with different bytes than the reference", label)
 	}
 	return err == nil
+}
+
+// windowedDecode decodes blk into n bytes through one Decoder, in windows
+// of the sizes next returns.
+func windowedDecode(blk []byte, n int, next func() int) ([]byte, error) {
+	win := bytes.Repeat([]byte{0x5a}, n)
+	var d Decoder
+	err := d.Init(blk, n)
+	for off := 0; err == nil && off < n; {
+		k := min(next(), n-off)
+		err = d.Read(win[off : off+k])
+		off += k
+	}
+	return win, err
 }
 
 // handBlock assembles a block from explicit code lengths and body bytes.
@@ -419,6 +426,151 @@ func TestDiffEntropyDecode(t *testing.T) {
 		t.Fatalf("%d of %d cases accepted: the wall is not exercising both verdicts", accepted, cases)
 	}
 	t.Logf("%d differential decode cases, %d accepted by both decoders", cases, accepted)
+}
+
+// codedBlock codes toks under the code lengths lens into a block: a token
+// below symZeroRun is that literal, symZeroRun+r a zero run of length r —
+// any 8-bit r, 0 included. It returns the block and the output length the
+// tokens make.
+func codedBlock(lens map[int]uint8, toks []int) ([]byte, int) {
+	var l [numSymbols]uint8
+	for s, v := range lens {
+		l[s] = v
+	}
+	codes := refCanonicalCodes(&l)
+	w := refBitWriter{dst: handBlock(lens)}
+	n := 0
+	for _, tok := range toks {
+		sym := min(tok, symZeroRun)
+		w.write(uint32(codes[sym]), int(l[sym]))
+		if sym == symZeroRun {
+			w.write(uint32(tok-symZeroRun), 8)
+			n += tok - symZeroRun
+		} else {
+			n++
+		}
+	}
+	return w.flush(), n
+}
+
+// seededToks draws k tokens: with probability pRun a zero run of length
+// 1..maxRun, else one of the literals in lits.
+func seededToks(r *rand.Rand, k int, lits []int, pRun float64, maxRun int) []int {
+	toks := make([]int, k)
+	for i := range toks {
+		if r.Float64() < pRun {
+			toks[i] = symZeroRun + 1 + r.Intn(maxRun)
+		} else {
+			toks[i] = lits[r.Intn(len(lits))]
+		}
+	}
+	return toks
+}
+
+// TestDiffEntropyDecodeBurst is the decode wall's rows for the burst path —
+// the table entries that resolve a literal or a run of 1-maxBurstRun with
+// its length, four per refill: each block below goes through diffDecode,
+// against the reference at seeded window sizes, with the verdict it must
+// reach.
+func TestDiffEntropyDecodeBurst(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	check := func(label string, accept bool, blk []byte, n int) {
+		t.Helper()
+		if got := diffDecode(t, label, blk, n, r); got != accept {
+			t.Fatalf("%s: accepted = %v, want %v", label, got, accept)
+		}
+	}
+
+	// Code tables that put the run code and the literals at the fast
+	// table's edges. The run code's 8-bit length fits a lookup when the
+	// code is at most peekBits-8 bits long: 3 bits do, 4 do not.
+	runFits := map[int]uint8{symZeroRun: peekBits - 8, 1: 1, 2: 2, 3: 3}
+	runLong := map[int]uint8{1: 1, 2: 2, 3: 3, 4: peekBits - 7, symZeroRun: peekBits - 7}
+	// A 1-bit run code, literals of 2..10 bits, one of exactly peekBits
+	// bits and two of peekBits+1, which only the slow path resolves.
+	edges := map[int]uint8{symZeroRun: 1, 10: peekBits, 11: peekBits + 1, 12: peekBits + 1}
+	for s := 1; s <= 9; s++ {
+		edges[s] = uint8(s + 1)
+	}
+	tables := []struct {
+		name string
+		lens map[int]uint8
+		lits []int
+	}{
+		{"run code fits a lookup", runFits, []int{1, 2, 3}},
+		{"run code one bit too long", runLong, []int{1, 2, 3, 4}},
+		{"literals at the table width", edges, []int{1, 5, 9, 10, 10, 11, 11, 12, 12}},
+	}
+
+	type block struct {
+		b []byte
+		n int
+	}
+	var valid []block
+	for _, tb := range tables {
+		for _, maxRun := range []int{8, 9, 12, 255} {
+			blk, n := codedBlock(tb.lens, seededToks(r, 1500, tb.lits, 0.3, maxRun))
+			check(fmt.Sprintf("%s, runs up to %d", tb.name, maxRun), true, blk, n)
+			valid = append(valid, block{blk, n})
+		}
+	}
+
+	// Runs of exactly maxBurstRun and maxBurstRun+1, the longest a lookup
+	// resolves and the shortest it escapes, from the hand tables and from
+	// the encoder's own tables.
+	for _, run := range []int{maxBurstRun, maxBurstRun + 1} {
+		for _, tb := range tables {
+			toks := seededToks(r, 800, tb.lits, 0, 1)
+			for i := 0; i < len(toks); i += 1 + r.Intn(3) {
+				toks[i] = symZeroRun + run
+			}
+			blk, n := codedBlock(tb.lens, toks)
+			check(fmt.Sprintf("%s, runs of %d", tb.name, run), true, blk, n)
+		}
+		src := make([]byte, 0, 4096)
+		for len(src) < 4000 {
+			src = append(src, byte(1+r.Intn(255)), byte(1+r.Intn(3)))
+			src = append(src, make([]byte, run)...)
+		}
+		check(fmt.Sprintf("encoded runs of %d", run), true, refEncode(nil, src), len(src))
+	}
+
+	// A zero-length run, and a run longer than the output left, each after
+	// enough literals that the burst is running when it comes up.
+	for _, tb := range tables {
+		head := seededToks(r, 200, tb.lits, 0.2, 8)
+		tail := seededToks(r, 100, tb.lits, 0.2, 8)
+		blk, n := codedBlock(tb.lens, append(append(slices.Clone(head), symZeroRun), tail...))
+		check(tb.name+", zero-length run", false, blk, n)
+		_, before := codedBlock(tb.lens, head)
+		blk, n = codedBlock(tb.lens, append(append(slices.Clone(head), symZeroRun+200), tail...))
+		check(tb.name+", run overflowing the output", false, blk, before+100)
+		check(tb.name+", run filling the output", true, blk, n)
+	}
+
+	// Every truncation of a block, bare and zero-padded: cuts that land
+	// inside a four-code burst, on and off byte boundaries of its codes.
+	for _, v := range valid[:3] {
+		for cut := tableBytes; cut < len(v.b); cut += 1 + r.Intn(3) {
+			check("truncated", false, v.b[:cut], v.n)
+			diffDecode(t, "truncated + zero padding", append(slices.Clone(v.b[:cut]), make([]byte, 9)...), v.n, r)
+		}
+	}
+
+	// Windows of every size up to two bursts: each ends 1-31 bytes short of
+	// a burst boundary somewhere, and runs straddle its end.
+	for i, v := range valid {
+		want := make([]byte, v.n)
+		if err := refDecode(want, v.b); err != nil {
+			t.Fatal(err)
+		}
+		for size := 1; size <= 2*burstBytes+1; size++ {
+			got, err := windowedDecode(v.b, v.n, func() int { return size })
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("block %d in windows of %d: %v, or bytes differ from the reference", i, size, err)
+			}
+		}
+	}
 }
 
 // FuzzEntropyDecodeDiff feeds arbitrary bytes to both decoders as a block

@@ -20,9 +20,12 @@
 // Emit codes those tokens into a buffer of exactly that length, so a caller
 // can lay every block of a stream out in its final place and fill them in
 // parallel; no packed copy of the input exists at any point. Encode runs
-// both passes over arbitrary bytes. Decoding resolves one symbol per table
-// lookup and is resumable, so a block can be drained a window at a time
-// into a small buffer.
+// both passes over arbitrary bytes. Decoding resolves a literal, or a zero
+// run of up to eight bytes together with its length, per table lookup, four
+// lookups per 64-bit refill and one 8-byte store per lookup; the rare
+// longer runs and longer codes take a careful one-code path. It is
+// resumable, so a block can be drained a window at a time into a small
+// buffer.
 package entropy
 
 import (
@@ -50,10 +53,12 @@ const (
 	// tableBytes is the nibble-packed code-length table leading every
 	// block: 257 4-bit lengths.
 	tableBytes = (numSymbols + 1) / 2
-	// peekBits is the width of the decoder's primary table: every code of
-	// at most this many bits resolves in one lookup; the rare longer ones
-	// (up to maxCodeLen) fall back to the canonical first/offset/count
-	// search. 2^11 uint16 entries keep the table at 4 KB, inside L1.
+	// peekBits is the width of the decoder's fast table: every literal
+	// code of at most this many bits resolves in one lookup, and so does a
+	// run code of at most peekBits-8 bits with the length behind it; the
+	// rare longer codes (up to maxCodeLen) fall back to the canonical
+	// first/offset/count search. 2^11 uint16 entries keep the table at
+	// 4 KB, inside L1.
 	peekBits = 11
 
 	// TableBytes is the fixed per-block table overhead, exported for
@@ -517,10 +522,15 @@ func (c *canonical) init(lens *[numSymbols]uint8) {
 // zero value is ready for Init; a Decoder holds no heap memory of its own
 // and is meant to live on the caller's stack.
 type Decoder struct {
-	// primary resolves the next peekBits of the stream: symbol << 4 |
-	// length for every code of at most peekBits bits, 0 where a longer
-	// code (or none) starts.
-	primary [1 << peekBits]uint16
+	// fast resolves the next peekBits of the stream. A resolved entry is
+	// literal << 8 | count << 4 | bits: bits stream bits make count output
+	// bytes, the first of which is literal and the rest zeros — a literal
+	// code of at most peekBits bits (count 1), or a run code short enough
+	// that its 8-bit length fits in the lookup too, with that length when it
+	// is 1-8 (literal 0). An escape entry has count 0 and bits the length of
+	// the run code it starts, or bits 0 where a longer code (or none)
+	// starts.
+	fast [1 << peekBits]uint16
 	canonical
 	// syms lists the coded symbols in canonical order, for the slow path.
 	syms [numSymbols]uint16
@@ -532,6 +542,15 @@ type Decoder struct {
 	run  int    // zero bytes of a decoded run the next Read still owes
 	left int    // bytes of output not yet read
 }
+
+// A resolved entry makes at most maxBurstRun bytes, so burstCodes of them
+// fill at most burstBytes of output; they take at most burstCodes*peekBits
+// = 44 bits, fewer than the 56 a refill guarantees.
+const (
+	maxBurstRun = 8
+	burstCodes  = 4
+	burstBytes  = burstCodes * maxBurstRun
+)
 
 // Init prepares d to decompress block into n bytes of output. It returns an
 // error wrapping ErrCorrupt when the block cannot be one Encode produced
@@ -574,15 +593,31 @@ func (d *Decoder) Init(block []byte, n int) error {
 		code := next[l]
 		next[l]++
 		d.syms[d.offset[l]+code-d.first[l]] = uint16(s)
-		if l <= peekBits {
-			entry := uint16(s)<<4 | uint16(l)
-			span := d.primary[code<<(peekBits-l) : (code+1)<<(peekBits-l)]
-			for i := range span {
-				span[i] = entry
-			}
+		if l > peekBits {
+			continue
+		}
+		span := d.fast[code<<(peekBits-l) : (code+1)<<(peekBits-l)]
+		if s != symZeroRun {
+			fill(span, uint16(s)<<8|1<<4|uint16(l))
+			continue
+		}
+		fill(span, uint16(l)) // an escape: the run's length is read apart
+		if l+8 > peekBits {
+			continue
+		}
+		step := 1 << (peekBits - l - 8)
+		for run := 1; run <= maxBurstRun; run++ {
+			fill(span[run*step:(run+1)*step], uint16(run)<<4|uint16(l+8))
 		}
 	}
 	return nil
+}
+
+// fill sets every entry of span to entry.
+func fill(span []uint16, entry uint16) {
+	for i := range span {
+		span[i] = entry
+	}
 }
 
 // Read decompresses the next len(p) bytes of the block's output into p.
@@ -602,8 +637,16 @@ func (d *Decoder) Read(p []byte) error {
 	// the end of the body acc reads as zeros, and a symbol resolved from
 	// that padding drives nacc negative — which is how truncation is
 	// detected, so padding is never accepted as data.
+	tab := &d.fast
 	body, pos, acc, nacc := d.body, d.pos, d.acc, d.nacc
 	for out < len(p) {
+		out, pos, acc, nacc = burst(tab, p, out, body, pos, acc, nacc)
+		if out == len(p) {
+			break
+		}
+		// One code the careful way: an escape entry (a run the lookup did
+		// not resolve, a code longer than peekBits, no code), or any code
+		// in a window's last burstBytes or the body's last eight bytes.
 		if nacc < maxCodeLen+8 {
 			if pos+8 <= len(body) {
 				acc |= binary.BigEndian.Uint64(body[pos:]) >> uint(nacc)
@@ -616,26 +659,23 @@ func (d *Decoder) Read(p []byte) error {
 				}
 			}
 		}
-		entry := d.primary[acc>>(64-peekBits)]
-		sym, l := int(entry>>4), int(entry&15)
-		if l == 0 {
-			if sym, l = d.longCode(acc); l == 0 {
-				return fmt.Errorf("%w: no code matches the next %d bits", ErrCorrupt, maxCodeLen)
+		e := tab[acc>>(64-peekBits)]
+		lit, run, l := byte(e>>8), int(e>>4&15), int(e&15)
+		if run == 0 { // an escape
+			sym := symZeroRun
+			if l == 0 {
+				if sym, l = d.longCode(acc); l == 0 {
+					return fmt.Errorf("%w: no code matches the next %d bits", ErrCorrupt, maxCodeLen)
+				}
+			}
+			lit, run = byte(sym), 1
+			if sym == symZeroRun {
+				lit, run = 0, int(acc<<uint(l)>>56)
+				l += 8
 			}
 		}
 		acc <<= uint(l)
 		nacc -= l
-		if sym != symZeroRun {
-			if nacc < 0 {
-				return fmt.Errorf("%w: truncated bitstream", ErrCorrupt)
-			}
-			p[out] = byte(sym)
-			out++
-			continue
-		}
-		run := int(acc >> 56)
-		acc <<= 8
-		nacc -= 8
 		if nacc < 0 {
 			return fmt.Errorf("%w: truncated bitstream", ErrCorrupt)
 		}
@@ -646,12 +686,13 @@ func (d *Decoder) Read(p []byte) error {
 		if out+8 <= len(p) {
 			// Most runs are a few bytes: one store instead of a call. The
 			// zeros beyond the run are overwritten by what follows.
-			binary.LittleEndian.PutUint64(p[out:], 0)
+			binary.LittleEndian.PutUint64(p[out:], uint64(lit))
 			if k > 8 {
 				clear(p[out+8 : out+k])
 			}
 		} else {
-			clear(p[out : out+k])
+			p[out] = lit
+			clear(p[out+1 : out+k])
 		}
 		out += k
 		d.run = run - k
@@ -659,6 +700,54 @@ func (d *Decoder) Read(p []byte) error {
 	d.pos, d.acc, d.nacc = pos, acc, nacc
 	d.left -= len(p)
 	return nil
+}
+
+// burst is Read's fast path. With eight body bytes and burstBytes of
+// output to spare, one refill loads at least 56 stream bits and feeds
+// burstCodes resolved entries, each one 8-byte store — a literal and seven
+// zeros, or a run — that the next store overwrites beyond its count. They
+// cannot run out of bits or past the output, so they check for neither. It
+// returns the cursors where it met an escape entry or ran out of room.
+func burst(tab *[1 << peekBits]uint16, p []byte, out int, body []byte, pos int, acc uint64, nacc int) (int, int, uint64, int) {
+	for out+burstBytes <= len(p) && pos+8 <= len(body) {
+		acc |= binary.BigEndian.Uint64(body[pos:]) >> uint(nacc)
+		pos += (63 - nacc) >> 3
+		nacc |= 56
+		e := tab[acc>>(64-peekBits)]
+		if e&0xf0 == 0 {
+			break
+		}
+		binary.LittleEndian.PutUint64(p[out:out+8:out+8], uint64(e>>8))
+		out += int(e >> 4 & 15)
+		l := uint(e & 15)
+		acc <<= l
+		nacc -= int(l)
+		if e = tab[acc>>(64-peekBits)]; e&0xf0 == 0 {
+			break
+		}
+		binary.LittleEndian.PutUint64(p[out:out+8:out+8], uint64(e>>8))
+		out += int(e >> 4 & 15)
+		l = uint(e & 15)
+		acc <<= l
+		nacc -= int(l)
+		if e = tab[acc>>(64-peekBits)]; e&0xf0 == 0 {
+			break
+		}
+		binary.LittleEndian.PutUint64(p[out:out+8:out+8], uint64(e>>8))
+		out += int(e >> 4 & 15)
+		l = uint(e & 15)
+		acc <<= l
+		nacc -= int(l)
+		if e = tab[acc>>(64-peekBits)]; e&0xf0 == 0 {
+			break
+		}
+		binary.LittleEndian.PutUint64(p[out:out+8:out+8], uint64(e>>8))
+		out += int(e >> 4 & 15)
+		l = uint(e & 15)
+		acc <<= l
+		nacc -= int(l)
+	}
+	return out, pos, acc, nacc
 }
 
 // longCode resolves a code longer than peekBits the canonical way: lengthen

@@ -1,6 +1,7 @@
 package floatenc
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,32 +81,129 @@ func TestDiffDecodeExhaustive(t *testing.T) {
 	}
 }
 
-// TestDiffEncodeExponentSweep encodes, for every format, every FP32
-// exponent (both signs) crossed with the mantissas that sit on rounding
-// boundaries — all-zeros, all-ones, and the four patterns around the RNE
-// midpoint of the dropped bits.
+// exponentSweep is, for format f, every FP32 exponent (both signs) crossed
+// with the mantissas that sit on rounding boundaries — all-zeros, all-ones,
+// and the four patterns around the RNE midpoint of the dropped bits.
+func exponentSweep(f Format) []float32 {
+	shift := uint(23 - f.layout().manBits)
+	half := uint32(1) << (shift - 1)
+	mans := []uint32{
+		0, 0x7fffff,
+		half - 1, half, half + 1,
+		1 << shift, 1<<shift - 1, // slot LSB boundary
+		half | 1<<shift,                    // midpoint with odd kept mantissa
+		0x7fffff & ^(uint32(1)<<shift - 1), // kept all-ones, dropped zero
+	}
+	var vs []float32
+	for sign := uint32(0); sign <= 1; sign++ {
+		for e := uint32(0); e <= 0xff; e++ {
+			for _, man := range mans {
+				vs = append(vs, math.Float32frombits(sign<<31|e<<23|man&0x7fffff))
+			}
+		}
+	}
+	return vs
+}
+
+// TestDiffDecode16PairExhaustive decodes every FP16 pattern in each half of
+// a packed word, beside a zero, a normal, a denormal, an Inf and a NaN in
+// the other half, through DecodeRange's and UnpackBytes' two-lane kernel.
+func TestDiffDecode16PairExhaustive(t *testing.T) {
+	others := []uint32{0, 0x3c00, 0x8001, 0x7c00, 0xfe01}
+	words := make([]uint32, 0, 2*len(others)<<16)
+	for bits := uint32(0); bits < 1<<16; bits++ {
+		for _, o := range others {
+			words = append(words, bits|o<<16, o|bits<<16)
+		}
+	}
+	p := &Packed{Format: FP16, N: 2 * len(words), Words: words}
+	got := p.DecodeSlice(nil)
+	var raw []byte
+	for _, w := range words {
+		raw = binary.LittleEndian.AppendUint32(raw, w)
+	}
+	unpacked := make([]float32, p.N)
+	UnpackBytes(FP16, unpacked, raw)
+	for i, w := range words {
+		for k, bits := range []uint32{w & 0xffff, w >> 16} {
+			want := math.Float32bits(FP16.decodeScalar(bits))
+			if g := math.Float32bits(got[2*i+k]); g != want {
+				t.Fatalf("DecodeRange of word %#08x, half %d = %#08x, scalar %#08x", w, k, g, want)
+			}
+			if g := math.Float32bits(unpacked[2*i+k]); g != want {
+				t.Fatalf("UnpackBytes of word %#08x, half %d = %#08x, scalar %#08x", w, k, g, want)
+			}
+		}
+	}
+}
+
+// TestDiffEncodeExponentSweep encodes the exponent sweep of every format
+// one value at a time through Format.Encode, and packed through the word
+// loops of EncodeRange — shifted so every value visits every slot of a
+// word, next to neighbours that do and do not take the slow path.
 func TestDiffEncodeExponentSweep(t *testing.T) {
 	for _, f := range diffFormats {
-		shift := uint(23 - f.layout().manBits)
-		half := uint32(1) << (shift - 1)
-		mans := []uint32{
-			0, 0x7fffff,
-			half - 1, half, half + 1,
-			1 << shift, 1<<shift - 1, // slot LSB boundary
-			half | 1<<shift,                    // midpoint with odd kept mantissa
-			0x7fffff & ^(uint32(1)<<shift - 1), // kept all-ones, dropped zero
+		sweep := exponentSweep(f)
+		for _, v := range sweep {
+			got, want := f.Encode(v), f.encodeScalar(v)
+			if got != want {
+				t.Fatalf("%v.Encode(%#08x) = %#x, scalar %#x",
+					f, math.Float32bits(v), got, want)
+			}
 		}
-		for sign := uint32(0); sign <= 1; sign++ {
-			for e := uint32(0); e <= 0xff; e++ {
-				for _, man := range mans {
-					v := math.Float32frombits(sign<<31 | e<<23 | man&0x7fffff)
-					got, want := f.Encode(v), f.encodeScalar(v)
-					if got != want {
-						t.Fatalf("%v.Encode(%#08x) = %#x, scalar %#x",
-							f, math.Float32bits(v), got, want)
-					}
+		for lead := 0; lead < f.ValuesPerWord(); lead++ {
+			xs := append(make([]float32, lead), sweep...)
+			got := EncodeSlice(f, xs)
+			want := NewPacked(f, len(xs))
+			want.encodeRangeScalar(xs, 0, len(xs))
+			for w := range want.Words {
+				if got.Words[w] != want.Words[w] {
+					t.Fatalf("%v lead %d: word %d = %#08x, scalar %#08x",
+						f, lead, w, got.Words[w], want.Words[w])
 				}
 			}
+		}
+	}
+}
+
+// TestEnc16StepPinned holds the constants enc16Step and dec16Pair fold in
+// to the FP16 row of fmtTab, which encStep and dec16Step read, and
+// enc16Step to encStep bit for bit.
+func TestEnc16StepPinned(t *testing.T) {
+	tab := &fmtTab[FP16]
+	for _, c := range []struct {
+		name      string
+		got, want uint32
+	}{
+		{"manBits", fp16ManBits, tab.manBits},
+		{"signShift", fp16SignShift, tab.signShift},
+		{"shift", fp16Shift, tab.shift},
+		{"half", 1 << (fp16Shift - 1), tab.half},
+		{"remMask", 1<<fp16Shift - 1, tab.remMask},
+		{"minE", fp16MinE, tab.minE},
+		{"rangeE", fp16RangeE, tab.rangeE},
+		{"maxFinite", fp16MaxFinite, tab.maxFinite},
+		{"emMask", fp16EmMask, tab.emMask},
+		{"manTop", 1 << fp16ManBits, tab.manTop},
+		{"rebias", fp16Rebias, tab.rebias},
+	} {
+		if c.got != c.want {
+			t.Errorf("the folded FP16 %s is %#x, fmtTab[FP16] has %#x", c.name, c.got, c.want)
+		}
+	}
+	r := rand.New(rand.NewSource(43))
+	bits := make([]uint32, 0, 1_000_000)
+	for _, v := range exponentSweep(FP16) {
+		bits = append(bits, math.Float32bits(v))
+	}
+	for len(bits) < cap(bits) {
+		bits = append(bits, r.Uint32())
+	}
+	for _, b := range bits {
+		e0, k0 := enc16Step(b)
+		e1, k1 := encStep(tab, b)
+		if e0 != e1 || k0 != k1 {
+			t.Fatalf("enc16Step(%#08x) = %#x, %d; encStep = %#x, %d", b, e0, k0, e1, k1)
 		}
 	}
 }
@@ -167,7 +265,7 @@ func diffInput(n int, seed int64) []float32 {
 
 // TestDiffEncodeRange checks the word-parallel range kernels against the
 // scalar loops for every size and for ragged sub-ranges: word-identical
-// packs and bit-identical decodes.
+// packs, and bit-identical decodes from the words and from their bytes.
 func TestDiffEncodeRange(t *testing.T) {
 	for _, f := range append([]Format{FP32}, diffFormats...) {
 		vpw := f.ValuesPerWord()
@@ -203,10 +301,20 @@ func TestDiffEncodeRange(t *testing.T) {
 				got.DecodeRange(dst, split, n)
 				ref := make([]float32, n)
 				want.decodeRangeScalar(ref, 0, n)
+				var raw []byte
+				for _, w := range got.Words {
+					raw = binary.LittleEndian.AppendUint32(raw, w)
+				}
+				unpacked := make([]float32, n)
+				UnpackBytes(f, unpacked, raw)
 				for i := range dst {
 					if math.Float32bits(dst[i]) != math.Float32bits(ref[i]) {
 						t.Fatalf("%v n=%d split=%d: decode[%d] = %#08x, scalar %#08x",
 							f, n, split, i, math.Float32bits(dst[i]), math.Float32bits(ref[i]))
+					}
+					if math.Float32bits(unpacked[i]) != math.Float32bits(ref[i]) {
+						t.Fatalf("%v n=%d: UnpackBytes[%d] = %#08x, scalar %#08x",
+							f, n, i, math.Float32bits(unpacked[i]), math.Float32bits(ref[i]))
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package floatenc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -72,14 +73,15 @@ func (p *Packed) EncodeRange(src []float32, start, end int) {
 		p.Words[i/vpw] |= encodeFast(t, p.Format, src[i]) << (uint(i%vpw) * nbits)
 	}
 	// Interior: one storage word per iteration, every slot through the
-	// inlined branch-free encStep; the single branch per word is the rare
-	// "some slot needs the scalar slow path" escape.
+	// inlined branch-free encStep (FP16: enc16Step, its constants folded);
+	// the single branch per word is the rare "some slot needs the scalar
+	// slow path" escape.
 	switch p.Format {
 	case FP16:
 		for ; i+2 <= end; i += 2 {
 			s := src[i : i+2 : i+2]
-			e0, k0 := encStep(t, math.Float32bits(s[0]))
-			e1, k1 := encStep(t, math.Float32bits(s[1]))
+			e0, k0 := enc16Step(math.Float32bits(s[0]))
+			e1, k1 := enc16Step(math.Float32bits(s[1]))
 			if k0&k1 == 0 {
 				p.Words[i>>1] |= encodeFast(t, FP16, s[0]) |
 					encodeFast(t, FP16, s[1])<<16
@@ -142,8 +144,9 @@ func (p *Packed) DecodeSlice(dst []float32) []float32 {
 //
 // Word-parallel: the aligned interior loads each storage word once and
 // splits it into slots with constant shifts — table lookups for FP8/FP10,
-// the arithmetic re-bias kernel for FP16. Output is bit-identical to
-// decodeRangeScalar; it allocates nothing.
+// the arithmetic re-bias kernel for FP16, both slots of a word at once
+// (dec16Pair). Output is bit-identical to decodeRangeScalar; it allocates
+// nothing.
 func (p *Packed) DecodeRange(dst []float32, start, end int) {
 	p.checkRange(start, end)
 	if p.Format == FP32 {
@@ -161,18 +164,13 @@ func (p *Packed) DecodeRange(dst []float32, start, end int) {
 	}
 	switch p.Format {
 	case FP16:
-		t := &fmtTab[FP16]
 		for ; i+2 <= end; i += 2 {
 			w := p.Words[i>>1]
-			f0, k0 := dec16Step(t, w&0xffff)
-			f1, k1 := dec16Step(t, w>>16)
-			if k0&k1 == 0 {
-				dst[i] = decode16(w & 0xffff)
-				dst[i+1] = decode16(w >> 16)
+			if r, ok := dec16Pair(w); ok {
+				dst[i], dst[i+1] = math.Float32frombits(uint32(r)), math.Float32frombits(uint32(r>>32))
 				continue
 			}
-			dst[i] = math.Float32frombits(f0)
-			dst[i+1] = math.Float32frombits(f1)
+			dst[i], dst[i+1] = decode16(w&0xffff), decode16(w>>16)
 		}
 	case FP10:
 		for ; i+3 <= end; i += 3 {
@@ -192,6 +190,45 @@ func (p *Packed) DecodeRange(dst []float32, start, end int) {
 	}
 	for ; i < end; i++ {
 		dst[i] = p.Format.Decode(p.Words[i/vpw] >> (uint(i%vpw) * nbits) & mask)
+	}
+}
+
+// UnpackBytes decodes len(dst) values of format f from src, the
+// little-endian bytes of their packed words — a byte stream decoded straight
+// into values, with no word copy. Bit-identical to DecodeRange over the same
+// words; it allocates nothing.
+func UnpackBytes(f Format, dst []float32, src []byte) {
+	switch f {
+	case FP32:
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case FP16:
+		i := 0
+		for ; i+2 <= len(dst); i += 2 {
+			w := binary.LittleEndian.Uint32(src[2*i:])
+			if r, ok := dec16Pair(w); ok {
+				dst[i], dst[i+1] = math.Float32frombits(uint32(r)), math.Float32frombits(uint32(r>>32))
+				continue
+			}
+			dst[i], dst[i+1] = decode16(w&0xffff), decode16(w>>16)
+		}
+		if i < len(dst) {
+			dst[i] = decode16(uint32(binary.LittleEndian.Uint16(src[2*i:])))
+		}
+	case FP10:
+		for i := 0; i < len(dst); i += 3 {
+			w := binary.LittleEndian.Uint32(src[i/3*4:])
+			for k := i; k < min(i+3, len(dst)); k, w = k+1, w>>10 {
+				dst[k] = fp10LUT[w&0x3ff]
+			}
+		}
+	case FP8:
+		for i := range dst {
+			dst[i] = fp8LUT[src[i]]
+		}
+	default:
+		panic("floatenc: unknown format")
 	}
 }
 

@@ -96,6 +96,33 @@ func encStep(t *fmtConsts, b uint32) (enc, ok uint32) {
 	return b>>31<<t.signShift | r&(uint32(0)-fast), fast | flush
 }
 
+// FP16's constants, the fmtTab[FP16] fields enc16Step and dec16Pair fold in.
+const (
+	fp16ManBits   = 10
+	fp16SignShift = 15
+	fp16Shift     = 13
+	fp16MinE      = 113
+	fp16RangeE    = 29
+	fp16MaxFinite = 0x7bff
+	fp16EmMask    = 1<<fp16SignShift - 1
+	fp16Rebias    = (fp16MinE - 1) << fp16ManBits
+)
+
+// enc16Step is encStep for FP16 with the format's constants folded in:
+// constant shifts need no range guards, and the step fits the inliner's
+// budget, which encStep does not. Same bits as encStep(&fmtTab[FP16], b).
+func enc16Step(b uint32) (enc, ok uint32) {
+	e := b >> 23 & 0xff
+	fast := uint32((uint64(e-fp16MinE) - (fp16RangeE + 1)) >> 63)
+	flush := uint32((uint64(e) - (fp16MinE - 1)) >> 63)
+	// In the fast range, exponent and kept mantissa shift down together
+	// and one subtract re-biases the exponent: r = (e-minE+1)<<10 | mantissa.
+	r := b&0x7fffffff>>fp16Shift - fp16Rebias
+	r += (b&(1<<fp16Shift-1) + (1<<(fp16Shift-1) - 1) + r&1) >> fp16Shift
+	r -= uint32((fp16MaxFinite - uint64(r)) >> 63)
+	return b>>31<<fp16SignShift | r&-fast, fast | flush
+}
+
 // encodeFast is the per-value encode built on encStep, used by
 // Format.Encode and the ragged head/tail of EncodeRange.
 func encodeFast(t *fmtConsts, f Format, v float32) uint32 {
@@ -120,6 +147,23 @@ func dec16Step(t *fmtConsts, bits uint32) (fp, ok uint32) {
 	ok = uint32((uint64(em) - uint64(t.maxFinite) - 1) >> 63)
 	normal := uint32(0) - uint32((uint64(t.manTop)-1-uint64(em))>>63)
 	return bits>>t.signShift<<31 | (em+t.rebias)<<t.shift&normal, ok
+}
+
+// dec16Pair is dec16Step on both FP16 values of a packed word at once, one
+// per 32-bit lane of a 64-bit register: r holds their FP32 patterns, the
+// word's low half in the low lane, and ok is false when either is Inf or
+// NaN, which the caller decodes the scalar way. A lane never carries into
+// the next: every sum stays below 2^31. Same bits as dec16Step per half.
+func dec16Pair(w uint32) (r uint64, ok bool) {
+	const (
+		lanes = 1<<32 | 1 // a one in each lane
+		top   = 1 << 15 * lanes
+	)
+	x := uint64(w)&0xffff0000<<16 | uint64(w&0xffff)
+	em := x & (fp16EmMask * lanes)
+	normal := (em + (1<<15-1<<fp16ManBits)*lanes) >> 15 & lanes * 0xffffffff // em >= manTop
+	r = (x&top)<<16 | (em+fp16Rebias*lanes)<<fp16Shift&normal
+	return r, (em+(1<<15-fp16MaxFinite-1)*lanes)&top == 0 // em <= maxFinite
 }
 
 // decode16 is the per-value FP16 decode built on dec16Step, used by
