@@ -124,18 +124,16 @@ bench-gate:
 bench-gate-short:
 	@$(MAKE) --no-print-directory bench-gate BENCH_GATE_TIME=100ms
 
-# CPU profile of the stash path: PROFILE_TIME pooled steps of the spilling
-# StashNet chain (gist-stashchain: adaptive set, integrity, a 2-worker
-# codec), then pprof's PROFILE_TOP heaviest leaves. The test binary and the
-# profile go to a fresh directory under $TMPDIR, never into the checkout;
-# the last line names it, for `go tool pprof` views beyond -top.
-PROFILE_TIME ?= 2000x
-PROFILE_TOP ?= 20
+# CPU profile of the stash path: 2000 pooled steps of the spilling StashNet
+# chain (gist-stashchain: adaptive set, integrity, a 2-worker codec), then
+# pprof's 20 heaviest leaves. The test binary and the profile go to a fresh
+# directory under $TMPDIR, never into the checkout; the last line names it,
+# for `go tool pprof` views beyond -top.
 profile-stash:
 	@dir=$$(mktemp -d "$${TMPDIR:-/tmp}/gist-profile.XXXXXX") && \
-	$(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-stashchain$$' -benchtime $(PROFILE_TIME) \
+	$(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-stashchain$$' -benchtime 2000x \
 		-o "$$dir/gist.test" -cpuprofile "$$dir/cpu.prof" . | grep stashchain && \
-	$(GO) tool pprof -top -nodecount $(PROFILE_TOP) "$$dir/gist.test" "$$dir/cpu.prof" && \
+	$(GO) tool pprof -top -nodecount 20 "$$dir/gist.test" "$$dir/cpu.prof" && \
 	echo "profile-stash: binary and profile in $$dir"
 
 # Coverage floors on the numerical core: the executor/replica engine, the

@@ -167,8 +167,8 @@ func TestDiffEncodeExponentSweep(t *testing.T) {
 }
 
 // TestEnc16StepPinned holds the constants enc16Step and dec16Pair fold in
-// to the FP16 row of fmtTab, which encStep and dec16Step read, and
-// enc16Step to encStep bit for bit.
+// to the FP16 row of fmtTab, which the format's layout derives and encStep
+// reads, and enc16Step to encStep bit for bit.
 func TestEnc16StepPinned(t *testing.T) {
 	tab := &fmtTab[FP16]
 	for _, c := range []struct {

@@ -174,18 +174,11 @@ func (p *Packed) DecodeRange(dst []float32, start, end int) {
 		}
 	case FP10:
 		for ; i+3 <= end; i += 3 {
-			w := p.Words[i/3]
-			dst[i] = fp10LUT[w&0x3ff]
-			dst[i+1] = fp10LUT[w>>10&0x3ff]
-			dst[i+2] = fp10LUT[w>>20&0x3ff]
+			unpack10((*[3]float32)(dst[i:i+3]), p.Words[i/3])
 		}
 	case FP8:
 		for ; i+4 <= end; i += 4 {
-			w := p.Words[i>>2]
-			dst[i] = fp8LUT[w&0xff]
-			dst[i+1] = fp8LUT[w>>8&0xff]
-			dst[i+2] = fp8LUT[w>>16&0xff]
-			dst[i+3] = fp8LUT[w>>24]
+			unpack8((*[4]float32)(dst[i:i+4]), p.Words[i>>2])
 		}
 	}
 	for ; i < end; i++ {
@@ -193,18 +186,35 @@ func (p *Packed) DecodeRange(dst []float32, start, end int) {
 	}
 }
 
+// unpack10 and unpack8 are DecodeRange's and UnpackBytes' one word step for
+// FP10 and FP8: packed word w's slots into d, its low bits into d[0].
+func unpack10(d *[3]float32, w uint32) {
+	d[0], d[1], d[2] = fp10LUT[w&0x3ff], fp10LUT[w>>10&0x3ff], fp10LUT[w>>20&0x3ff]
+}
+
+func unpack8(d *[4]float32, w uint32) {
+	d[0], d[1], d[2], d[3] = fp8LUT[w&0xff], fp8LUT[w>>8&0xff], fp8LUT[w>>16&0xff], fp8LUT[w>>24]
+}
+
 // UnpackBytes decodes len(dst) values of format f from src, the
-// little-endian bytes of their packed words — a byte stream decoded straight
-// into values, with no word copy. Bit-identical to DecodeRange over the same
-// words; it allocates nothing.
+// little-endian bytes of their packed words, whole words only — a byte
+// stream decoded straight into values, with no word copy. Bit-identical to
+// DecodeRange over the same words; it allocates nothing.
+//
+// Each format's word step is DecodeRange's: unpack10, unpack8, and for FP16
+// dec16Pair with decode16 for Inf/NaN. The FP16 step is spelled out in both
+// loops because, wrapped in a function with its fallback, it exceeds the
+// inliner's budget and would cost a call per word.
 func UnpackBytes(f Format, dst []float32, src []byte) {
-	switch f {
-	case FP32:
+	if f == FP32 {
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 		}
+		return
+	}
+	i := 0
+	switch f {
 	case FP16:
-		i := 0
 		for ; i+2 <= len(dst); i += 2 {
 			w := binary.LittleEndian.Uint32(src[2*i:])
 			if r, ok := dec16Pair(w); ok {
@@ -213,22 +223,21 @@ func UnpackBytes(f Format, dst []float32, src []byte) {
 			}
 			dst[i], dst[i+1] = decode16(w&0xffff), decode16(w>>16)
 		}
-		if i < len(dst) {
-			dst[i] = decode16(uint32(binary.LittleEndian.Uint16(src[2*i:])))
-		}
 	case FP10:
-		for i := 0; i < len(dst); i += 3 {
-			w := binary.LittleEndian.Uint32(src[i/3*4:])
-			for k := i; k < min(i+3, len(dst)); k, w = k+1, w>>10 {
-				dst[k] = fp10LUT[w&0x3ff]
-			}
+		for ; i+3 <= len(dst); i += 3 {
+			unpack10((*[3]float32)(dst[i:i+3]), binary.LittleEndian.Uint32(src[i/3*4:]))
 		}
 	case FP8:
-		for i := range dst {
-			dst[i] = fp8LUT[src[i]]
+		for ; i+4 <= len(dst); i += 4 {
+			unpack8((*[4]float32)(dst[i:i+4]), binary.LittleEndian.Uint32(src[i:]))
 		}
 	default:
 		panic("floatenc: unknown format")
+	}
+	vpw, nbits := f.ValuesPerWord(), uint(f.Bits())
+	for ; i < len(dst); i++ {
+		w := binary.LittleEndian.Uint32(src[i/vpw*4:])
+		dst[i] = f.Decode(w >> (uint(i%vpw) * nbits) & (1<<nbits - 1))
 	}
 }
 
@@ -254,18 +263,17 @@ func QuantizeSlice(f Format, xs []float32) []float32 {
 	case FP32:
 		return xs
 	case FP16:
-		t := &fmtTab[FP16]
 		for i, v := range xs {
-			enc, ok := encStep(t, math.Float32bits(v))
+			enc, ok := enc16Step(math.Float32bits(v))
 			if ok == 0 {
 				enc = FP16.encodeScalar(v)
 			}
-			fp, ok := dec16Step(t, enc)
-			if ok == 0 {
+			r, finite := dec16Pair(enc)
+			if !finite {
 				xs[i] = FP16.decodeScalar(enc)
 				continue
 			}
-			xs[i] = math.Float32frombits(fp)
+			xs[i] = math.Float32frombits(uint32(r))
 		}
 	case FP10:
 		t := &fmtTab[FP10]

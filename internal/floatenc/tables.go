@@ -123,37 +123,32 @@ func enc16Step(b uint32) (enc, ok uint32) {
 	return b>>31<<fp16SignShift | r&-fast, fast | flush
 }
 
-// encodeFast is the per-value encode built on encStep, used by
-// Format.Encode and the ragged head/tail of EncodeRange.
+// encodeFast is the per-value encode built on encStep (enc16Step for
+// FP16), used by Format.Encode and the ragged head/tail of EncodeRange.
 func encodeFast(t *fmtConsts, f Format, v float32) uint32 {
-	enc, ok := encStep(t, math.Float32bits(v))
+	var enc, ok uint32
+	if f == FP16 {
+		enc, ok = enc16Step(math.Float32bits(v))
+	} else {
+		enc, ok = encStep(t, math.Float32bits(v))
+	}
 	if ok == 0 {
 		return f.encodeScalar(v)
 	}
 	return enc
 }
 
-// dec16Step is the arithmetic FP16 decode kernel, call-free and inlinable
-// like encStep: fp is the FP32 bit pattern and ok=1 when it is valid. A
-// normal encoding (target exponent in [1, emax]) re-biases the
-// exponent+mantissa field and shifts it into FP32 position — no
-// floating-point math at all; zero and denormal patterns zero the field
-// through the normal-range mask, leaving signed zero exactly as the scalar
-// reference decodes them. Only the all-ones exponent (Inf/NaN) reports
-// ok=0. FP16 is the one format whose pattern space (2^16) is too large for
-// a decode table.
-func dec16Step(t *fmtConsts, bits uint32) (fp, ok uint32) {
-	em := bits & t.emMask
-	ok = uint32((uint64(em) - uint64(t.maxFinite) - 1) >> 63)
-	normal := uint32(0) - uint32((uint64(t.manTop)-1-uint64(em))>>63)
-	return bits>>t.signShift<<31 | (em+t.rebias)<<t.shift&normal, ok
-}
-
-// dec16Pair is dec16Step on both FP16 values of a packed word at once, one
-// per 32-bit lane of a 64-bit register: r holds their FP32 patterns, the
-// word's low half in the low lane, and ok is false when either is Inf or
-// NaN, which the caller decodes the scalar way. A lane never carries into
-// the next: every sum stays below 2^31. Same bits as dec16Step per half.
+// dec16Pair is the arithmetic FP16 decode kernel, call-free and inlinable
+// like enc16Step, run on both FP16 values of a packed word at once, one per
+// 32-bit lane of a 64-bit register: r holds their FP32 patterns, the word's
+// low half in the low lane, and ok is false when either is Inf or NaN,
+// which the caller decodes the scalar way. A normal encoding (target
+// exponent in [1, emax]) re-biases the exponent+mantissa field and shifts
+// it into FP32 position — no floating-point math at all; zero and denormal
+// patterns zero the field through the normal-range mask, leaving signed
+// zero exactly as the scalar reference decodes them. A lane never carries
+// into the next: every sum stays below 2^31. FP16 is the one format whose
+// pattern space (2^16) is too large for a decode table.
 func dec16Pair(w uint32) (r uint64, ok bool) {
 	const (
 		lanes = 1<<32 | 1 // a one in each lane
@@ -166,14 +161,14 @@ func dec16Pair(w uint32) (r uint64, ok bool) {
 	return r, (em+(1<<15-fp16MaxFinite-1)*lanes)&top == 0 // em <= maxFinite
 }
 
-// decode16 is the per-value FP16 decode built on dec16Step, used by
-// Format.Decode and the ragged head/tail of DecodeRange.
+// decode16 is the per-value FP16 decode: dec16Pair's low lane, with a high
+// half of zero. Format.Decode, QuantizeSlice and the ragged head/tail of
+// DecodeRange use it.
 func decode16(bits uint32) float32 {
-	t := &fmtTab[FP16]
-	bits &= t.totalMask
-	fp, ok := dec16Step(t, bits)
-	if ok == 0 {
+	bits &= 0xffff
+	r, ok := dec16Pair(bits)
+	if !ok {
 		return FP16.decodeScalar(bits)
 	}
-	return math.Float32frombits(fp)
+	return math.Float32frombits(uint32(r))
 }
