@@ -1,17 +1,22 @@
 // Command gistbench regenerates the paper's tables and figures from the
 // reproduction's substrates: memory figures from the Schedule Builder's
 // static analysis, performance figures from the Titan X cost model and the
-// PCIe swap simulations, and (via -experiment fig12/fig14) scaled training
-// runs on the CPU executor.
+// PCIe swap simulations, and the training figures (fig12, fig14, ratio,
+// spill, distributed) and the fault-injected robust study from real
+// scaled-down training on the CPU executor.
 //
 // Usage:
 //
-//	gistbench                     # run every experiment
-//	gistbench -experiment fig8    # run one experiment
-//	gistbench -list               # list experiment IDs
+//	gistbench                                  # run every experiment
+//	gistbench -experiment fig8                 # run one experiment
+//	gistbench -experiment fig12 -steps 400     # rescale a training run
+//	gistbench -experiment fig14 -steps 120 -probe 20
+//	gistbench -experiment robust -steps 200 -bitflip 0.05 -ckpt /tmp/gist.ckpt
+//	gistbench -list                            # list experiment IDs
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,50 +31,86 @@ import (
 	"gist/internal/telemetry/promexport"
 )
 
-func main() {
-	experiment := flag.String("experiment", "", "experiment ID ("+strings.Join(experiments.IDs(), ", ")+"); empty runs all")
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-	par := flag.Int("parallel", 0, "encode/decode worker count (0 = GOMAXPROCS, 1 = serial)")
-	technique := flag.String("technique", "", "narrow the training-based experiments' stash encoding to one technique (binarize|ssdc|dpr|zvc|entropy), or \"adaptive\" for per-layer minimum-bytes selection; empty = experiment defaults")
-	replicas := flag.Int("replicas", 0, "run the training-based experiments on this many data-parallel executor replicas (0/1 = single executor)")
-	nshards := flag.Int("shards", 0, "micro-shards per step for the replica engine (0 = one per replica; pin this when comparing replica counts)")
-	stashBudget := flag.Int64("stash-budget", 0, "cap the training-based experiments' in-RAM stash bytes, spilling the excess to encoded pages on disk (0 = all in RAM; results are bit-identical at every budget)")
-	spillDir := flag.String("spill-dir", "", "directory for the stash store's spill file (default: the OS temp dir; only meaningful with -stash-budget)")
-	traceOut := flag.String("trace-out", "", "write Chrome trace_event JSON here at exit (codec + worker-pool activity of the training-based experiments)")
-	metricsOut := flag.String("metrics-out", "", "write the telemetry as Prometheus text exposition here at exit")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams as values; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gistbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// Robust's fault flags edit its default mix in place.
+	set := experiments.Settings{Faults: experiments.DefaultRobustScale().Faults}
+	experiment := fs.String("experiment", "", "experiment ID ("+strings.Join(experiments.IDs(), ", ")+"); empty runs all")
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
+	par := fs.Int("parallel", 0, "encode/decode worker count (0 = GOMAXPROCS, 1 = serial; results are bit-identical at every count)")
+	fs.StringVar(&set.Technique, "technique", "", "narrow robust's and spill's stash encoding to one technique (binarize|ssdc|dpr|zvc|entropy), or \"adaptive\" for per-layer minimum-bytes selection; empty = experiment defaults")
+	fs.IntVar(&set.Replicas, "replicas", 0, "run fig12/fig14 on this many data-parallel executor replicas (0/1 = single executor; results are bit-identical at every count for a fixed -shards)")
+	fs.IntVar(&set.Shards, "shards", 0, "micro-shards per step for the replica engine (0 = one per replica; pin this when comparing replica counts)")
+	fs.Int64Var(&set.StashBudget, "stash-budget", 0, "cap fig12's, fig14's and robust's in-RAM stash bytes, spilling the excess to encoded pages on disk (0 = all in RAM; results are bit-identical at every budget)")
+	fs.StringVar(&set.SpillDir, "spill-dir", "", "directory for the stash store's spill file (default: the OS temp dir)")
+
+	// Scale flags: each sets the field of every training scale that has it.
+	fs.IntVar(&set.Steps, "steps", 0, "training steps of fig12, fig14, ratio, spill and robust (0 = default scale)")
+	fs.IntVar(&set.ProbeEvery, "probe", 0, "probe interval in steps (fig14; 0 = default)")
+	fs.IntVar(&set.Minibatch, "mb", 0, "minibatch size of the same training runs (0 = default)")
+	fs.Uint64Var(&set.Seed, "seed", 0, "RNG seed of the same training runs (0 = default)")
+
+	// Fault-injection flags (robust).
+	bitflip := fs.Float64("bitflip", -1, "per-stash bit-flip probability (robust; <0 = default)")
+	encfail := fs.Float64("encfail", -1, "per-stash encode-failure probability (robust; <0 = default)")
+	decfail := fs.Float64("decfail", -1, "per-stash decode-failure probability (robust; <0 = default)")
+	faultSeed := fs.Uint64("faultseed", 0, "fault injector seed (robust; 0 = default)")
+	fs.Int64Var(&set.Faults.AllocBudgetBytes, "allocbudget", 0, "per-step stash byte budget before injected alloc failure (robust; 0 = off)")
+	fs.IntVar(&set.Faults.AllocFailures, "allocfails", 0, "injected alloc failures before the pressure clears (robust)")
+	fs.Int64Var(&set.Faults.CheckpointTruncateAt, "ckpt-truncate", 0, "tear checkpoint writes at this byte offset (robust; 0 = off)")
+	fs.IntVar(&set.MaxRetries, "retries", 0, "per-step retry budget (robust; 0 = default)")
+	fs.StringVar(&set.CheckpointPath, "ckpt", "", "periodic atomic checkpoint path (robust; empty = off)")
+
+	// Telemetry flags. Either output flag arms a sink wired through the
+	// worker pool, the codec and robust's executor and fault injector; the
+	// default is the zero-overhead nil sink.
+	traceOut := fs.String("trace-out", "", "write Chrome trace_event JSON here at exit (load in chrome://tracing or ui.perfetto.dev)")
+	metricsOut := fs.String("metrics-out", "", "write the telemetry as Prometheus text exposition here at exit")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *bitflip >= 0 {
+		set.Faults.BitFlipRate = *bitflip
+	}
+	if *encfail >= 0 {
+		set.Faults.EncodeFailRate = *encfail
+	}
+	if *decfail >= 0 {
+		set.Faults.DecodeFailRate = *decfail
+	}
+	if *faultSeed != 0 {
+		set.Faults.Seed = *faultSeed
+	}
 
 	if bound, stopDebug, err := debugz.Serve(*debugAddr); err != nil {
-		fmt.Fprintln(os.Stderr, "gistbench: debug listener:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "gistbench: debug listener:", err)
+		return 1
 	} else if bound != "" {
 		defer stopDebug()
-		fmt.Fprintf(os.Stderr, "gistbench: pprof on http://%s/debug/pprof/\n", bound)
+		fmt.Fprintf(stderr, "gistbench: pprof on http://%s/debug/pprof/\n", bound)
 	}
 
-	// Applies to the training-based experiments, whose stash encode/decode
-	// runs through the shared worker pool; results are bit-identical at
-	// every worker count.
+	// The shared worker pool backs every codec chunk and the executor's
+	// decode overlap; results are bit-identical at every worker count.
 	parallel.SetSharedWorkers(*par)
-	experiments.SetTrainingReplicas(*replicas, *nshards)
-	experiments.SetTrainingStash(*stashBudget, *spillDir)
-	if err := experiments.SetTrainingTechnique(*technique); err != nil {
-		fmt.Fprintln(os.Stderr, "gistbench:", err)
-		os.Exit(1)
-	}
 
-	// Either telemetry flag instruments the process-wide worker pool and
-	// codec; the default stays the zero-overhead nil sink.
-	var sink *telemetry.Sink
 	if *traceOut != "" || *metricsOut != "" {
-		sink = telemetry.New()
+		set.Tel = telemetry.New()
 		if *traceOut != "" {
-			sink.EnableTracing(0)
+			set.Tel.EnableTracing(0)
 		}
-		parallel.SetTelemetry(sink)
-		encoding.SetDefaultCodec(encoding.Codec{Tel: sink})
+		parallel.SetTelemetry(set.Tel)
+		encoding.SetDefaultCodec(encoding.Codec{Tel: set.Tel})
 	}
 	defer func() {
 		writeTo := func(path string, write func(w io.Writer) error) {
@@ -81,43 +122,40 @@ func main() {
 				}
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "gistbench:", err)
+				fmt.Fprintln(stderr, "gistbench:", err)
 			}
 		}
 		if *metricsOut != "" {
 			reg := promexport.NewRegistry()
-			reg.Register(sink)
+			reg.Register(set.Tel)
 			writeTo(*metricsOut, reg.Write)
 		}
 		if *traceOut != "" {
-			writeTo(*traceOut, sink.WriteTrace)
+			writeTo(*traceOut, set.Tel.WriteTrace)
 		}
 	}()
 
 	if *list {
-		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(experiments.IDs(), "\n"))
+		return 0
 	}
-	emit := func(r *experiments.Result) {
-		if *csvOut {
-			if err := r.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "gistbench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		fmt.Println(r)
-	}
+	ids := experiments.IDs()
 	if *experiment != "" {
-		run := experiments.Lookup(*experiment)
-		if run == nil {
-			fmt.Fprintf(os.Stderr, "gistbench: unknown experiment %q (try -list)\n", *experiment)
-			os.Exit(1)
+		ids = []string{*experiment}
+	}
+	for _, id := range ids {
+		runner, err := experiments.Lookup(id, set)
+		if err != nil {
+			fmt.Fprintln(stderr, "gistbench:", err)
+			return 1
 		}
-		emit(run())
-		return
+		r := runner()
+		if !*csvOut {
+			fmt.Fprintln(stdout, r)
+		} else if err := r.WriteCSV(stdout); err != nil {
+			fmt.Fprintln(stderr, "gistbench:", err)
+			return 1
+		}
 	}
-	for _, id := range experiments.IDs() {
-		emit(experiments.Lookup(id)())
-	}
+	return 0
 }

@@ -1,0 +1,57 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"gist/internal/experiments"
+)
+
+func TestListNamesEveryExperiment(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
+		t.Fatalf("-list exited %d: %s", code, errOut.String())
+	}
+	got := strings.Fields(out.String())
+	want := experiments.IDs()
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-list printed %v, want %v", got, want)
+	}
+	if !strings.Contains(out.String(), "robust\n") {
+		t.Error("-list must name robust")
+	}
+}
+
+func TestRejectsUnknownNames(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "nope"},
+		{"-technique", "bogus"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code == 0 {
+			t.Errorf("%v exited 0", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed results before failing:\n%s", args, out.String())
+		}
+	}
+}
+
+func TestRobustCrossChecksOK(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-experiment", "robust", "-steps", "20", "-faultseed", "7"}, &out, &errOut); code != 0 {
+		t.Fatalf("robust exited %d: %s", code, errOut.String())
+	}
+	var checks int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "CRC-detected") || strings.Contains(line, "retries for") {
+			checks++
+			if !strings.HasSuffix(line, "-> OK") {
+				t.Errorf("cross-check line does not end -> OK: %q", line)
+			}
+		}
+	}
+	if checks != 2 {
+		t.Errorf("found %d cross-check lines, want 2:\n%s", checks, out.String())
+	}
+}

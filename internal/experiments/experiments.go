@@ -11,14 +11,17 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
 
 	"gist/internal/encoding"
+	"gist/internal/faults"
 	"gist/internal/floatenc"
 	"gist/internal/graph"
 	"gist/internal/networks"
+	"gist/internal/telemetry"
 )
 
 // DefaultMinibatch is the minibatch size the paper's memory figures use.
@@ -114,74 +117,135 @@ func lossyCfg(network string) encoding.Config {
 	return encoding.LossyLossless(PaperDPRFormat(network))
 }
 
-// Lookup returns the experiment runner for an ID, or nil. Training
-// experiments (fig12, fig14) accept a scale argument via their own
-// functions and run at default scale here.
-func Lookup(id string) func() *Result {
-	switch strings.ToLower(id) {
-	case "fig1":
-		return func() *Result { return Fig1(DefaultMinibatch) }
-	case "fig3":
-		return func() *Result { return Fig3(DefaultMinibatch) }
-	case "table1":
-		return Table1
-	case "fig8":
-		return func() *Result { return Fig8(DefaultMinibatch) }
-	case "fig9":
-		return func() *Result { return Fig9(DefaultMinibatch) }
-	case "fig10":
-		return func() *Result { return Fig10(DefaultMinibatch) }
-	case "fig11":
-		return func() *Result { return Fig11(DefaultMinibatch) }
-	case "fig12":
-		return func() *Result { return Fig12(DefaultTrainScale()) }
-	case "fig13":
-		return func() *Result { return Fig13(DefaultMinibatch) }
-	case "fig14":
-		return func() *Result { return Fig14(DefaultSparsityScale()) }
-	case "fig15":
-		return func() *Result { return Fig15(DefaultMinibatch) }
-	case "fig16":
-		return Fig16
-	case "fig17":
-		return func() *Result { return Fig17(DefaultMinibatch) }
-	case "recompute":
-		return func() *Result { return ExtRecompute(DefaultMinibatch) }
-	case "workspace":
-		return func() *Result { return ExtWorkspace(DefaultMinibatch) }
-	case "cdma":
-		return func() *Result { return ExtCDMA(DefaultMinibatch) }
-	case "energy":
-		return func() *Result { return ExtEnergy(DefaultMinibatch) }
-	case "mbsweep":
-		return ExtMinibatchSweep
-	case "sparsitysweep":
-		return ExtSparsitySweep
-	case "algoselect":
-		return func() *Result { return ExtAlgoSelect(DefaultMinibatch) }
-	case "ratio":
-		return func() *Result { return ExtRatio(DefaultRatioScale()) }
-	case "spill":
-		// Real training at shrinking stash budgets, so it runs at training
-		// scale like fig12/fig14.
-		return func() *Result { return ExtSpill(DefaultSpillScale()) }
-	case "realized":
-		return ExtRealized
-	case "distributed":
-		// Real replica training, so it runs at training scale (shard batch
-		// mb/4), not the planning suite's 64-row minibatch.
-		return func() *Result { return ExtDistributed(8, 4) }
-	case "summary":
-		return Summary
-	}
-	return nil
+// withTechnique narrows cfg to a technique name (see
+// encoding.Config.WithTechniqueName); Lookup has validated it.
+func withTechnique(cfg encoding.Config, name string) encoding.Config {
+	cfg, _ = cfg.WithTechniqueName(name)
+	return cfg
 }
 
-// IDs lists every experiment in presentation order: the paper's figures
-// first, then the extension studies.
+// Settings carries one command line's run-wide choices to the runners
+// Lookup returns. Each runner writes the fields its experiment reads into
+// that experiment's scale, and no other experiment sees them; the zero
+// value runs every experiment at its default scale.
+type Settings struct {
+	// Technique narrows robust's and spill's stash encoding to one codec
+	// technique, or "adaptive" for the per-layer minimum-bytes choice.
+	Technique string
+	// Replicas/Shards run fig12 and fig14 on the data-parallel replica
+	// engine; at a fixed shard count results are byte-identical at every
+	// replica count.
+	Replicas, Shards int
+	// StashBudget caps fig12's, fig14's and robust's in-RAM stash bytes,
+	// spilling the excess to pages under SpillDir (spill's pages go there
+	// too). Results are bit-identical at every budget.
+	StashBudget int64
+	SpillDir    string
+	// Steps, Minibatch, ProbeEvery and Seed, when nonzero, replace the
+	// defaults of every training scale that has the field (fig12, fig14,
+	// ratio, spill, robust; ProbeEvery is fig14's).
+	Steps, Minibatch, ProbeEvery int
+	Seed                         uint64
+	// Faults, MaxRetries and CheckpointPath, when nonzero, replace robust's
+	// fault mix, retry budget and checkpoint path; Tel instruments robust.
+	Faults         faults.Config
+	MaxRetries     int
+	CheckpointPath string
+	Tel            *telemetry.Sink
+}
+
+// size writes the nonzero scale settings over a scale's defaults.
+func (s Settings) size(steps, mb *int, seed *uint64) {
+	*steps, *mb, *seed = cmp.Or(s.Steps, *steps), cmp.Or(s.Minibatch, *mb), cmp.Or(s.Seed, *seed)
+}
+
+// table lists every experiment in presentation order, the paper's figures
+// first, then the extension studies, each ID beside its runner.
+var table = []struct {
+	id  string
+	run func(Settings) *Result
+}{
+	{"fig1", func(Settings) *Result { return Fig1(DefaultMinibatch) }},
+	{"fig3", func(Settings) *Result { return Fig3(DefaultMinibatch) }},
+	{"table1", func(Settings) *Result { return Table1() }},
+	{"fig8", func(Settings) *Result { return Fig8(DefaultMinibatch) }},
+	{"fig9", func(Settings) *Result { return Fig9(DefaultMinibatch) }},
+	{"fig10", func(Settings) *Result { return Fig10(DefaultMinibatch) }},
+	{"fig11", func(Settings) *Result { return Fig11(DefaultMinibatch) }},
+	{"fig12", func(s Settings) *Result {
+		sc := DefaultTrainScale()
+		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
+		sc.Replicas, sc.Shards, sc.StashBudget, sc.SpillDir = s.Replicas, s.Shards, s.StashBudget, s.SpillDir
+		return Fig12(sc)
+	}},
+	{"fig13", func(Settings) *Result { return Fig13(DefaultMinibatch) }},
+	{"fig14", func(s Settings) *Result {
+		sc := DefaultSparsityScale()
+		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
+		sc.ProbeEvery = cmp.Or(s.ProbeEvery, sc.ProbeEvery)
+		sc.Replicas, sc.Shards, sc.StashBudget, sc.SpillDir = s.Replicas, s.Shards, s.StashBudget, s.SpillDir
+		return Fig14(sc)
+	}},
+	{"fig15", func(Settings) *Result { return Fig15(DefaultMinibatch) }},
+	{"fig16", func(Settings) *Result { return Fig16() }},
+	{"fig17", func(Settings) *Result { return Fig17(DefaultMinibatch) }},
+	{"recompute", func(Settings) *Result { return ExtRecompute(DefaultMinibatch) }},
+	{"workspace", func(Settings) *Result { return ExtWorkspace(DefaultMinibatch) }},
+	{"cdma", func(Settings) *Result { return ExtCDMA(DefaultMinibatch) }},
+	{"energy", func(Settings) *Result { return ExtEnergy(DefaultMinibatch) }},
+	{"mbsweep", func(Settings) *Result { return ExtMinibatchSweep() }},
+	{"sparsitysweep", func(Settings) *Result { return ExtSparsitySweep() }},
+	{"algoselect", func(Settings) *Result { return ExtAlgoSelect(DefaultMinibatch) }},
+	{"ratio", func(s Settings) *Result {
+		sc := DefaultRatioScale()
+		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
+		return ExtRatio(sc)
+	}},
+	// Real training at shrinking stash budgets, so it runs at training
+	// scale like fig12/fig14.
+	{"spill", func(s Settings) *Result {
+		sc := DefaultSpillScale()
+		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
+		sc.Technique, sc.SpillDir = s.Technique, s.SpillDir
+		return ExtSpill(sc)
+	}},
+	{"realized", func(Settings) *Result { return ExtRealized() }},
+	// Real replica training, so it runs at training scale (shard batch
+	// mb/4), not the planning suite's 64-row minibatch.
+	{"distributed", func(Settings) *Result { return ExtDistributed(8, 4) }},
+	{"robust", func(s Settings) *Result {
+		sc := DefaultRobustScale()
+		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
+		if s.Faults != (faults.Config{}) {
+			sc.Faults = s.Faults
+		}
+		sc.MaxRetries = cmp.Or(s.MaxRetries, sc.MaxRetries)
+		sc.CheckpointPath, sc.Technique, sc.StashBudget, sc.SpillDir, sc.Tel =
+			s.CheckpointPath, s.Technique, s.StashBudget, s.SpillDir, s.Tel
+		return Robust(sc)
+	}},
+	{"summary", func(Settings) *Result { return Summary() }},
+}
+
+// Lookup returns the runner for an ID (any case) under the given settings,
+// or an error for an unknown ID or technique name.
+func Lookup(id string, s Settings) (func() *Result, error) {
+	if _, err := (encoding.Config{}).WithTechniqueName(s.Technique); err != nil {
+		return nil, err
+	}
+	for _, e := range table {
+		if e.id == strings.ToLower(id) {
+			return func() *Result { return e.run(s) }, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", id)
+}
+
+// IDs lists every experiment in presentation order.
 func IDs() []string {
-	return []string{"fig1", "fig3", "table1", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"recompute", "workspace", "cdma", "energy", "mbsweep",
-		"sparsitysweep", "algoselect", "ratio", "spill", "realized", "distributed", "summary"}
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"gist/internal/floatenc"
 	"gist/internal/race"
+	"gist/internal/telemetry"
 )
 
 // skipIfRace skips the full-training harness tests under `go test -race`:
@@ -306,16 +308,42 @@ func TestRatioTallyDeterministic(t *testing.T) {
 }
 
 func TestLookupAndIDs(t *testing.T) {
-	for _, id := range IDs() {
-		if Lookup(id) == nil {
-			t.Errorf("Lookup(%q) = nil", id)
+	ids := IDs()
+	for _, id := range ids {
+		if run, err := Lookup(id, Settings{}); run == nil || err != nil {
+			t.Errorf("Lookup(%q) = %v", id, err)
 		}
 	}
-	if Lookup("nope") != nil {
-		t.Error("unknown ID should return nil")
+	if !slices.Contains(ids, "robust") || ids[len(ids)-1] != "summary" {
+		t.Errorf("IDs() = %v: want robust listed and summary last", ids)
 	}
-	if Lookup("FIG8") == nil {
+	if _, err := Lookup("nope", Settings{}); err == nil {
+		t.Error("unknown ID should be an error")
+	}
+	if _, err := Lookup("FIG8", Settings{}); err != nil {
 		t.Error("lookup should be case-insensitive")
+	}
+	if _, err := Lookup("fig8", Settings{Technique: "bogus"}); err == nil {
+		t.Error("unknown technique should be an error")
+	}
+}
+
+// TestRobustHonoursStashBudget runs the robust study under a stash budget
+// far below its hot peak: the executor's store must spill (evictions > 0),
+// and every injected fault must still reconcile.
+func TestRobustHonoursStashBudget(t *testing.T) {
+	skipIfRace(t)
+	tel := telemetry.New()
+	run, err := Lookup("robust", Settings{Steps: 20, StashBudget: 2048, SpillDir: t.TempDir(), Tel: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := run()
+	if ev := tel.Counter("stash.store.evictions").Value(); ev == 0 {
+		t.Error("robust under a 2 KB stash budget evicted nothing")
+	}
+	if r.Values["robust/ok"] != 1 {
+		t.Errorf("robust under a stash budget did not reconcile:\n%s", r)
 	}
 }
 

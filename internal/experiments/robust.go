@@ -41,6 +41,13 @@ type RobustScale struct {
 	// checkpoints (through the injector's writer wrapper, so checkpoint
 	// faults are exercised too).
 	CheckpointPath string
+	// Technique, when set, narrows the stash encoding to one codec
+	// technique or "adaptive" (see encoding.Config.WithTechniqueName).
+	Technique string
+	// StashBudget, when set, caps the in-RAM stash bytes, spilling the
+	// excess to encoded pages under SpillDir.
+	StashBudget int64
+	SpillDir    string
 	// Tel, when non-nil, instruments the run end to end: executor step
 	// spans, injector event mirroring, per-step memory samples and the
 	// planner's predicted footprint (plan.static.* gauges vs the observed
@@ -70,10 +77,15 @@ func Robust(s RobustScale) *Result {
 	r := &Result{ID: "robust", Title: "Fault-injected encoded training with crash-safe recovery"}
 
 	g := networks.TinyCNN(s.Minibatch, s.Classes)
-	a := encoding.Analyze(g, trainingConfig(encoding.LossyLossless(floatenc.FP16)))
+	a := encoding.Analyze(g, withTechnique(encoding.LossyLossless(floatenc.FP16), s.Technique))
 	inj := faults.New(s.Faults)
 	pool := bufpool.Shared()
-	e := train.NewExecutor(g, train.Options{Seed: s.Seed, Encodings: a, Faults: inj, Telemetry: s.Tel, Pool: pool})
+	e := train.NewExecutor(g, train.Options{Seed: s.Seed, Encodings: a, Faults: inj, Telemetry: s.Tel, Pool: pool,
+		StashBudget: s.StashBudget, SpillDir: s.SpillDir})
+	// Close the store alone, deleting any spill file: Executor.Close would
+	// also recycle the last step's buffers, moving the pool gauges Tel
+	// exports after the run.
+	defer e.StashStore().Close()
 	d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, s.Seed+1)
 
 	if s.Tel != nil {

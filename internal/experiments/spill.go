@@ -31,6 +31,10 @@ type SpillScale struct {
 	Steps     int
 	LR        float32
 	Seed      uint64
+	// Technique narrows the stash encoding as in RobustScale; SpillDir
+	// holds the spill files (default: the OS temp dir).
+	Technique string
+	SpillDir  string
 }
 
 // DefaultSpillScale runs in a few seconds on one core.
@@ -42,10 +46,10 @@ func DefaultSpillScale() SpillScale {
 // and returns the probe records, wall-clock time, and store stats.
 func spillRun(s SpillScale, budget int64) ([]train.Record, time.Duration, stashstore.Stats) {
 	g := networks.TinyCNN(s.Minibatch, s.Classes)
-	a := encoding.Analyze(g, trainingConfig(encoding.LossyLossless(floatenc.FP16)))
+	a := encoding.Analyze(g, withTechnique(encoding.LossyLossless(floatenc.FP16), s.Technique))
 	e := train.NewExecutor(g, train.Options{
 		Seed: s.Seed, Encodings: a,
-		StashBudget: budget, SpillDir: trainingSpillDir,
+		StashBudget: budget, SpillDir: s.SpillDir,
 	})
 	defer e.Close()
 	d := train.NewDataset(s.Classes, 3, 16, 0.4, s.Seed+1)

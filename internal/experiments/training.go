@@ -20,56 +20,6 @@ import (
 	"gist/internal/train"
 )
 
-// trainingReplicas/trainingShards, when set, run the training-based
-// experiments on the data-parallel replica engine. The CLIs' -replicas and
-// -shards flags set them; at a fixed shard count results are byte-identical
-// at every replica count.
-var trainingReplicas, trainingShards int
-
-// SetTrainingReplicas sizes the replica groups the zero-argument training
-// runners build (0/0 restores the single-executor path).
-func SetTrainingReplicas(replicas, shards int) {
-	trainingReplicas, trainingShards = replicas, shards
-}
-
-// trainingTechnique, when set, narrows the encoded training experiments'
-// stash configurations to one codec technique (or "adaptive" for the
-// per-layer minimum-bytes selection). The CLIs' consolidated -technique
-// flag sets it; "" restores each experiment's default configuration.
-var trainingTechnique string
-
-// SetTrainingTechnique names the technique the encoded training runners
-// use; an unknown name is rejected before any experiment runs.
-func SetTrainingTechnique(name string) error {
-	if _, err := (encoding.Config{}).WithTechniqueName(name); err != nil {
-		return err
-	}
-	trainingTechnique = name
-	return nil
-}
-
-// trainingStashBudget/trainingSpillDir, when set, run the training-based
-// experiments through the tiered stash store: hot stash bytes are capped
-// at the budget and the excess spills to encoded pages on disk. The CLIs'
-// -stash-budget and -spill-dir flags set them; results are bit-identical
-// at every budget.
-var (
-	trainingStashBudget int64
-	trainingSpillDir    string
-)
-
-// SetTrainingStash caps the training-based experiments' in-RAM stash
-// bytes, spilling the excess under dir (0 restores all-in-RAM).
-func SetTrainingStash(budget int64, dir string) {
-	trainingStashBudget, trainingSpillDir = budget, dir
-}
-
-// trainingConfig applies the technique knob to a base configuration.
-func trainingConfig(cfg encoding.Config) encoding.Config {
-	cfg, _ = cfg.WithTechniqueName(trainingTechnique) // validated by SetTrainingTechnique
-	return cfg
-}
-
 // newTrainEngine builds the training engine for a run: a plain executor
 // when replicas and shards are unset, otherwise a replica group whose
 // micro-shards divide the requested minibatch (so the per-step sample
@@ -77,10 +27,6 @@ func trainingConfig(cfg encoding.Config) encoding.Config {
 // under enc. Drive it with its Batch() and Close it after.
 func newTrainEngine(build func(mb, classes int) *graph.Graph, mb, classes int,
 	opts train.Options, enc encoding.Config, replicas, shards int) train.Engine {
-	if trainingStashBudget > 0 && opts.StashBudget == 0 {
-		opts.StashBudget = trainingStashBudget
-		opts.SpillDir = trainingSpillDir
-	}
 	// The graph's batch is one shard's rows: the minibatch over the shard
 	// count the engine will run at (one per replica unless pinned, one for
 	// a single executor).
@@ -108,6 +54,11 @@ type TrainScale struct {
 	// engine: Minibatch is divided into Shards micro-shards spread over
 	// Replicas concurrent executors.
 	Replicas, Shards int
+	// StashBudget, when set, caps the in-RAM stash bytes, spilling the
+	// excess to encoded pages under SpillDir (results are bit-identical at
+	// every budget).
+	StashBudget int64
+	SpillDir    string
 }
 
 // DefaultTrainScale trains in well under a minute on one core.
@@ -115,7 +66,6 @@ func DefaultTrainScale() TrainScale {
 	return TrainScale{
 		Classes: 4, Minibatch: 8, Steps: 200, LR: 0.05, NoiseStd: 0.4,
 		Seeds: []uint64{42, 43}, ErrorDepth: 12, Seed: 42,
-		Replicas: trainingReplicas, Shards: trainingShards,
 	}
 }
 
@@ -161,7 +111,8 @@ func Fig12(s TrainScale) *Result {
 		var sum float64
 		diverged := false
 		for _, seed := range s.Seeds {
-			opts := train.Options{Seed: seed, Pool: bufpool.Shared(), ForwardFormat: c.forward}
+			opts := train.Options{Seed: seed, Pool: bufpool.Shared(), ForwardFormat: c.forward,
+				StashBudget: s.StashBudget, SpillDir: s.SpillDir}
 			en := newTrainEngine(networks.TinyCNN, s.Minibatch, s.Classes, opts,
 				encoding.Config{DPR: c.dpr}, s.Replicas, s.Shards)
 			d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, seed+1)
@@ -294,13 +245,15 @@ type SparsityScale struct {
 	Seed       uint64
 	// Replicas/Shards, when set, run the study on the replica engine.
 	Replicas, Shards int
+	// StashBudget/SpillDir, when set, spill stashes as in TrainScale.
+	StashBudget int64
+	SpillDir    string
 }
 
 // DefaultSparsityScale probes a TinyVGG run every few steps.
 func DefaultSparsityScale() SparsityScale {
 	return SparsityScale{
 		Classes: 4, Minibatch: 8, Steps: 60, ProbeEvery: 10, LR: 0.01, Seed: 7,
-		Replicas: trainingReplicas, Shards: trainingShards,
 	}
 }
 
@@ -311,7 +264,8 @@ func DefaultSparsityScale() SparsityScale {
 func Fig14(s SparsityScale) *Result {
 	r := &Result{ID: "fig14", Title: "SSDC compression ratio per ReLU layer over training (TinyVGG)"}
 	en := newTrainEngine(networks.TinyVGG, s.Minibatch, s.Classes,
-		train.Options{Seed: s.Seed, Pool: bufpool.Shared()}, encoding.Config{}, s.Replicas, s.Shards)
+		train.Options{Seed: s.Seed, Pool: bufpool.Shared(), StashBudget: s.StashBudget, SpillDir: s.SpillDir},
+		encoding.Config{}, s.Replicas, s.Shards)
 	d := train.NewDataset(s.Classes, 3, 32, 0.3, s.Seed+1)
 	recs := train.Run(en, d, train.RunConfig{
 		Minibatch: en.Batch(), Steps: s.Steps, LR: s.LR,
