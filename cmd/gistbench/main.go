@@ -38,8 +38,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gistbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// Robust's fault flags edit its default mix in place.
-	set := experiments.Settings{Faults: experiments.DefaultRobustScale().Faults}
+	var set experiments.Settings
 	experiment := fs.String("experiment", "", "experiment ID ("+strings.Join(experiments.IDs(), ", ")+"); empty runs all")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
@@ -51,19 +50,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&set.SpillDir, "spill-dir", "", "directory for the stash store's spill file (default: the OS temp dir)")
 
 	// Scale flags: each sets the field of every training scale that has it.
-	fs.IntVar(&set.Steps, "steps", 0, "training steps of fig12, fig14, ratio, spill and robust (0 = default scale)")
+	fs.IntVar(&set.Steps, "steps", 0, "training steps of fig12, fig14 and robust (0 = default scale)")
 	fs.IntVar(&set.ProbeEvery, "probe", 0, "probe interval in steps (fig14; 0 = default)")
-	fs.IntVar(&set.Minibatch, "mb", 0, "minibatch size of the same training runs (0 = default)")
-	fs.Uint64Var(&set.Seed, "seed", 0, "RNG seed of the same training runs (0 = default)")
+	fs.IntVar(&set.Minibatch, "mb", 0, "minibatch size of fig12, fig14 and robust (0 = default)")
+	fs.Uint64Var(&set.Seed, "seed", 0, "RNG seed of fig12, fig14 and robust (0 = default)")
 
-	// Fault-injection flags (robust).
-	bitflip := fs.Float64("bitflip", -1, "per-stash bit-flip probability (robust; <0 = default)")
-	encfail := fs.Float64("encfail", -1, "per-stash encode-failure probability (robust; <0 = default)")
-	decfail := fs.Float64("decfail", -1, "per-stash decode-failure probability (robust; <0 = default)")
-	faultSeed := fs.Uint64("faultseed", 0, "fault injector seed (robust; 0 = default)")
-	fs.Int64Var(&set.Faults.AllocBudgetBytes, "allocbudget", 0, "per-step stash byte budget before injected alloc failure (robust; 0 = off)")
-	fs.IntVar(&set.Faults.AllocFailures, "allocfails", 0, "injected alloc failures before the pressure clears (robust)")
-	fs.Int64Var(&set.Faults.CheckpointTruncateAt, "ckpt-truncate", 0, "tear checkpoint writes at this byte offset (robust; 0 = off)")
+	// Fault-injection flags (robust): they bind into its fault mix, whose
+	// defaults are the flag defaults.
+	def := experiments.DefaultRobustScale().Faults
+	fs.Float64Var(&set.Faults.BitFlipRate, "bitflip", def.BitFlipRate, "per-stash bit-flip probability (robust)")
+	fs.Float64Var(&set.Faults.EncodeFailRate, "encfail", def.EncodeFailRate, "per-stash encode-failure probability (robust)")
+	fs.Float64Var(&set.Faults.DecodeFailRate, "decfail", def.DecodeFailRate, "per-stash decode-failure probability (robust)")
+	fs.Uint64Var(&set.Faults.Seed, "faultseed", def.Seed, "fault injector seed (robust)")
+	fs.Int64Var(&set.Faults.AllocBudgetBytes, "allocbudget", def.AllocBudgetBytes, "per-step stash byte budget before injected alloc failure (robust; 0 = off)")
+	fs.IntVar(&set.Faults.AllocFailures, "allocfails", def.AllocFailures, "injected alloc failures before the pressure clears (robust)")
+	fs.Int64Var(&set.Faults.CheckpointTruncateAt, "ckpt-truncate", def.CheckpointTruncateAt, "tear checkpoint writes at this byte offset (robust; 0 = off)")
 	fs.IntVar(&set.MaxRetries, "retries", 0, "per-step retry budget (robust; 0 = default)")
 	fs.StringVar(&set.CheckpointPath, "ckpt", "", "periodic atomic checkpoint path (robust; empty = off)")
 
@@ -78,18 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
-	}
-	if *bitflip >= 0 {
-		set.Faults.BitFlipRate = *bitflip
-	}
-	if *encfail >= 0 {
-		set.Faults.EncodeFailRate = *encfail
-	}
-	if *decfail >= 0 {
-		set.Faults.DecodeFailRate = *decfail
-	}
-	if *faultSeed != 0 {
-		set.Faults.Seed = *faultSeed
 	}
 
 	if bound, stopDebug, err := debugz.Serve(*debugAddr); err != nil {

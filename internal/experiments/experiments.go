@@ -141,13 +141,14 @@ type Settings struct {
 	// too). Results are bit-identical at every budget.
 	StashBudget int64
 	SpillDir    string
-	// Steps, Minibatch, ProbeEvery and Seed, when nonzero, replace the
-	// defaults of every training scale that has the field (fig12, fig14,
-	// ratio, spill, robust; ProbeEvery is fig14's).
+	// Steps, Minibatch and Seed, when nonzero, replace fig12's, fig14's
+	// and robust's defaults; ProbeEvery replaces fig14's.
 	Steps, Minibatch, ProbeEvery int
 	Seed                         uint64
-	// Faults, MaxRetries and CheckpointPath, when nonzero, replace robust's
-	// fault mix, retry budget and checkpoint path; Tel instruments robust.
+	// Faults is robust's whole fault mix, used in place of the default mix
+	// whenever it is nonzero (so a partial mix zeroes the other rates).
+	// MaxRetries and CheckpointPath, when nonzero, replace robust's retry
+	// budget and checkpoint path; Tel instruments robust.
 	Faults         faults.Config
 	MaxRetries     int
 	CheckpointPath string
@@ -197,15 +198,12 @@ var table = []struct {
 	{"sparsitysweep", func(Settings) *Result { return ExtSparsitySweep() }},
 	{"algoselect", func(Settings) *Result { return ExtAlgoSelect(DefaultMinibatch) }},
 	{"ratio", func(s Settings) *Result {
-		sc := DefaultRatioScale()
-		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
-		return ExtRatio(sc)
+		return ExtRatio(DefaultRatioScale())
 	}},
 	// Real training at shrinking stash budgets, so it runs at training
 	// scale like fig12/fig14.
 	{"spill", func(s Settings) *Result {
 		sc := DefaultSpillScale()
-		s.size(&sc.Steps, &sc.Minibatch, &sc.Seed)
 		sc.Technique, sc.SpillDir = s.Technique, s.SpillDir
 		return ExtSpill(sc)
 	}},

@@ -82,10 +82,13 @@ func Robust(s RobustScale) *Result {
 	pool := bufpool.Shared()
 	e := train.NewExecutor(g, train.Options{Seed: s.Seed, Encodings: a, Faults: inj, Telemetry: s.Tel, Pool: pool,
 		StashBudget: s.StashBudget, SpillDir: s.SpillDir})
-	// Close the store alone, deleting any spill file: Executor.Close would
-	// also recycle the last step's buffers, moving the pool gauges Tel
-	// exports after the run.
-	defer e.StashStore().Close()
+	if s.StashBudget > 0 {
+		// Delete the spill file when the run returns. Only the store is
+		// closed: Executor.Close would also recycle the last step's
+		// buffers and move the pool gauges Tel exports. Closing the store
+		// zeroes its held-bytes gauges, so a budgeted run exports 0 there.
+		defer e.StashStore().Close()
+	}
 	d := train.NewDataset(s.Classes, 3, 16, s.NoiseStd, s.Seed+1)
 
 	if s.Tel != nil {
