@@ -81,8 +81,9 @@ bench-parallel:
 
 # Telemetry overhead check: the nil-sink no-op path next to the live one,
 # then the train step with and without a sink attached (the gist vs
-# gist-telemetry sub-benches; gist-telemetry also reports stash-B/step and
-# the compression ratio straight from the sink's counters).
+# gist-telemetry sub-benches; gist-telemetry also reports stash-B/step, the
+# compression ratio and the decode overlap-hit share straight from the
+# sink's counters).
 metrics-bench:
 	$(GO) test ./internal/telemetry/ -bench BenchmarkTelemetry -benchtime 2s -run TestXXX
 	$(GO) test -bench BenchmarkTrainStep -benchtime 2s -run TestXXX .
@@ -93,9 +94,9 @@ metrics-bench:
 # ALLOC_BUDGET allocs/op at steady state (currently 0; the budget leaves
 # headroom for runtime-internal noise). Runs at GOMAXPROCS 1 and 4 and
 # gates every reported row, so the result does not depend on how many cores
-# the host has: decode futures launch on their own goroutines at every
-# worker count. Catches any regression that puts an allocation back on a
-# pooled hot path.
+# the host has: encode futures launch on their own goroutines, and decode
+# futures go to the executor's decode worker, at every worker count.
+# Catches any regression that puts an allocation back on a pooled hot path.
 ALLOC_BUDGET ?= 4
 allocs:
 	@out=$$($(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-(pooled|replicas|stashchain)$$' -benchtime 50x -benchmem -cpu 1,4 . | tee /dev/stderr); \
@@ -163,7 +164,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22220
+LOC_CEILING ?= 22299
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

@@ -435,10 +435,11 @@ func BenchmarkTrainStep(b *testing.B) {
 		b.ReportMetric(float64(e.StashStore().Stats().Misses-before.Misses)/float64(b.N), "spill-reads/op")
 	})
 	// gist-telemetry runs the same encoded step with a live sink attached and
-	// reports the memory story alongside ns/op: stash bytes held per step and
-	// the compression ratio, both pulled from the sink's own counters. The
-	// "gist" sub-bench above stays uninstrumented so the nil-sink overhead
-	// comparison against the baseline remains honest.
+	// reports the memory story alongside ns/op: stash bytes held per step, the
+	// compression ratio and the share of decode futures already resolved when
+	// their consumer asked (overlap-hit), all pulled from the sink's own
+	// counters. The "gist" sub-bench above stays uninstrumented so the
+	// nil-sink overhead comparison against the baseline remains honest.
 	b.Run("gist-telemetry", func(b *testing.B) {
 		g := networks.TinyCNN(8, 4)
 		sink := telemetry.New()
@@ -467,6 +468,9 @@ func BenchmarkTrainStep(b *testing.B) {
 		if steps := v["train.steps"]; steps > 0 && held > 0 {
 			b.ReportMetric(float64(held)/float64(steps), "stash-B/step")
 			b.ReportMetric(float64(raw)/float64(held), "ratio")
+		}
+		if hits, misses := v["train.overlap.hits"], v["train.overlap.misses"]; hits+misses > 0 {
+			b.ReportMetric(float64(hits)/float64(hits+misses), "overlap-hit")
 		}
 	})
 }

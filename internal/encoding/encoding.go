@@ -204,10 +204,13 @@ type Assignment struct {
 	// EncodedBytes is the size of the encoded representation stashed
 	// between the two uses.
 	EncodedBytes int64
-	// NeedsDecode reports whether a transient FP32 staging buffer is
-	// materialized before the backward use (true for SSDC, ZVC, Entropy
-	// and DPR; false for Binarize, whose backward kernels consume the mask
-	// directly).
+	// NeedsDecode reports whether the planner models a transient FP32
+	// staging buffer before the backward use: true for SSDC, ZVC, Entropy
+	// and DPR; false for Binarize, whose mask the paper's backward kernels
+	// consume directly. liveness reads it; the executor does not. At
+	// runtime every encoded stash, Binarize's included, is decoded to FP32
+	// (the mask expanded to 0/1 values) because the executor's kernels
+	// read the raw Op.Needs() — ROADMAP item 2 removes that gap.
 	NeedsDecode bool
 	// Fallbacks is the runtime degradation chain for adaptive encoding:
 	// when the primary technique's cost guard fires (runtime sparsity

@@ -237,11 +237,11 @@ func (s *forEachState) helper() {
 // Run runs fn on the calling goroutine while holding one of the pool's
 // worker slots, blocking until a slot is free: at most Workers() Run bodies
 // execute at once, the rest queue on the semaphore. The training executor
-// starts each stash-decode future as `go f.run()` with run bound once to a
-// method that calls Run, so launching a future allocates nothing and decode
-// work overlaps backward compute inside the codec's worker budget. fn must
-// not panic (decode futures convert failures to errors). A nil pool runs fn
-// unbounded.
+// runs each stash's encode future on its own goroutine and every decode
+// future on its long-lived decode worker, each inside Run, so stash work
+// overlaps forward and backward compute inside the codec's worker budget. fn
+// must not panic (the futures convert failures to errors). A nil pool runs
+// fn unbounded.
 func (p *Pool) Run(fn func()) {
 	if p == nil {
 		fn()

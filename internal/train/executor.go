@@ -252,6 +252,18 @@ type Executor struct {
 	bwdLeft  []int
 	gradOf   []*tensor.Tensor
 
+	// bwdOrder lists the encoded stashes backward reads, in first-read
+	// order, from the same raw needs as bwdReads; bwdFirst holds each one's
+	// first reader (an index into G.Nodes), and each future's pos its index
+	// here. In a pass, the first reached entries are behind it and the
+	// first started have been started (fillWindow). decodeQ feeds the
+	// decode worker (decodeLoop), which closes decodeDone as it exits; both
+	// are nil until the first start and again after Close.
+	bwdOrder, bwdFirst []int
+	reached, started   int
+	decodeQ            chan *stashFuture
+	decodeDone         chan struct{}
+
 	// Reusable per-node scratch for forward/backward input and gradient
 	// slices and the kernel contexts.
 	insBuf  []*tensor.Tensor
@@ -365,10 +377,10 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e.checkedOut = make(map[*tensor.Tensor]struct{}, 2*nn)
 	for _, n := range g.Nodes {
 		f := &e.futures[n.ID]
-		f.store, f.cdc, f.tel, f.sid, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, n.Name, n.OutShape
+		f.store, f.cdc, f.tel, f.sid, f.pos, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, -1, n.Name, n.OutShape
 		f.enc, f.seal = &e.encSlots[n.ID], opts.Integrity || opts.Faults.Enabled()
 		// Bound once, so `go f.runEncode()` allocates nothing per step.
-		f.runEncode, f.runDecode = f.launchEncode, f.launchDecode
+		f.runEncode = f.launchEncode
 		e.aux[n.ID] = map[string]any{}
 		if opts.Encodings != nil {
 			e.assign[n.ID] = opts.Encodings.ByNode[n.ID]
@@ -391,6 +403,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 			}
 		}
 	}
+	e.compileDecodeOrder()
 
 	for _, n := range g.Nodes {
 		if len(n.ParamShapes) == 0 {
@@ -482,8 +495,10 @@ func (e *Executor) SetResumeStep(n int) { e.resumeStep = n }
 func (e *Executor) ResumeStep() int { return e.resumeStep }
 
 // Close promptly returns every pooled buffer the executor still holds —
-// in-flight decode futures are drained first, then the checked-out ledger
-// is swept — and drops the per-step output and stash references. This is
+// in-flight decode futures are drained first and the decode worker
+// stopped, then the checked-out ledger is swept — and drops the per-step
+// output and stash references; until Close, an executor that has decoded
+// keeps its worker goroutine parked. This is
 // the deterministic release point a job server needs when a job is
 // cancelled, paused or quarantined: after Close the shared pool owns every
 // buffer again (Stats().InUseBytes from this executor is zero) without
@@ -492,6 +507,11 @@ func (e *Executor) ResumeStep() int { return e.resumeStep }
 // executor (where it only drops references).
 func (e *Executor) Close() {
 	e.drainFutures()
+	if e.decodeQ != nil { // every future is settled: the worker is idle
+		close(e.decodeQ)
+		<-e.decodeDone
+		e.decodeQ, e.decodeDone = nil, nil
+	}
 	e.sweep()
 	clear(e.outs)
 	clear(e.stash)
@@ -618,11 +638,12 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 //
 // The fetch-then-decode: it pulls the stash back from the store (a pointer
 // hand-off on a hot hit, a page read + CRC-verified parse on a spilled miss)
-// and decodes it into dst. The backward pass starts a future one layer ahead
-// of its consumer, so layer l-1's fetch+decode overlaps layer l's backward
-// kernels inside the codec's worker budget. Start is lazy and idempotent: a
-// consumer that arrives before its prefetch simply starts the work itself
-// and waits.
+// and decodes it into dst, on the executor's decode worker (decodeLoop).
+// The backward pass starts futures through a window over the stashes in
+// first-use order (fillWindow), so the next decodes overlap the backward
+// kernels ahead of their consumers inside the codec's worker budget. Start
+// is idempotent: a consumer that arrives before the window reached its
+// future starts the work itself and waits.
 //
 // Slots are persistent (one per node) and re-armed each step. Ownership of
 // the decode target dst transfers explicitly: the executor takes it from the
@@ -636,12 +657,12 @@ type stashFuture struct {
 	cdc       encoding.Codec
 	tel       *telemetry.Sink
 	sid       int // node ID keying the store entry
+	pos       int // index in Executor.bwdOrder; -1 when backward never reads it
 	node      string
 	shape     tensor.Shape           // of the decode target: the node's output shape
 	enc       *encoding.EncodedStash // the node's container (Executor.encSlots)
 	seal      bool                   // Options.Integrity, or an enabled injector
 	runEncode func()                 // f.launchEncode
-	runDecode func()                 // f.launchDecode
 
 	// Per-encode state, set by launch.
 	src      *tensor.Tensor
@@ -710,20 +731,35 @@ func (f *stashFuture) arm() {
 	f.wg.Add(1)
 }
 
-// startFuture launches f's fetch-then-decode on its own goroutine, first
-// taking the decode target from the pool; only the first call fires. Every
-// start goes through here, on the executor's goroutine, so the pool ledger
-// stays serial and the target is live from one node ahead of its consumer
-// (prefetch) rather than across the whole forward→backward gap.
+// startFuture hands f's fetch-then-decode to the executor's decode worker,
+// first taking the decode target from the pool; only the first call fires.
+// Every start goes through here, on the executor's goroutine, so the pool
+// ledger stays serial and the target is live from the moment the decode
+// window reaches it rather than across the whole forward→backward gap. The
+// queue has a slot per node and a future starts once a step: the send never
+// blocks.
 func (e *Executor) startFuture(f *stashFuture) {
 	if f.started.CompareAndSwap(false, true) {
 		f.dst = e.alloc(f.shape)
-		go f.runDecode()
+		if e.decodeQ == nil {
+			e.decodeQ, e.decodeDone = make(chan *stashFuture, len(e.futures)), make(chan struct{})
+			go decodeLoop(e.decodeQ, e.decodeDone)
+		}
+		e.decodeQ <- f
 	}
 }
 
-// launchDecode is the decode goroutine's body, holding a codec worker slot.
-func (f *stashFuture) launchDecode() { f.cdc.WorkerPool().Run(f.decode) }
+// decodeLoop is an executor's decode worker: one long-lived goroutine that
+// decodes the started futures one at a time, in start order (first-use
+// order), each holding a codec worker slot, so a future costs a channel
+// send, not a goroutine whose stack must grow. It holds no reference to the
+// executor; it exits, closing done, when Close closes the queue.
+func decodeLoop(q <-chan *stashFuture, done chan<- struct{}) {
+	defer close(done)
+	for f := range q {
+		f.cdc.WorkerPool().Run(f.decode)
+	}
+}
 
 // decode is the one resolution path: fetch the stash from its home, decode
 // it into dst.
@@ -1005,11 +1041,12 @@ func (e *Executor) doneReading(id int) {
 // which is returned first); without an injector or a budget and with
 // well-formed encodings it always returns nil.
 //
-// Each layer's backward kernels overlap the decode of the next layer's
-// stashes: the loop starts layer l-1's futures before running layer l's
-// compute, then blocks only when a consumer actually needs a tensor still
-// in flight. Decode is bit-exact regardless of scheduling, so gradients do
-// not depend on the worker count — which the parallel executor tests pin.
+// The backward kernels overlap the decode of the stashes read next: a window
+// keeps the futures of the next decodeWindow stashes in first-use order
+// started (fillWindow), and the loop blocks only when a consumer actually
+// needs a tensor still in flight. Decode is bit-exact regardless of
+// scheduling, so gradients do not depend on the worker count — which the
+// parallel executor tests pin.
 //
 // Under pooling this is also where the planner's liveness plays out at
 // runtime: each stashed tensor recycles when its read count (bwdReads,
@@ -1024,24 +1061,23 @@ func (e *Executor) Backward() error {
 	}
 	copy(e.bwdLeft, e.bwdReads)
 	clear(e.gradOf)
+	e.reached, e.started = 0, 0
 	nodes := e.G.Nodes
 	for i := len(nodes) - 1; i >= 0; i-- {
+		e.passNode(i)
 		n := nodes[i]
 		if n.Kind() == layers.Input {
 			continue
 		}
 		dOut := e.gradOf[n.ID]
 		if dOut == nil {
-			if len(n.Consumers()) == 0 {
-				// Loss node: its Backward seeds the gradient itself.
-				dOut = e.alloc(n.OutShape)
-			} else {
-				// Dead branch (no gradient flowed): skip.
+			if n.Kind() != layers.SoftmaxXent {
+				// Dead branch: no path from here reaches the loss, so no
+				// gradient flowed and its stashes go unread.
 				continue
 			}
-		}
-		if i > 0 {
-			e.prefetch(nodes[i-1])
+			// The loss's Backward seeds the gradient itself.
+			dOut = e.alloc(n.OutShape)
 		}
 		needs := n.Op.Needs()
 		ins := e.insBuf[:0]
@@ -1097,22 +1133,58 @@ func (e *Executor) Backward() error {
 	return nil
 }
 
-// prefetch starts the futures node n's backward will need, without waiting
-// on them.
-func (e *Executor) prefetch(n *graph.Node) {
-	if n.Kind() == layers.Input || e.nFutures == 0 {
-		return
-	}
-	needs := n.Op.Needs()
-	if needs.X {
-		for _, in := range n.Inputs {
-			if f := &e.futures[in.ID]; f.armed {
-				e.startFuture(f)
-			}
+// decodeWindow is how many stashes past the last one behind the backward
+// pass it keeps decoding, in first-use order. Two keeps the decode worker on
+// the next stash while the consumer's kernels run, with the one after it
+// queued. One left the worker idle between resolutions and was the slower
+// of the two on some seeds; three lifted ResNet-20's encoded peak past the
+// plan + 2 x largest-map bound (EXPERIMENTS.md, the window sweep).
+const decodeWindow = 2
+
+// compileDecodeOrder builds bwdOrder and bwdFirst: the encoded stashes in
+// the order the backward pass first reads them — the walk Backward makes,
+// node by node in reverse, inputs before the node's own output.
+func (e *Executor) compileDecodeOrder() {
+	add := func(id, reader int) {
+		if f := &e.futures[id]; e.assign[id] != nil && f.pos < 0 {
+			f.pos = len(e.bwdOrder)
+			e.bwdOrder = append(e.bwdOrder, id)
+			e.bwdFirst = append(e.bwdFirst, reader)
 		}
 	}
-	if needs.Y {
-		if f := &e.futures[n.ID]; f.armed {
+	for i := len(e.G.Nodes) - 1; i >= 0; i-- {
+		n := e.G.Nodes[i]
+		if n.Kind() == layers.Input {
+			continue
+		}
+		needs := n.Op.Needs()
+		if needs.X {
+			for _, in := range n.Inputs {
+				add(in.ID, i)
+			}
+		}
+		if needs.Y {
+			add(n.ID, i)
+		}
+	}
+}
+
+// passNode moves the window to the boundary of node i: every stash first
+// read by a later node is behind the pass — resolved, or read only by a dead
+// branch, whose future must not hold the window back.
+func (e *Executor) passNode(i int) {
+	for e.reached < len(e.bwdOrder) && e.bwdFirst[e.reached] > i {
+		e.reached++
+	}
+	e.fillWindow()
+}
+
+// fillWindow starts every armed future up to decodeWindow entries of
+// bwdOrder past reached. Entries are taken in order, so the decode worker
+// runs them in the order their consumers will ask.
+func (e *Executor) fillWindow() {
+	for end := min(e.reached+decodeWindow, len(e.bwdOrder)); e.started < end; e.started++ {
+		if f := &e.futures[e.bwdOrder[e.started]]; f.armed {
 			e.startFuture(f)
 		}
 	}
@@ -1143,6 +1215,10 @@ func (e *Executor) stashOf(id int) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("train: stash %q: %w", f.node, f.err)
 	}
 	e.stash[id] = f.dst
+	// The window slides past this stash: its successors decode while the
+	// consumer's kernels run.
+	e.reached = max(e.reached, f.pos+1)
+	e.fillWindow()
 	return f.dst, nil
 }
 

@@ -112,11 +112,11 @@ func observeSchedule(t *testing.T, g *graph.Graph, a *encoding.Analysis) observe
 // TestExecutorPeakMatchesPlan is ROADMAP aim 3's "the executor runs the
 // schedule the planner planned", by measurement: on an unencoded graph the
 // pool's peak of requested bytes IS memplan.PlanDynamic over the FP32 buffer
-// classes, to the byte. Under encodings it sits at most the one-node-ahead
-// prefetch above the plan (two maps where MaxPool's raw Needs still decode
-// what the analysis elides), strictly below the unencoded peak where maps
-// dominate, and everything but the sink output has left the pool by the end
-// of Forward.
+// classes, to the byte. Under encodings it sits at most two maps above the
+// plan — decode targets the window takes ahead of their consumers, and
+// MaxPool's raw Needs still decoding what the analysis elides — strictly
+// below the unencoded peak where maps dominate, and everything but the sink
+// output has left the pool by the end of Forward.
 func TestExecutorPeakMatchesPlan(t *testing.T) {
 	nets := []struct {
 		name          string

@@ -128,9 +128,10 @@ func TestTelemetryCrossChecksReportAndInjector(t *testing.T) {
 }
 
 // TestTelemetryOverlapCounters pins the async-decode accounting: with the
-// chunk-parallel codec and no injector, backward prefetches decode futures
-// and every consumer classifies as overlap hit (future resolved in time) or
-// miss (had to wait) — and the split must cover every future consumed.
+// chunk-parallel codec and no injector, backward's decode window starts the
+// futures and every consumer classifies as overlap hit (future resolved in
+// time) or miss (had to wait) — and the split must cover every future
+// consumed: one per assigned stash per step, each read once it is decoded.
 func TestTelemetryOverlapCounters(t *testing.T) {
 	encoding.SetDefaultCodec(encoding.Codec{Pool: parallel.NewPool(4), ChunkElems: 768})
 	t.Cleanup(func() { encoding.SetDefaultCodec(encoding.Codec{}) })
@@ -150,8 +151,12 @@ func TestTelemetryOverlapCounters(t *testing.T) {
 	if v["train.steps"] != steps {
 		t.Fatalf("train.steps %d, want %d", v["train.steps"], steps)
 	}
-	if v["train.overlap.hits"]+v["train.overlap.misses"] == 0 {
-		t.Fatal("async decode ran with no overlap accounting")
+	consumed := int64(steps * len(a.ByNode))
+	if consumed == 0 {
+		t.Fatal("the analysis assigned no stash; no future ran")
+	}
+	if hits, misses := v["train.overlap.hits"], v["train.overlap.misses"]; hits+misses != consumed {
+		t.Fatalf("overlap hits %d + misses %d, want the %d futures consumed", hits, misses, consumed)
 	}
 	if v["stash.samples"] != steps {
 		t.Fatalf("stash.samples %d, want %d", v["stash.samples"], steps)
