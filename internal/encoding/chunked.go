@@ -247,9 +247,9 @@ func (cdc Codec) encodePackedInto(p *floatenc.Packed, f floatenc.Format, xs []fl
 // backward kernel when the future resolves. Every element of dst is
 // overwritten (decode kernels fully cover the payload), so a recycled
 // buffer needs no pre-clearing. For Binarize the mask itself is the
-// backward representation, but DecodeInto still reconstructs a 0/1 tensor
-// so that generic backward code can run unchanged (ReLU backward only tests
-// Y > 0, and the pool argmax map carries the rest).
+// backward representation, which the executor reads through MaskOf;
+// DecodeInto still reconstructs the 0/1 tensor for its other callers (ReLU
+// backward only tests Y > 0, so it gives the same gradient bit for bit).
 //
 // A sealed stash is verified (per chunk) first; corruption surfaces as
 // ErrCorruptStash before any decoding touches the damaged payload. A dst
@@ -282,6 +282,22 @@ func (cdc Codec) DecodeInto(dst *tensor.Tensor, e *EncodedStash) error {
 		cdc.observe(opDecode, e.Tech, start, raw, err)
 	}
 	return err
+}
+
+// MaskOf returns a Binarize stash's mask as stored, for a backward kernel
+// that reads Y's sign straight from it (ReLU): no FP32 staging tensor and
+// no decode. It runs DecodeInto's checks — a sealed stash is verified
+// first, so corruption surfaces as ErrCorruptStash — and a stash that is
+// not a Binarize mask of exactly shape's elements is ErrShapeMismatch.
+func (cdc Codec) MaskOf(e *EncodedStash, shape tensor.Shape) (*bitpack.BitMask, error) {
+	if err := cdc.Verify(e); err != nil {
+		return nil, err
+	}
+	if e.Tech != Binarize || !e.Shape.Equal(shape) || maskBits(e.Mask) != shape.NumElements() {
+		return nil, fmt.Errorf("%w: %v stash of shape %v (%d mask bits) read as a mask of shape %v",
+			ErrShapeMismatch, e.Tech, e.Shape, maskBits(e.Mask), shape)
+	}
+	return e.Mask, nil
 }
 
 // nil-tolerant accessors for error messages on malformed stashes.

@@ -204,13 +204,13 @@ type Assignment struct {
 	// EncodedBytes is the size of the encoded representation stashed
 	// between the two uses.
 	EncodedBytes int64
-	// NeedsDecode reports whether the planner models a transient FP32
-	// staging buffer before the backward use: true for SSDC, ZVC, Entropy
-	// and DPR; false for Binarize, whose mask the paper's backward kernels
-	// consume directly. liveness reads it; the executor does not. At
-	// runtime every encoded stash, Binarize's included, is decoded to FP32
-	// (the mask expanded to 0/1 values) because the executor's kernels
-	// read the raw Op.Needs() — ROADMAP item 2 removes that gap.
+	// NeedsDecode reports whether the stash is decoded into a transient
+	// FP32 staging buffer before its backward use: true for SSDC, ZVC,
+	// Entropy and DPR; false for Binarize, whose mask the backward kernel
+	// consumes directly. liveness plans the staging buffer from it, and the
+	// executor reads it: a stash without it reaches its ReLU as the
+	// verified container (Codec.MaskOf), with no decode and no pooled
+	// target.
 	NeedsDecode bool
 	// Fallbacks is the runtime degradation chain for adaptive encoding:
 	// when the primary technique's cost guard fires (runtime sparsity

@@ -10,8 +10,10 @@ import (
 
 // binarizeTech is the 1-bit positive-mask encoding (paper Section IV-A):
 // the stashed ReLU output collapses to one sign bit per element, expanded
-// back to a 0/1 indicator tensor on decode. Payload is the mask's 64-bit
-// word array; chunks own whole words (chunk boundaries are 768-aligned).
+// back to a 0/1 indicator tensor on decode; the executor's ReLU reads the
+// mask itself (Codec.MaskOf) and never decodes it. Payload is the mask's
+// 64-bit word array; chunks own whole words (chunk boundaries are
+// 768-aligned).
 
 type binarizeTech struct{}
 

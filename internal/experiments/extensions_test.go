@@ -145,16 +145,23 @@ func TestExtDistributedDeterminism(t *testing.T) {
 	}
 }
 
-// TestExtRealizedMatchesPlan pins the realised-footprint table's two claims:
-// without encodings the observed FP32 peak is the planner's, to the byte, and
-// on the one network deep enough for encodings to pay at this scale the
-// measured footprint ratio is above one.
+// TestExtRealizedMatchesPlan pins the realised-footprint table's claims:
+// without encodings the observed FP32 peak is the planner's, to the byte,
+// and so is Fig 17's optimized plan, which never exceeds the plan; and on the
+// one network deep enough for encodings to pay at this scale the measured
+// footprint ratio is above one.
 func TestExtRealizedMatchesPlan(t *testing.T) {
 	skipIfRace(t)
 	r := ExtRealized()
 	for _, net := range []string{"TinyCNN", "TinyVGG", "ResNetCIFAR-20"} {
 		if got, want := r.Values[net+"/none/observed-peak"], r.Values[net+"/none/planned-peak"]; got != want || want == 0 {
 			t.Errorf("%s: observed FP32 peak %v, planned %v", net, got, want)
+		}
+		for _, enc := range []string{"none", "lossless", "lossy-fp16"} {
+			opt, plan := r.Values[net+"/"+enc+"/optimized-peak"], r.Values[net+"/"+enc+"/planned-peak"]
+			if opt > plan || opt == 0 || (enc == "none" && opt != plan) {
+				t.Errorf("%s %s: optimized plan %v against plan %v", net, enc, opt, plan)
+			}
 		}
 	}
 	if mfr := r.Values["ResNetCIFAR-20/lossy-fp16/mfr"]; mfr <= 1.2 {

@@ -2,7 +2,8 @@ package experiments
 
 // Realised-footprint experiment: the paper's Figures 8 and 17 measured
 // instead of predicted. Three pooled steps per network and encoding
-// configuration on a private buffer pool; the planner's dynamic FP32 peak is
+// configuration on a private buffer pool; the planner's dynamic FP32 peak,
+// and Fig 17's "optimized" plan that drops every decoded staging buffer, are
 // printed next to the pool's observed peak of requested bytes, the planned
 // stash bytes next to the executor's StashBytes, then the ratio realised.
 
@@ -34,8 +35,8 @@ func ExtRealized() *Result {
 		cfg  *encoding.Config
 	}{{"none", nil}, {"lossless", &lossless}, {"lossy-fp16", &lossy}}
 
-	r.add("%-15s %-10s %11s %11s %11s %11s %11s %11s %6s", "network", "encodings",
-		"plan FP32", "peak FP32", "plan stash", "StashBytes", "held enc", "pool", "MFR")
+	r.add("%-15s %-10s %11s %11s %11s %11s %11s %11s %11s %6s", "network", "encodings",
+		"plan FP32", "optimized", "peak FP32", "plan stash", "StashBytes", "held enc", "pool", "MFR")
 	for _, net := range nets {
 		var baseline int64
 		for _, enc := range encs {
@@ -50,9 +51,12 @@ func ExtRealized() *Result {
 					planStash += as.EncodedBytes
 				}
 			}
-			bufs := liveness.Analyze(g, graph.BuildTimeline(g), liveness.Options{Analysis: a})
+			tl := graph.BuildTimeline(g)
+			bufs := liveness.Analyze(g, tl, liveness.Options{Analysis: a})
 			planStash += liveness.TotalByClass(bufs)[graph.ClassStashedFmap]
 			planned := memplan.PlanDynamic(memplan.PooledBuffers(bufs))
+			optimized := memplan.PlanDynamic(memplan.PooledBuffers(
+				liveness.Analyze(g, tl, liveness.Options{Analysis: a, ElideDecoded: true})))
 			pool := bufpool.New()
 			e := train.NewExecutor(g, train.Options{Seed: 7, Encodings: a, Pool: pool})
 			in := g.InputNodes()[0].OutShape
@@ -68,15 +72,17 @@ func ExtRealized() *Result {
 			}
 			mfr := memplan.MFR(baseline, st.PeakLiveBytes+held)
 			r.set(net.name+"/"+enc.name+"/planned-peak", float64(planned))
+			r.set(net.name+"/"+enc.name+"/optimized-peak", float64(optimized))
 			r.set(net.name+"/"+enc.name+"/observed-peak", float64(st.PeakLiveBytes))
 			r.set(net.name+"/"+enc.name+"/mfr", mfr)
-			r.add("%-15s %-10s %11d %11d %11d %11d %11d %11d %5.2fx", net.name, enc.name,
-				planned, st.PeakLiveBytes, planStash, stash, held, st.HeldBytes+st.InUseBytes, mfr)
+			r.add("%-15s %-10s %11d %11d %11d %11d %11d %11d %11d %5.2fx", net.name, enc.name,
+				planned, optimized, st.PeakLiveBytes, planStash, stash, held, st.HeldBytes+st.InUseBytes, mfr)
 		}
 	}
 	r.add("")
-	r.add("(peak FP32: the pool's high-water mark of requested bytes; held enc: the store's peak of encoded")
-	r.add(" containers, outside the pool; MFR: unencoded peak / (peak + held). Untrained weights, 3 steps, minibatch")
-	r.add(" 2-8: how the ratio scales with depth and minibatch is ROADMAP item 5(c)'s search, not this table.)")
+	r.add("(optimized: plan FP32 with no decoded staging buffer, Fig 17's optimized software; peak FP32: the pool's")
+	r.add(" high-water mark of requested bytes; held enc: the store's peak of encoded containers, outside the pool;")
+	r.add(" MFR: unencoded peak / (peak + held). Untrained weights, 3 steps, minibatch 2-8: how the ratio scales with")
+	r.add(" depth and minibatch is ROADMAP item 5(c)'s search, not this table.)")
 	return r
 }

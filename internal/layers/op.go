@@ -15,6 +15,7 @@ package layers
 import (
 	"fmt"
 
+	"gist/internal/bitpack"
 	"gist/internal/tensor"
 )
 
@@ -78,9 +79,13 @@ type FwdCtx struct {
 // the stashed feature maps and are nil when the operator's Needs say they
 // are not required — operators must not touch tensors they did not declare.
 type BwdCtx struct {
-	In      []*tensor.Tensor
-	Params  []*tensor.Tensor
-	Out     *tensor.Tensor
+	In     []*tensor.Tensor
+	Params []*tensor.Tensor
+	Out    *tensor.Tensor
+	// OutMask, when non-nil, serves the declared Y in place of Out (then
+	// nil): the Binarize container as stored, bit i set iff Y[i] > 0. Only
+	// a ReLU, whose backward reads nothing of Y but its sign, is handed one.
+	OutMask *bitpack.BitMask
 	DOut    *tensor.Tensor
 	DIn     []*tensor.Tensor // written (not accumulated) by the operator
 	DParams []*tensor.Tensor // written (not accumulated) by the operator

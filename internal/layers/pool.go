@@ -17,9 +17,10 @@ const auxKeyArgmax = "pool.argmax"
 // a Y-to-X argmax map in the forward pass — one 4-bit within-window index
 // per output element (windows up to 4x4; the paper's suite maxes at 3x3) —
 // removing both stashes. This implementation always records the map (the
-// numerics are identical either way); the Needs declaration advertises the
-// baseline dependence, which the Schedule Builder rewrites when Binarize is
-// applied.
+// numerics are identical either way), and Backward reads only the map.
+// Needs still advertises the baseline dependence, which the planner's CNTK
+// baseline prices; encoding.Analyze rewrites it to none under Binarize, and
+// an executor carrying that analysis runs the rewritten needs.
 type MaxPoolOp struct {
 	K, Stride, Pad int
 }

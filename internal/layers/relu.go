@@ -55,10 +55,17 @@ func (r *ReLUOp) Forward(ctx *FwdCtx) {
 
 // Backward gates dY by the sign of the stashed Y: dY's bit pattern ANDed
 // with PositiveMask of Y's, the same predicate Binarize stores, so NaN
-// payloads and signed zeros of dY pass unchanged where Y > 0.
+// payloads and signed zeros of dY pass unchanged where Y > 0. Handed Y as
+// that mask (OutMask), it gates word-parallel through ApplyGate, bit for bit
+// the same result with no FP32 Y at all.
 func (r *ReLUOp) Backward(ctx *BwdCtx) {
 	dy := ctx.DOut.Data
-	y, dx := ctx.Out.Data[:len(dy)], ctx.DIn[0].Data[:len(dy)]
+	dx := ctx.DIn[0].Data[:len(dy)]
+	if ctx.OutMask != nil {
+		ctx.OutMask.ApplyGate(dx, dy)
+		return
+	}
+	y := ctx.Out.Data[:len(dy)]
 	for i, g := range dy {
 		dx[i] = math.Float32frombits(math.Float32bits(g) & bitpack.PositiveMask(math.Float32bits(y[i])))
 	}

@@ -7,13 +7,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"gist/internal/bitpack"
 	"gist/internal/tensor"
 )
 
 // Differential wall for ReLU: Forward/Backward gate bit patterns through
 // bitpack.PositiveMask; the branchy loops they replaced live on here,
 // verbatim, as the frozen reference. Outputs must match on math.Float32bits
-// for every input, NaN payloads and signed zeros included.
+// for every input, NaN payloads and signed zeros included. Backward handed
+// Y as its Binarize mask (BwdCtx.OutMask, gated through
+// bitpack.ApplyGate) must match Backward on the 0/1 tensor the mask
+// expands to, which is what the executor decoded before it read masks as
+// stored (DESIGN.md §12).
 
 // forwardRef is the original ReLU forward. Do not optimize it: its value
 // is being obviously correct and frozen.
@@ -101,6 +106,46 @@ func diffReLU(t *testing.T, x, dy []float32) {
 	op.Backward(&BwdCtx{Out: in, DOut: g, DIn: []*tensor.Tensor{gdx}})
 	op.backwardRef(&BwdCtx{Out: in, DOut: g, DIn: []*tensor.Tensor{wdx}})
 	bitsMatch(t, label+"dx", gdx.Data, wdx.Data)
+	diffReLUMask(t, x, g, wdx.Data)
+}
+
+// diffReLUMask runs Backward on the Binarize mask of y and on the mask
+// expanded to 0/1 values (ExpandRange, the Binarize decode), and fails
+// unless both give the bits of want, the reference gradient gated by y.
+func diffReLUMask(t *testing.T, y []float32, dy *tensor.Tensor, want []float32) {
+	t.Helper()
+	n := len(y)
+	label := fmt.Sprintf("n=%d: ", n)
+	m := bitpack.FromPositive(y)
+	expanded := tensor.New(n)
+	m.ExpandRange(expanded.Data, 0, n)
+	mdx, edx := tensor.New(n), tensor.New(n)
+	mdx.Fill(99)
+	edx.Fill(99)
+	op := NewReLU()
+	op.Backward(&BwdCtx{OutMask: m, DOut: dy, DIn: []*tensor.Tensor{mdx}})
+	op.Backward(&BwdCtx{Out: expanded, DOut: dy, DIn: []*tensor.Tensor{edx}})
+	bitsMatch(t, label+"dx on the expanded mask", edx.Data, want)
+	bitsMatch(t, label+"dx on the mask", mdx.Data, edx.Data)
+}
+
+// TestDiffReLUMaskGate is the wall for the executor's mask read: at one
+// element, either side of a mask word and with ragged last words, for every
+// input regime, gating dY (NaN payloads, ±0, ±Inf, denormals) through the
+// mask gives the bits of Backward on the expanded 0/1 tensor.
+func TestDiffReLUMaskGate(t *testing.T) {
+	sizes := []int{1, 63, 64, 65, 127, 129, 833, 4096 + 37}
+	for ri, regime := range []string{"corners", "mixed", "random-bits", "all-negative", "all-positive"} {
+		t.Run(regime, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(ri + 11)))
+			for _, n := range sizes {
+				y, dy := gateInput(r, regime, n), tensor.FromSlice(gateInput(r, "corners", n), n)
+				want := tensor.New(n)
+				NewReLU().backwardRef(&BwdCtx{Out: tensor.FromSlice(y, n), DOut: dy, DIn: []*tensor.Tensor{want}})
+				diffReLUMask(t, y, dy, want.Data)
+			}
+		})
+	}
 }
 
 func bitsMatch(t *testing.T, what string, got, want []float32) {

@@ -19,24 +19,26 @@ import (
 	"gist/internal/race"
 )
 
-// kernelProbe wraps a node's operator so the test sees the executor's state
-// at the moment that node's backward kernel runs.
+// kernelProbe wraps a node's operator so the test sees the executor's state,
+// and what it hands the kernel, at the moment that node's backward kernel
+// runs.
 type kernelProbe struct {
 	layers.Op
-	before func()
+	before func(ctx *layers.BwdCtx)
 }
 
 func (p *kernelProbe) Backward(ctx *layers.BwdCtx) {
-	p.before()
+	p.before(ctx)
 	p.Op.Backward(ctx)
 }
 
-// probeKernels calls check(n) just before each backward kernel of e's graph
-// but the loss's, whose operator the executor reads the loss value from.
-func probeKernels(e *Executor, check func(n *graph.Node)) {
+// probeKernels calls check(n, ctx) just before each backward kernel of e's
+// graph but the loss's, whose operator the executor reads the loss value
+// from.
+func probeKernels(e *Executor, check func(n *graph.Node, ctx *layers.BwdCtx)) {
 	for _, n := range e.G.Nodes {
 		if n.Kind() != layers.SoftmaxXent {
-			n.Op = &kernelProbe{Op: n.Op, before: func() { check(n) }}
+			n.Op = &kernelProbe{Op: n.Op, before: func(ctx *layers.BwdCtx) { check(n, ctx) }}
 		}
 	}
 }
@@ -62,11 +64,13 @@ func startedPrefix(t *testing.T, e *Executor) int {
 // TestDecodeWindowStartsInFirstUseOrder pins the window's schedule on the
 // StashNet chain and on two residual graphs, whose Add nodes read two
 // stashes and whose blocks' inputs outlive their first readers. bwdOrder
-// must be the first-backward-use order the graph's timeline computes; and
-// when any backward kernel runs, the started futures are a prefix of that
-// order reaching decodeWindow entries past the last stash the kernel reads —
-// so every future was started before its consumer's kernel, by the window
-// rather than by the consumer.
+// must be the first-backward-use order the graph's timeline computes under
+// the needs the executor runs on (the analysis' effective needs: a
+// Binarize-rewritten MaxPool reads no stash, a Binarize ReLU reads its mask);
+// and when any backward kernel runs, the started futures are a prefix of
+// that order reaching decodeWindow entries past the last stash the kernel
+// reads — so every future was started before its consumer's kernel, by the
+// window rather than by the consumer.
 func TestDecodeWindowStartsInFirstUseOrder(t *testing.T) {
 	nets := []struct {
 		name          string
@@ -91,7 +95,7 @@ func TestDecodeWindowStartsInFirstUseOrder(t *testing.T) {
 			tl := graph.BuildTimeline(g)
 			want := 0
 			for _, nd := range g.Nodes {
-				if e.assign[nd.ID] != nil && graph.FirstBackwardUse(tl, nd) >= 0 {
+				if e.assign[nd.ID] != nil && firstRead(tl, e, nd) >= 0 {
 					want++
 				}
 			}
@@ -100,16 +104,16 @@ func TestDecodeWindowStartsInFirstUseOrder(t *testing.T) {
 			}
 			for i := 1; i < len(e.bwdOrder); i++ {
 				prev, cur := g.Nodes[e.bwdOrder[i-1]], g.Nodes[e.bwdOrder[i]]
-				if graph.FirstBackwardUse(tl, prev) > graph.FirstBackwardUse(tl, cur) {
+				if firstRead(tl, e, prev) > firstRead(tl, e, cur) {
 					t.Fatalf("bwdOrder puts %q before %q, which backward reads first", prev.Name, cur.Name)
 				}
 			}
 
 			kernels := 0
-			probeKernels(e, func(nd *graph.Node) {
+			probeKernels(e, func(nd *graph.Node, _ *layers.BwdCtx) {
 				kernels++
 				last := -1
-				needs := nd.Op.Needs()
+				needs := e.needs[nd.ID]
 				if needs.X {
 					for _, in := range nd.Inputs {
 						last = max(last, e.futures[in.ID].pos)
@@ -137,6 +141,26 @@ func TestDecodeWindowStartsInFirstUseOrder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstRead is the timeline's backward step that first reads nd's stash
+// under the needs e runs on, or -1 when no backward kernel reads it.
+func firstRead(tl *graph.Timeline, e *Executor, nd *graph.Node) int {
+	first := -1
+	use := func(s int) {
+		if first < 0 || s < first {
+			first = s
+		}
+	}
+	if e.needs[nd.ID].Y {
+		use(tl.BackwardStep(nd))
+	}
+	for _, c := range nd.Consumers() {
+		if e.needs[c.ID].X {
+			use(tl.BackwardStep(c))
+		}
+	}
+	return first
 }
 
 // TestExecutorDeadBranchSkippedEncoded is TestExecutorDeadBranchSkipped
@@ -173,7 +197,7 @@ func TestExecutorDeadBranchSkippedEncoded(t *testing.T) {
 		t.Fatalf("bwdOrder %v: want the input's stash right after the dead ReLU's", e.bwdOrder)
 	}
 	var deadKernels []string
-	probeKernels(e, func(n *graph.Node) {
+	probeKernels(e, func(n *graph.Node, _ *layers.BwdCtx) {
 		if n.Name == "deadconv" || n.Name == "deadrelu" {
 			deadKernels = append(deadKernels, n.Name)
 		}

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gist/internal/bitpack"
 	"gist/internal/bufpool"
 	"gist/internal/encoding"
 	"gist/internal/faults"
@@ -45,8 +46,9 @@ type Options struct {
 	ForwardFormat floatenc.Format
 	// Encodings, when non-nil, is the analysis the executor carries out:
 	// every stash it assigns round-trips through the real encoder kernels
-	// (Binarize mask, narrow CSR, ZVC, Entropy, packed DPR); every other
-	// stash aliases its forward output.
+	// (narrow CSR, ZVC, Entropy, packed DPR), or, a Binarize mask, is read
+	// as stored by its ReLU; every other stash aliases its forward output.
+	// Backward runs on its effective needs.
 	Encodings *encoding.Analysis
 	// Seed drives weight initialization and dropout.
 	Seed uint64
@@ -239,21 +241,23 @@ type Executor struct {
 	pool       *bufpool.Pool
 	checkedOut map[*tensor.Tensor]struct{}
 
-	// bwdReads is the static per-node count of backward reads of each
-	// node's stashed output, derived from the raw Op.Needs() of every
-	// consumer (plus the node's own Y-dependence) — the executor-level
-	// liveness the recycler drains. Raw needs, not the encoding analysis's
-	// effective needs: a MaxPool above a Binarize-encoded ReLU still reads
-	// its decoded X and Y stashes at runtime. bwdLeft is the per-pass
-	// remaining count; gradOf accumulates downstream gradients. An output
-	// with no backward read at all is the paper's "immediately consumed"
-	// class: it recycles at retirement.
+	// needs holds, per node, the stashes its backward kernel reads at
+	// runtime: the encoding analysis' effective needs when the executor
+	// carries one — a MaxPool Binarize rewrote reads only its argmax map, a
+	// Binarize ReLU its mask — else the raw Op.Needs(). bwdReads is the static per-node
+	// count of backward reads of each node's stashed output under them (the
+	// consumers' X reads plus the node's own Y read) — the executor-level
+	// liveness the recycler drains. bwdLeft is the per-pass remaining
+	// count; gradOf accumulates downstream gradients. An output with no
+	// backward read at all is the paper's "immediately consumed" class: it
+	// recycles at retirement.
+	needs    []layers.BackwardNeeds
 	bwdReads []int
 	bwdLeft  []int
 	gradOf   []*tensor.Tensor
 
 	// bwdOrder lists the encoded stashes backward reads, in first-read
-	// order, from the same raw needs as bwdReads; bwdFirst holds each one's
+	// order, from the same needs as bwdReads; bwdFirst holds each one's
 	// first reader (an index into G.Nodes), and each future's pos its index
 	// here. In a pass, the first reached entries are behind it and the
 	// first started have been started (fillWindow). decodeQ feeds the
@@ -367,6 +371,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e.futures = make([]stashFuture, nn)
 	e.encSlots = make([]encoding.EncodedStash, nn)
 	e.aux = make([]map[string]any, nn)
+	e.needs = make([]layers.BackwardNeeds, nn)
 	e.bwdReads = make([]int, nn)
 	e.bwdLeft = make([]int, nn)
 	e.gradOf = make([]*tensor.Tensor, nn)
@@ -391,9 +396,17 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 			e.assign[n.ID] = &encoding.Assignment{Node: n, Tech: encoding.DPR,
 				Format: floatenc.FP32, EncodedBytes: n.OutShape.Bytes(), NeedsDecode: true}
 		}
-		// Count the backward pass's reads of this node's stashed output
-		// from raw operator needs; recycle points drain these counts.
+		f.asStored = e.assign[n.ID] != nil && !e.assign[n.ID].NeedsDecode
 		needs := n.Op.Needs()
+		if opts.Encodings != nil {
+			// A Binarize ReLU's Y need, which the analysis drops because
+			// the mask serves it, is a read of that container as stored.
+			needs = opts.Encodings.EffectiveNeeds(n)
+			needs.Y = needs.Y || f.asStored
+		}
+		e.needs[n.ID] = needs
+		// Count the backward pass's reads of this node's stashed output;
+		// recycle points drain these counts.
 		if needs.Y {
 			e.bwdReads[n.ID]++
 		}
@@ -638,7 +651,9 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 //
 // The fetch-then-decode: it pulls the stash back from the store (a pointer
 // hand-off on a hot hit, a page read + CRC-verified parse on a spilled miss)
-// and decodes it into dst, on the executor's decode worker (decodeLoop).
+// and decodes it into dst, on the executor's decode worker (decodeLoop). A
+// stash read as stored (asStored: a Binarize mask) is fetched and verified
+// the same way but not decoded: its kernel reads the container's mask.
 // The backward pass starts futures through a window over the stashes in
 // first-use order (fillWindow), so the next decodes overlap the backward
 // kernels ahead of their consumers inside the codec's worker budget. Start
@@ -648,9 +663,10 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // Slots are persistent (one per node) and re-armed each step. Ownership of
 // the decode target dst transfers explicitly: the executor takes it from the
 // pool serially when it starts the future (startFuture) — not at arm time,
-// so an armed stash holds no FP32 bytes while it waits — exactly one
-// goroutine writes it, and it returns to the executor when the future is
-// resolved. The pool ledger is never touched off the executor's goroutine.
+// so an armed stash holds no FP32 bytes while it waits, and never for a
+// stash read as stored — exactly one goroutine writes it, and it returns to
+// the executor when the future is resolved. The pool ledger is never
+// touched off the executor's goroutine.
 type stashFuture struct {
 	// Bound once at executor construction.
 	store     *stashstore.Store
@@ -662,6 +678,7 @@ type stashFuture struct {
 	shape     tensor.Shape           // of the decode target: the node's output shape
 	enc       *encoding.EncodedStash // the node's container (Executor.encSlots)
 	seal      bool                   // Options.Integrity, or an enabled injector
+	asStored  bool                   // its assignment's NeedsDecode is false: the kernel reads the mask
 	runEncode func()                 // f.launchEncode
 
 	// Per-encode state, set by launch.
@@ -669,9 +686,11 @@ type stashFuture struct {
 	as       *encoding.Assignment
 	fellBack bool
 
-	// Per-step decode state, reset by arm.
+	// Per-step decode state, reset by arm. A resolved future holds its
+	// decoded tensor in dst, or, read as stored, its verified mask in mask.
 	armed   bool
 	dst     *tensor.Tensor
+	mask    *bitpack.BitMask
 	started atomic.Bool
 	settled atomic.Bool // the job in flight finished (overlap accounting)
 	wg      sync.WaitGroup
@@ -725,14 +744,15 @@ func (f *stashFuture) asyncSpan(name string) *telemetry.Span {
 // here, on the executor's goroutine, before any start — drainFutures
 // launches the decode if no consumer did.
 func (f *stashFuture) arm() {
-	f.armed, f.dst, f.err = true, nil, nil
+	f.armed, f.dst, f.mask, f.err = true, nil, nil, nil
 	f.started.Store(false)
 	f.settled.Store(false)
 	f.wg.Add(1)
 }
 
 // startFuture hands f's fetch-then-decode to the executor's decode worker,
-// first taking the decode target from the pool; only the first call fires.
+// first taking the decode target from the pool unless the stash is read as
+// stored; only the first call fires.
 // Every start goes through here, on the executor's goroutine, so the pool
 // ledger stays serial and the target is live from the moment the decode
 // window reaches it rather than across the whole forward→backward gap. The
@@ -740,7 +760,9 @@ func (f *stashFuture) arm() {
 // blocks.
 func (e *Executor) startFuture(f *stashFuture) {
 	if f.started.CompareAndSwap(false, true) {
-		f.dst = e.alloc(f.shape)
+		if !f.asStored {
+			f.dst = e.alloc(f.shape)
+		}
 		if e.decodeQ == nil {
 			e.decodeQ, e.decodeDone = make(chan *stashFuture, len(e.futures)), make(chan struct{})
 			go decodeLoop(e.decodeQ, e.decodeDone)
@@ -761,8 +783,9 @@ func decodeLoop(q <-chan *stashFuture, done chan<- struct{}) {
 	}
 }
 
-// decode is the one resolution path: fetch the stash from its home, decode
-// it into dst.
+// decode is the one resolution path: fetch the stash from its home, then
+// decode it into dst, or verify the mask a stash read as stored hands its
+// kernel.
 func (f *stashFuture) decode() {
 	defer f.wg.Done()
 	defer f.settled.Store(true)
@@ -772,7 +795,11 @@ func (f *stashFuture) decode() {
 		defer sp.End()
 	}
 	enc, err := f.store.Fetch(f.sid)
-	if err == nil {
+	switch {
+	case err != nil:
+	case f.asStored:
+		f.mask, err = f.cdc.MaskOf(enc, f.shape)
+	default:
 		err = f.cdc.DecodeInto(f.dst, enc)
 	}
 	f.err = err
@@ -941,10 +968,10 @@ func (e *Executor) storeStash(n *graph.Node) error {
 	// closing the lifetime gap the planner's liveness analysis identifies.
 	e.recycle(out)
 	err := e.store.Put(n.ID, enc)
-	// The backward pass starts the future one layer before its consumer, and
-	// only then does it take a decode target: until that start the stash
-	// holds its container and nothing else. A failed Put still left the stash
-	// in the store, so it is armed too: drainFutures verifies it.
+	// The backward pass starts the future when its decode window reaches the
+	// stash, and only then does it take a decode target: until that start the
+	// stash holds its container and nothing else. A failed Put still left the
+	// stash in the store, so it is armed too: drainFutures verifies it.
 	f.arm()
 	e.nFutures++
 	if err != nil {
@@ -1049,10 +1076,10 @@ func (e *Executor) doneReading(id int) {
 // parallel executor tests pin.
 //
 // Under pooling this is also where the planner's liveness plays out at
-// runtime: each stashed tensor recycles when its read count (bwdReads,
-// from raw operator needs) drains to zero, each input gradient recycles
-// the moment it merges into an existing accumulator, and each node's
-// incoming gradient recycles after that node's kernels consume it.
+// runtime: each stashed tensor recycles when its read count (bwdReads, from
+// the needs the executor runs on) drains to zero, each input gradient
+// recycles the moment it merges into an existing accumulator, and each
+// node's incoming gradient recycles after that node's kernels consume it.
 func (e *Executor) Backward() error {
 	defer e.drainFutures()
 	err := e.stashRest()
@@ -1079,7 +1106,7 @@ func (e *Executor) Backward() error {
 			// The loss's Backward seeds the gradient itself.
 			dOut = e.alloc(n.OutShape)
 		}
-		needs := n.Op.Needs()
+		needs := e.needs[n.ID]
 		ins := e.insBuf[:0]
 		dIns := e.dInsBuf[:0]
 		for _, in := range n.Inputs {
@@ -1106,7 +1133,7 @@ func (e *Executor) Backward() error {
 			if err != nil {
 				return e.failBackward(err)
 			}
-			e.bwdCtx.Out = t
+			e.bwdCtx.Out, e.bwdCtx.OutMask = t, e.futures[n.ID].mask
 		}
 		n.Op.Backward(&e.bwdCtx)
 		for j, in := range n.Inputs {
@@ -1157,7 +1184,7 @@ func (e *Executor) compileDecodeOrder() {
 		if n.Kind() == layers.Input {
 			continue
 		}
-		needs := n.Op.Needs()
+		needs := e.needs[n.ID]
 		if needs.X {
 			for _, in := range n.Inputs {
 				add(in.ID, i)
@@ -1191,7 +1218,8 @@ func (e *Executor) fillWindow() {
 }
 
 // stashOf resolves the backward view of a node's output, waiting on its
-// future (and caching the decoded tensor) when one is armed.
+// future (and caching the decoded tensor) when one is armed. A stash read as
+// stored resolves to no tensor: its future's mask is the view.
 func (e *Executor) stashOf(id int) (*tensor.Tensor, error) {
 	f := &e.futures[id]
 	if !f.armed {

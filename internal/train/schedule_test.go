@@ -23,7 +23,9 @@ import (
 	"gist/internal/liveness"
 	"gist/internal/memplan"
 	"gist/internal/networks"
+	"gist/internal/parallel"
 	"gist/internal/race"
+	"gist/internal/tensor"
 )
 
 // convChain is the benchmark's StashNet shape: wide maps over 1x1
@@ -113,8 +115,7 @@ func observeSchedule(t *testing.T, g *graph.Graph, a *encoding.Analysis) observe
 // schedule the planner planned", by measurement: on an unencoded graph the
 // pool's peak of requested bytes IS memplan.PlanDynamic over the FP32 buffer
 // classes, to the byte. Under encodings it sits at most two maps above the
-// plan — decode targets the window takes ahead of their consumers, and
-// MaxPool's raw Needs still decoding what the analysis elides — strictly
+// plan — decode targets the window takes ahead of their consumers — strictly
 // below the unencoded peak where maps dominate, and everything but the sink
 // output has left the pool by the end of Forward.
 func TestExecutorPeakMatchesPlan(t *testing.T) {
@@ -165,6 +166,168 @@ func TestExecutorPeakMatchesPlan(t *testing.T) {
 			}
 			t.Logf("unencoded peak %d = planned %d | encoded peak %d (planned %d) | pool %d -> %d B",
 				base.peak, plan.peak, gist.peak, gplan.peak, base.footprint, gist.footprint)
+		})
+	}
+}
+
+// TestExecutorReadsPlannedNeeds is aim 3's "the executor reads what the
+// planner plans", on the four graphs of TestExecutorPeakMatchesPlan under
+// both of the paper's configurations. Statically, a node's output has a
+// decoded backward read iff the analysis calls it stashed, and a stash the
+// planner marks NeedsDecode == false (Binarize) has exactly one read: its
+// own ReLU's, of the container as stored. At runtime every such ReLU gets
+// the sealed container's mask and no tensor — its future takes no pool
+// buffer — and a MaxPool Binarize rewrote is handed no stash at all.
+func TestExecutorReadsPlannedNeeds(t *testing.T) {
+	nets := []struct {
+		name          string
+		g             func() *graph.Graph
+		skipUnderRace bool
+	}{
+		{"TinyCNN", func() *graph.Graph { return networks.TinyCNN(8, 4) }, false},
+		{"TinyVGG", func() *graph.Graph { return networks.TinyVGG(2, 8) }, false},
+		{"ConvChain", func() *graph.Graph { return convChain(4) }, false},
+		{"ResNetCIFAR20", func() *graph.Graph { return networks.ResNetCIFAR(4, 20) }, true},
+	}
+	cfgs := []struct {
+		name string
+		cfg  encoding.Config
+	}{{"lossless", encoding.Lossless()}, {"lossy-fp16", encoding.LossyLossless(floatenc.FP16)}}
+	for _, n := range nets {
+		for _, c := range cfgs {
+			t.Run(n.name+"/"+c.name, func(t *testing.T) {
+				if n.skipUnderRace && race.Enabled {
+					t.Skip("ResNet-20 steps are too slow under the race detector")
+				}
+				g := n.g()
+				a := encoding.Analyze(g, c.cfg)
+				e := NewExecutor(g, Options{Seed: 3, Encodings: a, Pool: bufpool.New()})
+				defer e.Close()
+				masks := 0
+				for _, nd := range g.Nodes {
+					as := a.ByNode[nd.ID]
+					asStored := as != nil && !as.NeedsDecode
+					if got := e.futures[nd.ID].asStored; got != asStored {
+						t.Errorf("%q: read as stored %t, want %t (assignment %+v)", nd.Name, got, asStored, as)
+					}
+					if asStored {
+						masks++
+						if e.bwdReads[nd.ID] != 1 || !e.needs[nd.ID].Y {
+							t.Errorf("%q: %d backward reads of its mask (own Y %t), want its own one",
+								nd.Name, e.bwdReads[nd.ID], e.needs[nd.ID].Y)
+						}
+						continue
+					}
+					if got, want := e.bwdReads[nd.ID] > 0, a.OutputStashed(nd); got != want {
+						t.Errorf("%q: executor backward read %t (%d reads), analysis OutputStashed %t",
+							nd.Name, got, e.bwdReads[nd.ID], want)
+					}
+				}
+				if rewritten := len(a.PoolMaps) > 0; masks == 0 && rewritten {
+					t.Fatal("the analysis rewrote pools but assigned no Binarize mask")
+				}
+
+				maskReads, poolReads := 0, 0
+				probeKernels(e, func(nd *graph.Node, ctx *layers.BwdCtx) {
+					if f := &e.futures[nd.ID]; f.asStored {
+						maskReads++
+						if ctx.OutMask == nil || ctx.OutMask != e.encSlots[nd.ID].Mask || ctx.Out != nil || f.dst != nil {
+							t.Errorf("%q's kernel: mask %p (container's %p), tensor %p, decode target %p; want the container's mask alone",
+								nd.Name, ctx.OutMask, e.encSlots[nd.ID].Mask, ctx.Out, f.dst)
+						}
+					}
+					if _, ok := a.PoolMaps[nd.ID]; ok {
+						poolReads++
+						if ctx.Out != nil || ctx.OutMask != nil || slices.ContainsFunc(ctx.In, func(x *tensor.Tensor) bool { return x != nil }) {
+							t.Errorf("%q's kernel was handed a stash; the rewritten pool reads only its argmax", nd.Name)
+						}
+					}
+				})
+				in := g.InputNodes()[0].OutShape
+				x, labels := NewDataset(4, in[1], in[2], 0.3, 6).Batch(in[0])
+				for step := 0; step < 2; step++ {
+					if _, _, err := e.TryStep(x, labels, 0.01); err != nil {
+						t.Fatal(err)
+					}
+					noFutureArmed(t, e)
+				}
+				if maskReads != 2*masks || poolReads != 2*len(a.PoolMaps) {
+					t.Errorf("2 steps ran %d mask-reading ReLU kernels of %d and %d rewritten pool kernels of %d",
+						maskReads, 2*masks, poolReads, 2*len(a.PoolMaps))
+				}
+			})
+		}
+	}
+}
+
+// fwdProbe wraps a node's operator to run before() ahead of its forward
+// kernel.
+type fwdProbe struct {
+	layers.Op
+	before func()
+}
+
+func (p *fwdProbe) Forward(ctx *layers.FwdCtx) {
+	p.before()
+	p.Op.Forward(ctx)
+}
+
+// TestMaskCorruptionDetected flips one payload bit of the sealed Binarize
+// container of smallNet's relu1 after its encode and before the store takes
+// it (from fc's forward kernel, which runs between the two), once held in
+// RAM and once under a budget that spills it. The mask is read as stored —
+// fetched, the spill page parsed and CRC-checked, the container verified,
+// never decoded — and the flip must still surface from the step as
+// ErrCorruptStash naming relu1, counted once in RobustnessStats.CRCFailures,
+// with every gradient zeroed and no parameter updated; a clean step then
+// trains again.
+func TestMaskCorruptionDetected(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"ram", 0}, {"spill", 64}} {
+		t.Run(c.name, func(t *testing.T) {
+			g := smallNet(4)
+			e := NewExecutor(g, Options{Seed: 8, Integrity: true, Pool: bufpool.New(),
+				StashBudget: c.budget, SpillDir: t.TempDir(),
+				Encodings: encoding.Analyze(g, encoding.Lossless()),
+				Codec:     &encoding.Codec{Pool: parallel.NewPool(2), ChunkElems: 256}})
+			defer e.Close()
+			relu := g.Lookup("relu1")
+			if !e.futures[relu.ID].asStored {
+				t.Fatal("relu1's stash is not read as stored")
+			}
+			flip := true
+			fc := g.Lookup("fc")
+			fc.Op = &fwdProbe{Op: fc.Op, before: func() {
+				if flip {
+					e.futures[relu.ID].wg.Wait() // the encode has sealed the container
+					e.encSlots[relu.ID].FlipBit(5)
+				}
+			}}
+			x, labels := NewDataset(4, 2, 8, 0.3, 9).Batch(4)
+			before := flatParams(e)
+			_, _, err := e.TryStep(x, labels, 0.05)
+			if !errors.Is(err, encoding.ErrCorruptStash) || !strings.Contains(err.Error(), `"relu1"`) {
+				t.Fatalf("step = %v, want relu1's corruption as ErrCorruptStash", err)
+			}
+			if e.Robust.CRCFailures != 1 {
+				t.Errorf("CRCFailures = %d, want 1", e.Robust.CRCFailures)
+			}
+			if slices.ContainsFunc(flatGrads(e), func(v float32) bool { return v != 0 }) {
+				t.Error("a gradient survived the failed step")
+			}
+			paramsBitsEqual(t, flatParams(e), before, "parameters after the failed step")
+			if st := e.StashStore().Stats(); (st.Misses > 0) != (c.budget > 0) || e.encSlots[relu.ID].Bytes() <= c.budget {
+				t.Errorf("store misses %d at budget %d (mask %d B): the mask was read from the wrong tier",
+					st.Misses, c.budget, e.encSlots[relu.ID].Bytes())
+			}
+			noFutureArmed(t, e)
+
+			flip = false
+			if _, _, err := e.TryStep(x, labels, 0.05); err != nil {
+				t.Fatalf("clean step after the detection: %v", err)
+			}
 		})
 	}
 }
