@@ -1,27 +1,33 @@
-// Package bufpool provides the size-class, lifetime-aware buffer pool the
-// training runtime recycles its working set through. The memory planner
-// (internal/liveness, internal/memplan) computes when every activation,
-// gradient and decode target dies; this pool is the runtime half of that
-// story: instead of allocating a fresh []float32 per tensor per step and
-// leaving the garbage collector to discover the liveness the planner already
-// knew, the executor returns each buffer at its last use — a feature map
-// right after its last forward consumer, a decode target after its last
-// backward reader — and the next layer, or the next step, re-serves it from
-// a free list. Steady-state training then runs with a fixed working set and
-// a near-zero allocation rate — the property cDMA (Rhu et al.) identifies as
-// the difference between compression on paper and compression in the
-// allocator — and Stats.PeakLiveBytes, the high-water mark of bytes
-// requested, is what memplan.PlanDynamic predicts for the same graph.
+// Package bufpool is the training runtime's buffer memory, in two forms.
 //
-// Buffers are grouped into power-of-two element-count size classes. A Get
-// rounds the request up to its class, pops a free buffer (hit) or allocates
-// one at full class capacity (miss), and always returns zeroed memory —
-// exactly what tensor.New hands out, so pooled and unpooled execution are
-// numerically indistinguishable. Recycle returns a buffer to its class.
-// Double recycles and recycles of foreign buffers panic; under the race
-// detector (internal/race) freed buffers are additionally poisoned and
-// checked on reuse, so a use-after-recycle that scribbles on pooled memory
-// is caught at the next Get instead of corrupting a training step.
+// An Arena is one executor's exact-size slab. The memory planner
+// (internal/liveness, internal/memplan) knows when every activation,
+// gradient and decode target dies, and the executor's step is the same
+// sequence of allocations and releases every time, so the executor records
+// one step, packs its buffers into offsets (memplan.Pack: the paper's
+// CNTK-style static allocator, by offset) and serves every later step's
+// buffers as views of one slab that size. What the process holds for
+// feature maps is then the step's peak of requested bytes, give or take a
+// map — the property cDMA (Rhu et al.) identifies as the difference between
+// compression on paper and compression in the allocator.
+//
+// The Pool is a set of size-class free lists for buffers whose sizes and
+// lifetimes no recorded step fixes: the codec's scratch and the replica
+// engine's gradient flats. Buffers are grouped into power-of-two
+// element-count size classes. A Get rounds the request up to its class,
+// pops a free buffer (hit) or allocates one at full class capacity (miss),
+// and always returns zeroed memory — exactly what tensor.New hands out, so
+// pooled and unpooled execution are numerically indistinguishable. Recycle
+// returns a buffer to its class. Double recycles and recycles of foreign
+// buffers panic.
+//
+// Every arena is accounted in a pool, so Pool.Stats covers both forms, and
+// Stats.PeakLiveBytes, the high-water mark of bytes requested, is what
+// memplan.PlanDynamic predicts for an unencoded graph. Under the race
+// detector (internal/race) freed buffers and freed slab regions are
+// poisoned and checked on reuse, so a use-after-recycle that scribbles on
+// them is caught at the next Get or View instead of corrupting a training
+// step.
 package bufpool
 
 import (
@@ -76,18 +82,32 @@ type class struct {
 // Stats is a snapshot of a pool's aggregate counters.
 type Stats struct {
 	// Hits and Misses count Get calls served from a free list vs. freshly
-	// allocated. A steady-state training loop should be ~100% hits.
+	// allocated, and arena views vs. the heap allocations an arena's owner
+	// made instead. A steady-state training loop should be ~100% hits.
 	Hits, Misses int64
 	// Recycles counts buffers returned to the pool.
 	Recycles int64
-	// HeldBytes is the capacity currently sitting in free lists.
-	// InUseBytes is the capacity handed out and not yet recycled.
+	// HeldBytes is the capacity currently sitting in free lists and arena
+	// slabs. InUseBytes is the capacity handed out and not yet recycled.
 	HeldBytes, InUseBytes int64
 	// LiveBytes is the bytes callers asked for and still hold — 4 per
-	// requested element, before the round-up to class capacity — and
-	// PeakLiveBytes its high-water mark: the runtime counterpart of
-	// memplan.PlanDynamic over the pooled buffer classes.
+	// requested element, before the round-up to class capacity, and
+	// including an arena owner's heap allocations — and PeakLiveBytes its
+	// high-water mark: the runtime counterpart of memplan.PlanDynamic over
+	// the pooled buffer classes.
 	LiveBytes, PeakLiveBytes int64
+}
+
+// Accumulate adds o's counters into s. Summed peaks are an upper bound on
+// the peak of the sum.
+func (s *Stats) Accumulate(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Recycles += o.Recycles
+	s.HeldBytes += o.HeldBytes
+	s.InUseBytes += o.InUseBytes
+	s.LiveBytes += o.LiveBytes
+	s.PeakLiveBytes += o.PeakLiveBytes
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before the first Get.
@@ -218,10 +238,7 @@ func (p *Pool) Get(shape ...int) *tensor.Tensor {
 		p.misses.Add(1)
 	}
 	p.inUseBytes.Add(int64(cap) * 4)
-	if live := p.liveBytes.Add(int64(n) * 4); live > p.peakLiveBytes.Load() {
-		p.peakLiveBytes.Store(live)
-		p.peakLive.SetMax(live)
-	}
+	p.addLive(int64(n) * 4)
 	p.mu.Unlock()
 
 	if t == nil {
@@ -244,6 +261,15 @@ func (p *Pool) Get(shape ...int) *tensor.Tensor {
 	clear(data[:n])
 	t.Data = data[:n]
 	return t
+}
+
+// addLive moves the requested live bytes by d, raising their peak. Caller
+// holds p.mu, so the peak never lags.
+func (p *Pool) addLive(d int64) {
+	if live := p.liveBytes.Add(d); live > p.peakLiveBytes.Load() {
+		p.peakLiveBytes.Store(live)
+		p.peakLive.SetMax(live)
+	}
 }
 
 // Recycle returns a buffer obtained from Get to its free list. It panics on
@@ -305,9 +331,8 @@ func (p *Pool) RecycleSlice(s []float32) {
 }
 
 // Prewarm populates the free lists with one buffer per element count, so a
-// training loop whose working set the planner already knows starts at a
-// ~100% hit rate instead of missing through its first step. The executor
-// feeds it the liveness analysis's buffer sizes.
+// caller whose sizes are known ahead starts at a ~100% hit rate instead of
+// missing through its first use.
 func (p *Pool) Prewarm(elemCounts []int) {
 	for _, n := range elemCounts {
 		if n <= 0 {

@@ -217,3 +217,38 @@ func TestSharedPoolSingleton(t *testing.T) {
 		t.Fatal("Shared() is not a singleton")
 	}
 }
+
+// TestArenaAccounting pins what an arena reports, and that its pool's
+// aggregate moves with it: the slab is held until viewed, a view is in
+// use and live, a heap allocation made instead is live only, and Release
+// gives the pool back every byte.
+func TestArenaAccounting(t *testing.T) {
+	p := New()
+	a := p.NewArena()
+	a.Reserve(100)
+	a.Reserve(50) // never shrinks
+	v := a.View(10, 30)
+	if len(v) != 30 || cap(v) != 30 {
+		t.Fatalf("view len %d cap %d, want 30 30", len(v), cap(v))
+	}
+	v[0] = 7
+	a.Miss(20)
+	want := Stats{Hits: 1, Misses: 1, HeldBytes: 280, InUseBytes: 120, LiveBytes: 200, PeakLiveBytes: 200}
+	if st := a.Stats(); st != want {
+		t.Fatalf("arena %+v, want %+v", st, want)
+	}
+	if st := p.Stats(); st != want {
+		t.Fatalf("pool %+v, want the arena's %+v", st, want)
+	}
+	a.Free(10, 30)
+	a.Drop(20)
+	if v := a.View(0, 40); v[10] != 0 {
+		t.Fatal("a view over a freed region is not zeroed")
+	}
+	a.Free(0, 40)
+	a.Release()
+	want = Stats{Hits: 2, Misses: 1, Recycles: 3, PeakLiveBytes: 200}
+	if st := p.Stats(); st != want {
+		t.Fatalf("pool after Release %+v, want %+v", st, want)
+	}
+}

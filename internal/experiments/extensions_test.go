@@ -162,6 +162,12 @@ func TestExtRealizedMatchesPlan(t *testing.T) {
 			if opt > plan || opt == 0 || (enc == "none" && opt != plan) {
 				t.Errorf("%s %s: optimized plan %v against plan %v", net, enc, opt, plan)
 			}
+			// The slab packs the measured step, so it is never below its
+			// peak; unencoded it is the peak, within the static plan.
+			slab, peak, static := r.Values[net+"/"+enc+"/slab"], r.Values[net+"/"+enc+"/observed-peak"], r.Values[net+"/"+enc+"/planned-static"]
+			if slab < peak || static < plan || (enc == "none" && (slab != peak || slab > static)) {
+				t.Errorf("%s %s: slab %v, observed peak %v, static plan %v, dynamic plan %v", net, enc, slab, peak, static, plan)
+			}
 		}
 	}
 	if mfr := r.Values["ResNetCIFAR-20/lossy-fp16/mfr"]; mfr <= 1.2 {

@@ -2,10 +2,12 @@ package experiments
 
 // Realised-footprint experiment: the paper's Figures 8 and 17 measured
 // instead of predicted. Three pooled steps per network and encoding
-// configuration on a private buffer pool; the planner's dynamic FP32 peak,
-// and Fig 17's "optimized" plan that drops every decoded staging buffer, are
-// printed next to the pool's observed peak of requested bytes, the planned
-// stash bytes next to the executor's StashBytes, then the ratio realised.
+// configuration; the planner's static (CNTK groups) and dynamic FP32
+// footprints, and Fig 17's "optimized" plan that drops every decoded staging
+// buffer, are printed next to the executor arena's observed peak of
+// requested bytes and the slab it packed its recorded step into, the
+// planned stash bytes next to the executor's StashBytes, then the ratio
+// realised.
 
 import (
 	"gist/internal/bufpool"
@@ -35,8 +37,8 @@ func ExtRealized() *Result {
 		cfg  *encoding.Config
 	}{{"none", nil}, {"lossless", &lossless}, {"lossy-fp16", &lossy}}
 
-	r.add("%-15s %-10s %11s %11s %11s %11s %11s %11s %11s %6s", "network", "encodings",
-		"plan FP32", "optimized", "peak FP32", "plan stash", "StashBytes", "held enc", "pool", "MFR")
+	r.add("%-15s %-10s %11s %11s %11s %11s %11s %11s %11s %11s %6s", "network", "encodings",
+		"static", "plan FP32", "optimized", "peak FP32", "slab", "plan stash", "StashBytes", "held enc", "MFR")
 	for _, net := range nets {
 		var baseline int64
 		for _, enc := range encs {
@@ -54,35 +56,39 @@ func ExtRealized() *Result {
 			tl := graph.BuildTimeline(g)
 			bufs := liveness.Analyze(g, tl, liveness.Options{Analysis: a})
 			planStash += liveness.TotalByClass(bufs)[graph.ClassStashedFmap]
-			planned := memplan.PlanDynamic(memplan.PooledBuffers(bufs))
+			pooled := memplan.PooledBuffers(bufs)
+			static := memplan.PlanStatic(pooled).TotalBytes
+			planned := memplan.PlanDynamic(pooled)
 			optimized := memplan.PlanDynamic(memplan.PooledBuffers(
 				liveness.Analyze(g, tl, liveness.Options{Analysis: a, ElideDecoded: true})))
-			pool := bufpool.New()
-			e := train.NewExecutor(g, train.Options{Seed: 7, Encodings: a, Pool: pool})
+			e := train.NewExecutor(g, train.Options{Seed: 7, Encodings: a, Pool: bufpool.New()})
 			in := g.InputNodes()[0].OutShape
 			d := train.NewDataset(4, in[1], in[2], 0.4, 8)
 			for i := 0; i < 3; i++ {
 				x, labels := d.Batch(in[0])
 				e.Step(x, labels, 0.01)
 			}
-			st, held, stash := pool.Stats(), e.StashStore().Stats().HotPeakBytes, e.StashBytes
+			st, held, stash := e.ArenaStats(), e.StashStore().Stats().HotPeakBytes, e.StashBytes
 			e.Close()
 			if enc.cfg == nil {
 				baseline = st.PeakLiveBytes
 			}
 			mfr := memplan.MFR(baseline, st.PeakLiveBytes+held)
+			r.set(net.name+"/"+enc.name+"/planned-static", float64(static))
 			r.set(net.name+"/"+enc.name+"/planned-peak", float64(planned))
 			r.set(net.name+"/"+enc.name+"/optimized-peak", float64(optimized))
 			r.set(net.name+"/"+enc.name+"/observed-peak", float64(st.PeakLiveBytes))
+			r.set(net.name+"/"+enc.name+"/slab", float64(st.HeldBytes+st.InUseBytes))
 			r.set(net.name+"/"+enc.name+"/mfr", mfr)
-			r.add("%-15s %-10s %11d %11d %11d %11d %11d %11d %11d %5.2fx", net.name, enc.name,
-				planned, optimized, st.PeakLiveBytes, planStash, stash, held, st.HeldBytes+st.InUseBytes, mfr)
+			r.add("%-15s %-10s %11d %11d %11d %11d %11d %11d %11d %11d %5.2fx", net.name, enc.name,
+				static, planned, optimized, st.PeakLiveBytes, st.HeldBytes+st.InUseBytes, planStash, stash, held, mfr)
 		}
 	}
 	r.add("")
-	r.add("(optimized: plan FP32 with no decoded staging buffer, Fig 17's optimized software; peak FP32: the pool's")
-	r.add(" high-water mark of requested bytes; held enc: the store's peak of encoded containers, outside the pool;")
-	r.add(" MFR: unencoded peak / (peak + held). Untrained weights, 3 steps, minibatch 2-8: how the ratio scales with")
-	r.add(" depth and minibatch is ROADMAP item 5(c)'s search, not this table.)")
+	r.add("(static: the CNTK groups over plan FP32's buffers; optimized: plan FP32 with no decoded staging buffer,")
+	r.add(" Fig 17's optimized software; peak FP32: the executor arena's high-water mark of requested bytes; slab: the")
+	r.add(" arena's recorded step packed by offset, what it holds; held enc: the store's peak of encoded containers,")
+	r.add(" outside the arena; MFR: unencoded peak / (peak + held). Untrained weights, 3 steps, minibatch 2-8: how the")
+	r.add(" ratio scales with depth and minibatch is ROADMAP item 5(c)'s search, not this table.)")
 	return r
 }

@@ -1,6 +1,7 @@
 package memplan
 
 import (
+	"slices"
 	"testing"
 
 	"gist/internal/graph"
@@ -8,12 +9,12 @@ import (
 	"gist/internal/liveness"
 )
 
-// Table-driven edge cases for PoolWarmSet over degenerate and minimal
-// graphs: the prewarm path runs at every trainer construction, so the
-// planner must hand the pool something sensible (often: nothing) for
+// Table-driven edge cases for PooledBuffers over degenerate and minimal
+// graphs: the realized footprint table and the executor's footprint test
+// plan over its selection, so it must be sensible (often: nothing) for
 // graphs with no steps, no per-step tensors, or fmaps that die the moment
 // they are consumed.
-func TestPoolWarmSetEdgeCases(t *testing.T) {
+func TestPooledBuffersEdgeCases(t *testing.T) {
 	singleNode := func() *graph.Graph {
 		g := graph.New()
 		g.MustAdd("input", layers.NewInput(2, 3, 8, 8))
@@ -32,7 +33,7 @@ func TestPoolWarmSetEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *graph.Graph
-		// wantCounts is the exact multiset of warm element counts, in
+		// wantCounts is the exact multiset of selected element counts, in
 		// liveness emission order.
 		wantCounts []int
 	}{
@@ -67,35 +68,39 @@ func TestPoolWarmSetEdgeCases(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.build()
 			bufs := liveness.Analyze(g, graph.BuildTimeline(g), liveness.Options{})
-			got := PoolWarmSet(bufs)
-			if len(got) != len(c.wantCounts) {
-				t.Fatalf("warm set %v, want %v", got, c.wantCounts)
-			}
-			for i := range got {
-				if got[i] != c.wantCounts[i] {
-					t.Fatalf("warm set %v, want %v", got, c.wantCounts)
-				}
+			got := elems(PooledBuffers(bufs))
+			if !slices.Equal(got, c.wantCounts) {
+				t.Fatalf("selected %v, want %v", got, c.wantCounts)
 			}
 		})
 	}
 
-	// Nil and empty buffer lists short-circuit to an empty warm set.
-	if got := PoolWarmSet(nil); len(got) != 0 {
-		t.Fatalf("PoolWarmSet(nil) = %v", got)
+	// Nil and empty buffer lists select nothing.
+	if got := PooledBuffers(nil); len(got) != 0 {
+		t.Fatalf("PooledBuffers(nil) = %v", got)
 	}
-	if got := PoolWarmSet([]*liveness.Buffer{}); len(got) != 0 {
-		t.Fatalf("PoolWarmSet(empty) = %v", got)
+	if got := PooledBuffers([]*liveness.Buffer{}); len(got) != 0 {
+		t.Fatalf("PooledBuffers(empty) = %v", got)
 	}
 
-	// Non-fmap classes and zero-byte buffers are filtered out.
+	// Non-fmap classes are filtered out; a zero-byte map is selected and
+	// costs nothing.
 	mixed := []*liveness.Buffer{
 		{Name: "w", Class: graph.ClassWeights, Bytes: 400},
 		{Name: "z", Class: graph.ClassImmediateFmap, Bytes: 0},
 		{Name: "enc", Class: graph.ClassEncoded, Bytes: 64},
 		{Name: "g", Class: graph.ClassGradientMap, Bytes: 40},
 	}
-	got := PoolWarmSet(mixed)
-	if len(got) != 1 || got[0] != 10 {
-		t.Fatalf("filtered warm set = %v, want [10]", got)
+	if got := elems(PooledBuffers(mixed)); !slices.Equal(got, []int{0, 10}) {
+		t.Fatalf("filtered selection = %v, want [0 10]", got)
 	}
+}
+
+// elems returns each buffer's FP32 element count.
+func elems(bufs []*liveness.Buffer) []int {
+	var n []int
+	for _, b := range bufs {
+		n = append(n, int(b.Bytes/4))
+	}
+	return n
 }

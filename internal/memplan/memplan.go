@@ -8,6 +8,8 @@
 package memplan
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -136,6 +138,42 @@ func PlanDynamic(bufs []*liveness.Buffer) int64 {
 	return peak
 }
 
+// Pack lays buffers out in one region by byte offset, the way a static
+// allocator hands them out: the CNTK order of PlanStatic (largest first,
+// input order among equals), each buffer at the lowest offset where it
+// overlaps no already placed buffer alive at the same time. Where
+// PlanStatic shares a region only among buffers that fit inside its
+// largest member, Pack shares any free span, so its size is usually
+// PlanDynamic's peak and never below it. It returns every buffer's offset,
+// in input order, and the region's size.
+func Pack(bufs []*liveness.Buffer) (offs []int64, size int64) {
+	order := make([]int, len(bufs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return bufs[order[i]].Bytes > bufs[order[j]].Bytes })
+	offs = make([]int64, len(bufs))
+	placed := make([]int, 0, len(bufs)) // by offset
+	for _, i := range order {
+		b := bufs[i]
+		var off int64
+		for _, j := range placed {
+			if !bufs[j].Overlaps(b) {
+				continue
+			}
+			if offs[j]-off >= b.Bytes {
+				break // the gap below j fits
+			}
+			off = max(off, offs[j]+bufs[j].Bytes)
+		}
+		offs[i] = off
+		at, _ := slices.BinarySearchFunc(placed, off, func(j int, o int64) int { return cmp.Compare(offs[j], o) })
+		placed = slices.Insert(placed, at, i)
+		size = max(size, off+b.Bytes)
+	}
+	return offs, size
+}
+
 // Validate checks the static plan's core invariant: within every group, no
 // two buffers' lifetimes overlap. It returns the first violating pair.
 func (p *Plan) Validate() (a, b *liveness.Buffer, ok bool) {
@@ -204,7 +242,7 @@ func MFR(baseline, encoded int64) float64 {
 // runtime buffer pool — immediate and stashed feature maps, decoded staging
 // buffers and gradient maps. Encoded payloads are excluded: they live in
 // bit-packed word arrays, not pooled tensors. PlanDynamic over the result is
-// what bufpool's PeakLiveBytes measures.
+// the peak of requested bytes a pooled executor's arena measures.
 func PooledBuffers(bufs []*liveness.Buffer) []*liveness.Buffer {
 	var pooled []*liveness.Buffer
 	for _, b := range bufs {
@@ -215,20 +253,4 @@ func PooledBuffers(bufs []*liveness.Buffer) []*liveness.Buffer {
 		}
 	}
 	return pooled
-}
-
-// PoolWarmSet maps the liveness analysis onto the runtime buffer pool: it
-// returns the element count of every float32 tensor the pooled executor
-// will draw during one training step (PooledBuffers). Feeding the result to
-// bufpool's Prewarm puts one buffer of each size class on its free list
-// ahead of the first step, so steady-state recycling starts at step one
-// instead of after a warm-up of allocation misses.
-func PoolWarmSet(bufs []*liveness.Buffer) []int {
-	var elems []int
-	for _, b := range PooledBuffers(bufs) {
-		if b.Bytes > 0 {
-			elems = append(elems, int(b.Bytes/4))
-		}
-	}
-	return elems
 }

@@ -113,6 +113,55 @@ func TestDynamicNeverExceedsStatic(t *testing.T) {
 	}
 }
 
+// TestPackIsAValidLayout checks Pack's contract on random lifetimes: no two
+// buffers alive at once share a byte, and the region is at least the
+// dynamic peak and at most the sum of the buffers.
+func TestPackIsAValidLayout(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := tensor.NewRNG(seed)
+		n := 1 + r.Intn(40)
+		bufs := make([]*liveness.Buffer, n)
+		var sum int64
+		for i := range bufs {
+			s := r.Intn(50)
+			bufs[i] = buf("b", int64(r.Intn(1000)), s, s+r.Intn(30))
+			sum += bufs[i].Bytes
+		}
+		offs, size := Pack(bufs)
+		for i, a := range bufs {
+			for j, b := range bufs[:i] {
+				if a.Bytes > 0 && b.Bytes > 0 && a.Overlaps(b) &&
+					offs[i] < offs[j]+b.Bytes && offs[j] < offs[i]+a.Bytes {
+					return false
+				}
+			}
+			if offs[i] < 0 || offs[i]+a.Bytes > size {
+				return false
+			}
+		}
+		return PlanDynamic(bufs) <= size && size <= sum
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPackPaperFigure7 lays the paper's worked example out by offset: the
+// same 18 MB baseline and 12 MB encoded footprint as the static groups,
+// with the stashed X's encoded form above the maps it outlives.
+func TestPackPaperFigure7(t *testing.T) {
+	const mb = 1 << 20
+	a, b, c, d := buf("A", 8*mb, 2, 3), buf("B", 6*mb, 4, 5), buf("C", 7*mb, 6, 7), buf("D", 5*mb, 8, 9)
+	if _, size := Pack([]*liveness.Buffer{buf("X", 10*mb, 0, 11), a, b, c, d}); size != 18*mb {
+		t.Fatalf("baseline packs into %d MB, want 18", size/mb)
+	}
+	enc := buf("X.enc", 2*mb, 1, 10)
+	offs, size := Pack([]*liveness.Buffer{buf("X.out", 10*mb, 0, 1), enc, buf("X.dec", 10*mb, 10, 11), a, b, c, d})
+	if size != 12*mb || offs[1] != 10*mb {
+		t.Fatalf("encoded packs into %d MB with X.enc at %d MB, want 12 with it at 10", size/mb, offs[1]/mb)
+	}
+}
+
 func TestStaticNeverExceedsSumOfBuffers(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)

@@ -74,19 +74,20 @@ type Options struct {
 	// process-wide default codec as it stands when NewExecutor runs; either
 	// way the codec is fixed for the executor's lifetime.
 	Codec *encoding.Codec
-	// Pool, when non-nil, is where every per-step tensor (activation,
-	// gradient, decode target) is drawn from and recycled to at its last
-	// use — a feature map no backward kernel reads right after its last
-	// forward consumer ran, the FP32 form of an encoded one once its encode
-	// has settled, one retirement later; a decode
-	// target from the start of its fetch to its final backward reader;
-	// stashed activations after that reader; gradients once merged
-	// downstream — so steady-state training allocates nothing and a buffer
-	// freed at one layer serves the next. Nil means heap allocation:
-	// recycling is a no-op and every node's Output stays valid after the
-	// step, which the benchmark's per-layer probes rely on (a pooled Get
-	// re-shapes the tensor it recycles). The step path and its results are
-	// the same either way.
+	// Pool, when non-nil, turns on the step arena: every per-step tensor
+	// (activation, gradient, decode target) is a view of one slab, accounted
+	// in this pool, laid out from a recorded step so that a buffer freed at
+	// its last use — a feature map no backward kernel reads right after its
+	// last forward consumer ran, the FP32 form of an encoded one once its
+	// encode has settled, one retirement later; a decode target from the
+	// start of its fetch to its final backward reader; stashed activations
+	// after that reader; gradients once merged downstream — serves a later
+	// buffer, and steady-state training allocates nothing. The pool itself
+	// supplies the codec's scratch. Nil means heap allocation: recycling is a
+	// no-op and every node's Output stays valid after the step, which the
+	// benchmark's per-layer probes rely on (a replayed step re-shapes the
+	// views it hands out). The step path and its results are the same
+	// either way.
 	Pool *bufpool.Pool
 	// StashBudget, when positive, caps the bytes the executor's
 	// stashstore.Store holds in RAM across the forward→backward gap: the
@@ -232,14 +233,12 @@ type Executor struct {
 	fkey  faults.Key
 	tries []int
 
-	// Pooling state. pool is nil on the allocate-always path. checkedOut
-	// is the executor-side ledger of pooled tensors currently held; every
-	// pooled alloc registers here and every recycle point goes through
-	// recycle(), which ignores tensors not in the ledger — so an aliased
-	// stash (stash == out) is returned exactly once, and anything a failed
-	// step leaves behind is swept at the next Forward.
-	pool       *bufpool.Pool
-	checkedOut map[*tensor.Tensor]struct{}
+	// arena serves every per-step tensor when pooling is on (nil on the
+	// allocate-always path). Every recycle point goes through recycle(),
+	// which ignores tensors the pass does not hold — so an aliased stash
+	// (stash == out) is returned exactly once — and anything a failed step
+	// leaves behind is released when the next Forward opens a pass.
+	arena *stepArena
 
 	// needs holds, per node, the stashes its backward kernel reads at
 	// runtime: the encoding analysis' effective needs when the executor
@@ -326,7 +325,6 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		grads:  map[int][]*tensor.Tensor{},
 		moms:   map[int][]*tensor.Tensor{},
 		rng:    tensor.NewRNG(opts.Seed),
-		pool:   opts.Pool,
 		tel:    opts.Telemetry,
 		met:    newExecMetrics(opts.Telemetry),
 	}
@@ -337,7 +335,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		e.cdc = *opts.Codec
 	}
 	if e.cdc.Buf == nil {
-		e.cdc.Buf = e.pool // codec scratch comes from the executor's pool
+		e.cdc.Buf = opts.Pool // codec scratch comes from the executor's pool
 	}
 
 	// Eviction priorities are a pure function of the liveness analysis: the
@@ -379,7 +377,9 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	if e.tel != nil {
 		e.mem.byTech = map[string]telemetry.TechBytes{}
 	}
-	e.checkedOut = make(map[*tensor.Tensor]struct{}, 2*nn)
+	if opts.Pool != nil {
+		e.arena = newStepArena(opts.Pool)
+	}
 	for _, n := range g.Nodes {
 		f := &e.futures[n.ID]
 		f.store, f.cdc, f.tel, f.sid, f.pos, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, -1, n.Name, n.OutShape
@@ -446,38 +446,41 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	return e
 }
 
-// alloc returns a zeroed tensor of the given shape — from the pool (and the
-// checked-out ledger) when pooling is on, from the heap otherwise.
+// alloc returns a zeroed tensor of the given shape — from the step arena
+// when pooling is on, from the heap otherwise.
 func (e *Executor) alloc(shape tensor.Shape) *tensor.Tensor {
-	if e.pool == nil {
+	if e.arena == nil {
 		return tensor.New(shape...)
 	}
-	t := e.pool.Get(shape...)
-	e.checkedOut[t] = struct{}{}
-	return t
+	return e.arena.alloc(shape)
 }
 
-// recycle returns a pooled tensor at its last use. Tensors the ledger does
-// not hold — heap tensors (the ledger stays empty without a pool), aliases
-// already recycled, parameters, nil — are ignored, so recycle points can be
-// written against logical lifetimes without tracking aliasing.
+// recycle ends a tensor's use at its last reader (a no-op on the heap
+// path); see stepArena.recycle for what it ignores.
 func (e *Executor) recycle(t *tensor.Tensor) {
-	if _, ok := e.checkedOut[t]; !ok {
-		return
+	if e.arena != nil {
+		e.arena.recycle(t)
 	}
-	delete(e.checkedOut, t)
-	e.pool.Recycle(t)
 }
 
-// sweep returns every pooled tensor still checked out — the step's
-// leftovers (the loss output, dead branches, anything a failed step
-// stranded). Runs at the start of each Forward, when nothing from the
-// previous step can be referenced anymore.
-func (e *Executor) sweep() {
-	for t := range e.checkedOut {
-		e.pool.Recycle(t)
+// completePass tells the arena the pass in flight ran whole — a training
+// step through Backward, or an inference Forward — so a recording of it
+// becomes its kind's layout.
+func (e *Executor) completePass() {
+	if e.arena != nil {
+		e.arena.complete()
 	}
-	clear(e.checkedOut)
+}
+
+// ArenaStats returns the step arena's counters (bufpool.Arena.Stats): the
+// slab held and in view, the bytes requested and their peak, views served
+// (hits) and heap allocations made instead (misses). The zero Stats on the
+// heap path.
+func (e *Executor) ArenaStats() bufpool.Stats {
+	if e.arena == nil {
+		return bufpool.Stats{}
+	}
+	return e.arena.mem.Stats()
 }
 
 // SetContext binds a context to the executor's step loop. TryStep polls it
@@ -507,17 +510,18 @@ func (e *Executor) SetResumeStep(n int) { e.resumeStep = n }
 // its dataset by ResumeStep() batches.
 func (e *Executor) ResumeStep() int { return e.resumeStep }
 
-// Close promptly returns every pooled buffer the executor still holds —
+// Close promptly releases every pooled buffer the executor still holds —
 // in-flight decode futures are drained first and the decode worker
-// stopped, then the checked-out ledger is swept — and drops the per-step
-// output and stash references; until Close, an executor that has decoded
-// keeps its worker goroutine parked. This is
-// the deterministic release point a job server needs when a job is
-// cancelled, paused or quarantined: after Close the shared pool owns every
-// buffer again (Stats().InUseBytes from this executor is zero) without
-// waiting for a next Forward's sweep. Must run on the executor's goroutine
-// (not concurrent with a step); safe to call repeatedly and on an unpooled
-// executor (where it only drops references).
+// stopped, then the arena's pass is ended and its slab dropped — and drops
+// every per-step tensor reference it keeps; until Close, an executor that
+// has decoded keeps its worker goroutine parked. This is the deterministic
+// release point a job server needs when a job is cancelled, paused or
+// quarantined: after Close the pool accounts no byte of this executor's
+// (Stats().InUseBytes and HeldBytes from it are zero) without waiting for a
+// next Forward. A later step replays the recorded layout into a new slab.
+// Must run on the executor's goroutine (not concurrent with a step); safe
+// to call repeatedly and on an unpooled executor (where it only drops
+// references).
 func (e *Executor) Close() {
 	e.drainFutures()
 	if e.decodeQ != nil { // every future is settled: the worker is idle
@@ -525,16 +529,28 @@ func (e *Executor) Close() {
 		<-e.decodeDone
 		e.decodeQ, e.decodeDone = nil, nil
 	}
-	e.sweep()
+	if e.arena != nil {
+		e.arena.release()
+	}
 	clear(e.outs)
 	clear(e.stash)
 	clear(e.gradOf)
-	e.insBuf = e.insBuf[:0]
-	e.dInsBuf = e.dInsBuf[:0]
+	e.insBuf = clearAll(e.insBuf)
+	e.dInsBuf = clearAll(e.dInsBuf)
+	e.fwdCtx, e.bwdCtx = layers.FwdCtx{}, layers.BwdCtx{}
+	for i := range e.futures {
+		e.futures[i].src, e.futures[i].dst = nil, nil
+	}
 	// Drop the store's contents and delete its spill file, if any. The store
 	// stays usable (a later step lazily recreates the file), preserving this
 	// method's safe-to-call-repeatedly contract.
 	_ = e.store.Close()
+}
+
+// clearAll drops every pointer in s's backing array and returns it empty.
+func clearAll(s []*tensor.Tensor) []*tensor.Tensor {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Batch returns the rows one step consumes: the graph input's batch size.
@@ -557,8 +573,8 @@ func (e *Executor) Params(n *graph.Node) []*tensor.Tensor { return e.params[n.ID
 // which the harnesses that read per-layer activations after training rely
 // on — the reason the heap path exists. Under pooling only the sink outputs
 // and the outputs a backward kernel reads unencoded outlive a training
-// Forward: a recycled output's tensor may be handed out, re-shaped, to the
-// next Get.
+// Forward: a recycled output's region of the slab serves a later buffer,
+// and on the step that records the layout its data is dropped.
 func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 
 // Forward runs the forward pass on the given minibatch. Labels are needed
@@ -567,7 +583,7 @@ func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 // A training Forward executes Gist's schedule as it goes: once node i's
 // kernel has run, every output whose last forward reader was node i is
 // retired (retireAt) — its encode launched, or the output simply recycled
-// when no backward kernel reads it — so the pool's forward peak is the
+// when no backward kernel reads it — so the arena's forward peak is the
 // planner's, not the sum of every map. An encode runs on its own goroutine
 // through the forward kernels up to the next retirement that launches one,
 // and is settled (its sealed container handed to the store, its raw output
@@ -577,7 +593,9 @@ func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 // node order.
 func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	e.drainFutures() // settle anything a failed previous step left in flight
-	e.sweep()
+	if e.arena != nil {
+		e.arena.begin(training) // nothing from the previous pass can be referenced anymore
+	}
 	clear(e.stash)
 	e.stashErr = nil
 	e.fwdRetired = training
@@ -636,6 +654,9 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 		}
 	}
 	e.settleEncodes(0)
+	if !training {
+		e.completePass()
+	}
 }
 
 // stashFuture carries one encoded stash's two asynchronous jobs, one after
@@ -662,11 +683,11 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 //
 // Slots are persistent (one per node) and re-armed each step. Ownership of
 // the decode target dst transfers explicitly: the executor takes it from the
-// pool serially when it starts the future (startFuture) — not at arm time,
+// arena serially when it starts the future (startFuture) — not at arm time,
 // so an armed stash holds no FP32 bytes while it waits, and never for a
 // stash read as stored — exactly one goroutine writes it, and it returns to
-// the executor when the future is resolved. The pool ledger is never
-// touched off the executor's goroutine.
+// the executor when the future is resolved. The arena is never touched off
+// the executor's goroutine.
 type stashFuture struct {
 	// Bound once at executor construction.
 	store     *stashstore.Store
@@ -751,10 +772,10 @@ func (f *stashFuture) arm() {
 }
 
 // startFuture hands f's fetch-then-decode to the executor's decode worker,
-// first taking the decode target from the pool unless the stash is read as
+// first taking the decode target from the arena unless the stash is read as
 // stored; only the first call fires.
-// Every start goes through here, on the executor's goroutine, so the pool
-// ledger stays serial and the target is live from the moment the decode
+// Every start goes through here, on the executor's goroutine, so the
+// arena's events stay serial and the target is live from the moment the decode
 // window reaches it rather than across the whole forward→backward gap. The
 // queue has a slot per node and a future starts once a step: the send never
 // blocks.
@@ -964,7 +985,7 @@ func (e *Executor) storeStash(n *graph.Node) error {
 	e.StashBytes += enc.Bytes()
 	e.mem.add(enc.Tech.String(), out.Bytes(), enc.Bytes())
 	// The encoded form now carries the forward→backward gap; the raw output
-	// is dead — no backward reader touches it — and returns to the pool,
+	// is dead — no backward reader touches it — and returns to the arena,
 	// closing the lifetime gap the planner's liveness analysis identifies.
 	e.recycle(out)
 	err := e.store.Put(n.ID, enc)
@@ -1052,8 +1073,8 @@ func stashedForBackward(e *Executor, n *graph.Node) bool {
 }
 
 // doneReading drains one backward read of node id's stash and recycles the
-// view once its last reader is done. The ledger makes the
-// stash-aliases-output case safe: the shared tensor is returned exactly once.
+// view once its last reader is done. recycle makes the stash-aliases-output
+// case safe: the shared tensor is returned exactly once.
 func (e *Executor) doneReading(id int) {
 	e.bwdLeft[id]--
 	if t := e.stash[id]; e.bwdLeft[id] == 0 && t != nil {
@@ -1081,6 +1102,14 @@ func (e *Executor) doneReading(id int) {
 // recycles the moment it merges into an existing accumulator, and each
 // node's incoming gradient recycles after that node's kernels consume it.
 func (e *Executor) Backward() error {
+	// Deferred first, so a pass that reached the end completes after
+	// drainFutures, whose decode targets belong to it.
+	whole := false
+	defer func() {
+		if whole {
+			e.completePass()
+		}
+	}()
 	defer e.drainFutures()
 	err := e.stashRest()
 	if err != nil {
@@ -1157,6 +1186,7 @@ func (e *Executor) Backward() error {
 		e.gradOf[n.ID] = nil
 		e.recycle(dOut)
 	}
+	whole = true
 	return nil
 }
 
@@ -1406,8 +1436,8 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 	if cerr := e.ctxErr(); cerr != nil {
 		// Aborting between forward and backward: no gradient has
 		// accumulated and no update has been applied. The futures Forward's
-		// retirements armed and the pooled tensors it left checked out are
-		// drained and swept at the next Forward or by Close.
+		// retirements armed and the arena views it left taken are drained
+		// and released at the next Forward or by Close.
 		return loss, errs, fmt.Errorf("train: step canceled after forward: %w", cerr)
 	}
 

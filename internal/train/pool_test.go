@@ -134,33 +134,32 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestPooledSteadyStateStopsAllocating pins the pool's whole reason to
-// exist: once the working set is resident (a few steps in), further steps
-// are served entirely from free lists — the miss counter stops moving.
+// TestPooledSteadyStateStopsAllocating pins the arena's whole reason to
+// exist: once the first step has recorded the layout, further steps are
+// served entirely from the slab — the miss counter stops moving.
 func TestPooledSteadyStateStopsAllocating(t *testing.T) {
 	const mb = 8
 	encoding.SetDefaultCodec(encoding.Codec{ChunkElems: 768})
 	t.Cleanup(func() { encoding.SetDefaultCodec(encoding.Codec{}) })
 	g := richNet(mb)
-	pool := bufpool.New()
 	e := NewExecutor(g, Options{
 		Seed:      33,
 		Encodings: encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16)),
 		Integrity: true,
-		Pool:      pool,
+		Pool:      bufpool.New(),
 	})
 	d := NewDataset(4, 2, 8, 0.3, 34)
 	var missesAfterWarmup int64
 	for i := 0; i < 10; i++ {
 		x, l := d.Batch(mb)
 		e.Step(x, l, 0.05)
-		if i == 3 {
-			missesAfterWarmup = pool.Stats().Misses
+		if i == 0 {
+			missesAfterWarmup = e.ArenaStats().Misses
 		}
 	}
-	st := pool.Stats()
+	st := e.ArenaStats()
 	if st.Misses != missesAfterWarmup {
-		t.Fatalf("pool still missing after warmup: %d misses at step 4, %d at step 10", missesAfterWarmup, st.Misses)
+		t.Fatalf("arena still missing after the recorded step: %d misses at step 1, %d at step 10", missesAfterWarmup, st.Misses)
 	}
 	if hr := st.HitRate(); hr < 0.5 {
 		t.Fatalf("steady-state hit rate %.2f, want > 0.5", hr)
@@ -222,9 +221,10 @@ func TestPooledFaultInjectionParity(t *testing.T) {
 
 // TestConcurrentPooledExecutorsShareOnePool trains several pooled
 // executors at once against one buffer pool and the shared worker pool —
-// the -race workload for the pool's ledger, the poisoning, and the pooled
-// async-decode ownership transfer — and checks same-seed replicas stay
-// bit-identical while recycling through the same free lists.
+// the -race workload for the pool's accounting of their arenas and the
+// codec's scratch, the poisoning, and the async-decode ownership transfer —
+// and checks same-seed replicas stay bit-identical, each replaying its own
+// slab.
 func TestConcurrentPooledExecutorsShareOnePool(t *testing.T) {
 	parallel.SetSharedWorkers(4)
 	t.Cleanup(func() { parallel.SetSharedWorkers(0) })
@@ -268,7 +268,13 @@ func TestConcurrentPooledExecutorsShareOnePool(t *testing.T) {
 			}
 		}
 	}
-	if st := shared.Stats(); st.Hits == 0 {
-		t.Fatal("shared pool never reused a buffer across executors")
+	for r, e := range execs {
+		if st := e.ArenaStats(); st.Hits == 0 {
+			t.Fatalf("replica %d never served a map from its slab: %+v", r, st)
+		}
+		e.Close()
+	}
+	if st := shared.Stats(); st.InUseBytes != 0 {
+		t.Fatalf("shared pool still accounts %d B in use after every executor closed", st.InUseBytes)
 	}
 }

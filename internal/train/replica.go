@@ -557,7 +557,7 @@ func (rg *ReplicaGroup) Close() {
 		}
 		// Workers only run between runPhase barriers, so after the step
 		// loop stops they are parked (or exiting) and each executor's
-		// ledger is safe to sweep from here.
+		// arena is safe to release from here.
 		for _, e := range rg.execs {
 			e.Close()
 		}

@@ -85,17 +85,17 @@ func planFP32(g *graph.Graph, a *encoding.Analysis) fp32Plan {
 	return p
 }
 
-// observedSchedule is what three pooled steps on a private pool measured.
+// observedSchedule is what three pooled steps measured in the executor's
+// step arena.
 type observedSchedule struct {
-	peak         int64 // bufpool PeakLiveBytes: bytes requested, at their high-water mark
-	footprint    int64 // HeldBytes + InUseBytes once the steps are done
+	peak         int64 // PeakLiveBytes: bytes requested, at their high-water mark
+	slab         int64 // HeldBytes + InUseBytes once the steps are done
 	afterForward int64 // InUseBytes right after a training Forward
 }
 
 func observeSchedule(t *testing.T, g *graph.Graph, a *encoding.Analysis) observedSchedule {
 	t.Helper()
-	pool := bufpool.New()
-	e := NewExecutor(g, Options{Seed: 5, Encodings: a, Pool: pool})
+	e := NewExecutor(g, Options{Seed: 5, Encodings: a, Pool: bufpool.New()})
 	defer e.Close()
 	in := g.InputNodes()[0].OutShape
 	d := NewDataset(4, in[1], in[2], 0.3, 6)
@@ -103,32 +103,41 @@ func observeSchedule(t *testing.T, g *graph.Graph, a *encoding.Analysis) observe
 		x, labels := d.Batch(in[0])
 		e.Step(x, labels, 0.01)
 	}
-	st := pool.Stats()
-	obs := observedSchedule{peak: st.PeakLiveBytes, footprint: st.HeldBytes + st.InUseBytes}
+	st := e.ArenaStats()
+	obs := observedSchedule{peak: st.PeakLiveBytes, slab: st.HeldBytes + st.InUseBytes}
 	x, labels := d.Batch(in[0])
 	e.Forward(x, labels, true)
-	obs.afterForward = pool.Stats().InUseBytes
+	obs.afterForward = e.ArenaStats().InUseBytes
 	return obs
 }
 
 // TestExecutorPeakMatchesPlan is ROADMAP aim 3's "the executor runs the
 // schedule the planner planned", by measurement: on an unencoded graph the
-// pool's peak of requested bytes IS memplan.PlanDynamic over the FP32 buffer
-// classes, to the byte. Under encodings it sits at most two maps above the
-// plan — decode targets the window takes ahead of their consumers — strictly
-// below the unencoded peak where maps dominate, and everything but the sink
-// output has left the pool by the end of Forward.
+// arena's peak of requested bytes IS memplan.PlanDynamic over the FP32
+// buffer classes, to the byte. Under encodings it sits at most two maps
+// above the plan — decode targets the window takes ahead of their consumers
+// — strictly below the unencoded peak where maps dominate, and everything
+// but the sink output has left the arena by the end of Forward. Under every
+// configuration the slab the arena holds is within one map of that peak.
 func TestExecutorPeakMatchesPlan(t *testing.T) {
 	nets := []struct {
 		name          string
 		g             func() *graph.Graph
-		gistIsLower   bool // the encoded FP32 peak and pool footprint are strictly below the baseline's
+		gistIsLower   bool // the encoded FP32 peak and slab are strictly below the baseline's
 		skipUnderRace bool
 	}{
 		{"TinyCNN", func() *graph.Graph { return networks.TinyCNN(8, 4) }, false, false},
 		{"TinyVGG", func() *graph.Graph { return networks.TinyVGG(2, 8) }, true, false},
 		{"ConvChain", func() *graph.Graph { return convChain(4) }, false, false},
 		{"ResNetCIFAR20", func() *graph.Graph { return networks.ResNetCIFAR(4, 20) }, true, true},
+	}
+	// The slab is a packing of the recorded step, so it cannot be below the
+	// step's peak; greedy packing by size may leave at most one map of gaps.
+	slabNearPeak := func(t *testing.T, cfg string, obs observedSchedule, plan fp32Plan) {
+		t.Helper()
+		if obs.slab < obs.peak || obs.slab > obs.peak+plan.largest {
+			t.Errorf("%s: slab %d B outside [peak %d, peak + largest map %d]", cfg, obs.slab, obs.peak, obs.peak+plan.largest)
+		}
 	}
 	for _, n := range nets {
 		t.Run(n.name, func(t *testing.T) {
@@ -142,30 +151,40 @@ func TestExecutorPeakMatchesPlan(t *testing.T) {
 				t.Errorf("unencoded: observed peak %d B, planned %d B (diff %+d)\n%s",
 					base.peak, plan.peak, base.peak-plan.peak, plan.describe)
 			}
+			slabNearPeak(t, "unencoded", base, plan)
 
 			g = n.g()
-			a := encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
+			a := encoding.Analyze(g, encoding.Lossless())
+			slabNearPeak(t, "lossless", observeSchedule(t, g, a), planFP32(g, a))
+
+			g = n.g()
+			a = encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
 			gplan := planFP32(g, a)
 			gist := observeSchedule(t, g, a)
 			if gist.peak < gplan.peak || gist.peak > gplan.peak+2*gplan.largest {
 				t.Errorf("encoded: observed peak %d B outside [planned %d, planned + 2 x largest map %d]\n%s",
 					gist.peak, gplan.peak, gplan.peak+2*gplan.largest, gplan.describe)
 			}
+			slabNearPeak(t, "encoded", gist, gplan)
 			if n.gistIsLower {
 				if gist.peak >= base.peak {
 					t.Errorf("encoded FP32 peak %d B not below the unencoded %d B", gist.peak, base.peak)
 				}
-				if gist.footprint >= base.footprint {
-					t.Errorf("pool footprint under Gist %d B not below the baseline's %d B", gist.footprint, base.footprint)
+				if gist.slab >= base.slab {
+					t.Errorf("slab under Gist %d B not below the baseline's %d B", gist.slab, base.slab)
 				}
 			}
-			// Right after Forward only the sink outputs are checked out: every
+			// Right after Forward only the sink outputs are live: every
 			// other map is encoded, aliased into a container, or recycled.
-			if sinks := pooledBytes(g.OutputNodes()); gist.afterForward != sinks {
-				t.Errorf("encoded: %d B checked out after Forward, want the sink outputs' %d B", gist.afterForward, sinks)
+			var sinks int64
+			for _, s := range g.OutputNodes() {
+				sinks += s.OutShape.Bytes()
 			}
-			t.Logf("unencoded peak %d = planned %d | encoded peak %d (planned %d) | pool %d -> %d B",
-				base.peak, plan.peak, gist.peak, gplan.peak, base.footprint, gist.footprint)
+			if gist.afterForward != sinks {
+				t.Errorf("encoded: %d B in use after Forward, want the sink outputs' %d B", gist.afterForward, sinks)
+			}
+			t.Logf("unencoded peak %d = planned %d | encoded peak %d (planned %d) | slab %d -> %d B",
+				base.peak, plan.peak, gist.peak, gplan.peak, base.slab, gist.slab)
 		})
 	}
 }
@@ -330,16 +349,6 @@ func TestMaskCorruptionDetected(t *testing.T) {
 			}
 		})
 	}
-}
-
-// pooledBytes is what a pool charges (class capacity, not bytes requested)
-// for holding the outputs of the given nodes, read off a scratch pool.
-func pooledBytes(nodes []*graph.Node) int64 {
-	p := bufpool.New()
-	for _, n := range nodes {
-		p.Get(n.OutShape...)
-	}
-	return p.Stats().InUseBytes
 }
 
 // flatGrads concatenates every accumulated parameter gradient in graph-node

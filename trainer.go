@@ -21,9 +21,6 @@ import (
 	"gist/internal/bufpool"
 	"gist/internal/encoding"
 	"gist/internal/faults"
-	"gist/internal/graph"
-	"gist/internal/liveness"
-	"gist/internal/memplan"
 	"gist/internal/parallel"
 	"gist/internal/stashstore"
 	"gist/internal/telemetry"
@@ -47,10 +44,12 @@ type (
 	// FaultConfig configures deterministic fault injection on the stash
 	// encode→hold→decode path.
 	FaultConfig = faults.Config
-	// BufferPool is the size-class, lifetime-aware buffer pool the pooled
-	// runtime recycles activations, gradients and decode targets through.
+	// BufferPool is the buffer memory of the pooled runtime: it accounts
+	// every executor's step arena (the slab its activations, gradients and
+	// decode targets are views of) and recycles the codec's scratch.
 	BufferPool = bufpool.Pool
-	// PoolStats is a snapshot of a BufferPool's hit/miss/held counters.
+	// PoolStats is a snapshot of a BufferPool's, or a trainer's arenas',
+	// hit/miss/held counters.
 	PoolStats = bufpool.Stats
 )
 
@@ -154,13 +153,13 @@ func WithTelemetry(sink *Telemetry) TrainerOption {
 	return func(c *trainerConfig) { c.tel = sink }
 }
 
-// WithPooling turns on liveness-driven buffer pooling: every per-step
-// tensor is drawn from a buffer pool and recycled at its last use, so
-// steady-state training allocates almost nothing. Results are
-// byte-identical to the unpooled path. With no argument the process-shared
-// pool is used; pass a pool to recycle through a private one. The pool is
-// prewarmed from the planner's liveness analysis, so the first step
-// already runs at a high hit rate.
+// WithPooling turns on the step arena: the first step records its
+// per-step tensors' lifetimes on the heap, and every later step serves
+// them as views of one slab laid out from that record, its size the step's
+// peak, so steady-state training allocates almost nothing. Results are
+// byte-identical to the unpooled path. The pool accounts every executor's
+// slab and supplies the codec's scratch. With no argument the
+// process-shared pool is used; pass a pool to account in a private one.
 func WithPooling(pool ...*BufferPool) TrainerOption {
 	return func(c *trainerConfig) {
 		if len(pool) > 0 && pool[0] != nil {
@@ -228,7 +227,6 @@ func WithFaults(cfg FaultConfig) TrainerOption {
 type Trainer struct {
 	en        train.Engine // a replica group under WithReplicas/WithShards
 	codec     *encoding.Codec
-	pool      *bufpool.Pool
 	closeOnce sync.Once
 }
 
@@ -258,7 +256,7 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 		analysis = encoding.Analyze(g, enc)
 	}
 
-	t := &Trainer{pool: cfg.pool}
+	t := &Trainer{}
 	// A trainer with its own worker budget or sink gets a private codec —
 	// the injected-codec path, isolated from the process-wide default.
 	if cfg.hasWorkers || cfg.tel != nil {
@@ -268,24 +266,8 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 		}
 		t.codec = &codec
 	}
-	if cfg.pool != nil {
-		if cfg.tel != nil {
-			cfg.pool.SetTelemetry(cfg.tel)
-		}
-		// Prewarm from the planner's liveness analysis: the pool starts
-		// with one free buffer per size class the step will need.
-		tl := graph.BuildTimeline(g)
-		bufs := liveness.Analyze(g, tl, liveness.Options{Analysis: analysis})
-		warm := memplan.PoolWarmSet(bufs)
-		if n := max(cfg.replicas, 1); n > 1 {
-			// Each replica holds a full working set concurrently.
-			all := make([]int, 0, n*len(warm))
-			for i := 0; i < n; i++ {
-				all = append(all, warm...)
-			}
-			warm = all
-		}
-		cfg.pool.Prewarm(warm)
+	if cfg.pool != nil && cfg.tel != nil {
+		cfg.pool.SetTelemetry(cfg.tel)
 	}
 	opts := train.Options{
 		Seed:        cfg.seed,
@@ -354,14 +336,21 @@ func (t *Trainer) Executor() *train.Executor { return t.en.Executors()[0] }
 // configured).
 func (t *Trainer) Telemetry() *Telemetry { return t.Executor().Telemetry() }
 
-// PoolStats returns a snapshot of the trainer's buffer pool counters; the
-// zero Stats when pooling is off. With the shared pool, counts aggregate
-// across every trainer using it.
+// PoolStats returns the trainer's step-arena counters, summed across
+// replicas under WithReplicas; the zero Stats when pooling is off.
+// HeldBytes is the slab not in use and InUseBytes the live views, so their
+// sum is the slab; LiveBytes and PeakLiveBytes are the bytes requested,
+// Hits the allocations the slab served and Misses the heap allocations
+// made instead (each executor's first step, which records the layout, and
+// what a step that left it allocated). The pool's own counters, which also
+// cover the codec's scratch and every trainer sharing it, are
+// SharedBufferPool().Stats() or the private pool's.
 func (t *Trainer) PoolStats() PoolStats {
-	if t.pool == nil {
-		return PoolStats{}
+	var sum PoolStats
+	for _, e := range t.en.Executors() {
+		sum.Accumulate(e.ArenaStats())
 	}
-	return t.pool.Stats()
+	return sum
 }
 
 // StashStoreStats is a snapshot of a tiered stash store's residency and
