@@ -82,8 +82,8 @@ bench-parallel:
 # Telemetry overhead check: the nil-sink no-op path next to the live one,
 # then the train step with and without a sink attached (the gist vs
 # gist-telemetry sub-benches; gist-telemetry also reports stash-B/step, the
-# compression ratio and the decode overlap-hit share straight from the
-# sink's counters).
+# compression ratio, the decode overlap-hit share and the forward's
+# encode-overlap-hit share straight from the sink's counters).
 metrics-bench:
 	$(GO) test ./internal/telemetry/ -bench BenchmarkTelemetry -benchtime 2s -run TestXXX
 	$(GO) test -bench BenchmarkTrainStep -benchtime 2s -run TestXXX .
@@ -164,7 +164,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22777
+LOC_CEILING ?= 22835
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

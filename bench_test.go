@@ -436,9 +436,10 @@ func BenchmarkTrainStep(b *testing.B) {
 	})
 	// gist-telemetry runs the same encoded step with a live sink attached and
 	// reports the memory story alongside ns/op: stash bytes held per step, the
-	// compression ratio and the share of decode futures already resolved when
-	// their consumer asked (overlap-hit), all pulled from the sink's own
-	// counters. The "gist" sub-bench above stays uninstrumented so the
+	// compression ratio, the share of decode futures already resolved when
+	// their consumer asked (overlap-hit) and the share of encodes already
+	// finished when their stash settled (encode-overlap-hit), all pulled from
+	// the sink's own counters. The "gist" sub-bench above stays uninstrumented so the
 	// nil-sink overhead comparison against the baseline remains honest.
 	b.Run("gist-telemetry", func(b *testing.B) {
 		g := networks.TinyCNN(8, 4)
@@ -471,6 +472,9 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		if hits, misses := v["train.overlap.hits"], v["train.overlap.misses"]; hits+misses > 0 {
 			b.ReportMetric(float64(hits)/float64(hits+misses), "overlap-hit")
+		}
+		if hits, misses := v["train.encode_overlap.hits"], v["train.encode_overlap.misses"]; hits+misses > 0 {
+			b.ReportMetric(float64(hits)/float64(hits+misses), "encode-overlap-hit")
 		}
 	})
 }

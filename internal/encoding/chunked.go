@@ -88,10 +88,10 @@ func SetDefaultCodec(c Codec) {
 func (cdc Codec) Workers() int { return cdc.pool().Workers() }
 
 // WorkerPool returns the parallel pool the codec runs chunk work on (the
-// shared pool when none is configured). The executor's decode futures each
-// hold one of this pool's slots while they run, so decode work and chunk
-// kernels share one worker budget instead of reaching through a package
-// singleton.
+// shared pool when none is configured). The executor's encode and decode
+// futures each hold one of this pool's slots while they run, so stash work
+// and chunk kernels share one worker budget instead of reaching through a
+// package singleton.
 func (cdc Codec) WorkerPool() *parallel.Pool { return cdc.pool() }
 
 func (cdc Codec) pool() *parallel.Pool {

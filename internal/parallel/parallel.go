@@ -237,9 +237,9 @@ func (s *forEachState) helper() {
 // Run runs fn on the calling goroutine while holding one of the pool's
 // worker slots, blocking until a slot is free: at most Workers() Run bodies
 // execute at once, the rest queue on the semaphore. The training executor
-// runs each stash's encode future on its own goroutine and every decode
-// future on its long-lived decode worker, each inside Run, so stash work
-// overlaps forward and backward compute inside the codec's worker budget. fn
+// runs each stash's encode and decode on its long-lived encode and decode
+// workers, each inside Run, so stash work overlaps forward and backward
+// compute inside the codec's worker budget. fn
 // must not panic (the futures convert failures to errors). A nil pool runs
 // fn unbounded.
 func (p *Pool) Run(fn func()) {

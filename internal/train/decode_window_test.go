@@ -20,15 +20,25 @@ import (
 )
 
 // kernelProbe wraps a node's operator so the test sees the executor's state,
-// and what it hands the kernel, at the moment that node's backward kernel
-// runs.
+// and what it hands the kernel, at the moment that node's forward (forward)
+// or backward (before) kernel runs. A nil hook is skipped.
 type kernelProbe struct {
 	layers.Op
-	before func(ctx *layers.BwdCtx)
+	before  func(ctx *layers.BwdCtx)
+	forward func(ctx *layers.FwdCtx)
+}
+
+func (p *kernelProbe) Forward(ctx *layers.FwdCtx) {
+	if p.forward != nil {
+		p.forward(ctx)
+	}
+	p.Op.Forward(ctx)
 }
 
 func (p *kernelProbe) Backward(ctx *layers.BwdCtx) {
-	p.before(ctx)
+	if p.before != nil {
+		p.before(ctx)
+	}
 	p.Op.Backward(ctx)
 }
 
@@ -39,6 +49,16 @@ func probeKernels(e *Executor, check func(n *graph.Node, ctx *layers.BwdCtx)) {
 	for _, n := range e.G.Nodes {
 		if n.Kind() != layers.SoftmaxXent {
 			n.Op = &kernelProbe{Op: n.Op, before: func(ctx *layers.BwdCtx) { check(n, ctx) }}
+		}
+	}
+}
+
+// probeForward calls check(n) just before each forward kernel of e's graph
+// but the loss's (see probeKernels).
+func probeForward(e *Executor, check func(n *graph.Node)) {
+	for _, n := range e.G.Nodes {
+		if n.Kind() != layers.SoftmaxXent {
+			n.Op = &kernelProbe{Op: n.Op, forward: func(*layers.FwdCtx) { check(n) }}
 		}
 	}
 }

@@ -209,8 +209,8 @@ type Executor struct {
 	// and then for its fetch-then-decode, and encSlots one persistent encode
 	// container per node, rebuilt in place each step — so the stash
 	// lifecycle allocates nothing per step. nFutures counts the slots
-	// currently armed for decode; inFlight lists, in launch order, the nodes
-	// whose encode has not been settled yet.
+	// currently armed for decode; inFlight lists, in retirement order, the
+	// retired nodes whose encode has not been settled yet.
 	assign   []*encoding.Assignment
 	futures  []stashFuture
 	nFutures int
@@ -259,13 +259,13 @@ type Executor struct {
 	// order, from the same needs as bwdReads; bwdFirst holds each one's
 	// first reader (an index into G.Nodes), and each future's pos its index
 	// here. In a pass, the first reached entries are behind it and the
-	// first started have been started (fillWindow). decodeQ feeds the
-	// decode worker (decodeLoop), which closes decodeDone as it exits; both
-	// are nil until the first start and again after Close.
+	// first started have been started (fillWindow).
 	bwdOrder, bwdFirst []int
 	reached, started   int
-	decodeQ            chan *stashFuture
-	decodeDone         chan struct{}
+
+	// encoders run the encodes, as many as the codec pool has workers;
+	// decoder, one worker, runs the fetch-then-decodes in start order.
+	encoders, decoder stashWorkers
 
 	// Reusable per-node scratch for forward/backward input and gradient
 	// slices and the kernel contexts.
@@ -373,6 +373,8 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e.bwdReads = make([]int, nn)
 	e.bwdLeft = make([]int, nn)
 	e.gradOf = make([]*tensor.Tensor, nn)
+	e.encoders = stashWorkers{job: (*stashFuture).encode, depth: nn}
+	e.decoder = stashWorkers{job: (*stashFuture).decode, depth: nn}
 	e.sparsities = map[string]float64{}
 	if e.tel != nil {
 		e.mem.byTech = map[string]telemetry.TechBytes{}
@@ -384,8 +386,6 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		f := &e.futures[n.ID]
 		f.store, f.cdc, f.tel, f.sid, f.pos, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, -1, n.Name, n.OutShape
 		f.enc, f.seal = &e.encSlots[n.ID], opts.Integrity || opts.Faults.Enabled()
-		// Bound once, so `go f.runEncode()` allocates nothing per step.
-		f.runEncode = f.launchEncode
 		e.aux[n.ID] = map[string]any{}
 		if opts.Encodings != nil {
 			e.assign[n.ID] = opts.Encodings.ByNode[n.ID]
@@ -511,10 +511,11 @@ func (e *Executor) SetResumeStep(n int) { e.resumeStep = n }
 func (e *Executor) ResumeStep() int { return e.resumeStep }
 
 // Close promptly releases every pooled buffer the executor still holds —
-// in-flight decode futures are drained first and the decode worker
-// stopped, then the arena's pass is ended and its slab dropped — and drops
-// every per-step tensor reference it keeps; until Close, an executor that
-// has decoded keeps its worker goroutine parked. This is the deterministic
+// in-flight encodes are waited for and decode futures drained first, the
+// encode and decode workers stopped, then the arena's pass is ended and its
+// slab dropped — and drops every per-step tensor reference it keeps; until
+// Close, an executor that has encoded or decoded keeps those workers parked
+// (a later step starts them again). This is the deterministic
 // release point a job server needs when a job is cancelled, paused or
 // quarantined: after Close the pool accounts no byte of this executor's
 // (Stats().InUseBytes and HeldBytes from it are zero) without waiting for a
@@ -523,12 +524,9 @@ func (e *Executor) ResumeStep() int { return e.resumeStep }
 // to call repeatedly and on an unpooled executor (where it only drops
 // references).
 func (e *Executor) Close() {
-	e.drainFutures()
-	if e.decodeQ != nil { // every future is settled: the worker is idle
-		close(e.decodeQ)
-		<-e.decodeDone
-		e.decodeQ, e.decodeDone = nil, nil
-	}
+	e.drainFutures() // every future is settled: the workers are idle
+	e.encoders.stop()
+	e.decoder.stop()
 	if e.arena != nil {
 		e.arena.release()
 	}
@@ -580,17 +578,19 @@ func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 // Forward runs the forward pass on the given minibatch. Labels are needed
 // only when the graph ends in a loss node and Backward will run.
 //
-// A training Forward executes Gist's schedule as it goes: once node i's
-// kernel has run, every output whose last forward reader was node i is
-// retired (retireAt) — its encode launched, or the output simply recycled
-// when no backward kernel reads it — so the arena's forward peak is the
-// planner's, not the sum of every map. An encode runs on its own goroutine
-// through the forward kernels up to the next retirement that launches one,
-// and is settled (its sealed container handed to the store, its raw output
-// recycled) as soon as that one has launched, in launch order: one raw map
-// lives past its retirement, and Forward returns with every encode settled.
-// An inference Forward retires nothing: Backward then stashes every node in
-// node order.
+// A training Forward executes Gist's schedule as it goes. An encoded
+// output's encode is launched right after its producing kernel, on the
+// executor's encode workers, so it reads the map beside the forward kernels
+// that consume it. Once node i's kernel has run, every output whose last
+// forward reader was node i is retired (retireAt) — queued for its settle,
+// or the output simply recycled when no backward kernel reads it — so the
+// arena's forward peak is the planner's, not the sum of every map. An
+// encode is settled (its sealed container handed to the store, its raw
+// output recycled) as soon as the next encoded stash has retired, in
+// retirement order: one raw map lives past its retirement, and Forward
+// returns with every encode settled or, past a failed settle, waited for.
+// An inference Forward launches and retires nothing: Backward then stashes
+// every node in node order.
 func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	e.drainFutures() // settle anything a failed previous step left in flight
 	if e.arena != nil {
@@ -642,18 +642,22 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 		e.outs[n.ID] = out
 		if e.fwdRetired {
 			if e.stashErr == nil {
+				// A sink's encode waits for Backward, which retires it.
+				if e.assign[n.ID] != nil && len(n.Consumers()) > 0 {
+					e.launchEncode(n)
+				}
 				for _, r := range e.retireAt[i] {
 					e.retire(r)
 				}
 			}
-			// Every encode but the newest settles: each overlapped the
-			// kernels up to this retirement and the start of the encode it
-			// launched. A failure among them stops retirement: Backward
-			// returns it, and what is left unretired is swept.
+			// Every retired encode but the newest settles. A failure among
+			// them stops launching and retirement: Backward returns it, and
+			// what is left unretired is swept.
 			e.settleEncodes(1)
 		}
 	}
 	e.settleEncodes(0)
+	e.waitEncodes() // the stashes a failed settle left unretired
 	if !training {
 		e.completePass()
 	}
@@ -662,17 +666,19 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // stashFuture carries one encoded stash's two asynchronous jobs, one after
 // the other in each step.
 //
-// The encode: retirement launches it (launchEncode) on its own goroutine,
-// holding a codec worker slot, to encode the raw forward output src into the
-// node's container enc and seal it, while the executor runs the next forward
-// kernels; settleEncodes waits for it and does everything else on the
-// executor's goroutine, in launch order — the fault draws, the store's Put,
-// recycling src — so what a step stores, evicts and draws never depends on
-// timing. The encode goroutine reads src and writes enc, nothing else.
+// The encode: a training Forward launches it (launchEncode) right after the
+// producing kernel — Backward's retirement, for a sink or after an inference
+// Forward — on the executor's encode workers, holding a codec worker slot, to
+// encode the raw forward output src into the node's container enc and seal
+// it while the executor runs the forward kernels, the map's consumers among
+// them; settleEncodes waits for it and does everything else on the
+// executor's goroutine, in retirement order — the fault draws, the store's
+// Put, recycling src — so what a step stores, evicts and draws never depends
+// on timing. The encode reads src and writes enc, nothing else.
 //
 // The fetch-then-decode: it pulls the stash back from the store (a pointer
 // hand-off on a hot hit, a page read + CRC-verified parse on a spilled miss)
-// and decodes it into dst, on the executor's decode worker (decodeLoop). A
+// and decodes it into dst, on the executor's decode worker. A
 // stash read as stored (asStored: a Binarize mask) is fetched and verified
 // the same way but not decoded: its kernel reads the container's mask.
 // The backward pass starts futures through a window over the stashes in
@@ -690,22 +696,24 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // the executor's goroutine.
 type stashFuture struct {
 	// Bound once at executor construction.
-	store     *stashstore.Store
-	cdc       encoding.Codec
-	tel       *telemetry.Sink
-	sid       int // node ID keying the store entry
-	pos       int // index in Executor.bwdOrder; -1 when backward never reads it
-	node      string
-	shape     tensor.Shape           // of the decode target: the node's output shape
-	enc       *encoding.EncodedStash // the node's container (Executor.encSlots)
-	seal      bool                   // Options.Integrity, or an enabled injector
-	asStored  bool                   // its assignment's NeedsDecode is false: the kernel reads the mask
-	runEncode func()                 // f.launchEncode
+	store    *stashstore.Store
+	cdc      encoding.Codec
+	tel      *telemetry.Sink
+	sid      int // node ID keying the store entry
+	pos      int // index in Executor.bwdOrder; -1 when backward never reads it
+	node     string
+	shape    tensor.Shape           // of the decode target: the node's output shape
+	enc      *encoding.EncodedStash // the node's container (Executor.encSlots)
+	seal     bool                   // Options.Integrity, or an enabled injector
+	asStored bool                   // its assignment's NeedsDecode is false: the kernel reads the mask
 
-	// Per-encode state, set by launch.
+	// Per-encode state, set by launchEncode. encoding (read and written on
+	// the executor's goroutine only) says the encode is launched and not yet
+	// waited for.
 	src      *tensor.Tensor
 	as       *encoding.Assignment
 	fellBack bool
+	encoding bool
 
 	// Per-step decode state, reset by arm. A resolved future holds its
 	// decoded tensor in dst, or, read as stored, its verified mask in mask.
@@ -717,9 +725,6 @@ type stashFuture struct {
 	wg      sync.WaitGroup
 	err     error
 }
-
-// launchEncode is the encode goroutine's body, holding a codec worker slot.
-func (f *stashFuture) launchEncode() { f.cdc.WorkerPool().Run(f.encode) }
 
 // encode builds the sealed container. It touches no executor state and
 // draws no fault: a stash the executor then fails to store is simply never
@@ -776,31 +781,59 @@ func (f *stashFuture) arm() {
 // stored; only the first call fires.
 // Every start goes through here, on the executor's goroutine, so the
 // arena's events stay serial and the target is live from the moment the decode
-// window reaches it rather than across the whole forward→backward gap. The
-// queue has a slot per node and a future starts once a step: the send never
-// blocks.
+// window reaches it rather than across the whole forward→backward gap. One
+// worker decodes the started futures one at a time, in start order —
+// first-use order.
 func (e *Executor) startFuture(f *stashFuture) {
 	if f.started.CompareAndSwap(false, true) {
 		if !f.asStored {
 			f.dst = e.alloc(f.shape)
 		}
-		if e.decodeQ == nil {
-			e.decodeQ, e.decodeDone = make(chan *stashFuture, len(e.futures)), make(chan struct{})
-			go decodeLoop(e.decodeQ, e.decodeDone)
-		}
-		e.decodeQ <- f
+		e.decoder.send(f, 1)
 	}
 }
 
-// decodeLoop is an executor's decode worker: one long-lived goroutine that
-// decodes the started futures one at a time, in start order (first-use
-// order), each holding a codec worker slot, so a future costs a channel
-// send, not a goroutine whose stack must grow. It holds no reference to the
-// executor; it exits, closing done, when Close closes the queue.
-func decodeLoop(q <-chan *stashFuture, done chan<- struct{}) {
-	defer close(done)
+// stashWorkers is a set of long-lived goroutines that run one kind of stash
+// job — encode or fetch-then-decode — on the futures sent to them, in send
+// order, each job holding a codec worker slot: a job costs a channel send,
+// not a goroutine whose stack must grow. They start at the first send and
+// stop at stop (Close), and hold no reference to the executor.
+type stashWorkers struct {
+	job   func(*stashFuture) // (*stashFuture).encode or .decode
+	depth int                // queue slots: one per node
+	q     chan *stashFuture  // nil while stopped
+	done  *sync.WaitGroup
+}
+
+// send queues f, first starting n workers if none run. A future is sent at
+// most once a step to each kind of worker, so the send never blocks.
+func (w *stashWorkers) send(f *stashFuture, n int) {
+	if w.q == nil {
+		w.q, w.done = make(chan *stashFuture, w.depth), new(sync.WaitGroup)
+		w.done.Add(n)
+		for range n {
+			go stashLoop(w.q, w.done, w.job)
+		}
+	}
+	w.q <- f
+}
+
+// stop closes the queue and waits for the workers to exit. Every job sent
+// must already have been waited for.
+func (w *stashWorkers) stop() {
+	if w.q != nil {
+		close(w.q)
+		w.done.Wait()
+		w.q, w.done = nil, nil
+	}
+}
+
+// stashLoop is one worker's body: it runs job on each future it receives,
+// holding a codec worker slot, until the queue closes.
+func stashLoop(q <-chan *stashFuture, done *sync.WaitGroup, job func(*stashFuture)) {
+	defer done.Done()
 	for f := range q {
-		f.cdc.WorkerPool().Run(f.decode)
+		f.cdc.WorkerPool().Run(func() { job(f) })
 	}
 }
 
@@ -841,26 +874,25 @@ func (e *Executor) beginStashes() {
 }
 
 // retire ends node n's output's forward life — the executor's equivalent of
-// Gist inserting an encode function after each stash's last forward use.
+// Gist's encode function after each stash's last forward use.
 //
 // A node with an assignment (NewExecutor resolved it from the analysis and
-// the stash budget) has its encode launched on its own goroutine, to be
-// settled by settleEncodes. A node without one touches neither codec nor
-// store: the backward view aliases the forward output — or, when no
-// backward kernel reads the output and a forward consumer has (the
-// "immediately consumed" class), it recycles here.
+// the stash budget) joins inFlight, to be settled by settleEncodes; its
+// encode was launched at production, or is launched here when nothing did.
+// A node without one touches neither codec nor store: the backward view
+// aliases the forward output — or, when no backward kernel reads the output
+// and a forward consumer has (the "immediately consumed" class), it
+// recycles here.
 func (e *Executor) retire(n *graph.Node) {
 	out := e.outs[n.ID]
 	if e.probeSparsity && n.Kind() == layers.ReLU {
 		// Capture the Figure 14 probe before the output can recycle.
 		e.sparsities[n.Name] = out.Sparsity()
 	}
-	if as := e.assign[n.ID]; as != nil {
-		f := &e.futures[n.ID]
-		f.src, f.as, f.err = out, as, nil
-		f.settled.Store(false)
-		f.wg.Add(1)
-		go f.runEncode()
+	if e.assign[n.ID] != nil {
+		if !e.futures[n.ID].encoding {
+			e.launchEncode(n)
+		}
 		e.inFlight = append(e.inFlight, n)
 		return
 	}
@@ -875,12 +907,40 @@ func (e *Executor) retire(n *graph.Node) {
 	}
 }
 
-// settleEncodes completes, in launch order, the retirement of every stash
-// whose encode is in flight but the newest keep: it waits for the encode,
-// then stores the stash (storeStash) unless a failure already stopped the
-// step's stash set, keeping the first failure in stashErr. A stopped stash
-// set is still waited for, so once settleEncodes(0) returns no goroutine
-// reads a raw output or writes a container. An instrumented run counts
+// launchEncode hands node n's output to the encode workers, which encode
+// and seal it into n's container while the executor runs on.
+func (e *Executor) launchEncode(n *graph.Node) {
+	f := &e.futures[n.ID]
+	f.src, f.as, f.err, f.encoding = e.outs[n.ID], e.assign[n.ID], nil, true
+	f.settled.Store(false)
+	f.wg.Add(1)
+	e.encoders.send(f, e.cdc.Workers())
+}
+
+// waitEncode waits for f's encode if it is launched and not yet waited for.
+func (f *stashFuture) waitEncode() {
+	if f.encoding {
+		f.wg.Wait()
+		f.encoding = false
+	}
+}
+
+// waitEncodes waits for every encode not yet waited for — launched at
+// production with its retirement skipped by a failed settle, or left by a
+// Forward that panicked part-way — so no worker reads a raw output the pass
+// may release.
+func (e *Executor) waitEncodes() {
+	for i := range e.futures {
+		e.futures[i].waitEncode()
+	}
+}
+
+// settleEncodes completes, in retirement order, the retirement of every
+// stash in inFlight but the newest keep: it waits for the encode, then
+// stores the stash (storeStash) unless a failure already stopped the step's
+// stash set, keeping the first failure in stashErr. A stopped stash set is
+// still waited for, so once settleEncodes(0) returns no worker reads a
+// retired raw output or writes its container. An instrumented run counts
 // whether each encode had finished before it was settled, times the wait and
 // the store into the step's train.encode.ns observation and, inside TryStep,
 // gives each a span on the step's track.
@@ -892,11 +952,11 @@ func (e *Executor) settleEncodes(keep int) {
 	for _, n := range e.inFlight[:settle] {
 		f := &e.futures[n.ID]
 		if e.stashErr != nil {
-			f.wg.Wait()
+			f.waitEncode()
 			continue
 		}
 		if e.tel == nil {
-			f.wg.Wait()
+			f.waitEncode()
 			e.stashErr = e.storeStash(n)
 			continue
 		}
@@ -910,7 +970,7 @@ func (e *Executor) settleEncodes(keep int) {
 			sp = e.stepSpan.Begin("train", "retire", telemetry.Str("stash", n.Name))
 		}
 		t0 := time.Now()
-		f.wg.Wait()
+		f.waitEncode()
 		e.stashErr = e.storeStash(n)
 		e.encodeNS += time.Since(t0).Nanoseconds()
 		sp.End()
@@ -952,7 +1012,7 @@ func (e *Executor) stashRest() error {
 // decode it.
 //
 // This is also where the robustness layer lives: injected encode/decode/
-// alloc failures surface here as typed errors — drawn here, in launch order,
+// alloc failures surface here as typed errors — drawn here, in retirement order,
 // exactly as if the encode had run inline — and an assigned stash whose
 // runtime sparsity fell below break-even degrades to the dense encoding.
 // With no injector, every added path is a nil check.
@@ -1309,10 +1369,8 @@ func (e *Executor) zeroGrads() {
 // Forward whose Backward never ran (a step cancelled in between).
 func (e *Executor) drainFutures() {
 	// Only a Forward that panicked part-way leaves an encode in flight; its
-	// raw output must not recycle under the goroutine still reading it.
-	for _, n := range e.inFlight {
-		e.futures[n.ID].wg.Wait()
-	}
+	// raw output must not recycle under the worker still reading it.
+	e.waitEncodes()
 	e.inFlight = e.inFlight[:0]
 	if e.nFutures == 0 {
 		return
