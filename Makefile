@@ -45,8 +45,11 @@ soak-short:
 	$(GO) test -race -count=1 -short ./internal/server/
 
 # Short fuzz passes over the checkpoint parser, the gradient reduce, the
-# codec kernels (format round-trip fixed point; mask word kernels vs
-# their scalar references; the ZVC pipeline; the entropy coder's round-trip,
+# codec kernels (format round-trip fixed point; the packed word round trip;
+# mask word kernels vs their scalar references; the narrow-CSR round trip;
+# the ZVC pipeline; SSDC and ZVC holding packed values against the two-pass
+# quantize-then-compact reference at every format and worker count; the
+# entropy coder's round-trip,
 # its single-pass encoder against the frozen two-phase encoder and the
 # bit-serial reference on arbitrary bytes and FP32 input at every DPR
 # packing, and its table-driven decoder against the bit-serial reference on
@@ -58,11 +61,14 @@ fuzz:
 	$(GO) test ./internal/train/ -run FuzzReadCheckpoint -fuzz FuzzReadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/reduce/ -run FuzzReduceGrads -fuzz FuzzReduceGrads -fuzztime 20s
 	$(GO) test ./internal/floatenc/ -run FuzzFormatRoundTrip -fuzz FuzzFormatRoundTrip -fuzztime 20s
+	$(GO) test ./internal/floatenc/ -run FuzzPackedRoundTrip -fuzz FuzzPackedRoundTrip -fuzztime 20s
 	$(GO) test ./internal/bitpack/ -run FuzzMaskWords -fuzz FuzzMaskWords -fuzztime 20s
+	$(GO) test ./internal/sparse/ -run FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyEncodeDiff -fuzz FuzzEntropyEncodeDiff -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyDecodeDiff -fuzz FuzzEntropyDecodeDiff -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
+	$(GO) test ./internal/encoding/ -run FuzzPackedSparseDiff -fuzz FuzzPackedSparseDiff -fuzztime 20s
 	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
 	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s
 	$(GO) test ./internal/layers/ -run FuzzGateKernels -fuzz FuzzGateKernels -fuzztime 20s

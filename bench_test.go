@@ -559,7 +559,7 @@ func BenchmarkSSDCEncodeCSRParallel(b *testing.B) {
 			b.SetBytes(kernelElems * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sparse.EncodeCSRChunkedInto(&c, xs, p, chunkRows)
+				sparse.EncodeCSRChunkedInto(&c, xs, floatenc.FP32, p, chunkRows)
 			}
 		})
 	}

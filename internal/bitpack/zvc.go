@@ -13,14 +13,13 @@ import (
 // with frozen scalar references in scalar_test.go, exactly like the
 // Binarize kernels in bitpack.go.
 
-// nonzeroBit returns 1 when the float32 with the given bit pattern is
-// nonzero under IEEE compare semantics (so -0.0 counts as zero and NaN as
-// nonzero) and 0 otherwise, branch-free: after masking the sign bit the
-// magnitude bits are nonzero exactly for nonzero values, and (m | -m) puts
-// that predicate in the top bit.
-func nonzeroBit(b uint32) uint64 {
-	m := b & 0x7fffffff
-	return uint64((m | -m) >> 31)
+// atLeastBit returns 1 when the float32 with bit pattern b has a magnitude
+// pattern (sign cleared) of at least min, for min >= 1, and 0 otherwise,
+// branch-free: adding 2^31-min carries into the top bit exactly then. With
+// min = 1 it is the nonzero test under IEEE compare semantics (-0.0 counts
+// as zero, NaN as nonzero).
+func atLeastBit(b, min uint32) uint64 {
+	return uint64((b&0x7fffffff + (1<<31 - min)) >> 31)
 }
 
 // FromNonzero builds the ZVC mask of a feature map: bit i is set iff
@@ -32,33 +31,37 @@ func FromNonzero(xs []float32) *BitMask {
 }
 
 // FillNonzeroRange is the chunk-range ZVC mask kernel: it sets bit i for
-// every i in [start, end) where xs[i] != 0. The same contracts as
-// FillPositiveRange apply: touched words must be all-zero beforehand, and
-// parallel chunks must start on 64-bit boundaries so racing writers never
-// share a word. Output is bit-identical to fillNonzeroRangeScalar.
+// every i in [start, end) where xs[i] != 0 — FillAtLeastRange at threshold
+// 1. Output is bit-identical to fillNonzeroRangeScalar.
 func (m *BitMask) FillNonzeroRange(xs []float32, start, end int) {
+	m.FillAtLeastRange(xs, start, end, 1)
+}
+
+// FillAtLeastRange sets bit i for every i in [start, end) whose magnitude
+// bits math.Float32bits(xs[i])&0x7fffffff are at least min (min >= 1) —
+// with floatenc's MinNonzeroBits, the nonzeros of the map as a DPR format
+// quantizes it. The same contracts as FillPositiveRange apply: touched
+// words must be all-zero beforehand, and parallel chunks must start on
+// 64-bit boundaries so racing writers never share a word.
+func (m *BitMask) FillAtLeastRange(xs []float32, start, end int, min uint32) {
 	m.checkRange(start, end)
 	i := start
 	for ; i < end && i&63 != 0; i++ {
-		if xs[i] != 0 {
-			m.words[i>>6] |= 1 << (uint(i) & 63)
-		}
+		m.words[i>>6] |= atLeastBit(math.Float32bits(xs[i]), min) << (uint(i) & 63)
 	}
 	for ; i+64 <= end; i += 64 {
 		lane := xs[i : i+64 : i+64]
 		var w0, w1, w2, w3 uint64
 		for k := 0; k < 64; k += 4 {
-			w0 |= nonzeroBit(math.Float32bits(lane[k])) << uint(k)
-			w1 |= nonzeroBit(math.Float32bits(lane[k+1])) << uint(k+1)
-			w2 |= nonzeroBit(math.Float32bits(lane[k+2])) << uint(k+2)
-			w3 |= nonzeroBit(math.Float32bits(lane[k+3])) << uint(k+3)
+			w0 |= atLeastBit(math.Float32bits(lane[k]), min) << uint(k)
+			w1 |= atLeastBit(math.Float32bits(lane[k+1]), min) << uint(k+1)
+			w2 |= atLeastBit(math.Float32bits(lane[k+2]), min) << uint(k+2)
+			w3 |= atLeastBit(math.Float32bits(lane[k+3]), min) << uint(k+3)
 		}
 		m.words[i>>6] |= w0 | w1 | w2 | w3
 	}
 	for ; i < end; i++ {
-		if xs[i] != 0 {
-			m.words[i>>6] |= 1 << (uint(i) & 63)
-		}
+		m.words[i>>6] |= atLeastBit(math.Float32bits(xs[i]), min) << (uint(i) & 63)
 	}
 }
 

@@ -33,6 +33,32 @@ func TestDiffFillNonzeroRange(t *testing.T) {
 	}
 }
 
+// TestDiffFillAtLeastRange checks the thresholded mask kernel against a
+// per-element magnitude compare, at thresholds from the plain nonzero test
+// up to ones that drop most of a normal-distributed map.
+func TestDiffFillAtLeastRange(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, min := range []uint32{1, 0x00800000, 0x38800000, 0x3f000000, 0x7f800000} {
+		for _, n := range diffSizes() {
+			xs := cornerFloats(r, n)
+			want := NewBitMask(n)
+			for i, v := range xs {
+				want.Set(i, math.Float32bits(v)&0x7fffffff >= min)
+			}
+			got := NewBitMask(n)
+			pts := splitPoints(r, n, true)
+			for i := 0; i+1 < len(pts); i++ {
+				got.FillAtLeastRange(xs, pts[i], pts[i+1], min)
+			}
+			for w := range want.words {
+				if got.words[w] != want.words[w] {
+					t.Fatalf("min=%#08x n=%d: word %d = %#016x, want %#016x", min, n, w, got.words[w], want.words[w])
+				}
+			}
+		}
+	}
+}
+
 func TestDiffPopCountRange(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for _, n := range diffSizes() {
@@ -108,21 +134,39 @@ func TestDiffGatherScatterNonzero(t *testing.T) {
 }
 
 // TestDiffNonzeroBitExhaustiveExponents sweeps every float32 exponent with
-// boundary mantissas through the branch-free predicate against v != 0 —
-// the full classification table of nonzeroBit (NaN is nonzero, -0 is zero).
+// boundary mantissas through the branch-free predicate: at threshold 1
+// against v != 0 — the full classification table of the nonzero test (NaN
+// is nonzero, -0 is zero) — and at every threshold of the sweep against
+// the plain magnitude compare.
 func TestDiffNonzeroBitExhaustiveExponents(t *testing.T) {
+	var pats []uint32
 	for sign := uint32(0); sign <= 1; sign++ {
 		for exp := uint32(0); exp <= 0xff; exp++ {
 			for _, man := range []uint32{0, 1, 0x400000, 0x7fffff} {
-				b := sign<<31 | exp<<23 | man
-				v := math.Float32frombits(b)
-				want := uint64(0)
-				if v != 0 || v != v { // nonzero or NaN
-					want = 1
-				}
-				if got := nonzeroBit(b); got != want {
-					t.Fatalf("nonzeroBit(%#08x) = %d, want %d (v=%g)", b, got, want, v)
-				}
+				pats = append(pats, sign<<31|exp<<23|man)
+			}
+		}
+	}
+	for _, b := range pats {
+		v := math.Float32frombits(b)
+		want := uint64(0)
+		if v != 0 || v != v { // nonzero or NaN
+			want = 1
+		}
+		if got := atLeastBit(b, 1); got != want {
+			t.Fatalf("atLeastBit(%#08x, 1) = %d, want %d (v=%g)", b, got, want, v)
+		}
+		for _, min := range pats {
+			min &= 0x7fffffff
+			if min == 0 {
+				continue
+			}
+			want := uint64(0)
+			if b&0x7fffffff >= min {
+				want = 1
+			}
+			if got := atLeastBit(b, min); got != want {
+				t.Fatalf("atLeastBit(%#08x, %#08x) = %d, want %d", b, min, got, want)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"gist/internal/bufpool"
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
 	"gist/internal/race"
@@ -33,7 +32,7 @@ func TestCodecOpsAllocateNothing(t *testing.T) {
 
 	for _, w := range []int{1, 2, 4} {
 		for _, tel := range []*telemetry.Sink{nil, telemetry.New()} {
-			c := Codec{Pool: parallel.NewPool(w), ChunkElems: 768, Buf: bufpool.New(), Tel: tel}
+			c := Codec{Pool: parallel.NewPool(w), ChunkElems: 768, Tel: tel}
 			for _, as := range propAssignments() {
 				e, back := &EncodedStash{}, &EncodedStash{}
 				var wire []byte

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gist/internal/bitpack"
-	"gist/internal/bufpool"
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
 	"gist/internal/sparse"
@@ -55,11 +54,6 @@ type Codec struct {
 	// codec call plus per-chunk worker spans. The nil default adds only a
 	// nil check per call.
 	Tel *telemetry.Sink
-	// Buf, when non-nil, supplies the codec's transient scratch buffers
-	// (the SSDC quantize copy) from the buffer pool instead of the heap;
-	// the scratch is recycled as soon as the encoded form is built. The
-	// nil default keeps the allocate-always behavior.
-	Buf *bufpool.Pool
 }
 
 // defaultCodec holds the process-wide codec override set by SetDefaultCodec.
@@ -207,22 +201,6 @@ func resetMask(m *bitpack.BitMask, n int) *bitpack.BitMask {
 	}
 	m.Reset(n)
 	return m
-}
-
-// quantizedCopy copies and DPR-quantizes xs chunk-parallel, for the SSDC
-// value-array reduction. The scratch comes from Buf when one is configured
-// (the caller recycles it after the CSR is built) and the heap otherwise.
-func (cdc Codec) quantizedCopy(f floatenc.Format, xs []float32) []float32 {
-	var dst []float32
-	if cdc.Buf != nil {
-		dst = cdc.Buf.GetSlice(len(xs))
-	} else {
-		dst = make([]float32, len(xs))
-	}
-	t := cdc.elemTask(quantizeCopy, len(xs))
-	t.src, t.dst, t.format = xs, dst, f
-	cdc.forChunks(t)
-	return dst
 }
 
 // encodePackedInto packs xs at the DPR format chunk-parallel into p (a nil

@@ -9,7 +9,7 @@ import (
 )
 
 // The codec's one chunk dispatch. Every chunk kernel — mask build and
-// expand, quantize, DPR pack and unpack, the ZVC passes, the Entropy
+// expand, DPR pack and unpack, the ZVC passes, the Entropy
 // passes, the seal/verify chunk hashes — runs as a chunkTask through
 // parallel.Pool.ForEach, at every worker count and chunk count, one worker
 // and one chunk included. A task carries the kernel (a plain function, never
@@ -25,14 +25,14 @@ type chunkTask struct {
 	trace *telemetry.Sink
 
 	// Operands: each kernel reads the ones it names.
-	src, dst, vals []float32
-	format         floatenc.Format
-	mask           *bitpack.BitMask
-	packed         *floatenc.Packed
-	ent            *EntropyPayload
-	vpw            int
-	layout         payloadLayout
-	pieces         []uint32
+	src, dst []float32
+	format   floatenc.Format
+	mask     *bitpack.BitMask
+	packed   *floatenc.Packed
+	ent      *EntropyPayload
+	vpw      int
+	layout   payloadLayout
+	pieces   []uint32
 	// errs holds one result per chunk for kernels that can fail (Entropy
 	// decode); run reports the first in chunk order.
 	errs []error
@@ -117,12 +117,6 @@ func fillPositive(t *chunkTask, c int) {
 func expandMask(t *chunkTask, c int) {
 	lo, hi := t.span(c)
 	t.mask.ExpandRange(t.dst, lo, hi)
-}
-
-func quantizeCopy(t *chunkTask, c int) {
-	lo, hi := t.span(c)
-	copy(t.dst[lo:hi], t.src[lo:hi])
-	floatenc.QuantizeSlice(t.format, t.dst[lo:hi])
 }
 
 func packRange(t *chunkTask, c int) {

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"gist/internal/floatenc"
 	"gist/internal/parallel"
 	"gist/internal/tensor"
 )
@@ -18,9 +19,12 @@ var layoutPinSizes = []int{1, 64, 65, 767, 768, 769, 1537, 4096, 5000}
 // footprint, corruption surface, chunk count, sealed and serial checksums,
 // chunk CRCs, every chunk span and the chunk of every payload bit — over
 // worker counts × chunk sizes × techniques × sizes, drawing every input from
-// one seeded RNG.
-func layoutFingerprint(t *testing.T) uint64 {
-	h := fnv.New64a()
+// one seeded RNG. It returns two hashes: repacked over the SSDC and ZVC
+// assignments at a reduced DPR format, whose values are held packed at that
+// format, and kept over all the others.
+func layoutFingerprint(t *testing.T) (kept, repacked uint64) {
+	hk, hr := fnv.New64a(), fnv.New64a()
+	h := hk
 	put := func(vs ...int64) {
 		var buf [8]byte
 		for _, v := range vs {
@@ -33,6 +37,10 @@ func layoutFingerprint(t *testing.T) uint64 {
 		for _, ce := range []int{768, 1536, 0} {
 			c := Codec{Pool: parallel.NewPool(workers), ChunkElems: ce}
 			for _, as := range propAssignments() {
+				h = hk
+				if (as.Tech == SSDC || as.Tech == ZVC) && as.Format != floatenc.FP32 {
+					h = hr
+				}
 				for _, n := range layoutPinSizes {
 					tt := tensor.New(n)
 					copy(tt.Data, randStash(rng, n, 0.8))
@@ -58,17 +66,24 @@ func layoutFingerprint(t *testing.T) uint64 {
 			}
 		}
 	}
-	return h.Sum64()
+	return hk.Sum64(), hr.Sum64()
 }
 
-// TestPayloadLayoutPinned pins the payload layout across commits: the
-// constant was captured by running this test on a checkout of the commit
-// before the layout engine replaced the per-technique derivations, so any
-// drift in a byte count, a checksum or a bit's attribution fails here.
-// Never re-capture it for a refactor.
+// TestPayloadLayoutPinned pins the payload layout across commits, so any
+// drift in a byte count, a checksum or a bit's attribution fails here. The
+// kept constant was captured on a checkout of the commit before SSDC and
+// ZVC held their values packed, and covers every layout that change left
+// alone (the one fingerprint before it, 0x669a1ee2015cd9eb, was captured
+// before the layout engine replaced the per-technique derivations); the
+// repacked constant was captured when the packed value arrays landed.
+// Never re-capture either for a refactor.
 func TestPayloadLayoutPinned(t *testing.T) {
-	const want = 0x669a1ee2015cd9eb
-	if got := layoutFingerprint(t); got != want {
-		t.Fatalf("layout fingerprint %#016x, want %#016x", got, uint64(want))
+	const wantKept, wantRepacked = 0x6cc05a7606685528, 0xdf251556ebb4260b
+	kept, repacked := layoutFingerprint(t)
+	if kept != wantKept {
+		t.Errorf("layout fingerprint %#016x, want %#016x", kept, uint64(wantKept))
+	}
+	if repacked != wantRepacked {
+		t.Errorf("packed-value layout fingerprint %#016x, want %#016x", repacked, uint64(wantRepacked))
 	}
 }

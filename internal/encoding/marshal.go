@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"gist/internal/floatenc"
 )
 
 // Binary serialization of an EncodedStash — the payload of a spill page and
@@ -14,7 +16,7 @@ import (
 // UnmarshalStashInto accepts re-marshals to the same bytes.
 
 // stashMagic leads every serialized stash, whatever its technique.
-var stashMagic = [4]byte{'G', 'S', 'T', '2'}
+var stashMagic = [4]byte{'G', 'S', 'T', '3'}
 
 const (
 	// maxStashDims bounds the serialized shape rank.
@@ -110,6 +112,26 @@ func (r *stashReader) u32() uint32 {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
+}
+
+// format reads a DPR format word and returns it with its values per word;
+// an unknown format fails the read and reports 1 value per word, so the
+// caller's size arithmetic stays defined.
+func (r *stashReader) format() (floatenc.Format, int) {
+	f := floatenc.Format(r.u32())
+	vpw, ok := packedValuesPerWord(f)
+	if !ok {
+		r.fail("unknown packed format %d", int(f))
+		return f, 1
+	}
+	return f, vpw
+}
+
+// loadPacked sets p to n values of format f held in words, the
+// little-endian bytes of their packed words, reusing p's word array.
+func loadPacked(p *floatenc.Packed, f floatenc.Format, n int, words []byte) {
+	p.Format, p.N, p.Words = f, n, resized(p.Words, len(words)/4)
+	loadSegment(segment{u32: p.Words}, words)
 }
 
 // count reads a u32 element count and validates it against the cap and the

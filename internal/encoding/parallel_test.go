@@ -125,20 +125,10 @@ func assertStashesIdentical(t *testing.T, want, got *EncodedStash, label string)
 			if got.CSR.ColIdx[i] != want.CSR.ColIdx[i] {
 				t.Fatalf("%s: ColIdx[%d] = %d, want %d", label, i, got.CSR.ColIdx[i], want.CSR.ColIdx[i])
 			}
-			if math.Float32bits(got.CSR.Values[i]) != math.Float32bits(want.CSR.Values[i]) {
-				t.Fatalf("%s: Values[%d] = %v, want %v", label, i, got.CSR.Values[i], want.CSR.Values[i])
-			}
 		}
+		samePacked(t, label+": CSR values", &got.CSR.Values, &want.CSR.Values)
 	case DPR:
-		if want.Packed.Format != got.Packed.Format || want.Packed.N != got.Packed.N {
-			t.Fatalf("%s: packed %s/%d, want %s/%d", label,
-				got.Packed.Format, got.Packed.N, want.Packed.Format, want.Packed.N)
-		}
-		for i, w := range want.Packed.Words {
-			if got.Packed.Words[i] != w {
-				t.Fatalf("%s: packed word %d = %#x, want %#x", label, i, got.Packed.Words[i], w)
-			}
-		}
+		samePacked(t, label, got.Packed, want.Packed)
 	case ZVC:
 		if want.ZVC.Mask.Len() != got.ZVC.Mask.Len() {
 			t.Fatalf("%s: zvc mask %d bits, want %d", label, got.ZVC.Mask.Len(), want.ZVC.Mask.Len())
@@ -148,14 +138,7 @@ func assertStashesIdentical(t *testing.T, want, got *EncodedStash, label string)
 				t.Fatalf("%s: zvc mask word %d = %#x, want %#x", label, i, got.ZVC.Mask.Words()[i], w)
 			}
 		}
-		if len(want.ZVC.Values) != len(got.ZVC.Values) {
-			t.Fatalf("%s: %d zvc values, want %d", label, len(got.ZVC.Values), len(want.ZVC.Values))
-		}
-		for i := range want.ZVC.Values {
-			if math.Float32bits(got.ZVC.Values[i]) != math.Float32bits(want.ZVC.Values[i]) {
-				t.Fatalf("%s: zvc value %d = %v, want %v", label, i, got.ZVC.Values[i], want.ZVC.Values[i])
-			}
-		}
+		samePacked(t, label+": zvc values", &got.ZVC.Values, &want.ZVC.Values)
 	case Entropy:
 		if want.Ent.Format != got.Ent.Format || want.Ent.N != got.Ent.N {
 			t.Fatalf("%s: entropy %s/%d, want %s/%d", label,
@@ -590,6 +573,21 @@ func TestChunkErrorMessage(t *testing.T) {
 	for _, want := range []string{"chunk 3/7", "SSDC", "corrupt stash"} {
 		if !strings.Contains(err, want) {
 			t.Errorf("chunk error %q missing %q", err, want)
+		}
+	}
+}
+
+// samePacked requires two packed arrays to hold the same values in the same
+// words.
+func samePacked(t *testing.T, label string, got, want *floatenc.Packed) {
+	t.Helper()
+	if want.Format != got.Format || want.N != got.N || len(want.Words) != len(got.Words) {
+		t.Fatalf("%s: packed %s/%d in %d words, want %s/%d in %d", label,
+			got.Format, got.N, len(got.Words), want.Format, want.N, len(want.Words))
+	}
+	for i, w := range want.Words {
+		if got.Words[i] != w {
+			t.Fatalf("%s: packed word %d = %#x, want %#x", label, i, got.Words[i], w)
 		}
 	}
 }

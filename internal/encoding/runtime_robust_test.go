@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"gist/internal/bitpack"
@@ -144,7 +145,8 @@ func layoutEdgeCases() []layoutEdgeCase {
 		{"zvc-empty", &EncodedStash{Tech: ZVC, Shape: empty, ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0)}}, true, 0xa79b98ba},
 		{"entropy-empty", &EncodedStash{Tech: Entropy, Shape: empty, Ent: &EntropyPayload{Format: floatenc.FP16}}, true, 0xda61ea37},
 		{"zvc-empty-mask-with-values", &EncodedStash{Tech: ZVC, Shape: empty,
-			ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0), Values: []float32{1.5, -2}}}, false, 0xbbdc9e9c},
+			ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0), Values: floatenc.Packed{Format: floatenc.FP32, N: 2,
+				Words: []uint32{math.Float32bits(1.5), math.Float32bits(-2)}}}}, false, 0xbbdc9e9c},
 		{"dpr-garbage-format", &EncodedStash{Tech: DPR, Shape: tensor.Shape{4},
 			Packed: &floatenc.Packed{Format: floatenc.Format(77), N: 4, Words: []uint32{1, 2}}}, false, 0x24914d61},
 		{"entropy-lens-short-of-stream", &EncodedStash{Tech: Entropy, Shape: tensor.Shape{4},

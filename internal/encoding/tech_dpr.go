@@ -30,13 +30,8 @@ func (dprTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error 
 	if e.Packed == nil || e.Packed.N != len(out.Data) {
 		return fmt.Errorf("%w: packed %d elements, shape %v", ErrShapeMismatch, packedN(e.Packed), e.Shape)
 	}
-	vpw, ok := packedValuesPerWord(e.Packed.Format)
-	if !ok {
-		return fmt.Errorf("%w: unknown packed format %d", ErrCorruptStash, int(e.Packed.Format))
-	}
-	if len(e.Packed.Words) != (e.Packed.N+vpw-1)/vpw {
-		return fmt.Errorf("%w: %d packed words for %d %s values",
-			ErrCorruptStash, len(e.Packed.Words), e.Packed.N, e.Packed.Format)
+	if err := e.Packed.Check(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorruptStash, err)
 	}
 	task := cdc.elemTask(unpackRange, len(out.Data))
 	task.packed, task.dst = e.Packed, out.Data
@@ -66,23 +61,13 @@ func (dprTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 }
 
 func (dprTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
-	f := floatenc.Format(r.u32())
-	vpw, okFmt := packedValuesPerWord(f)
-	if r.err == nil && !okFmt {
-		r.fail("unknown packed format %d", int(f))
-	}
+	f, vpw := r.format()
 	n := r.count("packed value", maxStashElems, 0)
-	nw := 0
-	if r.err == nil {
-		nw = (n + vpw - 1) / vpw
-	}
-	if words := r.bytes(4 * nw); r.err == nil {
+	if words := r.bytes(4 * ((n + vpw - 1) / vpw)); r.err == nil {
 		if e.Packed == nil {
 			e.Packed = &floatenc.Packed{}
 		}
-		p := e.Packed
-		p.Format, p.N, p.Words = f, n, resized(p.Words, nw)
-		loadSegment(segment{u32: p.Words}, words)
+		loadPacked(e.Packed, f, n, words)
 	}
 	return r
 }

@@ -224,10 +224,7 @@ func (entropyTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 }
 
 func (entropyTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
-	f := floatenc.Format(r.u32())
-	if _, okFmt := packedValuesPerWord(f); r.err == nil && !okFmt {
-		r.fail("unknown packed format %d", int(f))
-	}
+	f, _ := r.format()
 	n := r.count("entropy element", maxStashElems, 0)
 	nLens := r.count("entropy block", maxStashElems, 4)
 	lens := r.bytes(4 * nLens)

@@ -11,9 +11,10 @@ import (
 
 // ssdcTech is the sparse storage / dense compute encoding (paper Section
 // IV-B): the stash lives in narrow CSR between its uses, with the value
-// array optionally DPR-quantized. Chunks cover whole 256-column rows; the
-// ColIdx/Values arrays are chunked by proportional index spans so the
-// layout never depends on (possibly corrupted) RowPtr contents.
+// array held packed at the DPR format (FP32: the exact values). Chunks
+// cover whole 256-column rows; the ColIdx/value-word arrays are chunked by
+// proportional index spans so the layout never depends on (possibly
+// corrupted) RowPtr contents.
 
 type ssdcTech struct{}
 
@@ -22,33 +23,16 @@ func init() { registerTechnique(SSDC, ssdcTech{}) }
 func (ssdcTech) name() string { return "SSDC" }
 
 func (ssdcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
-	// Sparse storage; DPR layered on the value array when configured.
-	// Quantizing before CSR encoding preserves the zero pattern exactly
-	// (quantization maps 0 to 0).
-	data := t.Data
-	pooledScratch := false
-	if as.Format != floatenc.FP32 {
-		data = cdc.quantizedCopy(as.Format, t.Data)
-		pooledScratch = cdc.Buf != nil
-	}
+	// Sparse storage of the map as the DPR format quantizes it: the row
+	// counts leave out what the format flushes to zero, and the row fill
+	// packs each value as it compacts it.
 	if e.CSR == nil {
 		e.CSR = &sparse.CSR{}
 	}
-	sparse.EncodeCSRChunkedInto(e.CSR, data, cdc.pool(), cdc.chunkElems()/sparse.NarrowCols)
-	if pooledScratch {
-		// The quantize scratch dies the moment the CSR exists.
-		cdc.Buf.RecycleSlice(data)
-	}
-	// Compare against the dense DPR alternative using the same cost
-	// model as the static analysis (ssdcBytes): when DPR is layered on
-	// SSDC the CSR value array would also shrink to the packed width, so
-	// credit that saving before declaring CSR uncompetitive.
-	effective := e.CSR.Bytes()
-	if as.Format != floatenc.FP32 {
-		nnz := int64(e.CSR.NNZ())
-		effective -= nnz*4 - as.Format.PackedBytes(int(nnz))
-	}
-	if dense := as.Format.PackedBytes(len(t.Data)); effective >= dense {
+	sparse.EncodeCSRChunkedInto(e.CSR, t.Data, as.Format, cdc.pool(), cdc.chunkElems()/sparse.NarrowCols)
+	// The held bytes are the planner's ssdcBytes for this nonzero count:
+	// the cost guard compares them with the dense DPR alternative.
+	if dense := as.Format.PackedBytes(len(t.Data)); e.CSR.Bytes() >= dense {
 		// A static error, not fmt.Errorf with the sizes: the adaptive
 		// encoder hits this on every step a stash stays dense, and the
 		// pooled hot path cannot afford an allocation per fallback.
@@ -69,7 +53,7 @@ func (ssdcTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error
 }
 
 // layout: RowPtr by row range (chunk 0 owning the constant leading zero),
-// ColIdx and Values by proportional index spans. An empty CSR is not
+// ColIdx and the value words by proportional index spans. An empty CSR is not
 // chunkable: its RowPtr still holds the leading zero, which no chunk of a
 // zero-chunk layout would hash.
 func (ssdcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
@@ -81,12 +65,12 @@ func (ssdcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	l.n = n
 	l.add(segment{i32: csr.RowPtr, cut: cutRows, per: cols})
 	l.add(segment{u8: csr.ColIdx, cut: cutSpan})
-	l.add(segment{f32: csr.Values, cut: cutSpan})
+	l.add(segment{u32: csr.Values.Words, cut: cutSpan})
 	if cols <= 0 || ce%cols != 0 || n <= 0 {
 		return l
 	}
 	rows := (n + cols - 1) / cols
-	l.chunkable = csr.Rows == rows && len(csr.RowPtr) == rows+1 && len(csr.ColIdx) == len(csr.Values)
+	l.chunkable = csr.Rows == rows && len(csr.RowPtr) == rows+1 && len(csr.ColIdx) == csr.Values.N
 	return l
 }
 
@@ -95,28 +79,30 @@ func (ssdcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 		return nil, fmt.Errorf("encoding: marshal: SSDC stash without CSR")
 	}
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
+	u32(uint32(e.CSR.Values.Format))
 	u32(uint32(e.CSR.N))
 	u32(uint32(e.CSR.Cols))
-	u32(uint32(len(e.CSR.Values)))
+	u32(uint32(e.CSR.Values.N))
 	out = appendSegment(out, segment{i32: e.CSR.RowPtr})
 	out = append(out, e.CSR.ColIdx...)
-	return appendSegment(out, segment{f32: e.CSR.Values}), nil
+	return appendSegment(out, segment{u32: e.CSR.Values.Words}), nil
 }
 
 func (ssdcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
+	f, vpw := r.format()
 	n := r.count("element", maxStashElems, 0)
 	cols := int(r.u32())
 	if r.err == nil && (cols <= 0 || cols > 256) {
 		r.fail("CSR cols %d outside (0,256]", cols)
 	}
-	nnz := r.count("non-zero", maxStashElems, 5)
+	nnz := r.count("non-zero", maxStashElems, 2)
 	rows := 0
 	if r.err == nil {
 		rows = (n + cols - 1) / cols
 	}
 	rowPtr := r.bytes(4 * (rows + 1))
 	colIdx := r.bytes(nnz)
-	if vals := r.bytes(4 * nnz); r.err == nil {
+	if vals := r.bytes(4 * ((nnz + vpw - 1) / vpw)); r.err == nil {
 		if e.CSR == nil {
 			e.CSR = &sparse.CSR{}
 		}
@@ -125,8 +111,7 @@ func (ssdcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
 		c.RowPtr = resized(c.RowPtr, rows+1)
 		loadSegment(segment{i32: c.RowPtr}, rowPtr)
 		c.ColIdx = append(c.ColIdx[:0], colIdx...)
-		c.Values = resized(c.Values, nnz)
-		loadSegment(segment{f32: c.Values}, vals)
+		loadPacked(&c.Values, f, nnz, vals)
 	}
 	return r
 }

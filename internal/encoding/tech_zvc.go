@@ -14,28 +14,30 @@ import (
 // Binarize the values survive, so ZVC is lossless at FP32 and applies to
 // any sparse stash regardless of what reads it — including the
 // dense-consuming convolutions SSDC targets, at a lower metadata cost than
-// CSR when rows are dense enough. With DPR layered on, the data is
-// quantized first (flush-to-zero widens the mask's zero set) and the cost
-// guard credits the packed width of the value array, mirroring SSDC.
+// CSR when rows are dense enough. With DPR layered on, the values are held
+// packed at the DPR format, and the mask is built over the map as that
+// format quantizes it: a value the format flushes to zero drops out of the
+// mask and the payload entirely.
 //
 // The mask chunks by 64-bit word ranges (768-aligned boundaries); the
-// value array chunks by proportional index spans — like SSDC's
+// value words chunk by proportional index spans — like SSDC's
 // ColIdx/Values — so the chunk layout never depends on the (possibly
 // corrupted) mask contents and FlipBit attribution stays exact.
 
 // ZVCPayload is the held ZVC representation.
 type ZVCPayload struct {
-	// Mask has bit i set iff element i is nonzero (-0 canonicalizes to
-	// +0, matching the scalar != 0 predicate).
+	// Mask has bit i set iff element i is nonzero once quantized to the
+	// values' format (-0 canonicalizes to +0, matching the scalar != 0
+	// predicate).
 	Mask *bitpack.BitMask
-	// Values holds the nonzero values in index order, FP32-width (already
-	// DPR-quantized when a format is layered on).
-	Values []float32
+	// Values holds the nonzero values in index order, packed at the DPR
+	// format (FP32: one value's exact bits per word).
+	Values floatenc.Packed
 }
 
 // Bytes is the payload's storage footprint.
 func (z *ZVCPayload) Bytes() int64 {
-	return z.Mask.Bytes() + int64(len(z.Values))*4
+	return z.Mask.Bytes() + z.Values.Bytes()
 }
 
 type zvcTech struct{}
@@ -45,47 +47,28 @@ func init() { registerTechnique(ZVC, zvcTech{}) }
 func (zvcTech) name() string { return "ZVC" }
 
 func (zvcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
-	// Quantize first when DPR is layered on, exactly as SSDC does: the
-	// mask is built over the quantized data, so flushed-to-zero values
-	// drop out of the payload entirely.
-	data := t.Data
-	pooledScratch := false
-	if as.Format != floatenc.FP32 {
-		data = cdc.quantizedCopy(as.Format, t.Data)
-		pooledScratch = cdc.Buf != nil
-	}
 	if e.ZVC == nil {
 		e.ZVC = &ZVCPayload{}
 	}
 	z := e.ZVC
-	n := len(data)
+	n := len(t.Data)
 	z.Mask = resetMask(z.Mask, n)
-	// Pass 1: the nonzero mask, chunk-parallel (chunks own whole words).
+	// Pass 1: the mask of the values the format does not flush to zero,
+	// chunk-parallel (chunks own whole words).
 	task := cdc.elemTask(fillNonzero, n)
-	task.mask, task.src = z.Mask, data
+	task.mask, task.src, task.format = z.Mask, t.Data, as.Format
 	cdc.forChunks(task)
-	nnz := z.Mask.PopCount()
-	if cap(z.Values) >= nnz {
-		z.Values = z.Values[:nnz]
-	} else {
-		z.Values = make([]float32, nnz)
-	}
-	// Pass 2: compact the nonzeros. Each chunk's output offset is the
-	// mask popcount before it, a pure function of the mask, so the value
-	// layout is byte-identical at every worker count.
+	z.Values.Reset(as.Format, z.Mask.PopCount())
+	// Pass 2: compact and pack the nonzeros. Each chunk's first slot is the
+	// mask popcount before it, a pure function of the mask, and the Packer
+	// merges the ≤2 words a chunk shares with its neighbours, so the value
+	// words are byte-identical at every worker count.
 	task = cdc.elemTask(gatherNonzero, n)
-	task.mask, task.src, task.vals = z.Mask, data, z.Values
+	task.mask, task.src, task.packed = z.Mask, t.Data, &z.Values
 	cdc.forChunks(task)
-	if pooledScratch {
-		cdc.Buf.RecycleSlice(data)
-	}
-	// Cost guard against the dense DPR alternative, with the same
-	// packed-width credit on the value array as ssdcBytes applies.
-	effective := z.Bytes()
-	if as.Format != floatenc.FP32 {
-		effective -= int64(nnz)*4 - as.Format.PackedBytes(nnz)
-	}
-	if dense := as.Format.PackedBytes(n); effective >= dense {
+	// The held bytes are the planner's zvcBytes for this nonzero count:
+	// the cost guard compares them with the dense DPR alternative.
+	if dense := as.Format.PackedBytes(n); z.Bytes() >= dense {
 		return errZVCLargerThanDense
 	}
 	return nil
@@ -100,31 +83,53 @@ func (zvcTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error 
 	if len(z.Mask.Words()) != (n+63)/64 {
 		return fmt.Errorf("%w: ZVC mask has %d words for %d bits", ErrCorruptStash, len(z.Mask.Words()), n)
 	}
-	if nnz := z.Mask.PopCount(); len(z.Values) != nnz {
-		return fmt.Errorf("%w: ZVC mask selects %d values, payload has %d", ErrCorruptStash, nnz, len(z.Values))
+	if err := z.Values.Check(); err != nil {
+		return fmt.Errorf("%w: ZVC values: %v", ErrCorruptStash, err)
+	}
+	if nnz := z.Mask.PopCount(); z.Values.N != nnz {
+		return fmt.Errorf("%w: ZVC mask selects %d values, payload has %d", ErrCorruptStash, nnz, z.Values.N)
 	}
 	task := cdc.elemTask(scatterNonzero, n)
-	task.mask, task.dst, task.vals = z.Mask, out.Data, z.Values
+	task.mask, task.dst, task.packed = z.Mask, out.Data, &z.Values
 	cdc.forChunks(task)
 	return nil
 }
 
-// The ZVC chunk kernels. A chunk's offset into the value array is the mask
-// popcount before it.
+// The ZVC chunk kernels. A chunk's first value slot is the mask popcount
+// before it. Gather and scatter stage the values of zvcStage elements at a
+// time on the stack: the mask kernels compact and expand them there, the
+// floatenc word kernels pack and unpack them.
+
+// zvcStage is the staging block in elements, a whole number of mask words.
+const zvcStage = 512
 
 func fillNonzero(t *chunkTask, c int) {
 	lo, hi := t.span(c)
-	t.mask.FillNonzeroRange(t.src, lo, hi)
+	t.mask.FillAtLeastRange(t.src, lo, hi, t.format.MinNonzeroBits())
 }
 
 func gatherNonzero(t *chunkTask, c int) {
 	lo, hi := t.span(c)
-	t.mask.GatherNonzero(t.src, lo, hi, t.vals[t.mask.PopCountRange(0, lo):])
+	w := t.packed.PackerAt(t.mask.PopCountRange(0, lo))
+	var vals [zvcStage]float32
+	for b := lo; b < hi; b += zvcStage {
+		k := t.mask.GatherNonzero(t.src, b, min(b+zvcStage, hi), vals[:])
+		w.Append(vals[:k])
+	}
+	w.Flush()
 }
 
 func scatterNonzero(t *chunkTask, c int) {
 	lo, hi := t.span(c)
-	t.mask.ScatterNonzero(t.dst, lo, hi, t.vals[t.mask.PopCountRange(0, lo):])
+	slot := t.mask.PopCountRange(0, lo)
+	var vals [zvcStage]float32
+	for b := lo; b < hi; b += zvcStage {
+		e := min(b+zvcStage, hi)
+		k := t.mask.PopCountRange(b, e)
+		t.packed.DecodeAt(vals[:k], slot)
+		t.mask.ScatterNonzero(t.dst, b, e, vals[:k])
+		slot += k
+	}
 }
 
 // zvcBits is the nil-tolerant mask length for error messages.
@@ -135,8 +140,8 @@ func zvcBits(z *ZVCPayload) int {
 	return z.Mask.Len()
 }
 
-// layout: mask words by 64-bit word ranges, Values by proportional index
-// spans (content-independent, so a flipped mask bit never moves the chunk
+// layout: mask words by 64-bit word ranges, value words by proportional
+// index spans (content-independent, so a flipped mask bit never moves the chunk
 // layout out from under attribution).
 func (zvcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	z := e.ZVC
@@ -146,8 +151,8 @@ func (zvcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	l.n = z.Mask.Len()
 	words := z.Mask.Words()
 	l.add(segment{u64: words, cut: cutAligned, per: 64})
-	l.add(segment{f32: z.Values, cut: cutSpan})
-	l.chunkable = len(words) == (l.n+63)/64 && (l.n > 0 || len(z.Values) == 0)
+	l.add(segment{u32: z.Values.Words, cut: cutSpan})
+	l.chunkable = len(words) == (l.n+63)/64 && (l.n > 0 || len(z.Values.Words) == 0)
 	return l
 }
 
@@ -157,25 +162,26 @@ func (zvcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
 		return nil, fmt.Errorf("encoding: marshal: ZVC stash without mask")
 	}
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
+	u32(uint32(z.Values.Format))
 	u32(uint32(z.Mask.Len()))
-	u32(uint32(len(z.Values)))
+	u32(uint32(z.Values.N))
 	out = appendSegment(out, segment{u64: z.Mask.Words()})
-	return appendSegment(out, segment{f32: z.Values}), nil
+	return appendSegment(out, segment{u32: z.Values.Words}), nil
 }
 
 func (zvcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
+	f, vpw := r.format()
 	n := r.count("ZVC mask bit", maxStashElems, 0)
-	nnz := r.count("ZVC value", maxStashElems, 4)
+	nnz := r.count("ZVC value", maxStashElems, 1)
 	words := r.bytes(8 * ((n + 63) / 64))
-	if vals := r.bytes(4 * nnz); r.err == nil {
+	if vals := r.bytes(4 * ((nnz + vpw - 1) / vpw)); r.err == nil {
 		if e.ZVC == nil {
 			e.ZVC = &ZVCPayload{}
 		}
 		z := e.ZVC
 		z.Mask = resetMask(z.Mask, n)
 		loadSegment(segment{u64: z.Mask.Words()}, words)
-		z.Values = resized(z.Values, nnz)
-		loadSegment(segment{f32: z.Values}, vals)
+		loadPacked(&z.Values, f, nnz, vals)
 	}
 	return r
 }

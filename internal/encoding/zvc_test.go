@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"gist/internal/bufpool"
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
 	"gist/internal/race"
@@ -14,8 +13,8 @@ import (
 
 // TestZVCPooledEncodeZeroAllocs pins the steady-state allocation contract:
 // once a pooled codec has encoded a stash, re-encoding into the same
-// container allocates nothing — the mask, value array and (for layered DPR)
-// the quantize scratch are all reused. Decode into a preallocated tensor is
+// container allocates nothing — the mask and the packed value array are
+// reused, and no quantize scratch is taken. Decode into a preallocated tensor is
 // likewise alloc-free. This is the property the training loop's per-step
 // stash pipeline depends on.
 func TestZVCPooledEncodeZeroAllocs(t *testing.T) {
@@ -28,10 +27,10 @@ func TestZVCPooledEncodeZeroAllocs(t *testing.T) {
 	copy(tt.Data, randStash(rng, n, 0.8))
 	out := tensor.New(n)
 	for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16} {
-		c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768, Buf: bufpool.New()}
+		c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
 		as := &Assignment{Tech: ZVC, Format: f}
 		e := &EncodedStash{}
-		// Warm: first encode sizes the payload and primes the buffer pool.
+		// Warm: the first encode sizes the payload.
 		if err := c.EncodeStashInto(e, as, tt); err != nil {
 			t.Fatalf("%s: warm encode: %v", f, err)
 		}
@@ -85,7 +84,8 @@ func TestZVCDecodeDetectsMaskValueMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2.ZVC.Values = enc2.ZVC.Values[:len(enc2.ZVC.Values)-1]
+	enc2.ZVC.Values.N--
+	enc2.ZVC.Values.Words = enc2.ZVC.Values.Words[:enc2.ZVC.Values.N]
 	if _, err := decodeFresh(c, enc2); !errors.Is(err, ErrCorruptStash) {
 		t.Fatalf("truncated values decode error = %v, want ErrCorruptStash", err)
 	}

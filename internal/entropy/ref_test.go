@@ -6,7 +6,7 @@ import "fmt"
 // and heap-built Huffman tree the package shipped before its table-driven
 // kernels, kept verbatim (names prefixed ref) as the oracle of the
 // differential wall in diff_test.go and the scalar leg of the kernel
-// benchmarks. It defines the "GST2" entropy stream; the kernels in
+// benchmarks. It defines the entropy stream of the "GST3" stash container; the kernels in
 // entropy.go must match it byte for byte and verdict for verdict.
 
 func refEncode(dst []byte, src []byte) []byte {

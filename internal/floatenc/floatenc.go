@@ -66,17 +66,25 @@ func (f Format) Bits() int {
 // ValuesPerWord returns how many encoded values are packed in one 32-bit
 // storage word: 1 for FP32, 2 for FP16, 3 for FP10 and 4 for FP8.
 func (f Format) ValuesPerWord() int {
-	switch f {
-	case FP32:
-		return 1
-	case FP16:
-		return 2
-	case FP10:
-		return 3
-	case FP8:
-		return 4
+	if vpw, ok := f.valuesPerWord(); ok {
+		return vpw
 	}
 	panic("floatenc: unknown format")
+}
+
+// valuesPerWord is ValuesPerWord with ok = false for an unknown format.
+func (f Format) valuesPerWord() (int, bool) {
+	switch f {
+	case FP32:
+		return 1, true
+	case FP16:
+		return 2, true
+	case FP10:
+		return 3, true
+	case FP8:
+		return 4, true
+	}
+	return 0, false
 }
 
 // PackedBytes returns the number of bytes needed to store n values of the
@@ -180,6 +188,19 @@ func (f Format) Quantize(v float32) float32 {
 		return v
 	}
 	return f.Decode(f.Encode(v))
+}
+
+// MinNonzeroBits returns the smallest FP32 magnitude, as a bit pattern with
+// the sign cleared, that the format does not flush to zero: Quantize(v) != 0
+// exactly when math.Float32bits(v)&0x7fffffff >= f.MinNonzeroBits(). NaN
+// lies above it (it stays NaN); so does +Inf, which clamps. For FP32 it is
+// 1, the plain v != 0. The sparse encoders test this threshold to find the
+// nonzeros of the quantized map without quantizing it.
+func (f Format) MinNonzeroBits() uint32 {
+	if _, ok := f.valuesPerWord(); !ok {
+		panic("floatenc: unknown format")
+	}
+	return minNonzero[f]
 }
 
 // MaxRelativeError returns an upper bound on the relative rounding error for

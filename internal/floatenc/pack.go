@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Packed is a reduced-precision encoding of a float32 slice, stored as
@@ -47,81 +48,150 @@ func EncodeSlice(f Format, src []float32) *Packed {
 }
 
 // EncodeRange is the chunk-range DPR pack kernel: it encodes src[start:end)
-// into the matching words of p. The words touched must be zero beforehand
-// (as NewPacked leaves them), and for parallel chunks start must be a
-// multiple of ValuesPerWord() — and end too, unless end == N — so each
-// chunk owns whole words and racing writers never share one.
-//
-// Word-parallel: after a ragged head aligns to a word boundary, the
-// interior encodes a full storage word per iteration — 2, 3 or 4 values
-// through the branch-free encodeFast kernel ORed together with constant
-// shifts, one memory write and no per-element divide/modulo. Output is
-// bit-identical to encodeRangeScalar; it allocates nothing.
+// into the matching slots of p, through a Packer started at start. The
+// words the range fills only in part must be zero beforehand (as NewPacked
+// and Reset leave them); concurrent calls over disjoint ranges may share
+// those boundary words, and together write exactly the words one serial
+// call over [0, N) writes. It allocates nothing.
 func (p *Packed) EncodeRange(src []float32, start, end int) {
 	p.checkRange(start, end)
-	if p.Format == FP32 {
-		for i := start; i < end; i++ {
-			p.Words[i] |= math.Float32bits(src[i])
+	w := p.PackerAt(start)
+	w.Append(src[start:end])
+	w.Flush()
+}
+
+// Packer streams values into consecutive slots of a Packed from a start
+// slot on — the compacted value arrays of SSDC and ZVC, whose chunks start
+// at a data-dependent slot, as well as DPR's dense ranges. A word the
+// Packer fills whole is stored outright. A word it fills only in part —
+// the one holding its first slot, when that slot is not word-aligned, and
+// the one holding its last — may hold a neighbouring Packer's slots too,
+// so the Packer merges it with an atomic OR. Packers over disjoint slot
+// ranges of one Packed may therefore run concurrently, and together write
+// exactly the words a single serial Packer writes. Partly filled words must
+// be zero beforehand, as NewPacked and Reset leave them.
+type Packer struct {
+	p      *Packed
+	t      *fmtConsts
+	k      int    // the next slot
+	acc    uint32 // the encoded slots of word k/vpw filled so far
+	shared bool   // acc's word holds slots before the Packer's first
+}
+
+// PackerAt returns a Packer whose first value lands in slot k.
+func (p *Packed) PackerAt(k int) Packer {
+	p.checkRange(k, k)
+	return Packer{p: p, t: &fmtTab[p.Format], k: k, shared: k%p.Format.ValuesPerWord() != 0}
+}
+
+// Append encodes src into the next len(src) slots. Whole words in the
+// middle go through the word-parallel kernel (packWords); only the slots
+// that finish or start a partial word are encoded one at a time.
+func (w *Packer) Append(src []float32) {
+	p := w.p
+	p.checkRange(w.k, w.k+len(src))
+	f := p.Format
+	if f == FP32 {
+		for i, v := range src {
+			p.Words[w.k+i] = math.Float32bits(v)
 		}
+		w.k += len(src)
 		return
 	}
-	t := &fmtTab[p.Format]
-	vpw := p.Format.ValuesPerWord()
-	nbits := uint(p.Format.Bits())
-	i := start
-	for ; i < end && i%vpw != 0; i++ {
-		p.Words[i/vpw] |= encodeFast(t, p.Format, src[i]) << (uint(i%vpw) * nbits)
+	vpw, nbits := f.ValuesPerWord(), uint(f.Bits())
+	for len(src) > 0 && w.k%vpw != 0 {
+		w.acc |= encodeFast(w.t, f, src[0]) << (uint(w.k%vpw) * nbits)
+		src = src[1:]
+		if w.k++; w.k%vpw == 0 {
+			w.store(w.k/vpw - 1)
+		}
 	}
-	// Interior: one storage word per iteration, every slot through the
-	// inlined branch-free encStep (FP16: enc16Step, its constants folded);
-	// the single branch per word is the rare "some slot needs the scalar
-	// slow path" escape.
-	switch p.Format {
+	full := len(src) / vpw * vpw
+	packWords(w.t, f, p.Words[w.k/vpw:], src[:full])
+	w.k += full
+	for _, v := range src[full:] {
+		w.acc |= encodeFast(w.t, f, v) << (uint(w.k%vpw) * nbits)
+		w.k++
+	}
+}
+
+// Flush writes the partial word the stream ends in, if any; it ends the
+// stream.
+func (w *Packer) Flush() {
+	if vpw := w.p.Format.ValuesPerWord(); w.k%vpw != 0 {
+		w.shared = w.shared || w.k < w.p.N // the rest of the word is another Packer's
+		w.store(w.k / vpw)
+	}
+}
+
+// store writes acc to word i: outright when the Packer owns the whole word,
+// else by an atomic OR into the zeroed word it shares.
+func (w *Packer) store(i int) {
+	if w.shared {
+		for word := &w.p.Words[i]; ; {
+			old := atomic.LoadUint32(word)
+			if atomic.CompareAndSwapUint32(word, old, old|w.acc) {
+				break
+			}
+		}
+	} else {
+		w.p.Words[i] = w.acc
+	}
+	w.acc, w.shared = 0, false
+}
+
+// packWords is the word-parallel pack step: it stores src's values, a
+// whole number of words of format f, into words[0:len(src)/vpw]. Each
+// iteration encodes one storage word — 2, 3 or 4 values through the
+// inlined branch-free encStep (FP16: enc16Step, its constants folded) ORed
+// together with constant shifts, one memory write and no per-element
+// divide/modulo; the single branch per word is the rare "some slot needs
+// the scalar slow path" escape. Output is bit-identical to the scalar
+// reference encodeRangeScalar.
+func packWords(t *fmtConsts, f Format, words []uint32, src []float32) {
+	switch f {
 	case FP16:
-		for ; i+2 <= end; i += 2 {
+		for i := 0; i+2 <= len(src); i += 2 {
 			s := src[i : i+2 : i+2]
 			e0, k0 := enc16Step(math.Float32bits(s[0]))
 			e1, k1 := enc16Step(math.Float32bits(s[1]))
 			if k0&k1 == 0 {
-				p.Words[i>>1] |= encodeFast(t, FP16, s[0]) |
+				words[i>>1] = encodeFast(t, FP16, s[0]) |
 					encodeFast(t, FP16, s[1])<<16
 				continue
 			}
-			p.Words[i>>1] |= e0 | e1<<16
+			words[i>>1] = e0 | e1<<16
 		}
 	case FP10:
-		for ; i+3 <= end; i += 3 {
+		for i := 0; i+3 <= len(src); i += 3 {
 			s := src[i : i+3 : i+3]
 			e0, k0 := encStep(t, math.Float32bits(s[0]))
 			e1, k1 := encStep(t, math.Float32bits(s[1]))
 			e2, k2 := encStep(t, math.Float32bits(s[2]))
 			if k0&k1&k2 == 0 {
-				p.Words[i/3] |= encodeFast(t, FP10, s[0]) |
+				words[i/3] = encodeFast(t, FP10, s[0]) |
 					encodeFast(t, FP10, s[1])<<10 |
 					encodeFast(t, FP10, s[2])<<20
 				continue
 			}
-			p.Words[i/3] |= e0 | e1<<10 | e2<<20
+			words[i/3] = e0 | e1<<10 | e2<<20
 		}
 	case FP8:
-		for ; i+4 <= end; i += 4 {
+		for i := 0; i+4 <= len(src); i += 4 {
 			s := src[i : i+4 : i+4]
 			e0, k0 := encStep(t, math.Float32bits(s[0]))
 			e1, k1 := encStep(t, math.Float32bits(s[1]))
 			e2, k2 := encStep(t, math.Float32bits(s[2]))
 			e3, k3 := encStep(t, math.Float32bits(s[3]))
 			if k0&k1&k2&k3 == 0 {
-				p.Words[i>>2] |= encodeFast(t, FP8, s[0]) |
+				words[i>>2] = encodeFast(t, FP8, s[0]) |
 					encodeFast(t, FP8, s[1])<<8 |
 					encodeFast(t, FP8, s[2])<<16 |
 					encodeFast(t, FP8, s[3])<<24
 				continue
 			}
-			p.Words[i>>2] |= e0 | e1<<8 | e2<<16 | e3<<24
+			words[i>>2] = e0 | e1<<8 | e2<<16 | e3<<24
 		}
-	}
-	for ; i < end; i++ {
-		p.Words[i/vpw] |= encodeFast(t, p.Format, src[i]) << (uint(i%vpw) * nbits)
 	}
 }
 
@@ -139,33 +209,43 @@ func (p *Packed) DecodeSlice(dst []float32) []float32 {
 }
 
 // DecodeRange is the chunk-range DPR unpack kernel: dst[start:end) receives
-// the decoded values. Each element is written independently, so chunks may
-// cover any partition of [0, N).
-//
-// Word-parallel: the aligned interior loads each storage word once and
-// splits it into slots with constant shifts — table lookups for FP8/FP10,
-// the arithmetic re-bias kernel for FP16, both slots of a word at once
-// (dec16Pair). Output is bit-identical to decodeRangeScalar; it allocates
-// nothing.
+// the decoded values of slots [start, end). Each element is written
+// independently, so chunks may cover any partition of [0, N).
 func (p *Packed) DecodeRange(dst []float32, start, end int) {
 	p.checkRange(start, end)
-	if p.Format == FP32 {
-		for i := start; i < end; i++ {
-			dst[i] = math.Float32frombits(p.Words[i])
+	p.DecodeAt(dst[start:end], start)
+}
+
+// DecodeAt decodes slots [k, k+len(dst)) into dst — a compacted value
+// array read back a run at a time from any slot.
+//
+// Word-parallel: after a ragged head aligns to a word boundary, the
+// interior loads each storage word once and splits it into slots with
+// constant shifts — table lookups for FP8/FP10, the arithmetic re-bias
+// kernel for FP16, both slots of a word at once (dec16Pair). Output is
+// bit-identical to decodeRangeScalar; it allocates nothing.
+func (p *Packed) DecodeAt(dst []float32, k int) {
+	p.checkRange(k, k+len(dst))
+	f := p.Format
+	if f == FP32 {
+		for i, w := range p.Words[k : k+len(dst)] {
+			dst[i] = math.Float32frombits(w)
 		}
 		return
 	}
-	vpw := p.Format.ValuesPerWord()
-	nbits := uint(p.Format.Bits())
+	vpw := f.ValuesPerWord()
+	nbits := uint(f.Bits())
 	mask := uint32(1)<<nbits - 1
-	i := start
-	for ; i < end && i%vpw != 0; i++ {
-		dst[i] = p.Format.Decode(p.Words[i/vpw] >> (uint(i%vpw) * nbits) & mask)
+	for ; len(dst) > 0 && k%vpw != 0; k++ {
+		dst[0] = f.Decode(p.Words[k/vpw] >> (uint(k%vpw) * nbits) & mask)
+		dst = dst[1:]
 	}
-	switch p.Format {
+	words := p.Words[k/vpw:]
+	i := 0
+	switch f {
 	case FP16:
-		for ; i+2 <= end; i += 2 {
-			w := p.Words[i>>1]
+		for ; i+2 <= len(dst); i += 2 {
+			w := words[i>>1]
 			if r, ok := dec16Pair(w); ok {
 				dst[i], dst[i+1] = math.Float32frombits(uint32(r)), math.Float32frombits(uint32(r>>32))
 				continue
@@ -173,16 +253,16 @@ func (p *Packed) DecodeRange(dst []float32, start, end int) {
 			dst[i], dst[i+1] = decode16(w&0xffff), decode16(w>>16)
 		}
 	case FP10:
-		for ; i+3 <= end; i += 3 {
-			unpack10((*[3]float32)(dst[i:i+3]), p.Words[i/3])
+		for ; i+3 <= len(dst); i += 3 {
+			unpack10((*[3]float32)(dst[i:i+3]), words[i/3])
 		}
 	case FP8:
-		for ; i+4 <= end; i += 4 {
-			unpack8((*[4]float32)(dst[i:i+4]), p.Words[i>>2])
+		for ; i+4 <= len(dst); i += 4 {
+			unpack8((*[4]float32)(dst[i:i+4]), words[i>>2])
 		}
 	}
-	for ; i < end; i++ {
-		dst[i] = p.Format.Decode(p.Words[i/vpw] >> (uint(i%vpw) * nbits) & mask)
+	for ; i < len(dst); i++ {
+		dst[i] = f.Decode(words[i/vpw] >> (uint(i%vpw) * nbits) & mask)
 	}
 }
 
@@ -239,6 +319,20 @@ func UnpackBytes(f Format, dst []float32, src []byte) {
 		w := binary.LittleEndian.Uint32(src[i/vpw*4:])
 		dst[i] = f.Decode(w >> (uint(i%vpw) * nbits) & (1<<nbits - 1))
 	}
+}
+
+// Check reports an error unless p holds exactly N values of a known format
+// — what a deserialized or damaged container must pass before a decode
+// indexes its words.
+func (p *Packed) Check() error {
+	vpw, ok := p.Format.valuesPerWord()
+	if !ok {
+		return fmt.Errorf("floatenc: unknown packed format %d", int(p.Format))
+	}
+	if p.N < 0 || len(p.Words) != (p.N+vpw-1)/vpw {
+		return fmt.Errorf("floatenc: %d packed words for %d %s values", len(p.Words), p.N, p.Format)
+	}
+	return nil
 }
 
 func (p *Packed) checkRange(start, end int) {

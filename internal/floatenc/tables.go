@@ -37,6 +37,10 @@ var (
 	fp10LUT [1024]float32
 )
 
+// minNonzero is MinNonzeroBits per Format, found at init by bisecting the
+// scalar reference encoder over the FP32 magnitudes.
+var minNonzero = [4]uint32{FP32: 1}
+
 func init() {
 	for _, f := range []Format{FP16, FP10, FP8} {
 		l := f.layout()
@@ -54,6 +58,21 @@ func init() {
 		t.minE = 128 - bias
 		t.rangeE = uint32(1)<<l.expBits - 3 // emax - 1
 		t.rebias = (127 - bias) << l.manBits
+	}
+	for _, f := range []Format{FP16, FP10, FP8} {
+		// Encoding a magnitude rounds it to the nearest representable one,
+		// so the magnitudes that flush to zero are exactly those below a
+		// threshold; +Inf (0x7f800000) clamps to the largest finite value.
+		lo, hi := uint32(0), uint32(0x7f800000)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if f.encodeScalar(math.Float32frombits(mid))&fmtTab[f].emMask != 0 {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		minNonzero[f] = lo
 	}
 	for i := range fp8LUT {
 		fp8LUT[i] = FP8.decodeScalar(uint32(i))

@@ -1,7 +1,7 @@
 // Command goldengen regenerates the frozen byte fixtures embedded in
 // internal/floatenc/golden_test.go and internal/encoding/golden_test.go:
 // the packed FP16/FP10/FP8 word streams and the sealed EncodedStash
-// "GST2" wire blobs. Run it only when intentionally breaking the encoder
+// "GST3" wire blobs. Run it only when intentionally breaking the encoder
 // bit layout or the stash wire format, and paste the printed values into
 // those tests — the fixtures exist precisely so such breaks are explicit.
 package main
@@ -103,6 +103,16 @@ func main() {
 	}
 	fmt.Printf("zvc checksum: 0x%08x len %d\n", z.Checksum, len(zblob))
 	fmt.Printf("zvc blob: %x\n", zblob)
+
+	// ZVC with its values packed at FP16 on the same map: 48 nonzeros, so
+	// the value words hold two values each.
+	z16 := sealed(cdc, &encoding.Assignment{Tech: encoding.ZVC, Format: floatenc.FP16}, t)
+	z16blob, err := z16.MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("zvc-fp16 checksum: 0x%08x len %d\n", z16.Checksum, len(z16blob))
+	fmt.Printf("zvc-fp16 blob: %x\n", z16blob)
 
 	t2 := tensor.New(2, 3, 16, 16)
 	rng2 := tensor.NewRNG(54321)

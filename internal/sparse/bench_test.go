@@ -53,7 +53,9 @@ func BenchmarkKernelCSRCount(b *testing.B) {
 			count(xs, NarrowCols, 0, rows, counts)
 		}
 	}
-	b.Run("word", func(b *testing.B) { run(b, CountRowNNZ) })
+	b.Run("word", func(b *testing.B) {
+		run(b, func(xs []float32, cols, r0, r1 int, counts []int32) { CountRowNNZ(xs, cols, r0, r1, counts, 1) })
+	})
 	b.Run("scalar", func(b *testing.B) { run(b, countRowNNZScalar) })
 }
 

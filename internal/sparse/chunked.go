@@ -3,6 +3,7 @@ package sparse
 import (
 	"sync"
 
+	"gist/internal/floatenc"
 	"gist/internal/parallel"
 )
 
@@ -13,6 +14,7 @@ type rowTask struct {
 	pass      func(t *rowTask, r0, r1 int)
 	c         *CSR
 	xs, dst   []float32
+	minBits   uint32
 	rows      int
 	chunkRows int
 }
@@ -42,24 +44,30 @@ func forRowChunks(p *parallel.Pool, task rowTask) {
 }
 
 func countPass(t *rowTask, r0, r1 int) {
-	CountRowNNZ(t.xs, t.c.Cols, r0, r1, t.c.RowPtr[r0+1:r1+1])
+	CountRowNNZ(t.xs, t.c.Cols, r0, r1, t.c.RowPtr[r0+1:r1+1], t.minBits)
 }
 
 func fillPass(t *rowTask, r0, r1 int) { t.c.FillRows(t.xs, r0, r1) }
 
 func decodePass(t *rowTask, r0, r1 int) { t.c.DecodeRows(t.dst, r0, r1) }
 
-// EncodeCSRChunkedInto builds exactly the CSR that EncodeCSR would — same
-// RowPtr, ColIdx and Values, byte for byte, c's backing arrays reused when
-// capacity allows — row-chunk-parallel on the pool (nil or one worker runs
-// the same passes serially). Rows are independent under the narrow reshape,
-// so the builder runs a count pass (per-row non-zero counts across chunks),
-// a cheap serial prefix sum over the row pointers (rows = n/256, tiny next
-// to n), and a fill pass in which each chunk writes its precomputed
-// ColIdx/Values segment. chunkRows is the number of matrix rows per chunk
-// (<= 0: one chunk).
-func EncodeCSRChunkedInto(c *CSR, xs []float32, p *parallel.Pool, chunkRows int) {
-	cols := NarrowCols
+// EncodeCSRChunkedInto builds the narrow CSR of xs with its values packed
+// at format f — for FP32 exactly the CSR EncodeCSR builds, byte for byte;
+// for a reduced format the CSR of xs quantized to f (an element f flushes
+// to zero is no non-zero), with no quantized copy of xs made — reusing c's
+// backing arrays when capacity allows, row-chunk-parallel on the pool (nil
+// or one worker runs the same passes serially). Rows are independent under
+// the narrow reshape, so the builder runs a count pass (per-row non-zero
+// counts across chunks), a cheap serial prefix sum over the row pointers
+// (rows = n/256, tiny next to n), and a fill pass in which each chunk
+// writes its precomputed ColIdx/Values segment. chunkRows is the number of
+// matrix rows per chunk (<= 0: one chunk). The output does not depend on
+// the worker count or chunkRows.
+func EncodeCSRChunkedInto(c *CSR, xs []float32, f floatenc.Format, p *parallel.Pool, chunkRows int) {
+	c.encode(xs, NarrowCols, f, p, chunkRows)
+}
+
+func (c *CSR) encode(xs []float32, cols int, f floatenc.Format, p *parallel.Pool, chunkRows int) {
 	rows := (len(xs) + cols - 1) / cols
 	c.Rows, c.Cols, c.N = rows, cols, len(xs)
 	if cap(c.RowPtr) < rows+1 {
@@ -68,11 +76,11 @@ func EncodeCSRChunkedInto(c *CSR, xs []float32, p *parallel.Pool, chunkRows int)
 		c.RowPtr = c.RowPtr[:rows+1]
 		c.RowPtr[0] = 0
 	}
-	forRowChunks(p, rowTask{pass: countPass, c: c, xs: xs, rows: rows, chunkRows: chunkRows})
+	forRowChunks(p, rowTask{pass: countPass, c: c, xs: xs, minBits: f.MinNonzeroBits(), rows: rows, chunkRows: chunkRows})
 	for r := 0; r < rows; r++ {
 		c.RowPtr[r+1] += c.RowPtr[r]
 	}
-	c.resizeNNZ(int(c.RowPtr[rows]))
+	c.resizeNNZ(int(c.RowPtr[rows]), f)
 	forRowChunks(p, rowTask{pass: fillPass, c: c, xs: xs, rows: rows, chunkRows: chunkRows})
 }
 

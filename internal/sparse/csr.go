@@ -11,7 +11,11 @@
 // 50% down to ~20%.
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"gist/internal/floatenc"
+)
 
 // NarrowCols is the column count the narrow value optimization reshapes to:
 // the largest width whose column indices fit in one byte.
@@ -26,7 +30,10 @@ type CSR struct {
 	N          int // original element count (may be < Rows*Cols in the last row)
 	RowPtr     []int32
 	ColIdx     []uint8
-	Values     []float32
+	// Values holds the non-zeros in row order, packed at its DPR format —
+	// SSDC's value array reduced in place (paper §IV-B). At FP32 each word
+	// holds one value's exact bits.
+	Values floatenc.Packed
 }
 
 // EncodeCSR compresses xs using the narrow value optimization: the buffer is
@@ -35,28 +42,15 @@ func EncodeCSR(xs []float32) *CSR {
 	return EncodeCSRCols(xs, NarrowCols)
 }
 
-// EncodeCSRCols compresses xs viewed as a matrix with the given column
-// count. cols must be in (0, 256] so that column indices fit in one byte.
-//
-// Word-parallel: a branch-free count pass sizes the arrays exactly, then
-// each row gathers its non-zeros through the 64-bit mask kernel
-// (gatherRow). Output is identical to encodeCSRColsScalar field for field.
+// EncodeCSRCols compresses xs, with FP32 values, viewed as a matrix with
+// the given column count. cols must be in (0, 256] so that column indices
+// fit in one byte. It is the chunked builder run serially, as one chunk.
 func EncodeCSRCols(xs []float32, cols int) *CSR {
 	if cols <= 0 || cols > 256 {
 		panic(fmt.Sprintf("sparse: cols %d outside (0,256]", cols))
 	}
-	rows := (len(xs) + cols - 1) / cols
-	c := &CSR{Rows: rows, Cols: cols, N: len(xs), RowPtr: make([]int32, rows+1)}
-	nnz := countNonzeros(xs)
-	c.ColIdx = make([]uint8, nnz)
-	c.Values = make([]float32, nnz)
-	k := 0
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		end := min(base+cols, len(xs))
-		k = gatherRow(c.ColIdx, c.Values, k, xs, base, end)
-		c.RowPtr[r+1] = int32(k)
-	}
+	c := &CSR{}
+	c.encode(xs, cols, floatenc.FP32, nil, 0)
 	return c
 }
 
@@ -65,30 +59,29 @@ func EncodeCSRCols(xs []float32, cols int) *CSR {
 // pooled encode path rebuilds each layer's stash into a persistent
 // container instead of allocating three arrays per step. It is the
 // chunked builder run serially, as one chunk.
-func EncodeCSRInto(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, nil, 0) }
+func EncodeCSRInto(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, floatenc.FP32, nil, 0) }
 
-// resizeNNZ sets ColIdx and Values to length nnz for the in-place encoders,
-// reusing their backing arrays when capacity allows. A short array is
-// regrown with a quarter of slack (never past c.N, which bounds nnz): ReLU
-// sparsity drifts by a few elements per step, and growing to exactly nnz
-// re-allocated both arrays at every new maximum. Lengths — and with them
-// Bytes() and the wire form — stay exactly what EncodeCSR produces.
-func (c *CSR) resizeNNZ(nnz int) {
+// resizeNNZ sets ColIdx and Values to nnz entries, Values at format f with
+// its words zeroed, reusing the backing arrays when capacity allows. A
+// short array is regrown with a quarter of slack (never past c.N, which
+// bounds nnz): ReLU sparsity drifts by a few elements per step, and growing
+// to exactly nnz re-allocated both arrays at every new maximum. Lengths —
+// and with them Bytes() and the wire form — are exact.
+func (c *CSR) resizeNNZ(nnz int, f floatenc.Format) {
 	grown := min(c.N, nnz+nnz/4)
 	if cap(c.ColIdx) < nnz {
 		c.ColIdx = make([]uint8, nnz, grown)
 	} else {
 		c.ColIdx = c.ColIdx[:nnz]
 	}
-	if cap(c.Values) < nnz {
-		c.Values = make([]float32, nnz, grown)
-	} else {
-		c.Values = c.Values[:nnz]
+	if words := f.PackedBytes(nnz) / 4; int64(cap(c.Values.Words)) < words {
+		c.Values.Words = make([]uint32, 0, f.PackedBytes(grown)/4)
 	}
+	c.Values.Reset(f, nnz)
 }
 
 // NNZ returns the number of stored non-zeros.
-func (c *CSR) NNZ() int { return len(c.Values) }
+func (c *CSR) NNZ() int { return c.Values.N }
 
 // Validate checks the structural invariants every encoder-produced CSR
 // holds: consistent dimensions, a monotone row-pointer array bracketing the
@@ -106,20 +99,24 @@ func (c *CSR) Validate() error {
 	if len(c.RowPtr) != c.Rows+1 {
 		return fmt.Errorf("sparse: %d row pointers for %d rows", len(c.RowPtr), c.Rows)
 	}
-	if len(c.ColIdx) != len(c.Values) {
-		return fmt.Errorf("sparse: %d column indices vs %d values", len(c.ColIdx), len(c.Values))
+	if err := c.Values.Check(); err != nil {
+		return fmt.Errorf("sparse: values: %w", err)
 	}
-	if c.RowPtr[0] != 0 || int(c.RowPtr[c.Rows]) != len(c.Values) {
+	if len(c.ColIdx) != c.Values.N {
+		return fmt.Errorf("sparse: %d column indices vs %d values", len(c.ColIdx), c.Values.N)
+	}
+	if c.RowPtr[0] != 0 || int(c.RowPtr[c.Rows]) != c.Values.N {
 		return fmt.Errorf("sparse: row pointers span [%d,%d], want [0,%d]",
-			c.RowPtr[0], c.RowPtr[c.Rows], len(c.Values))
+			c.RowPtr[0], c.RowPtr[c.Rows], c.Values.N)
 	}
 	for r := 0; r < c.Rows; r++ {
-		if c.RowPtr[r] > c.RowPtr[r+1] {
-			return fmt.Errorf("sparse: row pointer %d decreases (%d > %d)", r, c.RowPtr[r], c.RowPtr[r+1])
-		}
 		base, limit := r*c.Cols, c.Cols
 		if last := c.N - base; last < limit {
 			limit = last // partial final row
+		}
+		if c.RowPtr[r] > c.RowPtr[r+1] || c.RowPtr[r+1]-c.RowPtr[r] > int32(limit) {
+			return fmt.Errorf("sparse: row %d spans pointers [%d,%d] over %d columns",
+				r, c.RowPtr[r], c.RowPtr[r+1], limit)
 		}
 		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
 			if int(c.ColIdx[k]) >= limit {
@@ -133,44 +130,62 @@ func (c *CSR) Validate() error {
 
 // CountRowNNZ is the chunk-range count kernel of the parallel CSR builder:
 // counts[j] receives the non-zero count of row r0+j of xs viewed as a
-// matrix with the given column count. Chunks own disjoint row ranges.
+// matrix with the given column count, an element counting as non-zero when
+// its magnitude bits reach minBits (the values format's MinNonzeroBits, so
+// a value the format flushes to zero is not counted). Chunks own disjoint
+// row ranges.
 //
 // Word-parallel: each row sums the branch-free non-zero predicate
-// (countNonzeros); identical counts to countRowNNZScalar.
-func CountRowNNZ(xs []float32, cols, r0, r1 int, counts []int32) {
+// (countNonzeros); identical counts to countRowNNZScalar at minBits 1.
+func CountRowNNZ(xs []float32, cols, r0, r1 int, counts []int32, minBits uint32) {
 	for r := r0; r < r1; r++ {
 		base := r * cols
 		end := min(base+cols, len(xs))
-		counts[r-r0] = int32(countNonzeros(xs[base:end]))
+		counts[r-r0] = int32(countNonzeros(xs[base:end], minBits))
 	}
 }
 
 // FillRows is the chunk-range fill kernel of the parallel CSR builder: it
 // writes the ColIdx/Values segments of rows [r0, r1), whose destination
-// offsets c.RowPtr must already hold (after the builder's prefix sum).
-// Chunks own disjoint row ranges and therefore disjoint array segments.
+// offsets c.RowPtr must already hold (after the builder's prefix sum), and
+// whose Values words are zero. Each row's non-zeros are gathered on the
+// stack and packed at the Values format, so a value is quantized exactly
+// once, as it is stored. Chunks own disjoint row ranges, hence disjoint
+// ColIdx segments; the ≤2 Values words a chunk shares with its neighbours
+// (its value offset RowPtr[r0] need not be word-aligned) are merged by the
+// Packer.
 //
 // Word-parallel: each row gathers through the 64-bit mask kernel
-// (gatherRow); identical output to fillRowsScalar.
+// (gatherRow); identical output to fillRowsScalar at FP32.
 func (c *CSR) FillRows(xs []float32, r0, r1 int) {
+	minBits := c.Values.Format.MinNonzeroBits()
+	w := c.Values.PackerAt(int(c.RowPtr[r0]))
+	var vals [NarrowCols]float32
 	for r := r0; r < r1; r++ {
 		base := r * c.Cols
 		end := min(base+c.Cols, len(xs))
-		gatherRow(c.ColIdx, c.Values, int(c.RowPtr[r]), xs, base, end)
+		n := gatherRow(c.ColIdx[c.RowPtr[r]:], vals[:], xs, base, end, minBits)
+		w.Append(vals[:n])
 	}
+	w.Flush()
 }
 
 // DecodeRows is the chunk-range scatter kernel: it zeroes the dense span
-// covered by rows [r0, r1) and scatters those rows' non-zeros into it.
+// covered by rows [r0, r1) and scatters those rows' non-zeros into it, each
+// row's values unpacked on the stack by the floatenc word kernel.
 // Chunks own disjoint row ranges and therefore disjoint dst spans.
 func (c *CSR) DecodeRows(dst []float32, r0, r1 int) {
 	lo := r0 * c.Cols
 	hi := min(r1*c.Cols, c.N)
 	clear(dst[lo:hi])
+	var vals [NarrowCols]float32
 	for r := r0; r < r1; r++ {
+		k0, k1 := int(c.RowPtr[r]), int(c.RowPtr[r+1])
+		row := vals[:k1-k0]
+		c.Values.DecodeAt(row, k0)
 		base := r * c.Cols
-		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-			dst[base+int(c.ColIdx[k])] = c.Values[k]
+		for j, col := range c.ColIdx[k0:k1] {
+			dst[base+int(col)] = row[j]
 		}
 	}
 }
@@ -180,16 +195,16 @@ func (c *CSR) DecodeRows(dst []float32, r0, r1 int) {
 // the chunked decoder run serially, as one chunk.
 func (c *CSR) Decode(dst []float32) []float32 { return c.DecodeChunked(dst, nil, 0) }
 
-// Bytes returns the storage footprint: 4 bytes per value, 1 byte per column
-// index, 4 bytes per row pointer.
+// Bytes returns the storage footprint: the packed value words, 1 byte per
+// column index, 4 bytes per row pointer.
 func (c *CSR) Bytes() int64 {
-	return int64(len(c.Values))*4 + int64(len(c.ColIdx)) + int64(len(c.RowPtr))*4
+	return c.Values.Bytes() + int64(len(c.ColIdx)) + int64(len(c.RowPtr))*4
 }
 
 // ValueBytes returns the bytes used by the non-zero value array alone. DPR
 // layered over SSDC compresses only this array (the meta arrays affect
 // control flow and stay exact).
-func (c *CSR) ValueBytes() int64 { return int64(len(c.Values)) * 4 }
+func (c *CSR) ValueBytes() int64 { return c.Values.Bytes() }
 
 // MetaBytes returns the bytes used by the index arrays (ColIdx + RowPtr).
 func (c *CSR) MetaBytes() int64 { return c.Bytes() - c.ValueBytes() }

@@ -1,11 +1,13 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"gist/internal/floatenc"
 	"gist/internal/parallel"
 	"gist/internal/race"
 )
@@ -59,10 +61,11 @@ func sameCSR(t *testing.T, tag string, got, want *CSR) {
 			tag, got.Rows, got.Cols, got.N, want.Rows, want.Cols, want.N)
 	}
 	if len(got.RowPtr) != len(want.RowPtr) || len(got.ColIdx) != len(want.ColIdx) ||
-		len(got.Values) != len(want.Values) {
-		t.Fatalf("%s: lengths (%d,%d,%d) != (%d,%d,%d)", tag,
-			len(got.RowPtr), len(got.ColIdx), len(got.Values),
-			len(want.RowPtr), len(want.ColIdx), len(want.Values))
+		len(got.Values.Words) != len(want.Values.Words) || got.Values.N != want.Values.N ||
+		got.Values.Format != want.Values.Format {
+		t.Fatalf("%s: lengths (%d,%d,%d %v) != (%d,%d,%d %v)", tag,
+			len(got.RowPtr), len(got.ColIdx), got.Values.N, got.Values.Format,
+			len(want.RowPtr), len(want.ColIdx), want.Values.N, want.Values.Format)
 	}
 	for r := range got.RowPtr {
 		if got.RowPtr[r] != want.RowPtr[r] {
@@ -73,9 +76,11 @@ func sameCSR(t *testing.T, tag string, got, want *CSR) {
 		if got.ColIdx[k] != want.ColIdx[k] {
 			t.Fatalf("%s: ColIdx[%d] = %d, scalar %d", tag, k, got.ColIdx[k], want.ColIdx[k])
 		}
-		if math.Float32bits(got.Values[k]) != math.Float32bits(want.Values[k]) {
-			t.Fatalf("%s: Values[%d] = %#08x, scalar %#08x", tag, k,
-				math.Float32bits(got.Values[k]), math.Float32bits(want.Values[k]))
+	}
+	for k := range got.Values.Words {
+		if got.Values.Words[k] != want.Values.Words[k] {
+			t.Fatalf("%s: Values word %d = %#08x, scalar %#08x", tag, k,
+				got.Values.Words[k], want.Values.Words[k])
 		}
 	}
 }
@@ -131,7 +136,7 @@ func TestDiffCountFillDecodeRows(t *testing.T) {
 			per := (rows + nchunks - 1) / max(nchunks, 1)
 			for r0 := 0; r0 < rows; r0 += per {
 				r1 := min(r0+per, rows)
-				CountRowNNZ(xs, NarrowCols, r0, r1, counts[r0:r1])
+				CountRowNNZ(xs, NarrowCols, r0, r1, counts[r0:r1], 1)
 				countRowNNZScalar(xs, NarrowCols, r0, r1, countsRef[r0:r1])
 			}
 			for r := range counts {
@@ -145,7 +150,7 @@ func TestDiffCountFillDecodeRows(t *testing.T) {
 			got := &CSR{Rows: rows, Cols: NarrowCols, N: n,
 				RowPtr: want.RowPtr,
 				ColIdx: make([]uint8, want.NNZ()),
-				Values: make([]float32, want.NNZ())}
+				Values: *floatenc.NewPacked(floatenc.FP32, want.NNZ())}
 			for r0 := 0; r0 < rows; r0 += per {
 				got.FillRows(xs, r0, min(r0+per, rows))
 			}
@@ -188,8 +193,8 @@ func TestDiffNonzeroBitExhaustive(t *testing.T) {
 		if v != 0 {
 			want = 1
 		}
-		if got := nonzeroBit(v); got != want {
-			t.Fatalf("nonzeroBit(%#08x) = %d, want %d", b, got, want)
+		if got := atLeastBit(b, 1); got != want {
+			t.Fatalf("atLeastBit(%#08x, 1) = %d, want %d", b, got, want)
 		}
 	}
 	for sign := uint32(0); sign <= 1; sign++ {
@@ -244,26 +249,77 @@ func TestEncodeCSRIntoAmortisedGrowth(t *testing.T) {
 	pool := parallel.NewPool(2)
 	for name, into := range map[string]func(*CSR, []float32){
 		"serial":  EncodeCSRInto,
-		"chunked": func(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, pool, 8) },
+		"chunked": func(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, floatenc.FP32, pool, 8) },
 	} {
 		var c CSR
 		regrowths := 0
 		for i, xs := range inputs {
-			was := cap(c.Values)
+			was := cap(c.Values.Words)
 			into(&c, xs)
-			if cap(c.Values) != was {
+			if cap(c.Values.Words) != was {
 				regrowths++
 			}
 			sameCSR(t, name, &c, wants[i])
 			if c.Bytes() != wants[i].Bytes() {
 				t.Fatalf("%s step %d: Bytes() = %d, EncodeCSR %d", name, i, c.Bytes(), wants[i].Bytes())
 			}
-			if cap(c.Values) > n || cap(c.ColIdx) > n {
-				t.Fatalf("%s step %d: capacity %d/%d past the dense size %d", name, i, cap(c.ColIdx), cap(c.Values), n)
+			if cap(c.Values.Words) > n || cap(c.ColIdx) > n {
+				t.Fatalf("%s step %d: capacity %d/%d past the dense size %d", name, i, cap(c.ColIdx), cap(c.Values.Words), n)
 			}
 		}
 		if regrowths > 8 {
 			t.Fatalf("%s: %d regrowths over %d growing encodes, want <= 8", name, regrowths, steps)
+		}
+	}
+}
+
+// TestDiffQuantizedCSR checks the fused quantize-and-pack builder against
+// the two-pass reference — quantize a copy, build the FP32 CSR of it, pack
+// its values — at every DPR format, worker count and a spread of chunk
+// sizes (so chunk value offsets land on every residue mod the values per
+// word): equal RowPtr and ColIdx, value words equal to the reference's
+// values packed, and a bit-identical decode.
+func TestDiffQuantizedCSR(t *testing.T) {
+	for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP10, floatenc.FP8} {
+		for _, n := range []int{0, 1, 255, 257, 768, 5000, 100003} {
+			if n > 5000 && testing.Short() {
+				continue
+			}
+			xs := diffInput(n, 0.5, int64(n)+int64(f))
+			for i := range xs {
+				if i%7 == 0 {
+					xs[i] *= 1e-6 // below FP8's smallest normal: flushed there
+				}
+			}
+			q := append([]float32(nil), xs...)
+			floatenc.QuantizeSlice(f, q)
+			ref := encodeCSRColsScalar(q, NarrowCols)
+			vals := make([]float32, ref.NNZ())
+			for k, w := range ref.Values.Words {
+				vals[k] = math.Float32frombits(w)
+			}
+			want := floatenc.EncodeSlice(f, vals)
+			dense := ref.Decode(nil)
+			for _, workers := range []int{1, 2, 4} {
+				pool := parallel.NewPool(workers)
+				for _, chunkRows := range []int{0, 1, 2, 3, 5} {
+					var c CSR
+					EncodeCSRChunkedInto(&c, xs, f, pool, chunkRows)
+					tag := fmt.Sprintf("%v n=%d workers=%d chunkRows=%d", f, n, workers, chunkRows)
+					sameCSR(t, tag, &c, &CSR{Rows: ref.Rows, Cols: ref.Cols, N: ref.N,
+						RowPtr: ref.RowPtr, ColIdx: ref.ColIdx, Values: *want})
+					if err := c.Validate(); err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					got := c.DecodeChunked(nil, pool, chunkRows)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(dense[i]) {
+							t.Fatalf("%s: decode[%d] = %#08x, reference %#08x",
+								tag, i, math.Float32bits(got[i]), math.Float32bits(dense[i]))
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,10 +1,18 @@
 package sparse
 
+import (
+	"math"
+
+	"gist/internal/floatenc"
+)
+
 // Retained scalar reference kernels: the original branchy element-at-a-time
 // CSR encode/count/fill/decode loops, kept verbatim as the ground truth of
 // the differential tests and the `scalar` legs of the Kernel benchmarks
 // that `make bench-gate` compares against. Do not optimize these: their
 // value is being obviously correct and frozen.
+
+// They hold FP32 values, one exact float32 bit pattern per Values word.
 
 // encodeCSRColsScalar is the original append-based EncodeCSRCols.
 func encodeCSRColsScalar(xs []float32, cols int) *CSR {
@@ -17,18 +25,19 @@ func encodeCSRColsScalar(xs []float32, cols int) *CSR {
 		}
 	}
 	c.ColIdx = make([]uint8, 0, nnz)
-	c.Values = make([]float32, 0, nnz)
+	c.Values = floatenc.Packed{Format: floatenc.FP32, Words: make([]uint32, 0, nnz)}
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		end := min(base+cols, len(xs))
 		for i := base; i < end; i++ {
 			if xs[i] != 0 {
 				c.ColIdx = append(c.ColIdx, uint8(i-base))
-				c.Values = append(c.Values, xs[i])
+				c.Values.Words = append(c.Values.Words, math.Float32bits(xs[i]))
 			}
 		}
-		c.RowPtr[r+1] = int32(len(c.Values))
+		c.RowPtr[r+1] = int32(len(c.Values.Words))
 	}
+	c.Values.N = len(c.Values.Words)
 	return c
 }
 
@@ -56,7 +65,7 @@ func (c *CSR) fillRowsScalar(xs []float32, r0, r1 int) {
 		for i := base; i < end; i++ {
 			if xs[i] != 0 {
 				c.ColIdx[k] = uint8(i - base)
-				c.Values[k] = xs[i]
+				c.Values.Words[k] = math.Float32bits(xs[i])
 				k++
 			}
 		}
@@ -71,7 +80,7 @@ func (c *CSR) decodeRowsScalar(dst []float32, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		base := r * c.Cols
 		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-			dst[base+int(c.ColIdx[k])] = c.Values[k]
+			dst[base+int(c.ColIdx[k])] = math.Float32frombits(c.Values.Words[k])
 		}
 	}
 }

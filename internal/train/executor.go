@@ -334,9 +334,6 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	if opts.Codec != nil {
 		e.cdc = *opts.Codec
 	}
-	if e.cdc.Buf == nil {
-		e.cdc.Buf = opts.Pool // codec scratch comes from the executor's pool
-	}
 
 	// Eviction priorities are a pure function of the liveness analysis: the
 	// stash whose first backward use lies furthest in the future spills
