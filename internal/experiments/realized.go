@@ -6,8 +6,10 @@ package experiments
 // footprints, and Fig 17's "optimized" plan that drops every decoded staging
 // buffer, are printed next to the executor arena's observed peak of
 // requested bytes and the slab it packed its recorded step into, the
-// planned stash bytes next to the executor's StashBytes, then the ratio
-// realised.
+// planned stash bytes next to the executor's StashBytes — with, between
+// them, the plan re-evaluated at each stash's measured sparsity, which
+// splits the gap into the planner's sparsity estimate and the containers'
+// layout — then the ratio realised.
 
 import (
 	"gist/internal/bufpool"
@@ -37,8 +39,8 @@ func ExtRealized() *Result {
 		cfg  *encoding.Config
 	}{{"none", nil}, {"lossless", &lossless}, {"lossy-fp16", &lossy}}
 
-	r.add("%-15s %-10s %11s %11s %11s %11s %11s %11s %11s %11s %6s", "network", "encodings",
-		"static", "plan FP32", "optimized", "peak FP32", "slab", "plan stash", "StashBytes", "held enc", "MFR")
+	r.add("%-15s %-10s %11s %11s %11s %11s %11s %11s %11s %11s %11s %6s", "network", "encodings",
+		"static", "plan FP32", "optimized", "peak FP32", "slab", "plan stash", "plan@meas", "StashBytes", "held enc", "MFR")
 	for _, net := range nets {
 		var baseline int64
 		for _, enc := range encs {
@@ -55,13 +57,15 @@ func ExtRealized() *Result {
 			}
 			tl := graph.BuildTimeline(g)
 			bufs := liveness.Analyze(g, tl, liveness.Options{Analysis: a})
-			planStash += liveness.TotalByClass(bufs)[graph.ClassStashedFmap]
+			raw := liveness.TotalByClass(bufs)[graph.ClassStashedFmap]
+			planStash += raw
 			pooled := memplan.PooledBuffers(bufs)
 			static := memplan.PlanStatic(pooled).TotalBytes
 			planned := memplan.PlanDynamic(pooled)
 			optimized := memplan.PlanDynamic(memplan.PooledBuffers(
 				liveness.Analyze(g, tl, liveness.Options{Analysis: a, ElideDecoded: true})))
 			e := train.NewExecutor(g, train.Options{Seed: 7, Encodings: a, Pool: bufpool.New()})
+			e.SetSparsityProbe(true)
 			in := g.InputNodes()[0].OutShape
 			d := train.NewDataset(4, in[1], in[2], 0.4, 8)
 			for i := 0; i < 3; i++ {
@@ -69,6 +73,14 @@ func ExtRealized() *Result {
 				e.Step(x, labels, 0.01)
 			}
 			st, held, stash := e.ArenaStats(), e.StashStore().Stats().HotPeakBytes, e.StashBytes
+			// The plan at the last step's measured sparsities: what the
+			// assigned containers would hold if the planner had known them.
+			planMeas, measured := raw, e.StashSparsities()
+			if a != nil {
+				for id, as := range a.ByNode {
+					planMeas += encoding.PlanBytes(as.Tech, as.Node.OutShape.NumElements(), measured[id], as.Format)
+				}
+			}
 			e.Close()
 			if enc.cfg == nil {
 				baseline = st.PeakLiveBytes
@@ -80,14 +92,19 @@ func ExtRealized() *Result {
 			r.set(net.name+"/"+enc.name+"/observed-peak", float64(st.PeakLiveBytes))
 			r.set(net.name+"/"+enc.name+"/slab", float64(st.HeldBytes+st.InUseBytes))
 			r.set(net.name+"/"+enc.name+"/mfr", mfr)
-			r.add("%-15s %-10s %11d %11d %11d %11d %11d %11d %11d %11d %5.2fx", net.name, enc.name,
-				static, planned, optimized, st.PeakLiveBytes, st.HeldBytes+st.InUseBytes, planStash, stash, held, mfr)
+			r.set(net.name+"/"+enc.name+"/plan-stash", float64(planStash))
+			r.set(net.name+"/"+enc.name+"/plan-at-measured", float64(planMeas))
+			r.set(net.name+"/"+enc.name+"/stash-bytes", float64(stash))
+			r.add("%-15s %-10s %11d %11d %11d %11d %11d %11d %11d %11d %11d %5.2fx", net.name, enc.name,
+				static, planned, optimized, st.PeakLiveBytes, st.HeldBytes+st.InUseBytes, planStash, planMeas, stash, held, mfr)
 		}
 	}
 	r.add("")
 	r.add("(static: the CNTK groups over plan FP32's buffers; optimized: plan FP32 with no decoded staging buffer,")
 	r.add(" Fig 17's optimized software; peak FP32: the executor arena's high-water mark of requested bytes; slab: the")
-	r.add(" arena's recorded step packed by offset, what it holds; held enc: the store's peak of encoded containers,")
+	r.add(" arena's recorded step packed by offset, what it holds; plan@meas: plan stash with each assigned stash priced")
+	r.add(" at its last step's measured sparsity, so StashBytes - plan@meas is the containers' layout error and")
+	r.add(" plan@meas - plan stash the planner's sparsity-estimate error; held enc: the store's peak of encoded containers,")
 	r.add(" outside the arena; MFR: unencoded peak / (peak + held). Untrained weights, 3 steps, minibatch 2-8: how the")
 	r.add(" ratio scales with depth and minibatch is ROADMAP item 5(c)'s search, not this table.)")
 	return r

@@ -276,9 +276,12 @@ type Executor struct {
 
 	// probeSparsity arms per-step ReLU sparsity capture (set by the run
 	// loop for the duration of a run whose RunConfig.ProbeSparsity asks for
-	// the Figure 14 probe); sparsities holds the last captured values.
-	probeSparsity bool
-	sparsities    map[string]float64
+	// the Figure 14 probe); sparsities holds the last captured values, and
+	// stashSparsities those of the assigned stashes, as their formats
+	// quantize them.
+	probeSparsity   bool
+	sparsities      map[string]float64
+	stashSparsities map[int]float64
 
 	// StashBytes records, per step, the total bytes of the stashed
 	// representations held across the forward→backward gap — the sum of
@@ -373,6 +376,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e.encoders = stashWorkers{job: (*stashFuture).encode, depth: nn}
 	e.decoder = stashWorkers{job: (*stashFuture).decode, depth: nn}
 	e.sparsities = map[string]float64{}
+	e.stashSparsities = map[int]float64{}
 	if e.tel != nil {
 		e.mem.byTech = map[string]telemetry.TechBytes{}
 	}
@@ -865,6 +869,7 @@ func (e *Executor) beginStashes() {
 	e.store.BeginAttempt(e.fkey)
 	if e.probeSparsity {
 		clear(e.sparsities)
+		clear(e.stashSparsities)
 	}
 	e.mem.reset()
 	e.encodeNS = 0
@@ -885,6 +890,9 @@ func (e *Executor) retire(n *graph.Node) {
 	if e.probeSparsity && n.Kind() == layers.ReLU {
 		// Capture the Figure 14 probe before the output can recycle.
 		e.sparsities[n.Name] = out.Sparsity()
+	}
+	if as := e.assign[n.ID]; e.probeSparsity && as != nil {
+		e.stashSparsities[n.ID] = quantizedSparsity(out.Data, as.Format)
 	}
 	if e.assign[n.ID] != nil {
 		if !e.futures[n.ID].encoding {
@@ -1548,10 +1556,10 @@ func (e *Executor) Telemetry() *telemetry.Sink { return e.tel }
 
 // SetSparsityProbe arms (or disarms) per-step capture of ReLU output
 // sparsities at retirement, before the outputs can recycle — what
-// ReLUSparsities reports. The run loop arms it for a run with
+// ReLUSparsities and StashSparsities report. The run loop arms it for a run with
 // RunConfig.ProbeSparsity set and disarms it when that run returns. The
-// capture costs one pass over each ReLU output per step, so it is off by
-// default.
+// capture costs one pass over each ReLU output and encoded stash per step,
+// so it is off by default.
 func (e *Executor) SetSparsityProbe(on bool) { e.probeSparsity = on }
 
 // Step runs forward, backward and an SGD update on one minibatch and
@@ -1571,4 +1579,26 @@ func (e *Executor) Step(input *tensor.Tensor, labels []int, lr float32) (loss fl
 // step retired them. Empty unless SetSparsityProbe armed the capture.
 func (e *Executor) ReLUSparsities() map[string]float64 {
 	return maps.Clone(e.sparsities)
+}
+
+// StashSparsities returns the zero fraction of every encoded stash's map
+// as its assignment's DPR format quantizes it — the nonzeros SSDC and ZVC
+// hold — keyed by node ID, as captured when the latest training step
+// retired them. Empty unless SetSparsityProbe armed the capture.
+func (e *Executor) StashSparsities() map[int]float64 {
+	return maps.Clone(e.stashSparsities)
+}
+
+// quantizedSparsity is the fraction of xs that format f holds as zero.
+func quantizedSparsity(xs []float32, f floatenc.Format) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	minBits, zeros := f.MinNonzeroBits(), 0
+	for _, v := range xs {
+		if math.Float32bits(v)&0x7fffffff < minBits {
+			zeros++
+		}
+	}
+	return float64(zeros) / float64(len(xs))
 }
