@@ -309,8 +309,8 @@ func (p *Pool) Recycle(t *tensor.Tensor) {
 }
 
 // GetSlice returns a zeroed []float32 of length n from the pool — the raw
-// form of Get for scratch buffers that never become tensors (the codec's
-// quantize scratch). Pair with RecycleSlice.
+// form of Get for buffers that never become tensors (a replica group's
+// gradient flats). Pair with RecycleSlice.
 func (p *Pool) GetSlice(n int) []float32 {
 	return p.Get(n).Data
 }

@@ -66,25 +66,17 @@ func (f Format) Bits() int {
 // ValuesPerWord returns how many encoded values are packed in one 32-bit
 // storage word: 1 for FP32, 2 for FP16, 3 for FP10 and 4 for FP8.
 func (f Format) ValuesPerWord() int {
-	if vpw, ok := f.valuesPerWord(); ok {
-		return vpw
-	}
-	panic("floatenc: unknown format")
-}
-
-// valuesPerWord is ValuesPerWord with ok = false for an unknown format.
-func (f Format) valuesPerWord() (int, bool) {
 	switch f {
 	case FP32:
-		return 1, true
+		return 1
 	case FP16:
-		return 2, true
+		return 2
 	case FP10:
-		return 3, true
+		return 3
 	case FP8:
-		return 4, true
+		return 4
 	}
-	return 0, false
+	panic("floatenc: unknown format")
 }
 
 // PackedBytes returns the number of bytes needed to store n values of the
@@ -197,10 +189,13 @@ func (f Format) Quantize(v float32) float32 {
 // 1, the plain v != 0. The sparse encoders test this threshold to find the
 // nonzeros of the quantized map without quantizing it.
 func (f Format) MinNonzeroBits() uint32 {
-	if _, ok := f.valuesPerWord(); !ok {
-		panic("floatenc: unknown format")
+	switch f {
+	case FP32:
+		return 1
+	case FP16, FP10, FP8:
+		return fmtTab[f].zeroBelow
 	}
-	return minNonzero[f]
+	panic("floatenc: unknown format")
 }
 
 // MaxRelativeError returns an upper bound on the relative rounding error for

@@ -116,9 +116,11 @@ func (w *Packer) Append(src []float32) {
 }
 
 // Flush writes the partial word the stream ends in, if any; it ends the
-// stream.
+// stream. A partial word with no bits set — nothing encoded into it, as
+// when the Packer appended nothing — is left alone: it is zero already,
+// and the Packer that owns the rest of it may be storing it outright.
 func (w *Packer) Flush() {
-	if vpw := w.p.Format.ValuesPerWord(); w.k%vpw != 0 {
+	if vpw := w.p.Format.ValuesPerWord(); w.k%vpw != 0 && w.acc != 0 {
 		w.shared = w.shared || w.k < w.p.N // the rest of the word is another Packer's
 		w.store(w.k / vpw)
 	}
@@ -325,11 +327,12 @@ func UnpackBytes(f Format, dst []float32, src []byte) {
 // — what a deserialized or damaged container must pass before a decode
 // indexes its words.
 func (p *Packed) Check() error {
-	vpw, ok := p.Format.valuesPerWord()
-	if !ok {
+	switch p.Format {
+	case FP32, FP16, FP10, FP8:
+	default:
 		return fmt.Errorf("floatenc: unknown packed format %d", int(p.Format))
 	}
-	if p.N < 0 || len(p.Words) != (p.N+vpw-1)/vpw {
+	if vpw := p.Format.ValuesPerWord(); p.N < 0 || len(p.Words) != (p.N+vpw-1)/vpw {
 		return fmt.Errorf("floatenc: %d packed words for %d %s values", len(p.Words), p.N, p.Format)
 	}
 	return nil

@@ -99,15 +99,16 @@ func TestPackerAnyPartition(t *testing.T) {
 
 // TestRacePackersShareBoundaryWords runs Packers over unaligned, disjoint
 // slot ranges of one Packed concurrently — neighbours share a boundary
-// word, which each merges atomically — and requires the serial words. Run
-// under -race via `make race-hot`.
+// word, which each merges atomically, and an empty range at N touches
+// nothing — and requires the serial words. Run under -race via
+// `make race-hot`.
 func TestRacePackersShareBoundaryWords(t *testing.T) {
 	for _, f := range diffFormats {
 		const n = 4001
 		xs := diffInput(n, int64(f)+5)
 		want := NewPacked(f, n)
 		want.encodeRangeScalar(xs, 0, n)
-		bounds := []int{0, 1, 2, 769, 1538, 1539, 3001, n}
+		bounds := []int{0, 1, 2, 769, 1538, 1539, 3001, n, n} // the last range is empty
 		for iter := 0; iter < 25; iter++ {
 			p := NewPacked(f, n)
 			var wg sync.WaitGroup

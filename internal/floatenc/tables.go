@@ -21,6 +21,7 @@ type fmtConsts struct {
 	minE      uint32 // FP32 biased exponent that maps to target exponent 1
 	rangeE    uint32 // emax-1: width of the fast normal range minus one
 	rebias    uint32 // (127 - bias) << manBits: decode exponent re-bias
+	zeroBelow uint32 // MinNonzeroBits: halfway below the smallest normal, the least that rounds up to it
 }
 
 // fmtTab is indexed by Format; the FP32 row is unused (FP32 is the identity
@@ -36,10 +37,6 @@ var (
 	fp8LUT  [256]float32
 	fp10LUT [1024]float32
 )
-
-// minNonzero is MinNonzeroBits per Format, found at init by bisecting the
-// scalar reference encoder over the FP32 magnitudes.
-var minNonzero = [4]uint32{FP32: 1}
 
 func init() {
 	for _, f := range []Format{FP16, FP10, FP8} {
@@ -58,21 +55,7 @@ func init() {
 		t.minE = 128 - bias
 		t.rangeE = uint32(1)<<l.expBits - 3 // emax - 1
 		t.rebias = (127 - bias) << l.manBits
-	}
-	for _, f := range []Format{FP16, FP10, FP8} {
-		// Encoding a magnitude rounds it to the nearest representable one,
-		// so the magnitudes that flush to zero are exactly those below a
-		// threshold; +Inf (0x7f800000) clamps to the largest finite value.
-		lo, hi := uint32(0), uint32(0x7f800000)
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if f.encodeScalar(math.Float32frombits(mid))&fmtTab[f].emMask != 0 {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		minNonzero[f] = lo
+		t.zeroBelow = t.minE<<23 - t.half
 	}
 	for i := range fp8LUT {
 		fp8LUT[i] = FP8.decodeScalar(uint32(i))
