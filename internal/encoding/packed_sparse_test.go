@@ -30,6 +30,7 @@ type sparseRef struct {
 	rowPtr []int32   // SSDC, over NarrowCols-wide rows
 	colIdx []uint8   // SSDC
 	values []float32 // the quantized nonzeros in index order
+	raw    []float32 // the same elements as the map holds them
 	dense  []float32 // what a decode returns: the quantized map, -0 as +0
 }
 
@@ -41,6 +42,7 @@ func refSparse(f floatenc.Format, xs []float32) sparseRef {
 			r.mask[i/64] |= 1 << (i % 64)
 			r.colIdx = append(r.colIdx, uint8(i%sparse.NarrowCols))
 			r.values = append(r.values, v)
+			r.raw = append(r.raw, xs[i])
 			r.dense[i] = v
 		}
 		if (i+1)%sparse.NarrowCols == 0 || i+1 == len(q) {
@@ -62,16 +64,20 @@ func (r *sparseRef) metaBytes(tech Technique) int64 {
 // checkPackedSparse encodes xs with SSDC and ZVC at every format, chunk
 // size (768 and 1536 elements) and worker count (1, 2, 4), and compares
 // each stash with the reference: the cost guard's verdict, the zero
-// structure, value words equal to the reference values packed, held bytes
-// equal to the structure plus the packed values, a bit-identical decode,
-// and a sealed blob identical at every worker count.
+// structure, value words equal to a serial DPR pack of the selected
+// elements, held bytes equal to the structure plus the packed values, a
+// bit-identical decode, and a sealed blob identical at every worker count.
+// The words pack the elements as the map holds them, not their quantized
+// values: a negative NaN keeps its sign in the packed pattern, while
+// Quantize returns the one canonical NaN, so a pack of the quantized values
+// differs there — and both decode to that canonical NaN.
 func checkPackedSparse(t *testing.T, xs []float32) {
 	t.Helper()
 	x := tensor.New(len(xs))
 	copy(x.Data, xs)
 	for _, f := range allFormats {
 		ref := refSparse(f, xs)
-		packed := floatenc.EncodeSlice(f, ref.values)
+		packed := floatenc.EncodeSlice(f, ref.raw)
 		for _, tech := range []Technique{SSDC, ZVC} {
 			held := ref.metaBytes(tech) + f.PackedBytes(len(ref.values))
 			tooLarge := held >= f.PackedBytes(len(xs))
@@ -181,8 +187,10 @@ func reluMap(n int, density float64, seed int64) []float32 {
 // FuzzPackedSparseDiff drives checkPackedSparse with fuzzer-chosen maps: a
 // ReLU-shaped map of n elements at a density out of 256, whose leading
 // elements are overwritten by raw float32 bit patterns from data (NaNs,
-// negative zeros, denormals and clamping magnitudes included). The seeds
-// put chunk value offsets on every residue mod the values per word.
+// negative zeros, denormals and clamping magnitudes included). The residue
+// maps of TestPackedSparseDiffResidues put chunk value offsets on every
+// residue mod the values per word; the corpus in testdata keeps a negative
+// NaN, on which a pack of the quantized values would differ.
 func FuzzPackedSparseDiff(f *testing.F) {
 	f.Add(uint16(3*768+5), uint8(128), int64(1), []byte{})
 	f.Add(uint16(1), uint8(255), int64(2), []byte{0, 0, 0x80, 0x7f})

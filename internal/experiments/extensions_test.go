@@ -147,9 +147,11 @@ func TestExtDistributedDeterminism(t *testing.T) {
 
 // TestExtRealizedMatchesPlan pins the realised-footprint table's claims:
 // without encodings the observed FP32 peak is the planner's, to the byte,
-// and so is Fig 17's optimized plan, which never exceeds the plan; and on the
-// one network deep enough for encodings to pay at this scale the measured
-// footprint ratio is above one.
+// and so is Fig 17's optimized plan, which never exceeds the plan; the
+// encoded containers hold no more than the plan priced at the measured
+// sparsity (a cost guard's fallback holds less); and on the one network
+// deep enough for encodings to pay at this scale the measured footprint
+// ratio is above one.
 func TestExtRealizedMatchesPlan(t *testing.T) {
 	skipIfRace(t)
 	r := ExtRealized()
@@ -167,6 +169,10 @@ func TestExtRealizedMatchesPlan(t *testing.T) {
 			slab, peak, static := r.Values[net+"/"+enc+"/slab"], r.Values[net+"/"+enc+"/observed-peak"], r.Values[net+"/"+enc+"/planned-static"]
 			if slab < peak || static < plan || (enc == "none" && (slab != peak || slab > static)) {
 				t.Errorf("%s %s: slab %v, observed peak %v, static plan %v, dynamic plan %v", net, enc, slab, peak, static, plan)
+			}
+			held, priced := r.Values[net+"/"+enc+"/stash-bytes"], r.Values[net+"/"+enc+"/plan-at-measured"]
+			if held > priced || held == 0 || (enc == "none" && held != priced) {
+				t.Errorf("%s %s: StashBytes %v against the plan at measured sparsity %v", net, enc, held, priced)
 			}
 		}
 	}

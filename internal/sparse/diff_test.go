@@ -274,11 +274,11 @@ func TestEncodeCSRIntoAmortisedGrowth(t *testing.T) {
 }
 
 // TestDiffQuantizedCSR checks the fused quantize-and-pack builder against
-// the two-pass reference — quantize a copy, build the FP32 CSR of it, pack
-// its values — at every DPR format, worker count and a spread of chunk
-// sizes (so chunk value offsets land on every residue mod the values per
-// word): equal RowPtr and ColIdx, value words equal to the reference's
-// values packed, and a bit-identical decode.
+// the two-pass reference — quantize a copy, build the FP32 CSR of it — at
+// every DPR format, worker count and a spread of chunk sizes (so chunk
+// value offsets land on every residue mod the values per word): equal
+// RowPtr and ColIdx, value words equal to a DPR pack of the selected
+// elements, and a bit-identical decode.
 func TestDiffQuantizedCSR(t *testing.T) {
 	for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP10, floatenc.FP8} {
 		for _, n := range []int{0, 1, 255, 257, 768, 5000, 100003} {
@@ -294,11 +294,13 @@ func TestDiffQuantizedCSR(t *testing.T) {
 			q := append([]float32(nil), xs...)
 			floatenc.QuantizeSlice(f, q)
 			ref := encodeCSRColsScalar(q, NarrowCols)
-			vals := make([]float32, ref.NNZ())
-			for k, w := range ref.Values.Words {
-				vals[k] = math.Float32frombits(w)
+			var raw []float32 // the nonzeros as xs holds them: a NaN keeps its sign when packed
+			for i, v := range q {
+				if v != 0 {
+					raw = append(raw, xs[i])
+				}
 			}
-			want := floatenc.EncodeSlice(f, vals)
+			want := floatenc.EncodeSlice(f, raw)
 			dense := ref.Decode(nil)
 			for _, workers := range []int{1, 2, 4} {
 				pool := parallel.NewPool(workers)
