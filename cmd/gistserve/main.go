@@ -47,7 +47,7 @@ func main() {
 		ckptEvery = flag.Int("ckpt-every", 25, "default periodic checkpoint interval in steps")
 		spillDir  = flag.String("spill-dir", "", "stash-store spill directory for jobs with a stash_budget (default: the checkpoint dir)")
 		stashCap  = flag.Int64("stash-budget", 0, "default per-job in-RAM stash byte cap for jobs that set none (0 = all in RAM)")
-		workers   = flag.Int("workers", 0, "codec worker pool shared by all jobs (0 = inline)")
+		workers   = flag.Int("workers", 0, "codec worker pool shared by all jobs (0 = the process-wide GOMAXPROCS pool)")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain timeout")
 		flightDir = flag.String("flightrec-dir", "", "flight recorder dump directory (empty = recorder off)")
 		flightCap = flag.Int("flightrec-events", 0, "flight recorder ring size per job (0 = default)")

@@ -1,7 +1,10 @@
 package layers
 
 import (
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"gist/internal/tensor"
 )
@@ -58,10 +61,85 @@ func BenchmarkKernelConvDirectFwd(b *testing.B) {
 	}
 }
 
+// The -sparse rows run backward on the wall's gradients (makeDY): the
+// post-ReLU regime on the three-tap shape and the post-MaxPool one on the
+// pointwise shape, where the sparse path takes every plane. The reference
+// skips the same zeros, so these ratios sit below the dense rows'.
+var sparseBenchDY = map[string]dyKind{"vgg3x3": dySparse, "stash1x1": dyPooled}
+
 func BenchmarkKernelConvDirectBwd(b *testing.B) {
 	for _, s := range directBenchShapes {
 		op, _, bwd := benchConvCase(s.cc)
 		b.Run(s.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirect(bwd) }) })
 		b.Run(s.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirectRef(bwd) }) })
+	}
+	for _, s := range directBenchShapes {
+		op, _, bwd := benchConvCase(s.cc)
+		bwd.DOut = makeDY(sparseBenchDY[s.name], 0, 4, bwd.DOut.Shape)
+		name := s.name + "-sparse"
+		b.Run(name+"/word", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirect(bwd) }) })
+		b.Run(name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, bwd.In[0], func() { op.backwardDirectRef(bwd) }) })
+	}
+}
+
+// BenchmarkConvBwdDensity is the sweep sparsePlane's threshold was read
+// from: the dense and the sparse kernels forced on every plane, at a range
+// of nonzero shares, for the shapes the workloads' convolutions run. Each
+// iteration times both legs back to back, and the row reports the ratio
+// of their fastest times (sparse/dense below 1: the sparse path wins), so
+// drift in the machine's speed between minutes cancels. Ungated; run it
+// with -benchtime 40x.
+func BenchmarkConvBwdDensity(b *testing.B) {
+	shapes := []struct {
+		name string
+		cc   convCase
+	}{
+		{"vgg3x3", directBenchShapes[0].cc},
+		{"vgg-conv4", convCase{16, 3, 3, 1, 1, 2, 16, 16, 16}},
+		{"vgg-conv6", convCase{32, 3, 3, 1, 1, 2, 32, 8, 8}},
+		{"stash1x1", directBenchShapes[1].cc},
+		{"5x5s2", convCase{8, 5, 5, 2, 2, 2, 8, 32, 32}},
+	}
+	for _, s := range shapes {
+		op, _, bwd := benchConvCase(s.cc)
+		for _, pct := range []int{5, 10, 20, 30, 40, 50, 60, 70, 100} {
+			bwd.DOut = makeDY(dyFraction, 1-float64(pct)/100, 4, bwd.DOut.Shape)
+			b.Run(fmt.Sprintf("%s/nz%d", s.name, pct), func(b *testing.B) {
+				best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+				for i := 0; i < b.N; i++ {
+					for leg := range best {
+						start := time.Now()
+						op.backwardPlanes(bwd, leg == 1)
+						best[leg] = min(best[leg], time.Since(start))
+					}
+				}
+				b.ReportMetric(float64(best[0].Nanoseconds())/1e3, "dense-µs")
+				b.ReportMetric(float64(best[1])/float64(best[0]), "sparse/dense")
+			})
+		}
+	}
+}
+
+// backwardPlanes is backwardDirect with the path forced for every plane
+// and dB dropped.
+func (c *Conv2D) backwardPlanes(ctx *BwdCtx, sparse bool) {
+	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
+	dx, dw := ctx.DIn[0], ctx.DParams[0]
+	n, inC, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := dy.Shape[2], dy.Shape[3]
+	image, plane, filter := inC*ih*iw, oh*ow, inC*c.KH*c.KW
+	dx.Zero()
+	dw.Zero()
+	for ni := 0; ni < n; ni++ {
+		xs, dxs := x.Data[ni*image:][:image], dx.Data[ni*image:][:image]
+		for oc := 0; oc < c.OutC; oc++ {
+			g := dy.Data[(ni*c.OutC+oc)*plane:][:plane]
+			ws, dws := w.Data[oc*filter:][:filter], dw.Data[oc*filter:][:filter]
+			if sparse {
+				c.backwardSparse(g, countNonzero(g), xs, dxs, ws, dws, 0, ih, iw, oh, ow)
+			} else {
+				c.backwardDense(g, xs, dxs, ws, dws, ih, iw, oh, ow)
+			}
+		}
 	}
 }

@@ -21,13 +21,22 @@ import "math"
 //   - A tap that lands in the padding is skipped, not added as w·0 (which
 //     would turn a -0 sum into +0).
 //
-// The reference skips dY elements that compare equal to zero. The sweeps
-// keep that as a skip of all-zero dY planes — the vanished-gradient steps
-// stay nearly free — and otherwise add the g·x and g·w products of a zero
-// g like any other: dX, dW and dB start at +0 and a float32 sum that
-// started at +0 is never -0, so adding ±0 leaves its bits alone. The one
-// observable difference is 0·Inf: a zero gradient against a non-finite
-// activation or weight now yields NaN where the reference skipped it.
+// The reference skips dY elements that compare equal to zero. Backward
+// keeps that skip per plane. An all-zero dY plane is skipped whole —
+// the vanished-gradient steps stay nearly free. A sparse plane (at most
+// 40 % of its elements nonzero, sparsePlane) takes the sparse path: its
+// nonzero elements are compacted, a stack chunk at a time, and the sparse
+// kernels add each one's g·x and g·w products, entries in ascending
+// position for every dW tap and dX element, which is the order above. A
+// dense plane takes the row sweeps, which add the products of a zero g
+// like any other: dX, dW and dB start at +0 and a float32 sum that started
+// at +0 is never -0, so adding ±0 leaves its bits alone. The one
+// observable difference is 0·Inf on a dense plane: a zero gradient against
+// a non-finite activation or weight yields NaN where the reference skipped
+// it. Backward with a nil dX (an input whose gradient nothing reads)
+// computes dW and dB only, every plane on the sparse path. The sparse
+// kernels write each product as float32(g * x), the spec's barrier against
+// a fused multiply-add, so every architecture adds the same roundings.
 
 // tapRange returns the half-open range of output positions o whose tap k
 // lands inside the input: 0 <= o*stride-pad+k < in.
@@ -178,9 +187,12 @@ func (c *Conv2D) forwardTaps(out, xs, ws []float32, ih, iw, oh, ow int) {
 	}
 }
 
-// backwardDirect sums dB, skips all-zero dY planes, and hands every other
-// (image, output channel) plane to the kernel the shape selects, which
-// accumulates that plane's share of dW and dX.
+// backwardDirect counts the nonzero elements of every (image, output
+// channel) dY plane. It skips an all-zero plane, hands a sparse one to
+// backwardSparse and a dense one to the kernel the shape selects; either
+// accumulates that plane's share of dB, dW and dX. A nil dX (the graph
+// input's gradient, which nothing reads) makes every plane sparse and
+// leaves dX alone.
 func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
 	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
 	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
@@ -188,32 +200,278 @@ func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
 	oh, ow := dy.Shape[2], dy.Shape[3]
 	image, plane, filter := inC*ih*iw, oh*ow, inC*c.KH*c.KW
 
-	dx.Zero()
+	if dx != nil {
+		dx.Zero()
+	}
 	dw.Zero()
 	db.Zero()
 	for ni := 0; ni < n; ni++ {
 		xs := x.Data[ni*image:][:image]
-		dxs := dx.Data[ni*image:][:image]
+		var dxs []float32
+		if dx != nil {
+			dxs = dx.Data[ni*image:][:image]
+		}
 		for oc := 0; oc < c.OutC; oc++ {
 			g := dy.Data[(ni*c.OutC+oc)*plane:][:plane]
-			bsum, nonzero := db.Data[oc], uint32(0)
-			for _, gv := range g {
-				bsum += gv
-				nonzero |= math.Float32bits(gv) << 1 // the shift drops -0's sign
-			}
-			if nonzero == 0 {
+			nnz := countNonzero(g)
+			if nnz == 0 {
 				continue
 			}
-			db.Data[oc] = bsum
 			ws := w.Data[oc*filter:][:filter]
 			dws := dw.Data[oc*filter:][:filter]
-			switch {
-			case c.pointwise():
-				backwardPointwise(g, xs, dxs, ws, dws)
-			case c.rows3(iw):
-				c.backwardRows3(g, xs, dxs, ws, dws, ih, iw, oh)
-			default:
-				c.backwardTaps(g, xs, dxs, ws, dws, ih, iw, oh, ow)
+			if dxs == nil || sparsePlane(nnz, plane) {
+				db.Data[oc] = c.backwardSparse(g, nnz, xs, dxs, ws, dws, db.Data[oc], ih, iw, oh, ow)
+				continue
+			}
+			bsum := db.Data[oc]
+			for _, gv := range g {
+				bsum += gv
+			}
+			db.Data[oc] = bsum
+			c.backwardDense(g, xs, dxs, ws, dws, ih, iw, oh, ow)
+		}
+	}
+}
+
+// backwardDense hands one plane to the dense kernel the shape selects.
+func (c *Conv2D) backwardDense(g, xs, dxs, ws, dws []float32, ih, iw, oh, ow int) {
+	switch {
+	case c.pointwise():
+		backwardPointwise(g, xs, dxs, ws, dws)
+	case c.rows3(iw):
+		c.backwardRows3(g, xs, dxs, ws, dws, ih, iw, oh)
+	default:
+		c.backwardTaps(g, xs, dxs, ws, dws, ih, iw, oh, ow)
+	}
+}
+
+// nonzero is 1 when v compares unequal to zero (NaN included), else 0;
+// the shift drops -0's sign.
+func nonzero(v float32) int {
+	return int(min(math.Float32bits(v)<<1, 1))
+}
+
+// countNonzero counts g's nonzero elements.
+func countNonzero(g []float32) (nnz int) {
+	for _, v := range g {
+		nnz += nonzero(v)
+	}
+	return nnz
+}
+
+// sparsePlane reports whether a dY plane of the given size with nnz
+// nonzero elements takes the sparse path: at most sparseNum/sparseDen of
+// its elements nonzero. 40 % is the largest share in the sweep of
+// BenchmarkConvBwdDensity at which the sparse kernels beat the dense ones
+// on every shape (EXPERIMENTS.md, "Conv backward at the gradient's
+// sparsity").
+func sparsePlane(nnz, plane int) bool { return nnz*sparseDen <= plane*sparseNum }
+
+const sparseNum, sparseDen = 2, 5
+
+// sparseChunk is how many nonzero dY elements backwardSparse compacts per
+// pass, in arrays on its own stack.
+const sparseChunk = 256
+
+// sparseEntries holds one chunk of a dY plane's nonzero elements in
+// ascending position: the position p, its column yw, the flat index in
+// the input image of the element tap (ic, kh, kw) = (0, 0, 0) would read
+// — (yh·stride − pad)·iw + yw·stride − pad, out of range for a padded
+// tap — and the gradient value.
+type sparseEntries struct {
+	pos, col, xb [sparseChunk]int32
+	val          [sparseChunk]float32
+}
+
+// backwardSparse compacts the plane's nnz nonzero elements a chunk at a
+// time, adds them to the bias gradient sum bsum, which it returns, and
+// hands each chunk to the sparse kernel the shape selects. Every kernel
+// walks a chunk's entries in ascending position for each dW tap and each
+// dX element it touches, and chunks go in ascending position, so each
+// output element receives the products of the reference, in its order:
+// the reference skips g == 0, and so does the compaction.
+func (c *Conv2D) backwardSparse(g []float32, nnz int, xs, dxs, ws, dws []float32, bsum float32, ih, iw, oh, ow int) float32 {
+	var e sparseEntries
+	for p := 0; nnz > 0; {
+		n := min(nnz, sparseChunk)
+		p = e.compact(g, p, n)
+		nnz -= n
+		for _, v := range e.val[:n] {
+			bsum += v
+		}
+		if c.pointwise() {
+			sparsePointwise(&e, n, xs, dxs, ws, dws)
+			continue
+		}
+		yh := int(e.pos[0]) / ow // one division a chunk; entries ascend
+		for k, q := range e.pos[:n] {
+			yw := int(q) - yh*ow
+			for ; yw >= ow; yw -= ow {
+				yh++
+			}
+			e.col[k], e.xb[k] = int32(yw), int32((yh*c.Stride-c.Pad)*iw+yw*c.Stride-c.Pad)
+		}
+		if c.rows3(iw) {
+			c.sparseRows3(&e, n, xs, dxs, ws, dws, ih, iw, oh)
+		} else {
+			c.sparseTaps(&e, n, xs, dxs, ws, dws, ih, iw, oh, ow)
+		}
+	}
+	return bsum
+}
+
+// compact fills the first n entries with g's next n nonzero elements from
+// position p on and returns the position after the last. It stores every
+// element and keeps the nonzero ones: no branch on g.
+func (e *sparseEntries) compact(g []float32, p, n int) int {
+	for k := 0; k < n; p++ {
+		e.pos[k], e.val[k] = int32(p), g[p]
+		k += nonzero(g[p])
+	}
+	return p
+}
+
+// entrySpan returns the range [a, b) of a chunk's entries whose position
+// lies in [lo, hi): the entries of output rows [lo/ow, hi/ow).
+func entrySpan(pos []int32, lo, hi int) (a, b int) {
+	for a < len(pos) && int(pos[a]) < lo {
+		a++
+	}
+	for b = len(pos); b > a && int(pos[b-1]) >= hi; b-- {
+	}
+	return a, b
+}
+
+// sparsePointwise is the 1x1 stride-1 unpadded kernel: entry k adds
+// g·x[p] into dW[ic] and g·w[ic] into dX[ic][p] (none when dxs is nil),
+// entries ascending, two input planes per pass over the chunk.
+func sparsePointwise(e *sparseEntries, n int, xs, dxs, ws, dws []float32) {
+	plane := len(xs) / len(ws)
+	val := e.val[:n]
+	pos := e.pos[:len(val)]
+	ic := 0
+	for ; ic+2 <= len(ws); ic += 2 {
+		a0, a1 := dws[ic], dws[ic+1]
+		x0, x1 := xs[ic*plane:][:plane], xs[(ic+1)*plane:][:plane]
+		if dxs == nil {
+			for k, gv := range val {
+				a0 += float32(gv * x0[pos[k]])
+				a1 += float32(gv * x1[pos[k]])
+			}
+		} else {
+			w0, w1 := ws[ic], ws[ic+1]
+			d0, d1 := dxs[ic*plane:][:plane], dxs[(ic+1)*plane:][:plane]
+			for k, gv := range val {
+				p := pos[k]
+				a0 += float32(gv * x0[p])
+				d0[p] += float32(gv * w0)
+				a1 += float32(gv * x1[p])
+				d1[p] += float32(gv * w1)
+			}
+		}
+		dws[ic], dws[ic+1] = a0, a1
+	}
+	if ic < len(ws) {
+		acc, xp := dws[ic], xs[ic*plane:][:plane]
+		for k, gv := range val {
+			p := int(pos[k])
+			acc += float32(gv * xp[p])
+			if dxs != nil {
+				dxs[ic*plane+p] += float32(gv * ws[ic])
+			}
+		}
+		dws[ic] = acc
+	}
+}
+
+// sparseRows3 is the KW == 3, stride 1, pad 1 kernel: for each (ic, kh),
+// the entries of the output rows kernel row kh reaches feed its three dW
+// accumulators and scatter g·w0, g·w1, g·w2 into the dX elements left of,
+// under and right of them; the edge columns drop the tap in the padding.
+// Kernel rows go in descending kh, as in backwardRows3, so a dX element
+// meets its entries in ascending position within the chunk.
+func (c *Conv2D) sparseRows3(e *sparseEntries, n int, xs, dxs, ws, dws []float32, ih, iw, oh int) {
+	inC := len(xs) / (ih * iw)
+	pos := e.pos[:n]
+	for ic := 0; ic < inC; ic++ {
+		for kh := c.KH - 1; kh >= 0; kh-- {
+			lo, hi := tapRange(kh, ih, oh, 1, 1)
+			a, b := entrySpan(pos, lo*iw, hi*iw)
+			if a == b {
+				continue
+			}
+			tap := (ic*c.KH + kh) * 3
+			wk, dwk := ws[tap:][:3], dws[tap:][:3]
+			dwk[0], dwk[1], dwk[2] = sparsePlane3(e.val[a:b], e.col[a:b], e.xb[a:b], xs, dxs,
+				(ic*ih+kh)*iw, int32(iw-1), wk[0], wk[1], wk[2], dwk[0], dwk[1], dwk[2])
+		}
+	}
+}
+
+// sparsePlane3 runs one kernel row's three taps over a span of entries:
+// tap kw of the entry with input base index xb reads and writes element
+// off + xb + kw. Its own function so the compiler keeps the accumulators
+// in registers.
+func sparsePlane3(val []float32, col, xb []int32, xs, dxs []float32, off int, last int32,
+	w0, w1, w2, a0, a1, a2 float32) (float32, float32, float32) {
+	col, xb = col[:len(val)], xb[:len(val)]
+	if dxs == nil {
+		for k, gv := range val {
+			i := off + int(xb[k])
+			if col[k] > 0 {
+				a0 += float32(gv * xs[i])
+			}
+			a1 += float32(gv * xs[i+1])
+			if col[k] < last {
+				a2 += float32(gv * xs[i+2])
+			}
+		}
+		return a0, a1, a2
+	}
+	for k, gv := range val {
+		i := off + int(xb[k])
+		if col[k] > 0 {
+			a0 += float32(gv * xs[i])
+			dxs[i] += float32(gv * w0)
+		}
+		a1 += float32(gv * xs[i+1])
+		dxs[i+1] += float32(gv * w1)
+		if col[k] < last {
+			a2 += float32(gv * xs[i+2])
+			dxs[i+2] += float32(gv * w2)
+		}
+	}
+	return a0, a1, a2
+}
+
+// sparseTaps is the generic kernel: taps in descending (kh, kw), as in
+// backwardTaps, each a running dW accumulator over the entries its window
+// reaches. Like the other sparse kernels it leaves dX alone when dxs is
+// nil.
+func (c *Conv2D) sparseTaps(e *sparseEntries, n int, xs, dxs, ws, dws []float32, ih, iw, oh, ow int) {
+	inC := len(xs) / (ih * iw)
+	val := e.val[:n]
+	pos, col, xb := e.pos[:len(val)], e.col[:len(val)], e.xb[:len(val)]
+	for ic := 0; ic < inC; ic++ {
+		for kh := c.KH - 1; kh >= 0; kh-- {
+			ylo, yhi := tapRange(kh, ih, oh, c.Stride, c.Pad)
+			a, b := entrySpan(pos, ylo*ow, yhi*ow)
+			for kw := c.KW - 1; kw >= 0 && a < b; kw-- {
+				lo, hi := tapRange(kw, iw, ow, c.Stride, c.Pad)
+				tap := (ic*c.KH+kh)*c.KW + kw
+				off := (ic*ih+kh)*iw + kw
+				wv, acc := ws[tap], dws[tap]
+				for k := a; k < b; k++ {
+					if yw := int(col[k]); yw < lo || yw >= hi {
+						continue
+					}
+					i := off + int(xb[k])
+					acc += float32(val[k] * xs[i])
+					if dxs != nil {
+						dxs[i] += float32(val[k] * wv)
+					}
+				}
+				dws[tap] = acc
 			}
 		}
 	}

@@ -104,17 +104,24 @@ const (
 	dyZeroPlanes        // every other (image, channel) plane all zero
 	dyNegZero           // a third -0, a third +0: g == 0 holds for both
 	dyAllZero           // the vanished-gradient step
+	dyPooled            // post-MaxPool: at most one nonzero per 2x2 window, ~97 % zeros
+	dyStraddle          // planes alternately at the sparse threshold and one nonzero past it
+	dyFraction          // each element zero with the case's chosen probability
 	numDyKinds
 )
 
 func (k dyKind) String() string {
-	return [...]string{"dense", "two-thirds-zero", "zero-planes", "neg-zero", "all-zero"}[k]
+	return [...]string{"dense", "two-thirds-zero", "zero-planes", "neg-zero", "all-zero",
+		"pooled", "straddle", "fraction"}[k]
 }
 
-func makeDY(kind dyKind, seed uint64, shape tensor.Shape) *tensor.Tensor {
+// makeDY builds a gradient of the given kind; zeros is dyFraction's zero
+// probability.
+func makeDY(kind dyKind, zeros float64, seed uint64, shape tensor.Shape) *tensor.Tensor {
 	dy := randTensor(seed, shape...)
 	r := tensor.NewRNG(seed + 7)
-	plane := shape[2] * shape[3]
+	oh, ow := shape[2], shape[3]
+	plane := oh * ow
 	for i := range dy.Data {
 		u := r.Float32()
 		switch kind {
@@ -134,16 +141,51 @@ func makeDY(kind dyKind, seed uint64, shape tensor.Shape) *tensor.Tensor {
 			}
 		case dyAllZero:
 			dy.Data[i] = 0
+		case dyFraction:
+			if float64(u) < zeros {
+				dy.Data[i] = 0
+			}
+		}
+	}
+	for p := 0; p < len(dy.Data); p += plane {
+		g := dy.Data[p : p+plane]
+		switch kind {
+		case dyPooled:
+			// One window in eight keeps the element its max came from.
+			for yh := 0; yh < oh; yh += 2 {
+				for yw := 0; yw < ow; yw += 2 {
+					keep := r.Intn(32)
+					for i := 0; i < 4; i++ {
+						if h, w := yh+i/2, yw+i%2; h < oh && w < ow && i != keep {
+							g[h*ow+w] = 0
+						}
+					}
+				}
+			}
+		case dyStraddle:
+			// Exactly want nonzeros, placed by selection sampling.
+			want := plane * sparseNum / sparseDen
+			if (p/plane)%2 == 1 {
+				want++
+			}
+			for i := range g {
+				if r.Intn(plane-i) < want {
+					want--
+				} else {
+					g[i] = 0
+				}
+			}
 		}
 	}
 	return dy
 }
 
 // diffDirect runs one shape through the kernels and the reference and
-// compares every output bit for bit. A -0 bias and a few exact-zero and
-// -0 weights ride along: the reference adds w·x for them like any other
-// tap, so the kernels must too.
-func diffDirect(t testing.TB, cc convCase, seed uint64) {
+// compares every output bit for bit, under every dY kind (dyFraction at
+// the given zero probability). A -0 bias and a few exact-zero and -0
+// weights ride along: the reference adds w·x for them like any other tap,
+// so the kernels must too. A nil dX must leave dW and dB as they are.
+func diffDirect(t testing.TB, cc convCase, seed uint64, zeros float64) {
 	t.Helper()
 	op := &Conv2D{OutC: cc.outC, KH: cc.kh, KW: cc.kw, Stride: cc.stride, Pad: cc.pad}
 	x := randTensor(seed+1, cc.n, cc.inC, cc.h, cc.w)
@@ -180,20 +222,27 @@ func diffDirect(t testing.TB, cc convCase, seed uint64) {
 	check("y", got, want)
 
 	for kind := dyKind(0); kind < numDyKinds; kind++ {
-		dy := makeDY(kind, seed+4, outShape)
-		run := func(back func(*BwdCtx)) [3]*tensor.Tensor {
+		dy := makeDY(kind, zeros, seed+4, outShape)
+		run := func(back func(*BwdCtx), withDX bool) [3]*tensor.Tensor {
 			out := [3]*tensor.Tensor{tensor.New(x.Shape...), tensor.New(w.Shape...), tensor.New(b.Shape...)}
 			for _, o := range out {
 				o.Fill(99) // Backward writes, it does not accumulate
 			}
+			dIn := out[:1]
+			if !withDX {
+				dIn = []*tensor.Tensor{nil}
+			}
 			back(&BwdCtx{In: []*tensor.Tensor{x}, Params: params, DOut: dy,
-				DIn: out[:1], DParams: out[1:]})
+				DIn: dIn, DParams: out[1:]})
 			return out
 		}
-		g, r := run(op.Backward), run(op.backwardDirectRef)
+		g, r := run(op.Backward, true), run(op.backwardDirectRef, true)
 		for i, what := range []string{"dx", "dw", "db"} {
 			check(fmt.Sprintf("dy=%v %s", kind, what), g[i], r[i])
 		}
+		noDX := run(op.Backward, false)
+		check(fmt.Sprintf("dy=%v nil-dx dw", kind), noDX[1], g[1])
+		check(fmt.Sprintf("dy=%v nil-dx db", kind), noDX[2], g[2])
 	}
 }
 
@@ -241,7 +290,7 @@ func TestDiffDirectNamedShapes(t *testing.T) {
 		convCase{2, 1, 1, 1, 1, 1, 3, 4, 4},     // 1x1 but padded: generic path
 	)
 	for ci, cc := range cases {
-		diffDirect(t, cc, uint64(ci*100))
+		diffDirect(t, cc, uint64(ci*100), 0.9)
 	}
 }
 
@@ -263,7 +312,7 @@ func TestDiffDirectGrid(t *testing.T) {
 						}
 						widths[ow]++
 						seed++
-						diffDirect(t, convCase{ch[1], k, k, stride, pad, 2, ch[0], iw + 3, iw}, seed)
+						diffDirect(t, convCase{ch[1], k, k, stride, pad, 2, ch[0], iw + 3, iw}, seed, float64(seed%10)/10)
 					}
 				}
 			}
@@ -310,22 +359,98 @@ func TestDiffDirectRandomShapes(t *testing.T) {
 			continue
 		}
 		drawn++
-		diffDirect(t, cc, uint64(9000+drawn))
+		diffDirect(t, cc, uint64(9000+drawn), float64(drawn%11)/10)
 	}
 }
 
-// FuzzConvDirect feeds fuzzer-chosen shapes and seeds through the same
-// bit-for-bit comparison (`make fuzz`).
+// FuzzConvDirect feeds fuzzer-chosen shapes, seeds and zero fractions
+// (the tenth shape byte, over 255) through the same bit-for-bit comparison
+// (`make fuzz`), so the fuzzer steers planes onto either side of the
+// sparse path's threshold.
 func FuzzConvDirect(f *testing.F) {
-	f.Add([]byte{7, 2, 2, 0, 1, 1, 7, 7, 7}, uint64(1))   // 3x3/s1/p1
-	f.Add([]byte{7, 0, 0, 0, 0, 1, 7, 11, 11}, uint64(2)) // 1x1/s1/p0
-	f.Add([]byte{1, 4, 4, 1, 2, 0, 1, 10, 10}, uint64(3)) // 5x5/s2/p2
-	f.Add([]byte{1, 4, 4, 0, 4, 0, 0, 1, 1}, uint64(4))   // pad 4 on a 2x2 input
+	f.Add([]byte{7, 2, 2, 0, 1, 1, 7, 7, 7, 128}, uint64(1))   // 3x3/s1/p1
+	f.Add([]byte{7, 0, 0, 0, 0, 1, 7, 11, 11, 250}, uint64(2)) // 1x1/s1/p0
+	f.Add([]byte{1, 4, 4, 1, 2, 0, 1, 10, 10, 200}, uint64(3)) // 5x5/s2/p2
+	f.Add([]byte{1, 4, 4, 0, 4, 0, 0, 1, 1, 0}, uint64(4))     // pad 4 on a 2x2 input
 	f.Fuzz(func(t *testing.T, shape []byte, seed uint64) {
-		var b [9]byte
+		var b [10]byte
 		copy(b[:], shape)
-		if cc := randomConvCase(b); cc.hasOutput() {
-			diffDirect(t, cc, seed)
+		if cc := randomConvCase([9]byte(b[:9])); cc.hasOutput() {
+			diffDirect(t, cc, seed, float64(b[9])/255)
 		}
 	})
+}
+
+// TestDiffDirectSparseChunks holds the sparse path across its stack
+// chunks: planes with more nonzero elements than one chunk, placed so the
+// chunk boundary falls mid-row, on the pointwise, three-tap and generic
+// shapes, with and without dX.
+func TestDiffDirectSparseChunks(t *testing.T) {
+	for ci, cc := range []convCase{
+		{3, 1, 1, 1, 0, 2, 3, 40, 37}, // pointwise
+		{3, 3, 3, 1, 1, 2, 3, 40, 37}, // three-tap rows
+		{3, 5, 5, 2, 2, 2, 3, 80, 75}, // generic, stride 2
+		{2, 3, 3, 1, 1, 1, 5, 48, 47}, // three-tap rows, odd inC
+		{2, 1, 1, 1, 0, 1, 5, 48, 47}, // pointwise, odd inC
+	} {
+		seed := uint64(7000 + ci)
+		op := &Conv2D{OutC: cc.outC, KH: cc.kh, KW: cc.kw, Stride: cc.stride, Pad: cc.pad}
+		outShape, err := op.OutShape([]tensor.Shape{{cc.n, cc.inC, cc.h, cc.w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dy := randTensor(seed, outShape...)
+		ow, plane := outShape[3], outShape[2]*outShape[3]
+		for i := range dy.Data {
+			if i%plane%3 != 0 {
+				dy.Data[i] = 0
+			}
+		}
+		// Every third element: the chunk's last entry and the next one
+		// share a row, and the plane stays on the sparse path.
+		nnz, last := (plane+2)/3, 3*(sparseChunk-1)
+		if nnz <= sparseChunk || !sparsePlane(nnz, plane) || last%ow == ow-1 || last%ow+3 >= ow {
+			t.Fatalf("%+v: %d nonzeros in a %d-wide plane of %d miss the chunk regime", cc, nnz, ow, plane)
+		}
+		x := randTensor(seed+1, cc.n, cc.inC, cc.h, cc.w)
+		params := []*tensor.Tensor{randTensor(seed+2, cc.outC, cc.inC, cc.kh, cc.kw), randTensor(seed+3, cc.outC)}
+		run := func(back func(*BwdCtx), dx *tensor.Tensor) [3]*tensor.Tensor {
+			out := [3]*tensor.Tensor{dx, tensor.New(params[0].Shape...), tensor.New(params[1].Shape...)}
+			back(&BwdCtx{In: []*tensor.Tensor{x}, Params: params, DOut: dy,
+				DIn: out[:1], DParams: out[1:]})
+			return out
+		}
+		g := run(op.Backward, tensor.New(x.Shape...))
+		r := run(op.backwardDirectRef, tensor.New(x.Shape...))
+		noDX := run(op.Backward, nil)
+		for i, what := range []string{"dx", "dw", "db"} {
+			for j := range r[i].Data {
+				if a, b := math.Float32bits(g[i].Data[j]), math.Float32bits(r[i].Data[j]); a != b {
+					t.Fatalf("%+v: %s[%d] = %#08x, reference %#08x", cc, what, j, a, b)
+				}
+				if i > 0 && math.Float32bits(noDX[i].Data[j]) != math.Float32bits(r[i].Data[j]) {
+					t.Fatalf("%+v: nil-dx %s[%d] differs from the reference", cc, what, j)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseRegimesReachBothPaths checks that the wall's dY kinds land
+// where their names say: dyStraddle's planes alternate between the two
+// paths, and dyPooled stays far below the threshold.
+func TestSparseRegimesReachBothPaths(t *testing.T) {
+	shape := tensor.Shape{2, 3, 9, 7}
+	plane := 9 * 7
+	dy := makeDY(dyStraddle, 0, 1, shape)
+	for p := 0; p < len(dy.Data); p += plane {
+		nnz := countNonzero(dy.Data[p : p+plane])
+		if sparsePlane(nnz, plane) != ((p/plane)%2 == 0) || !sparsePlane(nnz-1, plane) {
+			t.Fatalf("straddle plane %d: %d nonzeros of %d", p/plane, nnz, plane)
+		}
+	}
+	pooled := makeDY(dyPooled, 0, 1, tensor.Shape{2, 4, 32, 32})
+	if nnz := countNonzero(pooled.Data); nnz*10 > len(pooled.Data) {
+		t.Fatalf("pooled: %d nonzeros of %d", nnz, len(pooled.Data))
+	}
 }

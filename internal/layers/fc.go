@@ -65,18 +65,20 @@ func (f *FCOp) Forward(ctx *FwdCtx) {
 	}
 }
 
-// Backward computes dX = dY·W, dW = dYᵀ·X, dB = Σ dY.
+// Backward computes dX = dY·W, dW = dYᵀ·X, dB = Σ dY; dW and dB only
+// when DIn[0] is nil.
 func (f *FCOp) Backward(ctx *BwdCtx) {
 	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
 	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
 	n := x.Shape[0]
 	features := x.NumElements() / n
-	dx.Zero()
+	if dx != nil {
+		dx.Zero()
+	}
 	dw.Zero()
 	db.Zero()
 	for ni := 0; ni < n; ni++ {
 		xRow := x.Data[ni*features : (ni+1)*features]
-		dxRow := dx.Data[ni*features : (ni+1)*features]
 		for o := 0; o < f.Out; o++ {
 			g := dy.Data[ni*f.Out+o]
 			if g == 0 {
@@ -85,6 +87,13 @@ func (f *FCOp) Backward(ctx *BwdCtx) {
 			db.Data[o] += g
 			wRow := w.Data[o*features : (o+1)*features]
 			dwRow := dw.Data[o*features : (o+1)*features]
+			if dx == nil {
+				for i := range xRow {
+					dwRow[i] += float32(g * xRow[i])
+				}
+				continue
+			}
+			dxRow := dx.Data[ni*features : (ni+1)*features]
 			for i := range xRow {
 				dwRow[i] += g * xRow[i]
 				dxRow[i] += g * wRow[i]

@@ -228,6 +228,34 @@ func TestFCForwardKnown(t *testing.T) {
 	}
 }
 
+// TestFCNilInputGradient: a nil DIn[0] leaves dW and dB bit for bit what
+// the full backward computes, zero gradients included.
+func TestFCNilInputGradient(t *testing.T) {
+	op := NewFC(5)
+	x := randTensor(1, 3, 2, 2, 3)
+	params := []*tensor.Tensor{randTensor(2, 5, 12), randTensor(3, 5)}
+	dy := randTensor(4, 3, 5)
+	for i := range dy.Data {
+		if i%3 == 0 {
+			dy.Data[i] = 0
+		}
+	}
+	run := func(dx *tensor.Tensor) []*tensor.Tensor {
+		dParams := []*tensor.Tensor{tensor.New(5, 12), tensor.New(5)}
+		op.Backward(&BwdCtx{In: []*tensor.Tensor{x}, Params: params, DOut: dy,
+			DIn: []*tensor.Tensor{dx}, DParams: dParams})
+		return dParams
+	}
+	full, noDX := run(tensor.New(x.Shape...)), run(nil)
+	for i := range full {
+		for j, v := range full[i].Data {
+			if math.Float32bits(noDX[i].Data[j]) != math.Float32bits(v) {
+				t.Fatalf("param grad %d[%d] = %v with nil dX, %v with dX", i, j, noDX[i].Data[j], v)
+			}
+		}
+	}
+}
+
 func TestBatchNormForwardStatistics(t *testing.T) {
 	op := NewBatchNorm()
 	x := randTensor(60, 8, 2, 4, 4)

@@ -87,7 +87,10 @@ type BwdCtx struct {
 	// a ReLU, whose backward reads nothing of Y but its sign, is handed one.
 	OutMask *bitpack.BitMask
 	DOut    *tensor.Tensor
-	DIn     []*tensor.Tensor // written (not accumulated) by the operator
+	// DIn is written (not accumulated) by the operator. Conv2D and FCOp
+	// accept a nil entry, for an input whose gradient nothing reads, and
+	// then compute their parameter gradients only.
+	DIn     []*tensor.Tensor
 	DParams []*tensor.Tensor // written (not accumulated) by the operator
 	Aux     map[string]any
 }

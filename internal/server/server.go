@@ -75,8 +75,9 @@ type Config struct {
 	// set none.
 	SpillDir    string
 	StashBudget int64
-	// Workers sizes the codec worker pool all jobs share (0 = inline
-	// encode/decode, no pool).
+	// Workers sizes a codec worker pool all jobs share. 0 gives the jobs
+	// no pool of their own: their codecs fall back to the process-wide
+	// parallel.Shared() pool, which has GOMAXPROCS workers.
 	Workers int
 	// Telemetry, when non-nil, receives server-level counters (jobs
 	// admitted/rejected/degraded/quarantined, queue depth, used bytes).

@@ -1204,7 +1204,7 @@ func (e *Executor) Backward() error {
 		ins := e.insBuf[:0]
 		dIns := e.dInsBuf[:0]
 		for _, in := range n.Inputs {
-			dIns = append(dIns, e.alloc(in.OutShape))
+			dIns = append(dIns, e.gradFor(n, in))
 			var t *tensor.Tensor
 			if needs.X {
 				t, err = e.stashOf(in.ID)
@@ -1231,6 +1231,9 @@ func (e *Executor) Backward() error {
 		}
 		n.Op.Backward(&e.bwdCtx)
 		for j, in := range n.Inputs {
+			if dIns[j] == nil {
+				continue
+			}
 			if g := e.gradOf[in.ID]; g == nil {
 				e.gradOf[in.ID] = dIns[j]
 			} else {
@@ -1253,6 +1256,16 @@ func (e *Executor) Backward() error {
 	}
 	whole = true
 	return nil
+}
+
+// gradFor returns the buffer n's backward writes in's gradient into: nil
+// for the graph input under a Conv or FC, which then compute dW and dB
+// only. Nothing reads the input's gradient, and liveness plans none.
+func (e *Executor) gradFor(n, in *graph.Node) *tensor.Tensor {
+	if in.Kind() == layers.Input && (n.Kind() == layers.Conv || n.Kind() == layers.FC) {
+		return nil
+	}
+	return e.alloc(in.OutShape)
 }
 
 // decodeWindow is how many stashes past the last one behind the backward

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gist/internal/bufpool"
 	"gist/internal/graph"
 	"gist/internal/layers"
 	"gist/internal/tensor"
@@ -95,6 +96,46 @@ func TestExecutorGradCheckConcatBranches(t *testing.T) {
 	fc := g.MustAdd("fc", layers.NewFC(3), cat)
 	g.MustAdd("loss", layers.NewSoftmaxXent(), fc)
 	graphGradCheck(t, g, 13)
+}
+
+// TestNoGradientForGraphInput: a Conv or FC reading the graph input gets a
+// nil dX, as liveness plans no gradient there; any other consumer still
+// gets a buffer, and the step trains.
+func TestNoGradientForGraphInput(t *testing.T) {
+	g := graph.New()
+	in := g.MustAdd("input", layers.NewInput(2, 2, 6, 6))
+	c1 := g.MustAdd("conv1", layers.NewConv2D(2, 3, 1, 1), in)
+	r1 := g.MustAdd("relu1", layers.NewReLU(), c1)
+	fa := g.MustAdd("fcA", layers.NewFC(3), r1)
+	fb := g.MustAdd("fcB", layers.NewFC(3), in)
+	r0 := g.MustAdd("relu0", layers.NewReLU(), in)
+	fc := g.MustAdd("fcC", layers.NewFC(3), r0)
+	sum := g.MustAdd("add", layers.NewAdd(), fa, fb)
+	sum = g.MustAdd("add2", layers.NewAdd(), sum, fc)
+	g.MustAdd("loss", layers.NewSoftmaxXent(), sum)
+
+	e := NewExecutor(g, Options{Seed: 19, Pool: bufpool.New()})
+	seen := map[string]bool{}
+	probeKernels(e, func(n *graph.Node, ctx *layers.BwdCtx) {
+		for j, p := range n.Inputs {
+			if p.Kind() != layers.Input {
+				continue
+			}
+			seen[n.Name] = true
+			if want := n.Kind() != layers.ReLU; (ctx.DIn[j] == nil) != want {
+				t.Fatalf("%s: dX nil = %t, want %t", n.Name, ctx.DIn[j] == nil, want)
+			}
+		}
+	})
+	x, labels := NewDataset(3, 2, 6, 0.3, 20).Batch(2)
+	for step := 0; step < 3; step++ {
+		if loss, _ := e.Step(x, labels, 0.01); math.IsNaN(loss) {
+			t.Fatalf("step %d: loss NaN", step)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("input consumers probed: %v", seen)
+	}
 }
 
 func TestExecutorDeadBranchSkipped(t *testing.T) {
