@@ -34,9 +34,23 @@ import "math"
 // observable difference is 0·Inf on a dense plane: a zero gradient against
 // a non-finite activation or weight yields NaN where the reference skipped
 // it. Backward with a nil dX (an input whose gradient nothing reads)
-// computes dW and dB only, every plane on the sparse path. The sparse
-// kernels write each product as float32(g * x), the spec's barrier against
-// a fused multiply-add, so every architecture adds the same roundings.
+// computes dW and dB only, on either path.
+//
+// Forward on the 3x3 three-tap shape (every TinyVGG convolution) walks the
+// input planes, ic ascending, and counts each one's nonzeros once: a run
+// of dense planes goes to the row sweep, a sparse plane to a scatter that
+// adds each nonzero input's nine products into the outputs it reaches.
+// Every output element still meets its taps in ascending (ic, kh, kw):
+// within a plane, the input element at the larger position is the larger
+// tap of every output it shares with a smaller one. The reference adds
+// the ±0·w products the scatter skips. That leaves a sum's bits alone
+// unless the bias is -0 (-0 + +0 is +0) or a signaling NaN, or w is not
+// finite (0·Inf is NaN), so a call with such a bias or weight runs the
+// row sweep on every plane (scatterSafe).
+//
+// Every forward kernel, the sparse backward kernels and the dW-only sweeps
+// write each product as float32(g * x), the spec's barrier against a
+// fused multiply-add, so every architecture adds the same roundings.
 
 // tapRange returns the half-open range of output positions o whose tap k
 // lands inside the input: 0 <= o*stride-pad+k < in.
@@ -63,22 +77,26 @@ func (c *Conv2D) rows3(iw int) bool {
 }
 
 // forwardDirect fills each output plane with its bias and lets the kernel
-// the shape selects add every tap into it.
+// the shape selects add every tap into it. The three-tap 3x3 shape walks
+// the input planes instead (forwardPlanes), unless a -0 or NaN bias or a
+// non-finite weight rules out skipping zero inputs (scatterSafe).
 func (c *Conv2D) forwardDirect(ctx *FwdCtx) {
 	x, w, b, y := ctx.In[0], ctx.Params[0], ctx.Params[1], ctx.Out
 	n, inC, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := y.Shape[2], y.Shape[3]
 	image, plane, filter := inC*ih*iw, oh*ow, inC*c.KH*c.KW
+	scatter := c.scatterForward(iw, w.Data, b.Data)
 	for ni := 0; ni < n; ni++ {
 		xs := x.Data[ni*image:][:image]
+		ys := y.Data[ni*c.OutC*plane:][:c.OutC*plane]
 		for oc := 0; oc < c.OutC; oc++ {
-			out := y.Data[(ni*c.OutC+oc)*plane:][:plane]
-			bias := b.Data[oc]
+			out, bias := ys[oc*plane:][:plane], b.Data[oc]
 			for j := range out {
 				out[j] = bias
 			}
 			ws := w.Data[oc*filter:][:filter]
 			switch {
+			case scatter: // every plane filled first, then forwardPlanes
 			case c.pointwise():
 				forwardPointwise(out, xs, ws)
 			case c.rows3(iw):
@@ -87,6 +105,130 @@ func (c *Conv2D) forwardDirect(ctx *FwdCtx) {
 				c.forwardTaps(out, xs, ws, ih, iw, oh, ow)
 			}
 		}
+		if scatter {
+			c.forwardPlanes(ys, xs, w.Data, ih, iw)
+		}
+	}
+}
+
+// scatterForward reports whether forward walks the input planes, skipping
+// zero inputs: on the 3x3 three-tap shape, when scatterSafe holds.
+func (c *Conv2D) scatterForward(iw int, w, b []float32) bool {
+	return c.KH == 3 && c.rows3(iw) && scatterSafe(w, b)
+}
+
+// scatterSafe reports whether skipping the ±0·w products of zero inputs
+// leaves every output's bits alone: no bias is -0 or NaN (an addition
+// would turn -0 into +0 and quiet a signaling NaN) and no weight is
+// infinite or NaN (0·Inf is NaN). One pass over the parameters per call.
+func scatterSafe(w, b []float32) bool {
+	for _, v := range b {
+		if v != v || math.Float32bits(v) == 1<<31 {
+			return false
+		}
+	}
+	for _, v := range w {
+		if v-v != 0 { // NaN for ±Inf and NaN
+			return false
+		}
+	}
+	return true
+}
+
+// forwardPlanes adds one image's 3x3 taps into its bias-filled output
+// planes ys, input plane by input plane, ic ascending: a run of dense
+// planes goes to forwardRun, a sparse one (sparsePlane) to scatterPlane.
+func (c *Conv2D) forwardPlanes(ys, xs, w []float32, ih, iw int) {
+	plane := ih * iw
+	inC := len(xs) / plane
+	run := 0 // first input plane of the pending dense run
+	for ic := 0; ic < inC; ic++ {
+		xp := xs[ic*plane:][:plane]
+		nnz := countNonzero(xp)
+		if !sparsePlane(nnz, plane) {
+			continue
+		}
+		c.forwardRun(ys, xs, w, run, ic, ih, iw)
+		run = ic + 1
+		c.scatterPlane(ys, xp, nnz, w, ic, inC, iw)
+	}
+	c.forwardRun(ys, xs, w, run, inC, ih, iw)
+}
+
+// forwardRun adds the taps of input planes [lo, hi) into every output
+// plane with the dense three-tap kernel.
+func (c *Conv2D) forwardRun(ys, xs, w []float32, lo, hi, ih, iw int) {
+	plane, inC := ih*iw, len(xs)/(ih*iw)
+	for oc := 0; oc < c.OutC; oc++ {
+		c.forwardRows3(ys[oc*plane:][:plane], xs[lo*plane:hi*plane], w[(oc*inC+lo)*9:(oc*inC+hi)*9], ih, iw, ih)
+	}
+}
+
+// scatterPlane adds input plane ic's nnz nonzero elements, compacted a
+// chunk at a time, into every output plane.
+func (c *Conv2D) scatterPlane(ys, xp []float32, nnz int, w []float32, ic, inC, iw int) {
+	plane := len(xp)
+	var e sparseEntries
+	for p := 0; nnz > 0; {
+		n := min(nnz, sparseChunk)
+		p = e.compact(xp, p, n)
+		nnz -= n
+		e.columns(n, iw)
+		for oc := 0; oc < c.OutC; oc++ {
+			wk := w[(oc*inC+ic)*9:][:9]
+			scatterPlane3(ys[oc*plane:][:plane], e.val[:n], e.pos[:n], e.col[:n], iw,
+				wk[0], wk[1], wk[2], wk[3], wk[4], wk[5], wk[6], wk[7], wk[8])
+		}
+	}
+}
+
+// scatterPlane3 adds each entry's nine products x·w into the output
+// elements it reaches: the entry at (r, col) reaches output (r+1-kh,
+// col+1-kw) through tap (kh, kw). Entries off the edge rows and columns
+// take the fast path; the others drop the outputs past the plane's edges.
+// Its own function so the compiler keeps the nine weights in registers.
+func scatterPlane3(out, val []float32, pos, col []int32, iw int, w0, w1, w2, w3, w4, w5, w6, w7, w8 float32) {
+	pos, col = pos[:len(val)], col[:len(val)]
+	top, bottom, last := int32(iw), int32(len(out)-iw), int32(iw-1)
+	for k, v := range val {
+		p, c := pos[k], col[k]
+		i := int(p) - iw - 1 // output (r-1, col-1)
+		if p >= top && p < bottom && c > 0 && c < last {
+			o := out[i : i+3]
+			o[0] += float32(v * w8)
+			o[1] += float32(v * w7)
+			o[2] += float32(v * w6)
+			o = out[i+iw : i+iw+3]
+			o[0] += float32(v * w5)
+			o[1] += float32(v * w4)
+			o[2] += float32(v * w3)
+			o = out[i+2*iw : i+2*iw+3]
+			o[0] += float32(v * w2)
+			o[1] += float32(v * w1)
+			o[2] += float32(v * w0)
+			continue
+		}
+		left, right := c > 0, c < last
+		if p >= top {
+			scatterRow3(out, i, v, w8, w7, w6, left, right)
+		}
+		scatterRow3(out, i+iw, v, w5, w4, w3, left, right)
+		if p < bottom {
+			scatterRow3(out, i+2*iw, v, w2, w1, w0, left, right)
+		}
+	}
+}
+
+// scatterRow3 adds v·a, v·b, v·c into out[i], out[i+1], out[i+2],
+// dropping the first without a left neighbour and the last without a
+// right one.
+func scatterRow3(out []float32, i int, v, a, b, c float32, left, right bool) {
+	if left {
+		out[i] += float32(v * a)
+	}
+	out[i+1] += float32(v * b)
+	if right {
+		out[i+2] += float32(v * c)
 	}
 }
 
@@ -103,17 +245,17 @@ func forwardPointwise(out, xs, ws []float32) {
 		x2 := xs[(ic+2)*plane:][:plane]
 		x3 := xs[(ic+3)*plane:][:plane]
 		for j := range out {
-			s := out[j] + x0[j]*w0
-			s += x1[j] * w1
-			s += x2[j] * w2
-			s += x3[j] * w3
+			s := out[j] + float32(x0[j]*w0)
+			s += float32(x1[j] * w1)
+			s += float32(x2[j] * w2)
+			s += float32(x3[j] * w3)
 			out[j] = s
 		}
 	}
 	for ; ic < len(ws); ic++ {
 		wv := ws[ic]
 		for j, xv := range xs[ic*plane:][:plane] {
-			out[j] += xv * wv
+			out[j] += float32(xv * wv)
 		}
 	}
 }
@@ -141,16 +283,16 @@ func forwardPlane3(out, xp []float32, iw int, w0, w1, w2 float32) {
 	last := iw - 1
 	for ; len(out) >= iw; out, xp = out[iw:], xp[iw:] {
 		or, xr := out[:iw], xp[:iw]
-		s := or[0] + xr[0]*w1
-		or[0] = s + xr[1]*w2
+		s := or[0] + float32(xr[0]*w1)
+		or[0] = s + float32(xr[1]*w2)
 		for j := 2; j < iw; j++ { // element j-1; no index above j, so no bounds checks
-			s := or[j-1] + xr[j-2]*w0
-			s += xr[j-1] * w1
-			s += xr[j] * w2
+			s := or[j-1] + float32(xr[j-2]*w0)
+			s += float32(xr[j-1] * w1)
+			s += float32(xr[j] * w2)
 			or[j-1] = s
 		}
-		s = or[last] + xr[last-1]*w0
-		or[last] = s + xr[last]*w1
+		s = or[last] + float32(xr[last-1]*w0)
+		or[last] = s + float32(xr[last]*w1)
 	}
 }
 
@@ -173,12 +315,12 @@ func (c *Conv2D) forwardTaps(out, xs, ws []float32, ih, iw, oh, ow int) {
 					xi := lo*c.Stride - c.Pad + kw
 					if c.Stride == 1 {
 						for j, xv := range xr[xi:][:len(or)] {
-							or[j] += xv * wv
+							or[j] += float32(xv * wv)
 						}
 						continue
 					}
 					for j := range or {
-						or[j] += xr[xi] * wv
+						or[j] += float32(xr[xi] * wv)
 						xi += c.Stride
 					}
 				}
@@ -191,8 +333,7 @@ func (c *Conv2D) forwardTaps(out, xs, ws []float32, ih, iw, oh, ow int) {
 // channel) dY plane. It skips an all-zero plane, hands a sparse one to
 // backwardSparse and a dense one to the kernel the shape selects; either
 // accumulates that plane's share of dB, dW and dX. A nil dX (the graph
-// input's gradient, which nothing reads) makes every plane sparse and
-// leaves dX alone.
+// input's gradient, which nothing reads) is left alone by every kernel.
 func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
 	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
 	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
@@ -219,7 +360,7 @@ func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
 			}
 			ws := w.Data[oc*filter:][:filter]
 			dws := dw.Data[oc*filter:][:filter]
-			if dxs == nil || sparsePlane(nnz, plane) {
+			if sparsePlane(nnz, plane) {
 				db.Data[oc] = c.backwardSparse(g, nnz, xs, dxs, ws, dws, db.Data[oc], ih, iw, oh, ow)
 				continue
 			}
@@ -259,25 +400,28 @@ func countNonzero(g []float32) (nnz int) {
 	return nnz
 }
 
-// sparsePlane reports whether a dY plane of the given size with nnz
-// nonzero elements takes the sparse path: at most sparseNum/sparseDen of
-// its elements nonzero. 40 % is the largest share in the sweep of
-// BenchmarkConvBwdDensity at which the sparse kernels beat the dense ones
-// on every shape (EXPERIMENTS.md, "Conv backward at the gradient's
+// sparsePlane reports whether a plane of the given size with nnz nonzero
+// elements — a dY plane in backward, an input plane in forward — takes
+// the sparse path: at most sparseNum/sparseDen of its elements nonzero.
+// 40 % is the largest share in the sweep of BenchmarkConvBwdDensity at
+// which the sparse kernels beat the dense ones on every shape
+// (EXPERIMENTS.md, "Conv backward at the gradient's sparsity"); in
+// BenchmarkConvFwdDensity the scatter breaks even there on the 32x32
+// shape and wins on the smaller ones ("Conv forward at the input's
 // sparsity").
 func sparsePlane(nnz, plane int) bool { return nnz*sparseDen <= plane*sparseNum }
 
 const sparseNum, sparseDen = 2, 5
 
-// sparseChunk is how many nonzero dY elements backwardSparse compacts per
-// pass, in arrays on its own stack.
+// sparseChunk is how many nonzero elements backwardSparse and
+// scatterPlane compact per pass, in arrays on their own stack.
 const sparseChunk = 256
 
-// sparseEntries holds one chunk of a dY plane's nonzero elements in
-// ascending position: the position p, its column yw, the flat index in
-// the input image of the element tap (ic, kh, kw) = (0, 0, 0) would read
-// — (yh·stride − pad)·iw + yw·stride − pad, out of range for a padded
-// tap — and the gradient value.
+// sparseEntries holds one chunk of a plane's nonzero elements in
+// ascending position: the position p, its column, xb and the value. For
+// a dY plane xb is the flat index in the input image of the element tap
+// (ic, kh, kw) = (0, 0, 0) would read — (yh·stride − pad)·iw + yw·stride
+// − pad, out of range for a padded tap; forward does not use it.
 type sparseEntries struct {
 	pos, col, xb [sparseChunk]int32
 	val          [sparseChunk]float32
@@ -329,6 +473,19 @@ func (e *sparseEntries) compact(g []float32, p, n int) int {
 		k += nonzero(g[p])
 	}
 	return p
+}
+
+// columns sets the first n entries' col to the column of their position
+// in rows of w elements: one division a chunk, as the entries ascend.
+func (e *sparseEntries) columns(n, w int) {
+	r := int(e.pos[0]) / w
+	for k, q := range e.pos[:n] {
+		c := int(q) - r*w
+		for ; c >= w; c -= w {
+			r++
+		}
+		e.col[k] = int32(c)
+	}
 }
 
 // entrySpan returns the range [a, b) of a chunk's entries whose position
@@ -479,8 +636,18 @@ func (c *Conv2D) sparseTaps(e *sparseEntries, n int, xs, dxs, ws, dws []float32,
 
 // backwardPointwise reads the gradient plane once per two input planes:
 // each keeps a running dW accumulator and receives g·w into its dX plane.
+// A nil dX leaves one dW accumulator per pass.
 func backwardPointwise(g, xs, dxs, ws, dws []float32) {
 	plane := len(g)
+	if dxs == nil {
+		for ic, acc := range dws {
+			for j, xv := range xs[ic*plane:][:plane] {
+				acc += float32(g[j] * xv)
+			}
+			dws[ic] = acc
+		}
+		return
+	}
 	ic := 0
 	for ; ic+2 <= len(ws); ic += 2 {
 		w0, w1 := ws[ic], ws[ic+1]
@@ -508,7 +675,7 @@ func backwardPointwise(g, xs, dxs, ws, dws []float32) {
 
 // backwardRows3 is the KW == 3, stride 1, pad 1 kernel. Kernel rows run
 // in descending kh so that, with yh ascending inside each, every dX row
-// meets its output rows in ascending yh.
+// meets its output rows in ascending yh. A nil dX takes weightPlane3.
 func (c *Conv2D) backwardRows3(g, xs, dxs, ws, dws []float32, ih, iw, oh int) {
 	inC := len(xs) / (ih * iw)
 	for ic := 0; ic < inC; ic++ {
@@ -517,6 +684,10 @@ func (c *Conv2D) backwardRows3(g, xs, dxs, ws, dws []float32, ih, iw, oh int) {
 			dwk := dws[(ic*c.KH+kh)*3:][:3]
 			lo, hi := tapRange(kh, ih, oh, 1, 1)
 			first := (ic*ih + lo - 1 + kh) * iw
+			if dxs == nil {
+				dwk[0], dwk[1], dwk[2] = weightPlane3(g[lo*iw:hi*iw], xs[first:], iw, dwk[0], dwk[1], dwk[2])
+				continue
+			}
 			dwk[0], dwk[1], dwk[2] = backwardPlane3(g[lo*iw:hi*iw], xs[first:], dxs[first:], iw,
 				wk[0], wk[1], wk[2], dwk[0], dwk[1], dwk[2])
 		}
@@ -555,9 +726,29 @@ func backwardPlane3(g, xp, dp []float32, iw int, w0, w1, w2, a0, a1, a2 float32)
 	return a0, a1, a2
 }
 
+// weightPlane3 is backwardPlane3 without dX: the three dW accumulators
+// of one kernel row, each fed in ascending j.
+func weightPlane3(g, xp []float32, iw int, a0, a1, a2 float32) (float32, float32, float32) {
+	for ; len(g) >= iw; g, xp = g[iw:], xp[iw:] {
+		gr, xr := g[:iw], xp[:iw]
+		a1 += float32(gr[0] * xr[0])
+		a2 += float32(gr[0] * xr[1])
+		for j := 2; j < iw; j++ {
+			gv := gr[j-1]
+			a0 += float32(gv * xr[j-2])
+			a1 += float32(gv * xr[j-1])
+			a2 += float32(gv * xr[j])
+		}
+		a0 += float32(gr[iw-1] * xr[iw-2])
+		a1 += float32(gr[iw-1] * xr[iw-1])
+	}
+	return a0, a1, a2
+}
+
 // backwardTaps is the generic kernel: taps in descending (kh, kw) under
 // ascending (yh, yw), which is ascending (yh, yw) for every dX element;
-// each tap's dW is one running accumulator over its whole window.
+// each tap's dW is one running accumulator over its whole window, and the
+// only one kept when dX is nil.
 func (c *Conv2D) backwardTaps(g, xs, dxs, ws, dws []float32, ih, iw, oh, ow int) {
 	inC := len(xs) / (ih * iw)
 	for ic := 0; ic < inC; ic++ {
@@ -569,8 +760,15 @@ func (c *Conv2D) backwardTaps(g, xs, dxs, ws, dws []float32, ih, iw, oh, ow int)
 				wv, acc := ws[tap], dws[tap]
 				for yh := ylo; yh < yhi; yh++ {
 					row := (ic*ih + yh*c.Stride - c.Pad + kh) * iw
-					xr, dr := xs[row:][:iw], dxs[row:][:iw]
-					xi := lo*c.Stride - c.Pad + kw
+					xr, xi := xs[row:][:iw], lo*c.Stride-c.Pad+kw
+					if dxs == nil {
+						for _, gv := range g[yh*ow:][lo:hi] {
+							acc += float32(gv * xr[xi])
+							xi += c.Stride
+						}
+						continue
+					}
+					dr := dxs[row:][:iw]
 					for _, gv := range g[yh*ow:][lo:hi] {
 						acc += gv * xr[xi]
 						dr[xi] += gv * wv

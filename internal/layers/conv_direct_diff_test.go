@@ -95,29 +95,31 @@ func (c *Conv2D) backwardDirectRef(ctx *BwdCtx) {
 
 var negZero = float32(math.Copysign(0, -1))
 
-// dyKind selects how the upstream gradient of a differential case is made.
-type dyKind int
+// mapKind selects how a map of a differential case is made: the upstream
+// gradient of a backward case, the input of a forward one. Each kind is a
+// regime of the sparse paths.
+type mapKind int
 
 const (
-	dyDense      dyKind = iota
-	dySparse            // two thirds exact zeros, the post-ReLU regime
-	dyZeroPlanes        // every other (image, channel) plane all zero
-	dyNegZero           // a third -0, a third +0: g == 0 holds for both
-	dyAllZero           // the vanished-gradient step
-	dyPooled            // post-MaxPool: at most one nonzero per 2x2 window, ~97 % zeros
-	dyStraddle          // planes alternately at the sparse threshold and one nonzero past it
-	dyFraction          // each element zero with the case's chosen probability
-	numDyKinds
+	mapDense      mapKind = iota
+	mapSparse             // two thirds exact zeros, the post-ReLU regime
+	mapZeroPlanes         // every other (image, channel) plane all zero
+	mapNegZero            // a third -0, a third +0: both compare equal to zero
+	mapAllZero            // the vanished-gradient step; a dead ReLU layer's output
+	mapPooled             // at most one nonzero per 2x2 window, ~97 % zeros: a MaxPool's dX
+	mapStraddle           // planes alternately at the sparse threshold and one nonzero past it
+	mapFraction           // each element zero with the case's chosen probability
+	numMapKinds
 )
 
-func (k dyKind) String() string {
+func (k mapKind) String() string {
 	return [...]string{"dense", "two-thirds-zero", "zero-planes", "neg-zero", "all-zero",
 		"pooled", "straddle", "fraction"}[k]
 }
 
-// makeDY builds a gradient of the given kind; zeros is dyFraction's zero
-// probability.
-func makeDY(kind dyKind, zeros float64, seed uint64, shape tensor.Shape) *tensor.Tensor {
+// makeMap builds a map of the given kind; zeros is mapFraction's zero
+// probability. A mapDense map is randTensor's.
+func makeMap(kind mapKind, zeros float64, seed uint64, shape tensor.Shape) *tensor.Tensor {
 	dy := randTensor(seed, shape...)
 	r := tensor.NewRNG(seed + 7)
 	oh, ow := shape[2], shape[3]
@@ -125,23 +127,23 @@ func makeDY(kind dyKind, zeros float64, seed uint64, shape tensor.Shape) *tensor
 	for i := range dy.Data {
 		u := r.Float32()
 		switch kind {
-		case dySparse:
+		case mapSparse:
 			if u < 2.0/3 {
 				dy.Data[i] = 0
 			}
-		case dyZeroPlanes:
+		case mapZeroPlanes:
 			if (i/plane)%2 == 0 {
 				dy.Data[i] = 0
 			}
-		case dyNegZero:
+		case mapNegZero:
 			if u < 1.0/3 {
 				dy.Data[i] = negZero
 			} else if u < 2.0/3 {
 				dy.Data[i] = 0
 			}
-		case dyAllZero:
+		case mapAllZero:
 			dy.Data[i] = 0
-		case dyFraction:
+		case mapFraction:
 			if float64(u) < zeros {
 				dy.Data[i] = 0
 			}
@@ -150,7 +152,7 @@ func makeDY(kind dyKind, zeros float64, seed uint64, shape tensor.Shape) *tensor
 	for p := 0; p < len(dy.Data); p += plane {
 		g := dy.Data[p : p+plane]
 		switch kind {
-		case dyPooled:
+		case mapPooled:
 			// One window in eight keeps the element its max came from.
 			for yh := 0; yh < oh; yh += 2 {
 				for yw := 0; yw < ow; yw += 2 {
@@ -162,7 +164,7 @@ func makeDY(kind dyKind, zeros float64, seed uint64, shape tensor.Shape) *tensor
 					}
 				}
 			}
-		case dyStraddle:
+		case mapStraddle:
 			// Exactly want nonzeros, placed by selection sampling.
 			want := plane * sparseNum / sparseDen
 			if (p/plane)%2 == 1 {
@@ -181,10 +183,11 @@ func makeDY(kind dyKind, zeros float64, seed uint64, shape tensor.Shape) *tensor
 }
 
 // diffDirect runs one shape through the kernels and the reference and
-// compares every output bit for bit, under every dY kind (dyFraction at
-// the given zero probability). A -0 bias and a few exact-zero and -0
-// weights ride along: the reference adds w·x for them like any other tap,
-// so the kernels must too. A nil dX must leave dW and dB as they are.
+// compares every output bit for bit, forward under every kind of input
+// map and backward under every dY kind (mapFraction at the given zero
+// probability). A -0 bias and a few exact-zero and -0 weights ride along:
+// the reference adds w·x for them like any other tap, so the kernels must
+// too. A nil dX must leave dW and dB as they are.
 func diffDirect(t testing.TB, cc convCase, seed uint64, zeros float64) {
 	t.Helper()
 	op := &Conv2D{OutC: cc.outC, KH: cc.kh, KW: cc.kw, Stride: cc.stride, Pad: cc.pad}
@@ -214,15 +217,30 @@ func diffDirect(t testing.TB, cc convCase, seed uint64, zeros float64) {
 		}
 	}
 
-	got, want := tensor.New(outShape...), tensor.New(outShape...)
-	got.Fill(99) // Forward must overwrite every element
+	// Forward runs three ways: with the wall's -0 bias, and with a clean
+	// bias and one infinite weight, both of which scatterSafe keeps on the
+	// dense kernels; and with clean parameters, which send the 3x3 shape's
+	// sparse input planes to the scatter kernel.
 	params := []*tensor.Tensor{w, b}
-	op.Forward(&FwdCtx{In: []*tensor.Tensor{x}, Params: params, Out: got})
-	op.forwardDirectRef(&FwdCtx{In: []*tensor.Tensor{x}, Params: params, Out: want})
-	check("y", got, want)
+	cleanB, infW := b.Clone(), w.Clone()
+	cleanB.Data[0] = 0.5
+	infW.Data[len(infW.Data)/2] = float32(math.Inf(1))
+	for kind := mapKind(0); kind < numMapKinds; kind++ {
+		in := []*tensor.Tensor{makeMap(kind, zeros, seed+1, x.Shape)}
+		for _, run := range []struct {
+			name   string
+			params []*tensor.Tensor
+		}{{"-0-bias", params}, {"inf-weight", []*tensor.Tensor{infW, cleanB}}, {"clean", []*tensor.Tensor{w, cleanB}}} {
+			got, want := tensor.New(outShape...), tensor.New(outShape...)
+			got.Fill(99) // Forward must overwrite every element
+			op.Forward(&FwdCtx{In: in, Params: run.params, Out: got})
+			op.forwardDirectRef(&FwdCtx{In: in, Params: run.params, Out: want})
+			check(fmt.Sprintf("x=%v %s y", kind, run.name), got, want)
+		}
+	}
 
-	for kind := dyKind(0); kind < numDyKinds; kind++ {
-		dy := makeDY(kind, zeros, seed+4, outShape)
+	for kind := mapKind(0); kind < numMapKinds; kind++ {
+		dy := makeMap(kind, zeros, seed+4, outShape)
 		run := func(back func(*BwdCtx), withDX bool) [3]*tensor.Tensor {
 			out := [3]*tensor.Tensor{tensor.New(x.Shape...), tensor.New(w.Shape...), tensor.New(b.Shape...)}
 			for _, o := range out {
@@ -348,10 +366,12 @@ func TestDiffDirectRandomShapes(t *testing.T) {
 			b[i] = byte(r.Intn(256))
 		}
 		cc := randomConvCase(b)
-		// Half the draws are forced onto the register-blocked shapes.
+		// Three draws in four are forced onto the register-blocked shapes.
 		switch drawn % 4 {
 		case 1:
 			cc.kw, cc.stride, cc.pad = 3, 1, 1
+		case 2:
+			cc.kh, cc.kw, cc.stride, cc.pad = 3, 3, 1, 1
 		case 3:
 			cc.kh, cc.kw, cc.stride, cc.pad = 1, 1, 1, 0
 		}
@@ -364,9 +384,9 @@ func TestDiffDirectRandomShapes(t *testing.T) {
 }
 
 // FuzzConvDirect feeds fuzzer-chosen shapes, seeds and zero fractions
-// (the tenth shape byte, over 255) through the same bit-for-bit comparison
-// (`make fuzz`), so the fuzzer steers planes onto either side of the
-// sparse path's threshold.
+// (the tenth shape byte, over 255, for both x and dY) through the same
+// bit-for-bit comparison (`make fuzz`), so the fuzzer steers input and
+// gradient planes onto either side of the sparse paths' threshold.
 func FuzzConvDirect(f *testing.F) {
 	f.Add([]byte{7, 2, 2, 0, 1, 1, 7, 7, 7, 128}, uint64(1))   // 3x3/s1/p1
 	f.Add([]byte{7, 0, 0, 0, 0, 1, 7, 11, 11, 250}, uint64(2)) // 1x1/s1/p0
@@ -381,10 +401,11 @@ func FuzzConvDirect(f *testing.F) {
 	})
 }
 
-// TestDiffDirectSparseChunks holds the sparse path across its stack
+// TestDiffDirectSparseChunks holds the sparse paths across their stack
 // chunks: planes with more nonzero elements than one chunk, placed so the
 // chunk boundary falls mid-row, on the pointwise, three-tap and generic
-// shapes, with and without dX.
+// shapes — in dY, with and without dX, and in the input of forward, which
+// the three-tap shapes scatter.
 func TestDiffDirectSparseChunks(t *testing.T) {
 	for ci, cc := range []convCase{
 		{3, 1, 1, 1, 0, 2, 3, 40, 37}, // pointwise
@@ -399,15 +420,18 @@ func TestDiffDirectSparseChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dy := randTensor(seed, outShape...)
 		ow, plane := outShape[3], outShape[2]*outShape[3]
-		for i := range dy.Data {
-			if i%plane%3 != 0 {
-				dy.Data[i] = 0
-			}
-		}
 		// Every third element: the chunk's last entry and the next one
 		// share a row, and the plane stays on the sparse path.
+		thirds := func(m *tensor.Tensor, plane int) *tensor.Tensor {
+			for i := range m.Data {
+				if i%plane%3 != 0 {
+					m.Data[i] = 0
+				}
+			}
+			return m
+		}
+		dy := thirds(randTensor(seed, outShape...), plane)
 		nnz, last := (plane+2)/3, 3*(sparseChunk-1)
 		if nnz <= sparseChunk || !sparsePlane(nnz, plane) || last%ow == ow-1 || last%ow+3 >= ow {
 			t.Fatalf("%+v: %d nonzeros in a %d-wide plane of %d miss the chunk regime", cc, nnz, ow, plane)
@@ -423,6 +447,20 @@ func TestDiffDirectSparseChunks(t *testing.T) {
 		g := run(op.Backward, tensor.New(x.Shape...))
 		r := run(op.backwardDirectRef, tensor.New(x.Shape...))
 		noDX := run(op.Backward, nil)
+		// A three-tap input plane is as wide as its output plane, so the
+		// same pattern puts forward's chunk boundary mid-row too.
+		if three := cc.kh == 3 && cc.kw == 3 && cc.stride == 1; three != op.scatterForward(cc.w, params[0].Data, params[1].Data) {
+			t.Fatalf("%+v: scatterForward is %v", cc, !three)
+		}
+		fwd := [2]*tensor.Tensor{tensor.New(outShape...), tensor.New(outShape...)}
+		in := []*tensor.Tensor{thirds(randTensor(seed+4, x.Shape...), cc.h*cc.w)}
+		op.Forward(&FwdCtx{In: in, Params: params, Out: fwd[0]})
+		op.forwardDirectRef(&FwdCtx{In: in, Params: params, Out: fwd[1]})
+		for j, want := range fwd[1].Data {
+			if a, b := math.Float32bits(fwd[0].Data[j]), math.Float32bits(want); a != b {
+				t.Fatalf("%+v: y[%d] = %#08x, reference %#08x", cc, j, a, b)
+			}
+		}
 		for i, what := range []string{"dx", "dw", "db"} {
 			for j := range r[i].Data {
 				if a, b := math.Float32bits(g[i].Data[j]), math.Float32bits(r[i].Data[j]); a != b {
@@ -436,21 +474,62 @@ func TestDiffDirectSparseChunks(t *testing.T) {
 	}
 }
 
-// TestSparseRegimesReachBothPaths checks that the wall's dY kinds land
-// where their names say: dyStraddle's planes alternate between the two
-// paths, and dyPooled stays far below the threshold.
+// TestSparseRegimesReachBothPaths checks that the wall's map kinds land
+// where their names say: mapStraddle's planes alternate between the two
+// paths, and mapPooled stays far below the threshold. And that the wall's
+// forward runs reach both of forward's dispatches: the plane walk with
+// clean parameters on a 3x3 shape, the dense kernels under a -0 bias, an
+// infinite weight or another shape, with input planes on both sides of
+// the threshold in the walk.
 func TestSparseRegimesReachBothPaths(t *testing.T) {
 	shape := tensor.Shape{2, 3, 9, 7}
 	plane := 9 * 7
-	dy := makeDY(dyStraddle, 0, 1, shape)
+	dy := makeMap(mapStraddle, 0, 1, shape)
 	for p := 0; p < len(dy.Data); p += plane {
 		nnz := countNonzero(dy.Data[p : p+plane])
 		if sparsePlane(nnz, plane) != ((p/plane)%2 == 0) || !sparsePlane(nnz-1, plane) {
 			t.Fatalf("straddle plane %d: %d nonzeros of %d", p/plane, nnz, plane)
 		}
 	}
-	pooled := makeDY(dyPooled, 0, 1, tensor.Shape{2, 4, 32, 32})
+	pooled := makeMap(mapPooled, 0, 1, tensor.Shape{2, 4, 32, 32})
 	if nnz := countNonzero(pooled.Data); nnz*10 > len(pooled.Data) {
 		t.Fatalf("pooled: %d nonzeros of %d", nnz, len(pooled.Data))
+	}
+
+	w, b := randTensor(2, 4, 3, 3, 3).Data, randTensor(3, 4).Data
+	vgg := &Conv2D{OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	negB, nanB := append([]float32{negZero}, b[1:]...), append([]float32{float32(math.NaN())}, b[1:]...)
+	infW := append([]float32{}, w...)
+	infW[5] = float32(math.Inf(-1))
+	for _, d := range []struct {
+		name string
+		op   *Conv2D
+		w, b []float32
+		want bool
+	}{
+		{"clean 3x3", vgg, w, b, true},
+		{"-0 bias", vgg, w, negB, false},
+		{"NaN bias", vgg, w, nanB, false},
+		{"infinite weight", vgg, infW, b, false},
+		{"5x3", &Conv2D{OutC: 4, KH: 5, KW: 3, Stride: 1, Pad: 1}, w, b, false},
+		{"1x1", &Conv2D{OutC: 4, KH: 1, KW: 1, Stride: 1}, w, b, false},
+	} {
+		if got := d.op.scatterForward(7, d.w, d.b); got != d.want {
+			t.Errorf("%s: scatterForward = %v, want %v", d.name, got, d.want)
+		}
+	}
+	var sparse, dense int
+	for kind := mapKind(0); kind < numMapKinds; kind++ {
+		x := makeMap(kind, 0.5, 1, shape)
+		for p := 0; p < len(x.Data); p += plane {
+			if sparsePlane(countNonzero(x.Data[p:p+plane]), plane) {
+				sparse++
+			} else {
+				dense++
+			}
+		}
+	}
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("the input kinds put %d planes on the scatter and %d on the dense kernel", sparse, dense)
 	}
 }
