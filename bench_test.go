@@ -324,8 +324,8 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) { run(b, false) })
 	b.Run("gist", func(b *testing.B) { run(b, true) })
 	// gist-adaptive swaps the fixed technique ladder for the per-layer
-	// minimum-bytes selection across the lossless tier (SSDC/ZVC/entropy/
-	// dense); its delta against "gist" is the price of the adaptive
+	// minimum-bytes selection across the lossless tier (SSDC/ZVC/dense);
+	// its delta against "gist" is the price of the adaptive
 	// encoders on the step path.
 	b.Run("gist-adaptive", func(b *testing.B) {
 		g := networks.TinyCNN(8, 4)

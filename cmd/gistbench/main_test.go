@@ -37,6 +37,24 @@ func TestRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestTechniqueUsageError pins that a -technique the codec does not have —
+// the removed "entropy" tier among them — is a usage error (exit 2) that
+// names the accepted set, before any experiment runs.
+func TestTechniqueUsageError(t *testing.T) {
+	for _, name := range []string{"entropy", "bogus"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-technique", name, "-experiment", "ratio"}, &out, &errOut); code != 2 {
+			t.Errorf("-technique %s exited %d, want 2", name, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-technique %s printed results:\n%s", name, out.String())
+		}
+		if !strings.Contains(errOut.String(), "none|binarize|ssdc|dpr|zvc|adaptive") {
+			t.Errorf("-technique %s: stderr does not name the accepted set:\n%s", name, errOut.String())
+		}
+	}
+}
+
 func TestRobustCrossChecksOK(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-experiment", "robust", "-steps", "20", "-faultseed", "7"}, &out, &errOut); code != 0 {

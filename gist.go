@@ -60,8 +60,7 @@ type (
 	Format = floatenc.Format
 	// Device models an accelerator for performance estimates.
 	Device = costmodel.Device
-	// Technique identifies one Gist encoding (Binarize, SSDC, DPR, ZVC,
-	// Entropy).
+	// Technique identifies one Gist encoding (Binarize, SSDC, DPR, ZVC).
 	Technique = encoding.Technique
 )
 
@@ -76,8 +75,6 @@ const (
 	DPR = encoding.DPR
 	// ZVC is zero-value compression: nonzero bitmask + compacted values.
 	ZVC = encoding.ZVC
-	// Entropy is the ZRL+Huffman stage over packed stash bytes.
-	Entropy = encoding.Entropy
 )
 
 // ParseTechnique resolves a technique by name (case-insensitive; "none"

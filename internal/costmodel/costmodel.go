@@ -127,9 +127,6 @@ func (d Device) streamTime(bytes int64) float64 {
 //   - DPR: one conversion pass each way over the affected bytes.
 //   - ZVC: a mask-build + compaction pass at encode and an expansion pass
 //     at decode, streaming the dense data plus the compacted payload.
-//   - Entropy: byte-serial (de)coding priced at a fraction of streaming
-//     bandwidth — the expensive tier, paid only where ratio wins justify
-//     it.
 func (d Device) EncodingOverhead(a *encoding.Analysis) float64 {
 	var t float64
 	for _, as := range a.ByNode {

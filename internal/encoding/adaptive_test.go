@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"strings"
 	"testing"
 
 	"gist/internal/floatenc"
@@ -31,7 +32,7 @@ func adaptiveTestGraph() *graph.Graph {
 // distinguished empty selection, and unknown names are typed errors.
 func TestParseTechnique(t *testing.T) {
 	regs := RegisteredTechniques()
-	want := []Technique{Binarize, SSDC, DPR, ZVC, Entropy}
+	want := []Technique{Binarize, SSDC, DPR, ZVC}
 	if len(regs) != len(want) {
 		t.Fatalf("RegisteredTechniques = %v, want %d techniques", regs, len(want))
 	}
@@ -57,8 +58,16 @@ func TestParseTechnique(t *testing.T) {
 	if got, err := ParseTechnique("none"); err != nil || got != None {
 		t.Errorf("ParseTechnique(none) = %v, %v; want None", got, err)
 	}
-	if _, err := ParseTechnique("lzma"); err == nil {
-		t.Error("ParseTechnique(lzma) succeeded, want error")
+	// A removed technique's name is as unknown as a made-up one, and the
+	// error names the accepted set.
+	for _, name := range []string{"lzma", "entropy", "Entropy"} {
+		_, err := ParseTechnique(name)
+		if err == nil || !strings.Contains(err.Error(), "none|binarize|ssdc|dpr|zvc") {
+			t.Errorf("ParseTechnique(%q) error = %v, want one naming the accepted set", name, err)
+		}
+		if _, err := (Config{}).WithTechniqueName(name); err == nil || !strings.Contains(err.Error(), "|zvc|adaptive") {
+			t.Errorf("WithTechniqueName(%q) error = %v, want one naming the accepted set", name, err)
+		}
 	}
 }
 
@@ -68,9 +77,9 @@ func TestParseTechnique(t *testing.T) {
 func TestConfigWithTechnique(t *testing.T) {
 	base := LossyLossless(floatenc.FP10)
 	base.AdaptiveSet = AdaptiveAll()
-	for _, tech := range []Technique{Binarize, SSDC, ZVC, Entropy} {
+	for _, tech := range []Technique{Binarize, SSDC, ZVC} {
 		c := base.WithTechnique(tech)
-		on := map[Technique]bool{Binarize: c.Binarize, SSDC: c.SSDC, ZVC: c.ZVC, Entropy: c.Entropy}
+		on := map[Technique]bool{Binarize: c.Binarize, SSDC: c.SSDC, ZVC: c.ZVC}
 		for k, v := range on {
 			if v != (k == tech) {
 				t.Errorf("WithTechnique(%v): %v selection = %v", tech, k, v)
@@ -99,8 +108,7 @@ func TestConfigWithTechnique(t *testing.T) {
 
 // TestPlanBytesModels sanity-checks the planning cost models the adaptive
 // selector ranks by: ZVC shrinks with sparsity and beats dense FP32 on a
-// sparse map; entropy includes its per-chunk table overhead; None prices
-// at dense FP32.
+// sparse map; None prices at dense FP32.
 func TestPlanBytesModels(t *testing.T) {
 	const n = 100000
 	dense := int64(n) * 4
@@ -115,22 +123,12 @@ func TestPlanBytesModels(t *testing.T) {
 	if zfp16 := PlanBytes(ZVC, n, 0.9, floatenc.FP16); zfp16 >= sparse {
 		t.Errorf("zvc model ignores the packed-value credit: FP16 %d >= FP32 %d", zfp16, sparse)
 	}
-	ent := PlanBytes(Entropy, n, 0.9, floatenc.FP32)
-	if ent <= 0 || ent >= dense {
-		t.Errorf("entropy model = %d for a 90%% sparse map, want in (0, %d)", ent, dense)
-	}
-	if b := PlanBytes(Entropy, 0, 0.5, floatenc.FP32); b != 0 {
-		t.Errorf("entropy model prices an empty stash at %d", b)
-	}
-	// The roofline overheads: ZVC costs its extra passes, the entropy
-	// stage costs strictly more (it is the expensive tier), Binarize is a
+	// The roofline overheads: ZVC costs its extra passes, Binarize is a
 	// net saving (the mask replaces two dense backward reads), and None
 	// leaves the accumulator untouched.
 	stream := func(b int64) float64 { return float64(b) }
-	zvcCost := AddOverheadTime(ZVC, 0, stream, dense, dense/4)
-	entCost := AddOverheadTime(Entropy, 0, stream, dense, dense/4)
-	if zvcCost <= 0 || entCost <= zvcCost {
-		t.Errorf("overheads: zvc %g, entropy %g; want 0 < zvc < entropy", zvcCost, entCost)
+	if c := AddOverheadTime(ZVC, 0, stream, dense, dense/4); c <= 0 {
+		t.Errorf("overhead(ZVC) = %g, want a cost (positive)", c)
 	}
 	if c := AddOverheadTime(Binarize, 0, stream, dense, dense/32); c >= 0 {
 		t.Errorf("overhead(Binarize) = %g, want a net saving (negative)", c)
@@ -193,9 +191,10 @@ func TestAnalyzeAdaptiveSet(t *testing.T) {
 	if assigned == 0 {
 		t.Fatal("adaptive analysis assigned nothing")
 	}
-	// The sparse ReLU stashes are eligible for several techniques, so the
-	// losers must be recorded as runtime fallbacks alongside a measured
-	// sparsity estimate.
+	// Every sparse ReLU stash is planned with a measured sparsity estimate,
+	// and one eligible for both guarded techniques — relu1, read by a
+	// convolution: SSDC and ZVC — records the loser as its runtime fallback.
+	chained := 0
 	for _, n := range g.Nodes {
 		if n.Kind() != layers.ReLU {
 			continue
@@ -208,9 +207,21 @@ func TestAnalyzeAdaptiveSet(t *testing.T) {
 		if as.Sparsity <= 0 {
 			t.Errorf("%s: sparse stash planned with sparsity %v", n.Name, as.Sparsity)
 		}
-		if len(as.Fallbacks) == 0 {
-			t.Errorf("%s: multi-candidate stash has no fallback chain", n.Name)
+		guarded := 0
+		for _, tech := range cfg.AdaptiveSet {
+			if runtimeFallback(tech) && adaptiveEligible(cfg, n, tech, as.Sparsity) {
+				guarded++
+			}
 		}
+		if guarded > 1 {
+			chained++
+			if len(as.Fallbacks) == 0 {
+				t.Errorf("%s: multi-candidate stash has no fallback chain", n.Name)
+			}
+		}
+	}
+	if chained == 0 {
+		t.Fatal("no stash was eligible for two guarded techniques")
 	}
 }
 
@@ -248,17 +259,19 @@ func TestAdaptiveFallbackChain(t *testing.T) {
 		}
 	}
 
-	// The chain stops at the first fallback whose guard passes: the same
-	// dense map is entropy-codable (its float bytes are heavily skewed), so
-	// a ZVC → Entropy chain lands on Entropy rather than dense.
-	as2 := &Assignment{Tech: ZVC, Format: floatenc.FP32, Fallbacks: []Technique{Entropy}}
+	// The chain stops at the first fallback whose guard passes: at FP16 a
+	// map with 30 % zeros defeats CSR (three bytes a nonzero against two
+	// an element) but not ZVC's bitmask, so an SSDC → ZVC chain lands on
+	// ZVC rather than dense.
+	copy(tt.Data, randStash(rng, 4096, 0.3))
+	as2 := &Assignment{Tech: SSDC, Format: floatenc.FP16, Fallbacks: []Technique{ZVC}}
 	e3 := &EncodedStash{}
 	fellBack, err = c.EncodeStashAdaptiveInto(e3, as2, tt)
 	if err != nil {
-		t.Fatalf("entropy-chain encode: %v", err)
+		t.Fatalf("SSDC → ZVC chain encode: %v", err)
 	}
-	if !fellBack || e3.Tech != Entropy {
-		t.Fatalf("entropy chain: fellBack=%v tech=%v, want fallback onto Entropy", fellBack, e3.Tech)
+	if !fellBack || e3.Tech != ZVC {
+		t.Fatalf("SSDC → ZVC chain: fellBack=%v tech=%v, want fallback onto ZVC", fellBack, e3.Tech)
 	}
 
 	// A sparse map with the same chain sticks with the primary.

@@ -60,7 +60,9 @@ func analysisFingerprint(a *Analysis) uint64 {
 // of every node — over the training nets and the paper's suite, for every
 // configuration the repo analyzes with. The hashes were captured before
 // the selection passes were folded into one walk; a refactor of Analyze
-// must leave every one of them unchanged.
+// must leave every one of them unchanged. The four adaptive rows were
+// re-captured when the Entropy technique left their technique sets, from
+// the walk as it stood, with the same sets spelled out.
 func TestAnalyzeAssignmentsPinned(t *testing.T) {
 	graphs := []*graph.Graph{
 		networks.TinyCNN(8, 4),
@@ -89,9 +91,7 @@ func TestAnalyzeAssignmentsPinned(t *testing.T) {
 		{"technique-ssdc", fp16.WithTechnique(SSDC), 0xfad9d69c8bbef19c},
 		{"technique-dpr", fp16.WithTechnique(DPR), 0x26913017de58f94e},
 		{"technique-zvc", fp16.WithTechnique(ZVC), 0xbeeed543b8219ce9},
-		{"technique-entropy", fp16.WithTechnique(Entropy), 0x3d580361b0fc5d00},
 		{"technique-zvc-fp32", Lossless().WithTechnique(ZVC), 0x99966c8aed14354c},
-		{"technique-entropy-fp32", Lossless().WithTechnique(Entropy), 0x3c8c840d0ada88e4},
 		{"technique-dpr-fp32", Lossless().WithTechnique(DPR), 0x26913017de58f94e},
 		{"dpr-fp16", Config{DPR: floatenc.FP16}, 0x26913017de58f94e},
 		{"dpr-fp10", Config{DPR: floatenc.FP10}, 0x92acc55491eceb76},
@@ -99,13 +99,13 @@ func TestAnalyzeAssignmentsPinned(t *testing.T) {
 		{"ssdc-fc-conv-like", Config{SSDC: true, FCIsConvLike: true}, 0xad6972499560d4c7},
 		{"lossless-fc-conv-like-dense", Config{Binarize: true, SSDC: true, FCIsConvLike: true,
 			Sparsity: func(*graph.Node) float64 { return 1 }}, 0x989c2231123ffc9d},
-		{"adaptive-fp16", withAdaptive(fp16, AdaptiveAll()...), 0xeb0fd251407346d3},
-		{"adaptive-fp32", withAdaptive(Lossless(), AdaptiveAll()...), 0x8c5409664a68227b},
-		{"adaptive-only", Config{AdaptiveSet: AdaptiveAll()}, 0x5c750ecfff567670},
+		{"adaptive-fp16", withAdaptive(fp16, AdaptiveAll()...), 0xb5147f6ba560e068},
+		{"adaptive-fp32", withAdaptive(Lossless(), AdaptiveAll()...), 0xce49cbbd42d20a68},
+		{"adaptive-only", Config{AdaptiveSet: AdaptiveAll()}, 0xff42047ae149cdc0},
 		{"adaptive-zvc-over-ssdc", withAdaptive(Lossless(), ZVC), 0x9a6d8cc7f62d43f6},
 		{"adaptive-zvc-over-ssdc-fp16", withAdaptive(fp16, ZVC), 0x909a8743d285b074},
-		{"adaptive-ssdc-over-zvc-entropy", Config{ZVC: true, Entropy: true, DPR: floatenc.FP16,
-			AdaptiveSet: []Technique{SSDC}}, 0x94639ef6b6748c6b},
+		{"adaptive-ssdc-over-zvc", Config{ZVC: true, DPR: floatenc.FP16,
+			AdaptiveSet: []Technique{SSDC}}, 0x11e6fbb441aec249},
 	}
 	for _, c := range cases {
 		h := fnv.New64a()

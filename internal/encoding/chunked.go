@@ -118,7 +118,7 @@ func (cdc Codec) chunkElems() int { return normalizeChunkElems(cdc.ChunkElems) }
 // stashing node and re-encodes into it every step, so the encode path stops
 // allocating once the containers reach steady-state size.
 //
-// For SSDC, ZVC and Entropy the runtime data decides the footprint: when
+// For SSDC and ZVC the runtime data decides the footprint: when
 // the encoded form would not beat the dense DPR stash it competes with,
 // EncodeStashInto returns ErrStashTooLarge. Callers that prefer graceful
 // degradation over a hard error use EncodeStashAdaptiveInto. On error the
@@ -442,7 +442,7 @@ func (e *EncodedStash) NumChunks() int {
 
 // ChunkSpan returns the payload element range [elemLo, elemHi) chunk c
 // covers and, when the technique keeps its bit-addressable payload in a
-// single array (Binarize mask words, DPR packed words, entropy streams),
+// single array (Binarize mask words, DPR packed words),
 // the byte offsets [byteLo, byteHi) of that range within the array — the
 // region whose CRC the chunk seals. Techniques whose chunks span several
 // backing arrays (SSDC, ZVC), and payloads that do not fit the chunk

@@ -9,8 +9,8 @@ import (
 )
 
 // The codec's one chunk dispatch. Every chunk kernel — mask build and
-// expand, DPR pack and unpack, the ZVC passes, the Entropy
-// passes, the seal/verify chunk hashes — runs as a chunkTask through
+// expand, DPR pack and unpack, the ZVC passes, the seal/verify chunk
+// hashes — runs as a chunkTask through
 // parallel.Pool.ForEach, at every worker count and chunk count, one worker
 // and one chunk included. A task carries the kernel (a plain function, never
 // a closure) and every operand the kernel reads, and is recycled, so a
@@ -29,13 +29,8 @@ type chunkTask struct {
 	format   floatenc.Format
 	mask     *bitpack.BitMask
 	packed   *floatenc.Packed
-	ent      *EntropyPayload
-	vpw      int
 	layout   payloadLayout
 	pieces   []uint32
-	// errs holds one result per chunk for kernels that can fail (Entropy
-	// decode); run reports the first in chunk order.
-	errs []error
 }
 
 var chunkTasks = sync.Pool{New: func() any { return new(chunkTask) }}
@@ -70,21 +65,12 @@ func (t *chunkTask) Do(i int) {
 	sp.End()
 }
 
-// run dispatches t over indices [0, count) on the codec's pool, recycles it,
-// and returns the first failure a kernel recorded in t.errs.
-func (cdc Codec) run(count int, t *chunkTask) error {
+// run dispatches t over indices [0, count) on the codec's pool and
+// recycles it.
+func (cdc Codec) run(count int, t *chunkTask) {
 	cdc.pool().ForEach(count, t)
-	var err error
-	for _, e := range t.errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
-	clear(t.errs)
-	*t = chunkTask{errs: t.errs[:0]}
+	*t = chunkTask{}
 	chunkTasks.Put(t)
-	return err
 }
 
 // forChunks runs t over every chunk of its n elements, counting them on

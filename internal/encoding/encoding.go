@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"gist/internal/entropy"
 	"gist/internal/floatenc"
 	"gist/internal/graph"
 	"gist/internal/layers"
@@ -37,16 +36,15 @@ type Technique int
 
 // Techniques, in priority order. Binarize/SSDC/DPR are the paper's three
 // encodings; ZVC (zero-value compression: nonzero bitmask + compacted
-// values) and Entropy (zero-run-length + Huffman over the packed bytes)
-// are the lossless tier layered on top, selectable per layer by the
-// adaptive planner.
+// values) is the lossless tier layered on top, selectable per layer by the
+// adaptive planner. The values are the wire format's technique word.
 const (
 	None Technique = iota
 	Binarize
 	SSDC
 	DPR
 	ZVC
-	Entropy
+	numTechniques // one past the last Technique value
 )
 
 // String returns the paper's name for the technique, resolved through the
@@ -73,11 +71,8 @@ type Config struct {
 	// ZVC enables zero-value compression (nonzero bitmask + compacted
 	// values) for sparse stashes SSDC did not claim.
 	ZVC bool
-	// Entropy enables the generic ZRL+Huffman stage over packed stash
-	// bytes — the expensive, highest-ratio lossless tier.
-	Entropy bool
 	// AdaptiveSet, when non-empty, takes precedence over the fixed
-	// SSDC/ZVC/Entropy order with per-layer minimum-predicted-bytes
+	// SSDC/ZVC order with per-layer minimum-predicted-bytes
 	// selection among the listed techniques (a layer none of them serves
 	// falls through to the fixed order); the runner-up techniques become
 	// the assignment's runtime fallback chain. Binarize still runs first (it
@@ -104,7 +99,7 @@ type Config struct {
 // selection that reduced nothing would be a no-op); None turns every
 // encoding off. The consolidated -technique flags resolve through this.
 func (c Config) WithTechnique(t Technique) Config {
-	c.Binarize, c.SSDC, c.ZVC, c.Entropy, c.AdaptiveSet = false, false, false, false, nil
+	c.Binarize, c.SSDC, c.ZVC, c.AdaptiveSet = false, false, false, nil
 	switch t {
 	case Binarize:
 		c.Binarize = true
@@ -112,8 +107,6 @@ func (c Config) WithTechnique(t Technique) Config {
 		c.SSDC = true
 	case ZVC:
 		c.ZVC = true
-	case Entropy:
-		c.Entropy = true
 	case DPR:
 		if c.DPR == floatenc.FP32 {
 			c.DPR = floatenc.FP16
@@ -138,7 +131,7 @@ func (c Config) WithTechniqueName(name string) (Config, error) {
 	}
 	t, err := ParseTechnique(name)
 	if err != nil {
-		return c, err
+		return c, fmt.Errorf("encoding: unknown technique %q (want %s|adaptive)", name, techniqueNames())
 	}
 	return c.WithTechnique(t), nil
 }
@@ -146,14 +139,14 @@ func (c Config) WithTechniqueName(name string) (Config, error) {
 // Enabled reports whether the configuration selects any encoding, rewrite
 // or adaptive set at all (the zero Config is the no-encoding baseline).
 func (c Config) Enabled() bool {
-	return c.Binarize || c.SSDC || c.ZVC || c.Entropy || c.Inplace ||
+	return c.Binarize || c.SSDC || c.ZVC || c.Inplace ||
 		c.DPR != floatenc.FP32 || len(c.AdaptiveSet) > 0
 }
 
 // AdaptiveAll is the full lossless-tier adaptive set the consolidated
 // -technique flags name "adaptive": per-layer minimum-predicted-bytes
-// selection among SSDC, ZVC, Entropy and dense DPR.
-func AdaptiveAll() []Technique { return []Technique{SSDC, ZVC, Entropy, DPR} }
+// selection among SSDC, ZVC and dense DPR.
+func AdaptiveAll() []Technique { return []Technique{SSDC, ZVC, DPR} }
 
 // Lossless is the paper's "lossless" configuration: Binarize + SSDC +
 // inplace.
@@ -205,8 +198,8 @@ type Assignment struct {
 	// between the two uses.
 	EncodedBytes int64
 	// NeedsDecode reports whether the stash is decoded into a transient
-	// FP32 staging buffer before its backward use: true for SSDC, ZVC,
-	// Entropy and DPR; false for Binarize, whose mask the backward kernel
+	// FP32 staging buffer before its backward use: true for SSDC, ZVC and
+	// DPR; false for Binarize, whose mask the backward kernel
 	// consumes directly. liveness plans the staging buffer from it, and the
 	// executor reads it: a stash without it reaches its ReLU as the
 	// verified container (Codec.MaskOf), with no decode and no pooled
@@ -293,8 +286,6 @@ func adaptiveEligible(cfg Config, n *graph.Node, tech Technique, s float64) bool
 		return false
 	case ZVC:
 		return sparseStash(n)
-	case Entropy:
-		return true
 	case DPR:
 		return cfg.DPR != floatenc.FP32
 	default:
@@ -308,7 +299,7 @@ func adaptiveEligible(cfg Config, n *graph.Node, tech Technique, s float64) bool
 // guard and so can be retried at runtime (dense DPR always succeeds;
 // Binarize needs the analysis rewrite and cannot be chosen after the fact).
 func runtimeFallback(t Technique) bool {
-	return t == SSDC || t == ZVC || t == Entropy
+	return t == SSDC || t == ZVC
 }
 
 // choose picks the container of node n's stash, or nil to leave it raw.
@@ -316,10 +307,10 @@ func runtimeFallback(t Technique) bool {
 // eligible candidate, with the beaten runtime-retryable candidates as its
 // fallback chain, ordered by predicted size, so the encoder degrades along
 // the planner's own ranking. Without one, or when no candidate beats the
-// raw FP32 stash, the first enabled fixed technique — SSDC, ZVC, Entropy —
+// raw FP32 stash, the first enabled fixed technique — SSDC, then ZVC —
 // that is eligible and beats its bound wins: the raw FP32 stash for SSDC
 // (tiny stashes lose to CSR's row pointers), the dense stash at the DPR
-// format for ZVC and Entropy. Whatever is left is DPR-packed when
+// format for ZVC. Whatever is left is DPR-packed when
 // precision reduction is on.
 func choose(cfg Config, n *graph.Node) *Assignment {
 	s := cfg.Sparsity(n)
@@ -358,7 +349,7 @@ func choose(cfg Config, n *graph.Node) *Assignment {
 		on    bool
 		tech  Technique
 		bound int64
-	}{{cfg.SSDC, SSDC, raw}, {cfg.ZVC, ZVC, dense}, {cfg.Entropy, Entropy, dense}} {
+	}{{cfg.SSDC, SSDC, raw}, {cfg.ZVC, ZVC, dense}} {
 		if !f.on || !adaptiveEligible(cfg, n, f.tech, s) {
 			continue
 		}
@@ -478,21 +469,6 @@ func ssdcBytes(n int, sparsity float64, f floatenc.Format) int64 {
 func zvcBytes(n int, sparsity float64, f floatenc.Format) int64 {
 	nnz := int(float64(n)*(1-sparsity) + 0.5)
 	return binarizeMaskBytes(n) + f.PackedBytes(nnz)
-}
-
-// entropyBytes models the ZRL+Huffman stream over the packed bytes of an
-// n-element stash. Zero elements become zero bytes (≈2 bytes per 255-byte
-// run); nonzero bytes stay literals with a mild Huffman gain (7/8); each
-// chunk pays the fixed code-table overhead plus its block-length slot.
-func entropyBytes(n int, sparsity float64, f floatenc.Format) int64 {
-	if n == 0 {
-		return 0
-	}
-	packed := float64(f.PackedBytes(n))
-	zeros := packed * sparsity
-	lits := packed - zeros
-	nc := int64((n + DefaultChunkElems - 1) / DefaultChunkElems)
-	return int64(lits*7/8+zeros/255*2+0.5) + nc*int64(entropy.TableBytes+4)
 }
 
 // CompressionRatio returns FP32 bytes over encoded bytes for the

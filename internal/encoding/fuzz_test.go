@@ -3,6 +3,7 @@ package encoding
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"slices"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // the corpus the mutator grows from, guaranteeing the fuzzer starts from
 // deep, structurally valid inputs rather than rejected magic bytes — plus
 // the sealed layout edge cases (empty payloads, arrays that do not fit the
-// chunk layout), which parse but mostly fail later, in Verify or Decode.
+// chunk layout), which parse but mostly fail later, in Verify or Decode,
+// and the frozen blob of the removed Entropy technique, which must not parse.
 func fuzzSeeds(t testing.TB) [][]byte {
 	c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
 	rng := tensor.NewRNG(3)
@@ -48,7 +50,13 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, b)
 	}
-	return seeds
+	// A sealed blob of the removed Entropy technique: a well-formed
+	// container whose technique word no longer parses.
+	entropy, err := hex.DecodeString(goldenEntropyBlobHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(seeds, entropy)
 }
 
 // TestMarshalRoundTrip pins the wire format: unmarshal(marshal(e)) restores

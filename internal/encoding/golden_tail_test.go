@@ -47,28 +47,24 @@ var goldenTails = []struct {
 	{769, "dpr-fp10", 0x733c733c, []uint32{0x037629ee, 0x48674bc7}},
 	{769, "dpr-fp8", 0x26d3ca44, []uint32{0xc33575c2, 0x48674bc7}},
 	{769, "zvc-fp32", 0x276468fc, []uint32{0xa45b51cd, 0xeb31c8d5}},
-	{769, "entropy-fp16", 0x9ec03224, []uint32{0xaa28ee01, 0x369edbab}},
 	{831, "binarize", 0x1c7e5c9f, []uint32{0xacfd48c9, 0x72371c90}},
 	{831, "ssdc-fp32", 0xf35fc7a2, []uint32{0xd9d2debd, 0x4bdbb0c5}},
 	{831, "dpr-fp16", 0x323f6780, []uint32{0xc5eb7019, 0xf702e74b}},
 	{831, "dpr-fp10", 0x6573e116, []uint32{0x3c13aca6, 0xd11b3a96}},
 	{831, "dpr-fp8", 0xfd34455c, []uint32{0x6dd9b3f8, 0x0665d964}},
 	{831, "zvc-fp32", 0xa9a9176d, []uint32{0x390231b5, 0x88b003bf}},
-	{831, "entropy-fp16", 0x5295f922, []uint32{0x4ec193cd, 0x8dfea281}},
 	{832, "binarize", 0x74917efd, []uint32{0xaabd2c1e, 0x87a51973}},
 	{832, "ssdc-fp32", 0x25ee98c8, []uint32{0xe308157b, 0x83b4e343}},
 	{832, "dpr-fp16", 0x934a2a2e, []uint32{0x427741ad, 0x7975f345}},
 	{832, "dpr-fp10", 0xfae0d7a4, []uint32{0xc2c5d550, 0x1879a7b7}},
 	{832, "dpr-fp8", 0x3fd33c75, []uint32{0x96fd8039, 0x8d0100c4}},
 	{832, "zvc-fp32", 0xd678197a, []uint32{0x58d3396c, 0x84430e30}},
-	{832, "entropy-fp16", 0x926d5139, []uint32{0x0351340f, 0xaf97669f}},
 	{833, "binarize", 0x5515d7a5, []uint32{0xde89784a, 0x2729868f}},
 	{833, "ssdc-fp32", 0x621dfe38, []uint32{0xed6913b7, 0xe13e2191}},
 	{833, "dpr-fp16", 0xac63abf8, []uint32{0x7029473b, 0x50301730}},
 	{833, "dpr-fp10", 0xb3dabdbb, []uint32{0x58ff8940, 0x603b87dc}},
 	{833, "dpr-fp8", 0x9a705fa7, []uint32{0x5775ff7f, 0x427f7641}},
 	{833, "zvc-fp32", 0x181944c8, []uint32{0x377a2343, 0x78cbc1a3}},
-	{833, "entropy-fp16", 0x7f6759a2, []uint32{0x20f5710e, 0x94870ae0}},
 }
 
 // tailAssignment maps a fixture name to its encode assignment.
@@ -86,8 +82,6 @@ func tailAssignment(name string) *Assignment {
 		return &Assignment{Tech: DPR, Format: floatenc.FP8}
 	case "zvc-fp32":
 		return &Assignment{Tech: ZVC, Format: floatenc.FP32}
-	case "entropy-fp16":
-		return &Assignment{Tech: Entropy, Format: floatenc.FP16}
 	}
 	return nil
 }
@@ -144,7 +138,7 @@ func TestGoldenChunkTailsRoundTrip(t *testing.T) {
 				}
 			default:
 				// SSDC/ZVC at FP32 are exact (Quantize is the identity);
-				// layered DPR and the entropy stage quantize elementwise.
+				// layered DPR quantizes elementwise.
 				want = as.Format.Quantize(in.Data[i])
 			}
 			if math.Float32bits(v) != math.Float32bits(want) {

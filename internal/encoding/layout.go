@@ -3,7 +3,6 @@ package encoding
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,9 +36,6 @@ const (
 	// Cutting by index keeps the layout independent of (possibly
 	// corrupted) payload contents, so attribution stays exact.
 	cutSpan
-	// cutBlocks: chunk c owns the next meta[c] items — the Entropy stream
-	// under its per-chunk block table.
-	cutBlocks
 )
 
 // segment is a typed view of one backing array of a payload plus its cut
@@ -48,7 +44,6 @@ type segment struct {
 	u64 []uint64
 	u32 []uint32
 	i32 []int32
-	f32 []float32
 	u8  []byte
 	cut cutRule
 	per int // cutAligned: elements per item; cutRows: elements per row
@@ -63,8 +58,6 @@ func (s *segment) shape() (items, size int) {
 		return len(s.u32), 4
 	case s.i32 != nil:
 		return len(s.i32), 4
-	case s.f32 != nil:
-		return len(s.f32), 4
 	}
 	return len(s.u8), 1
 }
@@ -84,10 +77,6 @@ func (s *segment) put(buf []byte, lo, hi int) {
 	case s.i32 != nil:
 		for i, w := range s.i32[lo:hi] {
 			binary.LittleEndian.PutUint32(buf[4*i:], uint32(w))
-		}
-	case s.f32 != nil:
-		for i, v := range s.f32[lo:hi] {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 		}
 	default:
 		copy(buf, s.u8[lo:hi])
@@ -110,10 +99,6 @@ func loadSegment(s segment, buf []byte) {
 		for i := range s.i32 {
 			s.i32[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
-	case s.f32 != nil:
-		for i := range s.f32 {
-			s.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
 	default:
 		copy(s.u8, buf)
 	}
@@ -128,8 +113,6 @@ func (s *segment) flip(i int) {
 		s.u32[i/32] ^= 1 << (uint(i) % 32)
 	case s.i32 != nil:
 		s.i32[i/32] ^= 1 << (uint(i) % 32)
-	case s.f32 != nil:
-		s.f32[i/32] = math.Float32frombits(math.Float32bits(s.f32[i/32]) ^ 1<<(uint(i)%32))
 	default:
 		s.u8[i/8] ^= 1 << (uint(i) % 8)
 	}
@@ -180,13 +163,6 @@ type payloadLayout struct {
 	// FlipBit address) order.
 	segs [3]segment
 	nseg int
-	// ext[:nExt] then meta are payload metadata hashed into the header
-	// piece of the roll-up, right after the shape. Neither is
-	// bit-addressable — fault injection never lands in them, so the chunk
-	// layout survives every flip — and only meta counts in the footprint.
-	ext  [3]uint32
-	nExt int
-	meta []uint32
 	// chunkable reports that the arrays have the lengths the chunk layout
 	// expects for n elements. When false (hand-built or deserialized
 	// oddities) the stash seals with the serial checksum and no chunk CRCs.
@@ -198,7 +174,7 @@ func (l *payloadLayout) add(s segment) {
 	l.nseg++
 }
 
-// bits is the size of the bit-addressable payload: every segment, no meta.
+// bits is the size of the bit-addressable payload: every segment.
 func (l *payloadLayout) bits() int {
 	total := 0
 	for i := range l.segs[:l.nseg] {
@@ -234,13 +210,9 @@ func (l *payloadLayout) chunkItems(s *segment, c int) (lo, hi int) {
 			lo = c*rowsPer + 1
 		}
 		return lo, min((c+1)*rowsPer, items-1) + 1
-	case cutSpan:
+	default: // cutSpan
 		return items * c / l.nc, items * (c + 1) / l.nc
 	}
-	for _, b := range l.meta[:c] {
-		lo += int(b)
-	}
-	return lo, lo + int(l.meta[c])
 }
 
 // chunkOf returns the chunk whose CRC covers item k of s: the inverse of
@@ -252,17 +224,10 @@ func (l *payloadLayout) chunkOf(s *segment, k int) int {
 		return clampChunk(min(k*s.per, l.n-1)/l.ce, l.nc)
 	case cutRows:
 		return clampChunk(max(k-1, 0)*s.per/l.ce, l.nc)
-	case cutSpan:
+	default: // cutSpan
 		items, _ := s.shape()
 		return spanOf(k, items, l.nc)
 	}
-	off := 0
-	for c, b := range l.meta {
-		if off += int(b); k < off {
-			return c
-		}
-	}
-	return clampChunk(l.nc-1, l.nc)
 }
 
 // clampChunk clamps a computed chunk index into [0, nc).
@@ -294,18 +259,12 @@ func (e *EncodedStash) layout() (l payloadLayout) {
 }
 
 // headerCRC hashes the header piece of both checksums: technique, shape
-// rank, dims, then the layout's ext and meta words.
-func (l *payloadLayout) headerCRC(e *EncodedStash) uint32 {
+// rank, dims.
+func (e *EncodedStash) headerCRC() uint32 {
 	crc := crcU32(0, uint32(e.Tech))
 	crc = crcU32(crc, uint32(len(e.Shape)))
 	for _, d := range e.Shape {
 		crc = crcU32(crc, uint32(d))
-	}
-	for _, v := range l.ext[:l.nExt] {
-		crc = crcU32(crc, v)
-	}
-	for _, v := range l.meta {
-		crc = crcU32(crc, v)
 	}
 	return crc
 }
@@ -315,7 +274,7 @@ func (l *payloadLayout) headerCRC(e *EncodedStash) uint32 {
 // so it stays an independent oracle for the chunked roll-up.
 func (e *EncodedStash) checksum() uint32 {
 	l := e.layout()
-	crc := l.headerCRC(e)
+	crc := e.headerCRC()
 	for i := range l.segs[:l.nseg] {
 		items, _ := l.segs[i].shape()
 		crc = l.segs[i].crc(crc, 0, items)
@@ -347,7 +306,7 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 	t.layout, t.pieces = l, pieces
 	cdc.run(l.nc, t)
 
-	full = l.headerCRC(e)
+	full = e.headerCRC()
 	chunks = resized(dst, l.nc)
 	for k := range l.segs[:l.nseg] {
 		s := &l.segs[k]

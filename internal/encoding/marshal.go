@@ -48,7 +48,7 @@ func (e *EncodedStash) AppendBinary(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
 	}
 	// One growth: the fixed fields are at most 44 bytes (20 of header, 16 of
-	// Entropy's payload header, 8 of seal) and the layout knows the rest.
+	// SSDC's payload header, 8 of seal) and the layout knows the rest.
 	out := slices.Grow(dst, 44+4*len(e.Shape)+int(e.Bytes())+4*len(e.ChunkCRCs))
 	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
 	out = append(out, stashMagic[:]...)

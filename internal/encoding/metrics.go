@@ -17,7 +17,7 @@ import (
 type codecMetrics struct {
 	tel      *telemetry.Sink
 	counters [nCodecCounters]atomic.Pointer[telemetry.Counter]
-	ops      [nCodecOps][Entropy + 1]atomic.Pointer[opMetrics]
+	ops      [nCodecOps][numTechniques]atomic.Pointer[opMetrics]
 }
 
 // codecOp is a reported codec operation.

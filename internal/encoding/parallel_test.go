@@ -49,8 +49,7 @@ func decodeFresh(c Codec, e *EncodedStash) (*tensor.Tensor, error) {
 }
 
 // propAssignments are the technique/format combinations the property tests
-// sweep: every codec, including DPR layered on SSDC/ZVC and the entropy
-// stage over both raw and DPR-packed words.
+// sweep: every codec, including DPR layered on SSDC/ZVC.
 func propAssignments() []*Assignment {
 	return []*Assignment{
 		{Tech: Binarize, Format: floatenc.FP32},
@@ -61,8 +60,6 @@ func propAssignments() []*Assignment {
 		{Tech: DPR, Format: floatenc.FP8},
 		{Tech: ZVC, Format: floatenc.FP32},
 		{Tech: ZVC, Format: floatenc.FP16},
-		{Tech: Entropy, Format: floatenc.FP32},
-		{Tech: Entropy, Format: floatenc.FP16},
 	}
 }
 
@@ -139,27 +136,6 @@ func assertStashesIdentical(t *testing.T, want, got *EncodedStash, label string)
 			}
 		}
 		samePacked(t, label+": zvc values", &got.ZVC.Values, &want.ZVC.Values)
-	case Entropy:
-		if want.Ent.Format != got.Ent.Format || want.Ent.N != got.Ent.N {
-			t.Fatalf("%s: entropy %s/%d, want %s/%d", label,
-				got.Ent.Format, got.Ent.N, want.Ent.Format, want.Ent.N)
-		}
-		if len(want.Ent.Lens) != len(got.Ent.Lens) {
-			t.Fatalf("%s: %d entropy blocks, want %d", label, len(got.Ent.Lens), len(want.Ent.Lens))
-		}
-		for i, l := range want.Ent.Lens {
-			if got.Ent.Lens[i] != l {
-				t.Fatalf("%s: entropy block %d len %d, want %d", label, i, got.Ent.Lens[i], l)
-			}
-		}
-		if len(want.Ent.Stream) != len(got.Ent.Stream) {
-			t.Fatalf("%s: entropy stream %d bytes, want %d", label, len(got.Ent.Stream), len(want.Ent.Stream))
-		}
-		for i, b := range want.Ent.Stream {
-			if got.Ent.Stream[i] != b {
-				t.Fatalf("%s: entropy stream byte %d = %#x, want %#x", label, i, got.Ent.Stream[i], b)
-			}
-		}
 	}
 	if want.ChunkElems != got.ChunkElems {
 		t.Fatalf("%s: chunk size %d, want %d", label, got.ChunkElems, want.ChunkElems)
@@ -233,7 +209,7 @@ func TestParallelEncodeMatchesSerialByteForByte(t *testing.T) {
 }
 
 // checkRoundTrip pins decode semantics against the original input: Binarize
-// reconstructs the positivity indicator; SSDC, ZVC and Entropy are exact
+// reconstructs the positivity indicator; SSDC and ZVC are exact
 // (bit-exact at FP32, value-quantized when DPR is layered on); and DPR
 // equals Format.Quantize elementwise — Quantize is Decode∘Encode, so this
 // is an equality, with the format's MaxRelativeError bound double-checked
@@ -589,5 +565,55 @@ func samePacked(t *testing.T, label string, got, want *floatenc.Packed) {
 		if got.Words[i] != w {
 			t.Fatalf("%s: packed word %d = %#x, want %#x", label, i, got.Words[i], w)
 		}
+	}
+}
+
+// chunkChecksums is the allocate-fresh form of chunkChecksumsInto the
+// white-box attribution tests call.
+func (cdc Codec) chunkChecksums(e *EncodedStash) (full uint32, chunks []uint32, ok bool) {
+	return cdc.chunkChecksumsInto(nil, e)
+}
+
+// TestConcurrentDecodeOfOneStash pins that decoding reads the payload and
+// writes nothing but its destination: for every technique, many goroutines
+// verify and decode the same sealed stash at once (the -race workload), on
+// a shared parallel pool, and all get the same bytes.
+func TestConcurrentDecodeOfOneStash(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	const n = 7*768 + 5
+	tt := tensor.New(n)
+	copy(tt.Data, randStash(rng, n, 0.7))
+	c := Codec{Pool: parallel.NewPool(3), ChunkElems: 768}
+	for _, as := range propAssignments() {
+		e, err := encodeFresh(c, as, tt)
+		if err != nil {
+			t.Fatalf("%v/%s: %v", as.Tech, as.Format, err)
+		}
+		c.Seal(e)
+		want, err := decodeFresh(c, e)
+		if err != nil {
+			t.Fatalf("%v/%s: %v", as.Tech, as.Format, err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := tensor.New(n)
+				for iter := 0; iter < 5; iter++ {
+					if err := c.DecodeInto(out, e); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range out.Data {
+						if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
+							t.Errorf("%v/%s: decoded[%d] = %v, want %v", as.Tech, as.Format, i, out.Data[i], want.Data[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

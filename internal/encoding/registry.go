@@ -15,8 +15,8 @@ import (
 // codec registers here instead of patching switch statements across
 // chunked.go / runtime.go / marshal.go. The Binarize/SSDC/DPR
 // implementations in tech_*.go are byte-for-byte migrations of the
-// original switch arms (the golden fixtures pin this); ZVC and Entropy
-// register the same way.
+// original switch arms (the golden fixtures pin this); ZVC registers the
+// same way.
 
 // techniqueImpl is the per-technique plug point of the chunked codec.
 // Implementations must be stateless values: one instance serves every
@@ -96,7 +96,8 @@ func RegisteredTechniques() []Technique {
 }
 
 // ParseTechnique resolves a case-insensitive technique name ("none",
-// "binarize", "ssdc", "dpr", "zvc", "entropy") to its Technique value.
+// "binarize", "ssdc", "dpr", "zvc") to its Technique value; any other name
+// is an error that lists the accepted ones.
 func ParseTechnique(s string) (Technique, error) {
 	if strings.EqualFold(s, "none") {
 		return None, nil
@@ -106,7 +107,17 @@ func ParseTechnique(s string) (Technique, error) {
 			return t, nil
 		}
 	}
-	return None, fmt.Errorf("encoding: unknown technique %q", s)
+	return None, fmt.Errorf("encoding: unknown technique %q (want %s)", s, techniqueNames())
+}
+
+// techniqueNames lists the names ParseTechnique accepts, "|"-separated, in
+// Technique order.
+func techniqueNames() string {
+	names := []string{"none"}
+	for _, t := range RegisteredTechniques() {
+		names = append(names, strings.ToLower(t.String()))
+	}
+	return strings.Join(names, "|")
 }
 
 // PlanBytes returns the planning-time footprint model of encoding an

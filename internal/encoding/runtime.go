@@ -38,9 +38,6 @@ var (
 	// pattern left too many nonzeros for the bitmask+values form to beat
 	// the dense packing.
 	errZVCLargerThanDense = fmt.Errorf("%w: runtime ZVC form not below the dense DPR cost", ErrStashTooLarge)
-	// errEntropyLargerThanDense likewise: the entropy stream (tables
-	// included) came out at least as large as the packed bytes it coded.
-	errEntropyLargerThanDense = fmt.Errorf("%w: entropy stream not below the dense DPR cost", ErrStashTooLarge)
 )
 
 // EncodedStash is a materialized encoded representation of a stashed
@@ -55,7 +52,6 @@ type EncodedStash struct {
 	CSR    *sparse.CSR      // SSDC (values possibly DPR-quantized)
 	Packed *floatenc.Packed // DPR (also the dense-fallback container)
 	ZVC    *ZVCPayload      // ZVC (values possibly DPR-quantized)
-	Ent    *EntropyPayload  // Entropy (ZRL+Huffman over packed bytes)
 
 	// Checksum is the CRC32-C of the payload, valid only after Codec.Seal.
 	// For stashes sealed with chunk CRCs it is their crc32Combine roll-up —
@@ -95,7 +91,7 @@ func crcU32(crc, v uint32) uint32 {
 
 // PayloadBits returns the number of addressable payload bits — the fault
 // injector's corruption surface (mask words, CSR meta and value arrays,
-// packed DPR words, ZVC mask+value arrays, entropy streams).
+// packed DPR words, ZVC mask+value arrays).
 func (e *EncodedStash) PayloadBits() int {
 	l := e.layout()
 	return l.bits()
@@ -115,5 +111,5 @@ func (e *EncodedStash) FlipBit(i int) {
 // Bytes returns the encoded representation's storage footprint.
 func (e *EncodedStash) Bytes() int64 {
 	l := e.layout()
-	return int64(l.bits()/8) + int64(len(l.meta))*4
+	return int64(l.bits() / 8)
 }

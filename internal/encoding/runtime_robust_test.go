@@ -134,8 +134,7 @@ type layoutEdgeCase struct {
 // a test can: empty stashes of every technique (SSDC's must stay on the
 // serial checksum, which covers RowPtr's leading zero; the others roll up to
 // the bare header CRC), an empty ZVC mask that still carries values, a DPR
-// stash with a garbage format, and an entropy block table that does not
-// add up to the stream.
+// stash with a garbage format.
 func layoutEdgeCases() []layoutEdgeCase {
 	empty := tensor.Shape{0}
 	return []layoutEdgeCase{
@@ -143,14 +142,11 @@ func layoutEdgeCases() []layoutEdgeCase {
 		{"ssdc-empty", &EncodedStash{Tech: SSDC, Shape: empty, CSR: sparse.EncodeCSR(nil)}, false, 0x92f523d7},
 		{"dpr-empty", &EncodedStash{Tech: DPR, Shape: empty, Packed: floatenc.NewPacked(floatenc.FP16, 0)}, true, 0x31ceb42a},
 		{"zvc-empty", &EncodedStash{Tech: ZVC, Shape: empty, ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0)}}, true, 0xa79b98ba},
-		{"entropy-empty", &EncodedStash{Tech: Entropy, Shape: empty, Ent: &EntropyPayload{Format: floatenc.FP16}}, true, 0xda61ea37},
 		{"zvc-empty-mask-with-values", &EncodedStash{Tech: ZVC, Shape: empty,
 			ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0), Values: floatenc.Packed{Format: floatenc.FP32, N: 2,
 				Words: []uint32{math.Float32bits(1.5), math.Float32bits(-2)}}}}, false, 0xbbdc9e9c},
 		{"dpr-garbage-format", &EncodedStash{Tech: DPR, Shape: tensor.Shape{4},
 			Packed: &floatenc.Packed{Format: floatenc.Format(77), N: 4, Words: []uint32{1, 2}}}, false, 0x24914d61},
-		{"entropy-lens-short-of-stream", &EncodedStash{Tech: Entropy, Shape: tensor.Shape{4},
-			Ent: &EntropyPayload{Format: floatenc.FP16, N: 4, Lens: []uint32{3}, Stream: []byte{1, 2, 3, 4, 5}}}, false, 0xab4cfc78},
 	}
 }
 

@@ -58,7 +58,7 @@ func (zvcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.
 	task := cdc.elemTask(fillNonzero, n)
 	task.mask, task.src, task.format = z.Mask, t.Data, as.Format
 	cdc.forChunks(task)
-	z.Values.Reset(as.Format, z.Mask.PopCount())
+	z.Values.ResetCompacted(as.Format, z.Mask.PopCount(), n)
 	// Pass 2: compact and pack the nonzeros. Each chunk's first slot is the
 	// mask popcount before it, a pure function of the mask, and the Packer
 	// merges the ≤2 words a chunk shares with its neighbours, so the value

@@ -54,6 +54,52 @@ func TestZVCPooledEncodeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestZVCRisingNonzerosZeroAllocs pins that the value array keeps up with
+// a map whose nonzero count creeps up a few elements a step — ReLU
+// sparsity drifting in training — without regrowing at every new maximum:
+// a short array regrows with a quarter of slack, so two hundred re-encodes
+// that add four nonzeros each allocate nothing. Growing to the exact count
+// re-allocated whenever the count crossed the allocator's size class.
+func TestZVCRisingNonzerosZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	const n = 8192
+	for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16} {
+		tt := tensor.New(n)
+		for i := 0; i < n; i += 2 {
+			tt.Data[i] = 0.5 + float32(i%7) // half the map nonzero
+		}
+		c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
+		as := &Assignment{Tech: ZVC, Format: f}
+		e := &EncodedStash{}
+		if err := c.EncodeStashInto(e, as, tt); err != nil {
+			t.Fatalf("%s: warm encode: %v", f, err)
+		}
+		next := 1 // the next zero to turn nonzero
+		rising := func() {
+			for k := 0; k < 100; k++ {
+				for j := 0; j < 4; j++ {
+					tt.Data[next] = 1.5
+					next += 2
+				}
+				if err := c.EncodeStashInto(e, as, tt); err != nil {
+					t.Fatalf("%s: re-encode: %v", f, err)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(1, rising); a != 0 {
+			t.Errorf("%s: 100 re-encodes with rising nonzeros allocate %v times, want 0", f, a)
+		}
+		if got := e.ZVC.Values.N; got != n/2+800 {
+			t.Fatalf("%s: %d nonzeros encoded, want %d", f, got, n/2+800)
+		}
+		if want := zvcBytes(n, float64(n/2-800)/n, f); e.Bytes() != want {
+			t.Errorf("%s: held %d bytes, want the exact %d", f, e.Bytes(), want)
+		}
+	}
+}
+
 // TestZVCDecodeDetectsMaskValueMismatch pins the decode-side structural
 // check: a mask whose popcount disagrees with the value array (the state
 // every mask corruption produces) is a typed ErrCorruptStash, never a

@@ -4,8 +4,7 @@ package experiments
 // networks, encoded per layer with every lossless-tier technique, reporting
 // the measured (not modeled) compression ratio of each. This is the table
 // the adaptive planner's per-layer selection is judged against — where ZVC
-// beats SSDC, where only Entropy compresses, and where everything loses to
-// the dense DPR stash.
+// beats SSDC, and where everything loses to the dense DPR stash.
 
 import (
 	"errors"
@@ -68,7 +67,6 @@ func ExtRatio(s RatioScale) *Result {
 		{"SSDC", encoding.SSDC, floatenc.FP32},
 		{"ZVC", encoding.ZVC, floatenc.FP32},
 		{"ZVC+" + s.Format.String(), encoding.ZVC, s.Format},
-		{"Entropy", encoding.Entropy, floatenc.FP32},
 		{"DPR-" + s.Format.String(), encoding.DPR, s.Format},
 	}
 

@@ -1,7 +1,6 @@
 package floatenc
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,7 +106,7 @@ func exponentSweep(f Format) []float32 {
 
 // TestDiffDecode16PairExhaustive decodes every FP16 pattern in each half of
 // a packed word, beside a zero, a normal, a denormal, an Inf and a NaN in
-// the other half, through DecodeRange's and UnpackBytes' two-lane kernel.
+// the other half, through DecodeRange's two-lane kernel.
 func TestDiffDecode16PairExhaustive(t *testing.T) {
 	others := []uint32{0, 0x3c00, 0x8001, 0x7c00, 0xfe01}
 	words := make([]uint32, 0, 2*len(others)<<16)
@@ -118,20 +117,11 @@ func TestDiffDecode16PairExhaustive(t *testing.T) {
 	}
 	p := &Packed{Format: FP16, N: 2 * len(words), Words: words}
 	got := p.DecodeSlice(nil)
-	var raw []byte
-	for _, w := range words {
-		raw = binary.LittleEndian.AppendUint32(raw, w)
-	}
-	unpacked := make([]float32, p.N)
-	UnpackBytes(FP16, unpacked, raw)
 	for i, w := range words {
 		for k, bits := range []uint32{w & 0xffff, w >> 16} {
 			want := math.Float32bits(FP16.decodeScalar(bits))
 			if g := math.Float32bits(got[2*i+k]); g != want {
 				t.Fatalf("DecodeRange of word %#08x, half %d = %#08x, scalar %#08x", w, k, g, want)
-			}
-			if g := math.Float32bits(unpacked[2*i+k]); g != want {
-				t.Fatalf("UnpackBytes of word %#08x, half %d = %#08x, scalar %#08x", w, k, g, want)
 			}
 		}
 	}
@@ -301,20 +291,10 @@ func TestDiffEncodeRange(t *testing.T) {
 				got.DecodeRange(dst, split, n)
 				ref := make([]float32, n)
 				want.decodeRangeScalar(ref, 0, n)
-				var raw []byte
-				for _, w := range got.Words {
-					raw = binary.LittleEndian.AppendUint32(raw, w)
-				}
-				unpacked := make([]float32, n)
-				UnpackBytes(f, unpacked, raw)
 				for i := range dst {
 					if math.Float32bits(dst[i]) != math.Float32bits(ref[i]) {
 						t.Fatalf("%v n=%d split=%d: decode[%d] = %#08x, scalar %#08x",
 							f, n, split, i, math.Float32bits(dst[i]), math.Float32bits(ref[i]))
-					}
-					if math.Float32bits(unpacked[i]) != math.Float32bits(ref[i]) {
-						t.Fatalf("%v n=%d: UnpackBytes[%d] = %#08x, scalar %#08x",
-							f, n, i, math.Float32bits(unpacked[i]), math.Float32bits(ref[i]))
 					}
 				}
 			}

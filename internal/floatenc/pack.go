@@ -1,7 +1,6 @@
 package floatenc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -38,6 +37,22 @@ func (p *Packed) Reset(f Format, n int) {
 	}
 	p.Format = f
 	p.N = n
+}
+
+// SlackCap is the capacity a compacted array of n items, which never holds
+// more than limit, regrows to: a quarter of slack, capped at limit. ReLU
+// sparsity drifts by a few elements per step, and growing to exactly n
+// re-allocated the array at every new maximum.
+func SlackCap(n, limit int) int { return min(limit, n+n/4) }
+
+// ResetCompacted is Reset for a compacted value array that never holds more
+// than limit values: a short backing array regrows to SlackCap(n, limit)
+// values. Lengths — and with them Bytes() — stay exact.
+func (p *Packed) ResetCompacted(f Format, n, limit int) {
+	if words := f.PackedBytes(n) / 4; int64(cap(p.Words)) < words {
+		p.Words = make([]uint32, 0, f.PackedBytes(SlackCap(n, limit))/4)
+	}
+	p.Reset(f, n)
 }
 
 // EncodeSlice packs src into a reduced-precision buffer.
@@ -268,7 +283,7 @@ func (p *Packed) DecodeAt(dst []float32, k int) {
 	}
 }
 
-// unpack10 and unpack8 are DecodeRange's and UnpackBytes' one word step for
+// unpack10 and unpack8 are DecodeRange's one word step for
 // FP10 and FP8: packed word w's slots into d, its low bits into d[0].
 func unpack10(d *[3]float32, w uint32) {
 	d[0], d[1], d[2] = fp10LUT[w&0x3ff], fp10LUT[w>>10&0x3ff], fp10LUT[w>>20&0x3ff]
@@ -276,51 +291,6 @@ func unpack10(d *[3]float32, w uint32) {
 
 func unpack8(d *[4]float32, w uint32) {
 	d[0], d[1], d[2], d[3] = fp8LUT[w&0xff], fp8LUT[w>>8&0xff], fp8LUT[w>>16&0xff], fp8LUT[w>>24]
-}
-
-// UnpackBytes decodes len(dst) values of format f from src, the
-// little-endian bytes of their packed words, whole words only — a byte
-// stream decoded straight into values, with no word copy. Bit-identical to
-// DecodeRange over the same words; it allocates nothing.
-//
-// Each format's word step is DecodeRange's: unpack10, unpack8, and for FP16
-// dec16Pair with decode16 for Inf/NaN. The FP16 step is spelled out in both
-// loops because, wrapped in a function with its fallback, it exceeds the
-// inliner's budget and would cost a call per word.
-func UnpackBytes(f Format, dst []float32, src []byte) {
-	if f == FP32 {
-		for i := range dst {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-		return
-	}
-	i := 0
-	switch f {
-	case FP16:
-		for ; i+2 <= len(dst); i += 2 {
-			w := binary.LittleEndian.Uint32(src[2*i:])
-			if r, ok := dec16Pair(w); ok {
-				dst[i], dst[i+1] = math.Float32frombits(uint32(r)), math.Float32frombits(uint32(r>>32))
-				continue
-			}
-			dst[i], dst[i+1] = decode16(w&0xffff), decode16(w>>16)
-		}
-	case FP10:
-		for ; i+3 <= len(dst); i += 3 {
-			unpack10((*[3]float32)(dst[i:i+3]), binary.LittleEndian.Uint32(src[i/3*4:]))
-		}
-	case FP8:
-		for ; i+4 <= len(dst); i += 4 {
-			unpack8((*[4]float32)(dst[i:i+4]), binary.LittleEndian.Uint32(src[i:]))
-		}
-	default:
-		panic("floatenc: unknown format")
-	}
-	vpw, nbits := f.ValuesPerWord(), uint(f.Bits())
-	for ; i < len(dst); i++ {
-		w := binary.LittleEndian.Uint32(src[i/vpw*4:])
-		dst[i] = f.Decode(w >> (uint(i%vpw) * nbits) & (1<<nbits - 1))
-	}
 }
 
 // Check reports an error unless p holds exactly N values of a known format

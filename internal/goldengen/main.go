@@ -93,9 +93,7 @@ func main() {
 	}
 	fmt.Println()
 
-	// ZVC on the same 96-element feature map, Entropy (which needs multiple
-	// chunks of data to beat its per-chunk table overhead) on a 1536-element
-	// map of the same shape family.
+	// ZVC on the same 96-element feature map.
 	z := sealed(cdc, &encoding.Assignment{Tech: encoding.ZVC, Format: floatenc.FP32}, t)
 	zblob, err := z.MarshalBinary()
 	if err != nil {
@@ -113,23 +111,6 @@ func main() {
 	}
 	fmt.Printf("zvc-fp16 checksum: 0x%08x len %d\n", z16.Checksum, len(z16blob))
 	fmt.Printf("zvc-fp16 blob: %x\n", z16blob)
-
-	t2 := tensor.New(2, 3, 16, 16)
-	rng2 := tensor.NewRNG(54321)
-	for i := range t2.Data {
-		v := rng2.Float32()*2 - 1
-		if v < 0 {
-			v = 0
-		}
-		t2.Data[i] = v
-	}
-	en := sealed(cdc, &encoding.Assignment{Tech: encoding.Entropy, Format: floatenc.FP16}, t2)
-	eblob, err := en.MarshalBinary()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("entropy checksum: 0x%08x len %d\n", en.Checksum, len(eblob))
-	fmt.Printf("entropy blob: %x\n", eblob)
 
 	tailFixtures()
 	spillPages()
@@ -202,7 +183,6 @@ func tailFixtures() {
 			{"dpr-fp10", &encoding.Assignment{Tech: encoding.DPR, Format: floatenc.FP10}},
 			{"dpr-fp8", &encoding.Assignment{Tech: encoding.DPR, Format: floatenc.FP8}},
 			{"zvc-fp32", &encoding.Assignment{Tech: encoding.ZVC, Format: floatenc.FP32}},
-			{"entropy-fp16", &encoding.Assignment{Tech: encoding.Entropy, Format: floatenc.FP16}},
 		}
 		for _, c := range cases {
 			e := sealed(cdc, c.as, t)

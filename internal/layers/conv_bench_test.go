@@ -57,19 +57,27 @@ func benchDirectLeg(b *testing.B, op *Conv2D, in *tensor.Tensor, f func()) {
 }
 
 // The vgg3x3-sparse row runs forward on the wall's post-ReLU input
-// (makeMap's mapSparse, two thirds zeros), whose planes the three-tap
-// shape scatters. The reference multiplies every zero, so this ratio sits
-// above the dense row's.
+// (makeMap's mapSparse, two thirds zeros), and the vgg3x3-pooled row on
+// its post-MaxPool one (mapPooled, ~97 % zeros); the three-tap shape
+// scatters both. The reference multiplies every zero, so these ratios sit
+// above the dense row's. At two thirds zeros the scatter is only a little
+// faster than the row sweep, so the pooled row is the one whose floor a
+// lost scatter falls below.
 func BenchmarkKernelConvDirectFwd(b *testing.B) {
 	for _, s := range directBenchShapes {
 		op, fwd, _ := benchConvCase(s.cc)
 		b.Run(s.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirect(fwd) }) })
 		b.Run(s.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirectRef(fwd) }) })
 	}
-	op, fwd, _ := benchConvCase(directBenchShapes[0].cc)
-	fwd.In[0] = makeMap(mapSparse, 0, 1, fwd.In[0].Shape)
-	b.Run("vgg3x3-sparse/word", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirect(fwd) }) })
-	b.Run("vgg3x3-sparse/scalar", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirectRef(fwd) }) })
+	for _, m := range []struct {
+		name string
+		kind mapKind
+	}{{"vgg3x3-sparse", mapSparse}, {"vgg3x3-pooled", mapPooled}} {
+		op, fwd, _ := benchConvCase(directBenchShapes[0].cc)
+		fwd.In[0] = makeMap(m.kind, 0, 1, fwd.In[0].Shape)
+		b.Run(m.name+"/word", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirect(fwd) }) })
+		b.Run(m.name+"/scalar", func(b *testing.B) { benchDirectLeg(b, op, fwd.In[0], func() { op.forwardDirectRef(fwd) }) })
+	}
 }
 
 // The -sparse rows run backward on the wall's gradients (makeMap): the

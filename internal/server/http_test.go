@@ -209,3 +209,23 @@ func TestHTTPQueueAndRejectCodes(t *testing.T) {
 		return httpJSON[JobStatus](t, c, "GET", ts.URL+"/jobs/"+blocker.ID, nil, http.StatusOK).State == StateCancelled
 	})
 }
+
+// TestHTTPRejectsUnknownTechnique pins that a spec naming a technique the
+// codec does not have — the removed "entropy" tier among them — is a 400
+// whose error lists the accepted names, and that no job is created.
+func TestHTTPRejectsUnknownTechnique(t *testing.T) {
+	s := newTestServer(t, Config{Telemetry: telemetry.New()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := ts.Client()
+	for _, name := range []string{"entropy", "lzma"} {
+		body := httpJSON[errorBody](t, c, "POST", ts.URL+"/jobs",
+			JobSpec{Name: "bad", Batch: 4, Classes: 2, Steps: 2, Technique: name}, http.StatusBadRequest)
+		if !strings.Contains(body.Error, `"`+name+`"`) || !strings.Contains(body.Error, "none|binarize|ssdc|dpr|zvc|adaptive") {
+			t.Errorf("technique %q: error %q does not name it and the accepted set", name, body.Error)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("rejected specs left %d jobs behind", len(jobs))
+	}
+}

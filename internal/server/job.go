@@ -88,7 +88,7 @@ type JobSpec struct {
 	Encoding     string `json:"encoding"`
 	AllowDegrade bool   `json:"allow_degrade"`
 	// Technique narrows the stash configuration to one codec technique
-	// ("binarize", "ssdc", "dpr", "zvc", "entropy"), or "adaptive" for
+	// ("binarize", "ssdc", "dpr", "zvc"), or "adaptive" for
 	// per-layer minimum-bytes selection across the lossless tier. Layered
 	// over Encoding: the rung still supplies the DPR format and the
 	// degradation ladder.

@@ -63,21 +63,15 @@ func EncodeCSRInto(c *CSR, xs []float32) { EncodeCSRChunkedInto(c, xs, floatenc.
 
 // resizeNNZ sets ColIdx and Values to nnz entries, Values at format f with
 // its words zeroed, reusing the backing arrays when capacity allows. A
-// short array is regrown with a quarter of slack (never past c.N, which
-// bounds nnz): ReLU sparsity drifts by a few elements per step, and growing
-// to exactly nnz re-allocated both arrays at every new maximum. Lengths —
-// and with them Bytes() and the wire form — are exact.
+// short array is regrown with floatenc.SlackCap's slack (c.N bounds nnz).
+// Lengths — and with them Bytes() and the wire form — are exact.
 func (c *CSR) resizeNNZ(nnz int, f floatenc.Format) {
-	grown := min(c.N, nnz+nnz/4)
 	if cap(c.ColIdx) < nnz {
-		c.ColIdx = make([]uint8, nnz, grown)
+		c.ColIdx = make([]uint8, nnz, floatenc.SlackCap(nnz, c.N))
 	} else {
 		c.ColIdx = c.ColIdx[:nnz]
 	}
-	if words := f.PackedBytes(nnz) / 4; int64(cap(c.Values.Words)) < words {
-		c.Values.Words = make([]uint32, 0, f.PackedBytes(grown)/4)
-	}
-	c.Values.Reset(f, nnz)
+	c.Values.ResetCompacted(f, nnz, c.N)
 }
 
 // NNZ returns the number of stored non-zeros.

@@ -46,7 +46,7 @@ type Options struct {
 	ForwardFormat floatenc.Format
 	// Encodings, when non-nil, is the analysis the executor carries out:
 	// every stash it assigns round-trips through the real encoder kernels
-	// (narrow CSR, ZVC, Entropy, packed DPR), or, a Binarize mask, is read
+	// (narrow CSR, ZVC, packed DPR), or, a Binarize mask, is read
 	// as stored by its ReLU; every other stash aliases its forward output.
 	// Backward runs on its effective needs.
 	Encodings *encoding.Analysis
