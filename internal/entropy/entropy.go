@@ -1,7 +1,9 @@
-// Package entropy implements the byte-oriented lossless stage behind the
-// Entropy stash technique: a zero-run-length transform (DNN activation
-// payloads are dominated by zero bytes) followed by a canonical Huffman
-// code over the resulting 257-symbol alphabet. Blocks are self-contained —
+// Package entropy implements the byte-oriented lossless stage of the
+// removed Entropy stash technique: a zero-run-length transform (DNN
+// activation payloads are dominated by zero bytes) followed by a canonical
+// Huffman code over the resulting 257-symbol alphabet. No codec path calls
+// it any more; it stays, with its tests, until the package itself is
+// deleted. Blocks are self-contained —
 // each carries its own code-length table — so the chunked codec can
 // compress and decompress chunks independently and in parallel, and a
 // block's bytes depend only on its input, never on worker count.
