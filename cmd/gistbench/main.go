@@ -85,6 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *experiment != "" {
+		if _, err := experiments.Lookup(*experiment, set); err != nil {
+			fmt.Fprintln(stderr, "gistbench: -experiment:", err)
+			fs.Usage()
+			return 2
+		}
+	}
 
 	if bound, stopDebug, err := debugz.Serve(*debugAddr); err != nil {
 		fmt.Fprintln(stderr, "gistbench: debug listener:", err)

@@ -55,6 +55,26 @@ func TestTechniqueUsageError(t *testing.T) {
 	}
 }
 
+// TestExperimentUsageError pins that an -experiment ID the table does not
+// have — the deleted GPU-only extension studies among them — is a usage
+// error (exit 2) that names the accepted IDs, before any listener or
+// experiment starts.
+func TestExperimentUsageError(t *testing.T) {
+	want := strings.Join(experiments.IDs(), "|")
+	for _, id := range []string{"recompute", "energy", "workspace", "algoselect", "bogus"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-experiment", id}, &out, &errOut); code != 2 {
+			t.Errorf("-experiment %s exited %d, want 2", id, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-experiment %s printed results:\n%s", id, out.String())
+		}
+		if !strings.Contains(errOut.String(), "(want "+want+")") || !strings.Contains(errOut.String(), "Usage of gistbench") {
+			t.Errorf("-experiment %s: stderr does not name the accepted IDs with the usage:\n%s", id, errOut.String())
+		}
+	}
+}
+
 func TestRobustCrossChecksOK(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-experiment", "robust", "-steps", "20", "-faultseed", "7"}, &out, &errOut); code != 0 {

@@ -14,7 +14,6 @@ package costmodel
 import (
 	"gist/internal/encoding"
 	"gist/internal/graph"
-	"gist/internal/layers"
 	"gist/internal/tensor"
 )
 
@@ -32,9 +31,6 @@ type Device struct {
 	// ComputeEff derates PeakFLOPS for memory-optimal dense kernels
 	// (achieved/peak) — the paper's baseline cuDNN configuration.
 	ComputeEff float64
-	// GEMMEff derates PeakFLOPS for performance-optimal (im2col/GEMM)
-	// convolutions, which trade workspace for throughput.
-	GEMMEff float64
 	// BandwidthEff derates MemBandwidth for streaming kernels.
 	BandwidthEff float64
 }
@@ -49,7 +45,6 @@ func TitanX() Device {
 		PCIeBandwidth: 12e9,
 		MemoryBytes:   12 << 30,
 		ComputeEff:    0.55,
-		GEMMEff:       0.80,
 		BandwidthEff:  0.75,
 	}
 }
@@ -67,21 +62,14 @@ func layerBytes(n *graph.Node) int64 {
 	return b
 }
 
-// ForwardTime returns the modeled forward-pass time of one node. A
-// convolution configured for the im2col/GEMM algorithm runs at the
-// device's (higher) GEMM efficiency — the performance side of cuDNN's
-// performance/workspace tradeoff.
+// ForwardTime returns the modeled forward-pass time of one node.
 func (d Device) ForwardTime(n *graph.Node) float64 {
 	inShapes := make([]tensor.Shape, len(n.Inputs))
 	for i, in := range n.Inputs {
 		inShapes[i] = in.OutShape
 	}
-	eff := d.ComputeEff
-	if conv, ok := n.Op.(*layers.Conv2D); ok && conv.Algo == layers.AlgoIm2col && d.GEMMEff > 0 {
-		eff = d.GEMMEff
-	}
 	flops := float64(n.Op.FLOPs(inShapes))
-	compute := flops / (d.PeakFLOPS * eff)
+	compute := flops / (d.PeakFLOPS * d.ComputeEff)
 	memory := float64(layerBytes(n)) / (d.MemBandwidth * d.BandwidthEff)
 	return max(compute, memory)
 }

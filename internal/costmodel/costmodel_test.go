@@ -140,31 +140,3 @@ func TestOverheadMetric(t *testing.T) {
 		t.Error("Overhead(100,104) should be 4%")
 	}
 }
-
-func TestSwapEnergyScalesWithStashes(t *testing.T) {
-	small := SwapEnergy(networks.AlexNet(8))
-	large := SwapEnergy(networks.AlexNet(64))
-	if small <= 0 || large < 7*small || large > 9*small {
-		t.Fatalf("swap energy should scale with minibatch: %v vs %v", small, large)
-	}
-}
-
-func TestGistEnergyCheaperThanSwap(t *testing.T) {
-	g := networks.VGG16(64)
-	swapE := SwapEnergy(g)
-	// Even charging Gist for dense passes over every stashed byte, the
-	// in-device traffic is cheaper than PCIe round trips.
-	var dense int64
-	for _, n := range g.Nodes {
-		if graph.OutputStashed(n) {
-			dense += n.OutShape.Bytes()
-		}
-	}
-	gistE := GistEnergy(dense/4, dense)
-	if gistE >= swapE {
-		t.Fatalf("gist energy %v should be below swap energy %v", gistE, swapE)
-	}
-	if GistEnergy(0, 0) != 0 {
-		t.Fatal("zero traffic should cost zero energy")
-	}
-}

@@ -458,7 +458,7 @@ func ssdcBytes(n int, sparsity float64, f floatenc.Format) int64 {
 	if f == floatenc.FP32 {
 		return base
 	}
-	nnz := int64(float64(n)*(1-sparsity) + 0.5)
+	nnz := int64(float64(float64(n)*(1-sparsity)) + 0.5)
 	valueSavings := nnz*4 - f.PackedBytes(int(nnz))
 	return base - valueSavings
 }
@@ -467,7 +467,7 @@ func ssdcBytes(n int, sparsity float64, f floatenc.Format) int64 {
 // sparsity: the 1-bit nonzero mask plus the surviving values, credited at
 // the packed DPR width when a format is layered on.
 func zvcBytes(n int, sparsity float64, f floatenc.Format) int64 {
-	nnz := int(float64(n)*(1-sparsity) + 0.5)
+	nnz := int(float64(float64(n)*(1-sparsity)) + 0.5)
 	return binarizeMaskBytes(n) + f.PackedBytes(nnz)
 }
 

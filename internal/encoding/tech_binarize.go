@@ -73,6 +73,6 @@ func (binarizeTech) overheadTime(t float64, stream func(int64) float64, dense, e
 	t += stream(enc)
 	// ...minus the backward reads of the two FP32 maps that the 1-bit
 	// mask replaces (the ReLU backward becomes lighter).
-	t -= stream(dense-enc) / 2
+	t -= float64(stream(dense-enc) / 2)
 	return t
 }

@@ -124,7 +124,7 @@ func (ssdcTech) overheadTime(t float64, stream func(int64) float64, dense, enc i
 	// A dense→CSR pass at encode (read dense, write sparse) and a
 	// CSR→dense pass at decode, via cuSPARSE-style kernels; modeled as
 	// three streaming passes over the dense size.
-	t += 3 * stream(dense)
+	t += float64(3 * stream(dense))
 	// Decode writes the dense staging buffer.
 	t += stream(dense)
 	return t

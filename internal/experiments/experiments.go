@@ -190,13 +190,9 @@ var table = []struct {
 	{"fig15", func(Settings) *Result { return Fig15(DefaultMinibatch) }},
 	{"fig16", func(Settings) *Result { return Fig16() }},
 	{"fig17", func(Settings) *Result { return Fig17(DefaultMinibatch) }},
-	{"recompute", func(Settings) *Result { return ExtRecompute(DefaultMinibatch) }},
-	{"workspace", func(Settings) *Result { return ExtWorkspace(DefaultMinibatch) }},
 	{"cdma", func(Settings) *Result { return ExtCDMA(DefaultMinibatch) }},
-	{"energy", func(Settings) *Result { return ExtEnergy(DefaultMinibatch) }},
 	{"mbsweep", func(Settings) *Result { return ExtMinibatchSweep() }},
 	{"sparsitysweep", func(Settings) *Result { return ExtSparsitySweep() }},
-	{"algoselect", func(Settings) *Result { return ExtAlgoSelect(DefaultMinibatch) }},
 	{"ratio", func(s Settings) *Result {
 		return ExtRatio(DefaultRatioScale())
 	}},
@@ -236,7 +232,7 @@ func Lookup(id string, s Settings) (func() *Result, error) {
 			return func() *Result { return e.run(s) }, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown experiment %q", id)
+	return nil, fmt.Errorf("unknown experiment %q (want %s)", id, strings.Join(IDs(), "|"))
 }
 
 // IDs lists every experiment in presentation order.

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -39,6 +42,29 @@ func TestFig1StashedDominates(t *testing.T) {
 	// fits).
 	if r.Values["VGG16/total"] < 4 || r.Values["VGG16/total"] > 14 {
 		t.Errorf("VGG16 total = %v GB, want 4-14", r.Values["VGG16/total"])
+	}
+}
+
+// TestFig1Pinned fingerprints every value of Fig 1 (sorted key, then the
+// float64 bits), so a change to the workspace model or the planner that
+// moves any GB in the figure shows here. The constant was computed from the
+// code before the conv-algorithm model was deleted, when the im2col cap
+// on MemoryOptimalWorkspace still came from Conv2D.WorkspaceBytes.
+func TestFig1Pinned(t *testing.T) {
+	const want = 0xee925312b6c8aa24
+	r := Fig1(DefaultMinibatch)
+	keys := make([]string, 0, len(r.Values))
+	for k := range r.Values {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	h := fnv.New64a()
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.Values[k])))
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("Fig 1 fingerprint %#016x over %d values, want %#016x", got, len(keys), uint64(want))
 	}
 }
 

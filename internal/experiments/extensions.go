@@ -1,86 +1,15 @@
 package experiments
 
-// Extension experiments beyond the paper's figures: quantitative versions
-// of the alternatives the paper discusses qualitatively — the
-// checkpoint-and-recompute baseline (Section II-B), cuDNN's
-// performance/workspace tradeoff (Section II-A), and the CDMA
-// compressed-transfer follow-up to vDNN (related work).
+// Extension experiment beyond the paper's figures: the CDMA
+// compressed-transfer follow-up to vDNN (related work), priced by the same
+// swap model that backs Figure 15.
 
 import (
 	"gist/internal/core"
 	"gist/internal/costmodel"
 	"gist/internal/graph"
-	"gist/internal/layers"
-	"gist/internal/liveness"
-	"gist/internal/recompute"
 	"gist/internal/swap"
 )
-
-// ExtRecompute compares checkpoint-and-recompute against Gist on footprint
-// and overhead — the paper's Section II-B argument ("the largest layers
-// are usually the ones that also take the longest to recompute") made
-// quantitative.
-func ExtRecompute(mb int) *Result {
-	d := costmodel.TitanX()
-	r := &Result{ID: "recompute", Title: "Checkpoint-and-recompute vs Gist (footprint and overhead)"}
-	r.add("%-10s %14s %14s %12s %12s", "network",
-		"recompute MFR", "gist MFR", "recomp ovh", "gist ovh")
-	for _, net := range suite(mb) {
-		base := core.MustBuild(core.Request{Graph: net.G})
-		plan := recompute.Optimize(net.G)
-		// Compare on the same accounting: the recompute plan's footprint
-		// against the baseline static plan.
-		rcMFR := float64(base.TotalBytes) / float64(plan.FootprintBytes())
-		rcOvh := plan.TimeOverhead(d)
-
-		gist := core.MustBuild(core.Request{Graph: net.G, Encodings: lossyCfg(net.Name)})
-		gMFR := gist.MFR(base)
-		gOvh := costmodel.Overhead(base.StepTime(d), gist.StepTime(d))
-
-		r.set(net.Name+"/recompute-mfr", rcMFR)
-		r.set(net.Name+"/gist-mfr", gMFR)
-		r.set(net.Name+"/recompute-overhead", rcOvh)
-		r.set(net.Name+"/gist-overhead", gOvh)
-		r.add("%-10s %13.2fx %13.2fx %11.1f%% %11.1f%%",
-			net.Name, rcMFR, gMFR, 100*rcOvh, 100*gOvh)
-	}
-	r.add("(recompute buys memory with a large fraction of an extra forward pass;")
-	r.add(" Gist pays a few streaming passes — the paper's Section II-B argument)")
-	return r
-}
-
-// ExtWorkspace quantifies cuDNN's performance/workspace tradeoff: the
-// memory-optimal configuration (the paper's baseline) against the
-// performance-optimal im2col/GEMM algorithms.
-func ExtWorkspace(mb int) *Result {
-	d := costmodel.TitanX()
-	r := &Result{ID: "workspace", Title: "cuDNN algorithm choice: memory-optimal vs performance-optimal"}
-	r.add("%-10s %12s %12s %12s %10s", "network",
-		"ws mem-opt", "ws perf-opt", "extra mem", "speedup")
-	for _, net := range suite(mb) {
-		var memOpt, perfOpt int64
-		for _, n := range net.G.Nodes {
-			memOpt += liveWorkspace(n, false)
-			perfOpt += liveWorkspace(n, true)
-		}
-		// Step time under each algorithm choice: flip every conv.
-		baseTime := d.StepTime(net.G)
-		setAlgos(net.G, true)
-		perfTime := d.StepTime(net.G)
-		setAlgos(net.G, false)
-		speedup := baseTime / perfTime
-
-		r.set(net.Name+"/ws-memopt-gb", gb(memOpt))
-		r.set(net.Name+"/ws-perfopt-gb", gb(perfOpt))
-		r.set(net.Name+"/speedup", speedup)
-		r.add("%-10s %9.2f GB %9.2f GB %9.2f GB %9.2fx", net.Name,
-			gb(memOpt), gb(perfOpt), gb(perfOpt-memOpt), speedup)
-	}
-	r.add("(the paper deliberately evaluates against the memory-optimal baseline;")
-	r.add(" the performance-optimal algorithms add workspace that competes with")
-	r.add(" exactly the memory Gist frees)")
-	return r
-}
 
 // ExtCDMA extends Figure 15 with the CDMA baseline: vDNN's schedule with
 // sparsity-compressed PCIe transfers.
@@ -104,25 +33,4 @@ func ExtCDMA(mb int) *Result {
 	r.add("(compression shrinks the PCIe bottleneck but cannot remove it;")
 	r.add(" Gist keeps the data on the device)")
 	return r
-}
-
-// liveWorkspace sizes one node's workspace under either algorithm choice.
-func liveWorkspace(n *graph.Node, perfOptimal bool) int64 {
-	if perfOptimal {
-		return liveness.PerformanceOptimalWorkspace(n)
-	}
-	return liveness.MemoryOptimalWorkspace(n)
-}
-
-// setAlgos flips every convolution in the graph between direct and im2col.
-func setAlgos(g *graph.Graph, im2col bool) {
-	for _, n := range g.Nodes {
-		if conv, ok := n.Op.(*layers.Conv2D); ok {
-			if im2col {
-				conv.Algo = layers.AlgoIm2col
-			} else {
-				conv.Algo = layers.AlgoDirect
-			}
-		}
-	}
 }

@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-func TestExtRecomputeStory(t *testing.T) {
-	r := ExtRecompute(DefaultMinibatch)
-	// Recompute's overhead must dwarf Gist's on every network, while both
-	// deliver real footprint reductions.
-	for _, net := range []string{"AlexNet", "VGG16", "Inception"} {
-		rcOvh := r.Values[net+"/recompute-overhead"]
-		gOvh := r.Values[net+"/gist-overhead"]
-		if rcOvh < 2*gOvh {
-			t.Errorf("%s: recompute overhead %v should dwarf Gist's %v", net, rcOvh, gOvh)
-		}
-		if r.Values[net+"/recompute-mfr"] <= 1 {
-			t.Errorf("%s: recompute must still save memory", net)
-		}
-		if r.Values[net+"/gist-mfr"] <= 1 {
-			t.Errorf("%s: gist must save memory", net)
-		}
-	}
-}
-
-func TestExtWorkspaceTradeoff(t *testing.T) {
-	r := ExtWorkspace(DefaultMinibatch)
-	for _, net := range []string{"AlexNet", "VGG16", "Inception"} {
-		memOpt := r.Values[net+"/ws-memopt-gb"]
-		perfOpt := r.Values[net+"/ws-perfopt-gb"]
-		if memOpt > perfOpt+1e-9 {
-			t.Errorf("%s: memory-optimal workspace %v exceeds performance-optimal %v",
-				net, memOpt, perfOpt)
-		}
-		if sp := r.Values[net+"/speedup"]; sp < 1 || sp > 2 {
-			t.Errorf("%s: perf-optimal speedup %v out of band", net, sp)
-		}
-	}
-	// VGG16's 3x3 convs make the tradeoff visible: real extra workspace.
-	if r.Values["VGG16/ws-perfopt-gb"] <= r.Values["VGG16/ws-memopt-gb"] {
-		t.Error("VGG16 should pay real workspace for the fast algorithm")
-	}
-}
-
 func TestExtCDMAStory(t *testing.T) {
 	r := ExtCDMA(DefaultMinibatch)
 	for _, net := range []string{"Inception", "ResNet"} {
@@ -52,19 +14,6 @@ func TestExtCDMAStory(t *testing.T) {
 		}
 		if cdma <= 0 {
 			t.Errorf("%s: CDMA should still have overhead, got %v", net, cdma)
-		}
-	}
-}
-
-func TestExtEnergyGistWins(t *testing.T) {
-	r := ExtEnergy(DefaultMinibatch)
-	for _, net := range []string{"AlexNet", "VGG16", "ResNet"} {
-		ratio := r.Values[net+"/ratio"]
-		if ratio < 2 {
-			t.Errorf("%s: swap/gist energy ratio = %v, want >= 2", net, ratio)
-		}
-		if r.Values[net+"/gist-mj"] <= 0 {
-			t.Errorf("%s: gist energy must be positive", net)
 		}
 	}
 }
@@ -113,22 +62,6 @@ func TestExtSparsitySweepMonotone(t *testing.T) {
 	// Below break-even the analyzer skips SSDC: MFR exactly 1.
 	if r.Values["s10/mfr"] != 1 {
 		t.Errorf("10%% sparsity MFR = %v, want 1 (skipped)", r.Values["s10/mfr"])
-	}
-}
-
-func TestExtAlgoSelectConvertsMemoryToSpeed(t *testing.T) {
-	r := ExtAlgoSelect(DefaultMinibatch)
-	for _, net := range []string{"AlexNet", "VGG16", "ResNet"} {
-		if r.Values[net+"/freed-gb"] <= 0 {
-			t.Errorf("%s: no memory freed", net)
-		}
-		if r.Values[net+"/conv-speedup"] < 1 {
-			t.Errorf("%s: conv speedup below 1", net)
-		}
-		if r.Values[net+"/net-change"] >= 0 {
-			t.Errorf("%s: net change %v should be negative (faster)",
-				net, r.Values[net+"/net-change"])
-		}
 	}
 }
 

@@ -15,10 +15,6 @@ type Conv2D struct {
 	KH, KW int
 	Stride int
 	Pad    int
-	// Algo is the algorithm the analytical models (WorkspaceBytes,
-	// costmodel, core/algoselect) price this convolution at; it selects no
-	// code path. See ConvAlgo.
-	Algo ConvAlgo
 }
 
 // NewConv2D returns a square-kernel convolution.

@@ -2,9 +2,9 @@ package layers
 
 import "math"
 
-// Direct convolution kernels: AlgoDirect, the algorithm every training
-// graph runs. They sweep contiguous rows of the NCHW planes and keep no
-// scratch memory — WorkspaceBytes is 0 and stays 0.
+// Direct convolution kernels: the only convolution there is, run by every
+// training graph. They sweep contiguous rows of the NCHW planes and keep no
+// scratch memory.
 //
 // The contract (DESIGN.md §12) is bit-identity with the per-element loops
 // these replaced, which survive as the frozen reference of
@@ -655,10 +655,10 @@ func backwardPointwise(g, xs, dxs, ws, dws []float32) {
 		x0, d0 := xs[ic*plane:][:plane], dxs[ic*plane:][:plane]
 		x1, d1 := xs[(ic+1)*plane:][:plane], dxs[(ic+1)*plane:][:plane]
 		for j, gv := range g {
-			a0 += gv * x0[j]
-			d0[j] += gv * w0
-			a1 += gv * x1[j]
-			d1[j] += gv * w1
+			a0 += float32(gv * x0[j])
+			d0[j] += float32(gv * w0)
+			a1 += float32(gv * x1[j])
+			d1[j] += float32(gv * w1)
 		}
 		dws[ic], dws[ic+1] = a0, a1
 	}
@@ -666,8 +666,8 @@ func backwardPointwise(g, xs, dxs, ws, dws []float32) {
 		wv, acc := ws[ic], dws[ic]
 		xp, dp := xs[ic*plane:][:plane], dxs[ic*plane:][:plane]
 		for j, gv := range g {
-			acc += gv * xp[j]
-			dp[j] += gv * wv
+			acc += float32(gv * xp[j])
+			dp[j] += float32(gv * wv)
 		}
 		dws[ic] = acc
 	}
@@ -703,25 +703,25 @@ func (c *Conv2D) backwardRows3(g, xs, dxs, ws, dws []float32, ih, iw, oh int) {
 func backwardPlane3(g, xp, dp []float32, iw int, w0, w1, w2, a0, a1, a2 float32) (float32, float32, float32) {
 	for ; len(g) >= iw; g, xp, dp = g[iw:], xp[iw:], dp[iw:] {
 		gr, xr, dr := g[:iw], xp[:iw], dp[:iw]
-		a1 += gr[0] * xr[0]
-		a2 += gr[0] * xr[1]
-		d := dr[0] + gr[0]*w1
-		dr[0] = d + gr[1]*w0
+		a1 += float32(gr[0] * xr[0])
+		a2 += float32(gr[0] * xr[1])
+		d := dr[0] + float32(gr[0]*w1)
+		dr[0] = d + float32(gr[1]*w0)
 		for j := 2; j < iw; j++ { // element j-1; no index above j, so no bounds checks
 			gv := gr[j-1]
-			a0 += gv * xr[j-2]
-			a1 += gv * xr[j-1]
-			a2 += gv * xr[j]
-			d := dr[j-1] + gr[j-2]*w2
-			d += gv * w1
-			d += gr[j] * w0
+			a0 += float32(gv * xr[j-2])
+			a1 += float32(gv * xr[j-1])
+			a2 += float32(gv * xr[j])
+			d := dr[j-1] + float32(gr[j-2]*w2)
+			d += float32(gv * w1)
+			d += float32(gr[j] * w0)
 			dr[j-1] = d
 		}
 		last := iw - 1
-		a0 += gr[last] * xr[last-1]
-		a1 += gr[last] * xr[last]
-		d = dr[last] + gr[last-1]*w2
-		dr[last] = d + gr[last]*w1
+		a0 += float32(gr[last] * xr[last-1])
+		a1 += float32(gr[last] * xr[last])
+		d = dr[last] + float32(gr[last-1]*w2)
+		dr[last] = d + float32(gr[last]*w1)
 	}
 	return a0, a1, a2
 }
@@ -770,8 +770,8 @@ func (c *Conv2D) backwardTaps(g, xs, dxs, ws, dws []float32, ih, iw, oh, ow int)
 					}
 					dr := dxs[row:][:iw]
 					for _, gv := range g[yh*ow:][lo:hi] {
-						acc += gv * xr[xi]
-						dr[xi] += gv * wv
+						acc += float32(gv * xr[xi])
+						dr[xi] += float32(gv * wv)
 						xi += c.Stride
 					}
 				}

@@ -58,7 +58,7 @@ func (f *FCOp) Forward(ctx *FwdCtx) {
 			sum := b.Data[o]
 			wRow := w.Data[o*features : (o+1)*features]
 			for i, xv := range xRow {
-				sum += xv * wRow[i]
+				sum += float32(xv * wRow[i])
 			}
 			y.Data[ni*f.Out+o] = sum
 		}
@@ -95,8 +95,8 @@ func (f *FCOp) Backward(ctx *BwdCtx) {
 			}
 			dxRow := dx.Data[ni*features : (ni+1)*features]
 			for i := range xRow {
-				dwRow[i] += g * xRow[i]
-				dxRow[i] += g * wRow[i]
+				dwRow[i] += float32(g * xRow[i])
+				dxRow[i] += float32(g * wRow[i])
 			}
 		}
 	}

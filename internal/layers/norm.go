@@ -99,12 +99,12 @@ func (b *BatchNormOp) Forward(ctx *FwdCtx) {
 				row := x.Data[(ni*c+ci)*hw : (ni*c+ci+1)*hw]
 				for _, xv := range row {
 					d := float64(xv) - m
-					v += d * d
+					v += float64(d * d)
 				}
 			}
 			v /= float64(per)
-			b.RunningMean[ci] = float32(b.Momentum*float64(b.RunningMean[ci]) + (1-b.Momentum)*m)
-			b.RunningVar[ci] = float32(b.Momentum*float64(b.RunningVar[ci]) + (1-b.Momentum)*v)
+			b.RunningMean[ci] = float32(float64(b.Momentum*float64(b.RunningMean[ci])) + float64((1-b.Momentum)*m))
+			b.RunningVar[ci] = float32(float64(b.Momentum*float64(b.RunningVar[ci])) + float64((1-b.Momentum)*v))
 		} else {
 			m = float64(b.RunningMean[ci])
 			v = float64(b.RunningVar[ci])
@@ -118,7 +118,7 @@ func (b *BatchNormOp) Forward(ctx *FwdCtx) {
 			row := x.Data[base : base+hw]
 			out := y.Data[base : base+hw]
 			for k, xv := range row {
-				out[k] = g*((xv-mc)*is) + bt
+				out[k] = float32(g*((xv-mc)*is)) + bt
 			}
 		}
 	}
@@ -147,7 +147,7 @@ func (b *BatchNormOp) Backward(ctx *BwdCtx) {
 			dyr := dy.Data[base : base+hw]
 			for k, g := range dyr {
 				sumDy += float64(g)
-				sumDyXh += float64(g) * float64((xr[k]-mc)*is)
+				sumDyXh += float64(float64(g) * float64((xr[k]-mc)*is))
 			}
 		}
 		dGamma.Data[ci] = float32(sumDyXh)
@@ -215,9 +215,9 @@ func (l *LRNOp) scale(x *tensor.Tensor, ni, ci, hi, wi int) float64 {
 	var sum float64
 	for cj := lo; cj <= hi2; cj++ {
 		v := float64(x.At(ni, cj, hi, wi))
-		sum += v * v
+		sum += float64(v * v)
 	}
-	return l.K + l.Alpha/float64(l.N)*sum
+	return l.K + float64(l.Alpha/float64(l.N)*sum)
 }
 
 // Forward computes the cross-channel normalization.
@@ -253,14 +253,14 @@ func (l *LRNOp) Backward(ctx *BwdCtx) {
 				}
 				for ci := 0; ci < c; ci++ {
 					s := l.scale(x, ni, ci, hi, wi)
-					d := float64(dy.At(ni, ci, hi, wi)) * math.Pow(s, -l.Beta)
+					d := float64(float64(dy.At(ni, ci, hi, wi)) * math.Pow(s, -l.Beta))
 					lo := max(0, ci-l.N/2)
 					hi2 := min(c-1, ci+l.N/2)
 					var cross float64
 					for cj := lo; cj <= hi2; cj++ {
 						cross += ratio[cj]
 					}
-					d -= 2 * l.Alpha * l.Beta / float64(l.N) * float64(x.At(ni, ci, hi, wi)) * cross
+					d -= float64(2 * l.Alpha * l.Beta / float64(l.N) * float64(x.At(ni, ci, hi, wi)) * cross)
 					dx.Set(ni, ci, hi, wi, float32(d))
 				}
 			}

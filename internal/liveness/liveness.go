@@ -53,11 +53,9 @@ type Options struct {
 	// IncludeWeights adds weights and weight gradients (Figure 1's full
 	// breakdown; the paper's CNTK baseline excludes them).
 	IncludeWeights bool
-	// IncludeWorkspace adds cuDNN-style per-layer workspace buffers.
+	// IncludeWorkspace adds cuDNN-style per-layer workspace buffers, sized
+	// by MemoryOptimalWorkspace.
 	IncludeWorkspace bool
-	// WorkspaceBytes sizes the workspace of a node; nil uses
-	// MemoryOptimalWorkspace.
-	WorkspaceBytes func(n *graph.Node) int64
 	// ElideDecoded drops decoded FP32 staging buffers — the paper's
 	// "optimized software" scenario where cuDNN consumes encoded data.
 	ElideDecoded bool
@@ -82,24 +80,24 @@ func MemoryOptimalWorkspace(n *graph.Node) int64 {
 	// The memory-optimal configuration picks the smallest-workspace
 	// algorithm available, so it can never need more than the im2col
 	// lowering does.
-	if perf := PerformanceOptimalWorkspace(n); perf < ws {
-		ws = perf
-	}
-	return ws
+	return min(ws, im2colWorkspace(n))
 }
 
-// PerformanceOptimalWorkspace models cuDNN's performance-optimal choice:
-// the im2col/GEMM lowering, whose workspace is the column matrix of one
-// image (inC*kh*kw x oh*ow FP32 values) — the other end of the
-// performance/workspace tradeoff the paper describes in Section II.
-func PerformanceOptimalWorkspace(n *graph.Node) int64 {
+// im2colWorkspace is the workspace of the im2col/GEMM lowering, the
+// performance-optimal end of the tradeoff the paper describes in Section
+// II: one image's column matrix, inC*kh*kw x oh*ow FP32 values. A 1x1,
+// stride-1, unpadded convolution is already a GEMM over its input and
+// materializes none.
+func im2colWorkspace(n *graph.Node) int64 {
 	conv, ok := n.Op.(*layers.Conv2D)
 	if !ok {
 		return 0
 	}
-	gemm := *conv
-	gemm.Algo = layers.AlgoIm2col
-	return gemm.WorkspaceBytes(n.Inputs[0].OutShape)
+	if conv.KH == 1 && conv.KW == 1 && conv.Stride == 1 && conv.Pad == 0 {
+		return 0
+	}
+	inC, oh, ow := n.Inputs[0].OutShape[1], n.OutShape[2], n.OutShape[3]
+	return int64(inC*conv.KH*conv.KW) * int64(oh*ow) * 4
 }
 
 // Analyze emits the buffer set of the graph under the given options.
@@ -271,11 +269,7 @@ func Analyze(g *graph.Graph, tl *graph.Timeline, opts Options) []*Buffer {
 		}
 
 		if opts.IncludeWorkspace {
-			wsFn := opts.WorkspaceBytes
-			if wsFn == nil {
-				wsFn = MemoryOptimalWorkspace
-			}
-			if ws := wsFn(n); ws > 0 {
+			if ws := MemoryOptimalWorkspace(n); ws > 0 {
 				bufs = append(bufs, &Buffer{
 					Name: n.Name + ".ws.fwd", Class: graph.ClassWorkspace,
 					Bytes: ws, Start: fwd, End: fwd, Node: n,

@@ -245,6 +245,23 @@ func TestMemoryOptimalWorkspace(t *testing.T) {
 	if ws <= 0 || ws > 4<<20 {
 		t.Errorf("conv workspace = %d, want (0, 4MB]", ws)
 	}
+
+	// A 1x1, stride-1, unpadded convolution is already a GEMM: no column
+	// matrix, so no workspace.
+	wide := g.MustAdd("wide", layers.NewInput(64, 256, 28, 28))
+	pointwise := g.MustAdd("pointwise", layers.NewConv2D(64, 1, 1, 0), wide)
+	if got := MemoryOptimalWorkspace(pointwise); got != 0 {
+		t.Errorf("1x1 conv workspace = %d, want 0", got)
+	}
+
+	// Few input channels and a strided 3x3: one image's column matrix
+	// (2*3*3 x 17*17 FP32) is smaller than an eighth of the output, so it
+	// is the workspace.
+	narrow := g.MustAdd("narrow", layers.NewInput(64, 2, 33, 33))
+	strided := g.MustAdd("strided", layers.NewConv2D(64, 3, 2, 1), narrow)
+	if got, want := MemoryOptimalWorkspace(strided), int64(2*3*3*17*17*4); got != want {
+		t.Errorf("column-capped conv workspace = %d, want %d", got, want)
+	}
 }
 
 func TestEncodedMuchSmallerThanBaselineStash(t *testing.T) {

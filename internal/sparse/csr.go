@@ -218,7 +218,7 @@ func CSRBytesModel(n int, sparsity float64) int64 {
 	if sparsity > 1 {
 		sparsity = 1
 	}
-	nnz := int64(float64(n)*(1-sparsity) + 0.5)
+	nnz := int64(float64(float64(n)*(1-sparsity)) + 0.5)
 	rows := int64((n + NarrowCols - 1) / NarrowCols)
 	return nnz*4 + nnz + (rows+1)*4
 }
@@ -234,7 +234,7 @@ func CSRWideBytesModel(n, cols int, sparsity float64) int64 {
 	if sparsity > 1 {
 		sparsity = 1
 	}
-	nnz := int64(float64(n)*(1-sparsity) + 0.5)
+	nnz := int64(float64(float64(n)*(1-sparsity)) + 0.5)
 	rows := int64((n + cols - 1) / cols)
 	return nnz*4 + nnz*4 + (rows+1)*4
 }

@@ -94,7 +94,7 @@ func (t *Tensor) FillUniform(r *RNG, lo, hi float32) {
 // FillNormal fills t with normal values of the given mean and stddev.
 func (t *Tensor) FillNormal(r *RNG, mean, stddev float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(mean + stddev*r.NormFloat64())
+		t.Data[i] = float32(mean + float64(stddev*r.NormFloat64()))
 	}
 }
 

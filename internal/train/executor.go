@@ -1423,7 +1423,7 @@ func (e *Executor) ClipGradNorm(maxNorm float64) {
 	for _, n := range e.G.Nodes {
 		for _, g := range e.grads[n.ID] {
 			for _, v := range g.Data {
-				sumSq += float64(v) * float64(v)
+				sumSq += float64(float64(v) * float64(v))
 			}
 		}
 	}
@@ -1446,9 +1446,9 @@ func (e *Executor) SGD(lr, momentum, weightDecay float32) {
 		for i, p := range ps {
 			g, m := gs[i], ms[i]
 			for k := range p.Data {
-				grad := g.Data[k] + weightDecay*p.Data[k]
-				m.Data[k] = momentum*m.Data[k] + grad
-				p.Data[k] -= lr * m.Data[k]
+				grad := g.Data[k] + float32(weightDecay*p.Data[k])
+				m.Data[k] = float32(momentum*m.Data[k]) + grad
+				p.Data[k] -= float32(lr * m.Data[k])
 			}
 			g.Zero()
 		}
