@@ -93,3 +93,21 @@ func TestRobustCrossChecksOK(t *testing.T) {
 		t.Errorf("found %d cross-check lines, want 2:\n%s", checks, out.String())
 	}
 }
+
+// TestFig9Deterministic runs -experiment fig9 -csv three times in one
+// process: its modeled step times sum every stash's encoding overhead, and a
+// float64 sum is only the same from run to run when its order is.
+func TestFig9Deterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 3; i++ {
+		var out, errOut strings.Builder
+		if code := run([]string{"-experiment", "fig9", "-csv"}, &out, &errOut); code != 0 {
+			t.Fatalf("fig9 exited %d: %s", code, errOut.String())
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("run %d printed\n%s\nrun 1 printed\n%s", i+1, out.String(), first)
+		}
+	}
+}

@@ -50,7 +50,7 @@ func traceLifetimes(w io.Writer, g *graph.Graph, name string, cfg encoding.Confi
 	render(fmt.Sprintf("baseline lifetimes of %q (timeline: forward then backward)", name), base)
 
 	a := encoding.Analyze(g, cfg)
-	gist := liveness.Analyze(g, tl, liveness.Options{Analysis: a})
+	gist := liveness.Analyze(g, tl, liveness.Options{Analysis: a, PaperStaging: true})
 	fmt.Fprintln(w)
 	render(fmt.Sprintf("gist lifetimes of %q", name), gist)
 

@@ -108,6 +108,7 @@ func Build(req Request) (*Plan, error) {
 		IncludeWeights:   req.IncludeWeights,
 		IncludeWorkspace: req.IncludeWorkspace,
 		ElideDecoded:     req.ElideDecoded,
+		PaperStaging:     true,
 		NoShareStashed:   req.InvestigationBaseline,
 	})
 	static := memplan.PlanStatic(bufs)

@@ -115,16 +115,16 @@ func (d Device) streamTime(bytes int64) float64 {
 //   - DPR: one conversion pass each way over the affected bytes.
 //   - ZVC: a mask-build + compaction pass at encode and an expansion pass
 //     at decode, streaming the dense data plus the compacted payload.
+//
+// The stashes are summed in node order, so the float64 total, and every
+// figure built on it, is the same from run to run. Pool argmax maps add
+// nothing: their rescan saving is folded into Binarize.
 func (d Device) EncodingOverhead(a *encoding.Analysis) float64 {
 	var t float64
-	for _, as := range a.ByNode {
-		dense := as.Node.OutShape.Bytes()
-		t = encoding.AddOverheadTime(as.Tech, t, d.streamTime, dense, as.EncodedBytes)
-	}
-	// Pool argmax maps replace a window rescan over X in the pool
-	// backward with a nibble read: small saving.
-	for range a.PoolMaps {
-		// Negligible; the rescan saving is folded into Binarize above.
+	for _, n := range a.Graph.Nodes {
+		if as := a.ByNode[n.ID]; as != nil {
+			t = encoding.AddOverheadTime(as.Tech, t, d.streamTime, n.OutShape.Bytes(), as.EncodedBytes)
+		}
 	}
 	return t
 }

@@ -198,12 +198,14 @@ type Assignment struct {
 	// between the two uses.
 	EncodedBytes int64
 	// NeedsDecode reports whether the stash is decoded into a transient
-	// FP32 staging buffer before its backward use: true for SSDC, ZVC and
-	// DPR; false for Binarize, whose mask the backward kernel
-	// consumes directly. liveness plans the staging buffer from it, and the
-	// executor reads it: a stash without it reaches its ReLU as the
-	// verified container (Codec.MaskOf), with no decode and no pooled
-	// target.
+	// FP32 staging buffer before its backward use: true for DPR, and for
+	// SSDC and ZVC unless every backward reader is a Conv, an FC or the
+	// ReLU that produced the map (readAsStored); false for Binarize, whose
+	// mask the backward kernel consumes directly. liveness plans the
+	// staging buffer from it, and the executor reads it: a stash without it
+	// reaches its kernels as the verified container — a Binarize mask
+	// (Codec.MaskOf), or entries (Codec.EntriesOf) for Conv and FC and a
+	// sign mask for the ReLU — with no decode and no pooled target.
 	NeedsDecode bool
 	// Fallbacks is the runtime degradation chain for adaptive encoding:
 	// when the primary technique's cost guard fires (runtime sparsity
@@ -434,10 +436,29 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 			continue
 		}
 		if as := choose(cfg, n); as != nil {
+			if as.Tech == SSDC || as.Tech == ZVC {
+				as.NeedsDecode = !a.readAsStored(n)
+			}
 			a.ByNode[n.ID] = as
 		}
 	}
 	return a
+}
+
+// readAsStored reports whether every backward reader of node n's stash reads
+// a sparse container as stored: the consumers that read it as X are Convs
+// and FCs, which gather their weight gradient from its nonzero elements,
+// and n reads its own output only if it is a ReLU, which reads the sign.
+func (a *Analysis) readAsStored(n *graph.Node) bool {
+	if a.EffectiveNeeds(n).Y && n.Kind() != layers.ReLU {
+		return false
+	}
+	for _, c := range n.Consumers() {
+		if a.EffectiveNeeds(c).X && c.Kind() != layers.Conv && c.Kind() != layers.FC {
+			return false
+		}
+	}
+	return true
 }
 
 // binarizeMaskBytes is the packed size of a 1-bit mask over n elements.

@@ -99,9 +99,15 @@ func ExtRealized() *Result {
 				static, planned, optimized, st.PeakLiveBytes, st.HeldBytes+st.InUseBytes, planStash, planMeas, stash, held, mfr)
 		}
 	}
+	if mfr := r.Values["ResNetCIFAR-20/lossy-fp16/mfr"]; mfr > 0 {
+		r.add("")
+		r.add("ResNetCIFAR-20 lossy-fp16 MFR %.2fx against item 2's bound of about 1.75x (peak FP32 at optimized)", mfr)
+	}
 	r.add("")
-	r.add("(static: the CNTK groups over plan FP32's buffers; optimized: plan FP32 with no decoded staging buffer,")
-	r.add(" Fig 17's optimized software; peak FP32: the executor arena's high-water mark of requested bytes; slab: the")
+	r.add("(static: the CNTK groups over plan FP32's buffers; plan FP32 stages only the stashes the executor decodes,")
+	r.add(" DPR's: the SSDC and ZVC stashes Conv, FC and ReLU read as stored have no decoded buffer; optimized: plan")
+	r.add(" FP32 with no decoded staging buffer at all, Fig 17's optimized software, so it differs from plan FP32 only")
+	r.add(" by the DPR targets; peak FP32: the executor arena's high-water mark of requested bytes; slab: the")
 	r.add(" arena's recorded step packed by offset, what it holds; plan@meas: plan stash with each assigned stash priced")
 	r.add(" at its last step's measured sparsity, so StashBytes - plan@meas is the containers' layout error and")
 	r.add(" plan@meas - plan stash the planner's sparsity-estimate error; held enc: the store's peak of encoded containers,")

@@ -64,5 +64,12 @@ func (c *Conv2D) FLOPs(in []tensor.Shape) int64 {
 // Forward computes the convolution with the direct kernels.
 func (c *Conv2D) Forward(ctx *FwdCtx) { c.forwardDirect(ctx) }
 
-// Backward computes dX, dW and dB from the stashed X and incoming dY.
-func (c *Conv2D) Backward(ctx *BwdCtx) { c.backwardDirect(ctx) }
+// Backward computes dX, dW and dB from the stashed X, or the stash read as
+// stored, and incoming dY.
+func (c *Conv2D) Backward(ctx *BwdCtx) {
+	if ctx.InStash != nil {
+		c.backwardStash(ctx)
+		return
+	}
+	c.backwardDirect(ctx)
+}

@@ -187,7 +187,8 @@ func makeMap(kind mapKind, zeros float64, seed uint64, shape tensor.Shape) *tens
 // map and backward under every dY kind (mapFraction at the given zero
 // probability). A -0 bias and a few exact-zero and -0 weights ride along:
 // the reference adds w·x for them like any other tap, so the kernels must
-// too. A nil dX must leave dW and dB as they are.
+// too. A nil dX must leave dW and dB as they are. X read as stored must
+// give what X as a tensor gives (diffStash).
 func diffDirect(t testing.TB, cc convCase, seed uint64, zeros float64) {
 	t.Helper()
 	op := &Conv2D{OutC: cc.outC, KH: cc.kh, KW: cc.kw, Stride: cc.stride, Pad: cc.pad}
@@ -261,6 +262,7 @@ func diffDirect(t testing.TB, cc convCase, seed uint64, zeros float64) {
 		noDX := run(op.Backward, false)
 		check(fmt.Sprintf("dy=%v nil-dx dw", kind), noDX[1], g[1])
 		check(fmt.Sprintf("dy=%v nil-dx db", kind), noDX[2], g[2])
+		diffStash(t, fmt.Sprintf("%+v seed %d dy=%v", cc, seed, kind), op, x, dy, params, seed+5)
 	}
 }
 

@@ -86,6 +86,14 @@ type BwdCtx struct {
 	// nil): the Binarize container as stored, bit i set iff Y[i] > 0. Only
 	// a ReLU, whose backward reads nothing of Y but its sign, is handed one.
 	OutMask *bitpack.BitMask
+	// InStash, when non-nil, serves the declared X in place of In[0] (then
+	// nil): the stashed input as stored, read as its nonzero elements. Only
+	// a Conv2D or FCOp, whose weight gradient is a sum over X's nonzero
+	// elements and whose dX reads no X at all, is handed one.
+	InStash StashReader
+	// Scratch, when it holds one image of X, is where a Conv2D reading
+	// InStash may decode an image of it (else it allocates one).
+	Scratch []float32
 	DOut    *tensor.Tensor
 	// DIn is written (not accumulated) by the operator. Conv2D and FCOp
 	// accept a nil entry, for an input whose gradient nothing reads, and
@@ -94,6 +102,36 @@ type BwdCtx struct {
 	DParams []*tensor.Tensor // written (not accumulated) by the operator
 	Aux     map[string]any
 }
+
+// StashReader serves a stashed feature map as stored, with no FP32 copy of
+// it: its nonzero elements (NaN included, ±0 left out) in ascending flat
+// position, a chunk at a time, through one cursor.
+type StashReader interface {
+	// Shape is the map's shape.
+	Shape() tensor.Shape
+	// Finite reports whether every element is finite.
+	Finite() bool
+	// Rewind moves the cursor back to position 0.
+	Rewind()
+	// Len is the number of nonzero elements in the map.
+	Len() int
+	// Next returns the nonzero elements from the cursor on whose position
+	// is below end, at most EntryChunk of them, and moves the cursor past
+	// them; none when it has reached end. The slices are the reader's own,
+	// valid (and the caller's to overwrite) until the next call.
+	Next(end int) (pos []int32, val []float32)
+	// DecodeNext writes the len(dst) elements from the cursor on, as a
+	// decode of the stash gives them, into dst and moves the cursor past
+	// them.
+	DecodeNext(dst []float32)
+	// DecodeInto writes the whole map, as a decode of the stash gives it,
+	// into dst, a tensor of Shape().
+	DecodeInto(dst *tensor.Tensor)
+}
+
+// EntryChunk is the most entries a StashReader returns at a time: the
+// sparse kernels' chunk.
+const EntryChunk = sparseChunk
 
 // Op is a single layer operator.
 type Op interface {

@@ -59,6 +59,12 @@ type Options struct {
 	// ElideDecoded drops decoded FP32 staging buffers — the paper's
 	// "optimized software" scenario where cuDNN consumes encoded data.
 	ElideDecoded bool
+	// PaperStaging plans a decoded staging buffer for every stash the
+	// paper's implementation decodes before its backward use — all but
+	// Binarize — including the SSDC and ZVC stashes this repo's executor
+	// reads as stored (NeedsDecode false). The paper's figures plan with
+	// it; without it the plan follows NeedsDecode, as the executor runs.
+	PaperStaging bool
 	// NoShareStashed marks stashed feature maps NoShare — the paper's
 	// "investigation baseline".
 	NoShareStashed bool
@@ -190,8 +196,9 @@ func Analyze(g *graph.Graph, tl *graph.Timeline, opts Options) []*Buffer {
 					Bytes: fp32, Start: start, End: lastFwdUse, Node: n,
 				})
 				first, last := bwdUses(n)
-				encEnd := last // Binarize: consumed in place through the last use
-				if as.NeedsDecode {
+				staged := as.NeedsDecode || (opts.PaperStaging && as.Tech != encoding.Binarize)
+				encEnd := last // read as stored: through the last use
+				if staged {
 					encEnd = first // freed once decoded
 				}
 				if encEnd < lastFwdUse {
@@ -203,7 +210,7 @@ func Analyze(g *graph.Graph, tl *graph.Timeline, opts Options) []*Buffer {
 					Name: n.Name + ".enc", Class: graph.ClassEncoded,
 					Bytes: as.EncodedBytes, Start: lastFwdUse, End: encEnd, Node: n,
 				})
-				if as.NeedsDecode && !opts.ElideDecoded {
+				if staged && !opts.ElideDecoded {
 					bufs = append(bufs, &Buffer{
 						Name: n.Name + ".dec", Class: graph.ClassDecoded,
 						Bytes: fp32, Start: first, End: last, Node: n,

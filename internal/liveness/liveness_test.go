@@ -133,7 +133,13 @@ func TestGistSplitsStashedLifetime(t *testing.T) {
 		t.Fatalf("pool1.argmax = %v", am)
 	}
 
-	// pool1 (SSDC, feeds conv2): encoded + decoded buffers.
+	// pool1 (SSDC, feeds conv2): its one backward reader, a Conv, reads it
+	// as stored, so the executor's plan has no decoded buffer for it.
+	if find(bufs, "pool1.dec") != nil {
+		t.Error("pool1 is read as stored: no decoded buffer")
+	}
+	// The paper's plan stages it: encoded + decoded buffers.
+	bufs = Analyze(g, tl, Options{Analysis: a, PaperStaging: true})
 	encP := find(bufs, "pool1.enc")
 	if encP == nil {
 		t.Fatal("pool1.enc missing")

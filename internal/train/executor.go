@@ -398,13 +398,17 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 				Format: floatenc.FP32, EncodedBytes: n.OutShape.Bytes(), NeedsDecode: true}
 		}
 		f.asStored = e.assign[n.ID] != nil && !e.assign[n.ID].NeedsDecode
+		if f.entries = f.asStored && e.assign[n.ID].Tech != encoding.Binarize; f.entries {
+			f.stored = new(encoding.StashEntries)
+		}
 		needs := n.Op.Needs()
 		if opts.Encodings != nil {
 			// A Binarize ReLU's Y need, which the analysis drops because
 			// the mask serves it, is a read of that container as stored.
 			needs = opts.Encodings.EffectiveNeeds(n)
-			needs.Y = needs.Y || f.asStored
+			needs.Y = needs.Y || (f.asStored && !f.entries)
 		}
+		f.ownY = needs.Y
 		e.needs[n.ID] = needs
 		// Count the backward pass's reads of this node's stashed output;
 		// recycle points drain these counts.
@@ -706,7 +710,9 @@ type stashFuture struct {
 	shape    tensor.Shape           // of the decode target: the node's output shape
 	enc      *encoding.EncodedStash // the node's container (Executor.encSlots)
 	seal     bool                   // Options.Integrity, or an enabled injector
-	asStored bool                   // its assignment's NeedsDecode is false: the kernel reads the mask
+	asStored bool                   // its assignment's NeedsDecode is false: the kernels read the container
+	entries  bool                   // read as stored, and not a Binarize mask: X is read as entries
+	ownY     bool                   // the node's own backward reads its output (a ReLU)
 
 	// Per-encode state, set by launchEncode. encoding (read and written on
 	// the executor's goroutine only) says the encode is launched and not yet
@@ -717,10 +723,16 @@ type stashFuture struct {
 	encoding bool
 
 	// Per-step decode state, reset by arm. A resolved future holds its
-	// decoded tensor in dst, or, read as stored, its verified mask in mask.
+	// decoded tensor in dst, or, read as stored, its verified mask in mask
+	// and, unless a Binarize mask, its reader in stored (allocated once,
+	// for these futures only). A ReLU whose container is not a ZVC mask
+	// gets the sign mask signs, built from the entries and kept across
+	// steps.
 	armed   bool
 	dst     *tensor.Tensor
 	mask    *bitpack.BitMask
+	stored  *encoding.StashEntries
+	signs   *bitpack.BitMask
 	started atomic.Bool
 	settled atomic.Bool // the job in flight finished (overlap accounting)
 	wg      sync.WaitGroup
@@ -839,8 +851,9 @@ func stashLoop(q <-chan *stashFuture, done *sync.WaitGroup, job func(*stashFutur
 }
 
 // decode is the one resolution path: fetch the stash from its home, then
-// decode it into dst, or verify the mask a stash read as stored hands its
-// kernel.
+// decode it into dst, or verify the container a stash read as stored hands
+// its kernels: the Binarize mask, or the entries reader and, for the ReLU
+// that produced the map, its sign mask.
 func (f *stashFuture) decode() {
 	defer f.wg.Done()
 	defer f.settled.Store(true)
@@ -852,6 +865,16 @@ func (f *stashFuture) decode() {
 	enc, err := f.store.Fetch(f.sid)
 	switch {
 	case err != nil:
+	case f.entries:
+		err = f.cdc.EntriesOf(f.stored, enc, f.shape)
+		switch {
+		case err != nil || !f.ownY:
+		case enc.Tech == encoding.ZVC:
+			f.mask = enc.ZVC.Mask // bit i set iff Y[i] > 0: a ReLU's output holds no negative or NaN
+		default:
+			f.signs = f.stored.PositiveMaskInto(f.signs)
+			f.mask = f.signs
+		}
 	case f.asStored:
 		f.mask, err = f.cdc.MaskOf(enc, f.shape)
 	default:
@@ -1203,6 +1226,8 @@ func (e *Executor) Backward() error {
 		needs := e.needs[n.ID]
 		ins := e.insBuf[:0]
 		dIns := e.dInsBuf[:0]
+		var stored layers.StashReader
+		var scratch *tensor.Tensor
 		for _, in := range n.Inputs {
 			dIns = append(dIns, e.gradFor(n, in))
 			var t *tensor.Tensor
@@ -1211,16 +1236,27 @@ func (e *Executor) Backward() error {
 				if err != nil {
 					return e.failBackward(err)
 				}
+				if f := &e.futures[in.ID]; f.entries {
+					stored = f.stored // a Conv or FC: Analyze reads no other way
+					if n.Kind() == layers.Conv {
+						// One image of X, for a Conv to decode into where
+						// dY is too sparse for the gather to pay.
+						scratch = e.alloc(in.OutShape[1:])
+					}
+				}
 			}
 			ins = append(ins, t)
 		}
 		e.insBuf, e.dInsBuf = ins, dIns
 		e.bwdCtx = layers.BwdCtx{
-			Params: e.params[n.ID], DOut: dOut,
+			Params: e.params[n.ID], InStash: stored, DOut: dOut,
 			DIn: dIns, DParams: e.grads[n.ID], Aux: e.aux[n.ID],
 		}
 		if needs.X {
 			e.bwdCtx.In = ins
+		}
+		if scratch != nil {
+			e.bwdCtx.Scratch = scratch.Data
 		}
 		if needs.Y {
 			t, err := e.stashOf(n.ID)
@@ -1230,6 +1266,7 @@ func (e *Executor) Backward() error {
 			e.bwdCtx.Out, e.bwdCtx.OutMask = t, e.futures[n.ID].mask
 		}
 		n.Op.Backward(&e.bwdCtx)
+		e.recycle(scratch)
 		for j, in := range n.Inputs {
 			if dIns[j] == nil {
 				continue

@@ -192,11 +192,13 @@ func TestExecutorPeakMatchesPlan(t *testing.T) {
 // TestExecutorReadsPlannedNeeds is aim 3's "the executor reads what the
 // planner plans", on the four graphs of TestExecutorPeakMatchesPlan under
 // both of the paper's configurations. Statically, a node's output has a
-// decoded backward read iff the analysis calls it stashed, and a stash the
-// planner marks NeedsDecode == false (Binarize) has exactly one read: its
-// own ReLU's, of the container as stored. At runtime every such ReLU gets
-// the sealed container's mask and no tensor — its future takes no pool
-// buffer — and a MaxPool Binarize rewrote is handed no stash at all.
+// backward read iff the analysis calls it stashed, and a Binarize stash has
+// exactly one read: its own ReLU's, of the container as stored. At runtime
+// no stash the planner marks NeedsDecode == false gets a tensor — its future
+// takes no pool buffer: a Binarize ReLU gets the sealed container's mask; a
+// ZVC or SSDC stash reaches each Conv or FC reading it as the future's
+// entries reader and its own ReLU as a sign mask (the ZVC container's own
+// mask, else the future's). A MaxPool Binarize rewrote is handed no stash.
 func TestExecutorReadsPlannedNeeds(t *testing.T) {
 	nets := []struct {
 		name          string
@@ -222,14 +224,17 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 				a := encoding.Analyze(g, c.cfg)
 				e := NewExecutor(g, Options{Seed: 3, Encodings: a, Pool: bufpool.New()})
 				defer e.Close()
-				masks := 0
+				masks, entries := 0, 0
 				for _, nd := range g.Nodes {
 					as := a.ByNode[nd.ID]
 					asStored := as != nil && !as.NeedsDecode
 					if got := e.futures[nd.ID].asStored; got != asStored {
 						t.Errorf("%q: read as stored %t, want %t (assignment %+v)", nd.Name, got, asStored, as)
 					}
-					if asStored {
+					if asStored && as.Tech != encoding.Binarize {
+						entries++
+					}
+					if asStored && as.Tech == encoding.Binarize {
 						masks++
 						if e.bwdReads[nd.ID] != 1 || !e.needs[nd.ID].Y {
 							t.Errorf("%q: %d backward reads of its mask (own Y %t), want its own one",
@@ -246,13 +251,32 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 					t.Fatal("the analysis rewrote pools but assigned no Binarize mask")
 				}
 
-				maskReads, poolReads := 0, 0
+				maskReads, poolReads, entryReads := 0, 0, 0
 				probeKernels(e, func(nd *graph.Node, ctx *layers.BwdCtx) {
-					if f := &e.futures[nd.ID]; f.asStored {
+					if f := &e.futures[nd.ID]; f.asStored && !f.entries {
 						maskReads++
 						if ctx.OutMask == nil || ctx.OutMask != e.encSlots[nd.ID].Mask || ctx.Out != nil || f.dst != nil {
 							t.Errorf("%q's kernel: mask %p (container's %p), tensor %p, decode target %p; want the container's mask alone",
 								nd.Name, ctx.OutMask, e.encSlots[nd.ID].Mask, ctx.Out, f.dst)
+						}
+					}
+					if f := &e.futures[nd.ID]; f.entries && e.needs[nd.ID].Y {
+						want := f.signs
+						if enc := &e.encSlots[nd.ID]; enc.Tech == encoding.ZVC {
+							want = enc.ZVC.Mask
+						}
+						if ctx.OutMask == nil || ctx.OutMask != want || ctx.Out != nil || f.dst != nil {
+							t.Errorf("%q's kernel: mask %p (want %p), tensor %p, decode target %p; want its sign mask alone",
+								nd.Name, ctx.OutMask, want, ctx.Out, f.dst)
+						}
+					}
+					for _, in := range nd.Inputs {
+						if f := &e.futures[in.ID]; f.entries && e.needs[nd.ID].X {
+							entryReads++
+							if ctx.InStash != layers.StashReader(f.stored) || ctx.In[0] != nil || f.dst != nil {
+								t.Errorf("%q's kernel reads %q: reader %v, tensor %p, decode target %p; want the future's reader alone",
+									nd.Name, in.Name, ctx.InStash, ctx.In[0], f.dst)
+							}
 						}
 					}
 					if _, ok := a.PoolMaps[nd.ID]; ok {
@@ -273,6 +297,9 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 				if maskReads != 2*masks || poolReads != 2*len(a.PoolMaps) {
 					t.Errorf("2 steps ran %d mask-reading ReLU kernels of %d and %d rewritten pool kernels of %d",
 						maskReads, 2*masks, poolReads, 2*len(a.PoolMaps))
+				}
+				if (entries > 0) != (entryReads > 0) {
+					t.Errorf("%d stashes read as entries, %d kernels read them", entries, entryReads)
 				}
 			})
 		}
