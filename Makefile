@@ -69,7 +69,7 @@ fuzz:
 	$(GO) test ./internal/entropy/ -run FuzzEntropyDecodeDiff -fuzz FuzzEntropyDecodeDiff -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzPackedSparseDiff -fuzz FuzzPackedSparseDiff -fuzztime 20s
-	$(GO) test ./internal/encoding/ -run FuzzStashEntries -fuzz FuzzStashEntries -fuzztime 20s
+	$(GO) test ./internal/encoding/ -run FuzzStoredStash -fuzz FuzzStoredStash -fuzztime 20s
 	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
 	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s
 	$(GO) test ./internal/layers/ -run FuzzGateKernels -fuzz FuzzGateKernels -fuzztime 20s
@@ -192,7 +192,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 23020
+LOC_CEILING ?= 22470
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

@@ -66,7 +66,8 @@ func positiveBit(v float32) uint64 {
 }
 
 // FillPositiveRange is the chunk-range Binarize kernel: it sets bit i for
-// every i in [start, end) where xs[i] > 0. The mask words touched must be
+// every i in [start, end) where xs[i-start] > 0 (xs holds the span's
+// elements). The mask words touched must be
 // all-zero beforehand (as NewBitMask leaves them), and for parallel chunks
 // start must be a multiple of 64 — and end too, unless end == Len() — so
 // each chunk owns whole words and racing writers never share one.
@@ -78,12 +79,13 @@ func positiveBit(v float32) uint64 {
 // fillPositiveRangeScalar.
 func (m *BitMask) FillPositiveRange(xs []float32, start, end int) {
 	m.checkRange(start, end)
+	xs = xs[:end-start]
 	i := start
 	for ; i < end && i&63 != 0; i++ {
-		m.words[i>>6] |= positiveBit(xs[i]) << (uint(i) & 63)
+		m.words[i>>6] |= positiveBit(xs[i-start]) << (uint(i) & 63)
 	}
 	for ; i+64 <= end; i += 64 {
-		lane := xs[i : i+64 : i+64]
+		lane := xs[i-start:][:64:64]
 		// Four independent accumulators so the per-bit ORs form four short
 		// dependency chains instead of one 64-deep chain.
 		var w0, w1, w2, w3 uint64
@@ -96,7 +98,7 @@ func (m *BitMask) FillPositiveRange(xs []float32, start, end int) {
 		m.words[i>>6] |= w0 | w1 | w2 | w3
 	}
 	for ; i < end; i++ {
-		m.words[i>>6] |= positiveBit(xs[i]) << (uint(i) & 63)
+		m.words[i>>6] |= positiveBit(xs[i-start]) << (uint(i) & 63)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestDiffFillPositiveRange(t *testing.T) {
 			got := NewBitMask(n)
 			pts := splitPoints(r, n, aligned)
 			for i := 0; i+1 < len(pts); i++ {
-				got.FillPositiveRange(xs, pts[i], pts[i+1])
+				got.FillPositiveRange(xs[pts[i]:], pts[i], pts[i+1])
 			}
 			for w := range want.words {
 				if got.words[w] != want.words[w] {

@@ -27,7 +27,7 @@ func TestRaceSharedMaskDisjointRanges(t *testing.T) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				m.FillPositiveRange(xs, lo, hi)
+				m.FillPositiveRange(xs[lo:], lo, hi)
 			}(bounds[c], bounds[c+1])
 		}
 		wg.Wait()

@@ -132,29 +132,30 @@ func (m *BitMask) GatherNonzero(xs []float32, start, end int, dst []float32) int
 }
 
 // ScatterNonzero is the ZVC decode kernel: for every i in [start, end) it
-// writes dst[i] = the next value of vals where the mask bit is set and 0
-// elsewhere, returning how many values it consumed. vals must hold at
-// least PopCountRange(start, end) values; parallel chunks pass their span
-// of the packed value array.
+// writes dst[i-start] = the next value of vals where the mask bit is set
+// and 0 elsewhere, returning how many values it consumed. dst holds the
+// span's elements; vals must hold at least PopCountRange(start, end)
+// values; parallel chunks pass their span of the packed value array.
 //
 // Word-parallel: all-zero words clear 64 lanes at once, all-one words copy
 // them, and mixed words clear then place values by trailing-zeros
 // extraction. Output is bit-identical to scatterNonzeroScalar.
 func (m *BitMask) ScatterNonzero(dst []float32, start, end int, vals []float32) int {
 	m.checkRange(start, end)
+	dst = dst[:end-start]
 	k := 0
 	i := start
 	for ; i < end && i&63 != 0; i++ {
 		if m.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			dst[i] = vals[k]
+			dst[i-start] = vals[k]
 			k++
 		} else {
-			dst[i] = 0
+			dst[i-start] = 0
 		}
 	}
 	for ; i+64 <= end; i += 64 {
 		w := m.words[i>>6]
-		lane := dst[i : i+64 : i+64]
+		lane := dst[i-start:][:64:64]
 		if w == 0 {
 			clear(lane)
 			continue
@@ -171,10 +172,10 @@ func (m *BitMask) ScatterNonzero(dst []float32, start, end int, vals []float32) 
 	}
 	for ; i < end; i++ {
 		if m.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			dst[i] = vals[k]
+			dst[i-start] = vals[k]
 			k++
 		} else {
-			dst[i] = 0
+			dst[i-start] = 0
 		}
 	}
 	return k

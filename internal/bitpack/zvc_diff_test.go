@@ -118,7 +118,7 @@ func TestDiffGatherScatterNonzero(t *testing.T) {
 			}
 			off = 0
 			for i := 0; i+1 < len(pts); i++ {
-				off += m.ScatterNonzero(gotDst, pts[i], pts[i+1], got[off:])
+				off += m.ScatterNonzero(gotDst[pts[i]:], pts[i], pts[i+1], got[off:])
 			}
 			if off != nnz {
 				t.Fatalf("n=%d aligned=%v: scattered %d values, want %d", n, aligned, off, nnz)

@@ -13,7 +13,10 @@ import (
 
 // analysisFingerprint hashes everything Analyze decides for one graph, in
 // node order: every Assignment field (the sparsity by its bits, Fallbacks
-// in order), the PoolMaps entry and the effective backward needs.
+// in order), the PoolMaps entry and the effective backward needs. In
+// NeedsDecode's place it hashes the rule NeedsDecode followed when the
+// hashes were captured, Tech != Binarize: decodeFingerprint pins the field
+// itself.
 func analysisFingerprint(a *Analysis) uint64 {
 	h := fnv.New64a()
 	var buf []byte
@@ -34,7 +37,7 @@ func analysisFingerprint(a *Analysis) uint64 {
 			u64(uint64(as.Format))
 			u64(math.Float64bits(as.Sparsity))
 			u64(uint64(as.EncodedBytes))
-			flag(as.NeedsDecode)
+			flag(as.Tech != Binarize)
 			u64(uint64(len(as.Fallbacks)))
 			for _, fb := range as.Fallbacks {
 				u64(uint64(fb))
@@ -55,6 +58,19 @@ func analysisFingerprint(a *Analysis) uint64 {
 	return h.Sum64()
 }
 
+// decodeFingerprint hashes, in node order, the NeedsDecode of every node
+// Analyze assigns a technique to.
+func decodeFingerprint(a *Analysis) uint64 {
+	h := fnv.New64a()
+	for _, n := range a.Graph.Nodes {
+		if as, ok := a.ByNode[n.ID]; ok {
+			binary.Write(h, binary.LittleEndian, int64(n.ID))
+			binary.Write(h, binary.LittleEndian, as.NeedsDecode)
+		}
+	}
+	return h.Sum64()
+}
+
 // TestAnalyzeAssignmentsPinned pins Analyze's output — technique, format,
 // sparsity, predicted bytes, fallback chain, pool maps and effective needs
 // of every node — over the training nets and the paper's suite, for every
@@ -62,11 +78,10 @@ func analysisFingerprint(a *Analysis) uint64 {
 // the selection passes were folded into one walk; a refactor of Analyze
 // must leave every one of them unchanged. The four adaptive rows were
 // re-captured when the Entropy technique left their technique sets, from
-// the walk as it stood, with the same sets spelled out. The fifteen rows
-// that hold an SSDC or ZVC stash were re-captured when such a stash read
-// only by Conv, FC and its own ReLU stopped needing a decode
-// (readAsStored): hashing NeedsDecode as the rule before it, Tech !=
-// Binarize, gives back every earlier value, so nothing else moved.
+// the walk as it stood, with the same sets spelled out. The decode column
+// pins NeedsDecode apart (decodeFingerprint): it was captured when an SSDC
+// or ZVC stash read only by Conv, FC and its own ReLU stopped needing a
+// decode (readAsStored), which left every analysis hash as it was.
 func TestAnalyzeAssignmentsPinned(t *testing.T) {
 	graphs := []*graph.Graph{
 		networks.TinyCNN(8, 4),
@@ -82,42 +97,47 @@ func TestAnalyzeAssignmentsPinned(t *testing.T) {
 		return c
 	}
 	cases := []struct {
-		name string
-		cfg  Config
-		want uint64
+		name         string
+		cfg          Config
+		want, decode uint64
 	}{
-		{"lossless", Lossless(), 0xb963ba14be32e264},
-		{"lossy-fp16", fp16, 0x0686dba015e29113},
-		{"lossy-fp10", LossyLossless(floatenc.FP10), 0x47243d11214214ed},
-		{"lossy-fp8", LossyLossless(floatenc.FP8), 0x187799b92e917e4f},
-		{"technique-none", fp16.WithTechnique(None), 0x21fae37e6760e143},
-		{"technique-binarize", fp16.WithTechnique(Binarize), 0x0844407b5764196d},
-		{"technique-ssdc", fp16.WithTechnique(SSDC), 0x713acd933e74492f},
-		{"technique-dpr", fp16.WithTechnique(DPR), 0x26913017de58f94e},
-		{"technique-zvc", fp16.WithTechnique(ZVC), 0xda7646fc1c599383},
-		{"technique-zvc-fp32", Lossless().WithTechnique(ZVC), 0x81de4cd935b3f512},
-		{"technique-dpr-fp32", Lossless().WithTechnique(DPR), 0x26913017de58f94e},
-		{"dpr-fp16", Config{DPR: floatenc.FP16}, 0x26913017de58f94e},
-		{"dpr-fp10", Config{DPR: floatenc.FP10}, 0x92acc55491eceb76},
-		{"dpr-fp8", Config{DPR: floatenc.FP8}, 0xfbe5b256e007e561},
-		{"ssdc-fc-conv-like", Config{SSDC: true, FCIsConvLike: true}, 0x52091c9213431b85},
+		{"lossless", Lossless(), 0x2373550e6ab749a5, 0xe11dd871317062eb},
+		{"lossy-fp16", fp16, 0x72c5dca2769e2d4e, 0xdb66e8ef843fbdf3},
+		{"lossy-fp10", LossyLossless(floatenc.FP10), 0xca16a90a26097476, 0xdb66e8ef843fbdf3},
+		{"lossy-fp8", LossyLossless(floatenc.FP8), 0x9eb64ea3140d7243, 0xdb66e8ef843fbdf3},
+		{"technique-none", fp16.WithTechnique(None), 0x21fae37e6760e143, 0x80e235df8de89bcc},
+		{"technique-binarize", fp16.WithTechnique(Binarize), 0x0844407b5764196d, 0x11ea1227220e86b8},
+		{"technique-ssdc", fp16.WithTechnique(SSDC), 0xfad9d69c8bbef19c, 0x03ffdc9f9391b291},
+		{"technique-dpr", fp16.WithTechnique(DPR), 0x26913017de58f94e, 0x45535a314db0c06b},
+		{"technique-zvc", fp16.WithTechnique(ZVC), 0xbeeed543b8219ce9, 0xcc77d989748e56aa},
+		{"technique-zvc-fp32", Lossless().WithTechnique(ZVC), 0x99966c8aed14354c, 0xecd29a2f7de98ef3},
+		{"technique-dpr-fp32", Lossless().WithTechnique(DPR), 0x26913017de58f94e, 0x45535a314db0c06b},
+		{"dpr-fp16", Config{DPR: floatenc.FP16}, 0x26913017de58f94e, 0x45535a314db0c06b},
+		{"dpr-fp10", Config{DPR: floatenc.FP10}, 0x92acc55491eceb76, 0x45535a314db0c06b},
+		{"dpr-fp8", Config{DPR: floatenc.FP8}, 0xfbe5b256e007e561, 0x45535a314db0c06b},
+		{"ssdc-fc-conv-like", Config{SSDC: true, FCIsConvLike: true}, 0xad6972499560d4c7, 0x0c6cec3652a0f9ef},
 		{"lossless-fc-conv-like-dense", Config{Binarize: true, SSDC: true, FCIsConvLike: true,
-			Sparsity: func(*graph.Node) float64 { return 1 }}, 0x676efad7c2d04797},
-		{"adaptive-fp16", withAdaptive(fp16, AdaptiveAll()...), 0x298fd8133c27ea9c},
-		{"adaptive-fp32", withAdaptive(Lossless(), AdaptiveAll()...), 0x3d156360ee14a758},
-		{"adaptive-only", Config{AdaptiveSet: AdaptiveAll()}, 0xae0cad6d9465addb},
-		{"adaptive-zvc-over-ssdc", withAdaptive(Lossless(), ZVC), 0x9a9f49ecb511a9c5},
-		{"adaptive-zvc-over-ssdc-fp16", withAdaptive(fp16, ZVC), 0x4ccfe70dcd79e361},
+			Sparsity: func(*graph.Node) float64 { return 1 }}, 0x989c2231123ffc9d, 0xf38397aced102ede},
+		{"adaptive-fp16", withAdaptive(fp16, AdaptiveAll()...), 0xb5147f6ba560e068, 0xd5e0447252aa3460},
+		{"adaptive-fp32", withAdaptive(Lossless(), AdaptiveAll()...), 0xce49cbbd42d20a68, 0x844728cf6d23e4dc},
+		{"adaptive-only", Config{AdaptiveSet: AdaptiveAll()}, 0xff42047ae149cdc0, 0xecd29a2f7de98ef3},
+		{"adaptive-zvc-over-ssdc", withAdaptive(Lossless(), ZVC), 0x9a6d8cc7f62d43f6, 0x844728cf6d23e4dc},
+		{"adaptive-zvc-over-ssdc-fp16", withAdaptive(fp16, ZVC), 0x909a8743d285b074, 0x9a83850df2099991},
 		{"adaptive-ssdc-over-zvc", Config{ZVC: true, DPR: floatenc.FP16,
-			AdaptiveSet: []Technique{SSDC}}, 0x21bf980fc49aad4f},
+			AdaptiveSet: []Technique{SSDC}}, 0x11e6fbb441aec249, 0xcc77d989748e56aa},
 	}
 	for _, c := range cases {
-		h := fnv.New64a()
+		h, hd := fnv.New64a(), fnv.New64a()
 		for _, g := range graphs {
-			binary.Write(h, binary.LittleEndian, analysisFingerprint(Analyze(g, c.cfg)))
+			a := Analyze(g, c.cfg)
+			binary.Write(h, binary.LittleEndian, analysisFingerprint(a))
+			binary.Write(hd, binary.LittleEndian, decodeFingerprint(a))
 		}
 		if got := h.Sum64(); got != c.want {
 			t.Errorf("%s: analysis fingerprint %#016x, want %#016x", c.name, got, c.want)
+		}
+		if got := hd.Sum64(); got != c.decode {
+			t.Errorf("%s: decode fingerprint %#016x, want %#016x", c.name, got, c.decode)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func (cdc Codec) elemTask(kernel func(*chunkTask, int), n int) *chunkTask {
 
 func fillPositive(t *chunkTask, c int) {
 	lo, hi := t.span(c)
-	t.mask.FillPositiveRange(t.src, lo, hi)
+	t.mask.FillPositiveRange(t.src[lo:], lo, hi)
 }
 
 func expandMask(t *chunkTask, c int) {

@@ -204,8 +204,9 @@ type Assignment struct {
 	// mask the backward kernel consumes directly. liveness plans the
 	// staging buffer from it, and the executor reads it: a stash without it
 	// reaches its kernels as the verified container — a Binarize mask
-	// (Codec.MaskOf), or entries (Codec.EntriesOf) for Conv and FC and a
-	// sign mask for the ReLU — with no decode and no pooled target.
+	// (Codec.MaskOf), or a reader Conv and FC decode an image at a time
+	// from (Codec.OpenStored) and a sign mask for the ReLU — with no
+	// whole-map decode and no pooled target.
 	NeedsDecode bool
 	// Fallbacks is the runtime degradation chain for adaptive encoding:
 	// when the primary technique's cost guard fires (runtime sparsity
@@ -447,8 +448,9 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 
 // readAsStored reports whether every backward reader of node n's stash reads
 // a sparse container as stored: the consumers that read it as X are Convs
-// and FCs, which gather their weight gradient from its nonzero elements,
-// and n reads its own output only if it is a ReLU, which reads the sign.
+// and FCs, which read X one image after another and so can decode it an
+// image at a time, and n reads its own output only if it is a ReLU, which
+// reads the sign.
 func (a *Analysis) readAsStored(n *graph.Node) bool {
 	if a.EffectiveNeeds(n).Y && n.Kind() != layers.ReLU {
 		return false

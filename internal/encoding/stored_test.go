@@ -10,11 +10,11 @@ import (
 	"gist/internal/tensor"
 )
 
-// entriesMap builds a map from fuzz bytes, four per element: the first picks
+// storedMap builds a map from fuzz bytes, four per element: the first picks
 // the kind — ±0, a subnormal, a value every reduced format flushes, one FP8
 // flushes and FP16 keeps, ±Inf, NaN, or the raw bits of the other three
 // bytes — so every regime the containers treat apart shows up densely.
-func entriesMap(data []byte) []float32 {
+func storedMap(data []byte) []float32 {
 	xs := make([]float32, len(data)/4)
 	for i := range xs {
 		b := data[4*i:]
@@ -45,12 +45,11 @@ func entriesMap(data []byte) []float32 {
 	return xs
 }
 
-// FuzzStashEntries holds the entries reader to the decode it replaces: for
-// ZVC, SSDC and dense DPR containers at FP32, FP16 and FP8, the entries read
-// in arbitrary cut points must be the decode's nonzero elements, position
-// and value bits; DecodeNext over the same cuts must be the decode; Len,
-// Finite and the sign mask must agree with it too.
-func FuzzStashEntries(f *testing.F) {
+// FuzzStoredStash holds the stored-stash reader to the decode it replaces:
+// for ZVC, SSDC and dense DPR containers at FP32, FP16 and FP8, DecodeNext
+// over runs cut at arbitrary points (crossing mask words and CSR rows) must
+// give the decode's value bits, and the sign mask must agree with it.
+func FuzzStoredStash(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 7, 1, 2, 3, 2, 9, 9, 9, 5, 0, 0, 0}, uint16(3))
 	seed := make([]byte, 4*700) // three zeros in four: every container fits
 	for i := range seed {
@@ -61,7 +60,7 @@ func FuzzStashEntries(f *testing.F) {
 	f.Add(seed, uint16(257))
 	f.Add(seed[:4*300], uint16(64))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		xs := entriesMap(data)
+		xs := storedMap(data)
 		if len(xs) == 0 {
 			return
 		}
@@ -80,64 +79,34 @@ func FuzzStashEntries(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%v/%v: decode: %v", tech, f, err)
 				}
-				checkEntries(t, c, enc, dec, step)
+				checkStored(t, c, enc, dec, step)
 			}
 		}
 	})
 }
 
-func checkEntries(t *testing.T, c Codec, enc *EncodedStash, dec *tensor.Tensor, step int) {
+func checkStored(t *testing.T, c Codec, enc *EncodedStash, dec *tensor.Tensor, step int) {
 	t.Helper()
 	label := enc.Tech.String()
-	var s StashEntries
-	if err := c.EntriesOf(&s, enc, dec.Shape); err != nil {
-		t.Fatalf("%s: EntriesOf: %v", label, err)
+	var s StoredStash
+	if err := c.OpenStored(&s, enc, dec.Shape); err != nil {
+		t.Fatalf("%s: OpenStored: %v", label, err)
 	}
 	n := len(dec.Data)
-	var wantPos []int
-	finite := true
-	for i, v := range dec.Data {
-		if v != 0 {
-			wantPos = append(wantPos, i)
-		}
-		if v-v != 0 {
-			finite = false
-		}
-	}
-	if s.Finite() != finite {
-		t.Errorf("%s: Finite %t, decode finite %t", label, s.Finite(), finite)
-	}
-	if enc.Tech != DPR && s.Len() != len(wantPos) {
-		t.Errorf("%s: Len %d, decode has %d nonzeros", label, s.Len(), len(wantPos))
-	}
-	got := 0
-	for end := min(step, n); ; end = min(end+step, n) {
-		for pos, val := s.Next(end); len(val) > 0; pos, val = s.Next(end) {
-			for i, v := range val {
-				p := int(pos[i])
-				if p >= end || got >= len(wantPos) || p != wantPos[got] ||
-					math.Float32bits(v) != math.Float32bits(dec.Data[p]) {
-					t.Fatalf("%s: entry %d (end %d) is (%d, %#x), want position %v of %v with the decode's bits",
-						label, got, end, p, math.Float32bits(v), got, wantPos)
-				}
-				got++
-			}
-		}
-		if end == n {
-			break
-		}
-	}
-	if got != len(wantPos) {
-		t.Fatalf("%s: read %d entries, decode has %d nonzeros", label, got, len(wantPos))
-	}
-	s.Rewind()
 	out := make([]float32, n)
-	for lo := 0; lo < n; lo += step {
-		s.DecodeNext(out[lo:min(lo+step, n)])
-	}
-	for i, v := range out {
-		if math.Float32bits(v) != math.Float32bits(dec.Data[i]) {
-			t.Fatalf("%s: DecodeNext element %d is %#x, decode %#x", label, i, math.Float32bits(v), math.Float32bits(dec.Data[i]))
+	for _, cut := range []int{step, step/3 + 1} { // the second pass checks Rewind
+		s.Rewind()
+		for i := range out {
+			out[i] = 99 // DecodeNext writes every element
+		}
+		for lo := 0; lo < n; lo += cut {
+			s.DecodeNext(out[lo:min(lo+cut, n)])
+		}
+		for i, v := range out {
+			if math.Float32bits(v) != math.Float32bits(dec.Data[i]) {
+				t.Fatalf("%s: runs of %d: DecodeNext element %d is %#x, decode %#x",
+					label, cut, i, math.Float32bits(v), math.Float32bits(dec.Data[i]))
+			}
 		}
 	}
 	m := s.PositiveMaskInto(nil)
@@ -148,31 +117,31 @@ func checkEntries(t *testing.T, c Codec, enc *EncodedStash, dec *tensor.Tensor, 
 	}
 }
 
-// TestEntriesOfRejects: a Binarize stash has no entries, a shape other than
-// the stash's is a mismatch, and a sealed container whose payload changed
-// fails its verify before any entry is read.
-func TestEntriesOfRejects(t *testing.T) {
+// TestOpenStoredRejects: a Binarize stash is not read this way, a shape
+// other than the stash's is a mismatch, and a sealed container whose
+// payload changed fails its verify before anything is read.
+func TestOpenStoredRejects(t *testing.T) {
 	c := Codec{Pool: parallel.NewPool(1)}
 	x := tensor.New(2, 300)
 	copy(x.Data, randStash(tensor.NewRNG(5), len(x.Data), 0.7))
-	var s StashEntries
+	var s StoredStash
 	bin, err := encodeFresh(c, &Assignment{Tech: Binarize, Format: floatenc.FP32}, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EntriesOf(&s, bin, x.Shape); err == nil {
-		t.Error("a Binarize mask read as entries")
+	if err := c.OpenStored(&s, bin, x.Shape); err == nil {
+		t.Error("a Binarize mask read as stored by image")
 	}
 	zvc, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP16}, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EntriesOf(&s, zvc, tensor.Shape{300, 2}); err == nil {
-		t.Error("entries read at the wrong shape")
+	if err := c.OpenStored(&s, zvc, tensor.Shape{300, 2}); err == nil {
+		t.Error("a stash read at the wrong shape")
 	}
 	c.Seal(zvc)
 	zvc.ZVC.Values.Words[0] ^= 1
-	if err := c.EntriesOf(&s, zvc, x.Shape); err == nil {
-		t.Error("a corrupted sealed stash read as entries")
+	if err := c.OpenStored(&s, zvc, x.Shape); err == nil {
+		t.Error("a corrupted sealed stash read as stored")
 	}
 }

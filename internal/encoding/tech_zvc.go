@@ -127,7 +127,7 @@ func scatterNonzero(t *chunkTask, c int) {
 		e := min(b+zvcStage, hi)
 		k := t.mask.PopCountRange(b, e)
 		t.packed.DecodeAt(vals[:k], slot)
-		t.mask.ScatterNonzero(t.dst, b, e, vals[:k])
+		t.mask.ScatterNonzero(t.dst[b:], b, e, vals[:k])
 		slot += k
 	}
 }

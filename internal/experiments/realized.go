@@ -101,7 +101,7 @@ func ExtRealized() *Result {
 	}
 	if mfr := r.Values["ResNetCIFAR-20/lossy-fp16/mfr"]; mfr > 0 {
 		r.add("")
-		r.add("ResNetCIFAR-20 lossy-fp16 MFR %.2fx against item 2's bound of about 1.75x (peak FP32 at optimized)", mfr)
+		r.add("ResNetCIFAR-20 lossy-fp16 MFR %.2fx; about 1.75x would be the bound, with peak FP32 at optimized", mfr)
 	}
 	r.add("")
 	r.add("(static: the CNTK groups over plan FP32's buffers; plan FP32 stages only the stashes the executor decodes,")

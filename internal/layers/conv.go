@@ -66,10 +66,4 @@ func (c *Conv2D) Forward(ctx *FwdCtx) { c.forwardDirect(ctx) }
 
 // Backward computes dX, dW and dB from the stashed X, or the stash read as
 // stored, and incoming dY.
-func (c *Conv2D) Backward(ctx *BwdCtx) {
-	if ctx.InStash != nil {
-		c.backwardStash(ctx)
-		return
-	}
-	c.backwardDirect(ctx)
-}
+func (c *Conv2D) Backward(ctx *BwdCtx) { c.backwardDirect(ctx) }

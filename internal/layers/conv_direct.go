@@ -334,10 +334,13 @@ func (c *Conv2D) forwardTaps(out, xs, ws []float32, ih, iw, oh, ow int) {
 // backwardSparse and a dense one to the kernel the shape selects; either
 // accumulates that plane's share of dB, dW and dX. A nil dX (the graph
 // input's gradient, which nothing reads) is left alone by every kernel.
+// X comes an image at a time (xImages): from In[0], or decoded from the
+// stash read as stored.
 func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
-	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
+	x, xshape := imagesOf(ctx)
+	w, dy := ctx.Params[0], ctx.DOut
 	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
-	n, inC, ih, iw := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, inC, ih, iw := xshape[0], xshape[1], xshape[2], xshape[3]
 	oh, ow := dy.Shape[2], dy.Shape[3]
 	image, plane, filter := inC*ih*iw, oh*ow, inC*c.KH*c.KW
 
@@ -347,7 +350,7 @@ func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
 	dw.Zero()
 	db.Zero()
 	for ni := 0; ni < n; ni++ {
-		xs := x.Data[ni*image:][:image]
+		xs := x.image(ni)
 		var dxs []float32
 		if dx != nil {
 			dxs = dx.Data[ni*image:][:image]
@@ -360,26 +363,18 @@ func (c *Conv2D) backwardDirect(ctx *BwdCtx) {
 			}
 			ws := w.Data[oc*filter:][:filter]
 			dws := dw.Data[oc*filter:][:filter]
-			db.Data[oc] = c.backwardPlane(g, nnz, xs, dxs, ws, dws, db.Data[oc], ih, iw, oh, ow)
+			if sparsePlane(nnz, plane) {
+				db.Data[oc] = c.backwardSparse(g, nnz, xs, dxs, ws, dws, db.Data[oc], ih, iw, oh, ow)
+				continue
+			}
+			bsum := db.Data[oc]
+			for _, gv := range g {
+				bsum += gv
+			}
+			db.Data[oc] = bsum
+			c.backwardDense(g, xs, dxs, ws, dws, ih, iw, oh, ow)
 		}
 	}
-}
-
-// backwardPlane adds one nonzero dY plane's share of dB (to bsum, which it
-// returns), dW and dX: a sparse plane through backwardSparse, a dense one
-// through the kernel the shape selects. A nil dxs leaves dX alone and a nil
-// xs dW (backwardStash gathers it); with both nil only dB is left.
-func (c *Conv2D) backwardPlane(g []float32, nnz int, xs, dxs, ws, dws []float32, bsum float32, ih, iw, oh, ow int) float32 {
-	if sparsePlane(nnz, len(g)) && (xs != nil || dxs != nil) {
-		return c.backwardSparse(g, nnz, xs, dxs, ws, dws, bsum, ih, iw, oh, ow)
-	}
-	for _, gv := range g {
-		bsum += gv
-	}
-	if xs != nil || dxs != nil {
-		c.backwardDense(g, xs, dxs, ws, dws, ih, iw, oh, ow)
-	}
-	return bsum
 }
 
 // backwardDense hands one plane to the dense kernel the shape selects.
@@ -484,22 +479,15 @@ func (e *sparseEntries) compact(g []float32, p, n int) int {
 }
 
 // columns sets the first n entries' col to the column of their position
-// in rows of w elements.
-func (e *sparseEntries) columns(n, w int) { rowsCols(e.pos[:n], e.col[:n], nil, w) }
-
-// rowsCols sets col[k], and row[k] unless row is nil, to the column and row
-// of pos[k] in rows of w elements: one division a call, as pos ascends.
-func rowsCols(pos, col, row []int32, w int) {
-	r := int(pos[0]) / w
-	for k, q := range pos {
+// in rows of w elements: one division a chunk, as the entries ascend.
+func (e *sparseEntries) columns(n, w int) {
+	r := int(e.pos[0]) / w
+	for k, q := range e.pos[:n] {
 		c := int(q) - r*w
 		for ; c >= w; c -= w {
 			r++
 		}
-		col[k] = int32(c)
-		if row != nil {
-			row[k] = int32(r)
-		}
+		e.col[k] = int32(c)
 	}
 }
 
@@ -515,23 +503,12 @@ func entrySpan(pos []int32, lo, hi int) (a, b int) {
 }
 
 // sparsePointwise is the 1x1 stride-1 unpadded kernel: entry k adds
-// g·x[p] into dW[ic] and g·w[ic] into dX[ic][p] (none when dxs is nil; no
-// dW when xs is nil), entries ascending, two input planes per pass over the
-// chunk.
+// g·x[p] into dW[ic] and g·w[ic] into dX[ic][p] (none when dxs is nil),
+// entries ascending, two input planes per pass over the chunk.
 func sparsePointwise(e *sparseEntries, n int, xs, dxs, ws, dws []float32) {
+	plane := len(xs) / len(ws)
 	val := e.val[:n]
 	pos := e.pos[:len(val)]
-	if xs == nil {
-		plane := len(dxs) / len(ws)
-		for ic, wv := range ws {
-			dp := dxs[ic*plane:][:plane]
-			for k, gv := range val {
-				dp[pos[k]] += float32(gv * wv)
-			}
-		}
-		return
-	}
-	plane := len(xs) / len(ws)
 	ic := 0
 	for ; ic+2 <= len(ws); ic += 2 {
 		a0, a1 := dws[ic], dws[ic+1]
@@ -572,10 +549,9 @@ func sparsePointwise(e *sparseEntries, n int, xs, dxs, ws, dws []float32) {
 // accumulators and scatter g·w0, g·w1, g·w2 into the dX elements left of,
 // under and right of them; the edge columns drop the tap in the padding.
 // Kernel rows go in descending kh, as in backwardRows3, so a dX element
-// meets its entries in ascending position within the chunk. A nil x takes
-// inputSparse3.
+// meets its entries in ascending position within the chunk.
 func (c *Conv2D) sparseRows3(e *sparseEntries, n int, xs, dxs, ws, dws []float32, ih, iw, oh int) {
-	inC := len(ws) / (c.KH * 3)
+	inC := len(xs) / (ih * iw)
 	pos := e.pos[:n]
 	for ic := 0; ic < inC; ic++ {
 		for kh := c.KH - 1; kh >= 0; kh-- {
@@ -585,12 +561,7 @@ func (c *Conv2D) sparseRows3(e *sparseEntries, n int, xs, dxs, ws, dws []float32
 				continue
 			}
 			tap := (ic*c.KH + kh) * 3
-			wk := ws[tap:][:3]
-			if xs == nil {
-				inputSparse3(e.val[a:b], e.col[a:b], e.xb[a:b], dxs, (ic*ih+kh)*iw, int32(iw-1), wk[0], wk[1], wk[2])
-				continue
-			}
-			dwk := dws[tap:][:3]
+			wk, dwk := ws[tap:][:3], dws[tap:][:3]
 			dwk[0], dwk[1], dwk[2] = sparsePlane3(e.val[a:b], e.col[a:b], e.xb[a:b], xs, dxs,
 				(ic*ih+kh)*iw, int32(iw-1), wk[0], wk[1], wk[2], dwk[0], dwk[1], dwk[2])
 		}
@@ -633,28 +604,12 @@ func sparsePlane3(val []float32, col, xb []int32, xs, dxs []float32, off int, la
 	return a0, a1, a2
 }
 
-// inputSparse3 is sparsePlane3 without dW: g·w0, g·w1, g·w2 into the
-// three dX elements each entry's kernel row reaches.
-func inputSparse3(val []float32, col, xb []int32, dxs []float32, off int, last int32, w0, w1, w2 float32) {
-	col, xb = col[:len(val)], xb[:len(val)]
-	for k, gv := range val {
-		i := off + int(xb[k])
-		if col[k] > 0 {
-			dxs[i] += float32(gv * w0)
-		}
-		dxs[i+1] += float32(gv * w1)
-		if col[k] < last {
-			dxs[i+2] += float32(gv * w2)
-		}
-	}
-}
-
 // sparseTaps is the generic kernel: taps in descending (kh, kw), as in
 // backwardTaps, each a running dW accumulator over the entries its window
 // reaches. Like the other sparse kernels it leaves dX alone when dxs is
-// nil, and dW when xs is.
+// nil.
 func (c *Conv2D) sparseTaps(e *sparseEntries, n int, xs, dxs, ws, dws []float32, ih, iw, oh, ow int) {
-	inC := len(ws) / (c.KH * c.KW)
+	inC := len(xs) / (ih * iw)
 	val := e.val[:n]
 	pos, col, xb := e.pos[:len(val)], e.col[:len(val)], e.xb[:len(val)]
 	for ic := 0; ic < inC; ic++ {
@@ -665,15 +620,6 @@ func (c *Conv2D) sparseTaps(e *sparseEntries, n int, xs, dxs, ws, dws []float32,
 				lo, hi := tapRange(kw, iw, ow, c.Stride, c.Pad)
 				tap := (ic*c.KH+kh)*c.KW + kw
 				off := (ic*ih+kh)*iw + kw
-				if xs == nil {
-					wv := ws[tap]
-					for k := a; k < b; k++ {
-						if yw := int(col[k]); yw >= lo && yw < hi {
-							dxs[off+int(xb[k])] += float32(val[k] * wv)
-						}
-					}
-					continue
-				}
 				wv, acc := ws[tap], dws[tap]
 				for k := a; k < b; k++ {
 					if yw := int(col[k]); yw < lo || yw >= hi {
@@ -693,19 +639,9 @@ func (c *Conv2D) sparseTaps(e *sparseEntries, n int, xs, dxs, ws, dws []float32,
 
 // backwardPointwise reads the gradient plane once per two input planes:
 // each keeps a running dW accumulator and receives g·w into its dX plane.
-// A nil dX leaves one dW accumulator per pass; a nil x (read as stored,
-// backwardStash) leaves dX alone: g·w into every plane.
+// A nil dX leaves one dW accumulator per pass.
 func backwardPointwise(g, xs, dxs, ws, dws []float32) {
 	plane := len(g)
-	if xs == nil {
-		for ic, wv := range ws {
-			dp := dxs[ic*plane:][:plane]
-			for j, gv := range g {
-				dp[j] += float32(gv * wv)
-			}
-		}
-		return
-	}
 	if dxs == nil {
 		for ic, acc := range dws {
 			for j, xv := range xs[ic*plane:][:plane] {
@@ -742,20 +678,15 @@ func backwardPointwise(g, xs, dxs, ws, dws []float32) {
 
 // backwardRows3 is the KW == 3, stride 1, pad 1 kernel. Kernel rows run
 // in descending kh so that, with yh ascending inside each, every dX row
-// meets its output rows in ascending yh. A nil dX takes weightPlane3, a nil
-// x inputPlane3.
+// meets its output rows in ascending yh. A nil dX takes weightPlane3.
 func (c *Conv2D) backwardRows3(g, xs, dxs, ws, dws []float32, ih, iw, oh int) {
-	inC := len(ws) / (c.KH * 3)
+	inC := len(xs) / (ih * iw)
 	for ic := 0; ic < inC; ic++ {
 		for kh := c.KH - 1; kh >= 0; kh-- {
 			wk := ws[(ic*c.KH+kh)*3:][:3]
+			dwk := dws[(ic*c.KH+kh)*3:][:3]
 			lo, hi := tapRange(kh, ih, oh, 1, 1)
 			first := (ic*ih + lo - 1 + kh) * iw
-			if xs == nil {
-				inputPlane3(g[lo*iw:hi*iw], dxs[first:], iw, wk[0], wk[1], wk[2])
-				continue
-			}
-			dwk := dws[(ic*c.KH+kh)*3:][:3]
 			if dxs == nil {
 				dwk[0], dwk[1], dwk[2] = weightPlane3(g[lo*iw:hi*iw], xs[first:], iw, dwk[0], dwk[1], dwk[2])
 				continue
@@ -798,25 +729,6 @@ func backwardPlane3(g, xp, dp []float32, iw int, w0, w1, w2, a0, a1, a2 float32)
 	return a0, a1, a2
 }
 
-// inputPlane3 is backwardPlane3 without dW: the three taps of each dX
-// element, in the same order, with one load/store of it.
-func inputPlane3(g, dp []float32, iw int, w0, w1, w2 float32) {
-	for ; len(g) >= iw; g, dp = g[iw:], dp[iw:] {
-		gr, dr := g[:iw], dp[:iw]
-		d := dr[0] + float32(gr[0]*w1)
-		dr[0] = d + float32(gr[1]*w0)
-		for j := 2; j < iw; j++ {
-			d := dr[j-1] + float32(gr[j-2]*w2)
-			d += float32(gr[j-1] * w1)
-			d += float32(gr[j] * w0)
-			dr[j-1] = d
-		}
-		last := iw - 1
-		d = dr[last] + float32(gr[last-1]*w2)
-		dr[last] = d + float32(gr[last]*w1)
-	}
-}
-
 // weightPlane3 is backwardPlane3 without dX: the three dW accumulators
 // of one kernel row, each fed in ascending j.
 func weightPlane3(g, xp []float32, iw int, a0, a1, a2 float32) (float32, float32, float32) {
@@ -839,27 +751,16 @@ func weightPlane3(g, xp []float32, iw int, a0, a1, a2 float32) (float32, float32
 // backwardTaps is the generic kernel: taps in descending (kh, kw) under
 // ascending (yh, yw), which is ascending (yh, yw) for every dX element;
 // each tap's dW is one running accumulator over its whole window, and the
-// only one kept when dX is nil; a nil x keeps dX alone.
+// only one kept when dX is nil.
 func (c *Conv2D) backwardTaps(g, xs, dxs, ws, dws []float32, ih, iw, oh, ow int) {
-	inC := len(ws) / (c.KH * c.KW)
+	inC := len(xs) / (ih * iw)
 	for ic := 0; ic < inC; ic++ {
 		for kh := c.KH - 1; kh >= 0; kh-- {
 			ylo, yhi := tapRange(kh, ih, oh, c.Stride, c.Pad)
 			for kw := c.KW - 1; kw >= 0; kw-- {
 				lo, hi := tapRange(kw, iw, ow, c.Stride, c.Pad)
 				tap := (ic*c.KH+kh)*c.KW + kw
-				wv := ws[tap]
-				if xs == nil {
-					for yh := ylo; yh < yhi; yh++ {
-						dr, xi := dxs[(ic*ih+yh*c.Stride-c.Pad+kh)*iw:][:iw], lo*c.Stride-c.Pad+kw
-						for _, gv := range g[yh*ow:][lo:hi] {
-							dr[xi] += float32(gv * wv)
-							xi += c.Stride
-						}
-					}
-					continue
-				}
-				acc := dws[tap]
+				wv, acc := ws[tap], dws[tap]
 				for yh := ylo; yh < yhi; yh++ {
 					row := (ic*ih + yh*c.Stride - c.Pad + kh) * iw
 					xr, xi := xs[row:][:iw], lo*c.Stride-c.Pad+kw

@@ -66,23 +66,20 @@ func (f *FCOp) Forward(ctx *FwdCtx) {
 }
 
 // Backward computes dX = dY·W, dW = dYᵀ·X, dB = Σ dY; dW and dB only
-// when DIn[0] is nil. X read as stored (InStash) goes to backwardStash.
+// when DIn[0] is nil. X comes a row at a time (xImages).
 func (f *FCOp) Backward(ctx *BwdCtx) {
-	if ctx.InStash != nil {
-		f.backwardStash(ctx)
-		return
-	}
-	x, w, dy := ctx.In[0], ctx.Params[0], ctx.DOut
+	x, xshape := imagesOf(ctx)
+	w, dy := ctx.Params[0], ctx.DOut
 	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
-	n := x.Shape[0]
-	features := x.NumElements() / n
+	n := xshape[0]
+	features := xshape.NumElements() / n
 	if dx != nil {
 		dx.Zero()
 	}
 	dw.Zero()
 	db.Zero()
 	for ni := 0; ni < n; ni++ {
-		xRow := x.Data[ni*features : (ni+1)*features]
+		xRow := x.image(ni)
 		for o := 0; o < f.Out; o++ {
 			g := dy.Data[ni*f.Out+o]
 			if g == 0 {
@@ -101,62 +98,6 @@ func (f *FCOp) Backward(ctx *BwdCtx) {
 			for i := range xRow {
 				dwRow[i] += float32(g * xRow[i])
 				dxRow[i] += float32(g * wRow[i])
-			}
-		}
-	}
-}
-
-// backwardStash is Backward with X read through ctx.InStash: dX and dB as
-// Backward computes them, and dW[o] gathered from each row's nonzero X
-// elements, a chunk at a time. A dW element meets one product per row, rows
-// ascending, as in Backward, which adds the ±0 products of X's zeros; while
-// dY and X are finite those move no bit (see conv_stash.go), and a call
-// with a non-finite value decodes X and runs Backward on it.
-func (f *FCOp) backwardStash(ctx *BwdCtx) {
-	xr, w, dy := ctx.InStash, ctx.Params[0], ctx.DOut
-	if !xr.Finite() || !allFinite(dy.Data) {
-		f.Backward(decodedIn(ctx))
-		return
-	}
-	dx, dw, db := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
-	n := dy.Shape[0]
-	features := xr.Shape().NumElements() / n
-	if dx != nil {
-		dx.Zero()
-	}
-	dw.Zero()
-	db.Zero()
-	xr.Rewind()
-	for ni := 0; ni < n; ni++ {
-		gRow := dy.Data[ni*f.Out:][:f.Out]
-		for o, g := range gRow {
-			if g == 0 {
-				continue
-			}
-			db.Data[o] += g
-			if dx != nil {
-				wRow := w.Data[o*features:][:features]
-				dxRow := dx.Data[ni*features:][:features]
-				for i := range dxRow {
-					dxRow[i] += float32(g * wRow[i])
-				}
-			}
-		}
-		base := int32(ni * features)
-		for {
-			pos, val := xr.Next((ni + 1) * features)
-			if len(val) == 0 {
-				break
-			}
-			pos = pos[:len(val)]
-			for o, g := range gRow {
-				if g == 0 {
-					continue
-				}
-				dwRow := dw.Data[o*features:][:features]
-				for j, v := range val {
-					dwRow[pos[j]-base] += float32(g * v)
-				}
 			}
 		}
 	}

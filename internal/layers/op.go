@@ -87,12 +87,12 @@ type BwdCtx struct {
 	// a ReLU, whose backward reads nothing of Y but its sign, is handed one.
 	OutMask *bitpack.BitMask
 	// InStash, when non-nil, serves the declared X in place of In[0] (then
-	// nil): the stashed input as stored, read as its nonzero elements. Only
-	// a Conv2D or FCOp, whose weight gradient is a sum over X's nonzero
-	// elements and whose dX reads no X at all, is handed one.
+	// nil): the stashed input as stored, decoded an image at a time. Only a
+	// Conv2D or FCOp, which read X one image (one row) after another, is
+	// handed one.
 	InStash StashReader
-	// Scratch, when it holds one image of X, is where a Conv2D reading
-	// InStash may decode an image of it (else it allocates one).
+	// Scratch, when it holds one image of X, is where a Conv2D or FCOp
+	// reading InStash decodes each image (else it allocates one).
 	Scratch []float32
 	DOut    *tensor.Tensor
 	// DIn is written (not accumulated) by the operator. Conv2D and FCOp
@@ -104,34 +104,53 @@ type BwdCtx struct {
 }
 
 // StashReader serves a stashed feature map as stored, with no FP32 copy of
-// it: its nonzero elements (NaN included, ±0 left out) in ascending flat
-// position, a chunk at a time, through one cursor.
+// it, decoded a run of elements at a time through one cursor.
 type StashReader interface {
 	// Shape is the map's shape.
 	Shape() tensor.Shape
-	// Finite reports whether every element is finite.
-	Finite() bool
 	// Rewind moves the cursor back to position 0.
 	Rewind()
-	// Len is the number of nonzero elements in the map.
-	Len() int
-	// Next returns the nonzero elements from the cursor on whose position
-	// is below end, at most EntryChunk of them, and moves the cursor past
-	// them; none when it has reached end. The slices are the reader's own,
-	// valid (and the caller's to overwrite) until the next call.
-	Next(end int) (pos []int32, val []float32)
 	// DecodeNext writes the len(dst) elements from the cursor on, as a
 	// decode of the stash gives them, into dst and moves the cursor past
 	// them.
 	DecodeNext(dst []float32)
-	// DecodeInto writes the whole map, as a decode of the stash gives it,
-	// into dst, a tensor of Shape().
-	DecodeInto(dst *tensor.Tensor)
 }
 
-// EntryChunk is the most entries a StashReader returns at a time: the
-// sparse kernels' chunk.
-const EntryChunk = sparseChunk
+// xImages hands a backward kernel X one image (one row of features) at a
+// time: views of In[0], or InStash's images decoded one after another into
+// the same buffer. Either way the kernel sees the values a decode of the
+// whole map gives, so its output bits do not depend on the way.
+type xImages struct {
+	x     []float32 // In[0]'s data, or the one-image buffer
+	stash StashReader
+	size  int // elements per image
+}
+
+// imagesOf returns ctx's X as xImages, and X's shape.
+func imagesOf(ctx *BwdCtx) (xImages, tensor.Shape) {
+	if r := ctx.InStash; r != nil {
+		shape := r.Shape()
+		size := shape.NumElements() / shape[0]
+		buf := ctx.Scratch
+		if len(buf) < size {
+			buf = make([]float32, size)
+		}
+		r.Rewind()
+		return xImages{x: buf[:size], stash: r, size: size}, shape
+	}
+	x := ctx.In[0]
+	return xImages{x: x.Data, size: x.NumElements() / x.Shape[0]}, x.Shape
+}
+
+// image returns image ni. Read from a stash, images come in ascending ni,
+// each once, and one is valid until the next is asked for.
+func (s *xImages) image(ni int) []float32 {
+	if s.stash != nil {
+		s.stash.DecodeNext(s.x)
+		return s.x
+	}
+	return s.x[ni*s.size:][:s.size]
+}
 
 // Op is a single layer operator.
 type Op interface {

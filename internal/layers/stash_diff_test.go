@@ -8,44 +8,26 @@ import (
 	"gist/internal/tensor"
 )
 
-// denseReader serves a map held in full as a StashReader, its nonzero
-// elements compacted as the encoding package's containers yield theirs
-// (FuzzStashEntries holds those to their decode): the stand-in that lets the
-// differential walls feed the stash kernels any map.
+// denseReader serves a map held in full as a StashReader, as the encoding
+// package's containers serve theirs (FuzzStoredStash holds those to their
+// decode): the stand-in that lets the differential walls feed the stash
+// path any map.
 type denseReader struct {
-	x   *tensor.Tensor
-	p   int
-	pos [EntryChunk]int32
-	val [EntryChunk]float32
+	x *tensor.Tensor
+	p int
 }
 
 func (r *denseReader) Shape() tensor.Shape { return r.x.Shape }
-func (r *denseReader) Finite() bool        { return allFinite(r.x.Data) }
-func (r *denseReader) Len() int            { return countNonzero(r.x.Data) }
 func (r *denseReader) Rewind()             { r.p = 0 }
-
-func (r *denseReader) Next(end int) ([]int32, []float32) {
-	k := 0
-	for ; r.p < end && k < EntryChunk; r.p++ {
-		if v := r.x.Data[r.p]; v != 0 {
-			r.pos[k], r.val[k] = int32(r.p), v
-			k++
-		}
-	}
-	return r.pos[:k], r.val[:k]
-}
 
 func (r *denseReader) DecodeNext(dst []float32) {
 	copy(dst, r.x.Data[r.p:])
 	r.p += len(dst)
 }
 
-func (r *denseReader) DecodeInto(dst *tensor.Tensor) { copy(dst.Data, r.x.Data) }
-
 // stashMaps are the X regimes a stash read as stored holds: dense, two
 // thirds zero (a ReLU's output), all zero (a dead layer's), ±0 mixed in,
-// and one with an infinity and a NaN, which the stash kernels hand to the
-// decoded path.
+// and one with an infinity and a NaN.
 func stashMaps(seed uint64, shape tensor.Shape) map[string]*tensor.Tensor {
 	// makeMap works on planes: an FC input is one row of features.
 	planes := tensor.Shape{shape[0], 1, 1, shape.NumElements() / shape[0]}
@@ -92,7 +74,11 @@ func diffStash(t testing.TB, label string, op Op, x, dy *tensor.Tensor, params [
 					return out
 				}
 				want := run(BwdCtx{In: []*tensor.Tensor{xs}})
-				got := run(BwdCtx{In: []*tensor.Tensor{nil}, InStash: &denseReader{x: xs}})
+				scratch := make([]float32, len(xs.Data)) // longer than an image: imagesOf cuts it
+				for i := range scratch {
+					scratch[i] = 99
+				}
+				got := run(BwdCtx{In: []*tensor.Tensor{nil}, InStash: &denseReader{x: xs}, Scratch: scratch})
 				for i := range want {
 					if i == 0 && !withDX {
 						continue
@@ -123,44 +109,4 @@ func TestDiffFCStash(t *testing.T) {
 			diffStash(t, fmt.Sprintf("fc %v dy=%v", shape, kind), op, x, dy, []*tensor.Tensor{w, b}, 15)
 		}
 	}
-}
-
-// TestStashPathsBothTaken checks that the wall reaches both of the conv
-// stash path's ways to dW: the gather on a dense dY against a two-thirds
-// zero X, the decoded image on a sparse dY against a dense X.
-func TestStashPathsBothTaken(t *testing.T) {
-	op := &Conv2D{OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	w, b := randTensor(2, 4, 3, 3, 3), randTensor(3, 4)
-	for _, c := range []struct {
-		x, dy  mapKind
-		decode bool
-	}{{mapSparse, mapDense, false}, {mapDense, mapPooled, true}} {
-		x := makeMap(c.x, 0, 1, tensor.Shape{2, 3, 8, 8})
-		dy := makeMap(c.dy, 0, 4, tensor.Shape{2, 4, 8, 8})
-		r := &countingReader{denseReader: denseReader{x: x}}
-		op.Backward(&BwdCtx{In: []*tensor.Tensor{nil}, InStash: r, Params: []*tensor.Tensor{w, b}, DOut: dy,
-			DIn: []*tensor.Tensor{tensor.New(x.Shape...)}, DParams: []*tensor.Tensor{tensor.New(w.Shape...), tensor.New(b.Shape...)}})
-		if (r.decodes > 0) != c.decode || (r.decodes == 0) != (r.nexts > 0) {
-			t.Errorf("x=%v dy=%v: %d image decodes, %d entry chunks; want decoded %t", c.x, c.dy, r.decodes, r.nexts, c.decode)
-		}
-	}
-}
-
-// countingReader counts how a kernel reads its stash.
-type countingReader struct {
-	denseReader
-	nexts, decodes int
-}
-
-func (r *countingReader) Next(end int) ([]int32, []float32) {
-	pos, val := r.denseReader.Next(end)
-	if len(val) > 0 {
-		r.nexts++
-	}
-	return pos, val
-}
-
-func (r *countingReader) DecodeNext(dst []float32) {
-	r.decodes++
-	r.denseReader.DecodeNext(dst)
 }

@@ -18,8 +18,8 @@ import (
 // at a given format, a stash held as dense DPR, as ZVC or as SSDC — or as
 // whatever the adaptive argmin picks per map — trains to the same bits.
 // {DPR} decodes every stash into an FP32 target; {ZVC} and {SSDC} read
-// theirs as stored (the Conv and FC weight gradients gather over the
-// container's entries, the ReLU gates by its sign mask), so this is also
+// theirs as stored (Conv and FC decode it an image at a time, the ReLU
+// gates by its sign mask), so this is also
 // the wall between the two read paths. Binarize is off, so every ReLU→Conv
 // map is one of these containers. Weights and every step's loss must hash
 // equal across the four sets, for three networks, three formats and two
@@ -42,7 +42,7 @@ func TestContainerMovesNoBit(t *testing.T) {
 	sets := []struct {
 		name    string
 		set     []encoding.Technique
-		entries bool // some stash is read as stored
+		byImage bool // some stash is read as stored, an image at a time
 	}{
 		{"dpr", []encoding.Technique{encoding.DPR}, false},
 		{"zvc", []encoding.Technique{encoding.ZVC}, true},
@@ -58,12 +58,12 @@ func TestContainerMovesNoBit(t *testing.T) {
 						g := n.g()
 						a := encoding.Analyze(g, encoding.Config{DPR: f, AdaptiveSet: s.set})
 						e := NewExecutor(g, Options{Seed: seed, Encodings: a})
-						entries := false
+						byImage := false
 						for id := range e.futures {
-							entries = entries || e.futures[id].entries
+							byImage = byImage || e.futures[id].byImage
 						}
-						if entries != s.entries {
-							t.Fatalf("{%s}: a stash read as entries %t, want %t", s.name, entries, s.entries)
+						if byImage != s.byImage {
+							t.Fatalf("{%s}: a stash read as stored by image %t, want %t", s.name, byImage, s.byImage)
 						}
 						got := trainHashes(e, g, NewDataset(classes, n.channels, n.size, 0.4, seed+1), n.steps)
 						e.Close()

@@ -398,15 +398,15 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 				Format: floatenc.FP32, EncodedBytes: n.OutShape.Bytes(), NeedsDecode: true}
 		}
 		f.asStored = e.assign[n.ID] != nil && !e.assign[n.ID].NeedsDecode
-		if f.entries = f.asStored && e.assign[n.ID].Tech != encoding.Binarize; f.entries {
-			f.stored = new(encoding.StashEntries)
+		if f.byImage = f.asStored && e.assign[n.ID].Tech != encoding.Binarize; f.byImage {
+			f.stored = new(encoding.StoredStash)
 		}
 		needs := n.Op.Needs()
 		if opts.Encodings != nil {
 			// A Binarize ReLU's Y need, which the analysis drops because
 			// the mask serves it, is a read of that container as stored.
 			needs = opts.Encodings.EffectiveNeeds(n)
-			needs.Y = needs.Y || (f.asStored && !f.entries)
+			needs.Y = needs.Y || (f.asStored && !f.byImage)
 		}
 		f.ownY = needs.Y
 		e.needs[n.ID] = needs
@@ -711,7 +711,7 @@ type stashFuture struct {
 	enc      *encoding.EncodedStash // the node's container (Executor.encSlots)
 	seal     bool                   // Options.Integrity, or an enabled injector
 	asStored bool                   // its assignment's NeedsDecode is false: the kernels read the container
-	entries  bool                   // read as stored, and not a Binarize mask: X is read as entries
+	byImage  bool                   // read as stored, and not a Binarize mask: X is decoded an image at a time
 	ownY     bool                   // the node's own backward reads its output (a ReLU)
 
 	// Per-encode state, set by launchEncode. encoding (read and written on
@@ -726,12 +726,12 @@ type stashFuture struct {
 	// decoded tensor in dst, or, read as stored, its verified mask in mask
 	// and, unless a Binarize mask, its reader in stored (allocated once,
 	// for these futures only). A ReLU whose container is not a ZVC mask
-	// gets the sign mask signs, built from the entries and kept across
-	// steps.
+	// gets the sign mask signs, built from the decoded map and kept
+	// across steps.
 	armed   bool
 	dst     *tensor.Tensor
 	mask    *bitpack.BitMask
-	stored  *encoding.StashEntries
+	stored  *encoding.StoredStash
 	signs   *bitpack.BitMask
 	started atomic.Bool
 	settled atomic.Bool // the job in flight finished (overlap accounting)
@@ -852,7 +852,7 @@ func stashLoop(q <-chan *stashFuture, done *sync.WaitGroup, job func(*stashFutur
 
 // decode is the one resolution path: fetch the stash from its home, then
 // decode it into dst, or verify the container a stash read as stored hands
-// its kernels: the Binarize mask, or the entries reader and, for the ReLU
+// its kernels: the Binarize mask, or the stored-stash reader and, for the ReLU
 // that produced the map, its sign mask.
 func (f *stashFuture) decode() {
 	defer f.wg.Done()
@@ -865,8 +865,8 @@ func (f *stashFuture) decode() {
 	enc, err := f.store.Fetch(f.sid)
 	switch {
 	case err != nil:
-	case f.entries:
-		err = f.cdc.EntriesOf(f.stored, enc, f.shape)
+	case f.byImage:
+		err = f.cdc.OpenStored(f.stored, enc, f.shape)
 		switch {
 		case err != nil || !f.ownY:
 		case enc.Tech == encoding.ZVC:
@@ -1236,13 +1236,10 @@ func (e *Executor) Backward() error {
 				if err != nil {
 					return e.failBackward(err)
 				}
-				if f := &e.futures[in.ID]; f.entries {
-					stored = f.stored // a Conv or FC: Analyze reads no other way
-					if n.Kind() == layers.Conv {
-						// One image of X, for a Conv to decode into where
-						// dY is too sparse for the gather to pay.
-						scratch = e.alloc(in.OutShape[1:])
-					}
+				if f := &e.futures[in.ID]; f.byImage {
+					// A Conv or FC (Analyze reads no other way): it decodes
+					// X an image at a time into one image of scratch.
+					stored, scratch = f.stored, e.alloc(in.OutShape[1:])
 				}
 			}
 			ins = append(ins, t)

@@ -197,7 +197,7 @@ func TestExecutorPeakMatchesPlan(t *testing.T) {
 // no stash the planner marks NeedsDecode == false gets a tensor — its future
 // takes no pool buffer: a Binarize ReLU gets the sealed container's mask; a
 // ZVC or SSDC stash reaches each Conv or FC reading it as the future's
-// entries reader and its own ReLU as a sign mask (the ZVC container's own
+// stored-stash reader and its own ReLU as a sign mask (the ZVC container's own
 // mask, else the future's). A MaxPool Binarize rewrote is handed no stash.
 func TestExecutorReadsPlannedNeeds(t *testing.T) {
 	nets := []struct {
@@ -224,7 +224,7 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 				a := encoding.Analyze(g, c.cfg)
 				e := NewExecutor(g, Options{Seed: 3, Encodings: a, Pool: bufpool.New()})
 				defer e.Close()
-				masks, entries := 0, 0
+				masks, byImage := 0, 0
 				for _, nd := range g.Nodes {
 					as := a.ByNode[nd.ID]
 					asStored := as != nil && !as.NeedsDecode
@@ -232,7 +232,7 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 						t.Errorf("%q: read as stored %t, want %t (assignment %+v)", nd.Name, got, asStored, as)
 					}
 					if asStored && as.Tech != encoding.Binarize {
-						entries++
+						byImage++
 					}
 					if asStored && as.Tech == encoding.Binarize {
 						masks++
@@ -251,16 +251,16 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 					t.Fatal("the analysis rewrote pools but assigned no Binarize mask")
 				}
 
-				maskReads, poolReads, entryReads := 0, 0, 0
+				maskReads, poolReads, imageReads := 0, 0, 0
 				probeKernels(e, func(nd *graph.Node, ctx *layers.BwdCtx) {
-					if f := &e.futures[nd.ID]; f.asStored && !f.entries {
+					if f := &e.futures[nd.ID]; f.asStored && !f.byImage {
 						maskReads++
 						if ctx.OutMask == nil || ctx.OutMask != e.encSlots[nd.ID].Mask || ctx.Out != nil || f.dst != nil {
 							t.Errorf("%q's kernel: mask %p (container's %p), tensor %p, decode target %p; want the container's mask alone",
 								nd.Name, ctx.OutMask, e.encSlots[nd.ID].Mask, ctx.Out, f.dst)
 						}
 					}
-					if f := &e.futures[nd.ID]; f.entries && e.needs[nd.ID].Y {
+					if f := &e.futures[nd.ID]; f.byImage && e.needs[nd.ID].Y {
 						want := f.signs
 						if enc := &e.encSlots[nd.ID]; enc.Tech == encoding.ZVC {
 							want = enc.ZVC.Mask
@@ -271,8 +271,8 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 						}
 					}
 					for _, in := range nd.Inputs {
-						if f := &e.futures[in.ID]; f.entries && e.needs[nd.ID].X {
-							entryReads++
+						if f := &e.futures[in.ID]; f.byImage && e.needs[nd.ID].X {
+							imageReads++
 							if ctx.InStash != layers.StashReader(f.stored) || ctx.In[0] != nil || f.dst != nil {
 								t.Errorf("%q's kernel reads %q: reader %v, tensor %p, decode target %p; want the future's reader alone",
 									nd.Name, in.Name, ctx.InStash, ctx.In[0], f.dst)
@@ -298,8 +298,8 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 					t.Errorf("2 steps ran %d mask-reading ReLU kernels of %d and %d rewritten pool kernels of %d",
 						maskReads, 2*masks, poolReads, 2*len(a.PoolMaps))
 				}
-				if (entries > 0) != (entryReads > 0) {
-					t.Errorf("%d stashes read as entries, %d kernels read them", entries, entryReads)
+				if (byImage > 0) != (imageReads > 0) {
+					t.Errorf("%d stashes read by image, %d kernels read them", byImage, imageReads)
 				}
 			})
 		}
