@@ -198,10 +198,10 @@ type Assignment struct {
 	// between the two uses.
 	EncodedBytes int64
 	// NeedsDecode reports whether the stash is decoded into a transient
-	// FP32 staging buffer before its backward use: true for DPR, and for
-	// SSDC and ZVC unless every backward reader is a Conv, an FC or the
-	// ReLU that produced the map (readAsStored); false for Binarize, whose
-	// mask the backward kernel consumes directly. liveness plans the
+	// FP32 staging buffer before its backward use: true for SSDC, ZVC and
+	// DPR unless every backward reader is a Conv, an FC or the ReLU that
+	// produced the map (readAsStored); false for Binarize, whose mask the
+	// backward kernel consumes directly. liveness plans the
 	// staging buffer from it, and the executor reads it: a stash without it
 	// reaches its kernels as the verified container — a Binarize mask
 	// (Codec.MaskOf), or a reader Conv and FC decode an image at a time
@@ -321,7 +321,7 @@ func choose(cfg Config, n *graph.Node) *Assignment {
 	raw, dense := n.OutShape.Bytes(), cfg.DPR.PackedBytes(elems)
 	assign := func(tech Technique, bytes int64) *Assignment {
 		return &Assignment{Node: n, Tech: tech, Format: cfg.DPR, Sparsity: s,
-			EncodedBytes: bytes, NeedsDecode: true}
+			EncodedBytes: bytes}
 	}
 
 	type candidate struct {
@@ -437,20 +437,18 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 			continue
 		}
 		if as := choose(cfg, n); as != nil {
-			if as.Tech == SSDC || as.Tech == ZVC {
-				as.NeedsDecode = !a.readAsStored(n)
-			}
+			as.NeedsDecode = !a.readAsStored(n)
 			a.ByNode[n.ID] = as
 		}
 	}
 	return a
 }
 
-// readAsStored reports whether every backward reader of node n's stash reads
-// a sparse container as stored: the consumers that read it as X are Convs
-// and FCs, which read X one image after another and so can decode it an
-// image at a time, and n reads its own output only if it is a ReLU, which
-// reads the sign.
+// readAsStored reports whether every backward reader of node n's stash
+// reads its container (SSDC, ZVC or DPR) as stored: the consumers that read
+// it as X are Convs and FCs, which read X one image after another and so can
+// decode it an image at a time, and n reads its own output only if it is a
+// ReLU, which reads the sign.
 func (a *Analysis) readAsStored(n *graph.Node) bool {
 	if a.EffectiveNeeds(n).Y && n.Kind() != layers.ReLU {
 		return false

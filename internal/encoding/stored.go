@@ -13,8 +13,8 @@ import (
 // image at a time, with no FP32 copy of the map. Its cursor decodes a run
 // of elements at a time, exactly as the whole-map decode would: ZVC
 // expands its values by the mask, SSDC scatters its CSR rows' entries,
-// and a DPR container (the dense fallback a ZVC or SSDC encode left
-// behind) unpacks its words.
+// and a DPR container (assigned, or the dense fallback a ZVC or SSDC
+// encode left behind) unpacks its words.
 type StoredStash struct {
 	e *EncodedStash
 	// The cursor: the next position to decode and, for ZVC and SSDC, the

@@ -82,9 +82,9 @@ func TestExtDistributedDeterminism(t *testing.T) {
 // without encodings the observed FP32 peak is the planner's, to the byte,
 // and so is Fig 17's optimized plan, which never exceeds the plan; the
 // encoded containers hold no more than the plan priced at the measured
-// sparsity (a cost guard's fallback holds less); and on the one network
-// deep enough for encodings to pay at this scale the measured footprint
-// ratio is above one.
+// sparsity (a cost guard's fallback holds less); no encoded row's measured
+// footprint ratio is below one; and on the one network deep enough for
+// encodings to pay at this scale it is above 1.2.
 func TestExtRealizedMatchesPlan(t *testing.T) {
 	skipIfRace(t)
 	r := ExtRealized()
@@ -102,6 +102,9 @@ func TestExtRealizedMatchesPlan(t *testing.T) {
 			slab, peak, static := r.Values[net+"/"+enc+"/slab"], r.Values[net+"/"+enc+"/observed-peak"], r.Values[net+"/"+enc+"/planned-static"]
 			if slab < peak || static < plan || (enc == "none" && (slab != peak || slab > static)) {
 				t.Errorf("%s %s: slab %v, observed peak %v, static plan %v, dynamic plan %v", net, enc, slab, peak, static, plan)
+			}
+			if mfr := r.Values[net+"/"+enc+"/mfr"]; enc != "none" && mfr < 1 {
+				t.Errorf("%s %s: realised MFR %v below 1", net, enc, mfr)
 			}
 			held, priced := r.Values[net+"/"+enc+"/stash-bytes"], r.Values[net+"/"+enc+"/plan-at-measured"]
 			if held > priced || held == 0 || (enc == "none" && held != priced) {

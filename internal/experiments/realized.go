@@ -104,14 +104,16 @@ func ExtRealized() *Result {
 		r.add("ResNetCIFAR-20 lossy-fp16 MFR %.2fx; about 1.75x would be the bound, with peak FP32 at optimized", mfr)
 	}
 	r.add("")
-	r.add("(static: the CNTK groups over plan FP32's buffers; plan FP32 stages only the stashes the executor decodes,")
-	r.add(" DPR's: the SSDC and ZVC stashes Conv, FC and ReLU read as stored have no decoded buffer; optimized: plan")
-	r.add(" FP32 with no decoded staging buffer at all, Fig 17's optimized software, so it differs from plan FP32 only")
-	r.add(" by the DPR targets; peak FP32: the executor arena's high-water mark of requested bytes; slab: the")
-	r.add(" arena's recorded step packed by offset, what it holds; plan@meas: plan stash with each assigned stash priced")
-	r.add(" at its last step's measured sparsity, so StashBytes - plan@meas is the containers' layout error and")
-	r.add(" plan@meas - plan stash the planner's sparsity-estimate error; held enc: the store's peak of encoded containers,")
-	r.add(" outside the arena; MFR: unencoded peak / (peak + held). Untrained weights, 3 steps, minibatch 2-8: how the")
-	r.add(" ratio scales with depth and minibatch is ROADMAP item 5(c)'s search, not this table.)")
+	r.add("(static: the CNTK groups over plan FP32's buffers; plan FP32 stages only the stashes the executor decodes:")
+	r.add(" an SSDC, ZVC or DPR stash read only by Conv, FC and its own ReLU is read as stored, with no decoded buffer,")
+	r.add(" and an inplace ReLU writes its output into its producer's map and its input gradient into its own; optimized:")
+	r.add(" plan FP32 with no decoded staging buffer at all, Fig 17's optimized software, so it differs from plan FP32")
+	r.add(" only by the targets of stashes a MaxPool, BatchNorm or the loss reads; peak FP32: the executor arena's")
+	r.add(" high-water mark of requested bytes; slab: the arena's recorded step packed by offset, what it holds;")
+	r.add(" plan@meas: plan stash with each assigned stash priced at its last step's measured sparsity, so StashBytes -")
+	r.add(" plan@meas is the containers' layout error and plan@meas - plan stash the planner's sparsity-estimate error;")
+	r.add(" held enc: the store's peak of encoded containers, outside the arena; MFR: unencoded peak / (peak + held).")
+	r.add(" Untrained weights, 3 steps, minibatch 2-8: how the ratio scales with depth and minibatch is ROADMAP item")
+	r.add(" 5(c)'s search, not this table.)")
 	return r
 }

@@ -227,3 +227,17 @@ func InplaceEligible(n *Node) bool {
 	}
 	return !OutputStashed(in)
 }
+
+// GradInplaceEligible reports whether node n's backward pass can write the
+// gradient of its input into the buffer holding the gradient of its output:
+// the op must be elementwise read-once/write-once (ReLU), and the input's
+// gradient must have no other producer (a single consumer) and a reader
+// (not the graph input). The input's output buffer may be stashed: only the
+// gradient buffers are shared.
+func GradInplaceEligible(n *Node) bool {
+	if n.Kind() != layers.ReLU || len(n.Inputs) != 1 {
+		return false
+	}
+	in := n.Inputs[0]
+	return len(in.consumers) == 1 && in.Kind() != layers.Input
+}

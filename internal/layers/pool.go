@@ -213,21 +213,27 @@ func (p *MaxPoolOp) forwardWindows(x, y *tensor.Tensor, argmax *bitpack.NibbleAr
 
 // Backward routes each dY element to the recorded argmax location of its
 // window. It uses only the argmax map — neither stashed X nor Y is read —
-// which is exactly the property Binarize exploits.
+// which is exactly the property Binarize exploits. A slot is a nibble, so
+// its window offsets come from a table of 16 entries built once per call
+// rather than a division per element.
 func (p *MaxPoolOp) Backward(ctx *BwdCtx) {
 	dy, dx := ctx.DOut, ctx.DIn[0]
 	argmax := ctx.Aux[auxKeyArgmax].(*bitpack.NibbleArray)
 	n, c, ih, iw := dx.Shape[0], dx.Shape[1], dx.Shape[2], dx.Shape[3]
 	oh, ow := dy.Shape[2], dy.Shape[3]
+	var dh, dw [16]int
+	for s := range dh {
+		dh[s], dw[s] = s/p.K, s%p.K
+	}
 	dx.Zero()
 	idx := 0
 	for pl := 0; pl < n*c; pl++ {
 		dxp := dx.Data[pl*ih*iw:][:ih*iw]
 		for yh := 0; yh < oh; yh++ {
 			for yw, g := range dy.Data[(pl*oh+yh)*ow:][:ow] {
-				slot := int(argmax.Get(idx))
-				xh := yh*p.Stride - p.Pad + slot/p.K
-				xw := yw*p.Stride - p.Pad + slot%p.K
+				slot := argmax.Get(idx) & 15
+				xh := yh*p.Stride - p.Pad + dh[slot]
+				xw := yw*p.Stride - p.Pad + dw[slot]
 				if xh >= 0 && xh < ih && xw >= 0 && xw < iw {
 					dxp[xh*iw+xw] += g
 				}

@@ -18,7 +18,9 @@ import (
 // Y as its Binarize mask (BwdCtx.OutMask, gated through
 // bitpack.ApplyGate) must match Backward on the 0/1 tensor the mask
 // expands to, which is what the executor decoded before it read masks as
-// stored (DESIGN.md §12).
+// stored (DESIGN.md §12). Each also runs in place, as the executor runs an
+// inplace ReLU — forward with Out == In[0], backward with DIn[0] == DOut,
+// on the mask and on the FP32 Y — and must give the out-of-place bits.
 
 // forwardRef is the original ReLU forward. Do not optimize it: its value
 // is being obviously correct and frozen.
@@ -97,6 +99,9 @@ func diffReLU(t *testing.T, x, dy []float32) {
 	op.Forward(&FwdCtx{In: []*tensor.Tensor{in}, Out: got})
 	op.forwardRef(&FwdCtx{In: []*tensor.Tensor{in}, Out: want})
 	bitsMatch(t, label+"y", got.Data, want.Data)
+	inplace := in.Clone()
+	op.Forward(&FwdCtx{In: []*tensor.Tensor{inplace}, Out: inplace})
+	bitsMatch(t, label+"y in place", inplace.Data, want.Data)
 
 	// Backward reads the sign of Y; gate by the input itself so every
 	// corner class reaches the predicate (a real Y is never negative).
@@ -106,6 +111,9 @@ func diffReLU(t *testing.T, x, dy []float32) {
 	op.Backward(&BwdCtx{Out: in, DOut: g, DIn: []*tensor.Tensor{gdx}})
 	op.backwardRef(&BwdCtx{Out: in, DOut: g, DIn: []*tensor.Tensor{wdx}})
 	bitsMatch(t, label+"dx", gdx.Data, wdx.Data)
+	gInplace := g.Clone()
+	op.Backward(&BwdCtx{Out: in, DOut: gInplace, DIn: []*tensor.Tensor{gInplace}})
+	bitsMatch(t, label+"dx in place", gInplace.Data, wdx.Data)
 	diffReLUMask(t, x, g, wdx.Data)
 }
 
@@ -127,6 +135,9 @@ func diffReLUMask(t *testing.T, y []float32, dy *tensor.Tensor, want []float32) 
 	op.Backward(&BwdCtx{Out: expanded, DOut: dy, DIn: []*tensor.Tensor{edx}})
 	bitsMatch(t, label+"dx on the expanded mask", edx.Data, want)
 	bitsMatch(t, label+"dx on the mask", mdx.Data, edx.Data)
+	inplace := dy.Clone()
+	op.Backward(&BwdCtx{OutMask: m, DOut: inplace, DIn: []*tensor.Tensor{inplace}})
+	bitsMatch(t, label+"dx on the mask in place", inplace.Data, want)
 }
 
 // TestDiffReLUMaskGate is the wall for the executor's mask read: at one

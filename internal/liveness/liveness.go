@@ -61,8 +61,8 @@ type Options struct {
 	ElideDecoded bool
 	// PaperStaging plans a decoded staging buffer for every stash the
 	// paper's implementation decodes before its backward use — all but
-	// Binarize — including the SSDC and ZVC stashes this repo's executor
-	// reads as stored (NeedsDecode false). The paper's figures plan with
+	// Binarize — including the SSDC, ZVC and DPR stashes this repo's
+	// executor reads as stored (NeedsDecode false). The paper's figures plan with
 	// it; without it the plan follows NeedsDecode, as the executor runs.
 	PaperStaging bool
 	// NoShareStashed marks stashed feature maps NoShare — the paper's
@@ -155,15 +155,10 @@ func Analyze(g *graph.Graph, tl *graph.Timeline, opts Options) []*Buffer {
 			if graph.InplaceEligible(n) {
 				inplaceInto[n.Inputs[0].ID] = true
 			}
-			// ReLU backward is read-once/write-once on gradients too: dX
-			// can be computed in dY's buffer when the input's gradient has
-			// no other producer (single consumer).
-			if n.Kind() == layers.ReLU && len(n.Inputs) == 1 {
+			if graph.GradInplaceEligible(n) {
 				in := n.Inputs[0]
-				if len(in.Consumers()) == 1 && in.Kind() != layers.Input {
-					gradInplaceInto[in.ID] = n.ID
-					gradExtendedTo[n.ID] = tl.BackwardStep(in)
-				}
+				gradInplaceInto[in.ID] = n.ID
+				gradExtendedTo[n.ID] = tl.BackwardStep(in)
 			}
 		}
 	}

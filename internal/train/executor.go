@@ -255,6 +255,15 @@ type Executor struct {
 	bwdLeft  []int
 	gradOf   []*tensor.Tensor
 
+	// Inplace computation, as the analysis' Config.Inplace plans it:
+	// inplaceY[i] says node i (a ReLU, graph.InplaceEligible) writes its
+	// output into its input's buffer, and lent[i] that node i's buffer was
+	// so taken, so its retirement recycles nothing; inplaceDX[i] says node
+	// i's backward (a ReLU, graph.GradInplaceEligible) writes its input's
+	// gradient into its own incoming gradient's buffer, which then lives on
+	// as that gradient.
+	inplaceY, inplaceDX, lent []bool
+
 	// bwdOrder lists the encoded stashes backward reads, in first-read
 	// order, from the same needs as bwdReads; bwdFirst holds each one's
 	// first reader (an index into G.Nodes), and each future's pos its index
@@ -373,6 +382,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e.bwdReads = make([]int, nn)
 	e.bwdLeft = make([]int, nn)
 	e.gradOf = make([]*tensor.Tensor, nn)
+	e.inplaceY, e.inplaceDX, e.lent = make([]bool, nn), make([]bool, nn), make([]bool, nn)
 	e.encoders = stashWorkers{job: (*stashFuture).encode, depth: nn}
 	e.decoder = stashWorkers{job: (*stashFuture).decode, depth: nn}
 	e.sparsities = map[string]float64{}
@@ -410,6 +420,12 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		}
 		f.ownY = needs.Y
 		e.needs[n.ID] = needs
+		if opts.Encodings != nil && opts.Encodings.Config.Inplace {
+			e.inplaceY[n.ID], e.inplaceDX[n.ID] = graph.InplaceEligible(n), graph.GradInplaceEligible(n)
+			if e.inplaceY[n.ID] {
+				e.lent[n.Inputs[0].ID] = true
+			}
+		}
 		// Count the backward pass's reads of this node's stashed output;
 		// recycle points drain these counts.
 		if needs.Y {
@@ -577,7 +593,9 @@ func (e *Executor) Params(n *graph.Node) []*tensor.Tensor { return e.params[n.ID
 // on — the reason the heap path exists. Under pooling only the sink outputs
 // and the outputs a backward kernel reads unencoded outlive a training
 // Forward: a recycled output's region of the slab serves a later buffer,
-// and on the step that records the layout its data is dropped.
+// and on the step that records the layout its data is dropped. A node whose
+// buffer an inplace ReLU took (graph.InplaceEligible, under the analysis'
+// Inplace) returns that shared tensor, which holds the ReLU's output.
 func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 
 // Forward runs the forward pass on the given minibatch. Labels are needed
@@ -608,7 +626,12 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 		e.beginStashes()
 	}
 	for i, n := range e.G.Nodes {
-		out := e.alloc(n.OutShape)
+		var out *tensor.Tensor
+		if e.inplaceY[n.ID] {
+			out = e.outs[n.Inputs[0].ID] // ReLU reads each x before it writes its y
+		} else {
+			out = e.alloc(n.OutShape)
+		}
 		aux := e.aux[n.ID]
 		if n.Kind() == layers.Input {
 			if !input.Shape.Equal(n.OutShape) {
@@ -684,8 +707,9 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // The fetch-then-decode: it pulls the stash back from the store (a pointer
 // hand-off on a hot hit, a page read + CRC-verified parse on a spilled miss)
 // and decodes it into dst, on the executor's decode worker. A
-// stash read as stored (asStored: a Binarize mask) is fetched and verified
-// the same way but not decoded: its kernel reads the container's mask.
+// stash read as stored (asStored: a Binarize mask, or a container Conv and
+// FC decode an image at a time) is fetched and verified the same way but
+// not decoded whole: its kernels read the container.
 // The backward pass starts futures through a window over the stashes in
 // first-use order (fillWindow), so the next decodes overlap the backward
 // kernels ahead of their consumers inside the codec's worker budget. Start
@@ -907,7 +931,8 @@ func (e *Executor) beginStashes() {
 // A node without one touches neither codec nor store: the backward view
 // aliases the forward output — or, when no backward kernel reads the output
 // and a forward consumer has (the "immediately consumed" class), it
-// recycles here.
+// recycles here, unless an inplace ReLU took it: that ReLU's retirement ends
+// the shared buffer.
 func (e *Executor) retire(n *graph.Node) {
 	out := e.outs[n.ID]
 	if e.probeSparsity && n.Kind() == layers.ReLU {
@@ -928,9 +953,11 @@ func (e *Executor) retire(n *graph.Node) {
 		e.StashBytes += out.Bytes()
 		e.mem.add("FP32", out.Bytes(), out.Bytes())
 	}
-	if e.bwdReads[n.ID] == 0 && len(n.Consumers()) > 0 {
+	switch {
+	case e.lent[n.ID]:
+	case e.bwdReads[n.ID] == 0 && len(n.Consumers()) > 0:
 		e.recycle(out)
-	} else {
+	default:
 		e.stash[n.ID] = out
 	}
 }
@@ -1229,7 +1256,7 @@ func (e *Executor) Backward() error {
 		var stored layers.StashReader
 		var scratch *tensor.Tensor
 		for _, in := range n.Inputs {
-			dIns = append(dIns, e.gradFor(n, in))
+			dIns = append(dIns, e.gradFor(n, in, dOut))
 			var t *tensor.Tensor
 			if needs.X {
 				t, err = e.stashOf(in.ID)
@@ -1284,19 +1311,27 @@ func (e *Executor) Backward() error {
 		if needs.Y {
 			e.doneReading(n.ID)
 		}
-		// The incoming gradient was fully consumed by this node's kernels.
+		// The incoming gradient was fully consumed by this node's kernels,
+		// unless it now holds the input's.
 		e.gradOf[n.ID] = nil
-		e.recycle(dOut)
+		if !e.inplaceDX[n.ID] {
+			e.recycle(dOut)
+		}
 	}
 	whole = true
 	return nil
 }
 
-// gradFor returns the buffer n's backward writes in's gradient into: nil
-// for the graph input under a Conv or FC, which then compute dW and dB
-// only. Nothing reads the input's gradient, and liveness plans none.
-func (e *Executor) gradFor(n, in *graph.Node) *tensor.Tensor {
-	if in.Kind() == layers.Input && (n.Kind() == layers.Conv || n.Kind() == layers.FC) {
+// gradFor returns the buffer n's backward writes in's gradient into: dOut,
+// n's incoming gradient, for an inplace ReLU, which reads each dy before it
+// writes its dx; nil for the graph input under a Conv or FC, which then
+// compute dW and dB only (nothing reads the input's gradient, and liveness
+// plans none); else a new buffer.
+func (e *Executor) gradFor(n, in *graph.Node, dOut *tensor.Tensor) *tensor.Tensor {
+	switch {
+	case e.inplaceDX[n.ID]:
+		return dOut
+	case in.Kind() == layers.Input && (n.Kind() == layers.Conv || n.Kind() == layers.FC):
 		return nil
 	}
 	return e.alloc(in.OutShape)

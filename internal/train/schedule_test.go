@@ -114,22 +114,26 @@ func observeSchedule(t *testing.T, g *graph.Graph, a *encoding.Analysis) observe
 // TestExecutorPeakMatchesPlan is ROADMAP aim 3's "the executor runs the
 // schedule the planner planned", by measurement: on an unencoded graph the
 // arena's peak of requested bytes IS memplan.PlanDynamic over the FP32
-// buffer classes, to the byte. Under encodings it sits at most two maps
-// above the plan — decode targets the window takes ahead of their consumers
-// — strictly below the unencoded peak where maps dominate, and everything
-// but the sink output has left the arena by the end of Forward. Under every
-// configuration the slab the arena holds is within one map of that peak.
+// buffer classes, to the byte. Under encodings it sits at most one map
+// above the plan — a decode target the window takes ahead of its consumer,
+// or a raw map waiting one retirement for its encode to settle — and
+// strictly less on the nets whose decodes the inplace ReLU and the stashes
+// read as stored took off the peak; strictly below the unencoded peak where
+// maps dominate; and everything but the sink output has left the arena by
+// the end of Forward. Under every configuration the slab the arena holds is
+// within one map of that peak.
 func TestExecutorPeakMatchesPlan(t *testing.T) {
 	nets := []struct {
 		name          string
 		g             func() *graph.Graph
 		gistIsLower   bool // the encoded FP32 peak and slab are strictly below the baseline's
+		underOneMap   bool // the encoded peak is strictly below plan + 1 map
 		skipUnderRace bool
 	}{
-		{"TinyCNN", func() *graph.Graph { return networks.TinyCNN(8, 4) }, false, false},
-		{"TinyVGG", func() *graph.Graph { return networks.TinyVGG(2, 8) }, true, false},
-		{"ConvChain", func() *graph.Graph { return convChain(4) }, false, false},
-		{"ResNetCIFAR20", func() *graph.Graph { return networks.ResNetCIFAR(4, 20) }, true, true},
+		{"TinyCNN", func() *graph.Graph { return networks.TinyCNN(8, 4) }, false, true, false},
+		{"TinyVGG", func() *graph.Graph { return networks.TinyVGG(2, 8) }, true, true, false},
+		{"ConvChain", func() *graph.Graph { return convChain(4) }, false, true, false},
+		{"ResNetCIFAR20", func() *graph.Graph { return networks.ResNetCIFAR(4, 20) }, true, false, true},
 	}
 	// The slab is a packing of the recorded step, so it cannot be below the
 	// step's peak; greedy packing by size may leave at most one map of gaps.
@@ -161,9 +165,13 @@ func TestExecutorPeakMatchesPlan(t *testing.T) {
 			a = encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
 			gplan := planFP32(g, a)
 			gist := observeSchedule(t, g, a)
-			if gist.peak < gplan.peak || gist.peak > gplan.peak+2*gplan.largest {
-				t.Errorf("encoded: observed peak %d B outside [planned %d, planned + 2 x largest map %d]\n%s",
-					gist.peak, gplan.peak, gplan.peak+2*gplan.largest, gplan.describe)
+			if gist.peak < gplan.peak || gist.peak > gplan.peak+gplan.largest {
+				t.Errorf("encoded: observed peak %d B outside [planned %d, planned + largest map %d]\n%s",
+					gist.peak, gplan.peak, gplan.peak+gplan.largest, gplan.describe)
+			}
+			if n.underOneMap && gist.peak >= gplan.peak+gplan.largest {
+				t.Errorf("encoded: observed peak %d B not below planned + largest map %d\n%s",
+					gist.peak, gplan.peak+gplan.largest, gplan.describe)
 			}
 			slabNearPeak(t, "encoded", gist, gplan)
 			if n.gistIsLower {
