@@ -385,7 +385,8 @@ func (cdc Codec) verify(e *EncodedStash) error {
 	}
 	if full != e.Checksum {
 		// Every chunk matches but the roll-up does not: the header
-		// (technique or shape) or the sealed checksum itself was altered.
+		// (technique, shape or a layout header word) or the sealed
+		// checksum itself was altered.
 		return fmt.Errorf("%w: %v stash of shape %v: rolled-up crc %#x, sealed %#x",
 			ErrCorruptStash, e.Tech, e.Shape, full, e.Checksum)
 	}

@@ -212,8 +212,9 @@ func TestDecodeNeverPanicsOnTruncations(t *testing.T) {
 
 // TestUnmarshalRejectsOversizedClaims checks that headers no writer produces
 // are rejected: a count claim past the allocation caps (before any large
-// allocation), a seal word other than 0 or 1, and the magic of the retired
-// first container, whose header layout matched the current one.
+// allocation), a seal word other than 0 or 1, and the magics of the retired
+// containers whose header layout matched the current one: the first, and
+// "GST3", whose checksums left the payload's header words out.
 func TestUnmarshalRejectsOversizedClaims(t *testing.T) {
 	c := Codec{Pool: parallel.NewPool(1)}
 	tt := tensor.New(64)
@@ -238,6 +239,7 @@ func TestUnmarshalRejectsOversizedClaims(t *testing.T) {
 		{"packed count 2^31", func(b []byte) { b[28], b[29], b[30], b[31] = 0, 0, 0, 0x80 }},
 		{"seal word 2", func(b []byte) { b[8] = 2 }},
 		{"GSTS magic", func(b []byte) { copy(b, "GSTS") }},
+		{"GST3 magic", func(b []byte) { copy(b, "GST3") }},
 	} {
 		b := slices.Clone(blob)
 		tc.mutate(b)

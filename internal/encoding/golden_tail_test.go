@@ -41,30 +41,30 @@ var goldenTails = []struct {
 	checksum  uint32
 	chunkCRCs []uint32
 }{
-	{769, "binarize", 0xf09a1778, []uint32{0x4affafcf, 0x8c28b28a}},
-	{769, "ssdc-fp32", 0x22c77377, []uint32{0x09e6298c, 0x40274b0b}},
-	{769, "dpr-fp16", 0x2d5519a5, []uint32{0x4800600e, 0x48674bc7}},
-	{769, "dpr-fp10", 0x733c733c, []uint32{0x037629ee, 0x48674bc7}},
-	{769, "dpr-fp8", 0x26d3ca44, []uint32{0xc33575c2, 0x48674bc7}},
-	{769, "zvc-fp32", 0x276468fc, []uint32{0xa45b51cd, 0xeb31c8d5}},
-	{831, "binarize", 0x1c7e5c9f, []uint32{0xacfd48c9, 0x72371c90}},
-	{831, "ssdc-fp32", 0xf35fc7a2, []uint32{0xd9d2debd, 0x4bdbb0c5}},
-	{831, "dpr-fp16", 0x323f6780, []uint32{0xc5eb7019, 0xf702e74b}},
-	{831, "dpr-fp10", 0x6573e116, []uint32{0x3c13aca6, 0xd11b3a96}},
-	{831, "dpr-fp8", 0xfd34455c, []uint32{0x6dd9b3f8, 0x0665d964}},
-	{831, "zvc-fp32", 0xa9a9176d, []uint32{0x390231b5, 0x88b003bf}},
-	{832, "binarize", 0x74917efd, []uint32{0xaabd2c1e, 0x87a51973}},
-	{832, "ssdc-fp32", 0x25ee98c8, []uint32{0xe308157b, 0x83b4e343}},
-	{832, "dpr-fp16", 0x934a2a2e, []uint32{0x427741ad, 0x7975f345}},
-	{832, "dpr-fp10", 0xfae0d7a4, []uint32{0xc2c5d550, 0x1879a7b7}},
-	{832, "dpr-fp8", 0x3fd33c75, []uint32{0x96fd8039, 0x8d0100c4}},
-	{832, "zvc-fp32", 0xd678197a, []uint32{0x58d3396c, 0x84430e30}},
-	{833, "binarize", 0x5515d7a5, []uint32{0xde89784a, 0x2729868f}},
-	{833, "ssdc-fp32", 0x621dfe38, []uint32{0xed6913b7, 0xe13e2191}},
-	{833, "dpr-fp16", 0xac63abf8, []uint32{0x7029473b, 0x50301730}},
-	{833, "dpr-fp10", 0xb3dabdbb, []uint32{0x58ff8940, 0x603b87dc}},
-	{833, "dpr-fp8", 0x9a705fa7, []uint32{0x5775ff7f, 0x427f7641}},
-	{833, "zvc-fp32", 0x181944c8, []uint32{0x377a2343, 0x78cbc1a3}},
+	{769, "binarize", 0x208580aa, []uint32{0x4affafcf, 0x8c28b28a}},
+	{769, "ssdc-fp32", 0x9d24e93a, []uint32{0x09e6298c, 0x40274b0b}},
+	{769, "dpr-fp16", 0x9488f903, []uint32{0x4800600e, 0x48674bc7}},
+	{769, "dpr-fp10", 0x8a5d25ad, []uint32{0x037629ee, 0x48674bc7}},
+	{769, "dpr-fp8", 0xcc30aba6, []uint32{0xc33575c2, 0x48674bc7}},
+	{769, "zvc-fp32", 0xbd1d6c60, []uint32{0xa45b51cd, 0xeb31c8d5}},
+	{831, "binarize", 0x8ea4114b, []uint32{0xacfd48c9, 0x72371c90}},
+	{831, "ssdc-fp32", 0x0b4f029c, []uint32{0xd9d2debd, 0x4bdbb0c5}},
+	{831, "dpr-fp16", 0x01a5beb3, []uint32{0xc5eb7019, 0xf702e74b}},
+	{831, "dpr-fp10", 0xc90e5ee3, []uint32{0x3c13aca6, 0xd11b3a96}},
+	{831, "dpr-fp8", 0xe63f56d7, []uint32{0x6dd9b3f8, 0x0665d964}},
+	{831, "zvc-fp32", 0xe44a9241, []uint32{0x390231b5, 0x88b003bf}},
+	{832, "binarize", 0x1caba375, []uint32{0xaabd2c1e, 0x87a51973}},
+	{832, "ssdc-fp32", 0xe1bcbefd, []uint32{0xe308157b, 0x83b4e343}},
+	{832, "dpr-fp16", 0x81145b94, []uint32{0x427741ad, 0x7975f345}},
+	{832, "dpr-fp10", 0xd064d2c9, []uint32{0xc2c5d550, 0x1879a7b7}},
+	{832, "dpr-fp8", 0xdea11803, []uint32{0x96fd8039, 0x8d0100c4}},
+	{832, "zvc-fp32", 0xc9c28a84, []uint32{0x58d3396c, 0x84430e30}},
+	{833, "binarize", 0xa9b488ec, []uint32{0xde89784a, 0x2729868f}},
+	{833, "ssdc-fp32", 0xb9466a1e, []uint32{0xed6913b7, 0xe13e2191}},
+	{833, "dpr-fp16", 0xa4e32565, []uint32{0x7029473b, 0x50301730}},
+	{833, "dpr-fp10", 0x3558274d, []uint32{0x58ff8940, 0x603b87dc}},
+	{833, "dpr-fp8", 0xe388a796, []uint32{0x5775ff7f, 0x427f7641}},
+	{833, "zvc-fp32", 0x7bda56e4, []uint32{0x377a2343, 0x78cbc1a3}},
 }
 
 // tailAssignment maps a fixture name to its encode assignment.

@@ -12,7 +12,7 @@ import (
 )
 
 // Golden wire-format fixtures for sealed EncodedStash blobs. The frozen
-// hex pins the "GST3" marshaled layout end to end — header fields, CSR
+// hex pins the "GST4" marshaled layout end to end — header fields, CSR
 // index/pointer arrays, the packed value and DPR word streams, chunk-CRC
 // trailer and the rolled-up checksum — so a change anywhere in encode, seal or marshal that moves
 // a byte fails here by name instead of surfacing as a checkpoint
@@ -36,20 +36,20 @@ func goldenStashInput() *tensor.Tensor {
 }
 
 const (
-	goldenSSDCChecksum = 0xac5f9908
-	goldenSSDCBlobHex  = "4753543302000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb83808995fac01000000e2dbbef3"
+	goldenSSDCChecksum = 0x029b0d37
+	goldenSSDCBlobHex  = "4753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3"
 
-	goldenDPRChecksum = 0x62294918
-	goldenDPRBlobHex  = "4753543303000000010000000080010004000000020000000300000004000000040000000200000060000000c8800300de000000f0c0020e00840300000000000000800ec700500ee060a30de66c930e0000200d000000000000000fd900c00eeea4f30d0000c00ed384030000a4830ba900400ece00400d00280300ec0000000000000000000000008403000000600e0000930e0088230ec200100e9d00b00deb000000f000f00ee300000018492962010000001b0471fc"
+	goldenDPRChecksum = 0x7fa60a6d
+	goldenDPRBlobHex  = "4753543403000000010000000080010004000000020000000300000004000000040000000200000060000000c8800300de000000f0c0020e00840300000000000000800ec700500ee060a30de66c930e0000200d000000000000000fd900c00eeea4f30d0000c00ed384030000a4830ba900400ece00400d00280300ec0000000000000000000000008403000000600e0000930e0088230ec200100e9d00b00deb000000f000f00ee30000006d0aa67f010000001b0471fc"
 
 	// The ZVC fixtures pin the payload section of the technique added after
 	// the paper's three, in the same container.
-	goldenZVCChecksum = 0x13d4c501
-	goldenZVCBlobHex  = "475354330400000001000000008001000400000002000000030000000400000004000000000000006000000030000000cb05f627d8736e1540b4db3400000000d8bf423e749d013fccbdf13e16de7f3fe00c823dacbb003f9e36083f1eeb403fc846373e46dd263f88c5013f3082bd3ea48fce3e60cd2d3f4c08d73e82c44b3f4407903ec6ef7d3f2435c73e04f9613faa41723f0840493f7c3cf73ee08e613f84cc973e24cf0a3f9478483fd085c23da0f94a3da6741f3f08a26f3ed4cc9c3e78414e3eac38623ff46d073f1ac32e3f6026023e5456483f56130e3f1c2c0e3ff8fc133ec2b4083fc09fe63c905cdb3e88b85a3f8ea07f3fda34783f0cf4163f01c5d41301000000ec2826ae"
+	goldenZVCChecksum = 0x0ca46b2b
+	goldenZVCBlobHex  = "475354340400000001000000008001000400000002000000030000000400000004000000000000006000000030000000cb05f627d8736e1540b4db3400000000d8bf423e749d013fccbdf13e16de7f3fe00c823dacbb003f9e36083f1eeb403fc846373e46dd263f88c5013f3082bd3ea48fce3e60cd2d3f4c08d73e82c44b3f4407903ec6ef7d3f2435c73e04f9613faa41723f0840493f7c3cf73ee08e613f84cc973e24cf0a3f9478483fd085c23da0f94a3da6741f3f08a26f3ed4cc9c3e78414e3eac38623ff46d073f1ac32e3f6026023e5456483f56130e3f1c2c0e3ff8fc133ec2b4083fc09fe63c905cdb3e88b85a3f8ea07f3fda34783f0cf4163f2b6ba40c01000000ec2826ae"
 
 	// ZVC at FP16 pins the packed value array: two values per word.
-	goldenZVC16Checksum = 0x6361a125
-	goldenZVC16BlobHex  = "475354330400000001000000008001000400000002000000030000000400000004000000010000006000000030000000cb05f627d8736e1540b4db340000000016320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb83825a1616301000000c15b7b0a"
+	goldenZVC16Checksum = 0x16a6de7c
+	goldenZVC16BlobHex  = "475354340400000001000000008001000400000002000000030000000400000004000000010000006000000030000000cb05f627d8736e1540b4db340000000016320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb8387cdea61601000000c15b7b0a"
 
 	// An Entropy stash (technique word 5, FP16, two chunks), frozen when
 	// the repo still had that technique. It now names no technique: the
@@ -174,11 +174,13 @@ func TestGoldenStashUnmarshal(t *testing.T) {
 }
 
 // TestGoldenV2StashUnmarshal is the decode direction for the ZVC fixtures:
-// the frozen blobs must carry the "GST3" magic, unmarshal, verify and
+// the frozen blobs must carry the "GST4" magic, unmarshal, verify and
 // decode to the fixture map exactly (bit-exact at FP32, the FP16
 // quantization at FP16), and a flipped payload bit must break the seal.
-// The entropy fixture names a technique the codec no longer has: it must
-// unmarshal to ErrNoTechnique, without a panic.
+// The entropy fixture was frozen under the "GST3" magic, whose checksums
+// left the header words out: as it stands it must be rejected as corrupt,
+// and with the current magic it names a technique the codec no longer has,
+// so it must unmarshal to ErrNoTechnique — either way without a panic.
 func TestGoldenV2StashUnmarshal(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -193,12 +195,20 @@ func TestGoldenV2StashUnmarshal(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			blob := mustHex(t, c.blobHex)
-			if len(blob) < 4 || string(blob[:4]) != "GST3" {
-				t.Fatalf("fixture magic %q, want GST3", blob[:min(4, len(blob))])
+			magic := "GST4"
+			if c.want == nil {
+				magic = "GST3"
+			}
+			if len(blob) < 4 || string(blob[:4]) != magic {
+				t.Fatalf("fixture magic %q, want %s", blob[:min(4, len(blob))], magic)
 			}
 			e, err := UnmarshalStash(blob)
 			if c.want == nil {
-				if !errors.Is(err, ErrNoTechnique) {
+				if !errors.Is(err, ErrCorruptStash) {
+					t.Fatalf("UnmarshalStash of a GST3 blob = %v, want ErrCorruptStash", err)
+				}
+				copy(blob, stashMagic[:])
+				if _, err := UnmarshalStash(blob); !errors.Is(err, ErrNoTechnique) {
 					t.Fatalf("UnmarshalStash = %v, want ErrNoTechnique", err)
 				}
 				return

@@ -163,6 +163,11 @@ type payloadLayout struct {
 	// FlipBit address) order.
 	segs [3]segment
 	nseg int
+	// head[:nhead] are the words the payload's decode trusts besides its
+	// arrays — packed formats and counts, mask lengths, CSR dimensions —
+	// which both checksums hash after the technique and shape.
+	head  [5]uint32
+	nhead int
 	// chunkable reports that the arrays have the lengths the chunk layout
 	// expects for n elements. When false (hand-built or deserialized
 	// oddities) the stash seals with the serial checksum and no chunk CRCs.
@@ -172,6 +177,12 @@ type payloadLayout struct {
 func (l *payloadLayout) add(s segment) {
 	l.segs[l.nseg] = s
 	l.nseg++
+}
+
+// addHead appends one header word.
+func (l *payloadLayout) addHead(w int) {
+	l.head[l.nhead] = uint32(w)
+	l.nhead++
 }
 
 // bits is the size of the bit-addressable payload: every segment.
@@ -259,12 +270,15 @@ func (e *EncodedStash) layout() (l payloadLayout) {
 }
 
 // headerCRC hashes the header piece of both checksums: technique, shape
-// rank, dims.
-func (e *EncodedStash) headerCRC() uint32 {
+// rank, dims, then the layout's header words.
+func (e *EncodedStash) headerCRC(l *payloadLayout) uint32 {
 	crc := crcU32(0, uint32(e.Tech))
 	crc = crcU32(crc, uint32(len(e.Shape)))
 	for _, d := range e.Shape {
 		crc = crcU32(crc, uint32(d))
+	}
+	for _, w := range l.head[:l.nhead] {
+		crc = crcU32(crc, w)
 	}
 	return crc
 }
@@ -274,7 +288,7 @@ func (e *EncodedStash) headerCRC() uint32 {
 // so it stays an independent oracle for the chunked roll-up.
 func (e *EncodedStash) checksum() uint32 {
 	l := e.layout()
-	crc := e.headerCRC()
+	crc := e.headerCRC(&l)
 	for i := range l.segs[:l.nseg] {
 		items, _ := l.segs[i].shape()
 		crc = l.segs[i].crc(crc, 0, items)
@@ -306,7 +320,7 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 	t.layout, t.pieces = l, pieces
 	cdc.run(l.nc, t)
 
-	full = e.headerCRC()
+	full = e.headerCRC(&l)
 	chunks = resized(dst, l.nc)
 	for k := range l.segs[:l.nseg] {
 		s := &l.segs[k]

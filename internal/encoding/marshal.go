@@ -16,7 +16,7 @@ import (
 // UnmarshalStashInto accepts re-marshals to the same bytes.
 
 // stashMagic leads every serialized stash, whatever its technique.
-var stashMagic = [4]byte{'G', 'S', 'T', '3'}
+var stashMagic = [4]byte{'G', 'S', 'T', '4'}
 
 const (
 	// maxStashDims bounds the serialized shape rank.

@@ -2,7 +2,9 @@ package encoding
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gist/internal/bitpack"
@@ -125,8 +127,9 @@ type layoutEdgeCase struct {
 	// chunkable: the stash seals through the chunk roll-up (of zero chunks
 	// here) rather than the serial whole-payload checksum.
 	chunkable bool
-	// sum is the sealed checksum, captured at the commit before the layout
-	// engine replaced the per-technique checksum code.
+	// sum is the sealed checksum without the layout's header words
+	// (preHeaderWords), captured at the commit before the layout engine
+	// replaced the per-technique checksum code.
 	sum uint32
 }
 
@@ -224,9 +227,9 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 				t.Fatalf("%s: chunkable = %v, want %v", tc.name, ok, tc.chunkable)
 			}
 			c.Seal(e)
-			if e.Checksum != tc.sum || e.checksum() != tc.sum || len(e.ChunkCRCs) != 0 {
-				t.Fatalf("%s: sealed %#08x (serial oracle %#08x, %d chunk CRCs), want %#08x and none",
-					tc.name, e.Checksum, e.checksum(), len(e.ChunkCRCs), tc.sum)
+			if e.Checksum != e.checksum() || preHeaderWords(e, e.Checksum) != tc.sum || len(e.ChunkCRCs) != 0 {
+				t.Fatalf("%s: sealed %#08x (serial oracle %#08x, %d chunk CRCs; %#08x without header words), want %#08x and none",
+					tc.name, e.Checksum, e.checksum(), len(e.ChunkCRCs), preHeaderWords(e, e.Checksum), tc.sum)
 			}
 			if err := c.Verify(e); err != nil {
 				t.Fatalf("%s: clean Verify: %v", tc.name, err)
@@ -248,6 +251,72 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSealCoversHeaderWords flips, on a sealed stash of every technique,
+// each header word its decode trusts besides its arrays — the packed format
+// and count, the mask length, the CSR element count, rows and columns — and
+// requires Verify to reject it as corrupt, and to accept it flipped back.
+// A flipped count or format may leave the payload's arrays the same length
+// or push the stash off the chunk roll-up onto the serial checksum: either
+// way only the header words in the checksum tell the stash changed.
+func TestSealCoversHeaderWords(t *testing.T) {
+	var c Codec
+	// 210 elements: not a whole number of mask words, so a mask length one
+	// longer keeps the same words.
+	x := tensor.New(2, 3, 5, 7)
+	r := tensor.NewRNG(4)
+	for i := range x.Data {
+		if r.Float64() > 0.6 {
+			x.Data[i] = r.Float32() + 0.5
+		}
+	}
+	maskLen := func(m func(*EncodedStash) *bitpack.BitMask) func(*EncodedStash) {
+		return func(e *EncodedStash) {
+			mask := m(e)
+			words := slices.Clone(mask.Words())
+			mask.Reset(mask.Len() ^ 1)
+			copy(mask.Words(), words)
+		}
+	}
+	flipFormat := func(f *floatenc.Format) { *f ^= 1 }
+	cases := []struct {
+		tech Technique
+		word string
+		flip func(e *EncodedStash) // its own inverse
+	}{
+		{Binarize, "mask length", maskLen(func(e *EncodedStash) *bitpack.BitMask { return e.Mask })},
+		{DPR, "packed format", func(e *EncodedStash) { flipFormat(&e.Packed.Format) }},
+		{DPR, "packed count", func(e *EncodedStash) { e.Packed.N ^= 1 }},
+		{ZVC, "packed format", func(e *EncodedStash) { flipFormat(&e.ZVC.Values.Format) }},
+		{ZVC, "mask length", maskLen(func(e *EncodedStash) *bitpack.BitMask { return e.ZVC.Mask })},
+		{ZVC, "packed count", func(e *EncodedStash) { e.ZVC.Values.N ^= 1 }},
+		{SSDC, "packed format", func(e *EncodedStash) { flipFormat(&e.CSR.Values.Format) }},
+		{SSDC, "CSR N", func(e *EncodedStash) { e.CSR.N ^= 1 }},
+		{SSDC, "CSR rows", func(e *EncodedStash) { e.CSR.Rows ^= 1 }},
+		{SSDC, "CSR cols", func(e *EncodedStash) { e.CSR.Cols ^= 1 }},
+		{SSDC, "packed count", func(e *EncodedStash) { e.CSR.Values.N ^= 1 }},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%v/%s", tc.tech, tc.word), func(t *testing.T) {
+			e, err := encodeFresh(c, &Assignment{Tech: tc.tech, Format: floatenc.FP16}, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Tech != tc.tech {
+				t.Fatalf("encoded as %v", e.Tech)
+			}
+			c.Seal(e)
+			tc.flip(e)
+			if err := c.Verify(e); !errors.Is(err, ErrCorruptStash) {
+				t.Errorf("Verify after the flip = %v, want ErrCorruptStash", err)
+			}
+			tc.flip(e)
+			if err := c.Verify(e); err != nil {
+				t.Errorf("Verify flipped back: %v", err)
+			}
+		})
+	}
 }
 
 // TestDecodeShapeMismatch exercises the payload/shape guards that replace

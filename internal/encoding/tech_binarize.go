@@ -41,6 +41,7 @@ func (binarizeTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 		return l
 	}
 	l.n = e.Mask.Len()
+	l.addHead(l.n)
 	words := e.Mask.Words()
 	l.add(segment{u64: words, cut: cutAligned, per: 64})
 	l.chunkable = len(words) == (l.n+63)/64

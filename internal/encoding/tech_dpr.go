@@ -45,6 +45,8 @@ func (dprTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 		return l
 	}
 	l.n = p.N
+	l.addHead(int(p.Format))
+	l.addHead(p.N)
 	vpw, ok := packedValuesPerWord(p.Format)
 	l.add(segment{u32: p.Words, cut: cutAligned, per: vpw})
 	l.chunkable = ok && len(p.Words) == (p.N+vpw-1)/vpw

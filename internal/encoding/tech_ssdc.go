@@ -63,6 +63,11 @@ func (ssdcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	}
 	cols, n := csr.Cols, csr.N
 	l.n = n
+	l.addHead(int(csr.Values.Format))
+	l.addHead(n)
+	l.addHead(csr.Rows)
+	l.addHead(cols)
+	l.addHead(csr.Values.N)
 	l.add(segment{i32: csr.RowPtr, cut: cutRows, per: cols})
 	l.add(segment{u8: csr.ColIdx, cut: cutSpan})
 	l.add(segment{u32: csr.Values.Words, cut: cutSpan})

@@ -149,6 +149,9 @@ func (zvcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 		return l
 	}
 	l.n = z.Mask.Len()
+	l.addHead(int(z.Values.Format))
+	l.addHead(l.n)
+	l.addHead(z.Values.N)
 	words := z.Mask.Words()
 	l.add(segment{u64: words, cut: cutAligned, per: 64})
 	l.add(segment{u32: z.Values.Words, cut: cutSpan})

@@ -1,7 +1,7 @@
 // Command goldengen regenerates the frozen byte fixtures embedded in
 // internal/floatenc/golden_test.go and internal/encoding/golden_test.go:
 // the packed FP16/FP10/FP8 word streams and the sealed EncodedStash
-// "GST3" wire blobs. Run it only when intentionally breaking the encoder
+// "GST4" wire blobs. Run it only when intentionally breaking the encoder
 // bit layout or the stash wire format, and paste the printed values into
 // those tests — the fixtures exist precisely so such breaks are explicit.
 package main

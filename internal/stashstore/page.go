@@ -22,7 +22,7 @@ import (
 //	[4:8)   version (currently 1)
 //	[8:12)  node ID of the stash the page holds
 //	[12:16) payload length N
-//	[16:16+N) payload: the stash's MarshalBinary blob ("GST3")
+//	[16:16+N) payload: the stash's MarshalBinary blob ("GST4")
 //	[16+N:20+N) CRC32 (IEEE) over bytes [0:16+N)
 const (
 	pageMagic   = "GSTP"

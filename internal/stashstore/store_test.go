@@ -129,7 +129,7 @@ func TestPageRoundTrip(t *testing.T) {
 // internal/goldengen and must only change with an intentional, versioned
 // format break.
 func TestGoldenPage(t *testing.T) {
-	const golden = "475354500100000001000000d80000004753543302000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb83808995fac01000000e2dbbef35f63f5d0"
+	const golden = "475354500100000001000000d80000004753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3850033d2"
 	raw := make([]byte, len(golden)/2)
 	if _, err := fmt.Sscanf(golden, "%x", &raw); err != nil {
 		t.Fatalf("decode fixture: %v", err)
