@@ -94,20 +94,37 @@ func TestRobustCrossChecksOK(t *testing.T) {
 	}
 }
 
-// TestFig9Deterministic runs -experiment fig9 -csv three times in one
-// process: its modeled step times sum every stash's encoding overhead, and a
-// float64 sum is only the same from run to run when its order is.
-func TestFig9Deterministic(t *testing.T) {
-	var first string
-	for i := 0; i < 3; i++ {
+// TestExperimentsDeterministic runs every experiment that finishes in
+// under half a second twice in one process and requires byte-identical CSV
+// (fig9's modeled step times, for one, sum every stash's encoding
+// overhead, and a float64 sum is only the same from run to run when its
+// order is). It then runs robust under -technique adaptive, whose stashes
+// fall back from ZVC to dense DPR, at one and at four codec workers, and
+// requires the same output again.
+func TestExperimentsDeterministic(t *testing.T) {
+	csv := func(t *testing.T, args ...string) string {
+		t.Helper()
 		var out, errOut strings.Builder
-		if code := run([]string{"-experiment", "fig9", "-csv"}, &out, &errOut); code != 0 {
-			t.Fatalf("fig9 exited %d: %s", code, errOut.String())
+		if code := run(append(args, "-csv"), &out, &errOut); code != 0 {
+			t.Fatalf("%v exited %d: %s", args, code, errOut.String())
 		}
-		if i == 0 {
-			first = out.String()
-		} else if out.String() != first {
-			t.Fatalf("run %d printed\n%s\nrun 1 printed\n%s", i+1, out.String(), first)
-		}
+		return out.String()
 	}
+	for _, id := range []string{"fig1", "fig3", "table1", "fig8", "fig9", "fig10", "fig11",
+		"fig13", "fig15", "fig17", "cdma", "mbsweep", "sparsitysweep", "robust"} {
+		t.Run(id, func(t *testing.T) {
+			if first, second := csv(t, "-experiment", id), csv(t, "-experiment", id); second != first {
+				t.Fatalf("run 2 printed\n%s\nrun 1 printed\n%s", second, first)
+			}
+		})
+	}
+	t.Run("robust-adaptive-parallel", func(t *testing.T) {
+		serial := csv(t, "-experiment", "robust", "-technique", "adaptive", "-parallel", "1")
+		if !strings.Contains(serial, "ssdc_fallbacks,") || strings.Contains(serial, "ssdc_fallbacks,0\n") {
+			t.Fatalf("no stash fell back, so the run misses the fallback path:\n%s", serial)
+		}
+		if par := csv(t, "-experiment", "robust", "-technique", "adaptive", "-parallel", "4"); par != serial {
+			t.Fatalf("-parallel 4 printed\n%s\n-parallel 1 printed\n%s", par, serial)
+		}
+	})
 }

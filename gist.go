@@ -64,7 +64,7 @@ type (
 	Technique = encoding.Technique
 )
 
-// Encoding techniques, selectable per layer by the adaptive planner or
+// Encoding techniques, chosen per layer by the planner's fixed order or
 // forced globally with WithTechnique.
 const (
 	// Binarize is the 1-bit ReLU-Pool encoding.

@@ -13,7 +13,7 @@ import (
 
 // TestCodecOpsAllocateNothing is the zero-allocation wall of the stash path:
 // once a container, a decode target and a wire buffer are warm, every codec
-// entry point — both encodes (the adaptive one with its fallback chain
+// entry point — both encodes (the adaptive one with its dense fallback
 // firing), Seal, Verify, DecodeInto — and both halves of the wire round trip
 // allocate nothing, for every technique, at 1, 2 and 4 workers, with and
 // without a sink. The tensor spans three chunks, so the multi-worker runs
@@ -27,8 +27,6 @@ func TestCodecOpsAllocateNothing(t *testing.T) {
 	sparse, dense, out := tensor.New(n), tensor.New(n), tensor.New(n)
 	copy(sparse.Data, randStash(rng, n, 0.8))
 	copy(dense.Data, randStash(rng, n, 0))
-	// Dense data defeats SSDC and then ZVC: the chain ends at DPR.
-	fallback := &Assignment{Tech: SSDC, Format: floatenc.FP32, Fallbacks: []Technique{ZVC}}
 
 	for _, w := range []int{1, 2, 4} {
 		for _, tel := range []*telemetry.Sink{nil, telemetry.New()} {
@@ -57,15 +55,19 @@ func TestCodecOpsAllocateNothing(t *testing.T) {
 					t.Fatalf("%v/%s: the in-place round trip changed the stash", as.Tech, as.Format)
 				}
 			}
-			e := &EncodedStash{}
-			adaptive := func() error {
-				fellBack, err := c.EncodeStashAdaptiveInto(e, fallback, dense)
-				if err == nil && (!fellBack || e.Tech != DPR) {
-					t.Fatalf("fallback chain ended at %v (fell back %v), want DPR", e.Tech, fellBack)
+			// Dense data defeats SSDC's and ZVC's cost guards: the one hop
+			// lands on DPR.
+			for _, tech := range []Technique{SSDC, ZVC} {
+				as, e := &Assignment{Tech: tech, Format: floatenc.FP32}, &EncodedStash{}
+				adaptive := func() error {
+					fellBack, err := c.EncodeStashAdaptiveInto(e, as, dense)
+					if err == nil && (!fellBack || e.Tech != DPR) {
+						t.Fatalf("%v fallback ended at %v (fell back %v), want DPR", tech, e.Tech, fellBack)
+					}
+					return err
 				}
-				return err
+				assertNoAllocs(t, adaptive, "w%d sink=%v: EncodeStashAdaptiveInto %v falling back", w, tel != nil, tech)
 			}
-			assertNoAllocs(t, adaptive, "w%d sink=%v: EncodeStashAdaptiveInto with fallbacks", w, tel != nil)
 		}
 	}
 }

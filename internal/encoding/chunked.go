@@ -129,10 +129,9 @@ func (cdc Codec) EncodeStashInto(e *EncodedStash, as *Assignment, t *tensor.Tens
 }
 
 // encodeTechInto encodes with an explicit technique, which may differ from
-// as.Tech: the adaptive fallback chain re-encodes the same assignment at
-// each of its fallback techniques without mutating the shared Assignment.
-// Telemetry is keyed by the technique attempted, so each fallback step
-// shows up under its own name.
+// as.Tech: the adaptive fallback re-encodes the same assignment as dense
+// DPR without mutating the shared Assignment. Telemetry is keyed by the
+// technique attempted, so the fallback shows up under its own name.
 func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment, t *tensor.Tensor) error {
 	var start time.Time
 	if cdc.Tel != nil {
@@ -158,29 +157,19 @@ func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment,
 	return err
 }
 
-// EncodeStashAdaptiveInto encodes per the assignment, walking its fallback
-// chain when the runtime data defeats the planned encoding, and reports
-// whether a fallback fired so the executor can count degradations. The
-// planned technique is tried first; each ErrStashTooLarge steps to the next
-// entry of as.Fallbacks (cheaper predicted encodings the planner ranked
-// behind the primary), and when the chain is exhausted the stash is rebuilt
-// in the same container as the dense DPR encoding, which cannot fail. Every
-// step is counted on codec.encode.fallbacks.
+// EncodeStashAdaptiveInto encodes per the assignment and, when the
+// runtime data defeats the planned SSDC or ZVC encoding (ErrStashTooLarge),
+// rebuilds the stash in the same container as the dense DPR encoding,
+// which cannot fail. It reports whether that one hop fired, so the
+// executor can count degradations; each is counted on
+// codec.encode.fallbacks too.
 func (cdc Codec) EncodeStashAdaptiveInto(e *EncodedStash, as *Assignment, t *tensor.Tensor) (fellBack bool, err error) {
 	err = cdc.EncodeStashInto(e, as, t)
-	for _, tech := range as.Fallbacks {
-		if !errors.Is(err, ErrStashTooLarge) {
-			break
-		}
-		cdc.metrics().add(cFallbacks, 1)
-		fellBack = true
-		err = cdc.encodeTechInto(e, tech, as, t)
+	if !errors.Is(err, ErrStashTooLarge) {
+		return false, err
 	}
-	if errors.Is(err, ErrStashTooLarge) {
-		cdc.metrics().add(cFallbacks, 1)
-		return true, cdc.encodeTechInto(e, DPR, as, t)
-	}
-	return fellBack, err
+	cdc.metrics().add(cFallbacks, 1)
+	return true, cdc.encodeTechInto(e, DPR, as, t)
 }
 
 // fromPositiveInto builds the Binarize mask chunk-parallel into m (a nil m

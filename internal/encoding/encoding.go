@@ -22,7 +22,7 @@ package encoding
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"gist/internal/floatenc"
@@ -36,8 +36,8 @@ type Technique int
 
 // Techniques, in priority order. Binarize/SSDC/DPR are the paper's three
 // encodings; ZVC (zero-value compression: nonzero bitmask + compacted
-// values) is the lossless tier layered on top, selectable per layer by the
-// adaptive planner. The values are the wire format's technique word.
+// values) is the lossless tier layered on top, and the adaptive tier's
+// technique. The values are the wire format's technique word.
 const (
 	None Technique = iota
 	Binarize
@@ -71,13 +71,14 @@ type Config struct {
 	// ZVC enables zero-value compression (nonzero bitmask + compacted
 	// values) for sparse stashes SSDC did not claim.
 	ZVC bool
-	// AdaptiveSet, when non-empty, takes precedence over the fixed
-	// SSDC/ZVC order with per-layer minimum-predicted-bytes
-	// selection among the listed techniques (a layer none of them serves
-	// falls through to the fixed order); the runner-up techniques become
-	// the assignment's runtime fallback chain. Binarize still runs first (it
-	// rewrites backward needs, which runtime selection cannot), and DPR in
-	// the set means "dense packed" as a selectable terminal.
+	// AdaptiveSet, when non-empty, replaces the SSDC and ZVC flags with
+	// the set's membership when Analyze starts, and the fixed walk runs as
+	// usual, so AdaptiveAll() ({ZVC, DPR}) is the base configuration with
+	// ZVC in SSDC's place. DPR in a set changes nothing (the DPR
+	// format alone decides dense packing), so {ZVC} at a reduced format
+	// plans dense DPR where ZVC would not beat it, {DPR} turns SSDC off
+	// rather than keeping the base's flag, and a set holding both SSDC
+	// and ZVC takes the fixed SSDC-then-ZVC order.
 	AdaptiveSet []Technique
 	// Inplace enables ReLU inplace computation (an optimization for
 	// immediately consumed data, not an encoding, but applied by the same
@@ -119,8 +120,9 @@ func (c Config) WithTechnique(t Technique) Config {
 }
 
 // WithTechniqueName applies a technique named by a flag or a job spec: ""
-// changes nothing, "adaptive" (any case) selects AdaptiveAll's per-layer
-// choice, and any other name must parse and narrows to that technique.
+// changes nothing, "adaptive" (any case) selects AdaptiveAll — the base
+// configuration with ZVC in SSDC's place — and any other name must parse
+// and narrows to that technique.
 func (c Config) WithTechniqueName(name string) (Config, error) {
 	if name == "" {
 		return c, nil
@@ -143,10 +145,12 @@ func (c Config) Enabled() bool {
 		c.DPR != floatenc.FP32 || len(c.AdaptiveSet) > 0
 }
 
-// AdaptiveAll is the full lossless-tier adaptive set the consolidated
-// -technique flags name "adaptive": per-layer minimum-predicted-bytes
-// selection among SSDC, ZVC and dense DPR.
-func AdaptiveAll() []Technique { return []Technique{SSDC, ZVC, DPR} }
+// AdaptiveAll is the adaptive set the consolidated -technique flags name
+// "adaptive": ZVC, whose size follows from the nonzero count known when
+// the stash is encoded, where SSDC would go, and dense DPR — the one-hop
+// runtime fallback of Codec.EncodeStashAdaptiveInto — for the rest. SSDC
+// stays the paper's fixed technique (Lossless, -technique ssdc).
+func AdaptiveAll() []Technique { return []Technique{ZVC, DPR} }
 
 // Lossless is the paper's "lossless" configuration: Binarize + SSDC +
 // inplace.
@@ -208,12 +212,6 @@ type Assignment struct {
 	// from (Codec.OpenStored) and a sign mask for the ReLU — with no
 	// whole-map decode and no pooled target.
 	NeedsDecode bool
-	// Fallbacks is the runtime degradation chain for adaptive encoding:
-	// when the primary technique's cost guard fires (runtime sparsity
-	// defeated the plan), these techniques are tried in order before the
-	// dense DPR terminal. Populated by adaptive-set planning; empty
-	// otherwise.
-	Fallbacks []Technique
 }
 
 // Analysis is the output of the Gist static analysis over one graph.
@@ -273,48 +271,27 @@ func sparseStash(n *graph.Node) bool {
 	return n.Kind() == layers.MaxPool && len(n.Inputs) == 1 && n.Inputs[0].Kind() == layers.ReLU
 }
 
-// adaptiveEligible reports whether the technique can serve node n's stash
-// at planning time; the runtime cost guards still apply at encode.
-func adaptiveEligible(cfg Config, n *graph.Node, tech Technique, s float64) bool {
-	switch tech {
-	case SSDC:
-		if !sparseStash(n) || s < sparse.BreakEvenSparsity(1) {
-			return false
-		}
-		for _, c := range n.Consumers() {
-			if convLike(cfg, c.Kind()) && c.Op.Needs().X {
-				return true
-			}
-		}
-		return false
-	case ZVC:
-		return sparseStash(n)
-	case DPR:
-		return cfg.DPR != floatenc.FP32
-	default:
-		// Binarize rewrites backward needs in its own pass; None and
-		// unknown techniques are never adaptive candidates.
+// ssdcEligible reports whether SSDC can serve node n's stash at planning
+// time: a sparse stash, sparse enough for narrow CSR, that a convolution-
+// like consumer reads as X. The runtime cost guard still applies at encode.
+func ssdcEligible(cfg Config, n *graph.Node, s float64) bool {
+	if !sparseStash(n) || s < sparse.BreakEvenSparsity(1) {
 		return false
 	}
-}
-
-// runtimeFallback reports whether the technique's encoder carries a cost
-// guard and so can be retried at runtime (dense DPR always succeeds;
-// Binarize needs the analysis rewrite and cannot be chosen after the fact).
-func runtimeFallback(t Technique) bool {
-	return t == SSDC || t == ZVC
+	for _, c := range n.Consumers() {
+		if convLike(cfg, c.Kind()) && c.Op.Needs().X {
+			return true
+		}
+	}
+	return false
 }
 
 // choose picks the container of node n's stash, or nil to leave it raw.
-// An adaptive set, when configured, offers the minimum-predicted-bytes
-// eligible candidate, with the beaten runtime-retryable candidates as its
-// fallback chain, ordered by predicted size, so the encoder degrades along
-// the planner's own ranking. Without one, or when no candidate beats the
-// raw FP32 stash, the first enabled fixed technique — SSDC, then ZVC —
-// that is eligible and beats its bound wins: the raw FP32 stash for SSDC
-// (tiny stashes lose to CSR's row pointers), the dense stash at the DPR
-// format for ZVC. Whatever is left is DPR-packed when
-// precision reduction is on.
+// The first enabled technique — SSDC, then ZVC — that is eligible and
+// beats its bound wins: the raw FP32 stash for SSDC (tiny stashes lose to
+// CSR's row pointers), the dense stash at the DPR format for ZVC (any
+// sparse stash is eligible). Whatever is left is DPR-packed when precision
+// reduction is on.
 func choose(cfg Config, n *graph.Node) *Assignment {
 	s := cfg.Sparsity(n)
 	elems := n.OutShape.NumElements()
@@ -323,44 +300,16 @@ func choose(cfg Config, n *graph.Node) *Assignment {
 		return &Assignment{Node: n, Tech: tech, Format: cfg.DPR, Sparsity: s,
 			EncodedBytes: bytes}
 	}
-
-	type candidate struct {
-		tech  Technique
-		bytes int64
-	}
-	var cands []candidate
-	for _, tech := range cfg.AdaptiveSet {
-		if !adaptiveEligible(cfg, n, tech, s) {
-			continue
-		}
-		if b := PlanBytes(tech, elems, s, cfg.DPR); b < raw {
-			cands = append(cands, candidate{tech, b})
+	if cfg.SSDC && ssdcEligible(cfg, n, s) {
+		if b := PlanBytes(SSDC, elems, s, cfg.DPR); b < raw {
+			return assign(SSDC, b)
 		}
 	}
-	if len(cands) > 0 {
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].bytes < cands[j].bytes })
-		as := assign(cands[0].tech, cands[0].bytes)
-		for _, c := range cands[1:] {
-			if runtimeFallback(c.tech) {
-				as.Fallbacks = append(as.Fallbacks, c.tech)
-			}
-		}
-		return as
-	}
-
-	for _, f := range []struct {
-		on    bool
-		tech  Technique
-		bound int64
-	}{{cfg.SSDC, SSDC, raw}, {cfg.ZVC, ZVC, dense}} {
-		if !f.on || !adaptiveEligible(cfg, n, f.tech, s) {
-			continue
-		}
-		if b := PlanBytes(f.tech, elems, s, cfg.DPR); b < f.bound {
-			return assign(f.tech, b)
+	if cfg.ZVC && sparseStash(n) {
+		if b := PlanBytes(ZVC, elems, s, cfg.DPR); b < dense {
+			return assign(ZVC, b)
 		}
 	}
-
 	if cfg.DPR == floatenc.FP32 {
 		return nil
 	}
@@ -374,6 +323,10 @@ func choose(cfg Config, n *graph.Node) *Assignment {
 func Analyze(g *graph.Graph, cfg Config) *Analysis {
 	if cfg.Sparsity == nil {
 		cfg.Sparsity = DefaultSparsity
+	}
+	if len(cfg.AdaptiveSet) > 0 {
+		cfg.SSDC = slices.Contains(cfg.AdaptiveSet, SSDC)
+		cfg.ZVC = slices.Contains(cfg.AdaptiveSet, ZVC)
 	}
 	a := &Analysis{
 		Graph:          g,

@@ -29,7 +29,7 @@ type techniqueImpl interface {
 	// backing arrays when capacity allows. The caller has already reset
 	// e's header (Tech/Shape/ChunkElems/seal state). as supplies the
 	// format and sparsity context; implementations must not read as.Tech,
-	// which may differ during adaptive fallback re-encodes.
+	// which differs during the dense fallback re-encode.
 	encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error
 	// decodeInto expands the payload into out (shape already matched
 	// against e.Shape). It must validate payload structure and return
@@ -52,7 +52,7 @@ type techniqueImpl interface {
 
 	// planBytes is the planning-time footprint model: the predicted
 	// encoded bytes of an n-element stash at the given sparsity and DPR
-	// format. Analyze's adaptive selector arbitrates techniques on it.
+	// format. Analyze's walk checks SSDC and ZVC against their bounds on it.
 	planBytes(elems int, sparsity float64, f floatenc.Format) int64
 	// overheadTime is the roofline cost-model hook: it adds the modeled
 	// encode+decode time of one stash (dense and encoded byte sizes, the

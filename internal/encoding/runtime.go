@@ -22,9 +22,10 @@ var (
 	// ErrCorruptStash reports a checksum mismatch between seal and decode:
 	// the encoded payload was altered while it was held.
 	ErrCorruptStash = errors.New("encoding: corrupt stash (checksum mismatch)")
-	// ErrStashTooLarge reports an SSDC encode whose runtime sparsity fell
-	// below the break-even point, making the CSR form larger than the dense
-	// DPR alternative it was supposed to beat.
+	// ErrStashTooLarge reports an SSDC or ZVC encode whose runtime
+	// sparsity fell below the break-even point, making the encoded form
+	// (narrow CSR, or bitmask plus values) no smaller than the dense DPR
+	// alternative it was supposed to beat.
 	ErrStashTooLarge = errors.New("encoding: encoded stash larger than dense alternative")
 	// ErrShapeMismatch reports an encoded payload whose element count does
 	// not match the stash's recorded shape.

@@ -130,7 +130,7 @@ func withTechnique(cfg encoding.Config, name string) encoding.Config {
 // value runs every experiment at its default scale.
 type Settings struct {
 	// Technique narrows robust's and spill's stash encoding to one codec
-	// technique, or "adaptive" for the per-layer minimum-bytes choice.
+	// technique, or "adaptive" for ZVC in SSDC's place.
 	Technique string
 	// Replicas/Shards run fig12 and fig14 on the data-parallel replica
 	// engine; at a fixed shard count results are byte-identical at every

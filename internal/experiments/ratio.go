@@ -2,9 +2,8 @@ package experiments
 
 // The compression-ratio shootout: real activations from briefly trained
 // networks, encoded per layer with every lossless-tier technique, reporting
-// the measured (not modeled) compression ratio of each. This is the table
-// the adaptive planner's per-layer selection is judged against — where ZVC
-// beats SSDC, and where everything loses to the dense DPR stash.
+// the measured (not modeled) compression ratio of each: where ZVC beats
+// SSDC, and where everything loses to the dense DPR stash.
 
 import (
 	"errors"

@@ -71,3 +71,20 @@ func BenchmarkKernelMaxPoolFwd(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReLUBwdMaskVsY measures the two ways a ReLU's backward pass can
+// gate dY on StashNet's 64×64 planes at about half density: through the
+// sign mask a ZVC or Binarize stash holds (OutMask, ApplyGate), and through
+// the FP32 Y a decoded stash hands it. At half density nearly every 64-bit
+// mask word is mixed, so ApplyGate runs its per-element path on almost
+// every word. MB/s is over the FP32 map. Not a bench-gate row.
+func BenchmarkReLUBwdMaskVsY(b *testing.B) {
+	op := NewReLU()
+	y := randTensor(1, gateBenchShape...)
+	op.Forward(&FwdCtx{In: []*tensor.Tensor{y}, Out: y}) // Y = max(U(-1, 1), 0)
+	dy, dx := randTensor(2, gateBenchShape...), tensor.New(gateBenchShape...)
+	byY := &BwdCtx{Out: y, DOut: dy, DIn: []*tensor.Tensor{dx}}
+	byMask := &BwdCtx{OutMask: bitpack.FromPositive(y.Data), DOut: dy, DIn: []*tensor.Tensor{dx}}
+	b.Run("mask", func(b *testing.B) { benchGateLeg(b, y, func() { op.Backward(byMask) }) })
+	b.Run("y", func(b *testing.B) { benchGateLeg(b, y, func() { op.Backward(byY) }) })
+}

@@ -88,8 +88,8 @@ type JobSpec struct {
 	Encoding     string `json:"encoding"`
 	AllowDegrade bool   `json:"allow_degrade"`
 	// Technique narrows the stash configuration to one codec technique
-	// ("binarize", "ssdc", "dpr", "zvc"), or "adaptive" for
-	// per-layer minimum-bytes selection across the lossless tier. Layered
+	// ("binarize", "ssdc", "dpr", "zvc"), or "adaptive" for ZVC in
+	// SSDC's place with a dense DPR fallback. Layered
 	// over Encoding: the rung still supplies the DPR format and the
 	// degradation ladder.
 	Technique string `json:"technique,omitempty"`

@@ -165,8 +165,9 @@ func newExecMetrics(s *telemetry.Sink) execMetrics {
 // executor observed — the per-run robustness counters the RecoveryReport
 // aggregates and cross-checks against the injector's log.
 type RobustnessStats struct {
-	// SSDCFallbacks counts stashes whose runtime sparsity made narrow CSR
-	// larger than the dense DPR alternative, degrading to dense encoding.
+	// SSDCFallbacks counts stashes whose runtime zeros left their planned
+	// SSDC or ZVC form no smaller than dense DPR, which they were rebuilt
+	// as (the name predates ZVC).
 	SSDCFallbacks int64
 	// CRCFailures counts corrupt stashes detected by checksum at decode.
 	CRCFailures int64

@@ -121,10 +121,11 @@ func WithTechnique(t Technique) TrainerOption {
 	return func(c *trainerConfig) { c.technique = &t }
 }
 
-// WithAdaptiveSet has the planner choose per layer among the given
-// techniques by minimum predicted encoded bytes, recording the beaten
-// candidates as each assignment's runtime fallback chain. It overrides any
-// technique selection in the base configuration.
+// WithAdaptiveSet sets the planner's SSDC and ZVC selections to the
+// set's membership, overriding the base configuration's (Binarize and the
+// DPR format stay): {ZVC, DPR}, the set "-technique adaptive" names, is
+// the base with ZVC in SSDC's place. A stash whose runtime zeros defeat
+// its planned SSDC or ZVC form is rebuilt as dense DPR, one hop.
 func WithAdaptiveSet(set ...Technique) TrainerOption {
 	return func(c *trainerConfig) { c.adaptiveSet = set }
 }
