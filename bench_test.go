@@ -565,20 +565,42 @@ func BenchmarkSSDCEncodeCSRParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkSSDCDecodeCSRParallel(b *testing.B) {
+// BenchmarkDecodeIntoParallel is the whole-map decode of each container
+// through Codec.DecodeInto: the stored-stash cursor run once per chunk.
+func BenchmarkDecodeIntoParallel(b *testing.B) {
 	skipIfRace(b)
-	c := sparse.EncodeCSR(sparseInput(0.7))
-	dst := make([]float32, kernelElems)
-	chunkRows := encoding.DefaultChunkElems / sparse.NarrowCols
-	for _, w := range benchWorkers() {
-		b.Run(wName(w), func(b *testing.B) {
-			p := parallel.NewPool(w)
-			b.SetBytes(kernelElems * 4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.DecodeChunked(dst, p, chunkRows)
-			}
-		})
+	for _, tc := range []struct {
+		name     string
+		tech     encoding.Technique
+		format   floatenc.Format
+		sparsity float64
+	}{
+		{"binarize", encoding.Binarize, floatenc.FP32, 0.5},
+		{"ssdc-fp16", encoding.SSDC, floatenc.FP16, 0.7},
+		{"zvc-fp16", encoding.ZVC, floatenc.FP16, 0.7},
+		{"dpr-fp16", encoding.DPR, floatenc.FP16, 0},
+		{"dpr-fp32", encoding.DPR, floatenc.FP32, 0},
+	} {
+		t := tensor.New(kernelElems)
+		copy(t.Data, sparseInput(tc.sparsity))
+		enc := &encoding.EncodedStash{}
+		as := &encoding.Assignment{Tech: tc.tech, Format: tc.format}
+		if err := (encoding.Codec{}).EncodeStashInto(enc, as, t); err != nil {
+			b.Fatal(err)
+		}
+		dst := tensor.New(kernelElems)
+		for _, w := range benchWorkers() {
+			b.Run(tc.name+"/"+wName(w), func(b *testing.B) {
+				c := encoding.Codec{Pool: parallel.NewPool(w)}
+				b.SetBytes(kernelElems * 4)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.DecodeInto(dst, enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

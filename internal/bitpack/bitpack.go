@@ -102,10 +102,10 @@ func (m *BitMask) FillPositiveRange(xs []float32, start, end int) {
 	}
 }
 
-// ExpandRange is the chunk-range decode kernel: dst[i] = 1 where bit i is
-// set and 0 elsewhere, for every i in [start, end). dst must have length
-// Len(); chunks may cover any partition of [0, Len()) since each element is
-// written independently.
+// ExpandRange is the chunk-range decode kernel: dst[i-start] = 1 where bit
+// i is set and 0 elsewhere, for every i in [start, end). dst holds the
+// span's elements; chunks may cover any partition of [0, Len()) since each
+// element is written independently.
 //
 // Word-parallel: the aligned interior loads each mask word once and turns
 // every bit into float bits by multiplication (bit * 0x3f800000 is +1.0 or
@@ -116,14 +116,15 @@ func (m *BitMask) ExpandRange(dst []float32, start, end int) {
 	i := start
 	for ; i < end && i&63 != 0; i++ {
 		if m.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			dst[i] = 1
+			dst[i-start] = 1
 		} else {
-			dst[i] = 0
+			dst[i-start] = 0
 		}
 	}
 	for ; i+64 <= end; i += 64 {
 		w := m.words[i>>6]
-		lane := dst[i : i+64 : i+64]
+		j := i - start
+		lane := dst[j : j+64 : j+64]
 		if w == 0 {
 			clear(lane)
 			continue
@@ -134,9 +135,9 @@ func (m *BitMask) ExpandRange(dst []float32, start, end int) {
 	}
 	for ; i < end; i++ {
 		if m.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			dst[i] = 1
+			dst[i-start] = 1
 		} else {
-			dst[i] = 0
+			dst[i-start] = 0
 		}
 	}
 }

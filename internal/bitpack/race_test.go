@@ -38,7 +38,7 @@ func TestRaceSharedMaskDisjointRanges(t *testing.T) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				m.ExpandRange(dst, lo, hi)
+				m.ExpandRange(dst[lo:], lo, hi)
 			}(bounds[c], bounds[c+1])
 		}
 		wg.Wait()

@@ -24,9 +24,9 @@ func (m *BitMask) expandRangeScalar(dst []float32, start, end int) {
 	m.checkRange(start, end)
 	for i := start; i < end; i++ {
 		if m.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			dst[i] = 1
+			dst[i-start] = 1
 		} else {
-			dst[i] = 0
+			dst[i-start] = 0
 		}
 	}
 }

@@ -208,38 +208,31 @@ func (cdc Codec) encodePackedInto(p *floatenc.Packed, f floatenc.Format, xs []fl
 }
 
 // DecodeInto materializes the FP32 staging tensor for the backward use into
-// dst, a caller-provided tensor of the stash's shape, chunk-parallel on the
-// codec's pool with output identical to a serial decode. The executor takes
-// the decode target when the stash's fetch starts and hands it to the
-// backward kernel when the future resolves. Every element of dst is
-// overwritten (decode kernels fully cover the payload), so a recycled
-// buffer needs no pre-clearing. For Binarize the mask itself is the
-// backward representation, which the executor reads through MaskOf;
-// DecodeInto still reconstructs the 0/1 tensor for its other callers (ReLU
+// dst, a caller-provided tensor of the stash's shape: OpenStored's checks,
+// then a copy of its cursor per chunk on the codec's pool, each sought to
+// its chunk's start, so the output is identical to one serial pass of the
+// cursor. The executor takes the decode target when the stash's fetch
+// starts and hands it to the backward kernel when the future resolves.
+// Every element of dst is overwritten, so a recycled buffer needs no
+// pre-clearing. A Binarize stash decodes to its 0/1 indicator tensor (ReLU
 // backward only tests Y > 0, so it gives the same gradient bit for bit).
 //
-// A sealed stash is verified (per chunk) first; corruption surfaces as
-// ErrCorruptStash before any decoding touches the damaged payload. A dst
-// whose shape differs from the stash's, and payload/shape disagreements
-// (possible on unsealed stashes), surface as ErrShapeMismatch, and
-// structurally damaged payloads (possible after deserialization) as
-// ErrCorruptStash, so DecodeInto never panics on corrupted or deserialized
-// input. On error dst's contents are unspecified.
+// Errors are OpenStored's: a sealed stash is verified (per chunk) first, so
+// corruption surfaces as ErrCorruptStash before any decoding touches the
+// damaged payload; a dst of another shape is ErrShapeMismatch. DecodeInto
+// never panics on corrupted or deserialized input. On error dst's contents
+// are unspecified.
 func (cdc Codec) DecodeInto(dst *tensor.Tensor, e *EncodedStash) error {
 	var start time.Time
 	if cdc.Tel != nil {
 		start = time.Now()
 	}
-	err := cdc.Verify(e)
-	impl, ok := techImpl(e.Tech)
-	switch {
-	case err != nil:
-	case !dst.Shape.Equal(e.Shape):
-		err = fmt.Errorf("%w: destination shape %v, stash shape %v", ErrShapeMismatch, dst.Shape, e.Shape)
-	case !ok:
-		err = fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
-	default:
-		err = impl.decodeInto(cdc, dst, e)
+	var s StoredStash
+	err := cdc.OpenStored(&s, e, dst.Shape)
+	if err == nil {
+		task := cdc.elemTask(decodeStored, len(dst.Data))
+		task.stored, task.dst = s, dst.Data
+		cdc.forChunks(task)
 	}
 	if cdc.Tel != nil {
 		var raw int64
@@ -251,20 +244,13 @@ func (cdc Codec) DecodeInto(dst *tensor.Tensor, e *EncodedStash) error {
 	return err
 }
 
-// MaskOf returns a Binarize stash's mask as stored, for a backward kernel
-// that reads Y's sign straight from it (ReLU): no FP32 staging tensor and
-// no decode. It runs DecodeInto's checks — a sealed stash is verified
-// first, so corruption surfaces as ErrCorruptStash — and a stash that is
-// not a Binarize mask of exactly shape's elements is ErrShapeMismatch.
-func (cdc Codec) MaskOf(e *EncodedStash, shape tensor.Shape) (*bitpack.BitMask, error) {
-	if err := cdc.Verify(e); err != nil {
-		return nil, err
-	}
-	if e.Tech != Binarize || !e.Shape.Equal(shape) || maskBits(e.Mask) != shape.NumElements() {
-		return nil, fmt.Errorf("%w: %v stash of shape %v (%d mask bits) read as a mask of shape %v",
-			ErrShapeMismatch, e.Tech, e.Shape, maskBits(e.Mask), shape)
-	}
-	return e.Mask, nil
+// decodeStored is DecodeInto's chunk kernel: the task's cursor, copied,
+// sought to the chunk's start and run over it.
+func decodeStored(t *chunkTask, c int) {
+	lo, hi := t.span(c)
+	s := t.stored
+	s.seek(lo)
+	s.DecodeNext(t.dst[lo:hi])
 }
 
 // nil-tolerant accessors for error messages on malformed stashes.

@@ -8,8 +8,8 @@ import (
 	"gist/internal/telemetry"
 )
 
-// The codec's one chunk dispatch. Every chunk kernel — mask build and
-// expand, DPR pack and unpack, the ZVC passes, the seal/verify chunk
+// The codec's one chunk dispatch. Every chunk kernel — mask build, DPR
+// pack, the ZVC passes, the stored-stash decode, the seal/verify chunk
 // hashes — runs as a chunkTask through
 // parallel.Pool.ForEach, at every worker count and chunk count, one worker
 // and one chunk included. A task carries the kernel (a plain function, never
@@ -31,6 +31,7 @@ type chunkTask struct {
 	packed   *floatenc.Packed
 	layout   payloadLayout
 	pieces   []uint32
+	stored   StoredStash
 }
 
 var chunkTasks = sync.Pool{New: func() any { return new(chunkTask) }}
@@ -100,17 +101,7 @@ func fillPositive(t *chunkTask, c int) {
 	t.mask.FillPositiveRange(t.src[lo:], lo, hi)
 }
 
-func expandMask(t *chunkTask, c int) {
-	lo, hi := t.span(c)
-	t.mask.ExpandRange(t.dst, lo, hi)
-}
-
 func packRange(t *chunkTask, c int) {
 	lo, hi := t.span(c)
 	t.packed.EncodeRange(t.src, lo, hi)
-}
-
-func unpackRange(t *chunkTask, c int) {
-	lo, hi := t.span(c)
-	t.packed.DecodeRange(t.dst, lo, hi)
 }

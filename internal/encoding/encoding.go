@@ -207,10 +207,10 @@ type Assignment struct {
 	// produced the map (readAsStored); false for Binarize, whose mask the
 	// backward kernel consumes directly. liveness plans the
 	// staging buffer from it, and the executor reads it: a stash without it
-	// reaches its kernels as the verified container — a Binarize mask
-	// (Codec.MaskOf), or a reader Conv and FC decode an image at a time
-	// from (Codec.OpenStored) and a sign mask for the ReLU — with no
-	// whole-map decode and no pooled target.
+	// reaches its kernels through the reader Codec.OpenStored opens — the
+	// one Conv and FC decode an image at a time from — and a mask for the
+	// ReLU (a Binarize mask as stored), with no whole-map decode and no
+	// pooled target.
 	NeedsDecode bool
 }
 

@@ -31,10 +31,6 @@ type techniqueImpl interface {
 	// format and sparsity context; implementations must not read as.Tech,
 	// which differs during the dense fallback re-encode.
 	encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error
-	// decodeInto expands the payload into out (shape already matched
-	// against e.Shape). It must validate payload structure and return
-	// typed errors — never panic — on damaged input.
-	decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error
 
 	// layout states the held payload — the backing arrays in hash order,
 	// how each is cut into chunks of ce elements, and whether their

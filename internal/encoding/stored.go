@@ -8,35 +8,41 @@ import (
 	"gist/internal/tensor"
 )
 
-// StoredStash reads a verified ZVC, SSDC or dense DPR container as stored:
-// the layers.StashReader a Conv2D or FCOp backward decodes its X from an
-// image at a time, with no FP32 copy of the map. Its cursor decodes a run
-// of elements at a time, exactly as the whole-map decode would: ZVC
-// expands its values by the mask, SSDC scatters its CSR rows' entries,
-// and a DPR container (assigned, or the dense fallback a ZVC or SSDC
-// encode left behind) unpacks its words.
+// StoredStash reads a verified container as stored, through one cursor that
+// decodes a run of elements at a time: Binarize expands its mask to 0/1,
+// ZVC expands its values by the mask, SSDC scatters its CSR rows' entries,
+// and a DPR container (assigned, or the dense fallback a ZVC or SSDC encode
+// left behind) unpacks its words. It is the codec's only decode:
+// Codec.DecodeInto runs a copy of it per chunk, and it is the
+// layers.StashReader a Conv2D or FCOp backward decodes its X from an image
+// at a time, with no FP32 copy of the map.
 type StoredStash struct {
 	e *EncodedStash
-	// The cursor: the next position to decode and, for ZVC and SSDC, the
-	// value slot of the first nonzero element at or after it; row is the
-	// CSR row holding that position.
-	p, slot, row int
+	// The cursor: the next position to decode and, for ZVC, the value slot
+	// of the first nonzero element at or after it.
+	p, slot int
 }
 
-// OpenStored readies s to read stash e as stored, after DecodeInto's checks:
-// a sealed stash is verified first (corruption is ErrCorruptStash), one of
-// another technique or shape is ErrShapeMismatch, and a container whose
-// structure would send the cursor out of bounds is ErrCorruptStash.
+// OpenStored readies s to read stash e at shape. A sealed stash is verified
+// first (corruption is ErrCorruptStash); a shape other than the stash's, or
+// a payload over another element count, is ErrShapeMismatch; a container
+// whose structure would send the cursor out of bounds is ErrCorruptStash;
+// an unregistered technique is ErrNoTechnique. These are the codec's only
+// checks of a container's structure, so a cursor that opened never panics.
 func (cdc Codec) OpenStored(s *StoredStash, e *EncodedStash, shape tensor.Shape) error {
 	if err := cdc.Verify(e); err != nil {
 		return err
 	}
 	n := shape.NumElements()
 	if !e.Shape.Equal(shape) {
-		return fmt.Errorf("%w: %v stash of shape %v read as stored at shape %v", ErrShapeMismatch, e.Tech, e.Shape, shape)
+		return fmt.Errorf("%w: %v stash of shape %v read at shape %v", ErrShapeMismatch, e.Tech, e.Shape, shape)
 	}
 	var err error
 	switch e.Tech {
+	case Binarize:
+		if e.Mask == nil || e.Mask.Len() != n {
+			err = fmt.Errorf("%w: mask %d bits, shape %v", ErrShapeMismatch, maskBits(e.Mask), shape)
+		}
 	case ZVC:
 		z := e.ZVC
 		switch {
@@ -50,7 +56,7 @@ func (cdc Codec) OpenStored(s *StoredStash, e *EncodedStash, shape tensor.Shape)
 		switch {
 		case c == nil || c.N != n:
 			err = fmt.Errorf("%w: CSR over %d elements, shape %v", ErrShapeMismatch, csrN(c), shape)
-		case c.Validate() != nil || !rowsAscend(c.RowPtr, c.ColIdx):
+		case c.Validate() != nil:
 			err = fmt.Errorf("%w: CSR rows malformed", ErrCorruptStash)
 		}
 	case DPR:
@@ -61,7 +67,7 @@ func (cdc Codec) OpenStored(s *StoredStash, e *EncodedStash, shape tensor.Shape)
 			err = fmt.Errorf("%w: packed words malformed", ErrCorruptStash)
 		}
 	default:
-		err = fmt.Errorf("%w: a %v stash is not read as stored by image", ErrShapeMismatch, e.Tech)
+		err = fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
 	}
 	if err != nil {
 		return err
@@ -71,34 +77,29 @@ func (cdc Codec) OpenStored(s *StoredStash, e *EncodedStash, shape tensor.Shape)
 	return nil
 }
 
-// rowsAscend reports whether every CSR row's column indices strictly
-// ascend, as the encoder writes them: a row then holds at most
-// sparse.NarrowCols entries, in ascending position.
-func rowsAscend(rowPtr []int32, colIdx []uint8) bool {
-	for r := 0; r+1 < len(rowPtr); r++ {
-		for k := rowPtr[r] + 1; k < rowPtr[r+1]; k++ {
-			if colIdx[k] <= colIdx[k-1] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Shape is the stashed map's shape.
 func (s *StoredStash) Shape() tensor.Shape { return s.e.Shape }
 
-// DecodeNext writes the len(dst) elements from the cursor on, as
-// Codec.DecodeInto decodes them, into dst and moves the cursor past them:
-// DPR unpacks them, ZVC expands them by its mask a stage at a time as its
-// decode does (scatterNonzero), SSDC scatters its entries over zeros.
+// seek moves the cursor to position p. Only ZVC has work to do: its value
+// slot is the mask's popcount before p.
+func (s *StoredStash) seek(p int) {
+	s.p = p
+	if s.e.Tech == ZVC {
+		s.slot = s.e.ZVC.Mask.PopCountRange(0, p)
+	}
+}
+
+// DecodeNext writes the len(dst) elements from the cursor on into dst and
+// moves the cursor past them: Binarize expands its mask, DPR unpacks its
+// words, ZVC expands its values by the mask a stage at a time, and SSDC
+// decodes the rows the run covers.
 func (s *StoredStash) DecodeNext(dst []float32) {
 	end := s.p + len(dst)
 	switch s.e.Tech {
+	case Binarize:
+		s.e.Mask.ExpandRange(dst, s.p, end)
 	case DPR:
 		s.e.Packed.DecodeAt(dst, s.p)
-		s.p = end
-		return
 	case ZVC:
 		z := s.e.ZVC
 		var vals [zvcStage]float32
@@ -109,32 +110,60 @@ func (s *StoredStash) DecodeNext(dst []float32) {
 			z.Mask.ScatterNonzero(dst[b-s.p:], b, e, vals[:k])
 			s.slot += k
 		}
-		s.p = end
-		return
-	}
-	c := s.e.CSR
-	clear(dst)
-	var vals [sparse.NarrowCols]float32 // rowsAscend bounds a row's entries
-	for ; s.row < c.Rows && s.row*c.Cols < end; s.row++ {
-		base, j, k := s.row*c.Cols-s.p, s.slot, int(c.RowPtr[s.row+1])
-		for k > j && base+int(c.ColIdx[k-1]) >= len(dst) {
-			k-- // past end: the next call's
-		}
-		row := vals[:k-j]
-		c.Values.DecodeAt(row, j)
-		for i, col := range c.ColIdx[j:k] {
-			dst[base+int(col)] = row[i]
-		}
-		s.slot = k
-		if (s.row+1)*c.Cols > end { // the row goes on past end
-			break
-		}
+	case SSDC:
+		s.decodeCSR(dst, end)
 	}
 	s.p = end
 }
 
+// decodeCSR decodes [s.p, end) of an SSDC container into dst: the rows the
+// run covers whole through sparse.CSR.DecodeRows, and a row it starts or
+// ends inside through clippedRow.
+func (s *StoredStash) decodeCSR(dst []float32, end int) {
+	c := s.e.CSR
+	first := (s.p + c.Cols - 1) / c.Cols // the first row starting at or after s.p
+	last := end / c.Cols                 // rows [first, last) end by end
+	if end == c.N {
+		last = c.Rows // the partial final row ends at N
+	}
+	if first > last { // the run lies inside one row
+		s.clippedRow(dst, first-1, end)
+		return
+	}
+	if head := min(first*c.Cols, end); s.p < head {
+		s.clippedRow(dst, first-1, head)
+	}
+	if first < last {
+		c.DecodeRows(dst[first*c.Cols-s.p:], first, last)
+	}
+	if lo := last * c.Cols; lo < end {
+		s.clippedRow(dst[lo-s.p:], last, end)
+	}
+}
+
+// clippedRow decodes row r whole on the stack and writes into dst only its
+// positions in [max(s.p, r's start), hi), dst holding the first of them.
+// Every position there is written, whatever order the row's columns come
+// in; CSR.Validate bounds a row at sparse.NarrowCols entries.
+func (s *StoredStash) clippedRow(dst []float32, r, hi int) {
+	c := s.e.CSR
+	base := r * c.Cols
+	lo := max(s.p, base)
+	dst = dst[:hi-lo]
+	clear(dst)
+	k0, k1 := int(c.RowPtr[r]), int(c.RowPtr[r+1])
+	var vals [sparse.NarrowCols]float32
+	row := vals[:k1-k0]
+	c.Values.DecodeAt(row, k0)
+	for j, col := range c.ColIdx[k0:k1] {
+		if q := base + int(col); q >= lo && q < hi {
+			dst[q-lo] = row[j]
+		}
+	}
+}
+
 // Rewind moves the cursor back to position 0.
-func (s *StoredStash) Rewind() { s.p, s.slot, s.row = 0, 0, 0 }
+func (s *StoredStash) Rewind() { s.p, s.slot = 0, 0 }
 
 // PositiveMaskInto returns m (a nil m allocates one) reset to the map's
 // length with bit i set iff element i's decoded value is > 0 — the sign a

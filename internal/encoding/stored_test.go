@@ -2,11 +2,15 @@ package encoding
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
+	"gist/internal/sparse"
 	"gist/internal/tensor"
 )
 
@@ -45,56 +49,89 @@ func storedMap(data []byte) []float32 {
 	return xs
 }
 
-// FuzzStoredStash holds the stored-stash reader to the decode it replaces:
-// for ZVC, SSDC and dense DPR containers at FP32, FP16 and FP8, DecodeNext
-// over runs cut at arbitrary points (crossing mask words and CSR rows) must
-// give the decode's value bits, and the sign mask must agree with it.
+// FuzzStoredStash holds the codec's one decoder to scalarDecode, bit for
+// bit: DecodeInto at 1, 2 and 4 workers, and the cursor's DecodeNext over
+// runs of one element, of an odd length, of a length that straddles CSR rows
+// and of image sizes that are not a multiple of 256. The fuzz bytes are read
+// two ways: as a map, held by every container at FP32, FP16 and FP8, and as
+// a wire blob, which reaches containers no encoder writes (CSR columns that
+// repeat or descend inside a row, rows of any width).
 func FuzzStoredStash(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 7, 1, 2, 3, 2, 9, 9, 9, 5, 0, 0, 0}, uint16(3))
-	seed := make([]byte, 4*700) // three zeros in four: every container fits
+	seed := make([]byte, 4*2000) // three zeros in four: every container fits
 	for i := range seed {
 		if seed[i] = byte(i*37 + i/5); i%4 == 0 && i%16 != 0 {
 			seed[i] = 0
 		}
 	}
-	f.Add(seed, uint16(257))
+	f.Add(seed[:4*700], uint16(257))
 	f.Add(seed[:4*300], uint16(64))
+	blob, err := hostileCSR(f).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob, uint16(5))
+	f.Add(seed[4:], uint16(99)) // three chunks of 768, each after a nonzero: DecodeInto seeks its cursor
+	codecs := storedCodecs()
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		xs := storedMap(data)
-		if len(xs) == 0 {
-			return
-		}
-		x := tensor.New(1, len(xs))
-		copy(x.Data, xs)
-		step := int(cut)%300 + 1
-		c := Codec{Pool: parallel.NewPool(2), ChunkElems: 768}
-		for _, tech := range []Technique{ZVC, SSDC, DPR} {
-			for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP8} {
-				enc, err := encodeFresh(c, &Assignment{Tech: tech, Format: f}, x)
-				if err != nil {
-					continue // the cost guard: the container would not shrink the map
+		odd := 2*(int(cut)%150) + 1
+		if xs := storedMap(data); len(xs) > 0 {
+			x := tensor.New(1, len(xs))
+			copy(x.Data, xs)
+			for _, tech := range []Technique{Binarize, ZVC, SSDC, DPR} {
+				for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP8} {
+					enc, err := encodeFresh(codecs[1], &Assignment{Tech: tech, Format: f}, x)
+					if err != nil {
+						continue // the cost guard: the container would not shrink the map
+					}
+					codecs[1].Seal(enc)
+					if err := checkStored(t, codecs, enc, odd); err != nil {
+						t.Fatalf("%v/%v: %v", tech, f, err)
+					}
 				}
-				c.Seal(enc)
-				dec, err := decodeFresh(c, enc)
-				if err != nil {
-					t.Fatalf("%v/%v: decode: %v", tech, f, err)
-				}
-				checkStored(t, c, enc, dec, step)
 			}
+		}
+		if e, err := UnmarshalStash(data); err == nil && e.Shape.NumElements() <= 1<<14 {
+			_ = checkStored(t, codecs, e, odd) // a rejected blob is fine; a panic or a wrong bit is not
 		}
 	})
 }
 
-func checkStored(t *testing.T, c Codec, enc *EncodedStash, dec *tensor.Tensor, step int) {
-	t.Helper()
-	label := enc.Tech.String()
-	var s StoredStash
-	if err := c.OpenStored(&s, enc, dec.Shape); err != nil {
-		t.Fatalf("%s: OpenStored: %v", label, err)
+// storedCodecs are codecs at 1, 2 and 4 workers.
+func storedCodecs() []Codec {
+	var cs []Codec
+	for _, w := range []int{1, 2, 4} {
+		cs = append(cs, Codec{Pool: parallel.NewPool(w), ChunkElems: 768})
 	}
-	n := len(dec.Data)
+	return cs
+}
+
+// checkStored opens e, then holds DecodeInto at every codec's worker count,
+// DecodeNext at every cut and the sign mask to scalarDecode. It returns the
+// error OpenStored and every DecodeInto agree on, failing t if they differ.
+func checkStored(t *testing.T, codecs []Codec, e *EncodedStash, odd int) error {
+	t.Helper()
+	label := e.Tech.String()
+	var s StoredStash
+	openErr := codecs[0].OpenStored(&s, e, e.Shape)
+	var want []float32
+	if openErr == nil {
+		want = scalarDecode(e)
+	}
+	n := e.Shape.NumElements()
+	for _, c := range codecs {
+		dec := tensor.New(e.Shape...)
+		if err := c.DecodeInto(dec, e); (err == nil) != (openErr == nil) {
+			t.Fatalf("%s: DecodeInto at %d workers: %v, OpenStored %v", label, c.Workers(), err, openErr)
+		} else if err == nil {
+			sameBits(t, fmt.Sprintf("%s: DecodeInto at %d workers", label, c.Workers()), dec.Data, want)
+		}
+	}
+	if openErr != nil {
+		return openErr
+	}
 	out := make([]float32, n)
-	for _, cut := range []int{step, step/3 + 1} { // the second pass checks Rewind
+	for _, cut := range []int{1, odd, 300, 196, 363} {
 		s.Rewind()
 		for i := range out {
 			out[i] = 99 // DecodeNext writes every element
@@ -102,24 +139,91 @@ func checkStored(t *testing.T, c Codec, enc *EncodedStash, dec *tensor.Tensor, s
 		for lo := 0; lo < n; lo += cut {
 			s.DecodeNext(out[lo:min(lo+cut, n)])
 		}
-		for i, v := range out {
-			if math.Float32bits(v) != math.Float32bits(dec.Data[i]) {
-				t.Fatalf("%s: runs of %d: DecodeNext element %d is %#x, decode %#x",
-					label, cut, i, math.Float32bits(v), math.Float32bits(dec.Data[i]))
-			}
-		}
+		sameBits(t, fmt.Sprintf("%s: DecodeNext in runs of %d", label, cut), out, want)
 	}
 	m := s.PositiveMaskInto(nil)
-	for i, v := range dec.Data {
+	for i, v := range want {
 		if m.Get(i) != (v > 0) {
 			t.Fatalf("%s: sign mask bit %d is %t, decoded value %g", label, i, m.Get(i), v)
 		}
 	}
+	return nil
 }
 
-// TestOpenStoredRejects: a Binarize stash is not read this way, a shape
-// other than the stash's is a mismatch, and a sealed container whose
-// payload changed fails its verify before anything is read.
+func sameBits(t *testing.T, label string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d is %#x, scalar decode %#x", label, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// scalarDecode is the reference decode of an opened container, an element
+// or an entry at a time, sharing no code with the cursor: Binarize's bit as
+// 0/1, ZVC's next value per set bit, SSDC's (row, col) entries scattered in
+// order (a repeated column's last entry wins), DPR's slots.
+func scalarDecode(e *EncodedStash) []float32 {
+	out := make([]float32, e.Shape.NumElements())
+	switch e.Tech {
+	case Binarize:
+		for i := range out {
+			if e.Mask.Get(i) {
+				out[i] = 1
+			}
+		}
+	case ZVC:
+		k := 0
+		for i := range out {
+			if e.ZVC.Mask.Get(i) {
+				out[i] = packedAt(&e.ZVC.Values, k)
+				k++
+			}
+		}
+	case SSDC:
+		c := e.CSR
+		for r := 0; r < c.Rows; r++ {
+			for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
+				out[r*c.Cols+int(c.ColIdx[k])] = packedAt(&c.Values, int(k))
+			}
+		}
+	case DPR:
+		for i := range out {
+			out[i] = packedAt(e.Packed, i)
+		}
+	}
+	return out
+}
+
+// packedAt is slot k of p, through the format's scalar decode.
+func packedAt(p *floatenc.Packed, k int) float32 {
+	f := p.Format
+	vpw, bits := f.ValuesPerWord(), uint(f.Bits())
+	return f.Decode(p.Words[k/vpw] >> (uint(k%vpw) * bits) & (uint32(1)<<bits - 1))
+}
+
+// hostileCSR is an SSDC container no encoder writes: rows of 100 columns,
+// so DecodeInto's 768-element chunks start inside a row, with row 3's
+// columns descending and row 7's first column repeated.
+func hostileCSR(t testing.TB) *EncodedStash {
+	xs := randStash(tensor.NewRNG(9), 1000, 0.6)
+	c := sparse.EncodeCSRCols(xs, 100)
+	k0, k1 := int(c.RowPtr[3]), int(c.RowPtr[4])
+	slices.Reverse(c.ColIdx[k0:k1])
+	slices.Reverse(c.Values.Words[k0:k1])
+	if k0, k1 = int(c.RowPtr[7]), int(c.RowPtr[8]); k1-k0 < 2 {
+		t.Fatalf("row 7 holds %d entries, want 2 or more", k1-k0)
+	}
+	c.ColIdx[k0+1] = c.ColIdx[k0]
+	return &EncodedStash{Tech: SSDC, Shape: tensor.Shape{10, 100}, CSR: c}
+}
+
+// TestOpenStoredRejects: every registered technique opens — a Binarize
+// mask expands to 0/1 — and an unknown one is ErrNoTechnique from
+// OpenStored and DecodeInto alike; a shape other than the stash's is a
+// mismatch; a sealed container whose payload changed fails its verify
+// before anything is read; and CSR rows whose columns repeat or descend
+// decode through both paths, as scalarDecode scatters them.
 func TestOpenStoredRejects(t *testing.T) {
 	c := Codec{Pool: parallel.NewPool(1)}
 	x := tensor.New(2, 300)
@@ -129,8 +233,23 @@ func TestOpenStoredRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.OpenStored(&s, bin, x.Shape); err == nil {
-		t.Error("a Binarize mask read as stored by image")
+	if err := c.OpenStored(&s, bin, x.Shape); err != nil {
+		t.Fatalf("a Binarize mask does not open: %v", err)
+	}
+	got := make([]float32, len(x.Data))
+	s.DecodeNext(got[:100])
+	s.DecodeNext(got[100:])
+	for i, v := range x.Data {
+		if (got[i] == 1) != (v > 0) || (got[i] != 0 && got[i] != 1) {
+			t.Fatalf("Binarize element %d decodes to %g, value %g", i, got[i], v)
+		}
+	}
+	unknown := &EncodedStash{Tech: Technique(99), Shape: x.Shape}
+	if err := c.OpenStored(&s, unknown, x.Shape); !errors.Is(err, ErrNoTechnique) {
+		t.Errorf("OpenStored of an unknown technique: %v, want ErrNoTechnique", err)
+	}
+	if err := c.DecodeInto(tensor.New(x.Shape...), unknown); !errors.Is(err, ErrNoTechnique) {
+		t.Errorf("DecodeInto of an unknown technique: %v, want ErrNoTechnique", err)
 	}
 	zvc, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP16}, x)
 	if err != nil {
@@ -143,5 +262,8 @@ func TestOpenStoredRejects(t *testing.T) {
 	zvc.ZVC.Values.Words[0] ^= 1
 	if err := c.OpenStored(&s, zvc, x.Shape); err == nil {
 		t.Error("a corrupted sealed stash read as stored")
+	}
+	if err := checkStored(t, storedCodecs(), hostileCSR(t), 7); err != nil {
+		t.Errorf("CSR rows with repeated and descending columns: %v", err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 // binarizeTech is the 1-bit positive-mask encoding (paper Section IV-A):
 // the stashed ReLU output collapses to one sign bit per element, expanded
 // back to a 0/1 indicator tensor on decode; the executor's ReLU reads the
-// mask itself (Codec.MaskOf) and never decodes it. Payload is the mask's
-// 64-bit word array; chunks own whole words (chunk boundaries are
-// 768-aligned).
+// mask itself, through Codec.OpenStored's checks, and never decodes it.
+// Payload is the mask's 64-bit word array; chunks own whole words (chunk
+// boundaries are 768-aligned).
 
 type binarizeTech struct{}
 
@@ -23,16 +23,6 @@ func (binarizeTech) name() string { return "Binarize" }
 
 func (binarizeTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.Tensor) error {
 	e.Mask = cdc.fromPositiveInto(e.Mask, t.Data)
-	return nil
-}
-
-func (binarizeTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error {
-	if e.Mask == nil || e.Mask.Len() != len(out.Data) {
-		return fmt.Errorf("%w: mask %d bits, shape %v", ErrShapeMismatch, maskBits(e.Mask), e.Shape)
-	}
-	task := cdc.elemTask(expandMask, len(out.Data))
-	task.mask, task.dst = e.Mask, out.Data
-	cdc.forChunks(task)
 	return nil
 }
 

@@ -26,19 +26,6 @@ func (dprTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.
 	return nil
 }
 
-func (dprTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error {
-	if e.Packed == nil || e.Packed.N != len(out.Data) {
-		return fmt.Errorf("%w: packed %d elements, shape %v", ErrShapeMismatch, packedN(e.Packed), e.Shape)
-	}
-	if err := e.Packed.Check(); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptStash, err)
-	}
-	task := cdc.elemTask(unpackRange, len(out.Data))
-	task.packed, task.dst = e.Packed, out.Data
-	cdc.forChunks(task)
-	return nil
-}
-
 func (dprTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	p := e.Packed
 	if p == nil {

@@ -41,17 +41,6 @@ func (ssdcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor
 	return nil
 }
 
-func (ssdcTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error {
-	if e.CSR == nil || e.CSR.N != len(out.Data) {
-		return fmt.Errorf("%w: CSR over %d elements, shape %v", ErrShapeMismatch, csrN(e.CSR), e.Shape)
-	}
-	if err := e.CSR.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptStash, err)
-	}
-	e.CSR.DecodeChunked(out.Data, cdc.pool(), cdc.chunkElems()/e.CSR.Cols)
-	return nil
-}
-
 // layout: RowPtr by row range (chunk 0 owning the constant leading zero),
 // ColIdx and the value words by proportional index spans. An empty CSR is not
 // chunkable: its RowPtr still holds the leading zero, which no chunk of a

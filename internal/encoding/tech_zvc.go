@@ -74,31 +74,11 @@ func (zvcTech) encodeInto(cdc Codec, e *EncodedStash, as *Assignment, t *tensor.
 	return nil
 }
 
-func (zvcTech) decodeInto(cdc Codec, out *tensor.Tensor, e *EncodedStash) error {
-	z := e.ZVC
-	if z == nil || z.Mask == nil || z.Mask.Len() != len(out.Data) {
-		return fmt.Errorf("%w: ZVC mask %d bits, shape %v", ErrShapeMismatch, zvcBits(z), e.Shape)
-	}
-	n := z.Mask.Len()
-	if len(z.Mask.Words()) != (n+63)/64 {
-		return fmt.Errorf("%w: ZVC mask has %d words for %d bits", ErrCorruptStash, len(z.Mask.Words()), n)
-	}
-	if err := z.Values.Check(); err != nil {
-		return fmt.Errorf("%w: ZVC values: %v", ErrCorruptStash, err)
-	}
-	if nnz := z.Mask.PopCount(); z.Values.N != nnz {
-		return fmt.Errorf("%w: ZVC mask selects %d values, payload has %d", ErrCorruptStash, nnz, z.Values.N)
-	}
-	task := cdc.elemTask(scatterNonzero, n)
-	task.mask, task.dst, task.packed = z.Mask, out.Data, &z.Values
-	cdc.forChunks(task)
-	return nil
-}
-
-// The ZVC chunk kernels. A chunk's first value slot is the mask popcount
-// before it. Gather and scatter stage the values of zvcStage elements at a
-// time on the stack: the mask kernels compact and expand them there, the
-// floatenc word kernels pack and unpack them.
+// The ZVC encode kernels. A chunk's first value slot is the mask popcount
+// before it. Gather — and the decode, StoredStash.DecodeNext — stage the
+// values of zvcStage elements at a time on the stack: the mask kernels
+// compact and expand them there, the floatenc word kernels pack and unpack
+// them.
 
 // zvcStage is the staging block in elements, a whole number of mask words.
 const zvcStage = 512
@@ -117,19 +97,6 @@ func gatherNonzero(t *chunkTask, c int) {
 		w.Append(vals[:k])
 	}
 	w.Flush()
-}
-
-func scatterNonzero(t *chunkTask, c int) {
-	lo, hi := t.span(c)
-	slot := t.mask.PopCountRange(0, lo)
-	var vals [zvcStage]float32
-	for b := lo; b < hi; b += zvcStage {
-		e := min(b+zvcStage, hi)
-		k := t.mask.PopCountRange(b, e)
-		t.packed.DecodeAt(vals[:k], slot)
-		t.mask.ScatterNonzero(t.dst[b:], b, e, vals[:k])
-		slot += k
-	}
 }
 
 // zvcBits is the nil-tolerant mask length for error messages.

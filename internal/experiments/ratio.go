@@ -141,7 +141,7 @@ func ExtRatio(s RatioScale) *Result {
 		r.add("best-technique wins: %-10s %d layers", l, wins[l])
 		r.set("wins/"+l, float64(wins[l]))
 	}
-	r.add("(ratios are measured on real activations; the adaptive planner's")
-	r.add(" per-layer predictions are judged against this table)")
+	r.add("(ratios are measured on real activations; encoding.Analyze picks a")
+	r.add(" layer's container from its planned sparsity, not from this table)")
 	return r
 }

@@ -13,7 +13,7 @@ import (
 type rowTask struct {
 	pass      func(t *rowTask, r0, r1 int)
 	c         *CSR
-	xs, dst   []float32
+	xs        []float32
 	minBits   uint32
 	rows      int
 	chunkRows int
@@ -49,8 +49,6 @@ func countPass(t *rowTask, r0, r1 int) {
 
 func fillPass(t *rowTask, r0, r1 int) { t.c.FillRows(t.xs, r0, r1) }
 
-func decodePass(t *rowTask, r0, r1 int) { t.c.DecodeRows(t.dst, r0, r1) }
-
 // EncodeCSRChunkedInto builds the narrow CSR of xs with its values packed
 // at format f — for FP32 exactly the CSR EncodeCSR builds, byte for byte;
 // for a reduced format the CSR of xs quantized to f (an element f flushes
@@ -82,19 +80,4 @@ func (c *CSR) encode(xs []float32, cols int, f floatenc.Format, p *parallel.Pool
 	}
 	c.resizeNNZ(int(c.RowPtr[rows]), f)
 	forRowChunks(p, rowTask{pass: fillPass, c: c, xs: xs, rows: rows, chunkRows: chunkRows})
-}
-
-// DecodeChunked expands the CSR to dense form like Decode, row-chunk-
-// parallel on the pool. dst must have length N; if nil, a new slice is
-// allocated. Output is identical to Decode: each chunk zeroes and scatters
-// a disjoint dense span.
-func (c *CSR) DecodeChunked(dst []float32, p *parallel.Pool, chunkRows int) []float32 {
-	if dst == nil {
-		dst = make([]float32, c.N)
-	}
-	if len(dst) != c.N {
-		panic("sparse: Decode length mismatch")
-	}
-	forRowChunks(p, rowTask{pass: decodePass, c: c, dst: dst, rows: c.Rows, chunkRows: chunkRows})
-	return dst
 }

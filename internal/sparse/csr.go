@@ -164,20 +164,21 @@ func (c *CSR) FillRows(xs []float32, r0, r1 int) {
 	w.Flush()
 }
 
-// DecodeRows is the chunk-range scatter kernel: it zeroes the dense span
-// covered by rows [r0, r1) and scatters those rows' non-zeros into it, each
-// row's values unpacked on the stack by the floatenc word kernel.
-// Chunks own disjoint row ranges and therefore disjoint dst spans.
+// DecodeRows is the row-range scatter kernel: it zeroes the dense span
+// covered by rows [r0, r1), which dst holds from row r0's first element on,
+// and scatters those rows' non-zeros into it, each row's values unpacked on
+// the stack by the floatenc word kernel. Callers decoding in parallel hand
+// it disjoint row ranges and therefore disjoint dst spans.
 func (c *CSR) DecodeRows(dst []float32, r0, r1 int) {
 	lo := r0 * c.Cols
-	hi := min(r1*c.Cols, c.N)
-	clear(dst[lo:hi])
+	dst = dst[:min(r1*c.Cols, c.N)-lo]
+	clear(dst)
 	var vals [NarrowCols]float32
 	for r := r0; r < r1; r++ {
 		k0, k1 := int(c.RowPtr[r]), int(c.RowPtr[r+1])
 		row := vals[:k1-k0]
 		c.Values.DecodeAt(row, k0)
-		base := r * c.Cols
+		base := r*c.Cols - lo
 		for j, col := range c.ColIdx[k0:k1] {
 			dst[base+int(col)] = row[j]
 		}
@@ -186,8 +187,17 @@ func (c *CSR) DecodeRows(dst []float32, r0, r1 int) {
 
 // Decode expands the CSR back to its dense form. dst must have length N; if
 // nil, a new slice is allocated. Decoding is exact: SSDC is lossless. It is
-// the chunked decoder run serially, as one chunk.
-func (c *CSR) Decode(dst []float32) []float32 { return c.DecodeChunked(dst, nil, 0) }
+// DecodeRows over every row, serially.
+func (c *CSR) Decode(dst []float32) []float32 {
+	if dst == nil {
+		dst = make([]float32, c.N)
+	}
+	if len(dst) != c.N {
+		panic("sparse: Decode length mismatch")
+	}
+	c.DecodeRows(dst, 0, c.Rows)
+	return dst
+}
 
 // Bytes returns the storage footprint: the packed value words, 1 byte per
 // column index, 4 bytes per row pointer.

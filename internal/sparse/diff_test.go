@@ -160,8 +160,8 @@ func TestDiffCountFillDecodeRows(t *testing.T) {
 			dst := make([]float32, n)
 			ref := make([]float32, n)
 			for r0 := 0; r0 < rows; r0 += per {
-				got.DecodeRows(dst, r0, min(r0+per, rows))
-				want.decodeRowsScalar(ref, r0, min(r0+per, rows))
+				got.DecodeRows(dst[r0*NarrowCols:], r0, min(r0+per, rows))
+				want.decodeRowsScalar(ref[r0*NarrowCols:], r0, min(r0+per, rows))
 			}
 			for i := range dst {
 				if math.Float32bits(dst[i]) != math.Float32bits(ref[i]) {
@@ -313,7 +313,7 @@ func TestDiffQuantizedCSR(t *testing.T) {
 					if err := c.Validate(); err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
-					got := c.DecodeChunked(nil, pool, chunkRows)
+					got := c.Decode(nil)
 					for i := range got {
 						if math.Float32bits(got[i]) != math.Float32bits(dense[i]) {
 							t.Fatalf("%s: decode[%d] = %#08x, reference %#08x",

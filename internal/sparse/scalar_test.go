@@ -72,13 +72,13 @@ func (c *CSR) fillRowsScalar(xs []float32, r0, r1 int) {
 	}
 }
 
-// decodeRowsScalar is the original DecodeRows scatter.
+// decodeRowsScalar is the original DecodeRows scatter, with dst indexed
+// from row r0's first element as DecodeRows indexes it.
 func (c *CSR) decodeRowsScalar(dst []float32, r0, r1 int) {
 	lo := r0 * c.Cols
-	hi := min(r1*c.Cols, c.N)
-	clear(dst[lo:hi])
+	clear(dst[:min(r1*c.Cols, c.N)-lo])
 	for r := r0; r < r1; r++ {
-		base := r * c.Cols
+		base := r*c.Cols - lo
 		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
 			dst[base+int(c.ColIdx[k])] = math.Float32frombits(c.Values.Words[k])
 		}

@@ -65,7 +65,7 @@ func TestContainerMovesNoBit(t *testing.T) {
 						e := NewExecutor(g, Options{Seed: seed, Encodings: a})
 						byImage := false
 						for id := range e.futures {
-							byImage = byImage || e.futures[id].byImage
+							byImage = byImage || readByImage(e, id)
 						}
 						// {DPR} at FP32 assigns no stash at all.
 						want := !s.decodeAll && (f != floatenc.FP32 || s.name != "dpr")
@@ -85,6 +85,12 @@ func TestContainerMovesNoBit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readByImage reports whether node id's stash is read as stored and is not
+// a Binarize mask: a Conv or FC decodes it an image at a time.
+func readByImage(e *Executor, id int) bool {
+	return e.futures[id].asStored && e.assign[id].Tech != encoding.Binarize
 }
 
 // trainHashes runs steps training steps and returns the FNV-1a hashes of the

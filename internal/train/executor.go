@@ -408,8 +408,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 			e.assign[n.ID] = &encoding.Assignment{Node: n, Tech: encoding.DPR,
 				Format: floatenc.FP32, EncodedBytes: n.OutShape.Bytes(), NeedsDecode: true}
 		}
-		f.asStored = e.assign[n.ID] != nil && !e.assign[n.ID].NeedsDecode
-		if f.byImage = f.asStored && e.assign[n.ID].Tech != encoding.Binarize; f.byImage {
+		if f.asStored = e.assign[n.ID] != nil && !e.assign[n.ID].NeedsDecode; f.asStored {
 			f.stored = new(encoding.StoredStash)
 		}
 		needs := n.Op.Needs()
@@ -417,7 +416,7 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 			// A Binarize ReLU's Y need, which the analysis drops because
 			// the mask serves it, is a read of that container as stored.
 			needs = opts.Encodings.EffectiveNeeds(n)
-			needs.Y = needs.Y || (f.asStored && !f.byImage)
+			needs.Y = needs.Y || (f.asStored && e.assign[n.ID].Tech == encoding.Binarize)
 		}
 		f.ownY = needs.Y
 		e.needs[n.ID] = needs
@@ -708,9 +707,8 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 // The fetch-then-decode: it pulls the stash back from the store (a pointer
 // hand-off on a hot hit, a page read + CRC-verified parse on a spilled miss)
 // and decodes it into dst, on the executor's decode worker. A
-// stash read as stored (asStored: a Binarize mask, or a container Conv and
-// FC decode an image at a time) is fetched and verified the same way but
-// not decoded whole: its kernels read the container.
+// stash read as stored (asStored) is fetched the same way and opened, not
+// decoded whole: its kernels read the container through the one reader.
 // The backward pass starts futures through a window over the stashes in
 // first-use order (fillWindow), so the next decodes overlap the backward
 // kernels ahead of their consumers inside the codec's worker budget. Start
@@ -736,7 +734,6 @@ type stashFuture struct {
 	enc      *encoding.EncodedStash // the node's container (Executor.encSlots)
 	seal     bool                   // Options.Integrity, or an enabled injector
 	asStored bool                   // its assignment's NeedsDecode is false: the kernels read the container
-	byImage  bool                   // read as stored, and not a Binarize mask: X is decoded an image at a time
 	ownY     bool                   // the node's own backward reads its output (a ReLU)
 
 	// Per-encode state, set by launchEncode. encoding (read and written on
@@ -748,11 +745,11 @@ type stashFuture struct {
 	encoding bool
 
 	// Per-step decode state, reset by arm. A resolved future holds its
-	// decoded tensor in dst, or, read as stored, its verified mask in mask
-	// and, unless a Binarize mask, its reader in stored (allocated once,
-	// for these futures only). A ReLU whose container is not a ZVC mask
-	// gets the sign mask signs, built from the decoded map and kept
-	// across steps.
+	// decoded tensor in dst, or, read as stored, its opened reader in
+	// stored (allocated once, for these futures only) and, for the ReLU
+	// that produced the map, the mask its backward gates through: the
+	// Binarize or ZVC mask as stored, or else the sign mask signs, built
+	// from the container and kept across steps.
 	armed   bool
 	dst     *tensor.Tensor
 	mask    *bitpack.BitMask
@@ -876,9 +873,8 @@ func stashLoop(q <-chan *stashFuture, done *sync.WaitGroup, job func(*stashFutur
 }
 
 // decode is the one resolution path: fetch the stash from its home, then
-// decode it into dst, or verify the container a stash read as stored hands
-// its kernels: the Binarize mask, or the stored-stash reader and, for the ReLU
-// that produced the map, its sign mask.
+// decode it into dst, or open the reader a stash read as stored hands its
+// kernels and, for the ReLU that produced the map, take its sign mask.
 func (f *stashFuture) decode() {
 	defer f.wg.Done()
 	defer f.settled.Store(true)
@@ -890,18 +886,18 @@ func (f *stashFuture) decode() {
 	enc, err := f.store.Fetch(f.sid)
 	switch {
 	case err != nil:
-	case f.byImage:
+	case f.asStored:
 		err = f.cdc.OpenStored(f.stored, enc, f.shape)
 		switch {
 		case err != nil || !f.ownY:
+		case enc.Tech == encoding.Binarize:
+			f.mask = enc.Mask
 		case enc.Tech == encoding.ZVC:
 			f.mask = enc.ZVC.Mask // bit i set iff Y[i] > 0: a ReLU's output holds no negative or NaN
 		default:
 			f.signs = f.stored.PositiveMaskInto(f.signs)
 			f.mask = f.signs
 		}
-	case f.asStored:
-		f.mask, err = f.cdc.MaskOf(enc, f.shape)
 	default:
 		err = f.cdc.DecodeInto(f.dst, enc)
 	}
@@ -1264,7 +1260,7 @@ func (e *Executor) Backward() error {
 				if err != nil {
 					return e.failBackward(err)
 				}
-				if f := &e.futures[in.ID]; f.byImage {
+				if f := &e.futures[in.ID]; f.asStored {
 					// A Conv or FC (Analyze reads no other way): it decodes
 					// X an image at a time into one image of scratch.
 					stored, scratch = f.stored, e.alloc(in.OutShape[1:])

@@ -197,7 +197,7 @@ func (r *RobustnessStats) add(o RobustnessStats) {
 func (r *RecoveryReport) String() string {
 	s := fmt.Sprintf("steps %d, retries %d, recovered steps %d, backoff %v\n",
 		r.Steps, r.Retries, r.RecoveredSteps, r.BackoffTotal)
-	s += fmt.Sprintf("stash: crc-detected %d, ssdc->dense fallbacks %d, injected encode/decode/alloc %d/%d/%d\n",
+	s += fmt.Sprintf("stash: crc-detected %d, sparse->dense fallbacks %d, injected encode/decode/alloc %d/%d/%d\n",
 		r.Robust.CRCFailures, r.Robust.SSDCFallbacks,
 		r.Robust.EncodeFailures, r.Robust.DecodeFailures, r.Robust.AllocFailures)
 	if r.Robust.SpillWriteFailures > 0 || r.Robust.SpillReadFailures > 0 {

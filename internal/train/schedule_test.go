@@ -261,14 +261,14 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 
 				maskReads, poolReads, imageReads := 0, 0, 0
 				probeKernels(e, func(nd *graph.Node, ctx *layers.BwdCtx) {
-					if f := &e.futures[nd.ID]; f.asStored && !f.byImage {
+					if f := &e.futures[nd.ID]; f.asStored && !readByImage(e, nd.ID) {
 						maskReads++
 						if ctx.OutMask == nil || ctx.OutMask != e.encSlots[nd.ID].Mask || ctx.Out != nil || f.dst != nil {
 							t.Errorf("%q's kernel: mask %p (container's %p), tensor %p, decode target %p; want the container's mask alone",
 								nd.Name, ctx.OutMask, e.encSlots[nd.ID].Mask, ctx.Out, f.dst)
 						}
 					}
-					if f := &e.futures[nd.ID]; f.byImage && e.needs[nd.ID].Y {
+					if f := &e.futures[nd.ID]; readByImage(e, nd.ID) && e.needs[nd.ID].Y {
 						want := f.signs
 						if enc := &e.encSlots[nd.ID]; enc.Tech == encoding.ZVC {
 							want = enc.ZVC.Mask
@@ -279,7 +279,7 @@ func TestExecutorReadsPlannedNeeds(t *testing.T) {
 						}
 					}
 					for _, in := range nd.Inputs {
-						if f := &e.futures[in.ID]; f.byImage && e.needs[nd.ID].X {
+						if f := &e.futures[in.ID]; readByImage(e, in.ID) && e.needs[nd.ID].X {
 							imageReads++
 							if ctx.InStash != layers.StashReader(f.stored) || ctx.In[0] != nil || f.dst != nil {
 								t.Errorf("%q's kernel reads %q: reader %v, tensor %p, decode target %p; want the future's reader alone",
