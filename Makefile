@@ -53,31 +53,34 @@ soak-short:
 # its single-pass encoder against the frozen two-phase encoder and the
 # bit-serial reference on arbitrary bytes and FP32 input at every DPR
 # packing, and its table-driven decoder against the bit-serial reference on
-# arbitrary blocks), the GSTP spill-page parser, the direct convolution
+# arbitrary blocks), the GSTP spill-page parser (whole and streamed through
+# small buffers), the direct convolution
 # kernels and the branch-free ReLU/MaxPool gate kernels against their
 # per-element references (bit for bit), and the strict Prometheus exposition
-# parser gisttop runs on remote endpoints.
+# parser gisttop runs on remote endpoints. A line with -fuzzminimizetime 20x
+# otherwise stalls at 0 execs/s for most of its 20 s while the fuzzer
+# minimizes each new input.
 fuzz:
-	$(GO) test ./internal/train/ -run FuzzReadCheckpoint -fuzz FuzzReadCheckpoint -fuzztime 20s
-	$(GO) test ./internal/reduce/ -run FuzzReduceGrads -fuzz FuzzReduceGrads -fuzztime 20s
+	$(GO) test ./internal/train/ -run FuzzReadCheckpoint -fuzz FuzzReadCheckpoint -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/reduce/ -run FuzzReduceGrads -fuzz FuzzReduceGrads -fuzztime 20s -fuzzminimizetime 20x
 	$(GO) test ./internal/floatenc/ -run FuzzFormatRoundTrip -fuzz FuzzFormatRoundTrip -fuzztime 20s
-	$(GO) test ./internal/floatenc/ -run FuzzPackedRoundTrip -fuzz FuzzPackedRoundTrip -fuzztime 20s
+	$(GO) test ./internal/floatenc/ -run FuzzPackedRoundTrip -fuzz FuzzPackedRoundTrip -fuzztime 20s -fuzzminimizetime 20x
 	$(GO) test ./internal/bitpack/ -run FuzzMaskWords -fuzz FuzzMaskWords -fuzztime 20s
 	$(GO) test ./internal/sparse/ -run FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 20s
-	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s
-	$(GO) test ./internal/entropy/ -run FuzzEntropyEncodeDiff -fuzz FuzzEntropyEncodeDiff -fuzztime 20s
+	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/entropy/ -run FuzzEntropyEncodeDiff -fuzz FuzzEntropyEncodeDiff -fuzztime 20s -fuzzminimizetime 20x
 	$(GO) test ./internal/entropy/ -run FuzzEntropyDecodeDiff -fuzz FuzzEntropyDecodeDiff -fuzztime 20s
 	$(GO) test ./internal/encoding/ -run FuzzZVCRoundTrip -fuzz FuzzZVCRoundTrip -fuzztime 20s
-	$(GO) test ./internal/encoding/ -run FuzzPackedSparseDiff -fuzz FuzzPackedSparseDiff -fuzztime 20s
-	$(GO) test ./internal/encoding/ -run FuzzStoredStash -fuzz FuzzStoredStash -fuzztime 20s
-	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s
-	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s
-	$(GO) test ./internal/layers/ -run FuzzGateKernels -fuzz FuzzGateKernels -fuzztime 20s
-	$(GO) test ./internal/telemetry/promexport/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
+	$(GO) test ./internal/encoding/ -run FuzzPackedSparseDiff -fuzz FuzzPackedSparseDiff -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/encoding/ -run FuzzStoredStash -fuzz FuzzStoredStash -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/stashstore/ -run FuzzReadSpillPage -fuzz FuzzReadSpillPage -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/layers/ -run FuzzConvDirect -fuzz FuzzConvDirect -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/layers/ -run FuzzGateKernels -fuzz FuzzGateKernels -fuzztime 20s -fuzzminimizetime 20x
+	$(GO) test ./internal/telemetry/promexport/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s -fuzzminimizetime 20x
 
 # Short fuzz pass over the serialized-stash decode path.
 fuzz-stash:
-	$(GO) test ./internal/encoding/ -run FuzzDecodeEncodedStash -fuzz FuzzDecodeEncodedStash -fuzztime 20s
+	$(GO) test ./internal/encoding/ -run FuzzDecodeEncodedStash -fuzz FuzzDecodeEncodedStash -fuzztime 20s -fuzzminimizetime 20x
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run TestXXX .
@@ -192,7 +195,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22416
+LOC_CEILING ?= 22671
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

@@ -3,7 +3,6 @@ package encoding
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -15,8 +14,8 @@ import (
 // footprint (Bytes), the fault injector's corruption surface (PayloadBits,
 // FlipBit), corruption attribution (ChunkOfBit, ChunkSpan), the serial
 // whole-payload checksum and the chunked Seal/Verify roll-up that must
-// equal it, and the little-endian serialisation the wire format shares
-// with the checksums.
+// equal it, and the wire format (marshal.go): the layout written out in
+// the little-endian serialisation the checksums hash.
 
 // cutRule says how a segment's items are divided among the nc chunks of an
 // n-element payload under chunk size ce. chunkItems applies a rule, chunkOf
@@ -83,24 +82,23 @@ func (s *segment) put(buf []byte, lo, hi int) {
 	}
 }
 
-// loadSegment fills the segment's items from buf, little-endian — the
-// inverse of put. The caller sized the arrays to buf.
-func loadSegment(s segment, buf []byte) {
+// get fills items [lo, hi) from buf, little-endian — the inverse of put.
+func (s *segment) get(buf []byte, lo, hi int) {
 	switch {
 	case s.u64 != nil:
-		for i := range s.u64 {
-			s.u64[i] = binary.LittleEndian.Uint64(buf[8*i:])
+		for i := range s.u64[lo:hi] {
+			s.u64[lo+i] = binary.LittleEndian.Uint64(buf[8*i:])
 		}
 	case s.u32 != nil:
-		for i := range s.u32 {
-			s.u32[i] = binary.LittleEndian.Uint32(buf[4*i:])
+		for i := range s.u32[lo:hi] {
+			s.u32[lo+i] = binary.LittleEndian.Uint32(buf[4*i:])
 		}
 	case s.i32 != nil:
-		for i := range s.i32 {
-			s.i32[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		for i := range s.i32[lo:hi] {
+			s.i32[lo+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
 	default:
-		copy(s.u8, buf)
+		copy(s.u8[lo:hi], buf)
 	}
 }
 
@@ -142,15 +140,6 @@ func (s *segment) crc(crc uint32, lo, hi int) uint32 {
 	return crc
 }
 
-// appendSegment appends the segment's serialised form to out.
-func appendSegment(out []byte, s segment) []byte {
-	items, size := s.shape()
-	n := len(out)
-	out = slices.Grow(out, items*size)[:n+items*size]
-	s.put(out[n:], 0, items)
-	return out
-}
-
 // payloadLayout is a technique's statement of its held payload, built per
 // call and passed by value: it aliases the stash's arrays, which the next
 // re-encode may regrow, so it must not outlive the call that asked for it.
@@ -165,9 +154,12 @@ type payloadLayout struct {
 	nseg int
 	// head[:nhead] are the words the payload's decode trusts besides its
 	// arrays — packed formats and counts, mask lengths, CSR dimensions —
-	// which both checksums hash after the technique and shape.
-	head  [5]uint32
-	nhead int
+	// which both checksums hash after the technique and shape, and the wire
+	// carries, in this order, before the segments: all but those with their
+	// bit set in derived, which the reader works out from the others.
+	head    [5]uint32
+	nhead   int
+	derived uint8
 	// chunkable reports that the arrays have the lengths the chunk layout
 	// expects for n elements. When false (hand-built or deserialized
 	// oddities) the stash seals with the serial checksum and no chunk CRCs.
@@ -183,6 +175,12 @@ func (l *payloadLayout) add(s segment) {
 func (l *payloadLayout) addHead(w int) {
 	l.head[l.nhead] = uint32(w)
 	l.nhead++
+}
+
+// addDerivedHead appends a header word the wire leaves out.
+func (l *payloadLayout) addDerivedHead(w int) {
+	l.derived |= 1 << l.nhead
+	l.addHead(w)
 }
 
 // bits is the size of the bit-addressable payload: every segment.

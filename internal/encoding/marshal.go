@@ -1,19 +1,21 @@
 package encoding
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
-
-	"gist/internal/floatenc"
 )
 
 // Binary serialization of an EncodedStash — the payload of a spill page and
 // the input of the decode fuzzer. The format is little-endian throughout and
-// self-describing enough that UnmarshalStashInto can rebuild the exact
-// in-memory structures (including the seal) or reject the bytes with a typed
-// error; it never panics, whatever the input. It is canonical: every blob
-// UnmarshalStashInto accepts re-marshals to the same bytes.
+// self-describing enough that ReadWire can rebuild the exact in-memory
+// structures (including the seal) or reject the bytes with a typed error; it
+// never panics, whatever the input. It is canonical: every blob ReadWire
+// accepts re-marshals to the same bytes. The payload is the technique's
+// layout as stated: its header words (less those the reader derives) and
+// its segments, in order. WriteWire is the one writer and ReadWire the one
+// reader; the byte-slice forms run them over a whole buffer (wire.go), the
+// spill store over a file section through its fixed page buffer.
 
 // stashMagic leads every serialized stash, whatever its technique.
 var stashMagic = [4]byte{'G', 'S', 'T', '4'}
@@ -28,8 +30,8 @@ const (
 )
 
 // MarshalBinary serializes the stash: magic, technique, seal word (0 or 1),
-// chunk layout, shape, technique-specific payload, and (when sealed) the
-// checksum plus per-chunk CRCs. It is AppendBinary(nil).
+// chunk layout, shape, the layout's header words and segments in order, and
+// (when sealed) the checksum plus per-chunk CRCs. It is AppendBinary(nil).
 func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 	b, err := e.AppendBinary(nil)
 	if err != nil {
@@ -39,118 +41,84 @@ func (e *EncodedStash) MarshalBinary() ([]byte, error) {
 }
 
 // AppendBinary appends the stash's serialized form (see MarshalBinary) to
-// dst and returns the extended slice, growing it at most once: a caller that
-// keeps its buffer — the spill store's page buffer — serializes without
-// allocating. On error dst is returned unchanged.
+// dst and returns the extended slice, growing it at most once: it is
+// WriteWire into dst's spare capacity, sized by WireSize. On error dst is
+// returned unchanged.
 func (e *EncodedStash) AppendBinary(dst []byte) ([]byte, error) {
-	impl, ok := techImpl(e.Tech)
-	if !ok {
-		return dst, fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
+	n, err := e.WireSize()
+	if err != nil {
+		return dst, err
 	}
-	// One growth: the fixed fields are at most 44 bytes (20 of header, 16 of
-	// SSDC's payload header, 8 of seal) and the layout knows the rest.
-	out := slices.Grow(dst, 44+4*len(e.Shape)+int(e.Bytes())+4*len(e.ChunkCRCs))
-	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
-	out = append(out, stashMagic[:]...)
-	u32(uint32(e.Tech))
+	out := slices.Grow(dst, n)
+	w := NewWireWriter(nil, 0, out)
+	if err := e.WriteWire(&w); err != nil {
+		return dst, err
+	}
+	return out[:len(out)+n], nil
+}
+
+// wireLayout returns the stash's layout, or why the stash has no
+// serialized form: an unknown technique or no payload.
+func (e *EncodedStash) wireLayout() (payloadLayout, error) {
+	if _, ok := techImpl(e.Tech); !ok {
+		return payloadLayout{}, fmt.Errorf("%w (technique %v)", ErrNoTechnique, e.Tech)
+	}
+	l := e.layout()
+	if l.nhead == 0 {
+		return l, fmt.Errorf("encoding: marshal: %v stash without payload", e.Tech)
+	}
+	return l, nil
+}
+
+// WireSize returns the length of the stash's serialized form.
+func (e *EncodedStash) WireSize() (int, error) {
+	l, err := e.wireLayout()
+	if err != nil {
+		return 0, err
+	}
+	// Magic, technique, seal word, chunk size and rank; the dims; the wire's
+	// header words; the segments.
+	n := 20 + 4*len(e.Shape) + 4*(l.nhead-bits.OnesCount8(l.derived)) + l.bits()/8
+	if e.sealed {
+		n += 8 + 4*len(e.ChunkCRCs)
+	}
+	return n, nil
+}
+
+// WriteWire writes the stash's serialized form (see MarshalBinary) to w:
+// the fixed header, then the layout's header words and segments in wire
+// order, then the seal.
+func (e *EncodedStash) WriteWire(w *WireWriter) error {
+	l, err := e.wireLayout()
+	if err != nil {
+		return err
+	}
 	sealed := uint32(0)
 	if e.sealed {
 		sealed = 1
 	}
-	u32(sealed)
-	u32(uint32(e.ChunkElems))
-	u32(uint32(len(e.Shape)))
+	w.Put(stashMagic[:])
+	w.U32(uint32(e.Tech))
+	w.U32(sealed)
+	w.U32(uint32(e.ChunkElems))
+	w.U32(uint32(len(e.Shape)))
 	for _, d := range e.Shape {
-		u32(uint32(d))
+		w.U32(uint32(d))
 	}
-	out, err := impl.marshalPayload(e, out)
-	if err != nil {
-		return dst, err
+	for i, h := range l.head[:l.nhead] {
+		if l.derived&(1<<i) == 0 {
+			w.U32(h)
+		}
+	}
+	for i := range l.segs[:l.nseg] {
+		w.segment(&l.segs[i])
 	}
 	if e.sealed {
-		u32(e.Checksum)
-		u32(uint32(len(e.ChunkCRCs)))
-		out = appendSegment(out, segment{u32: e.ChunkCRCs})
+		w.U32(e.Checksum)
+		w.U32(uint32(len(e.ChunkCRCs)))
+		w.segment(&segment{u32: e.ChunkCRCs})
 	}
-	return out, nil
-}
-
-// stashReader is a bounds-checked little-endian cursor over serialized
-// bytes; every read either succeeds or records an ErrCorruptStash-wrapped
-// error, so parsing code never indexes past the buffer. It travels by value
-// through the technique plug point, which keeps a parse off the heap.
-type stashReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *stashReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: unmarshal: %s", ErrCorruptStash, fmt.Sprintf(format, args...))
-	}
-}
-
-// bytes returns the next n bytes, or nil once the input is short. A
-// payload array is sized only after its bytes are known to be there, so a
-// hostile count never drives an allocation.
-func (r *stashReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.data)-r.off {
-		r.fail("need %d bytes at offset %d, have %d", n, r.off, len(r.data)-r.off)
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *stashReader) u32() uint32 {
-	if b := r.bytes(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// format reads a DPR format word and returns it with its values per word;
-// an unknown format fails the read and reports 1 value per word, so the
-// caller's size arithmetic stays defined.
-func (r *stashReader) format() (floatenc.Format, int) {
-	f := floatenc.Format(r.u32())
-	vpw, ok := packedValuesPerWord(f)
-	if !ok {
-		r.fail("unknown packed format %d", int(f))
-		return f, 1
-	}
-	return f, vpw
-}
-
-// loadPacked sets p to n values of format f held in words, the
-// little-endian bytes of their packed words, reusing p's word array.
-func loadPacked(p *floatenc.Packed, f floatenc.Format, n int, words []byte) {
-	p.Format, p.N, p.Words = f, n, resized(p.Words, len(words)/4)
-	loadSegment(segment{u32: p.Words}, words)
-}
-
-// count reads a u32 element count and validates it against the cap and the
-// bytes remaining at elemBytes each, so slice allocations stay bounded by
-// the input size.
-func (r *stashReader) count(what string, cap, elemBytes int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n > cap {
-		r.fail("%s count %d exceeds cap %d", what, n, cap)
-		return 0
-	}
-	if n*elemBytes > len(r.data)-r.off {
-		r.fail("%s count %d needs %d bytes, have %d", what, n, n*elemBytes, len(r.data)-r.off)
-		return 0
-	}
-	return n
+	return w.err
 }
 
 // UnmarshalStash parses a serialized stash into a new container: the
@@ -163,29 +131,54 @@ func UnmarshalStash(data []byte) (*EncodedStash, error) {
 	return e, nil
 }
 
-// UnmarshalStashInto parses a serialized stash into e, reusing e's backing
-// arrays when their capacity allows — a spilled stash is read back into the
-// container it was spilled from, so a steady-state spill round trip
-// allocates nothing. Malformed or truncated input returns an error wrapping
-// ErrCorruptStash (ErrNoTechnique for an unknown technique tag); the
-// function never panics. A seal word other than 0 or 1 is malformed, so an
-// accepted blob re-marshals to the same bytes. A successfully parsed stash
-// is structurally safe to Verify and DecodeInto — those may still reject it
-// with their own typed errors (bad checksum, shape mismatch, invalid CSR).
-// Payloads of other techniques e held are left in place for its next
-// encode, as the encode path leaves them. On error e's contents are
-// unspecified; reusing it remains valid.
+// UnmarshalStashInto parses a serialized stash into e: ReadWire over data.
 func UnmarshalStashInto(e *EncodedStash, data []byte) error {
-	r := stashReader{data: data}
-	if m := r.bytes(4); r.err == nil && [4]byte(m) != stashMagic {
+	r := NewWireReader(nil, 0, len(data), data)
+	return ReadWire(e, &r, len(data))
+}
+
+// ReadWire parses the n-byte serialized stash at r's position into e,
+// reusing e's backing arrays when their capacity allows — a spilled stash
+// is read back into the container it was spilled from, so a steady-state
+// spill round trip allocates nothing. Malformed or truncated input returns
+// an error wrapping ErrCorruptStash (ErrNoTechnique for an unknown technique
+// tag); the function never panics, and sizes no array past the n bytes. A
+// seal word other than 0 or 1 is malformed, so an accepted blob re-marshals
+// to the same bytes. A successfully parsed stash is structurally safe to
+// Verify and DecodeInto — those may still reject it with their own typed
+// errors (bad checksum, shape mismatch, invalid CSR). Payloads of other
+// techniques e held are left in place for its next encode, as the encode
+// path leaves them. On error e's contents are unspecified; reusing it
+// remains valid.
+func ReadWire(e *EncodedStash, r *WireReader, n int) error {
+	if !r.need(n) {
+		return r.err
+	}
+	rest := r.left - n
+	v := *r
+	v.left = n
+	v = readStash(e, v)
+	if v.err == nil && v.left != 0 {
+		v.fail("%d trailing bytes", v.left)
+	}
+	v.left += rest
+	*r = v
+	return r.err
+}
+
+// readStash is ReadWire's parse: the fixed header, the technique's header
+// words (unmarshalPayload, which sizes the payload's arrays), the layout's
+// segments in wire order, and the seal.
+func readStash(e *EncodedStash, r WireReader) WireReader {
+	if m := r.Next(4); r.err == nil && [4]byte(m) != stashMagic {
 		r.fail("bad magic %q", m)
 	}
-	tech := Technique(r.u32())
-	sealed := r.u32()
+	tech := Technique(r.U32())
+	sealed := r.U32()
 	if r.err == nil && sealed > 1 {
 		r.fail("seal word %d, want 0 or 1", sealed)
 	}
-	chunkElems := int(r.u32())
+	chunkElems := int(r.U32())
 	if r.err == nil && (chunkElems < 0 || chunkElems > maxStashElems) {
 		r.fail("chunk size %d outside [0,%d]", chunkElems, maxStashElems)
 	}
@@ -193,7 +186,7 @@ func UnmarshalStashInto(e *EncodedStash, data []byte) error {
 	e.Shape = e.Shape[:0]
 	elems := 1
 	for i := 0; i < rank; i++ {
-		d := int(r.u32())
+		d := int(r.U32())
 		if r.err != nil {
 			break
 		}
@@ -206,25 +199,26 @@ func UnmarshalStashInto(e *EncodedStash, data []byte) error {
 	}
 	e.Tech, e.ChunkElems = tech, chunkElems
 	e.Checksum, e.ChunkCRCs, e.sealed = 0, e.ChunkCRCs[:0], false
-	if impl, okT := techImpl(tech); okT {
-		r = impl.unmarshalPayload(e, r)
-	} else if r.err == nil {
-		return fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
+	impl, ok := techImpl(tech)
+	if !ok {
+		if r.err == nil {
+			r.err = fmt.Errorf("%w (technique %v)", ErrNoTechnique, tech)
+		}
+		return r
 	}
-	if sealed == 1 && r.err == nil {
-		e.Checksum = r.u32()
-		nc := r.count("chunk crc", maxStashElems, 4)
-		if b := r.bytes(4 * nc); r.err == nil {
-			e.ChunkCRCs = resized(e.ChunkCRCs, nc)
-			loadSegment(segment{u32: e.ChunkCRCs}, b)
-			e.sealed = true
+	if r = impl.unmarshalPayload(e, r); r.err == nil {
+		l := e.layout()
+		for i := range l.segs[:l.nseg] {
+			r.segment(&l.segs[i])
 		}
 	}
-	if r.err != nil {
-		return r.err
+	if sealed == 1 && r.err == nil {
+		e.Checksum = r.U32()
+		if nc := r.count("chunk crc", maxStashElems, 4); r.err == nil {
+			e.ChunkCRCs = resized(e.ChunkCRCs, nc)
+			r.segment(&segment{u32: e.ChunkCRCs})
+			e.sealed = r.err == nil
+		}
 	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: unmarshal: %d trailing bytes", ErrCorruptStash, len(r.data)-r.off)
-	}
-	return nil
+	return r
 }

@@ -11,7 +11,7 @@ import (
 
 // The technique registry. Every Technique value is backed by one
 // techniqueImpl that plugs the chunked codec's generic machinery — encode,
-// decode, payload layout, wire format, cost models — so a new
+// payload layout (and with it the wire format), cost models — so a new
 // codec registers here instead of patching switch statements across
 // chunked.go / runtime.go / marshal.go. The Binarize/SSDC/DPR
 // implementations in tech_*.go are byte-for-byte migrations of the
@@ -40,11 +40,12 @@ type techniqueImpl interface {
 	// (nil payloads, garbage formats, mismatched lengths) without panic.
 	layout(e *EncodedStash, ce int) payloadLayout
 
-	// marshalPayload appends the wire payload to out; unmarshalPayload
-	// parses it back into e's payload, reusing its arrays, through the
-	// bounds-checked reader, and returns the advanced reader.
-	marshalPayload(e *EncodedStash, out []byte) ([]byte, error)
-	unmarshalPayload(e *EncodedStash, r stashReader) stashReader
+	// unmarshalPayload reads the layout's wire header words into e and
+	// sizes e's payload arrays for the segments that follow, reusing them,
+	// after checking their bytes against what the input has left; the
+	// reader then fills the segments layout states. It returns the
+	// advanced reader.
+	unmarshalPayload(e *EncodedStash, r WireReader) WireReader
 
 	// planBytes is the planning-time footprint model: the predicted
 	// encoded bytes of an n-element stash at the given sparsity and DPR

@@ -1,9 +1,6 @@
 package encoding
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"gist/internal/floatenc"
 	"gist/internal/tensor"
 )
@@ -38,19 +35,10 @@ func (binarizeTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	return l
 }
 
-func (binarizeTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
-	if e.Mask == nil {
-		return nil, fmt.Errorf("encoding: marshal: Binarize stash without mask")
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(e.Mask.Len()))
-	return appendSegment(out, segment{u64: e.Mask.Words()}), nil
-}
-
-func (binarizeTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
+func (binarizeTech) unmarshalPayload(e *EncodedStash, r WireReader) WireReader {
 	n := r.count("mask bit", maxStashElems, 0)
-	if words := r.bytes(8 * ((n + 63) / 64)); r.err == nil {
+	if r.need(8 * ((n + 63) / 64)) {
 		e.Mask = resetMask(e.Mask, n)
-		loadSegment(segment{u64: e.Mask.Words()}, words)
 	}
 	return r
 }

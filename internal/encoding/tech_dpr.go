@@ -1,9 +1,6 @@
 package encoding
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"gist/internal/floatenc"
 	"gist/internal/tensor"
 )
@@ -40,23 +37,15 @@ func (dprTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	return l
 }
 
-func (dprTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
-	if e.Packed == nil {
-		return nil, fmt.Errorf("encoding: marshal: DPR stash without payload")
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(e.Packed.Format))
-	out = binary.LittleEndian.AppendUint32(out, uint32(e.Packed.N))
-	return appendSegment(out, segment{u32: e.Packed.Words}), nil
-}
-
-func (dprTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
+func (dprTech) unmarshalPayload(e *EncodedStash, r WireReader) WireReader {
 	f, vpw := r.format()
 	n := r.count("packed value", maxStashElems, 0)
-	if words := r.bytes(4 * ((n + vpw - 1) / vpw)); r.err == nil {
+	if words := (n + vpw - 1) / vpw; r.need(4 * words) {
 		if e.Packed == nil {
 			e.Packed = &floatenc.Packed{}
 		}
-		loadPacked(e.Packed, f, n, words)
+		p := e.Packed
+		p.Format, p.N, p.Words = f, n, resized(p.Words, words)
 	}
 	return r
 }

@@ -1,9 +1,6 @@
 package encoding
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"gist/internal/floatenc"
 	"gist/internal/sparse"
 	"gist/internal/tensor"
@@ -54,7 +51,7 @@ func (ssdcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	l.n = n
 	l.addHead(int(csr.Values.Format))
 	l.addHead(n)
-	l.addHead(csr.Rows)
+	l.addDerivedHead(csr.Rows)
 	l.addHead(cols)
 	l.addHead(csr.Values.N)
 	l.add(segment{i32: csr.RowPtr, cut: cutRows, per: cols})
@@ -68,44 +65,27 @@ func (ssdcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	return l
 }
 
-func (ssdcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
-	if e.CSR == nil {
-		return nil, fmt.Errorf("encoding: marshal: SSDC stash without CSR")
-	}
-	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
-	u32(uint32(e.CSR.Values.Format))
-	u32(uint32(e.CSR.N))
-	u32(uint32(e.CSR.Cols))
-	u32(uint32(e.CSR.Values.N))
-	out = appendSegment(out, segment{i32: e.CSR.RowPtr})
-	out = append(out, e.CSR.ColIdx...)
-	return appendSegment(out, segment{u32: e.CSR.Values.Words}), nil
-}
-
-func (ssdcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
+// unmarshalPayload: the wire carries no row count; it is ⌈N/Cols⌉.
+func (ssdcTech) unmarshalPayload(e *EncodedStash, r WireReader) WireReader {
 	f, vpw := r.format()
 	n := r.count("element", maxStashElems, 0)
-	cols := int(r.u32())
+	cols := int(r.U32())
 	if r.err == nil && (cols <= 0 || cols > 256) {
 		r.fail("CSR cols %d outside (0,256]", cols)
 	}
 	nnz := r.count("non-zero", maxStashElems, 2)
-	rows := 0
+	rows, words := 0, (nnz+vpw-1)/vpw
 	if r.err == nil {
 		rows = (n + cols - 1) / cols
 	}
-	rowPtr := r.bytes(4 * (rows + 1))
-	colIdx := r.bytes(nnz)
-	if vals := r.bytes(4 * ((nnz + vpw - 1) / vpw)); r.err == nil {
+	if r.need(4*(rows+1) + nnz + 4*words) {
 		if e.CSR == nil {
 			e.CSR = &sparse.CSR{}
 		}
 		c := e.CSR
 		c.Rows, c.Cols, c.N = rows, cols, n
-		c.RowPtr = resized(c.RowPtr, rows+1)
-		loadSegment(segment{i32: c.RowPtr}, rowPtr)
-		c.ColIdx = append(c.ColIdx[:0], colIdx...)
-		loadPacked(&c.Values, f, nnz, vals)
+		c.RowPtr, c.ColIdx = resized(c.RowPtr, rows+1), resized(c.ColIdx, nnz)
+		c.Values.Format, c.Values.N, c.Values.Words = f, nnz, resized(c.Values.Words, words)
 	}
 	return r
 }

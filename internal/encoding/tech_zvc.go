@@ -1,9 +1,6 @@
 package encoding
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
 	"gist/internal/tensor"
@@ -126,32 +123,17 @@ func (zvcTech) layout(e *EncodedStash, ce int) (l payloadLayout) {
 	return l
 }
 
-func (zvcTech) marshalPayload(e *EncodedStash, out []byte) ([]byte, error) {
-	z := e.ZVC
-	if z == nil || z.Mask == nil {
-		return nil, fmt.Errorf("encoding: marshal: ZVC stash without mask")
-	}
-	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
-	u32(uint32(z.Values.Format))
-	u32(uint32(z.Mask.Len()))
-	u32(uint32(z.Values.N))
-	out = appendSegment(out, segment{u64: z.Mask.Words()})
-	return appendSegment(out, segment{u32: z.Values.Words}), nil
-}
-
-func (zvcTech) unmarshalPayload(e *EncodedStash, r stashReader) stashReader {
+func (zvcTech) unmarshalPayload(e *EncodedStash, r WireReader) WireReader {
 	f, vpw := r.format()
 	n := r.count("ZVC mask bit", maxStashElems, 0)
 	nnz := r.count("ZVC value", maxStashElems, 1)
-	words := r.bytes(8 * ((n + 63) / 64))
-	if vals := r.bytes(4 * ((nnz + vpw - 1) / vpw)); r.err == nil {
+	if words := (nnz + vpw - 1) / vpw; r.need(8*((n+63)/64) + 4*words) {
 		if e.ZVC == nil {
 			e.ZVC = &ZVCPayload{}
 		}
 		z := e.ZVC
 		z.Mask = resetMask(z.Mask, n)
-		loadSegment(segment{u64: z.Mask.Words()}, words)
-		loadPacked(&z.Values, f, nnz, vals)
+		z.Values.Format, z.Values.N, z.Values.Words = f, nnz, resized(z.Values.Words, words)
 	}
 	return r
 }

@@ -317,30 +317,49 @@ func (in *Injector) FailSpillWrite(k Key, node string) error {
 	return fmt.Errorf("%w (stash %q)", ErrInjectedSpillWrite, node)
 }
 
-// TamperSpillPage applies the configured read-side page faults to one spill
-// page as it comes off disk: a single corrupted byte (SpillReadCorrupt), or
-// a truncation to a shorter prefix (SpillShortRead). At most one fault
-// fires per page so each logged event maps to exactly one detected read
-// failure, which the recovery cross-check relies on. Returns the page,
-// possibly modified in place or shortened. The caller must parse the
-// returned bytes immediately so every logged tamper is either detected by
-// the page CRC/bounded parser or proves a verification gap.
-func (in *Injector) TamperSpillPage(k Key, node string, page []byte) []byte {
-	if len(page) == 0 {
-		return page
+// PlanSpillPage rolls the read-side page faults for one n-byte spill page
+// before it comes off disk: a single corrupted byte (SpillReadCorrupt), or
+// a cut to a shorter prefix (SpillShortRead). At most one fault fires per
+// page so each logged event maps to exactly one detected read failure,
+// which the recovery cross-check relies on. The caller applies the plan to
+// the page's bytes as they stream in (PageFault.Apply) and parses them
+// then, so every logged fault is either detected by the page CRC/bounded
+// parser or proves a verification gap.
+func (in *Injector) PlanSpillPage(k Key, node string, n int) PageFault {
+	if n == 0 {
+		return PageFault{}
 	}
 	if hit, aux := in.roll(k, node, siteSpillCorrupt); hit {
-		off := int(aux % uint64(len(page)))
-		page[off] ^= 0xff
+		off := int(aux % uint64(n))
 		in.record(SpillReadCorrupt, k, node, fmt.Sprintf("flipped byte at page offset %d", off))
-		return page
+		return PageFault{Flip: true, At: off}
 	}
 	if hit, aux := in.roll(k, node, siteSpillShort); hit {
-		n := int(aux % uint64(len(page)))
-		in.record(SpillShortRead, k, node, fmt.Sprintf("truncated page to %d of %d bytes", n, len(page)))
-		page = page[:n]
+		cut := int(aux % uint64(n))
+		in.record(SpillShortRead, k, node, fmt.Sprintf("truncated page to %d of %d bytes", cut, n))
+		return PageFault{Cut: true, At: cut}
 	}
-	return page
+	return PageFault{}
+}
+
+// PageFault is the read-side fault planned for one spill page: Flip
+// corrupts the byte at page offset At, Cut ends the page after its first
+// At bytes. The zero value plans neither.
+type PageFault struct {
+	Flip, Cut bool
+	At        int
+}
+
+// Apply applies the fault to b, the page's bytes from offset off on as a
+// read delivers them, and returns how many of them the page keeps.
+func (f PageFault) Apply(b []byte, off int) int {
+	if f.Flip && f.At >= off && f.At < off+len(b) {
+		b[f.At-off] ^= 0xff
+	}
+	if f.Cut && off+len(b) > f.At {
+		return max(f.At-off, 0)
+	}
+	return len(b)
 }
 
 // Events returns a copy of the fault log in firing order. Concurrent

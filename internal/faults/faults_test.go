@@ -33,6 +33,9 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if in.CorruptStash(k, "x", nil) {
 		t.Fatal("nil CorruptStash must not corrupt")
 	}
+	if f := in.PlanSpillPage(k, "x", 512); f != (PageFault{}) {
+		t.Fatalf("nil PlanSpillPage = %+v", f)
+	}
 	if got := in.Events(); got != nil {
 		t.Fatalf("nil Events = %v", got)
 	}
@@ -240,6 +243,62 @@ func TestEventsCarryStepAndNode(t *testing.T) {
 	}
 }
 
+// TestPlanSpillPagePinned pins two read-side page faults by seed, node and
+// page length, with the log text TamperSpillPage wrote for them when it
+// tampered a whole page buffer — the same draws in the same order — and
+// what their plans do to the bytes as they stream past.
+func TestPlanSpillPagePinned(t *testing.T) {
+	in := New(Config{Seed: 7, SpillReadCorruptRate: 0.5, SpillShortReadRate: 0.5})
+	const n = 4321
+	short := in.PlanSpillPage(Key{Step: 0}, "relu2", n)
+	corrupt := in.PlanSpillPage(Key{Step: 3}, "relu2", n)
+	none := in.PlanSpillPage(Key{Step: 0}, "conv1", n)
+	if want := (PageFault{Cut: true, At: 1831}); short != want {
+		t.Errorf("step 0 relu2: %+v, want %+v", short, want)
+	}
+	if want := (PageFault{Flip: true, At: 2070}); corrupt != want {
+		t.Errorf("step 3 relu2: %+v, want %+v", corrupt, want)
+	}
+	if none != (PageFault{}) {
+		t.Errorf("step 0 conv1: %+v, want no fault", none)
+	}
+	want := []string{
+		"{Kind:spill-short-read Key:{Step:0 Shard:0 Attempt:0} Node:relu2 Detail:truncated page to 1831 of 4321 bytes}",
+		"{Kind:spill-read-corrupt Key:{Step:3 Shard:0 Attempt:0} Node:relu2 Detail:flipped byte at page offset 2070}",
+	}
+	var got []string
+	for _, ev := range in.Events() {
+		got = append(got, fmt.Sprintf("%+v", ev))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("log %q, want %q", got, want)
+	}
+	// Streamed in 1000-byte reads, the flip lands in the third and the cut
+	// ends the page inside the second.
+	page := make([]byte, n)
+	for off := 0; off < n; off += 1000 {
+		b := page[off:min(off+1000, n)]
+		if k := corrupt.Apply(b, off); k != len(b) {
+			t.Fatalf("a flip cut the read at %d to %d bytes", off, k)
+		}
+		wantKeep := min(max(1831-off, 0), len(b))
+		if k := short.Apply(b, off); k != wantKeep {
+			t.Fatalf("the cut kept %d bytes of the read at %d, want %d", k, off, wantKeep)
+		}
+		if k := none.Apply(b, off); k != len(b) {
+			t.Fatalf("no fault cut the read at %d to %d bytes", off, k)
+		}
+	}
+	for i, b := range page {
+		if flipped := i == 2070; (b == 0xff) != flipped {
+			t.Fatalf("byte %d reads %#x after the stream", i, b)
+		}
+	}
+	if (PageFault{}) != New(Config{Seed: 7, SpillReadCorruptRate: 1}).PlanSpillPage(Key{}, "x", 0) {
+		t.Fatal("an empty page planned a fault")
+	}
+}
+
 // rollAll rolls every keyed die of one stash: encode, decode, a bit flip on
 // a fresh sealed container, a spill write and a read-side page tamper on a
 // fresh page.
@@ -248,7 +307,7 @@ func rollAll(in *Injector, k Key, node string) {
 	in.FailDecode(k, node)
 	in.CorruptStash(k, node, sealedStash(encoding.DPR, floatenc.FP16, 256, 0))
 	in.FailSpillWrite(k, node)
-	in.TamperSpillPage(k, node, make([]byte, 512))
+	in.PlanSpillPage(k, node, 512)
 }
 
 // sortedEvents returns the log as a sorted multiset.

@@ -108,7 +108,7 @@ func (c *CSR) Validate() error {
 		if last := c.N - base; last < limit {
 			limit = last // partial final row
 		}
-		if c.RowPtr[r] > c.RowPtr[r+1] || c.RowPtr[r+1]-c.RowPtr[r] > int32(limit) {
+		if c.RowPtr[r] > c.RowPtr[r+1] || c.RowPtr[r+1]-c.RowPtr[r] > int32(limit) || int(c.RowPtr[r+1]) > c.Values.N {
 			return fmt.Errorf("sparse: row %d spans pointers [%d,%d] over %d columns",
 				r, c.RowPtr[r], c.RowPtr[r+1], limit)
 		}

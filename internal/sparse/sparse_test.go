@@ -207,3 +207,21 @@ func TestPropertyCSRSizeMonotoneInSparsity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateRejectsRowPointerPastValues: a row whose pointers stay within
+// one row's width but run past the value array (a later row going back down
+// to the true count) is an error, not an out-of-range index.
+func TestValidateRejectsRowPointerPastValues(t *testing.T) {
+	c := EncodeCSR(randomSparseSlice(5, 3*NarrowCols, 0.9))
+	if err := c.Validate(); err != nil {
+		t.Fatalf("encoder output rejected: %v", err)
+	}
+	nnz := c.RowPtr[c.Rows]
+	if nnz >= NarrowCols {
+		t.Fatalf("%d values do not fit one row", nnz)
+	}
+	c.RowPtr[1] = nnz + 1
+	if err := c.Validate(); err == nil {
+		t.Fatal("row pointers past the values validated")
+	}
+}

@@ -9,10 +9,13 @@ import (
 	"gist/internal/floatenc"
 )
 
-// FuzzReadSpillPage throws arbitrary bytes at the GSTP parser. The
-// contract under test: ReadPage never panics, never allocates past the
-// payload cap, and either returns a page whose stash survives a re-append
-// round trip or an error wrapping ErrCorruptPage — nothing else.
+// FuzzReadSpillPage throws arbitrary bytes at the GSTP parser, whole
+// (ReadPage's reader) or streamed from a section through a small buffer, so
+// buffer refills land inside every header word, segment and the trailer.
+// The contract under test: the parser never panics, sizes no array past
+// twice the page, and either returns a page whose stash survives a
+// re-append round trip — through the stream writer too — or an error
+// wrapping ErrCorruptPage; nothing else.
 func FuzzReadSpillPage(f *testing.F) {
 	// Seed with real pages across the stash techniques (the same shapes
 	// internal/goldengen freezes), plus a few structured near-misses.
@@ -51,7 +54,19 @@ func FuzzReadSpillPage(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := readPage(data)
+		// One parse per input: whole, or streamed through a buffer of 8 to
+		// 64 bytes that the input's length picks.
+		p := &parsedPage{Stash: &encoding.EncodedStash{}}
+		buf := len(data) % 65
+		r := encoding.NewWireReader(nil, 0, len(data), data)
+		if buf >= 8 {
+			r = encoding.NewWireReader(bytes.NewReader(data), 0, len(data), make([]byte, buf))
+		}
+		var err error
+		p.Node, p.Size, err = readPage(p.Stash, &r)
+		if held := heldBytes(p.Stash); held > 2*len(data)+256 {
+			t.Fatalf("buffer %d: a %d-byte input sized %d bytes of arrays", buf, len(data), held)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("non-ErrCorruptPage failure: %v", err)
@@ -74,7 +89,7 @@ func FuzzReadSpillPage(f *testing.F) {
 		if !bytes.Equal(out, data[:p.Size]) {
 			t.Fatalf("accepted %d-byte page re-appends to %d different bytes", p.Size, len(out))
 		}
-		p2, err := readPage(out)
+		p2, err := parsePage(out)
 		if err != nil {
 			t.Fatalf("re-read re-appended page: %v", err)
 		}
@@ -89,5 +104,27 @@ func FuzzReadSpillPage(f *testing.F) {
 		if again, _ := AppendPage(nil, uint32(node), p2.Stash); !bytes.Equal(again, out) {
 			t.Fatal("read into a used container changed the stash")
 		}
+		if w := writePageVia(t, max(buf, 8), uint32(node), p.Stash); !bytes.Equal(w, out) {
+			t.Fatalf("the page streamed through %d bytes differs from AppendPage's", max(buf, 8))
+		}
 	})
+}
+
+// heldBytes is the capacity of every array a parse may have sized in e:
+// what a hostile page made the parser allocate.
+func heldBytes(e *encoding.EncodedStash) int {
+	n := 8*cap(e.Shape) + 4*cap(e.ChunkCRCs)
+	if e.Mask != nil {
+		n += 8 * cap(e.Mask.Words())
+	}
+	if e.Packed != nil {
+		n += 4 * cap(e.Packed.Words)
+	}
+	if c := e.CSR; c != nil {
+		n += 4*cap(c.RowPtr) + cap(c.ColIdx) + 4*cap(c.Values.Words)
+	}
+	if z := e.ZVC; z != nil && z.Mask != nil {
+		n += 8*cap(z.Mask.Words()) + 4*cap(z.Values.Words)
+	}
+	return n
 }

@@ -2,16 +2,17 @@
 // EncodedStash, mirroring the v3 checkpoint discipline — magic, version,
 // explicit payload length, and a trailing CRC32 over everything before it,
 // parsed by a bounded reader that never panics on hostile bytes. A page is
-// self-describing and self-verifying, so a torn write, a short read or a
-// flipped bit anywhere in the frame surfaces as ErrCorruptPage with the
-// offset-level attribution the fault-injection tests demand.
+// written and read as a stream (encoding.WireWriter / WireReader): header,
+// stash and trailer pass between the container's arrays and the spill file
+// through one fixed buffer, so no copy of the page is ever whole in RAM. A
+// page is self-describing and self-verifying, so a torn write, a short read
+// or a flipped bit anywhere in the frame surfaces as ErrCorruptPage.
 package stashstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"slices"
 
 	"gist/internal/encoding"
 )
@@ -29,10 +30,6 @@ const (
 	pageVersion = 1
 	pageHeader  = 16
 	pageTrailer = 4
-	// maxPagePayload bounds a single page's stash blob. Far above any real
-	// encoded stash (the executor caps stashes at 16M elements) but small
-	// enough that a corrupt length field cannot drive a huge allocation.
-	maxPagePayload = 1 << 30
 )
 
 // ErrCorruptPage is the root error for every malformed-page condition:
@@ -42,60 +39,84 @@ const (
 var ErrCorruptPage = errors.New("stashstore: corrupt spill page")
 
 // AppendPage appends one sealed spill page for enc (owned by graph node
-// `node`) to dst and returns the extended slice; the stash serializes
-// straight into dst (EncodedStash.AppendBinary), so a reused buffer makes a
-// page without allocating. The only error source is stash marshalling
-// itself, which leaves dst unchanged.
+// `node`) to dst and returns the extended slice: writePage into dst's spare
+// capacity, grown once to the page's length. The only error source is
+// stash marshalling itself, which leaves dst unchanged.
 func AppendPage(dst []byte, node uint32, enc *encoding.EncodedStash) ([]byte, error) {
-	start := len(dst)
-	page := append(dst, pageMagic...)
-	page = binary.LittleEndian.AppendUint32(page, pageVersion)
-	page = binary.LittleEndian.AppendUint32(page, node)
-	page = binary.LittleEndian.AppendUint32(page, 0) // payload length, below
-	page, err := enc.AppendBinary(page)
+	n, err := enc.WireSize()
 	if err != nil {
 		return dst, fmt.Errorf("stashstore: marshal stash for page: %w", err)
 	}
-	binary.LittleEndian.PutUint32(page[start+12:], uint32(len(page)-start-pageHeader))
-	crc := crc32.ChecksumIEEE(page[start:])
-	return binary.LittleEndian.AppendUint32(page, crc), nil
+	page := slices.Grow(dst, pageHeader+n+pageTrailer)
+	w := encoding.NewWireWriter(nil, 0, page)
+	size, err := writePage(&w, node, enc)
+	if err != nil {
+		return dst, err
+	}
+	return page[:len(page)+size], nil
 }
 
-// ReadPage parses one spill page from the front of data into stash,
-// reusing its arrays (encoding.UnmarshalStashInto), and returns the node
-// the page belongs to and the number of bytes it occupied — trailing bytes
-// (subsequent pages) are allowed, so a reader can walk a file of
-// concatenated pages. Every malformed input returns an error wrapping
-// ErrCorruptPage, after which the stash's contents are unspecified; the
-// parser is bounded and never panics, which FuzzReadSpillPage enforces.
+// writePage writes one sealed spill page for enc through w — the header,
+// the stash (EncodedStash.WriteWire) and the CRC trailer over both — and
+// returns the page's length. The store's w stages through its fixed page
+// buffer into the spill file, so no page-sized buffer exists.
+func writePage(w *encoding.WireWriter, node uint32, enc *encoding.EncodedStash) (int, error) {
+	n, err := enc.WireSize()
+	if err != nil {
+		return 0, fmt.Errorf("stashstore: marshal stash for page: %w", err)
+	}
+	w.Put([]byte(pageMagic))
+	w.U32(pageVersion)
+	w.U32(node)
+	w.U32(uint32(n))
+	_ = enc.WriteWire(w) // WireSize passed, so a failure is w's, which Flush returns
+	w.U32(w.Sum())
+	if err := w.Flush(); err != nil {
+		return 0, fmt.Errorf("stashstore: write page: %w", err)
+	}
+	return pageHeader + n + pageTrailer, nil
+}
+
+// ReadPage parses one spill page from the front of data into stash —
+// readPage over data itself — and returns the node the page belongs to and
+// the number of bytes it occupied. Trailing bytes (subsequent pages) are
+// allowed, so a reader can walk a file of concatenated pages.
 func ReadPage(stash *encoding.EncodedStash, data []byte) (node, size int, err error) {
-	if len(data) < pageHeader+pageTrailer {
-		return 0, 0, fmt.Errorf("%w: %d bytes, need at least %d",
-			ErrCorruptPage, len(data), pageHeader+pageTrailer)
+	r := encoding.NewWireReader(nil, 0, len(data), data)
+	return readPage(stash, &r)
+}
+
+// readPage parses the spill page at the front of r's input into stash,
+// reusing its arrays (encoding.ReadWire), and returns the page's node and
+// length. The store's r reads the page's section of the spill file through
+// its fixed page buffer. Every malformed input returns an error wrapping
+// ErrCorruptPage, after which the stash's contents are unspecified: the
+// CRC is checked after the parse, so a corrupt page may have filled some
+// of the stash. The parser is bounded — no array is sized past the input —
+// and never panics, which FuzzReadSpillPage enforces.
+func readPage(stash *encoding.EncodedStash, r *encoding.WireReader) (node, size int, err error) {
+	magic := r.Next(4)
+	if err := r.Err(); err != nil {
+		return 0, 0, fmt.Errorf("%w: header: %v", ErrCorruptPage, err)
 	}
-	if string(data[:4]) != pageMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorruptPage, data[:4])
+	if string(magic) != pageMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorruptPage, magic)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != pageVersion {
+	if v := r.U32(); r.Err() == nil && v != pageVersion {
 		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorruptPage, v)
 	}
-	node = int(binary.LittleEndian.Uint32(data[8:12]))
-	n := binary.LittleEndian.Uint32(data[12:16])
-	if n > maxPagePayload {
-		return 0, 0, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorruptPage, n)
+	node = int(r.U32())
+	n := int(r.U32()) // ReadWire checks it against the bytes the input has left
+	if err := r.Err(); err != nil {
+		return 0, 0, fmt.Errorf("%w: header: %v", ErrCorruptPage, err)
 	}
-	size = pageHeader + int(n) + pageTrailer
-	if len(data) < size {
-		return 0, 0, fmt.Errorf("%w: short page, %d bytes of %d", ErrCorruptPage, len(data), size)
-	}
-	want := binary.LittleEndian.Uint32(data[size-pageTrailer : size])
-	if got := crc32.ChecksumIEEE(data[:size-pageTrailer]); got != want {
-		return 0, 0, fmt.Errorf("%w: CRC 0x%08x, want 0x%08x", ErrCorruptPage, got, want)
-	}
-	if err := encoding.UnmarshalStashInto(stash, data[pageHeader:pageHeader+int(n)]); err != nil {
-		// The CRC matched, so these bytes are what was written — the page
-		// was sealed around an already-bad payload (or a CRC collision).
+	if err := encoding.ReadWire(stash, r, n); err != nil {
+		// Not %w: a page fault is a page fault, whatever the stash parser saw.
 		return 0, 0, fmt.Errorf("%w: stash payload: %v", ErrCorruptPage, err)
 	}
-	return node, size, nil
+	got := r.Sum()
+	if want := r.U32(); r.Err() != nil || got != want {
+		return 0, 0, fmt.Errorf("%w: CRC 0x%08x, want 0x%08x (%v)", ErrCorruptPage, got, want, r.Err())
+	}
+	return node, pageHeader + n + pageTrailer, nil
 }

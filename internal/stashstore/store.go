@@ -7,9 +7,11 @@
 // working set exceeds RAM can still train.
 //
 // A spilled stash comes back into the container that was Put: Fetch parses
-// its page into that same EncodedStash (encoding.UnmarshalStashInto), so
-// Put lends the container to the store until Fetch returns it, and a
-// steady-state spill round trip allocates nothing. (The container itself
+// its page into that same EncodedStash (encoding.ReadWire), so Put lends
+// the container to the store until Fetch returns it, and a steady-state
+// spill round trip allocates nothing. Pages stream between the container
+// and the file through one fixed buffer of pageBufBytes per page I/O in
+// flight, so spilling holds no copy of a page in RAM. (The container itself
 // stays in memory while its page is on disk, so the budget bounds what the
 // hot tier accounts for, not the process's RAM.)
 //
@@ -32,9 +34,9 @@ package stashstore
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -127,8 +129,32 @@ type Store struct {
 	// bufs are the spare page buffers spill writes and reads take and give
 	// back; they number the most page I/Os ever in flight at once — one
 	// write, or as many reads as decode futures run (the codec's workers).
-	bufs [][]byte
+	bufs []*pageBuf
 	st   Stats
+}
+
+// pageBufBytes is the one page buffer's size: a page of any length streams
+// through it. Chunked file I/O costs no more than whole-page I/O from here
+// up; 4 KiB chunks cost about twice as much.
+const pageBufBytes = 32 << 10
+
+// pageBuf is one page I/O's buffer. A read also holds the page's section of
+// the spill file and the injector's fault for the page, which it applies to
+// the bytes as they arrive (ReadAt).
+type pageBuf struct {
+	buf   []byte // pageBufBytes, its own allocation: no size class pads it
+	f     *os.File
+	base  int64
+	fault faults.PageFault
+}
+
+// ReadAt reads the page's bytes [off, off+len(b)), with the planned fault.
+func (p *pageBuf) ReadAt(b []byte, off int64) (int, error) {
+	n, err := p.f.ReadAt(b, p.base+off)
+	if k := p.fault.Apply(b[:n], int(off)); k < n {
+		return k, io.ErrUnexpectedEOF
+	}
+	return n, err
 }
 
 // New builds a store. It never fails: the spill file is created lazily on
@@ -237,11 +263,6 @@ func (s *Store) spillVictimLocked() error {
 		return fmt.Errorf("stashstore: spill %q: %w", name, err)
 	}
 	start := time.Now()
-	page, err := AppendPage(s.takeBufLocked(), uint32(victim), enc)
-	defer s.giveBufLocked(page) // the grown capacity serves the next page
-	if err != nil {
-		return fmt.Errorf("stashstore: spill %q: %w", name, err)
-	}
 	if s.f == nil {
 		f, err := os.CreateTemp(s.dir, "gist-spill-*.gstp")
 		if err != nil {
@@ -249,35 +270,39 @@ func (s *Store) spillVictimLocked() error {
 		}
 		s.f = f
 	}
-	if _, err := s.f.WriteAt(page, s.wOff); err != nil {
+	pb := s.takeBufLocked()
+	defer s.giveBufLocked(pb)
+	w := encoding.NewWireWriter(s.f, s.wOff, pb.buf)
+	n, err := writePage(&w, uint32(victim), enc)
+	if err != nil {
 		return fmt.Errorf("stashstore: spill %q: %w", name, err)
 	}
-	s.cold[victim] = coldRef{off: s.wOff, n: len(page), enc: enc}
-	s.wOff += int64(len(page))
-	s.coldBytes += int64(len(page))
+	s.cold[victim] = coldRef{off: s.wOff, n: n, enc: enc}
+	s.wOff += int64(n)
+	s.coldBytes += int64(n)
 	delete(s.hot, victim)
 	s.hotBytes -= enc.Bytes()
 	s.st.Evictions++
-	s.st.SpillWritten += int64(len(page))
+	s.st.SpillWritten += int64(n)
 	s.cEvict.Inc()
-	s.cWBytes.Add(int64(len(page)))
+	s.cWBytes.Add(int64(n))
 	s.hWriteNS.Observe(time.Since(start).Nanoseconds())
 	s.gCold.Set(s.coldBytes)
-	s.span("spill-write", start, name, len(page))
+	s.span("spill-write", start, name, n)
 	return nil
 }
 
-// takeBufLocked takes a spare page buffer, empty, or nil when none is spare.
-func (s *Store) takeBufLocked() []byte {
+// takeBufLocked takes a spare page buffer, making one when none is spare.
+func (s *Store) takeBufLocked() *pageBuf {
 	if len(s.bufs) == 0 {
-		return nil
+		return &pageBuf{buf: make([]byte, pageBufBytes)}
 	}
 	b := s.bufs[len(s.bufs)-1]
 	s.bufs = s.bufs[:len(s.bufs)-1]
-	return b[:0]
+	return b
 }
 
-func (s *Store) giveBufLocked(b []byte) { s.bufs = append(s.bufs, b) }
+func (s *Store) giveBufLocked(b *pageBuf) { s.bufs = append(s.bufs, b) }
 
 // span records one page I/O on the trace. The node and size arguments are
 // built only when the sink traces — they outlive the call in its buffer —
@@ -318,16 +343,16 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	s.coldBytes -= int64(ref.n)
 	s.st.Misses++
 	s.gCold.Set(s.coldBytes)
-	f, key := s.f, s.key
-	buf := s.takeBufLocked()
+	pb := s.takeBufLocked()
+	pb.f, pb.base = s.f, ref.off
+	key := s.key
 	s.mu.Unlock()
 
 	name := s.nameOf(id)
 	start := time.Now()
-	buf = slices.Grow(buf, ref.n)[:ref.n]
-	err := s.readCold(f, buf, ref, id, name, key)
+	err := s.readCold(pb, ref, id, name, key)
 	s.mu.Lock()
-	s.giveBufLocked(buf)
+	s.giveBufLocked(pb)
 	if err == nil {
 		s.st.SpillRead += int64(ref.n)
 	}
@@ -342,19 +367,19 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	return ref.enc, nil
 }
 
-// readCold reads node id's page into buf and parses it into the container
-// it was spilled from; k keys the injector's read-side page faults.
-func (s *Store) readCold(f *os.File, buf []byte, ref coldRef, id int, name string, k faults.Key) error {
-	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return fmt.Errorf("stashstore: read page for %q at offset %d: %w", name, ref.off, err)
-	}
-	node, _, err := ReadPage(ref.enc, s.inj.TamperSpillPage(k, name, buf))
+// readCold streams node id's page through pb, which holds its file
+// section, into the container it was spilled from; k keys the injector's
+// read-side page faults.
+func (s *Store) readCold(pb *pageBuf, ref coldRef, id int, name string, k faults.Key) error {
+	pb.fault = s.inj.PlanSpillPage(k, name, ref.n)
+	r := encoding.NewWireReader(pb, 0, ref.n, pb.buf)
+	node, size, err := readPage(ref.enc, &r)
 	if err != nil {
 		return fmt.Errorf("stashstore: page for %q at offset %d: %w", name, ref.off, err)
 	}
-	if node != id {
-		return fmt.Errorf("stashstore: page for %q at offset %d: %w: holds node %d",
-			name, ref.off, ErrCorruptPage, node)
+	if node != id || size != ref.n {
+		return fmt.Errorf("stashstore: page for %q at offset %d: %w: holds node %d in %d of %d bytes",
+			name, ref.off, ErrCorruptPage, node, size, ref.n)
 	}
 	return nil
 }

@@ -1,9 +1,14 @@
 package stashstore
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -30,14 +35,14 @@ func testStash(t *testing.T, seed uint64) *encoding.EncodedStash {
 	return e
 }
 
-// parsedPage is one spill page read by readPage.
+// parsedPage is one spill page read by parsePage.
 type parsedPage struct {
 	Node, Size int
 	Stash      *encoding.EncodedStash
 }
 
-// readPage parses one spill page into a fresh stash.
-func readPage(data []byte) (*parsedPage, error) {
+// parsePage parses one spill page into a fresh stash.
+func parsePage(data []byte) (*parsedPage, error) {
 	p := &parsedPage{Stash: &encoding.EncodedStash{}}
 	var err error
 	if p.Node, p.Size, err = ReadPage(p.Stash, data); err != nil {
@@ -101,7 +106,7 @@ func TestPageRoundTrip(t *testing.T) {
 				t.Fatalf("AppendPage: %v", err)
 			}
 			// Trailing bytes are allowed; Size reports the page's extent.
-			p, err := readPage(append(page, 0xde, 0xad))
+			p, err := parsePage(append(page, 0xde, 0xad))
 			if err != nil {
 				t.Fatalf("ReadPage: %v", err)
 			}
@@ -125,42 +130,115 @@ func TestPageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenPage freezes the GSTP byte layout: the fixture was printed by
-// internal/goldengen and must only change with an intentional, versioned
-// format break.
-func TestGoldenPage(t *testing.T) {
-	const golden = "475354500100000001000000d80000004753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3850033d2"
-	raw := make([]byte, len(golden)/2)
-	if _, err := fmt.Sscanf(golden, "%x", &raw); err != nil {
+// goldenPageHex is node 1's page of testStash(12345), printed by
+// internal/goldengen.
+const goldenPageHex = "475354500100000001000000d80000004753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3850033d2"
+
+func goldenPage(t *testing.T) []byte {
+	t.Helper()
+	raw, err := hex.DecodeString(goldenPageHex)
+	if err != nil {
 		t.Fatalf("decode fixture: %v", err)
 	}
-	// The writer reproduces the frozen bytes...
+	return raw
+}
+
+// wireBufs are the page buffer sizes the stream tests run: the smallest
+// that holds a mask word, odd and small ones that put buffer refills inside
+// every header word, segment and the trailer, and the store's own.
+var wireBufs = []int{8, 9, 64, pageBufBytes}
+
+// memSection is an in-memory io.WriterAt, growing to what is written.
+type memSection struct{ b []byte }
+
+func (m *memSection) WriteAt(p []byte, off int64) (int, error) {
+	if end := int(off) + len(p); end > len(m.b) {
+		m.b = append(m.b, make([]byte, end-len(m.b))...)
+	}
+	return copy(m.b[off:], p), nil
+}
+
+// writePageVia writes node's page for enc through a buf-byte buffer into a
+// fresh section and returns the section's bytes.
+func writePageVia(t *testing.T, buf int, node uint32, enc *encoding.EncodedStash) []byte {
+	t.Helper()
+	var m memSection
+	w := encoding.NewWireWriter(&m, 0, make([]byte, buf))
+	n, err := writePage(&w, node, enc)
+	if err != nil {
+		t.Fatalf("writePage through %d bytes: %v", buf, err)
+	}
+	if n != len(m.b) {
+		t.Fatalf("writePage through %d bytes reports %d bytes, wrote %d", buf, n, len(m.b))
+	}
+	return m.b
+}
+
+// readPageVia parses the n-byte page section of src through a buf-byte
+// buffer into a fresh stash.
+func readPageVia(src io.ReaderAt, n, buf int) (*parsedPage, error) {
+	p := &parsedPage{Stash: &encoding.EncodedStash{}}
+	r := encoding.NewWireReader(src, 0, n, make([]byte, buf))
+	var err error
+	if p.Node, p.Size, err = readPage(p.Stash, &r); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// TestGoldenPage freezes the GSTP byte layout: the fixture was printed by
+// internal/goldengen and must only change with an intentional, versioned
+// format break. Every writer — AppendPage, the stream through every buffer
+// size, the store's spill — reproduces it, and every reader recovers the
+// exact feature map from it.
+func TestGoldenPage(t *testing.T) {
+	raw := goldenPage(t)
+	want := testTensor(12345)
+	half := floatenc.EncodeSlice(floatenc.FP16, want.Data).DecodeSlice(make([]float32, len(want.Data)))
+	check := func(how string, page []byte, p *parsedPage, err error) {
+		t.Helper()
+		if string(page) != string(raw) {
+			t.Fatalf("%s no longer reproduces the golden page (len %d vs %d); regenerate with internal/goldengen only on an intentional format break", how, len(page), len(raw))
+		}
+		if err != nil {
+			t.Fatalf("%s: read: %v", how, err)
+		}
+		if p.Node != 1 || p.Size != len(raw) {
+			t.Fatalf("%s: node %d size %d, want 1 %d", how, p.Node, p.Size, len(raw))
+		}
+		dec, err := decode(p.Stash)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", how, err)
+		}
+		for i := range half {
+			if dec.Data[i] != half[i] {
+				t.Fatalf("%s: element %d: got %v want %v", how, i, dec.Data[i], half[i])
+			}
+		}
+	}
 	page, err := AppendPage(nil, 1, testStash(t, 12345))
 	if err != nil {
 		t.Fatalf("AppendPage: %v", err)
 	}
-	if string(page) != string(raw) {
-		t.Fatalf("AppendPage no longer reproduces the golden page (len %d vs %d); regenerate with internal/goldengen only on an intentional format break", len(page), len(raw))
+	p, err := parsePage(raw)
+	check("AppendPage/ReadPage", page, p, err)
+	for _, buf := range wireBufs {
+		page := writePageVia(t, buf, 1, testStash(t, 12345))
+		p, err := readPageVia(bytes.NewReader(raw), len(raw), buf)
+		check(fmt.Sprintf("the %d-byte stream", buf), page, p, err)
 	}
-	// ...and the parser accepts them and recovers the exact feature map.
-	p, err := readPage(raw)
+	// The store writes the same page into its spill file.
+	s := New(Config{Budget: 1, Dir: t.TempDir()})
+	t.Cleanup(func() { _ = s.Close() })
+	if err := s.Put(1, testStash(t, 12345)); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(s.SpillPath())
 	if err != nil {
-		t.Fatalf("ReadPage: %v", err)
+		t.Fatal(err)
 	}
-	if p.Node != 1 || p.Size != len(raw) {
-		t.Fatalf("node %d size %d, want 1 %d", p.Node, p.Size, len(raw))
-	}
-	dec, err := decode(p.Stash)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	want := testTensor(12345)
-	half := floatenc.EncodeSlice(floatenc.FP16, want.Data).DecodeSlice(make([]float32, len(want.Data)))
-	for i := range half {
-		if dec.Data[i] != half[i] {
-			t.Fatalf("element %d: got %v want %v", i, dec.Data[i], half[i])
-		}
-	}
+	enc, err := s.Fetch(1)
+	check("the spill file", file, &parsedPage{Node: 1, Size: len(file), Stash: enc}, err)
 }
 
 func TestReadPageRejectsCorruption(t *testing.T) {
@@ -170,7 +248,7 @@ func TestReadPageRejectsCorruption(t *testing.T) {
 	}
 	// Every truncation fails cleanly.
 	for n := 0; n < len(page); n++ {
-		if _, err := readPage(page[:n]); !errors.Is(err, ErrCorruptPage) {
+		if _, err := parsePage(page[:n]); !errors.Is(err, ErrCorruptPage) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrCorruptPage", n, err)
 		}
 	}
@@ -179,15 +257,74 @@ func TestReadPageRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(page); i++ {
 		bad := append([]byte(nil), page...)
 		bad[i] ^= 0x01
-		if _, err := readPage(bad); !errors.Is(err, ErrCorruptPage) {
+		if _, err := parsePage(bad); !errors.Is(err, ErrCorruptPage) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrCorruptPage", i, err)
 		}
 	}
 	// A huge declared payload is rejected before any allocation.
 	bad := append([]byte(nil), page...)
 	bad[12], bad[13], bad[14], bad[15] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := readPage(bad); !errors.Is(err, ErrCorruptPage) {
+	if _, err := parsePage(bad); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("huge payload: err = %v, want ErrCorruptPage", err)
+	}
+}
+
+// TestReadPageAtRejectsCorruption runs the golden page's truncations and
+// single-bit flips through the store's file reader (pageBuf over a spill
+// file section), at every buffer size: each is ErrCorruptPage. A
+// truncation is a page shorter than its section (a short read) or a
+// section that ends early; a flip is on disk or the injector's, applied as
+// the byte streams past.
+func TestReadPageAtRejectsCorruption(t *testing.T) {
+	raw := goldenPage(t)
+	f, err := os.CreateTemp(t.TempDir(), "page-*.gstp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const base = 5 // the section does not start the file
+	write := func(page []byte) {
+		t.Helper()
+		if err := f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(page, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(n, buf int, fault faults.PageFault) error {
+		pb := &pageBuf{f: f, base: base, fault: fault}
+		_, err := readPageVia(pb, n, buf)
+		return err
+	}
+	for _, buf := range wireBufs {
+		write(raw)
+		if err := read(len(raw), buf, faults.PageFault{}); err != nil {
+			t.Fatalf("buf %d: intact page: %v", buf, err)
+		}
+		for n := 0; n < len(raw); n++ {
+			if err := read(n, buf, faults.PageFault{}); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("buf %d: a %d-byte section: err = %v, want ErrCorruptPage", buf, n, err)
+			}
+			if err := read(len(raw), buf, faults.PageFault{Cut: true, At: n}); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("buf %d: page cut to %d bytes: err = %v, want ErrCorruptPage", buf, n, err)
+			}
+			if err := read(len(raw), buf, faults.PageFault{Flip: true, At: n}); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("buf %d: injected flip at byte %d: err = %v, want ErrCorruptPage", buf, n, err)
+			}
+		}
+		for i := 0; i < len(raw); i++ {
+			bad := append([]byte(nil), raw...)
+			bad[i] ^= 0x01
+			write(bad)
+			if err := read(len(raw), buf, faults.PageFault{}); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("buf %d: flip at byte %d: err = %v, want ErrCorruptPage", buf, i, err)
+			}
+		}
+		write(raw[:len(raw)/2])
+		if err := read(len(raw), buf, faults.PageFault{}); !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("buf %d: torn file: err = %v, want ErrCorruptPage", buf, err)
+		}
 	}
 }
 
@@ -449,10 +586,10 @@ func TestConcurrentFetchHammer(t *testing.T) {
 
 // TestSpillRoundTripAllocs pins the spill round trip's allocation budget:
 // once warm, a step that puts two stashes under a budget that holds one —
-// so one spills — and fetches both back allocates nothing. The page is
-// written straight from the container into a recycled page buffer and read
-// back, through the same buffer, into the container that was put; with no
-// two page I/Os in flight at once the store keeps exactly one such buffer.
+// so one spills — and fetches both back allocates nothing. The page streams
+// from the container through a recycled page buffer into the file and back,
+// through the same buffer, into the container that was put; with no two
+// page I/Os in flight at once the store keeps exactly one such buffer.
 func TestSpillRoundTripAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -496,6 +633,72 @@ func TestSpillRoundTripAllocs(t *testing.T) {
 	for i := range ref.Data {
 		if dec.Data[i] != ref.Data[i] {
 			t.Fatalf("element %d differs after 22 spill round trips", i)
+		}
+	}
+}
+
+// TestSpillRAMBounded spills and fetches back a 1 MiB map, 32 page buffers
+// long, for 20 steps. The store never holds more than its one fixed page
+// buffer: the first step allocates less than two of them (the buffer and
+// the spill file's handle, nothing page-sized), the others nothing, and
+// the map read back through it each step decodes to the bits that were
+// put.
+func TestSpillRAMBounded(t *testing.T) {
+	const elems = 1 << 18 // 1 MiB of FP32
+	ten := tensor.New(elems)
+	rng := tensor.NewRNG(9)
+	for i := range ten.Data {
+		ten.Data[i] = rng.Float32()*2 - 1
+	}
+	var c encoding.Codec
+	enc := &encoding.EncodedStash{}
+	if err := c.EncodeStashInto(enc, &encoding.Assignment{Tech: encoding.DPR, Format: floatenc.FP32}, ten); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal(enc)
+	if page := enc.Bytes(); page < 8*pageBufBytes {
+		t.Fatalf("a %d-byte stash is not 8 page buffers long", page)
+	}
+	ref, err := decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Budget: 1, Dir: t.TempDir(), Names: []string{"map"}})
+	t.Cleanup(func() { _ = s.Close() })
+	step := func() {
+		s.BeginStep()
+		if err := s.Put(0, enc); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Fetch(0); err != nil || got != enc {
+			t.Fatalf("fetch: %p, %v; want the container that was put", got, err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*pageBufBytes && !race.Enabled {
+		t.Errorf("the first spill round trip allocated %d bytes, want under %d", grew, 2*pageBufBytes)
+	}
+	for i := 1; i < 20; i++ {
+		if a := testing.AllocsPerRun(1, step); a != 0 && !race.Enabled {
+			t.Fatalf("step %d allocates %v times, want 0", i, a)
+		}
+	}
+	if len(s.bufs) != 1 || cap(s.bufs[0].buf) != pageBufBytes {
+		t.Fatalf("the store keeps %d page buffers, the first of %d bytes; want 1 of %d", len(s.bufs), cap(s.bufs[0].buf), pageBufBytes)
+	}
+	if st := s.Stats(); st.Misses < 20 || st.SpillRead != st.SpillWritten {
+		t.Fatalf("stats %+v: want every step's page read back whole", st)
+	}
+	dec, err := decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Data {
+		if math.Float32bits(dec.Data[i]) != math.Float32bits(ref.Data[i]) {
+			t.Fatalf("element %d differs after the spill round trips", i)
 		}
 	}
 }
