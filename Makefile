@@ -32,7 +32,7 @@ race:
 # tests actually execute every time. The job server rides along via
 # soak-short (its own race pass, sized for CI).
 race-hot: soak-short
-	$(GO) test -race -count=1 ./internal/encoding/ ./internal/train/ ./internal/reduce/ ./internal/parallel/ ./internal/telemetry/ ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/entropy/ ./internal/stashstore/ ./internal/faults/
+	$(GO) test -race -count=1 ./internal/encoding/ ./internal/train/ ./internal/reduce/ ./internal/parallel/ ./internal/telemetry/ ./internal/bitpack/ ./internal/floatenc/ ./internal/entropy/ ./internal/stashstore/ ./internal/faults/
 
 # Full soak/chaos run over the job server: 32 concurrent jobs with fault
 # injection and a seeded cancel/pause/resume chaos goroutine, under the
@@ -46,9 +46,9 @@ soak-short:
 
 # Short fuzz passes over the checkpoint parser, the gradient reduce, the
 # codec kernels (format round-trip fixed point; the packed word round trip;
-# mask word kernels vs their scalar references; the narrow-CSR round trip;
-# the ZVC pipeline; SSDC and ZVC holding packed values against the two-pass
-# quantize-then-compact reference at every format and worker count; the
+# mask word kernels vs their scalar references; the ZVC pipeline; ZVC
+# holding packed values against the two-pass quantize-then-compact
+# reference at every format and worker count; the
 # entropy coder's round-trip,
 # its single-pass encoder against the frozen two-phase encoder and the
 # bit-serial reference on arbitrary bytes and FP32 input at every DPR
@@ -66,7 +66,6 @@ fuzz:
 	$(GO) test ./internal/floatenc/ -run FuzzFormatRoundTrip -fuzz FuzzFormatRoundTrip -fuzztime 20s
 	$(GO) test ./internal/floatenc/ -run FuzzPackedRoundTrip -fuzz FuzzPackedRoundTrip -fuzztime 20s -fuzzminimizetime 20x
 	$(GO) test ./internal/bitpack/ -run FuzzMaskWords -fuzz FuzzMaskWords -fuzztime 20s
-	$(GO) test ./internal/sparse/ -run FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 20s
 	$(GO) test ./internal/entropy/ -run FuzzEntropyRoundTrip -fuzz FuzzEntropyRoundTrip -fuzztime 20s -fuzzminimizetime 20x
 	$(GO) test ./internal/entropy/ -run FuzzEntropyEncodeDiff -fuzz FuzzEntropyEncodeDiff -fuzztime 20s -fuzzminimizetime 20x
 	$(GO) test ./internal/entropy/ -run FuzzEntropyDecodeDiff -fuzz FuzzEntropyDecodeDiff -fuzztime 20s
@@ -127,7 +126,7 @@ allocs:
 # into `make check`; the default 1s benchtime is for deliberate measurement.
 BENCH_GATE_TIME ?= 1s
 BENCH_GATE_COUNT ?= 2
-BENCH_GATE_PKGS = ./internal/bitpack/ ./internal/floatenc/ ./internal/sparse/ ./internal/layers/ ./internal/entropy/
+BENCH_GATE_PKGS = ./internal/bitpack/ ./internal/floatenc/ ./internal/layers/ ./internal/entropy/
 bench-gate:
 	@$(GO) test -run TestXXX -bench Kernel -benchtime $(BENCH_GATE_TIME) -count $(BENCH_GATE_COUNT) $(BENCH_GATE_PKGS) \
 		| $(GO) run ./cmd/benchgate -thresholds bench_gate.json
@@ -195,7 +194,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22671
+LOC_CEILING ?= 22167
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

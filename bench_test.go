@@ -3,8 +3,7 @@ package gist_test
 // Benchmarks, one per paper table/figure (the harnesses that regenerate
 // them) plus micro-benchmarks of the encoding kernels, the allocator and
 // the training step, and ablation benches for the design choices DESIGN.md
-// calls out (narrow vs wide CSR indices, CSR conversion cost, static vs
-// dynamic allocation).
+// calls out (narrow vs wide CSR indices, static vs dynamic allocation).
 
 import (
 	"fmt"
@@ -180,26 +179,6 @@ func BenchmarkBinarizeGate(b *testing.B) {
 	}
 }
 
-func BenchmarkSSDCEncodeCSR(b *testing.B) {
-	skipIfRace(b)
-	xs := sparseInput(0.7)
-	b.SetBytes(kernelElems * 4)
-	for i := 0; i < b.N; i++ {
-		_ = sparse.EncodeCSR(xs)
-	}
-}
-
-func BenchmarkSSDCDecodeCSR(b *testing.B) {
-	skipIfRace(b)
-	c := sparse.EncodeCSR(sparseInput(0.7))
-	dst := make([]float32, kernelElems)
-	b.SetBytes(kernelElems * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Decode(dst)
-	}
-}
-
 func BenchmarkDPRQuantize(b *testing.B) {
 	skipIfRace(b)
 	for _, f := range []floatenc.Format{floatenc.FP16, floatenc.FP10, floatenc.FP8} {
@@ -227,31 +206,17 @@ func BenchmarkDPRPackUnpack(b *testing.B) {
 
 // --- ablation benches ---
 
-// BenchmarkAblationCSRFormats measures the conversion cost of CSR, the
-// sparse format the paper chose over ELL and COO.
-func BenchmarkAblationCSRFormats(b *testing.B) {
-	skipIfRace(b)
-	xs := sparseInput(0.7)
-	b.Run("CSR", func(b *testing.B) {
-		b.SetBytes(kernelElems * 4)
-		for i := 0; i < b.N; i++ {
-			sparse.EncodeCSR(xs).Decode(nil)
-		}
-	})
-}
-
 // BenchmarkAblationNarrowVsWideCSR reports the compression each index
-// width achieves across the sparsity range (bytes reported via the size
-// models; the bench exercises the narrow encoder).
+// width achieves across the sparsity range, from the size models (the
+// runtime holds no CSR).
 func BenchmarkAblationNarrowVsWideCSR(b *testing.B) {
 	skipIfRace(b)
 	for _, sp := range []float64{0.2, 0.5, 0.8} {
 		sp := sp
 		b.Run(spName(sp), func(b *testing.B) {
-			xs := sparseInput(sp)
 			var last int64
 			for i := 0; i < b.N; i++ {
-				last = sparse.EncodeCSR(xs).Bytes()
+				last = sparse.CSRBytesModel(kernelElems, sp)
 			}
 			dense := int64(kernelElems * 4)
 			b.ReportMetric(float64(dense)/float64(last), "narrow-ratio")
@@ -323,10 +288,9 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 	b.Run("baseline", func(b *testing.B) { run(b, false) })
 	b.Run("gist", func(b *testing.B) { run(b, true) })
-	// gist-adaptive swaps the fixed technique ladder for the per-layer
-	// minimum-bytes selection across the lossless tier (SSDC/ZVC/dense);
-	// its delta against "gist" is the price of the adaptive
-	// encoders on the step path.
+	// gist-adaptive runs the adaptive set {ZVC, DPR}, which since ZVC
+	// holds every sparse stash plans what "gist" plans; its delta against
+	// "gist" is the price of the adaptive path on the step.
 	b.Run("gist-adaptive", func(b *testing.B) {
 		g := networks.TinyCNN(8, 4)
 		cfg := encoding.LossyLossless(floatenc.FP16)
@@ -548,23 +512,6 @@ func BenchmarkBinarizeEncodeParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkSSDCEncodeCSRParallel(b *testing.B) {
-	skipIfRace(b)
-	xs := sparseInput(0.7)
-	chunkRows := encoding.DefaultChunkElems / sparse.NarrowCols
-	for _, w := range benchWorkers() {
-		b.Run(wName(w), func(b *testing.B) {
-			p := parallel.NewPool(w)
-			var c sparse.CSR
-			b.SetBytes(kernelElems * 4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sparse.EncodeCSRChunkedInto(&c, xs, floatenc.FP32, p, chunkRows)
-			}
-		})
-	}
-}
-
 // BenchmarkDecodeIntoParallel is the whole-map decode of each container
 // through Codec.DecodeInto: the stored-stash cursor run once per chunk.
 func BenchmarkDecodeIntoParallel(b *testing.B) {
@@ -576,7 +523,6 @@ func BenchmarkDecodeIntoParallel(b *testing.B) {
 		sparsity float64
 	}{
 		{"binarize", encoding.Binarize, floatenc.FP32, 0.5},
-		{"ssdc-fp16", encoding.SSDC, floatenc.FP16, 0.7},
 		{"zvc-fp16", encoding.ZVC, floatenc.FP16, 0.7},
 		{"dpr-fp16", encoding.DPR, floatenc.FP16, 0},
 		{"dpr-fp32", encoding.DPR, floatenc.FP32, 0},

@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	par := fs.Int("parallel", 0, "encode/decode worker count (0 = GOMAXPROCS, 1 = serial; results are bit-identical at every count)")
-	fs.StringVar(&set.Technique, "technique", "", "narrow robust's and spill's stash encoding to one technique (binarize|ssdc|dpr|zvc), or \"adaptive\" for ZVC in SSDC's place with a dense fallback; empty = experiment defaults")
+	fs.StringVar(&set.Technique, "technique", "", "narrow robust's and spill's stash encoding to one technique (binarize|dpr|zvc), or \"adaptive\" for ZVC with a dense fallback; empty = experiment defaults")
 	fs.IntVar(&set.Replicas, "replicas", 0, "run fig12/fig14 on this many data-parallel executor replicas (0/1 = single executor; results are bit-identical at every count for a fixed -shards)")
 	fs.IntVar(&set.Shards, "shards", 0, "micro-shards per step for the replica engine (0 = one per replica; pin this when comparing replica counts)")
 	fs.Int64Var(&set.StashBudget, "stash-budget", 0, "cap fig12's, fig14's and robust's in-RAM stash bytes, spilling the excess to encoded pages on disk (0 = all in RAM; results are bit-identical at every budget)")

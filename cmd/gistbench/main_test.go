@@ -38,10 +38,11 @@ func TestRejectsUnknownNames(t *testing.T) {
 }
 
 // TestTechniqueUsageError pins that a -technique the codec does not have —
-// the removed "entropy" tier among them — is a usage error (exit 2) that
-// names the accepted set, before any experiment runs.
+// the removed "entropy" tier and "ssdc", a planning model only, among them —
+// is a usage error (exit 2) that names the accepted set with the usage,
+// before any experiment runs.
 func TestTechniqueUsageError(t *testing.T) {
-	for _, name := range []string{"entropy", "bogus"} {
+	for _, name := range []string{"entropy", "bogus", "ssdc"} {
 		var out, errOut strings.Builder
 		if code := run([]string{"-technique", name, "-experiment", "ratio"}, &out, &errOut); code != 2 {
 			t.Errorf("-technique %s exited %d, want 2", name, code)
@@ -49,8 +50,8 @@ func TestTechniqueUsageError(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("-technique %s printed results:\n%s", name, out.String())
 		}
-		if !strings.Contains(errOut.String(), "none|binarize|ssdc|dpr|zvc|adaptive") {
-			t.Errorf("-technique %s: stderr does not name the accepted set:\n%s", name, errOut.String())
+		if !strings.Contains(errOut.String(), "(want none|binarize|dpr|zvc|adaptive)") || !strings.Contains(errOut.String(), "Usage of gistbench") {
+			t.Errorf("-technique %s: stderr does not name the accepted set with the usage:\n%s", name, errOut.String())
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // ExampleBuild_assignments plans a VGG-flavoured block under the full Gist
 // configuration and prints the container each stashed feature map gets:
-// Binarize for the ReLU that only a pool reads, SSDC for the sparse maps a
-// convolution reads, DPR for the rest.
+// Binarize for the ReLU that only a pool reads, ZVC for the other sparse
+// maps, DPR for the rest.
 func ExampleBuild_assignments() {
 	g := gist.NewGraph()
 	in := g.MustAdd("input", layers.NewInput(16, 3, 32, 32))
@@ -39,12 +39,12 @@ func ExampleBuild_assignments() {
 		}
 	}
 	// Output:
-	// MFR 1.37x
+	// MFR 1.40x
 	// input  DPR        4.0x
-	// relu1  SSDC       6.5x
+	// relu1  ZVC        9.4x
 	// relu2  Binarize  32.0x
-	// pool1  SSDC       2.6x
-	// relu3  DPR        4.0x
+	// pool1  ZVC        4.5x
+	// relu3  ZVC        9.4x
 	// loss   DPR        4.0x
 }
 
@@ -82,7 +82,7 @@ func Example_resNetMinibatch() {
 	baseMB := gist.LargestFittingMinibatch(d, build, gist.Config{}, 4096)
 	gistMB := gist.LargestFittingMinibatch(d, build, gist.LossyLossless(gist.FP10), 4096)
 	fmt.Printf("minibatch %d -> %d, speedup %.0f%%\n", baseMB, gistMB, 100*(costmodel.ThroughputSpeedup(baseMB, gistMB)-1))
-	// Output: minibatch 329 -> 1255, speedup 10%
+	// Output: minibatch 329 -> 1379, speedup 11%
 }
 
 // Example_vgg16Footprint plans VGG16 at ImageNet shapes and minibatch 64,
@@ -109,6 +109,6 @@ func Example_vgg16Footprint() {
 	// full footprint 6.59 GB
 	// binarize    4.08 GB  MFR 1.36x
 	// ssdc        4.36 GB  MFR 1.27x
-	// lossless    3.77 GB  MFR 1.47x
-	// lossy-fp16  3.40 GB  MFR 1.63x
+	// lossless    3.65 GB  MFR 1.52x
+	// lossy-fp16  3.26 GB  MFR 1.70x
 }

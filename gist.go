@@ -17,6 +17,11 @@
 //     to FP16/FP10/FP8 after its last forward use, so the forward pass
 //     stays exact.
 //
+// The trainer holds the stashes the paper gives SSDC as ZVC (a nonzero
+// bitmask plus compacted values), which narrow CSR beats only above about
+// 89 % sparsity; SSDC remains the planner's size model for the paper's
+// figures.
+//
 // This package is the public facade: it re-exports the execution graph,
 // layer library, Schedule Builder, encoding configurations, networks and
 // device model that live in the internal packages. Typical use:
@@ -61,6 +66,7 @@ type (
 	// Device models an accelerator for performance estimates.
 	Device = costmodel.Device
 	// Technique identifies one Gist encoding (Binarize, SSDC, DPR, ZVC).
+	// SSDC is a planning model only: a trainer cannot hold it.
 	Technique = encoding.Technique
 )
 
@@ -69,7 +75,8 @@ type (
 const (
 	// Binarize is the 1-bit ReLU-Pool encoding.
 	Binarize = encoding.Binarize
-	// SSDC stores sparse stashes in narrow CSR, decoded dense for compute.
+	// SSDC prices sparse stashes as narrow CSR, decoded dense for compute
+	// — the paper's size model; the trainer holds them as ZVC.
 	SSDC = encoding.SSDC
 	// DPR reduces stash precision after the last forward use.
 	DPR = encoding.DPR
@@ -77,8 +84,8 @@ const (
 	ZVC = encoding.ZVC
 )
 
-// ParseTechnique resolves a technique by name (case-insensitive; "none"
-// accepted), as the consolidated -technique CLI flags do.
+// ParseTechnique resolves a runtime technique by name (case-insensitive:
+// none, binarize, dpr or zvc), as the consolidated -technique CLI flags do.
 func ParseTechnique(s string) (Technique, error) { return encoding.ParseTechnique(s) }
 
 // RegisteredTechniques lists every technique in the codec registry, in
@@ -112,8 +119,8 @@ func Build(req Request) (*Plan, error) { return core.Build(req) }
 // MustBuild is Build that panics on error.
 func MustBuild(req Request) *Plan { return core.MustBuild(req) }
 
-// Lossless returns the paper's lossless configuration: Binarize + SSDC +
-// inplace computation.
+// Lossless returns the lossless configuration: Binarize + ZVC + inplace
+// computation — the paper's, with ZVC holding the stashes it gives SSDC.
 func Lossless() Config { return encoding.Lossless() }
 
 // LossyLossless returns the full Gist configuration: lossless encodings

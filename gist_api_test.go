@@ -3,9 +3,11 @@ package gist_test
 // Tests of the public facade: the API a downstream user sees.
 
 import (
+	"errors"
 	"testing"
 
 	"gist"
+	"gist/internal/encoding"
 	"gist/internal/layers"
 )
 
@@ -34,6 +36,18 @@ func TestFacadeGraphBuilding(t *testing.T) {
 	plan := gist.MustBuild(gist.Request{Graph: g, Encodings: gist.Lossless()})
 	if plan.TotalBytes <= 0 {
 		t.Fatal("empty plan")
+	}
+}
+
+// TestFacadeSSDCIsPlanningOnly pins that SSDC prices stashes but holds
+// none: a trainer given the paper's literal Binarize + SSDC configuration
+// builds, and its first Step fails with an error wrapping ErrNoTechnique.
+func TestFacadeSSDCIsPlanningOnly(t *testing.T) {
+	tr := gist.NewTrainer(gist.TinyCNN(2, 4), gist.WithEncodings(gist.Config{Binarize: true, SSDC: true}))
+	defer tr.Close()
+	x, labels := gist.NewDataset(4, 3, 16, 0.4, 2).Batch(tr.Minibatch())
+	if _, _, err := tr.Step(x, labels, 0.05); !errors.Is(err, encoding.ErrNoTechnique) {
+		t.Fatalf("first Step: %v, want an error wrapping ErrNoTechnique", err)
 	}
 }
 

@@ -73,8 +73,10 @@ func TestConcurrentPooledTrainers(t *testing.T) {
 // as +3..4 % allocs_per_step on the benchmark's serve_mix workload. The
 // codec resolves its instruments once per sink, operation and technique and
 // the decode futures build their span argument only under tracing (73
-// encoded before both). What remains is the memory sample's technique rows and the decode
-// goroutines.
+// encoded before both). The memory sample resolves each technique's two
+// byte counters once per sink (4 plain and 6 encoded before, two name
+// builds per held technique). What remains is the step span's argument
+// and the sample's per-technique rows.
 func TestPooledStepAllocsWithSink(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -84,8 +86,8 @@ func TestPooledStepAllocsWithSink(t *testing.T) {
 		encoded bool
 		step    float64
 	}{
-		{"plain", false, 4},
-		{"encoded", true, 6},
+		{"plain", false, 2},
+		{"encoded", true, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := []gist.TrainerOption{

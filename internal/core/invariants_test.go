@@ -143,7 +143,7 @@ func TestPropertyAssignmentsOnlyOnStashedOutputs(t *testing.T) {
 
 func TestPropertyGistNearlyNeverWorseUnderStaticPlan(t *testing.T) {
 	// It is NOT a theorem that Gist always wins: the encodings carry fixed
-	// overheads (32-bit word packing, CSR row pointers, decoded staging),
+	// overheads (32-bit word packing, ZVC masks, decoded staging),
 	// so on degenerate kilobyte-scale chains they can cost more than the
 	// tiny stashes they replace — which is why the paper pairs the
 	// encodings with the allocator rather than claiming a per-buffer

@@ -102,8 +102,8 @@ func (d Device) streamTime(bytes int64) float64 {
 
 // EncodingOverhead models the extra time Gist's encode/decode kernels add
 // to one minibatch, and the bandwidth credit Binarize earns. The per-
-// technique arithmetic lives with each technique in the encoding
-// registry (encoding.AddOverheadTime); in outline:
+// technique arithmetic lives with each technique's model in the encoding
+// package (encoding.AddOverheadTime); in outline:
 //
 //   - Binarize: the mask is built inside the ReLU forward kernel (one
 //     extra 1-bit write per element) and the ReLU/pool backward kernels

@@ -13,8 +13,8 @@ import (
 )
 
 // adaptiveTestGraph builds a small conv → relu → conv → relu → pool → fc →
-// loss graph: sparse stashes that feed conv readers (SSDC-eligible) next to
-// dense stashes that are not.
+// loss graph: sparse stashes that feed conv readers (where the paper puts
+// SSDC) next to dense stashes that are not.
 func adaptiveTestGraph() *graph.Graph {
 	g := graph.New()
 	in := g.MustAdd("input", layers.NewInput(8, 3, 16, 16))
@@ -30,10 +30,11 @@ func adaptiveTestGraph() *graph.Graph {
 
 // TestParseTechnique pins the registry's name surface: every registered
 // technique round-trips through its name case-insensitively, "none" is the
-// distinguished empty selection, and unknown names are typed errors.
+// distinguished empty selection, and unknown names — SSDC's, a planning
+// model the runtime cannot hold, included — are typed errors.
 func TestParseTechnique(t *testing.T) {
 	regs := RegisteredTechniques()
-	want := []Technique{Binarize, SSDC, DPR, ZVC}
+	want := []Technique{Binarize, DPR, ZVC}
 	if len(regs) != len(want) {
 		t.Fatalf("RegisteredTechniques = %v, want %d techniques", regs, len(want))
 	}
@@ -61,9 +62,9 @@ func TestParseTechnique(t *testing.T) {
 	}
 	// A removed technique's name is as unknown as a made-up one, and the
 	// error names the accepted set.
-	for _, name := range []string{"lzma", "entropy", "Entropy"} {
+	for _, name := range []string{"lzma", "entropy", "Entropy", "ssdc", "SSDC"} {
 		_, err := ParseTechnique(name)
-		if err == nil || !strings.Contains(err.Error(), "none|binarize|ssdc|dpr|zvc") {
+		if err == nil || !strings.Contains(err.Error(), "(want none|binarize|dpr|zvc)") {
 			t.Errorf("ParseTechnique(%q) error = %v, want one naming the accepted set", name, err)
 		}
 		if _, err := (Config{}).WithTechniqueName(name); err == nil || !strings.Contains(err.Error(), "|zvc|adaptive") {
@@ -140,11 +141,10 @@ func TestPlanBytesModels(t *testing.T) {
 }
 
 // TestAnalyzeAdaptiveSet pins the one container rule of the adaptive tier:
-// an adaptive set resolves into the SSDC and ZVC flags by membership, so
-// AdaptiveAll() plans exactly what its base plans with ZVC in SSDC's place
-// — no SSDC stash, and a sparse stash is ZVC exactly when ZVC's prediction
-// beats the dense stash at the format — and the sets only tests use take
-// the fixed walk over their members.
+// an adaptive set resolves into the ZVC flag by membership, so AdaptiveAll()
+// plans no SSDC stash, and a sparse stash is ZVC exactly when ZVC's
+// prediction beats the dense stash at the format; every other member
+// changes nothing, so each set takes the fixed walk with ZVC set by it.
 func TestAnalyzeAdaptiveSet(t *testing.T) {
 	graphs := []*graph.Graph{adaptiveTestGraph(), networks.TinyCNN(4, 8), networks.TinyVGG(2, 8)}
 	nearlyDense := func(n *graph.Node) float64 {
@@ -159,7 +159,7 @@ func TestAnalyzeAdaptiveSet(t *testing.T) {
 		dense.Sparsity = nearlyDense
 		bases = append(bases, LossyLossless(f), dense, Config{DPR: f})
 	}
-	zvc, ssdc := 0, 0
+	zvc := 0
 	for _, g := range graphs {
 		for _, base := range bases {
 			cfg := base
@@ -186,42 +186,39 @@ func TestAnalyzeAdaptiveSet(t *testing.T) {
 				}
 			}
 
-			// Every set resolves to the fixed walk over its members.
+			// Every set resolves to the fixed walk with ZVC by membership.
 			for _, c := range []struct {
-				set       []Technique
-				ssdc, zvc bool
+				set []Technique
+				zvc bool
 			}{
-				{AdaptiveAll(), false, true},
-				{[]Technique{ZVC}, false, true},
-				{[]Technique{DPR}, false, false},
-				{[]Technique{SSDC}, true, false},
-				{[]Technique{SSDC, ZVC, DPR}, true, true},
+				{AdaptiveAll(), true},
+				{[]Technique{ZVC}, true},
+				{[]Technique{DPR}, false},
+				{[]Technique{SSDC}, false},
+				{[]Technique{SSDC, ZVC, DPR}, true},
 			} {
 				cfg.AdaptiveSet = c.set
 				fixed := base
-				fixed.SSDC, fixed.ZVC = c.ssdc, c.zvc
+				fixed.ZVC = c.zvc
 				got, want := Analyze(g, cfg), Analyze(g, fixed)
 				for _, n := range g.Nodes {
 					ga, wa := got.ByNode[n.ID], want.ByNode[n.ID]
 					if (ga == nil) != (wa == nil) || ga != nil && *ga != *wa {
 						t.Errorf("set %v, %s: assigned %+v, the fixed walk %+v", c.set, n.Name, ga, wa)
 					}
-					if ga != nil && ga.Tech == SSDC {
-						ssdc++
-					}
 				}
 			}
 		}
 	}
-	if zvc == 0 || ssdc == 0 {
-		t.Fatalf("%d ZVC and %d SSDC assignments: the sweep misses a technique", zvc, ssdc)
+	if zvc == 0 {
+		t.Fatal("no ZVC assignment: the sweep misses the technique")
 	}
 }
 
 // TestAdaptiveFallbackOneHop forces the runtime degradation path: a fully
-// dense map planned as ZVC or as SSDC fails the cost guard and is rebuilt
-// as dense DPR, with fellBack set and the stash still decoding bit-exact;
-// a sparse map keeps its primary.
+// dense map planned as ZVC fails the cost guard and is rebuilt as dense
+// DPR, with fellBack set and the stash still decoding bit-exact; a sparse
+// map keeps its primary.
 func TestAdaptiveFallbackOneHop(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	c := Codec{Pool: parallel.NewPool(2), ChunkElems: 768}
@@ -230,33 +227,31 @@ func TestAdaptiveFallbackOneHop(t *testing.T) {
 		dense.Data[i] = rng.Float32() + 0.25 // dense, incompressible
 	}
 	copy(sparse.Data, randStash(rng, 4096, 0.8))
-	for _, tech := range []Technique{ZVC, SSDC} {
-		as := &Assignment{Tech: tech, Format: floatenc.FP32}
-		e := &EncodedStash{}
-		fellBack, err := c.EncodeStashAdaptiveInto(e, as, dense)
-		if err != nil {
-			t.Fatalf("%v adaptive encode: %v", tech, err)
+	as := &Assignment{Tech: ZVC, Format: floatenc.FP32}
+	e := &EncodedStash{}
+	fellBack, err := c.EncodeStashAdaptiveInto(e, as, dense)
+	if err != nil {
+		t.Fatalf("adaptive encode: %v", err)
+	}
+	if !fellBack || e.Tech != DPR {
+		t.Fatalf("dense data planned as ZVC: fellBack=%v tech=%v, want the dense DPR fallback", fellBack, e.Tech)
+	}
+	c.Seal(e)
+	dec, err := decodeFresh(c, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range dense.Data {
+		if dec.Data[i] != v {
+			t.Fatalf("dense fallback decode[%d] = %v, want %v", i, dec.Data[i], v)
 		}
-		if !fellBack || e.Tech != DPR {
-			t.Fatalf("dense data planned as %v: fellBack=%v tech=%v, want the dense DPR fallback", tech, fellBack, e.Tech)
-		}
-		c.Seal(e)
-		dec, err := decodeFresh(c, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range dense.Data {
-			if dec.Data[i] != v {
-				t.Fatalf("%v dense fallback decode[%d] = %v, want %v", tech, i, dec.Data[i], v)
-			}
-		}
+	}
 
-		fellBack, err = c.EncodeStashAdaptiveInto(e, as, sparse)
-		if err != nil {
-			t.Fatalf("%v sparse adaptive encode: %v", tech, err)
-		}
-		if fellBack || e.Tech != tech {
-			t.Fatalf("sparse stash planned as %v: fellBack=%v tech=%v, want the primary", tech, fellBack, e.Tech)
-		}
+	fellBack, err = c.EncodeStashAdaptiveInto(e, as, sparse)
+	if err != nil {
+		t.Fatalf("sparse adaptive encode: %v", err)
+	}
+	if fellBack || e.Tech != ZVC {
+		t.Fatalf("sparse stash planned as ZVC: fellBack=%v tech=%v, want ZVC", fellBack, e.Tech)
 	}
 }

@@ -55,19 +55,16 @@ func TestCodecOpsAllocateNothing(t *testing.T) {
 					t.Fatalf("%v/%s: the in-place round trip changed the stash", as.Tech, as.Format)
 				}
 			}
-			// Dense data defeats SSDC's and ZVC's cost guards: the one hop
-			// lands on DPR.
-			for _, tech := range []Technique{SSDC, ZVC} {
-				as, e := &Assignment{Tech: tech, Format: floatenc.FP32}, &EncodedStash{}
-				adaptive := func() error {
-					fellBack, err := c.EncodeStashAdaptiveInto(e, as, dense)
-					if err == nil && (!fellBack || e.Tech != DPR) {
-						t.Fatalf("%v fallback ended at %v (fell back %v), want DPR", tech, e.Tech, fellBack)
-					}
-					return err
+			// Dense data defeats ZVC's cost guard: the one hop lands on DPR.
+			as, e := &Assignment{Tech: ZVC, Format: floatenc.FP32}, &EncodedStash{}
+			adaptive := func() error {
+				fellBack, err := c.EncodeStashAdaptiveInto(e, as, dense)
+				if err == nil && (!fellBack || e.Tech != DPR) {
+					t.Fatalf("ZVC fallback ended at %v (fell back %v), want DPR", e.Tech, fellBack)
 				}
-				assertNoAllocs(t, adaptive, "w%d sink=%v: EncodeStashAdaptiveInto %v falling back", w, tel != nil, tech)
+				return err
 			}
+			assertNoAllocs(t, adaptive, "w%d sink=%v: EncodeStashAdaptiveInto ZVC falling back", w, tel != nil)
 		}
 	}
 }

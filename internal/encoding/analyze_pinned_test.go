@@ -83,6 +83,12 @@ func decodeFingerprint(a *Analysis) uint64 {
 // or ZVC stash read only by Conv, FC and its own ReLU stopped needing a
 // decode (readAsStored), which left every analysis hash as it was, and
 // re-captured when that rule took in DPR stashes, which left them too.
+// When ZVC took SSDC's place in Lossless and LossyLossless, those rows
+// moved to what "adaptive-fp32" and "adaptive-fp16" already read (ZVC in
+// SSDC's place was the adaptive tier's rule), the paper's literal SSDC
+// configurations kept the old hashes under "paper-*", and an SSDC-only set
+// stopped turning SSDC on, so "adaptive-ssdc-only" now reads as
+// "dpr-fp16".
 func TestAnalyzeAssignmentsPinned(t *testing.T) {
 	graphs := []*graph.Graph{
 		networks.TinyCNN(8, 4),
@@ -97,15 +103,22 @@ func TestAnalyzeAssignmentsPinned(t *testing.T) {
 		c.AdaptiveSet = set
 		return c
 	}
+	// paper is the paper's literal configuration, Binarize + SSDC +
+	// inplace at DPR format f, which the planner figures price.
+	paper := func(f floatenc.Format) Config {
+		return Config{Binarize: true, SSDC: true, DPR: f, Inplace: true}
+	}
 	cases := []struct {
 		name         string
 		cfg          Config
 		want, decode uint64
 	}{
-		{"lossless", Lossless(), 0x2373550e6ab749a5, 0xe11dd871317062eb},
-		{"lossy-fp16", fp16, 0x72c5dca2769e2d4e, 0xdd23bb00377c6f80},
-		{"lossy-fp10", LossyLossless(floatenc.FP10), 0xca16a90a26097476, 0xdd23bb00377c6f80},
-		{"lossy-fp8", LossyLossless(floatenc.FP8), 0x9eb64ea3140d7243, 0xdd23bb00377c6f80},
+		{"lossless", Lossless(), 0x9a6d8cc7f62d43f6, 0x844728cf6d23e4dc},
+		{"lossy-fp16", fp16, 0x34825df37bd91c93, 0xdd23bb00377c6f80},
+		{"lossy-fp10", LossyLossless(floatenc.FP10), 0x739f4c58f0a36bab, 0xdd23bb00377c6f80},
+		{"lossy-fp8", LossyLossless(floatenc.FP8), 0x533e8b06d9257596, 0xdd23bb00377c6f80},
+		{"paper-lossless", paper(floatenc.FP32), 0x2373550e6ab749a5, 0xe11dd871317062eb},
+		{"paper-lossy-fp16", paper(floatenc.FP16), 0x72c5dca2769e2d4e, 0xdd23bb00377c6f80},
 		{"technique-none", fp16.WithTechnique(None), 0x21fae37e6760e143, 0x80e235df8de89bcc},
 		{"technique-binarize", fp16.WithTechnique(Binarize), 0x0844407b5764196d, 0xdd23bb00377c6f80},
 		{"technique-ssdc", fp16.WithTechnique(SSDC), 0xfad9d69c8bbef19c, 0xdc352240ef2f27e4},
@@ -124,8 +137,8 @@ func TestAnalyzeAssignmentsPinned(t *testing.T) {
 		{"adaptive-only", Config{AdaptiveSet: AdaptiveAll()}, 0x99966c8aed14354c, 0xecd29a2f7de98ef3},
 		{"adaptive-zvc-over-ssdc", withAdaptive(Lossless(), ZVC), 0x9a6d8cc7f62d43f6, 0x844728cf6d23e4dc},
 		{"adaptive-zvc-over-ssdc-fp16", withAdaptive(fp16, ZVC), 0x34825df37bd91c93, 0xdd23bb00377c6f80},
-		{"adaptive-ssdc-over-zvc", Config{ZVC: true, DPR: floatenc.FP16,
-			AdaptiveSet: []Technique{SSDC}}, 0xfad9d69c8bbef19c, 0xdc352240ef2f27e4},
+		{"adaptive-ssdc-only", Config{ZVC: true, DPR: floatenc.FP16,
+			AdaptiveSet: []Technique{SSDC}}, 0x26913017de58f94e, 0xdc352240ef2f27e4},
 	}
 	for _, c := range cases {
 		h, hd := fnv.New64a(), fnv.New64a()

@@ -10,7 +10,6 @@ import (
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
-	"gist/internal/sparse"
 	"gist/internal/telemetry"
 	"gist/internal/tensor"
 )
@@ -25,10 +24,10 @@ import (
 
 const (
 	// chunkAlign is the element granularity every chunk boundary sits on:
-	// the least common multiple of a 64-bit mask word (Binarize), a
-	// 256-column narrow-CSR row (SSDC) and the 2/3/4 values-per-word DPR
-	// packings. Alignment guarantees concurrent chunks never share a
-	// backing word or matrix row.
+	// a multiple of a 64-bit mask word (Binarize, ZVC) and of the 2/3/4
+	// values-per-word DPR packings, so concurrent chunks never share a
+	// backing word. It is 768 — three 256-element blocks — because the
+	// sealed chunk CRCs of every stash ever written were cut at it.
 	chunkAlign = 768
 
 	// DefaultChunkElems is the default chunk size: 128 aligned groups
@@ -118,8 +117,8 @@ func (cdc Codec) chunkElems() int { return normalizeChunkElems(cdc.ChunkElems) }
 // stashing node and re-encodes into it every step, so the encode path stops
 // allocating once the containers reach steady-state size.
 //
-// For SSDC and ZVC the runtime data decides the footprint: when
-// the encoded form would not beat the dense DPR stash it competes with,
+// For ZVC the runtime data decides the footprint: when the encoded form
+// would not beat the dense DPR stash it competes with,
 // EncodeStashInto returns ErrStashTooLarge. Callers that prefer graceful
 // degradation over a hard error use EncodeStashAdaptiveInto. On error the
 // container's contents are unspecified; reusing it for the next encode
@@ -158,7 +157,7 @@ func (cdc Codec) encodeTechInto(e *EncodedStash, tech Technique, as *Assignment,
 }
 
 // EncodeStashAdaptiveInto encodes per the assignment and, when the
-// runtime data defeats the planned SSDC or ZVC encoding (ErrStashTooLarge),
+// runtime data defeats the planned ZVC encoding (ErrStashTooLarge),
 // rebuilds the stash in the same container as the dense DPR encoding,
 // which cannot fail. It reports whether that one hop fired, so the
 // executor can count degradations; each is counted on
@@ -259,13 +258,6 @@ func maskBits(m *bitpack.BitMask) int {
 		return 0
 	}
 	return m.Len()
-}
-
-func csrN(c *sparse.CSR) int {
-	if c == nil {
-		return 0
-	}
-	return c.N
 }
 
 func packedN(p *floatenc.Packed) int {
@@ -379,8 +371,8 @@ type ChunkError struct {
 	// ElemLo/ElemHi is the payload element range the chunk covers, and
 	// ByteLo/ByteHi its byte offsets within the payload word array — the
 	// self-describing location trace and metric labels carry. Byte
-	// offsets are -1 for SSDC and ZVC, whose chunks span several backing
-	// arrays (see ChunkSpan).
+	// offsets are -1 for ZVC, whose chunks span two backing arrays (see
+	// ChunkSpan).
 	ElemLo, ElemHi int
 	ByteLo, ByteHi int64
 }
@@ -421,8 +413,8 @@ func (e *EncodedStash) NumChunks() int {
 // single array (Binarize mask words, DPR packed words),
 // the byte offsets [byteLo, byteHi) of that range within the array — the
 // region whose CRC the chunk seals. Techniques whose chunks span several
-// backing arrays (SSDC, ZVC), and payloads that do not fit the chunk
-// layout, report byte offsets of -1.
+// backing arrays (ZVC), and payloads that do not fit the chunk layout,
+// report byte offsets of -1.
 func (e *EncodedStash) ChunkSpan(c int) (elemLo, elemHi int, byteLo, byteHi int64) {
 	l := e.layout()
 	elemLo = min(c*l.ce, l.n)

@@ -1,18 +1,23 @@
-// Package encoding implements Gist's three layer-specific encodings as
+// Package encoding implements Gist's layer-specific encodings as
 // graph-level analyses plus runtime kernels:
 //
 //   - Binarize (lossless): for ReLU layers all of whose backward-pass
 //     readers are MaxPool layers, the stashed ReLU output is replaced by a
 //     1-bit positive mask (32x) and each MaxPool consumer's stashed
 //     input/output pair is replaced by a 4-bit Y-to-X argmax map (8x).
-//   - SSDC (lossless): for ReLU (or ReLU-fed Pool) outputs read by
-//     convolution-like backward passes, the stash is stored in narrow-CSR
-//     between its uses and decoded to dense FP32 just before the backward
-//     use.
+//   - ZVC (lossless): every other ReLU (or ReLU-fed Pool) output is held as
+//     a 1-bit nonzero mask plus its compacted values, decoded (or read an
+//     image at a time) at its backward use.
 //   - DPR (lossy): every remaining stashed feature map is reduced to
-//     FP16/FP10/FP8 after its last forward use; SSDC value arrays are
-//     DPR-compressed too, while all control metadata (CSR indices, Binarize
+//     FP16/FP10/FP8 after its last forward use; ZVC value arrays are
+//     DPR-compressed too, while all control metadata (ZVC and Binarize
 //     masks, argmax maps) stays exact.
+//
+// The paper's SSDC (narrow CSR for ReLU→Conv stashes) is a planning model
+// only: Config.SSDC makes Analyze price those stashes as SSDC, so the
+// paper's figures print what the paper's configuration holds, but the
+// runtime holds no CSR — narrow CSR beats ZVC only above about 89 %
+// sparsity — and an SSDC assignment fails to encode with ErrNoTechnique.
 //
 // Analyze inspects a graph and assigns at most one technique to every
 // stashed feature map; the liveness and memory-planning packages consume
@@ -36,8 +41,9 @@ type Technique int
 
 // Techniques, in priority order. Binarize/SSDC/DPR are the paper's three
 // encodings; ZVC (zero-value compression: nonzero bitmask + compacted
-// values) is the lossless tier layered on top, and the adaptive tier's
-// technique. The values are the wire format's technique word.
+// values) holds every sparse stash the runtime encodes, in SSDC's place.
+// The values are the wire format's technique word; SSDC's is no longer
+// registered, so a blob that carries it fails with ErrNoTechnique.
 const (
 	None Technique = iota
 	Binarize
@@ -48,13 +54,13 @@ const (
 )
 
 // String returns the paper's name for the technique, resolved through the
-// technique registry.
+// technique registry (SSDC's through its planning model).
 func (t Technique) String() string {
 	if t == None {
 		return "None"
 	}
-	if impl, ok := techImpl(t); ok {
-		return impl.name()
+	if m, ok := techModel(t); ok {
+		return m.name()
 	}
 	return fmt.Sprintf("Technique(%d)", int(t))
 }
@@ -63,30 +69,30 @@ func (t Technique) String() string {
 type Config struct {
 	// Binarize enables the 1-bit ReLU-Pool encoding.
 	Binarize bool
-	// SSDC enables sparse storage for ReLU-Conv / Pool-Conv stashes.
+	// SSDC prices ReLU-Conv / Pool-Conv stashes as the paper's narrow CSR.
+	// It is a planning model for the paper's figures: the runtime encodes
+	// no SSDC, so a trainer given an SSDC assignment fails its first step
+	// with ErrNoTechnique.
 	SSDC bool
 	// DPR, when not FP32, applies delayed precision reduction at the given
-	// format to all remaining stashes and to SSDC value arrays.
+	// format to all remaining stashes and to sparse value arrays.
 	DPR floatenc.Format
 	// ZVC enables zero-value compression (nonzero bitmask + compacted
-	// values) for sparse stashes SSDC did not claim.
+	// values) for every sparse stash where it beats the dense stash at the
+	// DPR format.
 	ZVC bool
-	// AdaptiveSet, when non-empty, replaces the SSDC and ZVC flags with
-	// the set's membership when Analyze starts, and the fixed walk runs as
-	// usual, so AdaptiveAll() ({ZVC, DPR}) is the base configuration with
-	// ZVC in SSDC's place. DPR in a set changes nothing (the DPR
-	// format alone decides dense packing), so {ZVC} at a reduced format
-	// plans dense DPR where ZVC would not beat it, {DPR} turns SSDC off
-	// rather than keeping the base's flag, and a set holding both SSDC
-	// and ZVC takes the fixed SSDC-then-ZVC order.
+	// AdaptiveSet, when non-empty, replaces the ZVC flag with the set's
+	// membership when Analyze starts; the walk then runs as usual. No
+	// other member changes anything: DPR alone decides dense packing, and
+	// SSDC is a planning model, not a container the runtime picks.
 	AdaptiveSet []Technique
 	// Inplace enables ReLU inplace computation (an optimization for
 	// immediately consumed data, not an encoding, but applied by the same
 	// Schedule Builder pass).
 	Inplace bool
 	// FCIsConvLike treats fully connected layers like convolutions for
-	// SSDC purposes (their backward passes read X identically). The
-	// paper's taxonomy names only convolution; default matches it.
+	// SSDC's planning purposes (their backward passes read X identically).
+	// The paper's taxonomy names only convolution; default matches it.
 	FCIsConvLike bool
 	// Sparsity predicts the zero fraction of a node's output at planning
 	// time. Nil uses DefaultSparsity.
@@ -120,9 +126,9 @@ func (c Config) WithTechnique(t Technique) Config {
 }
 
 // WithTechniqueName applies a technique named by a flag or a job spec: ""
-// changes nothing, "adaptive" (any case) selects AdaptiveAll — the base
-// configuration with ZVC in SSDC's place — and any other name must parse
-// and narrows to that technique.
+// changes nothing, "adaptive" (any case) selects AdaptiveAll — ZVC for
+// every sparse stash with the dense DPR fallback — and any other name must
+// parse and narrows to that technique.
 func (c Config) WithTechniqueName(name string) (Config, error) {
 	if name == "" {
 		return c, nil
@@ -147,19 +153,19 @@ func (c Config) Enabled() bool {
 
 // AdaptiveAll is the adaptive set the consolidated -technique flags name
 // "adaptive": ZVC, whose size follows from the nonzero count known when
-// the stash is encoded, where SSDC would go, and dense DPR — the one-hop
-// runtime fallback of Codec.EncodeStashAdaptiveInto — for the rest. SSDC
-// stays the paper's fixed technique (Lossless, -technique ssdc).
+// the stash is encoded, for every sparse stash, and dense DPR — the
+// one-hop runtime fallback of Codec.EncodeStashAdaptiveInto — for the
+// rest.
 func AdaptiveAll() []Technique { return []Technique{ZVC, DPR} }
 
-// Lossless is the paper's "lossless" configuration: Binarize + SSDC +
-// inplace.
+// Lossless is the runtime's lossless configuration: Binarize + ZVC +
+// inplace — the paper's, with ZVC holding the stashes it gives SSDC.
 func Lossless() Config {
-	return Config{Binarize: true, SSDC: true, DPR: floatenc.FP32, Inplace: true}
+	return Config{Binarize: true, ZVC: true, DPR: floatenc.FP32, Inplace: true}
 }
 
 // LossyLossless is lossless plus DPR at the given format — the paper's
-// full "Gist" configuration.
+// full "Gist" configuration, with ZVC in SSDC's place.
 func LossyLossless(f floatenc.Format) Config {
 	c := Lossless()
 	c.DPR = f
@@ -194,16 +200,17 @@ type Assignment struct {
 	Node *graph.Node
 	Tech Technique
 	// Format is the DPR format applied to the stash (FP32 when DPR is off;
-	// for SSDC it compresses only the CSR value array).
+	// for ZVC and SSDC it compresses only the value array).
 	Format floatenc.Format
-	// Sparsity is the planning-time zero fraction used for SSDC sizing.
+	// Sparsity is the planning-time zero fraction used for ZVC and SSDC
+	// sizing.
 	Sparsity float64
 	// EncodedBytes is the size of the encoded representation stashed
 	// between the two uses.
 	EncodedBytes int64
 	// NeedsDecode reports whether the stash is decoded into a transient
-	// FP32 staging buffer before its backward use: true for SSDC, ZVC and
-	// DPR unless every backward reader is a Conv, an FC or the ReLU that
+	// FP32 staging buffer before its backward use: true for ZVC and DPR
+	// unless every backward reader is a Conv, an FC or the ReLU that
 	// produced the map (readAsStored); false for Binarize, whose mask the
 	// backward kernel consumes directly. liveness plans the
 	// staging buffer from it, and the executor reads it: a stash without it
@@ -273,7 +280,7 @@ func sparseStash(n *graph.Node) bool {
 
 // ssdcEligible reports whether SSDC can serve node n's stash at planning
 // time: a sparse stash, sparse enough for narrow CSR, that a convolution-
-// like consumer reads as X. The runtime cost guard still applies at encode.
+// like consumer reads as X.
 func ssdcEligible(cfg Config, n *graph.Node, s float64) bool {
 	if !sparseStash(n) || s < sparse.BreakEvenSparsity(1) {
 		return false
@@ -287,11 +294,12 @@ func ssdcEligible(cfg Config, n *graph.Node, s float64) bool {
 }
 
 // choose picks the container of node n's stash, or nil to leave it raw.
-// The first enabled technique — SSDC, then ZVC — that is eligible and
-// beats its bound wins: the raw FP32 stash for SSDC (tiny stashes lose to
-// CSR's row pointers), the dense stash at the DPR format for ZVC (any
-// sparse stash is eligible). Whatever is left is DPR-packed when precision
-// reduction is on.
+// The runtime's one sparse rule is ZVC's: a sparse stash is ZVC where ZVC
+// beats the dense stash at the DPR format. The paper's SSDC, a planning
+// model, goes first when enabled: a sparse stash that a convolution-like
+// consumer reads is priced as SSDC where that beats the raw FP32 stash
+// (tiny stashes lose to CSR's row pointers). Whatever is left is
+// DPR-packed when precision reduction is on.
 func choose(cfg Config, n *graph.Node) *Assignment {
 	s := cfg.Sparsity(n)
 	elems := n.OutShape.NumElements()
@@ -325,7 +333,6 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 		cfg.Sparsity = DefaultSparsity
 	}
 	if len(cfg.AdaptiveSet) > 0 {
-		cfg.SSDC = slices.Contains(cfg.AdaptiveSet, SSDC)
 		cfg.ZVC = slices.Contains(cfg.AdaptiveSet, ZVC)
 	}
 	a := &Analysis{
@@ -398,7 +405,7 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 }
 
 // readAsStored reports whether every backward reader of node n's stash
-// reads its container (SSDC, ZVC or DPR) as stored: the consumers that read
+// reads its container (ZVC or DPR) as stored: the consumers that read
 // it as X are Convs and FCs, which read X one image after another and so can
 // decode it an image at a time, and n reads its own output only if it is a
 // ReLU, which reads the sign.
@@ -425,16 +432,41 @@ func argmaxMapBytes(n int) int64 {
 	return int64((n+7)/8) * 4
 }
 
+// ssdcModel is the paper's sparse storage / dense compute encoding
+// (Section IV-B) as the planner prices it: the stash held in narrow CSR
+// between its uses, with the value array packed at the DPR format. It is
+// not a registered container — the runtime holds such a stash as ZVC — so
+// its name and cost-model hooks sit here, beside its size model, and the
+// registry's lookups fall back to them.
+type ssdcModel struct{}
+
+func (ssdcModel) name() string { return "SSDC" }
+
+func (ssdcModel) planBytes(elems int, sparsity float64, f floatenc.Format) int64 {
+	return ssdcBytes(elems, sparsity, f)
+}
+
+func (ssdcModel) overheadTime(t float64, stream func(int64) float64, dense, enc int64) float64 {
+	// A dense→CSR pass at encode (read dense, write sparse) and a
+	// CSR→dense pass at decode, via cuSPARSE-style kernels; modeled as
+	// three streaming passes over the dense size.
+	t += float64(3 * stream(dense))
+	// Decode writes the dense staging buffer.
+	t += stream(dense)
+	return t
+}
+
 // ssdcBytes models the narrow-CSR footprint of an n-element stash at the
 // given sparsity, with the value array optionally DPR-compressed.
 func ssdcBytes(n int, sparsity float64, f floatenc.Format) int64 {
-	base := sparse.CSRBytesModel(n, sparsity)
-	if f == floatenc.FP32 {
-		return base
-	}
-	nnz := int64(float64(float64(n)*(1-sparsity)) + 0.5)
-	valueSavings := nnz*4 - f.PackedBytes(int(nnz))
-	return base - valueSavings
+	return SSDCBytes(n, sparse.NNZAt(n, sparsity), f)
+}
+
+// SSDCBytes is the exact size SSDC would hold for an n-element map with
+// nnz nonzeros at format f: the value words packed at f, one column byte
+// per nonzero and the narrow CSR's row pointers.
+func SSDCBytes(n, nnz int, f floatenc.Format) int64 {
+	return sparse.CSRBytes(n, nnz, f.PackedBytes(nnz))
 }
 
 // zvcBytes models the ZVC footprint of an n-element stash at the given

@@ -234,67 +234,6 @@ func TestRuntimeBinarizeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRuntimeSSDCRoundTripLossless(t *testing.T) {
-	g := vggBlock(t)
-	a := Analyze(g, Lossless())
-	r1 := g.Lookup("relu1")
-	as := a.ByNode[r1.ID]
-	if as.Tech != SSDC {
-		t.Fatal("expected SSDC")
-	}
-	x := tensor.New(r1.OutShape...)
-	r := tensor.NewRNG(4)
-	for i := range x.Data {
-		if r.Float64() > 0.7 {
-			x.Data[i] = r.Float32()
-		}
-	}
-	e, err := encodeFresh(Codec{}, as, x)
-	if err != nil {
-		t.Fatalf("EncodeStashInto: %v", err)
-	}
-	dec, err := decodeFresh(Codec{}, e)
-	if err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-	if !dec.Equal(x) {
-		t.Fatal("SSDC must be bit-exact")
-	}
-}
-
-func TestRuntimeSSDCWithDPRQuantizesValues(t *testing.T) {
-	g := vggBlock(t)
-	a := Analyze(g, LossyLossless(floatenc.FP16))
-	r1 := g.Lookup("relu1")
-	as := a.ByNode[r1.ID]
-	x := tensor.New(r1.OutShape...)
-	r := tensor.NewRNG(4)
-	for i := range x.Data {
-		if r.Float64() > 0.5 {
-			x.Data[i] = r.Float32() + 0.1
-		}
-	}
-	e, err := encodeFresh(Codec{}, as, x)
-	if err != nil {
-		t.Fatalf("EncodeStashInto: %v", err)
-	}
-	dec, err := decodeFresh(Codec{}, e)
-	if err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-	for i, v := range x.Data {
-		if dec.Data[i] != floatenc.FP16.Quantize(v) {
-			t.Fatalf("SSDC+DPR decode[%d] = %v, want %v", i, dec.Data[i], floatenc.FP16.Quantize(v))
-		}
-	}
-	// Zero pattern preserved exactly.
-	for i, v := range x.Data {
-		if (v == 0) != (dec.Data[i] == 0) {
-			t.Fatal("zero pattern must survive DPR-over-SSDC")
-		}
-	}
-}
-
 func TestRuntimeDPRRoundTrip(t *testing.T) {
 	g := vggBlock(t)
 	a := Analyze(g, LossyLossless(floatenc.FP10))

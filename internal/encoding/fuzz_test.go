@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
 	"slices"
 	"testing"
 
@@ -19,7 +21,8 @@ import (
 // deep, structurally valid inputs rather than rejected magic bytes — plus
 // the sealed layout edge cases (empty payloads, arrays that do not fit the
 // chunk layout), which parse but mostly fail later, in Verify or Decode,
-// and the frozen blob of the removed Entropy technique, which must not parse.
+// and frozen blobs of the removed Entropy technique and of SSDC, which the
+// runtime no longer holds: those must not parse.
 func fuzzSeeds(t testing.TB) [][]byte {
 	c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
 	rng := tensor.NewRNG(3)
@@ -47,6 +50,15 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		b, err := tc.e.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: seed marshal: %v", tc.name, err)
+		}
+		seeds = append(seeds, b)
+	}
+	// The SSDC seeds this corpus held when the runtime still encoded CSR:
+	// FP32 and FP16 stashes, unsealed and sealed, and a sealed empty one.
+	for i := 0; i < 5; i++ {
+		b, err := os.ReadFile(fmt.Sprintf("testdata/ssdc/fuzz-%d.bin", i))
+		if err != nil {
+			t.Fatal(err)
 		}
 		seeds = append(seeds, b)
 	}

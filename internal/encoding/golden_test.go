@@ -12,16 +12,16 @@ import (
 )
 
 // Golden wire-format fixtures for sealed EncodedStash blobs. The frozen
-// hex pins the "GST4" marshaled layout end to end — header fields, CSR
-// index/pointer arrays, the packed value and DPR word streams, chunk-CRC
-// trailer and the rolled-up checksum — so a change anywhere in encode, seal or marshal that moves
-// a byte fails here by name instead of surfacing as a checkpoint
-// incompatibility. Regenerate with `go run ./internal/goldengen` only for
-// an intentional wire-format break.
+// hex pins the "GST4" marshaled layout end to end — header fields, masks,
+// the packed value and DPR word streams, chunk-CRC trailer and the
+// rolled-up checksum — so a change anywhere in encode, seal or marshal
+// that moves a byte fails here by name instead of surfacing as a
+// checkpoint incompatibility. Regenerate with `go run ./internal/goldengen`
+// only for an intentional wire-format break.
 
 // goldenStashInput rebuilds the fixture feature map: seeded noise with
 // negatives clamped to zero (48 of 96 elements zero), the ReLU-shaped
-// distribution SSDC exists for.
+// distribution the sparse containers exist for.
 func goldenStashInput() *tensor.Tensor {
 	t := tensor.New(2, 3, 4, 4)
 	rng := tensor.NewRNG(12345)
@@ -36,8 +36,10 @@ func goldenStashInput() *tensor.Tensor {
 }
 
 const (
-	goldenSSDCChecksum = 0x029b0d37
-	goldenSSDCBlobHex  = "4753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3"
+	// An SSDC stash (technique word 2, FP16), frozen when the runtime
+	// still held narrow CSR. SSDC is a planning model now: the blob must
+	// fail with ErrNoTechnique.
+	goldenSSDCBlobHex = "4753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3"
 
 	goldenDPRChecksum = 0x7fa60a6d
 	goldenDPRBlobHex  = "4753543403000000010000000080010004000000020000000300000004000000040000000200000060000000c8800300de000000f0c0020e00840300000000000000800ec700500ee060a30de66c930e0000200d000000000000000fd900c00eeea4f30d0000c00ed384030000a4830ba900400ece00400d00280300ec0000000000000000000000008403000000600e0000930e0088230ec200100e9d00b00deb000000f000f00ee30000006d0aa67f010000001b0471fc"
@@ -68,7 +70,8 @@ func mustHex(t *testing.T, s string) []byte {
 
 // TestGoldenStashMarshal re-encodes the fixture map and requires the
 // sealed, marshaled result to be byte-identical to the frozen blob — the
-// encode direction of wire compatibility.
+// encode direction of wire compatibility. A retired technique (checksum 0)
+// must fail both ways with ErrNoTechnique: its encode and its frozen blob.
 func TestGoldenStashMarshal(t *testing.T) {
 	var cdc Codec
 	cases := []struct {
@@ -77,7 +80,7 @@ func TestGoldenStashMarshal(t *testing.T) {
 		checksum uint32
 		encode   func(*tensor.Tensor) (*EncodedStash, error)
 	}{
-		{"ssdc-fp16", goldenSSDCBlobHex, goldenSSDCChecksum,
+		{"ssdc-fp16", goldenSSDCBlobHex, 0,
 			func(x *tensor.Tensor) (*EncodedStash, error) {
 				as := &Assignment{Tech: SSDC, Format: floatenc.FP16, NeedsDecode: true}
 				return encodeFresh(cdc, as, x)
@@ -98,6 +101,15 @@ func TestGoldenStashMarshal(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e, err := c.encode(goldenStashInput())
+			if c.checksum == 0 {
+				if !errors.Is(err, ErrNoTechnique) {
+					t.Fatalf("encode of a retired technique: %v, want ErrNoTechnique", err)
+				}
+				if _, err := UnmarshalStash(mustHex(t, c.blobHex)); !errors.Is(err, ErrNoTechnique) {
+					t.Fatalf("UnmarshalStash of the frozen blob: %v, want ErrNoTechnique", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,12 +134,16 @@ func TestGoldenStashMarshal(t *testing.T) {
 	}
 }
 
-// TestGoldenStashUnmarshal is the decode direction: the frozen blob must
-// unmarshal, pass integrity verification, and decode to the fixture map's
-// FP16-quantized values.
+// TestGoldenStashUnmarshal is the decode direction at FP16: the frozen
+// SSDC blob must fail with ErrNoTechnique, and the same map held as ZVC
+// must unmarshal, pass integrity verification, and decode to the fixture
+// map's FP16-quantized values — the spots SSDC's blob decoded to.
 func TestGoldenStashUnmarshal(t *testing.T) {
 	var c Codec
-	e, err := UnmarshalStash(mustHex(t, goldenSSDCBlobHex))
+	if _, err := UnmarshalStash(mustHex(t, goldenSSDCBlobHex)); !errors.Is(err, ErrNoTechnique) {
+		t.Fatalf("UnmarshalStash of the frozen SSDC blob: %v, want ErrNoTechnique", err)
+	}
+	e, err := UnmarshalStash(mustHex(t, goldenZVC16BlobHex))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +179,7 @@ func TestGoldenStashUnmarshal(t *testing.T) {
 	}
 
 	// A flipped payload bit must be caught by the seal.
-	e2, err := UnmarshalStash(mustHex(t, goldenSSDCBlobHex))
+	e2, err := UnmarshalStash(mustHex(t, goldenZVC16BlobHex))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,8 @@ const (
 	// (per = 64) and packed words (per = values per word). Every per
 	// divides the chunk alignment, so chunks own whole items.
 	cutAligned cutRule = iota
-	// cutRows: item k > 0 closes row k-1 of per elements; item 0 is a
-	// constant owned by chunk 0 — the CSR RowPtr array.
-	cutRows
 	// cutSpan: chunk c owns items [len·c/nc, len·(c+1)/nc) — arrays whose
-	// item-to-element relation is data (CSR ColIdx/Values, ZVC values).
+	// item-to-element relation is data (ZVC values).
 	// Cutting by index keeps the layout independent of (possibly
 	// corrupted) payload contents, so attribution stays exact.
 	cutSpan
@@ -42,10 +39,9 @@ const (
 type segment struct {
 	u64 []uint64
 	u32 []uint32
-	i32 []int32
 	u8  []byte
 	cut cutRule
-	per int // cutAligned: elements per item; cutRows: elements per row
+	per int // cutAligned: elements per item
 }
 
 // shape returns the segment's item count and the bytes per item.
@@ -55,8 +51,6 @@ func (s *segment) shape() (items, size int) {
 		return len(s.u64), 8
 	case s.u32 != nil:
 		return len(s.u32), 4
-	case s.i32 != nil:
-		return len(s.i32), 4
 	}
 	return len(s.u8), 1
 }
@@ -72,10 +66,6 @@ func (s *segment) put(buf []byte, lo, hi int) {
 	case s.u32 != nil:
 		for i, w := range s.u32[lo:hi] {
 			binary.LittleEndian.PutUint32(buf[4*i:], w)
-		}
-	case s.i32 != nil:
-		for i, w := range s.i32[lo:hi] {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(w))
 		}
 	default:
 		copy(buf, s.u8[lo:hi])
@@ -93,10 +83,6 @@ func (s *segment) get(buf []byte, lo, hi int) {
 		for i := range s.u32[lo:hi] {
 			s.u32[lo+i] = binary.LittleEndian.Uint32(buf[4*i:])
 		}
-	case s.i32 != nil:
-		for i := range s.i32[lo:hi] {
-			s.i32[lo+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
 	default:
 		copy(s.u8[lo:hi], buf)
 	}
@@ -109,8 +95,6 @@ func (s *segment) flip(i int) {
 		s.u64[i/64] ^= 1 << (uint(i) % 64)
 	case s.u32 != nil:
 		s.u32[i/32] ^= 1 << (uint(i) % 32)
-	case s.i32 != nil:
-		s.i32[i/32] ^= 1 << (uint(i) % 32)
 	default:
 		s.u8[i/8] ^= 1 << (uint(i) % 8)
 	}
@@ -150,16 +134,14 @@ type payloadLayout struct {
 	n, ce, nc int
 	// segs[:nseg] are the bit-addressable backing arrays in hash (= wire =
 	// FlipBit address) order.
-	segs [3]segment
+	segs [2]segment
 	nseg int
 	// head[:nhead] are the words the payload's decode trusts besides its
-	// arrays — packed formats and counts, mask lengths, CSR dimensions —
-	// which both checksums hash after the technique and shape, and the wire
-	// carries, in this order, before the segments: all but those with their
-	// bit set in derived, which the reader works out from the others.
-	head    [5]uint32
-	nhead   int
-	derived uint8
+	// arrays — packed formats and counts, mask lengths — which both
+	// checksums hash after the technique and shape, and the wire carries,
+	// in this order, before the segments.
+	head  [3]uint32
+	nhead int
 	// chunkable reports that the arrays have the lengths the chunk layout
 	// expects for n elements. When false (hand-built or deserialized
 	// oddities) the stash seals with the serial checksum and no chunk CRCs.
@@ -175,12 +157,6 @@ func (l *payloadLayout) add(s segment) {
 func (l *payloadLayout) addHead(w int) {
 	l.head[l.nhead] = uint32(w)
 	l.nhead++
-}
-
-// addDerivedHead appends a header word the wire leaves out.
-func (l *payloadLayout) addDerivedHead(w int) {
-	l.derived |= 1 << l.nhead
-	l.addHead(w)
 }
 
 // bits is the size of the bit-addressable payload: every segment.
@@ -213,12 +189,6 @@ func (l *payloadLayout) chunkItems(s *segment, c int) (lo, hi int) {
 	switch s.cut {
 	case cutAligned:
 		return c * l.ce / s.per, (min((c+1)*l.ce, l.n) + s.per - 1) / s.per
-	case cutRows:
-		rowsPer := l.ce / s.per
-		if c > 0 {
-			lo = c*rowsPer + 1
-		}
-		return lo, min((c+1)*rowsPer, items-1) + 1
 	default: // cutSpan
 		return items * c / l.nc, items * (c + 1) / l.nc
 	}
@@ -231,8 +201,6 @@ func (l *payloadLayout) chunkOf(s *segment, k int) int {
 	switch s.cut {
 	case cutAligned:
 		return clampChunk(min(k*s.per, l.n-1)/l.ce, l.nc)
-	case cutRows:
-		return clampChunk(max(k-1, 0)*s.per/l.ce, l.nc)
 	default: // cutSpan
 		items, _ := s.shape()
 		return spanOf(k, items, l.nc)

@@ -2,7 +2,6 @@ package encoding
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -12,8 +11,7 @@ import (
 // structures (including the seal) or reject the bytes with a typed error; it
 // never panics, whatever the input. It is canonical: every blob ReadWire
 // accepts re-marshals to the same bytes. The payload is the technique's
-// layout as stated: its header words (less those the reader derives) and
-// its segments, in order. WriteWire is the one writer and ReadWire the one
+// layout as stated: its header words and its segments, in order. WriteWire is the one writer and ReadWire the one
 // reader; the byte-slice forms run them over a whole buffer (wire.go), the
 // spill store over a file section through its fixed page buffer.
 
@@ -78,7 +76,7 @@ func (e *EncodedStash) WireSize() (int, error) {
 	}
 	// Magic, technique, seal word, chunk size and rank; the dims; the wire's
 	// header words; the segments.
-	n := 20 + 4*len(e.Shape) + 4*(l.nhead-bits.OnesCount8(l.derived)) + l.bits()/8
+	n := 20 + 4*len(e.Shape) + 4*l.nhead + l.bits()/8
 	if e.sealed {
 		n += 8 + 4*len(e.ChunkCRCs)
 	}
@@ -105,10 +103,8 @@ func (e *EncodedStash) WriteWire(w *WireWriter) error {
 	for _, d := range e.Shape {
 		w.U32(uint32(d))
 	}
-	for i, h := range l.head[:l.nhead] {
-		if l.derived&(1<<i) == 0 {
-			w.U32(h)
-		}
+	for _, h := range l.head[:l.nhead] {
+		w.U32(h)
 	}
 	for i := range l.segs[:l.nseg] {
 		w.segment(&l.segs[i])
@@ -146,9 +142,9 @@ func UnmarshalStashInto(e *EncodedStash, data []byte) error {
 // seal word other than 0 or 1 is malformed, so an accepted blob re-marshals
 // to the same bytes. A successfully parsed stash is structurally safe to
 // Verify and DecodeInto — those may still reject it with their own typed
-// errors (bad checksum, shape mismatch, invalid CSR). Payloads of other
-// techniques e held are left in place for its next encode, as the encode
-// path leaves them. On error e's contents are unspecified; reusing it
+// errors (bad checksum, shape mismatch, mask and values that disagree).
+// Payloads of other techniques e held are left in place for its next
+// encode, as the encode path leaves them. On error e's contents are unspecified; reusing it
 // remains valid.
 func ReadWire(e *EncodedStash, r *WireReader, n int) error {
 	if !r.need(n) {

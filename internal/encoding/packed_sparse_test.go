@@ -11,24 +11,21 @@ import (
 
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
-	"gist/internal/sparse"
 	"gist/internal/tensor"
 )
 
-// The packed sparse encoders against their two-pass reference. SSDC and ZVC
-// quantize, test for zero and pack in the passes that compact the map; the
-// reference is the pipeline they replaced, spelled out in plain loops:
-// quantize a full FP32 copy of the map, take its nonzeros (the ZVC mask, or
-// the narrow CSR's RowPtr and ColIdx), and keep their values at FP32.
+// The packed sparse encoder against its two-pass reference. ZVC quantizes,
+// tests for zero and packs in the passes that compact the map; the
+// reference is the pipeline it replaced, spelled out in plain loops:
+// quantize a full FP32 copy of the map, take its nonzeros (the mask), and
+// keep their values at FP32.
 
 // allFormats are the DPR formats, FP32 included.
 var allFormats = []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP10, floatenc.FP8}
 
 // sparseRef is the reference encoding of one map at one format.
 type sparseRef struct {
-	mask   []uint64  // ZVC: bit i set iff the quantized element i is nonzero
-	rowPtr []int32   // SSDC, over NarrowCols-wide rows
-	colIdx []uint8   // SSDC
+	mask   []uint64  // bit i set iff the quantized element i is nonzero
 	values []float32 // the quantized nonzeros in index order
 	raw    []float32 // the same elements as the map holds them
 	dense  []float32 // what a decode returns: the quantized map, -0 as +0
@@ -36,32 +33,19 @@ type sparseRef struct {
 
 func refSparse(f floatenc.Format, xs []float32) sparseRef {
 	q := floatenc.QuantizeSlice(f, append([]float32(nil), xs...))
-	r := sparseRef{mask: make([]uint64, (len(q)+63)/64), rowPtr: []int32{0}, dense: make([]float32, len(q))}
+	r := sparseRef{mask: make([]uint64, (len(q)+63)/64), dense: make([]float32, len(q))}
 	for i, v := range q {
 		if v != 0 {
 			r.mask[i/64] |= 1 << (i % 64)
-			r.colIdx = append(r.colIdx, uint8(i%sparse.NarrowCols))
 			r.values = append(r.values, v)
 			r.raw = append(r.raw, xs[i])
 			r.dense[i] = v
-		}
-		if (i+1)%sparse.NarrowCols == 0 || i+1 == len(q) {
-			r.rowPtr = append(r.rowPtr, int32(len(r.values)))
 		}
 	}
 	return r
 }
 
-// metaBytes is what the technique holds besides its value words: SSDC's
-// RowPtr and ColIdx, ZVC's mask.
-func (r *sparseRef) metaBytes(tech Technique) int64 {
-	if tech == SSDC {
-		return int64(len(r.rowPtr))*4 + int64(len(r.colIdx))
-	}
-	return int64(len(r.mask)) * 8
-}
-
-// checkPackedSparse encodes xs with SSDC and ZVC at every format, chunk
+// checkPackedSparse encodes xs with ZVC at every format, chunk
 // size (768 and 1536 elements) and worker count (1, 2, 4), and compares
 // each stash with the reference: the cost guard's verdict, the zero
 // structure, value words equal to a serial DPR pack of the selected
@@ -78,56 +62,45 @@ func checkPackedSparse(t *testing.T, xs []float32) {
 	for _, f := range allFormats {
 		ref := refSparse(f, xs)
 		packed := floatenc.EncodeSlice(f, ref.raw)
-		for _, tech := range []Technique{SSDC, ZVC} {
-			held := ref.metaBytes(tech) + f.PackedBytes(len(ref.values))
-			tooLarge := held >= f.PackedBytes(len(xs))
-			for _, ce := range []int{768, 1536} {
-				var blob1 []byte
-				for _, w := range []int{1, 2, 4} {
-					tag := fmt.Sprintf("%v/%v n=%d ce=%d workers=%d", tech, f, len(xs), ce, w)
-					c := Codec{Pool: parallel.NewPool(w), ChunkElems: ce}
-					e, err := encodeFresh(c, &Assignment{Tech: tech, Format: f}, x)
-					if got := errors.Is(err, ErrStashTooLarge); got != tooLarge || (err != nil && !got) {
-						t.Fatalf("%s: encode error %v, reference holds %d B against %d dense", tag, err, held, f.PackedBytes(len(xs)))
+		held := int64(len(ref.mask))*8 + f.PackedBytes(len(ref.values))
+		tooLarge := held >= f.PackedBytes(len(xs))
+		for _, ce := range []int{768, 1536} {
+			var blob1 []byte
+			for _, w := range []int{1, 2, 4} {
+				tag := fmt.Sprintf("%v n=%d ce=%d workers=%d", f, len(xs), ce, w)
+				c := Codec{Pool: parallel.NewPool(w), ChunkElems: ce}
+				e, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: f}, x)
+				if got := errors.Is(err, ErrStashTooLarge); got != tooLarge || (err != nil && !got) {
+					t.Fatalf("%s: encode error %v, reference holds %d B against %d dense", tag, err, held, f.PackedBytes(len(xs)))
+				}
+				if tooLarge {
+					continue
+				}
+				if !slicesEqual(e.ZVC.Mask.Words(), ref.mask) {
+					t.Fatalf("%s: mask differs from the reference", tag)
+				}
+				samePacked(t, tag, &e.ZVC.Values, packed)
+				if e.Bytes() != held {
+					t.Fatalf("%s: holds %d B, structure plus packed values %d B", tag, e.Bytes(), held)
+				}
+				out, err := decodeFresh(c, e)
+				if err != nil {
+					t.Fatalf("%s: decode: %v", tag, err)
+				}
+				for i, v := range out.Data {
+					if math.Float32bits(v) != math.Float32bits(ref.dense[i]) {
+						t.Fatalf("%s: decode[%d] = %#08x, reference %#08x", tag, i, math.Float32bits(v), math.Float32bits(ref.dense[i]))
 					}
-					if tooLarge {
-						continue
-					}
-					var vals *floatenc.Packed
-					if tech == SSDC {
-						if !slicesEqual(e.CSR.RowPtr, ref.rowPtr) || !bytes.Equal(e.CSR.ColIdx, ref.colIdx) {
-							t.Fatalf("%s: CSR structure differs from the reference", tag)
-						}
-						vals = &e.CSR.Values
-					} else {
-						if !slicesEqual(e.ZVC.Mask.Words(), ref.mask) {
-							t.Fatalf("%s: mask differs from the reference", tag)
-						}
-						vals = &e.ZVC.Values
-					}
-					samePacked(t, tag, vals, packed)
-					if e.Bytes() != held {
-						t.Fatalf("%s: holds %d B, structure plus packed values %d B", tag, e.Bytes(), held)
-					}
-					out, err := decodeFresh(c, e)
-					if err != nil {
-						t.Fatalf("%s: decode: %v", tag, err)
-					}
-					for i, v := range out.Data {
-						if math.Float32bits(v) != math.Float32bits(ref.dense[i]) {
-							t.Fatalf("%s: decode[%d] = %#08x, reference %#08x", tag, i, math.Float32bits(v), math.Float32bits(ref.dense[i]))
-						}
-					}
-					c.Seal(e)
-					blob, err := e.MarshalBinary()
-					if err != nil {
-						t.Fatalf("%s: marshal: %v", tag, err)
-					}
-					if blob1 == nil {
-						blob1 = blob
-					} else if !bytes.Equal(blob, blob1) {
-						t.Fatalf("%s: sealed blob differs from the one-worker blob", tag)
-					}
+				}
+				c.Seal(e)
+				blob, err := e.MarshalBinary()
+				if err != nil {
+					t.Fatalf("%s: marshal: %v", tag, err)
+				}
+				if blob1 == nil {
+					blob1 = blob
+				} else if !bytes.Equal(blob, blob1) {
+					t.Fatalf("%s: sealed blob differs from the one-worker blob", tag)
 				}
 			}
 		}
@@ -149,8 +122,7 @@ func slicesEqual[T comparable](a, b []T) bool {
 // residueMap builds a map of chunks 768-element chunks whose chunk c holds
 // 12(c+1)+1 nonzeros: the value offset of chunk c (its first slot) is then
 // c mod 12, so chunk offsets land on every residue mod 2, 3 and 4 — the
-// values per word of FP16, FP10 and FP8 — at a 768-element chunk size,
-// for ZVC and, three 256-column rows per chunk, for SSDC.
+// values per word of FP16, FP10 and FP8 — at a 768-element chunk size.
 func residueMap(chunks int, seed int64) []float32 {
 	r := rand.New(rand.NewSource(seed))
 	xs := make([]float32, chunks*chunkAlign)
@@ -219,11 +191,12 @@ func TestPackedSparseDiffResidues(t *testing.T) {
 	}
 }
 
-// TestHeldEqualsPriced checks that SSDC and ZVC hold what the planner and
-// the cost guard charge: on ReLU-shaped maps at every format, including
-// maps with values FP8 (and FP16) flushes to zero, the held bytes equal the
-// structure's metadata plus Format.PackedBytes(nnz), and equal PlanBytes at
-// the map's measured sparsity after quantization.
+// TestHeldEqualsPriced checks that ZVC holds what the planner and the cost
+// guard charge: on ReLU-shaped maps at every format, including maps with
+// values FP8 (and FP16) flushes to zero, the held bytes equal the mask plus
+// Format.PackedBytes(nnz), and equal PlanBytes at the map's measured
+// sparsity after quantization. SSDC's exact size, which the ratio
+// experiment prints, equals its planning model there too.
 func TestHeldEqualsPriced(t *testing.T) {
 	var c Codec
 	for _, n := range []int{768, 4096, 10000} {
@@ -235,24 +208,19 @@ func TestHeldEqualsPriced(t *testing.T) {
 				ref := refSparse(f, xs)
 				nnz := len(ref.values)
 				sparsity := 1 - float64(nnz)/float64(n)
-				for _, tech := range []Technique{SSDC, ZVC} {
-					tag := fmt.Sprintf("%v/%v n=%d density=%v", tech, f, n, density)
-					e, err := encodeFresh(c, &Assignment{Tech: tech, Format: f}, x)
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					var meta int64
-					if tech == SSDC {
-						meta = int64(len(e.CSR.RowPtr))*4 + int64(len(e.CSR.ColIdx))
-					} else {
-						meta = e.ZVC.Mask.Bytes()
-					}
-					if want := meta + f.PackedBytes(nnz); e.Bytes() != want {
-						t.Errorf("%s: holds %d B, metadata %d + packed %d values = %d", tag, e.Bytes(), meta, nnz, want)
-					}
-					if plan := PlanBytes(tech, n, sparsity, f); e.Bytes() != plan {
-						t.Errorf("%s: holds %d B, the planner charges %d at sparsity %v", tag, e.Bytes(), plan, sparsity)
-					}
+				tag := fmt.Sprintf("%v n=%d density=%v", f, n, density)
+				e, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: f}, x)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if want := e.ZVC.Mask.Bytes() + f.PackedBytes(nnz); e.Bytes() != want {
+					t.Errorf("%s: holds %d B, mask %d + packed %d values = %d", tag, e.Bytes(), e.ZVC.Mask.Bytes(), nnz, want)
+				}
+				if plan := PlanBytes(ZVC, n, sparsity, f); e.Bytes() != plan {
+					t.Errorf("%s: holds %d B, the planner charges %d at sparsity %v", tag, e.Bytes(), plan, sparsity)
+				}
+				if exact, plan := SSDCBytes(n, nnz, f), PlanBytes(SSDC, n, sparsity, f); exact != plan {
+					t.Errorf("%s: SSDC is %d B exactly, the planner charges %d at sparsity %v", tag, exact, plan, sparsity)
 				}
 			}
 		}

@@ -16,7 +16,7 @@ import (
 
 // randStash fills a length-n buffer with the mixed-sign, partly-zero data
 // the codecs see in training: zero with probability sparsity, otherwise a
-// uniform value in (-1, 1) (sign exercises Binarize, zeros exercise SSDC).
+// uniform value in (-1, 1) (sign exercises Binarize, zeros exercise ZVC).
 func randStash(rng *tensor.RNG, n int, sparsity float64) []float32 {
 	xs := make([]float32, n)
 	for i := range xs {
@@ -49,12 +49,10 @@ func decodeFresh(c Codec, e *EncodedStash) (*tensor.Tensor, error) {
 }
 
 // propAssignments are the technique/format combinations the property tests
-// sweep: every codec, including DPR layered on SSDC/ZVC.
+// sweep: every codec, including DPR layered on ZVC.
 func propAssignments() []*Assignment {
 	return []*Assignment{
 		{Tech: Binarize, Format: floatenc.FP32},
-		{Tech: SSDC, Format: floatenc.FP32},
-		{Tech: SSDC, Format: floatenc.FP16},
 		{Tech: DPR, Format: floatenc.FP16},
 		{Tech: DPR, Format: floatenc.FP10},
 		{Tech: DPR, Format: floatenc.FP8},
@@ -105,25 +103,6 @@ func assertStashesIdentical(t *testing.T, want, got *EncodedStash, label string)
 				t.Fatalf("%s: mask word %d = %#x, want %#x", label, i, got.Mask.Words()[i], w)
 			}
 		}
-	case SSDC:
-		if want.CSR.Rows != got.CSR.Rows || want.CSR.Cols != got.CSR.Cols || want.CSR.N != got.CSR.N {
-			t.Fatalf("%s: CSR dims %dx%d/%d, want %dx%d/%d", label,
-				got.CSR.Rows, got.CSR.Cols, got.CSR.N, want.CSR.Rows, want.CSR.Cols, want.CSR.N)
-		}
-		for i, p := range want.CSR.RowPtr {
-			if got.CSR.RowPtr[i] != p {
-				t.Fatalf("%s: RowPtr[%d] = %d, want %d", label, i, got.CSR.RowPtr[i], p)
-			}
-		}
-		if len(want.CSR.ColIdx) != len(got.CSR.ColIdx) {
-			t.Fatalf("%s: %d non-zeros, want %d", label, len(got.CSR.ColIdx), len(want.CSR.ColIdx))
-		}
-		for i := range want.CSR.ColIdx {
-			if got.CSR.ColIdx[i] != want.CSR.ColIdx[i] {
-				t.Fatalf("%s: ColIdx[%d] = %d, want %d", label, i, got.CSR.ColIdx[i], want.CSR.ColIdx[i])
-			}
-		}
-		samePacked(t, label+": CSR values", &got.CSR.Values, &want.CSR.Values)
 	case DPR:
 		samePacked(t, label, got.Packed, want.Packed)
 	case ZVC:
@@ -157,7 +136,7 @@ func assertStashesIdentical(t *testing.T, want, got *EncodedStash, label string)
 // property: for random shapes and sparsities, every worker count and chunk
 // size produces a sealed stash identical to the serial one, the rolled-up
 // checksum equals the serial whole-payload oracle, and decode round-trips
-// exactly (bit-exact for Binarize/SSDC, equal to Format.Quantize for DPR).
+// exactly (bit-exact for Binarize/ZVC, equal to Format.Quantize for DPR).
 func TestParallelEncodeMatchesSerialByteForByte(t *testing.T) {
 	rng := tensor.NewRNG(42)
 	workers := propWorkers()
@@ -209,8 +188,8 @@ func TestParallelEncodeMatchesSerialByteForByte(t *testing.T) {
 }
 
 // checkRoundTrip pins decode semantics against the original input: Binarize
-// reconstructs the positivity indicator; SSDC and ZVC are exact
-// (bit-exact at FP32, value-quantized when DPR is layered on); and DPR
+// reconstructs the positivity indicator; ZVC is exact (bit-exact at FP32,
+// value-quantized when DPR is layered on); and DPR
 // equals Format.Quantize elementwise — Quantize is Decode∘Encode, so this
 // is an equality, with the format's MaxRelativeError bound double-checked
 // on top.
@@ -227,8 +206,8 @@ func checkRoundTrip(t *testing.T, as *Assignment, enc *EncodedStash, in, got []f
 				want = 1
 			}
 		default:
-			// SSDC stashes quantize their value array at the assignment
-			// format (identity at FP32); dense DPR (and the SSDC fallback,
+			// ZVC stashes quantize their value array at the assignment
+			// format (identity at FP32); dense DPR (and the ZVC fallback,
 			// which re-encodes densely) quantizes every element.
 			want = as.Format.Quantize(v)
 		}
@@ -281,7 +260,7 @@ func TestChunkErrorLocalizesEveryPayloadBit(t *testing.T) {
 		}
 		bits := enc.PayloadBits()
 		// Probe first/last bits plus a spread through the middle, which for
-		// SSDC crosses the RowPtr/ColIdx/Values segment boundaries.
+		// ZVC crosses the mask/values segment boundary.
 		probes := []int{0, 1, bits / 3, bits / 2, 2 * bits / 3, bits - 2, bits - 1}
 		if n == 800 && bits > 4000 && as.Tech != DPR {
 			t.Fatalf("%v/%s: %d payload bits, too many for the exhaustive sweep", as.Tech, as.Format, bits)
@@ -374,42 +353,39 @@ func TestChunkOfBitRegression(t *testing.T) {
 		}
 	}
 
-	// SSDC over 1600 elements: 7 rows of 256 cols, 3 chunks of 3 rows.
-	// RowPtr entry p is written with row p-1 (entry 0 belongs to chunk 0);
-	// ColIdx/Values split into proportional thirds.
-	st := tensor.New(1600)
-	for i := range st.Data {
+	// ZVC over 1600 elements, 3 chunks: mask word w holds elements
+	// [64w, 64w+64), so word 12 starts chunk 1 and word 24 chunk 2; the
+	// values split into proportional thirds.
+	zt := tensor.New(1600)
+	for i := range zt.Data {
 		if i%4 == 0 { // 25% dense, well past break-even
-			st.Data[i] = 1
+			zt.Data[i] = 1
 		}
 	}
-	se, err := encodeFresh(c, &Assignment{Tech: SSDC, Format: floatenc.FP32}, st)
+	ze, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP32}, zt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.NumChunks() != 3 || se.CSR.Rows != 7 {
-		t.Fatalf("SSDC layout: %d chunks, %d rows; want 3, 7", se.NumChunks(), se.CSR.Rows)
+	if ze.NumChunks() != 3 {
+		t.Fatalf("ZVC layout: %d chunks, want 3", ze.NumChunks())
 	}
-	rpBits := len(se.CSR.RowPtr) * 32
-	ciBits := len(se.CSR.ColIdx) * 8
-	nnz := se.CSR.NNZ()
+	maskBits := len(ze.ZVC.Mask.Words()) * 64
+	nnz := ze.ZVC.Values.N
 	for _, tc := range []struct {
 		name string
 		bit  int
 		want int
 	}{
-		{"RowPtr[0]", 0, 0},      // leading constant zero → chunk 0
-		{"RowPtr[3]", 3 * 32, 0}, // row 2, element 512 → chunk 0
-		{"RowPtr[4]", 4 * 32, 1}, // row 3, element 768 → chunk 1
-		{"RowPtr[7]", 7 * 32, 2}, // row 6 → chunk 2
-		{"ColIdx[0]", rpBits, 0}, // first index span
-		{"ColIdx[last]", rpBits + ciBits - 1, 2},
-		{"Values[0]", rpBits + ciBits, 0},
-		{"Values[mid]", rpBits + ciBits + (nnz/2)*32, spanOf(nnz/2, nnz, 3)},
-		{"Values[last]", rpBits + ciBits + nnz*32 - 1, 2},
+		{"mask[0]", 0, 0},
+		{"mask[11]", 11*64 + 63, 0}, // elements 704-767 → chunk 0
+		{"mask[12]", 12 * 64, 1},    // element 768 → chunk 1
+		{"mask[24]", 24 * 64, 2},    // element 1536 → chunk 2
+		{"Values[0]", maskBits, 0},
+		{"Values[mid]", maskBits + (nnz/2)*32, spanOf(nnz/2, nnz, 3)},
+		{"Values[last]", maskBits + nnz*32 - 1, 2},
 	} {
-		if got := se.ChunkOfBit(tc.bit); got != tc.want {
-			t.Errorf("SSDC %s (bit %d) → chunk %d, want %d", tc.name, tc.bit, got, tc.want)
+		if got := ze.ChunkOfBit(tc.bit); got != tc.want {
+			t.Errorf("ZVC %s (bit %d) → chunk %d, want %d", tc.name, tc.bit, got, tc.want)
 		}
 	}
 }
@@ -545,8 +521,8 @@ func TestConcurrentCodecsOnSharedPool(t *testing.T) {
 // TestChunkErrorMessage keeps the error surface readable: the chunk error
 // names the chunk, technique and shape.
 func TestChunkErrorMessage(t *testing.T) {
-	err := (&ChunkError{Chunk: 3, Chunks: 7, Tech: SSDC, Shape: tensor.Shape{4, 8}, Got: 1, Want: 2}).Error()
-	for _, want := range []string{"chunk 3/7", "SSDC", "corrupt stash"} {
+	err := (&ChunkError{Chunk: 3, Chunks: 7, Tech: ZVC, Shape: tensor.Shape{4, 8}, Got: 1, Want: 2}).Error()
+	for _, want := range []string{"chunk 3/7", "ZVC", "corrupt stash"} {
 		if !strings.Contains(err, want) {
 			t.Errorf("chunk error %q missing %q", err, want)
 		}

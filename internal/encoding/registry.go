@@ -9,21 +9,41 @@ import (
 	"gist/internal/tensor"
 )
 
-// The technique registry. Every Technique value is backed by one
-// techniqueImpl that plugs the chunked codec's generic machinery — encode,
-// payload layout (and with it the wire format), cost models — so a new
-// codec registers here instead of patching switch statements across
-// chunked.go / runtime.go / marshal.go. The Binarize/SSDC/DPR
-// implementations in tech_*.go are byte-for-byte migrations of the
-// original switch arms (the golden fixtures pin this); ZVC registers the
-// same way.
+// The technique registry. Every container the runtime can encode is
+// backed by one techniqueImpl that plugs the chunked codec's generic
+// machinery — encode, payload layout (and with it the wire format), cost
+// models — so a new codec registers here instead of patching switch
+// statements across chunked.go / runtime.go / marshal.go. The
+// Binarize/DPR/ZVC implementations live in tech_*.go. SSDC is a planning
+// model only (ssdcModel, beside its size model): it has a name and cost
+// models but no container, so it is not registered.
 
-// techniqueImpl is the per-technique plug point of the chunked codec.
-// Implementations must be stateless values: one instance serves every
-// codec and stash concurrently.
-type techniqueImpl interface {
+// techniqueModel is what the planner and the cost model know of a
+// technique: its name and its modeled size and time.
+type techniqueModel interface {
 	// name is the paper's name for the technique (Technique.String).
 	name() string
+
+	// planBytes is the planning-time footprint model: the predicted
+	// encoded bytes of an n-element stash at the given sparsity and DPR
+	// format. Analyze's walk checks SSDC and ZVC against their bounds on it.
+	planBytes(elems int, sparsity float64, f floatenc.Format) int64
+	// overheadTime is the roofline cost-model hook: it adds the modeled
+	// encode+decode time of one stash (dense and encoded byte sizes, the
+	// device's stream-time function) to the accumulator t and returns the
+	// new accumulator. The accumulate-and-return shape preserves the cost
+	// model's exact floating-point evaluation order (t += a; t -= b is
+	// not bit-identical to t += a - b). A net subtraction models a
+	// bandwidth saving.
+	overheadTime(t float64, stream func(int64) float64, dense, enc int64) float64
+}
+
+// techniqueImpl is the per-technique plug point of the chunked codec: a
+// technique model the runtime can also hold. Implementations must be
+// stateless values: one instance serves every codec and stash
+// concurrently.
+type techniqueImpl interface {
+	techniqueModel
 
 	// encodeInto builds the technique payload into e from t, reusing e's
 	// backing arrays when capacity allows. The caller has already reset
@@ -46,19 +66,6 @@ type techniqueImpl interface {
 	// reader then fills the segments layout states. It returns the
 	// advanced reader.
 	unmarshalPayload(e *EncodedStash, r WireReader) WireReader
-
-	// planBytes is the planning-time footprint model: the predicted
-	// encoded bytes of an n-element stash at the given sparsity and DPR
-	// format. Analyze's walk checks SSDC and ZVC against their bounds on it.
-	planBytes(elems int, sparsity float64, f floatenc.Format) int64
-	// overheadTime is the roofline cost-model hook: it adds the modeled
-	// encode+decode time of one stash (dense and encoded byte sizes, the
-	// device's stream-time function) to the accumulator t and returns the
-	// new accumulator. The accumulate-and-return shape preserves the cost
-	// model's exact floating-point evaluation order (t += a; t -= b is
-	// not bit-identical to t += a - b). A net subtraction models a
-	// bandwidth saving.
-	overheadTime(t float64, stream func(int64) float64, dense, enc int64) float64
 }
 
 // techniques is the registry, populated by registerTechnique from each
@@ -81,6 +88,15 @@ func techImpl(t Technique) (techniqueImpl, bool) {
 	return impl, ok
 }
 
+// techModel looks up a technique's model: its implementation, or SSDC's
+// planning model.
+func techModel(t Technique) (techniqueModel, bool) {
+	if t == SSDC {
+		return ssdcModel{}, true
+	}
+	return techImpl(t)
+}
+
 // RegisteredTechniques lists every registered technique in ascending
 // Technique order (None is not registered — it has no payload).
 func RegisteredTechniques() []Technique {
@@ -92,9 +108,10 @@ func RegisteredTechniques() []Technique {
 	return ts
 }
 
-// ParseTechnique resolves a case-insensitive technique name ("none",
-// "binarize", "ssdc", "dpr", "zvc") to its Technique value; any other name
-// is an error that lists the accepted ones.
+// ParseTechnique resolves a case-insensitive runtime technique name
+// ("none", "binarize", "dpr", "zvc") to its Technique value; any other
+// name — "ssdc", a planning model the runtime cannot hold, included — is
+// an error that lists the accepted ones.
 func ParseTechnique(s string) (Technique, error) {
 	if strings.EqualFold(s, "none") {
 		return None, nil
@@ -119,10 +136,10 @@ func techniqueNames() string {
 
 // PlanBytes returns the planning-time footprint model of encoding an
 // n-element stash with the technique at the given sparsity and DPR format
-// (the dense FP32 size for None / unregistered techniques).
+// (the dense FP32 size for None / unknown techniques).
 func PlanBytes(t Technique, elems int, sparsity float64, f floatenc.Format) int64 {
-	if impl, ok := techImpl(t); ok {
-		return impl.planBytes(elems, sparsity, f)
+	if m, ok := techModel(t); ok {
+		return m.planBytes(elems, sparsity, f)
 	}
 	return int64(elems) * 4
 }
@@ -130,11 +147,11 @@ func PlanBytes(t Technique, elems int, sparsity float64, f floatenc.Format) int6
 // AddOverheadTime adds the roofline cost-model estimate of the technique's
 // encode+decode time — given the device's stream-time function and the
 // stash's dense and encoded byte sizes — to the accumulator acc and
-// returns the new accumulator. None and unregistered techniques cost
-// nothing. Pass acc = 0 for a standalone per-stash estimate.
+// returns the new accumulator. None and unknown techniques cost nothing.
+// Pass acc = 0 for a standalone per-stash estimate.
 func AddOverheadTime(t Technique, acc float64, stream func(int64) float64, dense, enc int64) float64 {
-	if impl, ok := techImpl(t); ok {
-		return impl.overheadTime(acc, stream, dense, enc)
+	if m, ok := techModel(t); ok {
+		return m.overheadTime(acc, stream, dense, enc)
 	}
 	return acc
 }

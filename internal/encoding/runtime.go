@@ -7,7 +7,6 @@ import (
 
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
-	"gist/internal/sparse"
 	"gist/internal/tensor"
 )
 
@@ -16,28 +15,25 @@ import (
 // anomaly surfaces as a structured error the executor can recover from
 // instead of a panic.
 var (
-	// ErrNoTechnique reports an encode whose assignment carries no
-	// encoding technique.
+	// ErrNoTechnique reports a stash whose technique the runtime does not
+	// hold: none, an unknown word, or SSDC, which is a planning model only.
 	ErrNoTechnique = errors.New("encoding: stash has no technique")
 	// ErrCorruptStash reports a checksum mismatch between seal and decode:
 	// the encoded payload was altered while it was held.
 	ErrCorruptStash = errors.New("encoding: corrupt stash (checksum mismatch)")
-	// ErrStashTooLarge reports an SSDC or ZVC encode whose runtime
-	// sparsity fell below the break-even point, making the encoded form
-	// (narrow CSR, or bitmask plus values) no smaller than the dense DPR
-	// alternative it was supposed to beat.
+	// ErrStashTooLarge reports a ZVC encode whose runtime sparsity fell
+	// below the break-even point, making the bitmask plus values no
+	// smaller than the dense DPR alternative it was supposed to beat.
 	ErrStashTooLarge = errors.New("encoding: encoded stash larger than dense alternative")
 	// ErrShapeMismatch reports an encoded payload whose element count does
 	// not match the stash's recorded shape.
 	ErrShapeMismatch = errors.New("encoding: stash payload does not match shape")
 
-	// errCSRLargerThanDense is the pre-wrapped cost-check failure returned
-	// by the SSDC encoder; static because the adaptive path takes it on
-	// every step a low-sparsity stash stays dense.
-	errCSRLargerThanDense = fmt.Errorf("%w: runtime CSR form not below the dense DPR cost", ErrStashTooLarge)
-	// errZVCLargerThanDense is its ZVC counterpart: the runtime zero
-	// pattern left too many nonzeros for the bitmask+values form to beat
-	// the dense packing.
+	// errZVCLargerThanDense is the pre-wrapped cost-check failure the ZVC
+	// encoder returns when the runtime zero pattern left too many nonzeros
+	// for the bitmask+values form to beat the dense packing; static
+	// because the adaptive path takes it on every step a low-sparsity
+	// stash stays dense.
 	errZVCLargerThanDense = fmt.Errorf("%w: runtime ZVC form not below the dense DPR cost", ErrStashTooLarge)
 )
 
@@ -50,7 +46,6 @@ type EncodedStash struct {
 	Tech   Technique
 	Shape  tensor.Shape
 	Mask   *bitpack.BitMask // Binarize
-	CSR    *sparse.CSR      // SSDC (values possibly DPR-quantized)
 	Packed *floatenc.Packed // DPR (also the dense-fallback container)
 	ZVC    *ZVCPayload      // ZVC (values possibly DPR-quantized)
 
@@ -91,8 +86,8 @@ func crcU32(crc, v uint32) uint32 {
 }
 
 // PayloadBits returns the number of addressable payload bits — the fault
-// injector's corruption surface (mask words, CSR meta and value arrays,
-// packed DPR words, ZVC mask+value arrays).
+// injector's corruption surface (mask words, packed DPR words, ZVC
+// mask+value arrays).
 func (e *EncodedStash) PayloadBits() int {
 	l := e.layout()
 	return l.bits()

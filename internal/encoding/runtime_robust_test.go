@@ -9,13 +9,13 @@ import (
 
 	"gist/internal/bitpack"
 	"gist/internal/floatenc"
-	"gist/internal/sparse"
 	"gist/internal/tensor"
 )
 
 // denseWithNNZ builds an n-element tensor whose first nnz elements are 1
-// (exact in every DPR format) and the rest zero. CSR's footprint depends
-// only on the non-zero count, so the layout is irrelevant.
+// (exact in every DPR format) and the rest zero. A sparse container's
+// footprint depends only on the non-zero count, so the layout is
+// irrelevant.
 func denseWithNNZ(n, nnz int) *tensor.Tensor {
 	x := tensor.New(n)
 	for i := 0; i < nnz; i++ {
@@ -24,15 +24,18 @@ func denseWithNNZ(n, nnz int) *tensor.Tensor {
 	return x
 }
 
-// TestSSDCFallbackAroundBreakEven pins the runtime SSDC→dense degradation
-// threshold exactly at the narrow-CSR break-even point, for both plain
-// SSDC (FP32 values) and SSDC with DPR layered on the value array. With
-// n = 4096 and 16 narrow rows the RowPtr overhead is 68 bytes, so:
+// TestSSDCFallbackAroundBreakEven pins SSDC's exact size (SSDCBytes, the
+// ratio experiment's SSDC column) against the dense stash exactly at the
+// narrow-CSR break-even point, for plain SSDC (FP32 values) and SSDC with
+// DPR layered on the value array. With n = 4096 and 16 narrow rows the
+// RowPtr overhead is 68 bytes, so:
 //
 //	FP32: effective = 5·nnz + 68, dense = 4n = 16384  → break-even nnz 3263/3264
 //	FP16: effective = 3·nnz + 68, dense = 2n = 8192   → break-even nnz 2706/2708
 //
-// (~20% and ~33% sparsity, matching sparse.BreakEvenSparsity.)
+// (~20% and ~33% sparsity, matching sparse.BreakEvenSparsity.) SSDC is a
+// planning model: the runtime refuses an SSDC assignment on either side of
+// the threshold with ErrNoTechnique.
 func TestSSDCFallbackAroundBreakEven(t *testing.T) {
 	const n = 4096
 	cases := []struct {
@@ -52,52 +55,26 @@ func TestSSDCFallbackAroundBreakEven(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var c Codec
+			held := SSDCBytes(n, tc.nnz, tc.format)
+			if fellBack := held >= tc.format.PackedBytes(n); fellBack != tc.wantFallback {
+				t.Fatalf("nnz %d: SSDC holds %d B against dense %d: fallback %v, want %v",
+					tc.nnz, held, tc.format.PackedBytes(n), fellBack, tc.wantFallback)
+			}
 			as := &Assignment{Tech: SSDC, Format: tc.format}
-			x := denseWithNNZ(n, tc.nnz)
-			e, fellBack, err := adaptiveFresh(c, as, x)
-			if err != nil {
-				t.Fatalf("EncodeStashAdaptiveInto: %v", err)
-			}
-			if fellBack != tc.wantFallback {
-				t.Fatalf("nnz %d: fellBack = %v, want %v", tc.nnz, fellBack, tc.wantFallback)
-			}
-			// The strict encoder must agree with the adaptive one.
-			_, strictErr := encodeFresh(c, as, x)
-			if gotErr := errors.Is(strictErr, ErrStashTooLarge); gotErr != tc.wantFallback {
-				t.Fatalf("EncodeStashInto err = %v, want ErrStashTooLarge: %v", strictErr, tc.wantFallback)
-			}
-			if tc.wantFallback {
-				if e.Tech != DPR {
-					t.Fatalf("fallback stash tech = %v, want DPR", e.Tech)
-				}
-				if want := tc.format.PackedBytes(n); e.Bytes() != want {
-					t.Fatalf("fallback bytes = %d, want dense %d", e.Bytes(), want)
-				}
-			} else if e.Tech != SSDC {
-				t.Fatalf("kept stash tech = %v, want SSDC", e.Tech)
-			}
-			// Either way the stash must decode to the format-quantized input.
-			dec, err := decodeFresh(c, e)
-			if err != nil {
-				t.Fatalf("DecodeInto: %v", err)
-			}
-			for i, v := range x.Data {
-				if dec.Data[i] != tc.format.Quantize(v) {
-					t.Fatalf("decode[%d] = %v, want %v", i, dec.Data[i], tc.format.Quantize(v))
-				}
+			if _, _, err := adaptiveFresh(Codec{}, as, denseWithNNZ(n, tc.nnz)); !errors.Is(err, ErrNoTechnique) {
+				t.Fatalf("EncodeStashAdaptiveInto of an SSDC assignment: %v, want ErrNoTechnique", err)
 			}
 		})
 	}
 }
 
-// TestFallbackThresholdMatchesModel cross-checks the runtime decision
-// against the planner's byte model on randomized zero patterns.
+// TestFallbackThresholdMatchesModel cross-checks the runtime ZVC decision
+// against the exact held size on randomized zero patterns.
 func TestFallbackThresholdMatchesModel(t *testing.T) {
 	const n = 2048
 	var c Codec
-	as := &Assignment{Tech: SSDC, Format: floatenc.FP32}
-	for _, sparsity := range []float64{0, 0.1, 0.19, 0.21, 0.3, 0.6, 0.95} {
+	as := &Assignment{Tech: ZVC, Format: floatenc.FP32}
+	for _, sparsity := range []float64{0, 0.01, 0.03, 0.04, 0.1, 0.6, 0.95} {
 		x := tensor.New(n)
 		r := tensor.NewRNG(uint64(1000 * sparsity))
 		nnz := 0
@@ -111,8 +88,7 @@ func TestFallbackThresholdMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csr := sparse.EncodeCSR(x.Data)
-		wantFallback := csr.Bytes() >= 4*n
+		wantFallback := binarizeMaskBytes(n)+int64(nnz)*4 >= 4*n
 		if fellBack != wantFallback {
 			t.Errorf("sparsity %.2f (nnz %d): fellBack = %v, model says %v",
 				sparsity, nnz, fellBack, wantFallback)
@@ -134,15 +110,13 @@ type layoutEdgeCase struct {
 }
 
 // layoutEdgeCases builds payloads no encoder produces but a deserializer or
-// a test can: empty stashes of every technique (SSDC's must stay on the
-// serial checksum, which covers RowPtr's leading zero; the others roll up to
-// the bare header CRC), an empty ZVC mask that still carries values, a DPR
-// stash with a garbage format.
+// a test can: empty stashes of every technique (which roll up to the bare
+// header CRC), an empty ZVC mask that still carries values, a DPR stash
+// with a garbage format.
 func layoutEdgeCases() []layoutEdgeCase {
 	empty := tensor.Shape{0}
 	return []layoutEdgeCase{
 		{"binarize-empty", &EncodedStash{Tech: Binarize, Shape: empty, Mask: bitpack.NewBitMask(0)}, true, 0x532d1c4a},
-		{"ssdc-empty", &EncodedStash{Tech: SSDC, Shape: empty, CSR: sparse.EncodeCSR(nil)}, false, 0x92f523d7},
 		{"dpr-empty", &EncodedStash{Tech: DPR, Shape: empty, Packed: floatenc.NewPacked(floatenc.FP16, 0)}, true, 0x31ceb42a},
 		{"zvc-empty", &EncodedStash{Tech: ZVC, Shape: empty, ZVC: &ZVCPayload{Mask: bitpack.NewBitMask(0)}}, true, 0xa79b98ba},
 		{"zvc-empty-mask-with-values", &EncodedStash{Tech: ZVC, Shape: empty,
@@ -184,7 +158,7 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 	})
 
 	t.Run("sealed-clean-verifies", func(t *testing.T) {
-		for _, tech := range []Technique{Binarize, SSDC, DPR} {
+		for _, tech := range []Technique{Binarize, ZVC, DPR} {
 			e := mk(tech, floatenc.FP16)
 			if err := c.Verify(e); err != nil {
 				t.Fatalf("%v: clean Verify: %v", tech, err)
@@ -196,14 +170,14 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 	})
 
 	t.Run("flip-anywhere-detected", func(t *testing.T) {
-		for _, tech := range []Technique{Binarize, SSDC, DPR} {
+		for _, tech := range []Technique{Binarize, ZVC, DPR} {
 			e := mk(tech, floatenc.FP16)
 			bits := e.PayloadBits()
 			if bits == 0 {
 				t.Fatalf("%v: empty payload", tech)
 			}
-			// Probe a spread of bit positions including both ends: for SSDC
-			// this crosses the RowPtr, ColIdx and Values segments.
+			// Probe a spread of bit positions including both ends: for ZVC
+			// this crosses the mask and values segments.
 			for _, bit := range []int{0, 1, bits / 4, bits / 2, 3 * bits / 4, bits - 1} {
 				e.FlipBit(bit)
 				if err := c.Verify(e); !errors.Is(err, ErrCorruptStash) {
@@ -255,7 +229,7 @@ func TestSealVerifyDetectsFlipsInEverySegment(t *testing.T) {
 
 // TestSealCoversHeaderWords flips, on a sealed stash of every technique,
 // each header word its decode trusts besides its arrays — the packed format
-// and count, the mask length, the CSR element count, rows and columns — and
+// and count, the mask length — and
 // requires Verify to reject it as corrupt, and to accept it flipped back.
 // A flipped count or format may leave the payload's arrays the same length
 // or push the stash off the chunk roll-up onto the serial checksum: either
@@ -291,11 +265,6 @@ func TestSealCoversHeaderWords(t *testing.T) {
 		{ZVC, "packed format", func(e *EncodedStash) { flipFormat(&e.ZVC.Values.Format) }},
 		{ZVC, "mask length", maskLen(func(e *EncodedStash) *bitpack.BitMask { return e.ZVC.Mask })},
 		{ZVC, "packed count", func(e *EncodedStash) { e.ZVC.Values.N ^= 1 }},
-		{SSDC, "packed format", func(e *EncodedStash) { flipFormat(&e.CSR.Values.Format) }},
-		{SSDC, "CSR N", func(e *EncodedStash) { e.CSR.N ^= 1 }},
-		{SSDC, "CSR rows", func(e *EncodedStash) { e.CSR.Rows ^= 1 }},
-		{SSDC, "CSR cols", func(e *EncodedStash) { e.CSR.Cols ^= 1 }},
-		{SSDC, "packed count", func(e *EncodedStash) { e.CSR.Values.N ^= 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%v/%s", tc.tech, tc.word), func(t *testing.T) {
@@ -332,13 +301,13 @@ func TestDecodeShapeMismatch(t *testing.T) {
 		t.Fatalf("DPR shape mismatch: %v", err)
 	}
 
-	e2, err := encodeFresh(c, &Assignment{Tech: SSDC, Format: floatenc.FP32}, denseWithNNZ(64, 4))
+	e2, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP32}, denseWithNNZ(64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2.Shape = tensor.Shape{8, 4}
 	if _, err := decodeFresh(c, e2); !errors.Is(err, ErrShapeMismatch) {
-		t.Fatalf("SSDC shape mismatch: %v", err)
+		t.Fatalf("ZVC shape mismatch: %v", err)
 	}
 
 	e3, err := encodeFresh(c, &Assignment{Tech: Binarize}, tensor.New(64))

@@ -4,18 +4,16 @@ import (
 	"fmt"
 
 	"gist/internal/bitpack"
-	"gist/internal/sparse"
 	"gist/internal/tensor"
 )
 
 // StoredStash reads a verified container as stored, through one cursor that
 // decodes a run of elements at a time: Binarize expands its mask to 0/1,
-// ZVC expands its values by the mask, SSDC scatters its CSR rows' entries,
-// and a DPR container (assigned, or the dense fallback a ZVC or SSDC encode
-// left behind) unpacks its words. It is the codec's only decode:
-// Codec.DecodeInto runs a copy of it per chunk, and it is the
-// layers.StashReader a Conv2D or FCOp backward decodes its X from an image
-// at a time, with no FP32 copy of the map.
+// ZVC expands its values by the mask, and a DPR container (assigned, or
+// the dense fallback a ZVC encode left behind) unpacks its words. It is
+// the codec's only decode: Codec.DecodeInto runs a copy of it per chunk,
+// and it is the layers.StashReader a Conv2D or FCOp backward decodes its X
+// from an image at a time, with no FP32 copy of the map.
 type StoredStash struct {
 	e *EncodedStash
 	// The cursor: the next position to decode and, for ZVC, the value slot
@@ -51,14 +49,6 @@ func (cdc Codec) OpenStored(s *StoredStash, e *EncodedStash, shape tensor.Shape)
 		case len(z.Mask.Words()) != (n+63)/64 || z.Values.Check() != nil || z.Mask.PopCount() != z.Values.N:
 			err = fmt.Errorf("%w: ZVC mask and values disagree", ErrCorruptStash)
 		}
-	case SSDC:
-		c := e.CSR
-		switch {
-		case c == nil || c.N != n:
-			err = fmt.Errorf("%w: CSR over %d elements, shape %v", ErrShapeMismatch, csrN(c), shape)
-		case c.Validate() != nil:
-			err = fmt.Errorf("%w: CSR rows malformed", ErrCorruptStash)
-		}
 	case DPR:
 		switch p := e.Packed; {
 		case p == nil || p.N != n:
@@ -91,8 +81,7 @@ func (s *StoredStash) seek(p int) {
 
 // DecodeNext writes the len(dst) elements from the cursor on into dst and
 // moves the cursor past them: Binarize expands its mask, DPR unpacks its
-// words, ZVC expands its values by the mask a stage at a time, and SSDC
-// decodes the rows the run covers.
+// words, and ZVC expands its values by the mask a stage at a time.
 func (s *StoredStash) DecodeNext(dst []float32) {
 	end := s.p + len(dst)
 	switch s.e.Tech {
@@ -110,56 +99,8 @@ func (s *StoredStash) DecodeNext(dst []float32) {
 			z.Mask.ScatterNonzero(dst[b-s.p:], b, e, vals[:k])
 			s.slot += k
 		}
-	case SSDC:
-		s.decodeCSR(dst, end)
 	}
 	s.p = end
-}
-
-// decodeCSR decodes [s.p, end) of an SSDC container into dst: the rows the
-// run covers whole through sparse.CSR.DecodeRows, and a row it starts or
-// ends inside through clippedRow.
-func (s *StoredStash) decodeCSR(dst []float32, end int) {
-	c := s.e.CSR
-	first := (s.p + c.Cols - 1) / c.Cols // the first row starting at or after s.p
-	last := end / c.Cols                 // rows [first, last) end by end
-	if end == c.N {
-		last = c.Rows // the partial final row ends at N
-	}
-	if first > last { // the run lies inside one row
-		s.clippedRow(dst, first-1, end)
-		return
-	}
-	if head := min(first*c.Cols, end); s.p < head {
-		s.clippedRow(dst, first-1, head)
-	}
-	if first < last {
-		c.DecodeRows(dst[first*c.Cols-s.p:], first, last)
-	}
-	if lo := last * c.Cols; lo < end {
-		s.clippedRow(dst[lo-s.p:], last, end)
-	}
-}
-
-// clippedRow decodes row r whole on the stack and writes into dst only its
-// positions in [max(s.p, r's start), hi), dst holding the first of them.
-// Every position there is written, whatever order the row's columns come
-// in; CSR.Validate bounds a row at sparse.NarrowCols entries.
-func (s *StoredStash) clippedRow(dst []float32, r, hi int) {
-	c := s.e.CSR
-	base := r * c.Cols
-	lo := max(s.p, base)
-	dst = dst[:hi-lo]
-	clear(dst)
-	k0, k1 := int(c.RowPtr[r]), int(c.RowPtr[r+1])
-	var vals [sparse.NarrowCols]float32
-	row := vals[:k1-k0]
-	c.Values.DecodeAt(row, k0)
-	for j, col := range c.ColIdx[k0:k1] {
-		if q := base + int(col); q >= lo && q < hi {
-			dst[q-lo] = row[j]
-		}
-	}
 }
 
 // Rewind moves the cursor back to position 0.

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"os"
 	"testing"
 
 	"gist/internal/floatenc"
 	"gist/internal/parallel"
-	"gist/internal/sparse"
 	"gist/internal/tensor"
 )
 
@@ -51,11 +50,11 @@ func storedMap(data []byte) []float32 {
 
 // FuzzStoredStash holds the codec's one decoder to scalarDecode, bit for
 // bit: DecodeInto at 1, 2 and 4 workers, and the cursor's DecodeNext over
-// runs of one element, of an odd length, of a length that straddles CSR rows
-// and of image sizes that are not a multiple of 256. The fuzz bytes are read
-// two ways: as a map, held by every container at FP32, FP16 and FP8, and as
-// a wire blob, which reaches containers no encoder writes (CSR columns that
-// repeat or descend inside a row, rows of any width).
+// runs of one element, of an odd length, of a length that straddles mask
+// words and of image sizes that are not a multiple of 256. The fuzz bytes
+// are read two ways: as a map, held by every container at FP32, FP16 and
+// FP8, and as a wire blob, which reaches containers no encoder writes. One
+// seed is a frozen SSDC blob (hostile CSR rows), which must not parse.
 func FuzzStoredStash(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 7, 1, 2, 3, 2, 9, 9, 9, 5, 0, 0, 0}, uint16(3))
 	seed := make([]byte, 4*2000) // three zeros in four: every container fits
@@ -66,11 +65,7 @@ func FuzzStoredStash(f *testing.F) {
 	}
 	f.Add(seed[:4*700], uint16(257))
 	f.Add(seed[:4*300], uint16(64))
-	blob, err := hostileCSR(f).MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(blob, uint16(5))
+	f.Add(hostileCSRBlob(f), uint16(5))
 	f.Add(seed[4:], uint16(99)) // three chunks of 768, each after a nonzero: DecodeInto seeks its cursor
 	codecs := storedCodecs()
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
@@ -78,7 +73,7 @@ func FuzzStoredStash(f *testing.F) {
 		if xs := storedMap(data); len(xs) > 0 {
 			x := tensor.New(1, len(xs))
 			copy(x.Data, xs)
-			for _, tech := range []Technique{Binarize, ZVC, SSDC, DPR} {
+			for _, tech := range []Technique{Binarize, ZVC, DPR} {
 				for _, f := range []floatenc.Format{floatenc.FP32, floatenc.FP16, floatenc.FP8} {
 					enc, err := encodeFresh(codecs[1], &Assignment{Tech: tech, Format: f}, x)
 					if err != nil {
@@ -160,9 +155,8 @@ func sameBits(t *testing.T, label string, got, want []float32) {
 }
 
 // scalarDecode is the reference decode of an opened container, an element
-// or an entry at a time, sharing no code with the cursor: Binarize's bit as
-// 0/1, ZVC's next value per set bit, SSDC's (row, col) entries scattered in
-// order (a repeated column's last entry wins), DPR's slots.
+// at a time, sharing no code with the cursor: Binarize's bit as 0/1, ZVC's
+// next value per set bit, DPR's slots.
 func scalarDecode(e *EncodedStash) []float32 {
 	out := make([]float32, e.Shape.NumElements())
 	switch e.Tech {
@@ -180,13 +174,6 @@ func scalarDecode(e *EncodedStash) []float32 {
 				k++
 			}
 		}
-	case SSDC:
-		c := e.CSR
-		for r := 0; r < c.Rows; r++ {
-			for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-				out[r*c.Cols+int(c.ColIdx[k])] = packedAt(&c.Values, int(k))
-			}
-		}
 	case DPR:
 		for i := range out {
 			out[i] = packedAt(e.Packed, i)
@@ -202,28 +189,24 @@ func packedAt(p *floatenc.Packed, k int) float32 {
 	return f.Decode(p.Words[k/vpw] >> (uint(k%vpw) * bits) & (uint32(1)<<bits - 1))
 }
 
-// hostileCSR is an SSDC container no encoder writes: rows of 100 columns,
-// so DecodeInto's 768-element chunks start inside a row, with row 3's
-// columns descending and row 7's first column repeated.
-func hostileCSR(t testing.TB) *EncodedStash {
-	xs := randStash(tensor.NewRNG(9), 1000, 0.6)
-	c := sparse.EncodeCSRCols(xs, 100)
-	k0, k1 := int(c.RowPtr[3]), int(c.RowPtr[4])
-	slices.Reverse(c.ColIdx[k0:k1])
-	slices.Reverse(c.Values.Words[k0:k1])
-	if k0, k1 = int(c.RowPtr[7]), int(c.RowPtr[8]); k1-k0 < 2 {
-		t.Fatalf("row 7 holds %d entries, want 2 or more", k1-k0)
+// hostileCSRBlob is the wire form of an SSDC container no encoder wrote —
+// rows of 100 columns, row 3's columns descending and row 7's first column
+// repeated — frozen when the runtime still held CSR. SSDC is a planning
+// model now, so the blob must fail with ErrNoTechnique.
+func hostileCSRBlob(t testing.TB) []byte {
+	b, err := os.ReadFile("testdata/ssdc/hostile-csr.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.ColIdx[k0+1] = c.ColIdx[k0]
-	return &EncodedStash{Tech: SSDC, Shape: tensor.Shape{10, 100}, CSR: c}
+	return b
 }
 
 // TestOpenStoredRejects: every registered technique opens — a Binarize
 // mask expands to 0/1 — and an unknown one is ErrNoTechnique from
-// OpenStored and DecodeInto alike; a shape other than the stash's is a
-// mismatch; a sealed container whose payload changed fails its verify
-// before anything is read; and CSR rows whose columns repeat or descend
-// decode through both paths, as scalarDecode scatters them.
+// OpenStored and DecodeInto alike, SSDC's included, and a blob of it does
+// not parse; a shape other than the stash's is a mismatch; and a sealed
+// container whose payload changed fails its verify before anything is
+// read.
 func TestOpenStoredRejects(t *testing.T) {
 	c := Codec{Pool: parallel.NewPool(1)}
 	x := tensor.New(2, 300)
@@ -244,12 +227,17 @@ func TestOpenStoredRejects(t *testing.T) {
 			t.Fatalf("Binarize element %d decodes to %g, value %g", i, got[i], v)
 		}
 	}
-	unknown := &EncodedStash{Tech: Technique(99), Shape: x.Shape}
-	if err := c.OpenStored(&s, unknown, x.Shape); !errors.Is(err, ErrNoTechnique) {
-		t.Errorf("OpenStored of an unknown technique: %v, want ErrNoTechnique", err)
+	for _, tech := range []Technique{Technique(99), SSDC} {
+		unknown := &EncodedStash{Tech: tech, Shape: x.Shape}
+		if err := c.OpenStored(&s, unknown, x.Shape); !errors.Is(err, ErrNoTechnique) {
+			t.Errorf("OpenStored of %v: %v, want ErrNoTechnique", tech, err)
+		}
+		if err := c.DecodeInto(tensor.New(x.Shape...), unknown); !errors.Is(err, ErrNoTechnique) {
+			t.Errorf("DecodeInto of %v: %v, want ErrNoTechnique", tech, err)
+		}
 	}
-	if err := c.DecodeInto(tensor.New(x.Shape...), unknown); !errors.Is(err, ErrNoTechnique) {
-		t.Errorf("DecodeInto of an unknown technique: %v, want ErrNoTechnique", err)
+	if _, err := UnmarshalStash(hostileCSRBlob(t)); !errors.Is(err, ErrNoTechnique) {
+		t.Errorf("a frozen SSDC blob parses: %v, want ErrNoTechnique", err)
 	}
 	zvc, err := encodeFresh(c, &Assignment{Tech: ZVC, Format: floatenc.FP16}, x)
 	if err != nil {
@@ -262,8 +250,5 @@ func TestOpenStoredRejects(t *testing.T) {
 	zvc.ZVC.Values.Words[0] ^= 1
 	if err := c.OpenStored(&s, zvc, x.Shape); err == nil {
 		t.Error("a corrupted sealed stash read as stored")
-	}
-	if err := checkStored(t, storedCodecs(), hostileCSR(t), 7); err != nil {
-		t.Errorf("CSR rows with repeated and descending columns: %v", err)
 	}
 }

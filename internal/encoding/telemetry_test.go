@@ -95,8 +95,8 @@ func TestCodecCRCFailureTelemetry(t *testing.T) {
 
 // TestChunkErrorOffsets pins the self-describing location on chunk errors:
 // the element range always, byte offsets for the single-array techniques
-// (Binarize words, DPR words), and -1 byte offsets for SSDC whose chunks
-// span three backing arrays.
+// (Binarize words, DPR words), and -1 byte offsets for ZVC whose chunks
+// span two backing arrays.
 func TestChunkErrorOffsets(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	c := Codec{Pool: parallel.NewPool(1), ChunkElems: 768}
@@ -147,22 +147,22 @@ func TestChunkErrorOffsets(t *testing.T) {
 		t.Fatalf("DPR message %q missing byte range", ce.Error())
 	}
 
-	// SSDC: element range present, byte offsets are -1 and stay out of the
+	// ZVC: element range present, byte offsets are -1 and stay out of the
 	// message.
-	ce = chunkErrFor(&Assignment{Tech: SSDC, Format: floatenc.FP32}, 50)
+	ce = chunkErrFor(&Assignment{Tech: ZVC, Format: floatenc.FP32}, 50)
 	if ce.ByteLo != -1 || ce.ByteHi != -1 {
-		t.Fatalf("SSDC byte offsets: %+v", ce)
+		t.Fatalf("ZVC byte offsets: %+v", ce)
 	}
 	if !strings.Contains(ce.Error(), "elements ") {
-		t.Fatalf("SSDC message %q missing element range", ce.Error())
+		t.Fatalf("ZVC message %q missing element range", ce.Error())
 	}
 	if strings.Contains(ce.Error(), "payload bytes") {
-		t.Fatalf("SSDC message %q must not claim byte offsets", ce.Error())
+		t.Fatalf("ZVC message %q must not claim byte offsets", ce.Error())
 	}
 
 	// The zero-value error (hand-built, no location) keeps the compact
 	// legacy message.
-	legacy := (&ChunkError{Chunk: 3, Chunks: 7, Tech: SSDC, Shape: tensor.Shape{4, 8}}).Error()
+	legacy := (&ChunkError{Chunk: 3, Chunks: 7, Tech: ZVC, Shape: tensor.Shape{4, 8}}).Error()
 	if strings.Contains(legacy, "elements") {
 		t.Fatalf("zero-value message %q must omit location", legacy)
 	}

@@ -109,12 +109,18 @@ func suite(mb int) []struct {
 // gb formats bytes as decimal gigabytes.
 func gb(b int64) float64 { return float64(b) / 1e9 }
 
-// losslessCfg is the paper's lossless configuration.
-func losslessCfg() encoding.Config { return encoding.Lossless() }
+// losslessCfg is the paper's literal lossless configuration, Binarize +
+// SSDC + inplace, which the planner figures price. The runtime's
+// encoding.Lossless holds ZVC where this plans SSDC.
+func losslessCfg() encoding.Config {
+	return encoding.Config{Binarize: true, SSDC: true, DPR: floatenc.FP32, Inplace: true}
+}
 
 // lossyCfg is lossless plus the paper's per-network DPR format.
 func lossyCfg(network string) encoding.Config {
-	return encoding.LossyLossless(PaperDPRFormat(network))
+	c := losslessCfg()
+	c.DPR = PaperDPRFormat(network)
+	return c
 }
 
 // withTechnique narrows cfg to a technique name (see
@@ -130,7 +136,7 @@ func withTechnique(cfg encoding.Config, name string) encoding.Config {
 // value runs every experiment at its default scale.
 type Settings struct {
 	// Technique narrows robust's and spill's stash encoding to one codec
-	// technique, or "adaptive" for ZVC in SSDC's place.
+	// technique, or "adaptive" for ZVC with the dense DPR fallback.
 	Technique string
 	// Replicas/Shards run fig12 and fig14 on the data-parallel replica
 	// engine; at a fixed shard count results are byte-identical at every

@@ -103,7 +103,7 @@ func Fig16() *Result {
 	d := costmodel.TitanX()
 	r := &Result{ID: "fig16", Title: "Speedup from Gist-enabled larger minibatches on deep ResNets"}
 	r.add("%-12s %8s %8s %9s", "network", "mb-base", "mb-gist", "speedup")
-	cfg := encoding.LossyLossless(PaperDPRFormat("ResNet"))
+	cfg := lossyCfg("ResNet")
 	for _, depth := range []int{509, 851, 1202} {
 		depth := depth
 		build := func(mb int) *graph.Graph { return networks.ResNetCIFAR(mb, depth) }

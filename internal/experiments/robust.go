@@ -1,7 +1,7 @@
 package experiments
 
 // Robustness experiment: trains the Figure 12 substrate network with the
-// full encoded-stash pipeline (Binarize/SSDC/DPR) while the fault injector
+// full encoded-stash pipeline (Binarize/ZVC/DPR) while the fault injector
 // flips bits in held stashes, fails encode/decode calls and applies memory
 // pressure. The run must complete through the recovery loop, every injected
 // stash corruption must be caught by the CRC seal, and the recovery
@@ -107,7 +107,7 @@ func Robust(s RobustScale) *Result {
 		train.RecoveryConfig{MaxRetries: s.MaxRetries, CheckpointPath: s.CheckpointPath})
 	elapsed := time.Since(start)
 
-	r.add("network TinyCNN, %d steps of minibatch %d, encoded stashes (Binarize/SSDC/DPR-FP16)", s.Steps, s.Minibatch)
+	r.add("network TinyCNN, %d steps of minibatch %d, encoded stashes (Binarize/ZVC/DPR-FP16)", s.Steps, s.Minibatch)
 	r.add("fault mix: bitflip %.3g, encode-fail %.3g, decode-fail %.3g, alloc budget %d B (seed %d)",
 		s.Faults.BitFlipRate, s.Faults.EncodeFailRate, s.Faults.DecodeFailRate,
 		s.Faults.AllocBudgetBytes, s.Faults.Seed)
@@ -149,7 +149,7 @@ func Robust(s RobustScale) *Result {
 	r.set("robust/injected", float64(injected))
 	r.set("robust/retries", float64(report.Retries))
 	r.set("robust/crc_detected", float64(report.Robust.CRCFailures))
-	r.set("robust/ssdc_fallbacks", float64(report.Robust.SSDCFallbacks))
+	r.set("robust/ssdc_fallbacks", float64(report.Robust.SparseFallbacks))
 	if reconciled && err == nil {
 		r.set("robust/ok", 1)
 	} else {

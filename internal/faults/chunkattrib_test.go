@@ -22,8 +22,8 @@ func TestInjectedFaultTripsExactlyItsChunk(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 99, BitFlipRate: 1})
 	assignments := []*encoding.Assignment{
 		{Tech: encoding.Binarize, Format: floatenc.FP32},
-		{Tech: encoding.SSDC, Format: floatenc.FP32},
-		{Tech: encoding.SSDC, Format: floatenc.FP16},
+		{Tech: encoding.ZVC, Format: floatenc.FP32},
+		{Tech: encoding.ZVC, Format: floatenc.FP16},
 		{Tech: encoding.DPR, Format: floatenc.FP16},
 		{Tech: encoding.DPR, Format: floatenc.FP10},
 		{Tech: encoding.DPR, Format: floatenc.FP8},

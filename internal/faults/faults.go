@@ -1,7 +1,7 @@
 // Package faults is a deterministic, seedable fault injector for the Gist
 // encode→hold→decode pipeline and its checkpoint stream. Gist keeps
-// activations in fragile encoded form (1-bit masks, narrow CSR, packed
-// sub-FP16 words) across the long forward→backward temporal gap, which is
+// activations in fragile encoded form (1-bit masks, compacted nonzeros,
+// packed sub-FP16 words) across the long forward→backward temporal gap, which is
 // exactly the window where a production training system must tolerate
 // corruption, allocation failure and crashes. The injector flips bits in
 // held EncodedStash payloads, fails encode/decode calls, simulates

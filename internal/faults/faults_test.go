@@ -123,8 +123,8 @@ func TestEveryCorruptionIsDetectedByCRC(t *testing.T) {
 		{"binarize", func() *encoding.EncodedStash {
 			return sealedStash(encoding.Binarize, floatenc.FP32, 512, 0.5)
 		}},
-		{"ssdc", func() *encoding.EncodedStash {
-			return sealedStash(encoding.SSDC, floatenc.FP32, 512, 0.9)
+		{"zvc", func() *encoding.EncodedStash {
+			return sealedStash(encoding.ZVC, floatenc.FP32, 512, 0.9)
 		}},
 		{"dpr", func() *encoding.EncodedStash {
 			return sealedStash(encoding.DPR, floatenc.FP16, 512, 0)

@@ -76,7 +76,7 @@ func (p *Packed) EncodeRange(src []float32, start, end int) {
 }
 
 // Packer streams values into consecutive slots of a Packed from a start
-// slot on — the compacted value arrays of SSDC and ZVC, whose chunks start
+// slot on — the compacted value array of ZVC, whose chunks start
 // at a data-dependent slot, as well as DPR's dense ranges. A word the
 // Packer fills whole is stored outright. A word it fills only in part —
 // the one holding its first slot, when that slot is not word-aligned, and

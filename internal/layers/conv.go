@@ -9,7 +9,7 @@ import (
 // Conv2D is a 2-d convolution over NCHW input with learnable filter and
 // bias. Its backward pass needs the stashed input feature map X to compute
 // the weight gradient (Figure 4(d) of the paper) — which is why Binarize is
-// illegal for ReLU→Conv and SSDC takes its place.
+// illegal for ReLU→Conv, where the paper stores SSDC and the executor ZVC.
 type Conv2D struct {
 	OutC   int
 	KH, KW int

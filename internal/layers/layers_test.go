@@ -121,7 +121,7 @@ func TestReLUForward(t *testing.T) {
 
 func TestReLUOutputSparsity(t *testing.T) {
 	// Symmetric input: ~50% of ReLU outputs should be zero — the property
-	// SSDC exploits.
+	// SSDC and ZVC exploit.
 	op := NewReLU()
 	x := randTensor(50, 1, 8, 32, 32)
 	out, _ := runOpNoT(op, []*tensor.Tensor{x}, nil)

@@ -7,8 +7,8 @@
 // Under a Gist analysis, a stashed feature map's single long FP32 lifetime
 // is split into the paper's three regions (Figure 2): an FP32 buffer live
 // only through the forward use, an encoded buffer live across the temporal
-// gap, and (for SSDC/DPR) a decoded FP32 staging buffer live only through
-// the backward use.
+// gap, and (for SSDC/ZVC/DPR) a decoded FP32 staging buffer live only
+// through the backward use.
 package liveness
 
 import (
@@ -61,8 +61,8 @@ type Options struct {
 	ElideDecoded bool
 	// PaperStaging plans a decoded staging buffer for every stash the
 	// paper's implementation decodes before its backward use — all but
-	// Binarize — including the SSDC, ZVC and DPR stashes this repo's
-	// executor reads as stored (NeedsDecode false). The paper's figures plan with
+	// Binarize — including the ZVC and DPR stashes this repo's executor
+	// reads as stored (NeedsDecode false). The paper's figures plan with
 	// it; without it the plan follows NeedsDecode, as the executor runs.
 	PaperStaging bool
 	// NoShareStashed marks stashed feature maps NoShare — the paper's

@@ -133,7 +133,7 @@ func TestGistSplitsStashedLifetime(t *testing.T) {
 		t.Fatalf("pool1.argmax = %v", am)
 	}
 
-	// pool1 (SSDC, feeds conv2): its one backward reader, a Conv, reads it
+	// pool1 (ZVC, feeds conv2): its one backward reader, a Conv, reads it
 	// as stored, so the executor's plan has no decoded buffer for it.
 	if find(bufs, "pool1.dec") != nil {
 		t.Error("pool1 is read as stored: no decoded buffer")

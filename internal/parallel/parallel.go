@@ -2,7 +2,7 @@
 // chunked codec layer. Gist's premium is that encoding a stashed feature map
 // is cheap relative to the memory it frees, which only holds while the
 // encoder keeps up with the producer; the pool lets every hot kernel
-// (bitpack masks, narrow-CSR build/scatter, DPR pack/unpack) split its work
+// (bitpack masks, ZVC compact/expand, DPR pack/unpack) split its work
 // into chunks and run them across cores without spawning unbounded
 // goroutines.
 //

@@ -57,8 +57,8 @@ func encodingConfig(name string) (encoding.Config, error) {
 
 // jobConfig builds the job's effective encoding configuration: the ladder
 // rung supplies the base (DPR format included), then the spec's Technique
-// narrows it to one codec technique or to the adaptive tier (ZVC in SSDC's
-// place).
+// narrows it to one codec technique or to the adaptive tier (ZVC with the
+// dense DPR fallback).
 func jobConfig(spec JobSpec, encName string) (encoding.Config, error) {
 	cfg, err := encodingConfig(encName)
 	if err != nil {

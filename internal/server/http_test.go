@@ -211,17 +211,18 @@ func TestHTTPQueueAndRejectCodes(t *testing.T) {
 }
 
 // TestHTTPRejectsUnknownTechnique pins that a spec naming a technique the
-// codec does not have — the removed "entropy" tier among them — is a 400
+// codec does not have — the removed "entropy" tier and "ssdc", a planning
+// model only, among them — is a 400
 // whose error lists the accepted names, and that no job is created.
 func TestHTTPRejectsUnknownTechnique(t *testing.T) {
 	s := newTestServer(t, Config{Telemetry: telemetry.New()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := ts.Client()
-	for _, name := range []string{"entropy", "lzma"} {
+	for _, name := range []string{"entropy", "lzma", "ssdc"} {
 		body := httpJSON[errorBody](t, c, "POST", ts.URL+"/jobs",
 			JobSpec{Name: "bad", Batch: 4, Classes: 2, Steps: 2, Technique: name}, http.StatusBadRequest)
-		if !strings.Contains(body.Error, `"`+name+`"`) || !strings.Contains(body.Error, "none|binarize|ssdc|dpr|zvc|adaptive") {
+		if !strings.Contains(body.Error, `"`+name+`"`) || !strings.Contains(body.Error, "(want none|binarize|dpr|zvc|adaptive)") {
 			t.Errorf("technique %q: error %q does not name it and the accepted set", name, body.Error)
 		}
 	}

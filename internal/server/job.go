@@ -88,10 +88,9 @@ type JobSpec struct {
 	Encoding     string `json:"encoding"`
 	AllowDegrade bool   `json:"allow_degrade"`
 	// Technique narrows the stash configuration to one codec technique
-	// ("binarize", "ssdc", "dpr", "zvc"), or "adaptive" for ZVC in
-	// SSDC's place with a dense DPR fallback. Layered
-	// over Encoding: the rung still supplies the DPR format and the
-	// degradation ladder.
+	// ("binarize", "dpr", "zvc"), or "adaptive" for ZVC with a dense DPR
+	// fallback. Layered over Encoding: the rung still supplies the DPR
+	// format and the degradation ladder.
 	Technique string `json:"technique,omitempty"`
 	// Shards > 1 runs the job as a data-parallel replica group of that
 	// many micro-shards (and replicas), multiplying both the per-step

@@ -22,7 +22,7 @@ func FuzzReadSpillPage(f *testing.F) {
 	var c encoding.Codec
 	ten := testTensor(12345)
 	for _, as := range []*encoding.Assignment{
-		{Tech: encoding.SSDC, Format: floatenc.FP16, NeedsDecode: true},
+		{Tech: encoding.ZVC, Format: floatenc.FP16, NeedsDecode: true},
 		{Tech: encoding.ZVC, Format: floatenc.FP32},
 		{Tech: encoding.Binarize},
 	} {
@@ -119,9 +119,6 @@ func heldBytes(e *encoding.EncodedStash) int {
 	}
 	if e.Packed != nil {
 		n += 4 * cap(e.Packed.Words)
-	}
-	if c := e.CSR; c != nil {
-		n += 4*cap(c.RowPtr) + cap(c.ColIdx) + 4*cap(c.Values.Words)
 	}
 	if z := e.ZVC; z != nil && z.Mask != nil {
 		n += 8*cap(z.Mask.Words()) + 4*cap(z.Values.Words)

@@ -20,14 +20,14 @@ import (
 	"gist/internal/tensor"
 )
 
-// testStash builds a deterministic sealed SSDC/FP16 stash from a seeded
+// testStash builds a deterministic sealed ZVC/FP16 stash from a seeded
 // ReLU-like feature map (~50% sparsity).
 func testStash(t *testing.T, seed uint64) *encoding.EncodedStash {
 	t.Helper()
 	var c encoding.Codec
 	e := &encoding.EncodedStash{}
 	if err := c.EncodeStashInto(e, &encoding.Assignment{
-		Tech: encoding.SSDC, Format: floatenc.FP16, NeedsDecode: true,
+		Tech: encoding.ZVC, Format: floatenc.FP16, NeedsDecode: true,
 	}, testTensor(seed)); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -75,9 +75,9 @@ func TestPageRoundTrip(t *testing.T) {
 	ten := testTensor(12345)
 	cases := []struct {
 		name string
-		enc  func() *encoding.EncodedStash
+		enc  func() *encoding.EncodedStash // nil: the frozen SSDC page, which must be rejected
 	}{
-		{"ssdc-fp16", func() *encoding.EncodedStash { return testStash(t, 12345) }},
+		{"ssdc-fp16", nil},
 		{"dense-fp32", func() *encoding.EncodedStash {
 			e := &encoding.EncodedStash{}
 			if err := c.EncodeStashInto(e, &encoding.Assignment{
@@ -100,6 +100,16 @@ func TestPageRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.enc == nil {
+				ssdc, err := hex.DecodeString(goldenSSDCPageHex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := parsePage(ssdc); !errors.Is(err, ErrCorruptPage) {
+					t.Fatalf("the frozen SSDC page parses: %v, want ErrCorruptPage", err)
+				}
+				return
+			}
 			enc := c.enc()
 			page, err := AppendPage(nil, 42, enc)
 			if err != nil {
@@ -132,7 +142,13 @@ func TestPageRoundTrip(t *testing.T) {
 
 // goldenPageHex is node 1's page of testStash(12345), printed by
 // internal/goldengen.
-const goldenPageHex = "475354500100000001000000d80000004753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3850033d2"
+const goldenPageHex = "475354500100000001000000ac000000475354340400000001000000008001000400000002000000030000000400000004000000010000006000000030000000cb05f627d8736e1540b4db340000000016320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb8387cdea61601000000c15b7b0a0e541303"
+
+// goldenSSDCPageHex is node 1's page of the SSDC/FP16 stash testStash(12345)
+// built when the runtime still held narrow CSR — TestPageRoundTrip's
+// "ssdc-fp16" row until then. Its technique word no longer names a
+// container, so the page must be rejected.
+const goldenSSDCPageHex = "475354500100000001000000d80000004753543402000000010000000080010004000000020000000300000004000000040000000100000060000000000100003000000000000000300000000001030607080a11121415161718191a1d2324262728292c2d2e3132333536383a3c464a4c4d4f5051535456575a5c5d16320d388e37ff3b102c06384238073aba3137390e38ec3574366e39b8365e3a8034ef3b3a36103b923b4a3aba370c3bbe345638443a142e582afc387d33e6347232123b3b3876391130433a71387138a03046383527db36d63afd3bc23bb838370d9b0201000000e2dbbef3850033d2"
 
 func goldenPage(t *testing.T) []byte {
 	t.Helper()

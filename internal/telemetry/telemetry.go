@@ -194,6 +194,10 @@ type Sink struct {
 	memMu   sync.Mutex
 	lastMem MemSample
 	memSeen bool
+	// memTech holds each technique's stash.<tech>.raw_bytes and
+	// .held_bytes counters, resolved on the technique's first sample so a
+	// later sample builds no names.
+	memTech map[string][2]*Counter
 }
 
 // Observer receives a live copy of every span, instant and memory sample
@@ -437,12 +441,20 @@ func (s *Sink) RecordMemSample(sm MemSample) {
 	s.Gauge("mem.peak_raw_bytes").SetMax(sm.RawBytes)
 	s.Gauge("mem.peak_held_bytes").SetMax(sm.HeldBytes)
 	s.Counter("stash.samples").Inc()
-	for _, tb := range sm.ByTech {
-		s.Counter("stash." + tb.Tech + ".raw_bytes").Add(tb.RawBytes)
-		s.Counter("stash." + tb.Tech + ".held_bytes").Add(tb.HeldBytes)
-	}
 
 	s.memMu.Lock()
+	for _, tb := range sm.ByTech {
+		c, ok := s.memTech[tb.Tech]
+		if !ok {
+			if s.memTech == nil {
+				s.memTech = map[string][2]*Counter{}
+			}
+			c = [2]*Counter{s.Counter("stash." + tb.Tech + ".raw_bytes"), s.Counter("stash." + tb.Tech + ".held_bytes")}
+			s.memTech[tb.Tech] = c
+		}
+		c[0].Add(tb.RawBytes)
+		c[1].Add(tb.HeldBytes)
+	}
 	s.lastMem, s.memSeen = sm, true
 	s.memMu.Unlock()
 

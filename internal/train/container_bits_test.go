@@ -15,15 +15,15 @@ import (
 )
 
 // TestContainerMovesNoBit is ROADMAP item 21's premise (m5) held as a test:
-// at a given format, a stash held as dense DPR, as ZVC or as SSDC — or as
-// whatever the adaptive argmin picks per map — trains to the same bits.
+// at a given format, a stash held as dense DPR or as ZVC — or as whatever
+// the adaptive set picks per map — trains to the same bits.
 // Every set reads a stash whose backward readers are Conv, FC and its own
 // ReLU as stored (Conv and FC decode it an image at a time, the ReLU gates
 // by its sign mask) and decodes the rest into an FP32 target; {DPR decoded}
 // is {DPR} with every assignment's NeedsDecode forced on, so every stash is
 // decoded whole, and this is also the wall between the two read paths.
 // Binarize is off, so every ReLU→Conv map is one of these containers.
-// Weights and every step's loss must hash equal across the five sets, for
+// Weights and every step's loss must hash equal across the four sets, for
 // three networks, three formats and two seeds.
 func TestContainerMovesNoBit(t *testing.T) {
 	if race.Enabled {
@@ -48,7 +48,6 @@ func TestContainerMovesNoBit(t *testing.T) {
 		{"dpr decoded", []encoding.Technique{encoding.DPR}, true},
 		{"dpr", []encoding.Technique{encoding.DPR}, false},
 		{"zvc", []encoding.Technique{encoding.ZVC}, false},
-		{"ssdc", []encoding.Technique{encoding.SSDC}, false},
 		{"all", encoding.AdaptiveAll(), false},
 	}
 	for _, n := range nets {

@@ -46,7 +46,7 @@ type Options struct {
 	ForwardFormat floatenc.Format
 	// Encodings, when non-nil, is the analysis the executor carries out:
 	// every stash it assigns round-trips through the real encoder kernels
-	// (narrow CSR, ZVC, packed DPR), or, a Binarize mask, is read
+	// (ZVC, packed DPR), or, a Binarize mask, is read
 	// as stored by its ReLU; every other stash aliases its forward output.
 	// Backward runs on its effective needs.
 	Encodings *encoding.Analysis
@@ -125,39 +125,39 @@ type execMetrics struct {
 
 	// Mirrors of RobustnessStats, so the sink and the RecoveryReport
 	// agree by construction.
-	ssdcFallbacks *telemetry.Counter
-	crcDetected   *telemetry.Counter
-	chunkLocated  *telemetry.Counter // CRC detections localized to one chunk
-	injEncode     *telemetry.Counter
-	injDecode     *telemetry.Counter
-	injAlloc      *telemetry.Counter
-	spillWriteErr *telemetry.Counter // failed spill-page writes (injected ENOSPC)
-	spillReadErr  *telemetry.Counter // corrupt/torn spill pages caught at fetch
+	sparseFallbacks *telemetry.Counter
+	crcDetected     *telemetry.Counter
+	chunkLocated    *telemetry.Counter // CRC detections localized to one chunk
+	injEncode       *telemetry.Counter
+	injDecode       *telemetry.Counter
+	injAlloc        *telemetry.Counter
+	spillWriteErr   *telemetry.Counter // failed spill-page writes (injected ENOSPC)
+	spillReadErr    *telemetry.Counter // corrupt/torn spill pages caught at fetch
 }
 
 func newExecMetrics(s *telemetry.Sink) execMetrics {
 	return execMetrics{
-		steps:          s.Counter("train.steps"),
-		stepFailures:   s.Counter("train.step.failures"),
-		stepNS:         s.Histogram("train.step.ns"),
-		forwardNS:      s.Histogram("train.forward.ns"),
-		encodeNS:       s.Histogram("train.encode.ns"),
-		backwardNS:     s.Histogram("train.backward.ns"),
-		sgdNS:          s.Histogram("train.sgd.ns"),
-		stashHeld:      s.Histogram("train.stash.held_bytes"),
-		overlapHits:    s.Counter("train.overlap.hits"),
-		overlapMiss:    s.Counter("train.overlap.misses"),
-		encOverlapHits: s.Counter("train.encode_overlap.hits"),
-		encOverlapMiss: s.Counter("train.encode_overlap.misses"),
-		gradZero:       s.Counter("train.grad_zeroing"),
-		ssdcFallbacks:  s.Counter("train.ssdc_fallbacks"),
-		crcDetected:    s.Counter("train.crc_detected"),
-		chunkLocated:   s.Counter("train.crc.chunk_located"),
-		injEncode:      s.Counter("train.injected.encode_failures"),
-		injDecode:      s.Counter("train.injected.decode_failures"),
-		injAlloc:       s.Counter("train.injected.alloc_failures"),
-		spillWriteErr:  s.Counter("train.spill.write_failures"),
-		spillReadErr:   s.Counter("train.spill.read_failures"),
+		steps:           s.Counter("train.steps"),
+		stepFailures:    s.Counter("train.step.failures"),
+		stepNS:          s.Histogram("train.step.ns"),
+		forwardNS:       s.Histogram("train.forward.ns"),
+		encodeNS:        s.Histogram("train.encode.ns"),
+		backwardNS:      s.Histogram("train.backward.ns"),
+		sgdNS:           s.Histogram("train.sgd.ns"),
+		stashHeld:       s.Histogram("train.stash.held_bytes"),
+		overlapHits:     s.Counter("train.overlap.hits"),
+		overlapMiss:     s.Counter("train.overlap.misses"),
+		encOverlapHits:  s.Counter("train.encode_overlap.hits"),
+		encOverlapMiss:  s.Counter("train.encode_overlap.misses"),
+		gradZero:        s.Counter("train.grad_zeroing"),
+		sparseFallbacks: s.Counter("train.ssdc_fallbacks"),
+		crcDetected:     s.Counter("train.crc_detected"),
+		chunkLocated:    s.Counter("train.crc.chunk_located"),
+		injEncode:       s.Counter("train.injected.encode_failures"),
+		injDecode:       s.Counter("train.injected.decode_failures"),
+		injAlloc:        s.Counter("train.injected.alloc_failures"),
+		spillWriteErr:   s.Counter("train.spill.write_failures"),
+		spillReadErr:    s.Counter("train.spill.read_failures"),
 	}
 }
 
@@ -165,10 +165,10 @@ func newExecMetrics(s *telemetry.Sink) execMetrics {
 // executor observed — the per-run robustness counters the RecoveryReport
 // aggregates and cross-checks against the injector's log.
 type RobustnessStats struct {
-	// SSDCFallbacks counts stashes whose runtime zeros left their planned
-	// SSDC or ZVC form no smaller than dense DPR, which they were rebuilt
-	// as (the name predates ZVC).
-	SSDCFallbacks int64
+	// SparseFallbacks counts stashes whose runtime zeros left their planned
+	// ZVC form no smaller than dense DPR, which they were rebuilt as. The
+	// sink's counter keeps its older name, train.ssdc_fallbacks.
+	SparseFallbacks int64
 	// CRCFailures counts corrupt stashes detected by checksum at decode.
 	CRCFailures int64
 	// EncodeFailures, DecodeFailures and AllocFailures count injected
@@ -1080,8 +1080,8 @@ func (e *Executor) storeStash(n *graph.Node) error {
 		return fmt.Errorf("train: stash %q: %w", n.Name, f.err)
 	}
 	if f.fellBack {
-		e.Robust.SSDCFallbacks++
-		e.met.ssdcFallbacks.Inc()
+		e.Robust.SparseFallbacks++
+		e.met.sparseFallbacks.Inc()
 	}
 	if err := inj.Alloc(e.fkey, n.Name, enc.Bytes()); err != nil {
 		e.Robust.AllocFailures++
@@ -1661,8 +1661,8 @@ func (e *Executor) ReLUSparsities() map[string]float64 {
 }
 
 // StashSparsities returns the zero fraction of every encoded stash's map
-// as its assignment's DPR format quantizes it — the nonzeros SSDC and ZVC
-// hold — keyed by node ID, as captured when the latest training step
+// as its assignment's DPR format quantizes it — the nonzeros ZVC holds —
+// keyed by node ID, as captured when the latest training step
 // retired them. Empty unless SetSparsityProbe armed the capture.
 func (e *Executor) StashSparsities() map[int]float64 {
 	return maps.Clone(e.stashSparsities)

@@ -184,7 +184,7 @@ type RecoveryReport struct {
 
 // add accumulates another executor's counters into r.
 func (r *RobustnessStats) add(o RobustnessStats) {
-	r.SSDCFallbacks += o.SSDCFallbacks
+	r.SparseFallbacks += o.SparseFallbacks
 	r.CRCFailures += o.CRCFailures
 	r.EncodeFailures += o.EncodeFailures
 	r.DecodeFailures += o.DecodeFailures
@@ -198,7 +198,7 @@ func (r *RecoveryReport) String() string {
 	s := fmt.Sprintf("steps %d, retries %d, recovered steps %d, backoff %v\n",
 		r.Steps, r.Retries, r.RecoveredSteps, r.BackoffTotal)
 	s += fmt.Sprintf("stash: crc-detected %d, sparse->dense fallbacks %d, injected encode/decode/alloc %d/%d/%d\n",
-		r.Robust.CRCFailures, r.Robust.SSDCFallbacks,
+		r.Robust.CRCFailures, r.Robust.SparseFallbacks,
 		r.Robust.EncodeFailures, r.Robust.DecodeFailures, r.Robust.AllocFailures)
 	if r.Robust.SpillWriteFailures > 0 || r.Robust.SpillReadFailures > 0 {
 		s += fmt.Sprintf("spill: write failures %d, corrupt pages detected %d\n",

@@ -54,7 +54,7 @@ func TestTelemetryCrossChecksReportAndInjector(t *testing.T) {
 		want   int64
 	}{
 		{"train.crc_detected", report.Robust.CRCFailures},
-		{"train.ssdc_fallbacks", report.Robust.SSDCFallbacks},
+		{"train.ssdc_fallbacks", report.Robust.SparseFallbacks},
 		{"train.injected.encode_failures", report.Robust.EncodeFailures},
 		{"train.injected.decode_failures", report.Robust.DecodeFailures},
 		{"train.injected.alloc_failures", report.Robust.AllocFailures},

@@ -143,7 +143,7 @@ func TestAllReducedErrorCompoundsWithDepth(t *testing.T) {
 }
 
 func TestEncodedTrainingMatchesQuantizedTraining(t *testing.T) {
-	// Running the REAL encoder kernels (Binarize/SSDC/DPR round trips)
+	// Running the REAL encoder kernels (Binarize/ZVC/DPR round trips)
 	// must produce step-for-step identical losses to in-place DPR
 	// quantization for the stashes DPR covers, and must train correctly.
 	g := smallNet(8)
@@ -170,7 +170,7 @@ func TestEncodedTrainingMatchesQuantizedTraining(t *testing.T) {
 }
 
 func TestLosslessEncodingsAreExact(t *testing.T) {
-	// With only Binarize+SSDC (no DPR), one training step must produce
+	// With only Binarize+ZVC (no DPR), one training step must produce
 	// bit-identical parameters to the baseline: the encodings are lossless.
 	g1, g2 := smallNet(4), smallNet(4)
 	a := encoding.Analyze(g2, encoding.Lossless())

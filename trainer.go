@@ -103,8 +103,10 @@ func WithSeed(seed uint64) TrainerOption {
 }
 
 // WithEncodings round-trips every assigned stash through the real Gist
-// encoders (Binarize mask, narrow CSR, packed DPR) during training, per
-// the given configuration — e.g. Lossless() or LossyLossless(FP16).
+// encoders (Binarize mask, ZVC, packed DPR) during training, per the given
+// configuration — e.g. Lossless() or LossyLossless(FP16). A configuration
+// that assigns SSDC, a planning model, fails the first Step with an error
+// wrapping the codec's ErrNoTechnique.
 func WithEncodings(cfg Config) TrainerOption {
 	return func(c *trainerConfig) { c.encodings = &cfg }
 }
@@ -115,17 +117,17 @@ func WithEncodings(cfg Config) TrainerOption {
 // configuration left precision reduction off; None disables encoding
 // entirely). It composes with WithEncodings — the base configuration
 // supplies the DPR format and sparsity model — and with no WithEncodings
-// it starts from a zero configuration. The consolidated -technique CLI
-// flags resolve to this option.
+// it starts from a zero configuration (SSDC, a planning model, fails the
+// first Step). The consolidated -technique CLI flags resolve to this.
 func WithTechnique(t Technique) TrainerOption {
 	return func(c *trainerConfig) { c.technique = &t }
 }
 
-// WithAdaptiveSet sets the planner's SSDC and ZVC selections to the
-// set's membership, overriding the base configuration's (Binarize and the
-// DPR format stay): {ZVC, DPR}, the set "-technique adaptive" names, is
-// the base with ZVC in SSDC's place. A stash whose runtime zeros defeat
-// its planned SSDC or ZVC form is rebuilt as dense DPR, one hop.
+// WithAdaptiveSet sets the planner's ZVC selection to the set's
+// membership, overriding the base configuration's (Binarize and the DPR
+// format stay; no other member changes anything): {ZVC, DPR} is the set
+// "-technique adaptive" names. A stash whose runtime zeros defeat its
+// planned ZVC form is rebuilt as dense DPR, one hop.
 func WithAdaptiveSet(set ...Technique) TrainerOption {
 	return func(c *trainerConfig) { c.adaptiveSet = set }
 }
