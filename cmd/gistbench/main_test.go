@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gist/internal/experiments"
+	"gist/internal/race"
 )
 
 func TestListNamesEveryExperiment(t *testing.T) {
@@ -101,7 +102,8 @@ func TestRobustCrossChecksOK(t *testing.T) {
 // overhead, and a float64 sum is only the same from run to run when its
 // order is). It then runs robust under -technique adaptive, whose stashes
 // fall back from ZVC to dense DPR, at one and at four codec workers, and
-// requires the same output again.
+// requires the same output again, and realized, whose pooled training runs
+// read stashes as stored, twice at one codec worker and once at four.
 func TestExperimentsDeterministic(t *testing.T) {
 	csv := func(t *testing.T, args ...string) string {
 		t.Helper()
@@ -126,6 +128,18 @@ func TestExperimentsDeterministic(t *testing.T) {
 		}
 		if par := csv(t, "-experiment", "robust", "-technique", "adaptive", "-parallel", "4"); par != serial {
 			t.Fatalf("-parallel 4 printed\n%s\n-parallel 1 printed\n%s", par, serial)
+		}
+	})
+	t.Run("realized-parallel", func(t *testing.T) {
+		if race.Enabled {
+			t.Skip("three pooled training sweeps take minutes under the race detector")
+		}
+		first := csv(t, "-experiment", "realized", "-parallel", "1")
+		if second := csv(t, "-experiment", "realized", "-parallel", "1"); second != first {
+			t.Fatalf("run 2 printed\n%s\nrun 1 printed\n%s", second, first)
+		}
+		if par := csv(t, "-experiment", "realized", "-parallel", "4"); par != first {
+			t.Fatalf("-parallel 4 printed\n%s\n-parallel 1 printed\n%s", par, first)
 		}
 	})
 }

@@ -75,8 +75,9 @@ func TestConcurrentPooledTrainers(t *testing.T) {
 // the decode futures build their span argument only under tracing (73
 // encoded before both). The memory sample resolves each technique's two
 // byte counters once per sink (4 plain and 6 encoded before, two name
-// builds per held technique). What remains is the step span's argument
-// and the sample's per-technique rows.
+// builds per held technique), and the step span builds its argument only
+// under tracing (2 before). What remains is the sample's per-technique
+// rows, which the sink's last sample and the flight recorder keep.
 func TestPooledStepAllocsWithSink(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -86,8 +87,8 @@ func TestPooledStepAllocsWithSink(t *testing.T) {
 		encoded bool
 		step    float64
 	}{
-		{"plain", false, 2},
-		{"encoded", true, 2},
+		{"plain", false, 1},
+		{"encoded", true, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := []gist.TrainerOption{

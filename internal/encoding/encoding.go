@@ -406,15 +406,16 @@ func Analyze(g *graph.Graph, cfg Config) *Analysis {
 
 // readAsStored reports whether every backward reader of node n's stash
 // reads its container (ZVC or DPR) as stored: the consumers that read
-// it as X are Convs and FCs, which read X one image after another and so can
-// decode it an image at a time, and n reads its own output only if it is a
-// ReLU, which reads the sign.
+// it as X are Convs, FCs and BatchNorms, which read X one image after
+// another and so can decode it an image at a time, and n reads its own
+// output only if it is a ReLU, which reads the sign.
 func (a *Analysis) readAsStored(n *graph.Node) bool {
 	if a.EffectiveNeeds(n).Y && n.Kind() != layers.ReLU {
 		return false
 	}
 	for _, c := range n.Consumers() {
-		if a.EffectiveNeeds(c).X && c.Kind() != layers.Conv && c.Kind() != layers.FC {
+		byImage := c.Kind() == layers.Conv || c.Kind() == layers.FC || c.Kind() == layers.BatchNorm
+		if a.EffectiveNeeds(c).X && !byImage {
 			return false
 		}
 	}

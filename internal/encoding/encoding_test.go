@@ -282,3 +282,41 @@ func TestDefaultSparsityModel(t *testing.T) {
 		t.Errorf("conv sparsity = %v, want 0", s)
 	}
 }
+
+// TestReadAsStoredReaders pins readAsStored's reader rule on one DPR stash:
+// a conv's output read as X by each kind of reader, Binarize off so a
+// MaxPool reads its input whole. Conv, FC and BatchNorm decode X an image at
+// a time, so the stash takes no decode target; LRN and MaxPool read it
+// whole, and so does the loss its own output.
+func TestReadAsStoredReaders(t *testing.T) {
+	cases := []struct {
+		name        string
+		reader      func() layers.Op
+		needsDecode bool
+	}{
+		{"BatchNorm", func() layers.Op { return layers.NewBatchNorm() }, false},
+		{"Conv", func() layers.Op { return layers.NewConv2D(4, 1, 1, 0) }, false},
+		{"FC", func() layers.Op { return layers.NewFC(4) }, false},
+		{"LRN", func() layers.Op { return layers.NewLRN(3) }, true},
+		{"MaxPool", func() layers.Op { return layers.NewMaxPool(2, 2, 0) }, true},
+	}
+	for _, c := range cases {
+		g := graph.New()
+		in := g.MustAdd("input", layers.NewInput(2, 3, 8, 8))
+		conv := g.MustAdd("conv", layers.NewConv2D(4, 3, 1, 1), in)
+		r := g.MustAdd("reader", c.reader(), conv)
+		fc := g.MustAdd("fc", layers.NewFC(4), r)
+		loss := g.MustAdd("loss", layers.NewSoftmaxXent(), fc)
+		a := Analyze(g, Config{DPR: floatenc.FP16})
+		as := a.ByNode[conv.ID]
+		if as == nil || as.Tech != DPR {
+			t.Fatalf("%s: conv's stash %+v, want a DPR assignment", c.name, as)
+		}
+		if as.NeedsDecode != c.needsDecode {
+			t.Errorf("%s reading a DPR stash: NeedsDecode %t, want %t", c.name, as.NeedsDecode, c.needsDecode)
+		}
+		if ls := a.ByNode[loss.ID]; ls == nil || !ls.NeedsDecode {
+			t.Errorf("%s: the loss's stash %+v, want one that needs a decode", c.name, ls)
+		}
+	}
+}

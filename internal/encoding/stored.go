@@ -12,8 +12,8 @@ import (
 // ZVC expands its values by the mask, and a DPR container (assigned, or
 // the dense fallback a ZVC encode left behind) unpacks its words. It is
 // the codec's only decode: Codec.DecodeInto runs a copy of it per chunk,
-// and it is the layers.StashReader a Conv2D or FCOp backward decodes its X
-// from an image at a time, with no FP32 copy of the map.
+// and it is the layers.StashReader a Conv2D, FCOp or BatchNormOp backward
+// decodes its X from an image at a time, with no FP32 copy of the map.
 type StoredStash struct {
 	e *EncodedStash
 	// The cursor: the next position to decode and, for ZVC, the value slot

@@ -107,10 +107,10 @@ func ExtRealized() *Result {
 	}
 	r.add("")
 	r.add("(static: the CNTK groups over plan FP32's buffers; plan FP32 stages only the stashes the executor decodes:")
-	r.add(" a ZVC or DPR stash read only by Conv, FC and its own ReLU is read as stored, with no decoded buffer,")
+	r.add(" a ZVC or DPR stash read only by Conv, FC, BatchNorm and its own ReLU is read as stored, with no decoded buffer,")
 	r.add(" and an inplace ReLU writes its output into its producer's map and its input gradient into its own; optimized:")
 	r.add(" plan FP32 with no decoded staging buffer at all, Fig 17's optimized software, so it differs from plan FP32")
-	r.add(" only by the targets of stashes a MaxPool, BatchNorm or the loss reads; peak FP32: the executor arena's")
+	r.add(" only by the targets of stashes a MaxPool, LRN or the loss reads; peak FP32: the executor arena's")
 	r.add(" high-water mark of requested bytes; slab: the arena's recorded step packed by offset, what it holds;")
 	r.add(" plan@meas: plan stash with each assigned stash priced at its last step's measured sparsity, so StashBytes -")
 	r.add(" plan@meas is the containers' layout error and plan@meas - plan stash the planner's sparsity-estimate error;")

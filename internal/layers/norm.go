@@ -11,6 +11,7 @@ import (
 const (
 	auxKeyBNMean   = "bn.mean"
 	auxKeyBNInvStd = "bn.invstd"
+	auxKeyBNSums   = "bn.sums"
 )
 
 // BatchNormOp is per-channel batch normalization over NCHW input with
@@ -127,40 +128,61 @@ func (b *BatchNormOp) Forward(ctx *FwdCtx) {
 }
 
 // Backward computes the standard batch-norm gradients from the stashed X
-// and the saved statistics.
+// and the saved statistics. It reads X an image at a time (imagesOf), in two
+// passes: the first sums dY and dY·x̂ per channel, the second writes dX from
+// those sums. Each channel sums in (image, position) order, so X read from
+// a stash as stored gives the bits X as a tensor gives.
 func (b *BatchNormOp) Backward(ctx *BwdCtx) {
-	x, gamma, dy := ctx.In[0], ctx.Params[0], ctx.DOut
+	gamma, dy := ctx.Params[0], ctx.DOut
 	dx, dGamma, dBeta := ctx.DIn[0], ctx.DParams[0], ctx.DParams[1]
 	mean := ctx.Aux[auxKeyBNMean].([]float32)
 	invStd := ctx.Aux[auxKeyBNInvStd].([]float32)
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	xs, shape := imagesOf(ctx)
+	n, c, h, w := shape[0], shape[1], shape[2], shape[3]
 	per := float64(n * h * w)
 	hw := h * w
-	dGamma.Zero()
-	dBeta.Zero()
-	for ci := 0; ci < c; ci++ {
-		mc, is := mean[ci], invStd[ci]
-		var sumDy, sumDyXh float64
-		for ni := 0; ni < n; ni++ {
+	// Per-channel sums, kept in aux across steps (storing a slice allocates).
+	sums, _ := ctx.Aux[auxKeyBNSums].([]float64)
+	if len(sums) != 2*c {
+		sums = make([]float64, 2*c)
+		ctx.Aux[auxKeyBNSums] = sums
+	}
+	clear(sums)
+	sumDy, sumDyXh := sums[:c], sums[c:]
+	for ni := 0; ni < n; ni++ {
+		x := xs.image(ni)
+		for ci := 0; ci < c; ci++ {
+			mc, is := mean[ci], invStd[ci]
+			xr := x[ci*hw : (ci+1)*hw]
 			base := (ni*c + ci) * hw
-			xr := x.Data[base : base+hw]
 			dyr := dy.Data[base : base+hw]
+			s, sx := sumDy[ci], sumDyXh[ci]
 			for k, g := range dyr {
-				sumDy += float64(g)
-				sumDyXh += float64(float64(g) * float64((xr[k]-mc)*is))
+				s += float64(g)
+				sx += float64(float64(g) * float64((xr[k]-mc)*is))
 			}
+			sumDy[ci], sumDyXh[ci] = s, sx
 		}
-		dGamma.Data[ci] = float32(sumDyXh)
-		dBeta.Data[ci] = float32(sumDy)
-		ga := float64(gamma.Data[ci])
-		for ni := 0; ni < n; ni++ {
+	}
+	for ci := 0; ci < c; ci++ {
+		dGamma.Data[ci] = float32(sumDyXh[ci])
+		dBeta.Data[ci] = float32(sumDy[ci])
+	}
+	if ctx.InStash != nil {
+		ctx.InStash.Rewind()
+	}
+	for ni := 0; ni < n; ni++ {
+		x := xs.image(ni)
+		for ci := 0; ci < c; ci++ {
+			mc, is := mean[ci], invStd[ci]
+			ga, sDy, sDyXh := float64(gamma.Data[ci]), sumDy[ci], sumDyXh[ci]
+			xr := x[ci*hw : (ci+1)*hw]
 			base := (ni*c + ci) * hw
-			xr := x.Data[base : base+hw]
 			dyr := dy.Data[base : base+hw]
 			dxr := dx.Data[base : base+hw]
 			for k, g := range dyr {
 				xh := float64((xr[k] - mc) * is)
-				dxr[k] = float32(ga * float64(is) * (float64(g) - sumDy/per - xh*sumDyXh/per))
+				dxr[k] = float32(ga * float64(is) * (float64(g) - sDy/per - xh*sDyXh/per))
 			}
 		}
 	}

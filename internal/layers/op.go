@@ -88,11 +88,11 @@ type BwdCtx struct {
 	OutMask *bitpack.BitMask
 	// InStash, when non-nil, serves the declared X in place of In[0] (then
 	// nil): the stashed input as stored, decoded an image at a time. Only a
-	// Conv2D or FCOp, which read X one image (one row) after another, is
-	// handed one.
+	// Conv2D, FCOp or BatchNormOp, which read X one image (one row) after
+	// another, is handed one.
 	InStash StashReader
-	// Scratch, when it holds one image of X, is where a Conv2D or FCOp
-	// reading InStash decodes each image (else it allocates one).
+	// Scratch, when it holds one image of X, is where an operator reading
+	// InStash decodes each image (else it allocates one).
 	Scratch []float32
 	DOut    *tensor.Tensor
 	// DIn is written (not accumulated) by the operator. Conv2D and FCOp

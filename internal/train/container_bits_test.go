@@ -87,7 +87,7 @@ func TestContainerMovesNoBit(t *testing.T) {
 }
 
 // readByImage reports whether node id's stash is read as stored and is not
-// a Binarize mask: a Conv or FC decodes it an image at a time.
+// a Binarize mask: a Conv, FC or BatchNorm decodes it an image at a time.
 func readByImage(e *Executor, id int) bool {
 	return e.futures[id].asStored && e.assign[id].Tech != encoding.Binarize
 }

@@ -614,6 +614,12 @@ func (e *Executor) Output(n *graph.Node) *tensor.Tensor { return e.outs[n.ID] }
 // returns with every encode settled or, past a failed settle, waited for.
 // An inference Forward launches and retires nothing: Backward then stashes
 // every node in node order.
+//
+// A training Forward whose input stash is encoded, with no ForwardFormat
+// and no inplace ReLU to write over it, reads input in place: the graph
+// input's output is the caller's tensor, which must not change until
+// Forward returns and which nothing reads after, because the input's
+// encode settles before then. Every other pass reads a copy of it.
 func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	e.drainFutures() // settle anything a failed previous step left in flight
 	if e.arena != nil {
@@ -627,9 +633,13 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 	}
 	for i, n := range e.G.Nodes {
 		var out *tensor.Tensor
-		if e.inplaceY[n.ID] {
+		switch {
+		case e.inplaceY[n.ID]:
 			out = e.outs[n.Inputs[0].ID] // ReLU reads each x before it writes its y
-		} else {
+		case n.Kind() == layers.Input && training && e.assign[n.ID] != nil && !e.lent[n.ID] &&
+			e.opts.ForwardFormat == floatenc.FP32:
+			out = input // read in place: its encode settles before Forward returns
+		default:
 			out = e.alloc(n.OutShape)
 		}
 		aux := e.aux[n.ID]
@@ -637,7 +647,9 @@ func (e *Executor) Forward(input *tensor.Tensor, labels []int, training bool) {
 			if !input.Shape.Equal(n.OutShape) {
 				panic(fmt.Sprintf("train: input shape %v, want %v", input.Shape, n.OutShape))
 			}
-			copy(out.Data, input.Data)
+			if out != input {
+				copy(out.Data, input.Data)
+			}
 		} else {
 			ins := e.insBuf[:0]
 			for _, in := range n.Inputs {
@@ -1261,8 +1273,9 @@ func (e *Executor) Backward() error {
 					return e.failBackward(err)
 				}
 				if f := &e.futures[in.ID]; f.asStored {
-					// A Conv or FC (Analyze reads no other way): it decodes
-					// X an image at a time into one image of scratch.
+					// A Conv, FC or BatchNorm (Analyze reads no other way):
+					// it decodes X an image at a time into one image of
+					// scratch.
 					stored, scratch = f.stored, e.alloc(in.OutShape[1:])
 				}
 			}
@@ -1552,7 +1565,11 @@ func (e *Executor) TryStep(input *tensor.Tensor, labels []int, lr float32) (loss
 	var start time.Time
 	if instrumented {
 		start = time.Now()
-		e.stepSpan = e.tel.Begin("train", "step", telemetry.Int("step", int64(e.stepCount)))
+		if e.tel.TracingEnabled() { // an observer takes no arguments, and building one allocates
+			e.stepSpan = e.tel.Begin("train", "step", telemetry.Int("step", int64(e.stepCount)))
+		} else {
+			e.stepSpan = e.tel.Begin("train", "step")
+		}
 		defer func() {
 			e.met.steps.Inc()
 			if err != nil {

@@ -33,6 +33,24 @@ func pointwiseNet(mb, classes int) *graph.Graph {
 	return g
 }
 
+// bnPinNet puts a BatchNorm on each kind of stash it reads: bn1 reads a
+// convolution's output (a DPR stash under an encoding) and bn2 a ReLU's
+// (a ZVC stash), one of them at an odd spatial size.
+func bnPinNet(mb, classes int) *graph.Graph {
+	g := graph.New()
+	last := g.MustAdd("input", layers.NewInput(mb, 3, 15, 15))
+	last = g.MustAdd("conv1", layers.NewConv2D(8, 3, 1, 1), last)
+	last = g.MustAdd("bn1", layers.NewBatchNorm(), last)
+	last = g.MustAdd("relu1", layers.NewReLU(), last)
+	last = g.MustAdd("bn2", layers.NewBatchNorm(), last)
+	last = g.MustAdd("conv2", layers.NewConv2D(8, 1, 1, 0), last)
+	last = g.MustAdd("relu2", layers.NewReLU(), last)
+	last = g.MustAdd("pool2", layers.NewMaxPool(3, 3, 0), last)
+	last = g.MustAdd("fc1", layers.NewFC(classes), last)
+	g.MustAdd("loss", layers.NewSoftmaxXent(), last)
+	return g
+}
+
 // TestTrainingBitsPinned pins the bits training produces across commits.
 // The determinism walls compare two runs of the same binary, so a kernel
 // rewrite that reorders a float32 accumulation the same way in every
@@ -53,6 +71,7 @@ func TestTrainingBitsPinned(t *testing.T) {
 		{"tinyvgg", func() *graph.Graph { return networks.TinyVGG(2, classes) }, 3, 32},
 		{"tinycnn", func() *graph.Graph { return networks.TinyCNN(4, classes) }, 3, 16},
 		{"pointwise", func() *graph.Graph { return pointwiseNet(4, classes) }, 4, 16},
+		{"bn", func() *graph.Graph { return bnPinNet(4, classes) }, 3, 15},
 	}
 	want := map[string][2]uint64{
 		"tinyvgg/plain":   {0x483af6960f6b945f, 0x51ce8a9e315fc89a},
@@ -61,6 +80,8 @@ func TestTrainingBitsPinned(t *testing.T) {
 		"tinycnn/fp16":    {0x5c1c09f8dcf82392, 0x76f597d7673a5af4},
 		"pointwise/plain": {0x4420155468d43363, 0xd0d88fcb9763a5b0},
 		"pointwise/fp16":  {0xfd242d9e781f1def, 0x15bb4db918be41a6},
+		"bn/plain":        {0x888d9e7a4e775a05, 0xc00d15cdf0e22b07},
+		"bn/fp16":         {0xa9fbee03466c1d08, 0x94ae47ff31c4871e},
 	}
 	for _, n := range nets {
 		for _, scheme := range []string{"plain", "fp16"} {

@@ -204,7 +204,7 @@ func TestExecutorPeakMatchesPlan(t *testing.T) {
 // exactly one read: its own ReLU's, of the container as stored. At runtime
 // no stash the planner marks NeedsDecode == false gets a tensor — its future
 // takes no pool buffer: a Binarize ReLU gets the sealed container's mask; a
-// ZVC stash reaches each Conv or FC reading it as the future's
+// ZVC stash reaches each Conv, FC or BatchNorm reading it as the future's
 // stored-stash reader and its own ReLU as a sign mask (the ZVC container's own
 // mask, else the future's). A MaxPool Binarize rewrote is handed no stash.
 func TestExecutorReadsPlannedNeeds(t *testing.T) {

@@ -294,7 +294,9 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 // Step runs forward, backward and an SGD update on one minibatch and
 // returns the minibatch loss and top-1 error count. The error is non-nil
 // only for stash-pipeline failures (injected faults, detected corruption);
-// on error no parameter update has been applied.
+// on error no parameter update has been applied. The step may read x in
+// place until it returns, so x must not change meanwhile; after it returns,
+// x is the caller's again.
 func (t *Trainer) Step(x *Tensor, labels []int, lr float32) (loss float64, errs int, err error) {
 	return t.en.TryStep(x, labels, lr)
 }
