@@ -288,13 +288,12 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 	b.Run("baseline", func(b *testing.B) { run(b, false) })
 	b.Run("gist", func(b *testing.B) { run(b, true) })
-	// gist-adaptive runs the adaptive set {ZVC, DPR}, which since ZVC
-	// holds every sparse stash plans what "gist" plans; its delta against
-	// "gist" is the price of the adaptive path on the step.
+	// gist-adaptive runs the server's "none" + "adaptive" job: the set
+	// {ZVC, DPR} over the zero base, so every sparse stash is ZVC with the
+	// one-hop dense DPR fallback and nothing else is encoded.
 	b.Run("gist-adaptive", func(b *testing.B) {
 		g := networks.TinyCNN(8, 4)
-		cfg := encoding.LossyLossless(floatenc.FP16)
-		cfg.AdaptiveSet = encoding.AdaptiveAll()
+		cfg := encoding.Config{AdaptiveSet: encoding.AdaptiveAll()}
 		e := train.NewExecutor(g, train.Options{Seed: 1, Encodings: encoding.Analyze(g, cfg)})
 		d := train.NewDataset(4, 3, 16, 0.4, 2)
 		x, labels := d.Batch(8)
@@ -322,7 +321,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		})
 		d := train.NewDataset(4, 3, 16, 0.4, 2)
 		x, labels := d.Batch(8)
-		// Warm the free lists so b.N=1 runs don't report the first-step
+		// Warm the step arena so b.N=1 runs don't report the first-step
 		// misses as the steady state.
 		for i := 0; i < 3; i++ {
 			e.Step(x, labels, 0.01)

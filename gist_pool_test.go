@@ -100,7 +100,7 @@ func TestPooledStepAllocsWithSink(t *testing.T) {
 			tr := gist.NewTrainer(gist.TinyCNN(8, 4), opts...)
 			defer tr.Close()
 			x, labels := gist.NewDataset(4, 3, 16, 0.4, 5).Batch(8)
-			for i := 0; i < 5; i++ { // fill the pool and the codec's scratch
+			for i := 0; i < 5; i++ { // record and lay out the step arena
 				if _, _, err := tr.Step(x, labels, 0.05); err != nil {
 					t.Fatal(err)
 				}

@@ -11,17 +11,16 @@
 // map — the property cDMA (Rhu et al.) identifies as the difference between
 // compression on paper and compression in the allocator.
 //
-// The Pool is a set of size-class free lists for buffers whose sizes and
-// lifetimes no recorded step fixes: the codec's scratch and the replica
-// engine's gradient flats. Buffers are grouped into power-of-two
-// element-count size classes. A Get rounds the request up to its class,
-// pops a free buffer (hit) or allocates one at full class capacity (miss),
-// and always returns zeroed memory — exactly what tensor.New hands out, so
-// pooled and unpooled execution are numerically indistinguishable. Recycle
-// returns a buffer to its class. Double recycles and recycles of foreign
-// buffers panic.
+// The Pool accounts every arena's bytes, so Pool.Stats is the training
+// runtime's buffer memory across executors. It also keeps a set of
+// size-class free lists (Get, Recycle, Prewarm), which no training step
+// takes from: they serve the benchmark's pool probe and this package's
+// tests. Buffers are grouped into power-of-two element-count size classes.
+// A Get rounds the request up to its class, pops a free buffer (hit) or
+// allocates one at full class capacity (miss), and always returns zeroed
+// memory — exactly what tensor.New hands out. Recycle returns a buffer to
+// its class. Double recycles and recycles of foreign buffers panic.
 //
-// Every arena is accounted in a pool, so Pool.Stats covers both forms, and
 // Stats.PeakLiveBytes, the high-water mark of bytes requested, is what
 // memplan.PlanDynamic predicts for an unencoded graph. Under the race
 // detector (internal/race) freed buffers and freed slab regions are
@@ -118,8 +117,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Pool is a size-class free-list buffer pool. It is safe for concurrent use
-// by any number of executors; the zero value is NOT usable — call New.
+// Pool accounts its arenas and keeps the size-class free lists. It is safe
+// for concurrent use by any number of executors; the zero value is NOT
+// usable — call New.
 type Pool struct {
 	mu      sync.Mutex
 	classes []class
@@ -130,12 +130,6 @@ type Pool struct {
 	// panics), and it costs one map probe per Get/Recycle with zero
 	// steady-state allocation.
 	owned map[*tensor.Tensor]bool
-	// byBase indexes every pool-served buffer by the address of its backing
-	// array's first element, which is stable however the holder reslices
-	// Data. RecycleSlice resolves slices through it instead of reading the
-	// Tensor fields of checked-out buffers, which their holders mutate
-	// without the pool's lock.
-	byBase map[*float32]*tensor.Tensor
 
 	hits, misses, recycles   atomic.Int64
 	heldBytes, inUseBytes    atomic.Int64
@@ -147,19 +141,16 @@ type Pool struct {
 
 // New returns an empty pool.
 func New() *Pool {
-	return &Pool{
-		owned:  map[*tensor.Tensor]bool{},
-		byBase: map[*float32]*tensor.Tensor{},
-	}
+	return &Pool{owned: map[*tensor.Tensor]bool{}}
 }
 
-// shared is the process-wide pool concurrent trainers recycle through by
-// default, mirroring parallel.Shared() for the worker budget.
+// sharedPool is the process-wide pool concurrent trainers account their
+// arenas in by default, mirroring parallel.Shared() for the worker budget.
 var sharedPool atomic.Pointer[Pool]
 
 // Shared returns the process-wide pool, creating it on first use. Trainers
 // that opt into pooling without providing their own pool share this one, so
-// a buffer freed by one executor can serve another.
+// its Stats cover every such trainer's arena.
 func Shared() *Pool {
 	if p := sharedPool.Load(); p != nil {
 		return p
@@ -249,7 +240,6 @@ func (p *Pool) Get(shape ...int) *tensor.Tensor {
 		}
 		p.mu.Lock()
 		p.owned[t] = false
-		p.byBase[&data[:cap][0]] = t
 		p.mu.Unlock()
 		return t
 	}
@@ -306,28 +296,6 @@ func (p *Pool) Recycle(t *tensor.Tensor) {
 	p.recycles.Add(1)
 	p.heldBytes.Add(int64(cap) * 4)
 	p.inUseBytes.Add(int64(-cap) * 4)
-}
-
-// GetSlice returns a zeroed []float32 of length n from the pool — the raw
-// form of Get for buffers that never become tensors (a replica group's
-// gradient flats). Pair with RecycleSlice.
-func (p *Pool) GetSlice(n int) []float32 {
-	return p.Get(n).Data
-}
-
-// RecycleSlice returns a GetSlice buffer. The slice must be the one Get
-// handed out (same backing array), at any length within its class.
-func (p *Pool) RecycleSlice(s []float32) {
-	var match *tensor.Tensor
-	if len(s) > 0 {
-		p.mu.Lock()
-		match = p.byBase[&s[0]]
-		p.mu.Unlock()
-	}
-	if match == nil {
-		panic("bufpool: recycle of a slice this pool did not serve")
-	}
-	p.Recycle(match)
 }
 
 // Prewarm populates the free lists with one buffer per element count, so a

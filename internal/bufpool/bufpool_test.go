@@ -91,20 +91,6 @@ func TestForeignRecyclePanics(t *testing.T) {
 	p.Recycle(tensor.New(10))
 }
 
-func TestRecycleSliceFindsBuffer(t *testing.T) {
-	p := New()
-	s := p.GetSlice(100)
-	s[0] = 42
-	p.RecycleSlice(s[:7]) // resliced views still resolve to their buffer
-	if got := p.Stats().Recycles; got != 1 {
-		t.Fatalf("recycles = %d, want 1", got)
-	}
-	s2 := p.GetSlice(100)
-	if s2[0] != 0 {
-		t.Fatal("reused slice not zeroed")
-	}
-}
-
 func TestPrewarmHitsFirstGet(t *testing.T) {
 	p := New()
 	p.Prewarm([]int{100, 200, 100})
@@ -151,8 +137,8 @@ func TestLiveBytesCountRequestsNotCapacity(t *testing.T) {
 	p := New()
 	sink := telemetry.New()
 	p.SetTelemetry(sink)
-	a := p.Get(100)      // 400 B asked, 512 B class
-	b := p.GetSlice(300) // 1200 B asked, 2048 B class
+	a := p.Get(100) // 400 B asked, 512 B class
+	b := p.Get(300) // 1200 B asked, 2048 B class
 	if st := p.Stats(); st.LiveBytes != 1600 || st.PeakLiveBytes != 1600 || st.InUseBytes != 2560 {
 		t.Fatalf("two buffers out: %+v, want live 1600, peak 1600, in use 2560", st)
 	}
@@ -161,7 +147,7 @@ func TestLiveBytesCountRequestsNotCapacity(t *testing.T) {
 	if st := p.Stats(); st.LiveBytes != 1600 || st.PeakLiveBytes != 1600 {
 		t.Fatalf("after a same-class swap: %+v, want live and peak 1600", st)
 	}
-	p.RecycleSlice(b[:7]) // resliced by its holder: still 1200 B coming back
+	p.Recycle(b)
 	p.Recycle(c)
 	st := p.Stats()
 	if st.LiveBytes != 0 || st.PeakLiveBytes != 1600 {

@@ -61,8 +61,8 @@ func NewMerger(p *parallel.Pool, chunkElems int) *Merger {
 // then scales the result by scale (1/shardCount for a mean gradient; 1 is
 // skipped). Every shard must have the same length. On return shards[0]
 // holds the merged vector; the other shards hold partial sums and are dead
-// — the caller recycles them. NaN and Inf values propagate through the
-// adds exactly as a serial sum in tree order would propagate them.
+// until the caller next writes them. NaN and Inf values propagate through
+// the adds exactly as a serial sum in tree order would propagate them.
 func (m *Merger) Merge(shards [][]float32, scale float32) error {
 	if len(shards) == 0 {
 		return ErrNoShards

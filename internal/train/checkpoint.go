@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"gist/internal/graph"
 	"gist/internal/layers"
 	"gist/internal/tensor"
 )
@@ -59,24 +60,46 @@ var (
 	ErrCheckpointMismatch = errors.New("train: checkpoint does not match graph")
 )
 
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+// leWriter is a sticky-error little-endian writer: after the first failed
+// write every later one is a no-op, and err holds that failure. Floats go
+// out through buf, so a tensor of any size streams without a copy of it.
+type leWriter struct {
+	w   io.Writer
+	err error
+	buf [512]byte
 }
 
-func writeTensor(w io.Writer, t *tensor.Tensor) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(t.Shape))); err != nil {
-		return err
+func (w *leWriter) write(b []byte) {
+	if w.err == nil {
+		_, w.err = w.w.Write(b)
 	}
-	for _, d := range t.Shape {
-		if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-			return err
+}
+
+func (w *leWriter) u32(v uint32) { w.write(binary.LittleEndian.AppendUint32(w.buf[:0], v)) }
+func (w *leWriter) u64(v uint64) { w.write(binary.LittleEndian.AppendUint64(w.buf[:0], v)) }
+
+func (w *leWriter) str(s string) {
+	w.u32(uint32(len(s)))
+	w.write([]byte(s))
+}
+
+func (w *leWriter) f32s(vs []float32) {
+	for len(vs) > 0 {
+		b := w.buf[:0]
+		for len(vs) > 0 && len(b) < len(w.buf) {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(vs[0]))
+			vs = vs[1:]
 		}
+		w.write(b)
 	}
-	return binary.Write(w, binary.LittleEndian, t.Data)
+}
+
+func (w *leWriter) tensor(t *tensor.Tensor) {
+	w.u32(uint32(len(t.Shape)))
+	for _, d := range t.Shape {
+		w.u32(uint32(d))
+	}
+	w.f32s(t.Data)
 }
 
 // cpReader is a bounds-checked cursor over an in-memory checkpoint
@@ -158,7 +181,7 @@ func readTensor(r *cpReader) (*tensor.Tensor, error) {
 	if rank > 8 {
 		return nil, fmt.Errorf("%w: tensor rank %d", ErrCorruptCheckpoint, rank)
 	}
-	shape := make([]int, rank)
+	shape := make(tensor.Shape, rank)
 	elems := int64(1)
 	for i := range shape {
 		d, err := r.u32()
@@ -182,9 +205,43 @@ func readTensor(r *cpReader) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := tensor.New(shape...)
-	copy(t.Data, data)
-	return t, nil
+	return &tensor.Tensor{Shape: shape, Data: data}, nil
+}
+
+// The payload is two sections of the same entry layout, one per
+// parameterized node in node order: the parameter section, whose entries
+// end with the node's batch-norm running statistics (a zero count on other
+// nodes), and the momentum section, whose entries do not.
+
+// writeSection writes one section from state, e.params or e.moms.
+func (e *Executor) writeSection(w *leWriter, state [][]*tensor.Tensor, stats bool) {
+	var count uint32
+	for _, ts := range state {
+		if len(ts) > 0 {
+			count++
+		}
+	}
+	w.u32(count)
+	for _, n := range e.G.Nodes {
+		ts := state[n.ID]
+		if len(ts) == 0 {
+			continue
+		}
+		w.str(n.Name)
+		w.u32(uint32(len(ts)))
+		for _, t := range ts {
+			w.tensor(t)
+		}
+		if stats {
+			var mean, variance []float32
+			if bn, ok := n.Op.(*layers.BatchNormOp); ok {
+				mean, variance = bn.RunningMean, bn.RunningVar
+			}
+			w.u32(uint32(len(mean)))
+			w.f32s(mean)
+			w.f32s(variance)
+		}
+	}
 }
 
 // SaveCheckpoint writes the executor's parameters, batch-norm running
@@ -193,136 +250,85 @@ func readTensor(r *cpReader) (*tensor.Tensor, error) {
 func (e *Executor) SaveCheckpoint(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	h := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, h)
-
-	if err := binary.Write(mw, binary.LittleEndian, checkpointMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, checkpointVersion); err != nil {
-		return err
-	}
-	var count uint32
-	for _, n := range e.G.Nodes {
-		if len(e.params[n.ID]) > 0 {
-			count++
-		}
-	}
-	if err := binary.Write(mw, binary.LittleEndian, count); err != nil {
-		return err
-	}
-	for _, n := range e.G.Nodes {
-		ps := e.params[n.ID]
-		if len(ps) == 0 {
-			continue
-		}
-		if err := writeString(mw, n.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, uint32(len(ps))); err != nil {
-			return err
-		}
-		for _, p := range ps {
-			if err := writeTensor(mw, p); err != nil {
-				return err
-			}
-		}
-		// Batch-norm running statistics ride along (length 0 otherwise).
-		var mean, variance []float32
-		if bn, ok := n.Op.(*layers.BatchNormOp); ok {
-			mean, variance = bn.RunningMean, bn.RunningVar
-		}
-		if err := binary.Write(mw, binary.LittleEndian, uint32(len(mean))); err != nil {
-			return err
-		}
-		if len(mean) > 0 {
-			if err := binary.Write(mw, binary.LittleEndian, mean); err != nil {
-				return err
-			}
-			if err := binary.Write(mw, binary.LittleEndian, variance); err != nil {
-				return err
-			}
-		}
-	}
-	// Resume section: momentum tensors in the same node order, then the RNG
-	// state and the completed-step count.
-	if err := binary.Write(mw, binary.LittleEndian, count); err != nil {
-		return err
-	}
-	for _, n := range e.G.Nodes {
-		ms := e.moms[n.ID]
-		if len(e.params[n.ID]) == 0 {
-			continue
-		}
-		if err := writeString(mw, n.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, uint32(len(ms))); err != nil {
-			return err
-		}
-		for _, m := range ms {
-			if err := writeTensor(mw, m); err != nil {
-				return err
-			}
-		}
-	}
-	if err := binary.Write(mw, binary.LittleEndian, e.rng.State()); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(e.resumeStep)); err != nil {
-		return err
-	}
-	// CRC trailer over magic, version and payload.
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return err
+	lw := &leWriter{w: io.MultiWriter(bw, h)}
+	lw.u32(checkpointMagic)
+	lw.u32(checkpointVersion)
+	e.writeSection(lw, e.params, true)
+	e.writeSection(lw, e.moms, false)
+	lw.u64(e.rng.State())
+	lw.u32(uint32(e.resumeStep))
+	// The CRC trailer covers everything before it, so it bypasses the hash.
+	lw.w = bw
+	lw.u32(h.Sum32())
+	if lw.err != nil {
+		return lw.err
 	}
 	return bw.Flush()
 }
 
-// ckptNode is the staged, parsed form of one node's checkpoint entry.
+// ckptNode is one parsed and validated section entry, staged for commit.
 type ckptNode struct {
-	name           string
-	params         []*tensor.Tensor
+	node           *graph.Node
+	tensors        []*tensor.Tensor
 	mean, variance []float32
 }
 
-// parseCheckpointBody decodes the node entries from a payload cursor.
-func parseCheckpointBody(r *cpReader) ([]ckptNode, error) {
+// parseSection parses one section and validates each entry against state,
+// e.params or e.moms, without touching the executor.
+func (e *Executor) parseSection(r *cpReader, state [][]*tensor.Tensor, stats bool) ([]ckptNode, error) {
+	what, entryBytes := "momentum", 8 // name length, tensor count
+	if stats {
+		what, entryBytes = "parameter", 12 // and the statistics count
+	}
 	count, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	// Each node entry costs at least 12 bytes; a count beyond that bound
-	// is a corrupt header, not a huge checkpoint.
-	if int64(count) > int64(r.remaining()/12)+1 {
-		return nil, fmt.Errorf("%w: node count %d with %d bytes remaining",
-			ErrCorruptCheckpoint, count, r.remaining())
+	// A count beyond what the remaining bytes can hold is a corrupt
+	// header, not a huge checkpoint.
+	if int64(count) > int64(r.remaining()/entryBytes)+1 {
+		return nil, fmt.Errorf("%w: %s section of %d nodes with %d bytes remaining",
+			ErrCorruptCheckpoint, what, count, r.remaining())
 	}
 	nodes := make([]ckptNode, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var cn ckptNode
-		if cn.name, err = readString(r); err != nil {
-			return nil, err
-		}
-		nParams, err := r.u32()
+	for range count {
+		name, err := readString(r)
 		if err != nil {
 			return nil, err
 		}
-		if int64(nParams) > int64(r.remaining()/4)+1 {
-			return nil, fmt.Errorf("%w: node %q claims %d params with %d bytes remaining",
-				ErrCorruptCheckpoint, cn.name, nParams, r.remaining())
+		cn := ckptNode{node: e.G.Lookup(name)}
+		if cn.node == nil {
+			return nil, fmt.Errorf("%w: %s section: node %q not in graph", ErrCheckpointMismatch, what, name)
 		}
-		for j := uint32(0); j < nParams; j++ {
+		want := state[cn.node.ID]
+		n, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		if int64(n) > int64(r.remaining()/4)+1 {
+			return nil, fmt.Errorf("%w: %s section: node %q claims %d tensors with %d bytes remaining",
+				ErrCorruptCheckpoint, what, name, n, r.remaining())
+		}
+		if int(n) != len(want) {
+			return nil, fmt.Errorf("%w: %s section: node %q has %d tensors, checkpoint has %d",
+				ErrCheckpointMismatch, what, name, len(want), n)
+		}
+		for j := range want {
 			t, err := readTensor(r)
 			if err != nil {
 				return nil, err
 			}
-			cn.params = append(cn.params, t)
+			if !t.Shape.Equal(want[j].Shape) {
+				return nil, fmt.Errorf("%w: %s section: node %q tensor %d shape %v, checkpoint %v",
+					ErrCheckpointMismatch, what, name, j, want[j].Shape, t.Shape)
+			}
+			cn.tensors = append(cn.tensors, t)
 		}
-		nStats, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if nStats > 0 {
+		if stats {
+			nStats, err := r.u32()
+			if err != nil {
+				return nil, err
+			}
 			if int64(nStats)*8 > int64(r.remaining()) {
 				return nil, fmt.Errorf("%w: %d batch-norm stats with %d bytes remaining",
 					ErrCorruptCheckpoint, nStats, r.remaining())
@@ -337,6 +343,19 @@ func parseCheckpointBody(r *cpReader) ([]ckptNode, error) {
 		nodes = append(nodes, cn)
 	}
 	return nodes, nil
+}
+
+// commitSection copies a parsed section into state, e.params or e.moms,
+// and restores the batch-norm statistics it carries.
+func commitSection(nodes []ckptNode, state [][]*tensor.Tensor) {
+	for _, cn := range nodes {
+		for j, t := range cn.tensors {
+			copy(state[cn.node.ID][j].Data, t.Data)
+		}
+		if bn, ok := cn.node.Op.(*layers.BatchNormOp); ok && len(cn.mean) > 0 {
+			bn.RunningMean, bn.RunningVar = cn.mean, cn.variance
+		}
+	}
 }
 
 // LoadCheckpoint restores the parameters, batch-norm statistics, momenta,
@@ -354,44 +373,13 @@ func (e *Executor) LoadCheckpoint(r io.Reader) error {
 		return err
 	}
 	body := &cpReader{data: data[:len(data)-4], off: 8}
-
-	nodes, err := parseCheckpointBody(body)
+	params, err := e.parseSection(body, e.params, true)
 	if err != nil {
 		return err
 	}
-
-	// Resume section: momenta (same entry layout, no batch-norm stats), RNG
-	// state and completed-step count.
-	count, err := body.u32()
+	moms, err := e.parseSection(body, e.moms, false)
 	if err != nil {
 		return err
-	}
-	if int64(count) > int64(body.remaining()/8)+1 {
-		return fmt.Errorf("%w: momentum node count %d with %d bytes remaining",
-			ErrCorruptCheckpoint, count, body.remaining())
-	}
-	var moms []ckptNode
-	for i := uint32(0); i < count; i++ {
-		var cn ckptNode
-		if cn.name, err = readString(body); err != nil {
-			return err
-		}
-		nMoms, err := body.u32()
-		if err != nil {
-			return err
-		}
-		if int64(nMoms) > int64(body.remaining()/4)+1 {
-			return fmt.Errorf("%w: node %q claims %d momenta with %d bytes remaining",
-				ErrCorruptCheckpoint, cn.name, nMoms, body.remaining())
-		}
-		for j := uint32(0); j < nMoms; j++ {
-			t, err := readTensor(body)
-			if err != nil {
-				return err
-			}
-			cn.params = append(cn.params, t)
-		}
-		moms = append(moms, cn)
 	}
 	rngState, err := body.u64()
 	if err != nil {
@@ -401,62 +389,8 @@ func (e *Executor) LoadCheckpoint(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-
-	// Validate everything against the graph before mutating anything.
-	for _, cn := range nodes {
-		node := e.G.Lookup(cn.name)
-		if node == nil {
-			return fmt.Errorf("%w: node %q not in graph", ErrCheckpointMismatch, cn.name)
-		}
-		ps := e.params[node.ID]
-		if len(cn.params) != len(ps) {
-			return fmt.Errorf("%w: node %q has %d params, checkpoint has %d",
-				ErrCheckpointMismatch, cn.name, len(ps), len(cn.params))
-		}
-		for j, t := range cn.params {
-			if !t.Shape.Equal(ps[j].Shape) {
-				return fmt.Errorf("%w: node %q param %d shape %v, checkpoint %v",
-					ErrCheckpointMismatch, cn.name, j, ps[j].Shape, t.Shape)
-			}
-		}
-	}
-	for _, cn := range moms {
-		node := e.G.Lookup(cn.name)
-		if node == nil {
-			return fmt.Errorf("%w: momentum node %q not in graph", ErrCheckpointMismatch, cn.name)
-		}
-		ms := e.moms[node.ID]
-		if len(cn.params) != len(ms) {
-			return fmt.Errorf("%w: node %q has %d momenta, checkpoint has %d",
-				ErrCheckpointMismatch, cn.name, len(ms), len(cn.params))
-		}
-		for j, t := range cn.params {
-			if !t.Shape.Equal(ms[j].Shape) {
-				return fmt.Errorf("%w: node %q momentum %d shape %v, checkpoint %v",
-					ErrCheckpointMismatch, cn.name, j, ms[j].Shape, t.Shape)
-			}
-		}
-	}
-
-	// Commit.
-	for _, cn := range nodes {
-		node := e.G.Lookup(cn.name)
-		for j, t := range cn.params {
-			copy(e.params[node.ID][j].Data, t.Data)
-		}
-		if len(cn.mean) > 0 {
-			if bn, ok := node.Op.(*layers.BatchNormOp); ok {
-				bn.RunningMean = append([]float32(nil), cn.mean...)
-				bn.RunningVar = append([]float32(nil), cn.variance...)
-			}
-		}
-	}
-	for _, cn := range moms {
-		node := e.G.Lookup(cn.name)
-		for j, t := range cn.params {
-			copy(e.moms[node.ID][j].Data, t.Data)
-		}
-	}
+	commitSection(params, e.params)
+	commitSection(moms, e.moms)
 	e.rng.SetState(rngState)
 	e.resumeStep = int(resumeStep)
 	return nil

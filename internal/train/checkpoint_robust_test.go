@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gist/internal/bufpool"
 	"gist/internal/faults"
+	"gist/internal/networks"
 )
 
 // trainedExecutor returns a small executor with a few steps of training
@@ -225,6 +228,47 @@ func FuzzReadCheckpoint(f *testing.F) {
 			!errors.Is(err, ErrCheckpointVersion) &&
 			!errors.Is(err, ErrCheckpointMismatch) {
 			t.Fatalf("untyped load error: %v", err)
+		}
+	})
+}
+
+// TestCheckpointBytesPinned pins SaveCheckpoint's v3 bytes across commits:
+// the round-trip tests compare a save with a load of the same binary, so a
+// writer that moved a field, or saved momenta out of node order, would
+// pass them. The constants are FNV-1a hashes of the whole stream after 3
+// steps at seed 1, captured before the trainable state moved into flats:
+// one graph with batch-norm statistics, and a two-replica group's lead
+// executor.
+func TestCheckpointBytesPinned(t *testing.T) {
+	hashOf := func(e *Executor) uint64 {
+		h := fnv.New64a()
+		if err := e.SaveCheckpoint(h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Sum64()
+	}
+	t.Run("resnet-bn", func(t *testing.T) {
+		e := NewExecutor(networks.ResNetCIFAR(2, 8), Options{Seed: 1})
+		d := NewDataset(10, 3, 32, 0.4, 2)
+		for i := 0; i < 3; i++ {
+			x, l := d.Batch(2)
+			e.Step(x, l, 0.05)
+		}
+		if got, want := hashOf(e), uint64(0xef7b73cd705bc066); got != want {
+			t.Fatalf("checkpoint hash %#016x, pinned %#016x", got, want)
+		}
+	})
+	t.Run("replica-lead", func(t *testing.T) {
+		rg := NewReplicaGroup(networks.TinyCNN(2, 4), Options{Seed: 1, Pool: bufpool.New()},
+			ReplicaConfig{Replicas: 2})
+		defer rg.Close()
+		d := NewDataset(4, 3, 16, 0.4, 2)
+		for i := 0; i < 3; i++ {
+			x, l := d.Batch(rg.Batch())
+			rg.Step(x, l, 0.05)
+		}
+		if got, want := hashOf(rg.Executor()), uint64(0x0dd7c19bebe970e7); got != want {
+			t.Fatalf("checkpoint hash %#016x, pinned %#016x", got, want)
 		}
 	})
 }

@@ -69,8 +69,8 @@ type Options struct {
 	// only nil checks on the step path.
 	Telemetry *telemetry.Sink
 	// Codec, when non-nil, is the codec this executor encodes, seals and
-	// decodes stashes through — its own worker pool, chunk size, telemetry
-	// and scratch pool, isolated from every other executor. Nil selects the
+	// decodes stashes through — its own worker pool, chunk size and
+	// telemetry, isolated from every other executor. Nil selects the
 	// process-wide default codec as it stands when NewExecutor runs; either
 	// way the codec is fixed for the executor's lifetime.
 	Codec *encoding.Codec
@@ -82,8 +82,8 @@ type Options struct {
 	// encode has settled, one retirement later; a decode target from the
 	// start of its fetch to its final backward reader; stashed activations
 	// after that reader; gradients once merged downstream — serves a later
-	// buffer, and steady-state training allocates nothing. The pool itself
-	// supplies the codec's scratch. Nil means heap allocation: recycling is a
+	// buffer, and steady-state training allocates nothing. No step takes
+	// from the pool's free lists. Nil means heap allocation: recycling is a
 	// no-op and every node's Output stays valid after the step, which the
 	// benchmark's per-layer probes rely on (a replayed step re-shapes the
 	// views it hands out). The step path and its results are the same
@@ -189,10 +189,14 @@ type Executor struct {
 	G    *graph.Graph
 	opts Options
 
-	params map[int][]*tensor.Tensor
-	grads  map[int][]*tensor.Tensor
-	moms   map[int][]*tensor.Tensor
-	rng    *tensor.RNG
+	// The trainable state is three flats of equal length — parameters,
+	// their gradients and their momenta — laid out in graph-node order,
+	// then parameter order. params, grads and moms hold, per node ID, that
+	// node's tensors as views into them, so the update, the clip, a
+	// snapshot and the replica exchange each run over one flat.
+	paramFlat, gradFlat, momFlat []float32
+	params, grads, moms          [][]*tensor.Tensor
+	rng                          *tensor.RNG
 
 	// Per-step state, indexed by node ID (graph.Validate guarantees IDs
 	// are dense). outs holds each node's forward output for the current
@@ -334,12 +338,9 @@ type Executor struct {
 func NewExecutor(g *graph.Graph, opts Options) *Executor {
 	e := &Executor{
 		G: g, opts: opts,
-		params: map[int][]*tensor.Tensor{},
-		grads:  map[int][]*tensor.Tensor{},
-		moms:   map[int][]*tensor.Tensor{},
-		rng:    tensor.NewRNG(opts.Seed),
-		tel:    opts.Telemetry,
-		met:    newExecMetrics(opts.Telemetry),
+		rng: tensor.NewRNG(opts.Seed),
+		tel: opts.Telemetry,
+		met: newExecMetrics(opts.Telemetry),
 	}
 	opts.Faults.SetTelemetry(opts.Telemetry)
 
@@ -438,33 +439,44 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		}
 	}
 	e.compileDecodeOrder()
+	e.initState()
+	return e
+}
 
-	for _, n := range g.Nodes {
-		if len(n.ParamShapes) == 0 {
-			continue
+// initState lays out the trainable state's three flats and initializes the
+// parameters in node order.
+func (e *Executor) initState() {
+	nn := len(e.G.Nodes)
+	size := 0
+	for _, n := range e.G.Nodes {
+		for _, shape := range n.ParamShapes {
+			size += shape.NumElements()
 		}
-		ps := make([]*tensor.Tensor, len(n.ParamShapes))
-		gs := make([]*tensor.Tensor, len(n.ParamShapes))
-		ms := make([]*tensor.Tensor, len(n.ParamShapes))
+	}
+	e.paramFlat, e.gradFlat, e.momFlat = make([]float32, size), make([]float32, size), make([]float32, size)
+	e.params, e.grads, e.moms = make([][]*tensor.Tensor, nn), make([][]*tensor.Tensor, nn), make([][]*tensor.Tensor, nn)
+	off := 0
+	for _, n := range e.G.Nodes {
 		for i, shape := range n.ParamShapes {
-			ps[i] = tensor.New(shape...)
-			gs[i] = tensor.New(shape...)
-			ms[i] = tensor.New(shape...)
+			k := shape.NumElements()
+			view := func(flat []float32) *tensor.Tensor {
+				return &tensor.Tensor{Shape: shape.Clone(), Data: flat[off : off+k : off+k]}
+			}
+			p := view(e.paramFlat)
+			e.params[n.ID] = append(e.params[n.ID], p)
+			e.grads[n.ID] = append(e.grads[n.ID], view(e.gradFlat))
+			e.moms[n.ID] = append(e.moms[n.ID], view(e.momFlat))
+			off += k
 			switch {
 			case n.Kind() == layers.BatchNorm && i == 0:
-				ps[i].Fill(1) // gamma
+				p.Fill(1) // gamma
 			case n.Kind() == layers.BatchNorm && i == 1:
 				// beta stays zero
 			case i == 0:
-				fanIn := shape.NumElements() / shape[0]
-				ps[i].FillHe(e.rng, fanIn)
+				p.FillHe(e.rng, k/shape[0])
 			}
 		}
-		e.params[n.ID] = ps
-		e.grads[n.ID] = gs
-		e.moms[n.ID] = ms
 	}
-	return e
 }
 
 // alloc returns a zeroed tensor of the given shape — from the step arena
@@ -1450,13 +1462,7 @@ func (e *Executor) failBackward(err error) error {
 }
 
 // zeroGrads discards every accumulated parameter gradient.
-func (e *Executor) zeroGrads() {
-	for _, gs := range e.grads {
-		for _, g := range gs {
-			g.Zero()
-		}
-	}
-}
+func (e *Executor) zeroGrads() { clear(e.gradFlat) }
 
 // drainFutures settles every armed future — a dead branch's, or one a failed
 // attempt's backward pass never reached: it starts each, waits for it (no
@@ -1499,39 +1505,29 @@ func (e *Executor) drainFutures() {
 // merged gradient.
 func (e *Executor) ClipGradNorm(maxNorm float64) {
 	var sumSq float64
-	for _, n := range e.G.Nodes {
-		for _, g := range e.grads[n.ID] {
-			for _, v := range g.Data {
-				sumSq += float64(float64(v) * float64(v))
-			}
-		}
+	for _, v := range e.gradFlat {
+		sumSq += float64(float64(v) * float64(v))
 	}
 	norm := math.Sqrt(sumSq)
 	if norm <= maxNorm || norm == 0 {
 		return
 	}
 	scale := float32(maxNorm / norm)
-	for _, n := range e.G.Nodes {
-		for _, g := range e.grads[n.ID] {
-			g.Scale(scale)
-		}
+	for k := range e.gradFlat {
+		e.gradFlat[k] *= scale
 	}
 }
 
 // SGD applies one momentum-SGD update and zeroes the gradients.
 func (e *Executor) SGD(lr, momentum, weightDecay float32) {
-	for id, ps := range e.params {
-		gs, ms := e.grads[id], e.moms[id]
-		for i, p := range ps {
-			g, m := gs[i], ms[i]
-			for k := range p.Data {
-				grad := g.Data[k] + float32(weightDecay*p.Data[k])
-				m.Data[k] = float32(momentum*m.Data[k]) + grad
-				p.Data[k] -= float32(lr * m.Data[k])
-			}
-			g.Zero()
-		}
+	p := e.paramFlat
+	g, m := e.gradFlat[:len(p)], e.momFlat[:len(p)]
+	for k := range p {
+		grad := g[k] + float32(weightDecay*p[k])
+		m[k] = float32(momentum*m[k]) + grad
+		p[k] -= float32(lr * m[k])
 	}
+	clear(g)
 }
 
 // lossNode returns the graph's softmax cross-entropy node. It panics if

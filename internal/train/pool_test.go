@@ -221,8 +221,8 @@ func TestPooledFaultInjectionParity(t *testing.T) {
 
 // TestConcurrentPooledExecutorsShareOnePool trains several pooled
 // executors at once against one buffer pool and the shared worker pool —
-// the -race workload for the pool's accounting of their arenas and the
-// codec's scratch, the poisoning, and the async-decode ownership transfer —
+// the -race workload for the pool's accounting of their arenas, the
+// poisoning, and the async-decode ownership transfer —
 // and checks same-seed replicas stay bit-identical, each replaying its own
 // slab.
 func TestConcurrentPooledExecutorsShareOnePool(t *testing.T) {

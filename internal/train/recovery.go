@@ -14,27 +14,19 @@ import (
 
 	"gist/internal/faults"
 	"gist/internal/layers"
-	"gist/internal/tensor"
 )
 
 // Snapshot captures the executor state a training step mutates, so a
 // failed step can be rolled back and replayed bit-identically.
 type Snapshot struct {
-	params map[int][][]float32
-	moms   map[int][][]float32
-	bnMean map[int][]float32
-	bnVar  map[int][]float32
-	rng    uint64
+	params, moms  []float32   // copies of the executor's two flats
+	bnMean, bnVar [][]float32 // per node ID; empty means never allocated
+	rng           uint64
 }
 
 // Snapshot copies the executor's mutable training state.
 func (e *Executor) Snapshot() *Snapshot {
-	s := &Snapshot{
-		params: map[int][][]float32{},
-		moms:   map[int][][]float32{},
-		bnMean: map[int][]float32{},
-		bnVar:  map[int][]float32{},
-	}
+	s := &Snapshot{}
 	e.snapshotInto(s)
 	return s
 }
@@ -43,9 +35,10 @@ func (e *Executor) Snapshot() *Snapshot {
 // never change, so every array is reused and the run loop's per-step
 // refresh allocates nothing.
 func (e *Executor) snapshotInto(s *Snapshot) {
-	for id, ps := range e.params {
-		s.params[id] = copyTensors(s.params[id], ps)
-		s.moms[id] = copyTensors(s.moms[id], e.moms[id])
+	s.params = append(s.params[:0], e.paramFlat...)
+	s.moms = append(s.moms[:0], e.momFlat...)
+	if s.bnMean == nil {
+		s.bnMean, s.bnVar = make([][]float32, len(e.G.Nodes)), make([][]float32, len(e.G.Nodes))
 	}
 	for _, n := range e.G.Nodes {
 		if bn, ok := n.Op.(*layers.BatchNormOp); ok {
@@ -56,36 +49,13 @@ func (e *Executor) snapshotInto(s *Snapshot) {
 	s.rng = e.rng.State()
 }
 
-// copyTensors deep-copies the data arrays of a tensor list into dst,
-// reusing its arrays (a nil dst allocates them).
-func copyTensors(dst [][]float32, ts []*tensor.Tensor) [][]float32 {
-	if dst == nil {
-		dst = make([][]float32, len(ts))
-	}
-	for i, t := range ts {
-		dst[i] = append(dst[i][:0], t.Data...)
-	}
-	return dst
-}
-
-// restoreTensors writes saved data arrays back into the tensor list.
-func restoreTensors(ts []*tensor.Tensor, saved [][]float32) {
-	for i, t := range ts {
-		copy(t.Data, saved[i])
-	}
-}
-
 // Restore rewinds the executor to a snapshot taken on the same executor:
 // parameters, momenta, batch-norm statistics and the RNG stream. Gradients
 // are zeroed (a failed step may not have consumed them).
 func (e *Executor) Restore(s *Snapshot) {
-	for id, ps := range e.params {
-		restoreTensors(ps, s.params[id])
-		restoreTensors(e.moms[id], s.moms[id])
-		for _, g := range e.grads[id] {
-			g.Zero()
-		}
-	}
+	copy(e.paramFlat, s.params)
+	copy(e.momFlat, s.moms)
+	e.zeroGrads()
 	for _, n := range e.G.Nodes {
 		if bn, ok := n.Op.(*layers.BatchNormOp); ok {
 			// An empty saved slice means the stats were still lazily

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"gist/internal/bufpool"
 	"gist/internal/encoding"
 	"gist/internal/faults"
 	"gist/internal/graph"
@@ -63,13 +62,13 @@ const (
 // ReplicaGroup is N data-parallel executor replicas stepping in lockstep.
 // Replica 0 owns the caller's graph; the others own clones (fresh operator
 // state, identically seeded weights). All replicas share the group's
-// buffer pool, codec, telemetry sink and fault injector. Not safe for
-// concurrent Step calls; each group is one training loop.
+// buffer pool (each accounts its step arena there), codec, telemetry sink
+// and fault injector. Not safe for concurrent Step calls; each group is
+// one training loop.
 type ReplicaGroup struct {
 	cfg   ReplicaConfig
 	execs []*Executor
 	seed  uint64
-	pool  *bufpool.Pool
 	inj   *faults.Injector
 
 	graphBatch int // rows per shard (the graph input's batch dimension)
@@ -85,7 +84,7 @@ type ReplicaGroup struct {
 	labelBuf [][]int
 
 	gradElems int
-	gradBufs  [][]float32 // per-shard flat gradients; pooled, or persistent when unpooled
+	gradBufs  [][]float32 // per-shard gradient flats, allocated once
 	merger    *reduce.Merger
 
 	shardLoss []float64
@@ -136,7 +135,6 @@ func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGr
 	rg := &ReplicaGroup{
 		cfg:  cfg,
 		seed: opts.Seed,
-		pool: opts.Pool,
 		inj:  opts.Faults,
 		tel:  opts.Telemetry,
 	}
@@ -178,26 +176,10 @@ func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGr
 		rg.labelBuf[r] = make([]int, rg.graphBatch)
 	}
 
-	for _, n := range g.Nodes {
-		for _, sh := range n.ParamShapes {
-			rg.gradElems += sh.NumElements()
-		}
-	}
+	rg.gradElems = len(rg.execs[0].gradFlat)
 	rg.gradBufs = make([][]float32, cfg.Shards)
-	if rg.pool == nil {
-		for s := range rg.gradBufs {
-			rg.gradBufs[s] = make([]float32, rg.gradElems)
-		}
-	} else if rg.gradElems > 0 {
-		// Self-prewarm: the merge holds all S shard buffers at once, so
-		// seed S distinct free-list entries of that class.
-		warm := make([]*tensor.Tensor, cfg.Shards)
-		for s := range warm {
-			warm[s] = rg.pool.Get(rg.gradElems)
-		}
-		for _, t := range warm {
-			rg.pool.Recycle(t)
-		}
+	for s := range rg.gradBufs {
+		rg.gradBufs[s] = make([]float32, rg.gradElems)
 	}
 	// The merge runs on the executor's codec worker pool — the same budget
 	// the encode/decode chunks share.
@@ -283,9 +265,9 @@ func (rg *ReplicaGroup) runShard(r, s int) {
 	copy(lab, rg.labels[s*rg.graphBatch:(s+1)*rg.graphBatch])
 	for attempt := 0; ; attempt++ {
 		if err := rg.ctxErr(); err != nil {
-			// Cancellation between shards: this shard never ran, so its
-			// gradient buffer stays zero and TryStep will refuse the
-			// update. Remaining shards observe the same cancellation.
+			// Cancellation between shards: this shard never ran, so
+			// TryStep will refuse the update. Remaining shards observe
+			// the same cancellation.
 			rg.shardFail[s] = err
 			return
 		}
@@ -320,37 +302,21 @@ func (rg *ReplicaGroup) updateReplica(r int) {
 	e.SGD(rg.lr, 0.9, 1e-4)
 }
 
-// exportGrads copies every parameter gradient, in graph-node order, into
-// dst, then zeroes the accumulators so the replica's next shard starts
-// clean (backward accumulates; the single-executor path relies on SGD for
-// this zeroing).
+// exportGrads copies the executor's gradient flat into dst, then zeroes it
+// so the replica's next shard starts clean (backward accumulates; the
+// single-executor path relies on SGD for this zeroing).
 func (e *Executor) exportGrads(dst []float32) {
-	off := 0
-	for _, n := range e.G.Nodes {
-		for _, g := range e.grads[n.ID] {
-			off += copy(dst[off:], g.Data)
-			g.Zero()
-		}
-	}
+	copy(dst, e.gradFlat)
+	e.zeroGrads()
 }
 
-// importGrads loads a flat gradient vector (graph-node order) into the
-// executor's accumulators.
-func (e *Executor) importGrads(src []float32) {
-	off := 0
-	for _, n := range e.G.Nodes {
-		for _, g := range e.grads[n.ID] {
-			copy(g.Data, src[off:off+len(g.Data)])
-			off += len(g.Data)
-		}
-	}
-}
+// importGrads loads a gradient flat into the executor's.
+func (e *Executor) importGrads(src []float32) { copy(e.gradFlat, src) }
 
 // SetContext binds a context to the group's step loop. TryStep polls it at
 // step entry and before every shard attempt, so cancellation or deadline
 // expiry aborts the step within one shard's latency: the merge and update
-// phases are skipped, every pooled shard-gradient buffer is recycled, and
-// the error wraps the context's error (test with errors.Is). A nil ctx
+// phases are skipped, and the error wraps the context's error (test with errors.Is). A nil ctx
 // unbinds. Not safe to call concurrently with a step in flight.
 func (rg *ReplicaGroup) SetContext(ctx context.Context) { rg.ctx = ctx }
 
@@ -447,11 +413,6 @@ func (rg *ReplicaGroup) TryStep(x *tensor.Tensor, labels []int, lr float32) (los
 	rg.armShards(x)
 	rg.labels = labels
 	rg.lr = lr
-	if rg.pool != nil && rg.gradElems > 0 {
-		for s := range rg.gradBufs {
-			rg.gradBufs[s] = rg.pool.GetSlice(rg.gradElems)
-		}
-	}
 
 	rg.runPhase(phaseCompute)
 
@@ -465,11 +426,9 @@ func (rg *ReplicaGroup) TryStep(x *tensor.Tensor, labels []int, lr float32) (los
 	}
 	loss /= float64(rg.cfg.Shards)
 	if failed != nil {
-		rg.recycleGradBufs(0)
 		if errors.Is(failed, context.Canceled) || errors.Is(failed, context.DeadlineExceeded) {
-			// Cancellation, not a fault: no update was applied and every
-			// pooled shard buffer is back in the pool. Surface the context
-			// error directly so callers can errors.Is on it.
+			// Cancellation, not a fault: no update was applied. Surface
+			// the context error directly so callers can errors.Is on it.
 			return loss, errs, fmt.Errorf("train: replica step canceled: %w", failed)
 		}
 		rg.abandons.Inc()
@@ -481,7 +440,7 @@ func (rg *ReplicaGroup) TryStep(x *tensor.Tensor, labels []int, lr float32) (los
 		t0 = time.Now()
 	}
 	if err := rg.merger.Merge(rg.gradBufs, 1/float32(rg.cfg.Shards)); err != nil {
-		// Unreachable by construction (equal-length persistent buffers);
+		// Unreachable by construction (equal-length buffers);
 		// fail loudly rather than training on garbage.
 		panic("train: replica reduce: " + err.Error())
 	}
@@ -495,27 +454,9 @@ func (rg *ReplicaGroup) TryStep(x *tensor.Tensor, labels []int, lr float32) (los
 		}
 		rg.stragglerNS.Set(maxB - minB)
 	}
-	// Shards 1..S-1 are dead at the reduce point; shard 0 carries the
-	// merged gradient through the update phase.
-	rg.recycleGradBufs(1)
-
+	// Shard 0 carries the merged gradient through the update phase.
 	rg.runPhase(phaseUpdate)
-	rg.recycleGradBufs(0)
 	return loss, errs, nil
-}
-
-// recycleGradBufs returns pooled shard buffers from index lo up, keeping
-// unpooled persistent buffers in place.
-func (rg *ReplicaGroup) recycleGradBufs(lo int) {
-	if rg.pool == nil || rg.gradElems == 0 {
-		return
-	}
-	for s := lo; s < len(rg.gradBufs); s++ {
-		if rg.gradBufs[s] != nil {
-			rg.pool.RecycleSlice(rg.gradBufs[s])
-			rg.gradBufs[s] = nil
-		}
-	}
 }
 
 // Step is TryStep for runs without fault injection, panicking on the
@@ -545,9 +486,9 @@ func (rg *ReplicaGroup) Eval(x *tensor.Tensor, labels []int) (loss float64, erro
 	return loss / float64(rg.cfg.Shards), errors
 }
 
-// Close shuts the replica workers down and promptly returns every pooled
-// buffer the replicas still hold to the pool. Idempotent and safe to call
-// from multiple goroutines concurrently — exactly one caller performs the
+// Close shuts the replica workers down and promptly returns every
+// replica's step arena to the pool. Idempotent and safe to call from
+// multiple goroutines concurrently — exactly one caller performs the
 // shutdown, and a double Close never double-releases a pooled buffer. The
 // group must not be stepped after (or concurrently with) Close.
 func (rg *ReplicaGroup) Close() {

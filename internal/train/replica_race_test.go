@@ -18,7 +18,7 @@ import (
 // one shared buffer pool and one shared codec worker pool, with bit-flip
 // fault injection corrupting sealed stashes under both. Its job is to give
 // the race detector (make race-hot) the hottest cross-group interleaving
-// we support: concurrent Get/Recycle on the pool, concurrent chunked
+// we support: concurrent arena accounting in the pool, concurrent chunked
 // encode/decode/reduce on the worker pool, and concurrent injector and
 // telemetry writes. Checks are deliberately light — the value is the
 // -race run staying silent.

@@ -46,7 +46,8 @@ type (
 	FaultConfig = faults.Config
 	// BufferPool is the buffer memory of the pooled runtime: it accounts
 	// every executor's step arena (the slab its activations, gradients and
-	// decode targets are views of) and recycles the codec's scratch.
+	// decode targets are views of). Its size-class free lists serve no
+	// training step.
 	BufferPool = bufpool.Pool
 	// PoolStats is a snapshot of a BufferPool's, or a trainer's arenas',
 	// hit/miss/held counters.
@@ -70,8 +71,7 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 func NewBufferPool() *BufferPool { return bufpool.New() }
 
 // SharedBufferPool returns the process-wide buffer pool that pooled
-// trainers recycle through by default, so concurrent trainers can serve
-// each other's freed buffers.
+// trainers account their arenas in by default.
 func SharedBufferPool() *BufferPool { return bufpool.Shared() }
 
 // trainerConfig accumulates the functional options.
@@ -151,7 +151,8 @@ func WithParallelism(workers int) TrainerOption {
 
 // WithTelemetry wires a sink into the trainer: per-step phase spans,
 // robustness counters, the stash memory timeline, codec instruments, and —
-// under WithPooling — the pool's per-class hit/miss/held gauges.
+// under WithPooling — the pool's bufpool.peak_live_bytes gauge over its
+// arenas.
 func WithTelemetry(sink *Telemetry) TrainerOption {
 	return func(c *trainerConfig) { c.tel = sink }
 }
@@ -161,7 +162,7 @@ func WithTelemetry(sink *Telemetry) TrainerOption {
 // them as views of one slab laid out from that record, its size the step's
 // peak, so steady-state training allocates almost nothing. Results are
 // byte-identical to the unpooled path. The pool accounts every executor's
-// slab and supplies the codec's scratch. With no argument the
+// slab. With no argument the
 // process-shared pool is used; pass a pool to account in a private one.
 func WithPooling(pool ...*BufferPool) TrainerOption {
 	return func(c *trainerConfig) {
@@ -347,9 +348,9 @@ func (t *Trainer) Telemetry() *Telemetry { return t.Executor().Telemetry() }
 // sum is the slab; LiveBytes and PeakLiveBytes are the bytes requested,
 // Hits the allocations the slab served and Misses the heap allocations
 // made instead (each executor's first step, which records the layout, and
-// what a step that left it allocated). The pool's own counters, which also
-// cover the codec's scratch and every trainer sharing it, are
-// SharedBufferPool().Stats() or the private pool's.
+// what a step that left it allocated). The pool's own counters, which
+// cover every trainer sharing it, are SharedBufferPool().Stats() or the
+// private pool's.
 func (t *Trainer) PoolStats() PoolStats {
 	var sum PoolStats
 	for _, e := range t.en.Executors() {
