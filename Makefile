@@ -100,13 +100,15 @@ metrics-bench:
 # Allocation gate: the pooled training step — single-executor, replica
 # group, and the multi-chunk spilling StashNet chain whose maps reach the
 # codec's parallel chunk dispatch (gist-stashchain) — must stay within
-# ALLOC_BUDGET allocs/op at steady state (currently 0; the budget leaves
-# headroom for runtime-internal noise). Runs at GOMAXPROCS 1 and 4 and
+# ALLOC_BUDGET allocs/op at steady state, which is 0: the worker pool's
+# helpers are long-lived and every free list on the step path outlives a
+# garbage collection, so no runtime-internal refill is left to budget
+# for. Runs at GOMAXPROCS 1 and 4 and
 # gates every reported row, so the result does not depend on how many cores
 # the host has: encode futures launch on their own goroutines, and decode
 # futures go to the executor's decode worker, at every worker count.
 # Catches any regression that puts an allocation back on a pooled hot path.
-ALLOC_BUDGET ?= 4
+ALLOC_BUDGET ?= 0
 allocs:
 	@out=$$($(GO) test -run TestXXX -bench 'BenchmarkTrainStep/^gist-(pooled|replicas|stashchain)$$' -benchtime 50x -benchmem -cpu 1,4 . | tee /dev/stderr); \
 	allocs=$$(printf '%s\n' "$$out" | awk '/gist-(pooled|replicas|stashchain)/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}'); \
@@ -194,7 +196,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22019
+LOC_CEILING ?= 22164
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

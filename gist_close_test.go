@@ -6,8 +6,10 @@ package gist_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gist"
 )
@@ -61,5 +63,34 @@ func TestTrainerRunContextCancel(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Fatalf("pre-cancelled run produced %d records", len(recs))
+	}
+}
+
+// TestTrainerClosesPrivatePool builds, steps and closes 100 trainers with a
+// private 2-worker pool on maps that span several codec chunks, so every
+// trainer's pool starts its helpers: Close stops them with the trainer's
+// stash workers, and the goroutine count ends where it began.
+func TestTrainerClosesPrivatePool(t *testing.T) {
+	x, labels := gist.NewDataset(4, 4, 64, 0.4, 2).Batch(4)
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		tr := gist.NewTrainer(stashChain(4), gist.WithParallelism(2),
+			gist.WithEncodings(gist.LossyLossless(gist.FP16)), gist.WithPooling(gist.NewBufferPool()))
+		if _, _, err := tr.Step(x, labels, 0.005); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && runtime.NumGoroutine() < base+2+2 {
+			t.Fatalf("%d goroutines while a trainer runs, want its 2 helpers and its stash workers above %d", runtime.NumGoroutine(), base)
+		}
+		tr.Close()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() != base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after 100 trainers closed, want %d\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

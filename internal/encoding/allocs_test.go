@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"gist/internal/floatenc"
@@ -16,11 +17,12 @@ import (
 // entry point — both encodes (the adaptive one with its dense fallback
 // firing), Seal, Verify, DecodeInto — and both halves of the wire round trip
 // allocate nothing, for every technique, at 1, 2 and 4 workers, with and
-// without a sink. The tensor spans three chunks, so the multi-worker runs
-// take the parallel dispatch, not just the caller's own loop.
+// without a sink, also right after a garbage collection. The tensor spans
+// three chunks, so the multi-worker runs take the parallel dispatch, not
+// just the caller's own loop.
 func TestCodecOpsAllocateNothing(t *testing.T) {
 	if race.Enabled {
-		t.Skip("sync.Pool drops objects at random under the race detector")
+		t.Skip("the race detector allocates on its own")
 	}
 	rng := tensor.NewRNG(21)
 	const n = 2*768 + 400 // three 768-element chunks, the last one ragged
@@ -30,7 +32,9 @@ func TestCodecOpsAllocateNothing(t *testing.T) {
 
 	for _, w := range []int{1, 2, 4} {
 		for _, tel := range []*telemetry.Sink{nil, telemetry.New()} {
-			c := Codec{Pool: parallel.NewPool(w), ChunkElems: 768, Tel: tel}
+			pool := parallel.NewPool(w)
+			defer pool.Close()
+			c := Codec{Pool: pool, ChunkElems: 768, Tel: tel}
 			for _, as := range propAssignments() {
 				e, back := &EncodedStash{}, &EncodedStash{}
 				var wire []byte
@@ -70,17 +74,22 @@ func TestCodecOpsAllocateNothing(t *testing.T) {
 }
 
 // assertNoAllocs runs op once to warm its buffers, then requires it to
-// allocate nothing.
+// allocate nothing, both back to back and each time right after two
+// garbage collections (a sync.Pool keeps its objects through one).
 func assertNoAllocs(t *testing.T, op func() error, format string, args ...any) {
 	t.Helper()
 	if err := op(); err != nil {
 		t.Fatalf(format+": warm: %v", append(args, err)...)
 	}
-	if a := testing.AllocsPerRun(50, func() {
+	run := func() {
 		if err := op(); err != nil {
 			t.Fatalf(format+": %v", append(args, err)...)
 		}
-	}); a != 0 {
+	}
+	if a := testing.AllocsPerRun(50, run); a != 0 {
 		t.Errorf(format+": %v allocations per run, want 0", append(args, a)...)
+	}
+	if a := testing.AllocsPerRun(3, func() { runtime.GC(); runtime.GC(); run() }); a != 0 {
+		t.Errorf(format+": %v allocations per run after a collection, want 0", append(args, a)...)
 	}
 }

@@ -325,8 +325,8 @@ func (cdc Codec) verify(e *EncodedStash) error {
 	if !e.sealed {
 		return nil
 	}
-	scratch := crcScratch.Get().(*[]uint32)
-	defer crcScratch.Put(scratch)
+	scratch := crcScratch.get()
+	defer crcScratch.put(scratch)
 	full, chunks, ok := cdc.chunkChecksumsInto(*scratch, e)
 	if ok {
 		*scratch = chunks

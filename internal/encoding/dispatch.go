@@ -34,12 +34,41 @@ type chunkTask struct {
 	stored   StoredStash
 }
 
-var chunkTasks = sync.Pool{New: func() any { return new(chunkTask) }}
+var chunkTasks freeList[chunkTask]
+
+// freeList recycles objects like a sync.Pool that a garbage collection
+// never empties: it keeps every object put back, so it holds as many as
+// were ever out at once, and a step after a collection takes them from
+// it instead of from the heap.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get takes an object, new and zero when none is spare.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.items[n-1]
+	l.items = l.items[:n-1]
+	return x
+}
+
+// put gives x back.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.items = append(l.items, x)
+	l.mu.Unlock()
+}
 
 // newChunkTask takes a recycled task for kernel over n elements in chunks
 // of ce.
 func newChunkTask(kernel func(*chunkTask, int), n, ce int) *chunkTask {
-	t := chunkTasks.Get().(*chunkTask)
+	t := chunkTasks.get()
 	t.kernel, t.n, t.ce = kernel, n, ce
 	return t
 }
@@ -71,7 +100,7 @@ func (t *chunkTask) Do(i int) {
 func (cdc Codec) run(count int, t *chunkTask) {
 	cdc.pool().ForEach(count, t)
 	*t = chunkTask{}
-	chunkTasks.Put(t)
+	chunkTasks.put(t)
 }
 
 // forChunks runs t over every chunk of its n elements, counting them on

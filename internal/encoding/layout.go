@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"sort"
-	"sync"
 )
 
 // The payload layout engine. A technique states once — in its layout
@@ -105,7 +104,7 @@ func (s *segment) flip(i int) {
 // variable), so a stack buffer would put a heap object behind every piece.
 const crcBatchBytes = 4096
 
-var crcBatches = sync.Pool{New: func() any { return new([crcBatchBytes]byte) }}
+var crcBatches freeList[[crcBatchBytes]byte]
 
 // crc continues crc over the serialised items [lo, hi): bytes hash in
 // place, words a batch at a time with one (hardware) crc32.Update each.
@@ -114,13 +113,13 @@ func (s *segment) crc(crc uint32, lo, hi int) uint32 {
 	if size == 1 {
 		return crc32.Update(crc, crcTable, s.u8[lo:hi])
 	}
-	buf := crcBatches.Get().(*[crcBatchBytes]byte)
+	buf := crcBatches.get()
 	for per := crcBatchBytes / size; lo < hi; lo += per {
 		k := min(hi-lo, per)
 		s.put(buf[:], lo, lo+k)
 		crc = crc32.Update(crc, crcTable, buf[:k*size])
 	}
-	crcBatches.Put(buf)
+	crcBatches.put(buf)
 	return crc
 }
 
@@ -265,7 +264,7 @@ func (e *EncodedStash) checksum() uint32 {
 // crcScratch recycles the CRC buffers of Verify (the per-chunk CRCs it
 // re-hashes into, leaving the stash untouched) and of the parallel roll-up
 // (one CRC per piece).
-var crcScratch = sync.Pool{New: func() any { return new([]uint32) }}
+var crcScratch freeList[[]uint32]
 
 // chunkChecksumsInto hashes every chunk's pieces — one per segment — and
 // returns the per-chunk CRCs, in dst's backing array when that has the
@@ -278,8 +277,8 @@ func (cdc Codec) chunkChecksumsInto(dst []uint32, e *EncodedStash) (full uint32,
 	if !l.chunkable {
 		return 0, nil, false
 	}
-	buf := crcScratch.Get().(*[]uint32)
-	defer crcScratch.Put(buf)
+	buf := crcScratch.get()
+	defer crcScratch.put(buf)
 	*buf = resized(*buf, l.nseg*l.nc)
 	pieces := *buf
 	t := newChunkTask(hashChunk, l.n, l.ce)

@@ -13,11 +13,13 @@
 // and runs everything serially.
 //
 // ForEach never allocates. Its body is a Task, which the hot callers pass
-// as a pointer to a recycled task object carrying the call's arguments,
-// and everything one parallel call shares with its helpers is itself one
-// recycled object. So a kernel has exactly one path — it dispatches
-// through ForEach at every worker count and chunk count, one worker and
-// one chunk included — and that path puts nothing on the heap.
+// as a pointer to a recycled task object carrying the call's arguments;
+// everything one parallel call shares with its helpers is one state from
+// the pool's own free list, made with the pool; and the helpers are the
+// pool's long-lived goroutines, so a call starts none. So a kernel has
+// exactly one path — it dispatches through ForEach at every worker count
+// and chunk count, one worker and one chunk included — and that path puts
+// nothing on the heap, before or after a garbage collection.
 package parallel
 
 import (
@@ -34,7 +36,7 @@ import (
 type poolMetrics struct {
 	forEach   *telemetry.Counter   // ForEach invocations
 	tasks     *telemetry.Counter   // individual Task.Do(i) executions
-	helpers   *telemetry.Counter   // helper goroutines actually spawned
+	helpers   *telemetry.Counter   // helpers recruited into ForEach calls
 	saturated *telemetry.Counter   // ForEach calls that found the pool full
 	busyNS    *telemetry.Histogram // per-participant busy time inside ForEach
 	goQueued  *telemetry.Gauge     // Run calls waiting on a pool slot
@@ -70,19 +72,48 @@ func SetTelemetry(s *telemetry.Sink) {
 // concurrent use by any number of goroutines; a single process-wide pool
 // (see Shared) is the intended deployment so concurrent executors contend
 // for one CPU budget instead of oversubscribing.
+//
+// A pool with more than one worker keeps that many long-lived helper
+// goroutines, started by its first parallel ForEach and parked on a
+// channel between calls, so a call hands its work to helpers that already
+// exist instead of starting goroutines. Close stops them.
 type Pool struct {
 	workers int
 	sem     chan struct{}
+	// work carries one forEachState per recruited helper to the parked
+	// helpers. It never fills: each queued state holds a slot of sem.
+	work chan *forEachState
+	// states is the pool's free list of call states, all made by NewPool:
+	// a call takes one only after it holds a slot of sem and gives it back
+	// before it releases its slots, so the list is never empty when a call
+	// takes from it.
+	states chan *forEachState
+	start  sync.Once
+	exited sync.WaitGroup
+	// started and closed change only under a slot of sem — closed under
+	// all of them, in Close — so a call that holds a slot reads them
+	// without a lock.
+	started, closed bool
 }
 
 // NewPool returns a pool that admits at most workers concurrent helpers.
 // workers <= 0 selects runtime.GOMAXPROCS(0). A one-worker pool runs
-// everything on the calling goroutine (the serial path).
+// everything on the calling goroutine (the serial path) and never starts a
+// helper.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, sem: make(chan struct{}, workers)}
+	p := &Pool{
+		workers: workers,
+		sem:     make(chan struct{}, workers),
+		work:    make(chan *forEachState, workers),
+		states:  make(chan *forEachState, workers),
+	}
+	for i := 0; i < workers; i++ {
+		p.states <- new(forEachState)
+	}
+	return p
 }
 
 // Workers returns the pool's concurrency bound. A nil pool reports 1.
@@ -91,6 +122,29 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
+}
+
+// Close stops the pool's helpers and returns once they have exited. It
+// first waits for every slot — every helper and Run body in flight — so it
+// must not be called from inside a task or a Run body of the same pool.
+// Afterwards ForEach runs on its caller alone and Run works as before.
+// Close is idempotent, and a nil pool's is a no-op. Whoever builds a pool
+// closes it; the shared pool lives for the process.
+func (p *Pool) Close() {
+	if p == nil {
+		return
+	}
+	for i := 0; i < p.workers; i++ {
+		p.sem <- struct{}{}
+	}
+	if p.started && !p.closed {
+		close(p.work)
+	}
+	p.closed = true
+	p.exited.Wait()
+	for i := 0; i < p.workers; i++ {
+		<-p.sem
+	}
 }
 
 // Task is the body of a ForEach call: Do(i) runs index i. Holding a Task
@@ -111,7 +165,7 @@ func (f Func) Do(i int) { f(i) }
 
 // ForEach runs t.Do(i) for every i in [0, n) and returns when all calls have
 // completed. The calling goroutine always participates, and up to
-// Workers()-1 helper goroutines join while pool slots are free — slot
+// Workers()-1 of the pool's helpers join while pool slots are free — slot
 // acquisition never blocks, so nested ForEach calls from tasks already on
 // the pool degrade to serial instead of deadlocking. Iteration order across
 // goroutines is unspecified; callers must make t.Do(i) touch disjoint state
@@ -127,7 +181,7 @@ func (p *Pool) ForEach(n int, t Task) {
 		pm.forEach.Inc()
 		pm.tasks.Add(int64(n))
 	}
-	if p == nil || p.workers <= 1 || n == 1 {
+	if p == nil || p.workers <= 1 || n == 1 || !p.recruit(pm) {
 		var start time.Time
 		if pm != nil {
 			start = time.Now()
@@ -141,68 +195,102 @@ func (p *Pool) ForEach(n int, t Task) {
 		return
 	}
 
-	s := forEachStates.Get().(*forEachState)
-	s.n, s.t, s.pm, s.sem = n, t, pm, p.sem
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-spawn:
-	for h := 0; h < helpers; h++ {
-		select {
-		case p.sem <- struct{}{}:
-			if pm != nil {
-				pm.helpers.Inc()
-			}
-			s.wg.Add(1)
-			go s.help()
-		default:
-			if pm != nil {
-				pm.saturated.Inc()
-			}
-			break spawn // pool saturated: the caller works alone
+	// The caller holds one slot: take a state and hand it to a helper,
+	// then to one more per further slot it can get.
+	s := <-p.states
+	s.n, s.t, s.pm = n, t, pm
+	hired := 0
+	for {
+		s.wg.Add(1)
+		p.work <- s
+		hired++
+		if hired == min(p.workers-1, n-1) || !p.recruit(pm) {
+			break
 		}
 	}
-	s.work()
+	s.run()
 	s.wg.Wait()
 	panicked := s.panicked
 	s.next.Store(0)
 	s.panicked, s.t = nil, nil
-	forEachStates.Put(s)
+	p.states <- s
+	for ; hired > 0; hired-- {
+		<-p.sem
+	}
 	if panicked != nil {
 		panic(panicked)
 	}
 }
 
+// recruit takes a slot for one helper without blocking, starting the
+// helpers on the pool's first recruit. It reports false when the pool is
+// saturated or closed.
+func (p *Pool) recruit(pm *poolMetrics) bool {
+	select {
+	case p.sem <- struct{}{}:
+	default:
+		if pm != nil {
+			pm.saturated.Inc()
+		}
+		return false
+	}
+	if p.closed {
+		<-p.sem
+		return false
+	}
+	p.start.Do(p.startHelpers)
+	if pm != nil {
+		pm.helpers.Inc()
+	}
+	return true
+}
+
+func (p *Pool) startHelpers() {
+	p.exited.Add(p.workers)
+	for i := 0; i < p.workers; i++ {
+		go p.helper()
+	}
+	p.started = true
+}
+
+// helper is one long-lived helper: it runs every state handed to it until
+// Close closes the work channel. A panic in a task is recovered into the
+// state, so the helper outlives it.
+func (p *Pool) helper() {
+	defer p.exited.Done()
+	for s := range p.work {
+		s.run()
+		s.wg.Done()
+	}
+}
+
 // forEachState is everything one parallel ForEach call shares with its
-// helpers, gathered into a single recycled object: the call itself puts
-// nothing on the heap. A state goes back to the pool only once every helper
-// has finished with it; a call that unwinds early (Do panicked on the
-// caller's own goroutine) leaves its state to the garbage collector.
+// helpers, gathered into one object from the pool's free list: the call
+// itself puts nothing on the heap.
 type forEachState struct {
 	next     atomic.Int64 // next index to hand out
 	wg       sync.WaitGroup
 	panicMu  sync.Mutex
-	panicked any // first panic recovered from a helper
+	panicked any // first panic recovered from any participant
 
-	n   int
-	t   Task
-	pm  *poolMetrics
-	sem chan struct{}
-
-	// help is the helper goroutine's body, bound to this state once so that
-	// `go s.help()` starts a goroutine without building a closure.
-	help func()
+	n  int
+	t  Task
+	pm *poolMetrics
 }
 
-var forEachStates = sync.Pool{New: func() any {
-	s := new(forEachState)
-	s.help = s.helper
-	return s
-}}
-
-// work claims indices until none are left.
-func (s *forEachState) work() {
+// run claims indices until none are left, recording the first panic
+// instead of unwinding, so the caller always collects its helpers and
+// returns the state before it re-raises.
+func (s *forEachState) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicMu.Lock()
+			if s.panicked == nil {
+				s.panicked = r
+			}
+			s.panicMu.Unlock()
+		}
+	}()
 	var start time.Time
 	if s.pm != nil {
 		start = time.Now()
@@ -217,21 +305,6 @@ func (s *forEachState) work() {
 	if s.pm != nil {
 		s.pm.busyNS.Observe(time.Since(start).Nanoseconds())
 	}
-}
-
-func (s *forEachState) helper() {
-	defer s.wg.Done()
-	defer func() { <-s.sem }()
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicMu.Lock()
-			if s.panicked == nil {
-				s.panicked = r
-			}
-			s.panicMu.Unlock()
-		}
-	}()
-	s.work()
 }
 
 // Run runs fn on the calling goroutine while holding one of the pool's
@@ -280,8 +353,9 @@ func Shared() *Pool {
 }
 
 // SetSharedWorkers replaces the shared pool with one of the given size
-// (0 = GOMAXPROCS, 1 = serial). The -parallel CLI flag and benchmarks use
-// this; in-flight ForEach/Run calls on the previous pool finish unaffected.
+// (0 = GOMAXPROCS, 1 = serial) and closes the one it replaces, once the
+// ForEach/Run calls in flight on it finish. The -parallel CLI flag and
+// benchmarks use this.
 func SetSharedWorkers(n int) {
-	shared.Store(NewPool(n))
+	shared.Swap(NewPool(n)).Close()
 }

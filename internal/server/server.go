@@ -75,8 +75,9 @@ type Config struct {
 	// set none.
 	SpillDir    string
 	StashBudget int64
-	// Workers sizes a codec worker pool all jobs share. 0 gives the jobs
-	// no pool of their own: their codecs fall back to the process-wide
+	// Workers sizes a codec worker pool all jobs share, whose helpers
+	// Shutdown stops once every job is done. 0 gives the jobs no pool of
+	// their own: their codecs fall back to the process-wide
 	// parallel.Shared() pool, which has GOMAXPROCS workers.
 	Workers int
 	// Telemetry, when non-nil, receives server-level counters (jobs
@@ -813,6 +814,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.workers.Close() // every job is done with the shared codec pool
 		close(done)
 	}()
 	select {

@@ -11,10 +11,13 @@ package server
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gist/internal/parallel"
 )
 
 // newTestServer builds a server whose OnStep hook implements the
@@ -448,4 +451,31 @@ func TestLifecycleVerbErrors(t *testing.T) {
 	if err := s.Cancel(queued.ID); err != nil {
 		t.Fatalf("re-cancel terminal: %v", err)
 	}
+}
+
+// TestShutdownClosesWorkerPool: the codec pool Config.Workers builds keeps
+// its helpers for the server's life, and Shutdown stops them once the jobs
+// are done, so the goroutine count returns to where it was before New.
+func TestShutdownClosesWorkerPool(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	s, err := New(Config{Workers: 3, CheckpointDir: t.TempDir(), StallTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(JobSpec{Name: "w", Batch: 4, Classes: 2, Steps: 3, Encoding: "fp16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job done", 30*time.Second, func() bool {
+		got, err := s.Get(st.ID)
+		return err == nil && got.State == StateCompleted
+	})
+	s.workers.ForEach(8, parallel.Func(func(int) {})) // as a job's multi-chunk map would
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "goroutines back at their baseline", 10*time.Second, func() bool {
+		return runtime.NumGoroutine() == base
+	})
 }

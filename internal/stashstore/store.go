@@ -119,9 +119,13 @@ type Store struct {
 	cWBytes, cRBytes      *telemetry.Counter
 	hWriteNS, hReadNS     *telemetry.Histogram
 
-	mu        sync.Mutex
-	hot       map[int]*encoding.EncodedStash
-	cold      map[int]coldRef
+	mu sync.Mutex
+	// hot and cold are the tiers, indexed by node ID: hot[id] is nil and
+	// cold[id].enc is nil when the tier does not hold node id. They are
+	// sized for every node the priorities or names cover, so a step's
+	// Puts allocate nothing.
+	hot       []*encoding.EncodedStash
+	cold      []coldRef
 	hotBytes  int64
 	coldBytes int64
 	f         *os.File
@@ -168,8 +172,8 @@ func New(cfg Config) *Store {
 		names:  cfg.Names,
 		inj:    cfg.Faults,
 		tel:    cfg.Tel,
-		hot:    map[int]*encoding.EncodedStash{},
-		cold:   map[int]coldRef{},
+		hot:    make([]*encoding.EncodedStash, max(len(cfg.Priority), len(cfg.Names))),
+		cold:   make([]coldRef, max(len(cfg.Priority), len(cfg.Names))),
 
 		gHot:     cfg.Tel.Gauge("stash.store.hot_bytes"),
 		gHotPeak: cfg.Tel.Gauge("stash.store.hot_peak_bytes"),
@@ -185,7 +189,10 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// nameOf returns the node's name for error messages.
+// nameOf returns the node's name: for error messages, for the injector,
+// whose draws are keyed by it, and for traced spans. Nothing else asks
+// for it, so an unnamed store formats no name on an untraced, fault-free
+// put or fetch.
 func (s *Store) nameOf(id int) string {
 	if id >= 0 && id < len(s.names) && s.names[id] != "" {
 		return s.names[id]
@@ -229,10 +236,14 @@ func (s *Store) Put(id int, enc *encoding.EncodedStash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.st.Puts++
+	if id >= len(s.hot) {
+		s.hot = append(s.hot, make([]*encoding.EncodedStash, id+1-len(s.hot))...)
+		s.cold = append(s.cold, make([]coldRef, id+1-len(s.cold))...)
+	}
 	s.hot[id] = enc
 	s.hotBytes += enc.Bytes()
 	if s.budget > 0 {
-		for s.hotBytes > s.budget && len(s.hot) > 0 {
+		for s.hotBytes > s.budget {
 			if err := s.spillVictimLocked(); err != nil {
 				return err
 			}
@@ -247,20 +258,21 @@ func (s *Store) Put(id int, enc *encoding.EncodedStash) error {
 }
 
 // spillVictimLocked picks the resident with the furthest-away backward use
-// (largest priority, ties broken toward the larger node ID so map iteration
-// order never matters) and writes it out as one GSTP page. The cold-tier
-// index entry is published only after the whole page write succeeds.
+// (largest priority, ties broken toward the larger node ID) and writes it
+// out as one GSTP page. The cold-tier index entry is published only after
+// the whole page write succeeds.
 func (s *Store) spillVictimLocked() error {
-	victim, best, bestPri := -1, -1, -1
-	for id := range s.hot {
-		if p := s.priorityOf(id); p > bestPri || (p == bestPri && id > best) {
-			victim, best, bestPri = id, id, p
+	victim, bestPri := -1, -1
+	for id, enc := range s.hot {
+		if p := s.priorityOf(id); enc != nil && p >= bestPri {
+			victim, bestPri = id, p
 		}
 	}
 	enc := s.hot[victim]
-	name := s.nameOf(victim)
-	if err := s.inj.FailSpillWrite(s.key, name); err != nil {
-		return fmt.Errorf("stashstore: spill %q: %w", name, err)
+	if s.inj.Enabled() {
+		if err := s.inj.FailSpillWrite(s.key, s.nameOf(victim)); err != nil {
+			return fmt.Errorf("stashstore: spill %q: %w", s.nameOf(victim), err)
+		}
 	}
 	start := time.Now()
 	if s.f == nil {
@@ -275,12 +287,12 @@ func (s *Store) spillVictimLocked() error {
 	w := encoding.NewWireWriter(s.f, s.wOff, pb.buf)
 	n, err := writePage(&w, uint32(victim), enc)
 	if err != nil {
-		return fmt.Errorf("stashstore: spill %q: %w", name, err)
+		return fmt.Errorf("stashstore: spill %q: %w", s.nameOf(victim), err)
 	}
 	s.cold[victim] = coldRef{off: s.wOff, n: n, enc: enc}
 	s.wOff += int64(n)
 	s.coldBytes += int64(n)
-	delete(s.hot, victim)
+	s.hot[victim] = nil
 	s.hotBytes -= enc.Bytes()
 	s.st.Evictions++
 	s.st.SpillWritten += int64(n)
@@ -288,7 +300,7 @@ func (s *Store) spillVictimLocked() error {
 	s.cWBytes.Add(int64(n))
 	s.hWriteNS.Observe(time.Since(start).Nanoseconds())
 	s.gCold.Set(s.coldBytes)
-	s.span("spill-write", start, name, n)
+	s.span("spill-write", start, victim, n)
 	return nil
 }
 
@@ -304,16 +316,16 @@ func (s *Store) takeBufLocked() *pageBuf {
 
 func (s *Store) giveBufLocked(b *pageBuf) { s.bufs = append(s.bufs, b) }
 
-// span records one page I/O on the trace. The node and size arguments are
-// built only when the sink traces — they outlive the call in its buffer —
-// so an untraced store allocates nothing here; an observer gets the span
-// either way.
-func (s *Store) span(name string, start time.Time, node string, bytes int) {
+// span records one page I/O of node id on the trace. The node and size
+// arguments are built only when the sink traces — they outlive the call in
+// its buffer — so an untraced store allocates nothing here; an observer
+// gets the span either way.
+func (s *Store) span(name string, start time.Time, id int, bytes int) {
 	if !s.tel.TracingEnabled() {
 		s.tel.Complete("stashstore", name, start)
 		return
 	}
-	args := []telemetry.Arg{telemetry.Str("node", node), telemetry.Int("bytes", int64(bytes))}
+	args := []telemetry.Arg{telemetry.Str("node", s.nameOf(id)), telemetry.Int("bytes", int64(bytes))}
 	s.tel.Complete("stashstore", name, start, args...)
 }
 
@@ -325,8 +337,12 @@ func (s *Store) span(name string, start time.Time, node string, bytes int) {
 // unspecified (the next encode rebuilds it).
 func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	s.mu.Lock()
-	if enc, ok := s.hot[id]; ok {
-		delete(s.hot, id)
+	if id < 0 || id >= len(s.hot) || s.hot[id] == nil && s.cold[id].enc == nil {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("stashstore: no stash stored for %q", s.nameOf(id))
+	}
+	if enc := s.hot[id]; enc != nil {
+		s.hot[id] = nil
 		s.hotBytes -= enc.Bytes()
 		s.st.Hits++
 		s.gHot.Set(s.hotBytes)
@@ -334,12 +350,8 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 		s.cHit.Inc()
 		return enc, nil
 	}
-	ref, ok := s.cold[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("stashstore: no stash stored for %q", s.nameOf(id))
-	}
-	delete(s.cold, id)
+	ref := s.cold[id]
+	s.cold[id] = coldRef{}
 	s.coldBytes -= int64(ref.n)
 	s.st.Misses++
 	s.gCold.Set(s.coldBytes)
@@ -348,9 +360,8 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	key := s.key
 	s.mu.Unlock()
 
-	name := s.nameOf(id)
 	start := time.Now()
-	err := s.readCold(pb, ref, id, name, key)
+	err := s.readCold(pb, ref, id, key)
 	s.mu.Lock()
 	s.giveBufLocked(pb)
 	if err == nil {
@@ -363,23 +374,26 @@ func (s *Store) Fetch(id int) (*encoding.EncodedStash, error) {
 	s.cMiss.Inc()
 	s.cRBytes.Add(int64(ref.n))
 	s.hReadNS.Observe(time.Since(start).Nanoseconds())
-	s.span("spill-read", start, name, ref.n)
+	s.span("spill-read", start, id, ref.n)
 	return ref.enc, nil
 }
 
 // readCold streams node id's page through pb, which holds its file
 // section, into the container it was spilled from; k keys the injector's
 // read-side page faults.
-func (s *Store) readCold(pb *pageBuf, ref coldRef, id int, name string, k faults.Key) error {
-	pb.fault = s.inj.PlanSpillPage(k, name, ref.n)
+func (s *Store) readCold(pb *pageBuf, ref coldRef, id int, k faults.Key) error {
+	pb.fault = faults.PageFault{}
+	if s.inj.Enabled() {
+		pb.fault = s.inj.PlanSpillPage(k, s.nameOf(id), ref.n)
+	}
 	r := encoding.NewWireReader(pb, 0, ref.n, pb.buf)
 	node, size, err := readPage(ref.enc, &r)
 	if err != nil {
-		return fmt.Errorf("stashstore: page for %q at offset %d: %w", name, ref.off, err)
+		return fmt.Errorf("stashstore: page for %q at offset %d: %w", s.nameOf(id), ref.off, err)
 	}
 	if node != id || size != ref.n {
 		return fmt.Errorf("stashstore: page for %q at offset %d: %w: holds node %d in %d of %d bytes",
-			name, ref.off, ErrCorruptPage, node, size, ref.n)
+			s.nameOf(id), ref.off, ErrCorruptPage, node, size, ref.n)
 	}
 	return nil
 }

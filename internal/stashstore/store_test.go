@@ -605,13 +605,21 @@ func TestConcurrentFetchHammer(t *testing.T) {
 // so one spills — and fetches both back allocates nothing. The page streams
 // from the container through a recycled page buffer into the file and back,
 // through the same buffer, into the container that was put; with no two
-// page I/Os in flight at once the store keeps exactly one such buffer.
+// page I/Os in flight at once the store keeps exactly one such buffer. An
+// unnamed store pays the same: it formats no node name unless an error, a
+// traced span or an enabled injector asks for one.
 func TestSpillRoundTripAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	for _, names := range [][]string{{"a", "b"}, nil} {
+		t.Run(fmt.Sprintf("names=%v", names), func(t *testing.T) { spillRoundTripAllocs(t, names) })
+	}
+}
+
+func spillRoundTripAllocs(t *testing.T, names []string) {
 	a, b := testStash(t, 1), testStash(t, 2)
-	s := New(Config{Budget: a.Bytes(), Dir: t.TempDir(), Priority: []int{1, 2}, Names: []string{"a", "b"}})
+	s := New(Config{Budget: a.Bytes(), Dir: t.TempDir(), Priority: []int{1, 2}, Names: names})
 	t.Cleanup(func() { _ = s.Close() })
 	step := func() {
 		s.BeginStep()

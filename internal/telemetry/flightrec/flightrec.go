@@ -20,6 +20,7 @@ package flightrec
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -81,8 +82,10 @@ func (r *Recorder) ObserveInstant(cat, name string, tsNS int64) {
 	r.record(&Event{Kind: "instant", TS: tsNS, Cat: cat, Name: name})
 }
 
-// ObserveMem implements telemetry.Observer.
+// ObserveMem implements telemetry.Observer. The event keeps its own copy
+// of the sample's rows.
 func (r *Recorder) ObserveMem(sm telemetry.MemSample, tsNS int64) {
+	sm.ByTech = slices.Clone(sm.ByTech)
 	r.record(&Event{Kind: "mem", TS: tsNS, Mem: &sm})
 }
 

@@ -203,7 +203,9 @@ type Sink struct {
 // Observer receives a live copy of every span, instant and memory sample
 // the sink records — the flight recorder's tap. Implementations must be
 // safe for concurrent use and must not call back into the sink.
-// Timestamps are nanoseconds since the sink's epoch.
+// Timestamps are nanoseconds since the sink's epoch. A memory sample's
+// ByTech rows belong to the code that recorded the sample and are valid
+// only during ObserveMem: an observer that keeps them copies them.
 type Observer interface {
 	ObserveSpan(cat, name string, startNS, durNS int64)
 	ObserveInstant(cat, name string, tsNS int64)
@@ -433,7 +435,8 @@ type MemSample struct {
 // (stash.<tech>.raw_bytes / .held_bytes, whose quotient is the measured
 // compression ratio), reaches the observer, and, when tracing, emits
 // Chrome counter events that render the timeline as a stacked area in
-// Perfetto.
+// Perfetto. The sink copies sm.ByTech into storage it owns, so the caller
+// may reuse the rows' backing array for its next sample.
 func (s *Sink) RecordMemSample(sm MemSample) {
 	if s == nil {
 		return
@@ -455,7 +458,9 @@ func (s *Sink) RecordMemSample(sm MemSample) {
 		c[0].Add(tb.RawBytes)
 		c[1].Add(tb.HeldBytes)
 	}
+	rows := append(s.lastMem.ByTech[:0], sm.ByTech...)
 	s.lastMem, s.memSeen = sm, true
+	s.lastMem.ByTech = rows
 	s.memMu.Unlock()
 
 	if ob := s.observer(); ob != nil {
@@ -475,13 +480,19 @@ func (s *Sink) RecordMemSample(sm MemSample) {
 	}
 }
 
-// LastMemSample returns the most recent memory sample, and false before
-// the first — the SSE stream reads it once per step.
+// LastMemSample returns a copy of the most recent memory sample (ByTech
+// nil when it has no rows), and false before the first — the SSE stream
+// reads it once per step.
 func (s *Sink) LastMemSample() (MemSample, bool) {
 	if s == nil {
 		return MemSample{}, false
 	}
 	s.memMu.Lock()
 	defer s.memMu.Unlock()
-	return s.lastMem, s.memSeen
+	sm := s.lastMem
+	sm.ByTech = nil
+	if len(s.lastMem.ByTech) > 0 {
+		sm.ByTech = append(sm.ByTech, s.lastMem.ByTech...)
+	}
+	return sm, s.memSeen
 }

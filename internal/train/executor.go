@@ -1147,6 +1147,7 @@ func (e *Executor) storeStash(n *graph.Node) error {
 type memAccum struct {
 	raw, held int64
 	byTech    map[string]telemetry.TechBytes
+	rows      []telemetry.TechBytes // the sample's ByTech, reused every step
 }
 
 func (m *memAccum) reset() {
@@ -1168,16 +1169,19 @@ func (m *memAccum) add(tech string, raw, held int64) {
 }
 
 // sample freezes the accumulator into a MemSample with deterministically
-// ordered technique rows.
+// ordered technique rows (nil when there are none). The rows live in the
+// accumulator until the next sample; the sink and its observer copy what
+// they keep.
 func (m *memAccum) sample(step int) telemetry.MemSample {
 	sm := telemetry.MemSample{Step: step, RawBytes: m.raw, HeldBytes: m.held}
-	if len(m.byTech) > 0 {
-		sm.ByTech = make([]telemetry.TechBytes, 0, len(m.byTech))
-	}
+	m.rows = m.rows[:0]
 	for _, tb := range m.byTech {
-		sm.ByTech = append(sm.ByTech, tb)
+		m.rows = append(m.rows, tb)
 	}
-	slices.SortFunc(sm.ByTech, func(a, b telemetry.TechBytes) int { return strings.Compare(a.Tech, b.Tech) })
+	slices.SortFunc(m.rows, func(a, b telemetry.TechBytes) int { return strings.Compare(a.Tech, b.Tech) })
+	if len(m.rows) > 0 {
+		sm.ByTech = m.rows
+	}
 	return sm
 }
 

@@ -25,13 +25,16 @@ func withCodec(t *testing.T, c encoding.Codec) {
 // TestParallelBackwardMatchesSerial is the executor-level determinism
 // property: encoded training with async decode and chunk-parallel codecs
 // produces step-for-step identical losses and bit-identical parameters to
-// the serial pipeline, for every worker count.
+// the serial pipeline, for every worker count — with the chunks running on
+// the pool's long-lived helpers.
 func TestParallelBackwardMatchesSerial(t *testing.T) {
 	const steps, mb = 6, 8
 	run := func(workers int) (losses []float64, exec *Executor) {
 		// Small chunks so the tiny net's 2048-element feature maps really
 		// split into multiple chunks.
-		encoding.SetDefaultCodec(encoding.Codec{Pool: parallel.NewPool(workers), ChunkElems: 768})
+		pool := parallel.NewPool(workers)
+		t.Cleanup(pool.Close)
+		encoding.SetDefaultCodec(encoding.Codec{Pool: pool, ChunkElems: 768})
 		g := smallNet(mb)
 		a := encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
 		e := NewExecutor(g, Options{Seed: 33, Encodings: a, Integrity: true})

@@ -143,8 +143,9 @@ func WithIntegrity() TrainerOption {
 // the backward pass overlaps with each layer's kernels draw on the same
 // budget. The trainer's codec is private — it does not touch the
 // process-wide default codec, so concurrently constructed trainers cannot
-// race on shared codec state. workers <= 0 draws from the process-shared
-// worker pool instead of a private one.
+// race on shared codec state. The private pool's helper goroutines stop at
+// Close. workers <= 0 draws from the process-shared worker pool instead of
+// a private one.
 func WithParallelism(workers int) TrainerOption {
 	return func(c *trainerConfig) { c.workers, c.hasWorkers = workers, true }
 }
@@ -231,6 +232,7 @@ func WithFaults(cfg FaultConfig) TrainerOption {
 type Trainer struct {
 	en        train.Engine // a replica group under WithReplicas/WithShards
 	codec     *encoding.Codec
+	workers   *parallel.Pool // the private pool WithParallelism built, or nil
 	closeOnce sync.Once
 }
 
@@ -266,7 +268,8 @@ func NewTrainer(g *Graph, options ...TrainerOption) *Trainer {
 	if cfg.hasWorkers || cfg.tel != nil {
 		codec := encoding.Codec{Tel: cfg.tel}
 		if cfg.workers > 0 {
-			codec.Pool = parallel.NewPool(cfg.workers)
+			t.workers = parallel.NewPool(cfg.workers)
+			codec.Pool = t.workers
 		}
 		t.codec = &codec
 	}
@@ -326,12 +329,18 @@ func (t *Trainer) RunContext(ctx context.Context, d *Dataset, cfg RunConfig) ([]
 // scaled by the shard count under WithReplicas/WithShards.
 func (t *Trainer) Minibatch() int { return t.en.Batch() }
 
-// Close releases the trainer's resources: replica workers shut down and
-// every pooled buffer the engine holds is recycled back to its pool.
+// Close releases the trainer's resources: replica workers shut down,
+// every pooled buffer the engine holds is recycled back to its pool, and
+// the private worker pool of WithParallelism stops its helpers.
 // Close is idempotent and safe to call from multiple goroutines
 // concurrently — pooled buffers are released exactly once, so a double
 // Close can never double-recycle (which the pool would reject by panic).
-func (t *Trainer) Close() { t.closeOnce.Do(t.en.Close) }
+func (t *Trainer) Close() {
+	t.closeOnce.Do(func() {
+		t.en.Close()
+		t.workers.Close()
+	})
+}
 
 // Executor exposes the underlying executor (replica 0's under
 // WithReplicas) for advanced use: checkpoints, parameter inspection,
