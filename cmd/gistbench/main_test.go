@@ -103,7 +103,8 @@ func TestRobustCrossChecksOK(t *testing.T) {
 // order is). It then runs robust under -technique adaptive, whose stashes
 // fall back from ZVC to dense DPR, at one and at four codec workers, and
 // requires the same output again, and realized, whose pooled training runs
-// read stashes as stored, twice at one codec worker and once at four.
+// read stashes as stored, twice at one codec worker and once at four, and
+// distributed, which trains replica groups, the same way.
 func TestExperimentsDeterministic(t *testing.T) {
 	csv := func(t *testing.T, args ...string) string {
 		t.Helper()
@@ -130,16 +131,18 @@ func TestExperimentsDeterministic(t *testing.T) {
 			t.Fatalf("-parallel 4 printed\n%s\n-parallel 1 printed\n%s", par, serial)
 		}
 	})
-	t.Run("realized-parallel", func(t *testing.T) {
-		if race.Enabled {
-			t.Skip("three pooled training sweeps take minutes under the race detector")
-		}
-		first := csv(t, "-experiment", "realized", "-parallel", "1")
-		if second := csv(t, "-experiment", "realized", "-parallel", "1"); second != first {
-			t.Fatalf("run 2 printed\n%s\nrun 1 printed\n%s", second, first)
-		}
-		if par := csv(t, "-experiment", "realized", "-parallel", "4"); par != first {
-			t.Fatalf("-parallel 4 printed\n%s\n-parallel 1 printed\n%s", par, first)
-		}
-	})
+	for _, id := range []string{"realized", "distributed"} {
+		t.Run(id+"-parallel", func(t *testing.T) {
+			if race.Enabled && id == "realized" {
+				t.Skip("three pooled training sweeps take minutes under the race detector")
+			}
+			first := csv(t, "-experiment", id, "-parallel", "1")
+			if second := csv(t, "-experiment", id, "-parallel", "1"); second != first {
+				t.Fatalf("run 2 printed\n%s\nrun 1 printed\n%s", second, first)
+			}
+			if par := csv(t, "-experiment", id, "-parallel", "4"); par != first {
+				t.Fatalf("-parallel 4 printed\n%s\n-parallel 1 printed\n%s", par, first)
+			}
+		})
+	}
 }

@@ -5,7 +5,8 @@ package server
 // against the server's global budget. The footprint of one executor is
 // the planner's shared-buffer total plus two weight-sized arrays
 // (parameters + momenta); a replica group multiplies that by the replica
-// count and adds the flat shard-gradient buffers the reduce holds.
+// count and adds the flat shard-gradient buffers the reduce holds — high by
+// N-1 weight pairs, as the replicas view the lead's parameters and momenta.
 //
 // Degradation walks the encoding ladder none → lossless → fp16 → fp10 →
 // fp8: each rung re-plans the job at a higher-compression Gist
@@ -92,8 +93,9 @@ func inputGeom(spec JobSpec) (channels, size int) {
 
 // footprint predicts the job's peak bytes at the given encoding: the
 // planner's shared-activation/stash total plus parameters and momenta,
-// scaled by the replica count, plus the shard-gradient flats the
-// all-reduce holds simultaneously.
+// scaled by the replica count (an upper bound: a group holds one copy of
+// the parameters and momenta, which its replicas view), plus the
+// shard-gradient flats the all-reduce holds simultaneously.
 //
 // A StashBudget moves the stash population (encoded pages and dense-packed
 // plain stashes alike) into the tiered store, whose hot tier is capped at

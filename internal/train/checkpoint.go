@@ -493,8 +493,9 @@ func (e *Executor) LoadCheckpointFile(path string) error {
 }
 
 // LoadCheckpointFile restores a checkpoint into every executor of the
-// engine, so the replicas of a group stay bit-equal, then aligns the
-// engine's step clock to the checkpoint's completed-step count.
+// engine — a group's parameters and momenta into the flats its replicas
+// view, each replica's batch-norm statistics and RNG into its own — then
+// aligns the engine's step clock to the checkpoint's completed-step count.
 func LoadCheckpointFile(en Engine, path string) error {
 	execs := en.Executors()
 	for _, e := range execs {

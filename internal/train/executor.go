@@ -44,11 +44,12 @@ type Options struct {
 	// reduction is not an option here but an analysis — Encodings from
 	// encoding.Analyze with a DPR format — that packs only stashed copies.
 	ForwardFormat floatenc.Format
-	// Encodings, when non-nil, is the analysis the executor carries out:
-	// every stash it assigns round-trips through the real encoder kernels
-	// (ZVC, packed DPR), or, a Binarize mask, is read
-	// as stored by its ReLU; every other stash aliases its forward output.
-	// Backward runs on its effective needs.
+	// Encodings is the analysis the executor carries out: every stash it
+	// assigns round-trips through the real encoder kernels (ZVC, packed
+	// DPR), or, a Binarize mask, is read as stored by its ReLU; every other
+	// stash aliases its forward output. Backward runs on its effective
+	// needs. Nil carries the empty analysis (encoding.Config{}), which
+	// assigns nothing and rewrites no need.
 	Encodings *encoding.Analysis
 	// Seed drives weight initialization and dropout.
 	Seed uint64
@@ -193,9 +194,13 @@ type Executor struct {
 	// their gradients and their momenta — laid out in graph-node order,
 	// then parameter order. params, grads and moms hold, per node ID, that
 	// node's tensors as views into them, so the update, the clip, a
-	// snapshot and the replica exchange each run over one flat.
+	// snapshot and the replica exchange each run over one flat. A replica
+	// of a ReplicaGroup (viewsLead) owns only its gradient flat: its
+	// params and moms are the lead executor's own views, which the lead
+	// alone updates, snapshots and restores.
 	paramFlat, gradFlat, momFlat []float32
 	params, grads, moms          [][]*tensor.Tensor
+	viewsLead                    bool
 	rng                          *tensor.RNG
 
 	// Per-step state, indexed by node ID (graph.Validate guarantees IDs
@@ -246,9 +251,9 @@ type Executor struct {
 	arena *stepArena
 
 	// needs holds, per node, the stashes its backward kernel reads at
-	// runtime: the encoding analysis' effective needs when the executor
-	// carries one — a MaxPool Binarize rewrote reads only its argmax map, a
-	// Binarize ReLU its mask — else the raw Op.Needs(). bwdReads is the static per-node
+	// runtime: the encoding analysis' effective needs — a MaxPool Binarize
+	// rewrote reads only its argmax map, a Binarize ReLU its mask; the raw
+	// Op.Needs() under the empty analysis. bwdReads is the static per-node
 	// count of backward reads of each node's stashed output under them (the
 	// consumers' X reads plus the node's own Y read) — the executor-level
 	// liveness the recycler drains. bwdLeft is the per-pass remaining
@@ -335,7 +340,19 @@ type Executor struct {
 
 // NewExecutor initializes parameters (He init for conv/FC weights, ones and
 // zeros for batch-norm scale/shift, zero biases).
-func NewExecutor(g *graph.Graph, opts Options) *Executor {
+func NewExecutor(g *graph.Graph, opts Options) *Executor { return newExecutor(g, opts, nil) }
+
+// newExecutor builds an executor over g. Given a lead, g is a clone of the
+// lead's graph and the executor trains the lead's model: it carries the
+// lead's analysis and its parameters and momenta are the lead's, so it
+// allocates and initializes no weight.
+func newExecutor(g *graph.Graph, opts Options, lead *Executor) *Executor {
+	switch {
+	case lead != nil:
+		opts.Encodings = lead.opts.Encodings
+	case opts.Encodings == nil:
+		opts.Encodings = encoding.Analyze(g, encoding.Config{})
+	}
 	e := &Executor{
 		G: g, opts: opts,
 		rng: tensor.NewRNG(opts.Seed),
@@ -400,10 +417,8 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		f.store, f.cdc, f.tel, f.sid, f.pos, f.node, f.shape = e.store, e.cdc, e.tel, n.ID, -1, n.Name, n.OutShape
 		f.enc, f.seal = &e.encSlots[n.ID], opts.Integrity || opts.Faults.Enabled()
 		e.aux[n.ID] = map[string]any{}
-		if opts.Encodings != nil {
-			e.assign[n.ID] = opts.Encodings.ByNode[n.ID]
-		}
-		if e.assign[n.ID] == nil && opts.StashBudget > 0 && stashedForBackward(e, n) {
+		e.assign[n.ID] = opts.Encodings.ByNode[n.ID]
+		if e.assign[n.ID] == nil && opts.StashBudget > 0 && opts.Encodings.OutputStashed(n) {
 			// Under a cap every stash is held in the store, so the cap
 			// covers every byte: an unassigned one is packed exactly.
 			e.assign[n.ID] = &encoding.Assignment{Node: n, Tech: encoding.DPR,
@@ -412,16 +427,13 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		if f.asStored = e.assign[n.ID] != nil && !e.assign[n.ID].NeedsDecode; f.asStored {
 			f.stored = new(encoding.StoredStash)
 		}
-		needs := n.Op.Needs()
-		if opts.Encodings != nil {
-			// A Binarize ReLU's Y need, which the analysis drops because
-			// the mask serves it, is a read of that container as stored.
-			needs = opts.Encodings.EffectiveNeeds(n)
-			needs.Y = needs.Y || (f.asStored && e.assign[n.ID].Tech == encoding.Binarize)
-		}
+		// A Binarize ReLU's Y need, which the analysis drops because the
+		// mask serves it, is a read of that container as stored.
+		needs := opts.Encodings.EffectiveNeeds(n)
+		needs.Y = needs.Y || (f.asStored && e.assign[n.ID].Tech == encoding.Binarize)
 		f.ownY = needs.Y
 		e.needs[n.ID] = needs
-		if opts.Encodings != nil && opts.Encodings.Config.Inplace {
+		if opts.Encodings.Config.Inplace {
 			e.inplaceY[n.ID], e.inplaceDX[n.ID] = graph.InplaceEligible(n), graph.GradInplaceEligible(n)
 			if e.inplaceY[n.ID] {
 				e.lent[n.Inputs[0].ID] = true
@@ -439,13 +451,14 @@ func NewExecutor(g *graph.Graph, opts Options) *Executor {
 		}
 	}
 	e.compileDecodeOrder()
-	e.initState()
+	e.initState(lead)
 	return e
 }
 
 // initState lays out the trainable state's three flats and initializes the
-// parameters in node order.
-func (e *Executor) initState() {
+// parameters in node order. Given a lead, it lays out the gradient flat
+// only and takes the lead's parameter and momentum views.
+func (e *Executor) initState(lead *Executor) {
 	nn := len(e.G.Nodes)
 	size := 0
 	for _, n := range e.G.Nodes {
@@ -453,8 +466,13 @@ func (e *Executor) initState() {
 			size += shape.NumElements()
 		}
 	}
-	e.paramFlat, e.gradFlat, e.momFlat = make([]float32, size), make([]float32, size), make([]float32, size)
-	e.params, e.grads, e.moms = make([][]*tensor.Tensor, nn), make([][]*tensor.Tensor, nn), make([][]*tensor.Tensor, nn)
+	e.gradFlat, e.grads = make([]float32, size), make([][]*tensor.Tensor, nn)
+	if lead != nil {
+		e.paramFlat, e.momFlat, e.params, e.moms, e.viewsLead = lead.paramFlat, lead.momFlat, lead.params, lead.moms, true
+	} else {
+		e.paramFlat, e.momFlat = make([]float32, size), make([]float32, size)
+		e.params, e.moms = make([][]*tensor.Tensor, nn), make([][]*tensor.Tensor, nn)
+	}
 	off := 0
 	for _, n := range e.G.Nodes {
 		for i, shape := range n.ParamShapes {
@@ -462,19 +480,21 @@ func (e *Executor) initState() {
 			view := func(flat []float32) *tensor.Tensor {
 				return &tensor.Tensor{Shape: shape.Clone(), Data: flat[off : off+k : off+k]}
 			}
-			p := view(e.paramFlat)
-			e.params[n.ID] = append(e.params[n.ID], p)
 			e.grads[n.ID] = append(e.grads[n.ID], view(e.gradFlat))
-			e.moms[n.ID] = append(e.moms[n.ID], view(e.momFlat))
-			off += k
-			switch {
-			case n.Kind() == layers.BatchNorm && i == 0:
-				p.Fill(1) // gamma
-			case n.Kind() == layers.BatchNorm && i == 1:
-				// beta stays zero
-			case i == 0:
-				p.FillHe(e.rng, k/shape[0])
+			if lead == nil {
+				p := view(e.paramFlat)
+				e.params[n.ID] = append(e.params[n.ID], p)
+				e.moms[n.ID] = append(e.moms[n.ID], view(e.momFlat))
+				switch {
+				case n.Kind() == layers.BatchNorm && i == 0:
+					p.Fill(1) // gamma
+				case n.Kind() == layers.BatchNorm && i == 1:
+					// beta stays zero
+				case i == 0:
+					p.FillHe(e.rng, k/shape[0])
+				}
 			}
+			off += k
 		}
 	}
 }
@@ -970,7 +990,7 @@ func (e *Executor) retire(n *graph.Node) {
 		e.inFlight = append(e.inFlight, n)
 		return
 	}
-	if stashedForBackward(e, n) {
+	if e.opts.Encodings.OutputStashed(n) {
 		e.StashBytes += out.Bytes()
 		e.mem.add("FP32", out.Bytes(), out.Bytes())
 	}
@@ -1201,15 +1221,6 @@ func (e *Executor) noteStashErr(err error) {
 		e.Robust.SpillReadFailures++
 		e.met.spillReadErr.Inc()
 	}
-}
-
-// stashedForBackward reports whether n's output has a backward reader,
-// under the encoding analysis when present.
-func stashedForBackward(e *Executor, n *graph.Node) bool {
-	if e.opts.Encodings != nil {
-		return e.opts.Encodings.OutputStashed(n)
-	}
-	return graph.OutputStashed(n)
 }
 
 // doneReading drains one backward read of node id's stash and recycles the
@@ -1504,9 +1515,7 @@ func (e *Executor) drainFutures() {
 // plain SGD on deeper ReLU stacks invites. The squared norm accumulates in
 // graph-node order: float addition is not associative, so a map-order walk
 // would make the clip scale (and therefore the updated weights) vary
-// run-to-run — and diverge across the replicas of a ReplicaGroup, which
-// rely on every replica computing the identical update from the identical
-// merged gradient.
+// run-to-run.
 func (e *Executor) ClipGradNorm(maxNorm float64) {
 	var sumSq float64
 	for _, v := range e.gradFlat {

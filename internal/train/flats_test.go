@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"gist/internal/bufpool"
+	"gist/internal/encoding"
+	"gist/internal/floatenc"
 	"gist/internal/graph"
+	"gist/internal/layers"
 	"gist/internal/networks"
 	"gist/internal/tensor"
 )
@@ -106,5 +109,49 @@ func TestReplicaStepTakesNoPooledBuffer(t *testing.T) {
 	}
 	if st := rg.Executor().ArenaStats(); st.Hits == 0 {
 		t.Fatalf("the lead executor never served a view from its arena: %+v", st)
+	}
+}
+
+// TestReplicasViewLeadState checks that a replica group trains one model:
+// every replica's parameter and momentum tensors are the lead's own views
+// (of the lead's flats), its gradients are its own, it carries the lead's
+// analysis, and its snapshot copies no flat — only its batch-norm
+// statistics and RNG, which stay per replica.
+func TestReplicasViewLeadState(t *testing.T) {
+	g := bnNet(2)
+	rg := NewReplicaGroup(g, Options{Seed: 1, Encodings: encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))},
+		ReplicaConfig{Replicas: 3})
+	defer rg.Close()
+	x, labels := NewDataset(4, 2, 8, 0.4, 2).Batch(rg.Batch())
+	rg.Step(x, labels, 0.05)
+
+	lead := rg.Executor()
+	if s := lead.Snapshot(); len(s.params) != len(lead.paramFlat) || len(s.moms) != len(lead.momFlat) {
+		t.Fatalf("the lead's snapshot holds %d/%d of its %d parameters/momenta", len(s.params), len(s.moms), len(lead.paramFlat))
+	}
+	for r, e := range rg.Executors()[1:] {
+		if e.opts.Encodings != lead.opts.Encodings {
+			t.Fatalf("replica %d carries its own analysis, not the lead's", r+1)
+		}
+		if &e.gradFlat[0] == &lead.gradFlat[0] {
+			t.Fatalf("replica %d accumulates into the lead's gradient flat", r+1)
+		}
+		for _, n := range g.Nodes {
+			for j := range lead.params[n.ID] {
+				if &e.params[n.ID][j].Data[0] != &lead.params[n.ID][j].Data[0] ||
+					&e.moms[n.ID][j].Data[0] != &lead.moms[n.ID][j].Data[0] {
+					t.Fatalf("replica %d: %s parameter %d or its momentum is not a view of the lead's flats", r+1, n.Name, j)
+				}
+			}
+		}
+		s := e.Snapshot()
+		if len(s.params) != 0 || len(s.moms) != 0 {
+			t.Fatalf("replica %d's snapshot copies %d parameters and %d momenta", r+1, len(s.params), len(s.moms))
+		}
+		for _, n := range g.Nodes {
+			if n.Kind() == layers.BatchNorm && len(s.bnMean[n.ID]) == 0 {
+				t.Fatalf("replica %d's snapshot lost %s's running statistics", r+1, n.Name)
+			}
+		}
 	}
 }

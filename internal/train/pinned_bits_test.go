@@ -60,9 +60,12 @@ func bnPinNet(mb, classes int) *graph.Graph {
 // over the 30 per-step loss bits, captured before the row-sweep convolution
 // and pooling kernels replaced the per-element loops. A change that moves them on purpose — a new
 // initializer, a different optimizer — re-captures them and says so; a
-// kernel optimization must not.
+// kernel optimization must not. The "/group" rows train a ReplicaGroup of
+// two replicas over four shards: the replica walls compare replica counts
+// with each other, so an update bug that moves every count alike passes
+// them; these rows do not.
 func TestTrainingBitsPinned(t *testing.T) {
-	const steps, classes, seed = 30, 8, 1
+	const classes = 8
 	nets := []struct {
 		name           string
 		g              func() *graph.Graph
@@ -74,50 +77,76 @@ func TestTrainingBitsPinned(t *testing.T) {
 		{"bn", func() *graph.Graph { return bnPinNet(4, classes) }, 3, 15},
 	}
 	want := map[string][2]uint64{
-		"tinyvgg/plain":   {0x483af6960f6b945f, 0x51ce8a9e315fc89a},
-		"tinyvgg/fp16":    {0xd297cb19e8c9788d, 0xafd60d518b0a8025},
-		"tinycnn/plain":   {0x23d30c79da546816, 0x1937cc652470fbb0},
-		"tinycnn/fp16":    {0x5c1c09f8dcf82392, 0x76f597d7673a5af4},
-		"pointwise/plain": {0x4420155468d43363, 0xd0d88fcb9763a5b0},
-		"pointwise/fp16":  {0xfd242d9e781f1def, 0x15bb4db918be41a6},
-		"bn/plain":        {0x888d9e7a4e775a05, 0xc00d15cdf0e22b07},
-		"bn/fp16":         {0xa9fbee03466c1d08, 0x94ae47ff31c4871e},
+		"tinyvgg/plain":       {0x483af6960f6b945f, 0x51ce8a9e315fc89a},
+		"tinyvgg/fp16":        {0xd297cb19e8c9788d, 0xafd60d518b0a8025},
+		"tinycnn/plain":       {0x23d30c79da546816, 0x1937cc652470fbb0},
+		"tinycnn/fp16":        {0x5c1c09f8dcf82392, 0x76f597d7673a5af4},
+		"pointwise/plain":     {0x4420155468d43363, 0xd0d88fcb9763a5b0},
+		"pointwise/fp16":      {0xfd242d9e781f1def, 0x15bb4db918be41a6},
+		"bn/plain":            {0x888d9e7a4e775a05, 0xc00d15cdf0e22b07},
+		"bn/fp16":             {0xa9fbee03466c1d08, 0x94ae47ff31c4871e},
+		"tinycnn/plain/group": {0xab35c64240cf963d, 0x4b17499be5c3e4f6},
+		"tinycnn/fp16/group":  {0xb24cf2d081b5a0bb, 0xe6e4aa7d6a75d015},
+		"bn/plain/group":      {0x168fc2040f51aa0f, 0x888a9ca4699313d4},
+		"bn/fp16/group":       {0xc607e7845cae791e, 0x852583ba9f70454c},
 	}
 	for _, n := range nets {
 		for _, scheme := range []string{"plain", "fp16"} {
-			name := n.name + "/" + scheme
-			t.Run(name, func(t *testing.T) {
-				g := n.g()
-				opts := Options{Seed: seed}
-				if scheme == "fp16" {
-					opts.Encodings = encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
+			for _, group := range []bool{false, true} {
+				name := n.name + "/" + scheme
+				if group {
+					name += "/group"
 				}
-				e := NewExecutor(g, opts)
-				d := NewDataset(classes, n.channels, n.size, 0.4, seed+1)
-				mb := g.InputNodes()[0].OutShape[0]
-				lossHash, weightHash := fnv.New64a(), fnv.New64a()
-				var last float64
-				for i := 0; i < steps; i++ {
-					x, labels := d.Batch(mb)
-					last, _ = e.Step(x, labels, 0.01)
-					lossHash.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(last)))
+				if _, ok := want[name]; !ok {
+					continue
 				}
-				if last == 0 || math.IsNaN(last) {
-					t.Fatalf("degenerate run (final loss %v) pins nothing", last)
-				}
-				for _, node := range g.Nodes {
-					for _, p := range e.Params(node) {
-						for _, v := range p.Data {
-							weightHash.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
-						}
-					}
-				}
-				got := [2]uint64{weightHash.Sum64(), lossHash.Sum64()}
-				if got != want[name] {
-					t.Fatalf("training bits moved: weights %#016x losses %#016x, pinned %#016x %#016x (final loss %v)",
-						got[0], got[1], want[name][0], want[name][1], last)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					pinTrainingBits(t, n.g(), scheme, group, n.channels, n.size, want[name])
+				})
+			}
 		}
+	}
+}
+
+// pinTrainingBits trains g for 30 steps, on one executor or on a group of
+// two replicas over four shards, and compares the weight and loss hashes
+// with want.
+func pinTrainingBits(t *testing.T, g *graph.Graph, scheme string, group bool, channels, size int, want [2]uint64) {
+	const steps, classes, seed = 30, 8, 1
+	opts := Options{Seed: seed}
+	if scheme == "fp16" {
+		opts.Encodings = encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))
+	}
+	var en Engine = NewExecutor(g, opts)
+	if group {
+		en = NewReplicaGroup(g, opts, ReplicaConfig{Replicas: 2, Shards: 4})
+	}
+	defer en.Close()
+	d := NewDataset(classes, channels, size, 0.4, seed+1)
+	lossHash, weightHash := fnv.New64a(), fnv.New64a()
+	var last float64
+	for i := 0; i < steps; i++ {
+		x, labels := d.Batch(en.Batch())
+		var err error
+		if last, _, err = en.TryStep(x, labels, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		lossHash.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(last)))
+	}
+	if last == 0 || math.IsNaN(last) {
+		t.Fatalf("degenerate run (final loss %v) pins nothing", last)
+	}
+	e := en.Executors()[0]
+	for _, node := range g.Nodes {
+		for _, p := range e.Params(node) {
+			for _, v := range p.Data {
+				weightHash.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+			}
+		}
+	}
+	got := [2]uint64{weightHash.Sum64(), lossHash.Sum64()}
+	if got != want {
+		t.Fatalf("training bits moved: weights %#016x losses %#016x, pinned %#016x %#016x (final loss %v)",
+			got[0], got[1], want[0], want[1], last)
 	}
 }

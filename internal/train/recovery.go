@@ -19,7 +19,7 @@ import (
 // Snapshot captures the executor state a training step mutates, so a
 // failed step can be rolled back and replayed bit-identically.
 type Snapshot struct {
-	params, moms  []float32   // copies of the executor's two flats
+	params, moms  []float32   // copies of the executor's two flats (none on a replica)
 	bnMean, bnVar [][]float32 // per node ID; empty means never allocated
 	rng           uint64
 }
@@ -33,10 +33,13 @@ func (e *Executor) Snapshot() *Snapshot {
 
 // snapshotInto refreshes s, a snapshot of this executor, in place: shapes
 // never change, so every array is reused and the run loop's per-step
-// refresh allocates nothing.
+// refresh allocates nothing. A replica copies no flat: its parameters and
+// momenta are the lead's.
 func (e *Executor) snapshotInto(s *Snapshot) {
-	s.params = append(s.params[:0], e.paramFlat...)
-	s.moms = append(s.moms[:0], e.momFlat...)
+	if !e.viewsLead {
+		s.params = append(s.params[:0], e.paramFlat...)
+		s.moms = append(s.moms[:0], e.momFlat...)
+	}
 	if s.bnMean == nil {
 		s.bnMean, s.bnVar = make([][]float32, len(e.G.Nodes)), make([][]float32, len(e.G.Nodes))
 	}
@@ -51,7 +54,8 @@ func (e *Executor) snapshotInto(s *Snapshot) {
 
 // Restore rewinds the executor to a snapshot taken on the same executor:
 // parameters, momenta, batch-norm statistics and the RNG stream. Gradients
-// are zeroed (a failed step may not have consumed them).
+// are zeroed (a failed step may not have consumed them). A replica's
+// snapshot holds no flat, so it copies none over the lead's.
 func (e *Executor) Restore(s *Snapshot) {
 	copy(e.paramFlat, s.params)
 	copy(e.momFlat, s.moms)

@@ -1,9 +1,10 @@
 package train
 
 // The data-parallel replica engine. A ReplicaGroup runs N executor
-// replicas of one graph and splits every training step's minibatch across
+// replicas of one model and splits every training step's minibatch across
 // them, merging the shard gradients with the deterministic tree reduce in
-// internal/reduce and applying the identical update on every replica.
+// internal/reduce and applying the update once, on the lead executor whose
+// parameters and momenta every replica views.
 //
 // The determinism unit is the micro-shard, not the replica: a group with S
 // shards always cuts the step's minibatch into the same S fixed pieces
@@ -23,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"gist/internal/encoding"
 	"gist/internal/faults"
 	"gist/internal/graph"
 	"gist/internal/reduce"
@@ -53,15 +53,12 @@ type ReplicaConfig struct {
 	MaxRetries int
 }
 
-// Worker phases (sent over each replica worker's command channel).
-const (
-	phaseCompute = iota + 1
-	phaseUpdate
-)
-
-// ReplicaGroup is N data-parallel executor replicas stepping in lockstep.
-// Replica 0 owns the caller's graph; the others own clones (fresh operator
-// state, identically seeded weights). All replicas share the group's
+// ReplicaGroup is N data-parallel executor replicas training one model.
+// Replica 0, the lead, owns the caller's graph, the encoding analysis and
+// the parameters and momenta; every other replica runs on a clone of the
+// graph (its own batch-norm running statistics) with its own gradient
+// flat, step arena and stash store, and reads the lead's analysis and
+// views the lead's parameters and momenta. All replicas share the group's
 // buffer pool (each accounts its step arena there), codec, telemetry sink
 // and fault injector. Not safe for concurrent Step calls; each group is
 // one training loop.
@@ -92,10 +89,11 @@ type ReplicaGroup struct {
 	shardFail []error
 
 	labels []int
-	lr     float32
 	step   int
 
-	cmds      []chan int
+	// cmds wakes each replica worker for its share of a step; wg counts the
+	// shares in flight and, at Close, the workers' exits.
+	cmds      []chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
@@ -115,12 +113,11 @@ type ReplicaGroup struct {
 }
 
 // NewReplicaGroup builds a group of cfg.Replicas executors over g with the
-// given executor options. Replicas beyond the first run on clones of g so
-// mutable operator state (batch-norm running statistics) is never shared;
-// when opts.Encodings is set, each clone gets its own analysis of the same
-// configuration, which assigns identical encodings (same IDs, shapes and
-// techniques). All replicas are seeded identically, so their weights start
-// — and, fed identical merged gradients, remain — bit-equal.
+// given executor options. The lead is NewExecutor(g, opts); replicas beyond
+// it run on clones of g, so mutable operator state (batch-norm running
+// statistics) is never shared, and carry the lead's analysis — node IDs
+// and shapes are the clone's too — and views of its parameter and
+// momentum flats, so they allocate and initialize no weight.
 func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGroup {
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
@@ -151,12 +148,7 @@ func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGr
 	rg.execs = make([]*Executor, cfg.Replicas)
 	rg.execs[0] = NewExecutor(g, opts)
 	for r := 1; r < cfg.Replicas; r++ {
-		ropts := opts
-		gr := g.Clone()
-		if opts.Encodings != nil {
-			ropts.Encodings = encoding.Analyze(gr, opts.Encodings.Config)
-		}
-		rg.execs[r] = NewExecutor(gr, ropts)
+		rg.execs[r] = newExecutor(g.Clone(), opts, rg.execs[0])
 	}
 
 	in := g.InputNodes()
@@ -198,9 +190,9 @@ func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGr
 	rg.busyNS = make([]int64, cfg.Replicas)
 
 	if cfg.Replicas > 1 {
-		rg.cmds = make([]chan int, cfg.Replicas)
+		rg.cmds = make([]chan struct{}, cfg.Replicas)
 		for r := range rg.cmds {
-			rg.cmds[r] = make(chan int)
+			rg.cmds[r] = make(chan struct{})
 			go rg.worker(r)
 		}
 	}
@@ -208,33 +200,26 @@ func NewReplicaGroup(g *graph.Graph, opts Options, cfg ReplicaConfig) *ReplicaGr
 }
 
 // worker is replica r's persistent goroutine: it parks on the command
-// channel between phases, so steady-state steps spawn nothing.
+// channel between steps, so steady-state steps spawn nothing, and counts
+// its exit on wg when Close closes the channel.
 func (rg *ReplicaGroup) worker(r int) {
-	for ph := range rg.cmds[r] {
-		switch ph {
-		case phaseCompute:
-			rg.computeReplica(r)
-		case phaseUpdate:
-			rg.updateReplica(r)
-		}
+	for range rg.cmds[r] {
+		rg.computeReplica(r)
 		rg.wg.Done()
 	}
+	rg.wg.Done()
 }
 
-// runPhase drives every replica through one phase and waits for all of
-// them — the step's barrier points.
-func (rg *ReplicaGroup) runPhase(ph int) {
+// compute runs every replica's share of the step's shards and waits for
+// all of them — the step's one barrier.
+func (rg *ReplicaGroup) compute() {
 	if len(rg.cmds) == 0 {
-		if ph == phaseCompute {
-			rg.computeReplica(0)
-		} else {
-			rg.updateReplica(0)
-		}
+		rg.computeReplica(0)
 		return
 	}
 	rg.wg.Add(len(rg.cmds))
 	for _, c := range rg.cmds {
-		c <- ph
+		c <- struct{}{}
 	}
 	rg.wg.Wait()
 }
@@ -291,17 +276,6 @@ func (rg *ReplicaGroup) runShard(r, s int) {
 	}
 }
 
-// updateReplica applies the identical merged-gradient update on replica r.
-// Every replica imports the same bytes and runs the same deterministic
-// clip+SGD over identical parameters and momenta, so the replicas stay in
-// bitwise lockstep without ever copying weights.
-func (rg *ReplicaGroup) updateReplica(r int) {
-	e := rg.execs[r]
-	e.importGrads(rg.gradBufs[0])
-	e.ClipGradNorm(5)
-	e.SGD(rg.lr, 0.9, 1e-4)
-}
-
 // exportGrads copies the executor's gradient flat into dst, then zeroes it
 // so the replica's next shard starts clean (backward accumulates; the
 // single-executor path relies on SGD for this zeroing).
@@ -310,14 +284,12 @@ func (e *Executor) exportGrads(dst []float32) {
 	e.zeroGrads()
 }
 
-// importGrads loads a gradient flat into the executor's.
-func (e *Executor) importGrads(src []float32) { copy(e.gradFlat, src) }
-
 // SetContext binds a context to the group's step loop. TryStep polls it at
 // step entry and before every shard attempt, so cancellation or deadline
-// expiry aborts the step within one shard's latency: the merge and update
-// phases are skipped, and the error wraps the context's error (test with errors.Is). A nil ctx
-// unbinds. Not safe to call concurrently with a step in flight.
+// expiry aborts the step within one shard's latency: the merge and the
+// update are skipped, and the error wraps the context's error (test with
+// errors.Is). A nil ctx unbinds. Not safe to call concurrently with a step
+// in flight.
 func (rg *ReplicaGroup) SetContext(ctx context.Context) { rg.ctx = ctx }
 
 // ctxErr reports the bound context's cancellation state (nil when unbound).
@@ -343,8 +315,9 @@ func (rg *ReplicaGroup) Shards() int { return rg.cfg.Shards }
 func (rg *ReplicaGroup) Executor() *Executor { return rg.execs[0] }
 
 // Executors returns every replica's executor in replica order. Resuming a
-// checkpointed group loads the same checkpoint into each one, so the
-// replicas stay bit-equal.
+// checkpointed group loads the checkpoint into each one: the parameters and
+// momenta into the flats they all view, and each replica's batch-norm
+// statistics and RNG into its own.
 func (rg *ReplicaGroup) Executors() []*Executor { return rg.execs }
 
 // SetResumeStep aligns the group's internal step counter (the per-shard
@@ -363,8 +336,8 @@ func (rg *ReplicaGroup) SetResumeStep(n int) {
 func (rg *ReplicaGroup) ResumeStep() int { return rg.execs[0].ResumeStep() }
 
 // SetSparsityProbe arms per-step ReLU sparsity capture on every replica
-// (ReLUSparsities reports replica 0's view — every replica sees the same
-// distributions in expectation, and probe consumers plot trends).
+// (ReLUSparsities reports the view of the replica that ran the step's last
+// shard).
 func (rg *ReplicaGroup) SetSparsityProbe(on bool) {
 	for _, e := range rg.execs {
 		e.SetSparsityProbe(on)
@@ -389,7 +362,8 @@ func (rg *ReplicaGroup) armShards(x *tensor.Tensor) {
 
 // TryStep runs one data-parallel training step over a Shards x graph-batch
 // minibatch: shard forward/backward on the replicas, deterministic tree
-// reduce of the shard gradients, identical clip+SGD on every replica. The
+// reduce of the shard gradients, then one clip+SGD on the lead, whose
+// parameters and momenta every replica views. The
 // returned loss is the mean over the step's shards (the same per-sample
 // mean a single executor reports) and errs the summed top-1 errors.
 //
@@ -412,9 +386,8 @@ func (rg *ReplicaGroup) TryStep(x *tensor.Tensor, labels []int, lr float32) (los
 	rg.inj.BeginStep(rg.step)
 	rg.armShards(x)
 	rg.labels = labels
-	rg.lr = lr
 
-	rg.runPhase(phaseCompute)
+	rg.compute()
 
 	var failed error
 	for s := range rg.shardFail {
@@ -454,8 +427,12 @@ func (rg *ReplicaGroup) TryStep(x *tensor.Tensor, labels []int, lr float32) (los
 		}
 		rg.stragglerNS.Set(maxB - minB)
 	}
-	// Shard 0 carries the merged gradient through the update phase.
-	rg.runPhase(phaseUpdate)
+	// Shard 0 carries the merged gradient. The replicas are parked at the
+	// barrier, so the lead updates the flats they view alone.
+	lead := rg.execs[0]
+	copy(lead.gradFlat, rg.gradBufs[0])
+	lead.ClipGradNorm(5)
+	lead.SGD(lr, 0.9, 1e-4)
 	return loss, errs, nil
 }
 
@@ -486,19 +463,18 @@ func (rg *ReplicaGroup) Eval(x *tensor.Tensor, labels []int) (loss float64, erro
 	return loss / float64(rg.cfg.Shards), errors
 }
 
-// Close shuts the replica workers down and promptly returns every
-// replica's step arena to the pool. Idempotent and safe to call from
-// multiple goroutines concurrently — exactly one caller performs the
-// shutdown, and a double Close never double-releases a pooled buffer. The
-// group must not be stepped after (or concurrently with) Close.
+// Close shuts the replica workers down, waits for them to exit, and
+// promptly returns every replica's step arena to the pool. Idempotent and
+// safe to call from multiple goroutines concurrently — exactly one caller
+// performs the shutdown, and a double Close never double-releases a pooled
+// buffer. The group must not be stepped after (or concurrently with) Close.
 func (rg *ReplicaGroup) Close() {
 	rg.closeOnce.Do(func() {
+		rg.wg.Add(len(rg.cmds))
 		for _, c := range rg.cmds {
 			close(c)
 		}
-		// Workers only run between runPhase barriers, so after the step
-		// loop stops they are parked (or exiting) and each executor's
-		// arena is safe to release from here.
+		rg.wg.Wait()
 		for _, e := range rg.execs {
 			e.Close()
 		}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -461,4 +463,42 @@ func TestReplicaSharedInjectorLogIsOrderFree(t *testing.T) {
 			t.Errorf("%s: recovery counters %+v, at 1 replica and 1 worker %+v", what, robust, wantRobust)
 		}
 	}
+}
+
+// TestReplicaGroupCloseWaitsForWorkers checks that Close returns only once
+// the replica workers have exited: right after it, and after the private
+// codec pool's Close, the goroutine count is back at its level before the
+// group was built — read once, with no polling.
+func TestReplicaGroupCloseWaitsForWorkers(t *testing.T) {
+	base := runningGoroutines()
+	pool := parallel.NewPool(2)
+	g := networks.TinyCNN(2, 4)
+	rg := NewReplicaGroup(g, Options{Seed: 1, Codec: &encoding.Codec{Pool: pool},
+		Encodings: encoding.Analyze(g, encoding.LossyLossless(floatenc.FP16))}, ReplicaConfig{Replicas: 3})
+	d := NewDataset(4, 3, 16, 0.3, 7)
+	for i := 0; i < 2; i++ {
+		x, labels := d.Batch(rg.Batch())
+		rg.Step(x, labels, 0.05)
+	}
+	rg.Close()
+	pool.Close()
+	if got := runningGoroutines(); got != base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before the group\n%s", got, base, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// runningGoroutines counts the goroutines still in a function of their own.
+// A worker that has signalled its exit and returned may still be counted
+// by runtime.NumGoroutine while its stack holds only the runtime's exit
+// path (runtime.goexit1), so such a goroutine is left out.
+func runningGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, st := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if _, frames, _ := strings.Cut(st, "\n"); !strings.HasPrefix(frames, "runtime.goexit") {
+			n++
+		}
+	}
+	return n
 }
