@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short profile-stash fma-audit cover loc check
+.PHONY: build test vet fmt race race-hot soak soak-short fuzz fuzz-stash bench bench-parallel metrics-bench allocs bench-gate bench-gate-short profile-stash profile-serve fma-audit cover loc check
 
 build:
 	$(GO) build ./...
@@ -148,6 +148,18 @@ profile-stash:
 	$(GO) tool pprof -top -nodecount 20 "$$dir/gist.test" "$$dir/cpu.prof" && \
 	echo "profile-stash: binary and profile in $$dir"
 
+# Allocation profile of a served step: BenchmarkServedStep drains jobs
+# through Submit and Subscribe with every allocation sampled, then pprof's
+# 25 heaviest allocation sites by object count. The test binary and the
+# profile go to a fresh directory under $TMPDIR, never into the checkout;
+# the last line names it, for `go tool pprof` views beyond -top.
+profile-serve:
+	@dir=$$(mktemp -d "$${TMPDIR:-/tmp}/gist-profile.XXXXXX") && \
+	$(GO) test -run TestXXX -bench 'BenchmarkServedStep$$' -benchtime 20x -memprofilerate 1 \
+		-o "$$dir/server.test" -memprofile "$$dir/mem.prof" ./internal/server/ | grep ServedStep && \
+	$(GO) tool pprof -top -nodecount 25 -sample_index alloc_objects "$$dir/server.test" "$$dir/mem.prof" && \
+	echo "profile-serve: binary and profile in $$dir"
+
 # Fused multiply-add audit (ROADMAP item 12): the Go spec lets a compiler
 # fuse x*y + z into one instruction, and arm64, ppc64le and riscv64 do, so
 # an unfused amd64 bit pattern would not reproduce there. Every product
@@ -196,7 +208,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22156
+LOC_CEILING ?= 22281
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

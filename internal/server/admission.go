@@ -13,6 +13,10 @@ package server
 // configuration, trading activation precision for footprint, exactly the
 // paper's lossless/lossy spectrum. A job that opted in (AllowDegrade) is
 // re-planned down the ladder before being queued or rejected.
+//
+// A rung's price is a pure function of (spec, rung), so a job prices each
+// rung at most once: its prices table builds the graph on first use and
+// keeps one footprint per rung, and a queued job's re-plans are lookups.
 
 import (
 	"fmt"
@@ -26,7 +30,7 @@ import (
 
 // ladder is the degradation order: each rung compresses stashes harder
 // than the previous one.
-var ladder = []string{"none", "lossless", "fp16", "fp10", "fp8"}
+var ladder = [...]string{"none", "lossless", "fp16", "fp10", "fp8"}
 
 // ladderIndex returns the rung of an encoding name, or -1.
 func ladderIndex(name string) int {
@@ -91,11 +95,12 @@ func inputGeom(spec JobSpec) (channels, size int) {
 	return 3, 16
 }
 
-// footprint predicts the job's peak bytes at the given encoding: the
-// planner's shared-activation/stash total plus parameters and momenta,
-// scaled by the replica count (an upper bound: a group holds one copy of
-// the parameters and momenta, which its replicas view), plus the
-// shard-gradient flats the all-reduce holds simultaneously.
+// footprintOf predicts the job's peak bytes at encoding cfg over g, the
+// spec's graph: the planner's shared-activation/stash total plus
+// parameters and momenta, scaled by the replica count (an upper bound: a
+// group holds one copy of the parameters and momenta, which its replicas
+// view), plus the shard-gradient flats the all-reduce holds
+// simultaneously.
 //
 // A StashBudget moves the stash population (encoded pages and dense-packed
 // plain stashes alike) into the tiered store, whose hot tier is capped at
@@ -103,15 +108,7 @@ func inputGeom(spec JobSpec) (channels, size int) {
 // therefore subtracts the over-budget stash excess from the prediction,
 // floored at the non-spillable residue (weights, momenta and the hot tier
 // itself) — a spilling job admits smaller, which is the whole point.
-func footprint(spec JobSpec, encName string) (int64, error) {
-	cfg, err := jobConfig(spec, encName)
-	if err != nil {
-		return 0, err
-	}
-	g, err := buildNet(spec)
-	if err != nil {
-		return 0, err
-	}
+func footprintOf(spec JobSpec, g *graph.Graph, cfg encoding.Config) (int64, error) {
 	plan, err := core.Build(core.Request{Graph: g, Encodings: cfg})
 	if err != nil {
 		return 0, err
@@ -142,25 +139,61 @@ func footprint(spec JobSpec, encName string) (int64, error) {
 	return fp, nil
 }
 
+// prices is one job's admission price table: its graph, built on the first
+// rung priced, and the footprint of every rung priced so far. Not safe for
+// concurrent use; a queued job's table is used under the server's lock.
+type prices struct {
+	spec   JobSpec
+	g      *graph.Graph
+	fp     [len(ladder)]int64
+	priced [len(ladder)]bool
+}
+
+// price returns the footprint of the spec at ladder[rung], computing it
+// at most once. The rung's configuration is checked before the graph is
+// built, so a spec with a bad technique and a bad network reports the
+// technique.
+func (p *prices) price(rung int) (int64, error) {
+	if p.priced[rung] {
+		return p.fp[rung], nil
+	}
+	cfg, err := jobConfig(p.spec, ladder[rung])
+	if err != nil {
+		return 0, err
+	}
+	if p.g == nil {
+		if p.g, err = buildNet(p.spec); err != nil {
+			return 0, err
+		}
+	}
+	fp, err := footprintOf(p.spec, p.g, cfg)
+	if err != nil {
+		return 0, err
+	}
+	p.fp[rung], p.priced[rung] = fp, true
+	return fp, nil
+}
+
 // planAdmission finds the least-degraded encoding (starting at startEnc's
-// rung) whose footprint fits limit. Without AllowDegrade only startEnc is
-// considered. Returns the chosen encoding and its footprint, or ok=false
-// with startEnc's footprint when nothing fits.
-func planAdmission(spec JobSpec, startEnc string, limit int64) (encName string, fp int64, ok bool, err error) {
+// rung) whose footprint fits limit, pricing rungs through the job's table.
+// Without AllowDegrade only startEnc is considered. Returns the chosen
+// encoding and its footprint, or ok=false with startEnc's footprint when
+// nothing fits.
+func planAdmission(p *prices, startEnc string, limit int64) (encName string, fp int64, ok bool, err error) {
 	start := ladderIndex(startEnc)
 	if start < 0 {
 		return "", 0, false, fmt.Errorf("server: unknown encoding %q", startEnc)
 	}
-	requested, err := footprint(spec, startEnc)
+	requested, err := p.price(start)
 	if err != nil {
 		return "", 0, false, err
 	}
 	if requested <= limit {
 		return startEnc, requested, true, nil
 	}
-	if spec.AllowDegrade {
+	if p.spec.AllowDegrade {
 		for i := start + 1; i < len(ladder); i++ {
-			fp, err := footprint(spec, ladder[i])
+			fp, err := p.price(i)
 			if err != nil {
 				return "", 0, false, err
 			}

@@ -20,6 +20,7 @@ package server
 // the queue-position backoff hint; rejected ones answer 409.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -154,7 +155,9 @@ func (s *Server) handleJobTelemetry(w http.ResponseWriter, r *http.Request) {
 // handleStream renders a job's step stream as Server-Sent Events: one
 // "step" event per completed step, then one final "state" event with the
 // terminal status. Slow consumers lose step events (counted under
-// server.sse.dropped), never the final state.
+// server.sse.dropped), never the final state. Each stream renders every
+// frame through one buffer and one JSON encoder, and receives every step
+// event into one StreamEvent, so a step frame allocates nothing.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sub, err := s.Subscribe(id, 0)
@@ -174,22 +177,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// send writes "event: <name>\ndata: <JSON>\n\n": Encode ends the JSON
+	// with the first of the two newlines.
 	send := func(event string, v any) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
+		buf.Reset()
+		buf.WriteString("event: ")
+		buf.WriteString(event)
+		buf.WriteString("\ndata: ")
+		if err := enc.Encode(v); err != nil {
 			return false
 		}
-		if _, err := w.Write([]byte("event: " + event + "\ndata: " + string(b) + "\n\n")); err != nil {
+		buf.WriteByte('\n')
+		if _, err := w.Write(buf.Bytes()); err != nil {
 			return false
 		}
 		fl.Flush()
 		return true
 	}
 
+	var ev StreamEvent
 	for {
 		select {
-		case ev := <-sub.C:
-			if !send("step", ev) {
+		case ev = <-sub.C:
+			if !send("step", &ev) {
 				return
 			}
 		case <-sub.Done:
@@ -197,8 +209,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// then close with the final status.
 			for {
 				select {
-				case ev := <-sub.C:
-					if !send("step", ev) {
+				case ev = <-sub.C:
+					if !send("step", &ev) {
 						return
 					}
 					continue

@@ -11,6 +11,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -342,5 +344,66 @@ func TestNoFlightRecorderWithoutDir(t *testing.T) {
 	}
 	if n := s.DumpFlightRecords("sigquit"); n != 0 {
 		t.Fatalf("dumps written with no FlightRecDir: %d", n)
+	}
+}
+
+// TestSSEFramesPinned pins the stream's wire bytes: one step frame for a
+// fixed StreamEvent and the terminal state frame of a fixed job, captured
+// from the Marshal-and-concatenate renderer the stream used before it kept
+// one buffer and one encoder per stream. The strings carry characters JSON
+// escapes for HTML, so the encoder's escaping is pinned too.
+func TestSSEFramesPinned(t *testing.T) {
+	const want = "event: step\ndata: {\"job\":\"j0042\",\"step\":7,\"loss\":0.6931471805599453," +
+		"\"step_ns\":1234567,\"raw_bytes\":6400,\"held_bytes\":1800,\"ratio\":3.5555555555555554," +
+		"\"state\":\"running\",\"reason\":\"a\\u003cb\\u0026c\\u003e\"}\n\n" +
+		"event: state\ndata: {\"id\":\"j0042\",\"spec\":{\"name\":\"pin\\u003c\\u0026\\u003e\"," +
+		"\"tenant\":\"acme\",\"network\":\"tinycnn\",\"classes\":4,\"batch\":8,\"steps\":50,\"lr\":0.05," +
+		"\"seed\":0,\"encoding\":\"none\",\"allow_degrade\":true,\"technique\":\"zvc\",\"shards\":1," +
+		"\"deadline_ms\":0,\"checkpoint_every\":0,\"max_retries\":0,\"stash_budget\":4096}," +
+		"\"state\":\"completed\",\"reason\":\"done \\u003cok\\u003e \\u0026 fine\",\"encoding\":\"fp16\"," +
+		"\"degraded\":true,\"footprint_bytes\":1234567,\"step\":7,\"loss\":\"0.6931\"," +
+		"\"checkpoint\":\"/ckpt/j0042.ckpt\",\"submitted\":\"2026-01-02T03:04:05.0000006Z\"}\n\n"
+
+	s := newTestServer(t, Config{})
+	j := &job{
+		id: "j0042", seq: 42, state: StateRunning, enc: "fp16", footprint: 1234567,
+		spec: JobSpec{Name: "pin<&>", Tenant: "acme", AllowDegrade: true,
+			Technique: "zvc", StashBudget: 4096}.withDefaults(),
+		submitted: time.Date(2026, 1, 2, 3, 4, 5, 600, time.UTC),
+		tel:       telemetry.New(),
+		done:      make(chan struct{}),
+		ckpt:      "/ckpt/j0042.ckpt",
+	}
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.mu.Unlock()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// The handler subscribes before it sends the response headers.
+	resp, err := http.Get(ts.URL + "/jobs/" + j.id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	ev := StreamEvent{Job: j.id, Step: 7, Loss: 0.6931471805599453, StepNS: 1234567,
+		RawBytes: 6400, HeldBytes: 1800, Ratio: 6400.0 / 1800, State: StateRunning, Reason: "a<b&c>"}
+	j.subMu.Lock()
+	if len(j.subs) != 1 {
+		t.Fatalf("%d subscribers, want the handler's 1", len(j.subs))
+	}
+	for sub := range j.subs {
+		sub.ch <- ev
+	}
+	j.subMu.Unlock()
+	j.step.Store(7)
+	j.lossBits.Store(math.Float64bits(0.6931471805599453))
+	j.setState(StateCompleted, "done <ok> & fine")
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != want {
+		t.Fatalf("SSE frames differ from the pinned bytes:\n got %q\nwant %q", body, want)
 	}
 }

@@ -110,10 +110,10 @@ func (s *Server) publishStep(j *job, step int, loss float64) {
 	if prev != 0 {
 		ev.StepNS = now - prev
 	}
-	if sm, ok := j.tel.LastMemSample(); ok {
-		ev.RawBytes, ev.HeldBytes = sm.RawBytes, sm.HeldBytes
-		if sm.HeldBytes > 0 {
-			ev.Ratio = float64(sm.RawBytes) / float64(sm.HeldBytes)
+	if raw, held, ok := j.tel.LastMemTotals(); ok {
+		ev.RawBytes, ev.HeldBytes = raw, held
+		if held > 0 {
+			ev.Ratio = float64(raw) / float64(held)
 		}
 	}
 	j.subMu.Lock()

@@ -481,8 +481,9 @@ func (s *Sink) RecordMemSample(sm MemSample) {
 }
 
 // LastMemSample returns a copy of the most recent memory sample (ByTech
-// nil when it has no rows), and false before the first — the SSE stream
-// reads it once per step.
+// nil when it has no rows, else a fresh copy of them), and false before
+// the first. A reader of the totals alone calls LastMemTotals, which
+// copies nothing.
 func (s *Sink) LastMemSample() (MemSample, bool) {
 	if s == nil {
 		return MemSample{}, false
@@ -495,4 +496,16 @@ func (s *Sink) LastMemSample() (MemSample, bool) {
 		sm.ByTech = append(sm.ByTech, s.lastMem.ByTech...)
 	}
 	return sm, s.memSeen
+}
+
+// LastMemTotals returns the raw and held bytes of the most recent memory
+// sample, and false before the first. It allocates nothing: the SSE stream
+// reads it once per step.
+func (s *Sink) LastMemTotals() (raw, held int64, ok bool) {
+	if s == nil {
+		return 0, 0, false
+	}
+	s.memMu.Lock()
+	defer s.memMu.Unlock()
+	return s.lastMem.RawBytes, s.lastMem.HeldBytes, s.memSeen
 }

@@ -168,3 +168,27 @@ func BenchmarkTelemetryLive(b *testing.B) {
 		h.Observe(int64(i))
 	}
 }
+
+// TestLastMemTotals: the totals accessor reads the newest sample's raw and
+// held bytes without copying its rows, and reports no sample before the
+// first (or on a nil sink).
+func TestLastMemTotals(t *testing.T) {
+	var nilSink *Sink
+	if _, _, ok := nilSink.LastMemTotals(); ok {
+		t.Fatal("nil sink cannot hold a memory sample")
+	}
+	s := New()
+	if _, _, ok := s.LastMemTotals(); ok {
+		t.Fatal("totals before the first sample")
+	}
+	for step := 1; step <= 2; step++ {
+		s.RecordMemSample(MemSample{Step: step, RawBytes: int64(6400 * step), HeldBytes: int64(1800 * step),
+			ByTech: []TechBytes{{Tech: "DPR", RawBytes: 6400, HeldBytes: 1800}}})
+	}
+	if raw, held, ok := s.LastMemTotals(); !ok || raw != 12800 || held != 3600 {
+		t.Fatalf("totals = (%d, %d, %v), want (12800, 3600, true)", raw, held, ok)
+	}
+	if a := testing.AllocsPerRun(10, func() { s.LastMemTotals() }); a != 0 {
+		t.Fatalf("LastMemTotals allocates %v times", a)
+	}
+}

@@ -21,6 +21,7 @@ package train
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gist/internal/graph"
 	"gist/internal/layers"
@@ -364,56 +366,48 @@ func commitSection(nodes []ckptNode, state [][]*tensor.Tensor) {
 // the same shapes. The whole stream is verified, parsed and validated
 // before any executor state changes, so a failed load leaves the executor
 // untouched.
-func (e *Executor) LoadCheckpoint(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	if err := VerifyCheckpoint(data); err != nil {
-		return err
-	}
-	body := &cpReader{data: data[:len(data)-4], off: 8}
-	params, err := e.parseSection(body, e.params, true)
-	if err != nil {
-		return err
-	}
-	moms, err := e.parseSection(body, e.moms, false)
-	if err != nil {
-		return err
-	}
-	rngState, err := body.u64()
-	if err != nil {
-		return err
-	}
-	resumeStep, err := body.u32()
-	if err != nil {
-		return err
-	}
-	commitSection(params, e.params)
-	commitSection(moms, e.moms)
-	e.rng.SetState(rngState)
-	e.resumeStep = int(resumeStep)
-	return nil
-}
+func (e *Executor) LoadCheckpoint(r io.Reader) error { return loadCheckpoint(e, r) }
 
 // VerifyCheckpoint checks that a byte stream is a structurally sound
 // checkpoint: correct magic, the supported version and a matching CRC
 // trailer. It does not compare against any graph.
 func VerifyCheckpoint(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("%w: %d-byte stream", ErrCorruptCheckpoint, len(data))
+	return verifyCheckpoint(bytes.NewReader(data), int64(len(data)))
+}
+
+// verifyCheckpoint is VerifyCheckpoint over the first size bytes of r,
+// streamed through one fixed buffer.
+func verifyCheckpoint(r io.ReaderAt, size int64) error {
+	if size < 4 {
+		return fmt.Errorf("%w: %d-byte stream", ErrCorruptCheckpoint, size)
 	}
-	if magic := binary.LittleEndian.Uint32(data); magic != checkpointMagic {
+	var buf [8 << 10]byte
+	head := buf[:min(size, 8)]
+	if _, err := r.ReadAt(head, 0); err != nil {
+		return err
+	}
+	if magic := binary.LittleEndian.Uint32(head); magic != checkpointMagic {
 		return fmt.Errorf("%w: not a gist checkpoint (magic %#x)", ErrCorruptCheckpoint, magic)
 	}
-	if len(data) < 12 {
-		return fmt.Errorf("%w: stream of %d bytes", ErrCorruptCheckpoint, len(data))
+	if size < 12 {
+		return fmt.Errorf("%w: stream of %d bytes", ErrCorruptCheckpoint, size)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != checkpointVersion {
+	if v := binary.LittleEndian.Uint32(head[4:]); v != checkpointVersion {
 		return fmt.Errorf("%w: version %d (supported: %d)", ErrCheckpointVersion, v, checkpointVersion)
 	}
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
+	var got uint32
+	for off := int64(0); off < size-4; {
+		chunk := buf[:min(int64(len(buf)), size-4-off)]
+		if _, err := r.ReadAt(chunk, off); err != nil {
+			return err
+		}
+		got = crc32.Update(got, crc32.IEEETable, chunk)
+		off += int64(len(chunk))
+	}
+	if _, err := r.ReadAt(buf[:4], size-4); err != nil {
+		return err
+	}
+	if want := binary.LittleEndian.Uint32(buf[:4]); got != want {
 		return fmt.Errorf("%w: CRC %#x, trailer %#x", ErrCorruptCheckpoint, got, want)
 	}
 	return nil
@@ -456,15 +450,11 @@ func (e *Executor) SaveCheckpointFileVia(path string, wrap func(io.Writer) io.Wr
 		return err
 	}
 	// Verify what actually reached the disk before promoting it.
-	if _, err = tmp.Seek(0, io.SeekStart); err != nil {
+	size, err := tmp.Seek(0, io.SeekEnd)
+	if err != nil {
 		return err
 	}
-	data, rerr := io.ReadAll(tmp)
-	if rerr != nil {
-		err = rerr
-		return err
-	}
-	if err = VerifyCheckpoint(data); err != nil {
+	if err = verifyCheckpoint(tmp, size); err != nil {
 		return fmt.Errorf("train: refusing to promote checkpoint: %w", err)
 	}
 	if err = tmp.Close(); err != nil {
@@ -483,26 +473,69 @@ func (e *Executor) SaveCheckpointFileVia(path string, wrap func(io.Writer) io.Wr
 }
 
 // LoadCheckpointFile restores a checkpoint written by SaveCheckpointFile.
-func (e *Executor) LoadCheckpointFile(path string) error {
-	f, err := os.Open(path)
+func (e *Executor) LoadCheckpointFile(path string) error { return LoadCheckpointFile(e, path) }
+
+// LoadCheckpointFile restores a checkpoint into every executor of the
+// engine. The file is read, verified, parsed and validated once, against
+// the lead's graph, and the parameters and momenta are committed once,
+// into the lead's flats, which a group's replicas view. Each other executor
+// then takes its own copy of the batch-norm statistics, and every executor
+// the RNG state; the engine's step clock aligns to the checkpoint's
+// completed-step count.
+func LoadCheckpointFile(en Engine, path string) error {
+	f, err := openCheckpoint(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return e.LoadCheckpoint(f)
+	return loadCheckpoint(en, f)
 }
 
-// LoadCheckpointFile restores a checkpoint into every executor of the
-// engine — a group's parameters and momenta into the flats its replicas
-// view, each replica's batch-norm statistics and RNG into its own — then
-// aligns the engine's step clock to the checkpoint's completed-step count.
-func LoadCheckpointFile(en Engine, path string) error {
-	execs := en.Executors()
-	for _, e := range execs {
-		if err := e.LoadCheckpointFile(path); err != nil {
-			return err
-		}
+// openCheckpoint opens the file LoadCheckpointFile reads; a test swaps it
+// to count the reads a load makes.
+var openCheckpoint = func(path string) (io.ReadCloser, error) { return os.Open(path) }
+
+// loadCheckpoint is LoadCheckpointFile over a stream.
+func loadCheckpoint(en Engine, r io.Reader) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
 	}
-	en.SetResumeStep(execs[0].ResumeStep())
+	if err := VerifyCheckpoint(data); err != nil {
+		return err
+	}
+	execs := en.Executors()
+	lead := execs[0]
+	body := &cpReader{data: data[:len(data)-4], off: 8}
+	params, err := lead.parseSection(body, lead.params, true)
+	if err != nil {
+		return err
+	}
+	moms, err := lead.parseSection(body, lead.moms, false)
+	if err != nil {
+		return err
+	}
+	rngState, err := body.u64()
+	if err != nil {
+		return err
+	}
+	resumeStep, err := body.u32()
+	if err != nil {
+		return err
+	}
+	commitSection(params, lead.params)
+	commitSection(moms, lead.moms)
+	for _, e := range execs {
+		if e != lead {
+			for _, cn := range params {
+				// A replica's graph is a clone of the lead's, node IDs kept.
+				if bn, ok := e.G.Nodes[cn.node.ID].Op.(*layers.BatchNormOp); ok && len(cn.mean) > 0 {
+					bn.RunningMean, bn.RunningVar = slices.Clone(cn.mean), slices.Clone(cn.variance)
+				}
+			}
+		}
+		e.rng.SetState(rngState)
+	}
+	en.SetResumeStep(int(resumeStep))
 	return nil
 }

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"fmt"
+
 	"gist/internal/tensor"
 )
 
@@ -51,12 +53,25 @@ func NewMarginDataset(classes, channels, size int, noiseStd, margin float64, see
 }
 
 // Batch samples a minibatch: labels cycle deterministically through the
-// classes with randomized noise, so every batch is balanced.
+// classes with randomized noise, so every batch is balanced. It is
+// BatchInto into a freshly allocated x and labels.
 func (d *Dataset) Batch(mb int) (*tensor.Tensor, []int) {
 	x := tensor.New(mb, d.Channels, d.Size, d.Size)
 	labels := make([]int, mb)
+	d.BatchInto(x, labels)
+	return x, labels
+}
+
+// BatchInto refills x and labels with the next minibatch of len(labels)
+// rows, drawing the RNG exactly as Batch does, so a loop that refills one
+// buffer pair sees the bits a loop of Batch calls would. x must hold
+// len(labels) images of the dataset's geometry.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int) {
 	per := d.Channels * d.Size * d.Size
-	for i := 0; i < mb; i++ {
+	if len(x.Data) != len(labels)*per {
+		panic(fmt.Sprintf("train: batch of %d elements for %d labels of %d elements", len(x.Data), len(labels), per))
+	}
+	for i := range labels {
 		c := d.rng.Intn(d.Classes)
 		labels[i] = c
 		proto := d.prototypes[c]
@@ -65,7 +80,6 @@ func (d *Dataset) Batch(mb int) (*tensor.Tensor, []int) {
 			dst[j] = proto.Data[j] + float32(d.NoiseStd*d.rng.NormFloat64())
 		}
 	}
-	return x, labels
 }
 
 // Skip fast-forwards the dataset past n minibatches of size mb without

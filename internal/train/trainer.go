@@ -163,13 +163,17 @@ func run(ctx context.Context, en Engine, d *Dataset, cfg RunConfig, rcfg *Recove
 		return records, report, err
 	}
 
+	// One batch buffer pair, refilled every step: a step's engine is done
+	// with its input when TryStep returns.
+	x := tensor.New(cfg.Minibatch, d.Channels, d.Size, d.Size)
+	labels := make([]int, cfg.Minibatch)
 	start := lead.ResumeStep()
 	en.SetResumeStep(start)
 	for step := start + 1; step <= cfg.Steps; step++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return finish(fmt.Errorf("train: run stopped before step %d: %w", step, cerr))
 		}
-		x, labels := d.Batch(cfg.Minibatch)
+		d.BatchInto(x, labels)
 		inj.BeginStep(step)
 
 		var loss float64
