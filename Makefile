@@ -208,7 +208,7 @@ cover:
 # trajectory (ROADMAP item 7). Printed at the end of `make check`, and fails
 # when the total exceeds LOC_CEILING: a PR that needs more lines raises the
 # number in its own diff, where a reviewer sees it.
-LOC_CEILING ?= 22281
+LOC_CEILING ?= 22336
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" {d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1} \

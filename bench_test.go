@@ -24,7 +24,6 @@ import (
 	"gist/internal/networks"
 	"gist/internal/parallel"
 	"gist/internal/race"
-	"gist/internal/sparse"
 	"gist/internal/telemetry"
 	"gist/internal/tensor"
 	"gist/internal/train"
@@ -216,11 +215,11 @@ func BenchmarkAblationNarrowVsWideCSR(b *testing.B) {
 		b.Run(spName(sp), func(b *testing.B) {
 			var last int64
 			for i := 0; i < b.N; i++ {
-				last = sparse.CSRBytesModel(kernelElems, sp)
+				last = encoding.CSRBytesModel(kernelElems, sp)
 			}
 			dense := int64(kernelElems * 4)
 			b.ReportMetric(float64(dense)/float64(last), "narrow-ratio")
-			b.ReportMetric(float64(dense)/float64(sparse.CSRWideBytesModel(kernelElems, 4096, sp)), "wide-ratio")
+			b.ReportMetric(float64(dense)/float64(encoding.CSRWideBytesModel(kernelElems, 4096, sp)), "wide-ratio")
 		})
 	}
 }

@@ -124,7 +124,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 	t.Run("robust-adaptive-parallel", func(t *testing.T) {
 		serial := csv(t, "-experiment", "robust", "-technique", "adaptive", "-parallel", "1")
-		if !strings.Contains(serial, "ssdc_fallbacks,") || strings.Contains(serial, "ssdc_fallbacks,0\n") {
+		if !strings.Contains(serial, "sparse_fallbacks,") || strings.Contains(serial, "sparse_fallbacks,0\n") {
 			t.Fatalf("no stash fell back, so the run misses the fallback path:\n%s", serial)
 		}
 		if par := csv(t, "-experiment", "robust", "-technique", "adaptive", "-parallel", "4"); par != serial {

@@ -1,17 +1,17 @@
-// Package sparse is the size model of Gist's SSDC (Sparse Storage and
-// Dense Compute) encoding, which the planner prices and the paper's
-// figures print. SSDC stashes a highly sparse ReLU output in a compressed
-// sparse format between its forward and backward uses, so compute stays
-// dense while storage is sparse. The runtime holds such a stash as ZVC
-// instead, which narrow CSR beats only above about 89 % sparsity; nothing
-// here encodes or decodes.
+package encoding
+
+// SSDC's size model. SSDC (Sparse Storage and Dense Compute) stashes a
+// highly sparse ReLU output in a compressed sparse format between its
+// forward and backward uses, so compute stays dense while storage is
+// sparse. The planner prices it and the paper's figures print it; the
+// runtime holds such a stash as ZVC instead, which narrow CSR beats only
+// above about 89 % sparsity, so nothing here encodes or decodes.
 //
 // The modeled format is CSR with the paper's narrow value optimization:
 // the flattened 2-D matrix is reshaped so it has at most 256 columns, which
 // lets every column index fit in a single byte instead of the 4 bytes a
 // generic cuSPARSE CSR uses. That moves the break-even sparsity for
 // compression from 50% down to ~20%.
-package sparse
 
 // NarrowCols is the column count the narrow value optimization reshapes to:
 // the largest width whose column indices fit in one byte.

@@ -1,4 +1,4 @@
-package sparse
+package encoding
 
 import (
 	"math"

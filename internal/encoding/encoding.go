@@ -33,7 +33,6 @@ import (
 	"gist/internal/floatenc"
 	"gist/internal/graph"
 	"gist/internal/layers"
-	"gist/internal/sparse"
 )
 
 // Technique identifies which Gist encoding a stashed feature map uses.
@@ -282,7 +281,7 @@ func sparseStash(n *graph.Node) bool {
 // time: a sparse stash, sparse enough for narrow CSR, that a convolution-
 // like consumer reads as X.
 func ssdcEligible(cfg Config, n *graph.Node, s float64) bool {
-	if !sparseStash(n) || s < sparse.BreakEvenSparsity(1) {
+	if !sparseStash(n) || s < BreakEvenSparsity(1) {
 		return false
 	}
 	for _, c := range n.Consumers() {
@@ -460,14 +459,14 @@ func (ssdcModel) overheadTime(t float64, stream func(int64) float64, dense, enc 
 // ssdcBytes models the narrow-CSR footprint of an n-element stash at the
 // given sparsity, with the value array optionally DPR-compressed.
 func ssdcBytes(n int, sparsity float64, f floatenc.Format) int64 {
-	return SSDCBytes(n, sparse.NNZAt(n, sparsity), f)
+	return SSDCBytes(n, NNZAt(n, sparsity), f)
 }
 
 // SSDCBytes is the exact size SSDC would hold for an n-element map with
 // nnz nonzeros at format f: the value words packed at f, one column byte
 // per nonzero and the narrow CSR's row pointers.
 func SSDCBytes(n, nnz int, f floatenc.Format) int64 {
-	return sparse.CSRBytes(n, nnz, f.PackedBytes(nnz))
+	return CSRBytes(n, nnz, f.PackedBytes(nnz))
 }
 
 // zvcBytes models the ZVC footprint of an n-element stash at the given

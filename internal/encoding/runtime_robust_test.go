@@ -33,7 +33,7 @@ func denseWithNNZ(n, nnz int) *tensor.Tensor {
 //	FP32: effective = 5·nnz + 68, dense = 4n = 16384  → break-even nnz 3263/3264
 //	FP16: effective = 3·nnz + 68, dense = 2n = 8192   → break-even nnz 2706/2708
 //
-// (~20% and ~33% sparsity, matching sparse.BreakEvenSparsity.) SSDC is a
+// (~20% and ~33% sparsity, matching BreakEvenSparsity.) SSDC is a
 // planning model: the runtime refuses an SSDC assignment on either side of
 // the threshold with ErrNoTechnique.
 func TestSSDCFallbackAroundBreakEven(t *testing.T) {

@@ -149,7 +149,7 @@ func Robust(s RobustScale) *Result {
 	r.set("robust/injected", float64(injected))
 	r.set("robust/retries", float64(report.Retries))
 	r.set("robust/crc_detected", float64(report.Robust.CRCFailures))
-	r.set("robust/ssdc_fallbacks", float64(report.Robust.SparseFallbacks))
+	r.set("robust/sparse_fallbacks", float64(report.Robust.SparseFallbacks))
 	if reconciled && err == nil {
 		r.set("robust/ok", 1)
 	} else {

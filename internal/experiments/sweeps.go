@@ -12,7 +12,6 @@ import (
 	"gist/internal/encoding"
 	"gist/internal/graph"
 	"gist/internal/networks"
-	"gist/internal/sparse"
 )
 
 // ExtMinibatchSweep plans VGG16 across minibatch sizes: footprints scale
@@ -76,7 +75,7 @@ func ExtSparsitySweep() *Result {
 		mfr := p.MFR(base)
 		// Per-stash compression at this sparsity for a large buffer.
 		const n = 1 << 20
-		stashRatio := float64(int64(n)*4) / float64(sparse.CSRBytesModel(n, sp))
+		stashRatio := float64(int64(n)*4) / float64(encoding.CSRBytesModel(n, sp))
 		key := spKey(sp)
 		r.set(key+"/mfr", mfr)
 		r.set(key+"/stash-ratio", stashRatio)

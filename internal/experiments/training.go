@@ -16,7 +16,6 @@ import (
 	"gist/internal/graph"
 	"gist/internal/layers"
 	"gist/internal/networks"
-	"gist/internal/sparse"
 	"gist/internal/train"
 )
 
@@ -306,5 +305,5 @@ func Fig14(s SparsityScale) *Result {
 // ratio of a large buffer at that sparsity.
 func csrRatio(sparsity float64) float64 {
 	const n = 1 << 20
-	return float64(int64(n)*4) / float64(sparse.CSRBytesModel(n, sparsity))
+	return float64(int64(n)*4) / float64(encoding.CSRBytesModel(n, sparsity))
 }

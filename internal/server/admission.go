@@ -14,12 +14,20 @@ package server
 // paper's lossless/lossy spectrum. A job that opted in (AllowDegrade) is
 // re-planned down the ladder before being queued or rejected.
 //
-// A rung's price is a pure function of (spec, rung), so a job prices each
-// rung at most once: its prices table builds the graph on first use and
-// keeps one footprint per rung, and a queued job's re-plans are lookups.
+// A rung's price is a pure function of the spec, and a plan reads only a
+// few of its fields, so the server plans each configuration once: its
+// planMemo keys a plan summary by exactly the fields buildNet and jobConfig
+// read (network, batch, classes, rung, technique) and keeps the plan's
+// total, its spillable stash bytes and the weight bytes. footprintOf is the
+// arithmetic that turns a summary, the spec's stash budget and its shard
+// count into the price, so a memo hit reserves byte for byte what a fresh
+// plan reserves (TestPricesMatchFootprint). Batch and classes are
+// client-chosen, so the memo holds at most planMemoCap summaries and is
+// cleared when full; a failed plan is never stored.
 
 import (
 	"fmt"
+	"sync"
 
 	"gist/internal/core"
 	"gist/internal/encoding"
@@ -95,12 +103,43 @@ func inputGeom(spec JobSpec) (channels, size int) {
 	return 3, 16
 }
 
-// footprintOf predicts the job's peak bytes at encoding cfg over g, the
-// spec's graph: the planner's shared-activation/stash total plus
-// parameters and momenta, scaled by the replica count (an upper bound: a
-// group holds one copy of the parameters and momenta, which its replicas
-// view), plus the shard-gradient flats the all-reduce holds
-// simultaneously.
+// planSummary is what admission keeps of one plan: the planner's total,
+// its spillable raw stash bytes (encoded and stashed feature maps) and the
+// graph's weight bytes.
+type planSummary struct {
+	total, spillable, weights int64
+}
+
+// planOf plans the spec at encoding encName over *g, the spec's graph,
+// building it first when *g is nil, so one caller's misses share one graph.
+// The rung's configuration is checked before the graph is built, so a spec
+// with a bad technique and a bad network reports the technique.
+func planOf(spec JobSpec, encName string, g **graph.Graph) (planSummary, error) {
+	cfg, err := jobConfig(spec, encName)
+	if err != nil {
+		return planSummary{}, err
+	}
+	if *g == nil {
+		if *g, err = buildNet(spec); err != nil {
+			return planSummary{}, err
+		}
+	}
+	plan, err := core.Build(core.Request{Graph: *g, Encodings: cfg})
+	if err != nil {
+		return planSummary{}, err
+	}
+	return planSummary{
+		total:     plan.TotalBytes,
+		spillable: plan.RawByClass[graph.ClassEncoded] + plan.RawByClass[graph.ClassStashedFmap],
+		weights:   (*g).WeightBytes(),
+	}, nil
+}
+
+// footprintOf predicts the job's peak bytes from its plan summary: the
+// planner's shared-activation/stash total plus parameters and momenta,
+// scaled by the replica count (an upper bound: a group holds one copy of
+// the parameters and momenta, which its replicas view), plus the
+// shard-gradient flats the all-reduce holds simultaneously.
 //
 // A StashBudget moves the stash population (encoded pages and dense-packed
 // plain stashes alike) into the tiered store, whose hot tier is capped at
@@ -108,12 +147,8 @@ func inputGeom(spec JobSpec) (channels, size int) {
 // therefore subtracts the over-budget stash excess from the prediction,
 // floored at the non-spillable residue (weights, momenta and the hot tier
 // itself) — a spilling job admits smaller, which is the whole point.
-func footprintOf(spec JobSpec, g *graph.Graph, cfg encoding.Config) (int64, error) {
-	plan, err := core.Build(core.Request{Graph: g, Encodings: cfg})
-	if err != nil {
-		return 0, err
-	}
-	per := plan.TotalBytes + 2*g.WeightBytes()
+func footprintOf(spec JobSpec, sum planSummary) int64 {
+	per := sum.total + 2*sum.weights
 	if spec.StashBudget > 0 {
 		perBudget := spec.StashBudget
 		if spec.Shards > 1 {
@@ -123,10 +158,9 @@ func footprintOf(spec JobSpec, g *graph.Graph, cfg encoding.Config) (int64, erro
 				perBudget = 1
 			}
 		}
-		spillable := plan.RawByClass[graph.ClassEncoded] + plan.RawByClass[graph.ClassStashedFmap]
-		if excess := spillable - perBudget; excess > 0 {
+		if excess := sum.spillable - perBudget; excess > 0 {
 			per -= excess
-			if floor := 2*g.WeightBytes() + perBudget; per < floor {
+			if floor := 2*sum.weights + perBudget; per < floor {
 				per = floor
 			}
 		}
@@ -134,66 +168,78 @@ func footprintOf(spec JobSpec, g *graph.Graph, cfg encoding.Config) (int64, erro
 	fp := per * int64(spec.Shards)
 	if spec.Shards > 1 {
 		// The merge holds every shard's flat gradient at once.
-		fp += int64(spec.Shards) * g.WeightBytes()
+		fp += int64(spec.Shards) * sum.weights
 	}
-	return fp, nil
+	return fp
 }
 
-// prices is one job's admission price table: its graph, built on the first
-// rung priced, and the footprint of every rung priced so far. Not safe for
-// concurrent use; a queued job's table is used under the server's lock.
-type prices struct {
-	spec   JobSpec
-	g      *graph.Graph
-	fp     [len(ladder)]int64
-	priced [len(ladder)]bool
+// planMemoCap bounds the memo: a full memo is cleared before the next
+// summary goes in.
+const planMemoCap = 64
+
+// planKey is exactly what a plan reads of a spec: buildNet's network,
+// batch and classes, and jobConfig's rung and technique.
+type planKey struct {
+	network        string
+	batch, classes int
+	rung           int
+	technique      string
 }
 
-// price returns the footprint of the spec at ladder[rung], computing it
-// at most once. The rung's configuration is checked before the graph is
-// built, so a spec with a bad technique and a bad network reports the
-// technique.
-func (p *prices) price(rung int) (int64, error) {
-	if p.priced[rung] {
-		return p.fp[rung], nil
-	}
-	cfg, err := jobConfig(p.spec, ladder[rung])
-	if err != nil {
-		return 0, err
-	}
-	if p.g == nil {
-		if p.g, err = buildNet(p.spec); err != nil {
+// planMemo is the server's memo of plan summaries. Its zero value is empty
+// and ready; it is safe for concurrent use, since Submit prices outside the
+// server's lock.
+type planMemo struct {
+	mu sync.Mutex
+	m  map[planKey]planSummary
+}
+
+// price returns the spec's footprint at ladder[rung]. A hit is one lookup
+// and allocates nothing; a miss plans the rung over *g (planOf) and keeps
+// the summary, unless planning failed.
+func (m *planMemo) price(spec JobSpec, rung int, g **graph.Graph) (int64, error) {
+	k := planKey{spec.Network, spec.Batch, spec.Classes, rung, spec.Technique}
+	m.mu.Lock()
+	sum, ok := m.m[k]
+	m.mu.Unlock()
+	if !ok {
+		var err error
+		if sum, err = planOf(spec, ladder[rung], g); err != nil {
 			return 0, err
 		}
+		m.mu.Lock()
+		if m.m == nil {
+			m.m = make(map[planKey]planSummary)
+		} else if len(m.m) >= planMemoCap {
+			clear(m.m)
+		}
+		m.m[k] = sum
+		m.mu.Unlock()
 	}
-	fp, err := footprintOf(p.spec, p.g, cfg)
-	if err != nil {
-		return 0, err
-	}
-	p.fp[rung], p.priced[rung] = fp, true
-	return fp, nil
+	return footprintOf(spec, sum), nil
 }
 
 // planAdmission finds the least-degraded encoding (starting at startEnc's
-// rung) whose footprint fits limit, pricing rungs through the job's table.
-// Without AllowDegrade only startEnc is considered. Returns the chosen
-// encoding and its footprint, or ok=false with startEnc's footprint when
-// nothing fits.
-func planAdmission(p *prices, startEnc string, limit int64) (encName string, fp int64, ok bool, err error) {
+// rung) whose footprint fits limit, pricing rungs through the memo; the
+// rungs it misses are planned over one graph. Without AllowDegrade only
+// startEnc is considered. Returns the chosen encoding and its footprint, or
+// ok=false with startEnc's footprint when nothing fits.
+func planAdmission(m *planMemo, spec JobSpec, startEnc string, limit int64) (encName string, fp int64, ok bool, err error) {
 	start := ladderIndex(startEnc)
 	if start < 0 {
 		return "", 0, false, fmt.Errorf("server: unknown encoding %q", startEnc)
 	}
-	requested, err := p.price(start)
+	var g *graph.Graph
+	requested, err := m.price(spec, start, &g)
 	if err != nil {
 		return "", 0, false, err
 	}
 	if requested <= limit {
 		return startEnc, requested, true, nil
 	}
-	if p.spec.AllowDegrade {
+	if spec.AllowDegrade {
 		for i := start + 1; i < len(ladder); i++ {
-			fp, err := p.price(i)
+			fp, err := m.price(spec, i, &g)
 			if err != nil {
 				return "", 0, false, err
 			}

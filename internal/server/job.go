@@ -197,10 +197,6 @@ type job struct {
 	submitted time.Time
 	deadline  time.Time // zero when the spec has no deadline
 
-	// prices is the admission price table while the job is queued (nil
-	// otherwise); guarded by the server's mu.
-	prices *prices
-
 	tel  *telemetry.Sink
 	ckpt string        // checkpoint path ("" until first save)
 	done chan struct{} // closed when the job reaches a terminal state

@@ -139,6 +139,10 @@ type Server struct {
 	peak    int64 // high-water mark of used
 	closed  bool
 
+	// plans memoizes every plan admission prices (admission.go); it has
+	// its own lock, because Submit prices outside mu.
+	plans planMemo
+
 	wg           sync.WaitGroup // training goroutines
 	watchdogDone chan struct{}
 
@@ -219,8 +223,7 @@ func (s *Server) Submit(spec JobSpec) (*JobStatus, error) {
 	}
 	// Validate and plan against the whole budget before taking the lock:
 	// a job that cannot fit an empty server is rejected outright.
-	table := &prices{spec: spec}
-	enc, fp, fits, err := planAdmission(table, spec.Encoding, s.cfg.MemBudgetBytes)
+	enc, fp, fits, err := planAdmission(&s.plans, spec, spec.Encoding, s.cfg.MemBudgetBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +273,6 @@ func (s *Server) Submit(spec JobSpec) (*JobStatus, error) {
 		s.degraded.Inc()
 	}
 	s.admitted.Inc()
-	j.prices = table
 	s.queue = append(s.queue, j)
 	s.queueGauge.Set(int64(len(s.queue)))
 	s.pumpLocked()
@@ -326,12 +328,8 @@ func (s *Server) pumpLocked() {
 			j.mu.Unlock()
 			if fp > free {
 				// Re-plan at a harder compression against what is free
-				// right now (AllowDegrade only). A resumed job left its
-				// table behind when it last started, so it prices afresh.
-				if j.prices == nil {
-					j.prices = &prices{spec: j.spec}
-				}
-				denc, dfp, ok, err := planAdmission(j.prices, enc, free)
+				// right now (AllowDegrade only).
+				denc, dfp, ok, err := planAdmission(&s.plans, j.spec, enc, free)
 				if err != nil || !ok {
 					continue
 				}
@@ -352,11 +350,8 @@ func (s *Server) pumpLocked() {
 	}
 }
 
-// dropFromQueue removes j from the queue slice, and with it j's price
-// table: a job holds its graph and prices only while queued, so a running
-// or finished job holds neither. Callers hold s.mu.
+// dropFromQueue removes j from the queue slice. Callers hold s.mu.
 func (s *Server) dropFromQueue(j *job) {
-	j.prices = nil
 	for i, q := range s.queue {
 		if q == j {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
@@ -792,9 +787,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	queued := s.queue
 	s.queue = nil
 	s.queueGauge.Set(0)
-	for _, j := range queued {
-		j.prices = nil
-	}
 	var paused, runningJobs []*job
 	for _, j := range s.jobs {
 		j.mu.Lock()

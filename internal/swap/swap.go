@@ -17,7 +17,6 @@ import (
 	"gist/internal/costmodel"
 	"gist/internal/encoding"
 	"gist/internal/graph"
-	"gist/internal/sparse"
 )
 
 // stash describes one feature map that must round-trip over PCIe.
@@ -171,7 +170,7 @@ func CDMAStepTime(d costmodel.Device, g *graph.Graph, tl *graph.Timeline,
 		if sp <= 0 {
 			return s.bytes
 		}
-		c := sparse.CSRBytesModel(int(s.bytes/4), sp)
+		c := encoding.CSRBytesModel(int(s.bytes/4), sp)
 		if c < s.bytes {
 			return c
 		}

@@ -457,44 +457,69 @@ func newExecutor(g *graph.Graph, opts Options, lead *Executor) *Executor {
 
 // initState lays out the trainable state's three flats and initializes the
 // parameters in node order. Given a lead, it lays out the gradient flat
-// only and takes the lead's parameter and momentum views.
+// only and takes the lead's parameter and momentum views. Every view it
+// lays out comes from three slabs: the tensors, their cloned dims, and the
+// pointers that back each node's slice of views.
 func (e *Executor) initState(lead *Executor) {
 	nn := len(e.G.Nodes)
-	size := 0
+	size, count, dims := 0, 0, 0
 	for _, n := range e.G.Nodes {
 		for _, shape := range n.ParamShapes {
 			size += shape.NumElements()
+			dims += len(shape)
 		}
+		count += len(n.ParamShapes)
 	}
+	kinds := 3 // parameters, gradients, momenta
 	e.gradFlat, e.grads = make([]float32, size), make([][]*tensor.Tensor, nn)
 	if lead != nil {
 		e.paramFlat, e.momFlat, e.params, e.moms, e.viewsLead = lead.paramFlat, lead.momFlat, lead.params, lead.moms, true
+		kinds = 1
 	} else {
 		e.paramFlat, e.momFlat = make([]float32, size), make([]float32, size)
 		e.params, e.moms = make([][]*tensor.Tensor, nn), make([][]*tensor.Tensor, nn)
 	}
+	views, dimSlab, ptrs := make([]tensor.Tensor, kinds*count), make([]int, kinds*dims), make([]*tensor.Tensor, kinds*count)
+	// take returns the next k view pointers, capped so an append cannot
+	// reach the next node's.
+	take := func(k int) []*tensor.Tensor {
+		v := ptrs[:k:k]
+		ptrs = ptrs[k:]
+		return v
+	}
 	off := 0
 	for _, n := range e.G.Nodes {
+		k := len(n.ParamShapes)
+		if k == 0 {
+			continue
+		}
+		e.grads[n.ID] = take(k)
+		if lead == nil {
+			e.params[n.ID], e.moms[n.ID] = take(k), take(k)
+		}
 		for i, shape := range n.ParamShapes {
-			k := shape.NumElements()
+			elems, d := shape.NumElements(), len(shape)
 			view := func(flat []float32) *tensor.Tensor {
-				return &tensor.Tensor{Shape: shape.Clone(), Data: flat[off : off+k : off+k]}
+				t := &views[0]
+				t.Shape, t.Data = dimSlab[:d:d], flat[off:off+elems:off+elems]
+				copy(t.Shape, shape)
+				views, dimSlab = views[1:], dimSlab[d:]
+				return t
 			}
-			e.grads[n.ID] = append(e.grads[n.ID], view(e.gradFlat))
+			e.grads[n.ID][i] = view(e.gradFlat)
 			if lead == nil {
 				p := view(e.paramFlat)
-				e.params[n.ID] = append(e.params[n.ID], p)
-				e.moms[n.ID] = append(e.moms[n.ID], view(e.momFlat))
+				e.params[n.ID][i], e.moms[n.ID][i] = p, view(e.momFlat)
 				switch {
 				case n.Kind() == layers.BatchNorm && i == 0:
 					p.Fill(1) // gamma
 				case n.Kind() == layers.BatchNorm && i == 1:
 					// beta stays zero
 				case i == 0:
-					p.FillHe(e.rng, k/shape[0])
+					p.FillHe(e.rng, elems/shape[0])
 				}
 			}
-			off += k
+			off += elems
 		}
 	}
 }

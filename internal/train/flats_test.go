@@ -73,6 +73,62 @@ func TestStateFlatsLayout(t *testing.T) {
 	}
 }
 
+// TestStateViewsOwnDims checks the views' slab layout: every node's slice
+// of parameter, gradient and momentum views is capped at its length, every
+// view aliases its flat at the running offset and its dims equal its
+// parameter shape, and each view owns its dims —
+// writing one view's Shape[0] changes no other view's shape and no graph
+// shape. It covers a lead executor and a replica group's replicas, whose
+// gradient views are their own.
+func TestStateViewsOwnDims(t *testing.T) {
+	g := bnNet(2)
+	rg := NewReplicaGroup(g, Options{Seed: 1}, ReplicaConfig{Replicas: 2})
+	defer rg.Close()
+	type view struct {
+		t     *tensor.Tensor
+		shape tensor.Shape
+	}
+	var all []view
+	for r, e := range append([]*Executor{NewExecutor(networks.TinyVGG(2, 4), Options{Seed: 1})}, rg.Executors()...) {
+		for _, st := range []struct {
+			flat []float32
+			ts   [][]*tensor.Tensor
+		}{{e.paramFlat, e.params}, {e.gradFlat, e.grads}, {e.momFlat, e.moms}} {
+			ts, off := st.ts, 0
+			for _, n := range e.G.Nodes {
+				if len(ts[n.ID]) != len(n.ParamShapes) || cap(ts[n.ID]) != len(n.ParamShapes) {
+					t.Fatalf("executor %d: %s has %d views of cap %d, want %d of cap %d",
+						r, n.Name, len(ts[n.ID]), cap(ts[n.ID]), len(n.ParamShapes), len(n.ParamShapes))
+				}
+				for j, tt := range ts[n.ID] {
+					if !tt.Shape.Equal(n.ParamShapes[j]) {
+						t.Fatalf("executor %d: %s view %d has shape %v, want %v", r, n.Name, j, tt.Shape, n.ParamShapes[j])
+					}
+					k := n.ParamShapes[j].NumElements()
+					if len(tt.Data) != k || cap(tt.Data) != k || &tt.Data[0] != &st.flat[off] {
+						t.Fatalf("executor %d: %s view %d is not its flat's [%d:%d] view", r, n.Name, j, off, off+k)
+					}
+					off += k
+					all = append(all, view{tt, n.ParamShapes[j]})
+				}
+			}
+		}
+	}
+	for i, v := range all {
+		old := v.t.Shape[0]
+		v.t.Shape[0] = -1
+		for j, w := range all {
+			if j != i && w.t != v.t && !w.t.Shape.Equal(w.shape) {
+				t.Fatalf("writing view %d's Shape[0] changed view %d's shape to %v", i, j, w.t.Shape)
+			}
+		}
+		if v.shape[0] == -1 {
+			t.Fatalf("writing view %d's Shape[0] wrote its graph shape", i)
+		}
+		v.t.Shape[0] = old
+	}
+}
+
 // TestReplicaStepTakesNoPooledBuffer checks that a pooled replica group's
 // step moves the pool only through its executors' arenas: the shard
 // gradient flats are the group's own, so no step takes from or returns to
